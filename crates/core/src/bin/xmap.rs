@@ -37,18 +37,16 @@
 //!       --kill-after-probes N abort the scan after the simulated world
 //!                          handles N probes (exit code 3; for testing
 //!                          checkpoint/resume)
-//!       --transport T      lockstep (default) | sim | replay | tap.
-//!                          `sim` runs the reactor engine over the
-//!                          simulator transport (byte-identical output);
-//!                          `replay` re-runs a recorded wire trace
-//!                          (requires --replay-trace); `tap` names the
-//!                          real-wire backend, which this offline build
-//!                          refuses with an explanation
+//!       --transport T      sim (default) | replay | tap. `sim` scans
+//!                          the simulated Internet; `replay` re-runs a
+//!                          recorded wire trace (requires --replay-trace);
+//!                          `tap` names the real-wire backend, which this
+//!                          offline build refuses with an explanation
 //!       --record-wire FILE record the run's wire traffic as an NDJSON
 //!                          trace replayable with --transport replay
 //!                          (single worker, no --checkpoint)
 //!       --replay-trace FILE the recorded trace to replay; implies
-//!                          --transport replay
+//!                          --transport replay when --transport is absent
 //!   -q, --quiet            suppress the summary and status lines on stderr
 //!
 //! An interrupted checkpointed scan exits with code 3; rerunning the same
@@ -67,7 +65,7 @@ use std::process::ExitCode;
 
 use xmap::{
     run_session, Blocklist, IcmpEchoProbe, ParallelScanner, Permutation, ProbeModule, ScanConfig,
-    ScanEngine, ScanResults, Scanner, SessionSpec, TargetSpec, TcpSynProbe, UdpProbe, Verdict,
+    ScanResults, Scanner, SessionSpec, TargetSpec, TcpSynProbe, UdpProbe, Verdict,
 };
 use xmap_netsim::packet::Network;
 use xmap_netsim::services::{AppRequest, ServiceKind};
@@ -112,16 +110,13 @@ enum ModuleChoice {
     Tcp,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TransportChoice {
-    /// The synchronous lock-step engine (no transport layer at all).
-    #[default]
-    LockStep,
-    /// Reactor engine over the simulator transport.
+    /// The simulated Internet.
     Sim,
-    /// Reactor engine over a recorded wire trace.
+    /// A recorded wire trace.
     Replay,
-    /// Reactor engine over a real TAP device — refused by this build.
+    /// A real TAP device — refused by this build.
     Tap,
 }
 
@@ -149,7 +144,7 @@ impl Default for CliConfig {
             checkpoint_every: 1024,
             resume: false,
             kill_after_probes: None,
-            transport: TransportChoice::LockStep,
+            transport: TransportChoice::Sim,
             record_wire: None,
             replay_trace: None,
         }
@@ -158,6 +153,9 @@ impl Default for CliConfig {
 
 fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     let mut cfg = CliConfig::default();
+    // `None` until --transport is given: --replay-trace then implies the
+    // replay transport, while an explicit other choice contradicts it.
+    let mut transport = None;
     let mut iter = args.iter().peekable();
     let value = |iter: &mut std::iter::Peekable<std::slice::Iter<String>>,
                  flag: &str|
@@ -250,21 +248,15 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             }
             "--resume" => cfg.resume = true,
             "--transport" => {
-                cfg.transport = match value(&mut iter, arg)?.as_str() {
-                    "lockstep" => TransportChoice::LockStep,
+                transport = Some(match value(&mut iter, arg)?.as_str() {
                     "sim" => TransportChoice::Sim,
                     "replay" => TransportChoice::Replay,
                     "tap" => TransportChoice::Tap,
                     other => return Err(format!("unknown transport {other:?}")),
-                };
+                });
             }
             "--record-wire" => cfg.record_wire = Some(value(&mut iter, arg)?),
-            "--replay-trace" => {
-                cfg.replay_trace = Some(value(&mut iter, arg)?);
-                if cfg.transport == TransportChoice::LockStep {
-                    cfg.transport = TransportChoice::Replay;
-                }
-            }
+            "--replay-trace" => cfg.replay_trace = Some(value(&mut iter, arg)?),
             "--kill-after-probes" => {
                 cfg.kill_after_probes = Some(
                     value(&mut iter, arg)?
@@ -285,6 +277,11 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             }
         }
     }
+    cfg.transport = transport.unwrap_or(if cfg.replay_trace.is_some() {
+        TransportChoice::Replay
+    } else {
+        TransportChoice::Sim
+    });
     if cfg.targets.ranges().is_empty() {
         return Err("at least one target range is required".to_owned());
     }
@@ -440,10 +437,6 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         permutation: cfg.permutation,
         max_targets: cfg.max_targets,
         rate_pps: cfg.rate_pps,
-        engine: match cfg.transport {
-            TransportChoice::LockStep => ScanEngine::LockStep,
-            _ => ScanEngine::Reactor,
-        },
         ..Default::default()
     };
     let module = module_for(&cfg);
@@ -929,29 +922,37 @@ mod tests {
 
     #[test]
     fn parses_transport_flags() {
-        assert_eq!(
-            parse_args(&args("2405:200::/32")).unwrap().transport,
-            TransportChoice::LockStep
-        );
-        assert_eq!(
-            parse_args(&args("--transport sim 2405:200::/32"))
-                .unwrap()
-                .transport,
-            TransportChoice::Sim
-        );
-        // --replay-trace implies the replay transport.
-        let cfg = parse_args(&args("--replay-trace /tmp/w.ndjson 2405:200::/32")).unwrap();
-        assert_eq!(cfg.transport, TransportChoice::Replay);
-        assert_eq!(cfg.replay_trace.as_deref(), Some("/tmp/w.ndjson"));
-        assert!(parse_args(&args("--transport nope 2405:200::/32")).is_err());
+        for line in ["2405:200::/32", "--transport sim 2405:200::/32"] {
+            let cfg = parse_args(&args(line)).unwrap();
+            assert_eq!(cfg.transport, TransportChoice::Sim, "{line}");
+        }
+        // --replay-trace implies the replay transport, whichever side of
+        // an explicit --transport replay it appears on.
+        for line in [
+            "--replay-trace /tmp/w.ndjson 2405:200::/32",
+            "--replay-trace /tmp/w.ndjson --transport replay 2405:200::/32",
+            "--transport replay --replay-trace /tmp/w.ndjson 2405:200::/32",
+        ] {
+            let cfg = parse_args(&args(line)).unwrap();
+            assert_eq!(cfg.transport, TransportChoice::Replay, "{line}");
+            assert_eq!(cfg.replay_trace.as_deref(), Some("/tmp/w.ndjson"));
+        }
+        let err = parse_args(&args("--transport nope 2405:200::/32")).unwrap_err();
+        assert!(err.contains("unknown transport"), "{err}");
         assert!(
             parse_args(&args("--transport replay 2405:200::/32")).is_err(),
             "replay needs a trace file"
         );
-        assert!(
-            parse_args(&args("--transport sim --replay-trace /tmp/w 2405:200::/32")).is_err(),
-            "trace with a non-replay transport is contradictory"
-        );
+        // An explicit non-replay transport contradicts a trace, in
+        // either flag order — it is never silently overridden.
+        for line in [
+            "--transport sim --replay-trace /tmp/w 2405:200::/32",
+            "--replay-trace /tmp/w --transport sim 2405:200::/32",
+            "--transport tap --replay-trace /tmp/w 2405:200::/32",
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert!(err.contains("requires --transport replay"), "{line}: {err}");
+        }
         assert!(parse_args(&args(
             "--record-wire /tmp/a --replay-trace /tmp/b 2405:200::/32"
         ))
@@ -973,23 +974,19 @@ mod tests {
         assert!(err.contains("TAP transport unavailable"), "{err}");
     }
 
-    /// `--transport sim` must produce the same CSV as the default
-    /// lock-step engine, and a `--record-wire` run's trace must replay
-    /// to the same CSV through `--replay-trace`.
+    /// A `--record-wire` run's trace must replay to the same CSV through
+    /// `--replay-trace`.
     #[test]
     fn sim_record_and_replay_round_trip_through_the_cli() {
         let tmp = std::env::temp_dir().join(format!("xmap-cli-wire-{}", std::process::id()));
         std::fs::create_dir_all(&tmp).unwrap();
-        let csv_lockstep = tmp.join("lockstep.csv");
         let csv_sim = tmp.join("sim.csv");
         let csv_replay = tmp.join("replay.csv");
         let trace = tmp.join("wire.ndjson");
 
         let base = "-x 2048 -q -s 3 2402:3a80::/32-64";
-        let cfg = parse_args(&args(&format!("{base} -o {}", csv_lockstep.display()))).unwrap();
-        run(cfg).unwrap();
         let cfg = parse_args(&args(&format!(
-            "{base} --transport sim -o {} --record-wire {}",
+            "{base} -o {} --record-wire {}",
             csv_sim.display(),
             trace.display()
         )))
@@ -1003,10 +1000,9 @@ mod tests {
         .unwrap();
         run(cfg).unwrap();
 
-        let lockstep = std::fs::read_to_string(&csv_lockstep).unwrap();
         let sim = std::fs::read_to_string(&csv_sim).unwrap();
         let replay = std::fs::read_to_string(&csv_replay).unwrap();
-        assert_eq!(lockstep, sim, "--transport sim diverged from lock-step");
+        assert!(sim.lines().count() > 1, "the recorded scan found nothing");
         assert_eq!(sim, replay, "--replay-trace diverged from the recording");
         let _ = std::fs::remove_dir_all(&tmp);
     }

@@ -70,8 +70,7 @@ pub use parallel::{
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
 pub use rate::AdaptiveRateController;
 pub use scanner::{
-    run_pipelined, Confidence, Permutation, ScanConfig, ScanEngine, ScanRecord, ScanResults,
-    ScanStats, Scanner,
+    Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner,
 };
 pub use target::{fill_host_bits, TargetSpec};
 pub use telemetry::ScanMetrics;

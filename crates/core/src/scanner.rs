@@ -1,18 +1,19 @@
-//! The scan engine: permutation → probe → validate → record.
+//! The scan loop: permutation → probe → validate → record.
 //!
 //! Mirrors XMap's architecture: a target generator walks a random
-//! permutation of the scan space, a send loop builds probes under a token
-//! bucket, responses are validated statelessly and recorded. Against the
-//! simulator, send and receive are synchronous; [`run_pipelined`]
-//! still exercises the real two-stage pipeline (generator thread feeding a
-//! prober thread over bounded channels) the way the C implementation
-//! separates its send and receive threads.
+//! permutation of the scan space, one send loop builds probes under a
+//! token bucket, responses are validated statelessly and recorded. The
+//! loop reaches the network only through the [`Transport`] contract —
+//! batched sends, polled tick-stamped receives, a virtual clock — and
+//! parks retransmissions in a deadline [`TimerHeap`], so a backend other
+//! than the simulator is a type parameter away, not a second loop.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use xmap_addr::{Ip6, Prefix, ScanRange};
 use xmap_netsim::packet::{Icmpv6, Ipv6Packet, Network, Payload};
+use xmap_reactor::{RecvEntry, SimTransport, TimerHeap, Transport};
 use xmap_state::{AbortSignal, AdaptiveState, CursorState, RunState};
 use xmap_telemetry::{Monitor, Snapshot, Telemetry, Tracer};
 
@@ -26,12 +27,6 @@ use crate::target::fill_host_bits;
 use crate::telemetry::{names, HotTally, MetricsBaseline, ScanMetrics};
 use crate::validate::Validator;
 
-// The reactor-backed engine lives in a child module so it can share this
-// module's private plumbing (target generator, recovery state, metric
-// tallies) without widening any of it.
-#[path = "reactor_run.rs"]
-mod reactor_run;
-
 /// Probe-order strategies (ablation: `permutation_vs_sequential`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Permutation {
@@ -42,28 +37,6 @@ pub enum Permutation {
     Feistel,
     /// No permutation: ascending order (hammers one subnet at a time).
     Sequential,
-}
-
-/// Which engine drives the scan loop.
-///
-/// Both engines produce byte-identical CSV records, metrics snapshots
-/// and checkpoints for the same seed and configuration (pinned by the
-/// `reactor_determinism` test), so the knob is purely architectural:
-/// the reactor is the path that admits non-simulator transports. The
-/// engine is deliberately *not* part of the session manifest — a scan
-/// checkpointed under one engine resumes under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanEngine {
-    /// The synchronous lock-step loop: one send slot per virtual tick,
-    /// replies absorbed in place. The historical default.
-    #[default]
-    LockStep,
-    /// The `xmap-reactor` event loop: probes go out through a
-    /// [`Transport`](xmap_reactor::Transport) (`SimTransport` over the
-    /// bound network), replies come back through a bounded, stamped
-    /// receive queue, and retransmissions park in a deadline
-    /// [`TimerHeap`](xmap_reactor::TimerHeap).
-    Reactor,
 }
 
 /// Scanner configuration.
@@ -108,10 +81,6 @@ pub struct ScanConfig {
     /// [`ScanResults::silent_targets`] (the mop-up pass input). Off by
     /// default: the list is proportional to the probed slice.
     pub record_silent: bool,
-    /// Which engine drives [`Scanner::run`]. Not part of the session
-    /// manifest: both engines emit identical artifacts, so a resumed
-    /// session may switch engines freely.
-    pub engine: ScanEngine,
 }
 
 impl Default for ScanConfig {
@@ -130,7 +99,6 @@ impl Default for ScanConfig {
             max_retry_backlog: 4096,
             adaptive_rate: false,
             record_silent: false,
-            engine: ScanEngine::LockStep,
         }
     }
 }
@@ -167,8 +135,8 @@ pub struct ScanRecord {
 ///
 /// Since the telemetry migration this is a *view*: the scanner counts into
 /// its [`ScanMetrics`] registry handles and each run reports the delta, so
-/// the registry is the single source of truth (campaign mop-up passes and
-/// the pipelined runner count through the same handles).
+/// the registry is the single source of truth (campaign mop-up passes
+/// count through the same handles).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanStats {
     /// Probes sent.
@@ -278,7 +246,10 @@ pub struct ScanResults {
 /// ```
 #[derive(Debug)]
 pub struct Scanner<N> {
-    network: N,
+    /// The network, behind the transport contract the run loop drives.
+    /// Its receive queue is empty between runs (a run only ends on an
+    /// empty queue), so targeted probes may reach past it to the network.
+    transport: SimTransport<N>,
     config: ScanConfig,
     validator: Validator,
     telemetry: Telemetry,
@@ -341,7 +312,7 @@ impl<N: Network> Scanner<N> {
         let validator = Validator::new(config.seed ^ 0x5ca1_ab1e);
         let metrics = ScanMetrics::bind(&telemetry.registry);
         Scanner {
-            network,
+            transport: SimTransport::new(network),
             config,
             validator,
             telemetry,
@@ -414,7 +385,7 @@ impl<N: Network> Scanner<N> {
     /// be called before any run.
     pub fn restore_clock(&mut self, tick: u64) {
         self.total_ticks = tick;
-        self.network.restore_clock(tick);
+        self.transport.network_mut().restore_clock(tick);
     }
 
     /// Restores the telemetry registry from a checkpoint snapshot; the
@@ -445,8 +416,9 @@ impl<N: Network> Scanner<N> {
     /// campaign drivers use this instead of ticking the network directly.
     pub fn advance(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
         self.total_ticks += ticks;
-        self.network.tick_into(ticks, out);
-        self.network.flush_telemetry();
+        let network = self.transport.network_mut();
+        network.tick_into(ticks, out);
+        network.flush_telemetry();
     }
 
     /// The configuration in effect.
@@ -526,12 +498,12 @@ impl<N: Network> Scanner<N> {
 
     /// Borrows the underlying network.
     pub fn network_mut(&mut self) -> &mut N {
-        &mut self.network
+        self.transport.network_mut()
     }
 
     /// Consumes the scanner, returning the network.
     pub fn into_network(self) -> N {
-        self.network
+        self.transport.into_network()
     }
 
     /// Sends one probe to an explicit destination and classifies responses.
@@ -567,7 +539,7 @@ impl<N: Network> Scanner<N> {
         self.metrics.sent.inc();
         scratch.clear();
         out.clear();
-        self.network.handle_into(probe, scratch);
+        self.transport.network_mut().handle_into(probe, scratch);
         for resp in scratch.iter() {
             let result = module.classify(resp, &self.validator);
             self.metrics.received.inc();
@@ -578,13 +550,13 @@ impl<N: Network> Scanner<N> {
             }
             out.push((resp.src, result));
         }
-        self.network.flush_telemetry();
+        self.transport.flush_telemetry();
     }
 
     /// Scans one range with a probe module, honouring the blocklist.
     ///
     /// Runs the full loss-recovery pipeline on a virtual clock (one tick
-    /// per send slot, forwarded to the network via [`Network::tick`]):
+    /// per send slot, forwarded to the network via [`Transport::advance`]):
     /// unanswered probes are retransmitted with fresh host bits under
     /// exponential backoff, a retransmission is suppressed when the answer
     /// arrives (possibly delayed/jittered) before its timer fires, and the
@@ -641,107 +613,54 @@ impl<N: Network> Scanner<N> {
         blocklist: &Blocklist,
         resume: Option<RunResume>,
     ) -> ScanResults {
-        if self.config.engine == ScanEngine::Reactor {
-            return self.run_reactor(range, module, blocklist, resume);
-        }
-        let mut results = ScanResults::default();
         let mut limiter = self.config.rate_pps.map(|pps| RateLimiter::new(pps, 64));
-        let mut adaptive = if self.config.adaptive_rate {
-            self.config.rate_pps.map(AdaptiveRateController::standard)
-        } else {
-            None
-        };
         let attempts = self.config.probes_per_target.max(1);
-        let (base, run_start_tick, mut gen, mut state, mut now) = match resume {
-            None => (
-                self.metrics.baseline(),
-                self.total_ticks,
-                TargetGen::with_skip(&self.config, range, self.walk_skip),
-                RecoveryState::default(),
-                0u64,
-            ),
-            Some(r) => {
-                // Mid-range resume: the journal replayed the records
-                // emitted before the checkpoint; every run local restarts
-                // from the captured state, so the loop below re-executes
-                // the tail of the range exactly as the killed run would
-                // have continued it.
-                results.records = r.records;
-                let rs = &r.state;
-                if let (Some(ctrl), Some(a)) = (adaptive.as_mut(), rs.adaptive.as_ref()) {
-                    ctrl.restore_state(
-                        a.current_pps,
-                        a.sent,
-                        a.valid,
-                        a.baseline_bits.map(f64::from_bits),
-                    );
-                }
-                (
-                    MetricsBaseline::from_raw(rs.baseline),
-                    rs.run_start_tick,
-                    TargetGen::restore(&self.config, range, rs),
-                    RecoveryState::restore(rs),
-                    rs.now,
-                )
-            }
+        let mut run = match resume {
+            None => Run::fresh(self, range),
+            // Mid-range resume: the journal replayed the records emitted
+            // before the checkpoint; every run local restarts from the
+            // captured state, so the loop below re-executes the tail of
+            // the range exactly as the killed run would have continued it.
+            Some(r) => Run::restore(&self.config, range, r),
         };
+        self.transport.set_clock(run.now);
         // Records already durable in the journal; everything past this
         // index still needs journalling.
-        let mut journaled = results.records.len();
-        // Per-slot metrics are tallied locally and flushed at observation
-        // boundaries (monitor lines, every 1024 slots, run end) — see
-        // [`HotTally`]. Received
-        // packets land in one scratch buffer reused across every slot.
-        let mut tally = HotTally::default();
-        let mut recv_buf: Vec<Ipv6Packet> = Vec::new();
+        let mut journaled = run.results.records.len();
+        let mut send_buf: Vec<Ipv6Packet> = Vec::new();
+        let mut recv_buf: Vec<RecvEntry> = Vec::new();
         let mut yielding = false;
 
         loop {
-            if self.abort.as_ref().is_some_and(AbortSignal::is_set) {
-                // Best-effort final checkpoint at this slot boundary (a
-                // no-op without a sink or with responses still in
-                // flight), then stop.
-                self.checkpoint_now(
-                    &gen,
-                    &state,
-                    &adaptive,
-                    &base,
-                    now,
-                    run_start_tick,
-                    &mut tally,
-                );
-                results.interrupted = true;
-                break;
+            // An abort takes a best-effort final checkpoint at this slot
+            // boundary (a no-op without a sink or with responses still in
+            // flight), then stops.
+            let aborted = self.is_aborted();
+            if aborted || self.sink.as_ref().is_some_and(RunSink::due) {
+                self.checkpoint_now(&mut run);
             }
-            if self.sink.as_ref().is_some_and(|s| s.due()) {
-                self.checkpoint_now(
-                    &gen,
-                    &state,
-                    &adaptive,
-                    &base,
-                    now,
-                    run_start_tick,
-                    &mut tally,
-                );
+            if aborted {
+                run.results.interrupted = true;
+                break;
             }
             // Cooperative split point: once the gate fires, stop drawing
             // fresh targets and fall through to the drain branch, so the
             // consumed prefix completes exactly as a standalone run over
             // that prefix would.
-            if !yielding && self.yield_due(&gen) {
+            if !yielding && self.yield_due(&run.gen) {
                 yielding = true;
             }
             // One send slot: a due retransmission wins over a fresh target.
-            let job = if let Some(entry) = state.due_retry(now) {
-                Some((entry.target, entry.attempt, entry.position))
-            } else if let Some(target) = (!yielding).then(|| gen.next_target(range)).flatten() {
-                let position = gen.consumed - 1;
-                state.probed.push(target);
+            let job = if let Some(retry) = run.due_retry() {
+                Some((retry.target, retry.attempt, retry.position))
+            } else if let Some(target) = (!yielding).then(|| run.gen.next_target(range)).flatten() {
+                let position = run.gen.consumed - 1;
+                run.probed.push(target);
                 if self.track_positions {
-                    state.probed_positions.push(position);
+                    run.probed_positions.push(position);
                 }
                 Some((target, 0, position))
-            } else if !state.retries.is_empty() || self.network.in_flight() > 0 {
+            } else if !run.retries.is_empty() || self.transport.in_flight() > 0 {
                 // Fresh walk done: drain timers and in-flight responses
                 // without sending.
                 None
@@ -754,18 +673,16 @@ impl<N: Network> Scanner<N> {
                 // on a new (deterministically lossy) path.
                 let dst = fill_host_bits(target, self.config.seed.wrapping_add(attempt as u64));
                 if !blocklist.is_allowed(dst) {
-                    tally.blocked += 1;
+                    run.tally.blocked += 1;
                     continue;
                 }
-                if let Some(ctrl) = adaptive.as_mut() {
-                    // Pace at the controller's current rate; accounted, not
-                    // slept, like the fixed budget below.
-                    tally.paced_nanos += 1_000_000_000 / ctrl.current_pps().max(1);
+                // Pacing is accounted, not slept: the simulator answers
+                // instantly, so the budget is tracked instead.
+                if let Some(ctrl) = run.adaptive.as_mut() {
+                    run.tally.paced_nanos += 1_000_000_000 / ctrl.current_pps().max(1);
                     ctrl.on_probe();
                 } else if let Some(limiter) = limiter.as_mut() {
-                    // Account the pacing this probe would cost; the simulator
-                    // answers instantly, so we track instead of sleeping.
-                    tally.paced_nanos += 1_000_000_000 / limiter.rate_pps().max(1);
+                    run.tally.paced_nanos += 1_000_000_000 / limiter.rate_pps().max(1);
                 }
                 let probe = module.build(
                     self.config.source,
@@ -773,9 +690,9 @@ impl<N: Network> Scanner<N> {
                     self.config.hop_limit,
                     &self.validator,
                 );
-                tally.sent += 1;
+                run.tally.sent += 1;
                 if attempt > 0 {
-                    tally.retransmits += 1;
+                    run.tally.retransmits += 1;
                 }
                 if self.telemetry.tracer.is_enabled() {
                     self.telemetry.tracer.event(
@@ -787,39 +704,42 @@ impl<N: Network> Scanner<N> {
                         ],
                     );
                 }
-                state.outstanding.insert(
+                run.outstanding.insert(
                     dst,
                     Outstanding {
                         target,
                         attempt,
                         answered: false,
-                        sent_tick: now,
+                        sent_tick: run.now,
                         position,
                     },
                 );
-                // Bounded queue: an overflowing retry is abandoned (the
+                // Bounded backlog: an overflowing retry is abandoned (the
                 // target is then counted in `gave_up` if it stays silent).
-                if attempt + 1 < attempts && state.retries.len() < self.config.max_retry_backlog {
+                if attempt + 1 < attempts && run.retries.len() < self.config.max_retry_backlog {
                     let backoff = self.config.rto_ticks << attempt;
                     self.metrics.backoff_ticks.record(backoff);
-                    state.schedule(now + backoff, target, attempt + 1, dst, position);
+                    let deadline = run.now + backoff;
+                    run.retries.arm(
+                        deadline,
+                        RetryTimer {
+                            target,
+                            attempt: attempt + 1,
+                            prev_dst: dst,
+                            position,
+                        },
+                    );
+                    self.transport.register_deadline(deadline);
                 }
-                recv_buf.clear();
-                self.network.handle_into(probe, &mut recv_buf);
-                self.absorb(
-                    &recv_buf,
-                    module,
-                    &mut state,
-                    &mut adaptive,
-                    &mut results,
-                    &mut tally,
-                    now,
-                );
+                send_buf.push(probe);
+                self.transport.send_batch(&mut send_buf);
+                // First poll of the slot: immediate replies, stamped with
+                // the send tick.
+                self.absorb(&mut recv_buf, module, &mut run);
             }
 
-            recv_buf.clear();
-            self.network.tick_into(1, &mut recv_buf);
-            now += 1;
+            self.transport.advance(1);
+            run.now += 1;
             self.total_ticks += 1;
             // Progress heartbeat: surface the batched tallies every 1024
             // slots so concurrent observers of the registry — the campaign
@@ -829,7 +749,7 @@ impl<N: Network> Scanner<N> {
             // snapshot; the cost is a handful of atomic adds per KiB of
             // slots.
             if self.total_ticks & 0x3ff == 0 {
-                tally.flush(&self.metrics);
+                run.tally.flush(&self.metrics);
             }
             if let Some(sink) = self.sink.as_mut() {
                 sink.tick();
@@ -837,49 +757,44 @@ impl<N: Network> Scanner<N> {
             if let Some(monitor) = self.monitor.as_mut() {
                 if monitor.is_due(self.total_ticks) {
                     // Flush batched tallies so the status line is exact.
-                    tally.flush(&self.metrics);
+                    run.tally.flush(&self.metrics);
                     monitor.poll(self.total_ticks);
                 }
             }
-            self.absorb(
-                &recv_buf,
-                module,
-                &mut state,
-                &mut adaptive,
-                &mut results,
-                &mut tally,
-                now,
-            );
+            // Second poll of the slot: replies that came due in the
+            // advance, stamped with the post-advance tick.
+            self.absorb(&mut recv_buf, module, &mut run);
             if let Some(sink) = self.sink.as_mut() {
                 // Journal this slot's records before the next checkpoint
                 // can reference their sequence numbers.
-                for r in &results.records[journaled..] {
+                for r in &run.results.records[journaled..] {
                     sink.journal(r);
                 }
-                journaled = results.records.len();
+                journaled = run.results.records.len();
             }
             self.mirror_durability();
         }
 
-        tally.flush(&self.metrics);
-        self.network.flush_telemetry();
-        results.consumed = gen.consumed;
-        results.yielded = yielding && !results.interrupted && gen.unconsumed() > 0;
+        run.tally.flush(&self.metrics);
+        self.transport.flush_telemetry();
+        let mut results = run.results;
+        results.consumed = run.gen.consumed;
+        results.yielded = yielding && !results.interrupted && run.gen.unconsumed() > 0;
 
         if results.interrupted {
             // Partial run: report the delta so far and leave the last
             // durable checkpoint as the resume point. Per-target
             // give-up/silence accounting only makes sense for a range
             // that actually finished.
-            results.stats = self.metrics.stats_since(&base);
+            results.stats = self.metrics.stats_since(&run.base);
             return results;
         }
 
         // Per-target recovery accounting, in deterministic probe order.
         // Abandonments are tallied locally and flushed in one counter add.
         let mut gave_up = 0u64;
-        for (i, target) in state.probed.iter().enumerate() {
-            if state.answered.contains(target) {
+        for (i, target) in run.probed.iter().enumerate() {
+            if run.answered.contains(target) {
                 continue;
             }
             if attempts > 1 {
@@ -888,17 +803,17 @@ impl<N: Network> Scanner<N> {
             if self.config.record_silent {
                 results.silent_targets.push(*target);
                 if self.track_positions {
-                    results.silent_positions.push(state.probed_positions[i]);
+                    results.silent_positions.push(run.probed_positions[i]);
                 }
             }
         }
         if gave_up > 0 {
             self.metrics.gave_up.add(gave_up);
         }
-        results.stats = self.metrics.stats_since(&base);
+        results.stats = self.metrics.stats_since(&run.base);
         self.metrics.update_hit_rate();
         self.telemetry.tracer.span_event(
-            run_start_tick,
+            run.run_start_tick,
             self.total_ticks,
             "scan.run",
             vec![
@@ -957,82 +872,48 @@ impl<N: Network> Scanner<N> {
     }
 
     /// Captures and writes a mid-range checkpoint, provided a sink is
-    /// attached and the network has nothing in flight (a snapshot taken
-    /// with responses pending downstream could not be replayed
+    /// attached and the transport owes nothing — neither wire traffic
+    /// still in flight nor replies queued but unabsorbed (a snapshot
+    /// taken with responses pending could not be replayed
     /// deterministically — the attempt is simply retried next slot).
-    #[allow(clippy::too_many_arguments)]
-    fn checkpoint_now(
-        &mut self,
-        gen: &TargetGen,
-        state: &RecoveryState,
-        adaptive: &Option<AdaptiveRateController>,
-        base: &MetricsBaseline,
-        now: u64,
-        run_start_tick: u64,
-        tally: &mut HotTally,
-    ) {
-        if self.sink.is_none() || self.network.in_flight() > 0 {
+    fn checkpoint_now(&mut self, run: &mut Run) {
+        if self.sink.is_none() || self.transport.in_flight() > 0 {
             return;
         }
         // The snapshot must carry everything counted so far: flush the
         // local tallies and any batched network-side telemetry first.
-        tally.flush(&self.metrics);
-        self.network.flush_telemetry();
+        run.tally.flush(&self.metrics);
+        self.transport.flush_telemetry();
         let snap = self.telemetry.registry.snapshot();
-        let (cursor, remaining, pending_indices) = gen.capture();
-        let (outstanding, retries, answered) = state.capture();
         let sink = self.sink.as_mut().expect("sink presence checked above");
-        let run = RunState {
-            now,
-            run_start_tick,
-            run_wal_start: sink.run_wal_start(),
-            cursor,
-            remaining,
-            pending_indices,
-            outstanding,
-            retries,
-            retry_seq: state.retry_seq,
-            answered,
-            probed: state.probed.clone(),
-            adaptive: adaptive.as_ref().map(|c| {
-                let (current_pps, sent, valid, baseline) = c.checkpoint_state();
-                AdaptiveState {
-                    current_pps,
-                    sent,
-                    valid,
-                    baseline_bits: baseline.map(f64::to_bits),
-                }
-            }),
-            baseline: base.to_raw(),
-        };
-        sink.write_checkpoint(self.total_ticks, snap, Some(run));
+        let state = run.capture(sink.run_wal_start());
+        sink.write_checkpoint(self.total_ticks, snap, Some(state));
     }
 
-    /// Classifies a batch of received packets, attributing each back to its
-    /// probe through the response itself (stateless, like the C scanner:
-    /// echo replies carry the probed address as their source, ICMPv6 errors
-    /// quote it in the invoking packet).
-    #[allow(clippy::too_many_arguments)]
-    fn absorb(
-        &mut self,
-        batch: &[Ipv6Packet],
-        module: &dyn ProbeModule,
-        state: &mut RecoveryState,
-        adaptive: &mut Option<AdaptiveRateController>,
-        results: &mut ScanResults,
-        tally: &mut HotTally,
-        now: u64,
-    ) {
-        for resp in batch {
-            tally.received += 1;
+    /// Polls the transport and classifies what arrived, attributing each
+    /// reply back to its probe through the response itself (stateless,
+    /// like the C scanner: echo replies carry the probed address as their
+    /// source, ICMPv6 errors quote it in the invoking packet). RTTs and
+    /// trace stamps come from each entry's arrival tick, not poll time.
+    fn absorb(&mut self, batch: &mut Vec<RecvEntry>, module: &dyn ProbeModule, run: &mut Run) {
+        batch.clear();
+        if self.transport.poll_recv(batch) == 0 {
+            return;
+        }
+        // Trace events are stamped with the *lifetime* tick: translate
+        // each entry's run-local arrival tick by the current offset.
+        let run_offset = self.total_ticks.wrapping_sub(run.now);
+        for entry in batch.iter() {
+            let resp = &entry.packet;
+            run.tally.received += 1;
             match module.classify(resp, &self.validator) {
-                ProbeResult::Invalid => tally.invalid += 1,
+                ProbeResult::Invalid => run.tally.invalid += 1,
                 result => {
                     let probe_dst = probe_dst_of(resp);
-                    let Some(out) = state.outstanding.get_mut(&probe_dst) else {
+                    let Some(out) = run.outstanding.get_mut(&probe_dst) else {
                         // Validated but unattributable (a duplicate of a
                         // probe sent outside this run); not ours to record.
-                        tally.invalid += 1;
+                        run.tally.invalid += 1;
                         continue;
                     };
                     let confidence = match out.attempt {
@@ -1050,18 +931,18 @@ impl<N: Network> Scanner<N> {
                     {
                         self.metrics.rate_limited_suspected.inc();
                     }
-                    tally.valid += 1;
-                    let rtt = now.saturating_sub(out.sent_tick);
+                    run.tally.valid += 1;
+                    let rtt = entry.tick.saturating_sub(out.sent_tick);
                     if rtt == 0 {
                         // Same-slot answers dominate; batch them and flush
                         // through `Histogram::record_n`.
-                        tally.rtt_zero += 1;
+                        run.tally.rtt_zero += 1;
                     } else {
                         self.metrics.rtt_ticks.record(rtt);
                     }
                     if self.telemetry.tracer.is_enabled() {
                         self.telemetry.tracer.event(
-                            self.total_ticks,
+                            run_offset.wrapping_add(entry.tick),
                             "scan.recv",
                             vec![
                                 ("rtt_ticks", rtt.into()),
@@ -1069,14 +950,14 @@ impl<N: Network> Scanner<N> {
                             ],
                         );
                     }
-                    if let Some(ctrl) = adaptive.as_mut() {
+                    if let Some(ctrl) = run.adaptive.as_mut() {
                         ctrl.on_valid();
                     }
-                    state.answered.insert(out.target);
+                    run.answered.insert(out.target);
                     if self.track_positions {
-                        results.record_positions.push(out.position);
+                        run.results.record_positions.push(out.position);
                     }
-                    results.records.push(ScanRecord {
+                    run.results.records.push(ScanRecord {
                         target: out.target,
                         probe_dst,
                         responder: resp.src,
@@ -1350,13 +1231,10 @@ struct Outstanding {
     position: u64,
 }
 
-/// A scheduled retransmission. Ordering is reversed so a `BinaryHeap`
-/// behaves as a min-heap on `(due_tick, seq)` — `seq` breaks ties
-/// deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RetryEntry {
-    due_tick: u64,
-    seq: u64,
+/// A retransmission parked in the timer heap, which owns its
+/// `(due_tick, seq)` key — `seq` breaks ties deterministically.
+#[derive(Debug, Clone, Copy)]
+struct RetryTimer {
     target: Prefix,
     attempt: u32,
     prev_dst: Ip6,
@@ -1365,81 +1243,132 @@ struct RetryEntry {
     position: u64,
 }
 
-impl Ord for RetryEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due_tick, other.seq).cmp(&(self.due_tick, self.seq))
-    }
-}
-
-impl PartialOrd for RetryEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Book-keeping for one [`Scanner::run`]: outstanding probes, the bounded
-/// retransmission queue, and per-target recovery outcomes.
-#[derive(Debug, Default)]
-struct RecoveryState {
+/// Everything one [`Scanner::run`] holds between send slots — the state
+/// a mid-range checkpoint captures and a resume restores.
+#[derive(Debug)]
+struct Run {
+    gen: TargetGen,
     outstanding: HashMap<Ip6, Outstanding>,
-    retries: BinaryHeap<RetryEntry>,
-    retry_seq: u64,
+    /// The bounded retransmission backlog.
+    retries: TimerHeap<RetryTimer>,
     answered: HashSet<Prefix>,
     probed: Vec<Prefix>,
     /// Walk position of each `probed` entry (parallel vector); filled
     /// only under position tracking.
     probed_positions: Vec<u64>,
+    adaptive: Option<AdaptiveRateController>,
+    base: MetricsBaseline,
+    /// Scanner lifetime tick at which the range started.
+    run_start_tick: u64,
+    /// Run-local virtual tick: send slots completed since the range
+    /// started.
+    now: u64,
+    /// Per-slot metrics, tallied locally and flushed at observation
+    /// boundaries (monitor lines, every 1024 slots, checkpoints, run
+    /// end) — see [`HotTally`].
+    tally: HotTally,
+    results: ScanResults,
 }
 
-impl RecoveryState {
-    fn schedule(
-        &mut self,
-        due_tick: u64,
-        target: Prefix,
-        attempt: u32,
-        prev_dst: Ip6,
-        position: u64,
-    ) {
-        let seq = self.retry_seq;
-        self.retry_seq += 1;
-        self.retries.push(RetryEntry {
-            due_tick,
-            seq,
-            target,
-            attempt,
-            prev_dst,
-            position,
+impl Run {
+    /// The state a range starts from.
+    fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange) -> Run {
+        let config = &scanner.config;
+        Run {
+            gen: TargetGen::with_skip(config, range, scanner.walk_skip),
+            outstanding: HashMap::new(),
+            retries: TimerHeap::new(),
+            answered: HashSet::new(),
+            probed: Vec::new(),
+            probed_positions: Vec::new(),
+            adaptive: adaptive_controller(config),
+            base: scanner.metrics.baseline(),
+            run_start_tick: scanner.total_ticks,
+            now: 0,
+            tally: HotTally::default(),
+            results: ScanResults::default(),
+        }
+    }
+
+    /// Rebuilds the state captured by [`Run::capture`], under the records
+    /// the journal already holds for the range.
+    fn restore(config: &ScanConfig, range: &ScanRange, resume: RunResume) -> Run {
+        let rs = resume.state;
+        let mut adaptive = adaptive_controller(config);
+        if let (Some(ctrl), Some(a)) = (adaptive.as_mut(), rs.adaptive.as_ref()) {
+            ctrl.restore_state(
+                a.current_pps,
+                a.sent,
+                a.valid,
+                a.baseline_bits.map(f64::from_bits),
+            );
+        }
+        // Retries restore under their original sequence numbers, so the
+        // heap pops in the captured order (keys are unique) and the
+        // counter resumes where the killed run left it.
+        let mut retries = TimerHeap::with_next_seq(rs.retry_seq);
+        for r in &rs.retries {
+            retries.insert_restored(
+                r.due_tick,
+                r.seq,
+                RetryTimer {
+                    target: r.target,
+                    attempt: r.attempt,
+                    prev_dst: r.prev_dst.into(),
+                    position: 0,
+                },
+            );
+        }
+        let outstanding = rs.outstanding.iter().map(|o| {
+            let restored = Outstanding {
+                target: o.target,
+                attempt: o.attempt,
+                answered: o.answered,
+                sent_tick: o.sent_tick,
+                position: 0,
+            };
+            (o.dst.into(), restored)
         });
+        Run {
+            gen: TargetGen::restore(config, range, &rs),
+            outstanding: outstanding.collect(),
+            retries,
+            answered: rs.answered.iter().copied().collect(),
+            probed: rs.probed,
+            probed_positions: Vec::new(),
+            adaptive,
+            base: MetricsBaseline::from_raw(rs.baseline),
+            run_start_tick: rs.run_start_tick,
+            now: rs.now,
+            tally: HotTally::default(),
+            results: ScanResults {
+                records: resume.records,
+                ..ScanResults::default()
+            },
+        }
     }
 
     /// Pops the next due retransmission whose previous attempt is still
     /// unanswered (answered ones are suppressed silently).
-    fn due_retry(&mut self, now: u64) -> Option<RetryEntry> {
-        while self.retries.peek().is_some_and(|r| r.due_tick <= now) {
-            let entry = self.retries.pop().expect("peeked");
+    fn due_retry(&mut self) -> Option<RetryTimer> {
+        while let Some((_due, _seq, retry)) = self.retries.pop_due(self.now) {
             let unanswered = self
                 .outstanding
-                .get(&entry.prev_dst)
+                .get(&retry.prev_dst)
                 .is_some_and(|o| !o.answered);
             if unanswered {
-                return Some(entry);
+                return Some(retry);
             }
         }
         None
     }
 
-    /// Recovery state in canonical (sorted) order for a checkpoint. The
-    /// hash map and heap have no stable iteration order of their own;
-    /// sorting by destination / `(due_tick, seq)` makes checkpoint bytes
-    /// deterministic, and on restore the heap rebuilds to an equivalent
-    /// pop order because `(due_tick, seq)` keys are unique.
-    fn capture(
-        &self,
-    ) -> (
-        Vec<xmap_state::OutstandingEntry>,
-        Vec<xmap_state::RetryEntryState>,
-        Vec<Prefix>,
-    ) {
+    /// The run in canonical (sorted) order for a checkpoint. The hash
+    /// containers and the heap have no stable iteration order of their
+    /// own; sorting by destination / `(due_tick, seq)` / prefix makes
+    /// checkpoint bytes deterministic.
+    fn capture(&self, run_wal_start: u64) -> RunState {
+        let (cursor, remaining, pending_indices) = self.gen.capture();
         let mut outstanding: Vec<xmap_state::OutstandingEntry> = self
             .outstanding
             .iter()
@@ -1455,9 +1384,9 @@ impl RecoveryState {
         let mut retries: Vec<xmap_state::RetryEntryState> = self
             .retries
             .iter()
-            .map(|r| xmap_state::RetryEntryState {
-                due_tick: r.due_tick,
-                seq: r.seq,
+            .map(|(due_tick, seq, r)| xmap_state::RetryEntryState {
+                due_tick,
+                seq,
                 target: r.target,
                 attempt: r.attempt,
                 prev_dst: r.prev_dst.bits(),
@@ -1466,41 +1395,39 @@ impl RecoveryState {
         retries.sort_by_key(|r| (r.due_tick, r.seq));
         let mut answered: Vec<Prefix> = self.answered.iter().copied().collect();
         answered.sort();
-        (outstanding, retries, answered)
+        RunState {
+            now: self.now,
+            run_start_tick: self.run_start_tick,
+            run_wal_start,
+            cursor,
+            remaining,
+            pending_indices,
+            outstanding,
+            retries,
+            retry_seq: self.retries.next_seq(),
+            answered,
+            probed: self.probed.clone(),
+            adaptive: self.adaptive.as_ref().map(|c| {
+                let (current_pps, sent, valid, baseline) = c.checkpoint_state();
+                AdaptiveState {
+                    current_pps,
+                    sent,
+                    valid,
+                    baseline_bits: baseline.map(f64::to_bits),
+                }
+            }),
+            baseline: self.base.to_raw(),
+        }
     }
+}
 
-    /// Rebuilds recovery state captured by [`RecoveryState::capture`].
-    fn restore(rs: &RunState) -> RecoveryState {
-        let mut s = RecoveryState {
-            retry_seq: rs.retry_seq,
-            probed: rs.probed.clone(),
-            ..RecoveryState::default()
-        };
-        for o in &rs.outstanding {
-            s.outstanding.insert(
-                o.dst.into(),
-                Outstanding {
-                    target: o.target,
-                    attempt: o.attempt,
-                    answered: o.answered,
-                    sent_tick: o.sent_tick,
-                    position: 0,
-                },
-            );
-        }
-        for r in &rs.retries {
-            s.retries.push(RetryEntry {
-                due_tick: r.due_tick,
-                seq: r.seq,
-                target: r.target,
-                attempt: r.attempt,
-                prev_dst: r.prev_dst.into(),
-                position: 0,
-            });
-        }
-        s.answered = rs.answered.iter().copied().collect();
-        s
-    }
+/// The AIMD controller a run paces by, when the configuration asks for
+/// one (it needs a `rate_pps` budget to seed from).
+fn adaptive_controller(config: &ScanConfig) -> Option<AdaptiveRateController> {
+    config
+        .adaptive_rate
+        .then(|| config.rate_pps.map(AdaptiveRateController::standard))
+        .flatten()
 }
 
 /// The probed destination a response packet speaks about.
@@ -1511,82 +1438,6 @@ fn probe_dst_of(resp: &Ipv6Packet) -> Ip6 {
         // Echo replies and transport answers come from the probed address.
         _ => resp.src,
     }
-}
-
-/// A pipelined scan: a generator thread walks the permutation and builds
-/// destinations; the calling thread probes and classifies. Results are
-/// identical to [`Scanner::run`] (up to record order); the pipeline exists
-/// to mirror the C scanner's threaded architecture and to overlap target
-/// generation with probing.
-pub fn run_pipelined<N: Network>(
-    scanner: &mut Scanner<N>,
-    range: &ScanRange,
-    module: &dyn ProbeModule,
-    blocklist: &Blocklist,
-) -> ScanResults {
-    let config = scanner.config.clone();
-    let range = *range;
-    let (tx, rx) = mpsc::sync_channel::<(Prefix, Ip6)>(1024);
-
-    std::thread::scope(|scope| {
-        let blocklist_ref = &blocklist;
-        let gen_config = config.clone();
-        scope.spawn(move || {
-            let len = u64::try_from(range.space_size().min(u64::MAX as u128)).unwrap_or(u64::MAX);
-            let cycle = Cycle::new(len, gen_config.seed);
-            // The cap counts raw walk steps (fringe steps included), the
-            // same budget unit `TargetGen` uses, so the pipeline probes
-            // exactly the targets the lock-step engine would.
-            let mut budget = gen_config.max_targets.unwrap_or(u64::MAX);
-            let mut walk = cycle.iter_shard(gen_config.shard, gen_config.shards);
-            let mut chunk = [0u64; 1];
-            while budget > 0 && walk.fill_raw(&mut chunk) == 1 {
-                budget -= 1;
-                let index = chunk[0];
-                if index == u64::MAX {
-                    continue;
-                }
-                let Some(target) = range.nth(index) else {
-                    continue;
-                };
-                let dst = fill_host_bits(target, gen_config.seed);
-                if tx.send((target, dst)).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let base = scanner.metrics.baseline();
-        let mut results = ScanResults::default();
-        while let Ok((target, dst)) = rx.recv() {
-            if !blocklist_ref.is_allowed(dst) {
-                scanner.metrics.blocked.inc();
-                continue;
-            }
-            let probe = module.build(config.source, dst, config.hop_limit, &scanner.validator);
-            scanner.metrics.sent.inc();
-            for resp in scanner.network.handle(probe) {
-                scanner.metrics.received.inc();
-                match module.classify(&resp, &scanner.validator) {
-                    ProbeResult::Invalid => scanner.metrics.invalid.inc(),
-                    result => {
-                        scanner.metrics.valid.inc();
-                        scanner.metrics.rtt_ticks.record(0);
-                        results.records.push(ScanRecord {
-                            target,
-                            probe_dst: dst,
-                            responder: resp.src,
-                            result,
-                            confidence: Confidence::FirstTry,
-                        });
-                    }
-                }
-            }
-        }
-        results.stats = scanner.metrics.stats_since(&base);
-        scanner.metrics.update_hit_rate();
-        results
-    })
 }
 
 #[cfg(test)]
@@ -1826,28 +1677,6 @@ mod tests {
             "{}",
             res.stats.paced_secs
         );
-    }
-
-    #[test]
-    fn pipelined_matches_single_threaded() {
-        let mut s1 = Scanner::new(
-            ToyNet { handled: 0 },
-            ScanConfig {
-                max_targets: Some(500),
-                ..Default::default()
-            },
-        );
-        let mut s2 = Scanner::new(
-            ToyNet { handled: 0 },
-            ScanConfig {
-                max_targets: Some(500),
-                ..Default::default()
-            },
-        );
-        let a = s1.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
-        let b = run_pipelined(&mut s2, &range(), &IcmpEchoProbe, &Blocklist::allow_all());
-        assert_eq!(a.stats.sent, b.stats.sent);
-        assert_eq!(a.records, b.records);
     }
 
     #[test]

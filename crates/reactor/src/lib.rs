@@ -1,30 +1,27 @@
 //! The scan reactor: a timer heap and bounded event queues behind a
 //! pluggable [`Transport`] boundary.
 //!
-//! The lock-step scanner drives [`xmap_netsim::packet::Network`] directly:
-//! every send slot calls `handle` and absorbs the answers synchronously,
-//! so send and receive can never overlap and only the simulator shape
-//! fits. This crate factors the loop's moving parts out of the engine:
+//! The moving parts of the scan loop, factored out of the scanner so the
+//! loop itself never names a concrete network:
 //!
 //! * [`TimerHeap`] — deadline-ordered timers with a deterministic
 //!   `(deadline, seq)` tie-break, lazy cancellation and re-arm support.
-//!   The scan engine parks retransmission timers here.
+//!   The scan loop parks retransmission timers here.
 //! * [`BoundedQueue`] — the receive-side event queue. Backpressure is
 //!   reported (saturation counter + high watermark), never enforced by
 //!   dropping: a reply that made it off the wire is always delivered.
-//! * [`Transport`] — the boundary an event-loop engine drives:
-//!   `send_batch` / `poll_recv` / `advance` / deadline registration and a
-//!   clock. Three backends ship:
-//!   [`SimTransport`] (wraps any `Network`, byte-identical to lock-step),
-//!   [`PcapReplayTransport`] (replays an NDJSON wire trace recorded by
-//!   [`WireRecorder`]), and the feature-gated [`tap`] stub documenting
-//!   the real-wire shape.
+//! * [`Transport`] — the boundary the scan loop drives: `send_batch` /
+//!   `poll_recv` / `advance` / deadline registration and a clock.
+//!   [`SimTransport`] wraps any `Network` — the simulator, a
+//!   [`WireRecorder`] around it, or a [`ReplayNet`] re-serving a recorded
+//!   NDJSON wire trace; the feature-gated [`tap`] stub documents the
+//!   real-wire shape.
 //!
 //! Determinism contract: a transport stamps every delivered packet with
 //! the virtual tick it arrived at ([`RecvEntry::tick`]), and delivers
-//! packets in arrival order. An engine that computes RTTs and record
-//! order from those stamps reproduces the lock-step engine's artifacts
-//! byte for byte — see `DESIGN.md` §5i for the argument.
+//! packets in arrival order. The scan loop computes RTTs and record
+//! order from those stamps, so its artifacts depend on arrival times
+//! only, never on when it polled — see `DESIGN.md` §5i.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,22 +33,7 @@ pub mod timer;
 pub mod transport;
 
 pub use queue::BoundedQueue;
-pub use replay::{PcapReplayTransport, ReplayError, ReplayNet, WireRecorder};
+pub use replay::{ReplayError, ReplayNet, WireRecorder};
 pub use tap::{TapConfig, TapError};
 pub use timer::{TimerHeap, TimerId};
 pub use transport::{RecvEntry, SimTransport, Transport};
-
-/// Telemetry names exported by reactor transports (all opt-in: a scan
-/// run does not create them unless queue gauges are enabled, so default
-/// snapshots stay byte-identical to the lock-step engine's).
-pub mod names {
-    /// Gauge: receive-queue depth observed at the last poll.
-    pub const RECV_DEPTH: &str = "reactor.recv_depth";
-    /// Gauge: high watermark of the receive queue over the transport's
-    /// lifetime.
-    pub const RECV_HIGH_WATERMARK: &str = "reactor.recv_high_watermark";
-    /// Counter: pushes that found the queue at or above its soft
-    /// capacity (the queue grows instead of dropping; this counts how
-    /// often backpressure would have engaged on a real wire).
-    pub const RECV_SATURATED: &str = "reactor.recv_saturated";
-}

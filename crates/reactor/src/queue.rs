@@ -53,7 +53,11 @@ impl<T> BoundedQueue<T> {
     /// Returns how many were moved.
     pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
         let n = self.items.len();
-        out.extend(self.items.drain(..));
+        // The scan loop polls twice per slot and most slots draw no
+        // reply: skip the drain set-up for an empty queue.
+        if n > 0 {
+            out.extend(self.items.drain(..));
+        }
         n
     }
 

@@ -1,4 +1,4 @@
-//! Wire-trace recording and replay: the `PcapReplayTransport` backend.
+//! Wire-trace recording and replay.
 //!
 //! A [`WireRecorder`] wraps any [`Network`] and journals every exchange
 //! — probes sent, replies observed (immediate and delayed), and clock
@@ -7,9 +7,8 @@
 //! [`Network`] backed by such a trace: it re-serves the recorded
 //! replies in order, so a scan with the same seed and configuration
 //! reproduces the original run's artifacts byte for byte without the
-//! simulator (or, one day, the wire) being present. Wrapping a
-//! `ReplayNet` in a [`SimTransport`] yields [`PcapReplayTransport`],
-//! the reactor backend behind `--transport replay`.
+//! simulator (or, one day, the wire) being present. A scanner built
+//! over a `ReplayNet` is the backend behind `--transport replay`.
 //!
 //! ## Trace format (`xmap-wire-trace/v1`)
 //!
@@ -23,7 +22,7 @@
 //!
 //! A `recv` line belongs to the nearest preceding `send` or `tick`
 //! line; that positional attachment is what lets replay reproduce the
-//! immediate-vs-delayed split the engines' RTT accounting depends on.
+//! immediate-vs-delayed split the scan loop's RTT accounting depends on.
 
 use std::fmt;
 use std::path::Path;
@@ -34,8 +33,6 @@ use xmap_netsim::packet::{
 };
 use xmap_netsim::services::{intern_vendor, AppRequest, AppResponse, SoftwareId};
 use xmap_state::json::{self, push_json_string, Value};
-
-use crate::transport::{RecvEntry, SimTransport, Transport};
 
 /// Errors loading or replaying a wire trace.
 #[derive(Debug)]
@@ -690,63 +687,6 @@ impl Network for ReplayNet {
 
     fn in_flight(&self) -> usize {
         self.delayed_after[self.cursor]
-    }
-}
-
-/// The trace-replay reactor backend: a [`ReplayNet`] behind the
-/// [`Transport`] contract (a [`SimTransport`] does the staging — replay
-/// and live simulation share the queue/clock plumbing by construction).
-#[derive(Debug)]
-pub struct PcapReplayTransport {
-    inner: SimTransport<ReplayNet>,
-}
-
-impl PcapReplayTransport {
-    /// A transport replaying a parsed trace.
-    pub fn new(net: ReplayNet) -> Self {
-        PcapReplayTransport {
-            inner: SimTransport::new(net),
-        }
-    }
-
-    /// A transport replaying a trace file.
-    pub fn from_file(path: &Path) -> Result<Self, ReplayError> {
-        Ok(PcapReplayTransport::new(ReplayNet::from_file(path)?))
-    }
-
-    /// The replaying network (mismatch / consumption accounting).
-    pub fn replay_mut(&mut self) -> &mut ReplayNet {
-        self.inner.network_mut()
-    }
-}
-
-impl Transport for PcapReplayTransport {
-    fn send_batch(&mut self, probes: &mut Vec<Ipv6Packet>) {
-        self.inner.send_batch(probes)
-    }
-
-    fn poll_recv(&mut self, out: &mut Vec<RecvEntry>) -> usize {
-        self.inner.poll_recv(out)
-    }
-
-    fn advance(&mut self, ticks: u64) {
-        self.inner.advance(ticks)
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-
-    fn set_clock(&mut self, tick: u64) {
-        self.inner.set_clock(tick)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight()
-    }
-
-    fn flush_telemetry(&mut self) {
-        self.inner.flush_telemetry()
     }
 }
 

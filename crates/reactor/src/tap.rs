@@ -29,10 +29,10 @@
 //!   implementation just releases the poller for one quantum.
 //!
 //! Determinism note: a wire is *not* deterministic, so the byte-identity
-//! guarantees of `SimTransport`/`PcapReplayTransport` do not apply —
-//! recording a run through [`WireRecorder`](crate::WireRecorder)
-//! re-enters the deterministic envelope, which is exactly the
-//! record-once / replay-forever workflow the trace format exists for.
+//! guarantees of `SimTransport` do not apply — recording a run through
+//! [`WireRecorder`](crate::WireRecorder) re-enters the deterministic
+//! envelope, which is exactly the record-once / replay-forever workflow
+//! the trace format exists for.
 
 use std::fmt;
 

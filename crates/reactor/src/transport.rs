@@ -1,21 +1,20 @@
 //! The [`Transport`] boundary and the simulator-backed implementation.
 
 use xmap_netsim::packet::{Ipv6Packet, Network};
-use xmap_telemetry::{Counter, Gauge, Registry};
 
 use crate::queue::BoundedQueue;
 
 /// Default soft capacity of a transport's receive queue. Sized for the
-/// lock-step envelope (one probe per slot can fan out to a handful of
+/// scan loop's envelope (one probe per slot can fan out to a handful of
 /// replies) times a generous burst factor; the queue grows past it
 /// rather than dropping, see [`BoundedQueue`].
 pub const DEFAULT_RECV_CAPACITY: usize = 1024;
 
 /// One received packet, stamped with the virtual tick it arrived at.
 ///
-/// The stamp is what keeps a decoupled engine byte-identical to the
-/// lock-step one: RTTs are computed from `tick`, not from whenever the
-/// engine got around to polling.
+/// The stamp is what keeps the scan loop's artifacts independent of its
+/// polling pattern: RTTs are computed from `tick`, not from whenever
+/// the loop got around to polling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecvEntry {
     /// Run-local virtual tick of arrival.
@@ -24,9 +23,8 @@ pub struct RecvEntry {
     pub packet: Ipv6Packet,
 }
 
-/// What an event-loop scan engine drives instead of a raw
-/// [`Network`]: batched sends, polled receives, a virtual clock, and
-/// deadline registration.
+/// What the scan loop drives instead of a raw [`Network`]: batched
+/// sends, polled receives, a virtual clock, and deadline registration.
 ///
 /// ## Contract
 ///
@@ -72,32 +70,19 @@ pub trait Transport {
     fn flush_telemetry(&mut self) {}
 }
 
-/// Opt-in queue-depth instrumentation for a transport. Disabled by
-/// default so reactor runs export metrics snapshots byte-identical to
-/// the lock-step engine's.
-#[derive(Debug)]
-struct QueueGauges {
-    depth: Gauge,
-    high_watermark: Gauge,
-    saturated: Counter,
-}
-
 /// [`Transport`] over any [`Network`]: the simulator backend.
 ///
 /// Wraps the network's synchronous `handle_into`/`tick_into` calls
 /// behind the decoupled contract — replies are staged in a
-/// [`BoundedQueue`] stamped with the tick they were produced at, so an
-/// engine that absorbs by stamp reproduces the lock-step engine's
-/// artifacts byte for byte. Works over `&mut N` too (the blanket
-/// `Network for &mut N` impl), which is how the scanner lends its
-/// network out for one run.
+/// [`BoundedQueue`] stamped with the tick they were produced at. The
+/// scanner owns one for its lifetime and reaches the network between
+/// runs through [`network_mut`](SimTransport::network_mut).
 #[derive(Debug)]
 pub struct SimTransport<N> {
     net: N,
     clock: u64,
     queue: BoundedQueue<RecvEntry>,
     scratch: Vec<Ipv6Packet>,
-    gauges: Option<QueueGauges>,
 }
 
 impl<N: Network> SimTransport<N> {
@@ -114,19 +99,7 @@ impl<N: Network> SimTransport<N> {
             clock: 0,
             queue: BoundedQueue::new(capacity),
             scratch: Vec::new(),
-            gauges: None,
         }
-    }
-
-    /// Enables queue-depth gauges ([`crate::names`]) on `registry`.
-    /// Off by default: enabling changes the set of exported metrics, so
-    /// byte-identity with lock-step snapshots only holds without it.
-    pub fn enable_queue_gauges(&mut self, registry: &Registry) {
-        self.gauges = Some(QueueGauges {
-            depth: registry.gauge(crate::names::RECV_DEPTH),
-            high_watermark: registry.gauge(crate::names::RECV_HIGH_WATERMARK),
-            saturated: registry.counter(crate::names::RECV_SATURATED),
-        });
     }
 
     /// Borrows the wrapped network.
@@ -146,20 +119,15 @@ impl<N: Network> SimTransport<N> {
 
     /// Pushes staged replies from `scratch` into the queue, stamped now.
     fn stage_scratch(&mut self) {
+        // Most slots draw no reply; skip the drain set-up for those.
+        if self.scratch.is_empty() {
+            return;
+        }
         for packet in self.scratch.drain(..) {
-            let saturated = self.queue.push(RecvEntry {
+            self.queue.push(RecvEntry {
                 tick: self.clock,
                 packet,
             });
-            if saturated {
-                if let Some(g) = &self.gauges {
-                    g.saturated.inc();
-                }
-            }
-        }
-        if let Some(g) = &self.gauges {
-            g.depth.set(self.queue.len() as u64);
-            g.high_watermark.set(self.queue.high_watermark() as u64);
         }
     }
 }
@@ -174,11 +142,7 @@ impl<N: Network> Transport for SimTransport<N> {
     }
 
     fn poll_recv(&mut self, out: &mut Vec<RecvEntry>) -> usize {
-        let n = self.queue.drain_into(out);
-        if let Some(g) = &self.gauges {
-            g.depth.set(0);
-        }
-        n
+        self.queue.drain_into(out)
     }
 
     fn advance(&mut self, ticks: u64) {
@@ -208,7 +172,6 @@ impl<N: Network> Transport for SimTransport<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmap_netsim::packet::{Icmpv6, Payload};
     use xmap_netsim::World;
 
     fn echo(dst: u128) -> Ipv6Packet {
@@ -255,51 +218,5 @@ mod tests {
         t.poll_recv(&mut got);
         let via_transport: Vec<Ipv6Packet> = got.into_iter().map(|e| e.packet).collect();
         assert_eq!(via_transport, direct_replies);
-    }
-
-    #[test]
-    fn queue_gauges_observe_depth() {
-        let telemetry = xmap_telemetry::Telemetry::new();
-        let mut t = SimTransport::with_capacity(World::new(7), 1);
-        t.enable_queue_gauges(&telemetry.registry);
-        // Probe a live CPE sub-prefix so replies actually queue.
-        let mut probes = Vec::new();
-        for i in 0..64u128 {
-            probes.push(echo((0x2405_0200u128) << 96 | (i << 64) | 0xabcd));
-        }
-        t.send_batch(&mut probes);
-        let snap = telemetry.registry.snapshot();
-        let hwm = snap
-            .gauges
-            .get(crate::names::RECV_HIGH_WATERMARK)
-            .copied()
-            .unwrap_or(0);
-        assert!(hwm >= 1, "some probe must have drawn a reply");
-        if hwm > 1 {
-            assert!(
-                snap.counters
-                    .get(crate::names::RECV_SATURATED)
-                    .copied()
-                    .unwrap_or(0)
-                    > 0
-            );
-        }
-        let mut sinkhole = Vec::new();
-        t.poll_recv(&mut sinkhole);
-        assert_eq!(
-            telemetry
-                .registry
-                .snapshot()
-                .gauges
-                .get(crate::names::RECV_DEPTH)
-                .copied()
-                .unwrap_or(0),
-            0
-        );
-        let _ = t.in_flight();
-        let _ = matches!(
-            sinkhole.first().map(|e| &e.packet.payload),
-            Some(Payload::Icmp(Icmpv6::EchoReply { .. }))
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the reactor's two ordering-critical structures.
 //!
-//! The scan engines' byte-identity contract rests on the timer heap
+//! The scan loop's byte-identity contract rests on the timer heap
 //! firing in a total, deterministic order and on the receive queue never
 //! dropping a reply. Both are checked here against naive reference
 //! models under proptest-driven operation sequences.

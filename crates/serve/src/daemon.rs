@@ -39,8 +39,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use xmap::merge_worker_snapshots;
 use xmap::telemetry::names;
-use xmap::{merge_worker_snapshots, ScanEngine};
 use xmap_failpoint::fs as fp;
 use xmap_state::checkpoint::{decode_snapshot, encode_snapshot};
 use xmap_state::checkpoint::{read_sectioned, write_sectioned};
@@ -83,10 +83,6 @@ pub struct ServeConfig {
     /// Attempts per unit before the owning job is failed (counting the
     /// first), mirroring the executors' [`xmap::Supervision`] default.
     pub max_attempts: u32,
-    /// Scan engine units execute on. Both engines are byte-identical,
-    /// so this is an operational knob (not job identity) and may change
-    /// across daemon restarts without invalidating resume state.
-    pub engine: ScanEngine,
 }
 
 impl Default for ServeConfig {
@@ -97,7 +93,6 @@ impl Default for ServeConfig {
             admission: AdmissionPolicy::default(),
             tenant_weights: BTreeMap::new(),
             max_attempts: 2,
-            engine: ScanEngine::default(),
         }
     }
 }
@@ -530,9 +525,7 @@ impl Daemon {
                 }
             };
             let (job, unit, spec, fp) = dispatch;
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                spec.run_unit_with_engine(unit, self.cfg.engine)
-            }));
+            let attempt = catch_unwind(AssertUnwindSafe(|| spec.run_unit(unit)));
             match attempt {
                 Ok((out, delta)) => {
                     let write = write_unit(&self.root, job, unit, fp, &out, &delta);

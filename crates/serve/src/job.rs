@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use xmap::{ScanConfig, ScanEngine, Scanner};
+use xmap::{ScanConfig, Scanner};
 use xmap_addr::{IidClass, Ip6, Mac};
 use xmap_appscan::{grab_with, GrabOutcome};
 use xmap_loopscan::survey::LoopPeriphery;
@@ -300,19 +300,6 @@ impl JobSpec {
     ///
     /// Panics if `unit >= self.units()`.
     pub fn run_unit(&self, unit: usize) -> (UnitOutput, Snapshot) {
-        self.run_unit_with_engine(unit, ScanEngine::default())
-    }
-
-    /// [`run_unit`](Self::run_unit), but on an explicit scan engine.
-    /// The engine is an execution strategy, not part of the job
-    /// identity: both engines produce byte-identical unit outputs, so
-    /// it is deliberately absent from the spec fingerprint and a daemon
-    /// may switch engines between restarts of the same job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit >= self.units()`.
-    pub fn run_unit_with_engine(&self, unit: usize, engine: ScanEngine) -> (UnitOutput, Snapshot) {
         assert!(unit < self.units(), "unit {unit} out of range");
         if let JobSpec::AdaptiveCampaign {
             probe_budget,
@@ -331,7 +318,6 @@ impl JobSpec {
             });
             let base = ScanConfig {
                 seed: *seed,
-                engine,
                 ..Default::default()
             };
             let ws = *world_seed;
@@ -347,7 +333,6 @@ impl JobSpec {
         world.set_telemetry(&telemetry);
         let config = ScanConfig {
             seed: self.seed(),
-            engine,
             ..Default::default()
         };
         let mut scanner = Scanner::with_telemetry(world, config, telemetry.clone());
@@ -786,39 +771,6 @@ mod tests {
             bigger.run_unit(3),
             "overridden block must run exactly as if targets_per_block were the override"
         );
-    }
-
-    /// The engine knob must not change unit outputs: the reactor's
-    /// byte-identity contract extends through every spec kind the
-    /// daemon can execute.
-    #[test]
-    fn units_are_engine_independent() {
-        let specs = [
-            JobSpec::PeripheryCampaign {
-                targets_per_block: 1 << 10,
-                seed: 42,
-                world_seed: 9,
-                mop_up_ticks: Some(256),
-                block_targets: vec![(2, 1 << 9)],
-            },
-            JobSpec::LoopscanSurvey {
-                probes_per_block: 256,
-                seed: 5,
-                world_seed: 17,
-            },
-            JobSpec::AdaptiveCampaign {
-                probe_budget: 1 << 10,
-                root_bits: Some(12),
-                seed: 42,
-                world_seed: 9,
-            },
-        ];
-        for spec in &specs {
-            let (lock, lock_delta) = spec.run_unit_with_engine(2, ScanEngine::LockStep);
-            let (reactor, reactor_delta) = spec.run_unit_with_engine(2, ScanEngine::Reactor);
-            assert_eq!(lock, reactor, "unit output diverged for {spec:?}");
-            assert_eq!(lock_delta, reactor_delta, "telemetry diverged for {spec:?}");
-        }
     }
 
     #[test]
