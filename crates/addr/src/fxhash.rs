@@ -7,6 +7,14 @@
 //! its per-insert cost is measurable once a campaign block collects
 //! hundreds of thousands of responders.
 //!
+//! The same rule covers the per-probe maps: the scanner's `outstanding`
+//! (keyed by the destination it just built) and `answered` (by target
+//! prefix), and the simulated world's discovery `registry` (by responder
+//! address) and ICMPv6 `error_limiters` (by block and sub-prefix index).
+//! None of them is iterated into an artifact unsorted — checkpoints sort
+//! `outstanding` by destination and `answered` by prefix — so the hasher
+//! cannot change a byte of output.
+//!
 //! [`FxHasher`] is the multiply-fold hasher popularized by the Rust
 //! compiler's `rustc-hash` crate: each 8-byte word of input is folded in
 //! with an xor and a multiplication by a single odd 64-bit constant

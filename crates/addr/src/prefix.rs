@@ -49,6 +49,21 @@ impl Prefix {
         }
     }
 
+    /// Creates a prefix from eight 16-bit segments (most significant first)
+    /// in a `const` context, canonicalizing like [`Prefix::new`] — the
+    /// constructor for prefix tables that are data rather than text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 128` (at compile time when evaluated in a `const`).
+    pub const fn from_segments(seg: [u16; 8], len: u8) -> Self {
+        assert!(len <= 128, "prefix length out of range");
+        Prefix {
+            addr: Ip6::from_segments(seg).network(len),
+            len,
+        }
+    }
+
     /// Creates a prefix only if `addr` already has all host bits zero.
     pub fn new_strict(addr: Ip6, len: u8) -> Result<Self, ParseAddrError> {
         if len > 128 {
@@ -242,6 +257,13 @@ mod tests {
     #[test]
     fn parse_canonicalizes_host_bits() {
         assert_eq!(p("2001:db8::1/32"), p("2001:db8::/32"));
+    }
+
+    #[test]
+    fn from_segments_is_const_and_canonical() {
+        const P: Prefix = Prefix::from_segments([0x2001, 0xdb8, 0, 0, 0, 0, 0, 1], 32);
+        assert_eq!(P, p("2001:db8::/32"));
+        assert_eq!(P.to_string(), "2001:db8::/32");
     }
 
     #[test]

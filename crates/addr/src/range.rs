@@ -52,12 +52,11 @@ impl ScanRange {
     /// permuted space is wider than 64 bits (wider spaces are infeasible to
     /// enumerate and unsupported).
     pub fn new(base: Prefix, end_bit: u8) -> Result<Self, ParseAddrError> {
-        let repr = format!("{base}-{end_bit}");
-        if end_bit <= base.len() || end_bit > 128 {
-            return Err(ParseAddrError::new(ErrorKind::BitRange, &repr));
-        }
-        if end_bit - base.len() > 64 {
-            return Err(ParseAddrError::new(ErrorKind::BitRange, &repr));
+        if end_bit <= base.len() || end_bit > 128 || end_bit - base.len() > 64 {
+            return Err(ParseAddrError::new(
+                ErrorKind::BitRange,
+                &format!("{base}-{end_bit}"),
+            ));
         }
         Ok(ScanRange { base, end_bit })
     }

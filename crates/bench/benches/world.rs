@@ -50,13 +50,44 @@ fn bench_world(c: &mut Criterion) {
         let mut world = World::with_config(WorldConfig::lossless(3, 50));
         let src: Ip6 = "fd00::1".parse().unwrap();
         let base: Ip6 = "2409:8000::".parse().unwrap();
+        let mut out = Vec::new();
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);
             let dst = Ip6::new(base.bits() | ((i % (1 << 24)) as u128) << 68 | 0x4242);
-            black_box(world.handle(Ipv6Packet::echo_request(src, dst, 64, 1, 1)))
+            out.clear();
+            world.handle_into(Ipv6Packet::echo_request(src, dst, 64, 1, 1), &mut out);
+            black_box(out.len())
         })
     });
+    // The same silent-miss probe at both ends of the sample-block table:
+    // the two cases read alike when zone lookup cost does not depend on
+    // table position.
+    for profile_idx in [0usize, 14] {
+        g.bench_function(format!("echo_miss_profile_{profile_idx}"), |b| {
+            let mut world = World::with_config(WorldConfig::lossless(3, 50));
+            let p = &world.profiles()[profile_idx];
+            let src: Ip6 = "fd00::1".parse().unwrap();
+            let misses: Vec<Ip6> = (0..u64::MAX)
+                .filter(|&i| {
+                    world.device_at(profile_idx, i).is_none() && !world.is_aliased(profile_idx, i)
+                })
+                .map(|i| {
+                    let sub = p.scan_prefix().subprefix(p.assigned_len, i as u128);
+                    sub.addr().with_iid(0x4242)
+                })
+                .take(1024)
+                .collect();
+            let mut out = Vec::new();
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) % misses.len();
+                out.clear();
+                world.handle_into(Ipv6Packet::echo_request(src, misses[i], 64, 1, 1), &mut out);
+                black_box(out.len())
+            })
+        });
+    }
     g.bench_function("world_construction_6911_ases", |b| {
         b.iter(|| {
             black_box(World::with_config(WorldConfig {

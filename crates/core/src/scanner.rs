@@ -8,10 +8,9 @@
 //! parks retransmissions in a deadline [`TimerHeap`], so a backend other
 //! than the simulator is a type parameter away, not a second loop.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xmap_addr::{Ip6, Prefix, ScanRange};
+use xmap_addr::{FxHashMap, FxHashSet, Ip6, Prefix, ScanRange};
 use xmap_netsim::packet::{Icmpv6, Ipv6Packet, Network, Payload};
 use xmap_reactor::{RecvEntry, SimTransport, TimerHeap, Transport};
 use xmap_state::{AbortSignal, AdaptiveState, CursorState, RunState};
@@ -1217,6 +1216,10 @@ impl TargetGen {
     }
 }
 
+/// Most targets [`Run::fresh`] pre-sizes its containers for; a longer
+/// walk grows them from there by the usual doubling.
+const RESERVE_CAP: usize = 1 << 20;
+
 /// One sent probe awaiting (or having received) its answer.
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
@@ -1248,10 +1251,10 @@ struct RetryTimer {
 #[derive(Debug)]
 struct Run {
     gen: TargetGen,
-    outstanding: HashMap<Ip6, Outstanding>,
+    outstanding: FxHashMap<Ip6, Outstanding>,
     /// The bounded retransmission backlog.
     retries: TimerHeap<RetryTimer>,
-    answered: HashSet<Prefix>,
+    answered: FxHashSet<Prefix>,
     probed: Vec<Prefix>,
     /// Walk position of each `probed` entry (parallel vector); filled
     /// only under position tracking.
@@ -1274,12 +1277,23 @@ impl Run {
     /// The state a range starts from.
     fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange) -> Run {
         let config = &scanner.config;
+        let gen = TargetGen::with_skip(config, range, scanner.walk_skip);
+        // Every fresh target costs one `probed` slot and one `outstanding`
+        // entry, so size both for what the walk is known to deliver: a
+        // run then never re-hashes (and briefly holds two copies of) a
+        // map it is going to fill anyway.
+        let shard_targets = range.space_size().div_ceil(config.shards as u128);
+        let expected = (gen.unconsumed() as u128)
+            .min(shard_targets)
+            .min(RESERVE_CAP as u128) as usize;
+        let mut outstanding = FxHashMap::default();
+        outstanding.reserve(expected);
         Run {
-            gen: TargetGen::with_skip(config, range, scanner.walk_skip),
-            outstanding: HashMap::new(),
+            gen,
+            outstanding,
             retries: TimerHeap::new(),
-            answered: HashSet::new(),
-            probed: Vec::new(),
+            answered: FxHashSet::default(),
+            probed: Vec::with_capacity(expected),
             probed_positions: Vec::new(),
             adaptive: adaptive_controller(config),
             base: scanner.metrics.baseline(),
@@ -1689,6 +1703,42 @@ mod tests {
     }
 
     #[test]
+    fn capture_is_sorted_whatever_the_insertion_order() {
+        // The property that keeps checkpoint bytes independent of the hash
+        // containers' iteration order (and so of their hasher).
+        let s = Scanner::new(ToyNet { handled: 0 }, ScanConfig::default());
+        let n = 257u64;
+        let reversed: Vec<u64> = (0..n).rev().collect();
+        // 101 is coprime to 257, so this visits every index once.
+        let shuffled: Vec<u64> = (0..n).map(|i| (i * 101 + 7) % n).collect();
+        let mut captures = Vec::new();
+        for order in [reversed, shuffled] {
+            let mut run = Run::fresh(&s, &range());
+            for &i in &order {
+                let target = range().nth(i).unwrap();
+                run.outstanding.insert(
+                    fill_host_bits(target, i),
+                    Outstanding {
+                        target,
+                        attempt: 0,
+                        answered: i % 3 == 0,
+                        sent_tick: i,
+                        position: i,
+                    },
+                );
+                run.answered.insert(target);
+            }
+            let state = run.capture(0);
+            assert_eq!(state.outstanding.len(), n as usize);
+            assert!(state.outstanding.windows(2).all(|w| w[0].dst < w[1].dst));
+            assert_eq!(state.answered.len(), n as usize);
+            assert!(state.answered.windows(2).all(|w| w[0] < w[1]));
+            captures.push((state.outstanding, state.answered));
+        }
+        assert_eq!(captures[0], captures[1]);
+    }
+
+    #[test]
     fn retries_recover_lost_responses() {
         /// Drops the first attempt to any /64 (seed-0 fill), answers
         /// retries.
@@ -1966,7 +2016,8 @@ mod tests {
         assert_eq!(rtt.count, res.stats.valid);
         assert!(snap.histograms["scan.backoff_ticks"].count > 0);
         // The trace ring saw sends, receives and the run span.
-        let spans: HashSet<&str> = telemetry.tracer.events().iter().map(|e| e.span).collect();
+        let spans: std::collections::HashSet<&str> =
+            telemetry.tracer.events().iter().map(|e| e.span).collect();
         for span in ["scan.send", "scan.recv", "scan.run"] {
             assert!(spans.contains(span), "missing {span}");
         }

@@ -116,9 +116,9 @@ impl BgpTable {
             });
 
             for _ in 0..n_prefixes {
-                let base: Prefix = "2a00::/12".parse().expect("static prefix");
+                const BASE: Prefix = Prefix::from_segments([0x2a00, 0, 0, 0, 0, 0, 0, 0], 12);
                 // Spread allocations across the /12 deterministically.
-                let prefix = base.subprefix(32, next_index);
+                let prefix = BASE.subprefix(32, next_index);
                 next_index += 1;
                 entries.push(BgpEntry { prefix, asn });
             }

@@ -186,7 +186,7 @@ pub fn country_of(asn: u32, seed: u64) -> &'static str {
     if h.mix(b"hot").chance(0.45) {
         // Weighted toward the front of the hotspot list.
         let weights: [u32; 11] = [30, 24, 14, 12, 10, 8, 7, 5, 4, 3, 2];
-        TOP_LOOP_COUNTRIES[weighted_pick(h.mix(b"which"), &weights)]
+        TOP_LOOP_COUNTRIES[weighted_pick(h.mix(b"which"), weights.iter().copied())]
     } else {
         COUNTRIES[h.mix(b"any").bounded(COUNTRIES.len() as u64) as usize]
     }

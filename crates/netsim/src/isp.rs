@@ -52,7 +52,7 @@ pub struct IspProfile {
     /// Length of the ISP's WHOIS block (Table I "Block").
     pub block_len: u8,
     /// The sample prefix actually scanned (base of the scan range).
-    pub scan_base: &'static str,
+    pub scan_base: Prefix,
     /// Inferred sub-prefix length assigned to end users (Table I "Length").
     pub assigned_len: u8,
     /// Fraction of sub-prefixes with an active periphery
@@ -98,20 +98,19 @@ impl IspProfile {
     ///
     /// Panics if the static profile data is malformed (covered by tests).
     pub fn scan_range(&self) -> ScanRange {
-        let base: Prefix = self.scan_base.parse().expect("static scan base parses");
-        ScanRange::new(base, self.assigned_len).expect("static scan range is valid")
+        ScanRange::new(self.scan_base, self.assigned_len).expect("static scan range is valid")
     }
 
     /// The scanned sample prefix.
-    pub fn scan_prefix(&self) -> Prefix {
-        self.scan_base.parse().expect("static scan base parses")
+    pub const fn scan_prefix(&self) -> Prefix {
+        self.scan_base
     }
 
     /// The sibling prefix this profile's CPE WAN addresses are aggregated
     /// under (the "WAN zone"): same length as the scan base, last prefix bit
     /// flipped. Synthetic stand-in for the ISP's WAN aggregation block.
     pub fn wan_zone(&self) -> Prefix {
-        let p = self.scan_prefix();
+        let p = self.scan_base;
         let flipped = p.addr().bits() ^ (1u128 << (128 - p.len() as u32));
         Prefix::new(xmap_addr::Ip6::new(flipped), p.len())
     }
@@ -160,7 +159,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "Reliance Jio",
         asn: 55836,
         block_len: 32,
-        scan_base: "2405:200::/32",
+        scan_base: Prefix::from_segments([0x2405, 0x200, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 3_365_175.0 / 4_294_967_296.0,
         same_frac: 0.998,
@@ -192,7 +191,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "BSNL",
         asn: 9829,
         block_len: 32,
-        scan_base: "2401:4900::/32",
+        scan_base: Prefix::from_segments([0x2401, 0x4900, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 2_404.0 / 4_294_967_296.0,
         same_frac: 0.344,
@@ -223,7 +222,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "Bharti Airtel",
         asn: 45609,
         block_len: 32,
-        scan_base: "2402:3a80::/32",
+        scan_base: Prefix::from_segments([0x2402, 0x3a80, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 22_542_690.0 / 4_294_967_296.0,
         same_frac: 0.989,
@@ -247,7 +246,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "Vodafone",
         asn: 38266,
         block_len: 32,
-        scan_base: "2402:8100::/32",
+        scan_base: Prefix::from_segments([0x2402, 0x8100, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 2_307_784.0 / 4_294_967_296.0,
         same_frac: 0.998,
@@ -270,7 +269,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "Comcast",
         asn: 7922,
         block_len: 24,
-        scan_base: "2601::/24",
+        scan_base: Prefix::from_segments([0x2601, 0, 0, 0, 0, 0, 0, 0], 24),
         assigned_len: 56,
         occupancy: 87_308.0 / 4_294_967_296.0,
         same_frac: 0.0,
@@ -302,7 +301,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "AT&T",
         asn: 7018,
         block_len: 24,
-        scan_base: "2600:1700::/28",
+        scan_base: Prefix::from_segments([0x2600, 0x1700, 0, 0, 0, 0, 0, 0], 28),
         assigned_len: 60,
         occupancy: 740_141.0 / 4_294_967_296.0,
         same_frac: 0.0,
@@ -332,7 +331,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "Charter",
         asn: 20115,
         block_len: 24,
-        scan_base: "2602::/24",
+        scan_base: Prefix::from_segments([0x2602, 0, 0, 0, 0, 0, 0, 0], 24),
         assigned_len: 56,
         occupancy: 13_027.0 / 4_294_967_296.0,
         same_frac: 0.016,
@@ -363,7 +362,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "CenturyLink",
         asn: 209,
         block_len: 24,
-        scan_base: "2605::/24",
+        scan_base: Prefix::from_segments([0x2605, 0, 0, 0, 0, 0, 0, 0], 24),
         assigned_len: 56,
         occupancy: 249_835.0 / 4_294_967_296.0,
         same_frac: 0.0,
@@ -394,7 +393,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "AT&T Mobility",
         asn: 20057,
         block_len: 24,
-        scan_base: "2600:380::/32",
+        scan_base: Prefix::from_segments([0x2600, 0x380, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 1_734_506.0 / 4_294_967_296.0,
         same_frac: 0.945,
@@ -417,7 +416,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "Mediacom",
         asn: 30036,
         block_len: 28,
-        scan_base: "2604:2d80::/28",
+        scan_base: Prefix::from_segments([0x2604, 0x2d80, 0, 0, 0, 0, 0, 0], 28),
         assigned_len: 56,
         occupancy: 38_399.0 / 268_435_456.0,
         same_frac: 0.0,
@@ -448,7 +447,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "China Telecom",
         asn: 4134,
         block_len: 24,
-        scan_base: "240e:300::/28",
+        scan_base: Prefix::from_segments([0x240e, 0x300, 0, 0, 0, 0, 0, 0], 28),
         assigned_len: 60,
         occupancy: 2_122_292.0 / 4_294_967_296.0,
         same_frac: 0.002,
@@ -482,7 +481,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "China Unicom",
         asn: 4837,
         block_len: 24,
-        scan_base: "2408:8200::/28",
+        scan_base: Prefix::from_segments([0x2408, 0x8200, 0, 0, 0, 0, 0, 0], 28),
         assigned_len: 60,
         occupancy: 1_273_075.0 / 4_294_967_296.0,
         same_frac: 0.030,
@@ -516,7 +515,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "China Mobile",
         asn: 9808,
         block_len: 24,
-        scan_base: "2409:8000::/28",
+        scan_base: Prefix::from_segments([0x2409, 0x8000, 0, 0, 0, 0, 0, 0], 28),
         assigned_len: 60,
         occupancy: 7_316_861.0 / 4_294_967_296.0,
         same_frac: 0.024,
@@ -552,7 +551,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "China Unicom Mobile",
         asn: 4837,
         block_len: 24,
-        scan_base: "2408:8400::/32",
+        scan_base: Prefix::from_segments([0x2408, 0x8400, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 3_696_275.0 / 4_294_967_296.0,
         same_frac: 0.979,
@@ -575,7 +574,7 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         name: "China Mobile Cellular",
         asn: 9808,
         block_len: 24,
-        scan_base: "2409:8900::/32",
+        scan_base: Prefix::from_segments([0x2409, 0x8900, 0, 0, 0, 0, 0, 0], 32),
         assigned_len: 64,
         occupancy: 7_193_972.0 / 4_294_967_296.0,
         same_frac: 0.984,
@@ -632,6 +631,35 @@ mod tests {
             let r = p.scan_range();
             assert!(r.space_bits() <= 32, "{}: {} bits", p.name, r.space_bits());
             assert_eq!(r.end_bit(), p.assigned_len);
+        }
+    }
+
+    #[test]
+    fn scan_bases_match_table_ii_text() {
+        // The const table is the single source of truth; this pins it to
+        // the Table II strings it was transcribed from.
+        let text = [
+            "2405:200::/32",
+            "2401:4900::/32",
+            "2402:3a80::/32",
+            "2402:8100::/32",
+            "2601::/24",
+            "2600:1700::/28",
+            "2602::/24",
+            "2605::/24",
+            "2600:380::/32",
+            "2604:2d80::/28",
+            "240e:300::/28",
+            "2408:8200::/28",
+            "2409:8000::/28",
+            "2408:8400::/32",
+            "2409:8900::/32",
+        ];
+        assert_eq!(text.len(), SAMPLE_BLOCKS.len());
+        for (p, s) in SAMPLE_BLOCKS.iter().zip(text) {
+            assert_eq!(p.scan_base.to_string(), s, "{}", p.name);
+            let parsed: ScanRange = format!("{s}-{}", p.assigned_len).parse().unwrap();
+            assert_eq!(p.scan_range(), parsed, "{}", p.name);
         }
     }
 

@@ -94,20 +94,22 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 /// Draws an index from a weighted table: returns `i` with probability
-/// `weights[i] / sum(weights)`.
+/// `weights[i] / sum(weights)`. The weights are walked twice (sum, then
+/// pick), so callers pass a cheap cloneable iterator instead of collecting
+/// a `Vec` per draw.
 ///
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to zero.
-pub fn weighted_pick(h: DetHash, weights: &[u32]) -> usize {
-    let total: u64 = weights.iter().map(|w| *w as u64).sum();
+pub fn weighted_pick(h: DetHash, weights: impl Iterator<Item = u32> + Clone) -> usize {
+    let total: u64 = weights.clone().map(u64::from).sum();
     assert!(total > 0, "weights must not all be zero");
     let mut draw = h.bounded(total);
-    for (i, w) in weights.iter().enumerate() {
-        if draw < *w as u64 {
+    for (i, w) in weights.enumerate() {
+        if draw < w as u64 {
             return i;
         }
-        draw -= *w as u64;
+        draw -= w as u64;
     }
     unreachable!("draw below total guarantees a pick")
 }
@@ -167,7 +169,7 @@ mod tests {
         let weights = [0, 10, 0, 30];
         let mut counts = [0u32; 4];
         for i in 0..4000u64 {
-            counts[weighted_pick(DetHash::new(5).mix_u64(i), &weights)] += 1;
+            counts[weighted_pick(DetHash::new(5).mix_u64(i), weights.iter().copied())] += 1;
         }
         assert_eq!(counts[0], 0);
         assert_eq!(counts[2], 0);

@@ -23,10 +23,10 @@
 //!   revealed themselves in this world — exactly the pipeline the paper
 //!   runs (discover first, then ZGrab the discovered set).
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use xmap_addr::oui::{self, DeviceClass};
-use xmap_addr::{IidClass, Ip6, Mac, Prefix};
+use xmap_addr::{FxHashMap, IidClass, Ip6, Mac, Prefix};
 use xmap_state::AbortSignal;
 
 use crate::bgp::{BgpTable, BASE_DENSITY, BGP_IID_MIX, LOOP_RATE_BY_CLASS};
@@ -208,9 +208,9 @@ pub struct World {
     bgp: BgpTable,
     /// Discovered WAN address → device locator (fed by discovery responses,
     /// consumed by application-layer probes).
-    registry: HashMap<Ip6, DeviceRef>,
+    registry: FxHashMap<Ip6, DeviceRef>,
     /// Per-device ICMPv6 error limiter state (RFC 4443 rate limiting).
-    error_limiters: HashMap<(usize, u64), ErrorLimiterState>,
+    error_limiters: FxHashMap<(usize, u64), ErrorLimiterState>,
     /// Virtual clock in ticks; advanced by [`Network::tick`].
     clock: u64,
     /// Responses delayed by fault-plan jitter, ordered by due tick.
@@ -274,8 +274,8 @@ impl World {
             cfg,
             profiles: SAMPLE_BLOCKS,
             bgp: BgpTable::generate(cfg.seed, cfg.bgp_ases),
-            registry: HashMap::new(),
-            error_limiters: HashMap::new(),
+            registry: FxHashMap::default(),
+            error_limiters: FxHashMap::default(),
             clock: 0,
             delayed: BinaryHeap::new(),
             delay_seq: 0,
@@ -388,41 +388,50 @@ impl World {
     /// addresses). These answer echo when probed exactly — the population
     /// hitlist/TGA baselines hunt for.
     pub fn hosts_of(&self, profile_idx: usize, index: u64) -> Vec<Ip6> {
-        let Some(device) = self.device_at(profile_idx, index) else {
-            return Vec::new();
-        };
-        let p = &self.profiles[profile_idx];
+        match self.device_at(profile_idx, index) {
+            Some(device) => self.lan_hosts(profile_idx, index, &device).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// [`World::hosts_of`] for an already-derived `device`, without
+    /// allocating (the per-probe LAN-host check walks this directly).
+    fn lan_hosts(
+        &self,
+        profile_idx: usize,
+        index: u64,
+        device: &Device,
+    ) -> impl Iterator<Item = Ip6> {
+        let subnet = device.used_subnet64.addr();
         let h = DetHash::new(self.cfg.seed)
             .mix(b"hosts")
-            .mix_u64(p.id as u64)
+            .mix_u64(self.profiles[profile_idx].id as u64)
             .mix_u64(index);
         let n = 1 + h.mix(b"n").bounded(3);
-        (0..n)
-            .map(|k| {
-                let hk = h.mix(b"host").mix_u64(k);
-                let iid = match hk.mix(b"cls").bounded(4) {
-                    // LAN hosts skew low-byte/EUI-64 more than CPE WANs.
-                    0 => 1 + hk.mix(b"low").bounded(0xff),
-                    1 => {
-                        let mac = Mac::from_oui_nic(
-                            oui::OUI_TABLE
-                                [hk.mix(b"oui").bounded(oui::OUI_TABLE.len() as u64) as usize]
-                                .oui,
-                            hk.mix(b"nic").bounded(1 << 24) as u32,
-                        );
-                        mac.to_eui64()
+        (0..n).map(move |k| {
+            let hk = h.mix(b"host").mix_u64(k);
+            let iid = match hk.mix(b"cls").bounded(4) {
+                // LAN hosts skew low-byte/EUI-64 more than CPE WANs.
+                0 => 1 + hk.mix(b"low").bounded(0xff),
+                1 => {
+                    let mac = Mac::from_oui_nic(
+                        oui::OUI_TABLE
+                            [hk.mix(b"oui").bounded(oui::OUI_TABLE.len() as u64) as usize]
+                            .oui,
+                        hk.mix(b"nic").bounded(1 << 24) as u32,
+                    );
+                    mac.to_eui64()
+                }
+                _ => {
+                    let mut v = hk.mix(b"rand").finish();
+                    if (v >> 24) & 0xffff == 0xfffe {
+                        v ^= 1 << 24;
                     }
-                    _ => {
-                        let mut v = hk.mix(b"rand").finish();
-                        if (v >> 24) & 0xffff == 0xfffe {
-                            v ^= 1 << 24;
-                        }
-                        v.max(0x10000)
-                    }
-                };
-                device.used_subnet64.addr().with_iid(iid)
-            })
-            .collect()
+                    v.max(0x10000)
+                }
+            };
+            subnet.with_iid(iid)
+        })
     }
 
     /// RFC 4443 §2.4(f): decides whether the device may emit one more
@@ -495,8 +504,8 @@ impl World {
             ReplyMode::DiffPrefix
         };
 
-        let weights: Vec<u32> = p.vendors.iter().map(|(_, w)| *w).collect();
-        let vendor = p.vendors[weighted_pick(h.mix(b"vendor"), &weights)].0;
+        let vendor =
+            p.vendors[weighted_pick(h.mix(b"vendor"), p.vendors.iter().map(|(_, w)| *w))].0;
         let kind = oui::class_of(vendor).unwrap_or(DeviceClass::Cpe);
 
         let iid_class = if h.mix(b"eui").chance(p.eui64_frac) {
@@ -508,7 +517,7 @@ impl World {
                 IidClass::EmbedIpv4,
                 IidClass::LowByte,
             ];
-            REST[weighted_pick(h.mix(b"cls"), &NON_EUI_IID_SPLIT)]
+            REST[weighted_pick(h.mix(b"cls"), NON_EUI_IID_SPLIT.iter().copied())]
         };
         let (iid, mac) = self.derive_iid(h, iid_class, Some((vendor, p.mac_dup_frac)));
 
@@ -560,7 +569,7 @@ impl World {
         if !h.mix(b"exists").chance(density) {
             return None;
         }
-        let class_idx = weighted_pick(h.mix(b"cls"), &BGP_IID_MIX);
+        let class_idx = weighted_pick(h.mix(b"cls"), BGP_IID_MIX.iter().copied());
         let iid_class = IidClass::ALL[class_idx];
         let loop_p = (LOOP_RATE_BY_CLASS[class_idx] * params.loop_multiplier).min(0.95);
         let loops = h.mix(b"loop").chance(loop_p);
@@ -736,7 +745,9 @@ impl World {
             return;
         }
         if device.used_subnet64.contains(packet.dst)
-            && self.hosts_of(profile_idx, index).contains(&packet.dst)
+            && self
+                .lan_hosts(profile_idx, index, &device)
+                .any(|host| host == packet.dst)
         {
             // A real LAN host: forwarded by the CPE and answered end to end.
             out.push(echo_reply(packet));
@@ -1054,8 +1065,8 @@ fn pick_software(
     if candidates.is_empty() {
         return default_software(kind);
     }
-    let weights: Vec<u32> = candidates.iter().map(|(_, w)| *w).collect();
-    Some(candidates[weighted_pick(h.mix(b"sw"), &weights)].0)
+    let pick = weighted_pick(h.mix(b"sw"), candidates.iter().map(|(_, w)| *w));
+    Some(candidates[pick].0)
 }
 
 /// Fallback software per service kind.
@@ -1519,6 +1530,25 @@ mod tests {
             }
         }
         assert!(responded > 0, "no BGP-zone responses in 60k probes");
+    }
+
+    #[test]
+    fn every_scan_space_resolves_to_its_own_profile() {
+        let w = small_world();
+        for (idx, p) in w.profiles().iter().enumerate() {
+            let zone = p.scan_prefix();
+            let inside = zone.subprefix(p.assigned_len, 12_345).addr().with_iid(7);
+            for addr in [zone.first(), inside, zone.last()] {
+                assert_eq!(w.scan_zone_of(addr), Some(idx), "{}: {addr}", p.name);
+            }
+            // The sibling WAN zone is one bit away and in no scan space.
+            assert_eq!(w.scan_zone_of(p.wan_zone().first()), None, "{}", p.name);
+        }
+        // An advertised BGP prefix is in no zone: the probe falls through
+        // to the survey path.
+        let advertised = w.bgp().entries()[0].prefix.first();
+        assert_eq!(w.scan_zone_of(advertised), None);
+        assert!(w.bgp().locate(advertised).is_some());
     }
 
     #[test]

@@ -595,7 +595,7 @@ fn render_resume_plan_json(plan: &[BlockMode]) -> String {
         out.push_str(&format!("{{\"block\":{idx},\"profile\":"));
         push_json_string(&mut out, profile.name);
         out.push_str(",\"scan_base\":");
-        push_json_string(&mut out, profile.scan_base);
+        push_json_string(&mut out, &profile.scan_base.to_string());
         out.push_str(&format!(",\"mode\":\"{label}\"}}"));
     }
     out.push_str(&format!(
@@ -738,7 +738,7 @@ mod tests {
             );
             assert_eq!(
                 b.req_str("scan_base", "row").unwrap(),
-                SAMPLE_BLOCKS[idx].scan_base
+                SAMPLE_BLOCKS[idx].scan_base.to_string()
             );
         }
         let tally = v.get("tally").expect("tally");
