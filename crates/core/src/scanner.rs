@@ -620,7 +620,7 @@ impl<N: Network> Scanner<N> {
             // before the checkpoint; every run local restarts from the
             // captured state, so the loop below re-executes the tail of
             // the range exactly as the killed run would have continued it.
-            Some(r) => Run::restore(&self.config, range, r),
+            Some(r) => Run::restore(self, range, r),
         };
         self.transport.set_clock(run.now);
         // Records already durable in the journal; everything past this
@@ -641,6 +641,9 @@ impl<N: Network> Scanner<N> {
             if aborted {
                 run.results.interrupted = true;
                 break;
+            }
+            if run.retire_due() && self.transport.in_flight() == 0 {
+                run.retire_dead();
             }
             // Cooperative split point: once the gate fires, stop drawing
             // fresh targets and fall through to the drain branch, so the
@@ -703,19 +706,22 @@ impl<N: Network> Scanner<N> {
                         ],
                     );
                 }
+                // Bounded backlog: an overflowing retry is abandoned (the
+                // target is then counted in `gave_up` if it stays silent).
+                let retry_armed =
+                    attempt + 1 < attempts && run.retries.len() < self.config.max_retry_backlog;
                 run.outstanding.insert(
                     dst,
                     Outstanding {
                         target,
                         attempt,
                         answered: false,
+                        retry_armed,
                         sent_tick: run.now,
                         position,
                     },
                 );
-                // Bounded backlog: an overflowing retry is abandoned (the
-                // target is then counted in `gave_up` if it stays silent).
-                if attempt + 1 < attempts && run.retries.len() < self.config.max_retry_backlog {
+                if retry_armed {
                     let backoff = self.config.rto_ticks << attempt;
                     self.metrics.backoff_ticks.record(backoff);
                     let deadline = run.now + backoff;
@@ -885,6 +891,9 @@ impl<N: Network> Scanner<N> {
         self.transport.flush_telemetry();
         let snap = self.telemetry.registry.snapshot();
         let sink = self.sink.as_mut().expect("sink presence checked above");
+        // Unconditionally, so that a cut holds exactly the entries its
+        // retries name whatever the sweep cadence before it was.
+        run.retire_dead();
         let state = run.capture(sink.run_wal_start());
         sink.write_checkpoint(self.total_ticks, snap, Some(state));
     }
@@ -910,8 +919,11 @@ impl<N: Network> Scanner<N> {
                 result => {
                     let probe_dst = probe_dst_of(resp);
                     let Some(out) = run.outstanding.get_mut(&probe_dst) else {
-                        // Validated but unattributable (a duplicate of a
-                        // probe sent outside this run); not ours to record.
+                        // Validated but unattributable: a duplicate of a
+                        // probe sent outside this run, or a reply that
+                        // outlived the transport's `in_flight() == 0`
+                        // promise and found its entry retired. Not ours
+                        // to record.
                         run.tally.invalid += 1;
                         continue;
                     };
@@ -1216,16 +1228,22 @@ impl TargetGen {
     }
 }
 
-/// Most targets [`Run::fresh`] pre-sizes its containers for; a longer
-/// walk grows them from there by the usual doubling.
-const RESERVE_CAP: usize = 1 << 20;
+/// Entries `outstanding` may hold beyond twice the armed retries before
+/// a quiescent slot boundary sweeps the dead ones out. Each sweep walks
+/// the table once and leaves one entry per armed retry, so the next is
+/// at least this many sends away: amortised O(1) per probe, over a table
+/// that stays cache-sized however long the walk.
+const RETIRE_SLACK: usize = 1024;
 
-/// One sent probe awaiting (or having received) its answer.
+/// One sent probe whose answer can still matter: a reply to it may be in
+/// flight, or a retry timer will ask whether it was answered.
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     target: Prefix,
     attempt: u32,
     answered: bool,
+    /// A timer in `Run::retries` names this probe as its `prev_dst`.
+    retry_armed: bool,
     /// Run-local virtual tick the probe went out at (RTT measurement).
     sent_tick: u64,
     /// Walk position of the fresh probe this entry descends from. Not
@@ -1251,10 +1269,13 @@ struct RetryTimer {
 #[derive(Debug)]
 struct Run {
     gen: TargetGen,
+    /// Sent probes that are still live (see [`Run::retire_dead`]).
     outstanding: FxHashMap<Ip6, Outstanding>,
     /// The bounded retransmission backlog.
     retries: TimerHeap<RetryTimer>,
     answered: FxHashSet<Prefix>,
+    /// Fresh targets drawn from the walk so far, in probe order (blocked
+    /// ones included).
     probed: Vec<Prefix>,
     /// Walk position of each `probed` entry (parallel vector); filled
     /// only under position tracking.
@@ -1277,23 +1298,12 @@ impl Run {
     /// The state a range starts from.
     fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange) -> Run {
         let config = &scanner.config;
-        let gen = TargetGen::with_skip(config, range, scanner.walk_skip);
-        // Every fresh target costs one `probed` slot and one `outstanding`
-        // entry, so size both for what the walk is known to deliver: a
-        // run then never re-hashes (and briefly holds two copies of) a
-        // map it is going to fill anyway.
-        let shard_targets = range.space_size().div_ceil(config.shards as u128);
-        let expected = (gen.unconsumed() as u128)
-            .min(shard_targets)
-            .min(RESERVE_CAP as u128) as usize;
-        let mut outstanding = FxHashMap::default();
-        outstanding.reserve(expected);
         Run {
-            gen,
-            outstanding,
+            gen: TargetGen::with_skip(config, range, scanner.walk_skip),
+            outstanding: FxHashMap::default(),
             retries: TimerHeap::new(),
             answered: FxHashSet::default(),
-            probed: Vec::with_capacity(expected),
+            probed: Vec::new(),
             probed_positions: Vec::new(),
             adaptive: adaptive_controller(config),
             base: scanner.metrics.baseline(),
@@ -1305,8 +1315,12 @@ impl Run {
     }
 
     /// Rebuilds the state captured by [`Run::capture`], under the records
-    /// the journal already holds for the range.
-    fn restore(config: &ScanConfig, range: &ScanRange, resume: RunResume) -> Run {
+    /// the journal already holds for the range. What the cut left out is
+    /// derived: the answered targets are the targets of those records,
+    /// and the probed ones are the first `probed_count` the range's walk
+    /// delivers.
+    fn restore<N>(scanner: &Scanner<N>, range: &ScanRange, resume: RunResume) -> Run {
+        let config = &scanner.config;
         let rs = resume.state;
         let mut adaptive = adaptive_controller(config);
         if let (Some(ctrl), Some(a)) = (adaptive.as_mut(), rs.adaptive.as_ref()) {
@@ -1338,17 +1352,23 @@ impl Run {
                 target: o.target,
                 attempt: o.attempt,
                 answered: o.answered,
+                // A cut holds only the entries its retries name.
+                retry_armed: true,
                 sent_tick: o.sent_tick,
                 position: 0,
             };
             (o.dst.into(), restored)
         });
+        let mut walk = TargetGen::with_skip(config, range, scanner.walk_skip);
+        let probed = (0..rs.probed_count)
+            .map_while(|_| walk.next_target(range))
+            .collect();
         Run {
             gen: TargetGen::restore(config, range, &rs),
             outstanding: outstanding.collect(),
             retries,
-            answered: rs.answered.iter().copied().collect(),
-            probed: rs.probed,
+            answered: resume.records.iter().map(|r| r.target).collect(),
+            probed,
             probed_positions: Vec::new(),
             adaptive,
             base: MetricsBaseline::from_raw(rs.baseline),
@@ -1363,24 +1383,39 @@ impl Run {
     }
 
     /// Pops the next due retransmission whose previous attempt is still
-    /// unanswered (answered ones are suppressed silently).
+    /// unanswered (answered ones are suppressed silently). Either way the
+    /// previous attempt stops being retry-armed.
     fn due_retry(&mut self) -> Option<RetryTimer> {
         while let Some((_due, _seq, retry)) = self.retries.pop_due(self.now) {
-            let unanswered = self
-                .outstanding
-                .get(&retry.prev_dst)
-                .is_some_and(|o| !o.answered);
-            if unanswered {
+            let Some(prev) = self.outstanding.get_mut(&retry.prev_dst) else {
+                continue;
+            };
+            prev.retry_armed = false;
+            if !prev.answered {
                 return Some(retry);
             }
         }
         None
     }
 
+    /// Whether `outstanding` has outgrown its armed retries far enough
+    /// for a sweep to pay (see [`RETIRE_SLACK`]).
+    fn retire_due(&self) -> bool {
+        self.outstanding.len() > 2 * self.retries.len() + RETIRE_SLACK
+    }
+
+    /// Drops every entry no retry timer names. Sound only while the
+    /// transport reports `in_flight() == 0` — its promise that no reply
+    /// to any probe sent so far is still to come — because then nothing
+    /// but a timer can ever look these entries up again.
+    fn retire_dead(&mut self) {
+        self.outstanding.retain(|_, o| o.retry_armed);
+    }
+
     /// The run in canonical (sorted) order for a checkpoint. The hash
-    /// containers and the heap have no stable iteration order of their
-    /// own; sorting by destination / `(due_tick, seq)` / prefix makes
-    /// checkpoint bytes deterministic.
+    /// map and the heap have no stable iteration order of their own;
+    /// sorting by destination / `(due_tick, seq)` makes checkpoint bytes
+    /// deterministic. Callers [`retire_dead`](Run::retire_dead) first.
     fn capture(&self, run_wal_start: u64) -> RunState {
         let (cursor, remaining, pending_indices) = self.gen.capture();
         let mut outstanding: Vec<xmap_state::OutstandingEntry> = self
@@ -1407,8 +1442,6 @@ impl Run {
             })
             .collect();
         retries.sort_by_key(|r| (r.due_tick, r.seq));
-        let mut answered: Vec<Prefix> = self.answered.iter().copied().collect();
-        answered.sort();
         RunState {
             now: self.now,
             run_start_tick: self.run_start_tick,
@@ -1419,8 +1452,7 @@ impl Run {
             outstanding,
             retries,
             retry_seq: self.retries.next_seq(),
-            answered,
-            probed: self.probed.clone(),
+            probed_count: self.probed.len() as u64,
             adaptive: self.adaptive.as_ref().map(|c| {
                 let (current_pps, sent, valid, baseline) = c.checkpoint_state();
                 AdaptiveState {
@@ -1705,7 +1737,7 @@ mod tests {
     #[test]
     fn capture_is_sorted_whatever_the_insertion_order() {
         // The property that keeps checkpoint bytes independent of the hash
-        // containers' iteration order (and so of their hasher).
+        // map's iteration order (and so of its hasher).
         let s = Scanner::new(ToyNet { handled: 0 }, ScanConfig::default());
         let n = 257u64;
         let reversed: Vec<u64> = (0..n).rev().collect();
@@ -1722,18 +1754,16 @@ mod tests {
                         target,
                         attempt: 0,
                         answered: i % 3 == 0,
+                        retry_armed: true,
                         sent_tick: i,
                         position: i,
                     },
                 );
-                run.answered.insert(target);
             }
             let state = run.capture(0);
             assert_eq!(state.outstanding.len(), n as usize);
             assert!(state.outstanding.windows(2).all(|w| w[0].dst < w[1].dst));
-            assert_eq!(state.answered.len(), n as usize);
-            assert!(state.answered.windows(2).all(|w| w[0] < w[1]));
-            captures.push((state.outstanding, state.answered));
+            captures.push(state.outstanding);
         }
         assert_eq!(captures[0], captures[1]);
     }
@@ -1923,6 +1953,112 @@ mod tests {
                 "late response attributed to its target"
             );
         }
+    }
+
+    /// Answers only the probes it handles at the indices in `answer`
+    /// (0-based, in send order), and each of those `hold` ticks late:
+    /// `in_flight()` stays positive for as long as a reply is held.
+    struct HoldNet {
+        answer: &'static [u64],
+        hold: u64,
+        handled: u64,
+        clock: u64,
+        held: Vec<(u64, Ipv6Packet)>,
+    }
+
+    impl HoldNet {
+        fn new(answer: &'static [u64], hold: u64) -> Self {
+            HoldNet {
+                answer,
+                hold,
+                handled: 0,
+                clock: 0,
+                held: Vec::new(),
+            }
+        }
+    }
+
+    impl Network for HoldNet {
+        fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+            if self.answer.contains(&self.handled) {
+                let reply = Ipv6Packet {
+                    src: p.dst.network(64).with_iid(0xbeef),
+                    dst: p.src,
+                    hop_limit: 60,
+                    payload: Payload::Icmp(Icmpv6::DestUnreachable {
+                        code: xmap_netsim::packet::UnreachCode::AddressUnreachable,
+                        invoking: p.quote(),
+                    }),
+                };
+                self.held.push((self.clock + self.hold, reply));
+            }
+            self.handled += 1;
+            Vec::new()
+        }
+        fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
+            self.clock += ticks;
+            let clock = self.clock;
+            let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.held)
+                .into_iter()
+                .partition(|(d, _)| *d <= clock);
+            self.held = rest;
+            due.into_iter().map(|(_, p)| p).collect()
+        }
+        fn in_flight(&self) -> usize {
+            self.held.len()
+        }
+    }
+
+    #[test]
+    fn nothing_is_retired_while_a_reply_is_in_flight() {
+        // The first probe's reply is held for 3000 slots. No timer names
+        // the probe and `outstanding` passes the sweep threshold 1025
+        // sends in, yet the entry must outlive the wait: the reply is
+        // recorded, not tallied unattributable.
+        let mut s = Scanner::new(
+            HoldNet::new(&[0], 3000),
+            ScanConfig {
+                max_targets: Some(4000),
+                ..Default::default()
+            },
+        );
+        let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
+        assert_eq!(res.stats.sent, 4000);
+        assert_eq!(res.stats.invalid, 0);
+        assert_eq!(res.stats.valid, 1);
+        assert_eq!(res.records[0].confidence, Confidence::FirstTry);
+    }
+
+    #[test]
+    fn retry_armed_entries_survive_the_sweep() {
+        // A backlog of two arms a retry for the first two probes only.
+        // The first one's answer lands 2000 slots late — before its
+        // 4000-slot timer — and the second is answered on retransmission
+        // alone (the 3001st probe handled). Once the late answer is in,
+        // nothing is in flight and 2000 entries sit in `outstanding`, so
+        // the sweep runs with both timers still armed. Had it dropped
+        // their entries, neither timer would find its previous attempt
+        // and the second target's retransmission would never go out.
+        let mut s = Scanner::new(
+            HoldNet::new(&[0, 3000], 2000),
+            ScanConfig {
+                max_targets: Some(3000),
+                probes_per_target: 2,
+                max_retry_backlog: 2,
+                rto_ticks: 4000,
+                ..Default::default()
+            },
+        );
+        let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
+        assert_eq!(
+            res.stats.retransmits, 1,
+            "the answered one is suppressed, the silent one retried"
+        );
+        assert_eq!(res.stats.sent, 3001);
+        assert_eq!(res.stats.invalid, 0);
+        let confidences: Vec<Confidence> = res.records.iter().map(|r| r.confidence).collect();
+        assert_eq!(confidences, [Confidence::FirstTry, Confidence::Retry(1)]);
+        assert_eq!(res.stats.gave_up, 2998);
     }
 
     #[test]

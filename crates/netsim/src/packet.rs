@@ -312,7 +312,10 @@ pub trait Network {
 
     /// Number of responses currently held in flight (delayed by jitter
     /// and not yet due). The scanner drains the network by ticking until
-    /// this reaches zero.
+    /// this reaches zero, and takes zero as a promise that no probe
+    /// handled so far will be answered later (it forgets answered-or-not
+    /// state on that basis), so a network that delays replies through
+    /// [`tick`](Network::tick) must count them here.
     fn in_flight(&self) -> usize {
         0
     }

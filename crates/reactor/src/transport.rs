@@ -39,8 +39,12 @@ pub struct RecvEntry {
 ///   new clock.
 /// * [`in_flight`](Transport::in_flight) counts replies the transport
 ///   still owes the engine: committed-but-undelivered wire traffic plus
-///   anything queued. A checkpoint cut is only sound at
-///   `in_flight() == 0`.
+///   anything queued. Returning 0 is a promise that no reply to any
+///   probe sent so far is still to come. The engine builds on it twice:
+///   a checkpoint cut is only taken at `in_flight() == 0`, and at such a
+///   boundary it forgets every sent probe no retry timer still names. A
+///   reply that breaks the promise finds no probe to attribute it to and
+///   is tallied `invalid`, like any other unattributable reply.
 /// * [`register_deadline`](Transport::register_deadline) hints the next
 ///   engine timer. The simulator ignores it; a real-wire backend bounds
 ///   its blocking poll by it (see [`crate::tap`]).
@@ -60,7 +64,9 @@ pub trait Transport {
     /// Sets the virtual clock (resume path; run-local ticks).
     fn set_clock(&mut self, tick: u64);
 
-    /// Replies committed but not yet delivered to the engine.
+    /// Replies committed but not yet delivered to the engine. Zero
+    /// promises that no reply to any probe sent so far is still to come
+    /// (see the contract above); overcounting is always safe.
     fn in_flight(&self) -> usize;
 
     /// Hints the earliest engine deadline; default ignores it.

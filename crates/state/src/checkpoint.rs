@@ -13,7 +13,7 @@
 //! The header carries identity and placement (`schema`, `kind`, `worker`,
 //! `range_index`, `tick`, `wal_seq`, `config_fp`) plus the section list;
 //! the sections carry bulk state (`metrics` — a full telemetry registry
-//! snapshot — and optionally `run`, the mid-range scanner state).
+//! snapshot — and optionally `live`, the mid-range scanner state).
 //! Everything needed to *refuse* a wrong resume lives in the header, so
 //! mismatches are detected before any bulk decoding happens.
 
@@ -34,6 +34,14 @@ use crate::json::{self, Value};
 pub const CHECKPOINT_SCHEMA: &str = "xmap-checkpoint/v1";
 
 const MAGIC: &[u8] = b"XMCKPT1\n";
+
+/// Section holding the mid-range [`RunState`].
+const LIVE_SECTION: &str = "live";
+
+/// Section in which older builds kept their mid-range state: one entry
+/// per probe sent so far, in a layout [`LIVE_SECTION`] does not share. A
+/// file whose header lists it is refused, never decoded.
+const LEGACY_RUN_SECTION: &str = "run";
 
 /// Target-stream cursor, one variant per permutation backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +67,8 @@ pub enum CursorState {
     },
 }
 
-/// One in-flight probe awaiting a response.
+/// One sent probe that a scheduled retry still names as its previous
+/// attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutstandingEntry {
     /// Destination address the probe was sent to.
@@ -102,8 +111,12 @@ pub struct AdaptiveState {
     pub baseline_bits: Option<u64>,
 }
 
-/// Complete mid-range scanner state: everything `Scanner::run` holds in
-/// locals, captured at a slot boundary with nothing in flight downstream.
+/// Mid-range scanner state, captured at a slot boundary with nothing in
+/// flight downstream: what `Scanner::run` still needs that neither the
+/// journal (the answered targets are the targets of the range's records)
+/// nor the permutation (the probed targets are the first `probed_count`
+/// of its walk) can give back. Its size follows the scheduled retries,
+/// not the probes sent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunState {
     /// Run-local tick (slots completed since the range started).
@@ -119,16 +132,17 @@ pub struct RunState {
     /// Permutation indices already drawn into the generator's chunk
     /// buffer but not yet consumed (the buffer runs ahead of the scan).
     pub pending_indices: Vec<u64>,
-    /// In-flight probes, sorted by destination for determinism.
+    /// The probes `retries` refer to, sorted by destination. Every other
+    /// probe sent so far is dead at a quiescent cut: no reply to it can
+    /// still arrive and no timer will look it up.
     pub outstanding: Vec<OutstandingEntry>,
     /// Scheduled retries, sorted by (due_tick, seq).
     pub retries: Vec<RetryEntryState>,
     /// Next retry tie-break sequence number.
     pub retry_seq: u64,
-    /// Targets that have produced a valid response, sorted.
-    pub answered: Vec<Prefix>,
-    /// Every target probed this range, in probe order.
-    pub probed: Vec<Prefix>,
+    /// Fresh targets drawn from the walk so far this range (blocked ones
+    /// included).
+    pub probed_count: u64,
     /// AIMD controller state, if adaptive rating is enabled.
     pub adaptive: Option<AdaptiveState>,
     /// Metrics baseline captured when the range started (raw counters).
@@ -173,18 +187,22 @@ impl WorkerCheckpoint {
         header.push_str(&format!(",\"config_fp\":\"{:#018x}\"", self.config_fp));
         header.push_str(",\"sections\":[\"metrics\"");
         if self.run.is_some() {
-            header.push_str(",\"run\"");
+            header.push_str(&format!(",\"{LIVE_SECTION}\""));
         }
         header.push_str("]}");
 
         let mut sections: Vec<(&str, Vec<u8>)> = vec![("metrics", encode_snapshot(&self.metrics))];
         if let Some(run) = &self.run {
-            sections.push(("run", encode_run_state(run)));
+            sections.push((LIVE_SECTION, encode_run_state(run)));
         }
         write_sectioned(path, &header, &sections)
     }
 
-    /// Reads and fully validates a checkpoint from `path`.
+    /// Reads and fully validates a checkpoint from `path`. The header's
+    /// `sections` list decides what the file holds: a mid-range cut of an
+    /// older build (it lists `run`) is refused with
+    /// [`StateError::Version`]; a completed range resumes whichever build
+    /// wrote it.
     pub fn read_from(path: &Path) -> Result<WorkerCheckpoint, StateError> {
         let what = "worker checkpoint";
         let (header, mut sections) = read_sectioned(path, what)?;
@@ -198,9 +216,27 @@ impl WorkerCheckpoint {
         let metrics_raw = sections
             .remove("metrics")
             .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `metrics` section")))?;
-        let run = match sections.remove("run") {
-            Some(raw) => Some(decode_run_state(&raw)?),
-            None => None,
+        let listed: Vec<&str> = header
+            .get("sections")
+            .and_then(Value::as_arr)
+            .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `sections` list")))?
+            .iter()
+            .filter_map(Value::as_str)
+            .collect();
+        if listed.contains(&LEGACY_RUN_SECTION) {
+            return Err(StateError::Version(format!(
+                "{what} {}: holds the mid-range `{LEGACY_RUN_SECTION}` section of an older \
+                 build, which this build cannot continue; re-run the scan without --resume",
+                path.display()
+            )));
+        }
+        let run = if listed.contains(&LIVE_SECTION) {
+            let raw = sections.remove(LIVE_SECTION).ok_or_else(|| {
+                StateError::Corrupt(format!("{what}: missing `{LIVE_SECTION}` section"))
+            })?;
+            Some(decode_run_state(&raw)?)
+        } else {
+            None
         };
         Ok(WorkerCheckpoint {
             worker: header.req_u64("worker", what)? as u32,
@@ -521,14 +557,7 @@ pub fn encode_run_state(run: &RunState) -> Vec<u8> {
         e.u128(r.prev_dst);
     }
     e.u64(run.retry_seq);
-    e.seq(run.answered.len());
-    for p in &run.answered {
-        encode_prefix(&mut e, p);
-    }
-    e.seq(run.probed.len());
-    for p in &run.probed {
-        encode_prefix(&mut e, p);
-    }
+    e.u64(run.probed_count);
     match &run.adaptive {
         None => e.u8(0),
         Some(a) => {
@@ -547,7 +576,7 @@ pub fn encode_run_state(run: &RunState) -> Vec<u8> {
 
 /// Decodes mid-range scanner state written by [`encode_run_state`].
 pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
-    let mut d = Decoder::new(raw, "run section");
+    let mut d = Decoder::new(raw, "live section");
     let now = d.u64()?;
     let run_start_tick = d.u64()?;
     let run_wal_start = d.u64()?;
@@ -560,7 +589,7 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         2 => CursorState::Sequential { next_pos: d.u64()? },
         t => {
             return Err(StateError::Corrupt(format!(
-                "run section: unknown cursor tag {t}"
+                "live section: unknown cursor tag {t}"
             )))
         }
     };
@@ -590,14 +619,7 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         });
     }
     let retry_seq = d.u64()?;
-    let mut answered = Vec::new();
-    for _ in 0..d.seq()? {
-        answered.push(decode_prefix(&mut d)?);
-    }
-    let mut probed = Vec::new();
-    for _ in 0..d.seq()? {
-        probed.push(decode_prefix(&mut d)?);
-    }
+    let probed_count = d.u64()?;
     let adaptive = match d.u8()? {
         0 => None,
         1 => Some(AdaptiveState {
@@ -608,7 +630,7 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         }),
         t => {
             return Err(StateError::Corrupt(format!(
-                "run section: unknown adaptive tag {t}"
+                "live section: unknown adaptive tag {t}"
             )))
         }
     };
@@ -627,8 +649,7 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         outstanding,
         retries,
         retry_seq,
-        answered,
-        probed,
+        probed_count,
         adaptive,
         baseline,
     })

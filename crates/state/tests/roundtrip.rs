@@ -13,11 +13,12 @@ use proptest::prelude::*;
 use xmap_addr::{Prefix, PrefixTree};
 use xmap_state::checkpoint::{
     decode_run_state, decode_snapshot, decode_sub_shards, decode_tree, encode_run_state,
-    encode_snapshot, encode_sub_shards, encode_tree, SubShardEntry,
+    encode_snapshot, encode_sub_shards, encode_tree, write_sectioned, SubShardEntry,
 };
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{
-    AdaptiveState, CursorState, OutstandingEntry, RetryEntryState, RunState, WorkerCheckpoint,
+    AdaptiveState, CursorState, OutstandingEntry, RetryEntryState, RunState, StateError,
+    WorkerCheckpoint,
 };
 use xmap_telemetry::{HistogramSnapshot, Snapshot};
 
@@ -54,10 +55,6 @@ impl Gen {
     fn prefix(&mut self) -> Prefix {
         let len = self.below(129) as u8;
         Prefix::new(self.u128().into(), len)
-    }
-
-    fn prefixes(&mut self, max: u64) -> Vec<Prefix> {
-        (0..self.below(max)).map(|_| self.prefix()).collect()
     }
 }
 
@@ -114,8 +111,7 @@ fn arbitrary_run_state(g: &mut Gen) -> RunState {
             })
             .collect(),
         retry_seq: g.extreme_u64(),
-        answered: g.prefixes(8),
-        probed: g.prefixes(16),
+        probed_count: g.extreme_u64(),
         adaptive,
         baseline: std::array::from_fn(|_| g.extreme_u64()),
     }
@@ -276,4 +272,74 @@ fn sub_shard_manifest_rejects_torn_bytes() {
     let mut padded = bytes.clone();
     padded.push(0);
     assert!(decode_sub_shards(&padded).is_err());
+}
+
+/// The `run` section as the build before the `live` section wrote it: a
+/// Sequential cursor, nothing pending, one answered and two probed
+/// prefixes, no adaptive state, a zero baseline.
+fn legacy_run_section() -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.u64(40); // now
+    e.u64(0); // run_start_tick
+    e.u64(0); // run_wal_start
+    e.u8(2); // cursor: Sequential
+    e.u64(2); // next_pos
+    e.u64(98); // remaining
+    e.seq(0); // pending_indices
+    e.seq(0); // outstanding
+    e.seq(0); // retries
+    e.u64(0); // retry_seq
+    e.seq(1); // answered
+    e.u128(0x2405_0200 << 96);
+    e.u8(64);
+    e.seq(2); // probed
+    for i in 0..2u128 {
+        e.u128(0x2405_0200 << 96 | i << 64);
+        e.u8(64);
+    }
+    e.u8(0); // adaptive: None
+    for _ in 0..9 {
+        e.u64(0); // baseline
+    }
+    e.finish()
+}
+
+fn worker_header(sections: &str) -> String {
+    format!(
+        "{{\"schema\":\"xmap-checkpoint/v1\",\"kind\":\"worker\",\"worker\":0,\
+         \"range_index\":0,\"tick\":40,\"wal_seq\":1,\
+         \"config_fp\":\"0x0000000000000001\",\"sections\":{sections}}}"
+    )
+}
+
+/// A mid-range cut written by an older build is refused by name, with
+/// the path and the remedy — never decoded as the new layout.
+#[test]
+fn legacy_mid_range_checkpoint_is_refused_not_misparsed() {
+    let path = temp_ckpt();
+    let metrics = encode_snapshot(&Snapshot::default());
+    write_sectioned(
+        &path,
+        &worker_header("[\"metrics\",\"run\"]"),
+        &[("metrics", metrics.clone()), ("run", legacy_run_section())],
+    )
+    .unwrap();
+    let err = WorkerCheckpoint::read_from(&path).unwrap_err();
+    let StateError::Version(msg) = &err else {
+        panic!("expected a version error, got {err:?}");
+    };
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert!(msg.contains("without --resume"), "{msg}");
+
+    // The header's list alone decides: the same bytes under a header
+    // that does not list `run` are a completed range, as ever.
+    write_sectioned(
+        &path,
+        &worker_header("[\"metrics\"]"),
+        &[("metrics", metrics), ("run", legacy_run_section())],
+    )
+    .unwrap();
+    let done = WorkerCheckpoint::read_from(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!((done.tick, done.wal_seq, done.run), (40, 1, None));
 }

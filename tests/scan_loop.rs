@@ -6,7 +6,9 @@
 //!
 //! The `GOLDEN_*` constants are FNV-1a-64 fingerprints captured from the
 //! two loops the scanner used to carry (which agreed on every one of
-//! them) just before they were collapsed into one. A change that moves a
+//! them) just before they were collapsed into one; the checkpoint pair
+//! was re-captured when the mid-range state moved to the `live` section
+//! (the fields both layouts carry decoded equal). A change that moves a
 //! fingerprint has changed what a seeded scan emits, or — for the
 //! checkpoint files — what an older build's session directory must look
 //! like to be resumed.
@@ -17,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmap::output::to_csv;
 use xmap::{
-    build_manifest, run_session, Blocklist, IcmpEchoProbe, ParallelScanner, ScanConfig,
-    ScanResults, ScanSession, Scanner, SessionSpec,
+    build_manifest, run_session, Blocklist, IcmpEchoProbe, ParallelScanner, Permutation, RangeMode,
+    ScanConfig, ScanResults, ScanSession, Scanner, SessionSpec, Verdict,
 };
 use xmap_addr::ScanRange;
 use xmap_netsim::world::{World, WorldConfig};
@@ -33,7 +35,7 @@ const GOLDEN_LOSSY_TRACE: u64 = 0x6644_0a66_5dd3_7db2;
 const GOLDEN_DENSE_CSV: u64 = 0x3236_5ab0_65e8_6135;
 const GOLDEN_DENSE_SNAPSHOT: u64 = 0xc1aa_ef9d_5d7f_a8e0;
 /// `worker-0.ckpt` / `worker-1.ckpt` of [`killed_session`] at 233 probes.
-const GOLDEN_CHECKPOINTS: [u64; 2] = [0xd1ef_1c93_c888_961e, 0x3e12_dbf8_3079_d373];
+const GOLDEN_CHECKPOINTS: [u64; 2] = [0x328b_63ba_a621_4f1d, 0xfe0c_e938_4f26_8dc0];
 /// The lossy scan's CSV merged across workers (sorted by target, so the
 /// same at every worker count) and its merged snapshot at 1, 2 and 4
 /// workers. The snapshots differ because the lossy world drops by tick:
@@ -294,6 +296,144 @@ fn killed_session_checkpoints_match_golden_and_resume() {
     assert_eq!(fnv(to_csv(&resumed.records)), GOLDEN_MERGED_CSV);
     assert_eq!(fnv(snap.to_json()), GOLDEN_SESSION_SNAPSHOT);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One worker's session driven by hand — the pool's merge sorts silent
+/// targets, and their probe order is part of what the tests below pin.
+/// Returns the run's results and whether it continued a mid-range cut.
+fn single_worker_session(
+    dir: &Path,
+    world: World,
+    config: &ScanConfig,
+    blocklist: &Blocklist,
+    resume: bool,
+    kill_after: Option<u64>,
+) -> (ScanResults, bool) {
+    let ranges = [range()];
+    let manifest = build_manifest(1, config, &IcmpEchoProbe, &ranges, blocklist, 5, 16);
+    let mut wr = if resume {
+        ScanSession::resume(dir, manifest).and_then(|s| s.load_worker(0, 1))
+    } else {
+        ScanSession::create(dir, manifest).and_then(|s| s.fresh_worker(0, 1))
+    }
+    .expect("session worker");
+    let signal = AbortSignal::new();
+    let mut world = world;
+    if let Some(n) = kill_after {
+        world.arm_kill(
+            KillPoint {
+                after_probes: Some(n),
+                ..Default::default()
+            },
+            signal.clone(),
+        );
+    }
+    let mut scanner = Scanner::new(world, config.clone());
+    if let Some(snap) = wr.metrics.take() {
+        scanner.restore_metrics(&snap);
+        scanner.restore_clock(wr.tick);
+    }
+    scanner.set_abort(signal);
+    scanner.set_sink(wr.sink);
+    let mode = wr.modes.pop().expect("one range");
+    let mid_range = matches!(mode, RangeMode::Resume(_));
+    let results = scanner.run_checkpointed(0, &ranges[0], &IcmpEchoProbe, blocklist, mode);
+    let sink_error = scanner.take_sink().and_then(|mut sink| sink.take_error());
+    assert!(sink_error.is_none(), "{sink_error:?}");
+    (results, mid_range)
+}
+
+/// A mid-range cut carries neither the probed nor the answered targets:
+/// a resume re-walks the permutation for the first and reads the journal
+/// for the second. Under `record_silent`, with a blocklist that blocks
+/// walked targets, the silent list (in probe order) and `gave_up` of a
+/// killed-and-resumed range equal the uninterrupted run's, whichever
+/// permutation has to be re-walked.
+#[test]
+fn resumed_silent_targets_and_gave_up_equal_uninterrupted() {
+    let mut blocklist = Blocklist::allow_all();
+    // Half the block (the permuted walks land there) and a /56 inside
+    // the first 1500 /64s (the sequential walk crosses it).
+    for denied in ["2405:200:8000::/33", "2405:200:0:100::/56"] {
+        blocklist.insert(denied.parse().unwrap(), Verdict::Deny);
+    }
+    for permutation in [
+        Permutation::Cyclic,
+        Permutation::Feistel,
+        Permutation::Sequential,
+    ] {
+        let config = ScanConfig {
+            permutation,
+            ..lossy_config()
+        };
+        let mut scanner = Scanner::new(lossy_world(), config.clone());
+        let base = scanner.run(&range(), &IcmpEchoProbe, &blocklist);
+        assert!(base.stats.blocked > 0, "{permutation:?}: nothing blocked");
+        // Blocked targets were probed and never answered: they are
+        // silent, and given up on, like any other.
+        assert!(
+            base.silent_targets.len() as u64 >= base.stats.blocked,
+            "{permutation:?}"
+        );
+        assert_eq!(
+            base.stats.gave_up,
+            base.silent_targets.len() as u64,
+            "{permutation:?}"
+        );
+
+        let dir = session_dir("silent");
+        let (killed, _) =
+            single_worker_session(&dir, lossy_world(), &config, &blocklist, false, Some(233));
+        assert!(killed.interrupted, "{permutation:?}: kill must interrupt");
+        let (resumed, mid_range) =
+            single_worker_session(&dir, lossy_world(), &config, &blocklist, true, None);
+        assert!(mid_range, "{permutation:?}: resume must continue a cut");
+        assert!(!resumed.interrupted);
+        assert_eq!(resumed.records, base.records, "{permutation:?}");
+        assert_eq!(
+            resumed.silent_targets, base.silent_targets,
+            "{permutation:?}"
+        );
+        assert_eq!(resumed.stats.gave_up, base.stats.gave_up, "{permutation:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A cut's size follows what is still live, not what was probed: a
+/// lossless single-probe session has no retry armed at any boundary, so
+/// its checkpoint is as long after 12 Ki probes as after 2 Ki — apart
+/// from the JSON header, which prints `tick` and `wal_seq` in decimal
+/// and so grows by a digit each.
+#[test]
+fn mid_range_checkpoint_size_is_flat() {
+    let config = ScanConfig {
+        seed: 11,
+        max_targets: Some(16_384),
+        ..Default::default()
+    };
+    let blocklist = Blocklist::allow_all();
+    let sizes = [2u64, 12].map(|kib| {
+        let dir = session_dir("flat");
+        let (killed, _) = single_worker_session(
+            &dir,
+            World::new(11),
+            &config,
+            &blocklist,
+            false,
+            Some(kib * 1024),
+        );
+        assert!(killed.interrupted, "kill after {kib} Ki probes");
+        let path = dir.join("worker-0.ckpt");
+        let ckpt = WorkerCheckpoint::read_from(&path).expect("checkpoint parses");
+        assert!(ckpt.run.is_some(), "killed mid-range");
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        // b"XMCKPT1\n", then the header's length as a little-endian u32.
+        let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        (bytes.len(), bytes.len() - header_len)
+    });
+    assert_eq!(sizes[0].1, sizes[1].1, "sections grew with the probes sent");
+    assert!(sizes[1].0 <= sizes[0].0 + 2, "{sizes:?}");
 }
 
 /// Record a run's wire traffic through [`WireRecorder`], then replay the
