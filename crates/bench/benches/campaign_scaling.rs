@@ -14,14 +14,13 @@
 //! record the host's core count next to any figure (see EXPERIMENTS.md
 //! "Campaign executor scaling").
 //!
-//! The `skewed_giant_*` configs manufacture a straggler: block 2 gets
-//! 16× the probes of the other fourteen, so with splitting disabled the
-//! campaign tail is one worker grinding the giant block while the rest
-//! idle. `skewed_giant_split` runs the same mix with intra-block
-//! splitting on (threshold 512). Wall-clock only separates on a ≥4-core
-//! host; the deterministic idle-slot gate lives in the summary script's
+//! The `skewed_giant` config manufactures a straggler: block 2 gets
+//! 16× the probes of the other fourteen (2¹⁶ against 2¹²), so once the
+//! queue drains the idle workers split the giant block's remainder
+//! among themselves. Wall-clock only shows that on a ≥4-core host; the
+//! deterministic idle-slot gate lives in the summary script's
 //! virtual-slot model (`scripts/bench_campaign_summary.py`, ported from
-//! `xmap_periphery::split::simulate_schedule`).
+//! `xmap_periphery::split::simulate_schedule`) over the same mix.
 //!
 //! `campaign_dedup` times raw responder deduplication through the
 //! Fx-hashed set the campaign uses, and **asserts** the per-insert cost
@@ -70,49 +69,37 @@ fn bench_campaign_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Probes per ordinary block in the skewed mix; block 2 gets 16×.
-const SKEWED_TARGETS_PER_BLOCK: u64 = 1 << 9;
-/// Probes for the one giant block of the skewed mix.
-const SKEWED_GIANT_TARGETS: u64 = 1 << 13;
-/// Split threshold for the `skewed_giant_split` config.
-const SKEWED_SPLIT_THRESHOLD: u64 = 1 << 9;
+/// Probes for the one giant block of the skewed mix: 16× the others.
+const SKEWED_GIANT_TARGETS: u64 = 1 << 16;
 
 fn bench_campaign_skew(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_scaling");
-    let total = SKEWED_TARGETS_PER_BLOCK * 14 + SKEWED_GIANT_TARGETS;
-    for (name, threshold) in [
-        ("skewed_giant_nosplit", 0u64),
-        ("skewed_giant_split", SKEWED_SPLIT_THRESHOLD),
-    ] {
-        g.throughput(Throughput::Elements(total));
-        g.bench_with_input(
-            BenchmarkId::new(name, 4usize),
-            &threshold,
-            |b, &threshold| {
-                b.iter_batched(
-                    || {
-                        let campaign = Campaign::new(SKEWED_TARGETS_PER_BLOCK)
-                            .with_block_targets(vec![(2, SKEWED_GIANT_TARGETS)]);
-                        ParallelCampaign::new(campaign, 4).with_split_threshold(threshold)
-                    },
-                    |executor| {
-                        black_box(executor.run(
-                            &ScanConfig {
-                                seed: 5,
-                                ..Default::default()
-                            },
-                            |_, telemetry| {
-                                let mut world = World::with_config(WorldConfig::lossless(99, 50));
-                                world.set_telemetry(telemetry);
-                                world
-                            },
-                        ))
-                    },
-                    BatchSize::LargeInput,
-                )
+    g.throughput(Throughput::Elements(
+        TARGETS_PER_BLOCK * 14 + SKEWED_GIANT_TARGETS,
+    ));
+    g.bench_function(BenchmarkId::new("skewed_giant", 4usize), |b| {
+        b.iter_batched(
+            || {
+                let campaign = Campaign::new(TARGETS_PER_BLOCK)
+                    .with_block_targets(vec![(2, SKEWED_GIANT_TARGETS)]);
+                ParallelCampaign::new(campaign, 4)
             },
-        );
-    }
+            |executor| {
+                black_box(executor.run(
+                    &ScanConfig {
+                        seed: 5,
+                        ..Default::default()
+                    },
+                    |_, telemetry| {
+                        let mut world = World::with_config(WorldConfig::lossless(99, 50));
+                        world.set_telemetry(telemetry);
+                        world
+                    },
+                ))
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 

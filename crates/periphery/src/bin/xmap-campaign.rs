@@ -11,12 +11,10 @@
 //!   --campaign-workers N    worker threads; blocks are distributed by
 //!                           work stealing and merged deterministically,
 //!                           so output is byte-identical for any N
-//!                           (default 1)
-//!   --split-threshold N     when the block queue drains and a worker
-//!                           goes idle, split an in-flight block's
-//!                           remaining targets into nested sub-shards —
-//!                           but only while at least N remain
-//!                           (0 = never split; default 0)
+//!                           (default 1); once the block queue drains,
+//!                           an idle worker takes over part of an
+//!                           in-flight block that still has 2^14 or more
+//!                           targets to go
 //!   --force-split-at N      split every block unit after N consumed
 //!                           targets, idle workers or not (deterministic
 //!                           split schedule; for testing)
@@ -91,7 +89,6 @@ struct CliConfig {
     targets_per_block: u64,
     block_targets: Vec<(usize, u64)>,
     campaign_workers: usize,
-    split_threshold: u64,
     force_split_at: Option<u64>,
     mop_up_ticks: Option<u64>,
     seed: u64,
@@ -121,7 +118,6 @@ impl Default for CliConfig {
             targets_per_block: 1 << 16,
             block_targets: Vec::new(),
             campaign_workers: 1,
-            split_threshold: 0,
             force_split_at: None,
             mop_up_ticks: None,
             seed: 1,
@@ -178,7 +174,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             "--campaign-workers" => {
                 cfg.campaign_workers = int(&mut iter, arg)? as usize;
             }
-            "--split-threshold" => cfg.split_threshold = int(&mut iter, arg)?,
             "--force-split-at" => cfg.force_split_at = Some(int(&mut iter, arg)?),
             "--mop-up" => cfg.mop_up_ticks = Some(int(&mut iter, arg)?),
             "-s" | "--seed" => cfg.seed = int(&mut iter, arg)?,
@@ -266,7 +261,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             (cfg.resume_plan, "--resume-plan"),
             (cfg.group_commit.is_some(), "--group-commit"),
             (cfg.watchdog_ms.is_some(), "--watchdog-ms"),
-            (cfg.split_threshold != 0, "--split-threshold"),
             (cfg.force_split_at.is_some(), "--force-split-at"),
             (!cfg.block_targets.is_empty(), "--block-targets"),
         ] {
@@ -419,9 +413,6 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         campaign = campaign.with_blocklist(build_blocklist(&cfg)?);
     }
     let mut executor = ParallelCampaign::new(campaign, cfg.campaign_workers);
-    if cfg.split_threshold > 0 {
-        executor = executor.with_split_threshold(cfg.split_threshold);
-    }
     if let Some(at) = cfg.force_split_at {
         executor = executor.with_force_split_at(at);
     }
@@ -796,11 +787,9 @@ mod tests {
     #[test]
     fn parses_split_flags() {
         let cfg = parse_args(&args(
-            "--split-threshold 512 --force-split-at 1000 \
-             --block-targets 2:65536 --block-targets 0:128 -q",
+            "--force-split-at 1000 --block-targets 2:65536 --block-targets 0:128 -q",
         ))
         .unwrap();
-        assert_eq!(cfg.split_threshold, 512);
         assert_eq!(cfg.force_split_at, Some(1000));
         assert_eq!(cfg.block_targets, vec![(2, 65536), (0, 128)]);
 
@@ -812,10 +801,9 @@ mod tests {
             "out-of-range block index"
         );
         assert!(
-            parse_args(&args("--adaptive --split-threshold 10")).is_err(),
+            parse_args(&args("--adaptive --force-split-at 10")).is_err(),
             "the adaptive engine has its own work division"
         );
-        assert!(parse_args(&args("--adaptive --force-split-at 10")).is_err());
         assert!(parse_args(&args("--adaptive --block-targets 1:64")).is_err());
     }
 
@@ -828,7 +816,7 @@ mod tests {
         let cfg = parse_args(&args(&format!("{common} {}", plain.display()))).unwrap();
         assert!(!run(cfg).unwrap());
         let cfg = parse_args(&args(&format!(
-            "{common} {} --campaign-workers 4 --split-threshold 64 --force-split-at 300",
+            "{common} {} --campaign-workers 4 --force-split-at 300",
             split.display()
         )))
         .unwrap();

@@ -327,8 +327,7 @@ impl Campaign {
     /// Runs the discovery scan over every sample block.
     pub fn run<N: Network>(&self, scanner: &mut Scanner<N>) -> CampaignResult {
         let mut result = CampaignResult::default();
-        for (idx, profile) in SAMPLE_BLOCKS.iter().enumerate() {
-            let _ = idx;
+        for profile in SAMPLE_BLOCKS.iter() {
             result.blocks.push(self.run_block(scanner, profile));
         }
         result
@@ -423,7 +422,7 @@ impl Campaign {
         let block_start = scanner.ticks();
         let unit = SplitUnit::whole(self.block_cap(profile));
         let mut raw = self.unit_main(scanner, profile, unit);
-        self.unit_mop_up(scanner, profile, &mut raw);
+        self.unit_mop_up(scanner, &mut raw);
         let block = self.assemble(profile, vec![raw], scanner.tracer());
         if scanner.tracer().is_enabled() {
             scanner.tracer().span_event(
@@ -462,8 +461,8 @@ impl Campaign {
         }
         scanner.set_track_positions(true);
         // The plain root runs under the scanner's own shard config, so a
-        // whole-block unit on a sharded scanner behaves exactly as the
-        // legacy block scan did; proper sub-units overlay their nested
+        // whole-block unit on a sharded scanner walks that scanner's
+        // shard of the block; proper sub-units overlay their nested
         // (shard, shards, skip) triple and restore it afterwards.
         let overlay = (unit.offset != 0 || unit.stride != 1).then(|| scanner.sub_shard());
         if overlay.is_some() {
@@ -508,12 +507,7 @@ impl Campaign {
     /// silent. A *yielded* unit must be settled first (its `unit`
     /// shrunk to the consumed prefix) — the silent list only ever covers
     /// consumed positions, so the pass is already exact.
-    pub(crate) fn unit_mop_up<N: Network>(
-        &self,
-        scanner: &mut Scanner<N>,
-        _profile: &IspProfile,
-        raw: &mut UnitRaw,
-    ) {
+    pub(crate) fn unit_mop_up<N: Network>(&self, scanner: &mut Scanner<N>, raw: &mut UnitRaw) {
         if !self.mop_up || raw.interrupted || raw.silent.is_empty() {
             return;
         }
@@ -583,8 +577,8 @@ impl Campaign {
     /// trivial single-root one — into the block's result. Units are
     /// ordered by offset; record and mop-up streams are k-way-merged on
     /// base walk position (each unit's internal arrival order preserved,
-    /// so a single-unit block reproduces the legacy arrival-order walk
-    /// byte-for-byte); classification, dedup and alias detection run over
+    /// so a single-unit block is merged in plain arrival order);
+    /// classification, dedup and alias detection run over
     /// the merged order, which no split schedule can perturb.
     pub(crate) fn assemble(
         &self,
@@ -694,7 +688,7 @@ impl Campaign {
 /// K-way merge of per-unit `(item, base position)` streams: repeatedly
 /// yields the stream whose *next* item has the lowest position (ties to
 /// the lowest unit index), preserving each stream's internal order. With
-/// one stream this is the identity walk — the legacy arrival order.
+/// one stream this is the identity walk — plain arrival order.
 fn merge_by_position<'a, T, I, F>(
     units: &'a [UnitRaw],
     stream: F,
@@ -1321,7 +1315,7 @@ mod tests {
             cap: 1 << 11,
         };
         let mut raw = campaign.unit_main(&mut s, profile, unit);
-        campaign.unit_mop_up(&mut s, profile, &mut raw);
+        campaign.unit_mop_up(&mut s, &mut raw);
         assert!(!raw.records.is_empty(), "need records to exercise codec");
         let mut e = Encoder::new();
         encode_unit_raw(&mut e, &raw);
@@ -1350,12 +1344,12 @@ mod tests {
             let mut s = scanner(cap);
             if settled.cap > 0 {
                 let mut raw = campaign.unit_main(&mut s, profile, settled);
-                campaign.unit_mop_up(&mut s, profile, &mut raw);
+                campaign.unit_mop_up(&mut s, &mut raw);
                 units.push(raw);
             }
             for part in tail {
                 let mut raw = campaign.unit_main(&mut s, profile, part);
-                campaign.unit_mop_up(&mut s, profile, &mut raw);
+                campaign.unit_mop_up(&mut s, &mut raw);
                 units.push(raw);
             }
             let merged = campaign.assemble(profile, units, s.tracer());

@@ -1,40 +1,77 @@
-//! The parallel campaign executor: block-level work stealing with a
-//! deterministic merge.
+//! The parallel campaign executor: one worker type that steals blocks,
+//! splits stragglers, and merges deterministically.
 //!
 //! [`Campaign::run`] walks the fifteen sample blocks sequentially on one
-//! [`Scanner`]; this module runs each block on one of N workers — each
-//! with a private network replica, validator, retry queue, AIMD
-//! controller and telemetry [`Registry`] — and merges the
-//! [`BlockResult`]s back in Table II (profile) order, so a seeded
-//! N-worker campaign is **byte-identical** to the sequential one:
-//! records, [`ScanStats`] sums and the merged telemetry [`Snapshot`]
-//! included.
+//! [`Scanner`]; this module runs them on N workers — each with a private
+//! network replica, validator, retry queue, AIMD controller and
+//! telemetry [`Registry`] — and merges the [`BlockResult`]s back in
+//! Table II (profile) order, so a seeded N-worker campaign is
+//! **byte-identical** to the sequential one: records, [`ScanStats`] sums
+//! and the merged telemetry [`Snapshot`] included.
 //!
 //! # Scheduling
+//!
+//! The unit of work is a [`SplitUnit`]: an arithmetic sub-progression of
+//! one block's permutation walk, run through the full main-scan →
+//! mop-up pipeline on one worker. A block starts as a single unit, the
+//! whole walk, and most blocks finish as one.
 //!
 //! Blocks differ wildly in cost — scan-space sizes span 2²⁸..2³², and
 //! ICMPv6 token-bucket tightness decides how much mop-up work a block
 //! carries — so static assignment would leave fast workers idle behind
-//! the slowest block. The executor instead drains a deque-based
-//! [`StealQueue`]: each worker owns a round-robin-seeded deque, pops its
-//! own front, and steals from a victim's back once empty. The schedule
-//! is nondeterministic under contention, but every result is tagged with
-//! its block index and merged in index order, which makes the schedule
-//! unobservable in the output.
+//! the slowest block. Workers instead drain a deque-based
+//! [`StealQueue`]: each owns a round-robin-seeded deque, pops its own
+//! front, and steals from a victim's back once empty.
+//!
+//! Block granularity alone still leaves a straggler tail: once the queue
+//! drains, every worker but the one holding the last (often largest)
+//! block would sit idle. An idle worker therefore raises every running
+//! scanner's yield flag. The gate fires for a unit that still has at
+//! least 2¹⁴ walk positions ahead of it (`MIN_SPLIT_REMAINDER`): its
+//! scanner stops cooperatively at the next slot boundary (in-flight
+//! probes already settled), the unit is settled to its consumed prefix,
+//! and the unconsumed remainder is split with
+//! [`SplitUnit::split_tail`] — nested-shard math over the *remaining*
+//! cursor range, so sub-shard `i` of `k` owns exactly the base walk
+//! positions `≡ offset + (consumed + i)·stride (mod stride·k)` — into
+//! one sub-shard per idle worker. Whoever delivers a block's last unit
+//! assembles every unit's records in walk-position order (the
+//! profile-order merge key extended by the sub-shard tag) and commits
+//! the block.
+//!
+//! The floor is a constant, not an option: a split costs about a
+//! millisecond (one idle poll, one manifest write, one extra scanner
+//! run), so remainders under ~10⁴ probes are cheaper to finish in place,
+//! and 2¹², 2¹⁴ and 2¹⁶ measured the same on the skewed campaign. Blocks
+//! at or under 2¹⁴ targets therefore never split, whatever the worker
+//! count. [`with_force_split_at`](ParallelCampaign::with_force_split_at)
+//! forces yields at a fixed consumed count instead, idle workers or not,
+//! for tests and the CI kill-point smoke.
+//!
+//! The schedule — who ran which block, whether and where a block split —
+//! is nondeterministic under contention, but every result is keyed by
+//! block index and walk position and merged in key order, which makes
+//! the schedule unobservable in the output. What *does* describe the
+//! schedule is the `exec.*` counter family (`exec.splits`,
+//! `exec.split_shards`, `exec.worker_panics`, `exec.requeued`,
+//! `exec.stalls`, `exec.poisoned`): each appears in the merged snapshot
+//! only when nonzero, and all of them sit outside the byte-identity
+//! envelope — compare snapshots with `exec.*` stripped.
 //!
 //! # Determinism envelope
 //!
-//! Byte-identity across worker counts (and against [`Campaign::run`])
-//! holds because per-block results do not depend on the virtual clock at
-//! which the block starts:
+//! Byte-identity across worker counts and split schedules (and against
+//! [`Campaign::run`]) holds because per-unit results do not depend on the
+//! virtual clock at which the unit starts:
 //!
 //! * netsim responses are pure functions of `(probe, world seed)`; the
 //!   baseline loss draw keys on addresses, not ticks,
 //! * ICMPv6 token-bucket limiters initialize lazily on each device's
-//!   first probe, so refill timing is *relative* to the block's own
-//!   probes, and blocks probe disjoint devices,
+//!   first probe, so refill timing is *relative* to the unit's own
+//!   probes, and units — of different blocks or of the same one — probe
+//!   disjoint targets,
 //! * the mop-up pass (retransmission ordering included) runs entirely
-//!   inside the block's owning worker.
+//!   inside the unit's owning worker.
 //!
 //! Time-keyed fault plans (jitter, flaky windows) fall outside the
 //! envelope, exactly as for [`ParallelScanner`]. Private replicas also
@@ -43,6 +80,19 @@
 //! limiter depleted by *earlier* probes on a shared scanner is state a
 //! replica cannot see).
 //!
+//! # Supervision
+//!
+//! Every unit runs inside the worker's one `catch_unwind`. A panic —
+//! scripted ([`with_exec_faults`](ParallelCampaign::with_exec_faults))
+//! or real — gives up on the whole block claim: the claim epoch is
+//! bumped so nothing still running under it can commit, the block is
+//! requeued within its attempt budget (else poisoned), and the worker
+//! retires, since its scanner may hold half-mutated state. The optional
+//! watchdog does the same to a claim whose probes-sent heartbeat stays
+//! flat for a quantum. A requeued block re-runs from its start (or its
+//! resume seed) on a surviving worker, or on the supervisor fallback
+//! after join, and determinism makes the re-run identical.
+//!
 //! # Checkpoint layout
 //!
 //! [`ParallelCampaign::run_checkpointed`] keeps one directory of
@@ -50,76 +100,34 @@
 //!
 //! ```text
 //! dir/
-//!   campaign.ckpt        kind `campaign-dir`: campaign fingerprint
-//!   block-NN.ckpt        kind `campaign-block`: one completed block +
-//!                        its telemetry delta (written by the owning
-//!                        worker after the block, mop-up included)
-//!   block-NN.inprogress  marker while a worker is inside block NN;
-//!                        removed on completion, left behind by a kill
+//!   campaign.ckpt            kind `campaign-dir`: campaign fingerprint
+//!   block-NN.ckpt            kind `campaign-block`: one completed block
+//!                            + its telemetry delta (written by the
+//!                            worker that assembled it)
+//!   block-NN.inprogress      marker while block NN is claimed; removed
+//!                            on completion, left behind by a kill
+//!   block-NN.units.ckpt      kind `campaign-units`, only once block NN
+//!                            has split: the current sub-shard layout
+//!                            (offset/stride/cap + started flag per
+//!                            unit), rewritten durably before new
+//!                            sub-shards become claimable
+//!   block-NN.unit-O-S.ckpt   kind `campaign-unit`: one completed
+//!                            sub-shard's raw delta + metrics
 //! ```
 //!
-//! On resume every block is classified [`Skip`](BlockMode::Skip)
-//! (checkpoint file present: load, don't re-scan),
-//! [`Resume`](BlockMode::Resume) (marker present: the kill hit
-//! mid-block; the partial work is discarded and the block re-runs from
-//! its start inside whichever worker pops it) or
-//! [`Fresh`](BlockMode::Fresh) (never started). Because completed blocks
-//! are self-contained deltas and the campaign fingerprint excludes the
-//! worker count, a campaign killed under one N resumes byte-identically
-//! under any other.
-//!
-//! # Intra-block splitting
-//!
-//! Block granularity leaves a straggler tail: once the queue drains,
-//! every worker but the one holding the last (often largest) block sits
-//! idle. With [`with_split_threshold`](ParallelCampaign::with_split_threshold)
-//! set, an idle worker instead raises a yield flag; the busy worker's
-//! scanner yields cooperatively at the next slot boundary (in-flight
-//! probes already settled), and the remaining index range of its block
-//! is split with [`SplitUnit::split_tail`] — nested-shard math over the
-//! *remaining* cursor range, so sub-shard `i` of `k` owns exactly the
-//! base walk positions `≡ offset + (consumed + i)·stride (mod stride·k)`.
-//! Each sub-shard runs the full main-scan → mop-up pipeline on whichever
-//! worker claims it, its raw delta is parked, and the last worker to
-//! deliver assembles every unit's records in walk-position order (the
-//! profile-order merge key extended by the sub-shard tag) — so the
-//! committed block, its CSV, its `ScanStats` sums and its telemetry
-//! delta are byte-identical to the never-split run for any worker count
-//! and any split schedule. The split decision itself is deterministic on
-//! the virtual clock only under
-//! [`with_force_split_at`](ParallelCampaign::with_force_split_at) (used
-//! by tests and the CI kill-point smoke); threshold-gated splits depend
-//! on which worker goes idle first, which the position-keyed assembly
-//! makes unobservable. Splitting stays inside the lossless determinism
-//! envelope above for the same reason blocks do: sub-shards probe
-//! disjoint targets of the same block, and each unit's mop-up runs
-//! inside the unit.
-//!
-//! A splitting campaign adds two files per in-flight block to the
-//! checkpoint directory:
-//!
-//! ```text
-//! dir/
-//!   block-NN.units.ckpt          kind `campaign-units`: the current
-//!                                sub-shard layout (offset/stride/cap +
-//!                                started flag per unit), rewritten
-//!                                durably before new sub-shards become
-//!                                claimable
-//!   block-NN.unit-O-S.ckpt       kind `campaign-unit`: one completed
-//!                                sub-shard's raw delta + metrics
-//! ```
-//!
-//! Both are swept when the assembled block commits, so a completed
-//! block looks exactly as it does without splitting. A kill mid-split
-//! classifies the block [`Split`](BlockMode::Split): completed units
-//! load as [`UnitMode::Skip`], the interrupted one re-runs
-//! ([`UnitMode::Resume`]), unstarted ones run [`UnitMode::Fresh`] — under
-//! any worker count, and a resume with splitting disabled simply re-runs
-//! such blocks whole. Either way the finished campaign is byte-identical
-//! to an uninterrupted sequential run. Split activity is counted in
-//! `exec.splits` / `exec.split_shards`, which appear in the merged
-//! snapshot only when nonzero — `--split-threshold 0` (the default)
-//! takes the pre-split executor path untouched.
+//! The two split files are swept when the assembled block commits, so a
+//! completed block looks the same whether or not it split. On resume
+//! every block is classified [`Skip`](BlockMode::Skip) (checkpoint file
+//! present: load, don't re-scan), [`Resume`](BlockMode::Resume) (marker
+//! present: the kill hit mid-block; the partial work is discarded and
+//! the block re-runs from its start inside whichever worker pops it),
+//! [`Fresh`](BlockMode::Fresh) (never started) or
+//! [`Split`](BlockMode::Split) (units manifest present: completed units
+//! load as [`UnitMode::Skip`], the interrupted one re-runs as
+//! [`UnitMode::Resume`], unstarted ones run [`UnitMode::Fresh`]). Because
+//! completed blocks and units are self-contained deltas and the campaign
+//! fingerprint excludes the worker count, a campaign killed under one N
+//! resumes byte-identically under any other.
 //!
 //! [`Registry`]: xmap_telemetry::Registry
 //! [`ScanStats`]: xmap::ScanStats
@@ -158,6 +166,14 @@ use crate::split::SplitUnit;
 /// publishes before it batches their fsyncs (one `fsync` per file plus
 /// one directory sync, instead of a per-block file-plus-rename sync).
 pub const DEFAULT_GROUP_COMMIT: usize = 4;
+
+/// Walk positions a running unit must still have ahead of it before an
+/// idle worker's yield request splits it. A split costs one idle poll,
+/// one manifest write and one extra scanner run — ≈ 1 ms, i.e. ≈ 10⁴
+/// probes at the ledger's 90–170 ns/probe — so a shorter remainder is
+/// cheaper to finish in place than to hand out. A constant rather than a
+/// knob: 2¹², 2¹⁴ and 2¹⁶ measured the same on the skewed campaign.
+const MIN_SPLIT_REMAINDER: u64 = 1 << 14;
 
 /// What the resume planner decided for one sample block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,7 +263,6 @@ pub struct ParallelCampaign {
     watchdog: Option<Duration>,
     group_commit: usize,
     exec_plan: Option<ExecPlan>,
-    split_threshold: u64,
     force_split_at: Option<u64>,
 }
 
@@ -277,30 +292,16 @@ impl ParallelCampaign {
             watchdog: None,
             group_commit: DEFAULT_GROUP_COMMIT,
             exec_plan: None,
-            split_threshold: 0,
             force_split_at: None,
         }
     }
 
-    /// Enables intra-block shard splitting: once the block queue drains,
-    /// an idle worker raises every running scanner's cooperative yield
-    /// flag; a scanner whose current unit still has more than
-    /// `threshold` walk positions left stops at its next slot boundary
-    /// (in-flight == 0) and the executor splits the unconsumed remainder
-    /// into nested sub-shards — one per idle worker — that run
-    /// concurrently and merge back byte-identically. `0` (the default)
-    /// disables splitting entirely: the executor takes the legacy
-    /// block-granular path, byte-for-byte.
-    pub fn with_split_threshold(mut self, threshold: u64) -> Self {
-        self.split_threshold = threshold;
-        self
-    }
-
     /// Forces the yield gate open once a unit has consumed `at` walk
-    /// positions, regardless of idle workers — the deterministic split
-    /// point tests and CI smokes use to exercise the split machinery
-    /// under a schedule they control. Implies the split-capable
-    /// executor path even when the threshold is `0`.
+    /// positions, idle workers or not — the deterministic split point
+    /// tests and CI smokes use to exercise the split machinery under a
+    /// schedule they control (the default policy only splits a unit with
+    /// at least 2¹⁴ positions left, and only when a worker is actually
+    /// idle).
     ///
     /// # Panics
     ///
@@ -310,16 +311,6 @@ impl ParallelCampaign {
         assert!(at >= 1, "force-split point must be at least 1");
         self.force_split_at = Some(at);
         self
-    }
-
-    /// The configured split threshold (`0` = splitting disabled).
-    pub fn split_threshold(&self) -> u64 {
-        self.split_threshold
-    }
-
-    /// Whether this executor takes the split-capable path.
-    fn split_enabled(&self) -> bool {
-        self.split_threshold > 0 || self.force_split_at.is_some()
     }
 
     /// Overrides the supervision policy (attempt budget per block).
@@ -373,10 +364,10 @@ impl ParallelCampaign {
     ///
     /// `make_network(w, telemetry)` builds worker `w`'s network replica;
     /// every worker must be built over the same world seed (disjoint
-    /// blocks make replicas interchangeable with one shared world —
-    /// see the module docs for the envelope). Each worker scans whole
-    /// blocks under `base` unchanged; `base.max_targets` is ignored
-    /// (the campaign caps per block).
+    /// targets make replicas interchangeable with one shared world —
+    /// see the module docs for the envelope). Each worker scans under
+    /// `base` unchanged; `base.max_targets` is ignored (the campaign caps
+    /// per block).
     pub fn run<N: Network + Send>(
         &self,
         base: &ScanConfig,
@@ -386,14 +377,14 @@ impl ParallelCampaign {
             .expect("no checkpoint dir, no I/O to fail")
     }
 
-    /// Runs the campaign with block-granular checkpointing in `dir`
-    /// (created if missing; see the module docs for the layout). An
-    /// armed `abort` signal stops every worker at its next block
-    /// boundary; the partial block is discarded (its in-progress marker
-    /// stays behind) and the outcome reports `interrupted`. A later
-    /// `resume: true` invocation — under **any** worker count — loads
-    /// completed blocks, re-runs the rest, and produces a result and
-    /// merged snapshot byte-identical to an uninterrupted campaign.
+    /// Runs the campaign with checkpointing in `dir` (created if missing;
+    /// see the module docs for the layout). An armed `abort` signal
+    /// stops every worker mid-unit; the partial unit is discarded (its
+    /// block's in-progress marker stays behind) and the outcome reports
+    /// `interrupted`. A later `resume: true` invocation — under **any**
+    /// worker count — loads completed blocks and sub-shards, re-runs the
+    /// rest, and produces a result and merged snapshot byte-identical to
+    /// an uninterrupted campaign.
     ///
     /// Resuming under a different campaign or scanner configuration is
     /// a hard [`StateError::Mismatch`]; `resume: false` wipes any
@@ -417,14 +408,10 @@ impl ParallelCampaign {
             for (idx, mode) in plan.iter().enumerate() {
                 match mode {
                     BlockMode::Skip => loaded[idx] = Some(load_block_ckpt(dir, idx, fp)?),
-                    BlockMode::Split(plans) if self.split_enabled() => {
+                    BlockMode::Split(plans) => {
                         seeds[idx] = Some(load_bin_seed(dir, idx, fp, plans)?);
                     }
-                    // A Split plan resumed with splitting disabled (or
-                    // Resume/Fresh): the block re-runs whole, which is
-                    // byte-identical by construction; its stale unit
-                    // files are swept at commit.
-                    _ => {}
+                    BlockMode::Resume | BlockMode::Fresh => {}
                 }
             }
             (loaded, seeds)
@@ -446,16 +433,17 @@ impl ParallelCampaign {
     }
 
     /// Classifies every block for a resume of the campaign checkpointed
-    /// in `dir` without running anything — the `Skip`/`Resume`/`Fresh`
-    /// plan [`run_checkpointed`](Self::run_checkpointed) would execute.
+    /// in `dir` without running anything — the
+    /// `Skip`/`Resume`/`Fresh`/`Split` plan
+    /// [`run_checkpointed`](Self::run_checkpointed) would execute.
     pub fn resume_plan(&self, base: &ScanConfig, dir: &Path) -> Result<Vec<BlockMode>, StateError> {
         load_dir(dir, self.campaign.fingerprint_cfg(base))
     }
 
     /// Shared driver behind [`run`](Self::run) and
     /// [`run_checkpointed`](Self::run_checkpointed). `ckpt` carries
-    /// `(dir, fingerprint, per-block loaded checkpoints)` when
-    /// checkpointing is on.
+    /// `(dir, fingerprint, per-block loaded checkpoints, per-block
+    /// split-manifest seeds)` when checkpointing is on.
     fn execute<N: Network + Send>(
         &self,
         base: &ScanConfig,
@@ -479,7 +467,7 @@ impl ParallelCampaign {
             .collect();
         let queue = StealQueue::new(pending.len(), self.workers);
         let slots: Vec<SlotState> = (0..pending.len()).map(|_| SlotState::default()).collect();
-        let split = self.split_enabled().then(|| SplitShared {
+        let shared = SplitShared {
             bins: (0..pending.len()).map(|_| BlockBin::default()).collect(),
             seeds: pending.iter().map(|i| seeds_by_idx[*i].take()).collect(),
             yield_flags: (0..self.workers)
@@ -488,9 +476,8 @@ impl ParallelCampaign {
             waiters: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(pending.len()),
-            threshold: self.split_threshold,
             force_at: self.force_split_at,
-        });
+        };
         let board: Vec<Mutex<Option<Claim>>> =
             (0..self.workers).map(|_| Mutex::new(None)).collect();
         let faults = self.exec_plan.as_ref().map(ExecPlan::armed);
@@ -525,10 +512,10 @@ impl ParallelCampaign {
                     let (queue, pending, slots, board) = (&queue, &pending, &slots, &board);
                     let campaign = &self.campaign;
                     let faults = faults.as_ref();
-                    let (counters, active) = (&counters, &active);
-                    let split = split.as_ref();
+                    let (counters, active, shared) = (&counters, &active, &shared);
                     scope.spawn(move || {
-                        let ctx = WorkerCtx {
+                        let sent = scanner.telemetry().registry.counter(names::SENT);
+                        let result = Worker {
                             w,
                             scanner,
                             campaign,
@@ -542,11 +529,13 @@ impl ParallelCampaign {
                             group,
                             dir,
                             fp_id,
-                        };
-                        let result = match split {
-                            Some(shared) => SplitWorker::new(ctx, shared).run(),
-                            None => run_worker(ctx),
-                        };
+                            shared,
+                            sent,
+                            units: 0,
+                            to_sync: Vec::new(),
+                            out: WorkerOut::default(),
+                        }
+                        .run();
                         active.fetch_sub(1, Ordering::AcqRel);
                         result
                     })
@@ -730,8 +719,8 @@ struct SlotState {
     done: AtomicBool,
     /// Attempt budget exhausted; the campaign completes around it.
     poisoned: AtomicBool,
-    /// Whether the split executor's `outstanding` count has been
-    /// decremented for this slot (done or poisoned) — swap-once guard.
+    /// Whether [`SplitShared::outstanding`] has been decremented for this
+    /// slot (done or poisoned) — swap-once guard.
     retired: AtomicBool,
 }
 
@@ -773,180 +762,13 @@ struct WorkerOut {
     committed: Snapshot,
 }
 
-/// Everything a campaign worker needs, bundled to keep the spawn site
-/// readable.
-struct WorkerCtx<'a, N> {
-    w: usize,
-    scanner: &'a mut Scanner<N>,
-    campaign: &'a Campaign,
-    queue: &'a StealQueue,
-    pending: &'a [usize],
-    slots: &'a [SlotState],
-    board: &'a [Mutex<Option<Claim>>],
-    faults: Option<&'a ExecFaults>,
-    counters: &'a ExecCounters,
-    max_attempts: u32,
-    group: usize,
-    dir: Option<&'a Path>,
-    fp_id: u64,
-}
-
-/// The worker loop: claim a block, run it under `catch_unwind`, commit
-/// the result if the claim is still valid. A panicked worker requeues
-/// its block (within budget) and retires — its scanner may hold
-/// half-mutated per-block state, so it must not claim further work; the
-/// requeued block re-runs deterministically on a surviving worker (or
-/// the supervisor fallback).
-fn run_worker<N: Network>(ctx: WorkerCtx<'_, N>) -> Result<WorkerOut, StateError> {
-    let WorkerCtx {
-        w,
-        scanner,
-        campaign,
-        queue,
-        pending,
-        slots,
-        board,
-        faults,
-        counters,
-        max_attempts,
-        group,
-        dir,
-        fp_id,
-    } = ctx;
-    let mut out = WorkerOut::default();
-    let mut to_sync: Vec<PathBuf> = Vec::new();
-    let mut units = 0u64;
-    // The heartbeat the watchdog reads: this worker's own probes-sent
-    // counter. The handle is shared with the scanner's registry, so the
-    // watchdog sees increments the moment they happen.
-    let sent = scanner.telemetry().registry.counter(names::SENT);
-    let clear_board = |b: &Mutex<Option<Claim>>| {
-        *b.lock().expect("progress board poisoned") = None;
-    };
-    let verdict = loop {
-        if scanner.is_aborted() {
-            break Ok(());
-        }
-        let Some(slot) = queue.pop(w) else {
-            break Ok(());
-        };
-        let state = &slots[slot];
-        // A stale requeue: the block committed (or was poisoned) between
-        // the push and this pop.
-        if state.done.load(Ordering::Acquire) || state.poisoned.load(Ordering::Acquire) {
-            continue;
-        }
-        let idx = pending[slot];
-        let unit = units;
-        units += 1;
-        state.attempts.fetch_add(1, Ordering::AcqRel);
-        let claim_epoch = state.epoch.load(Ordering::Acquire);
-        *board[w].lock().expect("progress board poisoned") = Some(Claim {
-            slot,
-            epoch: claim_epoch,
-            since: Instant::now(),
-            sent: sent.clone(),
-            last_sent: sent.get(),
-        });
-        let action = faults.and_then(|f| f.on_unit(w, unit));
-        if action == Some(ExecAction::Stall) {
-            // Scripted stall: retire while still holding the claim (the
-            // board entry stays set). With a watchdog armed the claim is
-            // invalidated and requeued after one quantum; without one
-            // the supervisor fallback picks the block up after join.
-            break Ok(());
-        }
-        let attempt = catch_unwind(AssertUnwindSafe(
-            || -> Result<Option<(BlockResult, Snapshot)>, StateError> {
-                if action == Some(ExecAction::Panic) {
-                    panic!("injected executor fault: worker {w} panics on unit {unit}");
-                }
-                if let Some(dir) = dir {
-                    write_marker(dir, idx)?;
-                }
-                let baseline = scanner.telemetry().registry.snapshot();
-                let block = campaign.run_block(scanner, &SAMPLE_BLOCKS[idx]);
-                if scanner.is_aborted() {
-                    return Ok(None);
-                }
-                let delta = scanner.telemetry().registry.snapshot().diff(&baseline);
-                Ok(Some((block, delta)))
-            },
-        ));
-        match attempt {
-            Ok(Ok(Some((block, delta)))) => {
-                // Commit protocol: the claim must still carry our epoch
-                // (no watchdog requeue happened) and the done CAS must
-                // win (no requeued copy got there first). A discarded
-                // commit is pure wasted work — the surviving copy
-                // produces the identical result.
-                let committed = state.epoch.load(Ordering::Acquire) == claim_epoch
-                    && state
-                        .done
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok();
-                clear_board(&board[w]);
-                if committed {
-                    if let Some(dir) = dir {
-                        write_block_ckpt(dir, fp_id, idx, &block, &delta, group <= 1)?;
-                        if group > 1 {
-                            to_sync.push(block_path(dir, idx));
-                            if to_sync.len() >= group {
-                                flush_group(dir, &mut to_sync)?;
-                            }
-                        }
-                        remove_split_files(dir, idx);
-                        let _ = std::fs::remove_file(marker_path(dir, idx));
-                    }
-                    out.committed.merge(&delta);
-                    out.done.push((idx, block));
-                }
-            }
-            Ok(Ok(None)) => {
-                // Abort hit mid-block: discard the partial work; the
-                // marker stays behind for the resume plan.
-                clear_board(&board[w]);
-                break Ok(());
-            }
-            Ok(Err(e)) => {
-                clear_board(&board[w]);
-                break Err(e);
-            }
-            Err(_) => {
-                clear_board(&board[w]);
-                counters.panics.fetch_add(1, Ordering::Relaxed);
-                // Invalidate our claim so nothing this attempt half-did
-                // can ever commit, then requeue within budget.
-                state.epoch.fetch_add(1, Ordering::AcqRel);
-                if state.attempts.load(Ordering::Acquire) < max_attempts {
-                    counters.requeued.fetch_add(1, Ordering::Relaxed);
-                    queue.push(w, slot);
-                } else {
-                    state.poisoned.store(true, Ordering::Release);
-                }
-                break Ok(());
-            }
-        }
-    };
-    // Group-commit tail: make every published-but-unsynced checkpoint
-    // durable before retiring, whatever the exit path.
-    let flushed = match dir {
-        Some(d) => flush_group(d, &mut to_sync),
-        None => Ok(()),
-    };
-    verdict?;
-    flushed?;
-    Ok(out)
-}
-
 /// The watchdog loop: every tick, scan the progress board for claims
 /// whose probes-sent heartbeat has been flat for `quantum`. A claim
 /// showing any probe progress since the previous tick has its clock
 /// reset — only a worker that sends nothing for a full quantum is
-/// presumed hung. A stale claim is invalidated (epoch bump — the hung
-/// owner's late commit will be discarded) and its block requeued within
-/// the attempt budget, else poisoned. Exits once every worker has
-/// retired.
+/// presumed hung, and its claim given up on ([`invalidate_claim`]: the
+/// hung owner's late commit will be discarded). Exits once every worker
+/// has retired.
 fn run_watchdog(
     quantum: Duration,
     board: &[Mutex<Option<Claim>>],
@@ -975,34 +797,19 @@ fn run_watchdog(
                 continue;
             }
             let (slot, epoch) = (claim.slot, claim.epoch);
-            let state = &slots[slot];
-            if state.done.load(Ordering::Acquire) {
-                *cur = None;
-                continue;
-            }
-            // Invalidate the stale claim; only one invalidator can win
-            // the epoch CAS, so the requeue happens exactly once.
-            if state
-                .epoch
-                .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
+            if !slots[slot].done.load(Ordering::Acquire)
+                && invalidate_claim(slot, epoch, w, slots, queue, counters, max_attempts)
             {
                 counters.stalls.fetch_add(1, Ordering::Relaxed);
-                if state.attempts.load(Ordering::Acquire) < max_attempts {
-                    counters.requeued.fetch_add(1, Ordering::Relaxed);
-                    queue.push(w, slot);
-                } else {
-                    state.poisoned.store(true, Ordering::Release);
-                }
             }
             *cur = None;
         }
     }
 }
 
-/// Shared state of the split-capable executor path (armed via
-/// [`ParallelCampaign::with_split_threshold`] or
-/// [`ParallelCampaign::with_force_split_at`]).
+/// The unit-level state every worker shares: each block's evolving
+/// partition into [`SplitUnit`]s and the idle/busy accounting that
+/// drives yield requests and retirement.
 struct SplitShared {
     /// One bin per queue slot, holding that block's unit partition.
     bins: Vec<BlockBin>,
@@ -1018,8 +825,6 @@ struct SplitShared {
     busy: AtomicUsize,
     /// Slots not yet committed or poisoned.
     outstanding: AtomicUsize,
-    /// Minimum unconsumed walk positions for a yield to fire.
-    threshold: u64,
     /// Deterministic forced yield point (tests/CI).
     force_at: Option<u64>,
 }
@@ -1059,24 +864,14 @@ struct BinSeed {
     layout: Vec<SubShardEntry>,
 }
 
-/// Outcome of a block-claim attempt in the split path.
-enum BlockClaim {
-    /// Bin initialized under this epoch; drain it.
-    Claimed(u64),
-    /// Block already done/poisoned; claim the next one.
-    Skip,
-    /// Scripted fault: the worker retires now.
-    Retire,
-}
-
 /// What one unit run produced (the `catch_unwind` payload).
 enum UnitRun {
     /// Clean finish: the raw output and its telemetry delta.
     Done(Box<(UnitRaw, Snapshot)>),
     /// Abort signal hit mid-unit; the partial work is discarded.
     Aborted,
-    /// The bin was re-claimed under a new epoch mid-run (watchdog
-    /// requeue); the work is discarded, the worker stays healthy.
+    /// The claim was invalidated mid-run (watchdog requeue, panicked
+    /// sibling unit); the work is discarded, the worker stays healthy.
     Stale,
 }
 
@@ -1105,48 +900,85 @@ fn retire_slot(state: &SlotState, shared: &SplitShared) {
     }
 }
 
-/// The split-capable worker: the legacy loop plus intra-block shard
-/// splitting. Blocks are claimed off the queue as before, but each runs
-/// as a series of [`SplitUnit`]s through a per-slot [`BlockBin`]. When
-/// the queue drains, an idle worker broadcasts yield requests; a
-/// running unit that yields is settled to its consumed prefix and its
-/// unconsumed remainder split into nested sub-shards pushed onto the
-/// bin, where idle workers claim them. Whoever delivers a bin's last
-/// unit reassembles the block ([`Campaign::assemble`]) and commits it
-/// through the unchanged epoch-CAS protocol — so the merged result is
-/// byte-identical to the sequential walk for any worker count and any
-/// split schedule.
-struct SplitWorker<'a, N: Network> {
-    ctx: WorkerCtx<'a, N>,
+/// Gives up on the claim `slot` holds under `epoch`: bumps the epoch —
+/// so nothing still running under the claim can commit — and requeues
+/// the block on worker `w`'s deque within its attempt budget, else
+/// poisons it. Only one invalidator can win the epoch CAS, so a claim is
+/// requeued exactly once however many observers (the watchdog, a
+/// panicked owner, a panicked sibling unit) give up on it; returns
+/// whether this caller was the one.
+fn invalidate_claim(
+    slot: usize,
+    epoch: u64,
+    w: usize,
+    slots: &[SlotState],
+    queue: &StealQueue,
+    counters: &ExecCounters,
+    max_attempts: u32,
+) -> bool {
+    let state = &slots[slot];
+    if state
+        .epoch
+        .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
+        .is_err()
+    {
+        return false;
+    }
+    if state.attempts.load(Ordering::Acquire) < max_attempts {
+        counters.requeued.fetch_add(1, Ordering::Relaxed);
+        queue.push(w, slot);
+    } else {
+        state.poisoned.store(true, Ordering::Release);
+    }
+    true
+}
+
+/// The campaign worker. Blocks are claimed off the [`StealQueue`]; each
+/// runs as a series of [`SplitUnit`]s through its slot's [`BlockBin`] —
+/// a series of one, the whole block, unless it splits. When the queue
+/// drains, an idle worker broadcasts yield requests; a running unit
+/// with at least [`MIN_SPLIT_REMAINDER`] positions left yields, is
+/// settled to its consumed prefix, and its unconsumed remainder is split
+/// into nested sub-shards pushed onto the bin, where idle workers claim
+/// them. Whoever delivers a bin's last unit reassembles the block
+/// ([`Campaign::assemble`]) and commits it through the epoch-CAS
+/// protocol — so the merged result is byte-identical to the sequential
+/// walk for any worker count and any split schedule.
+struct Worker<'a, N: Network> {
+    w: usize,
+    scanner: &'a mut Scanner<N>,
+    campaign: &'a Campaign,
+    queue: &'a StealQueue,
+    pending: &'a [usize],
+    slots: &'a [SlotState],
+    board: &'a [Mutex<Option<Claim>>],
+    faults: Option<&'a ExecFaults>,
+    counters: &'a ExecCounters,
+    max_attempts: u32,
+    group: usize,
+    dir: Option<&'a Path>,
+    fp_id: u64,
     shared: &'a SplitShared,
+    /// This worker's probes-sent counter — the heartbeat the watchdog
+    /// reads. The handle is shared with the scanner's registry, so the
+    /// watchdog sees increments the moment they happen.
     sent: Counter,
+    /// Units claimed so far — the index the fault script matches on.
+    units: u64,
+    /// Published block checkpoints awaiting their group-commit fsync.
     to_sync: Vec<PathBuf>,
     out: WorkerOut,
 }
 
-impl<'a, N: Network> SplitWorker<'a, N> {
-    fn new(ctx: WorkerCtx<'a, N>, shared: &'a SplitShared) -> Self {
-        let sent = ctx.scanner.telemetry().registry.counter(names::SENT);
-        SplitWorker {
-            ctx,
-            shared,
-            sent,
-            to_sync: Vec::new(),
-            out: WorkerOut::default(),
-        }
-    }
-
+impl<N: Network> Worker<'_, N> {
     fn run(mut self) -> Result<WorkerOut, StateError> {
-        if self.shared.threshold > 0 {
-            let flag = self.shared.yield_flags[self.ctx.w].clone();
-            self.ctx
-                .scanner
-                .set_yield_request(Some(flag), self.shared.threshold);
-        }
+        let flag = self.shared.yield_flags[self.w].clone();
+        self.scanner
+            .set_yield_request(Some(flag), MIN_SPLIT_REMAINDER);
         let verdict = self.main_loop();
-        self.ctx.scanner.set_yield_request(None, 1);
-        self.ctx.scanner.set_force_yield_at(None);
-        let flushed = match self.ctx.dir {
+        // Group-commit tail: make every published-but-unsynced
+        // checkpoint durable before retiring, whatever the exit path.
+        let flushed = match self.dir {
             Some(d) => flush_group(d, &mut self.to_sync),
             None => Ok(()),
         };
@@ -1156,22 +988,15 @@ impl<'a, N: Network> SplitWorker<'a, N> {
     }
 
     fn main_loop(&mut self) -> Result<(), StateError> {
-        let mut block_claims = 0u64;
         loop {
-            if self.ctx.scanner.is_aborted() {
+            if self.scanner.is_aborted() {
                 return Ok(());
             }
-            if let Some(slot) = self.ctx.queue.pop(self.ctx.w) {
-                let claim_no = block_claims;
-                block_claims += 1;
-                match self.claim_block(slot, claim_no)? {
-                    BlockClaim::Claimed(epoch) => {
-                        if !self.drain_bin(slot, epoch)? {
-                            return Ok(());
-                        }
+            if let Some(slot) = self.queue.pop(self.w) {
+                if let Some(epoch) = self.claim_block(slot)? {
+                    if !self.drain_bin(slot, epoch)? {
+                        return Ok(());
                     }
-                    BlockClaim::Skip => {}
-                    BlockClaim::Retire => return Ok(()),
                 }
                 continue;
             }
@@ -1181,9 +1006,10 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                 }
                 continue;
             }
-            // Nothing claimable. Sweep poisoned slots (a watchdog can
-            // poison without retiring), then decide whether to wait.
-            for state in self.ctx.slots {
+            // Nothing claimable. Sweep poisoned slots (a watchdog or a
+            // panicked peer poisons without retiring the slot), then
+            // decide whether to wait.
+            for state in self.slots {
                 if state.poisoned.load(Ordering::Acquire) {
                     retire_slot(state, self.shared);
                 }
@@ -1206,49 +1032,20 @@ impl<'a, N: Network> SplitWorker<'a, N> {
         }
     }
 
-    /// Claims `slot` off the queue: consults the fault script, writes
-    /// the in-progress marker and initializes the bin (from its resume
-    /// seed on first claim, else the whole-block unit).
-    fn claim_block(&mut self, slot: usize, claim_no: u64) -> Result<BlockClaim, StateError> {
-        let state = &self.ctx.slots[slot];
+    /// Claims `slot` off the queue: writes the in-progress marker and
+    /// initializes the bin (from its resume seed, else the whole-block
+    /// unit). Returns the claim epoch, or `None` for a stale requeue —
+    /// the block committed (or was poisoned) between the push and this
+    /// pop.
+    fn claim_block(&mut self, slot: usize) -> Result<Option<u64>, StateError> {
+        let state = &self.slots[slot];
         if state.done.load(Ordering::Acquire) || state.poisoned.load(Ordering::Acquire) {
-            return Ok(BlockClaim::Skip);
+            return Ok(None);
         }
-        let idx = self.ctx.pending[slot];
+        let idx = self.pending[slot];
         state.attempts.fetch_add(1, Ordering::AcqRel);
         let epoch = state.epoch.load(Ordering::Acquire);
-        let action = self
-            .ctx
-            .faults
-            .and_then(|f| f.on_unit(self.ctx.w, claim_no));
-        if action == Some(ExecAction::Stall) {
-            // Retire holding the claim, exactly like the legacy path:
-            // the watchdog (if armed) or the supervisor fallback takes
-            // the block over.
-            *self.ctx.board[self.ctx.w]
-                .lock()
-                .expect("progress board poisoned") = Some(Claim {
-                slot,
-                epoch,
-                since: Instant::now(),
-                sent: self.sent.clone(),
-                last_sent: self.sent.get(),
-            });
-            return Ok(BlockClaim::Retire);
-        }
-        if action == Some(ExecAction::Panic) {
-            self.ctx.counters.panics.fetch_add(1, Ordering::Relaxed);
-            state.epoch.fetch_add(1, Ordering::AcqRel);
-            if state.attempts.load(Ordering::Acquire) < self.ctx.max_attempts {
-                self.ctx.counters.requeued.fetch_add(1, Ordering::Relaxed);
-                self.ctx.queue.push(self.ctx.w, slot);
-            } else {
-                state.poisoned.store(true, Ordering::Release);
-                retire_slot(state, self.shared);
-            }
-            return Ok(BlockClaim::Retire);
-        }
-        if let Some(dir) = self.ctx.dir {
+        if let Some(dir) = self.dir {
             write_marker(dir, idx)?;
         }
         let mut bin = self.shared.bins[slot]
@@ -1265,14 +1062,14 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                 bin.layout = seed.layout;
             }
             None => {
-                let whole = SplitUnit::whole(self.ctx.campaign.block_cap(&SAMPLE_BLOCKS[idx]));
+                let whole = SplitUnit::whole(self.campaign.block_cap(&SAMPLE_BLOCKS[idx]));
                 bin.done = Vec::new();
                 bin.pending = vec![whole];
                 bin.layout = vec![entry_of(whole, false)];
             }
         }
         bin.split = bin.layout.len() > 1;
-        Ok(BlockClaim::Claimed(epoch))
+        Ok(Some(epoch))
     }
 
     /// Runs units of `slot`'s bin until none are claimable, then tries
@@ -1301,12 +1098,12 @@ impl<'a, N: Network> SplitWorker<'a, N> {
     /// under the bin lock, so an idle worker observing `busy == 0` can
     /// never race past a unit about to run.
     fn claim_from_bin(&mut self, slot: usize) -> Result<Option<(SplitUnit, u64)>, StateError> {
-        let state = &self.ctx.slots[slot];
+        let state = &self.slots[slot];
         if state.done.load(Ordering::Acquire) || state.poisoned.load(Ordering::Acquire) {
             return Ok(None);
         }
         let epoch = state.epoch.load(Ordering::Acquire);
-        let idx = self.ctx.pending[slot];
+        let idx = self.pending[slot];
         let mut bin = self.shared.bins[slot]
             .inner
             .lock()
@@ -1324,8 +1121,8 @@ impl<'a, N: Network> SplitWorker<'a, N> {
         if let Some(entry) = mark {
             entry.started = true;
             if bin.split {
-                if let Some(dir) = self.ctx.dir {
-                    if let Err(e) = write_units_manifest(dir, self.ctx.fp_id, idx, &bin.layout) {
+                if let Some(dir) = self.dir {
+                    if let Err(e) = write_units_manifest(dir, self.fp_id, idx, &bin.layout) {
                         // Undo the claim so other workers can't hang on
                         // a busy count that will never drain.
                         bin.pending.insert(0, unit);
@@ -1341,7 +1138,7 @@ impl<'a, N: Network> SplitWorker<'a, N> {
 
     /// Scans bins lowest-slot-first for a claimable sub-unit.
     fn claim_helper_unit(&mut self) -> Result<Option<(usize, SplitUnit, u64)>, StateError> {
-        for slot in 0..self.ctx.slots.len() {
+        for slot in 0..self.slots.len() {
             if let Some((unit, epoch)) = self.claim_from_bin(slot)? {
                 return Ok(Some((slot, unit, epoch)));
             }
@@ -1353,25 +1150,43 @@ impl<'a, N: Network> SplitWorker<'a, N> {
     /// per-unit mop-up, delivery, and assembly when it was the last
     /// unit. Returns `false` when the worker must retire.
     fn run_unit(&mut self, slot: usize, unit: SplitUnit, epoch: u64) -> Result<bool, StateError> {
-        let w = self.ctx.w;
-        let idx = self.ctx.pending[slot];
+        let w = self.w;
+        let idx = self.pending[slot];
         let profile = &SAMPLE_BLOCKS[idx];
-        let (shared, counters, dir, fp_id, campaign) = (
+        let (shared, counters, dir, fp_id, campaign, slots) = (
             self.shared,
-            self.ctx.counters,
-            self.ctx.dir,
-            self.ctx.fp_id,
-            self.ctx.campaign,
+            self.counters,
+            self.dir,
+            self.fp_id,
+            self.campaign,
+            self.slots,
         );
-        *self.ctx.board[w].lock().expect("progress board poisoned") = Some(Claim {
+        let unit_no = self.units;
+        self.units += 1;
+        *self.board[w].lock().expect("progress board poisoned") = Some(Claim {
             slot,
             epoch,
             since: Instant::now(),
             sent: self.sent.clone(),
             last_sent: self.sent.get(),
         });
-        let scanner = &mut *self.ctx.scanner;
+        let action = self.faults.and_then(|f| f.on_unit(w, unit_no));
+        if action == Some(ExecAction::Stall) {
+            // Scripted stall: go silent still holding the claim — the
+            // board entry and the bin's `active` count stay set, as a
+            // hung thread's would. Only `busy` is given back, so peers
+            // retire instead of waiting on a unit that will never finish.
+            // With a watchdog armed the claim is invalidated and the
+            // block requeued after one quantum; without one the
+            // supervisor fallback picks the block up after join.
+            shared.busy.fetch_sub(1, Ordering::AcqRel);
+            return Ok(false);
+        }
+        let scanner = &mut *self.scanner;
         let attempt = catch_unwind(AssertUnwindSafe(move || -> Result<UnitRun, StateError> {
+            if action == Some(ExecAction::Panic) {
+                panic!("injected executor fault: worker {w} panics on unit {unit_no}");
+            }
             let baseline = scanner.telemetry().registry.snapshot();
             scanner.set_force_yield_at(shared.force_at);
             let mut raw = campaign.unit_main(scanner, profile, unit);
@@ -1387,7 +1202,10 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                 let (settled, parts) = raw.unit.split_tail(raw.consumed, k);
                 let stale = {
                     let mut bin = shared.bins[slot].inner.lock().expect("split bin poisoned");
-                    if !bin.open || bin.epoch != epoch {
+                    if !bin.open
+                        || bin.epoch != epoch
+                        || slots[slot].epoch.load(Ordering::Acquire) != epoch
+                    {
                         true
                     } else {
                         bin.layout.retain(|e| unit_of(e) != unit);
@@ -1415,14 +1233,14 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                 }
                 raw.unit = settled;
             }
-            campaign.unit_mop_up(scanner, profile, &mut raw);
+            campaign.unit_mop_up(scanner, &mut raw);
             if scanner.is_aborted() {
                 return Ok(UnitRun::Aborted);
             }
             let delta = scanner.telemetry().registry.snapshot().diff(&baseline);
             Ok(UnitRun::Done(Box::new((raw, delta))))
         }));
-        *self.ctx.board[w].lock().expect("progress board poisoned") = None;
+        *self.board[w].lock().expect("progress board poisoned") = None;
         let release_unit = |requeue: Option<SplitUnit>| {
             let mut bin = self.shared.bins[slot]
                 .inner
@@ -1447,8 +1265,8 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                     bin.open && bin.epoch == epoch && bin.split
                 };
                 if split_now {
-                    if let Some(dir) = self.ctx.dir {
-                        if let Err(e) = write_unit_ckpt(dir, self.ctx.fp_id, idx, &raw, &delta) {
+                    if let Some(dir) = self.dir {
+                        if let Err(e) = write_unit_ckpt(dir, self.fp_id, idx, &raw, &delta) {
                             release_unit(Some(raw.unit));
                             return Err(e);
                         }
@@ -1474,8 +1292,8 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                 Ok(true)
             }
             Ok(Ok(UnitRun::Stale)) => {
-                // The bin moved on without us; nothing to repair beyond
-                // the busy count (the re-claim reset `active`).
+                // The block moved on without us; nothing to repair beyond
+                // the busy count (a re-claim resets `active`).
                 self.shared.busy.fetch_sub(1, Ordering::AcqRel);
                 Ok(true)
             }
@@ -1488,22 +1306,38 @@ impl<'a, N: Network> SplitWorker<'a, N> {
                 Err(e)
             }
             Err(_) => {
-                // Panic mid-unit: requeue the unit (it re-runs
-                // identically elsewhere) and retire — this scanner may
-                // hold half-mutated per-unit state.
-                release_unit(Some(unit));
-                self.ctx.counters.panics.fetch_add(1, Ordering::Relaxed);
+                // Panic mid-unit, scripted or real. Give up on the whole
+                // block claim — nothing this attempt half-did, and no
+                // sibling unit still running under it, can commit — so
+                // the block re-runs from its seed on a surviving worker
+                // (or the supervisor fallback), and retire: this scanner
+                // may hold half-mutated per-unit state.
+                self.counters.panics.fetch_add(1, Ordering::Relaxed);
+                invalidate_claim(
+                    slot,
+                    epoch,
+                    w,
+                    slots,
+                    self.queue,
+                    self.counters,
+                    self.max_attempts,
+                );
+                // After the requeue, so a peer that sees nothing in
+                // flight also sees the block back on the queue.
+                self.shared.busy.fetch_sub(1, Ordering::AcqRel);
                 Ok(false)
             }
         }
     }
 
     /// If `slot`'s bin is complete under `epoch`, reassembles the block
-    /// from its unit outputs and commits it through the legacy epoch-CAS
-    /// protocol (checkpoint write, split-file sweep, marker removal).
+    /// from its unit outputs and commits it: the claim must still carry
+    /// our epoch (nobody gave up on it) and the done CAS must win (no
+    /// requeued copy got there first). A discarded commit is pure wasted
+    /// work — the surviving copy produces the identical result.
     fn try_assemble(&mut self, slot: usize, epoch: u64) -> Result<(), StateError> {
-        let idx = self.ctx.pending[slot];
-        let state = &self.ctx.slots[slot];
+        let idx = self.pending[slot];
+        let state = &self.slots[slot];
         let taken = {
             let mut bin = self.shared.bins[slot]
                 .inner
@@ -1526,10 +1360,9 @@ impl<'a, N: Network> SplitWorker<'a, N> {
             delta.merge(&d);
             raws.push(raw);
         }
-        let block =
-            self.ctx
-                .campaign
-                .assemble(&SAMPLE_BLOCKS[idx], raws, self.ctx.scanner.tracer());
+        let block = self
+            .campaign
+            .assemble(&SAMPLE_BLOCKS[idx], raws, self.scanner.tracer());
         let committed = state.epoch.load(Ordering::Acquire) == epoch
             && state
                 .done
@@ -1539,18 +1372,11 @@ impl<'a, N: Network> SplitWorker<'a, N> {
             return Ok(());
         }
         retire_slot(state, self.shared);
-        if let Some(dir) = self.ctx.dir {
-            write_block_ckpt(
-                dir,
-                self.ctx.fp_id,
-                idx,
-                &block,
-                &delta,
-                self.ctx.group <= 1,
-            )?;
-            if self.ctx.group > 1 {
+        if let Some(dir) = self.dir {
+            write_block_ckpt(dir, self.fp_id, idx, &block, &delta, self.group <= 1)?;
+            if self.group > 1 {
                 self.to_sync.push(block_path(dir, idx));
-                if self.to_sync.len() >= self.ctx.group {
+                if self.to_sync.len() >= self.group {
                     flush_group(dir, &mut self.to_sync)?;
                 }
             }
@@ -2136,19 +1962,26 @@ mod tests {
 
     #[test]
     fn worker_panic_retries_on_surviving_worker_byte_identically() {
-        let tpb = 1 << 10;
+        let tpb = 1 << 13;
         let (seq, seq_snap) = sequential(tpb);
-        // Worker 0 panics on its second claimed block; the requeued block
-        // re-runs on a surviving worker (or the supervisor fallback).
-        let outcome = ParallelCampaign::new(Campaign::new(tpb), 2)
-            .with_exec_faults(ExecPlan::panic_on(0, 1))
-            .run(&base(tpb), make_world);
-        assert!(!outcome.interrupted);
-        assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-        assert_eq!(outcome.result, seq, "recovered campaign diverged");
-        assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 1);
-        assert_eq!(outcome.snapshot.counter(names::EXEC_REQUEUED), 1);
-        assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+        // Worker 0 panics on its second claimed unit — a whole block, or
+        // under forced splits a sub-shard inside a split one; the
+        // requeued block re-runs on a surviving worker (or the
+        // supervisor fallback).
+        for force_split_at in [None, Some(300)] {
+            let mut exec = ParallelCampaign::new(Campaign::new(tpb), 2)
+                .with_exec_faults(ExecPlan::panic_on(0, 1));
+            if let Some(at) = force_split_at {
+                exec = exec.with_force_split_at(at);
+            }
+            let outcome = exec.run(&base(tpb), make_world);
+            assert!(!outcome.interrupted);
+            assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
+            assert_eq!(outcome.result, seq, "recovered campaign diverged");
+            assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 1);
+            assert_eq!(outcome.snapshot.counter(names::EXEC_REQUEUED), 1);
+            assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+        }
     }
 
     #[test]
@@ -2170,23 +2003,32 @@ mod tests {
     #[test]
     fn stalled_worker_is_rescued_by_watchdog() {
         let tpb = 1 << 13;
+        let t0 = Instant::now();
         let (seq, seq_snap) = sequential(tpb);
-        // Worker 0 goes silent holding its first block. The quantum is
-        // calibrated between one block's runtime (a live worker must not
-        // look hung) and the surviving worker's total remaining work (the
-        // watchdog must fire while the run is still live); the wide
-        // attempt budget keeps a spuriously reclaimed slow block — whose
-        // re-run is byte-identical anyway — from ever being poisoned.
-        let outcome = ParallelCampaign::new(Campaign::new(tpb), 2)
-            .with_exec_faults(ExecPlan::stall_on(0, 0))
-            .with_watchdog(Duration::from_millis(200))
-            .with_supervision(Supervision { max_attempts: 10 })
-            .run(&base(tpb), make_world);
-        assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-        assert_eq!(outcome.result, seq, "rescued campaign diverged");
-        assert!(outcome.snapshot.counter(names::EXEC_STALLS) >= 1);
-        assert!(outcome.snapshot.counter(names::EXEC_REQUEUED) >= 1);
-        assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+        // Worker 0 goes silent holding an early unit — its first whole
+        // block, or under forced splits a sub-shard inside a split one —
+        // leaving the survivor nearly the whole campaign. The watchdog
+        // must fire while that run is still live, so the quantum is a
+        // small fraction of the measured sequential pace, floored only
+        // against a zero quantum: a survivor descheduled for a whole
+        // quantum gets spuriously reclaimed, which the wide attempt
+        // budget absorbs — the re-run is byte-identical anyway.
+        let quantum = (t0.elapsed() / 8).max(Duration::from_millis(2));
+        for (force_split_at, stall_unit) in [(None, 0), (Some(300), 1)] {
+            let mut exec = ParallelCampaign::new(Campaign::new(tpb), 2)
+                .with_exec_faults(ExecPlan::stall_on(0, stall_unit))
+                .with_watchdog(quantum)
+                .with_supervision(Supervision { max_attempts: 10 });
+            if let Some(at) = force_split_at {
+                exec = exec.with_force_split_at(at);
+            }
+            let outcome = exec.run(&base(tpb), make_world);
+            assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
+            assert_eq!(outcome.result, seq, "rescued campaign diverged");
+            assert!(outcome.snapshot.counter(names::EXEC_STALLS) >= 1);
+            assert!(outcome.snapshot.counter(names::EXEC_REQUEUED) >= 1);
+            assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+        }
     }
 
     #[test]
@@ -2302,7 +2144,6 @@ mod tests {
         let (seq, seq_snap) = sequential(tpb);
         for workers in [1usize, 2, 4] {
             let outcome = ParallelCampaign::new(Campaign::new(tpb), workers)
-                .with_split_threshold(256)
                 .with_force_split_at(1_000)
                 .run(&base(tpb), make_world);
             assert!(!outcome.interrupted);
@@ -2330,11 +2171,12 @@ mod tests {
     #[test]
     fn threshold_split_on_skewed_blocks_stays_byte_identical() {
         // One giant block dominates the campaign — the straggler shape
-        // the splitter exists for. Threshold-gated splits fire only when
-        // a worker actually goes idle, so the assertion here is pure
+        // the splitter exists for, and at 2¹⁶ targets big enough for the
+        // default policy to fire. Splits happen only when a worker
+        // actually goes idle, so the assertion here is pure
         // byte-identity under every worker count, splits or not.
         let tpb = 1 << 9;
-        let giant = 1 << 13;
+        let giant = 1 << 16;
         let campaign = || Campaign::new(tpb).with_block_targets(vec![(2, giant)]);
         let telemetry = Telemetry::new();
         let mut world = World::with_config(WorldConfig::lossless(99, 50));
@@ -2343,9 +2185,7 @@ mod tests {
         let seq = campaign().run(&mut scanner);
         let seq_snap = telemetry.registry.snapshot();
         for workers in [2usize, 4] {
-            let outcome = ParallelCampaign::new(campaign(), workers)
-                .with_split_threshold(512)
-                .run(&base(giant), make_world);
+            let outcome = ParallelCampaign::new(campaign(), workers).run(&base(giant), make_world);
             assert!(!outcome.interrupted);
             assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
             assert_eq!(outcome.result, seq, "{workers}-worker skewed run diverged");
@@ -2358,10 +2198,10 @@ mod tests {
     }
 
     #[test]
-    fn split_disabled_leaves_legacy_path_untouched() {
-        // --split-threshold 0 (the default) must be indistinguishable
-        // from the pre-split executor: identical bytes, and no split
-        // counters ever minted.
+    fn blocks_under_the_split_floor_never_split() {
+        // No unit of a block at or under MIN_SPLIT_REMAINDER targets ever
+        // has enough left to yield, however many workers sit idle:
+        // identical bytes, and no split counters ever minted.
         let tpb = 1 << 10;
         let (seq, seq_snap) = sequential(tpb);
         let outcome = ParallelCampaign::new(Campaign::new(tpb), 4).run(&base(tpb), make_world);
@@ -2386,9 +2226,7 @@ mod tests {
         // so by probe 6k the in-flight block has a durable sub-shard
         // manifest plus at least one committed unit checkpoint.
         let signal = AbortSignal::new();
-        let exec1 = ParallelCampaign::new(Campaign::new(tpb), 1)
-            .with_split_threshold(256)
-            .with_force_split_at(1_000);
+        let exec1 = ParallelCampaign::new(Campaign::new(tpb), 1).with_force_split_at(1_000);
         let partial = exec1
             .run_checkpointed(&base(tpb), &dir, false, Some(&signal), |_w, telemetry| {
                 let mut world = World::with_config(WorldConfig::lossless(99, 50));
@@ -2422,12 +2260,9 @@ mod tests {
             "something inside the split must be left to do: {split_plan:?}"
         );
 
-        // Resume under a different worker count with splitting still on:
-        // loaded sub-shard deltas and re-run units must assemble to the
-        // sequential bytes.
-        let exec3 = ParallelCampaign::new(Campaign::new(tpb), 3)
-            .with_split_threshold(256)
-            .with_force_split_at(1_000);
+        // Resume under a different worker count: loaded sub-shard deltas
+        // and re-run units must assemble to the sequential bytes.
+        let exec3 = ParallelCampaign::new(Campaign::new(tpb), 3).with_force_split_at(1_000);
         let full = exec3
             .run_checkpointed(&base(tpb), &dir, true, None, make_world)
             .unwrap();
@@ -2438,44 +2273,6 @@ mod tests {
             seq_snap,
             "resumed split snapshot diverged"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn split_plan_resumed_with_splitting_disabled_reruns_whole_block() {
-        let dir = std::env::temp_dir().join(format!("xmap-pcamp-nsplit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let tpb = 1 << 12;
-        let (seq, seq_snap) = sequential(tpb);
-
-        let signal = AbortSignal::new();
-        let exec1 = ParallelCampaign::new(Campaign::new(tpb), 1)
-            .with_split_threshold(256)
-            .with_force_split_at(1_000);
-        exec1
-            .run_checkpointed(&base(tpb), &dir, false, Some(&signal), |_w, telemetry| {
-                let mut world = World::with_config(WorldConfig::lossless(99, 50));
-                world.set_telemetry(telemetry);
-                world.arm_kill(
-                    KillPoint {
-                        after_probes: Some(6_000),
-                        ..Default::default()
-                    },
-                    signal.clone(),
-                );
-                world
-            })
-            .unwrap();
-
-        // A legacy (split-disabled) resume sees the same directory and
-        // simply re-runs partially split blocks whole — byte-identical.
-        let legacy = ParallelCampaign::new(Campaign::new(tpb), 2);
-        let full = legacy
-            .run_checkpointed(&base(tpb), &dir, true, None, make_world)
-            .unwrap();
-        assert!(!full.interrupted);
-        assert_eq!(full.result, seq, "legacy resume of split dir diverged");
-        assert_eq!(strip_exec(full.snapshot), seq_snap);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,14 +6,13 @@ Usage: bench_campaign_summary.py BENCH_OUTPUT.txt [SUMMARY.json]
 Parses the harness's flat report lines, e.g.
 
     campaign_scaling/fifteen_blocks_4k/4: 334166299.0 ns/iter  (0.184 Melem/s)
-    campaign_scaling/skewed_giant_split/4: 21416299.0 ns/iter  (0.724 Melem/s)
+    campaign_scaling/skewed_giant/4: 21416299.0 ns/iter  (0.724 Melem/s)
     campaign_dedup/fx_insert/17: 49735880.0 ns/iter  (2.635 Melem/s)
 
 into a machine-readable summary: probes/sec and wall-clock per campaign
 worker count (with speedup relative to the 1-worker baseline), the
-skewed one-giant-block configs (split on/off wall-clock ratio), the
-responder-dedup throughput at each population size, and a "straggler"
-section computed from the deterministic virtual-slot schedule model
+skewed one-giant-block config, the responder-dedup throughput at each
+population size, and a "straggler" section computed from the deterministic virtual-slot schedule model
 (a line-for-line port of `xmap_periphery::split::simulate_schedule`) —
 idle-slot fraction and p95 block-completion slots for the skewed mix at
 4 workers, split on vs off. The model gate (splitting cuts the idle
@@ -247,20 +246,13 @@ def main():
     }
     if skewed:
         doc["skewed"] = [skewed[k] for k in sorted(skewed)]
-        ns_off = skewed.get("skewed_giant_nosplit", {}).get("ns_per_iter")
-        ns_on = skewed.get("skewed_giant_split", {}).get("ns_per_iter")
-        if ns_off and ns_on:
-            # Wall-clock split speedup; only meaningful on a multi-core
-            # host — the virtual-slot "straggler" section is the gate.
-            doc["skewed_split_speedup"] = round(ns_off / ns_on, 3)
     if doc["cpus"] == 1:
         # Make the hardware caveat impossible to miss, in both the JSON
         # document and the CI log.
         doc["warning"] = (
             "single-CPU host: workers are time-sliced, so speedup_vs_1_worker "
-            "and skewed_split_speedup measure scheduling overhead, not "
-            "parallelism; the straggler section's virtual-slot model is the "
-            "hardware-independent gate"
+            "measures scheduling overhead, not parallelism; the straggler "
+            "section's virtual-slot model is the hardware-independent gate"
         )
         print(
             "bench_campaign_summary: WARNING: single-CPU host — "
