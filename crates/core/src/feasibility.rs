@@ -9,7 +9,8 @@
 //!
 //! These are pure arithmetic over probe size and packet rate; this module
 //! reproduces them and, combined with a measured in-memory probe-generation
-//! rate (criterion bench `scanner_throughput`), grounds the claims in this
+//! rate (the benchmark's `scan_lossless` workload and its
+//! `core.scanner.ns_per_probe` ledger row), grounds the claims in this
 //! implementation.
 
 use std::time::Duration;

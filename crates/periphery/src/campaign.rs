@@ -8,8 +8,6 @@
 //! extracts MAC addresses from EUI-64 IIDs — exactly the columns of
 //! Table II.
 
-use std::path::Path;
-
 use xmap::{
     Blocklist, Confidence, IcmpEchoProbe, ProbeModule, ProbeResult, ScanConfig, ScanRecord,
     ScanStats, Scanner,
@@ -17,12 +15,9 @@ use xmap::{
 use xmap_addr::{classify_iid, FxHashSet, IidClass, IidHistogram, Ip6, Mac, Prefix};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
 use xmap_netsim::packet::{Network, UnreachCode};
-use xmap_state::checkpoint::{
-    decode_snapshot, encode_snapshot, parse_fp, read_sectioned, write_sectioned,
-};
 use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{Fingerprint, StateError, CHECKPOINT_SCHEMA};
-use xmap_telemetry::{Snapshot, Tracer};
+use xmap_state::{Fingerprint, StateError};
+use xmap_telemetry::Tracer;
 
 use crate::split::SplitUnit;
 
@@ -333,63 +328,8 @@ impl Campaign {
         result
     }
 
-    /// Runs the campaign with block-granular checkpointing at `path`.
-    ///
-    /// After every completed block the campaign writes a single-file
-    /// checkpoint (kind `campaign`) holding the blocks so far, the
-    /// scanner's telemetry snapshot and virtual-clock tick. If the
-    /// scanner's armed [abort signal](Scanner::set_abort) fires — at any
-    /// point, including mid-mop-up — the partial block is discarded, the
-    /// previous checkpoint stands, and the call returns with the second
-    /// tuple element `true`. A later `resume: true` invocation restores
-    /// the registry and clock and re-runs from the interrupted block, so
-    /// the completed campaign is byte-identical to an uninterrupted one
-    /// (same determinism envelope as the scanner's own checkpoints).
-    ///
-    /// Resuming under a different campaign or scanner configuration is a
-    /// hard [`StateError::Mismatch`].
-    pub fn run_checkpointed<N: Network>(
-        &self,
-        scanner: &mut Scanner<N>,
-        path: &Path,
-        resume: bool,
-    ) -> Result<(CampaignResult, bool), StateError> {
-        let fp = self.fingerprint(scanner);
-        let mut result = CampaignResult::default();
-        let mut start = 0;
-        if resume {
-            if let Some(saved) = load_campaign_ckpt(path, fp)? {
-                scanner.restore_metrics(&saved.metrics);
-                scanner.restore_clock(saved.tick);
-                result.blocks = saved.blocks;
-                start = saved.next_block;
-            }
-            // A kill before the first checkpoint resumes as a fresh start.
-        }
-        for (idx, profile) in SAMPLE_BLOCKS.iter().enumerate().skip(start) {
-            if scanner.is_aborted() {
-                return Ok((result, true));
-            }
-            let block = self.run_block(scanner, profile);
-            if scanner.is_aborted() {
-                return Ok((result, true));
-            }
-            result.blocks.push(block);
-            // run/probe_addr/advance flush coalesced network counters, so
-            // the snapshot here is exact.
-            let snap = scanner.telemetry().registry.snapshot();
-            write_campaign_ckpt(path, fp, idx + 1, scanner.ticks(), &snap, &result.blocks)?;
-        }
-        Ok((result, false))
-    }
-
-    /// Identity of this campaign + scanner pairing; resume refuses a
-    /// checkpoint taken under any other.
-    fn fingerprint<N: Network>(&self, scanner: &Scanner<N>) -> u64 {
-        self.fingerprint_cfg(scanner.config())
-    }
-
-    /// [`fingerprint`](Self::fingerprint) from a bare [`ScanConfig`] —
+    /// Identity of this campaign + scanner configuration; resume refuses
+    /// a checkpoint taken under any other. Takes a bare [`ScanConfig`] —
     /// the parallel executor fingerprints before any worker scanner
     /// exists. Deliberately excludes the worker count: a checkpoint
     /// resumes under any N.
@@ -970,84 +910,6 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
     })
 }
 
-/// A loaded campaign checkpoint.
-struct CampaignCkpt {
-    next_block: usize,
-    tick: u64,
-    metrics: Snapshot,
-    blocks: Vec<BlockResult>,
-}
-
-fn write_campaign_ckpt(
-    path: &Path,
-    fp: u64,
-    next_block: usize,
-    tick: u64,
-    metrics: &Snapshot,
-    blocks: &[BlockResult],
-) -> Result<(), StateError> {
-    let header = format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"campaign\",\
-         \"next_block\":{next_block},\"tick\":{tick},\
-         \"campaign_fp\":\"{fp:#018x}\",\"sections\":[\"metrics\",\"blocks\"]}}"
-    );
-    let mut e = Encoder::new();
-    e.seq(blocks.len());
-    for b in blocks {
-        encode_block(&mut e, b);
-    }
-    write_sectioned(
-        path,
-        &header,
-        &[
-            ("metrics", encode_snapshot(metrics)),
-            ("blocks", e.finish()),
-        ],
-    )
-}
-
-/// Loads and validates a campaign checkpoint; `Ok(None)` when no
-/// checkpoint exists yet (killed before the first block completed).
-fn load_campaign_ckpt(path: &Path, expected_fp: u64) -> Result<Option<CampaignCkpt>, StateError> {
-    if !path.exists() {
-        return Ok(None);
-    }
-    let what = "campaign checkpoint";
-    let (header, mut sections) = read_sectioned(path, what)?;
-    let kind = header.req_str("kind", what)?;
-    if kind != "campaign" {
-        return Err(StateError::Corrupt(format!(
-            "{what}: expected kind `campaign`, found `{kind}`"
-        )));
-    }
-    let fp = parse_fp(&header.req_str("campaign_fp", what)?, what)?;
-    if fp != expected_fp {
-        return Err(StateError::Mismatch(format!(
-            "campaign checkpoint was taken under configuration {fp:#018x}, \
-             this campaign fingerprints as {expected_fp:#018x}"
-        )));
-    }
-    let metrics_raw = sections
-        .remove("metrics")
-        .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `metrics` section")))?;
-    let blocks_raw = sections
-        .remove("blocks")
-        .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `blocks` section")))?;
-    let mut d = Decoder::new(&blocks_raw, "campaign blocks");
-    let n = d.seq()?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(decode_block(&mut d)?);
-    }
-    d.expect_end()?;
-    Ok(Some(CampaignCkpt {
-        next_block: header.req_u64("next_block", what)? as usize,
-        tick: header.req_u64("tick", what)?,
-        metrics: decode_snapshot(&metrics_raw)?,
-        blocks,
-    }))
-}
-
 fn encode_prefix(e: &mut Encoder, p: &Prefix) {
     e.u128(p.addr().bits());
     e.u8(p.len());
@@ -1358,68 +1220,6 @@ mod tests {
                 "split at {consumed} into {parts} diverged from sequential"
             );
         }
-    }
-
-    #[test]
-    fn kill_and_resume_matches_uninterrupted() {
-        use xmap_netsim::KillPoint;
-        use xmap_state::AbortSignal;
-        let path = std::env::temp_dir().join(format!("xmap-campaign-{}.ckpt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let campaign = Campaign::new(1 << 12);
-        let baseline = campaign.run(&mut scanner(1 << 12));
-
-        let signal = AbortSignal::new();
-        let mut world = World::with_config(WorldConfig::lossless(99, 50));
-        world.arm_kill(
-            KillPoint {
-                after_probes: Some(10_000),
-                ..Default::default()
-            },
-            signal.clone(),
-        );
-        let mut killed = Scanner::new(
-            world,
-            ScanConfig {
-                max_targets: Some(1 << 12),
-                seed: 5,
-                ..Default::default()
-            },
-        );
-        killed.set_abort(signal);
-        let (partial, interrupted) = campaign
-            .run_checkpointed(&mut killed, &path, false)
-            .unwrap();
-        assert!(interrupted, "kill point must interrupt the campaign");
-        assert!(partial.blocks.len() < baseline.blocks.len());
-
-        let mut resumed = scanner(1 << 12);
-        let (full, interrupted) = campaign
-            .run_checkpointed(&mut resumed, &path, true)
-            .unwrap();
-        assert!(!interrupted);
-        assert_eq!(full, baseline, "resumed campaign must match uninterrupted");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resume_with_different_campaign_is_refused() {
-        let path = std::env::temp_dir().join(format!(
-            "xmap-campaign-mismatch-{}.ckpt",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let campaign = Campaign::new(1 << 10);
-        let mut s = scanner(1 << 10);
-        campaign.run_checkpointed(&mut s, &path, false).unwrap();
-        let other = Campaign::new(1 << 11);
-        let mut s2 = scanner(1 << 11);
-        let err = other.run_checkpointed(&mut s2, &path, true).unwrap_err();
-        assert!(
-            matches!(err, StateError::Mismatch(_)),
-            "expected Mismatch, got {err:?}"
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

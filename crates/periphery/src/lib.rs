@@ -33,6 +33,6 @@ pub use campaign::{
     decode_block, encode_block, BlockResult, Campaign, CampaignResult, DiscoveredPeriphery,
 };
 pub use parallel::{BlockMode, CampaignOutcome, ParallelCampaign, UnitMode, UnitPlan};
-pub use split::{simulate_schedule, ScheduleStats, SplitUnit};
+pub use split::SplitUnit;
 pub use topomap::{Role, TopologyMap};
 pub use vendor::{identify, VendorCounts};

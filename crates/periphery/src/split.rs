@@ -1,6 +1,5 @@
-//! Intra-block shard splitting: the nested-shard math and the
-//! deterministic straggler model behind the campaign executor's
-//! split-when-idle protocol (DESIGN.md §5j).
+//! Intra-block shard splitting: the nested-shard math behind the
+//! campaign executor's split-when-idle protocol (DESIGN.md §5j).
 //!
 //! A [`SplitUnit`] names an arithmetic sub-progression of one block's
 //! walk positions: `{offset + j·stride : j < cap}` over the block's
@@ -22,13 +21,6 @@
 //! a block has `stride == 1` (the settled root prefix); that
 //! [`is_root`](SplitUnit::is_root) unit is the one that carries
 //! root-only per-block work.
-//!
-//! [`simulate_schedule`] is the virtual-clock straggler model: a pure
-//! function of (block weights, worker count, split on/off) replaying
-//! the steal-queue discipline one slot at a time. The campaign bench
-//! summary (`scripts/bench_campaign_summary.py`) ports the same model
-//! line for line, so the ≥2× idle-reduction gate holds on a 1-CPU CI
-//! host where wall-clock speedups cannot.
 
 use xmap::worker_cap;
 
@@ -114,139 +106,6 @@ impl SplitUnit {
             })
             .collect();
         (settled, out)
-    }
-}
-
-/// Straggler statistics of one simulated schedule (virtual slots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleStats {
-    /// Slots until the last unit finished.
-    pub makespan: u64,
-    /// Worker-slots spent idle before the makespan.
-    pub idle_slots: u64,
-    /// p95 of per-block completion slots (the straggler tail).
-    pub p95_completion: u64,
-}
-
-impl ScheduleStats {
-    /// Idle worker-slots as a fraction of all worker-slots.
-    pub fn idle_fraction(&self, workers: usize) -> f64 {
-        let total = self.makespan * workers as u64;
-        if total == 0 {
-            0.0
-        } else {
-            self.idle_slots as f64 / total as f64
-        }
-    }
-}
-
-/// Replays the executor's schedule on a virtual slot clock: blocks of
-/// `weights[i]` slots are seeded round-robin onto worker deques, a
-/// worker pops its own front and steals from the next worker's back
-/// (scanning `w+1, w+2, …` cyclically), one weight-unit completes per
-/// busy worker per slot, and — with `split` on — workers left idle at a
-/// slot boundary split the largest in-flight remainder `k = idle + 1`
-/// ways using [`SplitUnit::split_tail`]'s cap math. Deterministic by
-/// construction; `scripts/bench_campaign_summary.py` carries the same
-/// model in Python.
-pub fn simulate_schedule(weights: &[u64], workers: usize, split: bool) -> ScheduleStats {
-    let workers = workers.max(1);
-    let mut deques: Vec<std::collections::VecDeque<usize>> = (0..workers)
-        .map(|_| std::collections::VecDeque::new())
-        .collect();
-    for (i, _) in weights.iter().enumerate() {
-        deques[i % workers].push_back(i);
-    }
-    // (block index, remaining slots) per busy worker.
-    let mut running: Vec<Option<(usize, u64)>> = vec![None; workers];
-    // Unfinished units per block; a block completes when it hits zero.
-    let mut open_units: Vec<u64> = weights.iter().map(|&w| u64::from(w > 0)).collect();
-    let mut completion: Vec<u64> = vec![0; weights.len()];
-    let mut idle_slots = 0u64;
-    let mut slot = 0u64;
-
-    loop {
-        // Acquire: pop own front, then steal from the next victims' backs.
-        for w in 0..workers {
-            if running[w].is_some() {
-                continue;
-            }
-            let next = deques[w]
-                .pop_front()
-                .or_else(|| (1..workers).find_map(|d| deques[(w + d) % workers].pop_back()));
-            if let Some(b) = next {
-                if weights[b] > 0 {
-                    running[w] = Some((b, weights[b]));
-                }
-            }
-        }
-        // Split: idle workers fan out the largest in-flight remainder.
-        if split {
-            loop {
-                let idle: Vec<usize> = (0..workers).filter(|&w| running[w].is_none()).collect();
-                if idle.is_empty() || !deques.iter().all(|d| d.is_empty()) {
-                    break;
-                }
-                let victim = (0..workers)
-                    .filter(|&w| running[w].is_some_and(|(_, rest)| rest >= 2))
-                    .max_by_key(|&w| (running[w].expect("filtered").1, usize::MAX - w));
-                let Some(v) = victim else { break };
-                let (block, rest) = running[v].expect("victim is busy");
-                let k = (idle.len() + 1) as u64;
-                running[v] = Some((block, worker_cap(rest, 0, k)));
-                let mut assigned = false;
-                for (i, &w) in idle.iter().enumerate() {
-                    let cap = worker_cap(rest, (i + 1) as u64, k);
-                    if cap > 0 {
-                        running[w] = Some((block, cap));
-                        open_units[block] += 1;
-                        assigned = true;
-                    }
-                }
-                if !assigned {
-                    break;
-                }
-            }
-        }
-        // Work: one weight-unit per busy worker per slot.
-        let busy = running.iter().filter(|r| r.is_some()).count();
-        if busy == 0 {
-            break;
-        }
-        idle_slots += (workers - busy) as u64;
-        slot += 1;
-        for r in running.iter_mut() {
-            if let Some((block, rest)) = r.as_mut() {
-                *rest -= 1;
-                if *rest == 0 {
-                    open_units[*block] -= 1;
-                    if open_units[*block] == 0 {
-                        completion[*block] = slot;
-                    }
-                    *r = None;
-                }
-            }
-        }
-    }
-
-    let mut done: Vec<u64> = completion
-        .iter()
-        .zip(weights)
-        .filter(|(_, &w)| w > 0)
-        .map(|(&c, _)| c)
-        .collect();
-    done.sort_unstable();
-    let p95 = if done.is_empty() {
-        0
-    } else {
-        done[((done.len() * 95).div_ceil(100))
-            .saturating_sub(1)
-            .min(done.len() - 1)]
-    };
-    ScheduleStats {
-        makespan: slot,
-        idle_slots,
-        p95_completion: p95,
     }
 }
 
@@ -360,65 +219,5 @@ mod tests {
                 prop_assert_eq!(p.shard() + p.walk_skip() * p.stride, p.offset);
             }
         }
-    }
-
-    /// The skewed one-giant-block mix: splitting must cut the idle-slot
-    /// fraction at 4 workers by ≥2× — the bench gate, measured in
-    /// deterministic virtual slots so it holds on a 1-CPU host.
-    #[test]
-    fn splitting_halves_idle_fraction_on_skewed_mix() {
-        let mut weights = vec![1u64 << 12; 15];
-        weights[2] = 1 << 16; // one giant block dominates the tail
-        let nosplit = simulate_schedule(&weights, 4, false);
-        let split = simulate_schedule(&weights, 4, true);
-        let before = nosplit.idle_fraction(4);
-        let after = split.idle_fraction(4);
-        assert!(before > 0.2, "skew must manufacture idleness: {before}");
-        assert!(
-            after * 2.0 <= before,
-            "split idle fraction {after} not ≥2× below {before}"
-        );
-        assert!(split.makespan < nosplit.makespan);
-        assert!(split.p95_completion <= nosplit.p95_completion);
-        // Work is conserved: total busy slots equal total weight.
-        let total: u64 = weights.iter().sum();
-        assert_eq!(nosplit.makespan * 4 - nosplit.idle_slots, total);
-        assert_eq!(split.makespan * 4 - split.idle_slots, total);
-        // Exact values, pinned so the Python port of this model in
-        // scripts/bench_campaign_summary.py cannot drift silently: the
-        // script hard-codes the same mix and must report these numbers.
-        assert_eq!(
-            nosplit,
-            ScheduleStats {
-                makespan: 65536,
-                idle_slots: 139264,
-                p95_completion: 65536,
-            }
-        );
-        assert_eq!(
-            split,
-            ScheduleStats {
-                makespan: 30720,
-                idle_slots: 0,
-                p95_completion: 30720,
-            }
-        );
-    }
-
-    #[test]
-    fn uniform_mix_needs_no_splits() {
-        let weights = vec![1u64 << 10; 16];
-        let nosplit = simulate_schedule(&weights, 4, false);
-        let split = simulate_schedule(&weights, 4, true);
-        assert_eq!(nosplit, split);
-        assert_eq!(nosplit.idle_slots, 0);
-    }
-
-    #[test]
-    fn single_worker_schedule_is_sequential() {
-        let weights = [100u64, 50, 7];
-        let s = simulate_schedule(&weights, 1, true);
-        assert_eq!(s.makespan, 157);
-        assert_eq!(s.idle_slots, 0);
     }
 }

@@ -295,25 +295,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Appends a JSON string literal (mirrors the telemetry crate's escaping
-/// rules so headers written here and snapshots written there agree).
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// The one JSON string escaper, shared with telemetry snapshots so headers
+/// written here and snapshots written there agree.
+pub use xmap_telemetry::registry::push_json_string;
 
 #[cfg(test)]
 mod tests {

@@ -560,7 +560,7 @@ fn json_u64_array(values: &[u64]) -> String {
 
 /// Appends `s` as a JSON string literal, escaping the characters that can
 /// occur in metric names and trace fields.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -14,7 +14,7 @@ use xmap_addr::ScanRange;
 use xmap_netsim::fault::IcmpRateLimit;
 use xmap_netsim::world::{World, WorldConfig};
 use xmap_netsim::{FaultPlan, KillPoint};
-use xmap_periphery::Campaign;
+use xmap_periphery::{Campaign, ParallelCampaign};
 use xmap_state::AbortSignal;
 use xmap_telemetry::Snapshot;
 
@@ -295,8 +295,9 @@ fn double_resume_is_idempotent() {
 
 /// Kill the periphery campaign in the middle of a mop-up pass (ICMPv6
 /// token buckets make targets silent in the main pass; mop-up probes
-/// start right after the 4096 main-pass probes of block 0). The resumed
-/// campaign must equal the uninterrupted one exactly.
+/// start right after the 4096 main-pass probes of block 0). Killed under
+/// one worker and resumed under two, the campaign must equal the
+/// uninterrupted sequential one exactly.
 #[test]
 fn campaign_killed_mid_mop_up_resumes_identically() {
     let world = || {
@@ -316,7 +317,7 @@ fn campaign_killed_mid_mop_up_resumes_identically() {
         ..Default::default()
     };
     let campaign = Campaign::new(1 << 12).with_mop_up(512);
-    let path = session_dir("campaign").with_extension("ckpt");
+    let dir = session_dir("campaign");
 
     let mut base_scanner = Scanner::new(world(), config.clone());
     let baseline = campaign.run(&mut base_scanner);
@@ -328,30 +329,32 @@ fn campaign_killed_mid_mop_up_resumes_identically() {
     // Block 0's main pass sends exactly 4096 probes (allow-all blocklist),
     // so probe 4101 is the fifth mop-up probe.
     let signal = AbortSignal::new();
-    let mut killed_world = world();
-    killed_world.arm_kill(
-        KillPoint {
-            after_probes: Some(4101),
-            ..Default::default()
-        },
-        signal.clone(),
-    );
-    let mut killed = Scanner::new(killed_world, config.clone());
-    killed.set_abort(signal);
-    let (partial, interrupted) = campaign
-        .run_checkpointed(&mut killed, &path, false)
+    let partial = ParallelCampaign::new(campaign.clone(), 1)
+        .run_checkpointed(&config, &dir, false, Some(&signal), |_, _| {
+            let mut w = world();
+            w.arm_kill(
+                KillPoint {
+                    after_probes: Some(4101),
+                    ..Default::default()
+                },
+                signal.clone(),
+            );
+            w
+        })
         .unwrap();
-    assert!(interrupted);
+    assert!(partial.interrupted);
     assert!(
-        partial.blocks.is_empty(),
+        partial.result.blocks.is_empty(),
         "the mid-mop-up block must be discarded, not half-kept"
     );
 
-    let mut resumed = Scanner::new(world(), config);
-    let (full, interrupted) = campaign
-        .run_checkpointed(&mut resumed, &path, true)
+    let full = ParallelCampaign::new(campaign, 2)
+        .run_checkpointed(&config, &dir, true, None, |_, _| world())
         .unwrap();
-    assert!(!interrupted);
-    assert_eq!(full, baseline, "resumed campaign diverged from baseline");
-    fs::remove_file(&path).unwrap();
+    assert!(!full.interrupted);
+    assert_eq!(
+        full.result, baseline,
+        "resumed campaign diverged from baseline"
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
