@@ -332,6 +332,21 @@ pub trait Network {
     fn restore_clock(&mut self, tick: u64) {
         let _ = tick;
     }
+
+    /// Returns the network to just-constructed *behaviour*: whatever a
+    /// probe's outcome can depend on besides the probe itself — the
+    /// virtual clock, in-flight responses, per-device memory such as
+    /// rate-limiter state — is forgotten, so the next probe is answered
+    /// exactly as a freshly built network would answer it.
+    ///
+    /// The telemetry binding and lifetime statistics are kept, and
+    /// pending telemetry is published first, so deltas taken from the
+    /// bound registry stay exact across resets (an armed kill point
+    /// keeps counting lifetime probes). This is what lets a driver
+    /// reuse one network for many units of work that must each be a
+    /// pure function of their inputs. Networks with no per-probe memory
+    /// keep the default no-op.
+    fn reset(&mut self) {}
 }
 
 impl<N: Network + ?Sized> Network for &mut N {
@@ -361,6 +376,10 @@ impl<N: Network + ?Sized> Network for &mut N {
 
     fn restore_clock(&mut self, tick: u64) {
         (**self).restore_clock(tick)
+    }
+
+    fn reset(&mut self) {
+        (**self).reset()
     }
 }
 

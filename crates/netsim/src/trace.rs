@@ -156,6 +156,11 @@ impl<N: Network> Network for TracingNetwork<N> {
         self.next_seq += 1;
         responses
     }
+
+    fn reset(&mut self) {
+        // The ring buffer is a diagnostic log, not behaviour: it stays.
+        self.inner.reset();
+    }
 }
 
 #[cfg(test)]

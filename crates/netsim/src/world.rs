@@ -1186,6 +1186,20 @@ impl Network for World {
         self.clock = tick;
         self.published_clock = tick;
     }
+
+    fn reset(&mut self) {
+        // Publish first: the tick delta is measured against the clock
+        // about to be zeroed. Everything cleared below is state a probe's
+        // outcome can read; `stats`, the telemetry binding, the arena and
+        // an armed kill point are lifetime state and stay.
+        self.publish_telemetry();
+        self.registry.clear();
+        self.error_limiters.clear();
+        self.delayed.clear();
+        self.delay_seq = 0;
+        self.clock = 0;
+        self.published_clock = 0;
+    }
 }
 
 impl World {
@@ -1747,6 +1761,56 @@ mod realism_tests {
         }
         assert!(responses > 50, "{responses}");
         assert_eq!(world.stats().rate_limited, 0);
+    }
+
+    #[test]
+    fn reset_answers_like_a_fresh_world_and_keeps_lifetime_counts() {
+        let cfg = WorldConfig::lossless(31337, 10).with_fault(FaultPlan::none().with_icmp_limit(
+            crate::fault::IcmpRateLimit::TokenBucket {
+                capacity: 1,
+                refill_interval: 1 << 20,
+                start_depleted_frac: 0.0,
+            },
+        ));
+        let telemetry = xmap_telemetry::Telemetry::new();
+        let mut world = World::with_config(cfg);
+        world.set_telemetry(&telemetry);
+        // A clean one-token device: its second error is rate-limited.
+        let (pi, i) = (0..SAMPLE_BLOCKS.len())
+            .find_map(|pi| {
+                (0..200_000u64)
+                    .find(|&i| {
+                        world.device_at(pi, i).is_some_and(|d| {
+                            !d.loop_vuln_lan && !d.loop_vuln_wan && d.icmp_burst_scale() == 1
+                        }) && !world.filtered(&SAMPLE_BLOCKS[pi], i)
+                    })
+                    .map(|i| (pi, i))
+            })
+            .expect("clean device");
+        let p = &SAMPLE_BLOCKS[pi];
+        let base = p.scan_prefix().subprefix(p.assigned_len, i as u128);
+        let probe = |iid| Ipv6Packet::echo_request(vantage(), base.addr().with_iid(iid), 64, 0, 0);
+
+        assert_eq!(world.handle(probe(1)).len(), 1);
+        assert!(world.handle(probe(2)).is_empty(), "bucket holds one token");
+        assert_eq!(world.stats().rate_limited, 1);
+        assert_eq!(world.discovered_count(), 1);
+        world.tick(5);
+
+        world.reset();
+        assert_eq!(world.discovered_count(), 0);
+        assert_eq!(world.clock(), 0);
+        let reply = world.handle(probe(2));
+        assert_eq!(reply.len(), 1, "the limiter forgot the spent token");
+        assert_eq!(reply, World::with_config(cfg).handle(probe(2)));
+        assert_eq!(world.discovered_count(), 1);
+
+        // Lifetime accounting runs on through the reset.
+        world.flush_telemetry();
+        assert_eq!(world.stats().probes, 3);
+        let snap = telemetry.registry.snapshot();
+        assert_eq!(snap.counter(crate::telemetry::names::PROBES), 3);
+        assert_eq!(snap.counter(crate::telemetry::names::TICKS), 5);
     }
 
     #[test]

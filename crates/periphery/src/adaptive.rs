@@ -14,15 +14,26 @@
 //!
 //! A campaign is a sequence of *rounds*; a round is a list of *units*
 //! (one frontier node's sample batch), fixed before any probe is sent.
-//! Every unit runs as a pure function — fresh world replica, fresh
-//! telemetry, private scanner — and the driver merges unit results in
-//! unit-index order, exactly the block-executor's private-replica +
-//! canonical-merge recipe. Worker count only changes which thread runs
-//! a unit, never what the unit computes or the order results merge, so
-//! output is byte-identical across 1/2/4 workers. Round boundaries
-//! double as checkpoint points: the tree, the in-progress block and the
-//! merged telemetry land in an `xmap-checkpoint/v1` file whose
-//! tree-snapshot section lets a killed campaign resume mid-block.
+//! Every unit runs as a pure function of (unit, seed, world
+//! configuration) on one of the campaign's long-lived *probers* — one
+//! telemetry bundle + world + scanner per worker, built once per
+//! campaign. Purity is bought by [`Network::reset`] before each unit:
+//! the world forgets what earlier probes taught it (per-device ICMPv6
+//! limiter state, the discovered-WAN registry, delayed responses, the
+//! clock) and answers exactly as a freshly built replica would, while
+//! its telemetry binding and lifetime statistics run on. The driver
+//! merges unit results in unit-index order, and metrics reach the
+//! campaign snapshot as *registry deltas* — each prober's registry
+//! diffed against what was already absorbed, in worker-index order.
+//! Counters and histogram buckets sum commutatively, so which prober
+//! ran which unit never shows. Worker count only changes which thread
+//! runs a unit, never what the unit computes or the order results
+//! merge, so output is byte-identical across 1/2/4 workers. Round
+//! boundaries double as checkpoint points: the tree, the in-progress
+//! block and the merged telemetry (deltas absorbed at every boundary
+//! when a checkpoint is being written, so it carries exact metrics)
+//! land in an `xmap-checkpoint/v1` file whose tree-snapshot section
+//! lets a killed campaign resume mid-block.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,7 +142,8 @@ pub struct AdaptiveOutcome {
     /// Per-block results in Table II order (same shape as the
     /// exhaustive campaign, so CSV rendering and serve units reuse it).
     pub result: CampaignResult,
-    /// Merged telemetry across every unit, in unit order.
+    /// Merged telemetry across every unit (counters and histograms sum,
+    /// so the export does not depend on which worker ran which unit).
     pub snapshot: Snapshot,
     /// Whether the campaign stopped at the engine kill point with its
     /// progress checkpointed (exit-code-3 path).
@@ -190,7 +202,62 @@ struct UnitResult {
     finds: Vec<(Ip6, Prefix, Ip6, bool)>,
     aliases: Vec<Prefix>,
     stats: ScanStats,
-    snapshot: Snapshot,
+}
+
+/// Rounds drawing fewer probes than this run inline on the calling
+/// thread: a two-worker `thread::scope` measured ≈ 60 µs to spawn and
+/// join against ≈ 110 ns per adaptive probe, so splitting a round only
+/// pays from ≈ 2 · 60 µs / 110 ns ≈ 2^10 probes.
+const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 10;
+
+/// One worker's probing fixture, built once per campaign and reused by
+/// every unit that worker runs.
+struct Prober<N> {
+    scanner: Scanner<N>,
+    /// The scanner's registry as of the last
+    /// [`absorb_into`](Prober::absorb_into).
+    absorbed: Snapshot,
+    /// Whether anything ran since then (an idle prober contributes
+    /// nothing, not even zero-valued metric names).
+    dirty: bool,
+}
+
+impl<N: Network> Prober<N> {
+    fn new(base: &ScanConfig, make_world: impl Fn(&Telemetry) -> N) -> Self {
+        let telemetry = Telemetry::new();
+        let network = make_world(&telemetry);
+        Prober {
+            scanner: Scanner::with_telemetry(network, base.clone(), telemetry),
+            absorbed: Snapshot::default(),
+            dirty: false,
+        }
+    }
+
+    /// Lends the scanner over a network reset to just-constructed
+    /// behaviour — what keeps a unit a pure function of its inputs.
+    fn fresh(&mut self) -> &mut Scanner<N> {
+        self.dirty = true;
+        self.scanner.network_mut().reset();
+        &mut self.scanner
+    }
+
+    /// Merges what this prober's registry gained since the last call
+    /// into `snapshot`.
+    fn absorb_into(&mut self, snapshot: &mut Snapshot) {
+        if !self.dirty {
+            return;
+        }
+        let now = self.scanner.telemetry().registry.snapshot();
+        snapshot.merge(&now.diff(&self.absorbed));
+        self.absorbed = now;
+        self.dirty = false;
+    }
+}
+
+fn absorb_all<N: Network>(probers: &mut [Prober<N>], snapshot: &mut Snapshot) {
+    for prober in probers {
+        prober.absorb_into(snapshot);
+    }
 }
 
 /// An in-progress block between rounds (the checkpointed state).
@@ -280,10 +347,10 @@ impl AdaptiveCampaign {
     /// Runs the adaptive campaign over every sample block.
     pub fn run<N, F>(&self, base: &ScanConfig, make_world: F) -> AdaptiveOutcome
     where
-        N: Network,
+        N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
-        self.run_inner(base, None, false, &make_world)
+        self.run_inner(base, None, false, &mut self.probers(base, &make_world))
             .expect("in-memory run cannot hit checkpoint I/O")
     }
 
@@ -300,10 +367,15 @@ impl AdaptiveCampaign {
         make_world: F,
     ) -> Result<AdaptiveOutcome, StateError>
     where
-        N: Network,
+        N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
-        self.run_inner(base, Some(path), resume, &make_world)
+        self.run_inner(
+            base,
+            Some(path),
+            resume,
+            &mut self.probers(base, &make_world),
+        )
     }
 
     /// Runs the adaptive loop over a single sample block — the
@@ -320,40 +392,39 @@ impl AdaptiveCampaign {
         make_world: F,
     ) -> (BlockResult, Snapshot)
     where
-        N: Network,
+        N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
         let profile = &SAMPLE_BLOCKS[block];
+        let mut probers = self.probers(base, &make_world);
         let mut snapshot = Snapshot::default();
         let mut spent = 0u64;
-        let state = self.init_block(profile, base, &make_world, &mut snapshot, &mut spent);
+        let state = self.init_block(profile, &mut probers[0], &mut spent);
         let (done, _) = self
-            .run_block(
-                profile,
-                state,
-                base,
-                &make_world,
-                None,
-                0,
-                &[],
-                &mut snapshot,
-                &mut spent,
-            )
+            .run_block(state, &mut probers, None, 0, &[], &mut snapshot, &mut spent)
             .expect("in-memory block run cannot hit checkpoint I/O");
         (done, snapshot)
     }
 
-    fn run_inner<N, F>(
+    /// Builds the campaign's probers, one per worker — the only place
+    /// this module constructs a telemetry bundle, a world or a scanner.
+    fn probers<N: Network>(
+        &self,
+        base: &ScanConfig,
+        make_world: &impl Fn(&Telemetry) -> N,
+    ) -> Vec<Prober<N>> {
+        (0..self.workers)
+            .map(|_| Prober::new(base, make_world))
+            .collect()
+    }
+
+    fn run_inner<N: Network + Send>(
         &self,
         base: &ScanConfig,
         path: Option<&Path>,
         resume: bool,
-        make_world: &F,
-    ) -> Result<AdaptiveOutcome, StateError>
-    where
-        N: Network,
-        F: Fn(&Telemetry) -> N + Sync,
-    {
+        probers: &mut [Prober<N>],
+    ) -> Result<AdaptiveOutcome, StateError> {
         let fp = self.fingerprint(base);
         let mut blocks: Vec<BlockResult> = Vec::new();
         let mut snapshot = Snapshot::default();
@@ -377,13 +448,11 @@ impl AdaptiveCampaign {
                     debug_assert_eq!(p.block.profile_id, profile.id, "checkpoint block order");
                     p
                 }
-                None => self.init_block(profile, base, make_world, &mut snapshot, &mut spent_total),
+                None => self.init_block(profile, &mut probers[0], &mut spent_total),
             };
             let (done, interrupted) = self.run_block(
-                profile,
                 state,
-                base,
-                make_world,
+                probers,
                 path,
                 fp,
                 &blocks,
@@ -409,34 +478,26 @@ impl AdaptiveCampaign {
         })
     }
 
-    /// Builds a block's starting state: optional boundary inference,
-    /// then a fresh tree over the (possibly restricted) root.
-    fn init_block<N, F>(
+    /// Builds a block's starting state: optional boundary inference
+    /// (on `prober`, its metrics arriving with the block's first
+    /// absorbed delta), then a fresh tree over the (possibly
+    /// restricted) root.
+    fn init_block<N: Network>(
         &self,
         profile: &IspProfile,
-        base: &ScanConfig,
-        make_world: &F,
-        snapshot: &mut Snapshot,
+        prober: &mut Prober<N>,
         spent_total: &mut u64,
-    ) -> PartialBlock
-    where
-        N: Network,
-        F: Fn(&Telemetry) -> N + Sync,
-    {
+    ) -> PartialBlock {
         let mut stats = ScanStats::default();
         let mut probed = 0u64;
         let leaf_len = if self.infer {
-            let telemetry = Telemetry::new();
-            let network = make_world(&telemetry);
-            let mut scanner = Scanner::with_telemetry(network, base.clone(), telemetry.clone());
-            let inference = infer_boundary(&mut scanner, profile.scan_prefix(), 64, 3);
+            let inference = infer_boundary(prober.fresh(), profile.scan_prefix(), 64, 3);
             stats.merge(&ScanStats {
                 sent: inference.probes,
                 ..ScanStats::default()
             });
             probed += inference.probes;
             *spent_total += inference.probes;
-            snapshot.merge(&telemetry.registry.snapshot());
             inference.inferred_len.unwrap_or(profile.assigned_len)
         } else {
             profile.assigned_len
@@ -470,33 +531,27 @@ impl AdaptiveCampaign {
 
     /// Drives one block's rounds to completion (or the engine kill).
     #[allow(clippy::too_many_arguments)]
-    fn run_block<N, F>(
+    fn run_block<N: Network + Send>(
         &self,
-        profile: &IspProfile,
         mut state: PartialBlock,
-        base: &ScanConfig,
-        make_world: &F,
+        probers: &mut [Prober<N>],
         path: Option<&Path>,
         fp: u64,
         done_blocks: &[BlockResult],
         snapshot: &mut Snapshot,
         spent_total: &mut u64,
-    ) -> Result<(BlockResult, bool), StateError>
-    where
-        N: Network,
-        F: Fn(&Telemetry) -> N + Sync,
-    {
+    ) -> Result<(BlockResult, bool), StateError> {
         let cfg = &self.config;
         let mut seen: FxHashSet<Ip6> = state.block.peripheries.iter().map(|p| p.address).collect();
-        loop {
+        let interrupted = loop {
             if state.round >= cfg.max_rounds {
-                break;
+                break false;
             }
             // Fix the round's units in canonical frontier order; the
             // budget truncates deterministically.
             let mut remaining = cfg.probe_budget.saturating_sub(state.block.probed);
             if remaining == 0 {
-                break;
+                break false;
             }
             let mut units = Vec::new();
             for idx in state.tree.frontier() {
@@ -519,9 +574,9 @@ impl AdaptiveCampaign {
                 });
             }
             if units.is_empty() {
-                break; // frontier empty or fully drawn
+                break false; // frontier empty or fully drawn
             }
-            let results = self.run_round(&units, state.leaf_len, base, make_world);
+            let results = self.run_round(&units, state.leaf_len, probers);
 
             // Merge in unit-index order — the deterministic merge point.
             let mut round_drawn = 0u64;
@@ -534,14 +589,15 @@ impl AdaptiveCampaign {
                         continue;
                     }
                     round_new += 1;
-                    let mac = Mac::from_eui64(responder.iid())
-                        .filter(|_| classify_iid(*responder) == IidClass::Eui64);
+                    let iid_class = classify_iid(*responder);
+                    let mac =
+                        Mac::from_eui64(responder.iid()).filter(|_| iid_class == IidClass::Eui64);
                     state.block.peripheries.push(DiscoveredPeriphery {
                         address: *responder,
                         target: *target,
                         probe_dst: *probe_dst,
                         same64: responder.network(64) == probe_dst.network(64),
-                        iid_class: classify_iid(*responder),
+                        iid_class,
                         mac,
                         via_time_exceeded: *via_te,
                     });
@@ -551,7 +607,6 @@ impl AdaptiveCampaign {
                     .alias_candidates
                     .extend(r.aliases.iter().copied());
                 state.block.stats.merge(&r.stats);
-                snapshot.merge(&r.snapshot);
             }
             state.block.probed += round_drawn;
             *spent_total += round_drawn;
@@ -585,71 +640,66 @@ impl AdaptiveCampaign {
             }
 
             if let Some(p) = path {
+                // The checkpoint must carry exact metrics.
+                absorb_all(probers, snapshot);
                 write_ckpt(p, fp, done_blocks, snapshot, *spent_total, Some(&state))?;
             }
             if let Some(kill) = self.kill_after_probes {
                 if *spent_total >= kill {
-                    return Ok((state.block, true));
+                    break true;
                 }
             }
             if cfg.min_marginal > 0.0
                 && round_drawn > 0
                 && (round_new as f64 / round_drawn as f64) < cfg.min_marginal
             {
-                break;
+                break false;
             }
-        }
-        let _ = profile;
-        Ok((state.block, false))
+        };
+        absorb_all(probers, snapshot);
+        Ok((state.block, interrupted))
     }
 
-    /// Executes a round's units — possibly in parallel — returning
-    /// results in unit-index order regardless of scheduling.
-    fn run_round<N, F>(
+    /// Executes a round's units — possibly in parallel, one prober per
+    /// worker — returning results in unit-index order regardless of
+    /// scheduling.
+    fn run_round<N: Network + Send>(
         &self,
         units: &[Unit],
         leaf_len: u8,
-        base: &ScanConfig,
-        make_world: &F,
-    ) -> Vec<UnitResult>
-    where
-        N: Network,
-        F: Fn(&Telemetry) -> N + Sync,
-    {
-        let exec = |u: &Unit| -> UnitResult {
-            let telemetry = Telemetry::new();
-            let network = make_world(&telemetry);
-            let scanner = Scanner::with_telemetry(network, base.clone(), telemetry.clone());
-            run_unit(
-                u,
-                leaf_len,
-                base.seed,
-                base.hop_limit,
-                &self.blocklist,
-                scanner,
-                &telemetry,
-            )
+        probers: &mut [Prober<N>],
+    ) -> Vec<UnitResult> {
+        let exec = |u: &Unit, prober: &mut Prober<N>| {
+            run_unit(u, leaf_len, &self.blocklist, prober.fresh())
         };
-        let n_workers = self.workers.min(units.len()).max(1);
+        let round_probes: u64 = units.iter().map(|u| u.count).sum();
+        let n_workers = if round_probes < MIN_PARALLEL_ROUND_PROBES {
+            1
+        } else {
+            self.workers.min(units.len()).max(1)
+        };
         if n_workers == 1 {
-            return units.iter().map(exec).collect();
+            let prober = &mut probers[0];
+            return units.iter().map(|u| exec(u, prober)).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<UnitResult>>> =
             units.iter().map(|_| Mutex::new(None)).collect();
+        let work = |prober: &mut Prober<N>| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= units.len() {
+                break;
+            }
+            let r = exec(&units[i], prober);
+            match slots[i].lock() {
+                Ok(mut slot) => *slot = Some(r),
+                Err(poisoned) => *poisoned.into_inner() = Some(r),
+            }
+        };
         std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
-                        break;
-                    }
-                    let r = exec(&units[i]);
-                    match slots[i].lock() {
-                        Ok(mut slot) => *slot = Some(r),
-                        Err(poisoned) => *poisoned.into_inner() = Some(r),
-                    }
-                });
+            for prober in probers.iter_mut().take(n_workers) {
+                let work = &work;
+                scope.spawn(move || work(prober));
             }
             // scope joins every worker; a worker panic propagates here.
         });
@@ -677,19 +727,18 @@ fn node_seed(seed: u64, prefix: Prefix) -> u64 {
     fp.finish()
 }
 
-/// Runs one unit as a pure function of (unit, seed, world): draws the
-/// batch through the chunked [`IndexWalk`] streaming path, probes each
-/// leaf target once, and classifies responses with the campaign's
-/// transit filter and alias signature.
+/// Runs one unit as a pure function of (unit, seed, world) — `scanner`
+/// must sit over a just-reset network: draws the batch through the
+/// chunked [`IndexWalk`] streaming path, probes each leaf target once,
+/// and classifies responses with the campaign's transit filter and
+/// alias signature.
 fn run_unit<N: Network>(
     unit: &Unit,
     leaf_len: u8,
-    seed: u64,
-    hop_limit: u8,
     blocklist: &Blocklist,
-    mut scanner: Scanner<N>,
-    telemetry: &Telemetry,
+    scanner: &mut Scanner<N>,
 ) -> UnitResult {
+    let (seed, hop_limit) = (scanner.config().seed, scanner.config().hop_limit);
     let perm = FeistelPermutation::new(unit.span, node_seed(seed, unit.prefix));
     let mut walk = IndexWalk::Feistel {
         perm,
@@ -751,7 +800,6 @@ fn run_unit<N: Network>(
         finds,
         aliases,
         stats,
-        snapshot: telemetry.registry.snapshot(),
     }
 }
 
@@ -879,6 +927,7 @@ fn load_ckpt(path: &Path, expected_fp: u64) -> Result<Option<AdaptiveCkpt>, Stat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmap_netsim::fault::{FaultPlan, IcmpRateLimit};
     use xmap_netsim::world::{Allocation, World, WorldConfig};
 
     fn sparse_world(telemetry: &Telemetry) -> World {
@@ -938,6 +987,58 @@ mod tests {
         assert_eq!(one.snapshot.to_json(), four.snapshot.to_json());
     }
 
+    /// FNV-1a-64 over the CSV and metrics JSON of the run below,
+    /// captured at d1048cb where every unit still built a fresh world.
+    const GOLDEN_LIMITED_CSV: u64 = 0x2cb8_1a33_2ed4_9fb7;
+    const GOLDEN_LIMITED_METRICS: u64 = 0xcc40_3944_c2ae_5e06;
+
+    /// Devices that remember: a one-token bucket that never refills
+    /// within a campaign, so a prober that carried limiter state from
+    /// one unit into the next would lose replies a fresh world sends.
+    #[test]
+    fn reset_prober_matches_fresh_world_goldens_under_a_token_bucket() {
+        let fnv = |s: String| Fingerprint::new().push_bytes(s.as_bytes()).finish();
+        let limited = WorldConfig::lossless(99, 10)
+            .with_fault(
+                FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
+                    capacity: 1,
+                    refill_interval: 1 << 20,
+                    start_depleted_frac: 0.0,
+                }),
+            )
+            .with_allocation(Allocation::Clustered {
+                pod_bits: 8,
+                active_frac: 1.0 / 256.0,
+            });
+        let scan = ScanConfig {
+            seed: 7,
+            ..Default::default()
+        };
+        for workers in [1, 2, 4] {
+            let outcome = AdaptiveCampaign::new(AdaptiveConfig {
+                root_bits: Some(14),
+                ..AdaptiveConfig::default()
+            })
+            .with_workers(workers)
+            .run(&scan, |telemetry| {
+                let mut world = World::with_config(limited);
+                world.set_telemetry(telemetry);
+                world
+            });
+            assert_eq!(outcome.result.total_unique(), 351, "{workers} workers");
+            assert_eq!(
+                fnv(outcome.result.to_csv()),
+                GOLDEN_LIMITED_CSV,
+                "{workers} workers"
+            );
+            assert_eq!(
+                fnv(outcome.snapshot.to_json()),
+                GOLDEN_LIMITED_METRICS,
+                "{workers} workers"
+            );
+        }
+    }
+
     #[test]
     fn kill_and_resume_matches_uninterrupted() {
         let dir = std::env::temp_dir().join(format!("xmap-adaptive-{}", std::process::id()));
@@ -961,6 +1062,7 @@ mod tests {
         assert!(!resumed.interrupted);
         assert_eq!(resumed.result, baseline.result);
         assert_eq!(resumed.result.to_csv(), baseline.result.to_csv());
+        assert_eq!(resumed.snapshot.to_json(), baseline.snapshot.to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

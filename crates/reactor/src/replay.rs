@@ -529,6 +529,12 @@ impl<N: Network> Network for WireRecorder<N> {
         self.clock = tick;
         self.inner.restore_clock(tick);
     }
+
+    fn reset(&mut self) {
+        // The journal is kept; its tick stamps restart with the network's.
+        self.clock = 0;
+        self.inner.reset();
+    }
 }
 
 // ---------------------------------------------------------------------
