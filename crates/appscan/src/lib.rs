@@ -8,8 +8,6 @@
 //!   (UDP request/response; TCP SYN → handshake → request → response),
 //! * [`survey`] — the full campaign across peripheries and blocks
 //!   (Tables V and VII, Figures 2 and 3),
-//! * [`parallel`] — the same survey over a work-stealing worker pool
-//!   with a deterministic campaign-order merge,
 //! * [`software`] — banner parsing into (product, version) and staleness
 //!   analysis (Table VIII),
 //! * [`cve`] — the embedded CVE snapshot joining software versions to
@@ -21,14 +19,12 @@
 pub mod cve;
 pub mod dnsamp;
 pub mod grab;
-pub mod parallel;
 pub mod report;
 pub mod software;
 pub mod survey;
 
 pub use dnsamp::{assess, AmpAssessment, AmpQuery};
 pub use grab::{grab, grab_with, GrabOutcome};
-pub use parallel::ParallelServiceSurvey;
 pub use report::{fig2_rows, fig3_rows, VendorServiceMatrix};
 pub use software::{parse_banner, resolve_banner, SoftwareStats};
 pub use survey::{ServiceObservation, ServiceSurvey, SurveyRunner};

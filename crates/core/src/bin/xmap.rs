@@ -37,16 +37,13 @@
 //!       --kill-after-probes N abort the scan after the simulated world
 //!                          handles N probes (exit code 3; for testing
 //!                          checkpoint/resume)
-//!       --transport T      sim (default) | replay | tap. `sim` scans
-//!                          the simulated Internet; `replay` re-runs a
-//!                          recorded wire trace (requires --replay-trace);
-//!                          `tap` names the real-wire backend, which this
-//!                          offline build refuses with an explanation
 //!       --record-wire FILE record the run's wire traffic as an NDJSON
-//!                          trace replayable with --transport replay
+//!                          trace replayable with --replay-trace
 //!                          (single worker, no --checkpoint)
-//!       --replay-trace FILE the recorded trace to replay; implies
-//!                          --transport replay when --transport is absent
+//!       --replay-trace FILE scan against the recorded trace instead of
+//!                          the simulated Internet; any divergence from
+//!                          the recording is an error
+//!                          (single worker, no --checkpoint)
 //!   -q, --quiet            suppress the summary and status lines on stderr
 //!
 //! An interrupted checkpointed scan exits with code 3; rerunning the same
@@ -70,7 +67,7 @@ use xmap::{
 use xmap_netsim::packet::Network;
 use xmap_netsim::services::{AppRequest, ServiceKind};
 use xmap_netsim::{KillPoint, World};
-use xmap_reactor::{ReplayNet, TapConfig, WireRecorder};
+use xmap_reactor::{ReplayNet, WireRecorder};
 use xmap_state::{AbortSignal, StateError};
 use xmap_telemetry::{Monitor, Telemetry};
 
@@ -98,7 +95,6 @@ struct CliConfig {
     checkpoint_every: u64,
     resume: bool,
     kill_after_probes: Option<u64>,
-    transport: TransportChoice,
     record_wire: Option<String>,
     replay_trace: Option<String>,
 }
@@ -108,16 +104,6 @@ enum ModuleChoice {
     Icmp,
     Udp,
     Tcp,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransportChoice {
-    /// The simulated Internet.
-    Sim,
-    /// A recorded wire trace.
-    Replay,
-    /// A real TAP device — refused by this build.
-    Tap,
 }
 
 impl Default for CliConfig {
@@ -144,7 +130,6 @@ impl Default for CliConfig {
             checkpoint_every: 1024,
             resume: false,
             kill_after_probes: None,
-            transport: TransportChoice::Sim,
             record_wire: None,
             replay_trace: None,
         }
@@ -153,9 +138,6 @@ impl Default for CliConfig {
 
 fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     let mut cfg = CliConfig::default();
-    // `None` until --transport is given: --replay-trace then implies the
-    // replay transport, while an explicit other choice contradicts it.
-    let mut transport = None;
     let mut iter = args.iter().peekable();
     let value = |iter: &mut std::iter::Peekable<std::slice::Iter<String>>,
                  flag: &str|
@@ -247,14 +229,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
                     .map_err(|_| "checkpoint-every must be an integer".to_owned())?;
             }
             "--resume" => cfg.resume = true,
-            "--transport" => {
-                transport = Some(match value(&mut iter, arg)?.as_str() {
-                    "sim" => TransportChoice::Sim,
-                    "replay" => TransportChoice::Replay,
-                    "tap" => TransportChoice::Tap,
-                    other => return Err(format!("unknown transport {other:?}")),
-                });
-            }
             "--record-wire" => cfg.record_wire = Some(value(&mut iter, arg)?),
             "--replay-trace" => cfg.replay_trace = Some(value(&mut iter, arg)?),
             "--kill-after-probes" => {
@@ -277,11 +251,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             }
         }
     }
-    cfg.transport = transport.unwrap_or(if cfg.replay_trace.is_some() {
-        TransportChoice::Replay
-    } else {
-        TransportChoice::Sim
-    });
     if cfg.targets.ranges().is_empty() {
         return Err("at least one target range is required".to_owned());
     }
@@ -299,12 +268,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     }
     if cfg.checkpoint.is_some() && cfg.trace_out.is_some() {
         return Err("--trace-out is not supported with --checkpoint".to_owned());
-    }
-    if cfg.transport == TransportChoice::Replay && cfg.replay_trace.is_none() {
-        return Err("--transport replay requires --replay-trace <file>".to_owned());
-    }
-    if cfg.replay_trace.is_some() && cfg.transport != TransportChoice::Replay {
-        return Err("--replay-trace requires --transport replay (or omit --transport)".to_owned());
     }
     if cfg.replay_trace.is_some() && cfg.record_wire.is_some() {
         return Err("--record-wire and --replay-trace are mutually exclusive".to_owned());
@@ -423,12 +386,6 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
                 .map_err(|e| format!("bad blocklist prefix {p:?}: {e}"))?,
             Verdict::Deny,
         );
-    }
-    if cfg.transport == TransportChoice::Tap {
-        // The stub's error is the canonical explanation of what a
-        // real-wire build would need.
-        let err = xmap_reactor::tap::open(&TapConfig::default()).unwrap_err();
-        return Err(err.to_string());
     }
     let scan_config = ScanConfig {
         seed: cfg.seed,
@@ -921,38 +878,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_transport_flags() {
-        for line in ["2405:200::/32", "--transport sim 2405:200::/32"] {
-            let cfg = parse_args(&args(line)).unwrap();
-            assert_eq!(cfg.transport, TransportChoice::Sim, "{line}");
-        }
-        // --replay-trace implies the replay transport, whichever side of
-        // an explicit --transport replay it appears on.
-        for line in [
-            "--replay-trace /tmp/w.ndjson 2405:200::/32",
-            "--replay-trace /tmp/w.ndjson --transport replay 2405:200::/32",
-            "--transport replay --replay-trace /tmp/w.ndjson 2405:200::/32",
-        ] {
-            let cfg = parse_args(&args(line)).unwrap();
-            assert_eq!(cfg.transport, TransportChoice::Replay, "{line}");
-            assert_eq!(cfg.replay_trace.as_deref(), Some("/tmp/w.ndjson"));
-        }
-        let err = parse_args(&args("--transport nope 2405:200::/32")).unwrap_err();
-        assert!(err.contains("unknown transport"), "{err}");
-        assert!(
-            parse_args(&args("--transport replay 2405:200::/32")).is_err(),
-            "replay needs a trace file"
-        );
-        // An explicit non-replay transport contradicts a trace, in
-        // either flag order — it is never silently overridden.
-        for line in [
-            "--transport sim --replay-trace /tmp/w 2405:200::/32",
-            "--replay-trace /tmp/w --transport sim 2405:200::/32",
-            "--transport tap --replay-trace /tmp/w 2405:200::/32",
-        ] {
-            let err = parse_args(&args(line)).unwrap_err();
-            assert!(err.contains("requires --transport replay"), "{line}: {err}");
-        }
+    fn parses_wire_trace_flags() {
+        // The trace file alone selects replay.
+        let cfg = parse_args(&args("--replay-trace /tmp/w.ndjson 2405:200::/32")).unwrap();
+        assert_eq!(cfg.replay_trace.as_deref(), Some("/tmp/w.ndjson"));
+        let err = parse_args(&args("--transport sim 2405:200::/32")).unwrap_err();
+        assert!(err.contains("unknown option"), "{err}");
         assert!(parse_args(&args(
             "--record-wire /tmp/a --replay-trace /tmp/b 2405:200::/32"
         ))
@@ -965,13 +896,6 @@ mod tests {
             "--checkpoint /tmp/ck --replay-trace /tmp/w 2405:200::/32"
         ))
         .is_err());
-    }
-
-    #[test]
-    fn tap_transport_refuses_with_explanation() {
-        let cfg = parse_args(&args("-x 8 -q --transport tap 2402:3a80::/32-64")).unwrap();
-        let err = run(cfg).unwrap_err();
-        assert!(err.contains("TAP transport unavailable"), "{err}");
     }
 
     /// A `--record-wire` run's trace must replay to the same CSV through

@@ -30,7 +30,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xmap_addr::{Prefix, ScanRange};
+use xmap_addr::ScanRange;
 use xmap_netsim::packet::{Network, UnreachCode};
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{AbortSignal, Manifest, RunState, StateError, Wal, WorkerCheckpoint};
@@ -697,13 +697,29 @@ pub fn run_session<N: Network + Send>(
 }
 
 /// Binary-encodes one journalled record: the range index it belongs to,
-/// then the record fields (little-endian, same codec as the checkpoint
-/// sections).
+/// then the record ([`encode_scan_record`]).
 fn encode_record(range_index: u32, r: &ScanRecord) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u32(range_index);
-    e.u128(r.target.addr().bits());
-    e.u8(r.target.len());
+    encode_scan_record(&mut e, r);
+    e.finish()
+}
+
+/// Decodes a record written by [`encode_record`].
+fn decode_record(raw: &[u8]) -> Result<(u32, ScanRecord), StateError> {
+    let mut d = Decoder::new(raw, "journalled record");
+    let range_index = d.u32()?;
+    let record = decode_scan_record(&mut d)?;
+    d.expect_end()?;
+    Ok((range_index, record))
+}
+
+/// The one wire layout of a [`ScanRecord`] (little-endian, same codec as
+/// the checkpoint sections), shared by the session journal and the
+/// campaign-unit checkpoints: target prefix, `probe_dst`, `responder`,
+/// result tag, confidence tag.
+pub fn encode_scan_record(e: &mut Encoder, r: &ScanRecord) {
+    e.prefix(&r.target);
     e.u128(r.probe_dst.bits());
     e.u128(r.responder.bits());
     match r.result {
@@ -731,22 +747,13 @@ fn encode_record(range_index: u32, r: &ScanRecord) -> Vec<u8> {
             e.u32(n);
         }
     }
-    e.finish()
 }
 
-/// Decodes a record written by [`encode_record`].
-fn decode_record(raw: &[u8]) -> Result<(u32, ScanRecord), StateError> {
-    let what = "journalled record";
-    let mut d = Decoder::new(raw, what);
-    let range_index = d.u32()?;
-    let addr = d.u128()?;
-    let len = d.u8()?;
-    if len > 128 {
-        return Err(StateError::Corrupt(format!(
-            "{what}: invalid prefix length {len}"
-        )));
-    }
-    let target = Prefix::new(addr.into(), len);
+/// Inverse of [`encode_scan_record`].
+pub fn decode_scan_record(d: &mut Decoder) -> Result<ScanRecord, StateError> {
+    let unknown =
+        |field: &str, tag: u8| StateError::Corrupt(format!("scan record: unknown {field} {tag}"));
+    let target = d.prefix()?;
     let probe_dst = d.u128()?.into();
     let responder = d.u128()?.into();
     let result = match d.u8()? {
@@ -759,42 +766,26 @@ fn decode_record(raw: &[u8]) -> Result<(u32, ScanRecord), StateError> {
                 4 => UnreachCode::PortUnreachable,
                 5 => UnreachCode::SourcePolicy,
                 6 => UnreachCode::RejectRoute,
-                t => {
-                    return Err(StateError::Corrupt(format!(
-                        "{what}: unknown unreachable code {t}"
-                    )))
-                }
+                t => return Err(unknown("unreachable code", t)),
             },
         },
         2 => ProbeResult::TimeExceeded,
         3 => ProbeResult::Refused,
         4 => ProbeResult::Invalid,
-        t => {
-            return Err(StateError::Corrupt(format!(
-                "{what}: unknown result tag {t}"
-            )))
-        }
+        t => return Err(unknown("result tag", t)),
     };
     let confidence = match d.u8()? {
         0 => Confidence::FirstTry,
         1 => Confidence::Retry(d.u32()?),
-        t => {
-            return Err(StateError::Corrupt(format!(
-                "{what}: unknown confidence tag {t}"
-            )))
-        }
+        t => return Err(unknown("confidence tag", t)),
     };
-    d.expect_end()?;
-    Ok((
-        range_index,
-        ScanRecord {
-            target,
-            probe_dst,
-            responder,
-            result,
-            confidence,
-        },
-    ))
+    Ok(ScanRecord {
+        target,
+        probe_dst,
+        responder,
+        result,
+        confidence,
+    })
 }
 
 #[cfg(test)]
@@ -832,12 +823,21 @@ mod tests {
             rec(ProbeResult::Refused, Confidence::FirstTry),
             rec(ProbeResult::Invalid, Confidence::FirstTry),
         ];
+        let mut wire = xmap_state::Fingerprint::new();
         for (i, r) in cases.iter().enumerate() {
             let raw = encode_record(i as u32, r);
+            wire.push_bytes(&raw);
             let (ri, back) = decode_record(&raw).unwrap();
             assert_eq!(ri, i as u32);
             assert_eq!(&back, r);
         }
+        // The journal's bytes on disk, pinned: a session directory written
+        // by an older build must keep decoding.
+        assert_eq!(
+            wire.finish(),
+            0x7fa6_d5a5_1ff3_4573,
+            "journal record wire form changed"
+        );
     }
 
     #[test]

@@ -331,9 +331,7 @@ impl<N: Network + Send> ParallelScanner<N> {
         }
         let mut merged = ScanResults::default();
         for one in results.into_iter().flatten() {
-            merged.stats.merge(&one.stats);
-            merged.records.extend(one.records);
-            merged.silent_targets.extend(one.silent_targets);
+            merged.absorb(one);
         }
         // Stable sort: a target's own records (e.g. fault-plan duplicates)
         // keep their single worker's arrival order.
@@ -355,10 +353,7 @@ impl<N: Network + Send> ParallelScanner<N> {
     ) -> ScanResults {
         let mut all = ScanResults::default();
         for r in ranges {
-            let one = self.run(r, module, blocklist);
-            all.stats.merge(&one.stats);
-            all.records.extend(one.records);
-            all.silent_targets.extend(one.silent_targets);
+            all.absorb(self.run(r, module, blocklist));
         }
         all
     }
@@ -435,40 +430,32 @@ impl<N: Network + Send> ParallelScanner<N> {
                 })
                 .collect()
         });
-        let outs: Vec<Vec<ScanResults>> = outs
+        // Each worker's list is a prefix of `ranges`, so draining the
+        // lists in step visits range `ri` of every worker that reached it.
+        let mut outs: Vec<std::vec::IntoIter<ScanResults>> = outs
             .into_iter()
             .enumerate()
             .map(|(w, out)| match out {
-                Ok(per_range) => per_range,
+                Ok(per_range) => per_range.into_iter(),
                 Err(_) => {
                     self.panics += 1;
                     if !self.poisoned.contains(&w) {
                         self.poisoned.push(w);
                     }
-                    Vec::new()
+                    Vec::new().into_iter()
                 }
             })
             .collect();
         let mut merged = ScanResults::default();
         merged.interrupted |= !self.poisoned.is_empty();
-        for ri in 0..ranges.len() {
+        for _ in ranges {
             let mut bucket = ScanResults::default();
-            for worker_out in &outs {
-                if let Some(one) = worker_out.get(ri) {
-                    bucket.stats.merge(&one.stats);
-                    bucket.records.extend(one.records.iter().cloned());
-                    bucket
-                        .silent_targets
-                        .extend(one.silent_targets.iter().copied());
-                    bucket.interrupted |= one.interrupted;
-                }
+            for one in outs.iter_mut().filter_map(Iterator::next) {
+                bucket.absorb(one);
             }
             bucket.records.sort_by_key(|r| r.target);
             bucket.silent_targets.sort_unstable();
-            merged.stats.merge(&bucket.stats);
-            merged.records.extend(bucket.records);
-            merged.silent_targets.extend(bucket.silent_targets);
-            merged.interrupted |= bucket.interrupted;
+            merged.absorb(bucket);
         }
         merged
     }
@@ -835,6 +822,20 @@ mod tests {
         assert_eq!(snap.counter(names::EXEC_WORKER_PANICS), 1);
         assert_eq!(snap.counter(names::EXEC_POISONED), 1);
         assert_eq!(snap.counter(names::EXEC_REQUEUED), 0);
+    }
+
+    #[test]
+    fn run_all_reports_a_poisoned_shard() {
+        use xmap_failpoint::exec::ExecPlan;
+        let mut ps = parallel(2, 64);
+        ps.set_supervision(Supervision { max_attempts: 1 });
+        ps.set_exec_faults(ExecPlan::panic_on(1, 0).armed());
+        let results = ps.run_all(&[range(), range()], &IcmpEchoProbe, &Blocklist::allow_all());
+        assert_eq!(ps.poisoned_shards(), &[1]);
+        assert!(
+            results.interrupted,
+            "a multi-range scan must not hide its poisoned shard"
+        );
     }
 
     #[test]

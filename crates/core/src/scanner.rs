@@ -226,6 +226,19 @@ pub struct ScanResults {
     pub yielded: bool,
 }
 
+impl ScanResults {
+    /// Folds another run's results into these: counters merge, `records`
+    /// and `silent_targets` append, `interrupted` ORs. The per-run walk
+    /// fields (`record_positions`, `silent_positions`, `consumed`,
+    /// `yielded`) describe one run's walk and are not carried.
+    pub fn absorb(&mut self, other: ScanResults) {
+        self.stats.merge(&other.stats);
+        self.records.extend(other.records);
+        self.silent_targets.extend(other.silent_targets);
+        self.interrupted |= other.interrupted;
+    }
+}
+
 /// The scanner: a [`ProbeModule`] driven over a permuted target space
 /// against any [`Network`].
 ///
@@ -347,11 +360,6 @@ impl<N: Network> Scanner<N> {
     /// Attaches a live monitor, polled once per virtual tick during runs.
     pub fn set_monitor(&mut self, monitor: Monitor) {
         self.monitor = Some(monitor);
-    }
-
-    /// Detaches the monitor, returning it.
-    pub fn take_monitor(&mut self) -> Option<Monitor> {
-        self.monitor.take()
     }
 
     /// Arms a cooperative abort: the scanner checks the signal at each
@@ -724,9 +732,8 @@ impl<N: Network> Scanner<N> {
                 if retry_armed {
                     let backoff = self.config.rto_ticks << attempt;
                     self.metrics.backoff_ticks.record(backoff);
-                    let deadline = run.now + backoff;
                     run.retries.arm(
-                        deadline,
+                        run.now + backoff,
                         RetryTimer {
                             target,
                             attempt: attempt + 1,
@@ -734,7 +741,6 @@ impl<N: Network> Scanner<N> {
                             position,
                         },
                     );
-                    self.transport.register_deadline(deadline);
                 }
                 send_buf.push(probe);
                 self.transport.send_batch(&mut send_buf);
@@ -989,9 +995,7 @@ impl<N: Network> Scanner<N> {
     ) -> ScanResults {
         let mut all = ScanResults::default();
         for r in ranges {
-            let one = self.run(r, module, blocklist);
-            all.stats.merge(&one.stats);
-            all.records.extend(one.records);
+            all.absorb(self.run(r, module, blocklist));
         }
         all
     }
@@ -1723,6 +1727,30 @@ mod tests {
             "{}",
             res.stats.paced_secs
         );
+    }
+
+    #[test]
+    fn run_all_keeps_every_ranges_silent_targets() {
+        let ranges = [range(), "2001:200::/32-64".parse().unwrap()];
+        let mut s = Scanner::new(
+            ToyNet { handled: 0 },
+            ScanConfig {
+                max_targets: Some(64),
+                record_silent: true,
+                ..Default::default()
+            },
+        );
+        let all = s.run_all(&ranges, &IcmpEchoProbe, &Blocklist::allow_all());
+        // Every probed target either answered or is listed silent.
+        assert_eq!(all.records.len() + all.silent_targets.len(), 128);
+        for r in &ranges {
+            assert!(
+                all.silent_targets
+                    .iter()
+                    .any(|t| r.base().contains(t.addr())),
+                "no silent target under {r:?} survived the merge"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! * [`survey`] — the Internet-wide survey over BGP-advertised prefixes
 //!   (Tables IX and X, Figure 5) and the depth survey over the fifteen
 //!   sample blocks (Table XI, Figure 6),
-//! * [`parallel`] — a work-stealing parallel driver for the BGP survey
-//!   (private world replicas, entry-order merge),
 //! * [`amplification`] — packet-level amplification measurement on the
 //!   explicit engine, including the spoofed-source doubling trick
 //!   (Section VI-A's >200× factor),
@@ -24,7 +22,6 @@ pub mod case_study;
 pub mod detect;
 pub mod disclosure;
 pub mod mitigation;
-pub mod parallel;
 pub mod survey;
 pub mod telemetry;
 
@@ -36,6 +33,5 @@ pub use case_study::{run_case_studies, CaseStudyRow};
 pub use detect::{detect_loop, detect_loop_with, LoopVerdict, PROBE_HOP_LIMIT};
 pub use disclosure::{DisclosureCampaign, OperatorNotice, Severity, VendorAdvisory};
 pub use mitigation::{patch_model, verify_mitigation, MitigationReport};
-pub use parallel::ParallelBgpSurvey;
 pub use survey::{BgpSurvey, BgpSurveyResult, DepthSurvey, DepthSurveyResult};
 pub use telemetry::LoopscanTelemetry;

@@ -40,7 +40,6 @@ pub mod selftest;
 pub mod services;
 pub mod telemetry;
 pub mod topology;
-pub mod trace;
 pub mod world;
 
 pub use device::{Device, DeviceKind};

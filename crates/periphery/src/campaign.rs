@@ -8,13 +8,13 @@
 //! extracts MAC addresses from EUI-64 IIDs — exactly the columns of
 //! Table II.
 
+use xmap::checkpoint::{decode_scan_record, encode_scan_record};
 use xmap::{
-    Blocklist, Confidence, IcmpEchoProbe, ProbeModule, ProbeResult, ScanConfig, ScanRecord,
-    ScanStats, Scanner,
+    Blocklist, IcmpEchoProbe, ProbeModule, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner,
 };
 use xmap_addr::{classify_iid, FxHashSet, IidClass, IidHistogram, Ip6, Mac, Prefix};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
-use xmap_netsim::packet::{Network, UnreachCode};
+use xmap_netsim::packet::Network;
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{Fingerprint, StateError};
 use xmap_telemetry::Tracer;
@@ -704,58 +704,6 @@ pub(crate) struct UnitRaw {
     pub mopup_span: Option<(u64, u64)>,
 }
 
-/// [`ProbeResult`] wire tags for the unit codec (stable across
-/// versions, like [`encode_block`]'s IID-class indices).
-fn encode_probe_result(e: &mut Encoder, r: &ProbeResult) {
-    match r {
-        ProbeResult::Alive => e.u8(0),
-        ProbeResult::Unreachable { code } => {
-            e.u8(1);
-            e.u8(match code {
-                UnreachCode::NoRoute => 0,
-                UnreachCode::AdminProhibited => 1,
-                UnreachCode::AddressUnreachable => 3,
-                UnreachCode::PortUnreachable => 4,
-                UnreachCode::SourcePolicy => 5,
-                UnreachCode::RejectRoute => 6,
-            });
-        }
-        ProbeResult::TimeExceeded => e.u8(2),
-        ProbeResult::Refused => e.u8(3),
-        ProbeResult::Invalid => e.u8(4),
-    }
-}
-
-fn decode_probe_result(d: &mut Decoder) -> Result<ProbeResult, StateError> {
-    Ok(match d.u8()? {
-        0 => ProbeResult::Alive,
-        1 => {
-            let code = match d.u8()? {
-                0 => UnreachCode::NoRoute,
-                1 => UnreachCode::AdminProhibited,
-                3 => UnreachCode::AddressUnreachable,
-                4 => UnreachCode::PortUnreachable,
-                5 => UnreachCode::SourcePolicy,
-                6 => UnreachCode::RejectRoute,
-                c => {
-                    return Err(StateError::Corrupt(format!(
-                        "campaign unit: unknown unreachable code {c}"
-                    )))
-                }
-            };
-            ProbeResult::Unreachable { code }
-        }
-        2 => ProbeResult::TimeExceeded,
-        3 => ProbeResult::Refused,
-        4 => ProbeResult::Invalid,
-        t => {
-            return Err(StateError::Corrupt(format!(
-                "campaign unit: unknown probe result tag {t}"
-            )))
-        }
-    })
-}
-
 fn encode_stats(e: &mut Encoder, s: &ScanStats) {
     for v in [
         s.sent,
@@ -796,27 +744,17 @@ pub(crate) fn encode_unit_raw(e: &mut Encoder, u: &UnitRaw) {
     e.seq(u.records.len());
     for (r, pos) in u.records.iter().zip(&u.positions) {
         e.u64(*pos);
-        encode_prefix(e, &r.target);
-        e.u128(r.probe_dst.bits());
-        e.u128(r.responder.bits());
-        encode_probe_result(e, &r.result);
-        match r.confidence {
-            Confidence::FirstTry => e.u8(0),
-            Confidence::Retry(n) => {
-                e.u8(1);
-                e.u32(n);
-            }
-        }
+        encode_scan_record(e, r);
     }
     e.seq(u.silent.len());
     for (t, pos) in u.silent.iter().zip(&u.silent_positions) {
         e.u64(*pos);
-        encode_prefix(e, t);
+        e.prefix(t);
     }
     e.seq(u.mopup.len());
     for a in &u.mopup {
         e.u64(a.position);
-        encode_prefix(e, &a.target);
+        e.prefix(&a.target);
         e.u128(a.probe_dst.bits());
         e.u128(a.responder.bits());
         e.bool(a.via_te);
@@ -847,40 +785,21 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
     let mut positions = Vec::with_capacity(n);
     for _ in 0..n {
         positions.push(d.u64()?);
-        let target = decode_prefix(d)?;
-        let probe_dst = d.u128()?.into();
-        let responder = d.u128()?.into();
-        let result = decode_probe_result(d)?;
-        let confidence = match d.u8()? {
-            0 => Confidence::FirstTry,
-            1 => Confidence::Retry(d.u32()?),
-            t => {
-                return Err(StateError::Corrupt(format!(
-                    "campaign unit: unknown confidence tag {t}"
-                )))
-            }
-        };
-        records.push(ScanRecord {
-            target,
-            probe_dst,
-            responder,
-            result,
-            confidence,
-        });
+        records.push(decode_scan_record(d)?);
     }
     let n = d.seq()?;
     let mut silent = Vec::with_capacity(n);
     let mut silent_positions = Vec::with_capacity(n);
     for _ in 0..n {
         silent_positions.push(d.u64()?);
-        silent.push(decode_prefix(d)?);
+        silent.push(d.prefix()?);
     }
     let n = d.seq()?;
     let mut mopup = Vec::with_capacity(n);
     for _ in 0..n {
         mopup.push(MopAnswer {
             position: d.u64()?,
-            target: decode_prefix(d)?,
+            target: d.prefix()?,
             probe_dst: d.u128()?.into(),
             responder: d.u128()?.into(),
             via_te: d.bool()?,
@@ -910,22 +829,6 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
     })
 }
 
-fn encode_prefix(e: &mut Encoder, p: &Prefix) {
-    e.u128(p.addr().bits());
-    e.u8(p.len());
-}
-
-fn decode_prefix(d: &mut Decoder) -> Result<Prefix, StateError> {
-    let addr = d.u128()?;
-    let len = d.u8()?;
-    if len > 128 {
-        return Err(StateError::Corrupt(format!(
-            "campaign blocks: invalid prefix length {len}"
-        )));
-    }
-    Ok(Prefix::new(addr.into(), len))
-}
-
 /// Serialises one [`BlockResult`] into `e` in the `xmap-checkpoint/v1`
 /// campaign-block wire form. Exposed so external executors (the
 /// `xmap-serve` daemon) can persist per-block campaign units in the
@@ -935,7 +838,7 @@ pub fn encode_block(e: &mut Encoder, b: &BlockResult) {
     e.seq(b.peripheries.len());
     for p in &b.peripheries {
         e.u128(p.address.bits());
-        encode_prefix(e, &p.target);
+        e.prefix(&p.target);
         e.u128(p.probe_dst.bits());
         e.bool(p.same64);
         // IID class as its index in the canonical ALL ordering.
@@ -969,7 +872,7 @@ pub fn encode_block(e: &mut Encoder, b: &BlockResult) {
     e.u128(b.space_size);
     e.seq(b.alias_candidates.len());
     for p in &b.alias_candidates {
-        encode_prefix(e, p);
+        e.prefix(p);
     }
     e.u64(b.mop_up_recovered as u64);
 }
@@ -982,7 +885,7 @@ pub fn decode_block(d: &mut Decoder) -> Result<BlockResult, StateError> {
     let mut peripheries = Vec::with_capacity(n);
     for _ in 0..n {
         let address: Ip6 = d.u128()?.into();
-        let target = decode_prefix(d)?;
+        let target = d.prefix()?;
         let probe_dst = d.u128()?.into();
         let same64 = d.bool()?;
         let class_idx = d.u8()? as usize;
@@ -1028,7 +931,7 @@ pub fn decode_block(d: &mut Decoder) -> Result<BlockResult, StateError> {
     let n_alias = d.seq()?;
     let mut alias_candidates = Vec::with_capacity(n_alias);
     for _ in 0..n_alias {
-        alias_candidates.push(decode_prefix(d)?);
+        alias_candidates.push(d.prefix()?);
     }
     let mop_up_recovered = d.u64()? as usize;
     Ok(BlockResult {
@@ -1182,6 +1085,13 @@ mod tests {
         let mut e = Encoder::new();
         encode_unit_raw(&mut e, &raw);
         let bytes = e.finish();
+        // The unit checkpoint's bytes on disk, pinned: a campaign directory
+        // written by an older build must keep decoding.
+        assert_eq!(
+            Fingerprint::new().push_bytes(&bytes).finish(),
+            0xaa5e_7221_bf1d_8ad0,
+            "campaign-unit wire form changed"
+        );
         let mut d = Decoder::new(&bytes, "test");
         let back = decode_unit_raw(&mut d).unwrap();
         d.expect_end().unwrap();

@@ -11,11 +11,10 @@
 //!   reported (saturation counter + high watermark), never enforced by
 //!   dropping: a reply that made it off the wire is always delivered.
 //! * [`Transport`] — the boundary the scan loop drives: `send_batch` /
-//!   `poll_recv` / `advance` / deadline registration and a clock.
+//!   `poll_recv` / `advance` and a clock.
 //!   [`SimTransport`] wraps any `Network` — the simulator, a
 //!   [`WireRecorder`] around it, or a [`ReplayNet`] re-serving a recorded
-//!   NDJSON wire trace; the feature-gated [`tap`] stub documents the
-//!   real-wire shape.
+//!   NDJSON wire trace.
 //!
 //! Determinism contract: a transport stamps every delivered packet with
 //! the virtual tick it arrived at ([`RecvEntry::tick`]), and delivers
@@ -28,12 +27,10 @@
 
 pub mod queue;
 pub mod replay;
-pub mod tap;
 pub mod timer;
 pub mod transport;
 
 pub use queue::BoundedQueue;
 pub use replay::{ReplayError, ReplayNet, WireRecorder};
-pub use tap::{TapConfig, TapError};
 pub use timer::{TimerHeap, TimerId};
 pub use transport::{RecvEntry, SimTransport, Transport};

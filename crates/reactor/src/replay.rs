@@ -8,7 +8,7 @@
 //! replies in order, so a scan with the same seed and configuration
 //! reproduces the original run's artifacts byte for byte without the
 //! simulator (or, one day, the wire) being present. A scanner built
-//! over a `ReplayNet` is the backend behind `--transport replay`.
+//! over a `ReplayNet` is the backend behind `--replay-trace`.
 //!
 //! ## Trace format (`xmap-wire-trace/v1`)
 //!

@@ -24,7 +24,7 @@ pub struct RecvEntry {
 }
 
 /// What the scan loop drives instead of a raw [`Network`]: batched
-/// sends, polled receives, a virtual clock, and deadline registration.
+/// sends, polled receives and a virtual clock.
 ///
 /// ## Contract
 ///
@@ -45,9 +45,6 @@ pub struct RecvEntry {
 ///   boundary it forgets every sent probe no retry timer still names. A
 ///   reply that breaks the promise finds no probe to attribute it to and
 ///   is tallied `invalid`, like any other unattributable reply.
-/// * [`register_deadline`](Transport::register_deadline) hints the next
-///   engine timer. The simulator ignores it; a real-wire backend bounds
-///   its blocking poll by it (see [`crate::tap`]).
 pub trait Transport {
     /// Sends every probe in `probes` (drained).
     fn send_batch(&mut self, probes: &mut Vec<Ipv6Packet>);
@@ -68,9 +65,6 @@ pub trait Transport {
     /// promises that no reply to any probe sent so far is still to come
     /// (see the contract above); overcounting is always safe.
     fn in_flight(&self) -> usize;
-
-    /// Hints the earliest engine deadline; default ignores it.
-    fn register_deadline(&mut self, _deadline: u64) {}
 
     /// Flushes any batched transport-side telemetry.
     fn flush_telemetry(&mut self) {}
@@ -116,11 +110,6 @@ impl<N: Network> SimTransport<N> {
     /// Consumes the transport, returning the network.
     pub fn into_network(self) -> N {
         self.net
-    }
-
-    /// The receive queue's deepest point so far.
-    pub fn recv_high_watermark(&self) -> usize {
-        self.queue.high_watermark()
     }
 
     /// Pushes staged replies from `scratch` into the queue, stamped now.

@@ -432,20 +432,6 @@ pub fn read_sectioned(
     Ok((header, sections))
 }
 
-fn encode_prefix(e: &mut Encoder, p: &Prefix) {
-    e.u128(p.addr().bits());
-    e.u8(p.len());
-}
-
-fn decode_prefix(d: &mut Decoder) -> Result<Prefix, StateError> {
-    let addr = d.u128()?;
-    let len = d.u8()?;
-    if len > 128 {
-        return Err(StateError::Corrupt(format!("invalid prefix length {len}")));
-    }
-    Ok(Prefix::new(addr.into(), len))
-}
-
 /// Binary-encodes a telemetry snapshot (exact, unlike the JSON export
 /// which is for human/CI consumption).
 pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
@@ -543,7 +529,7 @@ pub fn encode_run_state(run: &RunState) -> Vec<u8> {
     e.seq(run.outstanding.len());
     for o in &run.outstanding {
         e.u128(o.dst);
-        encode_prefix(&mut e, &o.target);
+        e.prefix(&o.target);
         e.u32(o.attempt);
         e.bool(o.answered);
         e.u64(o.sent_tick);
@@ -552,7 +538,7 @@ pub fn encode_run_state(run: &RunState) -> Vec<u8> {
     for r in &run.retries {
         e.u64(r.due_tick);
         e.u64(r.seq);
-        encode_prefix(&mut e, &r.target);
+        e.prefix(&r.target);
         e.u32(r.attempt);
         e.u128(r.prev_dst);
     }
@@ -602,7 +588,7 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
     for _ in 0..d.seq()? {
         outstanding.push(OutstandingEntry {
             dst: d.u128()?,
-            target: decode_prefix(&mut d)?,
+            target: d.prefix()?,
             attempt: d.u32()?,
             answered: d.bool()?,
             sent_tick: d.u64()?,
@@ -613,7 +599,7 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         retries.push(RetryEntryState {
             due_tick: d.u64()?,
             seq: d.u64()?,
-            target: decode_prefix(&mut d)?,
+            target: d.prefix()?,
             attempt: d.u32()?,
             prev_dst: d.u128()?,
         });
@@ -662,12 +648,12 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
 /// identity, so a decoded tree resumes with byte-identical frontier
 /// iteration.
 pub fn encode_tree(e: &mut Encoder, tree: &PrefixTree) {
-    encode_prefix(e, &tree.root());
+    e.prefix(&tree.root());
     e.u8(tree.leaf_len());
     e.u8(tree.branch_bits());
     e.seq(tree.len());
     for node in tree.nodes() {
-        encode_prefix(e, &node.prefix);
+        e.prefix(&node.prefix);
         e.u8(NodeState::ALL
             .iter()
             .position(|s| *s == node.state)
@@ -692,13 +678,13 @@ pub fn encode_tree(e: &mut Encoder, tree: &PrefixTree) {
 /// resuming a malformed campaign.
 pub fn decode_tree(d: &mut Decoder) -> Result<PrefixTree, StateError> {
     let what = "tree snapshot";
-    let root = decode_prefix(d)?;
+    let root = d.prefix()?;
     let leaf_len = d.u8()?;
     let branch_bits = d.u8()?;
     let n = d.seq()?;
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
-        let prefix = decode_prefix(d)?;
+        let prefix = d.prefix()?;
         let tag = d.u8()? as usize;
         let state = *NodeState::ALL
             .get(tag)

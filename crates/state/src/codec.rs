@@ -6,6 +6,8 @@
 //! the codec favours obviousness over speed: every value is encoded
 //! little-endian at a byte granularity with explicit length prefixes.
 
+use xmap_addr::Prefix;
+
 use crate::error::StateError;
 
 /// Append-only encoder over a byte vector.
@@ -86,6 +88,12 @@ impl Encoder {
     /// Appends a sequence length (`u32`); the caller then encodes each item.
     pub fn seq(&mut self, len: usize) {
         self.u32(len as u32);
+    }
+
+    /// Appends a prefix as its address bits (`u128`) and length (`u8`).
+    pub fn prefix(&mut self, p: &Prefix) {
+        self.u128(p.addr().bits());
+        self.u8(p.len());
     }
 }
 
@@ -216,6 +224,20 @@ impl<'a> Decoder<'a> {
             )));
         }
         Ok(n)
+    }
+
+    /// Reads a prefix written by [`Encoder::prefix`]; a length above 128
+    /// is corruption.
+    pub fn prefix(&mut self) -> Result<Prefix, StateError> {
+        let addr = self.u128()?;
+        let len = self.u8()?;
+        if len > 128 {
+            return Err(StateError::Corrupt(format!(
+                "{}: invalid prefix length {len}",
+                self.what
+            )));
+        }
+        Ok(Prefix::new(addr.into(), len))
     }
 }
 
