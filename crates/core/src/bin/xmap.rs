@@ -263,6 +263,9 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     if cfg.workers == 0 {
         return Err("workers must be at least 1".to_owned());
     }
+    if cfg.rate_pps == Some(0) {
+        return Err("rate must be at least 1".to_owned());
+    }
     if cfg.resume && cfg.checkpoint.is_none() {
         return Err("--resume requires --checkpoint <dir>".to_owned());
     }
@@ -350,7 +353,7 @@ fn run_single<N: Network>(
     if !cfg.quiet {
         // One virtual tick per send slot, so the configured packet rate
         // fixes the tick↔second conversion for the status lines.
-        let ticks_per_sec = cfg.rate_pps.unwrap_or(100_000).max(1);
+        let ticks_per_sec = cfg.rate_pps.unwrap_or(100_000);
         let interval = ((cfg.status_interval * ticks_per_sec as f64) as u64).max(1);
         scanner.set_monitor(Monitor::new(&telemetry.registry, interval, ticks_per_sec));
     }
@@ -757,6 +760,7 @@ mod tests {
             parse_args(&args("-p 99999 2405:200::/32")).is_err(),
             "port overflow"
         );
+        assert!(parse_args(&args("--rate 0 2405:200::/32")).is_err());
     }
 
     #[test]

@@ -573,7 +573,6 @@ pub fn build_manifest(
         probes_per_target: config.probes_per_target as u64,
         rto_ticks: config.rto_ticks,
         max_retry_backlog: config.max_retry_backlog as u64,
-        adaptive: config.adaptive_rate,
         record_silent: config.record_silent,
         ranges: ranges.iter().map(|r| r.to_string()).collect(),
         blocklist_fp: blocklist.fingerprint(),

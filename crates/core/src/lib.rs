@@ -5,7 +5,7 @@
 //! ZMap-lineage stateless scanner whose address-generation module can
 //! randomly permute **any bit range** of the address space (e.g.
 //! `2001:db8::/32-64`), with modular probe modules, prefix blocklists,
-//! keyed stateless response validation, sharding and rate limiting.
+//! keyed stateless response validation, sharding and rate accounting.
 //!
 //! Instead of raw sockets it drives any [`xmap_netsim::Network`] — in this
 //! workspace, a deterministic simulated Internet — which makes every scan
@@ -49,7 +49,6 @@ pub mod math;
 pub mod output;
 pub mod parallel;
 pub mod probe;
-pub mod rate;
 pub mod scanner;
 pub mod target;
 pub mod telemetry;
@@ -68,7 +67,6 @@ pub use parallel::{
     Supervision,
 };
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
-pub use rate::AdaptiveRateController;
 pub use scanner::{
     Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner,
 };

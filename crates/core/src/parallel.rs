@@ -27,9 +27,8 @@
 //!   `(probe, world seed)`, so per-worker world replicas answer exactly
 //!   as one shared world would.
 //! * **Per-worker everything** — each worker has its own retry queue,
-//!   validator (same seed ⇒ same cookies), AIMD controller slice, and
-//!   telemetry registry; nothing is shared, so scheduling cannot leak
-//!   between workers.
+//!   validator (same seed ⇒ same cookies) and telemetry registry;
+//!   nothing is shared, so scheduling cannot leak between workers.
 //! * **Canonical merge order** — workers are joined in worker order;
 //!   records are then stably sorted by target, which equals permutation-
 //!   index order (`ScanRange::nth` is monotone), the same order

@@ -1,8 +1,8 @@
 //! The scan loop: permutation → probe → validate → record.
 //!
 //! Mirrors XMap's architecture: a target generator walks a random
-//! permutation of the scan space, one send loop builds probes under a
-//! token bucket, responses are validated statelessly and recorded. The
+//! permutation of the scan space, one send loop builds probes against an
+//! accounted rate budget, responses are validated statelessly and recorded. The
 //! loop reaches the network only through the [`Transport`] contract —
 //! batched sends, polled tick-stamped receives, a virtual clock — and
 //! parks retransmissions in a deadline [`TimerHeap`], so a backend other
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use xmap_addr::{FxHashMap, FxHashSet, Ip6, Prefix, ScanRange};
 use xmap_netsim::packet::{Icmpv6, Ipv6Packet, Network, Payload};
 use xmap_reactor::{RecvEntry, SimTransport, TimerHeap, Transport};
-use xmap_state::{AbortSignal, AdaptiveState, CursorState, RunState};
+use xmap_state::{AbortSignal, CursorState, RunState};
 use xmap_telemetry::{Monitor, Snapshot, Telemetry, Tracer};
 
 use crate::blocklist::Blocklist;
@@ -21,7 +21,6 @@ use crate::checkpoint::{RangeMode, RunResume, RunSink};
 use crate::cyclic::Cycle;
 use crate::feistel::FeistelPermutation;
 use crate::probe::{ProbeModule, ProbeResult};
-use crate::rate::{AdaptiveRateController, RateLimiter};
 use crate::target::fill_host_bits;
 use crate::telemetry::{names, HotTally, MetricsBaseline, ScanMetrics};
 use crate::validate::Validator;
@@ -56,8 +55,9 @@ pub struct ScanConfig {
     /// Probe at most this many targets per range (scaled experiments);
     /// `None` scans the full space.
     pub max_targets: Option<u64>,
-    /// Packets-per-second budget; `None` = unlimited. Against the simulator
-    /// pacing is accounted, not slept (see [`ScanStats::paced_secs`]).
+    /// Packets-per-second budget; `None` = unlimited. The budget is
+    /// accounted, not slept: each probe adds `1/rate` s to
+    /// `scan.paced_nanos` (see [`ScanStats::paced_secs`]).
     pub rate_pps: Option<u64>,
     /// Probes per target sub-prefix (default 1, the paper's discipline).
     /// Additional probes use fresh host bits and are only sent when the
@@ -72,10 +72,6 @@ pub struct ScanConfig {
     /// retries are abandoned; targets that consequently stay silent end up
     /// in [`ScanStats::gave_up`].
     pub max_retry_backlog: usize,
-    /// Enables the AIMD [`AdaptiveRateController`] seeded from `rate_pps`
-    /// (no effect when `rate_pps` is `None`): the accounted pacing then
-    /// follows the controller's current rate instead of the fixed budget.
-    pub adaptive_rate: bool,
     /// Collect targets that never produced a valid response into
     /// [`ScanResults::silent_targets`] (the mop-up pass input). Off by
     /// default: the list is proportional to the probed slice.
@@ -96,7 +92,6 @@ impl Default for ScanConfig {
             probes_per_target: 1,
             rto_ticks: 8,
             max_retry_backlog: 4096,
-            adaptive_rate: false,
             record_silent: false,
         }
     }
@@ -620,7 +615,12 @@ impl<N: Network> Scanner<N> {
         blocklist: &Blocklist,
         resume: Option<RunResume>,
     ) -> ScanResults {
-        let mut limiter = self.config.rate_pps.map(|pps| RateLimiter::new(pps, 64));
+        // Pacing is accounted, not slept: the simulator answers
+        // instantly, so each send adds its share of the budget instead.
+        let pace_nanos = self
+            .config
+            .rate_pps
+            .map_or(0, |pps| 1_000_000_000 / pps.max(1));
         let attempts = self.config.probes_per_target.max(1);
         let mut run = match resume {
             None => Run::fresh(self, range),
@@ -663,10 +663,12 @@ impl<N: Network> Scanner<N> {
             // One send slot: a due retransmission wins over a fresh target.
             let job = if let Some(retry) = run.due_retry() {
                 Some((retry.target, retry.attempt, retry.position))
-            } else if let Some(target) = (!yielding).then(|| run.gen.next_target(range)).flatten() {
+            } else if let Some((index, target)) =
+                (!yielding).then(|| run.gen.next_target(range)).flatten()
+            {
                 let position = run.gen.consumed - 1;
-                run.probed.push(target);
-                if self.track_positions {
+                run.probed.push(index);
+                if self.track_positions && self.config.record_silent {
                     run.probed_positions.push(position);
                 }
                 Some((target, 0, position))
@@ -686,14 +688,7 @@ impl<N: Network> Scanner<N> {
                     run.tally.blocked += 1;
                     continue;
                 }
-                // Pacing is accounted, not slept: the simulator answers
-                // instantly, so the budget is tracked instead.
-                if let Some(ctrl) = run.adaptive.as_mut() {
-                    run.tally.paced_nanos += 1_000_000_000 / ctrl.current_pps().max(1);
-                    ctrl.on_probe();
-                } else if let Some(limiter) = limiter.as_mut() {
-                    run.tally.paced_nanos += 1_000_000_000 / limiter.rate_pps().max(1);
-                }
+                run.tally.paced_nanos += pace_nanos;
                 let probe = module.build(
                     self.config.source,
                     dst,
@@ -803,18 +798,22 @@ impl<N: Network> Scanner<N> {
 
         // Per-target recovery accounting, in deterministic probe order.
         // Abandonments are tallied locally and flushed in one counter add.
+        // With one probe per target and no silent list nothing is read.
         let mut gave_up = 0u64;
-        for (i, target) in run.probed.iter().enumerate() {
-            if run.answered.contains(target) {
-                continue;
-            }
-            if attempts > 1 {
-                gave_up += 1;
-            }
-            if self.config.record_silent {
-                results.silent_targets.push(*target);
-                if self.track_positions {
-                    results.silent_positions.push(run.probed_positions[i]);
+        if attempts > 1 || self.config.record_silent {
+            for (i, &index) in run.probed.iter().enumerate() {
+                let target = range.nth(index).expect("logged indices lie in the range");
+                if run.answered.contains(&target) {
+                    continue;
+                }
+                if attempts > 1 {
+                    gave_up += 1;
+                }
+                if self.config.record_silent {
+                    results.silent_targets.push(target);
+                    if self.track_positions {
+                        results.silent_positions.push(run.probed_positions[i]);
+                    }
                 }
             }
         }
@@ -967,9 +966,6 @@ impl<N: Network> Scanner<N> {
                             ],
                         );
                     }
-                    if let Some(ctrl) = run.adaptive.as_mut() {
-                        ctrl.on_valid();
-                    }
                     run.answered.insert(out.target);
                     if self.track_positions {
                         run.results.record_positions.push(out.position);
@@ -1100,17 +1096,18 @@ impl TargetGen {
         self.remaining + (self.len - self.pos) as u64
     }
 
-    /// The next fresh target, skipping indices the range cannot produce
-    /// (cyclic fringe sentinels included). A skipped index still consumed
-    /// one walk position of the `max_targets` budget — walk positions are
-    /// raw permutation steps, the unit the sub-shard split math divides.
-    fn next_target(&mut self, range: &ScanRange) -> Option<Prefix> {
+    /// The next fresh target and its range index, skipping indices the
+    /// range cannot produce (cyclic fringe sentinels included). A skipped
+    /// index still consumed one walk position of the `max_targets` budget
+    /// — walk positions are raw permutation steps, the unit the sub-shard
+    /// split math divides.
+    fn next_target(&mut self, range: &ScanRange) -> Option<(u64, Prefix)> {
         while let Some(i) = self.next_index() {
             if i == u64::MAX {
                 continue; // cyclic fringe sentinel: no target at this step
             }
             if let Some(target) = range.nth(i) {
-                return Some(target);
+                return Some((i, target));
             }
         }
         None
@@ -1278,13 +1275,13 @@ struct Run {
     /// The bounded retransmission backlog.
     retries: TimerHeap<RetryTimer>,
     answered: FxHashSet<Prefix>,
-    /// Fresh targets drawn from the walk so far, in probe order (blocked
-    /// ones included).
-    probed: Vec<Prefix>,
+    /// Range indices ([`ScanRange::nth`]) of the fresh targets drawn from
+    /// the walk so far, in probe order (blocked ones included): 8 B a
+    /// target where its `Prefix` would take 32.
+    probed: Vec<u64>,
     /// Walk position of each `probed` entry (parallel vector); filled
-    /// only under position tracking.
+    /// only when position tracking asks for a silent list's positions.
     probed_positions: Vec<u64>,
-    adaptive: Option<AdaptiveRateController>,
     base: MetricsBaseline,
     /// Scanner lifetime tick at which the range started.
     run_start_tick: u64,
@@ -1309,7 +1306,6 @@ impl Run {
             answered: FxHashSet::default(),
             probed: Vec::new(),
             probed_positions: Vec::new(),
-            adaptive: adaptive_controller(config),
             base: scanner.metrics.baseline(),
             run_start_tick: scanner.total_ticks,
             now: 0,
@@ -1326,15 +1322,6 @@ impl Run {
     fn restore<N>(scanner: &Scanner<N>, range: &ScanRange, resume: RunResume) -> Run {
         let config = &scanner.config;
         let rs = resume.state;
-        let mut adaptive = adaptive_controller(config);
-        if let (Some(ctrl), Some(a)) = (adaptive.as_mut(), rs.adaptive.as_ref()) {
-            ctrl.restore_state(
-                a.current_pps,
-                a.sent,
-                a.valid,
-                a.baseline_bits.map(f64::from_bits),
-            );
-        }
         // Retries restore under their original sequence numbers, so the
         // heap pops in the captured order (keys are unique) and the
         // counter resumes where the killed run left it.
@@ -1365,7 +1352,7 @@ impl Run {
         });
         let mut walk = TargetGen::with_skip(config, range, scanner.walk_skip);
         let probed = (0..rs.probed_count)
-            .map_while(|_| walk.next_target(range))
+            .map_while(|_| walk.next_target(range).map(|(index, _)| index))
             .collect();
         Run {
             gen: TargetGen::restore(config, range, &rs),
@@ -1374,7 +1361,6 @@ impl Run {
             answered: resume.records.iter().map(|r| r.target).collect(),
             probed,
             probed_positions: Vec::new(),
-            adaptive,
             base: MetricsBaseline::from_raw(rs.baseline),
             run_start_tick: rs.run_start_tick,
             now: rs.now,
@@ -1457,27 +1443,9 @@ impl Run {
             retries,
             retry_seq: self.retries.next_seq(),
             probed_count: self.probed.len() as u64,
-            adaptive: self.adaptive.as_ref().map(|c| {
-                let (current_pps, sent, valid, baseline) = c.checkpoint_state();
-                AdaptiveState {
-                    current_pps,
-                    sent,
-                    valid,
-                    baseline_bits: baseline.map(f64::to_bits),
-                }
-            }),
             baseline: self.base.to_raw(),
         }
     }
-}
-
-/// The AIMD controller a run paces by, when the configuration asks for
-/// one (it needs a `rate_pps` budget to seed from).
-fn adaptive_controller(config: &ScanConfig) -> Option<AdaptiveRateController> {
-    config
-        .adaptive_rate
-        .then(|| config.rate_pps.map(AdaptiveRateController::standard))
-        .flatten()
 }
 
 /// The probed destination a response packet speaks about.
@@ -2107,37 +2075,6 @@ mod tests {
         assert_eq!(res.stats.sent, 100);
         assert!(res.stats.gave_up > 30, "{}", res.stats.gave_up);
         assert_eq!(res.stats.gave_up, 100 - res.stats.valid);
-    }
-
-    #[test]
-    fn adaptive_rate_paces_no_faster_than_fixed() {
-        let fixed = {
-            let mut s = Scanner::new(
-                ToyNet { handled: 0 },
-                ScanConfig {
-                    max_targets: Some(2500),
-                    rate_pps: Some(25_000),
-                    ..Default::default()
-                },
-            );
-            s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all())
-        };
-        let adaptive = {
-            let mut s = Scanner::new(
-                ToyNet { handled: 0 },
-                ScanConfig {
-                    max_targets: Some(2500),
-                    rate_pps: Some(25_000),
-                    adaptive_rate: true,
-                    ..Default::default()
-                },
-            );
-            s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all())
-        };
-        // The controller never exceeds the configured budget, so the
-        // accounted duration can only stretch.
-        assert!(adaptive.stats.paced_secs >= fixed.stats.paced_secs - 1e-9);
-        assert_eq!(adaptive.stats.valid, fixed.stats.valid);
     }
 
     #[test]

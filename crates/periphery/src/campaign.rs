@@ -855,19 +855,7 @@ pub fn encode_block(e: &mut Encoder, b: &BlockResult) {
         }
         e.bool(p.via_time_exceeded);
     }
-    for v in [
-        b.stats.sent,
-        b.stats.blocked,
-        b.stats.received,
-        b.stats.invalid,
-        b.stats.valid,
-        b.stats.retransmits,
-        b.stats.rate_limited_suspected,
-        b.stats.gave_up,
-    ] {
-        e.u64(v);
-    }
-    e.f64_bits(b.stats.paced_secs);
+    encode_stats(e, &b.stats);
     e.u64(b.probed);
     e.u128(b.space_size);
     e.seq(b.alias_candidates.len());
@@ -915,17 +903,7 @@ pub fn decode_block(d: &mut Decoder) -> Result<BlockResult, StateError> {
             via_time_exceeded,
         });
     }
-    let stats = ScanStats {
-        sent: d.u64()?,
-        blocked: d.u64()?,
-        received: d.u64()?,
-        invalid: d.u64()?,
-        valid: d.u64()?,
-        retransmits: d.u64()?,
-        rate_limited_suspected: d.u64()?,
-        gave_up: d.u64()?,
-        paced_secs: d.f64_bits()?,
-    };
+    let stats = decode_stats(d)?;
     let probed = d.u64()?;
     let space_size = d.u128()?;
     let n_alias = d.seq()?;
@@ -1063,6 +1041,12 @@ mod tests {
         let mut e = Encoder::new();
         encode_block(&mut e, &block);
         let raw = e.finish();
+        // The campaign-block wire form, pinned like the unit codec's.
+        assert_eq!(
+            Fingerprint::new().push_bytes(&raw).finish(),
+            0x8772_583b_b290_9f48,
+            "campaign-block wire form changed"
+        );
         let mut d = Decoder::new(&raw, "test");
         let back = decode_block(&mut d).unwrap();
         d.expect_end().unwrap();

@@ -3,8 +3,8 @@
 //!
 //! [`Campaign::run`] walks the fifteen sample blocks sequentially on one
 //! [`Scanner`]; this module runs them on N workers — each with a private
-//! network replica, validator, retry queue, AIMD controller and
-//! telemetry [`Registry`] — and merges the [`BlockResult`]s back in
+//! network replica, validator, retry queue and telemetry
+//! [`Registry`] — and merges the [`BlockResult`]s back in
 //! Table II (profile) order, so a seeded N-worker campaign is
 //! **byte-identical** to the sequential one: records, [`ScanStats`] sums
 //! and the merged telemetry [`Snapshot`] included.

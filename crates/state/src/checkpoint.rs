@@ -98,19 +98,6 @@ pub struct RetryEntryState {
     pub prev_dst: u128,
 }
 
-/// AIMD rate-controller state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveState {
-    /// Current probes-per-second setpoint.
-    pub current_pps: u64,
-    /// Probes sent in the open measurement window.
-    pub sent: u64,
-    /// Valid responses in the open measurement window.
-    pub valid: u64,
-    /// Baseline hit rate (bit pattern preserved exactly), if established.
-    pub baseline_bits: Option<u64>,
-}
-
 /// Mid-range scanner state, captured at a slot boundary with nothing in
 /// flight downstream: what `Scanner::run` still needs that neither the
 /// journal (the answered targets are the targets of the range's records)
@@ -143,8 +130,6 @@ pub struct RunState {
     /// Fresh targets drawn from the walk so far this range (blocked ones
     /// included).
     pub probed_count: u64,
-    /// AIMD controller state, if adaptive rating is enabled.
-    pub adaptive: Option<AdaptiveState>,
     /// Metrics baseline captured when the range started (raw counters).
     pub baseline: [u64; 9],
 }
@@ -544,16 +529,9 @@ pub fn encode_run_state(run: &RunState) -> Vec<u8> {
     }
     e.u64(run.retry_seq);
     e.u64(run.probed_count);
-    match &run.adaptive {
-        None => e.u8(0),
-        Some(a) => {
-            e.u8(1);
-            e.u64(a.current_pps);
-            e.u64(a.sent);
-            e.u64(a.valid);
-            e.opt_u64(a.baseline_bits);
-        }
-    }
+    // Retired rate-controller slot: always the "absent" tag, so the
+    // section keeps the bytes older builds wrote.
+    e.u8(0);
     for v in run.baseline {
         e.u64(v);
     }
@@ -606,20 +584,12 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
     }
     let retry_seq = d.u64()?;
     let probed_count = d.u64()?;
-    let adaptive = match d.u8()? {
-        0 => None,
-        1 => Some(AdaptiveState {
-            current_pps: d.u64()?,
-            sent: d.u64()?,
-            valid: d.u64()?,
-            baseline_bits: d.opt_u64()?,
-        }),
-        t => {
-            return Err(StateError::Corrupt(format!(
-                "live section: unknown adaptive tag {t}"
-            )))
-        }
-    };
+    let tag = d.u8()?;
+    if tag != 0 {
+        return Err(StateError::Corrupt(format!(
+            "live section: unsupported rate-controller tag {tag}"
+        )));
+    }
     let mut baseline = [0u64; 9];
     for b in &mut baseline {
         *b = d.u64()?;
@@ -636,7 +606,6 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         retries,
         retry_seq,
         probed_count,
-        adaptive,
         baseline,
     })
 }

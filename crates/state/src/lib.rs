@@ -39,8 +39,8 @@ pub mod manifest;
 pub mod wal;
 
 pub use checkpoint::{
-    AdaptiveState, CursorState, OutstandingEntry, RetryEntryState, RunState, SubShardEntry,
-    WorkerCheckpoint, CHECKPOINT_SCHEMA,
+    CursorState, OutstandingEntry, RetryEntryState, RunState, SubShardEntry, WorkerCheckpoint,
+    CHECKPOINT_SCHEMA,
 };
 pub use codec::Fingerprint;
 pub use error::StateError;

@@ -46,8 +46,6 @@ pub struct Manifest {
     pub rto_ticks: u64,
     /// Retry-queue bound.
     pub max_retry_backlog: u64,
-    /// Whether the AIMD rate controller is active.
-    pub adaptive: bool,
     /// Whether silent targets are recorded.
     pub record_silent: bool,
     /// Target ranges, in scan order, as `prefix/len` strings.
@@ -77,7 +75,9 @@ impl Manifest {
             .push_u64(self.probes_per_target)
             .push_u64(self.rto_ticks)
             .push_u64(self.max_retry_backlog)
-            .push_u64(self.adaptive as u64)
+            // Retired slot (a rate-controller flag, always off now): kept
+            // so sessions written before its removal keep their identity.
+            .push_u64(0)
             .push_u64(self.record_silent as u64)
             .push_u64(self.ranges.len() as u64);
         for r in &self.ranges {
@@ -142,11 +142,6 @@ impl Manifest {
             stored.max_retry_backlog.to_string(),
         );
         field(
-            "adaptive",
-            self.adaptive.to_string(),
-            stored.adaptive.to_string(),
-        );
-        field(
             "record_silent",
             self.record_silent.to_string(),
             stored.record_silent.to_string(),
@@ -197,7 +192,6 @@ impl Manifest {
             ",\n  \"max_retry_backlog\": {}",
             self.max_retry_backlog
         ));
-        out.push_str(&format!(",\n  \"adaptive\": {}", self.adaptive));
         out.push_str(&format!(",\n  \"record_silent\": {}", self.record_silent));
         out.push_str(",\n  \"ranges\": [");
         for (i, r) in self.ranges.iter().enumerate() {
@@ -270,7 +264,6 @@ impl Manifest {
             probes_per_target: v.req_u64("probes_per_target", what)?,
             rto_ticks: v.req_u64("rto_ticks", what)?,
             max_retry_backlog: v.req_u64("max_retry_backlog", what)?,
-            adaptive: req_bool("adaptive")?,
             record_silent: req_bool("record_silent")?,
             ranges,
             blocklist_fp: crate::checkpoint::parse_fp(&v.req_str("blocklist_fp", what)?, what)?,
@@ -306,7 +299,6 @@ mod tests {
             probes_per_target: 3,
             rto_ticks: 8,
             max_retry_backlog: 4096,
-            adaptive: false,
             record_silent: true,
             ranges: vec!["2001:db8::/32".into(), "2620:fe::/48".into()],
             blocklist_fp: 0x1234_5678_9abc_def0,
@@ -344,6 +336,32 @@ mod tests {
         b.every = 64;
         assert!(a.diff(&b).is_empty());
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// `sample()` as a build with the rate-controller flag wrote it (key
+    /// order and values verbatim, line breaks folded), flag off and on.
+    const LEGACY_OFF: &str = r#"{"schema": "xmap-checkpoint/v1", "kind": "manifest",
+  "workers": 4, "seed": 18446744073709551614, "world_seed": 3665452781, "shard": 0,
+  "shards": 1, "permutation": "cyclic", "module": "icmp6_echo", "max_targets": 4096,
+  "rate_pps": null, "probes_per_target": 3, "rto_ticks": 8, "max_retry_backlog": 4096,
+  "adaptive": false, "record_silent": true, "ranges": ["2001:db8::/32", "2620:fe::/48"],
+  "blocklist_fp": "0x123456789abcdef0", "every": 1024, "fingerprint": "0x507f57c8c674a93a"}"#;
+    const LEGACY_ON: &str = r#"{"schema": "xmap-checkpoint/v1", "kind": "manifest",
+  "workers": 4, "seed": 18446744073709551614, "world_seed": 3665452781, "shard": 0,
+  "shards": 1, "permutation": "cyclic", "module": "icmp6_echo", "max_targets": 4096,
+  "rate_pps": null, "probes_per_target": 3, "rto_ticks": 8, "max_retry_backlog": 4096,
+  "adaptive": true, "record_silent": true, "ranges": ["2001:db8::/32", "2620:fe::/48"],
+  "blocklist_fp": "0x123456789abcdef0", "every": 1024, "fingerprint": "0x5c8887891933d529"}"#;
+
+    #[test]
+    fn legacy_manifests_keep_identity_or_are_refused() {
+        let old = Manifest::from_json(LEGACY_OFF).unwrap();
+        assert_eq!(old.fingerprint(), 0x507f_57c8_c674_a93a);
+        assert!(sample().diff(&old).is_empty());
+        // A session that ran with the controller on cannot resume into a
+        // build without it: the stored fingerprint no longer recomputes.
+        let err = Manifest::from_json(LEGACY_ON).unwrap_err();
+        assert!(matches!(err, StateError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -17,8 +17,7 @@ use xmap_state::checkpoint::{
 };
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{
-    AdaptiveState, CursorState, OutstandingEntry, RetryEntryState, RunState, StateError,
-    WorkerCheckpoint,
+    CursorState, OutstandingEntry, RetryEntryState, RunState, StateError, WorkerCheckpoint,
 };
 use xmap_telemetry::{HistogramSnapshot, Snapshot};
 
@@ -71,20 +70,6 @@ fn arbitrary_run_state(g: &mut Gen) -> RunState {
             next_pos: g.extreme_u64(),
         },
     };
-    let adaptive = if g.below(2) == 0 {
-        None
-    } else {
-        Some(AdaptiveState {
-            current_pps: g.extreme_u64(),
-            sent: g.extreme_u64(),
-            valid: g.extreme_u64(),
-            baseline_bits: if g.below(2) == 0 {
-                None
-            } else {
-                Some(g.next())
-            },
-        })
-    };
     RunState {
         now: g.extreme_u64(),
         run_start_tick: g.extreme_u64(),
@@ -112,7 +97,6 @@ fn arbitrary_run_state(g: &mut Gen) -> RunState {
             .collect(),
         retry_seq: g.extreme_u64(),
         probed_count: g.extreme_u64(),
-        adaptive,
         baseline: std::array::from_fn(|_| g.extreme_u64()),
     }
 }
@@ -342,4 +326,41 @@ fn legacy_mid_range_checkpoint_is_refused_not_misparsed() {
     let done = WorkerCheckpoint::read_from(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!((done.tick, done.wal_seq, done.run), (40, 1, None));
+}
+
+/// A `live` section as a build with the rate controller on wrote it — tag
+/// `1` in the now-reserved slot, then the controller's state — is refused
+/// with a typed error naming the tag, never misparsed.
+#[test]
+fn live_section_with_controller_state_is_refused() {
+    let mut e = Encoder::new();
+    e.u64(40); // now
+    e.u64(0); // run_start_tick
+    e.u64(0); // run_wal_start
+    e.u8(2); // cursor: Sequential
+    e.u64(2); // next_pos
+    e.u64(98); // remaining
+    e.seq(0); // pending_indices
+    e.seq(0); // outstanding
+    e.seq(0); // retries
+    e.u64(0); // retry_seq
+    e.u64(2); // probed_count
+    e.u8(1); // controller state: current_pps, sent, valid, baseline
+    for v in [25_000, 17, 5] {
+        e.u64(v);
+    }
+    e.opt_u64(Some(0.5f64.to_bits()));
+    for _ in 0..9 {
+        e.u64(0); // metrics baseline
+    }
+    let path = temp_ckpt();
+    let metrics = encode_snapshot(&Snapshot::default());
+    let sections = [("metrics", metrics), ("live", e.finish())];
+    write_sectioned(&path, &worker_header("[\"metrics\",\"live\"]"), &sections).unwrap();
+    let err = WorkerCheckpoint::read_from(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(&err, StateError::Corrupt(msg) if msg.contains("tag 1")),
+        "{err:?}"
+    );
 }

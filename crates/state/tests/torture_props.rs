@@ -197,7 +197,6 @@ proptest! {
             probes_per_target: 1 + g.below(3),
             rto_ticks: 1 + g.below(64),
             max_retry_backlog: 1 + g.below(1024),
-            adaptive: g.below(2) == 1,
             record_silent: g.below(2) == 1,
             ranges: vec!["2405:200::/32-64".to_owned()],
             blocklist_fp: g.next(),

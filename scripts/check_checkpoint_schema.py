@@ -9,6 +9,8 @@ cross-language format check — recomputes the FNV-1a identity fingerprint
 from the identity fields and compares it to the stored one. A manifest
 whose fingerprint no longer matches its fields was edited after the
 session started and must be rejected, exactly as the Rust reader does.
+Manifests written before the rate controller was removed carry an
+`adaptive` key; it is accepted when present and must be `false`.
 Exits nonzero with a diagnostic on the first violation. Standard library
 only.
 """
@@ -21,9 +23,11 @@ PERMUTATIONS = ("cyclic", "feistel", "sequential")
 KNOWN_KEYS = {
     "schema", "kind", "workers", "seed", "world_seed", "shard", "shards",
     "permutation", "module", "max_targets", "rate_pps", "probes_per_target",
-    "rto_ticks", "max_retry_backlog", "adaptive", "record_silent", "ranges",
+    "rto_ticks", "max_retry_backlog", "record_silent", "ranges",
     "blocklist_fp", "every", "fingerprint",
 }
+# Retired keys older builds still wrote; not required.
+LEGACY_KEYS = {"adaptive"}
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -106,7 +110,7 @@ def recompute_fingerprint(m):
     f.push_opt_u64(m["max_targets"]).push_opt_u64(m["rate_pps"])
     f.push_u64(m["probes_per_target"]).push_u64(m["rto_ticks"])
     f.push_u64(m["max_retry_backlog"])
-    f.push_u64(1 if m["adaptive"] else 0)
+    f.push_u64(0)  # retired rate-controller slot
     f.push_u64(1 if m["record_silent"] else 0)
     f.push_u64(len(m["ranges"]))
     for r in m["ranges"]:
@@ -131,7 +135,7 @@ def main(argv):
         fail(f"unexpected schema tag {doc.get('schema')!r}")
     if doc.get("kind") != "manifest":
         fail(f"unexpected kind {doc.get('kind')!r}")
-    unknown = set(doc) - KNOWN_KEYS
+    unknown = set(doc) - KNOWN_KEYS - LEGACY_KEYS
     if unknown:
         fail(f"unknown keys {sorted(unknown)}")
     missing = KNOWN_KEYS - set(doc)
@@ -151,11 +155,12 @@ def main(argv):
         "probes_per_target": req_u64(doc, "probes_per_target"),
         "rto_ticks": req_u64(doc, "rto_ticks"),
         "max_retry_backlog": req_u64(doc, "max_retry_backlog"),
-        "adaptive": req_bool(doc, "adaptive"),
         "record_silent": req_bool(doc, "record_silent"),
         "blocklist_fp": req_fp(doc, "blocklist_fp"),
     }
     req_u64(doc, "every")  # cadence: informational, not identity
+    if "adaptive" in doc and req_bool(doc, "adaptive"):
+        fail("'adaptive' = true: the rate controller no longer exists")
     if m["workers"] < 1:
         fail("'workers' must be >= 1")
     if m["shards"] < 1:
