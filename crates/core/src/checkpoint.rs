@@ -483,22 +483,8 @@ impl ScanSession {
         if !ckpt_path.exists() {
             return self.fresh_worker(worker, num_ranges);
         }
-        let ckpt = WorkerCheckpoint::read_from(&ckpt_path)?;
         let fp = self.manifest.fingerprint();
-        if ckpt.config_fp != fp {
-            return Err(StateError::Mismatch(format!(
-                "worker {worker} checkpoint was written under configuration {:#018x}, \
-                 this session's manifest fingerprints as {fp:#018x}",
-                ckpt.config_fp
-            )));
-        }
-        if ckpt.worker != worker {
-            return Err(StateError::Corrupt(format!(
-                "checkpoint {} belongs to worker {}, expected worker {worker}",
-                ckpt_path.display(),
-                ckpt.worker
-            )));
-        }
+        let ckpt = WorkerCheckpoint::read_for(&ckpt_path, fp, worker)?;
         let ckpt_range = ckpt.range_index as usize;
         if ckpt_range >= num_ranges {
             return Err(StateError::Corrupt(format!(

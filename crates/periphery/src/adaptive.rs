@@ -46,12 +46,9 @@ use xmap::{
 use xmap_addr::{classify_iid, FxHashSet, IidClass, Ip6, Mac, Prefix, PrefixTree};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
 use xmap_netsim::packet::{Ipv6Packet, Network};
-use xmap_state::checkpoint::{
-    decode_snapshot, decode_tree, encode_snapshot, encode_tree, parse_fp, read_sectioned,
-    write_sectioned,
-};
-use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{Fingerprint, StateError, CHECKPOINT_SCHEMA};
+use xmap_state::checkpoint::{decode_snapshot, decode_tree, encode_snapshot, encode_tree, Kind};
+use xmap_state::codec::Encoder;
+use xmap_state::{Fingerprint, StateError};
 use xmap_telemetry::{Snapshot, Telemetry};
 
 use crate::campaign::{
@@ -811,6 +808,11 @@ struct AdaptiveCkpt {
     partial: Option<PartialBlock>,
 }
 
+const KIND: Kind = Kind {
+    name: "adaptive-campaign",
+    fp_key: "adaptive_fp",
+};
+
 fn write_ckpt(
     path: &Path,
     fp: u64,
@@ -819,17 +821,6 @@ fn write_ckpt(
     spent: u64,
     partial: Option<&PartialBlock>,
 ) -> Result<(), StateError> {
-    let sections_list = if partial.is_some() {
-        "[\"metrics\",\"blocks\",\"tree\",\"partial\"]"
-    } else {
-        "[\"metrics\",\"blocks\"]"
-    };
-    let header = format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"adaptive-campaign\",\
-         \"completed_blocks\":{},\"spent\":{spent},\
-         \"adaptive_fp\":\"{fp:#018x}\",\"sections\":{sections_list}}}",
-        blocks.len()
-    );
     let mut be = Encoder::new();
     be.seq(blocks.len());
     for b in blocks {
@@ -849,7 +840,8 @@ fn write_ckpt(
         pe.u8(p.leaf_len);
         sections.push(("partial", pe.finish()));
     }
-    write_sectioned(path, &header, &sections)
+    let fields = [("completed_blocks", blocks.len() as u64), ("spent", spent)];
+    KIND.write(path, &fields, fp, &sections, true)
 }
 
 /// Loads and validates an adaptive checkpoint; `Ok(None)` when none
@@ -858,68 +850,33 @@ fn load_ckpt(path: &Path, expected_fp: u64) -> Result<Option<AdaptiveCkpt>, Stat
     if !path.exists() {
         return Ok(None);
     }
-    let what = "adaptive checkpoint";
-    let (header, mut sections) = read_sectioned(path, what)?;
-    let kind = header.req_str("kind", what)?;
-    if kind != "adaptive-campaign" {
-        return Err(StateError::Corrupt(format!(
-            "{what}: expected kind `adaptive-campaign`, found `{kind}`"
-        )));
-    }
-    let fp = parse_fp(&header.req_str("adaptive_fp", what)?, what)?;
-    if fp != expected_fp {
-        return Err(StateError::Mismatch(format!(
-            "adaptive checkpoint was taken under configuration {fp:#018x}, \
-             this engine fingerprints as {expected_fp:#018x}"
-        )));
-    }
-    let metrics_raw = sections
-        .remove("metrics")
-        .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `metrics` section")))?;
-    let blocks_raw = sections
-        .remove("blocks")
-        .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `blocks` section")))?;
-    let mut d = Decoder::new(&blocks_raw, "adaptive blocks");
-    let n = d.seq()?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(decode_block(&mut d)?);
-    }
-    d.expect_end()?;
-    let partial = match (sections.remove("tree"), sections.remove("partial")) {
-        (Some(tree_raw), Some(partial_raw)) => {
-            let mut td = Decoder::new(&tree_raw, "adaptive tree");
-            let tree = decode_tree(&mut td)?;
-            td.expect_end()?;
-            let mut pd = Decoder::new(&partial_raw, "adaptive partial block");
-            let block = decode_block(&mut pd)?;
-            let round = pd.u64()?;
-            let leaf_len = pd.u8()?;
-            pd.expect_end()?;
-            if leaf_len != tree.leaf_len() {
-                return Err(StateError::Corrupt(format!(
-                    "{what}: partial block leaf length {leaf_len} disagrees with tree {}",
-                    tree.leaf_len()
-                )));
-            }
-            Some(PartialBlock {
-                tree,
-                block,
-                round,
-                leaf_len,
-            })
+    let mut ck = KIND.open(path, Some(expected_fp), &[])?;
+    let blocks = ck.decode("blocks", |d| {
+        (0..d.seq()?).map(|_| decode_block(d)).collect()
+    })?;
+    let partial = if ck.lists("tree") || ck.lists("partial") {
+        let tree = ck.decode("tree", decode_tree)?;
+        let (block, round, leaf_len) =
+            ck.decode("partial", |d| Ok((decode_block(d)?, d.u64()?, d.u8()?)))?;
+        if leaf_len != tree.leaf_len() {
+            return Err(ck.corrupt(&format!(
+                "partial block leaf length {leaf_len} disagrees with tree {}",
+                tree.leaf_len()
+            )));
         }
-        (None, None) => None,
-        _ => {
-            return Err(StateError::Corrupt(format!(
-                "{what}: `tree` and `partial` sections must appear together"
-            )))
-        }
+        Some(PartialBlock {
+            tree,
+            block,
+            round,
+            leaf_len,
+        })
+    } else {
+        None
     };
     Ok(Some(AdaptiveCkpt {
         blocks,
-        snapshot: decode_snapshot(&metrics_raw)?,
-        spent: header.req_u64("spent", what)?,
+        snapshot: ck.take("metrics", decode_snapshot)?,
+        spent: ck.field("spent")?,
         partial,
     }))
 }
@@ -1086,6 +1043,44 @@ mod tests {
             .run_checkpointed(&base(), &path, true, sparse_world)
             .unwrap_err();
         assert!(matches!(err, StateError::Mismatch(_)), "{err:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A mid-block checkpoint cut right after its `blocks` section still
+    /// lists `tree` and `partial`; resuming it must refuse, not silently
+    /// restart the in-progress block.
+    #[test]
+    fn checkpoint_cut_after_blocks_section_is_refused() {
+        let dir = std::env::temp_dir().join(format!("xmap-adaptive-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("adaptive.ckpt");
+        let outcome = engine()
+            .with_kill_after_probes(9_000)
+            .run_checkpointed(&base(), &path, false, sparse_world)
+            .unwrap();
+        assert!(outcome.interrupted);
+        let bytes = std::fs::read(&path).unwrap();
+        // Walk the framing: magic, header, then name/len/payload/crc.
+        let hlen = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let header = std::str::from_utf8(&bytes[12..12 + hlen]).unwrap();
+        assert!(header.contains("\"tree\",\"partial\""), "{header}");
+        let mut pos = 12 + hlen + 1;
+        loop {
+            let nlen = bytes[pos] as usize;
+            let name = &bytes[pos + 1..pos + 1 + nlen];
+            let plen_at = pos + 1 + nlen;
+            let plen = u64::from_le_bytes(bytes[plen_at..plen_at + 8].try_into().unwrap());
+            pos = plen_at + 8 + plen as usize + 4;
+            if name == b"blocks" {
+                break;
+            }
+        }
+        std::fs::write(&path, &bytes[..pos]).unwrap();
+        let err = engine()
+            .run_checkpointed(&base(), &path, true, sparse_world)
+            .unwrap_err();
+        assert!(matches!(err, StateError::Corrupt(_)), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -149,11 +149,10 @@ use xmap_failpoint::fs as fp;
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
 use xmap_state::checkpoint::{
-    decode_snapshot, decode_sub_shards, encode_snapshot, encode_sub_shards, parse_fp,
-    read_sectioned, write_sectioned, write_sectioned_opts, SubShardEntry,
+    decode_snapshot, decode_sub_shards, encode_snapshot, encode_sub_shards, Kind, SubShardEntry,
 };
-use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{AbortSignal, StateError, CHECKPOINT_SCHEMA};
+use xmap_state::codec::Encoder;
+use xmap_state::{AbortSignal, StateError};
 use xmap_telemetry::{Counter, Snapshot, Telemetry};
 
 use crate::campaign::{
@@ -271,7 +270,7 @@ pub struct ParallelCampaign {
 type CkptCtx<'a> = (
     &'a Path,
     u64,
-    Vec<Option<LoadedBlock>>,
+    Vec<Option<(BlockResult, Snapshot)>>,
     Vec<Option<BinSeed>>,
 );
 
@@ -402,7 +401,7 @@ impl ParallelCampaign {
             .map_err(|e| StateError::io(format!("create campaign dir {}", dir.display()), e))?;
         let (loaded, seeds) = if resume {
             let plan = load_dir(dir, fp)?;
-            let mut loaded: Vec<Option<LoadedBlock>> =
+            let mut loaded: Vec<Option<(BlockResult, Snapshot)>> =
                 (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
             let mut seeds: Vec<Option<BinSeed>> = (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
             for (idx, mode) in plan.iter().enumerate() {
@@ -649,9 +648,9 @@ impl ParallelCampaign {
         let mut tagged: Vec<(usize, BlockResult)> = Vec::with_capacity(SAMPLE_BLOCKS.len());
         let mut skipped_deltas = Vec::new();
         for (idx, loaded_block) in loaded.into_iter().enumerate() {
-            if let Some(l) = loaded_block {
-                tagged.push((idx, l.block));
-                skipped_deltas.push(l.metrics);
+            if let Some((block, metrics)) = loaded_block {
+                tagged.push((idx, block));
+                skipped_deltas.push(metrics);
             }
         }
         let mut committed_deltas = Vec::with_capacity(worker_outs.len() + 1);
@@ -1404,13 +1403,26 @@ fn flush_group(dir: &Path, paths: &mut Vec<PathBuf>) -> Result<(), StateError> {
     Ok(())
 }
 
-/// One block loaded back from its checkpoint file.
-struct LoadedBlock {
-    block: BlockResult,
-    /// The block's exact telemetry delta (counters and histograms the
-    /// block contributed), captured by the worker that ran it.
-    metrics: Snapshot,
-}
+/// `campaign.ckpt`: binds the directory to one campaign configuration.
+const DIR: Kind = Kind {
+    name: "campaign-dir",
+    fp_key: "campaign_fp",
+};
+/// `block-NN.ckpt`: one committed block.
+const BLOCK: Kind = Kind {
+    name: "campaign-block",
+    fp_key: "campaign_fp",
+};
+/// `block-NN.units.ckpt`: a split block's current unit layout.
+const UNITS: Kind = Kind {
+    name: "campaign-units",
+    fp_key: "campaign_fp",
+};
+/// `block-NN.unit-O-S.ckpt`: one committed unit of a split block.
+const UNIT: Kind = Kind {
+    name: "campaign-unit",
+    fp_key: "campaign_fp",
+};
 
 fn block_path(dir: &Path, idx: usize) -> PathBuf {
     dir.join(format!("block-{idx:02}.ckpt"))
@@ -1465,14 +1477,12 @@ fn write_units_manifest(
     idx: usize,
     layout: &[SubShardEntry],
 ) -> Result<(), StateError> {
-    let header = format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"campaign-units\",\
-         \"block\":{idx},\"campaign_fp\":\"{fp:#018x}\",\"sections\":[\"units\"]}}"
-    );
-    write_sectioned(
+    UNITS.write(
         &units_path(dir, idx),
-        &header,
+        &[("block", idx as u64)],
+        fp,
         &[("units", encode_sub_shards(layout))],
+        true,
     )
 }
 
@@ -1481,45 +1491,26 @@ fn load_units_manifest(
     idx: usize,
     expected_fp: u64,
 ) -> Result<Vec<SubShardEntry>, StateError> {
-    let what = "campaign units manifest";
-    let path = units_path(dir, idx);
-    let (header, mut sections) = read_sectioned(&path, what)?;
-    let kind = header.req_str("kind", what)?;
-    if kind != "campaign-units" {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: expected kind `campaign-units`, found `{kind}`",
-            path.display()
-        )));
-    }
-    let fp = parse_fp(&header.req_str("campaign_fp", what)?, what)?;
-    if fp != expected_fp {
-        return Err(StateError::Mismatch(format!(
-            "units manifest {} was written under configuration {fp:#018x}, \
-             this campaign fingerprints as {expected_fp:#018x}",
-            path.display()
-        )));
-    }
-    let declared = header.req_u64("block", what)? as usize;
-    if declared != idx {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: declares block {declared}, expected {idx}",
-            path.display()
-        )));
-    }
-    let raw = sections.remove("units").ok_or_else(|| {
-        StateError::Corrupt(format!(
-            "{what} {}: missing `units` section",
-            path.display()
-        ))
-    })?;
-    let entries = decode_sub_shards(&raw)?;
+    let mut ck = UNITS.open(
+        &units_path(dir, idx),
+        Some(expected_fp),
+        &[("block", idx as u64)],
+    )?;
+    let entries = ck.take("units", decode_sub_shards)?;
     if entries.is_empty() {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: empty unit layout",
-            path.display()
-        )));
+        return Err(ck.corrupt("empty unit layout"));
     }
     Ok(entries)
+}
+
+/// A unit's identity fields: its block and its walk coordinates.
+fn unit_fields(idx: usize, unit: SplitUnit) -> [(&'static str, u64); 4] {
+    [
+        ("block", idx as u64),
+        ("offset", unit.offset),
+        ("stride", unit.stride),
+        ("cap", unit.cap),
+    ]
 }
 
 /// Publishes one completed unit's checkpoint: its telemetry delta plus
@@ -1531,18 +1522,14 @@ fn write_unit_ckpt(
     raw: &UnitRaw,
     metrics: &Snapshot,
 ) -> Result<(), StateError> {
-    let header = format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"campaign-unit\",\
-         \"block\":{idx},\"offset\":{},\"stride\":{},\"cap\":{},\
-         \"campaign_fp\":\"{fp:#018x}\",\"sections\":[\"metrics\",\"unit\"]}}",
-        raw.unit.offset, raw.unit.stride, raw.unit.cap
-    );
     let mut e = Encoder::new();
     encode_unit_raw(&mut e, raw);
-    write_sectioned(
+    UNIT.write(
         &unit_path(dir, idx, raw.unit),
-        &header,
+        &unit_fields(idx, raw.unit),
+        fp,
         &[("metrics", encode_snapshot(metrics)), ("unit", e.finish())],
+        true,
     )
 }
 
@@ -1552,43 +1539,16 @@ fn load_unit_ckpt(
     expected_fp: u64,
     unit: SplitUnit,
 ) -> Result<(UnitRaw, Snapshot), StateError> {
-    let what = "campaign unit checkpoint";
-    let path = unit_path(dir, idx, unit);
-    let (header, mut sections) = read_sectioned(&path, what)?;
-    let kind = header.req_str("kind", what)?;
-    if kind != "campaign-unit" {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: expected kind `campaign-unit`, found `{kind}`",
-            path.display()
-        )));
+    let mut ck = UNIT.open(
+        &unit_path(dir, idx, unit),
+        Some(expected_fp),
+        &unit_fields(idx, unit),
+    )?;
+    let raw = ck.decode("unit", decode_unit_raw)?;
+    if raw.unit != unit {
+        return Err(ck.corrupt("payload does not match its manifest entry"));
     }
-    let fp = parse_fp(&header.req_str("campaign_fp", what)?, what)?;
-    if fp != expected_fp {
-        return Err(StateError::Mismatch(format!(
-            "unit checkpoint {} was taken under configuration {fp:#018x}, \
-             this campaign fingerprints as {expected_fp:#018x}",
-            path.display()
-        )));
-    }
-    let metrics_raw = sections.remove("metrics").ok_or_else(|| {
-        StateError::Corrupt(format!(
-            "{what} {}: missing `metrics` section",
-            path.display()
-        ))
-    })?;
-    let unit_raw = sections.remove("unit").ok_or_else(|| {
-        StateError::Corrupt(format!("{what} {}: missing `unit` section", path.display()))
-    })?;
-    let mut d = Decoder::new(&unit_raw, "campaign unit");
-    let raw = decode_unit_raw(&mut d)?;
-    d.expect_end()?;
-    if raw.unit != unit || header.req_u64("block", what)? as usize != idx {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: payload does not match its manifest entry",
-            path.display()
-        )));
-    }
-    Ok((raw, decode_snapshot(&metrics_raw)?))
+    Ok((raw, ck.take("metrics", decode_snapshot)?))
 }
 
 /// Materializes a [`BlockMode::Split`] plan into a bin seed: completed
@@ -1619,12 +1579,14 @@ fn write_marker(dir: &Path, idx: usize) -> Result<(), StateError> {
 }
 
 fn write_dir_manifest(dir: &Path, fp: u64) -> Result<(), StateError> {
-    let header = format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"campaign-dir\",\
-         \"blocks\":{},\"campaign_fp\":\"{fp:#018x}\",\"sections\":[]}}",
-        SAMPLE_BLOCKS.len()
-    );
-    write_sectioned(&dir_manifest_path(dir), &header, &[])
+    let blocks = SAMPLE_BLOCKS.len() as u64;
+    DIR.write(
+        &dir_manifest_path(dir),
+        &[("blocks", blocks)],
+        fp,
+        &[],
+        true,
+    )
 }
 
 /// Validates the directory manifest and classifies every block. An
@@ -1637,21 +1599,7 @@ fn load_dir(dir: &Path, expected_fp: u64) -> Result<Vec<BlockMode>, StateError> 
     if !manifest.exists() {
         return Ok(vec![BlockMode::Fresh; SAMPLE_BLOCKS.len()]);
     }
-    let what = "campaign directory manifest";
-    let (header, _) = read_sectioned(&manifest, what)?;
-    let kind = header.req_str("kind", what)?;
-    if kind != "campaign-dir" {
-        return Err(StateError::Corrupt(format!(
-            "{what}: expected kind `campaign-dir`, found `{kind}`"
-        )));
-    }
-    let fp = parse_fp(&header.req_str("campaign_fp", what)?, what)?;
-    if fp != expected_fp {
-        return Err(StateError::Mismatch(format!(
-            "campaign checkpoint directory was written under configuration \
-             {fp:#018x}, this campaign fingerprints as {expected_fp:#018x}"
-        )));
-    }
+    DIR.open(&manifest, Some(expected_fp), &[])?;
     (0..SAMPLE_BLOCKS.len())
         .map(|idx| {
             if block_path(dir, idx).exists() {
@@ -1732,73 +1680,34 @@ fn write_block_ckpt(
     metrics: &Snapshot,
     sync: bool,
 ) -> Result<(), StateError> {
-    let header = format!(
-        "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"campaign-block\",\
-         \"block\":{idx},\"profile\":{},\"campaign_fp\":\"{fp:#018x}\",\
-         \"sections\":[\"metrics\",\"block\"]}}",
-        block.profile_id
-    );
     let mut e = Encoder::new();
     encode_block(&mut e, block);
-    write_sectioned_opts(
+    BLOCK.write(
         &block_path(dir, idx),
-        &header,
+        &[("block", idx as u64), ("profile", block.profile_id as u64)],
+        fp,
         &[("metrics", encode_snapshot(metrics)), ("block", e.finish())],
         sync,
     )
 }
 
-fn load_block_ckpt(dir: &Path, idx: usize, expected_fp: u64) -> Result<LoadedBlock, StateError> {
-    let what = "campaign block checkpoint";
-    let path = block_path(dir, idx);
-    let (header, mut sections) = read_sectioned(&path, what)?;
-    let kind = header.req_str("kind", what)?;
-    if kind != "campaign-block" {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: expected kind `campaign-block`, found `{kind}`",
-            path.display()
-        )));
+/// Loads one committed block: its records and the exact telemetry delta
+/// the worker that ran it captured.
+fn load_block_ckpt(
+    dir: &Path,
+    idx: usize,
+    expected_fp: u64,
+) -> Result<(BlockResult, Snapshot), StateError> {
+    let mut ck = BLOCK.open(
+        &block_path(dir, idx),
+        Some(expected_fp),
+        &[("block", idx as u64)],
+    )?;
+    let block = ck.decode("block", decode_block)?;
+    if block.profile_id as u64 != ck.field("profile")? {
+        return Err(ck.corrupt("profile id does not match its header"));
     }
-    let fp = parse_fp(&header.req_str("campaign_fp", what)?, what)?;
-    if fp != expected_fp {
-        return Err(StateError::Mismatch(format!(
-            "block checkpoint {} was taken under configuration {fp:#018x}, \
-             this campaign fingerprints as {expected_fp:#018x}",
-            path.display()
-        )));
-    }
-    let declared = header.req_u64("block", what)? as usize;
-    if declared != idx {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: declares block {declared}, expected {idx}",
-            path.display()
-        )));
-    }
-    let metrics_raw = sections.remove("metrics").ok_or_else(|| {
-        StateError::Corrupt(format!(
-            "{what} {}: missing `metrics` section",
-            path.display()
-        ))
-    })?;
-    let block_raw = sections.remove("block").ok_or_else(|| {
-        StateError::Corrupt(format!(
-            "{what} {}: missing `block` section",
-            path.display()
-        ))
-    })?;
-    let mut d = Decoder::new(&block_raw, "campaign block");
-    let block = decode_block(&mut d)?;
-    d.expect_end()?;
-    if block.profile_id as u64 != header.req_u64("profile", what)? {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: profile id does not match its header",
-            path.display()
-        )));
-    }
-    Ok(LoadedBlock {
-        block,
-        metrics: decode_snapshot(&metrics_raw)?,
-    })
+    Ok((block, ck.take("metrics", decode_snapshot)?))
 }
 
 #[cfg(test)]

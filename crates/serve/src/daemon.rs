@@ -42,8 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use xmap::merge_worker_snapshots;
 use xmap::telemetry::names;
 use xmap_failpoint::fs as fp;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot};
-use xmap_state::checkpoint::{read_sectioned, write_sectioned};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind};
 use xmap_state::{Fingerprint, StateError};
 use xmap_telemetry::{Registry, Snapshot};
 
@@ -656,6 +655,13 @@ fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
         .map_err(|e| StateError::io(format!("publish artifact {}", path.display()), e))
 }
 
+/// `unit-NNN.ckpt`: one completed unit of a job, bound to the job
+/// spec's fingerprint.
+const UNIT: Kind = Kind {
+    name: "serve-unit",
+    fp_key: "fp",
+};
+
 fn write_unit(
     root: &Path,
     job: u64,
@@ -669,40 +675,26 @@ fn write_unit(
         .map_err(|e| StateError::io(format!("create job dir {}", dir.display()), e))?;
     let mut e = xmap_state::codec::Encoder::new();
     out.encode(&mut e);
-    let header = format!(
-        "{{\"schema\":\"{}\",\"kind\":\"serve-unit\",\"job\":{job},\"unit\":{unit},\"fp\":{fp_id}}}",
-        xmap_state::CHECKPOINT_SCHEMA
-    );
-    write_sectioned(
+    UNIT.write(
         &unit_path(root, job, unit),
-        &header,
+        &[("job", job), ("unit", unit as u64)],
+        fp_id,
         &[("output", e.finish()), ("metrics", encode_snapshot(delta))],
+        true,
     )
 }
 
-/// Loads one unit checkpoint, verifying kind, coordinates, spec
-/// fingerprint and a self-check fingerprint of the decode. Any failure
-/// — missing file, torn write, drifted spec — yields `None`: the unit
-/// simply re-runs, which rewrites identical bytes.
+/// Loads one unit checkpoint, verifying kind, coordinates and spec
+/// fingerprint. Any failure — missing file, torn write, drifted spec —
+/// yields `None`: the unit simply re-runs, which rewrites identical
+/// bytes.
 fn load_unit(root: &Path, job: u64, unit: usize, fp_id: u64) -> Option<(UnitOutput, Snapshot)> {
     let path = unit_path(root, job, unit);
-    if !path.exists() {
-        return None;
-    }
-    let (header, mut sections) = read_sectioned(&path, "serve unit checkpoint").ok()?;
-    if header.req_str("kind", "serve unit").ok()? != "serve-unit"
-        || header.req_u64("job", "serve unit").ok()? != job
-        || header.req_u64("unit", "serve unit").ok()? != unit as u64
-        || header.req_u64("fp", "serve unit").ok()? != fp_id
-    {
-        return None;
-    }
-    let out_raw = sections.remove("output")?;
-    let metrics_raw = sections.remove("metrics")?;
-    let mut d = xmap_state::codec::Decoder::new(&out_raw, "serve unit output");
-    let out = UnitOutput::decode(&mut d).ok()?;
-    d.expect_end().ok()?;
-    let delta = decode_snapshot(&metrics_raw).ok()?;
+    let mut ck = UNIT
+        .open(&path, Some(fp_id), &[("job", job), ("unit", unit as u64)])
+        .ok()?;
+    let out = ck.decode("output", UnitOutput::decode).ok()?;
+    let delta = ck.take("metrics", decode_snapshot).ok()?;
     Some((out, delta))
 }
 

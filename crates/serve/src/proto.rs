@@ -332,6 +332,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// One deeply nested line must cost its sender an error response, not
+    /// the daemon its stack.
+    #[test]
+    fn deeply_nested_line_yields_error_response() {
+        let root = temp_root("deep");
+        let daemon = Daemon::open(&root, ServeConfig::default()).expect("open");
+        let resp = handle_line(&daemon, &"[".repeat(200_000));
+        assert!(resp.starts_with("{\"ok\":false,\"error\":"), "{resp}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn spec_parse_accepts_all_kinds() {
         let v = json::parse(

@@ -10,14 +10,20 @@
 //! per section: [name_len: u8][name][len: u64][payload][crc32: u32]
 //! ```
 //!
-//! The header carries identity and placement (`schema`, `kind`, `worker`,
-//! `range_index`, `tick`, `wal_seq`, `config_fp`) plus the section list;
-//! the sections carry bulk state (`metrics` — a full telemetry registry
-//! snapshot — and optionally `live`, the mid-range scanner state).
-//! Everything needed to *refuse* a wrong resume lives in the header, so
-//! mismatches are detected before any bulk decoding happens.
+//! The header carries identity and placement (`schema`, `kind`, the
+//! kind's integer fields, its configuration fingerprint) plus the section
+//! list; the sections carry bulk state. Everything needed to *refuse* a
+//! wrong resume lives in the header, so mismatches are detected before
+//! any bulk decoding happens.
+//!
+//! Every checkpoint kind in the workspace — scan workers, campaign
+//! directories, blocks and units, adaptive campaigns, serve units — is
+//! written and read through one envelope, [`Kind`]: it builds the header,
+//! checks kind, fingerprint and identity fields, and hands sections out
+//! through [`Opened`].
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -31,7 +37,7 @@ use crate::error::StateError;
 use crate::json::{self, Value};
 
 /// Schema identifier written into every header.
-pub const CHECKPOINT_SCHEMA: &str = "xmap-checkpoint/v1";
+const CHECKPOINT_SCHEMA: &str = "xmap-checkpoint/v1";
 
 const MAGIC: &[u8] = b"XMCKPT1\n";
 
@@ -42,6 +48,188 @@ const LIVE_SECTION: &str = "live";
 /// per probe sent so far, in a layout [`LIVE_SECTION`] does not share. A
 /// file whose header lists it is refused, never decoded.
 const LEGACY_RUN_SECTION: &str = "run";
+
+const WORKER: Kind = Kind {
+    name: "worker",
+    fp_key: "config_fp",
+};
+
+/// One kind of checkpoint file: the `kind` its header names and the
+/// header key its configuration fingerprint is stored under.
+///
+/// The envelope's rules hold for every kind:
+/// - on write, the header's `sections` list is the sections written;
+/// - on read, every listed section must be present, and only listed
+///   sections are handed out;
+/// - a wrong kind, identity field or missing section is
+///   [`StateError::Corrupt`], a wrong fingerprint [`StateError::Mismatch`]
+///   and an unknown schema [`StateError::Version`].
+#[derive(Debug, Clone, Copy)]
+pub struct Kind {
+    /// The header's `kind` value.
+    pub name: &'static str,
+    /// The header key holding the configuration fingerprint.
+    pub fp_key: &'static str,
+}
+
+impl Kind {
+    /// Writes a checkpoint of this kind atomically (tmp-file + rename).
+    /// The header holds `schema`, `kind`, `fields` in order, `fp` under
+    /// [`Kind::fp_key`] and the names of `sections`. With `sync: false`
+    /// the temp file is *not* fsynced before the rename: the caller owns
+    /// durability and must [`fp::sync_file`] the published path (and its
+    /// directory) later — the campaign executor's group commit. A crash
+    /// inside that window can leave the published file torn, which
+    /// readers must treat as "never completed".
+    pub fn write(
+        &self,
+        path: &Path,
+        fields: &[(&str, u64)],
+        fp: u64,
+        sections: &[(&str, Vec<u8>)],
+        sync: bool,
+    ) -> Result<(), StateError> {
+        // Kinds, keys and section names are identifiers, never escaped.
+        let mut header = format!(
+            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"{}\"",
+            self.name
+        );
+        for (key, v) in fields {
+            let _ = write!(header, ",\"{key}\":{v}");
+        }
+        let names: Vec<String> = sections.iter().map(|(n, _)| format!("\"{n}\"")).collect();
+        let _ = write!(
+            header,
+            ",\"{}\":\"{fp:#018x}\",\"sections\":[{}]}}",
+            self.fp_key,
+            names.join(",")
+        );
+        write_framed(path, &header, sections, sync)
+    }
+
+    /// Opens a checkpoint of this kind. `fp`, when given, must equal the
+    /// stored fingerprint; every `identity` field must equal the header's.
+    pub fn open(
+        &self,
+        path: &Path,
+        fp: Option<u64>,
+        identity: &[(&str, u64)],
+    ) -> Result<Opened, StateError> {
+        let what = format!("{} checkpoint {}", self.name, path.display());
+        let (header, mut present) = read_sectioned(path, &what)?;
+        let kind = header.req_str("kind", &what)?;
+        if kind != self.name {
+            return Err(StateError::Corrupt(format!(
+                "{what}: expected kind `{}`, found `{kind}`",
+                self.name
+            )));
+        }
+        let stored = parse_fp(&header.req_str(self.fp_key, &what)?, &what)?;
+        if let Some(expected) = fp.filter(|&e| e != stored) {
+            return Err(StateError::Mismatch(format!(
+                "{what} was written under configuration {stored:#018x}, \
+                 this run fingerprints as {expected:#018x}"
+            )));
+        }
+        for &(key, want) in identity {
+            let got = header.req_u64(key, &what)?;
+            if got != want {
+                return Err(StateError::Corrupt(format!(
+                    "{what}: `{key}` is {got}, expected {want}"
+                )));
+            }
+        }
+        let listed = header
+            .get("sections")
+            .and_then(Value::as_arr)
+            .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `sections` list")))?;
+        let mut sections = BTreeMap::new();
+        for name in listed {
+            let name = name.as_str().ok_or_else(|| {
+                StateError::Corrupt(format!("{what}: `sections` holds a non-string"))
+            })?;
+            let body = present.remove(name).ok_or_else(|| {
+                StateError::Corrupt(format!("{what}: lists section `{name}` but lacks it"))
+            })?;
+            sections.insert(name.to_owned(), body);
+        }
+        Ok(Opened {
+            what,
+            header,
+            fp: stored,
+            sections,
+        })
+    }
+}
+
+/// A checkpoint whose envelope checked out, holding its listed sections.
+#[derive(Debug)]
+pub struct Opened {
+    what: String,
+    header: Value,
+    fp: u64,
+    sections: BTreeMap<String, Vec<u8>>,
+}
+
+impl Opened {
+    /// The file's kind and path, for error messages.
+    pub(crate) fn what(&self) -> &str {
+        &self.what
+    }
+
+    /// The stored configuration fingerprint.
+    pub(crate) fn fp(&self) -> u64 {
+        self.fp
+    }
+
+    /// A required integer header field.
+    pub fn field(&self, key: &str) -> Result<u64, StateError> {
+        self.header.req_u64(key, &self.what)
+    }
+
+    /// Whether the header lists section `name` and it is not yet taken.
+    pub fn lists(&self, name: &str) -> bool {
+        self.sections.contains_key(name)
+    }
+
+    /// Removes section `name` and decodes its bytes with `f`. A missing
+    /// section, and any [`StateError::Corrupt`] from `f`, names the file
+    /// and the section.
+    pub fn take<T>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&[u8]) -> Result<T, StateError>,
+    ) -> Result<T, StateError> {
+        let raw = self
+            .sections
+            .remove(name)
+            .ok_or_else(|| self.corrupt(&format!("missing `{name}` section")))?;
+        f(&raw).map_err(|e| match e {
+            StateError::Corrupt(msg) => self.corrupt(&format!("section `{name}`: {msg}")),
+            other => other,
+        })
+    }
+
+    /// [`Opened::take`] through a [`Decoder`] that `f` must leave at the
+    /// section's end.
+    pub fn decode<T>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut Decoder) -> Result<T, StateError>,
+    ) -> Result<T, StateError> {
+        self.take(name, |raw| {
+            let mut d = Decoder::new(raw, "payload");
+            let v = f(&mut d)?;
+            d.expect_end()?;
+            Ok(v)
+        })
+    }
+
+    /// A [`StateError::Corrupt`] naming this file.
+    pub fn corrupt(&self, msg: &str) -> StateError {
+        StateError::Corrupt(format!("{}: {msg}", self.what))
+    }
+}
 
 /// Target-stream cursor, one variant per permutation backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,83 +348,62 @@ impl WorkerCheckpoint {
     /// Serialises and atomically writes the checkpoint to `path`
     /// (tmp-file + rename, so a kill mid-write leaves the old file).
     pub fn write_to(&self, path: &Path) -> Result<(), StateError> {
-        let mut header = String::new();
-        header.push('{');
-        header.push_str("\"schema\":");
-        json::push_json_string(&mut header, CHECKPOINT_SCHEMA);
-        header.push_str(",\"kind\":\"worker\"");
-        header.push_str(&format!(",\"worker\":{}", self.worker));
-        header.push_str(&format!(",\"range_index\":{}", self.range_index));
-        header.push_str(&format!(",\"tick\":{}", self.tick));
-        header.push_str(&format!(",\"wal_seq\":{}", self.wal_seq));
-        header.push_str(&format!(",\"config_fp\":\"{:#018x}\"", self.config_fp));
-        header.push_str(",\"sections\":[\"metrics\"");
-        if self.run.is_some() {
-            header.push_str(&format!(",\"{LIVE_SECTION}\""));
-        }
-        header.push_str("]}");
-
-        let mut sections: Vec<(&str, Vec<u8>)> = vec![("metrics", encode_snapshot(&self.metrics))];
+        let mut sections = vec![("metrics", encode_snapshot(&self.metrics))];
         if let Some(run) = &self.run {
             sections.push((LIVE_SECTION, encode_run_state(run)));
         }
-        write_sectioned(path, &header, &sections)
+        let fields = [
+            ("worker", self.worker as u64),
+            ("range_index", self.range_index as u64),
+            ("tick", self.tick),
+            ("wal_seq", self.wal_seq),
+        ];
+        WORKER.write(path, &fields, self.config_fp, &sections, true)
     }
 
-    /// Reads and fully validates a checkpoint from `path`. The header's
-    /// `sections` list decides what the file holds: a mid-range cut of an
-    /// older build (it lists `run`) is refused with
-    /// [`StateError::Version`]; a completed range resumes whichever build
-    /// wrote it.
+    /// Reads and fully validates a checkpoint from `path`, whichever
+    /// session or worker wrote it. The header's `sections` list decides
+    /// what the file holds: a mid-range cut of an older build (it lists
+    /// `run`) is refused with [`StateError::Version`]; a completed range
+    /// resumes whichever build wrote it.
     pub fn read_from(path: &Path) -> Result<WorkerCheckpoint, StateError> {
-        let what = "worker checkpoint";
-        let (header, mut sections) = read_sectioned(path, what)?;
-        let kind = header.req_str("kind", what)?;
-        if kind != "worker" {
-            return Err(StateError::Corrupt(format!(
-                "{what}: expected kind `worker`, found `{kind}`"
-            )));
-        }
-        let config_fp = parse_fp(&header.req_str("config_fp", what)?, what)?;
-        let metrics_raw = sections
-            .remove("metrics")
-            .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `metrics` section")))?;
-        let listed: Vec<&str> = header
-            .get("sections")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| StateError::Corrupt(format!("{what}: missing `sections` list")))?
-            .iter()
-            .filter_map(Value::as_str)
-            .collect();
-        if listed.contains(&LEGACY_RUN_SECTION) {
+        Self::decode(WORKER.open(path, None, &[])?)
+    }
+
+    /// [`WorkerCheckpoint::read_from`], refusing a checkpoint of another
+    /// session ([`StateError::Mismatch`]) or of another worker
+    /// ([`StateError::Corrupt`]).
+    pub fn read_for(path: &Path, config_fp: u64, worker: u32) -> Result<Self, StateError> {
+        Self::decode(WORKER.open(path, Some(config_fp), &[("worker", worker as u64)])?)
+    }
+
+    fn decode(mut ck: Opened) -> Result<Self, StateError> {
+        if ck.lists(LEGACY_RUN_SECTION) {
             return Err(StateError::Version(format!(
-                "{what} {}: holds the mid-range `{LEGACY_RUN_SECTION}` section of an older \
+                "{}: holds the mid-range `{LEGACY_RUN_SECTION}` section of an older \
                  build, which this build cannot continue; re-run the scan without --resume",
-                path.display()
+                ck.what()
             )));
         }
-        let run = if listed.contains(&LIVE_SECTION) {
-            let raw = sections.remove(LIVE_SECTION).ok_or_else(|| {
-                StateError::Corrupt(format!("{what}: missing `{LIVE_SECTION}` section"))
-            })?;
-            Some(decode_run_state(&raw)?)
+        let run = if ck.lists(LIVE_SECTION) {
+            Some(ck.take(LIVE_SECTION, decode_run_state)?)
         } else {
             None
         };
         Ok(WorkerCheckpoint {
-            worker: header.req_u64("worker", what)? as u32,
-            range_index: header.req_u64("range_index", what)? as u32,
-            tick: header.req_u64("tick", what)?,
-            wal_seq: header.req_u64("wal_seq", what)?,
-            config_fp,
-            metrics: decode_snapshot(&metrics_raw)?,
+            worker: ck.field("worker")? as u32,
+            range_index: ck.field("range_index")? as u32,
+            tick: ck.field("tick")?,
+            wal_seq: ck.field("wal_seq")?,
+            config_fp: ck.fp(),
+            metrics: ck.take("metrics", decode_snapshot)?,
             run,
         })
     }
 }
 
 /// Parses a `0x`-prefixed 64-bit fingerprint written by the header writers.
-pub fn parse_fp(s: &str, what: &str) -> Result<u64, StateError> {
+pub(crate) fn parse_fp(s: &str, what: &str) -> Result<u64, StateError> {
     s.strip_prefix("0x")
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(|| StateError::Corrupt(format!("{what}: invalid fingerprint `{s}`")))
@@ -296,25 +463,19 @@ pub fn decode_sub_shards(raw: &[u8]) -> Result<Vec<SubShardEntry>, StateError> {
     Ok(entries)
 }
 
-/// Writes a sectioned `xmap-checkpoint/v1` file atomically. Shared by
-/// worker and campaign checkpoints; `header` must be a complete JSON
-/// object including `schema` and `sections`.
+/// Frames `header` and `sections` into an `xmap-checkpoint/v1` file,
+/// published atomically and fsynced. Checkpoints are written through
+/// [`Kind::write`]; this takes the header verbatim, so tests can build
+/// files no writer would.
 pub fn write_sectioned(
     path: &Path,
     header: &str,
     sections: &[(&str, Vec<u8>)],
 ) -> Result<(), StateError> {
-    write_sectioned_opts(path, header, sections, true)
+    write_framed(path, header, sections, true)
 }
 
-/// [`write_sectioned`] with an explicit durability choice. With `sync:
-/// false` the temp file is *not* fsynced before the rename — the caller
-/// owns durability and must [`fp::sync_file`] the published path (and
-/// its directory) later, the group-commit pattern the campaign executor
-/// uses to batch fsyncs across blocks. A crash inside the unsynced
-/// window can leave the published file torn, which readers must treat
-/// as "block never completed" rather than a fatal error.
-pub fn write_sectioned_opts(
+fn write_framed(
     path: &Path,
     header: &str,
     sections: &[(&str, Vec<u8>)],
@@ -349,33 +510,23 @@ pub fn write_sectioned_opts(
         .map_err(|e| StateError::io(format!("publish checkpoint {}", path.display()), e))
 }
 
-/// Reads a sectioned file, validating magic, schema, and per-section CRCs.
-pub fn read_sectioned(
+/// Reads a framed file, validating magic, schema, and per-section CRCs.
+/// Every length read from the file goes through [`Decoder`]'s bounds
+/// checks, so no length can index past the buffer or overflow.
+fn read_sectioned(
     path: &Path,
     what: &str,
 ) -> Result<(Value, BTreeMap<String, Vec<u8>>), StateError> {
     let raw = fs::read(path)
         .map_err(|e| StateError::io(format!("read checkpoint {}", path.display()), e))?;
-    if !raw.starts_with(MAGIC) {
-        return Err(StateError::Corrupt(format!(
-            "{what} {}: bad magic (not an xmap checkpoint)",
-            path.display()
-        )));
-    }
-    let mut pos = MAGIC.len();
-    if raw.len() < pos + 4 {
-        return Err(StateError::Corrupt(format!(
-            "{what}: truncated header length"
-        )));
-    }
-    let hlen = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
-    pos += 4;
-    if raw.len() < pos + hlen + 1 {
-        return Err(StateError::Corrupt(format!("{what}: truncated header")));
-    }
-    let header_text = std::str::from_utf8(&raw[pos..pos + hlen])
+    let body = raw.strip_prefix(MAGIC).ok_or_else(|| {
+        StateError::Corrupt(format!("{what}: bad magic (not an xmap checkpoint)"))
+    })?;
+    let mut d = Decoder::new(body, what);
+    let hlen = d.u32()? as usize;
+    let header_text = std::str::from_utf8(d.take(hlen)?)
         .map_err(|_| StateError::Corrupt(format!("{what}: header is not UTF-8")))?;
-    pos += hlen + 1; // skip trailing newline
+    d.u8()?; // the newline after the header
     let header = json::parse(header_text, what)?;
     let schema = header.req_str("schema", what)?;
     if schema != CHECKPOINT_SCHEMA {
@@ -384,29 +535,16 @@ pub fn read_sectioned(
         )));
     }
     let mut sections = BTreeMap::new();
-    while pos < raw.len() {
-        let nlen = raw[pos] as usize;
-        pos += 1;
-        if raw.len() < pos + nlen + 8 {
-            return Err(StateError::Corrupt(format!(
-                "{what}: truncated section name"
-            )));
-        }
-        let name = std::str::from_utf8(&raw[pos..pos + nlen])
+    while !d.is_empty() {
+        let nlen = d.u8()? as usize;
+        let name = std::str::from_utf8(d.take(nlen)?)
             .map_err(|_| StateError::Corrupt(format!("{what}: section name not UTF-8")))?
             .to_owned();
-        pos += nlen;
-        let plen = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap()) as usize;
-        pos += 8;
-        if raw.len() < pos + plen + 4 {
-            return Err(StateError::Corrupt(format!(
-                "{what}: truncated section `{name}`"
-            )));
-        }
-        let payload = &raw[pos..pos + plen];
-        pos += plen;
-        let stored = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap());
-        pos += 4;
+        let plen = usize::try_from(d.u64()?).unwrap_or(usize::MAX);
+        let payload = d
+            .take(plen)
+            .map_err(|_| StateError::Corrupt(format!("{what}: truncated section `{name}`")))?;
+        let stored = d.u32()?;
         if crc32(payload) != stored {
             return Err(StateError::Corrupt(format!(
                 "{what}: CRC mismatch in section `{name}`"

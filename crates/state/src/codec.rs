@@ -103,16 +103,17 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    what: &'static str,
+    what: &'a str,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder; `what` names the artifact for error messages.
-    pub fn new(buf: &'a [u8], what: &'static str) -> Self {
+    pub fn new(buf: &'a [u8], what: &'a str) -> Self {
         Self { buf, pos: 0, what }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
+    /// Reads `n` raw bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
         if self.buf.len() - self.pos < n {
             return Err(StateError::Corrupt(format!(
                 "{}: truncated at byte {} (wanted {n} more)",

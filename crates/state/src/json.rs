@@ -86,6 +86,12 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting the parser follows. The formats this
+/// workspace writes nest at most 4 deep; without a bound, one hostile
+/// line (say, 200 000 `[` sent to the `xmap-serve` control socket)
+/// recurses the stack into an abort no caller can catch.
+const MAX_DEPTH: usize = 32;
+
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str, what: &str) -> Result<Value, StateError> {
     let mut p = Parser {
@@ -94,7 +100,7 @@ pub fn parse(text: &str, what: &str) -> Result<Value, StateError> {
         what,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
@@ -141,10 +147,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, StateError> {
+    /// A value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, StateError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err("nested too deep")),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -154,7 +162,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, StateError> {
+    fn object(&mut self, depth: usize) -> Result<Value, StateError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -168,7 +176,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -182,7 +190,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, StateError> {
+    fn array(&mut self, depth: usize) -> Result<Value, StateError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -192,7 +200,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -323,6 +331,15 @@ mod tests {
         assert!(parse("{}extra", "t").is_err());
         assert!(parse(r#"{"a""#, "t").is_err());
         assert!(parse("[1,]", "t").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit, "t").is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(matches!(parse(&past, "t"), Err(StateError::Corrupt(_))));
+        assert!(parse(&"[{\"a\":".repeat(200_000), "t").is_err());
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! ## Pieces
 //!
 //! - [`checkpoint`]: the sectioned file format (ordered JSON header +
-//!   CRC-protected binary sections) and the mid-range scanner state it
-//!   carries ([`RunState`], [`WorkerCheckpoint`]).
+//!   CRC-protected binary sections), the one envelope every checkpoint
+//!   kind is written and opened through ([`checkpoint::Kind`]), and the
+//!   mid-range scanner state it carries ([`RunState`],
+//!   [`WorkerCheckpoint`]).
 //! - [`wal`]: the append-only record journal with torn-tail recovery.
 //! - [`manifest`]: the per-session configuration manifest whose
 //!   fingerprint binds checkpoints to the exact scan they belong to.
@@ -40,7 +42,6 @@ pub mod wal;
 
 pub use checkpoint::{
     CursorState, OutstandingEntry, RetryEntryState, RunState, SubShardEntry, WorkerCheckpoint,
-    CHECKPOINT_SCHEMA,
 };
 pub use codec::Fingerprint;
 pub use error::StateError;
