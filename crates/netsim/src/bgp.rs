@@ -55,6 +55,10 @@ pub const BGP_IID_MIX: [u32; 5] = [100, 100, 50, 50, 700];
 /// most of the misconfigured routes.
 pub const LOOP_RATE_BY_CLASS: [f64; 5] = [0.0576, 0.0077, 0.203, 0.0045, 0.0214];
 
+/// Table slot `i` past the catalog holds AS `SYNTHETIC_ASN_BASE + i`, above
+/// every catalog ASN.
+const SYNTHETIC_ASN_BASE: u32 = 100_000;
+
 /// A synthetic global BGP table.
 #[derive(Debug, Clone)]
 pub struct BgpTable {
@@ -79,7 +83,7 @@ impl BgpTable {
             let asn = if i < geo::KNOWN_ASES.len() {
                 geo::KNOWN_ASES[i].asn
             } else {
-                100_000 + i as u32
+                SYNTHETIC_ASN_BASE + i as u32
             };
             let h = DetHash::new(seed).mix(b"as").mix_u64(asn as u64);
             let is_hotspot = TOP_LOOP_ASNS.contains(&asn);
@@ -146,9 +150,15 @@ impl BgpTable {
         &self.ases
     }
 
-    /// Parameters for one AS.
+    /// Parameters for one AS, in constant time: generation fills slot `i`
+    /// with catalog AS `i` while the catalog lasts and with AS
+    /// `100_000 + i` after it, so an ASN names its own slot.
     pub fn as_params(&self, asn: u32) -> Option<&AsParams> {
-        self.ases.iter().find(|a| a.asn == asn)
+        let i = match asn.checked_sub(SYNTHETIC_ASN_BASE) {
+            Some(i) => i as usize,
+            None => geo::KNOWN_ASES.iter().position(|a| a.asn == asn)?,
+        };
+        self.ases.get(i).filter(|a| a.asn == asn)
     }
 
     /// Finds the advertised prefix containing `addr`, if any.
@@ -221,6 +231,29 @@ mod tests {
         let loopy = t.ases().iter().filter(|a| a.loop_multiplier > 0.0).count();
         let frac = loopy as f64 / t.ases().len() as f64;
         assert!((0.45..0.75).contains(&frac), "loopy fraction {frac}");
+    }
+
+    #[test]
+    fn as_params_resolves_every_generated_asn_and_nothing_else() {
+        let t = BgpTable::generate(7, 2000);
+        for a in t.ases() {
+            assert_eq!(t.as_params(a.asn), Some(a), "AS{}", a.asn);
+        }
+        for e in t.entries() {
+            assert_eq!(t.as_params(e.asn).map(|a| a.asn), Some(e.asn));
+        }
+        for asn in TOP_LOOP_ASNS {
+            assert!(t.as_params(asn).is_some(), "hotspot AS{asn}");
+        }
+        // Unknown: below the catalog, a synthetic slot the catalog holds,
+        // one past the table, and the far end of the ASN space.
+        for asn in [1, SYNTHETIC_ASN_BASE, SYNTHETIC_ASN_BASE + 2000, u32::MAX] {
+            assert_eq!(t.as_params(asn), None, "AS{asn}");
+        }
+        // A table shorter than the catalog knows only its own ASes.
+        let short = BgpTable::generate(7, 5);
+        assert!(short.as_params(geo::KNOWN_ASES[4].asn).is_some());
+        assert_eq!(short.as_params(geo::KNOWN_ASES[5].asn), None);
     }
 
     #[test]

@@ -73,8 +73,12 @@ pub enum IcmpRateLimit {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every fault decision (independent of the world seed so the
-    /// same topology can be replayed under different fault draws).
-    pub seed: u64,
+    /// same topology can be replayed under different fault draws). Private
+    /// so that it cannot drift from `keys`; set it with
+    /// [`FaultPlan::seeded`].
+    seed: u64,
+    /// The seed hashed with each draw's label.
+    keys: FaultKeys,
     /// Probability a probe is dropped on its way *to* the destination.
     /// Redrawn per tick, so a retransmission of the same destination can
     /// succeed where the original was lost.
@@ -99,6 +103,37 @@ pub struct FaultPlan {
     pub icmp_limit: IcmpRateLimit,
 }
 
+/// Every fault draw starts from `DetHash::new(seed).mix(label)`; those
+/// prefixes are hashed once per seed, so a draw mixes only what varies
+/// (addresses, tick, copy index, device).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FaultKeys {
+    fwd: DetHash,
+    link: DetHash,
+    rev: DetHash,
+    dup: DetHash,
+    jit: DetHash,
+    flaky: DetHash,
+    phase: DetHash,
+    depleted: DetHash,
+}
+
+impl FaultKeys {
+    fn new(seed: u64) -> Self {
+        let key = |label: &[u8]| DetHash::new(seed).mix(label);
+        FaultKeys {
+            fwd: key(b"fwd"),
+            link: key(b"link"),
+            rev: key(b"rev"),
+            dup: key(b"dup"),
+            jit: key(b"jit"),
+            flaky: key(b"flaky"),
+            phase: key(b"phase"),
+            depleted: key(b"depleted"),
+        }
+    }
+}
+
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan::none()
@@ -112,8 +147,10 @@ impl FaultPlan {
     /// it was before the fault layer existed (and costs ~nothing: every
     /// check short-circuits on a zero probability).
     pub fn none() -> Self {
+        const SEED: u64 = 0xFA_17;
         FaultPlan {
-            seed: 0xFA_17,
+            seed: SEED,
+            keys: FaultKeys::new(SEED),
             forward_loss: 0.0,
             reverse_loss: 0.0,
             duplicate_frac: 0.0,
@@ -129,7 +166,13 @@ impl FaultPlan {
     #[must_use]
     pub fn seeded(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.keys = FaultKeys::new(seed);
         self
+    }
+
+    /// The fault seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Sets the forward (probe-direction) loss probability.
@@ -189,16 +232,13 @@ impl FaultPlan {
             || !matches!(self.icmp_limit, IcmpRateLimit::Legacy)
     }
 
-    fn h(&self, label: &[u8]) -> DetHash {
-        DetHash::new(self.seed).mix(label)
-    }
-
     /// Whether a probe to `dst` sent at `tick` is dropped en route.
     /// Mixing the tick means a retry of the same destination redraws.
     pub fn drop_forward(&self, dst: Ip6, tick: u64) -> bool {
         self.forward_loss > 0.0
             && self
-                .h(b"fwd")
+                .keys
+                .fwd
                 .mix_u128(dst.bits())
                 .mix_u64(tick)
                 .chance(self.forward_loss)
@@ -211,7 +251,8 @@ impl FaultPlan {
     pub fn drop_link(&self, from: u64, to: u64, dst: Ip6, tick: u64) -> bool {
         self.forward_loss > 0.0
             && self
-                .h(b"link")
+                .keys
+                .link
                 .mix_u64(from)
                 .mix_u64(to)
                 .mix_u128(dst.bits())
@@ -224,7 +265,8 @@ impl FaultPlan {
     pub fn drop_reverse(&self, src: Ip6, tick: u64, k: u64) -> bool {
         self.reverse_loss > 0.0
             && self
-                .h(b"rev")
+                .keys
+                .rev
                 .mix_u128(src.bits())
                 .mix_u64(tick)
                 .mix_u64(k)
@@ -235,7 +277,8 @@ impl FaultPlan {
     pub fn duplicate(&self, src: Ip6, tick: u64, k: u64) -> bool {
         self.duplicate_frac > 0.0
             && self
-                .h(b"dup")
+                .keys
+                .dup
                 .mix_u128(src.bits())
                 .mix_u64(tick)
                 .mix_u64(k)
@@ -248,7 +291,8 @@ impl FaultPlan {
         if self.max_jitter_ticks == 0 {
             return 0;
         }
-        self.h(b"jit")
+        self.keys
+            .jit
             .mix_u128(src.bits())
             .mix_u64(tick)
             .mix_u64(k)
@@ -260,7 +304,8 @@ impl FaultPlan {
     pub fn device_flaky(&self, zone: u64, index: u64) -> bool {
         self.flaky_frac > 0.0
             && self
-                .h(b"flaky")
+                .keys
+                .flaky
                 .mix_u64(zone)
                 .mix_u64(index)
                 .chance(self.flaky_frac)
@@ -274,7 +319,8 @@ impl FaultPlan {
             return false;
         }
         let phase = self
-            .h(b"phase")
+            .keys
+            .phase
             .mix_u64(zone)
             .mix_u64(index)
             .bounded(self.flaky_period);
@@ -310,7 +356,8 @@ impl FaultPlan {
                     state.initialized = true;
                     state.last_refill_tick = tick;
                     state.tokens = if self
-                        .h(b"depleted")
+                        .keys
+                        .depleted
                         .mix_u64(zone)
                         .mix_u64(index)
                         .chance(start_depleted_frac)
@@ -494,6 +541,68 @@ mod tests {
             .count();
         // 64 burst + every tenth of the remaining 136.
         assert_eq!(admitted, 64 + (65..=200).filter(|n| n % 10 == 0).count());
+    }
+
+    #[test]
+    fn keyed_draws_match_the_unkeyed_chains() {
+        assert_eq!(FaultPlan::none(), FaultPlan::none().seeded(0xFA_17));
+        let h = |seed: u64, label: &[u8]| DetHash::new(seed).mix(label);
+        let addrs: [Ip6; 3] = [
+            "::".parse().unwrap(),
+            "2409:8000::1".parse().unwrap(),
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff".parse().unwrap(),
+        ];
+        let devices = [0, 1, u32::MAX as u64, u64::MAX];
+        for seed in [0xFA_17, 1, 0xF00D] {
+            let plan = FaultPlan::none()
+                .seeded(seed)
+                .with_forward_loss(0.5)
+                .with_reverse_loss(0.5)
+                .with_duplication(0.5)
+                .with_jitter(7)
+                .with_flaky(0.5, 100, 25)
+                .with_icmp_limit(IcmpRateLimit::TokenBucket {
+                    capacity: 4,
+                    refill_interval: 10,
+                    start_depleted_frac: 0.5,
+                });
+            for a in addrs {
+                for t in 0..64 {
+                    let fwd = h(seed, b"fwd").mix_u128(a.bits()).mix_u64(t);
+                    assert_eq!(plan.drop_forward(a, t), fwd.chance(0.5));
+                    for (from, to) in [(0, 1), (7, u64::MAX)] {
+                        let link = h(seed, b"link")
+                            .mix_u64(from)
+                            .mix_u64(to)
+                            .mix_u128(a.bits())
+                            .mix_u64(t);
+                        assert_eq!(plan.drop_link(from, to, a, t), link.chance(0.5));
+                    }
+                    for k in 0..3 {
+                        let per_copy =
+                            |label| h(seed, label).mix_u128(a.bits()).mix_u64(t).mix_u64(k);
+                        assert_eq!(plan.drop_reverse(a, t, k), per_copy(b"rev").chance(0.5));
+                        assert_eq!(plan.duplicate(a, t, k), per_copy(b"dup").chance(0.5));
+                        assert_eq!(plan.jitter_ticks(a, t, k), per_copy(b"jit").bounded(8));
+                    }
+                }
+            }
+            for zone in devices {
+                for index in devices {
+                    let device = |label| h(seed, label).mix_u64(zone).mix_u64(index);
+                    let flaky = device(b"flaky").chance(0.5);
+                    assert_eq!(plan.device_flaky(zone, index), flaky);
+                    let phase = device(b"phase").bounded(100);
+                    for t in 0..200 {
+                        let down = flaky && (t + phase) % 100 < 25;
+                        assert_eq!(plan.device_down(zone, index, t), down);
+                    }
+                    let depleted = device(b"depleted").chance(0.5);
+                    let mut fresh = ErrorLimiterState::default();
+                    assert_eq!(plan.admit_error(zone, index, &mut fresh, 0, 1), !depleted);
+                }
+            }
+        }
     }
 
     #[test]

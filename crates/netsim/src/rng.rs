@@ -18,7 +18,7 @@
 /// let c = DetHash::new(42).mix(b"device").mix_u64(8).finish();
 /// assert_ne!(a, c);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetHash {
     state: u64,
 }

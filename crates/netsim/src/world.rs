@@ -29,7 +29,7 @@ use xmap_addr::oui::{self, DeviceClass};
 use xmap_addr::{FxHashMap, IidClass, Ip6, Mac, Prefix};
 use xmap_state::AbortSignal;
 
-use crate::bgp::{BgpTable, BASE_DENSITY, BGP_IID_MIX, LOOP_RATE_BY_CLASS};
+use crate::bgp::{AsParams, BgpTable, BASE_DENSITY, BGP_IID_MIX, LOOP_RATE_BY_CLASS};
 use crate::device::{Device, ReplyMode, ServiceInstance, ServiceSet};
 use crate::fault::{DelayedResponse, ErrorLimiterState, FaultPlan};
 use crate::isp::{IspProfile, NON_EUI_IID_SPLIT, SAMPLE_BLOCKS};
@@ -206,6 +206,8 @@ pub struct World {
     cfg: WorldConfig,
     profiles: &'static [IspProfile],
     bgp: BgpTable,
+    /// The seed hashed with each draw's constant label, once per world.
+    keys: WorldKeys,
     /// Discovered WAN address → device locator (fed by discovery responses,
     /// consumed by application-layer probes).
     registry: FxHashMap<Ip6, DeviceRef>,
@@ -253,6 +255,57 @@ struct ArmedKill {
     signal: AbortSignal,
 }
 
+/// Every world draw starts from `DetHash::new(seed).mix(label)`, and the
+/// per-profile draws mix the profile id next. Those prefixes are constant
+/// for a world, so they are hashed here once; a draw mixes only what
+/// varies per probe (index, pod, address, hop limit).
+#[derive(Debug)]
+struct WorldKeys {
+    loss: DetHash,
+    bgp_dev: DetHash,
+    bgp_sub: DetHash,
+    /// Indexed by [`IspProfile::id`].
+    by_profile_id: Vec<ProfileKeys>,
+}
+
+/// One profile's keys: `DetHash::new(seed).mix(label).mix_u64(id)`.
+#[derive(Debug)]
+struct ProfileKeys {
+    alias: DetHash,
+    isp_dev: DetHash,
+    pod: DetHash,
+    filter: DetHash,
+    hosts: DetHash,
+}
+
+impl WorldKeys {
+    fn new(seed: u64, profiles: &[IspProfile]) -> Self {
+        let key = |label: &[u8]| DetHash::new(seed).mix(label);
+        let max_id = profiles.iter().map(|p| p.id).max().unwrap_or(0);
+        WorldKeys {
+            loss: key(b"loss"),
+            bgp_dev: key(b"bgp-dev"),
+            bgp_sub: key(b"bgp-sub"),
+            by_profile_id: (0..=max_id)
+                .map(|id| {
+                    let key = |label: &[u8]| key(label).mix_u64(u64::from(id));
+                    ProfileKeys {
+                        alias: key(b"alias"),
+                        isp_dev: key(b"isp-dev"),
+                        pod: key(b"pod"),
+                        filter: key(b"filter"),
+                        hosts: key(b"hosts"),
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn of(&self, p: &IspProfile) -> &ProfileKeys {
+        &self.by_profile_id[usize::from(p.id)]
+    }
+}
+
 /// Packets (or ticks) between registry publishes when event tracing is
 /// off. Metrics-only telemetry coalesces at this granularity on the
 /// per-packet path; [`Network::flush_telemetry`] makes boundaries exact.
@@ -274,6 +327,7 @@ impl World {
             cfg,
             profiles: SAMPLE_BLOCKS,
             bgp: BgpTable::generate(cfg.seed, cfg.bgp_ases),
+            keys: WorldKeys::new(cfg.seed, SAMPLE_BLOCKS),
             registry: FxHashMap::default(),
             error_limiters: FxHashMap::default(),
             clock: 0,
@@ -373,15 +427,13 @@ impl World {
     }
 
     /// Whether sub-prefix `index` of block `profile_idx` is *aliased*: a
-    /// middlebox answers echo for every address beneath it. Aliased
-    /// prefixes are disjoint from allocated periphery prefixes.
+    /// middlebox answers echo for every address beneath it. The draw is
+    /// independent of [`World::device_at`], so an aliased sub-prefix may
+    /// also hold a device; the echo path answers an aliased prefix before
+    /// it consults the device, so that device never answers echo itself.
     pub fn is_aliased(&self, profile_idx: usize, index: u64) -> bool {
         let p = &self.profiles[profile_idx];
-        DetHash::new(self.cfg.seed)
-            .mix(b"alias")
-            .mix_u64(p.id as u64)
-            .mix_u64(index)
-            .chance(p.aliased_frac)
+        self.keys.of(p).alias.mix_u64(index).chance(p.aliased_frac)
     }
 
     /// The LAN hosts attached to a device's in-use subnet (1..=3 stable
@@ -402,36 +454,12 @@ impl World {
         index: u64,
         device: &Device,
     ) -> impl Iterator<Item = Ip6> {
-        let subnet = device.used_subnet64.addr();
-        let h = DetHash::new(self.cfg.seed)
-            .mix(b"hosts")
-            .mix_u64(self.profiles[profile_idx].id as u64)
+        let h = self
+            .keys
+            .of(&self.profiles[profile_idx])
+            .hosts
             .mix_u64(index);
-        let n = 1 + h.mix(b"n").bounded(3);
-        (0..n).map(move |k| {
-            let hk = h.mix(b"host").mix_u64(k);
-            let iid = match hk.mix(b"cls").bounded(4) {
-                // LAN hosts skew low-byte/EUI-64 more than CPE WANs.
-                0 => 1 + hk.mix(b"low").bounded(0xff),
-                1 => {
-                    let mac = Mac::from_oui_nic(
-                        oui::OUI_TABLE
-                            [hk.mix(b"oui").bounded(oui::OUI_TABLE.len() as u64) as usize]
-                            .oui,
-                        hk.mix(b"nic").bounded(1 << 24) as u32,
-                    );
-                    mac.to_eui64()
-                }
-                _ => {
-                    let mut v = hk.mix(b"rand").finish();
-                    if (v >> 24) & 0xffff == 0xfffe {
-                        v ^= 1 << 24;
-                    }
-                    v.max(0x10000)
-                }
-            };
-            subnet.with_iid(iid)
-        })
+        derive_lan_hosts(h, device.used_subnet64)
     }
 
     /// RFC 4443 §2.4(f): decides whether the device may emit one more
@@ -462,10 +490,7 @@ impl World {
     /// findings against the true population.
     pub fn device_at(&self, profile_idx: usize, index: u64) -> Option<Device> {
         let p = &self.profiles[profile_idx];
-        let h = DetHash::new(self.cfg.seed)
-            .mix(b"isp-dev")
-            .mix_u64(p.id as u64)
-            .mix_u64(index);
+        let keys = self.keys.of(p);
         let occupancy = match self.cfg.allocation {
             Allocation::Uniform => p.occupancy,
             Allocation::Clustered {
@@ -473,11 +498,7 @@ impl World {
                 active_frac,
             } => {
                 let pod = index >> pod_bits.min(63);
-                let active = DetHash::new(self.cfg.seed)
-                    .mix(b"pod")
-                    .mix_u64(p.id as u64)
-                    .mix_u64(pod)
-                    .chance(active_frac);
+                let active = keys.pod.mix_u64(pod).chance(active_frac);
                 if !active {
                     return None;
                 }
@@ -486,6 +507,18 @@ impl World {
                 (p.occupancy / active_frac).min(1.0)
             }
         };
+        self.derive_device(keys.isp_dev.mix_u64(index), p, index, occupancy)
+    }
+
+    /// Derives the device of sub-prefix `index` from its hash `h`, or
+    /// `None` when the sub-prefix is unallocated at `occupancy`.
+    fn derive_device(
+        &self,
+        h: DetHash,
+        p: &IspProfile,
+        index: u64,
+        occupancy: f64,
+    ) -> Option<Device> {
         if !h.mix(b"exists").chance(occupancy) {
             return None;
         }
@@ -561,10 +594,16 @@ impl World {
     /// advertised prefix, or `None` when no host answers there.
     pub fn bgp_host_at(&self, prefix: Prefix, asn: u32, index: u64) -> Option<BgpHost> {
         let params = self.bgp.as_params(asn)?;
-        let h = DetHash::new(self.cfg.seed)
-            .mix(b"bgp-dev")
+        let h = self
+            .keys
+            .bgp_dev
             .mix_u128(prefix.addr().bits())
             .mix_u64(index);
+        self.derive_bgp_host(h, params)
+    }
+
+    /// Derives the BGP-zone last hop of AS `params` from its hash `h`.
+    fn derive_bgp_host(&self, h: DetHash, params: &AsParams) -> Option<BgpHost> {
         let density = (BASE_DENSITY * params.activity).min(0.9);
         if !h.mix(b"exists").chance(density) {
             return None;
@@ -575,7 +614,7 @@ impl World {
         let loops = h.mix(b"loop").chance(loop_p);
         let (iid, _) = self.derive_iid(h, iid_class, None);
         Some(BgpHost {
-            asn,
+            asn: params.asn,
             iid_class,
             iid,
             loops,
@@ -675,21 +714,20 @@ impl World {
     }
 
     /// End-to-end loss decision for one exchange, deterministic per packet.
+    /// A lossless world skips the draw: `unit()` is never below 0.0.
     fn lost(&self, packet: &Ipv6Packet) -> bool {
-        DetHash::new(self.cfg.seed)
-            .mix(b"loss")
-            .mix_u128(packet.dst.bits())
-            .mix_u64(packet.hop_limit as u64)
-            .chance(self.cfg.loss_frac)
+        self.cfg.loss_frac > 0.0
+            && self
+                .keys
+                .loss
+                .mix_u128(packet.dst.bits())
+                .mix_u64(packet.hop_limit as u64)
+                .chance(self.cfg.loss_frac)
     }
 
     /// Per-device silent-filtering decision (upstream ICMPv6 policy).
     fn filtered(&self, p: &IspProfile, index: u64) -> bool {
-        DetHash::new(self.cfg.seed)
-            .mix(b"filter")
-            .mix_u64(p.id as u64)
-            .mix_u64(index)
-            .chance(p.filter_frac)
+        self.keys.of(p).filter.mix_u64(index).chance(p.filter_frac)
     }
 
     /// Answers an echo probe destined into a sample block's scan space,
@@ -826,9 +864,7 @@ impl World {
             return;
         }
         // Reply source: the last hop lives in some /64 of the probed /48.
-        let h = DetHash::new(self.cfg.seed)
-            .mix(b"bgp-sub")
-            .mix_u128(packet.dst.network(48).bits());
+        let h = self.keys.bgp_sub.mix_u128(packet.dst.network(48).bits());
         let src = packet
             .dst
             .network(48)
@@ -982,6 +1018,35 @@ fn wan_share_shift(p: &IspProfile) -> u32 {
     let k = 1.0 / p.wan_unique64_frac.max(1e-3); // devices per shared /64
     let window = k / p.occupancy.max(1e-12);
     (window.log2().ceil() as u32).min(31)
+}
+
+/// Derives a device's LAN hosts in `subnet` from their hash `h`.
+fn derive_lan_hosts(h: DetHash, subnet: Prefix) -> impl Iterator<Item = Ip6> {
+    let subnet = subnet.addr();
+    let n = 1 + h.mix(b"n").bounded(3);
+    (0..n).map(move |k| {
+        let hk = h.mix(b"host").mix_u64(k);
+        let iid = match hk.mix(b"cls").bounded(4) {
+            // LAN hosts skew low-byte/EUI-64 more than CPE WANs.
+            0 => 1 + hk.mix(b"low").bounded(0xff),
+            1 => {
+                let mac = Mac::from_oui_nic(
+                    oui::OUI_TABLE[hk.mix(b"oui").bounded(oui::OUI_TABLE.len() as u64) as usize]
+                        .oui,
+                    hk.mix(b"nic").bounded(1 << 24) as u32,
+                );
+                mac.to_eui64()
+            }
+            _ => {
+                let mut v = hk.mix(b"rand").finish();
+                if (v >> 24) & 0xffff == 0xfffe {
+                    v ^= 1 << 24;
+                }
+                v.max(0x10000)
+            }
+        };
+        subnet.with_iid(iid)
+    })
 }
 
 /// A synthetic transit-router address for in-path Time Exceeded messages.
@@ -1865,5 +1930,174 @@ mod realism_tests {
         for i in 0..4096u64 {
             assert_eq!(a.device_at(2, i), b.device_at(2, i));
         }
+    }
+}
+
+/// The world's keys against the chains they replace: every draw hashed
+/// from the seed as `DetHash::new(seed).mix(label)…` must give the
+/// world's answer bit for bit.
+#[cfg(test)]
+mod keyed_draw_tests {
+    use super::*;
+
+    const SEEDS: [u64; 3] = [0, 7, 0xDA7A_5EED];
+    const ALLOCATIONS: [Allocation; 2] = [
+        Allocation::Uniform,
+        Allocation::Clustered {
+            pod_bits: 8,
+            active_frac: 1.0 / 64.0,
+        },
+    ];
+
+    fn unkeyed(seed: u64, label: &[u8]) -> DetHash {
+        DetHash::new(seed).mix(label)
+    }
+
+    fn unkeyed_for(seed: u64, label: &[u8], p: &IspProfile) -> DetHash {
+        unkeyed(seed, label).mix_u64(p.id as u64)
+    }
+
+    /// [`World::device_at`] with every draw hashed from the seed.
+    fn device_unkeyed(w: &World, pi: usize, index: u64) -> Option<Device> {
+        let (seed, p) = (w.cfg.seed, &w.profiles[pi]);
+        let occupancy = match w.cfg.allocation {
+            Allocation::Uniform => p.occupancy,
+            Allocation::Clustered {
+                pod_bits,
+                active_frac,
+            } => {
+                let pod = index >> pod_bits.min(63);
+                if !unkeyed_for(seed, b"pod", p)
+                    .mix_u64(pod)
+                    .chance(active_frac)
+                {
+                    return None;
+                }
+                (p.occupancy / active_frac).min(1.0)
+            }
+        };
+        let h = unkeyed_for(seed, b"isp-dev", p).mix_u64(index);
+        w.derive_device(h, p, index, occupancy)
+    }
+
+    #[test]
+    fn every_key_is_its_label_chain() {
+        for seed in SEEDS {
+            let keys = WorldKeys::new(seed, SAMPLE_BLOCKS);
+            assert_eq!(keys.loss, unkeyed(seed, b"loss"));
+            assert_eq!(keys.bgp_dev, unkeyed(seed, b"bgp-dev"));
+            assert_eq!(keys.bgp_sub, unkeyed(seed, b"bgp-sub"));
+            for p in SAMPLE_BLOCKS {
+                let k = keys.of(p);
+                assert_eq!(k.alias, unkeyed_for(seed, b"alias", p));
+                assert_eq!(k.isp_dev, unkeyed_for(seed, b"isp-dev", p));
+                assert_eq!(k.pod, unkeyed_for(seed, b"pod", p));
+                assert_eq!(k.filter, unkeyed_for(seed, b"filter", p));
+                assert_eq!(k.hosts, unkeyed_for(seed, b"hosts", p));
+            }
+        }
+    }
+
+    #[test]
+    fn devices_and_hosts_match_the_unkeyed_chains() {
+        let mut devices = 0;
+        for seed in SEEDS {
+            for allocation in ALLOCATIONS {
+                let w =
+                    World::with_config(WorldConfig::lossless(seed, 10).with_allocation(allocation));
+                for (pi, p) in SAMPLE_BLOCKS.iter().enumerate() {
+                    let last =
+                        (p.scan_prefix().subprefix_count(p.assigned_len).unwrap() - 1) as u64;
+                    let first_devices = (0..1 << 18)
+                        .filter(|&i| w.device_at(pi, i).is_some())
+                        .take(2);
+                    let indices: Vec<u64> = [0, 1, last / 2, last]
+                        .into_iter()
+                        .chain(first_devices)
+                        .collect();
+                    for i in indices {
+                        let device = w.device_at(pi, i);
+                        assert_eq!(device, device_unkeyed(&w, pi, i), "{} #{i}", p.name);
+                        if let Some(d) = device {
+                            devices += 1;
+                            let hosts = derive_lan_hosts(
+                                unkeyed_for(seed, b"hosts", p).mix_u64(i),
+                                d.used_subnet64,
+                            );
+                            assert_eq!(w.hosts_of(pi, i), hosts.collect::<Vec<_>>());
+                        }
+                    }
+                }
+            }
+        }
+        // Enough whole devices compared to mean something (most indices
+        // are unallocated in every profile).
+        assert!(devices > 100, "{devices}");
+    }
+
+    #[test]
+    fn alias_filter_and_loss_draws_match_the_unkeyed_chains() {
+        let edges = [0, 1, u32::MAX as u64, u64::MAX];
+        for seed in SEEDS {
+            let w = World::with_config(WorldConfig::lossless(seed, 10));
+            for (pi, p) in SAMPLE_BLOCKS.iter().enumerate() {
+                for i in edges.into_iter().chain(0..1 << 12) {
+                    let alias = unkeyed_for(seed, b"alias", p).mix_u64(i);
+                    assert_eq!(w.is_aliased(pi, i), alias.chance(p.aliased_frac));
+                    let filter = unkeyed_for(seed, b"filter", p).mix_u64(i);
+                    assert_eq!(w.filtered(p, i), filter.chance(p.filter_frac));
+                }
+            }
+            // Aliasing is rare: also compare where the world says yes.
+            let aliased = (0..1 << 22).find(|&i| w.is_aliased(1, i)).expect("aliased");
+            let bsnl = &SAMPLE_BLOCKS[1];
+            assert!(unkeyed_for(seed, b"alias", bsnl)
+                .mix_u64(aliased)
+                .chance(bsnl.aliased_frac));
+
+            let lossy = World::with_config(WorldConfig {
+                loss_frac: 0.5,
+                ..WorldConfig::lossless(seed, 10)
+            });
+            let vantage: Ip6 = "fd00::1".parse().unwrap();
+            for (n, hop_limit) in (0..512u64).zip([1u8, 32, 64, 255].into_iter().cycle()) {
+                let dst = SAMPLE_BLOCKS[n as usize % SAMPLE_BLOCKS.len()]
+                    .scan_prefix()
+                    .addr()
+                    .with_iid(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let probe = Ipv6Packet::echo_request(vantage, dst, hop_limit, 0, 0);
+                let draw = unkeyed(seed, b"loss")
+                    .mix_u128(dst.bits())
+                    .mix_u64(hop_limit as u64);
+                assert_eq!(lossy.lost(&probe), draw.chance(0.5));
+                assert_eq!(w.lost(&probe), draw.chance(0.0));
+            }
+        }
+    }
+
+    #[test]
+    fn bgp_hosts_match_the_unkeyed_chains() {
+        let mut hosts = 0;
+        for seed in SEEDS {
+            let w = World::with_config(WorldConfig::lossless(seed, 200));
+            for entry in w.bgp().entries().iter().step_by(25) {
+                // The linear lookup `as_params` replaced.
+                let params = w.bgp().ases().iter().find(|a| a.asn == entry.asn);
+                for i in [0, 0xffff, u32::MAX as u64, u64::MAX]
+                    .into_iter()
+                    .chain(0..1 << 12)
+                {
+                    let h = unkeyed(seed, b"bgp-dev")
+                        .mix_u128(entry.prefix.addr().bits())
+                        .mix_u64(i);
+                    let host = w.bgp_host_at(entry.prefix, entry.asn, i);
+                    assert_eq!(host, params.and_then(|a| w.derive_bgp_host(h, a)));
+                    hosts += usize::from(host.is_some());
+                }
+            }
+            let entry = w.bgp().entries()[0];
+            assert_eq!(w.bgp_host_at(entry.prefix, 1, 0), None, "unknown AS");
+        }
+        assert!(hosts > 200, "{hosts}");
     }
 }
