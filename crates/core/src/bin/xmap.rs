@@ -28,7 +28,9 @@
 //!       --status-interval S status-line period in simulated seconds
 //!                          (default 1.0; virtual clock, so deterministic)
 //!       --checkpoint DIR   journal results and periodically checkpoint
-//!                          scan state into DIR (created if missing)
+//!                          scan state into DIR (created if missing); a
+//!                          worker that panics ends the run with exit
+//!                          code 3 and --resume finishes it
 //!       --checkpoint-every N checkpoint cadence in send slots
 //!                          (default 1024; 0 = range boundaries only)
 //!       --resume           continue the scan recorded in --checkpoint DIR;

@@ -608,8 +608,9 @@ pub struct SessionSpec<'a> {
 #[derive(Debug)]
 pub struct SessionOutcome {
     /// Merged results across workers and ranges. `interrupted` is set if
-    /// any worker stopped on the abort signal; the session directory then
-    /// holds the state a `resume: true` invocation continues from.
+    /// any worker stopped on the abort signal or panicked; the session
+    /// directory then holds the state a `resume: true` invocation
+    /// continues from.
     pub results: ScanResults,
     /// Merged telemetry snapshot across workers.
     pub snapshot: Snapshot,

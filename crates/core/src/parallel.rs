@@ -55,6 +55,7 @@ use xmap_netsim::packet::Network;
 use xmap_telemetry::{Snapshot, Telemetry};
 
 use crate::blocklist::Blocklist;
+use crate::checkpoint::RangeMode;
 use crate::probe::ProbeModule;
 use crate::scanner::{ScanConfig, ScanResults, Scanner};
 use crate::telemetry::names;
@@ -106,8 +107,8 @@ pub struct ParallelScanner<N> {
     factory: NetworkFactory<N>,
     supervision: Supervision,
     exec_faults: Option<ExecFaults>,
-    /// Per-worker count of units claimed so far (shard-run attempts),
-    /// the index scripted [`ExecFaults`] rules match against.
+    /// Per-worker count of range runs started so far (replays
+    /// included), the index scripted [`ExecFaults`] rules match against.
     units: Vec<u64>,
     panics: u64,
     requeued: u64,
@@ -195,23 +196,25 @@ impl<N: Network + Send> ParallelScanner<N> {
         self.supervision = policy;
     }
 
-    /// Arms scripted executor faults: worker `w`'s `nth` claimed shard
-    /// run panics or stalls per the plan. Test-harness plumbing; a
-    /// production run never sets this.
+    /// Arms scripted executor faults: worker `w`'s `nth` range run
+    /// (counting replays) panics or stalls per the plan. Test-harness
+    /// plumbing; a production run never sets this.
     pub fn set_exec_faults(&mut self, faults: ExecFaults) {
         self.exec_faults = Some(faults);
     }
 
-    /// Shards whose attempt budget ran out (empty on a healthy run).
-    /// A poisoned shard contributes nothing to results or telemetry;
-    /// its worker slot holds a fresh, never-run scanner.
+    /// Shards whose worker panicked and was not replayed to completion
+    /// (empty on a healthy run). A poisoned shard contributes nothing to
+    /// results. A sinkless one contributes nothing to telemetry either:
+    /// its worker slot holds a fresh, never-run scanner. One with a sink
+    /// keeps its scanner, so the caller can still take the sink.
     pub fn poisoned_shards(&self) -> &[usize] {
         &self.poisoned
     }
 
     /// Replaces worker `w` with a freshly built scanner (new telemetry
     /// bundle, new network replica, same nested shard slot) so a
-    /// panicked worker's half-updated state never leaks into a retry or
+    /// panicked worker's half-updated state never leaks into a replay or
     /// into [`snapshot`](Self::snapshot).
     fn rebuild_worker(&mut self, w: usize) {
         self.workers[w] = make_worker(
@@ -247,114 +250,31 @@ impl<N: Network + Send> ParallelScanner<N> {
     /// Scans one range across all workers and merges deterministically:
     /// records sorted by target (= permutation-index order), counters
     /// summed. See the module docs for why the result is byte-identical
-    /// to a 1-worker run of the same seed.
-    ///
-    /// Workers run under `catch_unwind` supervision: a panicked shard is
-    /// rebuilt from the factory (fresh replica, same slot — determinism
-    /// makes the retry byte-identical to what the lost attempt would
-    /// have produced) and respawned until its attempt budget
-    /// ([`Supervision::max_attempts`]) runs out, after which the shard
-    /// is poisoned: its targets are skipped, the merged result is marked
-    /// `interrupted`, and [`poisoned_shards`](Self::poisoned_shards) /
-    /// the `exec.*` counters in [`snapshot`](Self::snapshot) report it.
+    /// to a 1-worker run of the same seed. This is
+    /// [`run_all`](Self::run_all) over one range.
     pub fn run(
         &mut self,
         range: &ScanRange,
         module: &(dyn ProbeModule + Sync),
         blocklist: &Blocklist,
     ) -> ScanResults {
-        let n = self.workers.len();
-        let max_attempts = self.supervision.max_attempts.max(1);
-        let mut results: Vec<Option<ScanResults>> = (0..n).map(|_| None).collect();
-        let mut attempts = vec![0u32; n];
-        loop {
-            let pending: Vec<bool> = (0..n)
-                .map(|w| results[w].is_none() && attempts[w] < max_attempts)
-                .collect();
-            if !pending.contains(&true) {
-                break;
-            }
-            let mut unit_of = vec![0u64; n];
-            for w in 0..n {
-                if pending[w] {
-                    attempts[w] += 1;
-                    unit_of[w] = self.units[w];
-                    self.units[w] += 1;
-                }
-            }
-            let faults = self.exec_faults.as_ref();
-            let outs: Vec<(usize, std::thread::Result<ScanResults>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .workers
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(w, _)| pending[*w])
-                        .map(|(w, worker)| {
-                            let unit = unit_of[w];
-                            let handle = scope.spawn(move || {
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    consult_exec_faults(faults, w, unit);
-                                    worker.run(range, module, blocklist)
-                                }))
-                            });
-                            (w, handle)
-                        })
-                        .collect();
-                    // Joining in worker order keeps the fold deterministic.
-                    handles
-                        .into_iter()
-                        .map(|(w, h)| match h.join() {
-                            Ok(caught) => (w, caught),
-                            Err(payload) => (w, Err(payload)),
-                        })
-                        .collect()
-                });
-            for (w, out) in outs {
-                match out {
-                    Ok(res) => results[w] = Some(res),
-                    Err(_) => {
-                        self.panics += 1;
-                        // Fresh scanner either way: a retry must not see
-                        // half-updated state, and a poisoned slot must
-                        // not leak partial telemetry into snapshot().
-                        self.rebuild_worker(w);
-                        if attempts[w] < max_attempts {
-                            self.requeued += 1;
-                        } else if !self.poisoned.contains(&w) {
-                            self.poisoned.push(w);
-                        }
-                    }
-                }
-            }
-        }
-        let mut merged = ScanResults::default();
-        for one in results.into_iter().flatten() {
-            merged.absorb(one);
-        }
-        // Stable sort: a target's own records (e.g. fault-plan duplicates)
-        // keep their single worker's arrival order.
-        merged.records.sort_by_key(|r| r.target);
-        merged.silent_targets.sort_unstable();
-        // Poisoned shards left targets unscanned — surface that the same
-        // way an aborted checkpointed run does.
-        merged.interrupted |= !self.poisoned.is_empty();
-        merged
+        self.run_all(std::slice::from_ref(range), module, blocklist)
     }
 
     /// Scans several ranges, merging results range by range (mirrors
     /// [`Scanner::run_all`]: per-range canonical order, concatenated).
+    /// This is [`run_with_modes`](Self::run_with_modes) with every range
+    /// [`RangeMode::Fresh`].
     pub fn run_all(
         &mut self,
         ranges: &[ScanRange],
         module: &(dyn ProbeModule + Sync),
         blocklist: &Blocklist,
     ) -> ScanResults {
-        let mut all = ScanResults::default();
-        for r in ranges {
-            all.absorb(self.run(r, module, blocklist));
-        }
-        all
+        let modes = (0..self.workers.len())
+            .map(|_| fresh_modes(ranges.len()))
+            .collect();
+        self.run_with_modes(ranges, module, blocklist, modes)
     }
 
     /// Scans several ranges with an explicit per-worker [`RangeMode`] for
@@ -365,10 +285,34 @@ impl<N: Network + Send> ParallelScanner<N> {
     /// the following ranges (its checkpoint already covers everything it
     /// did).
     ///
-    /// Merging reproduces [`run_all`](Self::run_all)'s canonical order
-    /// exactly: per range, records across workers are sorted by target and
-    /// silent targets sorted; ranges are then concatenated in order. The
-    /// merged `interrupted` flag is the OR across workers.
+    /// Merging is canonical: per range, records across workers are
+    /// sorted by target and silent targets sorted; ranges are then
+    /// concatenated in order. The merged `interrupted` flag is the OR
+    /// across workers.
+    ///
+    /// # Supervision
+    ///
+    /// Each worker runs its whole mode list under one `catch_unwind`.
+    /// What happens to a worker that panics depends on whether it holds
+    /// a checkpoint sink:
+    ///
+    /// * **No sink** (every mode `Fresh`, as [`run_all`](Self::run_all)
+    ///   passes): running consumed nothing the worker was handed, so it
+    ///   is rebuilt from the factory (fresh replica, fresh telemetry,
+    ///   same slot) and replays its whole mode list, until
+    ///   [`Supervision::max_attempts`] runs out. Determinism makes the
+    ///   replay's records *and* telemetry those of a fault-free run.
+    /// * **A sink**: the lost attempt consumed the sink's journal
+    ///   position and the worker's restored state, so it is not replayed.
+    ///   Its checkpoint covers everything it made durable, and resuming
+    ///   the session recovers exactly.
+    ///
+    /// A worker that is not replayed is poisoned: its targets are
+    /// skipped, the merged result is marked `interrupted`, and
+    /// [`poisoned_shards`](Self::poisoned_shards) and the `exec.*`
+    /// counters in [`snapshot`](Self::snapshot) report it. Scripted
+    /// [`ExecFaults`] unit `k` of worker `w` is that worker's `k`-th range
+    /// run on this executor, replays included.
     ///
     /// # Panics
     ///
@@ -378,80 +322,108 @@ impl<N: Network + Send> ParallelScanner<N> {
         ranges: &[ScanRange],
         module: &(dyn ProbeModule + Sync),
         blocklist: &Blocklist,
-        modes: Vec<Vec<crate::checkpoint::RangeMode>>,
+        modes: Vec<Vec<RangeMode>>,
     ) -> ScanResults {
         assert_eq!(modes.len(), self.workers.len(), "one mode list per worker");
         for m in &modes {
             assert_eq!(m.len(), ranges.len(), "one mode per range");
         }
-        // Each worker returns its per-range results (ending early if
-        // interrupted); merging happens range by range below. A panicked
-        // worker is NOT retried in-process: its sink and restored resume
-        // state were consumed by the lost attempt, so the only sound
-        // recovery is the normal session-resume path. The shard is
-        // poisoned and the merged result marked interrupted — the
-        // worker's own checkpoint already covers everything it durably
-        // did, so a resume recovers exactly.
-        let faults = self.exec_faults.as_ref();
-        let outs: Vec<std::thread::Result<Vec<ScanResults>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .zip(modes)
-                .enumerate()
-                .map(|(w, (worker, worker_modes))| {
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut per_range = Vec::with_capacity(worker_modes.len());
-                            for (ri, (range, mode)) in ranges.iter().zip(worker_modes).enumerate() {
-                                // Unit index = range index in this path,
-                                // so scripts can target "worker w, range
-                                // ri" directly.
-                                consult_exec_faults(faults, w, ri as u64);
-                                let one = worker
-                                    .run_checkpointed(ri as u32, range, module, blocklist, mode);
-                                let interrupted = one.interrupted;
-                                per_range.push(one);
-                                if interrupted {
-                                    break;
-                                }
-                            }
-                            per_range
-                        }))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(caught) => caught,
-                    Err(payload) => Err(payload),
-                })
-                .collect()
-        });
-        // Each worker's list is a prefix of `ranges`, so draining the
-        // lists in step visits range `ri` of every worker that reached it.
-        let mut outs: Vec<std::vec::IntoIter<ScanResults>> = outs
-            .into_iter()
-            .enumerate()
-            .map(|(w, out)| match out {
-                Ok(per_range) => per_range.into_iter(),
-                Err(_) => {
-                    self.panics += 1;
-                    if !self.poisoned.contains(&w) {
-                        self.poisoned.push(w);
-                    }
-                    Vec::new().into_iter()
-                }
+        let max_attempts = self.supervision.max_attempts.max(1);
+        // A replay must not depend on anything a run consumes: a sink's
+        // journal position, or the restored state and journalled records
+        // a `Resume`/`Skip` mode carries.
+        let replayable: Vec<bool> = self
+            .workers
+            .iter()
+            .zip(&modes)
+            .map(|(worker, m)| {
+                !worker.has_sink() && m.iter().all(|m| matches!(m, RangeMode::Fresh))
             })
             .collect();
-        let mut merged = ScanResults::default();
-        merged.interrupted |= !self.poisoned.is_empty();
+        let mut attempts = vec![0u32; modes.len()];
+        let mut todo: Vec<Option<Vec<RangeMode>>> = modes.into_iter().map(Some).collect();
+        // Each worker's per-range results: a prefix of `ranges` (ending
+        // early if interrupted), empty for a poisoned worker.
+        let mut outs: Vec<Vec<ScanResults>> = (0..todo.len()).map(|_| Vec::new()).collect();
+        while todo.iter().any(Option::is_some) {
+            let faults = self.exec_faults.as_ref();
+            let round: Vec<(usize, std::thread::Result<Vec<ScanResults>>)> =
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = self
+                        .workers
+                        .iter_mut()
+                        .zip(&mut self.units)
+                        .zip(&mut todo)
+                        .enumerate()
+                        .filter_map(|(w, ((worker, units), slot))| {
+                            let worker_modes = slot.take()?;
+                            let handle = scope.spawn(move || {
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    let mut per_range = Vec::with_capacity(worker_modes.len());
+                                    for (ri, (range, mode)) in
+                                        ranges.iter().zip(worker_modes).enumerate()
+                                    {
+                                        let unit = *units;
+                                        *units += 1;
+                                        consult_exec_faults(faults, w, unit);
+                                        let one = worker.run_checkpointed(
+                                            ri as u32, range, module, blocklist, mode,
+                                        );
+                                        let interrupted = one.interrupted;
+                                        per_range.push(one);
+                                        if interrupted {
+                                            break;
+                                        }
+                                    }
+                                    per_range
+                                }))
+                            });
+                            Some((w, handle))
+                        })
+                        .collect();
+                    // Joining in worker order keeps the fold deterministic.
+                    handles
+                        .into_iter()
+                        .map(|(w, h)| (w, h.join().expect("workers catch their own panics")))
+                        .collect()
+                });
+            for (w, out) in round {
+                attempts[w] += 1;
+                if let Ok(per_range) = out {
+                    outs[w] = per_range;
+                    continue;
+                }
+                self.panics += 1;
+                if replayable[w] {
+                    // Fresh scanner either way: a replay must not see
+                    // half-updated state, and a poisoned slot must not
+                    // leak partial telemetry into snapshot().
+                    self.rebuild_worker(w);
+                    if attempts[w] < max_attempts {
+                        self.requeued += 1;
+                        todo[w] = Some(fresh_modes(ranges.len()));
+                        continue;
+                    }
+                }
+                if !self.poisoned.contains(&w) {
+                    self.poisoned.push(w);
+                }
+            }
+        }
+        // Draining the per-worker lists in step visits range `ri` of
+        // every worker that reached it.
+        let mut outs: Vec<_> = outs.into_iter().map(Vec::into_iter).collect();
+        let mut merged = ScanResults {
+            interrupted: !self.poisoned.is_empty(),
+            ..ScanResults::default()
+        };
         for _ in ranges {
             let mut bucket = ScanResults::default();
             for one in outs.iter_mut().filter_map(Iterator::next) {
                 bucket.absorb(one);
             }
+            // Stable sort: a target's own records (e.g. fault-plan
+            // duplicates) keep their single worker's arrival order.
             bucket.records.sort_by_key(|r| r.target);
             bucket.silent_targets.sort_unstable();
             merged.absorb(bucket);
@@ -495,9 +467,14 @@ pub fn insert_exec_counters(snap: &mut Snapshot, panics: u64, requeued: u64, poi
     }
 }
 
+/// `n` ranges, each scanned from the beginning.
+fn fresh_modes(n: usize) -> Vec<RangeMode> {
+    (0..n).map(|_| RangeMode::Fresh).collect()
+}
+
 /// Applies a scripted executor fault for `worker` claiming `unit`.
 /// `Panic` panics in place — the supervisor's `catch_unwind` turns it
-/// into a requeue or a poisoned shard. The shard executor has no
+/// into a replay or a poisoned shard. The shard executor has no
 /// watchdog (its workers are compute-bound over finite disjoint shards,
 /// so a claim cannot be held forever), so `Stall` just parks the worker
 /// briefly — exercising slow-worker merge order, not requeue. The
@@ -804,6 +781,34 @@ mod tests {
         stripped.counters.remove(names::EXEC_WORKER_PANICS);
         stripped.counters.remove(names::EXEC_REQUEUED);
         assert_eq!(stripped, baseline_snap);
+    }
+
+    /// A panic on a worker's second range replays the whole worker, so
+    /// the registry that counted its first range is rebuilt rather than
+    /// lost: telemetry, not just records, equals the fault-free run.
+    #[test]
+    fn run_all_retry_keeps_the_workers_earlier_ranges() {
+        use xmap_failpoint::exec::ExecPlan;
+        let ranges = [range(), "2405:201::/32-64".parse().unwrap()];
+        let mut clean = parallel(2, 512);
+        let baseline = clean.run_all(&ranges, &IcmpEchoProbe, &Blocklist::allow_all());
+        let baseline_snap = clean.snapshot();
+        assert_eq!(baseline_snap.counter(names::SENT), 1024);
+
+        let mut ps = parallel(2, 512);
+        ps.set_exec_faults(ExecPlan::panic_on(1, 1).armed());
+        let results = ps.run_all(&ranges, &IcmpEchoProbe, &Blocklist::allow_all());
+        assert!(!results.interrupted);
+        assert!(ps.poisoned_shards().is_empty());
+        assert_eq!(results.records, baseline.records);
+        assert_eq!(results.stats, baseline.stats);
+
+        let mut snap = ps.snapshot();
+        assert_eq!(snap.counter(names::EXEC_WORKER_PANICS), 1);
+        assert_eq!(snap.counter(names::EXEC_REQUEUED), 1);
+        snap.counters.retain(|name, _| !name.starts_with("exec."));
+        assert_eq!(snap.counter(names::SENT), 1024);
+        assert_eq!(snap, baseline_snap);
     }
 
     #[test]

@@ -382,6 +382,11 @@ impl<N: Network> Scanner<N> {
         self.sink.take()
     }
 
+    /// Whether a checkpoint sink is attached.
+    pub(crate) fn has_sink(&self) -> bool {
+        self.sink.is_some()
+    }
+
     /// Restores the scanner's lifetime tick count and the network's
     /// virtual clock from a checkpoint — the resume path's first step, to
     /// be called before any run.

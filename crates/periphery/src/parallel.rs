@@ -1910,6 +1910,32 @@ mod tests {
     }
 
     #[test]
+    fn supervisor_fallback_panic_is_retried() {
+        use xmap_failpoint::exec::ExecRule;
+        let tpb = 1 << 9;
+        let (seq, seq_snap) = sequential(tpb);
+        // The only worker panics on its fourth block and retires; the
+        // supervisor fallback (fault index 1 = `workers`) then panics on
+        // its first attempt at that block, and its retry still finishes
+        // the campaign byte-identically.
+        let panic_on = |worker, nth| ExecRule {
+            worker,
+            nth,
+            action: ExecAction::Panic,
+        };
+        let outcome = ParallelCampaign::new(Campaign::new(tpb), 1)
+            .with_supervision(Supervision { max_attempts: 3 })
+            .with_exec_faults(ExecPlan {
+                rules: vec![panic_on(0, 3), panic_on(1, 0)],
+            })
+            .run(&base(tpb), make_world);
+        assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
+        assert_eq!(outcome.result, seq, "supervisor retry diverged");
+        assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 2);
+        assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+    }
+
+    #[test]
     fn stalled_worker_is_rescued_by_watchdog() {
         let tpb = 1 << 13;
         let t0 = Instant::now();

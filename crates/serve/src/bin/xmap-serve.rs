@@ -117,7 +117,6 @@ fn daemon_main(args: &[String]) -> ExitCode {
                         .map_err(|_| format!("--weight {raw:?}: weight must be an integer"))?;
                     cfg.tenant_weights.insert(tenant.to_owned(), w);
                 }
-                "--max-attempts" => cfg.max_attempts = int(&mut iter, arg)?.max(1) as u32,
                 "-q" | "--quiet" => quiet = true,
                 other => return Err(format!("unknown option {other:?}")),
             }

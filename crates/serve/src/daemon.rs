@@ -39,8 +39,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use xmap::merge_worker_snapshots;
 use xmap::telemetry::names;
+use xmap::{merge_worker_snapshots, Supervision};
 use xmap_failpoint::fs as fp;
 use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind};
 use xmap_state::{Fingerprint, StateError};
@@ -79,9 +79,6 @@ pub struct ServeConfig {
     pub admission: AdmissionPolicy,
     /// Per-tenant DRR weights; unlisted tenants get weight 1.
     pub tenant_weights: BTreeMap<String, u64>,
-    /// Attempts per unit before the owning job is failed (counting the
-    /// first), mirroring the executors' [`xmap::Supervision`] default.
-    pub max_attempts: u32,
 }
 
 impl Default for ServeConfig {
@@ -91,7 +88,6 @@ impl Default for ServeConfig {
             quantum: 4096,
             admission: AdmissionPolicy::default(),
             tenant_weights: BTreeMap::new(),
-            max_attempts: 2,
         }
     }
 }
@@ -562,7 +558,8 @@ impl Daemon {
                     let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
                     if entry.state == JobState::Active {
                         entry.attempts[unit] += 1;
-                        if entry.attempts[unit] < self.cfg.max_attempts.max(1) {
+                        // The same attempt budget as every executor pool.
+                        if entry.attempts[unit] < Supervision::default().max_attempts {
                             let cost = entry.spec.unit_cost(unit);
                             eng.sched.requeue(job, unit, cost);
                             self.metrics.counter(metric::REQUEUED).inc();

@@ -298,6 +298,79 @@ fn killed_session_checkpoints_match_golden_and_resume() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The other half of the executor's panic policy: a worker that holds a
+/// checkpoint sink is not replayed in-process. It is poisoned, the run
+/// ends interrupted, and its checkpoint covers what it made durable, so
+/// resuming the session gives exactly the uninterrupted artifacts.
+#[test]
+fn panicked_worker_with_a_sink_is_poisoned_and_resumes() {
+    let ranges = [range(), "2405:201::/32-64".parse().unwrap()];
+    let blocklist = Blocklist::allow_all();
+    let make_world = |_: usize, telemetry: &Telemetry| {
+        let mut world = lossy_world();
+        world.set_telemetry(telemetry);
+        world
+    };
+
+    let base_dir = session_dir("panic-base");
+    let base = run_session(
+        &session_spec(&ranges, &base_dir, false),
+        &IcmpEchoProbe,
+        &blocklist,
+        None,
+        make_world,
+    )
+    .expect("uninterrupted session");
+    assert!(!base.results.interrupted);
+    fs::remove_dir_all(&base_dir).unwrap();
+
+    let dir = session_dir("panic");
+    let spec = session_spec(&ranges, &dir, false);
+    let manifest = build_manifest(
+        spec.workers,
+        &spec.config,
+        &IcmpEchoProbe,
+        &ranges,
+        &blocklist,
+        spec.world_seed,
+        spec.every,
+    );
+    let session = ScanSession::create(&dir, manifest).expect("fresh session");
+    let mut ps = ParallelScanner::new(spec.workers, spec.config, make_world);
+    // Worker 1 panics as it starts its second range.
+    ps.set_exec_faults(xmap_failpoint::ExecPlan::panic_on(1, 1).armed());
+    let mut modes = Vec::new();
+    for w in 0..spec.workers {
+        let wr = session
+            .fresh_worker(w as u32, ranges.len())
+            .expect("fresh worker");
+        ps.worker_mut(w).set_sink(wr.sink);
+        modes.push(wr.modes);
+    }
+    let partial = ps.run_with_modes(&ranges, &IcmpEchoProbe, &blocklist, modes);
+    assert!(partial.interrupted, "a poisoned worker must interrupt");
+    assert_eq!(ps.poisoned_shards(), &[1]);
+    assert!(partial.records.len() < base.results.records.len());
+    drop(ps);
+
+    let resumed = run_session(
+        &session_spec(&ranges, &dir, true),
+        &IcmpEchoProbe,
+        &blocklist,
+        None,
+        make_world,
+    )
+    .expect("resumed session");
+    assert!(!resumed.results.interrupted);
+    assert!(resumed.sink_error.is_none(), "{:?}", resumed.sink_error);
+    assert_eq!(
+        to_csv(&resumed.results.records),
+        to_csv(&base.results.records)
+    );
+    assert_eq!(resumed.snapshot, base.snapshot);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One worker's session driven by hand — the pool's merge sorts silent
 /// targets, and their probe order is part of what the tests below pin.
 /// Returns the run's results and whether it continued a mid-range cut.
