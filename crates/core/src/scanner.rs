@@ -24,6 +24,7 @@ use crate::probe::{ProbeModule, ProbeResult};
 use crate::target::fill_host_bits;
 use crate::telemetry::{names, HotTally, MetricsBaseline, ScanMetrics};
 use crate::validate::Validator;
+use crate::walk::IndexWalk;
 
 /// Probe-order strategies (ablation: `permutation_vs_sequential`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1013,7 +1014,7 @@ const TARGET_CHUNK: usize = 256;
 /// emits exactly the order [`Scanner::run`] always used).
 #[derive(Debug)]
 struct TargetGen {
-    stream: IndexStream,
+    walk: IndexWalk,
     /// Remaining `max_targets` budget, counted in raw walk steps (for
     /// the cyclic permutation, group steps — fringe sentinels included),
     /// so the budget partitions exactly under nested sub-shard splits.
@@ -1026,46 +1027,40 @@ struct TargetGen {
     consumed: u64,
 }
 
-/// The per-permutation walk state behind [`TargetGen`].
-#[derive(Debug)]
-enum IndexStream {
-    /// Multiplicative-group walk over this scanner's shard.
-    Cyclic(crate::cyclic::ShardIter),
-    /// Index-addressable bijection evaluated at strided positions.
-    Feistel {
-        perm: FeistelPermutation,
-        next_pos: u64,
-        stride: u64,
-    },
-    /// Ascending strided positions, no permutation.
-    Sequential {
-        next_pos: u64,
-        stride: u64,
-        len: u64,
-    },
+/// The index-space length a range's walk covers.
+fn walk_len(range: &ScanRange) -> u64 {
+    u64::try_from(range.space_size().min(u64::MAX as u128)).unwrap_or(u64::MAX)
+}
+
+/// How many of the positions `next, next + stride, …` lie below `len`:
+/// the count of a sequential walk (re)started at `next`.
+fn positions_below(next: u64, stride: u64, len: u64) -> u64 {
+    if next < len {
+        (len - 1 - next) / stride + 1
+    } else {
+        0
+    }
 }
 
 impl TargetGen {
     fn new(config: &ScanConfig, range: &ScanRange) -> Self {
-        let len = u64::try_from(range.space_size().min(u64::MAX as u128)).unwrap_or(u64::MAX);
+        let len = walk_len(range);
         let (shard, shards) = (config.shard, config.shards);
-        let stream = match config.permutation {
+        let walk = match config.permutation {
             Permutation::Cyclic => {
-                IndexStream::Cyclic(Cycle::new(len, config.seed).iter_shard(shard, shards))
+                IndexWalk::Cyclic(Cycle::new(len, config.seed).iter_shard(shard, shards))
             }
-            Permutation::Feistel => IndexStream::Feistel {
+            Permutation::Feistel => IndexWalk::Feistel {
                 perm: FeistelPermutation::new(len, config.seed),
                 next_pos: shard,
                 stride: shards,
             },
-            Permutation::Sequential => IndexStream::Sequential {
-                next_pos: shard,
-                stride: shards,
-                len,
-            },
+            Permutation::Sequential => {
+                IndexWalk::strided(shard, shards, positions_below(shard, shards, len))
+            }
         };
         TargetGen {
-            stream,
+            walk,
             remaining: config.max_targets.unwrap_or(u64::MAX),
             buf: [0; TARGET_CHUNK],
             len: 0,
@@ -1140,37 +1135,7 @@ impl TargetGen {
         if want == 0 {
             return;
         }
-        let out = &mut self.buf[..want];
-        let n = match &mut self.stream {
-            IndexStream::Cyclic(walk) => walk.fill_raw(out),
-            IndexStream::Feistel {
-                perm,
-                next_pos,
-                stride,
-            } => {
-                let n = perm.fill(*next_pos, *stride, out);
-                *next_pos = (n as u64)
-                    .checked_mul(*stride)
-                    .and_then(|step| next_pos.checked_add(step))
-                    .unwrap_or(u64::MAX);
-                n
-            }
-            IndexStream::Sequential {
-                next_pos,
-                stride,
-                len,
-            } => {
-                let mut n = 0;
-                while n < out.len() && *next_pos < *len {
-                    out[n] = *next_pos;
-                    n += 1;
-                    // On overflow the walk is past every valid position
-                    // (positions are < len <= u64::MAX), so MAX terminates.
-                    *next_pos = next_pos.checked_add(*stride).unwrap_or(u64::MAX);
-                }
-                n
-            }
-        };
+        let n = self.walk.fill(&mut self.buf[..want]);
         self.len = n;
         self.remaining -= n as u64;
     }
@@ -1179,20 +1144,18 @@ impl TargetGen {
     /// remaining target budget, and the chunk-buffer run-ahead (indices
     /// drawn from the stream but not yet consumed by the scan).
     fn capture(&self) -> (CursorState, u64, Vec<u64>) {
-        let cursor = match &self.stream {
-            IndexStream::Cyclic(walk) => {
+        let cursor = match &self.walk {
+            IndexWalk::Cyclic(walk) => {
                 let (current, remaining_walk) = walk.position();
                 CursorState::Cyclic {
                     current,
                     remaining_walk,
                 }
             }
-            IndexStream::Feistel { next_pos, .. } => CursorState::Feistel {
+            IndexWalk::Feistel { next_pos, .. } => CursorState::Feistel {
                 next_pos: *next_pos,
             },
-            IndexStream::Sequential { next_pos, .. } => CursorState::Sequential {
-                next_pos: *next_pos,
-            },
+            IndexWalk::Strided { next, .. } => CursorState::Sequential { next_pos: *next },
         };
         (
             cursor,
@@ -1205,19 +1168,27 @@ impl TargetGen {
     /// fingerprint guarantees `config`/`range` match what was captured).
     fn restore(config: &ScanConfig, range: &ScanRange, rs: &RunState) -> TargetGen {
         let mut gen = TargetGen::new(config, range);
-        match (&mut gen.stream, &rs.cursor) {
+        match (&mut gen.walk, &rs.cursor) {
             (
-                IndexStream::Cyclic(walk),
+                IndexWalk::Cyclic(walk),
                 CursorState::Cyclic {
                     current,
                     remaining_walk,
                 },
             ) => walk.set_position(*current, *remaining_walk),
-            (IndexStream::Feistel { next_pos, .. }, CursorState::Feistel { next_pos: p }) => {
+            (IndexWalk::Feistel { next_pos, .. }, CursorState::Feistel { next_pos: p }) => {
                 *next_pos = *p;
             }
-            (IndexStream::Sequential { next_pos, .. }, CursorState::Sequential { next_pos: p }) => {
-                *next_pos = *p;
+            (
+                IndexWalk::Strided {
+                    next,
+                    stride,
+                    remaining,
+                },
+                CursorState::Sequential { next_pos: p },
+            ) => {
+                *next = *p;
+                *remaining = positions_below(*p, *stride, walk_len(range));
             }
             _ => panic!("checkpoint cursor does not match the configured permutation"),
         }

@@ -1,10 +1,10 @@
 //! Public chunked index-walk streaming.
 //!
-//! The scanner's hot loop fills fixed-size index chunks from its
-//! internal cursor ([`ShardIter::fill`], [`FeistelPermutation::fill`])
-//! instead of materializing per-target state. [`IndexWalk`] exposes the
-//! same discipline to external drivers — the loopscan surveys' strided
-//! walks and the adaptive engine's per-node permutation draws — so
+//! The scanner's hot loop fills fixed-size index chunks from an
+//! [`IndexWalk`] ([`ShardIter::fill_raw`], [`FeistelPermutation::fill`],
+//! or a plain stride) instead of materializing per-target state. Callers
+//! outside the scanner — the loopscan surveys' strided walks and the
+//! adaptive engine's per-node permutation draws — use the same type, so
 //! every target loop in the workspace streams through one chunked,
 //! zero-allocation path.
 
@@ -30,7 +30,8 @@ use crate::feistel::FeistelPermutation;
 #[derive(Debug, Clone)]
 pub enum IndexWalk {
     /// Arithmetic progression `start, start + stride, …` of `remaining`
-    /// indices — the survey scanners' deterministic coarse walk.
+    /// indices — the survey scanners' deterministic coarse walk and the
+    /// scanner's sequential (unpermuted) order.
     Strided {
         /// Next index to emit.
         next: u64,
@@ -52,7 +53,9 @@ pub enum IndexWalk {
         stride: u64,
     },
     /// A cyclic-group shard walk (the classic ZMap multiplicative
-    /// cycle).
+    /// cycle), one index per group step: a step that lands in the gap
+    /// between the space and the group emits `u64::MAX`
+    /// ([`ShardIter::fill_raw`]), so walk positions stay group steps.
     Cyclic(ShardIter),
 }
 
@@ -102,10 +105,15 @@ impl IndexWalk {
                 stride,
             } => {
                 let n = perm.fill(*next_pos, *stride, out);
-                *next_pos = next_pos.saturating_add(n as u64 * *stride);
+                // Past the end on overflow: positions are below the
+                // permutation length, so MAX ends the walk.
+                *next_pos = (n as u64)
+                    .checked_mul(*stride)
+                    .and_then(|step| next_pos.checked_add(step))
+                    .unwrap_or(u64::MAX);
                 n
             }
-            IndexWalk::Cyclic(iter) => iter.fill(out),
+            IndexWalk::Cyclic(iter) => iter.fill_raw(out),
         }
     }
 }

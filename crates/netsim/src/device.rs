@@ -146,11 +146,6 @@ impl Device {
         }
     }
 
-    /// Whether `addr` is one of the device's own interface addresses.
-    pub fn owns_address(&self, addr: Ip6) -> bool {
-        addr == self.wan_address()
-    }
-
     /// Multiplier applied to the base ICMPv6 token-bucket capacity under
     /// [`crate::fault::IcmpRateLimit::TokenBucket`]: line-powered CPEs
     /// afford a larger error burst than battery-powered UEs.
@@ -158,32 +153,6 @@ impl Device {
         match self.kind {
             DeviceClass::Cpe => 2,
             _ => 1,
-        }
-    }
-
-    /// Whether a packet to `addr` with remaining `hop_limit` (measured at
-    /// the ISP router) would loop between the ISP and this device:
-    /// the address must fall in a vulnerable, unused region.
-    pub fn loops_for(&self, addr: Ip6) -> bool {
-        if self.owns_address(addr) {
-            return false;
-        }
-        match self.reply_mode {
-            ReplyMode::DiffPrefix => {
-                if self.used_subnet64.contains(addr) {
-                    // The in-use subnet has a real route toward the LAN.
-                    false
-                } else if self.delegated_prefix.contains(addr) {
-                    // Unused LAN destinations: vulnerable unless the CE
-                    // router installed an unreachable route (RFC 7084).
-                    self.loop_vuln_lan
-                } else if self.wan_prefix64.contains(addr) {
-                    self.loop_vuln_wan
-                } else {
-                    false
-                }
-            }
-            ReplyMode::SamePrefix => self.delegated_prefix.contains(addr) && self.loop_vuln_wan,
         }
     }
 }
@@ -254,29 +223,5 @@ mod tests {
         let src = d.reply_source(probe);
         assert_eq!(src.network(64), probe.network(64));
         assert_eq!(src.iid(), d.iid);
-    }
-
-    #[test]
-    fn loop_regions() {
-        let d = sample_device(ReplyMode::DiffPrefix);
-        // Unused LAN destination loops.
-        assert!(d.loops_for("2001:db8:4321:8769::1".parse().unwrap()));
-        // Unused WAN-prefix destination loops (NX Address case).
-        assert!(d.loops_for("2001:db8:1234:5678:ffff::1".parse().unwrap()));
-        // The device's own WAN address never loops.
-        assert!(!d.loops_for(d.wan_address()));
-        // Unrelated destinations never loop.
-        assert!(!d.loops_for("2001:db9::1".parse().unwrap()));
-        // The in-use subnet is properly routed and never loops.
-        assert!(!d.loops_for("2001:db8:4321:8765::1".parse().unwrap()));
-    }
-
-    #[test]
-    fn patched_device_does_not_loop() {
-        let mut d = sample_device(ReplyMode::DiffPrefix);
-        d.loop_vuln_lan = false;
-        d.loop_vuln_wan = false;
-        assert!(!d.loops_for("2001:db8:4321:8769::1".parse().unwrap()));
-        assert!(!d.loops_for("2001:db8:1234:5678:ffff::1".parse().unwrap()));
     }
 }

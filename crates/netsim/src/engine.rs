@@ -3,8 +3,8 @@
 //! The engine models a small topology node by node: each node owns
 //! interface addresses, a list of directly attached hosts, and a routing
 //! table evaluated by longest-prefix match. Packets are forwarded hop by
-//! hop with hop-limit decrement; ICMPv6 errors are generated exactly where
-//! RFC 4443 says they are:
+//! hop with hop-limit decrement; the rule book ([`crate::rules`]) decides
+//! and builds each ICMPv6 error exactly where RFC 4443 says it belongs:
 //!
 //! * hop limit expires in transit → Time Exceeded from that router,
 //! * no route / reject route → Destination Unreachable from that router,
@@ -24,7 +24,11 @@ use std::collections::HashMap;
 use xmap_addr::{Ip6, Prefix};
 
 use crate::fault::FaultPlan;
-use crate::packet::{Icmpv6, Ipv6Packet, Network, Payload, UnreachCode};
+use crate::packet::{
+    AppData, Icmpv6, Ipv6Packet, Network, Payload, TcpFlags, UnreachCode, DEFAULT_HOP_LIMIT,
+    MAX_HOP_LIMIT,
+};
+use crate::rules::rfc4443::{self, Answer};
 
 /// Identifier of a node inside an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -250,7 +254,9 @@ impl Engine {
 
     /// Routes one packet from `at` until delivery, drop or error.
     /// Generated packets (errors/replies) are pushed to `out`, tagged with
-    /// the node that emitted them.
+    /// the node that emitted them. `is_error` marks a generated error,
+    /// which nothing answers (RFC 4443 §2.4(e)): a node it is addressed to
+    /// consumes it, and a router that cannot forward it drops it.
     fn route_packet(
         &mut self,
         mut packet: Ipv6Packet,
@@ -260,152 +266,68 @@ impl Engine {
     ) {
         loop {
             let node = &self.nodes[at.0];
-            // Delivered to one of this node's own addresses?
-            if node.addrs.contains(&packet.dst) {
-                if let Some(resp) = local_response(&packet) {
-                    self.emit(resp, at, out);
+            // A node's own address needs no route lookup.
+            let own = node.addrs.contains(&packet.dst);
+            let route = (!own)
+                .then(|| node.lookup(packet.dst).map(|r| r.action))
+                .flatten();
+            let answer = match route {
+                _ if own
+                    || (route == Some(RouteAction::OnLink) && node.hosts.contains(&packet.dst)) =>
+                {
+                    local_answer(&packet).map(|a| (packet.dst, a))
                 }
-                return;
-            }
-            let Some(route) = node.lookup(packet.dst) else {
-                if !is_error {
-                    let err = icmp_error(
-                        node.primary_addr(),
-                        &packet,
-                        Icmpv6::DestUnreachable {
-                            code: UnreachCode::NoRoute,
-                            invoking: packet.quote(),
-                        },
-                    );
-                    self.emit(err, at, out);
-                }
-                return;
-            };
-            match route.action {
-                RouteAction::Reject => {
-                    if !is_error {
-                        let err = icmp_error(
-                            node.primary_addr(),
-                            &packet,
-                            Icmpv6::DestUnreachable {
-                                code: UnreachCode::RejectRoute,
-                                invoking: packet.quote(),
-                            },
-                        );
-                        self.emit(err, at, out);
-                    }
-                    return;
-                }
-                RouteAction::Blackhole => return,
-                RouteAction::OnLink => {
-                    if node.hosts.contains(&packet.dst) {
-                        if let Some(resp) = local_response(&packet) {
-                            self.emit(resp, at, out);
-                        }
-                    } else if !is_error {
-                        // Nonexistent neighbour: the last-hop router answers
-                        // address-unreachable — the discovery signal.
-                        let err = icmp_error(
-                            node.primary_addr(),
-                            &packet,
-                            Icmpv6::DestUnreachable {
-                                code: UnreachCode::AddressUnreachable,
-                                invoking: packet.quote(),
-                            },
-                        );
-                        self.emit(err, at, out);
-                    }
-                    return;
-                }
-                RouteAction::Forward(next) => {
-                    if let Some(clamp) = self.nodes[at.0].hl_clamp {
+                Some(RouteAction::Forward(next)) => {
+                    if let Some(clamp) = node.hl_clamp {
                         packet.hop_limit = packet.hop_limit.min(clamp);
                     }
-                    if packet.hop_limit <= 1 {
-                        if !is_error {
-                            let err = icmp_error(
-                                node.primary_addr(),
-                                &packet,
-                                Icmpv6::TimeExceeded {
-                                    invoking: packet.quote(),
-                                },
-                            );
-                            self.emit(err, at, out);
+                    if rfc4443::expires(packet.hop_limit, 1) {
+                        Some((node.primary_addr(), Answer::TimeExceeded))
+                    } else {
+                        packet.hop_limit -= 1;
+                        if self
+                            .fault
+                            .drop_link(at.0 as u64, next.0 as u64, packet.dst, self.clock)
+                        {
+                            self.link_drops += 1;
+                            return;
                         }
-                        return;
+                        *self.link_forwards.entry((at, next)).or_insert(0) += 1;
+                        self.total_forwards += 1;
+                        at = next;
+                        continue;
                     }
-                    packet.hop_limit -= 1;
-                    if self
-                        .fault
-                        .drop_link(at.0 as u64, next.0 as u64, packet.dst, self.clock)
-                    {
-                        self.link_drops += 1;
-                        return;
-                    }
-                    *self.link_forwards.entry((at, next)).or_insert(0) += 1;
-                    self.total_forwards += 1;
-                    at = next;
                 }
+                _ => rfc4443::unreachable_code(route)
+                    .map(|code| (node.primary_addr(), Answer::Unreachable(code))),
+            };
+            if let Some((src, answer)) = answer.filter(|_| !is_error) {
+                let mut reply = rfc4443::reply(src, &packet, DEFAULT_HOP_LIMIT, answer);
+                if rfc4443::is_error(&reply) {
+                    reply.hop_limit = ERROR_HOP_LIMIT;
+                }
+                out.push((reply, at));
             }
+            return;
         }
     }
-
-    /// Queues a generated packet for onward routing from `from`.
-    fn emit(&mut self, packet: Ipv6Packet, from: NodeId, out: &mut Vec<(Ipv6Packet, NodeId)>) {
-        out.push((packet, from));
-    }
 }
 
-/// The response a node/host generates for a packet addressed to it.
-fn local_response(packet: &Ipv6Packet) -> Option<Ipv6Packet> {
+/// The hop limit engine routers originate ICMPv6 errors with. Router
+/// stacks commonly use 255; this matters for the spoofed-source
+/// loop-doubling attack, where the error itself re-enters the loop and
+/// must survive another ~250 traversals.
+const ERROR_HOP_LIMIT: u8 = MAX_HOP_LIMIT;
+
+/// What a node answers a packet addressed to it or to one of its on-link
+/// hosts: engine nodes run no application services, so UDP draws port
+/// unreachable and TCP a reset; replies and errors are consumed silently.
+fn local_answer(packet: &Ipv6Packet) -> Option<Answer> {
     match &packet.payload {
-        Payload::Icmp(Icmpv6::EchoRequest { ident, seq }) => Some(Ipv6Packet {
-            src: packet.dst,
-            dst: packet.src,
-            hop_limit: crate::packet::DEFAULT_HOP_LIMIT,
-            payload: Payload::Icmp(Icmpv6::EchoReply {
-                ident: *ident,
-                seq: *seq,
-            }),
-        }),
-        // Engine nodes run no application services; UDP gets port-unreachable.
-        Payload::Udp { .. } => Some(icmp_error(
-            packet.dst,
-            packet,
-            Icmpv6::DestUnreachable {
-                code: UnreachCode::PortUnreachable,
-                invoking: packet.quote(),
-            },
-        )),
-        // TCP to engine nodes is refused.
-        Payload::Tcp {
-            src_port, dst_port, ..
-        } => Some(Ipv6Packet {
-            src: packet.dst,
-            dst: packet.src,
-            hop_limit: crate::packet::DEFAULT_HOP_LIMIT,
-            payload: Payload::Tcp {
-                src_port: *dst_port,
-                dst_port: *src_port,
-                flags: crate::packet::TcpFlags::Rst,
-                data: crate::packet::AppData::None,
-            },
-        }),
-        // Replies and errors are consumed silently.
+        Payload::Icmp(Icmpv6::EchoRequest { .. }) => Some(Answer::EchoReply),
+        Payload::Udp { .. } => Some(Answer::Unreachable(UnreachCode::PortUnreachable)),
+        Payload::Tcp { .. } => Some(Answer::Tcp(TcpFlags::Rst, AppData::None)),
         Payload::Icmp(_) => None,
-    }
-}
-
-/// Builds an ICMPv6 error packet from `src` about `about`. Router stacks
-/// commonly originate ICMPv6 with hop limit 255; this matters for the
-/// spoofed-source loop-doubling attack, where the error itself re-enters
-/// the loop and must survive another ~250 traversals.
-fn icmp_error(src: Ip6, about: &Ipv6Packet, msg: Icmpv6) -> Ipv6Packet {
-    Ipv6Packet {
-        src,
-        dst: about.src,
-        hop_limit: crate::packet::MAX_HOP_LIMIT,
-        payload: Payload::Icmp(msg),
     }
 }
 
@@ -443,11 +365,7 @@ impl Network for Engine {
                 delivered.push(p);
                 continue;
             }
-            let is_error = matches!(
-                p.payload,
-                Payload::Icmp(Icmpv6::DestUnreachable { .. })
-                    | Payload::Icmp(Icmpv6::TimeExceeded { .. })
-            );
+            let is_error = rfc4443::is_error(&p);
             let mut more = Vec::new();
             self.route_packet(p, at, is_error, &mut more);
             queue.extend(more);
@@ -635,24 +553,6 @@ mod tests {
         // amplification factor of Section VI-A is ≈ 255 − n for path
         // length n.
         assert_eq!(loop_fwd, 253);
-    }
-
-    #[test]
-    fn small_hop_limit_expires_in_transit() {
-        let (mut e, ..) = three_node_topology(true);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8765::100"),
-            1,
-            0,
-            0,
-        ));
-        assert_eq!(replies.len(), 1);
-        // Expired at the vantage's next hop before delivery.
-        assert!(matches!(
-            replies[0].payload,
-            Payload::Icmp(Icmpv6::TimeExceeded { .. })
-        ));
     }
 
     #[test]

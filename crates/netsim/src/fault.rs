@@ -22,7 +22,8 @@ use xmap_addr::Ip6;
 
 use crate::rng::DetHash;
 
-/// How a device's ICMPv6 error generation is rate-limited (RFC 4443 §2.4).
+/// How a device's ICMPv6 error generation is rate-limited (RFC 4443
+/// §2.4(f), applied by [`crate::rules::rfc4443::admit_error`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IcmpRateLimit {
     /// The historical model of this simulator: each device answers its
@@ -327,79 +328,23 @@ impl FaultPlan {
         (tick + phase) % self.flaky_period < self.flaky_outage
     }
 
-    /// Decides whether the device `(zone, index)` may emit one more ICMPv6
-    /// error at `tick`, updating its limiter `state`. `burst_scale` scales
-    /// the token-bucket capacity for the device class (routers afford a
-    /// larger burst than battery-powered UEs; see
-    /// [`crate::device::Device::icmp_burst_scale`]).
-    pub fn admit_error(
-        &self,
-        zone: u64,
-        index: u64,
-        state: &mut ErrorLimiterState,
-        tick: u64,
-        burst_scale: u32,
-    ) -> bool {
-        match self.icmp_limit {
-            IcmpRateLimit::Unlimited => true,
-            IcmpRateLimit::Legacy => {
-                state.emitted += 1;
-                state.emitted <= 64 || state.emitted.is_multiple_of(10)
-            }
-            IcmpRateLimit::TokenBucket {
-                capacity,
-                refill_interval,
-                start_depleted_frac,
-            } => {
-                let capacity = (capacity * burst_scale.max(1)).max(1);
-                if !state.initialized {
-                    state.initialized = true;
-                    state.last_refill_tick = tick;
-                    state.tokens = if self
-                        .keys
-                        .depleted
-                        .mix_u64(zone)
-                        .mix_u64(index)
-                        .chance(start_depleted_frac)
-                    {
-                        0
-                    } else {
-                        capacity
-                    };
-                }
-                let gained = (tick - state.last_refill_tick)
-                    .checked_div(refill_interval)
-                    .unwrap_or(0);
-                if gained > 0 {
-                    state.tokens = state
-                        .tokens
-                        .saturating_add(gained.min(u64::from(capacity)) as u32)
-                        .min(capacity);
-                    state.last_refill_tick += gained * refill_interval;
-                }
-                if state.tokens > 0 {
-                    state.tokens -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+    /// Whether the token bucket of device `(zone, index)` starts empty,
+    /// with the plan's `start_depleted_frac` (see
+    /// [`IcmpRateLimit::TokenBucket`]). Never under other limiter models.
+    pub(crate) fn starts_depleted(&self, zone: u64, index: u64) -> bool {
+        let IcmpRateLimit::TokenBucket {
+            start_depleted_frac,
+            ..
+        } = self.icmp_limit
+        else {
+            return false;
+        };
+        self.keys
+            .depleted
+            .mix_u64(zone)
+            .mix_u64(index)
+            .chance(start_depleted_frac)
     }
-}
-
-/// Per-device ICMPv6 error limiter state, owned by the network and updated
-/// through [`FaultPlan::admit_error`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ErrorLimiterState {
-    /// Total errors the device has attempted to emit (legacy model).
-    pub emitted: u64,
-    /// Tokens currently in the bucket (token-bucket model).
-    pub tokens: u32,
-    /// Tick of the last bucket refill.
-    pub last_refill_tick: u64,
-    /// Whether the bucket has been seeded with its initial fill.
-    pub initialized: bool,
 }
 
 /// A response held back by jitter, ordered by delivery time.
@@ -441,6 +386,7 @@ impl Ord for DelayedResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::rfc4443;
 
     #[test]
     fn none_plan_injects_nothing() {
@@ -493,54 +439,6 @@ mod tests {
         // And the outage is contiguous within a cycle (one flip per edge).
         let flips = down.windows(2).filter(|w| w[0] != w[1]).count();
         assert!(flips <= 5, "{flips}");
-    }
-
-    #[test]
-    fn token_bucket_depletes_and_refills() {
-        let plan = FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
-            capacity: 4,
-            refill_interval: 10,
-            start_depleted_frac: 0.0,
-        });
-        let mut st = ErrorLimiterState::default();
-        // Burst of 4 admitted, fifth denied.
-        for _ in 0..4 {
-            assert!(plan.admit_error(0, 0, &mut st, 0, 1));
-        }
-        assert!(!plan.admit_error(0, 0, &mut st, 0, 1));
-        // After one refill interval, exactly one more token.
-        assert!(plan.admit_error(0, 0, &mut st, 10, 1));
-        assert!(!plan.admit_error(0, 0, &mut st, 10, 1));
-        // A long quiet period refills to capacity, not beyond.
-        for _ in 0..4 {
-            assert!(plan.admit_error(0, 0, &mut st, 1000, 1));
-        }
-        assert!(!plan.admit_error(0, 0, &mut st, 1000, 1));
-    }
-
-    #[test]
-    fn depleted_start_makes_device_silent_then_recovering() {
-        let plan = FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
-            capacity: 8,
-            refill_interval: 16,
-            start_depleted_frac: 1.0,
-        });
-        let mut st = ErrorLimiterState::default();
-        // Silent at tick 0 (bucket empty) …
-        assert!(!plan.admit_error(7, 7, &mut st, 0, 1));
-        // … but the retry after a refill interval is admitted.
-        assert!(plan.admit_error(7, 7, &mut st, 16, 1));
-    }
-
-    #[test]
-    fn legacy_matches_historical_behaviour() {
-        let plan = FaultPlan::none();
-        let mut st = ErrorLimiterState::default();
-        let admitted = (0..200)
-            .filter(|_| plan.admit_error(0, 0, &mut st, 0, 1))
-            .count();
-        // 64 burst + every tenth of the remaining 136.
-        assert_eq!(admitted, 64 + (65..=200).filter(|n| n % 10 == 0).count());
     }
 
     #[test]
@@ -598,8 +496,12 @@ mod tests {
                         assert_eq!(plan.device_down(zone, index, t), down);
                     }
                     let depleted = device(b"depleted").chance(0.5);
-                    let mut fresh = ErrorLimiterState::default();
-                    assert_eq!(plan.admit_error(zone, index, &mut fresh, 0, 1), !depleted);
+                    assert_eq!(plan.starts_depleted(zone, index), depleted);
+                    let mut fresh = rfc4443::ErrorLimiterState::default();
+                    assert_eq!(
+                        rfc4443::admit_error(&plan, zone, index, &mut fresh, 0, 1),
+                        !depleted
+                    );
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! This crate is the measurement substrate for the XMap reproduction: it
 //! plays the role of the live IPv6 Internet in the paper. It has three
-//! layers, all driven by the same behavioural rules:
+//! layers:
 //!
 //! 1. **Packet model & transport** ([`packet`], [`Network`]) — IPv6 headers
 //!    with hop limits, ICMPv6 (echo, destination-unreachable, time-exceeded
@@ -22,8 +22,13 @@
 //!    2³² sub-prefixes costs no memory and any scaled slice of it is
 //!    self-consistent across scans.
 //!
-//! The engine and the world implement the same rules; integration tests
-//! cross-validate them (see `tests/` at the workspace root).
+//! Neither the engine nor the world decides an answer on its own: both
+//! call the rule book, [`rules`], where each RFC 4443 / RFC 7084 clause
+//! the paper's method relies on is one function. Where the two differ on
+//! purpose (the hop limit errors leave with, which one rate-limits
+//! errors), the difference is an argument or a line of DESIGN.md §2's
+//! clause table. `tests/engine_world_consistency.rs` at the workspace root
+//! still probes both on mirrored configurations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +41,7 @@ pub mod geo;
 pub mod isp;
 pub mod packet;
 pub mod rng;
+pub mod rules;
 pub mod selftest;
 pub mod services;
 pub mod telemetry;

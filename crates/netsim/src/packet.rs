@@ -383,71 +383,12 @@ impl<N: Network + ?Sized> Network for &mut N {
     }
 }
 
-/// A freelist of [`Ipv6Packet`] buffers.
-///
-/// Response assembly needs a staging `Vec` per exchange (responses are
-/// drawn, fault-filtered, then delivered); allocating one per probe
-/// dominated the scan hot path. An arena parks cleared buffers — capacity
-/// intact — between exchanges, so steady-state probing performs no heap
-/// allocation at all: [`get`](PacketArena::get) pops a parked buffer and
-/// [`put`](PacketArena::put) returns it.
-#[derive(Debug, Default)]
-pub struct PacketArena {
-    free: Vec<Vec<Ipv6Packet>>,
-}
-
-impl PacketArena {
-    /// An empty arena (the first `get` allocates, later ones recycle).
-    pub fn new() -> Self {
-        PacketArena::default()
-    }
-
-    /// Pops a cleared buffer off the freelist, allocating only when the
-    /// freelist is empty.
-    pub fn get(&mut self) -> Vec<Ipv6Packet> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Parks `buf` for reuse: cleared, capacity retained.
-    pub fn put(&mut self, mut buf: Vec<Ipv6Packet>) {
-        buf.clear();
-        self.free.push(buf);
-    }
-
-    /// Buffers currently parked.
-    pub fn parked(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn addr(s: &str) -> Ip6 {
         s.parse().unwrap()
-    }
-
-    #[test]
-    fn arena_recycles_capacity() {
-        let mut arena = PacketArena::new();
-        let mut buf = arena.get();
-        for _ in 0..32 {
-            buf.push(Ipv6Packet::echo_request(
-                Ip6::UNSPECIFIED,
-                Ip6::UNSPECIFIED,
-                64,
-                0,
-                0,
-            ));
-        }
-        let cap = buf.capacity();
-        arena.put(buf);
-        assert_eq!(arena.parked(), 1);
-        let reused = arena.get();
-        assert!(reused.is_empty());
-        assert_eq!(reused.capacity(), cap, "capacity survives the freelist");
-        assert_eq!(arena.parked(), 0);
     }
 
     #[test]

@@ -10,15 +10,18 @@
 //! * any contiguous slice of a block is a statistically faithful sample,
 //!   which is what makes the scaled experiments (DESIGN.md §1) valid.
 //!
-//! Behavioural rules match the explicit [`crate::Engine`]:
+//! Every answer comes from [`crate::rules`], the rule book the explicit
+//! [`crate::Engine`] answers from too:
 //!
 //! * a probe to a nonexistent address inside an allocated prefix draws an
-//!   ICMPv6 address-unreachable from the periphery's WAN address (RFC 4443),
+//!   ICMPv6 address-unreachable from the periphery's WAN address (RFC 4443
+//!   §3.1), or reject-route where the CPE installed RFC 7084's L-14 route,
 //! * hop limits that expire before the ISP router draw Time Exceeded from a
-//!   transit router,
+//!   transit router (§3.3) — for registered addresses too,
 //! * probes into the unused region of a loop-vulnerable CPE's prefixes draw
 //!   Time Exceeded after ping-ponging on the ISP↔CPE link (the traversals
 //!   are counted for amplification statistics),
+//! * a device's errors are rate-limited (§2.4(f)),
 //! * application probes are answered only for addresses that have already
 //!   revealed themselves in this world — exactly the pipeline the paper
 //!   runs (discover first, then ZGrab the discovered set).
@@ -31,12 +34,14 @@ use xmap_state::AbortSignal;
 
 use crate::bgp::{AsParams, BgpTable, BASE_DENSITY, BGP_IID_MIX, LOOP_RATE_BY_CLASS};
 use crate::device::{Device, ReplyMode, ServiceInstance, ServiceSet};
-use crate::fault::{DelayedResponse, ErrorLimiterState, FaultPlan};
+use crate::fault::{DelayedResponse, FaultPlan};
 use crate::isp::{IspProfile, NON_EUI_IID_SPLIT, SAMPLE_BLOCKS};
 use crate::packet::{
-    AppData, Icmpv6, Ipv6Packet, Network, PacketArena, Payload, TcpFlags, UnreachCode,
+    AppData, Icmpv6, Ipv6Packet, Network, Payload, TcpFlags, UnreachCode, DEFAULT_HOP_LIMIT,
 };
 use crate::rng::{weighted_pick, DetHash};
+use crate::rules::rfc4443::{self, Answer, ErrorLimiterState};
+use crate::rules::rfc7084::{self, CpeAnswer};
 use crate::services::{
     software_id, AppRequest, AppResponse, ServiceKind, SoftwareId, TransportProto, SOFTWARE_CATALOG,
 };
@@ -166,8 +171,14 @@ impl WorldStats {
 /// Locator of a responding device, kept in the discovery registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DeviceRef {
-    /// Device `index` within sample block `profile` (index into SAMPLE_BLOCKS).
-    Isp { profile: usize, index: u64 },
+    /// Device `index` within sample block `profile` (index into
+    /// SAMPLE_BLOCKS), `hops` routers behind the vantage: an echo to a
+    /// registered address expires in transit exactly as on the cold path.
+    Isp {
+        profile: usize,
+        index: u64,
+        hops: u8,
+    },
 }
 
 /// A last-hop host in the BGP survey zone (no services, no vendor — the
@@ -227,9 +238,6 @@ pub struct World {
     published: WorldStats,
     /// Clock as of the last registry publish.
     published_clock: u64,
-    /// Freelist for per-exchange response staging buffers, so steady-state
-    /// probing allocates nothing.
-    arena: PacketArena,
     /// Armed kill-point for checkpoint/resume testing, if any.
     kill: Option<ArmedKill>,
 }
@@ -337,7 +345,6 @@ impl World {
             telemetry: NetsimTelemetry::disabled(),
             published: WorldStats::default(),
             published_clock: 0,
-            arena: PacketArena::new(),
             kill: None,
         }
     }
@@ -462,19 +469,16 @@ impl World {
         derive_lan_hosts(h, device.used_subnet64)
     }
 
-    /// RFC 4443 §2.4(f): decides whether the device may emit one more
-    /// ICMPv6 error, under the fault plan's limiter model (legacy
-    /// burst-then-1-in-10 by default, a virtual-time token bucket when
-    /// configured). Returns whether this error may be sent.
+    /// RFC 4443 §2.4(f): whether the device may emit one more ICMPv6
+    /// error under the fault plan's limiter model.
     fn error_budget_ok(&mut self, profile_idx: usize, index: u64, device: &Device) -> bool {
-        let plan = self.cfg.fault;
-        let tick = self.clock;
         let state = self.error_limiters.entry((profile_idx, index)).or_default();
-        let allowed = plan.admit_error(
+        let allowed = rfc4443::admit_error(
+            &self.cfg.fault,
             profile_idx as u64,
             index,
             state,
-            tick,
+            self.clock,
             device.icmp_burst_scale(),
         );
         if !allowed {
@@ -730,30 +734,60 @@ impl World {
         self.keys.of(p).filter.mix_u64(index).chance(p.filter_frac)
     }
 
-    /// Answers an echo probe destined into a sample block's scan space,
-    /// appending the responses (if any) to `out`.
-    fn handle_isp_echo(
-        &mut self,
-        profile_idx: usize,
-        packet: &Ipv6Packet,
-        out: &mut Vec<Ipv6Packet>,
-    ) {
-        let p = &self.profiles[profile_idx];
-        let Some(index) = p.scan_prefix().subprefix_index(p.assigned_len, packet.dst) else {
-            return;
+    /// The one answer to `packet`, if any, before fault filtering.
+    fn answer(&mut self, packet: &Ipv6Packet) -> Option<Ipv6Packet> {
+        let (src, answer) = match &packet.payload {
+            Payload::Icmp(Icmpv6::EchoRequest { .. }) => match self.registry.get(&packet.dst) {
+                Some(&registered) => self.registered_echo(registered, packet)?,
+                None => match self.scan_zone_of(packet.dst) {
+                    Some(profile_idx) => self.isp_echo(profile_idx, packet)?,
+                    None => self.bgp_echo(packet)?,
+                },
+            },
+            Payload::Udp { .. } | Payload::Tcp { .. } => (packet.dst, self.app_answer(packet)?),
+            Payload::Icmp(_) => return None,
         };
-        let index = index as u64;
+        Some(rfc4443::reply(src, packet, DEFAULT_HOP_LIMIT, answer))
+    }
+
+    /// Answers an echo to an address the registry already knows, without
+    /// deriving its device.
+    fn registered_echo(
+        &mut self,
+        registered: DeviceRef,
+        packet: &Ipv6Packet,
+    ) -> Option<(Ip6, Answer)> {
+        let DeviceRef::Isp {
+            profile,
+            index,
+            hops,
+        } = registered;
+        if self
+            .cfg
+            .fault
+            .device_down(profile as u64, index, self.clock)
+        {
+            self.stats.flaky_dropped += 1;
+            return None;
+        }
+        let zone = self.profiles[profile].wan_zone().addr();
+        Some(expired_in_transit(zone, hops, packet).unwrap_or((packet.dst, Answer::EchoReply)))
+    }
+
+    /// Answers an echo probe destined into a sample block's scan space.
+    fn isp_echo(&mut self, profile_idx: usize, packet: &Ipv6Packet) -> Option<(Ip6, Answer)> {
+        let p = &self.profiles[profile_idx];
+        let index = p
+            .scan_prefix()
+            .subprefix_index(p.assigned_len, packet.dst)? as u64;
         if self.is_aliased(profile_idx, index) {
             // Aliased region: a middlebox answers echo for everything.
-            out.push(echo_reply(packet));
-            return;
+            return Some((packet.dst, Answer::EchoReply));
         }
-        let Some(device) = self.device_at(profile_idx, index) else {
-            // Unallocated sub-prefix: aggregated/blackholed upstream.
-            return;
-        };
+        // Unallocated sub-prefix: aggregated/blackholed upstream.
+        let device = self.device_at(profile_idx, index)?;
         if self.filtered(p, index) {
-            return;
+            return None;
         }
         if self
             .cfg
@@ -762,25 +796,15 @@ impl World {
         {
             // Mid-reboot: the device drops everything addressed through it.
             self.stats.flaky_dropped += 1;
-            return;
+            return None;
         }
         let n = device.hops_to_isp;
-        if packet.hop_limit <= n {
-            // Expired in transit: Time Exceeded from a transit router.
-            let transit = transit_router_addr(p, packet.hop_limit);
-            out.push(icmp(
-                transit,
-                packet,
-                Icmpv6::TimeExceeded {
-                    invoking: packet.quote(),
-                },
-            ));
-            return;
+        if let Some(expired) = expired_in_transit(p.wan_zone().addr(), n, packet) {
+            return Some(expired);
         }
         if packet.dst == device.wan_address() || packet.dst == device.reply_source(packet.dst) {
-            out.push(echo_reply(packet));
-            self.register(packet.dst, profile_idx, index);
-            return;
+            self.register(packet.dst, profile_idx, index, n);
+            return Some((packet.dst, Answer::EchoReply));
         }
         if device.used_subnet64.contains(packet.dst)
             && self
@@ -788,80 +812,36 @@ impl World {
                 .any(|host| host == packet.dst)
         {
             // A real LAN host: forwarded by the CPE and answered end to end.
-            out.push(echo_reply(packet));
-            return;
+            return Some((packet.dst, Answer::EchoReply));
         }
-        if device.loops_for(packet.dst) {
-            // The packet ping-pongs between ISP router and CPE until its
-            // hop limit dies; the CPE's WAN address answers Time Exceeded.
-            self.stats.loop_events += 1;
-            self.stats.loop_forwards += (packet.hop_limit - n) as u64;
-            if !self.error_budget_ok(profile_idx, index, &device) {
-                return;
+        let answer = match rfc7084::answer(&device, packet.dst) {
+            CpeAnswer::Loop => {
+                // The packet ping-pongs between ISP router and CPE until its
+                // hop limit dies; the CPE's WAN address answers.
+                self.stats.loop_events += 1;
+                self.stats.loop_forwards += (packet.hop_limit - n) as u64;
+                Answer::TimeExceeded
             }
-            let src = device.reply_source(packet.dst);
-            self.register(src, profile_idx, index);
-            out.push(icmp(
-                src,
-                packet,
-                Icmpv6::TimeExceeded {
-                    invoking: packet.quote(),
-                },
-            ));
-            return;
-        }
-        // RFC 4443: address unreachable from the last-hop periphery. If the
-        // device patched the unused region with a reject route, the code
-        // differs but the discovery signal is the same.
-        let code = if device.delegated_prefix.contains(packet.dst)
-            && !device.used_subnet64.contains(packet.dst)
-            && device.reply_mode == ReplyMode::DiffPrefix
-        {
-            UnreachCode::RejectRoute
-        } else {
-            UnreachCode::AddressUnreachable
+            // The last-hop periphery's unreachable: the discovery signal,
+            // whatever the code.
+            CpeAnswer::Unreachable(code) => Answer::Unreachable(code),
         };
         if !self.error_budget_ok(profile_idx, index, &device) {
-            return;
+            return None;
         }
         let src = device.reply_source(packet.dst);
-        self.register(src, profile_idx, index);
-        out.push(icmp(
-            src,
-            packet,
-            Icmpv6::DestUnreachable {
-                code,
-                invoking: packet.quote(),
-            },
-        ));
+        self.register(src, profile_idx, index, n);
+        Some((src, answer))
     }
 
-    /// Answers an echo probe destined into the BGP survey zone, appending
-    /// the responses (if any) to `out`.
-    fn handle_bgp_echo(&mut self, packet: &Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
-        let Some(entry) = self.bgp.locate(packet.dst).copied() else {
-            return;
-        };
+    /// Answers an echo probe destined into the BGP survey zone.
+    fn bgp_echo(&mut self, packet: &Ipv6Packet) -> Option<(Ip6, Answer)> {
+        let entry = *self.bgp.locate(packet.dst)?;
         // The survey probes /48 sub-prefixes of /32 advertisements.
-        let Some(index) = entry.prefix.subprefix_index(48, packet.dst) else {
-            return;
-        };
-        let Some(host) = self.bgp_host_at(entry.prefix, entry.asn, index as u64) else {
-            return;
-        };
-        if packet.hop_limit <= host.hops {
-            let transit = packet
-                .dst
-                .network(32)
-                .with_iid(0xffff_0000_0000_0000 | packet.hop_limit as u64);
-            out.push(icmp(
-                transit,
-                packet,
-                Icmpv6::TimeExceeded {
-                    invoking: packet.quote(),
-                },
-            ));
-            return;
+        let index = entry.prefix.subprefix_index(48, packet.dst)?;
+        let host = self.bgp_host_at(entry.prefix, entry.asn, index as u64)?;
+        if let Some(expired) = expired_in_transit(packet.dst.network(32), host.hops, packet) {
+            return Some(expired);
         }
         // Reply source: the last hop lives in some /64 of the probed /48.
         let h = self.keys.bgp_sub.mix_u128(packet.dst.network(48).bits());
@@ -873,131 +853,63 @@ impl World {
         if host.loops && packet.dst != src {
             self.stats.loop_events += 1;
             self.stats.loop_forwards += packet.hop_limit.saturating_sub(host.hops) as u64;
-            out.push(icmp(
-                src,
-                packet,
-                Icmpv6::TimeExceeded {
-                    invoking: packet.quote(),
-                },
-            ));
-            return;
+            return Some((src, Answer::TimeExceeded));
         }
-        out.push(icmp(
-            src,
-            packet,
-            Icmpv6::DestUnreachable {
-                code: UnreachCode::AddressUnreachable,
-                invoking: packet.quote(),
-            },
-        ));
+        Some((src, Answer::Unreachable(UnreachCode::AddressUnreachable)))
     }
 
     /// Answers an application-layer probe (UDP/TCP) for a discovered
-    /// device, appending the responses (if any) to `out`.
-    fn handle_app(&mut self, packet: &Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
-        let Some(&DeviceRef::Isp { profile, index }) = self.registry.get(&packet.dst) else {
-            return;
-        };
-        let Some(device) = self.device_at(profile, index) else {
-            return;
-        };
+    /// device.
+    fn app_answer(&mut self, packet: &Ipv6Packet) -> Option<Answer> {
+        let &DeviceRef::Isp { profile, index, .. } = self.registry.get(&packet.dst)?;
+        let device = self.device_at(profile, index)?;
         if self
             .cfg
             .fault
             .device_down(profile as u64, index, self.clock)
         {
             self.stats.flaky_dropped += 1;
-            return;
+            return None;
         }
+        let (dst_port, transport) = match &packet.payload {
+            Payload::Udp { dst_port, .. } => (*dst_port, TransportProto::Udp),
+            Payload::Tcp { dst_port, .. } => (*dst_port, TransportProto::Tcp),
+            Payload::Icmp(_) => return None,
+        };
+        let open = ServiceKind::from_port(dst_port)
+            .filter(|kind| kind.transport() == transport)
+            .and_then(|kind| Some((kind, *device.services.get(kind)?)));
+        let respond = |(kind, inst): (ServiceKind, ServiceInstance), req: &AppRequest| {
+            AppData::Response(service_response(&device, kind, &inst, *req))
+        };
         match &packet.payload {
-            Payload::Udp {
-                src_port,
-                dst_port,
-                data,
-            } => {
-                let Some(kind) = ServiceKind::from_port(*dst_port) else {
-                    out.push(port_unreachable(packet));
-                    return;
-                };
-                if kind.transport() != TransportProto::Udp {
-                    out.push(port_unreachable(packet));
-                    return;
+            Payload::Udp { data, .. } => Some(match (open, data) {
+                (Some(service), AppData::Request(req)) => Answer::Udp(respond(service, req)),
+                _ => Answer::Unreachable(UnreachCode::PortUnreachable),
+            }),
+            Payload::Tcp { flags, data, .. } => match (flags, open, data) {
+                (TcpFlags::Syn, Some(_), _) => Some(Answer::Tcp(TcpFlags::SynAck, AppData::None)),
+                (TcpFlags::Syn | TcpFlags::Ack, None, _) => {
+                    Some(Answer::Tcp(TcpFlags::Rst, AppData::None))
                 }
-                match (device.services.get(kind), data) {
-                    (Some(inst), AppData::Request(req)) => {
-                        let resp = service_response(&device, kind, inst, *req);
-                        out.push(Ipv6Packet {
-                            src: packet.dst,
-                            dst: packet.src,
-                            hop_limit: crate::packet::DEFAULT_HOP_LIMIT,
-                            payload: Payload::Udp {
-                                src_port: *dst_port,
-                                dst_port: *src_port,
-                                data: AppData::Response(resp),
-                            },
-                        });
-                    }
-                    _ => out.push(port_unreachable(packet)),
+                (TcpFlags::Ack, Some(service), AppData::Request(req)) => {
+                    Some(Answer::Tcp(TcpFlags::Ack, respond(service, req)))
                 }
-            }
-            Payload::Tcp {
-                src_port,
-                dst_port,
-                flags,
-                data,
-            } => {
-                let open = ServiceKind::from_port(*dst_port).is_some_and(|k| {
-                    k.transport() == TransportProto::Tcp && device.services.has(k)
-                });
-                match flags {
-                    TcpFlags::Syn => {
-                        let reply_flags = if open {
-                            TcpFlags::SynAck
-                        } else {
-                            TcpFlags::Rst
-                        };
-                        out.push(tcp_reply(
-                            packet,
-                            *src_port,
-                            *dst_port,
-                            reply_flags,
-                            AppData::None,
-                        ));
-                    }
-                    TcpFlags::Ack => {
-                        if !open {
-                            out.push(tcp_reply(
-                                packet,
-                                *src_port,
-                                *dst_port,
-                                TcpFlags::Rst,
-                                AppData::None,
-                            ));
-                            return;
-                        }
-                        let kind = ServiceKind::from_port(*dst_port).expect("open implies known");
-                        let inst = *device.services.get(kind).expect("open implies instance");
-                        if let AppData::Request(req) = data {
-                            let resp = service_response(&device, kind, &inst, *req);
-                            out.push(tcp_reply(
-                                packet,
-                                *src_port,
-                                *dst_port,
-                                TcpFlags::Ack,
-                                AppData::Response(resp),
-                            ));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            Payload::Icmp(_) => {}
+                _ => None,
+            },
+            Payload::Icmp(_) => None,
         }
     }
 
-    fn register(&mut self, addr: Ip6, profile: usize, index: u64) {
-        self.registry
-            .insert(addr, DeviceRef::Isp { profile, index });
+    fn register(&mut self, addr: Ip6, profile: usize, index: u64, hops: u8) {
+        self.registry.insert(
+            addr,
+            DeviceRef::Isp {
+                profile,
+                index,
+                hops,
+            },
+        );
     }
 
     /// Finds the sample block whose scan space contains `addr`.
@@ -1049,63 +961,14 @@ fn derive_lan_hosts(h: DetHash, subnet: Prefix) -> impl Iterator<Item = Ip6> {
     })
 }
 
-/// A synthetic transit-router address for in-path Time Exceeded messages.
-fn transit_router_addr(p: &IspProfile, at_hop: u8) -> Ip6 {
-    p.wan_zone()
-        .addr()
-        .with_iid(0xffff_0000_0000_0000 | at_hop as u64)
-}
-
-fn icmp(src: Ip6, about: &Ipv6Packet, msg: Icmpv6) -> Ipv6Packet {
-    Ipv6Packet {
-        src,
-        dst: about.src,
-        hop_limit: crate::packet::DEFAULT_HOP_LIMIT,
-        payload: Payload::Icmp(msg),
-    }
-}
-
-fn echo_reply(packet: &Ipv6Packet) -> Ipv6Packet {
-    let Payload::Icmp(Icmpv6::EchoRequest { ident, seq }) = packet.payload else {
-        unreachable!("echo_reply called for non-echo packet");
-    };
-    Ipv6Packet {
-        src: packet.dst,
-        dst: packet.src,
-        hop_limit: crate::packet::DEFAULT_HOP_LIMIT,
-        payload: Payload::Icmp(Icmpv6::EchoReply { ident, seq }),
-    }
-}
-
-fn port_unreachable(packet: &Ipv6Packet) -> Ipv6Packet {
-    icmp(
-        packet.dst,
-        packet,
-        Icmpv6::DestUnreachable {
-            code: UnreachCode::PortUnreachable,
-            invoking: packet.quote(),
-        },
-    )
-}
-
-fn tcp_reply(
-    packet: &Ipv6Packet,
-    src_port: u16,
-    dst_port: u16,
-    flags: TcpFlags,
-    data: AppData,
-) -> Ipv6Packet {
-    Ipv6Packet {
-        src: packet.dst,
-        dst: packet.src,
-        hop_limit: crate::packet::DEFAULT_HOP_LIMIT,
-        payload: Payload::Tcp {
-            src_port: dst_port,
-            dst_port: src_port,
-            flags,
-            data,
-        },
-    }
+/// RFC 4443 §3.3 on the path into a zone: a probe whose hop limit dies
+/// within the `hops` routers in front of it draws Time Exceeded from the
+/// synthetic transit router `zone::ffff:0:0:<hop limit>`.
+fn expired_in_transit(zone: Ip6, hops: u8, packet: &Ipv6Packet) -> Option<(Ip6, Answer)> {
+    rfc4443::expires(packet.hop_limit, hops).then(|| {
+        let router = zone.with_iid(0xffff_0000_0000_0000 | packet.hop_limit as u64);
+        (router, Answer::TimeExceeded)
+    })
 }
 
 /// Chooses the serving software for `kind` from a vendor's weighted list,
@@ -1255,8 +1118,8 @@ impl Network for World {
     fn reset(&mut self) {
         // Publish first: the tick delta is measured against the clock
         // about to be zeroed. Everything cleared below is state a probe's
-        // outcome can read; `stats`, the telemetry binding, the arena and
-        // an armed kill point are lifetime state and stay.
+        // outcome can read; `stats`, the telemetry binding and an armed
+        // kill point are lifetime state and stay.
         self.publish_telemetry();
         self.registry.clear();
         self.error_limiters.clear();
@@ -1270,8 +1133,7 @@ impl Network for World {
 impl World {
     /// The per-packet exchange logic behind [`Network::handle_into`]
     /// (split out so the telemetry publish happens at exactly one site
-    /// despite the early returns). Responses are staged in an arena buffer
-    /// before fault filtering, so the steady-state path never allocates.
+    /// despite the early returns).
     fn handle_inner(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         self.stats.probes += 1;
         let plan = self.cfg.fault;
@@ -1282,69 +1144,41 @@ impl World {
         if self.lost(&packet) {
             return;
         }
-        let mut staged = self.arena.get();
-        match &packet.payload {
-            Payload::Icmp(Icmpv6::EchoRequest { .. }) => {
-                if let Some(&DeviceRef::Isp { profile, index }) = self.registry.get(&packet.dst) {
-                    if plan.device_down(profile as u64, index, self.clock) {
-                        self.stats.flaky_dropped += 1;
-                    } else {
-                        staged.push(echo_reply(&packet));
-                    }
-                } else if let Some(pi) = self.scan_zone_of(packet.dst) {
-                    self.handle_isp_echo(pi, &packet, &mut staged);
-                } else {
-                    self.handle_bgp_echo(&packet, &mut staged);
-                }
-            }
-            Payload::Udp { .. } | Payload::Tcp { .. } => self.handle_app(&packet, &mut staged),
-            Payload::Icmp(_) => {}
-        }
+        let Some(resp) = self.answer(&packet) else {
+            return;
+        };
         if !plan.any_faults() {
             // Fast path: the identity plan skips per-response draws.
-            self.stats.responses += staged.len() as u64;
-            out.append(&mut staged);
-            self.arena.put(staged);
+            self.stats.responses += 1;
+            out.push(resp);
             return;
         }
+        // The world answers a probe at most once, so its answer is copy 0
+        // of the exchange. The per-copy draws are pure in (src, tick, k),
+        // so a duplicate shares its original's jitter.
         let tick = self.clock;
-        let mut delivered = 0u64;
-        for (k, resp) in staged.drain(..).enumerate() {
-            let k = k as u64;
-            if plan.drop_reverse(resp.src, tick, k) {
-                self.stats.rev_lost += 1;
-                continue;
-            }
-            // The per-copy draws are pure in (src, tick, k), so a duplicate
-            // shares its original's jitter.
-            let delay = plan.jitter_ticks(resp.src, tick, k);
-            if plan.duplicate(resp.src, tick, k) {
-                self.stats.dup_responses += 1;
-                self.deliver_one(resp.clone(), delay, tick, out, &mut delivered);
-            }
-            self.deliver_one(resp, delay, tick, out, &mut delivered);
+        if plan.drop_reverse(resp.src, tick, 0) {
+            self.stats.rev_lost += 1;
+            return;
         }
-        self.stats.responses += delivered;
-        self.arena.put(staged);
+        let delay = plan.jitter_ticks(resp.src, tick, 0);
+        if plan.duplicate(resp.src, tick, 0) {
+            self.stats.dup_responses += 1;
+            self.deliver(resp.clone(), delay, out);
+        }
+        self.deliver(resp, delay, out);
     }
 
     /// Delivers one fault-filtered response: immediately into `out`, or
     /// onto the jitter heap when delayed.
-    fn deliver_one(
-        &mut self,
-        packet: Ipv6Packet,
-        delay: u64,
-        tick: u64,
-        out: &mut Vec<Ipv6Packet>,
-        delivered: &mut u64,
-    ) {
+    fn deliver(&mut self, packet: Ipv6Packet, delay: u64, out: &mut Vec<Ipv6Packet>) {
         if delay == 0 {
             out.push(packet);
-            *delivered += 1;
+            self.stats.responses += 1;
         } else {
             self.stats.jittered += 1;
             self.delayed.push(DelayedResponse {
-                due_tick: tick + delay,
+                due_tick: self.clock + delay,
                 seq: self.delay_seq,
                 packet,
             });
@@ -1573,26 +1407,6 @@ mod tests {
         }
         assert!(w.stats().loop_events >= 2);
         assert!(w.stats().loop_forwards > 0);
-    }
-
-    #[test]
-    fn small_hop_limit_expires_in_transit() {
-        let mut w = small_world();
-        let (i, _) = find_device(&w, 0);
-        let p = &w.profiles()[0];
-        let target = p
-            .scan_prefix()
-            .subprefix(p.assigned_len, i as u128)
-            .addr()
-            .with_iid(9);
-        let replies = w.handle(Ipv6Packet::echo_request(vantage(), target, 3, 0, 0));
-        assert_eq!(replies.len(), 1);
-        assert!(matches!(
-            replies[0].payload,
-            Payload::Icmp(Icmpv6::TimeExceeded { .. })
-        ));
-        // Source is a transit router, not a periphery.
-        assert!(replies[0].src.iid() & 0xffff_0000_0000_0000 == 0xffff_0000_0000_0000);
     }
 
     #[test]
