@@ -17,7 +17,6 @@
 //!       --workers N        send threads; the shard is split N ways and
 //!                          merged deterministically (default 1). Status
 //!                          lines need a single worker.
-//!       --permutation P    cyclic | feistel | sequential
 //!   -b, --block PREFIX     add a blocklist prefix (repeatable)
 //!   -o, --output FILE     write results as CSV (default: stdout)
 //!       --metrics-out FILE write the final telemetry snapshot as JSON
@@ -25,8 +24,6 @@
 //!                          --workers 1, PATH is a single file; with N>1
 //!                          workers PATH must be a directory, which gets
 //!                          one worker-K.ndjson ring per worker
-//!       --status-interval S status-line period in simulated seconds
-//!                          (default 1.0; virtual clock, so deterministic)
 //!       --checkpoint DIR   journal results and periodically checkpoint
 //!                          scan state into DIR (created if missing); a
 //!                          worker that panics ends the run with exit
@@ -46,7 +43,8 @@
 //!                          the simulated Internet; any divergence from
 //!                          the recording is an error
 //!                          (single worker, no --checkpoint)
-//!   -q, --quiet            suppress the summary and status lines on stderr
+//!   -q, --quiet            suppress the summary and the status line printed
+//!                          every simulated second on stderr
 //!
 //! An interrupted checkpointed scan exits with code 3; rerunning the same
 //! command line with `--resume` continues it, and the final output is
@@ -63,8 +61,8 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use xmap::{
-    run_session, Blocklist, IcmpEchoProbe, ParallelScanner, Permutation, ProbeModule, ScanConfig,
-    ScanResults, Scanner, SessionSpec, TargetSpec, TcpSynProbe, UdpProbe, Verdict,
+    run_session, Blocklist, IcmpEchoProbe, ParallelScanner, ProbeModule, ScanConfig, ScanResults,
+    Scanner, SessionSpec, TargetSpec, TcpSynProbe, UdpProbe, Verdict,
 };
 use xmap_netsim::packet::Network;
 use xmap_netsim::services::{AppRequest, ServiceKind};
@@ -86,12 +84,10 @@ struct CliConfig {
     shard: u64,
     shards: u64,
     workers: usize,
-    permutation: Permutation,
     blocked: Vec<String>,
     output: Option<String>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    status_interval: f64,
     quiet: bool,
     checkpoint: Option<String>,
     checkpoint_every: u64,
@@ -121,12 +117,10 @@ impl Default for CliConfig {
             shard: 0,
             shards: 1,
             workers: 1,
-            permutation: Permutation::Cyclic,
             blocked: Vec::new(),
             output: None,
             metrics_out: None,
             trace_out: None,
-            status_interval: 1.0,
             quiet: false,
             checkpoint: None,
             checkpoint_every: 1024,
@@ -204,26 +198,10 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
                     .parse()
                     .map_err(|_| "workers must be an integer".to_owned())?;
             }
-            "--permutation" => {
-                cfg.permutation = match value(&mut iter, arg)?.as_str() {
-                    "cyclic" => Permutation::Cyclic,
-                    "feistel" => Permutation::Feistel,
-                    "sequential" => Permutation::Sequential,
-                    other => return Err(format!("unknown permutation {other:?}")),
-                };
-            }
             "-b" | "--block" => cfg.blocked.push(value(&mut iter, arg)?),
             "-o" | "--output" => cfg.output = Some(value(&mut iter, arg)?),
             "--metrics-out" => cfg.metrics_out = Some(value(&mut iter, arg)?),
             "--trace-out" => cfg.trace_out = Some(value(&mut iter, arg)?),
-            "--status-interval" => {
-                cfg.status_interval = value(&mut iter, arg)?
-                    .parse()
-                    .map_err(|_| "status-interval must be a number of seconds".to_owned())?;
-                if cfg.status_interval <= 0.0 || cfg.status_interval.is_nan() {
-                    return Err("status-interval must be positive".to_owned());
-                }
-            }
             "--checkpoint" => cfg.checkpoint = Some(value(&mut iter, arg)?),
             "--checkpoint-every" => {
                 cfg.checkpoint_every = value(&mut iter, arg)?
@@ -354,10 +332,10 @@ fn run_single<N: Network>(
     let mut scanner = Scanner::with_telemetry(net, scan_config, telemetry.clone());
     if !cfg.quiet {
         // One virtual tick per send slot, so the configured packet rate
-        // fixes the tick↔second conversion for the status lines.
-        let ticks_per_sec = cfg.rate_pps.unwrap_or(100_000);
-        let interval = ((cfg.status_interval * ticks_per_sec as f64) as u64).max(1);
-        scanner.set_monitor(Monitor::new(&telemetry.registry, interval, ticks_per_sec));
+        // fixes the tick↔second conversion; a status line every
+        // simulated second is an interval of `tps` ticks.
+        let tps = cfg.rate_pps.unwrap_or(100_000);
+        scanner.set_monitor(Monitor::new(&telemetry.registry, tps, tps));
     }
     let results = scanner.run_all(cfg.targets.ranges(), module, blocklist);
     if let Some(path) = &cfg.metrics_out {
@@ -396,7 +374,6 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         seed: cfg.seed,
         shard: cfg.shard,
         shards: cfg.shards,
-        permutation: cfg.permutation,
         max_targets: cfg.max_targets,
         rate_pps: cfg.rate_pps,
         ..Default::default()
@@ -726,7 +703,7 @@ mod tests {
     fn parses_full_invocation() {
         let cfg = parse_args(&args(
             "-M tcp6_synscan -p 80 -x 1000 -R 25000 -s 7 --world-seed 9 \
-             --shard 1 --shards 4 --permutation feistel -b 2405:200:dead::/48 \
+             --shard 1 --shards 4 -b 2405:200:dead::/48 \
              -o /tmp/out.csv -q 2405:200::/32-64 2601::/24-56",
         ))
         .unwrap();
@@ -737,7 +714,6 @@ mod tests {
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.world_seed, 9);
         assert_eq!((cfg.shard, cfg.shards), (1, 4));
-        assert_eq!(cfg.permutation, Permutation::Feistel);
         assert_eq!(cfg.blocked, vec!["2405:200:dead::/48".to_owned()]);
         assert_eq!(cfg.output.as_deref(), Some("/tmp/out.csv"));
         assert!(cfg.quiet);
@@ -768,15 +744,15 @@ mod tests {
     #[test]
     fn parses_telemetry_flags() {
         let cfg = parse_args(&args(
-            "--metrics-out /tmp/m.json --trace-out /tmp/t.ndjson \
-             --status-interval 0.5 2405:200::/32-64",
+            "--metrics-out /tmp/m.json --trace-out /tmp/t.ndjson 2405:200::/32-64",
         ))
         .unwrap();
         assert_eq!(cfg.metrics_out.as_deref(), Some("/tmp/m.json"));
         assert_eq!(cfg.trace_out.as_deref(), Some("/tmp/t.ndjson"));
-        assert!((cfg.status_interval - 0.5).abs() < 1e-12);
-        assert!(parse_args(&args("--status-interval 0 2405:200::/32")).is_err());
-        assert!(parse_args(&args("--status-interval x 2405:200::/32")).is_err());
+        for removed in ["--status-interval 0.5", "--permutation feistel"] {
+            let err = parse_args(&args(&format!("{removed} 2405:200::/32"))).unwrap_err();
+            assert!(err.contains("unknown option"), "{removed}: {err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! the durable `xmap-checkpoint/v1` format in `xmap-state`.
 //!
 //! A checkpointed scan is a **session**: a directory holding one
-//! [`Manifest`](xmap_state::Manifest) (the configuration identity), and
-//! per worker a record journal (`worker-N.wal`) plus the latest worker
-//! checkpoint (`worker-N.ckpt`). The pieces here are:
+//! [`Manifest`] (the configuration identity), and per worker a record
+//! journal (`worker-N.wal`) plus the latest worker checkpoint
+//! (`worker-N.ckpt`). The pieces here are:
 //!
 //! - [`RunSink`] — attached to a [`Scanner`](crate::Scanner); journals
 //!   every emitted record and writes checkpoints at a slot cadence.

@@ -44,6 +44,7 @@
 //! drain timing; `scan.*` results remain a set-equal merge even then.
 //!
 //! [`FaultPlan::none`]: xmap_netsim::FaultPlan::none
+//! [`ScanStats::merge`]: crate::ScanStats::merge
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -37,8 +37,6 @@ pub enum FsOp {
     SetLen,
     /// `fsync` on a file.
     Sync,
-    /// `fsync` on a directory.
-    DirSync,
     /// Renaming a file (the atomic-publish step).
     Rename,
     /// Removing a file.
@@ -543,19 +541,10 @@ pub fn remove_file(path: &Path) -> io::Result<()> {
     std::fs::remove_file(path)
 }
 
-/// Opens `path` and syncs its contents to disk — the deferred-fsync step
-/// of a group commit, where files were written unsynced and are made
-/// durable in a batch.
+/// Opens `path` and syncs its contents to disk, for a file written in
+/// one call by [`write()`].
 pub fn sync_file(path: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Sync, path, 0) {
-        return Err(decision_error(d));
-    }
-    File::open(path)?.sync_all()
-}
-
-/// Syncs a directory, making completed renames within it durable.
-pub fn sync_dir(path: &Path) -> io::Result<()> {
-    if let Some(d) = check(FsOp::DirSync, path, 0) {
         return Err(decision_error(d));
     }
     File::open(path)?.sync_all()

@@ -1,14 +1,16 @@
 //! Simulator-side telemetry: `netsim.*` counters and trace events.
 //!
-//! [`NetsimTelemetry`] mirrors [`WorldStats`](crate::world::WorldStats)
-//! into a shared [`Registry`] and emits fault-injection / engine-tick
-//! trace events. The world keeps its own plain-integer stats as before
-//! (they stay the cheap, always-on accounting); when a telemetry bundle
+//! [`NetsimTelemetry`] mirrors [`WorldStats`] into a shared
+//! [`Registry`] and emits fault-injection / engine-tick trace events.
+//! The world keeps its own plain-integer stats as before (they stay the
+//! cheap, always-on accounting); when a telemetry bundle
 //! is attached the deltas are published into the registry at the end of
 //! every [`Network::handle`](crate::Network::handle) /
 //! [`Network::tick`](crate::Network::tick) call, so one publish site
 //! covers every scattered `stats.* += 1` without touching the hot
 //! per-packet logic.
+//!
+//! [`Registry`]: xmap_telemetry::Registry
 
 use std::sync::Arc;
 

@@ -7,8 +7,7 @@
 //! coarse sweep, score sub-prefixes by hit density, **split** responsive
 //! ones for finer-grained probing, **prune** silent ones early, fully
 //! enumerate responsive nodes once they are small, and stop when the
-//! marginal-discovery rate falls below a threshold or the probe budget
-//! runs out.
+//! frontier empties or the probe budget runs out.
 //!
 //! # Determinism
 //!
@@ -56,55 +55,29 @@ use crate::campaign::{
 };
 use crate::infer_boundary;
 
-/// Tuning knobs of the adaptive engine.
+/// What an adaptive campaign is asked to do. Each arm's split/prune
+/// policy (sample size, split and prune thresholds, branching) is a
+/// constant set private to this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
     /// Maximum probes drawn per block (the scan stops early when the
-    /// frontier empties or the marginal-discovery rate collapses).
+    /// frontier empties).
     pub probe_budget: u64,
-    /// Samples drawn from each frontier node per round.
-    pub samples_per_node: u64,
-    /// Minimum hit density for a responsive node to split (0 splits on
-    /// any hit).
-    pub split_density: f64,
-    /// Silent probes a node must absorb before it may be pruned or
-    /// force-split (`u64::MAX` disables pruning — the exhaustive
-    /// ablation arm).
-    pub prune_after: u64,
-    /// Only silent nodes spanning at most this many leaf targets are
-    /// pruned; larger silent nodes split instead, so sparse-but-alive
-    /// space keeps being examined at finer granularity.
-    pub prune_max_span: u128,
-    /// Responsive nodes spanning at most this many leaf targets are
-    /// enumerated to exhaustion instead of split (splitting overhead
-    /// would exceed the enumeration).
-    pub exhaust_span: u128,
-    /// Stop the block when a round's newly discovered peripheries per
-    /// drawn probe falls below this rate (0 disables the stop).
-    pub min_marginal: f64,
-    /// Bits added per split level.
-    pub branch_bits: u8,
     /// Restrict each block to its first `2^root_bits` leaf targets —
     /// the equal-coverage slice the ablation compares on. `None` scans
     /// the whole block.
     pub root_bits: Option<u8>,
-    /// Safety valve on rounds per block.
-    pub max_rounds: u64,
+    /// Run the exhaustive ablation arm's policy instead of the adaptive
+    /// one.
+    pub exhaustive: bool,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             probe_budget: 1 << 16,
-            samples_per_node: 16,
-            split_density: 0.0,
-            prune_after: 32,
-            prune_max_span: 256,
-            exhaust_span: 256,
-            min_marginal: 0.0,
-            branch_bits: 4,
             root_bits: None,
-            max_rounds: 10_000,
+            exhaustive: false,
         }
     }
 }
@@ -118,20 +91,67 @@ impl AdaptiveConfig {
     pub fn exhaustive(root_bits: Option<u8>) -> Self {
         AdaptiveConfig {
             probe_budget: u64::MAX,
-            samples_per_node: 4096,
-            // A split needs density > 1.0: impossible, so the root
-            // stays whole and is sampled until its cursor exhausts it.
-            split_density: 2.0,
-            prune_after: u64::MAX,
-            prune_max_span: 0,
-            exhaust_span: u128::MAX,
-            min_marginal: 0.0,
-            branch_bits: 4,
             root_bits,
-            max_rounds: u64::MAX,
+            exhaustive: true,
+        }
+    }
+
+    fn policy(&self) -> &'static Policy {
+        if self.exhaustive {
+            &EXHAUSTIVE
+        } else {
+            &ADAPTIVE
         }
     }
 }
+
+/// One arm's split/prune policy.
+struct Policy {
+    /// Samples drawn from each frontier node per round.
+    samples_per_node: u64,
+    /// Minimum hit density for a responsive node to split.
+    split_density: f64,
+    /// Silent probes a node must absorb before it may be pruned or
+    /// force-split.
+    prune_after: u64,
+    /// Only silent nodes spanning at most this many leaf targets are
+    /// pruned; larger silent nodes split instead, so sparse-but-alive
+    /// space keeps being examined at finer granularity.
+    prune_max_span: u128,
+    /// Responsive nodes spanning at most this many leaf targets are
+    /// enumerated to exhaustion instead of split (splitting overhead
+    /// would exceed the enumeration).
+    exhaust_span: u128,
+    /// Bits added per split level.
+    branch_bits: u8,
+    /// Safety valve on rounds per block.
+    max_rounds: u64,
+}
+
+/// The adaptive arm: 16-probe samples, split on any hit, prune a
+/// node of at most 256 leaves after 32 silent probes.
+const ADAPTIVE: Policy = Policy {
+    samples_per_node: 16,
+    split_density: 0.0,
+    prune_after: 32,
+    prune_max_span: 256,
+    exhaust_span: 256,
+    branch_bits: 4,
+    max_rounds: 10_000,
+};
+
+/// The exhaustive arm: a split needs density > 1.0, which is
+/// impossible, and nothing is pruned, so the root stays whole and is
+/// sampled until its cursor exhausts it.
+const EXHAUSTIVE: Policy = Policy {
+    samples_per_node: 4096,
+    split_density: 2.0,
+    prune_after: u64::MAX,
+    prune_max_span: 0,
+    exhaust_span: u128::MAX,
+    branch_bits: 4,
+    max_rounds: u64::MAX,
+};
 
 /// Outcome of an adaptive campaign.
 #[derive(Debug, Clone)]
@@ -319,21 +339,23 @@ impl AdaptiveCampaign {
     /// count.
     pub fn fingerprint(&self, base: &ScanConfig) -> u64 {
         let c = &self.config;
+        let p = c.policy();
         let mut fp = Fingerprint::new();
         fp.push_str("adaptive")
             .push_u64(c.probe_budget)
-            .push_u64(c.samples_per_node)
-            .push_u64(c.split_density.to_bits())
-            .push_u64(c.prune_after)
-            .push_u128(c.prune_max_span)
-            .push_u128(c.exhaust_span)
-            .push_u64(c.min_marginal.to_bits())
-            .push_u64(c.branch_bits as u64)
+            .push_u64(p.samples_per_node)
+            .push_u64(p.split_density.to_bits())
+            .push_u64(p.prune_after)
+            .push_u128(p.prune_max_span)
+            .push_u128(p.exhaust_span)
+            // The retired marginal-rate stop, off (0.0) in both arms.
+            .push_u64(0)
+            .push_u64(p.branch_bits as u64)
             .push_u64(match c.root_bits {
                 Some(b) => 1 + b as u64,
                 None => 0,
             })
-            .push_u64(c.max_rounds)
+            .push_u64(p.max_rounds)
             .push_u64(self.infer as u64)
             .push_u64(self.blocklist.fingerprint())
             .push_u64(base.seed)
@@ -508,7 +530,7 @@ impl AdaptiveCampaign {
             leaf_len - root.len() < 64,
             "adaptive trees index their leaf space with u64 cursors"
         );
-        let tree = PrefixTree::new(root, leaf_len, self.config.branch_bits);
+        let tree = PrefixTree::new(root, leaf_len, self.config.policy().branch_bits);
         let space_size = tree.span(0);
         PartialBlock {
             tree,
@@ -538,15 +560,16 @@ impl AdaptiveCampaign {
         snapshot: &mut Snapshot,
         spent_total: &mut u64,
     ) -> Result<(BlockResult, bool), StateError> {
-        let cfg = &self.config;
+        let budget = self.config.probe_budget;
+        let policy = self.config.policy();
         let mut seen: FxHashSet<Ip6> = state.block.peripheries.iter().map(|p| p.address).collect();
         let interrupted = loop {
-            if state.round >= cfg.max_rounds {
+            if state.round >= policy.max_rounds {
                 break false;
             }
             // Fix the round's units in canonical frontier order; the
             // budget truncates deterministically.
-            let mut remaining = cfg.probe_budget.saturating_sub(state.block.probed);
+            let mut remaining = budget.saturating_sub(state.block.probed);
             if remaining == 0 {
                 break false;
             }
@@ -557,7 +580,10 @@ impl AdaptiveCampaign {
                 }
                 let span = u64::try_from(state.tree.span(idx)).expect("span fits u64");
                 let node = state.tree.node(idx);
-                let count = cfg.samples_per_node.min(span - node.cursor).min(remaining);
+                let count = policy
+                    .samples_per_node
+                    .min(span - node.cursor)
+                    .min(remaining);
                 if count == 0 {
                     continue;
                 }
@@ -577,7 +603,6 @@ impl AdaptiveCampaign {
 
             // Merge in unit-index order — the deterministic merge point.
             let mut round_drawn = 0u64;
-            let mut round_new = 0u64;
             for r in &results {
                 state.tree.record(r.node, r.drawn, r.hits);
                 round_drawn += r.drawn;
@@ -585,7 +610,6 @@ impl AdaptiveCampaign {
                     if !seen.insert(*responder) {
                         continue;
                     }
-                    round_new += 1;
                     let iid_class = classify_iid(*responder);
                     let mac =
                         Mac::from_eui64(responder.iid()).filter(|_| iid_class == IidClass::Eui64);
@@ -619,16 +643,16 @@ impl AdaptiveCampaign {
                     continue;
                 }
                 if node.hits > 0 {
-                    if span > cfg.exhaust_span
+                    if span > policy.exhaust_span
                         && state.tree.can_split(u.node)
-                        && node.density() >= cfg.split_density
+                        && node.density() >= policy.split_density
                     {
                         state.tree.split(u.node);
                     }
                     continue;
                 }
-                if node.probes >= cfg.prune_after {
-                    if span <= cfg.prune_max_span || !state.tree.can_split(u.node) {
+                if node.probes >= policy.prune_after {
+                    if span <= policy.prune_max_span || !state.tree.can_split(u.node) {
                         state.tree.prune(u.node);
                     } else {
                         state.tree.split(u.node);
@@ -645,12 +669,6 @@ impl AdaptiveCampaign {
                 if *spent_total >= kill {
                     break true;
                 }
-            }
-            if cfg.min_marginal > 0.0
-                && round_drawn > 0
-                && (round_new as f64 / round_drawn as f64) < cfg.min_marginal
-            {
-                break false;
             }
         };
         absorb_all(probers, snapshot);
@@ -841,7 +859,7 @@ fn write_ckpt(
         sections.push(("partial", pe.finish()));
     }
     let fields = [("completed_blocks", blocks.len() as u64), ("spent", spent)];
-    KIND.write(path, &fields, fp, &sections, true)
+    KIND.write(path, &fields, fp, &sections)
 }
 
 /// Loads and validates an adaptive checkpoint; `Ok(None)` when none
@@ -1100,19 +1118,5 @@ mod tests {
         assert_eq!(outcome.result.blocks.len(), 15);
         // Inference probes count against the block accounting.
         assert!(outcome.result.blocks.iter().all(|b| b.probed > 0));
-    }
-
-    #[test]
-    fn marginal_stop_halts_before_budget() {
-        let stopped = AdaptiveCampaign::new(AdaptiveConfig {
-            min_marginal: 0.5, // absurdly high: stop after round 1
-            root_bits: Some(16),
-            ..AdaptiveConfig::default()
-        })
-        .run(&base(), sparse_world);
-        let free = engine().run(&base(), sparse_world);
-        let s: u64 = stopped.result.blocks.iter().map(|b| b.probed).sum();
-        let f: u64 = free.result.blocks.iter().map(|b| b.probed).sum();
-        assert!(s < f, "marginal stop must cut probes: {s} vs {f}");
     }
 }

@@ -34,15 +34,9 @@
 //!       --resume-plan       dry run: print the Skip/Resume/Fresh/Split
 //!                           classification of every block for a resume
 //!                           of the campaign in DIR, then exit
-//!       --json              with --resume-plan, emit the plan as one
-//!                           JSON object instead of CSV lines
-//!       --group-commit N    fsync block checkpoints in batches of N
-//!                           instead of per block (default 4; 1 restores
-//!                           fsync-per-block)
-//!       --watchdog-ms MS    reclaim and requeue a block whose worker has
-//!                           held it for MS milliseconds without
-//!                           completing it (off by default; must exceed
-//!                           the slowest block's runtime)
+//!       --watchdog-ms MS    reclaim and requeue a block whose worker
+//!                           has sent no probe for MS milliseconds (off
+//!                           by default)
 //!       --kill-after-probes N abort once any worker's world has handled
 //!                           N probes (exit code 3; for testing); with
 //!                           --adaptive, stop at the first round boundary
@@ -52,7 +46,7 @@
 //!                           instead of the exhaustive sweep
 //!       --probe-budget N    (adaptive) probes per block (default 65536)
 //!       --root-bits N       (adaptive) restrict each block to its first
-//!                           2^N sub-prefixes
+//!                           2^N sub-prefixes (1..=64)
 //!       --no-prune          (adaptive) ablation arm: same engine with
 //!                           splitting and pruning disabled — a full
 //!                           enumeration through the identical pipeline
@@ -81,7 +75,6 @@ use xmap_netsim::{Allocation, KillPoint, World};
 use xmap_periphery::{
     AdaptiveCampaign, AdaptiveConfig, BlockMode, Campaign, CampaignOutcome, ParallelCampaign,
 };
-use xmap_state::json::push_json_string;
 use xmap_state::{AbortSignal, StateError};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -99,8 +92,6 @@ struct CliConfig {
     checkpoint: Option<String>,
     resume: bool,
     resume_plan: bool,
-    json: bool,
-    group_commit: Option<usize>,
     watchdog_ms: Option<u64>,
     kill_after_probes: Option<u64>,
     adaptive: bool,
@@ -128,8 +119,6 @@ impl Default for CliConfig {
             checkpoint: None,
             resume: false,
             resume_plan: false,
-            json: false,
-            group_commit: None,
             watchdog_ms: None,
             kill_after_probes: None,
             adaptive: false,
@@ -184,13 +173,18 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             "--checkpoint" => cfg.checkpoint = Some(value(&mut iter, arg)?),
             "--resume" => cfg.resume = true,
             "--resume-plan" => cfg.resume_plan = true,
-            "--json" => cfg.json = true,
-            "--group-commit" => cfg.group_commit = Some(int(&mut iter, arg)? as usize),
             "--watchdog-ms" => cfg.watchdog_ms = Some(int(&mut iter, arg)?),
             "--kill-after-probes" => cfg.kill_after_probes = Some(int(&mut iter, arg)?),
             "--adaptive" => cfg.adaptive = true,
             "--probe-budget" => cfg.probe_budget = Some(int(&mut iter, arg)?),
-            "--root-bits" => cfg.root_bits = Some(int(&mut iter, arg)? as u8),
+            "--root-bits" => {
+                // The bound `xmap-serve`'s adaptive spec enforces: a tree
+                // root narrower than 2^64 leaves.
+                cfg.root_bits = match int(&mut iter, arg)? {
+                    b @ 1..=64 => Some(b as u8),
+                    b => return Err(format!("--root-bits {b} out of range 1..=64")),
+                };
+            }
             "--no-prune" => cfg.no_prune = true,
             "--infer-boundary" => cfg.infer_boundary = true,
             "--cluster" => {
@@ -232,12 +226,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     if cfg.resume_plan && cfg.checkpoint.is_none() {
         return Err("--resume-plan requires --checkpoint <dir>".to_owned());
     }
-    if cfg.json && !cfg.resume_plan {
-        return Err("--json only applies to --resume-plan".to_owned());
-    }
-    if cfg.group_commit == Some(0) {
-        return Err("--group-commit must be at least 1".to_owned());
-    }
     if cfg.watchdog_ms == Some(0) {
         return Err("--watchdog-ms must be at least 1".to_owned());
     }
@@ -259,7 +247,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
         for (set, flag) in [
             (cfg.mop_up_ticks.is_some(), "--mop-up"),
             (cfg.resume_plan, "--resume-plan"),
-            (cfg.group_commit.is_some(), "--group-commit"),
             (cfg.watchdog_ms.is_some(), "--watchdog-ms"),
             (cfg.force_split_at.is_some(), "--force-split-at"),
             (!cfg.block_targets.is_empty(), "--block-targets"),
@@ -267,9 +254,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             if set {
                 return Err(format!("{flag} is not supported with --adaptive"));
             }
-        }
-        if cfg.root_bits == Some(0) {
-            return Err("--root-bits must be at least 1".to_owned());
         }
         if cfg.probe_budget == Some(0) {
             return Err("--probe-budget must be at least 1".to_owned());
@@ -416,9 +400,6 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
     if let Some(at) = cfg.force_split_at {
         executor = executor.with_force_split_at(at);
     }
-    if let Some(n) = cfg.group_commit {
-        executor = executor.with_group_commit(n);
-    }
     if let Some(ms) = cfg.watchdog_ms {
         executor = executor.with_watchdog(std::time::Duration::from_millis(ms));
     }
@@ -437,12 +418,7 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
                 ),
                 other => format!("checkpoint: {other}"),
             })?;
-        let rendered = if cfg.json {
-            render_resume_plan_json(&plan)
-        } else {
-            render_resume_plan(&plan)
-        };
-        print!("{rendered}");
+        print!("{}", render_resume_plan(&plan));
         return Ok(false);
     }
     let wc = world_config(&cfg);
@@ -526,40 +502,28 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
     Ok(outcome.interrupted)
 }
 
-/// Skip/Resume/Fresh/Split labels plus the tally, shared by both
-/// renderings.
-fn plan_rows(plan: &[BlockMode]) -> (Vec<&'static str>, [usize; 4]) {
-    let mut tally = [0usize; 4];
-    let labels = plan
-        .iter()
-        .map(|mode| {
-            let (label, bucket) = match mode {
-                BlockMode::Skip => ("skip", 0),
-                BlockMode::Resume => ("resume", 1),
-                BlockMode::Fresh => ("fresh", 2),
-                BlockMode::Split(_) => ("split", 3),
-            };
-            tally[bucket] += 1;
-            label
-        })
-        .collect();
-    (labels, tally)
-}
-
 /// One CSV line per sample block with its Skip/Resume/Fresh/Split
 /// classification, then a one-line tally. The split bucket only appears
 /// in the tally when a block actually has a sub-shard manifest, so
 /// split-free plans render exactly as they did before splitting existed.
 fn render_resume_plan(plan: &[BlockMode]) -> String {
     let mut out = String::from("block,profile,scan_base,mode\n");
-    let (labels, [skip, resume, fresh, split]) = plan_rows(plan);
-    for (idx, label) in labels.iter().enumerate() {
+    let mut tally = [0usize; 4];
+    for (idx, mode) in plan.iter().enumerate() {
+        let (label, bucket) = match mode {
+            BlockMode::Skip => ("skip", 0),
+            BlockMode::Resume => ("resume", 1),
+            BlockMode::Fresh => ("fresh", 2),
+            BlockMode::Split(_) => ("split", 3),
+        };
+        tally[bucket] += 1;
         let profile = &SAMPLE_BLOCKS[idx];
         out.push_str(&format!(
             "{idx},{},{},{label}\n",
             profile.name, profile.scan_base
         ));
     }
+    let [skip, resume, fresh, split] = tally;
     let split_part = if split > 0 {
         format!(" / {split} split")
     } else {
@@ -568,29 +532,6 @@ fn render_resume_plan(plan: &[BlockMode]) -> String {
     out.push_str(&format!(
         "# {skip} skip / {resume} resume / {fresh} fresh{split_part} of {} blocks\n",
         plan.len()
-    ));
-    out
-}
-
-/// The same plan as one JSON object, for scripted consumers:
-/// `{"blocks":[{"block":0,"profile":...,"scan_base":...,"mode":...},
-/// ...],"tally":{"skip":S,"resume":R,"fresh":F,"split":P}}`.
-fn render_resume_plan_json(plan: &[BlockMode]) -> String {
-    let (labels, [skip, resume, fresh, split]) = plan_rows(plan);
-    let mut out = String::from("{\"blocks\":[");
-    for (idx, label) in labels.iter().enumerate() {
-        if idx > 0 {
-            out.push(',');
-        }
-        let profile = &SAMPLE_BLOCKS[idx];
-        out.push_str(&format!("{{\"block\":{idx},\"profile\":"));
-        push_json_string(&mut out, profile.name);
-        out.push_str(",\"scan_base\":");
-        push_json_string(&mut out, &profile.scan_base.to_string());
-        out.push_str(&format!(",\"mode\":\"{label}\"}}"));
-    }
-    out.push_str(&format!(
-        "],\"tally\":{{\"skip\":{skip},\"resume\":{resume},\"fresh\":{fresh},\"split\":{split}}}}}\n"
     ));
     out
 }
@@ -665,23 +606,24 @@ mod tests {
             parse_args(&args("--resume-plan")).is_err(),
             "resume-plan needs dir"
         );
-        assert!(parse_args(&args("--group-commit 0")).is_err());
         assert!(parse_args(&args("--watchdog-ms 0")).is_err());
-        assert!(
-            parse_args(&args("--json --checkpoint /tmp/ck")).is_err(),
-            "--json without --resume-plan has nothing to format"
-        );
+        for removed in ["--json", "--group-commit 4"] {
+            let err = parse_args(&args(&format!(
+                "--checkpoint /tmp/ck --resume-plan {removed}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("unknown option"), "{removed}: {err}");
+        }
     }
 
     #[test]
     fn parses_hardening_flags() {
         let cfg = parse_args(&args(
-            "-b 2001:db8::/32 --blocklist ff00::/8 --group-commit 8 \
+            "-b 2001:db8::/32 --blocklist ff00::/8 \
              --watchdog-ms 500 --checkpoint /tmp/ck --resume-plan",
         ))
         .unwrap();
         assert_eq!(cfg.blocked, vec!["2001:db8::/32", "ff00::/8"]);
-        assert_eq!(cfg.group_commit, Some(8));
         assert_eq!(cfg.watchdog_ms, Some(500));
         assert!(cfg.resume_plan);
     }
@@ -712,44 +654,27 @@ mod tests {
     }
 
     #[test]
-    fn resume_plan_json_is_parseable_and_tallies() {
-        use xmap_state::json::{self, Value};
+    fn resume_plan_lists_every_block_and_tallies() {
         // All fresh: no checkpoints exist for this plan.
         let plan = vec![BlockMode::Fresh; SAMPLE_BLOCKS.len()];
-        let rendered = render_resume_plan_json(&plan);
-        let v = json::parse(rendered.trim(), "resume plan").expect("valid json");
-        let blocks = v.get("blocks").and_then(Value::as_arr).expect("blocks");
-        assert_eq!(blocks.len(), SAMPLE_BLOCKS.len());
-        for (idx, b) in blocks.iter().enumerate() {
-            assert_eq!(b.req_u64("block", "row").unwrap(), idx as u64);
-            assert_eq!(b.req_str("mode", "row").unwrap(), "fresh");
-            assert_eq!(
-                b.req_str("profile", "row").unwrap(),
-                SAMPLE_BLOCKS[idx].name
-            );
-            assert_eq!(
-                b.req_str("scan_base", "row").unwrap(),
-                SAMPLE_BLOCKS[idx].scan_base.to_string()
-            );
+        let csv = render_resume_plan(&plan);
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some("block,profile,scan_base,mode"));
+        for (idx, profile) in SAMPLE_BLOCKS.iter().enumerate() {
+            let row = format!("{idx},{},{},fresh", profile.name, profile.scan_base);
+            assert_eq!(lines.next(), Some(row.as_str()));
         }
-        let tally = v.get("tally").expect("tally");
-        assert_eq!(tally.req_u64("fresh", "tally").unwrap(), 15);
-        assert_eq!(tally.req_u64("skip", "tally").unwrap(), 0);
-        assert_eq!(tally.req_u64("resume", "tally").unwrap(), 0);
+        assert_eq!(
+            lines.next(),
+            Some("# 0 skip / 0 resume / 15 fresh of 15 blocks")
+        );
 
-        // A mixed plan tallies per mode and keeps block order.
+        // A mixed plan tallies per mode, and split-free plans keep the
+        // exact pre-split trailer.
         let mixed = vec![BlockMode::Skip, BlockMode::Resume, BlockMode::Fresh];
-        let v = json::parse(render_resume_plan_json(&mixed).trim(), "plan").unwrap();
-        let tally = v.get("tally").expect("tally");
-        assert_eq!(tally.req_u64("skip", "tally").unwrap(), 1);
-        assert_eq!(tally.req_u64("resume", "tally").unwrap(), 1);
-        assert_eq!(tally.req_u64("fresh", "tally").unwrap(), 1);
-        assert_eq!(tally.req_u64("split", "tally").unwrap(), 0);
-        // The CSV rendering tallies identically, and split-free plans
-        // keep the exact pre-split trailer.
         assert!(render_resume_plan(&mixed).ends_with("# 1 skip / 1 resume / 1 fresh of 3 blocks\n"));
 
-        // A partially split block shows up in both renderings.
+        // A partially split block gets its own label and bucket.
         use xmap_periphery::{SplitUnit, UnitMode, UnitPlan};
         let with_split = vec![
             BlockMode::Skip,
@@ -779,9 +704,6 @@ mod tests {
             csv.ends_with("# 1 skip / 0 resume / 1 fresh / 1 split of 3 blocks\n"),
             "{csv}"
         );
-        let v = json::parse(render_resume_plan_json(&with_split).trim(), "plan").unwrap();
-        let tally = v.get("tally").expect("tally");
-        assert_eq!(tally.req_u64("split", "tally").unwrap(), 1);
     }
 
     #[test]
@@ -856,6 +778,13 @@ mod tests {
         assert!(parse_args(&args("--adaptive --cluster 8")).is_err());
         assert!(parse_args(&args("--adaptive --cluster 0:4")).is_err());
         assert!(parse_args(&args("--adaptive --probe-budget 0")).is_err());
+        // A narrowing cast would wrap 260 to 4 and 256 to 0.
+        for bits in ["0", "65", "256", "260"] {
+            let err = parse_args(&args(&format!("--adaptive --root-bits {bits}"))).unwrap_err();
+            assert!(err.contains("out of range 1..=64"), "{bits}: {err}");
+        }
+        let cfg = parse_args(&args("--adaptive --root-bits 64")).unwrap();
+        assert_eq!(cfg.root_bits, Some(64));
     }
 
     #[test]

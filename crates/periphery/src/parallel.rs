@@ -145,7 +145,6 @@ use xmap::{
     insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, StealQueue, Supervision,
 };
 use xmap_failpoint::exec::{ExecAction, ExecFaults, ExecPlan};
-use xmap_failpoint::fs as fp;
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
 use xmap_state::checkpoint::{
@@ -160,11 +159,6 @@ use crate::campaign::{
     CampaignResult, UnitRaw,
 };
 use crate::split::SplitUnit;
-
-/// Default group-commit quantum: how many block checkpoints a worker
-/// publishes before it batches their fsyncs (one `fsync` per file plus
-/// one directory sync, instead of a per-block file-plus-rename sync).
-pub const DEFAULT_GROUP_COMMIT: usize = 4;
 
 /// Walk positions a running unit must still have ahead of it before an
 /// idle worker's yield request splits it. A split costs one idle poll,
@@ -260,7 +254,6 @@ pub struct ParallelCampaign {
     workers: usize,
     supervision: Supervision,
     watchdog: Option<Duration>,
-    group_commit: usize,
     exec_plan: Option<ExecPlan>,
     force_split_at: Option<u64>,
 }
@@ -289,7 +282,6 @@ impl ParallelCampaign {
             workers,
             supervision: Supervision::default(),
             watchdog: None,
-            group_commit: DEFAULT_GROUP_COMMIT,
             exec_plan: None,
             force_split_at: None,
         }
@@ -327,18 +319,6 @@ impl ParallelCampaign {
     /// aggressively without fear of spurious requeues. Off by default.
     pub fn with_watchdog(mut self, quantum: Duration) -> Self {
         self.watchdog = Some(quantum);
-        self
-    }
-
-    /// Sets the group-commit quantum: each worker publishes block
-    /// checkpoints with their fsync deferred, then syncs the batch (files
-    /// plus directory) every `every` blocks and on retirement. `1`
-    /// restores the legacy fsync-per-block behaviour; the default is
-    /// [`DEFAULT_GROUP_COMMIT`]. A crash inside the deferred window can
-    /// leave a published checkpoint torn — the resume planner treats a
-    /// torn block checkpoint as "never completed" and re-runs the block.
-    pub fn with_group_commit(mut self, every: usize) -> Self {
-        self.group_commit = every.max(1);
         self
     }
 
@@ -483,7 +463,6 @@ impl ParallelCampaign {
         let counters = ExecCounters::default();
         let active = AtomicUsize::new(self.workers);
         let max_attempts = self.supervision.max_attempts.max(1);
-        let group = self.group_commit.max(1);
         let mut scanners: Vec<Scanner<N>> = (0..self.workers)
             .map(|w| {
                 let telemetry = Telemetry::new();
@@ -525,13 +504,11 @@ impl ParallelCampaign {
                             faults,
                             counters,
                             max_attempts,
-                            group,
                             dir,
                             fp_id,
                             shared,
                             sent,
                             units: 0,
-                            to_sync: Vec::new(),
                             out: WorkerOut::default(),
                         }
                         .run();
@@ -620,7 +597,7 @@ impl ParallelCampaign {
                         Ok(Ok(Some((block, delta)))) => {
                             state.done.store(true, Ordering::Release);
                             if let Some(dir) = dir {
-                                write_block_ckpt(dir, fp_id, idx, &block, &delta, true)?;
+                                write_block_ckpt(dir, fp_id, idx, &block, &delta)?;
                                 remove_split_files(dir, idx);
                                 let _ = std::fs::remove_file(marker_path(dir, idx));
                             }
@@ -954,7 +931,6 @@ struct Worker<'a, N: Network> {
     faults: Option<&'a ExecFaults>,
     counters: &'a ExecCounters,
     max_attempts: u32,
-    group: usize,
     dir: Option<&'a Path>,
     fp_id: u64,
     shared: &'a SplitShared,
@@ -964,8 +940,6 @@ struct Worker<'a, N: Network> {
     sent: Counter,
     /// Units claimed so far — the index the fault script matches on.
     units: u64,
-    /// Published block checkpoints awaiting their group-commit fsync.
-    to_sync: Vec<PathBuf>,
     out: WorkerOut,
 }
 
@@ -974,15 +948,7 @@ impl<N: Network> Worker<'_, N> {
         let flag = self.shared.yield_flags[self.w].clone();
         self.scanner
             .set_yield_request(Some(flag), MIN_SPLIT_REMAINDER);
-        let verdict = self.main_loop();
-        // Group-commit tail: make every published-but-unsynced
-        // checkpoint durable before retiring, whatever the exit path.
-        let flushed = match self.dir {
-            Some(d) => flush_group(d, &mut self.to_sync),
-            None => Ok(()),
-        };
-        verdict?;
-        flushed?;
+        self.main_loop()?;
         Ok(self.out)
     }
 
@@ -1372,13 +1338,7 @@ impl<N: Network> Worker<'_, N> {
         }
         retire_slot(state, self.shared);
         if let Some(dir) = self.dir {
-            write_block_ckpt(dir, self.fp_id, idx, &block, &delta, self.group <= 1)?;
-            if self.group > 1 {
-                self.to_sync.push(block_path(dir, idx));
-                if self.to_sync.len() >= self.group {
-                    flush_group(dir, &mut self.to_sync)?;
-                }
-            }
+            write_block_ckpt(dir, self.fp_id, idx, &block, &delta)?;
             remove_split_files(dir, idx);
             let _ = std::fs::remove_file(marker_path(dir, idx));
         }
@@ -1386,21 +1346,6 @@ impl<N: Network> Worker<'_, N> {
         self.out.done.push((idx, block));
         Ok(())
     }
-}
-
-/// Fsyncs a batch of published block checkpoints plus the directory —
-/// the group-commit step. No-op on an empty batch.
-fn flush_group(dir: &Path, paths: &mut Vec<PathBuf>) -> Result<(), StateError> {
-    if paths.is_empty() {
-        return Ok(());
-    }
-    for p in paths.drain(..) {
-        fp::sync_file(&p)
-            .map_err(|e| StateError::io(format!("sync checkpoint {}", p.display()), e))?;
-    }
-    fp::sync_dir(dir)
-        .map_err(|e| StateError::io(format!("sync campaign dir {}", dir.display()), e))?;
-    Ok(())
 }
 
 /// `campaign.ckpt`: binds the directory to one campaign configuration.
@@ -1482,7 +1427,6 @@ fn write_units_manifest(
         &[("block", idx as u64)],
         fp,
         &[("units", encode_sub_shards(layout))],
-        true,
     )
 }
 
@@ -1529,7 +1473,6 @@ fn write_unit_ckpt(
         &unit_fields(idx, raw.unit),
         fp,
         &[("metrics", encode_snapshot(metrics)), ("unit", e.finish())],
-        true,
     )
 }
 
@@ -1580,13 +1523,7 @@ fn write_marker(dir: &Path, idx: usize) -> Result<(), StateError> {
 
 fn write_dir_manifest(dir: &Path, fp: u64) -> Result<(), StateError> {
     let blocks = SAMPLE_BLOCKS.len() as u64;
-    DIR.write(
-        &dir_manifest_path(dir),
-        &[("blocks", blocks)],
-        fp,
-        &[],
-        true,
-    )
+    DIR.write(&dir_manifest_path(dir), &[("blocks", blocks)], fp, &[])
 }
 
 /// Validates the directory manifest and classifies every block. An
@@ -1604,10 +1541,11 @@ fn load_dir(dir: &Path, expected_fp: u64) -> Result<Vec<BlockMode>, StateError> 
         .map(|idx| {
             if block_path(dir, idx).exists() {
                 // A present checkpoint only counts if it reads back
-                // cleanly: a crash inside the group-commit window can
-                // leave a published-but-torn file. Corrupt reclassifies
+                // cleanly. Publication is tmp + fsync + rename, so a
+                // torn file means the disk or something outside the
+                // executor damaged it; either way Corrupt reclassifies
                 // as a partial block (the re-run's rewrite clobbers the
-                // torn file); fingerprint/config mismatches stay hard
+                // torn file). Fingerprint/config mismatches stay hard
                 // errors — re-running would scan the wrong thing.
                 match load_block_ckpt(dir, idx, expected_fp) {
                     Ok(_) => Ok(BlockMode::Skip),
@@ -1667,18 +1605,13 @@ fn classify_partial(dir: &Path, idx: usize, expected_fp: u64) -> Result<BlockMod
     }
 }
 
-/// Publishes one block checkpoint. With `sync: false` the data fsync is
-/// deferred to the caller's group commit ([`flush_group`]); the file is
-/// still published atomically via rename, so readers either see a whole
-/// file or (after an OS crash inside the deferred window) a torn one —
-/// which the resume planner classifies as "never completed".
+/// Publishes one block checkpoint: its records and its telemetry delta.
 fn write_block_ckpt(
     dir: &Path,
     fp: u64,
     idx: usize,
     block: &BlockResult,
     metrics: &Snapshot,
-    sync: bool,
 ) -> Result<(), StateError> {
     let mut e = Encoder::new();
     encode_block(&mut e, block);
@@ -1687,7 +1620,6 @@ fn write_block_ckpt(
         &[("block", idx as u64), ("profile", block.profile_id as u64)],
         fp,
         &[("metrics", encode_snapshot(metrics)), ("block", e.finish())],
-        sync,
     )
 }
 
@@ -2023,8 +1955,9 @@ mod tests {
         let full = exec
             .run_checkpointed(&base(tpb), &dir, false, None, make_world)
             .unwrap();
-        // Tear block 7's checkpoint in half — what an OS crash inside the
-        // group-commit window can leave behind a rename.
+        // Tear block 7's checkpoint in half. Publication fsyncs before
+        // the rename, so only damage from outside the executor leaves
+        // this; the planner still re-runs the block rather than fail.
         let victim = block_path(&dir, 7);
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
@@ -2046,31 +1979,6 @@ mod tests {
         assert_eq!(resumed.result, full.result);
         assert_eq!(resumed.snapshot, full.snapshot);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_commit_quantums_agree_with_legacy_per_block_sync() {
-        let tpb = 1 << 9;
-        let run_with = |group: usize, tag: &str| {
-            let dir =
-                std::env::temp_dir().join(format!("xmap-pcamp-gc{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let out = ParallelCampaign::new(Campaign::new(tpb), 2)
-                .with_group_commit(group)
-                .run_checkpointed(&base(tpb), &dir, false, None, make_world)
-                .unwrap();
-            let plan = ParallelCampaign::new(Campaign::new(tpb), 2)
-                .resume_plan(&base(tpb), &dir)
-                .unwrap();
-            assert!(plan.iter().all(|m| *m == BlockMode::Skip), "{plan:?}");
-            let _ = std::fs::remove_dir_all(&dir);
-            (out.result, out.snapshot)
-        };
-        let legacy = run_with(1, "legacy");
-        let batched = run_with(DEFAULT_GROUP_COMMIT, "batched");
-        let whole = run_with(SAMPLE_BLOCKS.len() + 1, "whole");
-        assert_eq!(legacy, batched);
-        assert_eq!(legacy, whole);
     }
 
     #[test]

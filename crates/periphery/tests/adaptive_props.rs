@@ -3,8 +3,8 @@
 //! output, across randomly drawn configurations and worlds.
 //!
 //! The unit tests pin one configuration; these properties draw the
-//! engine knobs, scan seed, world allocation and the devices' ICMPv6
-//! limiter from proptest seeds, so a merge-order, seed-threading or
+//! engine arm, budget and root, scan seed, world allocation and the
+//! devices' ICMPv6 limiter from proptest seeds, so a merge-order, seed-threading or
 //! state-carry-over regression (a reused world remembering an earlier
 //! unit's probes) that happens to be invisible at the pinned
 //! configuration still fails here. Root and budget ranges start where
@@ -67,26 +67,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// N-worker adaptive output is byte-identical to 1-worker: CSV,
-    /// telemetry JSON and probe accounting all match for arbitrary
-    /// engine knobs.
+    /// telemetry JSON and probe accounting all match for either arm at
+    /// arbitrary budgets and roots.
     #[test]
     fn worker_count_is_unobservable(
         seed in any::<u64>(),
         world_seed in any::<u64>(),
         budget_bits in 11u64..=15,
         root_bits in 12u8..=15,
-        branch_bits in 2u8..=4,
-        samples in 4u64..=32,
+        exhaustive in any::<bool>(),
         workers in 2usize..=4,
         clustered in any::<bool>(),
         bucket_capacity in 0u32..=3,
     ) {
         let config = AdaptiveConfig {
             probe_budget: 1 << budget_bits,
-            samples_per_node: samples,
-            branch_bits,
             root_bits: Some(root_bits),
-            ..AdaptiveConfig::default()
+            exhaustive,
         };
         let solo = run(config.clone(), 1, seed, world_seed, clustered, bucket_capacity);
         let fleet = run(config, workers, seed, world_seed, clustered, bucket_capacity);

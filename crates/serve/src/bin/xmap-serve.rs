@@ -2,7 +2,7 @@
 //! control client.
 //!
 //! ```text
-//! xmap-serve daemon --root DIR --socket PATH [--workers N] [--quantum N]
+//! xmap-serve daemon --root DIR --socket PATH [--workers N]
 //!                   [--max-per-tenant N] [--max-total N]
 //!                   [--weight TENANT=W]... [-q]
 //!
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
 #[cfg(unix)]
 fn print_help() {
     eprintln!(
-        "usage:\n  xmap-serve daemon --root DIR --socket PATH [--workers N] [--quantum N]\n\
+        "usage:\n  xmap-serve daemon --root DIR --socket PATH [--workers N]\n\
          \x20                 [--max-per-tenant N] [--max-total N] [--weight TENANT=W]... [-q]\n\
          \x20 xmap-serve ctl --socket PATH ping|status|drain\n\
          \x20 xmap-serve ctl --socket PATH submit --tenant T --type campaign|loopscan|appscan ...\n\
@@ -94,7 +94,6 @@ fn daemon_main(args: &[String]) -> ExitCode {
                 "--root" => root = Some(PathBuf::from(value(&mut iter, arg)?)),
                 "--socket" => sock = Some(PathBuf::from(value(&mut iter, arg)?)),
                 "--workers" => cfg.workers = int(&mut iter, arg)?.max(1) as usize,
-                "--quantum" => cfg.quantum = int(&mut iter, arg)?,
                 "--max-per-tenant" => {
                     cfg.admission = AdmissionPolicy {
                         max_active_per_tenant: int(&mut iter, arg)? as usize,

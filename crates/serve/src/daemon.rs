@@ -68,13 +68,16 @@ pub mod metric {
     pub const REQUEUED: &str = "serve.requeued";
 }
 
+/// DRR probe budget a weight-1 job accrues per round: one default
+/// periphery-campaign block (`ctl submit`'s `--targets-per-block` 4096),
+/// so a weight-1 job dispatches about one such unit per round.
+const DRR_QUANTUM: u64 = 4096;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads draining the scheduler.
     pub workers: usize,
-    /// DRR probe quantum per round per unit of tenant weight.
-    pub quantum: u64,
     /// Admission limits.
     pub admission: AdmissionPolicy,
     /// Per-tenant DRR weights; unlisted tenants get weight 1.
@@ -85,7 +88,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 2,
-            quantum: 4096,
             admission: AdmissionPolicy::default(),
             tenant_weights: BTreeMap::new(),
         }
@@ -252,7 +254,7 @@ impl Daemon {
         }
         let mut engine = Engine {
             jobs: BTreeMap::new(),
-            sched: DrrScheduler::new(cfg.quantum),
+            sched: DrrScheduler::new(DRR_QUANTUM),
             next_id,
             draining: false,
             stopping: false,
@@ -677,7 +679,6 @@ fn write_unit(
         &[("job", job), ("unit", unit as u64)],
         fp_id,
         &[("output", e.finish()), ("metrics", encode_snapshot(delta))],
-        true,
     )
 }
 

@@ -170,7 +170,11 @@ impl DrrScheduler {
                 let job = q.job;
                 return Some((job, unit));
             }
-            q.deficit += self.quantum * q.weight;
+            // Weights come straight from `--weight TENANT=W`, so the
+            // grant saturates instead of overflowing.
+            q.deficit = q
+                .deficit
+                .saturating_add(self.quantum.saturating_mul(q.weight));
             self.cursor += 1;
         }
     }
@@ -287,6 +291,26 @@ mod tests {
             heavy >= 2 * light,
             "heavy job got {heavy} of the first 16 dispatches vs {light}"
         );
+    }
+
+    #[test]
+    fn max_weight_tenant_drains_without_overflow() {
+        let mut sched = DrrScheduler::new(4096);
+        sched.admit(1, "huge", u64::MAX, (0..5).map(|u| (u, 4096)));
+        admit_uniform(&mut sched, 2, "small", 3, 4096);
+        let mut order = Vec::new();
+        while let Some(d) = sched.next_unit() {
+            order.push(d);
+        }
+        assert_eq!(order.len(), 8, "every unit dispatches exactly once");
+        assert_eq!(
+            order.iter().filter(|(job, _)| *job == 1).count(),
+            5,
+            "{order:?}"
+        );
+        // The saturated deficit covers the heavy job's whole queue in its
+        // first turn; the light job then drains in order.
+        assert_eq!(order[5..], [(2, 0), (2, 1), (2, 2)]);
     }
 
     #[test]

@@ -73,21 +73,15 @@ pub struct Kind {
 }
 
 impl Kind {
-    /// Writes a checkpoint of this kind atomically (tmp-file + rename).
-    /// The header holds `schema`, `kind`, `fields` in order, `fp` under
-    /// [`Kind::fp_key`] and the names of `sections`. With `sync: false`
-    /// the temp file is *not* fsynced before the rename: the caller owns
-    /// durability and must [`fp::sync_file`] the published path (and its
-    /// directory) later — the campaign executor's group commit. A crash
-    /// inside that window can leave the published file torn, which
-    /// readers must treat as "never completed".
+    /// Writes a checkpoint of this kind atomically and durably (tmp
+    /// file, fsync, rename). The header holds `schema`, `kind`, `fields`
+    /// in order, `fp` under [`Kind::fp_key`] and the names of `sections`.
     pub fn write(
         &self,
         path: &Path,
         fields: &[(&str, u64)],
         fp: u64,
         sections: &[(&str, Vec<u8>)],
-        sync: bool,
     ) -> Result<(), StateError> {
         // Kinds, keys and section names are identifiers, never escaped.
         let mut header = format!(
@@ -104,7 +98,7 @@ impl Kind {
             self.fp_key,
             names.join(",")
         );
-        write_framed(path, &header, sections, sync)
+        write_sectioned(path, &header, sections)
     }
 
     /// Opens a checkpoint of this kind. `fp`, when given, must equal the
@@ -358,7 +352,7 @@ impl WorkerCheckpoint {
             ("tick", self.tick),
             ("wal_seq", self.wal_seq),
         ];
-        WORKER.write(path, &fields, self.config_fp, &sections, true)
+        WORKER.write(path, &fields, self.config_fp, &sections)
     }
 
     /// Reads and fully validates a checkpoint from `path`, whichever
@@ -472,15 +466,6 @@ pub fn write_sectioned(
     header: &str,
     sections: &[(&str, Vec<u8>)],
 ) -> Result<(), StateError> {
-    write_framed(path, header, sections, true)
-}
-
-fn write_framed(
-    path: &Path,
-    header: &str,
-    sections: &[(&str, Vec<u8>)],
-    sync: bool,
-) -> Result<(), StateError> {
     let mut out = Vec::with_capacity(
         MAGIC.len() + header.len() + 16 + sections.iter().map(|(_, s)| s.len() + 32).sum::<usize>(),
     );
@@ -501,10 +486,8 @@ fn write_framed(
             .map_err(|e| StateError::io(format!("create checkpoint {}", tmp.display()), e))?;
         f.write_all(&out)
             .map_err(|e| StateError::io(format!("write checkpoint {}", tmp.display()), e))?;
-        if sync {
-            f.sync_all()
-                .map_err(|e| StateError::io(format!("sync checkpoint {}", tmp.display()), e))?;
-        }
+        f.sync_all()
+            .map_err(|e| StateError::io(format!("sync checkpoint {}", tmp.display()), e))?;
     }
     fp::rename(&tmp, path)
         .map_err(|e| StateError::io(format!("publish checkpoint {}", path.display()), e))

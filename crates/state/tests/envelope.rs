@@ -105,7 +105,7 @@ fn every_kind_survives_truncation_and_header_mutation() {
             .map(|(s, i)| (*s, vec![i; 3 + i as usize]))
             .collect();
         let path = temp_path(name);
-        kind.write(&path, &fields, FP, &sections, false).unwrap();
+        kind.write(&path, &fields, FP, &sections).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
 

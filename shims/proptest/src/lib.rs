@@ -215,7 +215,7 @@ pub mod collection {
         max: usize,
     }
 
-    /// Lengths accepted by [`vec`].
+    /// Lengths accepted by [`vec()`].
     pub trait IntoSizeRange {
         /// Inclusive (min, max) length bounds.
         fn bounds(self) -> (usize, usize);
