@@ -1,5 +1,5 @@
 //! Checkpoint/resume orchestration: the glue between the scan engine and
-//! the durable `xmap-checkpoint/v1` format in `xmap-state`.
+//! the durable checkpoint format in `xmap-state`.
 //!
 //! A checkpointed scan is a **session**: a directory holding one
 //! [`Manifest`] (the configuration identity), and per worker a record
@@ -558,7 +558,6 @@ pub fn build_manifest(
         rate_pps: config.rate_pps,
         probes_per_target: config.probes_per_target as u64,
         rto_ticks: config.rto_ticks,
-        max_retry_backlog: config.max_retry_backlog as u64,
         record_silent: config.record_silent,
         ranges: ranges.iter().map(|r| r.to_string()).collect(),
         blocklist_fp: blocklist.fingerprint(),

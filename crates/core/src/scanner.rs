@@ -69,10 +69,6 @@ pub struct ScanConfig {
     /// slot). Attempt *n* is scheduled `rto_ticks << (n-1)` ticks after
     /// attempt *n-1* went out — classic exponential backoff.
     pub rto_ticks: u64,
-    /// Bound on the retransmission queue. When the backlog is full further
-    /// retries are abandoned; targets that consequently stay silent end up
-    /// in [`ScanStats::gave_up`].
-    pub max_retry_backlog: usize,
     /// Collect targets that never produced a valid response into
     /// [`ScanResults::silent_targets`] (the mop-up pass input). Off by
     /// default: the list is proportional to the probed slice.
@@ -92,7 +88,6 @@ impl Default for ScanConfig {
             rate_pps: None,
             probes_per_target: 1,
             rto_ticks: 8,
-            max_retry_backlog: 4096,
             record_silent: false,
         }
     }
@@ -717,8 +712,7 @@ impl<N: Network> Scanner<N> {
                 }
                 // Bounded backlog: an overflowing retry is abandoned (the
                 // target is then counted in `gave_up` if it stays silent).
-                let retry_armed =
-                    attempt + 1 < attempts && run.retries.len() < self.config.max_retry_backlog;
+                let retry_armed = attempt + 1 < attempts && run.retries.len() < MAX_RETRY_BACKLOG;
                 run.outstanding.insert(
                     dst,
                     Outstanding {
@@ -1211,6 +1205,11 @@ impl TargetGen {
 /// at least this many sends away: amortised O(1) per probe, over a table
 /// that stays cache-sized however long the walk.
 const RETIRE_SLACK: usize = 1024;
+
+/// Bound on the armed retransmissions. A retry that would overflow it is
+/// abandoned; a target that consequently stays silent ends up in
+/// [`ScanStats::gave_up`].
+const MAX_RETRY_BACKLOG: usize = 4096;
 
 /// One sent probe whose answer can still matter: a reply to it may be in
 /// flight, or a retry timer will ask whether it was answered.
@@ -2003,54 +2002,60 @@ mod tests {
 
     #[test]
     fn retry_armed_entries_survive_the_sweep() {
-        // A backlog of two arms a retry for the first two probes only.
-        // The first one's answer lands 2000 slots late — before its
-        // 4000-slot timer — and the second is answered on retransmission
-        // alone (the 3001st probe handled). Once the late answer is in,
-        // nothing is in flight and 2000 entries sit in `outstanding`, so
-        // the sweep runs with both timers still armed. Had it dropped
-        // their entries, neither timer would find its previous attempt
-        // and the second target's retransmission would never go out.
+        // The backlog arms a retry for the first MAX_RETRY_BACKLOG probes
+        // only. The first one's answer lands HOLD slots late — before its
+        // timer — and the second is answered on retransmission alone (the
+        // first probe handled after the fresh walk). Once the late answer
+        // is in, nothing is in flight and HOLD entries sit in
+        // `outstanding`, past the sweep threshold, so the sweep runs with
+        // every timer still armed. Had it dropped their entries, no timer
+        // would find its previous attempt and no retransmission would go
+        // out.
+        const TARGETS: u64 = 12_000;
+        const HOLD: u64 = 10_000;
+        const { assert!(HOLD as usize > 2 * MAX_RETRY_BACKLOG + RETIRE_SLACK) };
         let mut s = Scanner::new(
-            HoldNet::new(&[0, 3000], 2000),
+            HoldNet::new(&[0, TARGETS], HOLD),
             ScanConfig {
-                max_targets: Some(3000),
+                max_targets: Some(TARGETS),
                 probes_per_target: 2,
-                max_retry_backlog: 2,
-                rto_ticks: 4000,
+                rto_ticks: 2 * HOLD,
                 ..Default::default()
             },
         );
         let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
+        let silent_armed = MAX_RETRY_BACKLOG as u64 - 1;
         assert_eq!(
-            res.stats.retransmits, 1,
-            "the answered one is suppressed, the silent one retried"
+            res.stats.retransmits, silent_armed,
+            "the answered one is suppressed, every silent armed one retried"
         );
-        assert_eq!(res.stats.sent, 3001);
+        assert_eq!(res.stats.sent, TARGETS + silent_armed);
         assert_eq!(res.stats.invalid, 0);
         let confidences: Vec<Confidence> = res.records.iter().map(|r| r.confidence).collect();
         assert_eq!(confidences, [Confidence::FirstTry, Confidence::Retry(1)]);
-        assert_eq!(res.stats.gave_up, 2998);
+        assert_eq!(res.stats.gave_up, TARGETS - 2);
     }
 
     #[test]
     fn retry_backlog_is_bounded() {
+        // Nothing answers and no timer fires before the walk ends, so the
+        // backlog fills: every would-be retry past the bound is abandoned
+        // and its target given up without retransmission.
+        let targets = MAX_RETRY_BACKLOG as u64 + 100;
         let mut s = Scanner::new(
-            ToyNet { handled: 0 },
+            HoldNet::new(&[], 0),
             ScanConfig {
-                max_targets: Some(100),
+                max_targets: Some(targets),
                 probes_per_target: 2,
-                max_retry_backlog: 0,
+                rto_ticks: targets,
                 ..Default::default()
             },
         );
         let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
-        // Backlog of zero: every would-be retry abandoned immediately, so
-        // the silent half of the space is given up without retransmission.
-        assert_eq!(res.stats.retransmits, 0);
-        assert_eq!(res.stats.sent, 100);
-        assert!(res.stats.gave_up > 30, "{}", res.stats.gave_up);
-        assert_eq!(res.stats.gave_up, 100 - res.stats.valid);
+        assert_eq!(res.stats.retransmits, MAX_RETRY_BACKLOG as u64);
+        assert_eq!(res.stats.sent, targets + MAX_RETRY_BACKLOG as u64);
+        assert_eq!(res.stats.valid, 0);
+        assert_eq!(res.stats.gave_up, targets);
     }
 
     #[test]

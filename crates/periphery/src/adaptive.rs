@@ -31,7 +31,7 @@
 //! boundaries double as checkpoint points: the tree, the in-progress
 //! block and the merged telemetry (deltas absorbed at every boundary
 //! when a checkpoint is being written, so it carries exact metrics)
-//! land in an `xmap-checkpoint/v1` file whose tree-snapshot section
+//! land in one `xmap-state` checkpoint file whose tree-snapshot section
 //! lets a killed campaign resume mid-block.
 
 use std::path::Path;
@@ -348,8 +348,6 @@ impl AdaptiveCampaign {
             .push_u64(p.prune_after)
             .push_u128(p.prune_max_span)
             .push_u128(p.exhaust_span)
-            // The retired marginal-rate stop, off (0.0) in both arms.
-            .push_u64(0)
             .push_u64(p.branch_bits as u64)
             .push_u64(match c.root_bits {
                 Some(b) => 1 + b as u64,
@@ -828,7 +826,6 @@ struct AdaptiveCkpt {
 
 const KIND: Kind = Kind {
     name: "adaptive-campaign",
-    fp_key: "adaptive_fp",
 };
 
 fn write_ckpt(

@@ -734,7 +734,7 @@ fn decode_stats(d: &mut Decoder) -> Result<ScanStats, StateError> {
     })
 }
 
-/// Serialises one [`UnitRaw`] in the `xmap-checkpoint/v1` campaign-unit
+/// Serialises one [`UnitRaw`] in the checkpoint's campaign-unit
 /// wire form — the per-unit checkpoint payload a killed split block
 /// resumes from.
 pub(crate) fn encode_unit_raw(e: &mut Encoder, u: &UnitRaw) {
@@ -829,7 +829,7 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
     })
 }
 
-/// Serialises one [`BlockResult`] into `e` in the `xmap-checkpoint/v1`
+/// Serialises one [`BlockResult`] into `e` in the checkpoint's
 /// campaign-block wire form. Exposed so external executors (the
 /// `xmap-serve` daemon) can persist per-block campaign units in the
 /// exact format the campaign checkpoints use.

@@ -96,7 +96,7 @@
 //! # Checkpoint layout
 //!
 //! [`ParallelCampaign::run_checkpointed`] keeps one directory of
-//! `xmap-checkpoint/v1` sectioned files:
+//! `xmap-state` sectioned checkpoint files:
 //!
 //! ```text
 //! dir/
@@ -1351,22 +1351,18 @@ impl<N: Network> Worker<'_, N> {
 /// `campaign.ckpt`: binds the directory to one campaign configuration.
 const DIR: Kind = Kind {
     name: "campaign-dir",
-    fp_key: "campaign_fp",
 };
 /// `block-NN.ckpt`: one committed block.
 const BLOCK: Kind = Kind {
     name: "campaign-block",
-    fp_key: "campaign_fp",
 };
 /// `block-NN.units.ckpt`: a split block's current unit layout.
 const UNITS: Kind = Kind {
     name: "campaign-units",
-    fp_key: "campaign_fp",
 };
 /// `block-NN.unit-O-S.ckpt`: one committed unit of a split block.
 const UNIT: Kind = Kind {
     name: "campaign-unit",
-    fp_key: "campaign_fp",
 };
 
 fn block_path(dir: &Path, idx: usize) -> PathBuf {

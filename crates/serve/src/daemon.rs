@@ -6,7 +6,7 @@
 //! root/
 //!   ledger.wal                 job-lifecycle journal (submit/complete/cancel)
 //!   jobs/job-000001/
-//!     unit-000.ckpt            one `xmap-checkpoint/v1` file per finished
+//!     unit-000.ckpt            one `xmap-state` checkpoint per finished
 //!     unit-001.ckpt            unit: the unit's output + telemetry delta,
 //!     ...                      fingerprint-stamped against the job spec
 //!     result.csv               final artifact, published on completion
@@ -656,10 +656,7 @@ fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
 
 /// `unit-NNN.ckpt`: one completed unit of a job, bound to the job
 /// spec's fingerprint.
-const UNIT: Kind = Kind {
-    name: "serve-unit",
-    fp_key: "fp",
-};
+const UNIT: Kind = Kind { name: "serve-unit" };
 
 fn write_unit(
     root: &Path,

@@ -24,7 +24,7 @@
 //!   submit/complete/cancel events; replaying it after a crash
 //!   reconstructs exactly the set of live jobs.
 //! * [`daemon`] — the engine: worker pool, per-job checkpoint
-//!   directories (one `xmap-checkpoint/v1` file per finished unit),
+//!   directories (one `xmap-state` checkpoint file per finished unit),
 //!   per-job telemetry [`Registry`](xmap_telemetry::Registry) instances
 //!   merged via `Registry::absorb`/`Snapshot::diff`, and resume-on-open.
 //! * [`proto`] — the control plane: newline-delimited JSON over a Unix

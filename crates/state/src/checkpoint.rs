@@ -1,4 +1,4 @@
-//! The `xmap-checkpoint/v1` worker checkpoint format.
+//! The checkpoint file format ([`SCHEMA`]).
 //!
 //! A checkpoint file is self-describing: a magic string, an ordered JSON
 //! header (human-inspectable with `head -2`), then CRC-protected binary
@@ -11,10 +11,12 @@
 //! ```
 //!
 //! The header carries identity and placement (`schema`, `kind`, the
-//! kind's integer fields, its configuration fingerprint) plus the section
-//! list; the sections carry bulk state. Everything needed to *refuse* a
-//! wrong resume lives in the header, so mismatches are detected before
-//! any bulk decoding happens.
+//! kind's integer fields, the configuration fingerprint `fp`) plus the
+//! section list; the sections carry bulk state. Every header integer is
+//! written as `0x` and 16 hex digits, so a header's length depends only
+//! on its kind and sections. Everything needed to *refuse* a wrong resume
+//! lives in the header, so mismatches are detected before any bulk
+//! decoding happens.
 //!
 //! Every checkpoint kind in the workspace — scan workers, campaign
 //! directories, blocks and units, adaptive campaigns, serve units — is
@@ -35,27 +37,16 @@ use xmap_telemetry::{HistogramSnapshot, Snapshot};
 use crate::codec::{crc32, Decoder, Encoder};
 use crate::error::StateError;
 use crate::json::{self, Value};
-
-/// Schema identifier written into every header.
-const CHECKPOINT_SCHEMA: &str = "xmap-checkpoint/v1";
+use crate::SCHEMA;
 
 const MAGIC: &[u8] = b"XMCKPT1\n";
 
 /// Section holding the mid-range [`RunState`].
 const LIVE_SECTION: &str = "live";
 
-/// Section in which older builds kept their mid-range state: one entry
-/// per probe sent so far, in a layout [`LIVE_SECTION`] does not share. A
-/// file whose header lists it is refused, never decoded.
-const LEGACY_RUN_SECTION: &str = "run";
+const WORKER: Kind = Kind { name: "worker" };
 
-const WORKER: Kind = Kind {
-    name: "worker",
-    fp_key: "config_fp",
-};
-
-/// One kind of checkpoint file: the `kind` its header names and the
-/// header key its configuration fingerprint is stored under.
+/// One kind of checkpoint file: the `kind` its header names.
 ///
 /// The envelope's rules hold for every kind:
 /// - on write, the header's `sections` list is the sections written;
@@ -63,19 +54,18 @@ const WORKER: Kind = Kind {
 ///   sections are handed out;
 /// - a wrong kind, identity field or missing section is
 ///   [`StateError::Corrupt`], a wrong fingerprint [`StateError::Mismatch`]
-///   and an unknown schema [`StateError::Version`].
+///   and any schema but [`SCHEMA`] [`StateError::Version`].
 #[derive(Debug, Clone, Copy)]
 pub struct Kind {
     /// The header's `kind` value.
     pub name: &'static str,
-    /// The header key holding the configuration fingerprint.
-    pub fp_key: &'static str,
 }
 
 impl Kind {
     /// Writes a checkpoint of this kind atomically and durably (tmp
     /// file, fsync, rename). The header holds `schema`, `kind`, `fields`
-    /// in order, `fp` under [`Kind::fp_key`] and the names of `sections`.
+    /// in order, the configuration fingerprint as `fp` and the names of
+    /// `sections`.
     pub fn write(
         &self,
         path: &Path,
@@ -84,20 +74,12 @@ impl Kind {
         sections: &[(&str, Vec<u8>)],
     ) -> Result<(), StateError> {
         // Kinds, keys and section names are identifiers, never escaped.
-        let mut header = format!(
-            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"kind\":\"{}\"",
-            self.name
-        );
-        for (key, v) in fields {
-            let _ = write!(header, ",\"{key}\":{v}");
+        let mut header = format!("{{\"schema\":\"{SCHEMA}\",\"kind\":\"{}\"", self.name);
+        for (key, v) in fields.iter().chain(&[("fp", fp)]) {
+            let _ = write!(header, ",\"{key}\":\"{v:#018x}\"");
         }
         let names: Vec<String> = sections.iter().map(|(n, _)| format!("\"{n}\"")).collect();
-        let _ = write!(
-            header,
-            ",\"{}\":\"{fp:#018x}\",\"sections\":[{}]}}",
-            self.fp_key,
-            names.join(",")
-        );
+        let _ = write!(header, ",\"sections\":[{}]}}", names.join(","));
         write_sectioned(path, &header, sections)
     }
 
@@ -118,7 +100,7 @@ impl Kind {
                 self.name
             )));
         }
-        let stored = parse_fp(&header.req_str(self.fp_key, &what)?, &what)?;
+        let stored = hex_field(&header, "fp", &what)?;
         if let Some(expected) = fp.filter(|&e| e != stored) {
             return Err(StateError::Mismatch(format!(
                 "{what} was written under configuration {stored:#018x}, \
@@ -126,7 +108,7 @@ impl Kind {
             )));
         }
         for &(key, want) in identity {
-            let got = header.req_u64(key, &what)?;
+            let got = hex_field(&header, key, &what)?;
             if got != want {
                 return Err(StateError::Corrupt(format!(
                     "{what}: `{key}` is {got}, expected {want}"
@@ -166,11 +148,6 @@ pub struct Opened {
 }
 
 impl Opened {
-    /// The file's kind and path, for error messages.
-    pub(crate) fn what(&self) -> &str {
-        &self.what
-    }
-
     /// The stored configuration fingerprint.
     pub(crate) fn fp(&self) -> u64 {
         self.fp
@@ -178,7 +155,7 @@ impl Opened {
 
     /// A required integer header field.
     pub fn field(&self, key: &str) -> Result<u64, StateError> {
-        self.header.req_u64(key, &self.what)
+        hex_field(&self.header, key, &self.what)
     }
 
     /// Whether the header lists section `name` and it is not yet taken.
@@ -357,9 +334,7 @@ impl WorkerCheckpoint {
 
     /// Reads and fully validates a checkpoint from `path`, whichever
     /// session or worker wrote it. The header's `sections` list decides
-    /// what the file holds: a mid-range cut of an older build (it lists
-    /// `run`) is refused with [`StateError::Version`]; a completed range
-    /// resumes whichever build wrote it.
+    /// whether the range is mid-flight (it lists `live`) or completed.
     pub fn read_from(path: &Path) -> Result<WorkerCheckpoint, StateError> {
         Self::decode(WORKER.open(path, None, &[])?)
     }
@@ -372,13 +347,6 @@ impl WorkerCheckpoint {
     }
 
     fn decode(mut ck: Opened) -> Result<Self, StateError> {
-        if ck.lists(LEGACY_RUN_SECTION) {
-            return Err(StateError::Version(format!(
-                "{}: holds the mid-range `{LEGACY_RUN_SECTION}` section of an older \
-                 build, which this build cannot continue; re-run the scan without --resume",
-                ck.what()
-            )));
-        }
         let run = if ck.lists(LIVE_SECTION) {
             Some(ck.take(LIVE_SECTION, decode_run_state)?)
         } else {
@@ -396,11 +364,30 @@ impl WorkerCheckpoint {
     }
 }
 
-/// Parses a `0x`-prefixed 64-bit fingerprint written by the header writers.
-pub(crate) fn parse_fp(s: &str, what: &str) -> Result<u64, StateError> {
+/// Parses a `0x`-prefixed 64-bit integer, as headers and manifests write
+/// fingerprints.
+pub(crate) fn parse_hex(s: &str, what: &str) -> Result<u64, StateError> {
     s.strip_prefix("0x")
         .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| StateError::Corrupt(format!("{what}: invalid fingerprint `{s}`")))
+        .ok_or_else(|| StateError::Corrupt(format!("{what}: invalid hex integer `{s}`")))
+}
+
+/// A required header integer, written by [`Kind::write`] as a hex string.
+fn hex_field(header: &Value, key: &str, what: &str) -> Result<u64, StateError> {
+    parse_hex(&header.req_str(key, what)?, what)
+}
+
+/// Refuses a header or manifest that names any schema but [`SCHEMA`]:
+/// nothing written under another schema can be continued.
+pub(crate) fn check_schema(doc: &Value, what: &str) -> Result<(), StateError> {
+    let schema = doc.req_str("schema", what)?;
+    if schema == SCHEMA {
+        return Ok(());
+    }
+    Err(StateError::Version(format!(
+        "{what}: found `{schema}`, this build supports `{SCHEMA}`; \
+         re-run without --resume"
+    )))
 }
 
 /// One sub-shard range of a split scan block, as persisted in a
@@ -457,7 +444,7 @@ pub fn decode_sub_shards(raw: &[u8]) -> Result<Vec<SubShardEntry>, StateError> {
     Ok(entries)
 }
 
-/// Frames `header` and `sections` into an `xmap-checkpoint/v1` file,
+/// Frames `header` and `sections` into a checkpoint file,
 /// published atomically and fsynced. Checkpoints are written through
 /// [`Kind::write`]; this takes the header verbatim, so tests can build
 /// files no writer would.
@@ -511,12 +498,7 @@ fn read_sectioned(
         .map_err(|_| StateError::Corrupt(format!("{what}: header is not UTF-8")))?;
     d.u8()?; // the newline after the header
     let header = json::parse(header_text, what)?;
-    let schema = header.req_str("schema", what)?;
-    if schema != CHECKPOINT_SCHEMA {
-        return Err(StateError::Version(format!(
-            "{what}: found `{schema}`, this build supports `{CHECKPOINT_SCHEMA}`"
-        )));
-    }
+    check_schema(&header, what)?;
     let mut sections = BTreeMap::new();
     while !d.is_empty() {
         let nlen = d.u8()? as usize;
@@ -650,9 +632,6 @@ pub fn encode_run_state(run: &RunState) -> Vec<u8> {
     }
     e.u64(run.retry_seq);
     e.u64(run.probed_count);
-    // Retired rate-controller slot: always the "absent" tag, so the
-    // section keeps the bytes older builds wrote.
-    e.u8(0);
     for v in run.baseline {
         e.u64(v);
     }
@@ -705,12 +684,6 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
     }
     let retry_seq = d.u64()?;
     let probed_count = d.u64()?;
-    let tag = d.u8()?;
-    if tag != 0 {
-        return Err(StateError::Corrupt(format!(
-            "live section: unsupported rate-controller tag {tag}"
-        )));
-    }
     let mut baseline = [0u64; 9];
     for b in &mut baseline {
         *b = d.u64()?;
@@ -731,8 +704,8 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
     })
 }
 
-/// Serialises a [`PrefixTree`] into the `xmap-checkpoint/v1`
-/// tree-snapshot wire form: header fields, then every node in creation
+/// Serialises a [`PrefixTree`] into the tree-snapshot wire form: header
+/// fields, then every node in creation
 /// order (prefix, state tag, probes, hits, cursor, children range).
 /// Creation order is load-bearing — node indices are the tree's
 /// identity, so a decoded tree resumes with byte-identical frontier

@@ -10,7 +10,7 @@ pub enum StateError {
     /// path (or operation) so CLI users see actionable messages.
     Io(String, io::Error),
     /// A checkpoint or journal file exists but its contents are not a
-    /// valid `xmap-checkpoint/v1` artifact.
+    /// valid checkpoint artifact.
     Corrupt(String),
     /// The checkpoint was produced under a different configuration (or
     /// blocklist) than the resuming process; continuing would silently

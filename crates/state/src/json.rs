@@ -1,5 +1,4 @@
-//! A deliberately tiny JSON reader for `xmap-checkpoint/v1` headers and
-//! manifests.
+//! A deliberately tiny JSON reader for checkpoint headers and manifests.
 //!
 //! The workspace has no serde (the build environment is offline), and the
 //! only JSON this crate must *read* is JSON it wrote itself: ordered

@@ -7,7 +7,7 @@
 //! multi-day jobs that die mid-run: operator aborts, rate-limit pauses,
 //! machine failures. ZMap-lineage scanners only offer coarse sharding;
 //! a killed shard restarts from scratch. This crate provides the missing
-//! layer: a versioned checkpoint format (`xmap-checkpoint/v1`) plus a
+//! layer: a versioned checkpoint format ([`SCHEMA`]) plus a
 //! write-ahead record journal such that a scan killed at probe *k* and
 //! resumed finishes with output byte-identical to an uninterrupted run.
 //!
@@ -50,6 +50,10 @@ pub use wal::Wal;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// The schema every checkpoint header and session manifest names. A file
+/// naming any other schema is refused with [`StateError::Version`].
+pub const SCHEMA: &str = "xmap-checkpoint/v2";
 
 /// A cheaply clonable abort flag shared between a scan driver, its
 /// workers, and (in tests) the simulated network's kill-points.

@@ -8,38 +8,34 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmap_state::checkpoint::{write_sectioned, Kind, Opened};
-use xmap_state::{StateError, WorkerCheckpoint};
+use xmap_state::{Manifest, StateError, WorkerCheckpoint, SCHEMA};
 
 /// The seven header shapes the workspace writes: kind, integer fields,
-/// fingerprint key, sections.
-const SHAPES: [(&str, &[&str], &str, &[&str]); 7] = [
+/// sections.
+const SHAPES: [(&str, &[&str], &[&str]); 7] = [
     (
         "worker",
         &["worker", "range_index", "tick", "wal_seq"],
-        "config_fp",
         &["metrics", "live"],
     ),
-    ("campaign-dir", &["blocks"], "campaign_fp", &[]),
+    ("campaign-dir", &["blocks"], &[]),
     (
         "campaign-block",
         &["block", "profile"],
-        "campaign_fp",
         &["metrics", "block"],
     ),
-    ("campaign-units", &["block"], "campaign_fp", &["units"]),
+    ("campaign-units", &["block"], &["units"]),
     (
         "campaign-unit",
         &["block", "offset", "stride", "cap"],
-        "campaign_fp",
         &["metrics", "unit"],
     ),
     (
         "adaptive-campaign",
         &["completed_blocks", "spent"],
-        "adaptive_fp",
         &["metrics", "blocks", "tree", "partial"],
     ),
-    ("serve-unit", &["job", "unit"], "fp", &["output", "metrics"]),
+    ("serve-unit", &["job", "unit"], &["output", "metrics"]),
 ];
 
 const FP: u64 = 0x0123_4567_89ab_cdef;
@@ -96,8 +92,8 @@ fn open_bytes(
 
 #[test]
 fn every_kind_survives_truncation_and_header_mutation() {
-    for (name, keys, fp_key, section_names) in SHAPES {
-        let kind = Kind { name, fp_key };
+    for (name, keys, section_names) in SHAPES {
+        let kind = Kind { name };
         let fields: Vec<(&str, u64)> = keys.iter().zip(1u64..).map(|(k, v)| (*k, v * 37)).collect();
         let sections: Vec<(&str, Vec<u8>)> = section_names
             .iter()
@@ -151,18 +147,23 @@ fn every_kind_survives_truncation_and_header_mutation() {
 /// arithmetic; it must be a typed error.
 #[test]
 fn huge_section_length_is_corrupt_not_a_panic() {
-    let header = "{\"schema\":\"xmap-checkpoint/v1\",\"kind\":\"worker\",\"worker\":0,\
-                  \"range_index\":0,\"tick\":0,\"wal_seq\":0,\
-                  \"config_fp\":\"0x0000000000000001\",\"sections\":[\"metrics\"]}";
-    let mut bytes = MAGIC.to_vec();
-    bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(header.as_bytes());
-    bytes.push(b'\n');
+    let path = temp_path("huge");
+    let fields = [
+        ("worker", 0),
+        ("range_index", 0),
+        ("tick", 0),
+        ("wal_seq", 0),
+    ];
+    let worker = Kind { name: "worker" };
+    worker
+        .write(&path, &fields, 1, &[("metrics", Vec::new())])
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.truncate(header_end(&bytes));
     bytes.push(7);
     bytes.extend_from_slice(b"metrics");
     bytes.extend_from_slice(&(u64::MAX - 2).to_le_bytes());
     bytes.extend_from_slice(&[0; 8]);
-    let path = temp_path("huge");
     std::fs::write(&path, &bytes).unwrap();
     let read = catch_unwind(|| WorkerCheckpoint::read_from(&path));
     std::fs::remove_file(&path).ok();
@@ -174,17 +175,53 @@ fn huge_section_length_is_corrupt_not_a_panic() {
 /// can exhaust the stack.
 #[test]
 fn deeply_nested_header_is_corrupt() {
-    let header = format!(
-        "{{\"schema\":\"xmap-checkpoint/v1\",\"kind\":{}",
-        "[".repeat(200_000)
-    );
+    let header = format!("{{\"schema\":\"{SCHEMA}\",\"kind\":{}", "[".repeat(200_000));
     let path = temp_path("deep");
     write_sectioned(&path, &header, &[]).unwrap();
-    let kind = Kind {
-        name: "worker",
-        fp_key: "config_fp",
-    };
-    let err = kind.open(&path, None, &[]).unwrap_err();
+    let err = Kind { name: "worker" }.open(&path, None, &[]).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, StateError::Corrupt(_)), "{err:?}");
+}
+
+/// Asserts `err` is a version error naming the previous schema and the
+/// remedy.
+fn assert_v1_refused(err: StateError, label: &str) {
+    let StateError::Version(msg) = &err else {
+        panic!("{label}: expected a version error, got {err:?}");
+    };
+    assert!(msg.contains("xmap-checkpoint/v1"), "{label}: {msg}");
+    assert!(msg.contains("--resume"), "{label}: {msg}");
+}
+
+/// Every kind's header as the previous schema wrote it — decimal
+/// integers — is refused by its schema alone, before any field is read:
+/// nothing written under v1 resumes.
+#[test]
+fn every_v1_kind_is_refused_as_a_version_error() {
+    for (name, keys, section_names) in SHAPES {
+        let fields: String = keys.iter().map(|k| format!(",\"{k}\":37")).collect();
+        let listed: Vec<String> = section_names.iter().map(|s| format!("\"{s}\"")).collect();
+        let header = format!(
+            "{{\"schema\":\"xmap-checkpoint/v1\",\"kind\":\"{name}\"{fields},\
+             \"fp\":\"{FP:#018x}\",\"sections\":[{}]}}",
+            listed.join(",")
+        );
+        let sections: Vec<(&str, Vec<u8>)> =
+            section_names.iter().map(|s| (*s, vec![1, 2, 3])).collect();
+        let path = temp_path(name);
+        write_sectioned(&path, &header, &sections).unwrap();
+        let err = Kind { name }.open(&path, Some(FP), &[]).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_v1_refused(err, name);
+    }
+}
+
+/// The committed sample manifest parses; set back to the previous
+/// schema, it is refused the same way, before any field is read.
+#[test]
+fn v1_manifest_is_refused_as_a_version_error() {
+    let sample = include_str!("../../../examples/data/checkpoint_manifest_sample.json");
+    Manifest::from_json(sample).expect("the committed sample parses");
+    let v1 = sample.replace(SCHEMA, "xmap-checkpoint/v1");
+    assert_v1_refused(Manifest::from_json(&v1).unwrap_err(), "manifest");
 }

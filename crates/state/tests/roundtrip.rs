@@ -13,12 +13,10 @@ use proptest::prelude::*;
 use xmap_addr::{Prefix, PrefixTree};
 use xmap_state::checkpoint::{
     decode_run_state, decode_snapshot, decode_sub_shards, decode_tree, encode_run_state,
-    encode_snapshot, encode_sub_shards, encode_tree, write_sectioned, SubShardEntry,
+    encode_snapshot, encode_sub_shards, encode_tree, SubShardEntry,
 };
 use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{
-    CursorState, OutstandingEntry, RetryEntryState, RunState, StateError, WorkerCheckpoint,
-};
+use xmap_state::{CursorState, OutstandingEntry, RetryEntryState, RunState, WorkerCheckpoint};
 use xmap_telemetry::{HistogramSnapshot, Snapshot};
 
 struct Gen(u64);
@@ -256,111 +254,4 @@ fn sub_shard_manifest_rejects_torn_bytes() {
     let mut padded = bytes.clone();
     padded.push(0);
     assert!(decode_sub_shards(&padded).is_err());
-}
-
-/// The `run` section as the build before the `live` section wrote it: a
-/// Sequential cursor, nothing pending, one answered and two probed
-/// prefixes, no adaptive state, a zero baseline.
-fn legacy_run_section() -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u64(40); // now
-    e.u64(0); // run_start_tick
-    e.u64(0); // run_wal_start
-    e.u8(2); // cursor: Sequential
-    e.u64(2); // next_pos
-    e.u64(98); // remaining
-    e.seq(0); // pending_indices
-    e.seq(0); // outstanding
-    e.seq(0); // retries
-    e.u64(0); // retry_seq
-    e.seq(1); // answered
-    e.u128(0x2405_0200 << 96);
-    e.u8(64);
-    e.seq(2); // probed
-    for i in 0..2u128 {
-        e.u128(0x2405_0200 << 96 | i << 64);
-        e.u8(64);
-    }
-    e.u8(0); // adaptive: None
-    for _ in 0..9 {
-        e.u64(0); // baseline
-    }
-    e.finish()
-}
-
-fn worker_header(sections: &str) -> String {
-    format!(
-        "{{\"schema\":\"xmap-checkpoint/v1\",\"kind\":\"worker\",\"worker\":0,\
-         \"range_index\":0,\"tick\":40,\"wal_seq\":1,\
-         \"config_fp\":\"0x0000000000000001\",\"sections\":{sections}}}"
-    )
-}
-
-/// A mid-range cut written by an older build is refused by name, with
-/// the path and the remedy — never decoded as the new layout.
-#[test]
-fn legacy_mid_range_checkpoint_is_refused_not_misparsed() {
-    let path = temp_ckpt();
-    let metrics = encode_snapshot(&Snapshot::default());
-    write_sectioned(
-        &path,
-        &worker_header("[\"metrics\",\"run\"]"),
-        &[("metrics", metrics.clone()), ("run", legacy_run_section())],
-    )
-    .unwrap();
-    let err = WorkerCheckpoint::read_from(&path).unwrap_err();
-    let StateError::Version(msg) = &err else {
-        panic!("expected a version error, got {err:?}");
-    };
-    assert!(msg.contains(&path.display().to_string()), "{msg}");
-    assert!(msg.contains("without --resume"), "{msg}");
-
-    // The header's list alone decides: the same bytes under a header
-    // that does not list `run` are a completed range, as ever.
-    write_sectioned(
-        &path,
-        &worker_header("[\"metrics\"]"),
-        &[("metrics", metrics), ("run", legacy_run_section())],
-    )
-    .unwrap();
-    let done = WorkerCheckpoint::read_from(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!((done.tick, done.wal_seq, done.run), (40, 1, None));
-}
-
-/// A `live` section as a build with the rate controller on wrote it — tag
-/// `1` in the now-reserved slot, then the controller's state — is refused
-/// with a typed error naming the tag, never misparsed.
-#[test]
-fn live_section_with_controller_state_is_refused() {
-    let mut e = Encoder::new();
-    e.u64(40); // now
-    e.u64(0); // run_start_tick
-    e.u64(0); // run_wal_start
-    e.u8(2); // cursor: Sequential
-    e.u64(2); // next_pos
-    e.u64(98); // remaining
-    e.seq(0); // pending_indices
-    e.seq(0); // outstanding
-    e.seq(0); // retries
-    e.u64(0); // retry_seq
-    e.u64(2); // probed_count
-    e.u8(1); // controller state: current_pps, sent, valid, baseline
-    for v in [25_000, 17, 5] {
-        e.u64(v);
-    }
-    e.opt_u64(Some(0.5f64.to_bits()));
-    for _ in 0..9 {
-        e.u64(0); // metrics baseline
-    }
-    let path = temp_ckpt();
-    let metrics = encode_snapshot(&Snapshot::default());
-    let sections = [("metrics", metrics), ("live", e.finish())];
-    write_sectioned(&path, &worker_header("[\"metrics\",\"live\"]"), &sections).unwrap();
-    let err = WorkerCheckpoint::read_from(&path).unwrap_err();
-    std::fs::remove_file(&path).ok();
-    assert!(
-        matches!(&err, StateError::Corrupt(msg) if msg.contains("tag 1")),
-        "{err:?}"
-    );
 }

@@ -196,7 +196,6 @@ proptest! {
             rate_pps: None,
             probes_per_target: 1 + g.below(3),
             rto_ticks: 1 + g.below(64),
-            max_retry_backlog: 1 + g.below(1024),
             record_silent: g.below(2) == 1,
             ranges: vec!["2405:200::/32-64".to_owned()],
             blocklist_fp: g.next(),

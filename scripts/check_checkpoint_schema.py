@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate an xmap-state session manifest against the v1 schema.
+"""Validate an xmap-state session manifest against the v2 schema.
 
 Usage: check_checkpoint_schema.py MANIFEST.json
 
@@ -9,8 +9,6 @@ cross-language format check — recomputes the FNV-1a identity fingerprint
 from the identity fields and compares it to the stored one. A manifest
 whose fingerprint no longer matches its fields was edited after the
 session started and must be rejected, exactly as the Rust reader does.
-Manifests written before the rate controller was removed carry an
-`adaptive` key; it is accepted when present and must be `false`.
 Exits nonzero with a diagnostic on the first violation. Standard library
 only.
 """
@@ -18,16 +16,14 @@ only.
 import json
 import sys
 
-SCHEMA = "xmap-checkpoint/v1"
+SCHEMA = "xmap-checkpoint/v2"
 PERMUTATIONS = ("cyclic", "feistel", "sequential")
 KNOWN_KEYS = {
     "schema", "kind", "workers", "seed", "world_seed", "shard", "shards",
     "permutation", "module", "max_targets", "rate_pps", "probes_per_target",
-    "rto_ticks", "max_retry_backlog", "record_silent", "ranges",
-    "blocklist_fp", "every", "fingerprint",
+    "rto_ticks", "record_silent", "ranges", "blocklist_fp", "every",
+    "fingerprint",
 }
-# Retired keys older builds still wrote; not required.
-LEGACY_KEYS = {"adaptive"}
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -109,8 +105,6 @@ def recompute_fingerprint(m):
     f.push_str(m["permutation"]).push_str(m["module"])
     f.push_opt_u64(m["max_targets"]).push_opt_u64(m["rate_pps"])
     f.push_u64(m["probes_per_target"]).push_u64(m["rto_ticks"])
-    f.push_u64(m["max_retry_backlog"])
-    f.push_u64(0)  # retired rate-controller slot
     f.push_u64(1 if m["record_silent"] else 0)
     f.push_u64(len(m["ranges"]))
     for r in m["ranges"]:
@@ -135,7 +129,7 @@ def main(argv):
         fail(f"unexpected schema tag {doc.get('schema')!r}")
     if doc.get("kind") != "manifest":
         fail(f"unexpected kind {doc.get('kind')!r}")
-    unknown = set(doc) - KNOWN_KEYS - LEGACY_KEYS
+    unknown = set(doc) - KNOWN_KEYS
     if unknown:
         fail(f"unknown keys {sorted(unknown)}")
     missing = KNOWN_KEYS - set(doc)
@@ -154,13 +148,10 @@ def main(argv):
         "rate_pps": opt_u64(doc, "rate_pps"),
         "probes_per_target": req_u64(doc, "probes_per_target"),
         "rto_ticks": req_u64(doc, "rto_ticks"),
-        "max_retry_backlog": req_u64(doc, "max_retry_backlog"),
         "record_silent": req_bool(doc, "record_silent"),
         "blocklist_fp": req_fp(doc, "blocklist_fp"),
     }
     req_u64(doc, "every")  # cadence: informational, not identity
-    if "adaptive" in doc and req_bool(doc, "adaptive"):
-        fail("'adaptive' = true: the rate controller no longer exists")
     if m["workers"] < 1:
         fail("'workers' must be >= 1")
     if m["shards"] < 1:
