@@ -8,7 +8,9 @@
 //! two loops the scanner used to carry (which agreed on every one of
 //! them) just before they were collapsed into one; the checkpoint pair
 //! was re-captured when the mid-range state moved to the `live` section
-//! (the fields both layouts carry decoded equal). A change that moves a
+//! and again for checkpoint format v2 (fixed-width hex header integers,
+//! one `fp` key, no reserved byte), each time after checking that every
+//! field both layouts carry decoded equal. A change that moves a
 //! fingerprint has changed what a seeded scan emits, or — for the
 //! checkpoint files — what an older build's session directory must look
 //! like to be resumed.
@@ -35,7 +37,7 @@ const GOLDEN_LOSSY_TRACE: u64 = 0x6644_0a66_5dd3_7db2;
 const GOLDEN_DENSE_CSV: u64 = 0x3236_5ab0_65e8_6135;
 const GOLDEN_DENSE_SNAPSHOT: u64 = 0xc1aa_ef9d_5d7f_a8e0;
 /// `worker-0.ckpt` / `worker-1.ckpt` of [`killed_session`] at 233 probes.
-const GOLDEN_CHECKPOINTS: [u64; 2] = [0x328b_63ba_a621_4f1d, 0xfe0c_e938_4f26_8dc0];
+const GOLDEN_CHECKPOINTS: [u64; 2] = [0xde4e_1153_4525_7cb6, 0x0298_e292_f347_fd44];
 /// The lossy scan's CSV merged across workers (sorted by target, so the
 /// same at every worker count) and its merged snapshot at 1, 2 and 4
 /// workers. The snapshots differ because the lossy world drops by tick:
