@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use xmap_addr::ScanRange;
-use xmap_failpoint::exec::{ExecAction, ExecFaults};
+use xmap_failpoint::exec::ExecFaults;
 use xmap_netsim::packet::Network;
 use xmap_telemetry::{Snapshot, Telemetry};
 
@@ -198,7 +198,7 @@ impl<N: Network + Send> ParallelScanner<N> {
     }
 
     /// Arms scripted executor faults: worker `w`'s `nth` range run
-    /// (counting replays) panics or stalls per the plan. Test-harness
+    /// (counting replays) panics per the plan. Test-harness
     /// plumbing; a production run never sets this.
     pub fn set_exec_faults(&mut self, faults: ExecFaults) {
         self.exec_faults = Some(faults);
@@ -473,20 +473,12 @@ fn fresh_modes(n: usize) -> Vec<RangeMode> {
     (0..n).map(|_| RangeMode::Fresh).collect()
 }
 
-/// Applies a scripted executor fault for `worker` claiming `unit`.
-/// `Panic` panics in place — the supervisor's `catch_unwind` turns it
-/// into a replay or a poisoned shard. The shard executor has no
-/// watchdog (its workers are compute-bound over finite disjoint shards,
-/// so a claim cannot be held forever), so `Stall` just parks the worker
-/// briefly — exercising slow-worker merge order, not requeue. The
-/// campaign executor gives `Stall` its full meaning.
+/// Applies a scripted executor fault for `worker` claiming `unit`: a
+/// matched rule panics in place, and the supervisor's `catch_unwind`
+/// turns it into a replay or a poisoned shard.
 fn consult_exec_faults(faults: Option<&ExecFaults>, worker: usize, unit: u64) {
-    match faults.and_then(|f| f.on_unit(worker, unit)) {
-        Some(ExecAction::Panic) => {
-            panic!("injected executor fault: worker {worker} panics on unit {unit}")
-        }
-        Some(ExecAction::Stall) => std::thread::sleep(std::time::Duration::from_millis(25)),
-        None => {}
+    if faults.is_some_and(|f| f.on_unit(worker, unit)) {
+        panic!("injected executor fault: worker {worker} panics on unit {unit}");
     }
 }
 
@@ -576,10 +568,9 @@ impl StealQueue {
     }
 
     /// Requeues `item` at the back of `worker`'s own deque — the
-    /// supervision path: a worker that caught a panic, or the watchdog
-    /// reclaiming a stalled worker's unit, pushes the item back so a
-    /// surviving worker's next [`pop`](Self::pop) (own front or steal)
-    /// picks it up.
+    /// supervision path: a worker that caught a panic pushes the item
+    /// back so a surviving worker's next [`pop`](Self::pop) (own front
+    /// or steal) picks it up.
     pub fn push(&self, worker: usize, item: usize) {
         assert!(worker < self.deques.len(), "worker index out of range");
         self.deques[worker]
@@ -850,16 +841,8 @@ mod tests {
         // Default budget is 2 attempts; both panic.
         let plan = ExecPlan {
             rules: vec![
-                ExecRule {
-                    worker: 0,
-                    nth: 0,
-                    action: ExecAction::Panic,
-                },
-                ExecRule {
-                    worker: 0,
-                    nth: 1,
-                    action: ExecAction::Panic,
-                },
+                ExecRule { worker: 0, nth: 0 },
+                ExecRule { worker: 0, nth: 1 },
             ],
         };
         ps.set_exec_faults(plan.armed());

@@ -747,16 +747,6 @@ impl<N: Network> Scanner<N> {
             self.transport.advance(1);
             run.now += 1;
             self.total_ticks += 1;
-            // Progress heartbeat: surface the batched tallies every 1024
-            // slots so concurrent observers of the registry — the campaign
-            // watchdog's probes-sent heartbeat above all — see a live run
-            // advancing instead of a counter frozen until run end. Counters
-            // are additive, so flush timing cannot change any final
-            // snapshot; the cost is a handful of atomic adds per KiB of
-            // slots.
-            if self.total_ticks & 0x3ff == 0 {
-                run.tally.flush(&self.metrics);
-            }
             if let Some(sink) = self.sink.as_mut() {
                 sink.tick();
             }

@@ -48,14 +48,11 @@ pub mod names {
     /// (counter; only present in runs that saw at least one).
     pub const EXEC_WORKER_PANICS: &str = "exec.worker_panics";
     /// Work units (shards/blocks) requeued for retry after a worker
-    /// panic or stall (counter; only present when nonzero).
+    /// panic (counter; only present when nonzero).
     pub const EXEC_REQUEUED: &str = "exec.requeued";
     /// Work units abandoned as poisoned after exhausting retry attempts
     /// (counter; only present when nonzero).
     pub const EXEC_POISONED: &str = "exec.poisoned";
-    /// Stalled workers detected by the campaign watchdog (counter; only
-    /// present when nonzero).
-    pub const EXEC_STALLS: &str = "exec.stalls_detected";
     /// Intra-block split events performed by the campaign executor
     /// (counter; schedule-dependent, only present when nonzero).
     pub const EXEC_SPLITS: &str = "exec.splits";
@@ -168,10 +165,10 @@ impl ScanMetrics {
 ///
 /// The hot path bumps these local fields (one register add, no atomics)
 /// and [`flush`](HotTally::flush)es them through the shared [`ScanMetrics`]
-/// handles at observation boundaries: before the monitor renders a status
-/// line, every 1024 send slots (the liveness heartbeat concurrent
-/// observers such as the campaign watchdog read), and when a run
-/// finishes. Everything the registry exports therefore stays exact where
+/// handles at the three points where a run's registry is read: before
+/// the monitor renders a status line, before a mid-range checkpoint
+/// snapshots the registry, and when a run finishes. Nothing reads a
+/// registry mid-run otherwise, so everything it exports stays exact where
 /// it is read, while the per-probe cost drops to nothing.
 ///
 /// Only metrics the send/recv loop can touch every slot are batched; rare

@@ -1,28 +1,15 @@
-//! Scripted executor faults: worker panics and stalls.
+//! Scripted executor faults: worker panics.
 //!
 //! The parallel executors (`ParallelScanner` shards, `ParallelCampaign`
 //! blocks) consume an [`ExecFaults`] before each unit of work. A matched
-//! [`ExecAction::Panic`] rule makes the worker panic right there —
-//! exercising the supervisor's `catch_unwind`/requeue path — and a
-//! matched [`ExecAction::Stall`] rule makes the worker go silent while
-//! holding its claimed unit, exercising the watchdog's stale-claim
-//! requeue. Rules are matched by `(worker, nth unit that worker
-//! claimed)` and fire at most once, so a retried unit on a surviving
-//! worker runs clean.
+//! rule makes the worker panic right there — exercising the supervisor's
+//! `catch_unwind`/requeue path. Rules are matched by `(worker, nth unit
+//! that worker claimed)` and fire at most once, so a retried unit on a
+//! surviving worker runs clean.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// What a fired executor rule makes the worker do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecAction {
-    /// Panic while holding the claimed unit of work.
-    Panic,
-    /// Go silent while holding the claimed unit of work (the thread
-    /// stops making progress; the claim is never completed or released).
-    Stall,
-}
-
-/// One scripted executor fault.
+/// One scripted executor fault: `worker` panics on its `nth` unit.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecRule {
     /// Worker index the rule applies to.
@@ -30,8 +17,6 @@ pub struct ExecRule {
     /// 0-based index of the unit of work, among the units this worker
     /// claims, at which the rule fires.
     pub nth: u64,
-    /// What the worker does.
-    pub action: ExecAction,
 }
 
 /// A scripted set of executor faults (the plan, before arming).
@@ -45,22 +30,7 @@ impl ExecPlan {
     /// A plan with one rule: `worker` panics on its `nth` claimed unit.
     pub fn panic_on(worker: usize, nth: u64) -> Self {
         ExecPlan {
-            rules: vec![ExecRule {
-                worker,
-                nth,
-                action: ExecAction::Panic,
-            }],
-        }
-    }
-
-    /// A plan with one rule: `worker` stalls on its `nth` claimed unit.
-    pub fn stall_on(worker: usize, nth: u64) -> Self {
-        ExecPlan {
-            rules: vec![ExecRule {
-                worker,
-                nth,
-                action: ExecAction::Stall,
-            }],
+            rules: vec![ExecRule { worker, nth }],
         }
     }
 
@@ -85,20 +55,16 @@ pub struct ExecFaults {
 
 impl ExecFaults {
     /// Consults the plan for `worker` claiming its `unit`-th unit of
-    /// work (0-based). Returns the action to perform, consuming the
-    /// rule, or `None`.
-    pub fn on_unit(&self, worker: usize, unit: u64) -> Option<ExecAction> {
-        for (rule, consumed) in &self.rules {
-            if rule.worker == worker
+    /// work (0-based). Returns whether the worker must panic, consuming
+    /// the matching rule.
+    pub fn on_unit(&self, worker: usize, unit: u64) -> bool {
+        self.rules.iter().any(|(rule, consumed)| {
+            rule.worker == worker
                 && rule.nth == unit
                 && consumed
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
-            {
-                return Some(rule.action);
-            }
-        }
-        None
+        })
     }
 
     /// Whether any rule is still unconsumed.
@@ -113,40 +79,27 @@ mod tests {
 
     #[test]
     fn rules_fire_once_on_matching_unit() {
-        let faults = ExecPlan::panic_on(1, 2).armed();
-        assert_eq!(faults.on_unit(0, 2), None);
-        assert_eq!(faults.on_unit(1, 0), None);
+        let plan = ExecPlan {
+            rules: vec![
+                ExecRule { worker: 0, nth: 0 },
+                ExecRule { worker: 1, nth: 2 },
+            ],
+        };
+        let faults = plan.armed();
+        assert!(!faults.on_unit(0, 2));
+        assert!(!faults.on_unit(1, 0));
+        assert!(faults.on_unit(0, 0));
         assert!(faults.pending());
-        assert_eq!(faults.on_unit(1, 2), Some(ExecAction::Panic));
-        assert_eq!(faults.on_unit(1, 2), None, "consumed");
+        assert!(faults.on_unit(1, 2));
+        assert!(!faults.on_unit(1, 2), "consumed");
+        assert!(!faults.on_unit(0, 0), "consumed");
         assert!(!faults.pending());
     }
 
     #[test]
     fn empty_plan_never_fires() {
         let faults = ExecPlan::default().armed();
-        assert_eq!(faults.on_unit(0, 0), None);
+        assert!(!faults.on_unit(0, 0));
         assert!(!faults.pending());
-    }
-
-    #[test]
-    fn stall_and_panic_rules_coexist() {
-        let plan = ExecPlan {
-            rules: vec![
-                ExecRule {
-                    worker: 0,
-                    nth: 0,
-                    action: ExecAction::Stall,
-                },
-                ExecRule {
-                    worker: 1,
-                    nth: 1,
-                    action: ExecAction::Panic,
-                },
-            ],
-        };
-        let faults = plan.armed();
-        assert_eq!(faults.on_unit(0, 0), Some(ExecAction::Stall));
-        assert_eq!(faults.on_unit(1, 1), Some(ExecAction::Panic));
     }
 }

@@ -6,8 +6,8 @@
 //! duplication, rate-limit pressure — and the scanner robust to it. This
 //! crate is the same idea for the *host*: the disk can return `EIO` or
 //! `ENOSPC`, a write can land short or torn, an `fsync` can fail, a
-//! process can die mid-write, and an executor worker thread can panic or
-//! stall. All of those are injectable here, scripted and repeatable, so
+//! process can die mid-write, and an executor worker thread can panic.
+//! All of those are injectable here, scripted and repeatable, so
 //! the storage and executor layers can be tortured in ordinary unit and
 //! integration tests instead of waiting for a flaky disk in production.
 //!
@@ -27,9 +27,8 @@
 //!   operation stream, for long-running degraded-host scenarios where a
 //!   one-shot rule would model a single incident rather than a sick
 //!   device.
-//! - [`ExecPlan`] / [`ExecFaults`] — scripted worker panics and stalls
-//!   for the parallel executors, matched by `(worker, nth unit of
-//!   work)`.
+//! - [`ExecPlan`] / [`ExecFaults`] — scripted worker panics for the
+//!   parallel executors, matched by `(worker, nth unit of work)`.
 //!
 //! ## Fault taxonomy
 //!
@@ -49,5 +48,5 @@
 pub mod exec;
 pub mod fs;
 
-pub use exec::{ExecAction, ExecFaults, ExecPlan, ExecRule};
+pub use exec::{ExecFaults, ExecPlan, ExecRule};
 pub use fs::{FailPlan, FailScope, FaultKind, FsAction, FsOp, FsRule, FsSchedule};

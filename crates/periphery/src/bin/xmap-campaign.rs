@@ -34,9 +34,6 @@
 //!       --resume-plan       dry run: print the Skip/Resume/Fresh/Split
 //!                           classification of every block for a resume
 //!                           of the campaign in DIR, then exit
-//!       --watchdog-ms MS    reclaim and requeue a block whose worker
-//!                           has sent no probe for MS milliseconds (off
-//!                           by default)
 //!       --kill-after-probes N abort once any worker's world has handled
 //!                           N probes (exit code 3; for testing); with
 //!                           --adaptive, stop at the first round boundary
@@ -92,7 +89,6 @@ struct CliConfig {
     checkpoint: Option<String>,
     resume: bool,
     resume_plan: bool,
-    watchdog_ms: Option<u64>,
     kill_after_probes: Option<u64>,
     adaptive: bool,
     probe_budget: Option<u64>,
@@ -119,7 +115,6 @@ impl Default for CliConfig {
             checkpoint: None,
             resume: false,
             resume_plan: false,
-            watchdog_ms: None,
             kill_after_probes: None,
             adaptive: false,
             probe_budget: None,
@@ -173,7 +168,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             "--checkpoint" => cfg.checkpoint = Some(value(&mut iter, arg)?),
             "--resume" => cfg.resume = true,
             "--resume-plan" => cfg.resume_plan = true,
-            "--watchdog-ms" => cfg.watchdog_ms = Some(int(&mut iter, arg)?),
             "--kill-after-probes" => cfg.kill_after_probes = Some(int(&mut iter, arg)?),
             "--adaptive" => cfg.adaptive = true,
             "--probe-budget" => cfg.probe_budget = Some(int(&mut iter, arg)?),
@@ -226,9 +220,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     if cfg.resume_plan && cfg.checkpoint.is_none() {
         return Err("--resume-plan requires --checkpoint <dir>".to_owned());
     }
-    if cfg.watchdog_ms == Some(0) {
-        return Err("--watchdog-ms must be at least 1".to_owned());
-    }
     if cfg.kill_after_probes.is_some() && cfg.checkpoint.is_none() {
         return Err("--kill-after-probes requires --checkpoint <dir>".to_owned());
     }
@@ -247,7 +238,6 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
         for (set, flag) in [
             (cfg.mop_up_ticks.is_some(), "--mop-up"),
             (cfg.resume_plan, "--resume-plan"),
-            (cfg.watchdog_ms.is_some(), "--watchdog-ms"),
             (cfg.force_split_at.is_some(), "--force-split-at"),
             (!cfg.block_targets.is_empty(), "--block-targets"),
         ] {
@@ -399,9 +389,6 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
     let mut executor = ParallelCampaign::new(campaign, cfg.campaign_workers);
     if let Some(at) = cfg.force_split_at {
         executor = executor.with_force_split_at(at);
-    }
-    if let Some(ms) = cfg.watchdog_ms {
-        executor = executor.with_watchdog(std::time::Duration::from_millis(ms));
     }
     let base = ScanConfig {
         seed: cfg.seed,
@@ -606,8 +593,7 @@ mod tests {
             parse_args(&args("--resume-plan")).is_err(),
             "resume-plan needs dir"
         );
-        assert!(parse_args(&args("--watchdog-ms 0")).is_err());
-        for removed in ["--json", "--group-commit 4"] {
+        for removed in ["--json", "--group-commit 4", "--watchdog-ms 500"] {
             let err = parse_args(&args(&format!(
                 "--checkpoint /tmp/ck --resume-plan {removed}"
             )))
@@ -620,11 +606,10 @@ mod tests {
     fn parses_hardening_flags() {
         let cfg = parse_args(&args(
             "-b 2001:db8::/32 --blocklist ff00::/8 \
-             --watchdog-ms 500 --checkpoint /tmp/ck --resume-plan",
+             --checkpoint /tmp/ck --resume-plan",
         ))
         .unwrap();
         assert_eq!(cfg.blocked, vec!["2001:db8::/32", "ff00::/8"]);
-        assert_eq!(cfg.watchdog_ms, Some(500));
         assert!(cfg.resume_plan);
     }
 

@@ -54,7 +54,7 @@
 //! the schedule unobservable in the output. What *does* describe the
 //! schedule is the `exec.*` counter family (`exec.splits`,
 //! `exec.split_shards`, `exec.worker_panics`, `exec.requeued`,
-//! `exec.stalls`, `exec.poisoned`): each appears in the merged snapshot
+//! `exec.poisoned`): each appears in the merged snapshot
 //! only when nonzero, and all of them sit outside the byte-identity
 //! envelope — compare snapshots with `exec.*` stripped.
 //!
@@ -87,11 +87,14 @@
 //! or real — gives up on the whole block claim: the claim epoch is
 //! bumped so nothing still running under it can commit, the block is
 //! requeued within its attempt budget (else poisoned), and the worker
-//! retires, since its scanner may hold half-mutated state. The optional
-//! watchdog does the same to a claim whose probes-sent heartbeat stays
-//! flat for a quantum. A requeued block re-runs from its start (or its
-//! resume seed) on a surviving worker, or on the supervisor fallback
-//! after join, and determinism makes the re-run identical.
+//! retires, since its scanner may hold half-mutated state. A panic is
+//! the only way a block is lost: a worker that hung instead would never
+//! return, nor would the scoped join, so nothing watches for hangs. A
+//! requeued block re-runs from its start (or its resume seed) on a
+//! surviving worker, or — once every worker has retired — on the
+//! supervisor fallback: one more `Worker` run on the calling thread
+//! after join, under worker index `workers`. Determinism makes the
+//! re-run identical.
 //!
 //! # Checkpoint layout
 //!
@@ -138,13 +141,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use xmap::telemetry::names;
 use xmap::{
     insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, StealQueue, Supervision,
 };
-use xmap_failpoint::exec::{ExecAction, ExecFaults, ExecPlan};
+use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
 use xmap_state::checkpoint::{
@@ -152,7 +155,7 @@ use xmap_state::checkpoint::{
 };
 use xmap_state::codec::Encoder;
 use xmap_state::{AbortSignal, StateError};
-use xmap_telemetry::{Counter, Snapshot, Telemetry};
+use xmap_telemetry::{Snapshot, Telemetry};
 
 use crate::campaign::{
     decode_block, decode_unit_raw, encode_block, encode_unit_raw, BlockResult, Campaign,
@@ -217,7 +220,7 @@ pub struct CampaignOutcome {
     pub result: CampaignResult,
     /// Merged telemetry across skipped-block deltas and every *committed*
     /// live block, with `scan.hit_rate_ppm` recomputed from the merged
-    /// totals. Work lost to a panic, stall or abort mid-block never
+    /// totals. Work lost to a panic or abort mid-block never
     /// contributes (the checkpoint directory agrees with the snapshot by
     /// construction). Supervision counters (`exec.*`) appear only when
     /// nonzero.
@@ -225,8 +228,8 @@ pub struct CampaignOutcome {
     /// Whether an armed abort signal stopped the campaign early (the
     /// checkpoint directory then holds everything completed so far).
     pub interrupted: bool,
-    /// Block indices whose attempt budget ran out (worker panics or
-    /// stalls on every try). Empty on a healthy run; the campaign
+    /// Block indices whose attempt budget ran out (a worker panic on
+    /// every try). Empty on a healthy run; the campaign
     /// completes *around* a poisoned block rather than aborting.
     pub poisoned: Vec<usize>,
 }
@@ -253,7 +256,6 @@ pub struct ParallelCampaign {
     campaign: Campaign,
     workers: usize,
     supervision: Supervision,
-    watchdog: Option<Duration>,
     exec_plan: Option<ExecPlan>,
     force_split_at: Option<u64>,
 }
@@ -281,7 +283,6 @@ impl ParallelCampaign {
             campaign,
             workers,
             supervision: Supervision::default(),
-            watchdog: None,
             exec_plan: None,
             force_split_at: None,
         }
@@ -310,19 +311,7 @@ impl ParallelCampaign {
         self
     }
 
-    /// Arms the stalled-worker watchdog: a worker whose probes-sent
-    /// heartbeat stays flat for `quantum` is presumed hung; its claim is
-    /// invalidated (a late commit is discarded) and the block requeued
-    /// for a surviving worker. The quantum bounds time *without probe
-    /// progress*, not block runtime — a slow block whose worker keeps
-    /// sending probes is never reclaimed, so the quantum can be set
-    /// aggressively without fear of spurious requeues. Off by default.
-    pub fn with_watchdog(mut self, quantum: Duration) -> Self {
-        self.watchdog = Some(quantum);
-        self
-    }
-
-    /// Arms scripted executor faults (worker panics and stalls) for the
+    /// Arms scripted executor faults (worker panics) for the
     /// next run. Test-harness plumbing; production runs never set this.
     pub fn with_exec_faults(mut self, plan: ExecPlan) -> Self {
         self.exec_plan = Some(plan);
@@ -440,16 +429,21 @@ impl ParallelCampaign {
             ),
         };
         // Only non-loaded blocks enter the queue, seeded round-robin in
-        // block order so one worker reproduces the sequential walk.
+        // block order so one worker reproduces the sequential walk. The
+        // queue and the yield flags carry one extra, unseeded slot for
+        // the supervisor fallback, which runs as worker index `workers`.
         let pending: Vec<usize> = (0..SAMPLE_BLOCKS.len())
             .filter(|i| loaded[*i].is_none())
             .collect();
-        let queue = StealQueue::new(pending.len(), self.workers);
+        let queue = StealQueue::new(0, self.workers + 1);
+        for slot in 0..pending.len() {
+            queue.push(slot % self.workers, slot);
+        }
         let slots: Vec<SlotState> = (0..pending.len()).map(|_| SlotState::default()).collect();
         let shared = SplitShared {
             bins: (0..pending.len()).map(|_| BlockBin::default()).collect(),
             seeds: pending.iter().map(|i| seeds_by_idx[*i].take()).collect(),
-            yield_flags: (0..self.workers)
+            yield_flags: (0..=self.workers)
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
             waiters: AtomicUsize::new(0),
@@ -457,63 +451,45 @@ impl ParallelCampaign {
             outstanding: AtomicUsize::new(pending.len()),
             force_at: self.force_split_at,
         };
-        let board: Vec<Mutex<Option<Claim>>> =
-            (0..self.workers).map(|_| Mutex::new(None)).collect();
         let faults = self.exec_plan.as_ref().map(ExecPlan::armed);
         let counters = ExecCounters::default();
-        let active = AtomicUsize::new(self.workers);
         let max_attempts = self.supervision.max_attempts.max(1);
-        let mut scanners: Vec<Scanner<N>> = (0..self.workers)
-            .map(|w| {
-                let telemetry = Telemetry::new();
-                let network = make_network(w, &telemetry);
-                let mut scanner = Scanner::with_telemetry(network, base.clone(), telemetry);
-                if let Some(signal) = abort {
-                    scanner.set_abort(signal.clone());
-                }
-                scanner
-            })
-            .collect();
+        let mut new_scanner = |w: usize| {
+            let telemetry = Telemetry::new();
+            let network = make_network(w, &telemetry);
+            let mut scanner = Scanner::with_telemetry(network, base.clone(), telemetry);
+            if let Some(signal) = abort {
+                scanner.set_abort(signal.clone());
+            }
+            scanner
+        };
+        let worker = |w: usize, scanner: Scanner<N>| Worker {
+            w,
+            scanner,
+            campaign: &self.campaign,
+            queue: &queue,
+            pending: &pending,
+            slots: &slots,
+            faults: faults.as_ref(),
+            counters: &counters,
+            max_attempts,
+            dir,
+            fp_id,
+            shared: &shared,
+            units: 0,
+            out: WorkerOut::default(),
+        };
+        let scanners: Vec<Scanner<N>> = (0..self.workers).map(&mut new_scanner).collect();
 
         let outs: Vec<Result<WorkerOut, StateError>> = std::thread::scope(|scope| {
-            let watchdog = self.watchdog.map(|quantum| {
-                let (board, slots, queue) = (&board, &slots, &queue);
-                let (active, counters) = (&active, &counters);
-                scope.spawn(move || {
-                    run_watchdog(quantum, board, slots, queue, active, counters, max_attempts)
-                })
-            });
+            let worker = &worker;
             let handles: Vec<_> = scanners
-                .iter_mut()
+                .into_iter()
                 .enumerate()
                 .map(|(w, scanner)| {
-                    let (queue, pending, slots, board) = (&queue, &pending, &slots, &board);
-                    let campaign = &self.campaign;
-                    let faults = faults.as_ref();
-                    let (counters, active, shared) = (&counters, &active, &shared);
                     scope.spawn(move || {
-                        let sent = scanner.telemetry().registry.counter(names::SENT);
-                        let result = Worker {
-                            w,
-                            scanner,
-                            campaign,
-                            queue,
-                            pending,
-                            slots,
-                            board,
-                            faults,
-                            counters,
-                            max_attempts,
-                            dir,
-                            fp_id,
-                            shared,
-                            sent,
-                            units: 0,
-                            out: WorkerOut::default(),
-                        }
-                        .run();
-                        active.fetch_sub(1, Ordering::AcqRel);
-                        result
+                        let mut worker = worker(w, scanner);
+                        worker.run().map(|()| worker.out)
                     })
                 })
                 .collect();
@@ -521,101 +497,46 @@ impl ParallelCampaign {
             // merge below) deterministic. A panic that escaped the
             // supervisor would be an executor bug; surface it as an
             // empty worker rather than tearing down the scope.
-            let outs: Vec<Result<WorkerOut, StateError>> = handles
+            handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Ok(WorkerOut::default()),
-                })
-                .collect();
-            if let Some(h) = watchdog {
-                let _ = h.join();
-            }
-            outs
+                .map(|h| h.join().unwrap_or_else(|_| Ok(WorkerOut::default())))
+                .collect()
         });
-
-        let interrupted = abort.is_some_and(AbortSignal::is_set);
-        let mut worker_outs: Vec<WorkerOut> = Vec::with_capacity(outs.len());
+        let mut worker_outs: Vec<WorkerOut> = Vec::with_capacity(outs.len() + 1);
         for out in outs {
             worker_outs.push(out?);
         }
 
-        // Supervisor fallback: a block can be left neither done nor
-        // poisoned when its panicked owner requeued it and every other
-        // worker had already retired. Run those inline on fresh
-        // single-use scanners until they commit or exhaust the budget.
-        let mut supervisor = WorkerOut::default();
-        if !interrupted {
-            let mut sup_units = 0u64;
-            for slot in 0..pending.len() {
-                let state = &slots[slot];
-                while !state.done.load(Ordering::Acquire) && !state.poisoned.load(Ordering::Acquire)
-                {
-                    if state.attempts.load(Ordering::Acquire) >= max_attempts {
-                        state.poisoned.store(true, Ordering::Release);
-                        break;
-                    }
-                    state.attempts.fetch_add(1, Ordering::AcqRel);
-                    let idx = pending[slot];
-                    let unit = sup_units;
-                    sup_units += 1;
-                    // The supervisor consults the fault script under its
-                    // own worker index (`self.workers`) so torture tests
-                    // can poison a block even under one worker. A Stall
-                    // is ignored here — there is nobody left to rescue a
-                    // hung supervisor.
-                    let action = faults
-                        .as_ref()
-                        .and_then(|f| f.on_unit(self.workers, unit))
-                        .filter(|a| *a == ExecAction::Panic);
-                    let telemetry = Telemetry::new();
-                    let network = make_network(self.workers, &telemetry);
-                    let mut scanner = Scanner::with_telemetry(network, base.clone(), telemetry);
-                    if let Some(signal) = abort {
-                        scanner.set_abort(signal.clone());
-                    }
-                    let campaign = &self.campaign;
-                    let attempt = catch_unwind(AssertUnwindSafe(
-                        || -> Result<Option<(BlockResult, Snapshot)>, StateError> {
-                            if action.is_some() {
-                                panic!("injected executor fault: supervisor panics on unit {unit}");
-                            }
-                            if let Some(dir) = dir {
-                                write_marker(dir, idx)?;
-                            }
-                            let block = campaign.run_block(&mut scanner, &SAMPLE_BLOCKS[idx]);
-                            if scanner.is_aborted() {
-                                return Ok(None);
-                            }
-                            // Fresh scanner: the baseline is empty, the
-                            // delta is its whole registry.
-                            let delta = scanner.telemetry().registry.snapshot();
-                            Ok(Some((block, delta)))
-                        },
-                    ));
-                    match attempt {
-                        Ok(Ok(Some((block, delta)))) => {
-                            state.done.store(true, Ordering::Release);
-                            if let Some(dir) = dir {
-                                write_block_ckpt(dir, fp_id, idx, &block, &delta)?;
-                                remove_split_files(dir, idx);
-                                let _ = std::fs::remove_file(marker_path(dir, idx));
-                            }
-                            supervisor.committed.merge(&delta);
-                            supervisor.done.push((idx, block));
-                        }
-                        Ok(Ok(None)) => break, // aborted mid-block
-                        Ok(Err(e)) => return Err(e),
-                        Err(_) => {
-                            counters.panics.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+        // Supervisor fallback: a panicked owner requeues its block, and
+        // when every other worker has already retired nobody pops it.
+        // One more `Worker` finishes those on the calling thread, under
+        // index `workers` and a fresh scanner per pass (a panic retires
+        // the pass, whose scanner may hold half-mutated state), until
+        // the queue is empty.
+        let aborted = || abort.is_some_and(AbortSignal::is_set);
+        let mut fallback: Option<Worker<'_, N>> = None;
+        while !aborted() && queue.remaining() > 0 {
+            let scanner = new_scanner(self.workers);
+            let pass = match fallback.as_mut() {
+                Some(pass) => {
+                    pass.scanner = scanner;
+                    pass
                 }
-            }
+                None => fallback.insert(worker(self.workers, scanner)),
+            };
+            pass.run()?;
         }
-
+        worker_outs.extend(fallback.map(|pass| pass.out));
+        // Unless an abort stopped the run, nothing is left to commit a
+        // block that is not done: report it as poisoned rather than leave
+        // a silent gap in the CSV.
+        let interrupted = aborted();
         let poisoned: Vec<usize> = (0..pending.len())
-            .filter(|&slot| slots[slot].poisoned.load(Ordering::Acquire))
+            .filter(|&slot| {
+                let state = &slots[slot];
+                state.poisoned.load(Ordering::Acquire)
+                    || (!interrupted && !state.done.load(Ordering::Acquire))
+            })
             .map(|slot| pending[slot])
             .collect();
 
@@ -630,20 +551,18 @@ impl ParallelCampaign {
                 skipped_deltas.push(metrics);
             }
         }
-        let mut committed_deltas = Vec::with_capacity(worker_outs.len() + 1);
+        let mut committed_deltas = Vec::with_capacity(worker_outs.len());
         for out in worker_outs {
             tagged.extend(out.done);
             committed_deltas.push(out.committed);
         }
-        tagged.extend(supervisor.done);
-        committed_deltas.push(supervisor.committed);
         tagged.sort_by_key(|(idx, _)| *idx);
         let result = CampaignResult {
             blocks: tagged.into_iter().map(|(_, b)| b).collect(),
         };
         // Committed deltas only: sums telescope to exactly the raw
         // registries on a fault-free run (byte-identical merge), and
-        // exclude in-flight garbage from panicked/stalled/aborted blocks
+        // exclude in-flight garbage from panicked or aborted blocks
         // otherwise — the snapshot always agrees with the checkpoint
         // directory.
         let mut snapshot =
@@ -654,12 +573,6 @@ impl ParallelCampaign {
             counters.requeued.load(Ordering::Acquire),
             poisoned.len(),
         );
-        let stalls = counters.stalls.load(Ordering::Acquire);
-        if stalls > 0 {
-            snapshot
-                .counters
-                .insert(names::EXEC_STALLS.to_owned(), stalls);
-        }
         let splits = counters.splits.load(Ordering::Acquire);
         if splits > 0 {
             snapshot
@@ -681,14 +594,14 @@ impl ParallelCampaign {
     }
 }
 
-/// Per-block supervision state shared by workers, the watchdog and the
-/// supervisor fallback.
+/// Per-block supervision state shared by the workers, the supervisor
+/// fallback's included.
 #[derive(Debug, Default)]
 struct SlotState {
     /// Times the block has been claimed (spawned attempts).
     attempts: AtomicU32,
-    /// Claim epoch: bumped to invalidate an in-flight claim (watchdog
-    /// requeue, panicked owner). A commit whose claim epoch is stale is
+    /// Claim epoch: bumped to invalidate an in-flight claim (a panicked
+    /// unit). A commit whose claim epoch is stale is
     /// discarded — determinism makes the requeued re-run identical.
     epoch: AtomicU64,
     /// Set exactly once, by the attempt that commits the block.
@@ -700,30 +613,12 @@ struct SlotState {
     retired: AtomicBool,
 }
 
-/// What a worker currently holds, for the watchdog's staleness check.
-///
-/// `sent`/`last_sent` are the heartbeat: a live handle on the owning
-/// worker's `scan.sent` counter plus the value last observed by the
-/// watchdog. Any probe sent since the previous tick proves the owner
-/// alive and resets its quantum clock, so a slow-but-progressing block
-/// is never spuriously reclaimed — only a worker that stops sending
-/// probes altogether for a full quantum counts as hung.
-#[derive(Debug, Clone)]
-struct Claim {
-    slot: usize,
-    epoch: u64,
-    since: Instant,
-    sent: Counter,
-    last_sent: u64,
-}
-
 /// Supervision tallies shared across threads, exported as `exec.*`
 /// counters (only when nonzero).
 #[derive(Debug, Default)]
 struct ExecCounters {
     panics: AtomicU64,
     requeued: AtomicU64,
-    stalls: AtomicU64,
     /// Yield-and-split events (one per unit that yielded).
     splits: AtomicU64,
     /// Sub-shard units created by those splits.
@@ -736,51 +631,6 @@ struct ExecCounters {
 struct WorkerOut {
     done: Vec<(usize, BlockResult)>,
     committed: Snapshot,
-}
-
-/// The watchdog loop: every tick, scan the progress board for claims
-/// whose probes-sent heartbeat has been flat for `quantum`. A claim
-/// showing any probe progress since the previous tick has its clock
-/// reset — only a worker that sends nothing for a full quantum is
-/// presumed hung, and its claim given up on ([`invalidate_claim`]: the
-/// hung owner's late commit will be discarded). Exits once every worker
-/// has retired.
-fn run_watchdog(
-    quantum: Duration,
-    board: &[Mutex<Option<Claim>>],
-    slots: &[SlotState],
-    queue: &StealQueue,
-    active: &AtomicUsize,
-    counters: &ExecCounters,
-    max_attempts: u32,
-) {
-    let tick = (quantum / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    while active.load(Ordering::Acquire) > 0 {
-        std::thread::sleep(tick);
-        for (w, entry) in board.iter().enumerate() {
-            let mut cur = entry.lock().expect("progress board poisoned");
-            let Some(claim) = cur.as_mut() else { continue };
-            // Heartbeat first: any probe sent since the last observation
-            // proves the owner alive, however slowly the block is going,
-            // and restarts its quantum clock.
-            let sent_now = claim.sent.get();
-            if sent_now != claim.last_sent {
-                claim.last_sent = sent_now;
-                claim.since = Instant::now();
-                continue;
-            }
-            if claim.since.elapsed() < quantum {
-                continue;
-            }
-            let (slot, epoch) = (claim.slot, claim.epoch);
-            if !slots[slot].done.load(Ordering::Acquire)
-                && invalidate_claim(slot, epoch, w, slots, queue, counters, max_attempts)
-            {
-                counters.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            *cur = None;
-        }
-    }
 }
 
 /// The unit-level state every worker shares: each block's evolving
@@ -846,8 +696,7 @@ enum UnitRun {
     Done(Box<(UnitRaw, Snapshot)>),
     /// Abort signal hit mid-unit; the partial work is discarded.
     Aborted,
-    /// The claim was invalidated mid-run (watchdog requeue, panicked
-    /// sibling unit); the work is discarded, the worker stays healthy.
+    /// The claim was invalidated mid-run (a panicked sibling unit); the work is discarded, the worker stays healthy.
     Stale,
 }
 
@@ -880,9 +729,7 @@ fn retire_slot(state: &SlotState, shared: &SplitShared) {
 /// so nothing still running under the claim can commit — and requeues
 /// the block on worker `w`'s deque within its attempt budget, else
 /// poisons it. Only one invalidator can win the epoch CAS, so a claim is
-/// requeued exactly once however many observers (the watchdog, a
-/// panicked owner, a panicked sibling unit) give up on it; returns
-/// whether this caller was the one.
+/// requeued exactly once however many of its units panic.
 fn invalidate_claim(
     slot: usize,
     epoch: u64,
@@ -891,14 +738,14 @@ fn invalidate_claim(
     queue: &StealQueue,
     counters: &ExecCounters,
     max_attempts: u32,
-) -> bool {
+) {
     let state = &slots[slot];
     if state
         .epoch
         .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
         .is_err()
     {
-        return false;
+        return;
     }
     if state.attempts.load(Ordering::Acquire) < max_attempts {
         counters.requeued.fetch_add(1, Ordering::Relaxed);
@@ -906,7 +753,6 @@ fn invalidate_claim(
     } else {
         state.poisoned.store(true, Ordering::Release);
     }
-    true
 }
 
 /// The campaign worker. Blocks are claimed off the [`StealQueue`]; each
@@ -922,37 +768,32 @@ fn invalidate_claim(
 /// walk for any worker count and any split schedule.
 struct Worker<'a, N: Network> {
     w: usize,
-    scanner: &'a mut Scanner<N>,
+    scanner: Scanner<N>,
     campaign: &'a Campaign,
     queue: &'a StealQueue,
     pending: &'a [usize],
     slots: &'a [SlotState],
-    board: &'a [Mutex<Option<Claim>>],
     faults: Option<&'a ExecFaults>,
     counters: &'a ExecCounters,
     max_attempts: u32,
     dir: Option<&'a Path>,
     fp_id: u64,
     shared: &'a SplitShared,
-    /// This worker's probes-sent counter — the heartbeat the watchdog
-    /// reads. The handle is shared with the scanner's registry, so the
-    /// watchdog sees increments the moment they happen.
-    sent: Counter,
     /// Units claimed so far — the index the fault script matches on.
     units: u64,
     out: WorkerOut,
 }
 
 impl<N: Network> Worker<'_, N> {
-    fn run(mut self) -> Result<WorkerOut, StateError> {
+    /// Claims and runs work until nothing is left for this worker, or
+    /// until it must retire (abort or a panicked unit).
+    fn run(&mut self) -> Result<(), StateError> {
         let flag = self.shared.yield_flags[self.w].clone();
+        // Idle peers raise every flag, the fallback's too while it has
+        // no scanner running; only a request made during this run counts.
+        flag.store(false, Ordering::Relaxed);
         self.scanner
             .set_yield_request(Some(flag), MIN_SPLIT_REMAINDER);
-        self.main_loop()?;
-        Ok(self.out)
-    }
-
-    fn main_loop(&mut self) -> Result<(), StateError> {
         loop {
             if self.scanner.is_aborted() {
                 return Ok(());
@@ -971,9 +812,9 @@ impl<N: Network> Worker<'_, N> {
                 }
                 continue;
             }
-            // Nothing claimable. Sweep poisoned slots (a watchdog or a
-            // panicked peer poisons without retiring the slot), then
-            // decide whether to wait.
+            // Nothing claimable. Sweep poisoned slots (a panicked peer
+            // poisons without retiring the slot), then decide whether to
+            // wait.
             for state in self.slots {
                 if state.poisoned.load(Ordering::Acquire) {
                     retire_slot(state, self.shared);
@@ -983,9 +824,9 @@ impl<N: Network> Worker<'_, N> {
                 return Ok(());
             }
             if self.shared.busy.load(Ordering::Acquire) == 0 {
-                // Outstanding blocks with nothing in flight are
-                // unreachable from here (a stalled or panicked owner);
-                // the supervisor fallback finishes them after join.
+                // Outstanding blocks with nothing in flight were requeued
+                // by a panicked owner after this worker's pop; the
+                // supervisor fallback finishes them after join.
                 return Ok(());
             }
             self.shared.waiters.fetch_add(1, Ordering::AcqRel);
@@ -1128,28 +969,10 @@ impl<N: Network> Worker<'_, N> {
         );
         let unit_no = self.units;
         self.units += 1;
-        *self.board[w].lock().expect("progress board poisoned") = Some(Claim {
-            slot,
-            epoch,
-            since: Instant::now(),
-            sent: self.sent.clone(),
-            last_sent: self.sent.get(),
-        });
-        let action = self.faults.and_then(|f| f.on_unit(w, unit_no));
-        if action == Some(ExecAction::Stall) {
-            // Scripted stall: go silent still holding the claim — the
-            // board entry and the bin's `active` count stay set, as a
-            // hung thread's would. Only `busy` is given back, so peers
-            // retire instead of waiting on a unit that will never finish.
-            // With a watchdog armed the claim is invalidated and the
-            // block requeued after one quantum; without one the
-            // supervisor fallback picks the block up after join.
-            shared.busy.fetch_sub(1, Ordering::AcqRel);
-            return Ok(false);
-        }
-        let scanner = &mut *self.scanner;
+        let inject = self.faults.is_some_and(|f| f.on_unit(w, unit_no));
+        let scanner = &mut self.scanner;
         let attempt = catch_unwind(AssertUnwindSafe(move || -> Result<UnitRun, StateError> {
-            if action == Some(ExecAction::Panic) {
+            if inject {
                 panic!("injected executor fault: worker {w} panics on unit {unit_no}");
             }
             let baseline = scanner.telemetry().registry.snapshot();
@@ -1205,7 +1028,6 @@ impl<N: Network> Worker<'_, N> {
             let delta = scanner.telemetry().registry.snapshot().diff(&baseline);
             Ok(UnitRun::Done(Box::new((raw, delta))))
         }));
-        *self.board[w].lock().expect("progress board poisoned") = None;
         let release_unit = |requeue: Option<SplitUnit>| {
             let mut bin = self.shared.bins[slot]
                 .inner
@@ -1788,7 +1610,6 @@ mod tests {
             names::EXEC_WORKER_PANICS,
             names::EXEC_REQUEUED,
             names::EXEC_POISONED,
-            names::EXEC_STALLS,
             names::EXEC_SPLITS,
             names::EXEC_SPLIT_SHARDS,
         ] {
@@ -1825,16 +1646,59 @@ mod tests {
     fn single_worker_panic_falls_back_to_supervisor() {
         let tpb = 1 << 9;
         let (seq, seq_snap) = sequential(tpb);
-        // The only worker panics on its fourth block and retires; the
+        // The only worker panics on its fourth unit and retires; the
         // supervisor fallback must finish the requeued block and every
-        // block after it, still byte-identically.
-        let outcome = ParallelCampaign::new(Campaign::new(tpb), 1)
-            .with_exec_faults(ExecPlan::panic_on(0, 3))
-            .run(&base(tpb), make_world);
+        // block after it, still byte-identically — splitting them too
+        // when forced to.
+        for force_split_at in [None, Some(300)] {
+            let mut exec = ParallelCampaign::new(Campaign::new(tpb), 1)
+                .with_exec_faults(ExecPlan::panic_on(0, 3));
+            if let Some(at) = force_split_at {
+                exec = exec.with_force_split_at(at);
+            }
+            let outcome = exec.run(&base(tpb), make_world);
+            assert!(!outcome.interrupted);
+            assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
+            assert_eq!(outcome.result, seq, "supervisor fallback diverged");
+            assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 1);
+            if force_split_at.is_some() {
+                assert!(outcome.snapshot.counter(names::EXEC_SPLITS) >= 1);
+            }
+            assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+        }
+    }
+
+    #[test]
+    fn supervisor_fallback_commits_checkpoints_like_a_worker() {
+        let dir = std::env::temp_dir().join(format!("xmap-pcamp-fallback-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tpb = 1 << 9;
+        let (seq, seq_snap) = sequential(tpb);
+        // The only worker panics inside the first block after a forced
+        // split, so the fallback commits all fifteen blocks through the
+        // same claim/unit/commit path a worker uses.
+        let exec = ParallelCampaign::new(Campaign::new(tpb), 1)
+            .with_force_split_at(300)
+            .with_exec_faults(ExecPlan::panic_on(0, 1));
+        let outcome = exec
+            .run_checkpointed(&base(tpb), &dir, false, None, make_world)
+            .unwrap();
         assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-        assert_eq!(outcome.result, seq, "supervisor fallback diverged");
-        assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 1);
+        assert_eq!(outcome.result, seq, "fallback-committed campaign diverged");
         assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let mut expect: Vec<String> = (0..SAMPLE_BLOCKS.len())
+            .map(|idx| format!("block-{idx:02}.ckpt"))
+            .collect();
+        expect.push("campaign.ckpt".to_owned());
+        assert_eq!(files, expect, "no marker or split file may survive");
+        let plan = exec.resume_plan(&base(tpb), &dir).unwrap();
+        assert!(plan.iter().all(|m| *m == BlockMode::Skip), "{plan:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1846,79 +1710,18 @@ mod tests {
         // supervisor fallback (fault index 1 = `workers`) then panics on
         // its first attempt at that block, and its retry still finishes
         // the campaign byte-identically.
-        let panic_on = |worker, nth| ExecRule {
-            worker,
-            nth,
-            action: ExecAction::Panic,
-        };
         let outcome = ParallelCampaign::new(Campaign::new(tpb), 1)
             .with_supervision(Supervision { max_attempts: 3 })
             .with_exec_faults(ExecPlan {
-                rules: vec![panic_on(0, 3), panic_on(1, 0)],
+                rules: vec![
+                    ExecRule { worker: 0, nth: 3 },
+                    ExecRule { worker: 1, nth: 0 },
+                ],
             })
             .run(&base(tpb), make_world);
         assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
         assert_eq!(outcome.result, seq, "supervisor retry diverged");
         assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 2);
-        assert_eq!(strip_exec(outcome.snapshot), seq_snap);
-    }
-
-    #[test]
-    fn stalled_worker_is_rescued_by_watchdog() {
-        let tpb = 1 << 13;
-        let t0 = Instant::now();
-        let (seq, seq_snap) = sequential(tpb);
-        // Worker 0 goes silent holding an early unit — its first whole
-        // block, or under forced splits a sub-shard inside a split one —
-        // leaving the survivor nearly the whole campaign. The watchdog
-        // must fire while that run is still live, so the quantum is a
-        // small fraction of the measured sequential pace, floored only
-        // against a zero quantum: a survivor descheduled for a whole
-        // quantum gets spuriously reclaimed, which the wide attempt
-        // budget absorbs — the re-run is byte-identical anyway.
-        let quantum = (t0.elapsed() / 8).max(Duration::from_millis(2));
-        for (force_split_at, stall_unit) in [(None, 0), (Some(300), 1)] {
-            let mut exec = ParallelCampaign::new(Campaign::new(tpb), 2)
-                .with_exec_faults(ExecPlan::stall_on(0, stall_unit))
-                .with_watchdog(quantum)
-                .with_supervision(Supervision { max_attempts: 10 });
-            if let Some(at) = force_split_at {
-                exec = exec.with_force_split_at(at);
-            }
-            let outcome = exec.run(&base(tpb), make_world);
-            assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-            assert_eq!(outcome.result, seq, "rescued campaign diverged");
-            assert!(outcome.snapshot.counter(names::EXEC_STALLS) >= 1);
-            assert!(outcome.snapshot.counter(names::EXEC_REQUEUED) >= 1);
-            assert_eq!(strip_exec(outcome.snapshot), seq_snap);
-        }
-    }
-
-    #[test]
-    fn slow_but_alive_worker_is_never_reclaimed() {
-        // The watchdog bounds time *without probe progress*, not block
-        // runtime. Arm it with a quantum well below one block's runtime
-        // — under a wall-clock rule every block would be spuriously
-        // requeued — and assert a healthy run sees zero stalls and stays
-        // byte-identical to sequential. The quantum self-calibrates from
-        // the measured sequential pace, floored high enough that OS
-        // scheduling jitter can't fake a flat heartbeat.
-        let tpb = 1 << 14;
-        let t0 = Instant::now();
-        let (seq, seq_snap) = sequential(tpb);
-        let per_block = t0.elapsed() / SAMPLE_BLOCKS.len() as u32;
-        let quantum = (per_block / 4).max(Duration::from_millis(75));
-        let outcome = ParallelCampaign::new(Campaign::new(tpb), 2)
-            .with_watchdog(quantum)
-            .run(&base(tpb), make_world);
-        assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-        assert_eq!(outcome.result, seq, "slow-but-alive campaign diverged");
-        assert_eq!(
-            outcome.snapshot.counter(names::EXEC_STALLS),
-            0,
-            "live worker was spuriously reclaimed"
-        );
-        assert_eq!(outcome.snapshot.counter(names::EXEC_REQUEUED), 0);
         assert_eq!(strip_exec(outcome.snapshot), seq_snap);
     }
 

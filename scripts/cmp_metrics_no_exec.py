@@ -6,7 +6,7 @@ Usage: cmp_metrics_no_exec.py BASELINE.json CANDIDATE.json
 The campaign determinism contract (DESIGN.md §5j) says a killed,
 resumed, split, or re-sharded campaign reproduces the sequential run's
 scan-layer metrics exactly; only the `exec.*` counters — worker panics,
-requeues, stalls, splits, split shards — are allowed to differ, because
+requeues, poisoned blocks, splits, split shards — are allowed to differ, because
 they describe the schedule that happened to run, not the scan. This
 script strips every counter whose name starts with `exec.` from both
 documents and requires the remainder (counters, gauges, histograms) to
