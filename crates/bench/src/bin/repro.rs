@@ -11,7 +11,7 @@
 //! scans is controlled by `XMAP_SCALE` (log2 of discovery probes per
 //! block, default 20; the full space would be 32). `--campaign-workers`
 //! (or `XMAP_CAMPAIGN_WORKERS`) runs the discovery campaign on a
-//! work-stealing block pool; every artifact and the exported metrics are
+//! pool of block workers; every artifact and the exported metrics are
 //! byte-identical for any worker count. `--metrics-out` writes the run's
 //! final telemetry snapshot as JSON; `--quiet` suppresses the progress
 //! lines on stderr.

@@ -44,7 +44,7 @@ pub struct ExperimentConfig {
     /// Number of ASes in the synthetic BGP table.
     pub bgp_ases: usize,
     /// Worker threads for the discovery campaign. With more than one,
-    /// blocks run on a work-stealing pool of private world replicas and
+    /// blocks run on a worker pool of private world replicas and
     /// merge deterministically — every artifact stays byte-identical to
     /// a single-worker run.
     pub campaign_workers: usize,
@@ -142,7 +142,7 @@ impl Experiment {
 
     /// The discovery-campaign results (computed on first use).
     ///
-    /// With `campaign_workers > 1`, blocks run on the work-stealing
+    /// With `campaign_workers > 1`, blocks run on the parallel campaign
     /// executor over private world replicas and the replicas' telemetry
     /// is folded back into this experiment's registry, so the campaign
     /// result and every exported metric stay byte-identical to the

@@ -63,8 +63,7 @@ pub use checkpoint::{
 pub use cyclic::Cycle;
 pub use feistel::FeistelPermutation;
 pub use parallel::{
-    insert_exec_counters, merge_worker_snapshots, worker_cap, ParallelScanner, StealQueue,
-    Supervision,
+    insert_exec_counters, merge_worker_snapshots, worker_cap, ParallelScanner, Supervision,
 };
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
 pub use scanner::{

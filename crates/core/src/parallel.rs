@@ -46,9 +46,7 @@
 //! [`FaultPlan::none`]: xmap_netsim::FaultPlan::none
 //! [`ScanStats::merge`]: crate::ScanStats::merge
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use xmap_addr::ScanRange;
 use xmap_failpoint::exec::ExecFaults;
@@ -62,8 +60,9 @@ use crate::scanner::{ScanConfig, ScanResults, Scanner};
 use crate::telemetry::names;
 
 /// Supervision policy for a parallel executor: how many times a unit of
-/// work (a shard here, a block in the campaign executor) may be
-/// attempted before it is declared poisoned and skipped.
+/// work may be attempted before it is declared poisoned and skipped — a
+/// shard here; in the campaign executor a block, whose first run and
+/// every panic in any of its sub-shards each count as one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Supervision {
     /// Total attempts per unit, counting the first one. `1` disables
@@ -500,99 +499,6 @@ pub fn merge_worker_snapshots(snaps: impl IntoIterator<Item = Snapshot>) -> Snap
     merged
 }
 
-/// A deque-based work-stealing scheduler over item indices.
-///
-/// Built for workloads whose items differ wildly in cost (campaign
-/// blocks: some scan 2³² spaces under tight ICMPv6 token buckets, others
-/// are small and fast) — static assignment would leave the fast workers
-/// idle behind the slowest block. Each worker owns a deque seeded
-/// round-robin; it pops its own queue from the *front* and, when empty,
-/// steals from a victim's *back*, so steals take the work its owner
-/// would reach last.
-///
-/// Scheduling order is nondeterministic under contention by design; the
-/// callers that need determinism tag every item's result with its index
-/// and merge in index order, which makes the schedule unobservable.
-///
-/// `std`-only: a `Mutex<VecDeque>` per worker. Item counts here are
-/// tiny (15 campaign blocks), so lock contention is irrelevant next to
-/// the seconds-long items themselves.
-#[derive(Debug)]
-pub struct StealQueue {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueue {
-    /// Distributes `items` indices (0-based) round-robin over `workers`
-    /// deques: worker `w` is seeded with `w, w + workers, w + 2·workers,
-    /// …`, mirroring the shard→worker mapping of [`ParallelScanner`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn new(items: usize, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for item in 0..items {
-            deques[item % workers].push_back(item);
-        }
-        StealQueue {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Takes the next item for `worker`: its own front, else a steal
-    /// from the back of the first non-empty victim (scanning `worker +
-    /// 1, worker + 2, …` cyclically). `None` once every deque is empty.
-    pub fn pop(&self, worker: usize) -> Option<usize> {
-        assert!(worker < self.deques.len(), "worker index out of range");
-        if let Some(item) = self.deques[worker]
-            .lock()
-            .expect("steal queue poisoned")
-            .pop_front()
-        {
-            return Some(item);
-        }
-        let n = self.deques.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(item) = self.deques[victim]
-                .lock()
-                .expect("steal queue poisoned")
-                .pop_back()
-            {
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// Requeues `item` at the back of `worker`'s own deque — the
-    /// supervision path: a worker that caught a panic pushes the item
-    /// back so a surviving worker's next [`pop`](Self::pop) (own front
-    /// or steal) picks it up.
-    pub fn push(&self, worker: usize, item: usize) {
-        assert!(worker < self.deques.len(), "worker index out of range");
-        self.deques[worker]
-            .lock()
-            .expect("steal queue poisoned")
-            .push_back(item);
-    }
-
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
-    /// Items not yet popped, across all deques.
-    pub fn remaining(&self) -> usize {
-        self.deques
-            .iter()
-            .map(|d| d.lock().expect("steal queue poisoned").len())
-            .sum()
-    }
-}
-
 /// Builds worker `w` of `n`: fresh telemetry, a network replica from the
 /// factory, and the nested shard config. Used both at construction and
 /// when the supervisor rebuilds a panicked worker for retry —
@@ -870,71 +776,5 @@ mod tests {
                 "{name} must only appear when nonzero"
             );
         }
-    }
-
-    #[test]
-    fn steal_queue_push_requeues_for_owner() {
-        let q = StealQueue::new(2, 2);
-        assert_eq!(q.pop(0), Some(0));
-        q.push(0, 0);
-        assert_eq!(q.remaining(), 2);
-        assert_eq!(q.pop(0), Some(0), "requeued item comes back");
-        // Worker 1 drains its own, then steals the requeued one.
-        q.push(0, 0);
-        assert_eq!(q.pop(1), Some(1));
-        assert_eq!(q.pop(1), Some(0));
-    }
-
-    #[test]
-    fn steal_queue_drains_every_item_exactly_once() {
-        let q = StealQueue::new(15, 4);
-        assert_eq!(q.workers(), 4);
-        assert_eq!(q.remaining(), 15);
-        let mut seen = std::collections::BTreeSet::new();
-        // Worker 3 drains everything: its own deque, then steals.
-        while let Some(item) = q.pop(3) {
-            assert!(seen.insert(item), "item {item} scheduled twice");
-        }
-        assert_eq!(seen.len(), 15);
-        assert_eq!(q.remaining(), 0);
-        assert_eq!(q.pop(0), None);
-    }
-
-    #[test]
-    fn steal_queue_owner_pops_front_thief_steals_back() {
-        let q = StealQueue::new(8, 2);
-        // Worker 0 owns 0,2,4,6; worker 1 owns 1,3,5,7.
-        assert_eq!(q.pop(0), Some(0));
-        // Exhaust worker 1's own deque, front first.
-        assert_eq!(q.pop(1), Some(1));
-        assert_eq!(q.pop(1), Some(3));
-        assert_eq!(q.pop(1), Some(5));
-        assert_eq!(q.pop(1), Some(7));
-        // Now worker 1 steals from worker 0's *back*.
-        assert_eq!(q.pop(1), Some(6));
-        assert_eq!(q.pop(0), Some(2));
-    }
-
-    #[test]
-    fn steal_queue_under_concurrency_partitions_items() {
-        let q = StealQueue::new(100, 4);
-        let counts: Vec<usize> = std::thread::scope(|scope| {
-            (0..4)
-                .map(|w| {
-                    let q = &q;
-                    scope.spawn(move || {
-                        let mut taken = 0;
-                        while q.pop(w).is_some() {
-                            taken += 1;
-                        }
-                        taken
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        assert_eq!(counts.iter().sum::<usize>(), 100);
     }
 }

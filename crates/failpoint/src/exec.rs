@@ -1,9 +1,9 @@
 //! Scripted executor faults: worker panics.
 //!
 //! The parallel executors (`ParallelScanner` shards, `ParallelCampaign`
-//! blocks) consume an [`ExecFaults`] before each unit of work. A matched
-//! rule makes the worker panic right there — exercising the supervisor's
-//! `catch_unwind`/requeue path. Rules are matched by `(worker, nth unit
+//! block sub-shards) consume an [`ExecFaults`] before each unit of work.
+//! A matched rule makes the worker panic right there — exercising the
+//! supervisor's `catch_unwind`/requeue path. Rules are matched by `(worker, nth unit
 //! that worker claimed)` and fire at most once, so a retried unit on a
 //! surviving worker runs clean.
 

@@ -200,11 +200,6 @@ impl Engine {
         self.link_drops
     }
 
-    /// The node's display name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
-    }
-
     /// Number of packets forwarded over the directed link `from → to` since
     /// the last [`Engine::reset_counters`].
     pub fn link_forwards(&self, from: NodeId, to: NodeId) -> u64 {

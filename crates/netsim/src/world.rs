@@ -43,7 +43,7 @@ use crate::rng::{weighted_pick, DetHash};
 use crate::rules::rfc4443::{self, Answer, ErrorLimiterState};
 use crate::rules::rfc7084::{self, CpeAnswer};
 use crate::services::{
-    software_id, AppRequest, AppResponse, ServiceKind, SoftwareId, TransportProto, SOFTWARE_CATALOG,
+    software_id, AppRequest, AppResponse, ServiceKind, SoftwareId, TransportProto,
 };
 use crate::telemetry::NetsimTelemetry;
 
@@ -1185,12 +1185,6 @@ impl World {
             self.delay_seq += 1;
         }
     }
-}
-
-/// Sanity check used by tests: every catalog software resolves.
-#[doc(hidden)]
-pub fn catalog_len() -> usize {
-    SOFTWARE_CATALOG.len()
 }
 
 #[cfg(test)]

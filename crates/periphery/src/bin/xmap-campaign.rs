@@ -8,13 +8,13 @@
 //!   --targets-per-block N   probes per sample block (default 65536)
 //!   --block-targets I:N     override --targets-per-block for block I
 //!                           (repeatable; skews the per-block workload)
-//!   --campaign-workers N    worker threads; blocks are distributed by
-//!                           work stealing and merged deterministically,
-//!                           so output is byte-identical for any N
-//!                           (default 1); once the block queue drains,
-//!                           an idle worker takes over part of an
-//!                           in-flight block that still has 2^14 or more
-//!                           targets to go
+//!   --campaign-workers N    worker threads; each claims the lowest
+//!                           unstarted block, and results merge
+//!                           deterministically, so output is
+//!                           byte-identical for any N (default 1); once
+//!                           no block is left, an idle worker takes
+//!                           over part of an in-flight block that still
+//!                           has 2^14 or more targets to go
 //!   --force-split-at N      split every block unit after N consumed
 //!                           targets, idle workers or not (deterministic
 //!                           split schedule; for testing)

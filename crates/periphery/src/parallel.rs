@@ -1,5 +1,6 @@
-//! The parallel campaign executor: one worker type that steals blocks,
-//! splits stragglers, and merges deterministically.
+//! The parallel campaign executor: one worker type that claims
+//! sub-shards from per-block bins, splits stragglers, and merges
+//! deterministically.
 //!
 //! [`Campaign::run`] walks the fifteen sample blocks sequentially on one
 //! [`Scanner`]; this module runs them on N workers — each with a private
@@ -16,15 +17,18 @@
 //! mop-up pipeline on one worker. A block starts as a single unit, the
 //! whole walk, and most blocks finish as one.
 //!
-//! Blocks differ wildly in cost — scan-space sizes span 2²⁸..2³², and
-//! ICMPv6 token-bucket tightness decides how much mop-up work a block
-//! carries — so static assignment would leave fast workers idle behind
-//! the slowest block. Workers instead drain a deque-based
-//! [`StealQueue`]: each owns a round-robin-seeded deque, pops its own
-//! front, and steals from a victim's back once empty.
+//! Every block left to scan owns a bin of pending units, filled before
+//! any worker starts: its whole-block unit, or on resume the units its
+//! split plan left to do. The bins are the only work queue. A worker
+//! claims the first pending unit of the lowest-indexed block that has
+//! one, so a single worker runs the blocks in sequential order. Blocks
+//! differ wildly in cost — scan-space sizes span 2²⁸..2³², and ICMPv6
+//! token-bucket tightness decides how much mop-up work a block carries —
+//! so a worker that finishes early simply claims the next block instead
+//! of waiting behind the slowest one.
 //!
-//! Block granularity alone still leaves a straggler tail: once the queue
-//! drains, every worker but the one holding the last (often largest)
+//! Block granularity alone still leaves a straggler tail: once every bin
+//! is empty, every worker but the one holding the last (often largest)
 //! block would sit idle. An idle worker therefore raises every running
 //! scanner's yield flag. The gate fires for a unit that still has at
 //! least 2¹⁴ walk positions ahead of it (`MIN_SPLIT_REMAINDER`): its
@@ -34,10 +38,10 @@
 //! [`SplitUnit::split_tail`] — nested-shard math over the *remaining*
 //! cursor range, so sub-shard `i` of `k` owns exactly the base walk
 //! positions `≡ offset + (consumed + i)·stride (mod stride·k)` — into
-//! one sub-shard per idle worker. Whoever delivers a block's last unit
-//! assembles every unit's records in walk-position order (the
-//! profile-order merge key extended by the sub-shard tag) and commits
-//! the block.
+//! one sub-shard per idle worker, pushed into the block's bin. Whoever
+//! delivers a block's last unit assembles every unit's records in
+//! walk-position order (the profile-order merge key extended by the
+//! sub-shard tag) and commits the block.
 //!
 //! The floor is a constant, not an option: a split costs about a
 //! millisecond (one idle poll, one manifest write, one extra scanner
@@ -48,7 +52,7 @@
 //! forces yields at a fixed consumed count instead, idle workers or not,
 //! for tests and the CI kill-point smoke.
 //!
-//! The schedule — who ran which block, whether and where a block split —
+//! The schedule — who ran which unit, whether and where a block split —
 //! is nondeterministic under contention, but every result is keyed by
 //! block index and walk position and merged in key order, which makes
 //! the schedule unobservable in the output. What *does* describe the
@@ -84,17 +88,22 @@
 //!
 //! Every unit runs inside the worker's one `catch_unwind`. A panic —
 //! scripted ([`with_exec_faults`](ParallelCampaign::with_exec_faults))
-//! or real — gives up on the whole block claim: the claim epoch is
-//! bumped so nothing still running under it can commit, the block is
-//! requeued within its attempt budget (else poisoned), and the worker
-//! retires, since its scanner may hold half-mutated state. A panic is
-//! the only way a block is lost: a worker that hung instead would never
-//! return, nor would the scoped join, so nothing watches for hangs. A
-//! requeued block re-runs from its start (or its resume seed) on a
-//! surviving worker, or — once every worker has retired — on the
-//! supervisor fallback: one more `Worker` run on the calling thread
-//! after join, under worker index `workers`. Determinism makes the
-//! re-run identical.
+//! or real — costs only the unit it hit: the unit goes back into its
+//! block's bin (once it has split, its settled prefix does, since the
+//! parts are already there), sibling units keep what they delivered, and
+//! the worker retires, since its scanner may hold half-mutated state.
+//! Units are pure functions of `(block, unit)`, so the re-run is
+//! identical. The attempt budget is per block:
+//! [`Supervision::max_attempts`] covers the first run plus each panic in
+//! any of the block's units. Once it is spent the block is poisoned —
+//! its pending units are dropped, later deliveries are discarded — and
+//! the campaign completes around it. A panic is the only way work is
+//! lost: a worker that hung instead would never return, nor would the
+//! scoped join, so nothing watches for hangs. A requeued unit re-runs on
+//! a surviving worker, or — once every worker has retired — on the
+//! supervisor fallback: one more `Worker` run on the calling thread after
+//! join, under worker index `workers`, repeated while any bin holds a
+//! pending unit.
 //!
 //! # Checkpoint layout
 //!
@@ -107,8 +116,9 @@
 //!   block-NN.ckpt            kind `campaign-block`: one completed block
 //!                            + its telemetry delta (written by the
 //!                            worker that assembled it)
-//!   block-NN.inprogress      marker while block NN is claimed; removed
-//!                            on completion, left behind by a kill
+//!   block-NN.inprogress      marker written on block NN's first claim;
+//!                            removed on completion, left behind by a
+//!                            kill
 //!   block-NN.units.ckpt      kind `campaign-units`, only once block NN
 //!                            has split: the current sub-shard layout
 //!                            (offset/stride/cap + started flag per
@@ -123,14 +133,15 @@
 //! every block is classified [`Skip`](BlockMode::Skip) (checkpoint file
 //! present: load, don't re-scan), [`Resume`](BlockMode::Resume) (marker
 //! present: the kill hit mid-block; the partial work is discarded and
-//! the block re-runs from its start inside whichever worker pops it),
+//! the block re-runs from its start inside whichever worker claims it),
 //! [`Fresh`](BlockMode::Fresh) (never started) or
 //! [`Split`](BlockMode::Split) (units manifest present: completed units
 //! load as [`UnitMode::Skip`], the interrupted one re-runs as
-//! [`UnitMode::Resume`], unstarted ones run [`UnitMode::Fresh`]). Because
-//! completed blocks and units are self-contained deltas and the campaign
-//! fingerprint excludes the worker count, a campaign killed under one N
-//! resumes byte-identically under any other.
+//! [`UnitMode::Resume`], unstarted ones run [`UnitMode::Fresh`]; a split
+//! block whose units all completed is assembled and committed before any
+//! worker starts). Because completed blocks and units are self-contained
+//! deltas and the campaign fingerprint excludes the worker count, a
+//! campaign killed under one N resumes byte-identically under any other.
 //!
 //! [`Registry`]: xmap_telemetry::Registry
 //! [`ScanStats`]: xmap::ScanStats
@@ -139,14 +150,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use xmap::telemetry::names;
-use xmap::{
-    insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, StealQueue, Supervision,
-};
+use xmap::{insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, Supervision};
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
@@ -155,7 +164,7 @@ use xmap_state::checkpoint::{
 };
 use xmap_state::codec::Encoder;
 use xmap_state::{AbortSignal, StateError};
-use xmap_telemetry::{Snapshot, Telemetry};
+use xmap_telemetry::{Snapshot, Telemetry, Tracer};
 
 use crate::campaign::{
     decode_block, decode_unit_raw, encode_block, encode_unit_raw, BlockResult, Campaign,
@@ -220,7 +229,7 @@ pub struct CampaignOutcome {
     pub result: CampaignResult,
     /// Merged telemetry across skipped-block deltas and every *committed*
     /// live block, with `scan.hit_rate_ppm` recomputed from the merged
-    /// totals. Work lost to a panic or abort mid-block never
+    /// totals. Work lost to a panic or abort mid-unit never
     /// contributes (the checkpoint directory agrees with the snapshot by
     /// construction). Supervision counters (`exec.*`) appear only when
     /// nonzero.
@@ -234,7 +243,7 @@ pub struct CampaignOutcome {
     pub poisoned: Vec<usize>,
 }
 
-/// Work-stealing multi-worker driver around a [`Campaign`].
+/// Multi-worker driver around a [`Campaign`].
 ///
 /// # Examples
 ///
@@ -261,18 +270,18 @@ pub struct ParallelCampaign {
 }
 
 /// Checkpoint context threaded into `execute`: `(dir, fingerprint,
-/// per-block loaded checkpoints, per-block split-manifest seeds)`.
+/// per-block loaded checkpoints, per-block bins loaded from split plans)`.
 type CkptCtx<'a> = (
     &'a Path,
     u64,
     Vec<Option<(BlockResult, Snapshot)>>,
-    Vec<Option<BinSeed>>,
+    Vec<Option<Bin>>,
 );
 
 impl ParallelCampaign {
     /// An executor running `campaign` on `workers` threads. One worker
-    /// reproduces [`Campaign::run`] exactly (the queue degenerates to
-    /// FIFO block order).
+    /// reproduces [`Campaign::run`] exactly (it claims the blocks in
+    /// order).
     ///
     /// # Panics
     ///
@@ -368,21 +377,35 @@ impl ParallelCampaign {
         let fp = self.campaign.fingerprint_cfg(base);
         std::fs::create_dir_all(dir)
             .map_err(|e| StateError::io(format!("create campaign dir {}", dir.display()), e))?;
-        let (loaded, seeds) = if resume {
-            let plan = load_dir(dir, fp)?;
-            let mut loaded: Vec<Option<(BlockResult, Snapshot)>> =
-                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
-            let mut seeds: Vec<Option<BinSeed>> = (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
-            for (idx, mode) in plan.iter().enumerate() {
+        let mut loaded: Vec<Option<(BlockResult, Snapshot)>> =
+            (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
+        let mut bins: Vec<Option<Bin>> = (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
+        if resume {
+            for (idx, mode) in load_dir(dir, fp)?.iter().enumerate() {
                 match mode {
                     BlockMode::Skip => loaded[idx] = Some(load_block_ckpt(dir, idx, fp)?),
                     BlockMode::Split(plans) => {
-                        seeds[idx] = Some(load_bin_seed(dir, idx, fp, plans)?);
+                        let bin = load_bin(dir, idx, fp, plans)?;
+                        if bin.pending.is_empty() {
+                            // Every unit is checkpointed but the block is
+                            // not (the kill landed in between): nothing is
+                            // left to claim, so commit it here, as the
+                            // worker delivering its last unit would have.
+                            loaded[idx] = Some(commit_block(
+                                &self.campaign,
+                                Some(dir),
+                                fp,
+                                idx,
+                                bin.done,
+                                &Tracer::disabled(),
+                            )?);
+                        } else {
+                            bins[idx] = Some(bin);
+                        }
                     }
                     BlockMode::Resume | BlockMode::Fresh => {}
                 }
             }
-            (loaded, seeds)
         } else {
             // Fresh start: wipe stale blocks so a same-fingerprint rerun
             // can never silently skip them.
@@ -392,12 +415,8 @@ impl ParallelCampaign {
                 remove_split_files(dir, idx);
             }
             write_dir_manifest(dir, fp)?;
-            (
-                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
-                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
-            )
-        };
-        self.execute(base, Some((dir, fp, loaded, seeds)), abort, make_network)
+        }
+        self.execute(base, Some((dir, fp, loaded, bins)), abort, make_network)
     }
 
     /// Classifies every block for a resume of the campaign checkpointed
@@ -409,9 +428,7 @@ impl ParallelCampaign {
     }
 
     /// Shared driver behind [`run`](Self::run) and
-    /// [`run_checkpointed`](Self::run_checkpointed). `ckpt` carries
-    /// `(dir, fingerprint, per-block loaded checkpoints, per-block
-    /// split-manifest seeds)` when checkpointing is on.
+    /// [`run_checkpointed`](Self::run_checkpointed).
     fn execute<N: Network + Send>(
         &self,
         base: &ScanConfig,
@@ -419,40 +436,40 @@ impl ParallelCampaign {
         abort: Option<&AbortSignal>,
         mut make_network: impl FnMut(usize, &Telemetry) -> N,
     ) -> Result<CampaignOutcome, StateError> {
-        let (dir, fp_id, loaded, mut seeds_by_idx) = match ckpt {
+        let (dir, fp_id, loaded, seeds) = match ckpt {
             Some((dir, fp, loaded, seeds)) => (Some(dir), fp, loaded, seeds),
             None => (
                 None,
                 0,
                 (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
-                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect::<Vec<_>>(),
+                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
             ),
         };
-        // Only non-loaded blocks enter the queue, seeded round-robin in
-        // block order so one worker reproduces the sequential walk. The
-        // queue and the yield flags carry one extra, unseeded slot for
-        // the supervisor fallback, which runs as worker index `workers`.
-        let pending: Vec<usize> = (0..SAMPLE_BLOCKS.len())
-            .filter(|i| loaded[*i].is_none())
-            .collect();
-        let queue = StealQueue::new(0, self.workers + 1);
-        for slot in 0..pending.len() {
-            queue.push(slot % self.workers, slot);
-        }
-        let slots: Vec<SlotState> = (0..pending.len()).map(|_| SlotState::default()).collect();
+        // Every block left to scan gets its bin up front: the one its
+        // split plan loaded, else its whole-block unit. The yield flags
+        // carry one extra slot for the supervisor fallback, which runs as
+        // worker index `workers`.
         let shared = SplitShared {
-            bins: (0..pending.len()).map(|_| BlockBin::default()).collect(),
-            seeds: pending.iter().map(|i| seeds_by_idx[*i].take()).collect(),
+            bins: seeds
+                .into_iter()
+                .enumerate()
+                .map(|(idx, seed)| {
+                    Mutex::new(match (&loaded[idx], seed) {
+                        (Some(_), _) => Bin::default(),
+                        (None, Some(bin)) => bin,
+                        (None, None) => Bin::whole(self.campaign.block_cap(&SAMPLE_BLOCKS[idx])),
+                    })
+                })
+                .collect(),
             yield_flags: (0..=self.workers)
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
             waiters: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
-            outstanding: AtomicUsize::new(pending.len()),
             force_at: self.force_split_at,
+            counters: ExecCounters::default(),
         };
         let faults = self.exec_plan.as_ref().map(ExecPlan::armed);
-        let counters = ExecCounters::default();
         let max_attempts = self.supervision.max_attempts.max(1);
         let mut new_scanner = |w: usize| {
             let telemetry = Telemetry::new();
@@ -467,11 +484,7 @@ impl ParallelCampaign {
             w,
             scanner,
             campaign: &self.campaign,
-            queue: &queue,
-            pending: &pending,
-            slots: &slots,
             faults: faults.as_ref(),
-            counters: &counters,
             max_attempts,
             dir,
             fp_id,
@@ -507,15 +520,15 @@ impl ParallelCampaign {
             worker_outs.push(out?);
         }
 
-        // Supervisor fallback: a panicked owner requeues its block, and
-        // when every other worker has already retired nobody pops it.
+        // Supervisor fallback: a panicked worker requeues its unit, and
+        // when every other worker has already retired nobody claims it.
         // One more `Worker` finishes those on the calling thread, under
         // index `workers` and a fresh scanner per pass (a panic retires
-        // the pass, whose scanner may hold half-mutated state), until
-        // the queue is empty.
+        // the pass, whose scanner may hold half-mutated state), while
+        // any bin holds a pending unit.
         let aborted = || abort.is_some_and(AbortSignal::is_set);
         let mut fallback: Option<Worker<'_, N>> = None;
-        while !aborted() && queue.remaining() > 0 {
+        while !aborted() && shared.bins.iter().any(|bin| !lock(bin).pending.is_empty()) {
             let scanner = new_scanner(self.workers);
             let pass = match fallback.as_mut() {
                 Some(pass) => {
@@ -527,18 +540,6 @@ impl ParallelCampaign {
             pass.run()?;
         }
         worker_outs.extend(fallback.map(|pass| pass.out));
-        // Unless an abort stopped the run, nothing is left to commit a
-        // block that is not done: report it as poisoned rather than leave
-        // a silent gap in the CSV.
-        let interrupted = aborted();
-        let poisoned: Vec<usize> = (0..pending.len())
-            .filter(|&slot| {
-                let state = &slots[slot];
-                state.poisoned.load(Ordering::Acquire)
-                    || (!interrupted && !state.done.load(Ordering::Acquire))
-            })
-            .map(|slot| pending[slot])
-            .collect();
 
         // Merge: loaded blocks and committed live blocks, in block-index
         // order — which is Table II (profile) order, the sequential
@@ -557,16 +558,27 @@ impl ParallelCampaign {
             committed_deltas.push(out.committed);
         }
         tagged.sort_by_key(|(idx, _)| *idx);
+        // Unless an abort stopped the run, nothing is left to commit a
+        // block that is still missing: report it as poisoned rather than
+        // leave a silent gap in the CSV.
+        let interrupted = aborted();
+        let poisoned: Vec<usize> = (0..SAMPLE_BLOCKS.len())
+            .filter(|&idx| {
+                lock(&shared.bins[idx]).poisoned
+                    || (!interrupted && tagged.binary_search_by_key(&idx, |(i, _)| *i).is_err())
+            })
+            .collect();
         let result = CampaignResult {
             blocks: tagged.into_iter().map(|(_, b)| b).collect(),
         };
         // Committed deltas only: sums telescope to exactly the raw
         // registries on a fault-free run (byte-identical merge), and
-        // exclude in-flight garbage from panicked or aborted blocks
+        // exclude in-flight garbage from panicked or aborted units
         // otherwise — the snapshot always agrees with the checkpoint
         // directory.
         let mut snapshot =
             merge_worker_snapshots(skipped_deltas.into_iter().chain(committed_deltas));
+        let counters = &shared.counters;
         insert_exec_counters(
             &mut snapshot,
             counters.panics.load(Ordering::Acquire),
@@ -594,30 +606,12 @@ impl ParallelCampaign {
     }
 }
 
-/// Per-block supervision state shared by the workers, the supervisor
-/// fallback's included.
-#[derive(Debug, Default)]
-struct SlotState {
-    /// Times the block has been claimed (spawned attempts).
-    attempts: AtomicU32,
-    /// Claim epoch: bumped to invalidate an in-flight claim (a panicked
-    /// unit). A commit whose claim epoch is stale is
-    /// discarded — determinism makes the requeued re-run identical.
-    epoch: AtomicU64,
-    /// Set exactly once, by the attempt that commits the block.
-    done: AtomicBool,
-    /// Attempt budget exhausted; the campaign completes around it.
-    poisoned: AtomicBool,
-    /// Whether [`SplitShared::outstanding`] has been decremented for this
-    /// slot (done or poisoned) — swap-once guard.
-    retired: AtomicBool,
-}
-
 /// Supervision tallies shared across threads, exported as `exec.*`
 /// counters (only when nonzero).
 #[derive(Debug, Default)]
 struct ExecCounters {
     panics: AtomicU64,
+    /// Units put back into their bin after a panic.
     requeued: AtomicU64,
     /// Yield-and-split events (one per unit that yielded).
     splits: AtomicU64,
@@ -633,14 +627,13 @@ struct WorkerOut {
     committed: Snapshot,
 }
 
-/// The unit-level state every worker shares: each block's evolving
-/// partition into [`SplitUnit`]s and the idle/busy accounting that
-/// drives yield requests and retirement.
+/// The state every worker shares, the supervisor fallback's included:
+/// one bin per block and the idle/busy accounting that drives yield
+/// requests and retirement.
 struct SplitShared {
-    /// One bin per queue slot, holding that block's unit partition.
-    bins: Vec<BlockBin>,
-    /// Resume seeds per slot (loaded unit checkpoints + re-run units).
-    seeds: Vec<Option<BinSeed>>,
+    /// One bin per sample block — the executor's only work queue. A
+    /// loaded block's bin stays empty.
+    bins: Vec<Mutex<Bin>>,
     /// Per-worker cooperative yield flags; idle workers broadcast-set
     /// them, a worker acting on its own flag clears it.
     yield_flags: Vec<Arc<AtomicBool>>,
@@ -649,28 +642,15 @@ struct SplitShared {
     /// Units currently claimed and running anywhere. Idle workers only
     /// retire once this reaches zero with nothing left to claim.
     busy: AtomicUsize,
-    /// Slots not yet committed or poisoned.
-    outstanding: AtomicUsize,
     /// Deterministic forced yield point (tests/CI).
     force_at: Option<u64>,
+    counters: ExecCounters,
 }
 
-/// One block's split state: the evolving unit partition of its
-/// permutation walk plus the raw outputs delivered so far.
+/// One block's state: the evolving unit partition of its permutation
+/// walk, the raw outputs delivered so far and its attempt budget.
 #[derive(Default)]
-struct BlockBin {
-    inner: Mutex<BinInner>,
-}
-
-#[derive(Default)]
-struct BinInner {
-    /// Claim epoch these contents belong to (mirrors the slot's epoch at
-    /// block-claim time); deliveries under any other epoch are dropped.
-    epoch: u64,
-    /// Bin initialized by a block claim and not yet assembled.
-    open: bool,
-    /// Whether the block has ever split (unit checkpoints only then).
-    split: bool,
+struct Bin {
     /// Units waiting to be claimed.
     pending: Vec<SplitUnit>,
     /// Units currently running on some worker.
@@ -679,25 +659,31 @@ struct BinInner {
     done: Vec<(UnitRaw, Snapshot)>,
     /// The manifest view: the complete current partition, offset-sorted.
     layout: Vec<SubShardEntry>,
+    /// Panics so far in any of the block's units.
+    panics: u32,
+    /// Attempt budget spent: nothing pending, deliveries dropped.
+    poisoned: bool,
 }
 
-/// What a [`BlockMode::Split`] resume plan loads into a bin before the
-/// block is re-claimed.
-#[derive(Clone, Default)]
-struct BinSeed {
-    done: Vec<(UnitRaw, Snapshot)>,
-    rerun: Vec<SplitUnit>,
-    layout: Vec<SubShardEntry>,
+impl Bin {
+    /// A bin holding the whole walk of a block of `cap` targets.
+    fn whole(cap: u64) -> Bin {
+        let unit = SplitUnit::whole(cap);
+        Bin {
+            pending: vec![unit],
+            layout: vec![entry_of(unit, false)],
+            ..Bin::default()
+        }
+    }
+
+    /// Whether the block has ever split (unit checkpoints only then).
+    fn is_split(&self) -> bool {
+        self.layout.len() > 1
+    }
 }
 
-/// What one unit run produced (the `catch_unwind` payload).
-enum UnitRun {
-    /// Clean finish: the raw output and its telemetry delta.
-    Done(Box<(UnitRaw, Snapshot)>),
-    /// Abort signal hit mid-unit; the partial work is discarded.
-    Aborted,
-    /// The claim was invalidated mid-run (a panicked sibling unit); the work is discarded, the worker stays healthy.
-    Stale,
+fn lock(bin: &Mutex<Bin>) -> MutexGuard<'_, Bin> {
+    bin.lock().expect("split bin poisoned")
 }
 
 fn entry_of(unit: SplitUnit, started: bool) -> SubShardEntry {
@@ -717,64 +703,22 @@ fn unit_of(entry: &SubShardEntry) -> SplitUnit {
     }
 }
 
-/// Decrements `outstanding` exactly once per slot, however many times
-/// the done/poisoned transition is observed.
-fn retire_slot(state: &SlotState, shared: &SplitShared) {
-    if !state.retired.swap(true, Ordering::AcqRel) {
-        shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Gives up on the claim `slot` holds under `epoch`: bumps the epoch —
-/// so nothing still running under the claim can commit — and requeues
-/// the block on worker `w`'s deque within its attempt budget, else
-/// poisons it. Only one invalidator can win the epoch CAS, so a claim is
-/// requeued exactly once however many of its units panic.
-fn invalidate_claim(
-    slot: usize,
-    epoch: u64,
-    w: usize,
-    slots: &[SlotState],
-    queue: &StealQueue,
-    counters: &ExecCounters,
-    max_attempts: u32,
-) {
-    let state = &slots[slot];
-    if state
-        .epoch
-        .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
-        .is_err()
-    {
-        return;
-    }
-    if state.attempts.load(Ordering::Acquire) < max_attempts {
-        counters.requeued.fetch_add(1, Ordering::Relaxed);
-        queue.push(w, slot);
-    } else {
-        state.poisoned.store(true, Ordering::Release);
-    }
-}
-
-/// The campaign worker. Blocks are claimed off the [`StealQueue`]; each
-/// runs as a series of [`SplitUnit`]s through its slot's [`BlockBin`] —
-/// a series of one, the whole block, unless it splits. When the queue
-/// drains, an idle worker broadcasts yield requests; a running unit
-/// with at least [`MIN_SPLIT_REMAINDER`] positions left yields, is
-/// settled to its consumed prefix, and its unconsumed remainder is split
-/// into nested sub-shards pushed onto the bin, where idle workers claim
-/// them. Whoever delivers a bin's last unit reassembles the block
-/// ([`Campaign::assemble`]) and commits it through the epoch-CAS
-/// protocol — so the merged result is byte-identical to the sequential
-/// walk for any worker count and any split schedule.
+/// The campaign worker. It claims [`SplitUnit`]s from the blocks' bins,
+/// lowest block first — a series of one per block, the whole walk,
+/// unless the block splits. When nothing is claimable, an idle worker
+/// broadcasts yield requests; a running unit with at least
+/// [`MIN_SPLIT_REMAINDER`] positions left yields, is settled to its
+/// consumed prefix, and its unconsumed remainder is split into nested
+/// sub-shards pushed into the bin, where idle workers claim them.
+/// Whoever delivers a bin's last unit reassembles the block
+/// ([`Campaign::assemble`]) and commits it — so the merged result is
+/// byte-identical to the sequential walk for any worker count and any
+/// split schedule.
 struct Worker<'a, N: Network> {
     w: usize,
     scanner: Scanner<N>,
     campaign: &'a Campaign,
-    queue: &'a StealQueue,
-    pending: &'a [usize],
-    slots: &'a [SlotState],
     faults: Option<&'a ExecFaults>,
-    counters: &'a ExecCounters,
     max_attempts: u32,
     dir: Option<&'a Path>,
     fp_id: u64,
@@ -785,7 +729,7 @@ struct Worker<'a, N: Network> {
 }
 
 impl<N: Network> Worker<'_, N> {
-    /// Claims and runs work until nothing is left for this worker, or
+    /// Claims and runs units until nothing is left for this worker, or
     /// until it must retire (abort or a panicked unit).
     fn run(&mut self) -> Result<(), StateError> {
         let flag = self.shared.yield_flags[self.w].clone();
@@ -798,35 +742,17 @@ impl<N: Network> Worker<'_, N> {
             if self.scanner.is_aborted() {
                 return Ok(());
             }
-            if let Some(slot) = self.queue.pop(self.w) {
-                if let Some(epoch) = self.claim_block(slot)? {
-                    if !self.drain_bin(slot, epoch)? {
-                        return Ok(());
-                    }
-                }
-                continue;
-            }
-            if let Some((slot, unit, epoch)) = self.claim_helper_unit()? {
-                if !self.run_unit(slot, unit, epoch)? {
+            if let Some((idx, unit)) = self.claim()? {
+                if !self.run_unit(idx, unit)? {
                     return Ok(());
                 }
                 continue;
             }
-            // Nothing claimable. Sweep poisoned slots (a panicked peer
-            // poisons without retiring the slot), then decide whether to
-            // wait.
-            for state in self.slots {
-                if state.poisoned.load(Ordering::Acquire) {
-                    retire_slot(state, self.shared);
-                }
-            }
-            if self.shared.outstanding.load(Ordering::Acquire) == 0 {
-                return Ok(());
-            }
             if self.shared.busy.load(Ordering::Acquire) == 0 {
-                // Outstanding blocks with nothing in flight were requeued
-                // by a panicked owner after this worker's pop; the
-                // supervisor fallback finishes them after join.
+                // Nothing claimable and nothing in flight: every block is
+                // committed or poisoned, or a panicked peer requeued a
+                // unit after this worker's scan — the supervisor fallback
+                // runs it after join.
                 return Ok(());
             }
             self.shared.waiters.fetch_add(1, Ordering::AcqRel);
@@ -838,336 +764,209 @@ impl<N: Network> Worker<'_, N> {
         }
     }
 
-    /// Claims `slot` off the queue: writes the in-progress marker and
-    /// initializes the bin (from its resume seed, else the whole-block
-    /// unit). Returns the claim epoch, or `None` for a stale requeue —
-    /// the block committed (or was poisoned) between the push and this
-    /// pop.
-    fn claim_block(&mut self, slot: usize) -> Result<Option<u64>, StateError> {
-        let state = &self.slots[slot];
-        if state.done.load(Ordering::Acquire) || state.poisoned.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let idx = self.pending[slot];
-        state.attempts.fetch_add(1, Ordering::AcqRel);
-        let epoch = state.epoch.load(Ordering::Acquire);
-        if let Some(dir) = self.dir {
-            write_marker(dir, idx)?;
-        }
-        let mut bin = self.shared.bins[slot]
-            .inner
-            .lock()
-            .expect("split bin poisoned");
-        bin.epoch = epoch;
-        bin.open = true;
-        bin.active = 0;
-        match self.shared.seeds[slot].clone() {
-            Some(seed) => {
-                bin.done = seed.done;
-                bin.pending = seed.rerun;
-                bin.layout = seed.layout;
-            }
-            None => {
-                let whole = SplitUnit::whole(self.campaign.block_cap(&SAMPLE_BLOCKS[idx]));
-                bin.done = Vec::new();
-                bin.pending = vec![whole];
-                bin.layout = vec![entry_of(whole, false)];
-            }
-        }
-        bin.split = bin.layout.len() > 1;
-        Ok(Some(epoch))
-    }
-
-    /// Runs units of `slot`'s bin until none are claimable, then tries
-    /// to assemble (covers the all-units-preloaded resume case). Returns
-    /// `false` when the worker must retire (abort or panicked scanner).
-    fn drain_bin(&mut self, slot: usize, epoch: u64) -> Result<bool, StateError> {
-        loop {
-            match self.claim_from_bin(slot)? {
-                Some((unit, unit_epoch)) => {
-                    if !self.run_unit(slot, unit, unit_epoch)? {
-                        return Ok(false);
-                    }
-                }
-                None => {
-                    // Helpers hold the tail (they will assemble), or the
-                    // bin is already complete.
-                    self.try_assemble(slot, epoch)?;
-                    return Ok(true);
-                }
-            }
-        }
-    }
-
-    /// Claims one pending unit from `slot`'s bin, if its epoch is still
-    /// current. Marks the unit started in the manifest and bumps `busy`
-    /// under the bin lock, so an idle worker observing `busy == 0` can
-    /// never race past a unit about to run.
-    fn claim_from_bin(&mut self, slot: usize) -> Result<Option<(SplitUnit, u64)>, StateError> {
-        let state = &self.slots[slot];
-        if state.done.load(Ordering::Acquire) || state.poisoned.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let epoch = state.epoch.load(Ordering::Acquire);
-        let idx = self.pending[slot];
-        let mut bin = self.shared.bins[slot]
-            .inner
-            .lock()
-            .expect("split bin poisoned");
-        if !bin.open || bin.epoch != epoch || bin.pending.is_empty() {
-            return Ok(None);
-        }
-        let unit = bin.pending.remove(0);
-        bin.active += 1;
-        self.shared.busy.fetch_add(1, Ordering::AcqRel);
-        let mark = bin
-            .layout
-            .iter_mut()
-            .find(|e| unit_of(e) == unit && !e.started);
-        if let Some(entry) = mark {
-            entry.started = true;
-            if bin.split {
+    /// Claims the first pending unit of the lowest-indexed block that
+    /// has one. A unit's first claim is made durable before it runs: a
+    /// whole block writes its in-progress marker, a split block's units
+    /// manifest is rewritten with the unit marked started. `busy` is
+    /// bumped under the bin lock, so an idle worker observing
+    /// `busy == 0` can never race past a unit about to run.
+    fn claim(&mut self) -> Result<Option<(usize, SplitUnit)>, StateError> {
+        for (idx, bin) in self.shared.bins.iter().enumerate() {
+            let mut bin = lock(bin);
+            let Some(&unit) = bin.pending.first() else {
+                continue;
+            };
+            let fresh = bin
+                .layout
+                .iter_mut()
+                .find(|e| unit_of(e) == unit && !e.started);
+            if let Some(entry) = fresh {
+                entry.started = true;
                 if let Some(dir) = self.dir {
-                    if let Err(e) = write_units_manifest(dir, self.fp_id, idx, &bin.layout) {
-                        // Undo the claim so other workers can't hang on
-                        // a busy count that will never drain.
-                        bin.pending.insert(0, unit);
-                        bin.active -= 1;
-                        self.shared.busy.fetch_sub(1, Ordering::AcqRel);
-                        return Err(e);
+                    if bin.is_split() {
+                        write_units_manifest(dir, self.fp_id, idx, &bin.layout)?;
+                    } else {
+                        write_marker(dir, idx)?;
                     }
                 }
             }
-        }
-        Ok(Some((unit, epoch)))
-    }
-
-    /// Scans bins lowest-slot-first for a claimable sub-unit.
-    fn claim_helper_unit(&mut self) -> Result<Option<(usize, SplitUnit, u64)>, StateError> {
-        for slot in 0..self.slots.len() {
-            if let Some((unit, epoch)) = self.claim_from_bin(slot)? {
-                return Ok(Some((slot, unit, epoch)));
-            }
+            bin.pending.remove(0);
+            bin.active += 1;
+            self.shared.busy.fetch_add(1, Ordering::AcqRel);
+            return Ok(Some((idx, unit)));
         }
         Ok(None)
     }
 
-    /// Runs one claimed unit: main pass (yield-capable), split on yield,
-    /// per-unit mop-up, delivery, and assembly when it was the last
-    /// unit. Returns `false` when the worker must retire.
-    fn run_unit(&mut self, slot: usize, unit: SplitUnit, epoch: u64) -> Result<bool, StateError> {
+    /// Runs one claimed unit of block `idx`: main pass (yield-capable),
+    /// split on yield, per-unit mop-up, then delivery — or, when the run
+    /// delivers nothing, the unit's release back into its bin. Returns
+    /// `false` when the worker must retire.
+    fn run_unit(&mut self, idx: usize, unit: SplitUnit) -> Result<bool, StateError> {
         let w = self.w;
-        let idx = self.pending[slot];
         let profile = &SAMPLE_BLOCKS[idx];
-        let (shared, counters, dir, fp_id, campaign, slots) = (
-            self.shared,
-            self.counters,
-            self.dir,
-            self.fp_id,
-            self.campaign,
-            self.slots,
-        );
+        let (shared, dir, fp_id, campaign) = (self.shared, self.dir, self.fp_id, self.campaign);
         let unit_no = self.units;
         self.units += 1;
         let inject = self.faults.is_some_and(|f| f.on_unit(w, unit_no));
         let scanner = &mut self.scanner;
-        let attempt = catch_unwind(AssertUnwindSafe(move || -> Result<UnitRun, StateError> {
-            if inject {
-                panic!("injected executor fault: worker {w} panics on unit {unit_no}");
-            }
-            let baseline = scanner.telemetry().registry.snapshot();
-            scanner.set_force_yield_at(shared.force_at);
-            let mut raw = campaign.unit_main(scanner, profile, unit);
-            scanner.set_force_yield_at(None);
-            if raw.interrupted {
-                return Ok(UnitRun::Aborted);
-            }
-            if raw.yielded {
-                // Split point: settle this unit to its consumed
-                // prefix and partition the unconsumed remainder into
-                // one nested sub-shard per idle worker (at least 2).
-                let k = (shared.waiters.load(Ordering::Acquire) as u64 + 1).max(2);
-                let (settled, parts) = raw.unit.split_tail(raw.consumed, k);
-                let stale = {
-                    let mut bin = shared.bins[slot].inner.lock().expect("split bin poisoned");
-                    if !bin.open
-                        || bin.epoch != epoch
-                        || slots[slot].epoch.load(Ordering::Acquire) != epoch
-                    {
-                        true
-                    } else {
-                        bin.layout.retain(|e| unit_of(e) != unit);
-                        bin.layout.push(entry_of(settled, true));
-                        bin.layout.extend(parts.iter().map(|p| entry_of(*p, false)));
-                        bin.layout.sort_by_key(|e| e.offset);
-                        bin.split = true;
-                        // The manifest must be durable before any
-                        // part becomes claimable, so a kill can
-                        // never orphan a unit checkpoint.
+        // What a failed run hands back: the claimed unit or, once it has
+        // split, its settled prefix (the parts are already in the bin).
+        let mut requeue = unit;
+        let attempt = catch_unwind(AssertUnwindSafe(
+            || -> Result<Option<(UnitRaw, Snapshot)>, StateError> {
+                if inject {
+                    panic!("injected executor fault: worker {w} panics on unit {unit_no}");
+                }
+                let baseline = scanner.telemetry().registry.snapshot();
+                scanner.set_force_yield_at(shared.force_at);
+                let mut raw = campaign.unit_main(scanner, profile, unit);
+                scanner.set_force_yield_at(None);
+                if raw.interrupted {
+                    return Ok(None);
+                }
+                if raw.yielded {
+                    // Split point: settle this unit to its consumed
+                    // prefix and partition the unconsumed remainder into
+                    // one nested sub-shard per idle worker (at least 2).
+                    let k = (shared.waiters.load(Ordering::Acquire) as u64 + 1).max(2);
+                    let (settled, parts) = unit.split_tail(raw.consumed, k);
+                    let mut bin = lock(&shared.bins[idx]);
+                    if !bin.poisoned {
+                        let mut layout = bin.layout.clone();
+                        layout.retain(|e| unit_of(e) != unit);
+                        layout.push(entry_of(settled, true));
+                        layout.extend(parts.iter().map(|p| entry_of(*p, false)));
+                        layout.sort_by_key(|e| e.offset);
+                        // The manifest must be durable before any part
+                        // becomes claimable, so a kill can never orphan
+                        // a unit checkpoint.
                         if let Some(dir) = dir {
-                            write_units_manifest(dir, fp_id, idx, &bin.layout)?;
+                            write_units_manifest(dir, fp_id, idx, &layout)?;
                         }
+                        bin.layout = layout;
                         bin.pending.extend(parts.iter().copied());
+                        let counters = &shared.counters;
                         counters.splits.fetch_add(1, Ordering::Relaxed);
                         counters
                             .split_shards
                             .fetch_add(parts.len() as u64, Ordering::Relaxed);
-                        false
                     }
-                };
-                shared.yield_flags[w].store(false, Ordering::Relaxed);
-                if stale {
-                    return Ok(UnitRun::Stale);
+                    drop(bin);
+                    shared.yield_flags[w].store(false, Ordering::Relaxed);
+                    raw.unit = settled;
+                    requeue = settled;
                 }
-                raw.unit = settled;
-            }
-            campaign.unit_mop_up(scanner, &mut raw);
-            if scanner.is_aborted() {
-                return Ok(UnitRun::Aborted);
-            }
-            let delta = scanner.telemetry().registry.snapshot().diff(&baseline);
-            Ok(UnitRun::Done(Box::new((raw, delta))))
-        }));
-        let release_unit = |requeue: Option<SplitUnit>| {
-            let mut bin = self.shared.bins[slot]
-                .inner
-                .lock()
-                .expect("split bin poisoned");
-            if bin.open && bin.epoch == epoch {
-                bin.active = bin.active.saturating_sub(1);
-                if let Some(u) = requeue {
-                    bin.pending.push(u);
+                campaign.unit_mop_up(scanner, &mut raw);
+                if scanner.is_aborted() {
+                    return Ok(None);
                 }
-            }
-            self.shared.busy.fetch_sub(1, Ordering::AcqRel);
-        };
+                let delta = scanner.telemetry().registry.snapshot().diff(&baseline);
+                Ok(Some((raw, delta)))
+            },
+        ));
         match attempt {
-            Ok(Ok(UnitRun::Done(payload))) => {
-                let (raw, delta) = *payload;
-                let split_now = {
-                    let bin = self.shared.bins[slot]
-                        .inner
-                        .lock()
-                        .expect("split bin poisoned");
-                    bin.open && bin.epoch == epoch && bin.split
-                };
-                if split_now {
-                    if let Some(dir) = self.dir {
-                        if let Err(e) = write_unit_ckpt(dir, self.fp_id, idx, &raw, &delta) {
-                            release_unit(Some(raw.unit));
-                            return Err(e);
-                        }
-                    }
-                }
-                let complete = {
-                    let mut bin = self.shared.bins[slot]
-                        .inner
-                        .lock()
-                        .expect("split bin poisoned");
-                    if bin.open && bin.epoch == epoch {
-                        bin.done.push((raw, delta));
-                        bin.active -= 1;
-                        bin.pending.is_empty() && bin.active == 0
-                    } else {
-                        false
-                    }
-                };
-                self.shared.busy.fetch_sub(1, Ordering::AcqRel);
-                if complete {
-                    self.try_assemble(slot, epoch)?;
-                }
-                Ok(true)
+            Ok(Ok(Some((raw, delta)))) => self.deliver(idx, raw, delta),
+            // Aborted mid-unit (the partial work is discarded) or an I/O
+            // error: either way this worker stops.
+            Ok(result) => {
+                self.release(idx, requeue, false);
+                result.map(|_| false)
             }
-            Ok(Ok(UnitRun::Stale)) => {
-                // The block moved on without us; nothing to repair beyond
-                // the busy count (a re-claim resets `active`).
-                self.shared.busy.fetch_sub(1, Ordering::AcqRel);
-                Ok(true)
-            }
-            Ok(Ok(UnitRun::Aborted)) => {
-                release_unit(None);
-                Ok(false)
-            }
-            Ok(Err(e)) => {
-                release_unit(Some(unit));
-                Err(e)
-            }
+            // Panic mid-unit, scripted or real: retire, since this
+            // scanner may hold half-mutated per-unit state.
             Err(_) => {
-                // Panic mid-unit, scripted or real. Give up on the whole
-                // block claim — nothing this attempt half-did, and no
-                // sibling unit still running under it, can commit — so
-                // the block re-runs from its seed on a surviving worker
-                // (or the supervisor fallback), and retire: this scanner
-                // may hold half-mutated per-unit state.
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                invalidate_claim(
-                    slot,
-                    epoch,
-                    w,
-                    slots,
-                    self.queue,
-                    self.counters,
-                    self.max_attempts,
-                );
-                // After the requeue, so a peer that sees nothing in
-                // flight also sees the block back on the queue.
-                self.shared.busy.fetch_sub(1, Ordering::AcqRel);
+                self.release(idx, requeue, true);
                 Ok(false)
             }
         }
     }
 
-    /// If `slot`'s bin is complete under `epoch`, reassembles the block
-    /// from its unit outputs and commits it: the claim must still carry
-    /// our epoch (nobody gave up on it) and the done CAS must win (no
-    /// requeued copy got there first). A discarded commit is pure wasted
-    /// work — the surviving copy produces the identical result.
-    fn try_assemble(&mut self, slot: usize, epoch: u64) -> Result<(), StateError> {
-        let idx = self.pending[slot];
-        let state = &self.slots[slot];
-        let taken = {
-            let mut bin = self.shared.bins[slot]
-                .inner
-                .lock()
-                .expect("split bin poisoned");
-            if !bin.open || bin.epoch != epoch || !bin.pending.is_empty() || bin.active != 0 {
-                None
-            } else {
-                bin.open = false;
-                Some(std::mem::take(&mut bin.done))
+    /// Hands a claimed `unit` of block `idx` back to its bin after a run
+    /// that delivered nothing. A panic charges the block's attempt
+    /// budget: within it the unit is requeued, past it the block is
+    /// poisoned.
+    fn release(&self, idx: usize, unit: SplitUnit, panicked: bool) {
+        let counters = &self.shared.counters;
+        let mut bin = lock(&self.shared.bins[idx]);
+        bin.active -= 1;
+        if panicked {
+            counters.panics.fetch_add(1, Ordering::Relaxed);
+            bin.panics += 1;
+            if bin.panics >= self.max_attempts {
+                bin.poisoned = true;
+                bin.pending.clear();
+            } else if !bin.poisoned {
+                counters.requeued.fetch_add(1, Ordering::Relaxed);
             }
-        };
-        let Some(mut done) = taken else {
-            return Ok(());
-        };
-        done.sort_by_key(|(raw, _)| raw.unit.offset);
-        let mut delta = Snapshot::default();
-        let mut raws = Vec::with_capacity(done.len());
-        for (raw, d) in done {
-            delta.merge(&d);
-            raws.push(raw);
         }
-        let block = self
-            .campaign
-            .assemble(&SAMPLE_BLOCKS[idx], raws, self.scanner.tracer());
-        let committed = state.epoch.load(Ordering::Acquire) == epoch
-            && state
-                .done
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-        if !committed {
-            return Ok(());
+        if !bin.poisoned {
+            bin.pending.push(unit);
         }
-        retire_slot(state, self.shared);
-        if let Some(dir) = self.dir {
-            write_block_ckpt(dir, self.fp_id, idx, &block, &delta)?;
-            remove_split_files(dir, idx);
-            let _ = std::fs::remove_file(marker_path(dir, idx));
-        }
-        self.out.committed.merge(&delta);
-        self.out.done.push((idx, block));
-        Ok(())
+        drop(bin);
+        // After the requeue, so a peer that sees nothing in flight also
+        // sees the unit back in its bin.
+        self.shared.busy.fetch_sub(1, Ordering::AcqRel);
     }
+
+    /// Delivers a finished unit of block `idx` — durably first, once the
+    /// block has split — and commits the block when it was the last unit
+    /// out. A poisoned block drops the delivery.
+    fn deliver(&mut self, idx: usize, raw: UnitRaw, delta: Snapshot) -> Result<bool, StateError> {
+        if let Some(dir) = self.dir.filter(|_| lock(&self.shared.bins[idx]).is_split()) {
+            if let Err(e) = write_unit_ckpt(dir, self.fp_id, idx, &raw, &delta) {
+                self.release(idx, raw.unit, false);
+                return Err(e);
+            }
+        }
+        let complete = {
+            let mut bin = lock(&self.shared.bins[idx]);
+            bin.active -= 1;
+            if !bin.poisoned {
+                bin.done.push((raw, delta));
+            }
+            (!bin.poisoned && bin.pending.is_empty() && bin.active == 0)
+                .then(|| std::mem::take(&mut bin.done))
+        };
+        self.shared.busy.fetch_sub(1, Ordering::AcqRel);
+        if let Some(done) = complete {
+            let tracer = self.scanner.tracer();
+            let (block, delta) =
+                commit_block(self.campaign, self.dir, self.fp_id, idx, done, tracer)?;
+            self.out.committed.merge(&delta);
+            self.out.done.push((idx, block));
+        }
+        Ok(true)
+    }
+}
+
+/// Assembles block `idx` from its delivered units
+/// ([`Campaign::assemble`]) and, when checkpointing, commits it: the
+/// block checkpoint is published, then the split files and the
+/// in-progress marker it subsumes are swept. Returns the block and its
+/// merged telemetry delta.
+fn commit_block(
+    campaign: &Campaign,
+    dir: Option<&Path>,
+    fp: u64,
+    idx: usize,
+    mut done: Vec<(UnitRaw, Snapshot)>,
+    tracer: &Tracer,
+) -> Result<(BlockResult, Snapshot), StateError> {
+    done.sort_by_key(|(raw, _)| raw.unit.offset);
+    let mut delta = Snapshot::default();
+    let mut raws = Vec::with_capacity(done.len());
+    for (raw, d) in done {
+        delta.merge(&d);
+        raws.push(raw);
+    }
+    let block = campaign.assemble(&SAMPLE_BLOCKS[idx], raws, tracer);
+    if let Some(dir) = dir {
+        write_block_ckpt(dir, fp, idx, &block, &delta)?;
+        remove_split_files(dir, idx);
+        let _ = std::fs::remove_file(marker_path(dir, idx));
+    }
+    Ok((block, delta))
 }
 
 /// `campaign.ckpt`: binds the directory to one campaign configuration.
@@ -1312,25 +1111,21 @@ fn load_unit_ckpt(
     Ok((raw, ck.take("metrics", decode_snapshot)?))
 }
 
-/// Materializes a [`BlockMode::Split`] plan into a bin seed: completed
-/// units load from their checkpoints, the rest queue for re-running.
-fn load_bin_seed(
-    dir: &Path,
-    idx: usize,
-    fp: u64,
-    plans: &[UnitPlan],
-) -> Result<BinSeed, StateError> {
-    let mut seed = BinSeed::default();
+/// Materializes a [`BlockMode::Split`] plan into the block's bin:
+/// completed units load from their checkpoints, the rest wait to be
+/// claimed.
+fn load_bin(dir: &Path, idx: usize, fp: u64, plans: &[UnitPlan]) -> Result<Bin, StateError> {
+    let mut bin = Bin::default();
     for plan in plans {
         match plan.mode {
-            UnitMode::Skip => seed.done.push(load_unit_ckpt(dir, idx, fp, plan.unit)?),
-            UnitMode::Resume | UnitMode::Fresh => seed.rerun.push(plan.unit),
+            UnitMode::Skip => bin.done.push(load_unit_ckpt(dir, idx, fp, plan.unit)?),
+            UnitMode::Resume | UnitMode::Fresh => bin.pending.push(plan.unit),
         }
-        seed.layout
+        bin.layout
             .push(entry_of(plan.unit, !matches!(plan.mode, UnitMode::Fresh)));
     }
-    seed.layout.sort_by_key(|e| e.offset);
-    Ok(seed)
+    bin.layout.sort_by_key(|e| e.offset);
+    Ok(bin)
 }
 
 fn write_marker(dir: &Path, idx: usize) -> Result<(), StateError> {
@@ -1624,7 +1419,7 @@ mod tests {
         let (seq, seq_snap) = sequential(tpb);
         // Worker 0 panics on its second claimed unit — a whole block, or
         // under forced splits a sub-shard inside a split one; the
-        // requeued block re-runs on a surviving worker (or the
+        // requeued unit re-runs on a surviving worker (or the
         // supervisor fallback).
         for force_split_at in [None, Some(300)] {
             let mut exec = ParallelCampaign::new(Campaign::new(tpb), 2)
@@ -1647,7 +1442,7 @@ mod tests {
         let tpb = 1 << 9;
         let (seq, seq_snap) = sequential(tpb);
         // The only worker panics on its fourth unit and retires; the
-        // supervisor fallback must finish the requeued block and every
+        // supervisor fallback must finish the requeued unit and every
         // block after it, still byte-identically — splitting them too
         // when forced to.
         for force_split_at in [None, Some(300)] {
@@ -1666,6 +1461,47 @@ mod tests {
             }
             assert_eq!(strip_exec(outcome.snapshot), seq_snap);
         }
+    }
+
+    #[test]
+    fn panic_in_a_sub_shard_reruns_only_that_sub_shard() {
+        use xmap_netsim::telemetry::names::PROBES;
+        let tpb = 1 << 9;
+        let (seq, seq_snap) = sequential(tpb);
+        // Runs `exec` and sums `netsim.probes` over every registry its
+        // factory handed out, the fallback's included: the work done.
+        let run = |exec: ParallelCampaign| {
+            let handed = Mutex::new(Vec::new());
+            let outcome = exec.run(&base(tpb), |w, telemetry| {
+                handed.lock().unwrap().push(telemetry.clone());
+                make_world(w, telemetry)
+            });
+            let probes: u64 = handed
+                .into_inner()
+                .unwrap()
+                .iter()
+                .map(|t| t.registry.snapshot().counter(PROBES))
+                .sum();
+            (outcome, probes)
+        };
+        let split = || ParallelCampaign::new(Campaign::new(tpb), 1).with_force_split_at(300);
+        let (clean, clean_probes) = run(split());
+        // Unit 0 is block 0's whole walk, which splits after 300
+        // positions; unit 1 is the first of its parts. Only that part
+        // re-runs: the settled prefix it split from stays delivered.
+        let (faulty, faulty_probes) = run(split().with_exec_faults(ExecPlan::panic_on(0, 1)));
+        assert!(faulty.poisoned.is_empty(), "{:?}", faulty.poisoned);
+        assert_eq!(faulty.snapshot.counter(names::EXEC_WORKER_PANICS), 1);
+        assert_eq!(faulty.snapshot.counter(names::EXEC_REQUEUED), 1);
+        assert_eq!(
+            faulty_probes, clean_probes,
+            "a panic must re-run only the sub-shard it hit"
+        );
+        assert_eq!(faulty.result, clean.result);
+        assert_eq!(faulty.result, seq);
+        let clean_snap = strip_exec(clean.snapshot);
+        assert_eq!(clean_snap, seq_snap);
+        assert_eq!(strip_exec(faulty.snapshot), clean_snap);
     }
 
     #[test]

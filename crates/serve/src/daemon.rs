@@ -433,12 +433,6 @@ impl Daemon {
         self.wake.notify_all();
     }
 
-    /// Whether [`Daemon::run`] has stopped (drained or failed).
-    pub fn is_stopped(&self) -> bool {
-        let eng = self.engine();
-        eng.stopping || (eng.draining && eng.in_flight == 0 && eng.sched.total_pending() == 0)
-    }
-
     /// A point-in-time status report.
     pub fn status(&self) -> StatusReport {
         let eng = self.engine();
@@ -467,13 +461,6 @@ impl Daemon {
             tenant_sent,
             tenant_depth: eng.sched.tenant_depths(),
         }
-    }
-
-    /// One job's merged telemetry snapshot (absorbed unit deltas).
-    pub fn job_snapshot(&self, job: u64) -> Result<Snapshot, ServeError> {
-        let eng = self.engine();
-        let entry = eng.jobs.get(&job).ok_or(ServeError::UnknownJob(job))?;
-        Ok(entry.registry.snapshot())
     }
 
     /// Runs the worker pool until the daemon is drained or a storage

@@ -1,7 +1,7 @@
 //! Admission control and the two-level fair scheduler.
 //!
-//! The existing executors schedule *within* one campaign (block-level
-//! work stealing); the daemon must schedule *across* campaigns owned by
+//! The existing executors schedule *within* one campaign (per-block
+//! bins of sub-shards); the daemon must schedule *across* campaigns owned by
 //! different tenants. The shape here is a classic two-level queue:
 //!
 //! * level 1 — one FIFO of pending units per job (units run in index

@@ -1,5 +1,5 @@
 //! End-to-end parallel-campaign determinism: the periphery-discovery
-//! campaign run on 1, 2 and 4 work-stealing workers must be
+//! campaign run on 1, 2 and 4 workers must be
 //! byte-identical to the sequential walk — Table II rows, CSV records
 //! and merged telemetry snapshots — and a campaign killed mid-block
 //! under one worker count must resume byte-identically under another.

@@ -19,7 +19,7 @@ use xmap::{
 use xmap_addr::ScanRange;
 use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule};
 use xmap_netsim::World;
-use xmap_periphery::{Campaign, CampaignOutcome, ParallelCampaign};
+use xmap_periphery::{BlockMode, Campaign, CampaignOutcome, ParallelCampaign, UnitMode};
 use xmap_state::{AbortSignal, StateError};
 use xmap_telemetry::{Snapshot, Telemetry};
 
@@ -295,69 +295,105 @@ fn campaign_world(_w: usize, telemetry: &Telemetry) -> World {
     world
 }
 
-fn campaign_run(dir: &Path, resume: bool, workers: usize) -> Result<CampaignOutcome, StateError> {
-    ParallelCampaign::new(Campaign::new(CAMPAIGN_TPB), workers).run_checkpointed(
-        &campaign_base(),
-        dir,
-        resume,
-        None,
-        campaign_world,
-    )
+fn campaign(workers: usize) -> ParallelCampaign {
+    ParallelCampaign::new(Campaign::new(CAMPAIGN_TPB), workers)
 }
 
-/// Kill the host at sampled filesystem operations of a checkpointed
-/// campaign (block checkpoints, markers, the directory manifest, group
-/// commits); the surviving directory must resume — or be refused and
-/// re-run fresh — to the exact uninterrupted result.
+fn campaign_run(
+    exec: &ParallelCampaign,
+    dir: &Path,
+    resume: bool,
+) -> Result<CampaignOutcome, StateError> {
+    exec.run_checkpointed(&campaign_base(), dir, resume, None, campaign_world)
+}
+
+/// The snapshot without its `exec.*` counters, which describe the
+/// schedule (a resume splits only the blocks it re-runs).
+fn strip_exec(mut snap: Snapshot) -> Snapshot {
+    snap.counters.retain(|name, _| !name.starts_with("exec."));
+    snap
+}
+
+/// Kill the host at filesystem operations of a checkpointed campaign
+/// (block checkpoints, the directory manifest and, once a block splits,
+/// its units manifest and unit checkpoints); the surviving directory
+/// must resume — or be refused and re-run fresh — to the exact
+/// uninterrupted result. Two inputs: a plain campaign, sampled across its
+/// op stream, and a forced-split one, killed at every op up to and
+/// including block 0's commit and sampled after that.
 #[test]
 fn campaign_kill_sweep_every_surviving_state_recovers() {
-    let base_dir = torture_dir("camp-base");
-    let scope = FailPlan::observe(&base_dir).arm();
-    let baseline = campaign_run(&base_dir, false, 1).unwrap();
-    let total_ops = scope.ops();
-    drop(scope);
-    assert!(baseline.poisoned.is_empty());
-    assert!(
-        total_ops >= 30,
-        "campaign op stream too thin to torture: {total_ops}"
-    );
-    eprintln!("# campaign torture sweep: {total_ops} fs ops in the fault-free stream");
-    std::fs::remove_dir_all(&base_dir).unwrap();
-    let base_csv = baseline.result.to_csv();
-
-    let stride = (total_ops / 8).max(1);
-    let mut kills: Vec<u64> = (0..total_ops).step_by(stride as usize).collect();
-    kills.push(total_ops - 1);
-    for kill in kills {
-        let dir = torture_dir("camp-kill");
-        let scope = FailPlan::kill_at(&dir, kill, 4).arm();
-        // With the disk dead mid-run this either errors out or (when
-        // the kill lands on the very last op) completes; both leave a
-        // valid torture state behind.
-        let _ = campaign_run(&dir, false, 1);
-        assert!(scope.killed(), "kill point {kill} never fired");
+    let plain = campaign(1);
+    let split = campaign(1).with_force_split_at(300);
+    let mut all_units_skip = false;
+    for (exec, mut dense) in [(&plain, false), (&split, true)] {
+        let base_dir = torture_dir("camp-base");
+        let scope = FailPlan::observe(&base_dir).arm();
+        let baseline = campaign_run(exec, &base_dir, false).unwrap();
+        let total_ops = scope.ops();
         drop(scope);
-        let recovered = match campaign_run(&dir, true, 1) {
-            Ok(outcome) => outcome,
-            Err(refusal) => campaign_run(&dir, false, 1)
-                .unwrap_or_else(|e| panic!("fresh campaign after refusal `{refusal}` failed: {e}")),
-        };
-        assert!(recovered.poisoned.is_empty(), "kill {kill}");
-        assert_eq!(
-            recovered.result, baseline.result,
-            "campaign result diverged after kill {kill}"
+        assert!(baseline.poisoned.is_empty());
+        assert!(
+            total_ops >= 30,
+            "campaign op stream too thin to torture: {total_ops}"
         );
-        assert_eq!(
-            recovered.result.to_csv(),
-            base_csv,
-            "campaign CSV diverged after kill {kill}"
-        );
-        assert_eq!(
-            recovered.snapshot, baseline.snapshot,
-            "campaign snapshot diverged after kill {kill}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+        eprintln!("# campaign torture sweep: {total_ops} fs ops in the fault-free stream");
+        std::fs::remove_dir_all(&base_dir).unwrap();
+        let base_csv = baseline.result.to_csv();
+        let base_snap = strip_exec(baseline.snapshot);
+
+        let stride = (total_ops / 8).max(1);
+        // `dense` holds until a kill leaves block 0 committed.
+        let mut kill = 0;
+        while kill < total_ops {
+            let dir = torture_dir("camp-kill");
+            let scope = FailPlan::kill_at(&dir, kill, 4).arm();
+            // With the disk dead mid-run this either errors out or (when
+            // the kill lands on the very last op) completes; both leave a
+            // valid torture state behind.
+            let _ = campaign_run(exec, &dir, false);
+            assert!(scope.killed(), "kill point {kill} never fired");
+            drop(scope);
+            let block0 = exec
+                .resume_plan(&campaign_base(), &dir)
+                .ok()
+                .map(|plan| plan[0].clone());
+            if let Some(BlockMode::Split(units)) = &block0 {
+                all_units_skip |= units.iter().all(|u| u.mode == UnitMode::Skip);
+            }
+            dense &= block0 != Some(BlockMode::Skip);
+            let recovered = match campaign_run(exec, &dir, true) {
+                Ok(outcome) => outcome,
+                Err(refusal) => campaign_run(exec, &dir, false).unwrap_or_else(|e| {
+                    panic!("fresh campaign after refusal `{refusal}` failed: {e}")
+                }),
+            };
+            assert!(recovered.poisoned.is_empty(), "kill {kill}");
+            assert_eq!(
+                recovered.result, baseline.result,
+                "campaign result diverged after kill {kill}"
+            );
+            assert_eq!(
+                recovered.result.to_csv(),
+                base_csv,
+                "campaign CSV diverged after kill {kill}"
+            );
+            assert_eq!(
+                strip_exec(recovered.snapshot),
+                base_snap,
+                "campaign snapshot diverged after kill {kill}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+            kill = match kill {
+                k if dense || k + 1 == total_ops => k + 1,
+                k => (k + stride).min(total_ops - 1),
+            };
+        }
     }
+    assert!(
+        all_units_skip,
+        "no kill left a split block with every unit checkpointed but the block uncommitted"
+    );
 }
 
 /// Scripted executor faults at integration level: a worker that panics
@@ -427,7 +463,7 @@ fn scripted_campaign_panic_leaves_directory_resumable() {
 
     // Every block checkpoint the run published must be loadable: a
     // resume replays the whole campaign from disk without scanning.
-    let replay = campaign_run(&dir, true, 1).unwrap();
+    let replay = campaign_run(&campaign(1), &dir, true).unwrap();
     assert_eq!(replay.result, clean.result);
     std::fs::remove_dir_all(&dir).unwrap();
 }
