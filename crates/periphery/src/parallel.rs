@@ -270,12 +270,12 @@ pub struct ParallelCampaign {
 }
 
 /// Checkpoint context threaded into `execute`: `(dir, fingerprint,
-/// per-block loaded checkpoints, per-block bins loaded from split plans)`.
+/// per-block loaded checkpoints, per-block starting bins)`.
 type CkptCtx<'a> = (
     &'a Path,
     u64,
     Vec<Option<(BlockResult, Snapshot)>>,
-    Vec<Option<Bin>>,
+    Vec<Bin>,
 );
 
 impl ParallelCampaign {
@@ -377,34 +377,39 @@ impl ParallelCampaign {
         let fp = self.campaign.fingerprint_cfg(base);
         std::fs::create_dir_all(dir)
             .map_err(|e| StateError::io(format!("create campaign dir {}", dir.display()), e))?;
+        // Every block left to scan starts with a bin of pending units: the
+        // ones its split plan loaded, else its whole-block unit. A loaded
+        // block's bin stays empty.
         let mut loaded: Vec<Option<(BlockResult, Snapshot)>> =
             (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
-        let mut bins: Vec<Option<Bin>> = (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
+        let mut bins = self.whole_bins();
         if resume {
             for (idx, mode) in load_dir(dir, fp)?.iter().enumerate() {
-                match mode {
-                    BlockMode::Skip => loaded[idx] = Some(load_block_ckpt(dir, idx, fp)?),
+                let block = match mode {
+                    BlockMode::Skip => load_block_ckpt(dir, idx, fp)?,
                     BlockMode::Split(plans) => {
                         let bin = load_bin(dir, idx, fp, plans)?;
-                        if bin.pending.is_empty() {
-                            // Every unit is checkpointed but the block is
-                            // not (the kill landed in between): nothing is
-                            // left to claim, so commit it here, as the
-                            // worker delivering its last unit would have.
-                            loaded[idx] = Some(commit_block(
-                                &self.campaign,
-                                Some(dir),
-                                fp,
-                                idx,
-                                bin.done,
-                                &Tracer::disabled(),
-                            )?);
-                        } else {
-                            bins[idx] = Some(bin);
+                        if !bin.pending.is_empty() {
+                            bins[idx] = bin;
+                            continue;
                         }
+                        // Every unit is checkpointed but the block is not
+                        // (the kill landed in between): nothing is left to
+                        // claim, so commit it here, as the worker
+                        // delivering its last unit would have.
+                        commit_block(
+                            &self.campaign,
+                            Some(dir),
+                            fp,
+                            idx,
+                            bin.done,
+                            &Tracer::disabled(),
+                        )?
                     }
-                    BlockMode::Resume | BlockMode::Fresh => {}
-                }
+                    BlockMode::Resume | BlockMode::Fresh => continue,
+                };
+                loaded[idx] = Some(block);
+                bins[idx] = Bin::default();
             }
         } else {
             // Fresh start: wipe stale blocks so a same-fingerprint rerun
@@ -427,6 +432,14 @@ impl ParallelCampaign {
         load_dir(dir, self.campaign.fingerprint_cfg(base))
     }
 
+    /// One bin per block, each holding its block's whole walk.
+    fn whole_bins(&self) -> Vec<Bin> {
+        SAMPLE_BLOCKS
+            .iter()
+            .map(|profile| Bin::whole(self.campaign.block_cap(profile)))
+            .collect()
+    }
+
     /// Shared driver behind [`run`](Self::run) and
     /// [`run_checkpointed`](Self::run_checkpointed).
     fn execute<N: Network + Send>(
@@ -436,31 +449,19 @@ impl ParallelCampaign {
         abort: Option<&AbortSignal>,
         mut make_network: impl FnMut(usize, &Telemetry) -> N,
     ) -> Result<CampaignOutcome, StateError> {
-        let (dir, fp_id, loaded, seeds) = match ckpt {
-            Some((dir, fp, loaded, seeds)) => (Some(dir), fp, loaded, seeds),
+        let (dir, fp_id, loaded, bins) = match ckpt {
+            Some((dir, fp, loaded, bins)) => (Some(dir), fp, loaded, bins),
             None => (
                 None,
                 0,
                 (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
-                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
+                self.whole_bins(),
             ),
         };
-        // Every block left to scan gets its bin up front: the one its
-        // split plan loaded, else its whole-block unit. The yield flags
-        // carry one extra slot for the supervisor fallback, which runs as
-        // worker index `workers`.
+        // The yield flags carry one extra slot for the supervisor
+        // fallback, which runs as worker index `workers`.
         let shared = SplitShared {
-            bins: seeds
-                .into_iter()
-                .enumerate()
-                .map(|(idx, seed)| {
-                    Mutex::new(match (&loaded[idx], seed) {
-                        (Some(_), _) => Bin::default(),
-                        (None, Some(bin)) => bin,
-                        (None, None) => Bin::whole(self.campaign.block_cap(&SAMPLE_BLOCKS[idx])),
-                    })
-                })
-                .collect(),
+            bins: bins.into_iter().map(Mutex::new).collect(),
             yield_flags: (0..=self.workers)
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
@@ -778,17 +779,21 @@ impl<N: Network> Worker<'_, N> {
             };
             let fresh = bin
                 .layout
-                .iter_mut()
-                .find(|e| unit_of(e) == unit && !e.started);
-            if let Some(entry) = fresh {
-                entry.started = true;
+                .iter()
+                .position(|e| unit_of(e) == unit && !e.started);
+            if let Some(pos) = fresh {
+                // Durable first: a failed write leaves the unit pending
+                // and unstarted, so the next claim writes it again.
                 if let Some(dir) = self.dir {
                     if bin.is_split() {
-                        write_units_manifest(dir, self.fp_id, idx, &bin.layout)?;
+                        let mut layout = bin.layout.clone();
+                        layout[pos].started = true;
+                        write_units_manifest(dir, self.fp_id, idx, &layout)?;
                     } else {
                         write_marker(dir, idx)?;
                     }
                 }
+                bin.layout[pos].started = true;
             }
             bin.pending.remove(0);
             bin.active += 1;
