@@ -2,12 +2,14 @@
 //! the durable checkpoint format in `xmap-state`.
 //!
 //! A checkpointed scan is a **session**: a directory holding one
-//! [`Manifest`] (the configuration identity), and per worker a record
-//! journal (`worker-N.wal`) plus the latest worker checkpoint
-//! (`worker-N.ckpt`). The pieces here are:
+//! [`Manifest`] (the configuration identity) and, per worker, one journal
+//! `worker-N.ckpt` of records and cuts ([`WorkerJournal`]): a cut is a
+//! worker checkpoint appended to the journal, published by one fsync that
+//! also makes every record before it durable. The pieces here are:
 //!
 //! - [`RunSink`] — attached to a [`Scanner`](crate::Scanner); journals
-//!   every emitted record and writes checkpoints at a slot cadence.
+//!   every emitted record, publishes cuts at a slot cadence, and
+//!   compacts superseded cuts away.
 //! - [`ScanSession`] — creates/validates the directory, loads per-worker
 //!   resume state, and refuses configuration mismatches outright.
 //! - [`RangeMode`] — what a worker does with each range on resume: replay
@@ -31,9 +33,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use xmap_addr::ScanRange;
+use xmap_failpoint::fs as fp;
 use xmap_netsim::packet::{Network, UnreachCode};
+use xmap_state::checkpoint::{CUT_ENTRY, RECORD_ENTRY};
 use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{AbortSignal, Manifest, RunState, StateError, Wal, WorkerCheckpoint};
+use xmap_state::wal::frame_len;
+use xmap_state::{
+    AbortSignal, Manifest, RunState, StateError, Wal, WorkerCheckpoint, WorkerJournal,
+};
 use xmap_telemetry::{Snapshot, Telemetry};
 
 use crate::blocklist::Blocklist;
@@ -42,12 +49,12 @@ use crate::probe::{ProbeModule, ProbeResult};
 use crate::scanner::{Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats};
 use crate::telemetry::names;
 
-/// Records a degraded sink buffers in memory before giving up on ever
-/// restoring durability (~14 MB of encoded records at the default record
-/// size). Beyond it the sink goes lossy: the scan still completes, the
-/// last on-disk checkpoint stays valid, but this process can no longer
-/// close the durability gap.
-const MAX_PENDING_RECORDS: usize = 1 << 18;
+/// Journal entries a degraded sink buffers in memory before giving up on
+/// ever restoring durability (~14 MB of encoded records at the default
+/// record size). Beyond it the sink goes lossy: the scan still completes,
+/// the last durable cut stays valid, but this process can no longer close
+/// the durability gap.
+const MAX_PENDING_ENTRIES: usize = 1 << 18;
 
 /// Minimum retry backoff, in send slots, once a sink degrades.
 const MIN_RETRY_BACKOFF: u64 = 64;
@@ -55,60 +62,108 @@ const MIN_RETRY_BACKOFF: u64 = 64;
 /// Backoff growth cap: retries never space out more than this.
 const MAX_RETRY_BACKOFF: u64 = 1 << 16;
 
+/// Superseded cuts a worker journal may carry before it is compacted:
+/// they must exceed both this floor and the live bytes (the records plus
+/// the latest cut), so the journal stays under twice its live bytes plus
+/// the floor.
+const COMPACT_FLOOR: u64 = 1 << 20;
+
+/// A worker journal's durable bytes: what compaction keeps (`live`) and
+/// what it drops (`dead`).
+#[derive(Debug, Default, Clone, Copy)]
+struct Footprint {
+    /// The records and the latest cut.
+    live: u64,
+    /// Superseded cuts.
+    dead: u64,
+    /// The latest cut.
+    last_cut: u64,
+}
+
+impl Footprint {
+    /// Counts one durable entry in.
+    fn add(&mut self, entry: &[u8]) {
+        let len = frame_len(entry.len());
+        if entry.first() == Some(&CUT_ENTRY) {
+            self.live -= self.last_cut;
+            self.dead += self.last_cut;
+            self.last_cut = len;
+        }
+        self.live += len;
+    }
+
+    /// The journal's length as of its last successful sync.
+    fn total(&self) -> u64 {
+        self.live + self.dead
+    }
+}
+
 /// In-memory state of a sink whose storage failed: everything needed to
 /// re-establish durability once the disk recovers.
 #[derive(Debug)]
 struct DegradedState {
-    /// Encoded records not yet durable, in sequence order starting at
-    /// [`DegradedState::pending_start_seq`]. Includes the records that
-    /// were appended-but-unflushed when the failure hit, so a recovery
-    /// can rebuild the journal without losing anything.
+    /// Journal entries (records and cuts) not yet durable, in order.
+    /// Includes the entries appended-but-unsynced when the failure hit,
+    /// so a recovery can rebuild the journal without losing anything.
     pending: Vec<Vec<u8>>,
-    /// Journal sequence number of `pending[0]`. Everything before it was
-    /// flushed successfully and is intact on disk.
-    pending_start_seq: u64,
     /// Cadence-counter value at which the next recovery attempt runs.
     retry_at: u64,
     /// Current backoff, in send slots. Doubles per failed attempt, capped.
     backoff: u64,
     /// The pending buffer overflowed: durability is unrecoverable in this
     /// process (the scan continues; resume re-executes from the last
-    /// durable checkpoint).
+    /// durable cut).
     lossy: bool,
 }
 
 /// Per-worker checkpoint writer, attached to a scanner via
 /// [`Scanner::set_sink`](crate::Scanner::set_sink).
 ///
+/// The sink owns the worker's journal, `worker-N.ckpt`: every emitted
+/// record is appended to it, and a checkpoint is published by appending
+/// a *cut* entry and syncing the file once, which also makes every record
+/// before the cut durable (see [`WorkerJournal`]). When superseded cuts
+/// outweigh the live bytes and a 1 MiB floor, the journal is rewritten as
+/// its records plus the latest cut (tmp file, fsync, rename); a failed
+/// compaction leaves the published journal as it was and is retried at a
+/// later cut.
+///
 /// Storage failures downgrade, never abort: on the first I/O error the
-/// sink enters **degraded mode** — records buffer in memory (preserving
-/// journal sequence contiguity), the on-disk checkpoint is left exactly
-/// as it was, and recovery is retried with exponential backoff at later
-/// checkpoint boundaries. A successful recovery truncates the journal's
-/// torn tail, re-appends the buffered records, publishes a fresh
-/// checkpoint atomically, and returns the sink to healthy. Drivers
-/// observe the state via [`RunSink::is_degraded`] (the scanner mirrors
-/// it into the `state.durability_degraded` gauge) and surface the
-/// original error at session end via [`RunSink::take_error`], which
-/// reports `None` when durability was fully restored.
+/// sink enters **degraded mode** — entries buffer in memory, the durable
+/// journal prefix is left exactly as it was, and recovery is retried with
+/// exponential backoff at later checkpoint boundaries. A successful
+/// recovery truncates the journal to its durable prefix, re-appends the
+/// buffered entries and a fresh cut, syncs, and returns the sink to
+/// healthy. Drivers observe the state via [`RunSink::is_degraded`] (the
+/// scanner mirrors it into the `state.durability_degraded` gauge) and
+/// surface the original error at session end via [`RunSink::take_error`],
+/// which reports `None` when durability was fully restored.
 #[derive(Debug)]
 pub struct RunSink {
     /// The open journal; `None` while degraded (the writer is dropped on
     /// failure — its buffer state is unknowable — and reopened from disk
     /// on recovery).
     wal: Option<Wal>,
-    wal_path: PathBuf,
-    ckpt_path: PathBuf,
+    path: PathBuf,
     worker: u32,
     config_fp: u64,
     every: u64,
     slots: u64,
     range_index: u32,
     run_wal_start: u64,
-    /// Encoded records appended since the last successful flush. Kept so
-    /// that a failed flush (whose partial frames are torn on disk) can
+    /// Records journalled so far, durable or not: the next cut's `wal_seq`.
+    records: u64,
+    /// Journal entries made durable by the last successful sync.
+    synced: u64,
+    /// Entries appended since the last successful sync. Kept so that a
+    /// failed append or sync (whose partial frames are torn on disk) can
     /// enter degraded mode without losing anything.
-    unflushed: Vec<Vec<u8>>,
+    unsynced: Vec<Vec<u8>>,
+    /// The journal's durable bytes, live and dead.
+    footprint: Footprint,
+    /// Dead bytes below which no compaction is tried: [`COMPACT_FLOOR`],
+    /// raised by another floor after each failed attempt.
+    compact_floor: u64,
     degraded: Option<DegradedState>,
     /// First storage error observed (kept for reporting even across a
     /// successful recovery; only surfaced while degraded).
@@ -118,33 +173,47 @@ pub struct RunSink {
 }
 
 impl RunSink {
-    /// Builds a sink over an open journal. `every` is the checkpoint
+    /// Builds a sink over a journal opened past `kept`, its durable
+    /// entries, of which `records` are records. `every` is the checkpoint
     /// cadence in send slots (0 disables periodic checkpoints; range-end
     /// and abort checkpoints still happen).
-    pub fn new(wal: Wal, ckpt_path: PathBuf, worker: u32, every: u64, config_fp: u64) -> Self {
-        let wal_path = wal.path().to_path_buf();
-        RunSink {
+    fn new(
+        wal: Wal,
+        worker: u32,
+        every: u64,
+        config_fp: u64,
+        kept: &[Vec<u8>],
+        records: u64,
+    ) -> Self {
+        let mut sink = RunSink {
+            path: wal.path().to_path_buf(),
+            synced: wal.next_seq(),
             wal: Some(wal),
-            wal_path,
-            ckpt_path,
             worker,
             config_fp,
             every,
             slots: 0,
             range_index: 0,
             run_wal_start: 0,
-            unflushed: Vec::new(),
+            records,
+            unsynced: Vec::new(),
+            footprint: Footprint::default(),
+            compact_floor: COMPACT_FLOOR,
             degraded: None,
             first_error: None,
             recoveries: 0,
+        };
+        for entry in kept {
+            sink.footprint.add(entry);
         }
+        sink
     }
 
     /// Starts (or resumes, with `wal_start: Some`) a range: subsequent
     /// journalled records and checkpoints carry `range_index`.
     pub fn begin_range(&mut self, range_index: u32, wal_start: Option<u64>) {
         self.range_index = range_index;
-        self.run_wal_start = wal_start.unwrap_or_else(|| self.seq_end());
+        self.run_wal_start = wal_start.unwrap_or(self.records);
         self.slots = 0;
         if let Some(d) = self.degraded.as_mut() {
             d.retry_at = d.backoff;
@@ -185,80 +254,82 @@ impl RunSink {
         self.recoveries
     }
 
-    /// The sequence number the next journalled record will take, whether
-    /// it goes to the journal or the in-memory pending buffer.
-    fn seq_end(&self) -> u64 {
-        match (&self.wal, &self.degraded) {
-            (Some(wal), _) => wal.next_seq(),
-            (None, Some(d)) => d.pending_start_seq + d.pending.len() as u64,
-            (None, None) => 0,
-        }
-    }
-
     /// Appends one record: to the journal when healthy, to the pending
     /// buffer when degraded.
     pub fn journal(&mut self, record: &ScanRecord) {
-        let payload = encode_record(self.range_index, record);
+        let entry = record_entry(self.range_index, record);
         if let Some(d) = self.degraded.as_mut() {
             if d.lossy {
                 return;
             }
-            if d.pending.len() >= MAX_PENDING_RECORDS {
+            if d.pending.len() >= MAX_PENDING_ENTRIES {
                 d.lossy = true;
                 d.pending = Vec::new();
                 return;
             }
-            d.pending.push(payload);
+            d.pending.push(entry);
+            self.records += 1;
             return;
         }
+        self.records += 1;
         let wal = self.wal.as_mut().expect("healthy sink holds its journal");
-        match wal.append(&payload) {
-            Ok(_) => self.unflushed.push(payload),
-            Err(e) => self.enter_degraded(e, Some(payload)),
+        match wal.append(&entry) {
+            Ok(_) => self.unsynced.push(entry),
+            Err(e) => self.enter_degraded(e, Some(entry)),
         }
     }
 
-    /// Flushes the journal and atomically publishes a worker checkpoint
-    /// (`run: None` marks the current range complete). Resets the cadence
-    /// counter on success. While degraded this is a recovery attempt
-    /// instead; failures back off, successes return the sink to healthy.
+    /// Publishes a worker checkpoint (`run: None` marks the current range
+    /// complete): appends it as a cut and syncs the journal. Resets the
+    /// cadence counter on success. While degraded this is a recovery
+    /// attempt instead; failures back off, successes return the sink to
+    /// healthy.
     pub fn write_checkpoint(&mut self, tick: u64, metrics: Snapshot, run: Option<RunState>) {
+        let cut = self.cut(tick, metrics, run);
         if self.degraded.is_some() {
-            self.attempt_recovery(tick, metrics, run);
+            self.attempt_recovery(cut);
             return;
         }
         let wal = self.wal.as_mut().expect("healthy sink holds its journal");
-        if let Err(e) = wal.flush() {
+        if let Err(e) = wal.append(&cut) {
+            self.enter_degraded(e, Some(cut));
+            return;
+        }
+        self.unsynced.push(cut);
+        if let Err(e) = wal.sync() {
             self.enter_degraded(e, None);
             return;
         }
-        self.unflushed.clear();
-        let ckpt = WorkerCheckpoint {
+        self.synced = wal.next_seq();
+        for entry in &self.unsynced {
+            self.footprint.add(entry);
+        }
+        self.unsynced.clear();
+        self.slots = 0;
+        self.maybe_compact();
+    }
+
+    /// The cut entry of a checkpoint covering every record so far.
+    fn cut(&self, tick: u64, metrics: Snapshot, run: Option<RunState>) -> Vec<u8> {
+        WorkerCheckpoint {
             worker: self.worker,
             range_index: self.range_index,
             tick,
-            wal_seq: self.seq_end(),
+            wal_seq: self.records,
             config_fp: self.config_fp,
             metrics,
             run,
-        };
-        match ckpt.write_to(&self.ckpt_path) {
-            Ok(()) => self.slots = 0,
-            Err(e) => self.enter_degraded(e, None),
         }
+        .cut_entry()
     }
 
-    /// Switches to degraded mode after a storage failure. `extra` is a
-    /// record whose append itself failed (it joins the pending buffer).
+    /// Switches to degraded mode after a storage failure. `extra` is an
+    /// entry whose append itself failed (it joins the pending buffer).
     /// The journal writer is dropped — its buffer may be partially torn
-    /// on disk — and recovery reopens the file from its intact prefix.
+    /// on disk — and recovery reopens the file from its durable prefix.
     fn enter_degraded(&mut self, error: StateError, extra: Option<Vec<u8>>) {
-        let seq_end = self.wal.as_ref().map_or(0, Wal::next_seq);
-        let mut pending = std::mem::take(&mut self.unflushed);
-        let pending_start_seq = seq_end - pending.len() as u64;
-        if let Some(p) = extra {
-            pending.push(p);
-        }
+        let mut pending = std::mem::take(&mut self.unsynced);
+        pending.extend(extra);
         self.wal = None;
         if self.first_error.is_none() {
             self.first_error = Some(error);
@@ -266,55 +337,109 @@ impl RunSink {
         let backoff = self.every.max(MIN_RETRY_BACKOFF);
         self.degraded = Some(DegradedState {
             pending,
-            pending_start_seq,
             retry_at: self.slots.saturating_add(backoff),
             backoff,
             lossy: false,
         });
     }
 
-    /// One recovery attempt: reopen the journal truncated to its known
-    /// intact prefix, re-append every pending record, flush, and publish
-    /// a checkpoint atomically. All of it goes through the same
-    /// write-to-temp + rename path, so a failure anywhere leaves the
-    /// previous on-disk checkpoint untouched.
-    fn attempt_recovery(&mut self, tick: u64, metrics: Snapshot, run: Option<RunState>) {
+    /// One recovery attempt: reopen the journal truncated to its durable
+    /// prefix, re-append every pending entry and `cut`, and sync. A
+    /// failed attempt is cut back to that prefix, so a sink that stays
+    /// degraded leaves its last durable cut as the one a resume takes.
+    fn attempt_recovery(&mut self, cut: Vec<u8>) {
+        let durable = self.footprint.total();
         let d = self.degraded.as_mut().expect("called while degraded");
         if d.lossy {
             return;
         }
-        let outcome = (|| -> Result<Wal, StateError> {
-            let (mut wal, _kept) = Wal::open_truncated(&self.wal_path, d.pending_start_seq)?;
-            for payload in &d.pending {
-                wal.append(payload)?;
+        d.pending.push(cut);
+        let outcome = Wal::open_truncated(&self.path, self.synced).and_then(|(mut wal, _kept)| {
+            let appended = d
+                .pending
+                .iter()
+                .try_for_each(|entry| wal.append(entry).map(drop))
+                .and_then(|()| wal.sync());
+            match appended {
+                Ok(()) => Ok(wal),
+                Err(e) => {
+                    wal.abandon(durable);
+                    Err(e)
+                }
             }
-            wal.flush()?;
-            let ckpt = WorkerCheckpoint {
-                worker: self.worker,
-                range_index: self.range_index,
-                tick,
-                wal_seq: wal.next_seq(),
-                config_fp: self.config_fp,
-                metrics,
-                run,
-            };
-            ckpt.write_to(&self.ckpt_path)?;
-            Ok(wal)
-        })();
+        });
         match outcome {
             Ok(wal) => {
-                self.wal = Some(wal);
+                for entry in &d.pending {
+                    self.footprint.add(entry);
+                }
                 self.degraded = None;
-                self.unflushed.clear();
+                self.synced = wal.next_seq();
+                self.wal = Some(wal);
                 self.slots = 0;
                 self.recoveries += 1;
+                self.maybe_compact();
             }
             Err(_) => {
-                let d = self.degraded.as_mut().expect("still degraded");
+                d.pending.pop();
                 d.backoff = (d.backoff * 2).min(MAX_RETRY_BACKOFF);
                 d.retry_at = self.slots.saturating_add(d.backoff);
             }
         }
+    }
+
+    /// Compacts the journal once its superseded cuts outweigh both the
+    /// live bytes and the compaction floor.
+    fn maybe_compact(&mut self) {
+        let Footprint { live, dead, .. } = self.footprint;
+        if dead <= live.max(self.compact_floor) {
+            return;
+        }
+        match self.compact() {
+            Ok(()) => self.compact_floor = COMPACT_FLOOR,
+            // Failed after the rename without a handle: the journal is
+            // the compacted one, and recovery reopens it.
+            Err(e) if self.wal.is_none() => self.enter_degraded(e, None),
+            // Failed before the rename: the published journal and its
+            // open handle are as they were. Retry once another floor's
+            // worth of cuts has been superseded.
+            Err(_) => self.compact_floor = dead + COMPACT_FLOOR,
+        }
+    }
+
+    /// Rewrites the synced journal as its records plus the latest cut:
+    /// `worker-N.tmp`, fsync, rename over the journal, reopen it for
+    /// appending, fsync the directory.
+    fn compact(&mut self) -> Result<(), StateError> {
+        let kept = WorkerJournal::recover(&self.path)?
+            .ok_or_else(|| {
+                StateError::Corrupt(format!(
+                    "{}: synced journal holds no cut",
+                    self.path.display()
+                ))
+            })?
+            .compacted();
+        let tmp = self.path.with_extension("tmp");
+        let mut out = Wal::create(&tmp)?;
+        for entry in &kept {
+            out.append(entry)?;
+        }
+        out.sync()?;
+        drop(out);
+        fp::rename(&tmp, &self.path).map_err(|e| {
+            StateError::io(
+                format!("publish compacted journal {}", self.path.display()),
+                e,
+            )
+        })?;
+        // The open handle still names the replaced file.
+        self.wal = None;
+        self.synced = kept.len() as u64;
+        self.footprint.dead = 0;
+        self.wal = Some(Wal::reopen(&self.path, &kept)?);
+        let dir = self.path.parent().unwrap_or(Path::new("."));
+        fp::sync_file(dir)
+            .map_err(|e| StateError::io(format!("sync checkpoint directory {}", dir.display()), e))
     }
 
     /// The first storage error, if durability is still degraded (clears
@@ -377,7 +502,10 @@ pub struct ScanSession {
 impl ScanSession {
     /// Starts a fresh session: creates the directory (with a clear error
     /// naming the path on failure), clears any leftover worker files so a
-    /// later `--resume` can never mix two runs, and writes the manifest.
+    /// later `--resume` can never mix two runs, publishes the manifest
+    /// (tmp file, fsync, rename), creates every worker's journal and
+    /// fsyncs the directory, so the journals' first cuts need no
+    /// directory sync of their own.
     pub fn create(dir: &Path, manifest: Manifest) -> Result<ScanSession, StateError> {
         fs::create_dir_all(dir).map_err(|e| {
             StateError::io(format!("create checkpoint directory {}", dir.display()), e)
@@ -394,22 +522,33 @@ impl ScanSession {
             let stale = name.starts_with("worker-")
                 && (name.ends_with(".ckpt") || name.ends_with(".wal") || name.ends_with(".tmp"));
             if stale {
-                fs::remove_file(entry.path()).map_err(|e| {
+                fp::remove_file(&entry.path()).map_err(|e| {
                     StateError::io(format!("remove stale {}", entry.path().display()), e)
                 })?;
             }
         }
         let manifest_path = dir.join("manifest.json");
-        fs::write(&manifest_path, manifest.to_json()).map_err(|e| {
-            StateError::io(
-                format!("write session manifest {}", manifest_path.display()),
-                e,
-            )
-        })?;
-        Ok(ScanSession {
+        let tmp = manifest_path.with_extension("tmp");
+        fp::write(&tmp, manifest.to_json().as_bytes())
+            .and_then(|()| fp::sync_file(&tmp))
+            .and_then(|()| fp::rename(&tmp, &manifest_path))
+            .map_err(|e| {
+                StateError::io(
+                    format!("write session manifest {}", manifest_path.display()),
+                    e,
+                )
+            })?;
+        let session = ScanSession {
             dir: dir.to_path_buf(),
             manifest,
-        })
+        };
+        for worker in 0..session.manifest.workers {
+            Wal::create(&session.worker_ckpt(worker as u32))?;
+        }
+        fp::sync_file(dir).map_err(|e| {
+            StateError::io(format!("sync checkpoint directory {}", dir.display()), e)
+        })?;
+        Ok(session)
     }
 
     /// Opens an existing session for resumption. The stored manifest must
@@ -448,23 +587,21 @@ impl ScanSession {
         &self.dir
     }
 
+    /// A worker's journal: its records and cuts.
     fn worker_ckpt(&self, worker: u32) -> PathBuf {
         self.dir.join(format!("worker-{worker}.ckpt"))
     }
 
-    fn worker_wal(&self, worker: u32) -> PathBuf {
-        self.dir.join(format!("worker-{worker}.wal"))
-    }
-
     /// A brand-new worker: empty journal, every range fresh.
     pub fn fresh_worker(&self, worker: u32, num_ranges: usize) -> Result<WorkerResume, StateError> {
-        let wal = Wal::create(&self.worker_wal(worker))?;
+        let wal = Wal::create(&self.worker_ckpt(worker))?;
         let sink = RunSink::new(
             wal,
-            self.worker_ckpt(worker),
             worker,
             self.manifest.every,
             self.manifest.fingerprint(),
+            &[],
+            0,
         );
         Ok(WorkerResume {
             modes: (0..num_ranges).map(|_| RangeMode::Fresh).collect(),
@@ -474,26 +611,47 @@ impl ScanSession {
         })
     }
 
-    /// Loads a worker's resume state: reads its checkpoint, truncates the
-    /// journal's torn tail back to the checkpointed sequence number, and
+    /// Loads a worker's resume state: takes the last intact cut of its
+    /// journal as the checkpoint, the record entries before it as the
+    /// journalled records, truncates the journal just past the cut, and
     /// classifies every range as skip / resume / fresh. A worker killed
-    /// before its first checkpoint simply starts over.
+    /// before its first cut simply starts over. A directory that still
+    /// holds a `worker-N.wal` was written under the older session layout
+    /// (separate record journal and checkpoint file) and is refused with
+    /// [`StateError::Version`].
     pub fn load_worker(&self, worker: u32, num_ranges: usize) -> Result<WorkerResume, StateError> {
-        let ckpt_path = self.worker_ckpt(worker);
-        if !ckpt_path.exists() {
-            return self.fresh_worker(worker, num_ranges);
+        let legacy = self.dir.join(format!("worker-{worker}.wal"));
+        if legacy.exists() {
+            return Err(StateError::Version(format!(
+                "{}: a separate record journal is the older session layout, this build \
+                 journals records and cuts together in worker-{worker}.ckpt; \
+                 re-run without --resume",
+                legacy.display()
+            )));
         }
+        let path = self.worker_ckpt(worker);
+        let Some(journal) = WorkerJournal::recover(&path)? else {
+            return self.fresh_worker(worker, num_ranges);
+        };
         let fp = self.manifest.fingerprint();
-        let ckpt = WorkerCheckpoint::read_for(&ckpt_path, fp, worker)?;
+        let ckpt = journal.checkpoint(Some(fp), Some(worker))?;
         let ckpt_range = ckpt.range_index as usize;
         if ckpt_range >= num_ranges {
             return Err(StateError::Corrupt(format!(
                 "checkpoint references range {ckpt_range}, session has {num_ranges} ranges"
             )));
         }
-        let (wal, payloads) = Wal::open_truncated(&self.worker_wal(worker), ckpt.wal_seq)?;
+        let payloads = journal.records()?;
+        if payloads.len() as u64 != ckpt.wal_seq {
+            return Err(StateError::Corrupt(format!(
+                "journal {} holds {} records before its last cut, the cut covers {}",
+                path.display(),
+                payloads.len(),
+                ckpt.wal_seq
+            )));
+        }
         let mut per_range: Vec<Vec<ScanRecord>> = (0..num_ranges).map(|_| Vec::new()).collect();
-        for payload in &payloads {
+        for payload in payloads {
             let (range_index, record) = decode_record(payload)?;
             let slot = per_range.get_mut(range_index as usize).ok_or_else(|| {
                 StateError::Corrupt(format!(
@@ -520,7 +678,15 @@ impl ScanSession {
                 }
             })
             .collect();
-        let sink = RunSink::new(wal, ckpt_path, worker, self.manifest.every, fp);
+        let wal = journal.reopen(&path)?;
+        let sink = RunSink::new(
+            wal,
+            worker,
+            self.manifest.every,
+            fp,
+            journal.entries(),
+            ckpt.wal_seq,
+        );
         Ok(WorkerResume {
             modes,
             tick: ckpt.tick,
@@ -681,16 +847,24 @@ pub fn run_session<N: Network + Send>(
     })
 }
 
-/// Binary-encodes one journalled record: the range index it belongs to,
-/// then the record ([`encode_scan_record`]).
-fn encode_record(range_index: u32, r: &ScanRecord) -> Vec<u8> {
+/// The journal entry of one record: the [`RECORD_ENTRY`] tag, then the
+/// range index the record belongs to, then the record
+/// ([`encode_scan_record`]).
+fn record_entry(range_index: u32, r: &ScanRecord) -> Vec<u8> {
     let mut e = Encoder::new();
+    e.u8(RECORD_ENTRY);
     e.u32(range_index);
     encode_scan_record(&mut e, r);
     e.finish()
 }
 
-/// Decodes a record written by [`encode_record`].
+/// A record entry's payload: [`record_entry`] without its tag.
+#[cfg(test)]
+fn encode_record(range_index: u32, r: &ScanRecord) -> Vec<u8> {
+    record_entry(range_index, r)[1..].to_vec()
+}
+
+/// Decodes a record entry's payload (its bytes after the tag).
 fn decode_record(raw: &[u8]) -> Result<(u32, ScanRecord), StateError> {
     let mut d = Decoder::new(raw, "journalled record");
     let range_index = d.u32()?;

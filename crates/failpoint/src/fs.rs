@@ -6,8 +6,12 @@
 //! Tests arm a [`FailPlan`] over a path prefix via [`FailPlan::arm`];
 //! while the returned [`FailScope`] guard lives, operations on paths
 //! under that prefix consult the plan's rules and may fail, persist
-//! partial bytes, or latch the scope into a "process died" state.
+//! partial bytes, or latch the scope into a "process died" state. A scope
+//! also remembers how long each file it wrote was at its last successful
+//! `fsync`, so [`FailScope::lose_unsynced`] can leave exactly what a
+//! power cut would.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -252,6 +256,7 @@ impl FailPlan {
             killed: false,
             ops: 0,
             fired: 0,
+            files: BTreeMap::new(),
         };
         SCOPES
             .lock()
@@ -284,10 +289,37 @@ impl FailScope {
         self.with_entry(|e| e.fired)
     }
 
+    /// Emulated power loss: every file the scope wrote goes back to its
+    /// length at its last successful `sync_all` (a length tracked through
+    /// renames), and a file that was never synced is removed. Bytes past
+    /// that length were only in the page cache. Works on a killed scope
+    /// too, and touches the disk directly, not through the registry.
+    pub fn lose_unsynced(&self) {
+        let files = self.with_entry_mut(|e| std::mem::take(&mut e.files));
+        for (path, synced) in files {
+            match synced {
+                None => {
+                    let _ = std::fs::remove_file(&path);
+                }
+                Some(len) => {
+                    if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
+                        if f.metadata().is_ok_and(|m| m.len() > len) {
+                            let _ = f.set_len(len);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn with_entry<T>(&self, f: impl FnOnce(&ScopeEntry) -> T) -> T {
-        let scopes = SCOPES.lock().expect("failpoint registry poisoned");
+        self.with_entry_mut(|e| f(e))
+    }
+
+    fn with_entry_mut<T>(&self, f: impl FnOnce(&mut ScopeEntry) -> T) -> T {
+        let mut scopes = SCOPES.lock().expect("failpoint registry poisoned");
         let entry = scopes
-            .iter()
+            .iter_mut()
             .find(|e| e.id == self.id)
             .expect("scope alive while guard held");
         f(entry)
@@ -310,7 +342,13 @@ struct ScopeEntry {
     killed: bool,
     ops: u64,
     fired: u64,
+    /// Every file the scope opened for writing, with its length at its
+    /// last successful sync (`None`: never synced).
+    files: Files,
 }
+
+/// Synced length per written file, as [`FailScope::lose_unsynced`] reads it.
+type Files = BTreeMap<PathBuf, Option<u64>>;
 
 struct RuleState {
     rule: FsRule,
@@ -412,6 +450,27 @@ fn consult(op: FsOp, path: &Path, write_len: usize) -> Decision {
     Decision::Pass
 }
 
+/// Applies `f` to the written-file table of the scope `path` falls
+/// under, after an operation succeeded. A no-op with nothing armed.
+fn track(path: &Path, f: impl FnOnce(&mut Files)) {
+    if ARMED.load(Ordering::Acquire) == 0 {
+        return;
+    }
+    let mut scopes = SCOPES.lock().expect("failpoint registry poisoned");
+    if let Some(entry) = scopes.iter_mut().find(|e| path.starts_with(&e.prefix)) {
+        f(&mut entry.files);
+    }
+}
+
+/// Records that `path` was synced at `len` bytes, if the scope wrote it.
+fn track_synced(path: &Path, len: u64) {
+    track(path, |files| {
+        if let Some(synced) = files.get_mut(path) {
+            *synced = Some(len);
+        }
+    });
+}
+
 /// Fast-path check + consult. Returns `None` when the op may proceed.
 fn check(op: FsOp, path: &Path, write_len: usize) -> Option<Decision> {
     if ARMED.load(Ordering::Acquire) == 0 {
@@ -437,8 +496,12 @@ impl FpFile {
         if let Some(d) = check(FsOp::Create, path, 0) {
             return Err(decision_error(d));
         }
+        let inner = File::create(path)?;
+        track(path, |files| {
+            files.insert(path.to_path_buf(), None);
+        });
         Ok(FpFile {
-            inner: File::create(path)?,
+            inner,
             path: path.to_path_buf(),
         })
     }
@@ -454,6 +517,13 @@ impl FpFile {
             .create(true)
             .truncate(false)
             .open(path)?;
+        if ARMED.load(Ordering::Acquire) != 0 {
+            // Bytes the file held before the scope wrote to it count as synced.
+            let len = inner.metadata()?.len();
+            track(path, |files| {
+                files.entry(path.to_path_buf()).or_insert(Some(len));
+            });
+        }
         Ok(FpFile {
             inner,
             path: path.to_path_buf(),
@@ -478,7 +548,11 @@ impl FpFile {
         if let Some(d) = check(FsOp::Sync, &self.path, 0) {
             return Err(decision_error(d));
         }
-        self.inner.sync_all()
+        self.inner.sync_all()?;
+        if ARMED.load(Ordering::Acquire) != 0 {
+            track_synced(&self.path, self.inner.metadata()?.len());
+        }
+        Ok(())
     }
 
     /// The path the file was opened at.
@@ -523,7 +597,16 @@ pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Rename, from, 0) {
         return Err(decision_error(d));
     }
-    std::fs::rename(from, to)
+    std::fs::rename(from, to)?;
+    track(from, |files| match files.remove(from) {
+        Some(synced) => {
+            files.insert(to.to_path_buf(), synced);
+        }
+        None => {
+            files.remove(to);
+        }
+    });
+    Ok(())
 }
 
 /// Writes a whole file, like [`std::fs::write`] (one `Create` + one
@@ -538,16 +621,26 @@ pub fn remove_file(path: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Remove, path, 0) {
         return Err(decision_error(d));
     }
-    std::fs::remove_file(path)
+    std::fs::remove_file(path)?;
+    track(path, |files| {
+        files.remove(path);
+    });
+    Ok(())
 }
 
-/// Opens `path` and syncs its contents to disk, for a file written in
-/// one call by [`write()`].
+/// Opens `path` and syncs it to disk: a file written in one call by
+/// [`write()`], or a directory whose entries (creates, renames) must
+/// become durable.
 pub fn sync_file(path: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Sync, path, 0) {
         return Err(decision_error(d));
     }
-    File::open(path)?.sync_all()
+    let f = File::open(path)?;
+    f.sync_all()?;
+    if ARMED.load(Ordering::Acquire) != 0 {
+        track_synced(path, f.metadata()?.len());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -749,6 +842,34 @@ mod tests {
         f.sync_all().unwrap(); // sync 3: window closed
         assert_eq!(scope.fired(), 2);
         drop(scope);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lose_unsynced_keeps_only_what_was_synced() {
+        let dir = temp_dir("power");
+        let scope = FailPlan::observe(&dir).arm();
+        // Synced, then appended to: the tail goes.
+        let mut kept = FpFile::create(&dir.join("kept")).unwrap();
+        kept.write_all(b"durable").unwrap();
+        kept.sync_all().unwrap();
+        kept.write_all(b"-cached").unwrap();
+        // Never synced: the whole file goes.
+        let mut lost = FpFile::create(&dir.join("lost")).unwrap();
+        lost.write_all(b"cached").unwrap();
+        // Synced under one name, then renamed: the length follows it.
+        let mut moved = FpFile::create(&dir.join("moved.tmp")).unwrap();
+        moved.write_all(b"abc").unwrap();
+        moved.sync_all().unwrap();
+        moved.write_all(b"def").unwrap();
+        rename(&dir.join("moved.tmp"), &dir.join("moved")).unwrap();
+        scope.lose_unsynced();
+        drop(scope);
+        drop((kept, lost, moved));
+        assert_eq!(std::fs::read(dir.join("kept")).unwrap(), b"durable");
+        assert!(!dir.join("lost").exists());
+        assert!(!dir.join("moved.tmp").exists());
+        assert_eq!(std::fs::read(dir.join("moved")).unwrap(), b"abc");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,10 +9,10 @@
 //! job) and makes unit commit idempotent: re-running a unit whose
 //! checkpoint was lost to a torn write rewrites the same bytes.
 //!
-//! Every append is flushed before the daemon acknowledges the event, so
-//! an acknowledged submit survives any later crash. The underlying
-//! [`Wal`] tolerates a torn tail: a crash mid-append loses only the
-//! unacknowledged record.
+//! Every append is fsynced before the daemon acknowledges the event, so
+//! an acknowledged submit survives any later crash, power loss included.
+//! The underlying [`Wal`] tolerates a torn tail: a crash mid-append loses
+//! only the unacknowledged record.
 
 use std::path::Path;
 
@@ -118,11 +118,11 @@ impl Ledger {
         Ok((Ledger { wal }, events))
     }
 
-    /// Appends one event and flushes it, so the event is on its way to
-    /// disk before the daemon acknowledges it to the tenant.
+    /// Appends one event and fsyncs it, so the event is on disk before
+    /// the daemon acknowledges it to the tenant.
     pub fn append(&mut self, event: &LedgerEvent) -> Result<(), StateError> {
         self.wal.append(&event.encode())?;
-        self.wal.flush()
+        self.wal.sync()
     }
 
     /// Count of events journalled so far.
@@ -190,6 +190,22 @@ mod tests {
         let (ledger, past) = Ledger::open(&path).expect("reopen");
         assert_eq!(past, sample_events());
         assert_eq!(ledger.len(), 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn acknowledged_event_survives_power_loss() {
+        let path = temp_path("power");
+        let scope = xmap_failpoint::FailPlan::observe(&path).arm();
+        let (mut ledger, _) = Ledger::open(&path).expect("open");
+        let first = &sample_events()[..1];
+        ledger.append(&first[0]).expect("append");
+        // Power cut after the acknowledgement: only synced bytes survive.
+        scope.lose_unsynced();
+        drop(scope);
+        drop(ledger);
+        let (_, past) = Ledger::open(&path).expect("reopen");
+        assert_eq!(past, first);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -22,7 +22,8 @@
 //! directories, blocks and units, adaptive campaigns, serve units — is
 //! written and read through one envelope, [`Kind`]: it builds the header,
 //! checks kind, fingerprint and identity fields, and hands sections out
-//! through [`Opened`].
+//! through [`Opened`]. A scan worker's checkpoints are cut entries of its
+//! journal ([`WorkerJournal`]); every other kind is a file of its own.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -37,6 +38,7 @@ use xmap_telemetry::{HistogramSnapshot, Snapshot};
 use crate::codec::{crc32, Decoder, Encoder};
 use crate::error::StateError;
 use crate::json::{self, Value};
+use crate::wal::Wal;
 use crate::SCHEMA;
 
 const MAGIC: &[u8] = b"XMCKPT1\n";
@@ -73,6 +75,19 @@ impl Kind {
         fp: u64,
         sections: &[(&str, Vec<u8>)],
     ) -> Result<(), StateError> {
+        let mut out = Vec::new();
+        self.frame(&mut out, fields, fp, sections);
+        publish(path, &out)
+    }
+
+    /// Appends the bytes [`Kind::write`] publishes to `out`.
+    fn frame(
+        &self,
+        out: &mut Vec<u8>,
+        fields: &[(&str, u64)],
+        fp: u64,
+        sections: &[(&str, Vec<u8>)],
+    ) {
         // Kinds, keys and section names are identifiers, never escaped.
         let mut header = format!("{{\"schema\":\"{SCHEMA}\",\"kind\":\"{}\"", self.name);
         for (key, v) in fields.iter().chain(&[("fp", fp)]) {
@@ -80,7 +95,7 @@ impl Kind {
         }
         let names: Vec<String> = sections.iter().map(|(n, _)| format!("\"{n}\"")).collect();
         let _ = write!(header, ",\"sections\":[{}]}}", names.join(","));
-        write_sectioned(path, &header, sections)
+        frame_sectioned(out, &header, sections);
     }
 
     /// Opens a checkpoint of this kind. `fp`, when given, must equal the
@@ -91,8 +106,25 @@ impl Kind {
         fp: Option<u64>,
         identity: &[(&str, u64)],
     ) -> Result<Opened, StateError> {
-        let what = format!("{} checkpoint {}", self.name, path.display());
-        let (header, mut present) = read_sectioned(path, &what)?;
+        let raw = fs::read(path)
+            .map_err(|e| StateError::io(format!("read checkpoint {}", path.display()), e))?;
+        self.parse(
+            &raw,
+            format!("{} checkpoint {}", self.name, path.display()),
+            fp,
+            identity,
+        )
+    }
+
+    /// [`Kind::open`] over bytes already read; `what` names them in errors.
+    fn parse(
+        &self,
+        raw: &[u8],
+        what: String,
+        fp: Option<u64>,
+        identity: &[(&str, u64)],
+    ) -> Result<Opened, StateError> {
+        let (header, mut present) = parse_sectioned(raw, &what)?;
         let kind = header.req_str("kind", &what)?;
         if kind != self.name {
             return Err(StateError::Corrupt(format!(
@@ -316,9 +348,9 @@ pub struct WorkerCheckpoint {
 }
 
 impl WorkerCheckpoint {
-    /// Serialises and atomically writes the checkpoint to `path`
-    /// (tmp-file + rename, so a kill mid-write leaves the old file).
-    pub fn write_to(&self, path: &Path) -> Result<(), StateError> {
+    /// The journal entry that publishes this checkpoint as a cut: the
+    /// [`CUT_ENTRY`] tag, then the checkpoint's sectioned bytes.
+    pub fn cut_entry(&self) -> Vec<u8> {
         let mut sections = vec![("metrics", encode_snapshot(&self.metrics))];
         if let Some(run) = &self.run {
             sections.push((LIVE_SECTION, encode_run_state(run)));
@@ -329,21 +361,36 @@ impl WorkerCheckpoint {
             ("tick", self.tick),
             ("wal_seq", self.wal_seq),
         ];
-        WORKER.write(path, &fields, self.config_fp, &sections)
+        let mut out = vec![CUT_ENTRY];
+        WORKER.frame(&mut out, &fields, self.config_fp, &sections);
+        out
     }
 
-    /// Reads and fully validates a checkpoint from `path`, whichever
-    /// session or worker wrote it. The header's `sections` list decides
-    /// whether the range is mid-flight (it lists `live`) or completed.
+    /// Writes `path` as a worker journal holding this one cut, atomically
+    /// and durably (tmp file, fsync, rename).
+    pub fn write_to(&self, path: &Path) -> Result<(), StateError> {
+        let tmp = path.with_extension("tmp");
+        let mut wal = Wal::create(&tmp)?;
+        wal.append(&self.cut_entry())?;
+        wal.sync()?;
+        drop(wal);
+        fp::rename(&tmp, path)
+            .map_err(|e| StateError::io(format!("publish checkpoint {}", path.display()), e))
+    }
+
+    /// Reads and fully validates the last intact cut of the worker
+    /// journal at `path`, whichever session or worker wrote it. The
+    /// header's `sections` list decides whether the range is mid-flight
+    /// (it lists `live`) or completed.
     pub fn read_from(path: &Path) -> Result<WorkerCheckpoint, StateError> {
-        Self::decode(WORKER.open(path, None, &[])?)
-    }
-
-    /// [`WorkerCheckpoint::read_from`], refusing a checkpoint of another
-    /// session ([`StateError::Mismatch`]) or of another worker
-    /// ([`StateError::Corrupt`]).
-    pub fn read_for(path: &Path, config_fp: u64, worker: u32) -> Result<Self, StateError> {
-        Self::decode(WORKER.open(path, Some(config_fp), &[("worker", worker as u64)])?)
+        WorkerJournal::recover(path)?
+            .ok_or_else(|| {
+                StateError::Corrupt(format!(
+                    "worker checkpoint {}: no intact cut in the journal",
+                    path.display()
+                ))
+            })?
+            .checkpoint(None, None)
     }
 
     fn decode(mut ck: Opened) -> Result<Self, StateError> {
@@ -361,6 +408,106 @@ impl WorkerCheckpoint {
             metrics: ck.take("metrics", decode_snapshot)?,
             run,
         })
+    }
+}
+
+/// Tag byte opening a worker-journal entry that holds a journalled record.
+pub const RECORD_ENTRY: u8 = 0;
+
+/// Tag byte opening a worker-journal entry that holds a cut: the bytes of
+/// one [`WorkerCheckpoint`], as [`WorkerCheckpoint::cut_entry`] frames it.
+pub const CUT_ENTRY: u8 = 1;
+
+/// A worker journal (`worker-N.ckpt`) read back to its last intact cut.
+///
+/// The journal is a [`Wal`] whose every payload opens with a tag byte:
+/// [`RECORD_ENTRY`] or [`CUT_ENTRY`]. A cut's `wal_seq` counts the record
+/// entries before it, so publishing a cut is one append plus one
+/// [`Wal::sync`], and that fsync also makes every record before it
+/// durable. Entries past the last intact cut are never resumed from.
+#[derive(Debug)]
+pub struct WorkerJournal {
+    /// Intact entries up to and including the last cut, tags included.
+    entries: Vec<Vec<u8>>,
+    what: String,
+}
+
+impl WorkerJournal {
+    /// Reads the journal at `path` back to its last intact cut: `None`
+    /// when it holds none (a missing or empty file included).
+    pub fn recover(path: &Path) -> Result<Option<WorkerJournal>, StateError> {
+        let mut entries = Wal::recover(path)?.entries;
+        let Some(last) = entries.iter().rposition(|e| e.first() == Some(&CUT_ENTRY)) else {
+            return Ok(None);
+        };
+        entries.truncate(last + 1);
+        Ok(Some(WorkerJournal {
+            entries,
+            what: format!("worker checkpoint {}", path.display()),
+        }))
+    }
+
+    /// Every entry kept, tag bytes included; the last one is the cut.
+    pub fn entries(&self) -> &[Vec<u8>] {
+        &self.entries
+    }
+
+    /// The last cut's checkpoint bytes (its entry without the tag).
+    pub fn cut(&self) -> &[u8] {
+        &self
+            .entries
+            .last()
+            .expect("a recovered journal ends with a cut")[1..]
+    }
+
+    /// Decodes the last cut. With `fp`, a cut of another session is
+    /// [`StateError::Mismatch`]; with `worker`, a cut of another worker
+    /// is [`StateError::Corrupt`].
+    pub fn checkpoint(
+        &self,
+        fp: Option<u64>,
+        worker: Option<u32>,
+    ) -> Result<WorkerCheckpoint, StateError> {
+        let identity: Vec<(&str, u64)> = worker.map(|w| ("worker", w as u64)).into_iter().collect();
+        WorkerCheckpoint::decode(WORKER.parse(self.cut(), self.what.clone(), fp, &identity)?)
+    }
+
+    /// The payloads of the record entries before the last cut, in
+    /// journal order, tags stripped. An entry with an unknown tag is
+    /// [`StateError::Corrupt`].
+    pub fn records(&self) -> Result<Vec<&[u8]>, StateError> {
+        let mut records = Vec::new();
+        for entry in &self.entries[..self.entries.len() - 1] {
+            match entry.split_first() {
+                Some((&RECORD_ENTRY, payload)) => records.push(payload),
+                Some((&CUT_ENTRY, _)) => {}
+                _ => {
+                    return Err(StateError::Corrupt(format!(
+                        "{}: journal entry with unknown tag",
+                        self.what
+                    )))
+                }
+            }
+        }
+        Ok(records)
+    }
+
+    /// What compaction rewrites the journal to: every record entry, then
+    /// the last cut. Superseded cuts are dropped.
+    pub fn compacted(mut self) -> Vec<Vec<u8>> {
+        let cut = self
+            .entries
+            .pop()
+            .expect("a recovered journal ends with a cut");
+        self.entries.retain(|e| e.first() == Some(&RECORD_ENTRY));
+        self.entries.push(cut);
+        self.entries
+    }
+
+    /// Reopens the journal at `path` to append just past the last cut,
+    /// dropping the torn tail and any entries after the cut.
+    pub fn reopen(&self, path: &Path) -> Result<Wal, StateError> {
+        Wal::reopen(path, &self.entries)
     }
 }
 
@@ -453,7 +600,14 @@ pub fn write_sectioned(
     header: &str,
     sections: &[(&str, Vec<u8>)],
 ) -> Result<(), StateError> {
-    let mut out = Vec::with_capacity(
+    let mut out = Vec::new();
+    frame_sectioned(&mut out, header, sections);
+    publish(path, &out)
+}
+
+/// Appends the framing of `header` and `sections` to `out`.
+fn frame_sectioned(out: &mut Vec<u8>, header: &str, sections: &[(&str, Vec<u8>)]) {
+    out.reserve(
         MAGIC.len() + header.len() + 16 + sections.iter().map(|(_, s)| s.len() + 32).sum::<usize>(),
     );
     out.extend_from_slice(MAGIC);
@@ -467,11 +621,16 @@ pub fn write_sectioned(
         out.extend_from_slice(payload);
         out.extend_from_slice(&crc32(payload).to_le_bytes());
     }
+}
+
+/// Publishes `bytes` at `path` atomically and durably: tmp file, fsync,
+/// rename.
+fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = fp::FpFile::create(&tmp)
             .map_err(|e| StateError::io(format!("create checkpoint {}", tmp.display()), e))?;
-        f.write_all(&out)
+        f.write_all(bytes)
             .map_err(|e| StateError::io(format!("write checkpoint {}", tmp.display()), e))?;
         f.sync_all()
             .map_err(|e| StateError::io(format!("sync checkpoint {}", tmp.display()), e))?;
@@ -480,15 +639,13 @@ pub fn write_sectioned(
         .map_err(|e| StateError::io(format!("publish checkpoint {}", path.display()), e))
 }
 
-/// Reads a framed file, validating magic, schema, and per-section CRCs.
-/// Every length read from the file goes through [`Decoder`]'s bounds
+/// Parses framed bytes, validating magic, schema, and per-section CRCs.
+/// Every length read from the bytes goes through [`Decoder`]'s bounds
 /// checks, so no length can index past the buffer or overflow.
-fn read_sectioned(
-    path: &Path,
+fn parse_sectioned(
+    raw: &[u8],
     what: &str,
 ) -> Result<(Value, BTreeMap<String, Vec<u8>>), StateError> {
-    let raw = fs::read(path)
-        .map_err(|e| StateError::io(format!("read checkpoint {}", path.display()), e))?;
     let body = raw.strip_prefix(MAGIC).ok_or_else(|| {
         StateError::Corrupt(format!("{what}: bad magic (not an xmap checkpoint)"))
     })?;

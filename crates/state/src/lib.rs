@@ -8,8 +8,11 @@
 //! machine failures. ZMap-lineage scanners only offer coarse sharding;
 //! a killed shard restarts from scratch. This crate provides the missing
 //! layer: a versioned checkpoint format ([`SCHEMA`]) plus a
-//! write-ahead record journal such that a scan killed at probe *k* and
-//! resumed finishes with output byte-identical to an uninterrupted run.
+//! write-ahead journal such that a scan killed at probe *k* — or losing
+//! power there — and resumed finishes with output byte-identical to an
+//! uninterrupted run. A scan worker keeps one file, a journal of records
+//! and cuts ([`WorkerJournal`]); every other checkpoint kind is a file of
+//! its own, published by tmp file, fsync and rename.
 //!
 //! The crate is deliberately domain-light — it knows about prefixes,
 //! telemetry snapshots, bytes, and files, but not about scanners. The
@@ -18,12 +21,13 @@
 //!
 //! ## Pieces
 //!
-//! - [`checkpoint`]: the sectioned file format (ordered JSON header +
+//! - [`checkpoint`]: the sectioned format (ordered JSON header +
 //!   CRC-protected binary sections), the one envelope every checkpoint
-//!   kind is written and opened through ([`checkpoint::Kind`]), and the
+//!   kind is written and opened through ([`checkpoint::Kind`]), the
 //!   mid-range scanner state it carries ([`RunState`],
-//!   [`WorkerCheckpoint`]).
-//! - [`wal`]: the append-only record journal with torn-tail recovery.
+//!   [`WorkerCheckpoint`]), and the worker journal that holds it as cuts
+//!   ([`WorkerJournal`]).
+//! - [`wal`]: the append-only journal with torn-tail recovery.
 //! - [`manifest`]: the per-session configuration manifest whose
 //!   fingerprint binds checkpoints to the exact scan they belong to.
 //! - [`codec`]: the little-endian codec, CRC-32, and FNV-1a fingerprints.
@@ -42,6 +46,7 @@ pub mod wal;
 
 pub use checkpoint::{
     CursorState, OutstandingEntry, RetryEntryState, RunState, SubShardEntry, WorkerCheckpoint,
+    WorkerJournal,
 };
 pub use codec::Fingerprint;
 pub use error::StateError;

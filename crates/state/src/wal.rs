@@ -1,10 +1,12 @@
-//! Write-ahead record journal.
+//! Write-ahead journal.
 //!
-//! Every result record a scanner emits is appended here *before* the next
-//! checkpoint is taken, so a resumed run can (a) replay records from
-//! ranges that already completed without re-scanning them and (b) discard
-//! a torn tail — the partial entry a kill left behind mid-write — and
-//! deterministically re-emit it by re-executing from the checkpoint.
+//! A scan worker appends every result record here, and each checkpoint
+//! after them as a cut entry ([`crate::WorkerJournal`]), so a resumed run
+//! can (a) replay records from ranges that already completed without
+//! re-scanning them and (b) discard a torn tail — the partial entry a
+//! kill left behind mid-write — and deterministically re-emit it by
+//! re-executing from the last intact cut. [`Wal::sync`] makes everything
+//! appended so far durable.
 //!
 //! On-disk entry layout (all little-endian):
 //!
@@ -29,6 +31,11 @@ use crate::error::StateError;
 
 const HEADER_LEN: usize = 8 + 4;
 const TRAILER_LEN: usize = 4;
+
+/// Bytes one entry with a `payload_len`-byte payload takes on disk.
+pub fn frame_len(payload_len: usize) -> u64 {
+    (HEADER_LEN + payload_len + TRAILER_LEN) as u64
+}
 
 /// An open journal positioned for appending. All writes route through
 /// the failpoint filesystem wrapper, so tests can inject `EIO`/`ENOSPC`,
@@ -130,28 +137,26 @@ impl Wal {
                 rec.entries.len()
             )));
         }
-        let keep_bytes: u64 = rec
-            .entries
-            .iter()
-            .take(keep as usize)
-            .map(|p| (HEADER_LEN + p.len() + TRAILER_LEN) as u64)
-            .sum();
         rec.entries.truncate(keep as usize);
+        let wal = Self::reopen(path, &rec.entries)?;
+        Ok((wal, rec.entries))
+    }
+
+    /// Reopens the journal at `path` to append after `kept`, an intact
+    /// prefix of its entries, truncating everything past them.
+    pub fn reopen(path: &Path, kept: &[Vec<u8>]) -> Result<Wal, StateError> {
+        let keep_bytes: u64 = kept.iter().map(|p| frame_len(p.len())).sum();
         let mut file = FpFile::open_rw(path)
             .map_err(|e| StateError::io(format!("open journal {}", path.display()), e))?;
         file.set_len(keep_bytes)
             .map_err(|e| StateError::io(format!("truncate journal {}", path.display()), e))?;
         file.seek_end()
             .map_err(|e| StateError::io(format!("seek journal {}", path.display()), e))?;
-        let writer = BufWriter::new(file);
-        Ok((
-            Wal {
-                writer,
-                path: path.to_path_buf(),
-                next_seq: keep,
-            },
-            rec.entries,
-        ))
+        Ok(Wal {
+            writer: BufWriter::new(file),
+            path: path.to_path_buf(),
+            next_seq: kept.len() as u64,
+        })
     }
 
     /// Appends one record, returning its sequence number. Buffered; call
@@ -176,6 +181,25 @@ impl Wal {
         self.writer
             .flush()
             .map_err(|e| StateError::io(format!("flush journal {}", self.path.display()), e))
+    }
+
+    /// Flushes buffered entries and fsyncs the file: every entry appended
+    /// so far survives a power cut.
+    pub fn sync(&mut self) -> Result<(), StateError> {
+        self.flush()?;
+        self.writer
+            .get_ref()
+            .sync_all()
+            .map_err(|e| StateError::io(format!("sync journal {}", self.path.display()), e))
+    }
+
+    /// Gives the journal up after a failed append, flush or sync: bytes
+    /// still buffered are discarded, not flushed, and the file is cut
+    /// back to `len` bytes, its last durable length. Best effort — on a
+    /// dead disk the cut fails too, and recovery drops the torn tail.
+    pub fn abandon(self, len: u64) {
+        let (file, _unwritten) = self.writer.into_parts();
+        let _ = file.set_len(len);
     }
 
     /// The sequence number the next [`Wal::append`] will use — i.e. the

@@ -28,7 +28,7 @@ use xmap_addr::ScanRange;
 use xmap_netsim::world::{World, WorldConfig};
 use xmap_netsim::{FaultPlan, KillPoint};
 use xmap_reactor::{ReplayNet, WireRecorder};
-use xmap_state::{AbortSignal, Fingerprint, WorkerCheckpoint};
+use xmap_state::{AbortSignal, Fingerprint, WorkerCheckpoint, WorkerJournal};
 use xmap_telemetry::{Snapshot, Telemetry};
 
 const GOLDEN_LOSSY_CSV: u64 = 0x69cf_e933_187e_7c3e;
@@ -196,8 +196,8 @@ fn run_one_session(dir: &Path, resume: bool, kill_after: Option<u64>) -> (ScanRe
 /// each worker is stopped by its *own* world after `kill` probes. (Under
 /// `run_session`'s one shared signal the worker that did not trip the
 /// kill stops at whatever slot it happens to be in, so the files it
-/// leaves differ from run to run.) Returns the bytes of every worker
-/// checkpoint left in `dir`.
+/// leaves differ from run to run.) Returns the bytes of every worker's
+/// last cut: the checkpoint its journal `worker-N.ckpt` ends with.
 fn killed_session(dir: &Path, kill: u64) -> Vec<Vec<u8>> {
     let ranges = [range()];
     let spec = session_spec(&ranges, dir, false);
@@ -241,8 +241,18 @@ fn killed_session(dir: &Path, kill: u64) -> Vec<Vec<u8>> {
         "kill after {kill} probes must interrupt"
     );
     (0..signals.len())
-        .map(|w| fs::read(dir.join(format!("worker-{w}.ckpt"))).expect("worker checkpoint"))
+        .map(|w| last_cut(&dir.join(format!("worker-{w}.ckpt"))))
         .collect()
+}
+
+/// The checkpoint bytes of the last intact cut in the worker journal at
+/// `path`.
+fn last_cut(path: &Path) -> Vec<u8> {
+    WorkerJournal::recover(path)
+        .expect("journal reads")
+        .expect("journal holds a cut")
+        .cut()
+        .to_vec()
 }
 
 /// Kill-and-resume parity: a session killed after 40 or 233 probes and
@@ -276,10 +286,10 @@ fn kill_and_resume_equals_uninterrupted() {
     }
 }
 
-/// The checkpoint files a killed session leaves are pinned byte for
-/// byte, mid-range with retransmissions pending — so a session directory
-/// written by the build the fingerprints were captured from is exactly
-/// what this build writes, and (second half) what it resumes from.
+/// The last cut each worker of a killed session publishes is pinned byte
+/// for byte, mid-range with retransmissions pending — the same bytes the
+/// build the fingerprints were captured from wrote as a checkpoint file
+/// of their own — and (second half) the session resumes from it.
 #[test]
 fn killed_session_checkpoints_match_golden_and_resume() {
     let dir = session_dir("ckpt");
@@ -291,7 +301,11 @@ fn killed_session_checkpoints_match_golden_and_resume() {
             .run
             .expect("killed mid-range");
         assert!(!run.retries.is_empty(), "worker {w}: retry queue is empty");
-        assert_eq!(fnv(bytes), GOLDEN_CHECKPOINTS[w], "worker-{w}.ckpt");
+        assert_eq!(
+            fnv(bytes),
+            GOLDEN_CHECKPOINTS[w],
+            "worker-{w}.ckpt last cut"
+        );
     }
     let (resumed, snap) = run_one_session(&dir, true, None);
     assert!(!resumed.interrupted);
@@ -476,8 +490,9 @@ fn resumed_silent_targets_and_gave_up_equal_uninterrupted() {
 
 /// A cut's size follows what is still live, not what was probed: a
 /// lossless single-probe session has no retry armed at any boundary, so
-/// its checkpoint is as long after 12 Ki probes as after 2 Ki, header
-/// included (it writes every integer at a fixed width).
+/// its last cut is as long after 12 Ki probes as after 2 Ki, header
+/// included (it writes every integer at a fixed width). The journal
+/// around it grows with the records by design; the cut must not.
 #[test]
 fn mid_range_checkpoint_size_is_flat() {
     let config = ScanConfig {
@@ -500,7 +515,7 @@ fn mid_range_checkpoint_size_is_flat() {
         let path = dir.join("worker-0.ckpt");
         let ckpt = WorkerCheckpoint::read_from(&path).expect("checkpoint parses");
         assert!(ckpt.run.is_some(), "killed mid-range");
-        let len = fs::metadata(&path).unwrap().len();
+        let len = last_cut(&path).len();
         fs::remove_dir_all(&dir).unwrap();
         len
     });

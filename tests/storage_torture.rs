@@ -17,10 +17,12 @@ use xmap::{
     run_session, Blocklist, IcmpEchoProbe, ParallelScanner, ScanConfig, ScanResults, SessionSpec,
 };
 use xmap_addr::ScanRange;
-use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule};
-use xmap_netsim::World;
+use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule, FsSchedule};
+use xmap_netsim::{KillPoint, World};
 use xmap_periphery::{BlockMode, Campaign, CampaignOutcome, ParallelCampaign, UnitMode};
-use xmap_state::{AbortSignal, StateError};
+use xmap_state::checkpoint::CUT_ENTRY;
+use xmap_state::wal::frame_len;
+use xmap_state::{AbortSignal, StateError, Wal, WorkerCheckpoint};
 use xmap_telemetry::{Snapshot, Telemetry};
 
 /// Fresh per-test directory under the system temp dir.
@@ -44,6 +46,23 @@ fn session_config() -> ScanConfig {
     }
 }
 
+/// The shape of one checkpointed session run: its checkpoint cadence in
+/// slots, its target budget, and optionally a kill after that many
+/// probes.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    every: u64,
+    targets: u64,
+    kill_after: Option<u64>,
+}
+
+/// The session the sweeps run unless they say otherwise.
+const DEFAULT_SHAPE: Shape = Shape {
+    every: 16,
+    targets: 300,
+    kill_after: None,
+};
+
 /// One checkpointed session run. Returns the outcome *and* the sink
 /// error so callers can distinguish "completed but durability degraded"
 /// from a hard failure.
@@ -52,26 +71,47 @@ fn session_run(
     resume: bool,
     workers: usize,
 ) -> Result<(ScanResults, Snapshot, Option<StateError>), StateError> {
+    session_run_shaped(dir, resume, workers, DEFAULT_SHAPE)
+}
+
+/// [`session_run`] of another [`Shape`].
+fn session_run_shaped(
+    dir: &Path,
+    resume: bool,
+    workers: usize,
+    shape: Shape,
+) -> Result<(ScanResults, Snapshot, Option<StateError>), StateError> {
     let signal = AbortSignal::new();
-    let config = session_config();
+    let config = ScanConfig {
+        max_targets: Some(shape.targets),
+        ..session_config()
+    };
     let ranges = ranges();
     let spec = SessionSpec {
         workers,
         config,
         ranges: &ranges,
         dir,
-        every: 16,
+        every: shape.every,
         resume,
         world_seed: 5,
     };
+    let kill_signal = signal.clone();
     let outcome = run_session(
         &spec,
         &IcmpEchoProbe,
         &Blocklist::allow_all(),
         Some(&signal),
-        |_, telemetry| {
+        move |_, telemetry| {
             let mut w = World::new(5);
             w.set_telemetry(telemetry);
+            if let Some(n) = shape.kill_after {
+                let point = KillPoint {
+                    after_probes: Some(n),
+                    ..Default::default()
+                };
+                w.arm_kill(point, kill_signal.clone());
+            }
             w
         },
     )?;
@@ -203,6 +243,252 @@ fn session_kill_sweep_recovers_under_two_workers() {
     }
 }
 
+/// Power loss at every filesystem operation of a checkpointed session:
+/// the kill latches the disk, then every byte that was not fsynced is
+/// lost. A cut, once published, must survive together with every record
+/// it covers: from the first kill point that leaves one on disk, every
+/// later one must resume — never a `Corrupt` refusal — to the baseline
+/// CSV and snapshot.
+#[test]
+fn session_power_loss_sweep_resumes_every_published_cut() {
+    let base_dir = torture_dir("power-base");
+    let scope = FailPlan::observe(&base_dir).arm();
+    let (base, base_snap, sink_error) = session_run(&base_dir, false, 1).unwrap();
+    assert!(sink_error.is_none(), "{sink_error:?}");
+    let total_ops = scope.ops();
+    drop(scope);
+    std::fs::remove_dir_all(&base_dir).unwrap();
+    let base_csv = to_csv(&base.records);
+
+    let mut published = false;
+    let mut covered_a_record = false;
+    let (mut from_cut, mut refused) = (0, 0);
+    for kill in 0..total_ops {
+        let dir = torture_dir("power-kill");
+        let scope = FailPlan::kill_at(&dir, kill, 0).arm();
+        let _ = session_run(&dir, false, 1);
+        assert!(scope.killed(), "kill point {kill} never fired");
+        scope.lose_unsynced();
+        drop(scope);
+        let cut = WorkerCheckpoint::read_from(&dir.join("worker-0.ckpt")).ok();
+        assert!(
+            cut.is_some() || !published,
+            "kill {kill}: power loss took a cut an earlier op had published"
+        );
+        published |= cut.is_some();
+        covered_a_record |= cut.as_ref().is_some_and(|c| c.wal_seq >= 1);
+        from_cut += u64::from(cut.is_some());
+        match session_run(&dir, true, 1) {
+            Ok((resumed, snap, sink_error)) => {
+                assert!(sink_error.is_none(), "kill {kill}: {sink_error:?}");
+                assert!(!resumed.interrupted, "kill {kill}");
+                assert_eq!(to_csv(&resumed.records), base_csv, "kill {kill}: records");
+                assert_eq!(snap, base_snap, "kill {kill}: snapshot");
+            }
+            Err(StateError::Corrupt(msg)) => {
+                panic!("kill {kill}: resume refused as corrupt: {msg}")
+            }
+            Err(refusal) => {
+                assert!(
+                    !published,
+                    "kill {kill}: a published cut must resume, got `{refusal}`"
+                );
+                refused += 1;
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    eprintln!(
+        "# power-loss sweep: {total_ops} kill points, {from_cut} resumed from a cut, \
+         {refused} refused before the first one"
+    );
+    assert!(
+        covered_a_record,
+        "no kill point left a published cut covering a record"
+    );
+}
+
+/// A kill mid-publish can tear the journal's last cut entry at any byte.
+/// Cut back to every offset inside that entry, the journal must resume
+/// from the cut before it to the uninterrupted artifacts.
+#[test]
+fn torn_last_cut_falls_back_to_the_previous_cut() {
+    let base_dir = torture_dir("torn-base");
+    let (base, base_snap, _) = session_run(&base_dir, false, 1).unwrap();
+    std::fs::remove_dir_all(&base_dir).unwrap();
+    let base_csv = to_csv(&base.records);
+
+    let killed_dir = torture_dir("torn-killed");
+    let shape = Shape {
+        kill_after: Some(250),
+        ..DEFAULT_SHAPE
+    };
+    let (killed, _, _) = session_run_shaped(&killed_dir, false, 1, shape).unwrap();
+    assert!(killed.interrupted, "kill after 250 probes must interrupt");
+    let journal = std::fs::read(killed_dir.join("worker-0.ckpt")).unwrap();
+    let manifest = std::fs::read(killed_dir.join("manifest.json")).unwrap();
+    let entries = Wal::recover(&killed_dir.join("worker-0.ckpt"))
+        .unwrap()
+        .entries;
+    std::fs::remove_dir_all(&killed_dir).unwrap();
+    let last = entries.last().expect("journal holds entries");
+    assert_eq!(
+        last.first(),
+        Some(&CUT_ENTRY),
+        "the kill's cut ends the journal"
+    );
+    let cuts = entries
+        .iter()
+        .filter(|e| e.first() == Some(&CUT_ENTRY))
+        .count();
+    assert!(cuts >= 2, "a cut must precede the torn one, found {cuts}");
+    let last_start = journal.len() - frame_len(last.len()) as usize;
+
+    for len in last_start..journal.len() {
+        let dir = torture_dir("torn-cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest.json"), &manifest).unwrap();
+        std::fs::write(dir.join("worker-0.ckpt"), &journal[..len]).unwrap();
+        let (resumed, snap, sink_error) = session_run(&dir, true, 1)
+            .unwrap_or_else(|e| panic!("journal cut to {len} bytes: resume refused: {e}"));
+        assert!(sink_error.is_none(), "{sink_error:?}");
+        assert_eq!(
+            to_csv(&resumed.records),
+            base_csv,
+            "journal cut to {len} bytes"
+        );
+        assert_eq!(snap, base_snap, "journal cut to {len} bytes");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A session directory of the older layout — a `worker-N.wal` record
+/// journal beside the checkpoint file — is refused on resume as a
+/// version error, naming the remedy.
+#[test]
+fn older_session_layout_is_refused_as_a_version_error() {
+    let dir = torture_dir("legacy");
+    session_run(&dir, false, 1).unwrap();
+    std::fs::write(dir.join("worker-0.wal"), b"").unwrap();
+    match session_run(&dir, true, 1) {
+        Err(StateError::Version(msg)) => assert!(msg.contains("--resume"), "{msg}"),
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The shape compaction needs: a cut every slot, enough slots for the
+/// superseded cuts to pass the 1 MiB floor.
+const COMPACTING_SHAPE: Shape = Shape {
+    every: 1,
+    targets: 1200,
+    kill_after: None,
+};
+
+/// Every cut entry of the journal in `dir`, and the journal's length.
+fn journal_cuts(dir: &Path) -> (Vec<Vec<u8>>, u64) {
+    let path = dir.join("worker-0.ckpt");
+    let mut entries = Wal::recover(&path).unwrap().entries;
+    entries.retain(|e| e.first() == Some(&CUT_ENTRY));
+    (entries, std::fs::metadata(&path).unwrap().len())
+}
+
+/// A cut every slot outgrows the compaction floor: the journal is
+/// rewritten as its records plus the latest cut, ending shorter than the
+/// cuts written into it. With compaction failing throughout, the run is
+/// unchanged and durable. Power loss at each compaction step — the
+/// `.tmp` create, write and sync, the rename, the directory sync —
+/// resumes from a published cut to the uninterrupted artifacts.
+#[test]
+fn compaction_drops_superseded_cuts_and_survives_a_kill_at_each_step() {
+    let base_dir = torture_dir("compact-base");
+    let (base, base_snap, sink_error) =
+        session_run_shaped(&base_dir, false, 1, COMPACTING_SHAPE).unwrap();
+    assert!(sink_error.is_none(), "{sink_error:?}");
+    let base_csv = to_csv(&base.records);
+    let (kept_cuts, compacted_len) = journal_cuts(&base_dir);
+    std::fs::remove_dir_all(&base_dir).unwrap();
+
+    // Every compaction fails at its first step: nothing is ever dropped.
+    let dir = torture_dir("compact-never");
+    let never = FsSchedule {
+        suffix: Some("worker-0.tmp".into()),
+        ..FsSchedule::disk_full_window(FsOp::Create, 0, u64::MAX)
+    };
+    let scope = FailPlan::observe(&dir).with_schedule(never).arm();
+    let (results, snap, sink_error) = session_run_shaped(&dir, false, 1, COMPACTING_SHAPE).unwrap();
+    assert!(scope.fired() >= 1, "no compaction was attempted");
+    drop(scope);
+    assert!(
+        sink_error.is_none(),
+        "a failed compaction must not degrade: {sink_error:?}"
+    );
+    assert_eq!(to_csv(&results.records), base_csv);
+    assert_eq!(snap, base_snap);
+    let (all_cuts, _) = journal_cuts(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let cut_bytes: u64 = all_cuts.iter().map(|c| frame_len(c.len())).sum();
+    assert!(
+        kept_cuts.len() < all_cuts.len(),
+        "no compaction happened: {} cuts kept of {}",
+        kept_cuts.len(),
+        all_cuts.len()
+    );
+    assert!(
+        compacted_len < cut_bytes,
+        "compacted journal {compacted_len} B, cuts written {cut_bytes} B"
+    );
+
+    let dir_name = |dir: &Path| dir.file_name().unwrap().to_string_lossy().into_owned();
+    let steps = [
+        (FsOp::Create, "worker-0.tmp", 0),
+        (FsOp::Write, "worker-0.tmp", 0),
+        (FsOp::Sync, "worker-0.tmp", 0),
+        (FsOp::Rename, "worker-0.tmp", 0),
+        // The session's creation syncs the directory first.
+        (FsOp::Sync, "", 1),
+    ];
+    for (op, suffix, nth) in steps {
+        let dir = torture_dir("compact-kill");
+        let suffix = if suffix.is_empty() {
+            dir_name(&dir)
+        } else {
+            suffix.to_owned()
+        };
+        let scope = FailPlan {
+            prefix: dir.clone(),
+            rules: vec![FsRule {
+                op,
+                suffix: Some(suffix.clone()),
+                nth,
+                action: FsAction::Kill { keep: 7 },
+            }],
+            schedules: Vec::new(),
+        }
+        .arm();
+        let _ = session_run_shaped(&dir, false, 1, COMPACTING_SHAPE);
+        assert!(scope.killed(), "{op:?} {suffix} never ran");
+        scope.lose_unsynced();
+        drop(scope);
+        // Hundreds of cuts were published before the first compaction.
+        let cut = WorkerCheckpoint::read_from(&dir.join("worker-0.ckpt"));
+        assert!(
+            cut.is_ok(),
+            "kill at {op:?} {suffix} lost every cut: {cut:?}"
+        );
+        let (resumed, snap, sink_error) = session_run_shaped(&dir, true, 1, COMPACTING_SHAPE)
+            .unwrap_or_else(|e| panic!("kill at {op:?} {suffix}: resume refused: {e}"));
+        assert!(sink_error.is_none(), "{sink_error:?}");
+        assert_eq!(
+            to_csv(&resumed.records),
+            base_csv,
+            "kill at {op:?} {suffix}"
+        );
+        assert_eq!(snap, base_snap, "kill at {op:?} {suffix}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// A one-shot ENOSPC on a checkpoint publish degrades the sink to
 /// in-memory mode without corrupting the previously published
 /// checkpoint; the sink recovers at a later boundary and the session
@@ -216,13 +502,13 @@ fn enospc_on_checkpoint_publish_degrades_without_corruption() {
     let base_csv = to_csv(&base.records);
     std::fs::remove_dir_all(&base_dir).unwrap();
 
-    // One-shot: the second checkpoint publish (`.tmp` create) fails.
+    // One-shot: the second checkpoint publish (the journal's sync) fails.
     let dir = torture_dir("enospc-once");
     let scope = FailPlan {
         prefix: dir.clone(),
         rules: vec![FsRule {
-            op: FsOp::Create,
-            suffix: Some(".tmp".into()),
+            op: FsOp::Sync,
+            suffix: Some(".ckpt".into()),
             nth: 1,
             action: FsAction::Fail(FaultKind::Enospc),
         }],
@@ -246,12 +532,12 @@ fn enospc_on_checkpoint_publish_degrades_without_corruption() {
     // published checkpoint must survive untouched and still resume.
     // (A fired rule short-circuits rule evaluation for that op, so the
     // *next* rule in line has seen one fewer matching op — `nth: 1` on
-    // every rule means each one fails the next create it witnesses.)
+    // every rule means each one fails the next sync it witnesses.)
     let dir = torture_dir("enospc-dead");
     let rules = (0..200)
         .map(|_| FsRule {
-            op: FsOp::Create,
-            suffix: Some(".tmp".into()),
+            op: FsOp::Sync,
+            suffix: Some(".ckpt".into()),
             nth: 1,
             action: FsAction::Fail(FaultKind::Enospc),
         })
