@@ -875,7 +875,7 @@ fn decode_record(raw: &[u8]) -> Result<(u32, ScanRecord), StateError> {
 
 /// The one wire layout of a [`ScanRecord`] (little-endian, same codec as
 /// the checkpoint sections), shared by the session journal and the
-/// campaign-unit checkpoints: target prefix, `probe_dst`, `responder`,
+/// campaign journal's unit entries: target prefix, `probe_dst`, `responder`,
 /// result tag, confidence tag.
 pub fn encode_scan_record(e: &mut Encoder, r: &ScanRecord) {
     e.prefix(&r.target);

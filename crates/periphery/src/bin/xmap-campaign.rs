@@ -27,8 +27,9 @@
 //!   -o, --output FILE       write discovered peripheries as CSV
 //!                           (default: stdout)
 //!       --metrics-out FILE  write the merged telemetry snapshot as JSON
-//!       --checkpoint DIR    keep per-block checkpoints in DIR; a killed
-//!                           campaign resumes from completed blocks
+//!       --checkpoint DIR    journal the campaign in DIR/campaign.ckpt; a
+//!                           killed campaign resumes from committed blocks
+//!                           and delivered units
 //!       --resume            continue the campaign checkpointed in DIR,
 //!                           under any --campaign-workers count
 //!       --resume-plan       dry run: print the Skip/Resume/Fresh/Split
@@ -491,7 +492,7 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
 
 /// One CSV line per sample block with its Skip/Resume/Fresh/Split
 /// classification, then a one-line tally. The split bucket only appears
-/// in the tally when a block actually has a sub-shard manifest, so
+/// in the tally when a block has actually split, so
 /// split-free plans render exactly as they did before splitting existed.
 fn render_resume_plan(plan: &[BlockMode]) -> String {
     let mut out = String::from("block,profile,scan_base,mode\n");
@@ -635,6 +636,28 @@ mod tests {
             !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
             "resume-plan must not create checkpoint state"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_refuses_an_older_campaign_directory() {
+        let dir = std::env::temp_dir().join(format!("xmap-campaign-older-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let older = xmap_state::checkpoint::Kind {
+            name: "campaign-dir",
+        };
+        older
+            .write(&dir.join("campaign.ckpt"), &[("blocks", 15)], 0, &[])
+            .unwrap();
+        let cfg = parse_args(&args(&format!(
+            "--targets-per-block 512 --checkpoint {} --resume -q",
+            dir.display()
+        )))
+        .unwrap();
+        let err = run(cfg).unwrap_err();
+        assert!(err.contains("unsupported checkpoint version"), "{err}");
+        assert!(err.contains("re-run without --resume"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -446,9 +446,13 @@ impl Campaign {
     /// (the block is discarded and re-run on resume), or nothing was
     /// silent. A *yielded* unit must be settled first (its `unit`
     /// shrunk to the consumed prefix) — the silent list only ever covers
-    /// consumed positions, so the pass is already exact.
+    /// consumed positions, so the pass is already exact. The pass
+    /// consumes the silent list: only its length outlives it, in the
+    /// span.
     pub(crate) fn unit_mop_up<N: Network>(&self, scanner: &mut Scanner<N>, raw: &mut UnitRaw) {
-        if !self.mop_up || raw.interrupted || raw.silent.is_empty() {
+        let silent = std::mem::take(&mut raw.silent);
+        let silent_positions = std::mem::take(&mut raw.silent_positions);
+        if !self.mop_up || raw.interrupted || silent.is_empty() {
             return;
         }
         // Let rate-limited devices accrue error tokens before the
@@ -464,7 +468,7 @@ impl Campaign {
         // retransmit/rate-limit counters, and the unit's stats absorb
         // the exact registry delta at the end.
         let base = scanner.metrics().baseline();
-        for (i, target) in raw.silent.iter().enumerate() {
+        for (target, &position) in silent.iter().zip(&silent_positions) {
             if scanner.is_aborted() {
                 break;
             }
@@ -501,7 +505,7 @@ impl Campaign {
                 // whatever merge the answers later land in.
                 scanner.metrics().rate_limited_suspected.inc();
                 raw.mopup.push(MopAnswer {
-                    position: raw.silent_positions[i],
+                    position,
                     target: *target,
                     probe_dst: dst,
                     responder,
@@ -510,7 +514,7 @@ impl Campaign {
             }
         }
         raw.stats.merge(&scanner.metrics().stats_since(&base));
-        raw.mopup_span = Some((mop_up_start, scanner.ticks()));
+        raw.mopup_span = Some((mop_up_start, scanner.ticks(), silent.len() as u64));
     }
 
     /// Merges the units of one block — in any split layout, including the
@@ -600,13 +604,13 @@ impl Campaign {
         }
         if tracer.is_enabled() {
             for (u, recovered) in units.iter().zip(&unit_recovered) {
-                if let Some((start, end)) = u.mopup_span {
+                if let Some((start, end, silent)) = u.mopup_span {
                     tracer.span_event(
                         start,
                         end,
                         "periphery.mopup",
                         vec![
-                            ("silent", (u.silent.len() as u64).into()),
+                            ("silent", silent.into()),
                             ("recovered", (*recovered).into()),
                         ],
                     );
@@ -674,7 +678,7 @@ pub(crate) struct MopAnswer {
 /// One unit's raw, classification-free output: everything
 /// [`Campaign::assemble`] needs to merge any split layout of a block
 /// back into the byte-exact sequential result. Also the payload of the
-/// executor's per-unit checkpoints (kind `campaign-unit`).
+/// executor's unit journal entries (kind `campaign-unit`).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct UnitRaw {
     /// The sub-progression of the block walk this unit covered. After a
@@ -684,7 +688,8 @@ pub(crate) struct UnitRaw {
     pub records: Vec<ScanRecord>,
     /// Base walk positions of `records` (parallel vector).
     pub positions: Vec<u64>,
-    /// Silent targets, in this unit's probe order.
+    /// Silent targets, in this unit's probe order, until the mop-up pass
+    /// consumes them.
     pub silent: Vec<Prefix>,
     /// Base walk positions of `silent` (parallel vector).
     pub silent_positions: Vec<u64>,
@@ -699,9 +704,10 @@ pub(crate) struct UnitRaw {
     pub yielded: bool,
     /// The main pass was aborted; the block is discarded and re-run.
     pub interrupted: bool,
-    /// Virtual tick stamps `(start, end)` of the unit's mop-up pass,
-    /// replayed as a `periphery.mopup` span at assembly.
-    pub mopup_span: Option<(u64, u64)>,
+    /// The unit's mop-up pass, replayed as a `periphery.mopup` span at
+    /// assembly: virtual tick stamps `(start, end)` and the number of
+    /// silent targets it re-probed.
+    pub mopup_span: Option<(u64, u64, u64)>,
 }
 
 fn encode_stats(e: &mut Encoder, s: &ScanStats) {
@@ -734,9 +740,9 @@ fn decode_stats(d: &mut Decoder) -> Result<ScanStats, StateError> {
     })
 }
 
-/// Serialises one [`UnitRaw`] in the checkpoint's campaign-unit
-/// wire form — the per-unit checkpoint payload a killed split block
-/// resumes from.
+/// Serialises one [`UnitRaw`] after its mop-up pass in the campaign-unit
+/// wire form — the journal payload a killed split block resumes from.
+/// The consumed silent list is not stored: its length is in the span.
 pub(crate) fn encode_unit_raw(e: &mut Encoder, u: &UnitRaw) {
     e.u64(u.unit.offset);
     e.u64(u.unit.stride);
@@ -745,11 +751,6 @@ pub(crate) fn encode_unit_raw(e: &mut Encoder, u: &UnitRaw) {
     for (r, pos) in u.records.iter().zip(&u.positions) {
         e.u64(*pos);
         encode_scan_record(e, r);
-    }
-    e.seq(u.silent.len());
-    for (t, pos) in u.silent.iter().zip(&u.silent_positions) {
-        e.u64(*pos);
-        e.prefix(t);
     }
     e.seq(u.mopup.len());
     for a in &u.mopup {
@@ -764,10 +765,11 @@ pub(crate) fn encode_unit_raw(e: &mut Encoder, u: &UnitRaw) {
     e.bool(u.yielded);
     e.bool(u.interrupted);
     match u.mopup_span {
-        Some((start, end)) => {
+        Some((start, end, silent)) => {
             e.bool(true);
             e.u64(start);
             e.u64(end);
+            e.u64(silent);
         }
         None => e.bool(false),
     }
@@ -788,13 +790,6 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
         records.push(decode_scan_record(d)?);
     }
     let n = d.seq()?;
-    let mut silent = Vec::with_capacity(n);
-    let mut silent_positions = Vec::with_capacity(n);
-    for _ in 0..n {
-        silent_positions.push(d.u64()?);
-        silent.push(d.prefix()?);
-    }
-    let n = d.seq()?;
     let mut mopup = Vec::with_capacity(n);
     for _ in 0..n {
         mopup.push(MopAnswer {
@@ -810,7 +805,7 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
     let yielded = d.bool()?;
     let interrupted = d.bool()?;
     let mopup_span = if d.bool()? {
-        Some((d.u64()?, d.u64()?))
+        Some((d.u64()?, d.u64()?, d.u64()?))
     } else {
         None
     };
@@ -818,8 +813,8 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
         unit,
         records,
         positions,
-        silent,
-        silent_positions,
+        silent: Vec::new(),
+        silent_positions: Vec::new(),
         mopup,
         stats,
         consumed,
@@ -1069,11 +1064,11 @@ mod tests {
         let mut e = Encoder::new();
         encode_unit_raw(&mut e, &raw);
         let bytes = e.finish();
-        // The unit checkpoint's bytes on disk, pinned: a campaign directory
-        // written by an older build must keep decoding.
+        // The campaign-unit journal payload, pinned: a change to it is a
+        // change to the campaign journal's format.
         assert_eq!(
             Fingerprint::new().push_bytes(&bytes).finish(),
-            0xaa5e_7221_bf1d_8ad0,
+            0x7c7f_98b8_8b9e_11d0,
             "campaign-unit wire form changed"
         );
         let mut d = Decoder::new(&bytes, "test");

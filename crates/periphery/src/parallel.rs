@@ -44,7 +44,7 @@
 //! sub-shard tag) and commits the block.
 //!
 //! The floor is a constant, not an option: a split costs about a
-//! millisecond (one idle poll, one manifest write, one extra scanner
+//! millisecond (one idle poll, one journal append, one extra scanner
 //! run), so remainders under ~10⁴ probes are cheaper to finish in place,
 //! and 2¹², 2¹⁴ and 2¹⁶ measured the same on the skewed campaign. Blocks
 //! at or under 2¹⁴ targets therefore never split, whatever the worker
@@ -107,41 +107,42 @@
 //!
 //! # Checkpoint layout
 //!
-//! [`ParallelCampaign::run_checkpointed`] keeps one directory of
-//! `xmap-state` sectioned checkpoint files:
+//! [`ParallelCampaign::run_checkpointed`] keeps one file,
+//! `dir/campaign.ckpt`: a [`Wal`] journal whose every entry holds the
+//! bytes an `xmap-state` sectioned checkpoint of its kind would:
 //!
 //! ```text
-//! dir/
-//!   campaign.ckpt            kind `campaign-dir`: campaign fingerprint
-//!   block-NN.ckpt            kind `campaign-block`: one completed block
-//!                            + its telemetry delta (written by the
-//!                            worker that assembled it)
-//!   block-NN.inprogress      marker written on block NN's first claim;
-//!                            removed on completion, left behind by a
-//!                            kill
-//!   block-NN.units.ckpt      kind `campaign-units`, only once block NN
-//!                            has split: the current sub-shard layout
-//!                            (offset/stride/cap + started flag per
-//!                            unit), rewritten durably before new
-//!                            sub-shards become claimable
-//!   block-NN.unit-O-S.ckpt   kind `campaign-unit`: one completed
-//!                            sub-shard's raw delta + metrics
+//! campaign-dir     entry 0: the campaign fingerprint and block count
+//! campaign-claim   a worker claimed unit (offset, stride, cap) of a block
+//! campaign-split   that unit yielded after `consumed` positions and its
+//!                  tail was dealt into `k` parts
+//! campaign-unit    one delivered unit of a split block: its raw output
+//!                  and telemetry delta
+//! campaign-block   one committed block: its records and telemetry delta
 //! ```
 //!
-//! The two split files are swept when the assembled block commits, so a
-//! completed block looks the same whether or not it split. On resume
-//! every block is classified [`Skip`](BlockMode::Skip) (checkpoint file
-//! present: load, don't re-scan), [`Resume`](BlockMode::Resume) (marker
-//! present: the kill hit mid-block; the partial work is discarded and
-//! the block re-runs from its start inside whichever worker claims it),
-//! [`Fresh`](BlockMode::Fresh) (never started) or
-//! [`Split`](BlockMode::Split) (units manifest present: completed units
-//! load as [`UnitMode::Skip`], the interrupted one re-runs as
-//! [`UnitMode::Resume`], unstarted ones run [`UnitMode::Fresh`]; a split
-//! block whose units all completed is assembled and committed before any
-//! worker starts). Because completed blocks and units are self-contained
-//! deltas and the campaign fingerprint excludes the worker count, a
-//! campaign killed under one N resumes byte-identically under any other.
+//! Unit and block entries are synced as they are appended; claims and
+//! splits are flushed and become durable with the next sync. A split is
+//! journalled under its bin's lock before any of its parts can be
+//! claimed, so the journal never names a part before the split that made
+//! it. A fresh start creates the journal, syncs its first entry and then
+//! the directory, once; nothing is ever removed.
+//!
+//! Resume replays the journal's intact entries (a torn tail is dropped).
+//! A block with a `campaign-block` entry is [`Skip`](BlockMode::Skip).
+//! For the rest, split entries rebuild the unit partition from the whole
+//! walk ([`SplitUnit::split_tail`] recomputes the settled prefix and the
+//! parts), then a unit is [`UnitMode::Skip`] once delivered,
+//! [`UnitMode::Resume`] once claimed (the partial work is discarded and
+//! the unit re-runs from its start) and [`UnitMode::Fresh`] otherwise.
+//! An unsplit block is thus [`Resume`](BlockMode::Resume) or
+//! [`Fresh`](BlockMode::Fresh) and a split one
+//! [`Split`](BlockMode::Split); a split block whose units were all
+//! delivered is assembled and committed before any worker starts. A lost
+//! claim only turns Resume into Fresh, and both re-run the unit. Because
+//! delivered units and blocks are self-contained deltas and the campaign
+//! fingerprint excludes the worker count, a campaign killed under one N
+//! resumes byte-identically under any other.
 //!
 //! [`Registry`]: xmap_telemetry::Registry
 //! [`ScanStats`]: xmap::ScanStats
@@ -149,7 +150,7 @@
 //! [`SplitUnit::split_tail`]: crate::split::SplitUnit::split_tail
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -159,11 +160,9 @@ use xmap::{insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, Su
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
-use xmap_state::checkpoint::{
-    decode_snapshot, decode_sub_shards, encode_snapshot, encode_sub_shards, Kind, SubShardEntry,
-};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind, Opened, MAGIC};
 use xmap_state::codec::Encoder;
-use xmap_state::{AbortSignal, StateError};
+use xmap_state::{AbortSignal, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry, Tracer};
 
 use crate::campaign::{
@@ -174,7 +173,7 @@ use crate::split::SplitUnit;
 
 /// Walk positions a running unit must still have ahead of it before an
 /// idle worker's yield request splits it. A split costs one idle poll,
-/// one manifest write and one extra scanner run — ≈ 1 ms, i.e. ≈ 10⁴
+/// one journal append and one extra scanner run — ≈ 1 ms, i.e. ≈ 10⁴
 /// probes at the ledger's 90–170 ns/probe — so a shorter remainder is
 /// cheaper to finish in place than to hand out. A constant rather than a
 /// knob: 2¹², 2¹⁴ and 2¹⁶ measured the same on the skewed campaign.
@@ -183,19 +182,19 @@ const MIN_SPLIT_REMAINDER: u64 = 1 << 14;
 /// What the resume planner decided for one sample block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockMode {
-    /// A completed checkpoint exists: load it, don't re-scan.
+    /// The block is committed: load it, don't re-scan.
     Skip,
-    /// A kill hit mid-block (in-progress marker without a checkpoint):
-    /// the partial work was discarded; re-run the block from its start.
+    /// A kill hit mid-block (claimed, never committed): the partial work
+    /// was discarded; re-run the block from its start.
     Resume,
     /// The block was never started.
     Fresh,
-    /// A kill hit mid-block *after* a split: the units manifest names
+    /// A kill hit mid-block *after* a split: the journalled splits name
     /// the sub-shard partition, with a per-unit
     /// [`Skip`](UnitMode::Skip)/[`Resume`](UnitMode::Resume)/
-    /// [`Fresh`](UnitMode::Fresh) plan. Completed units load from their
-    /// unit checkpoints; the rest re-run — under **any** worker count —
-    /// and the reassembled block is byte-identical.
+    /// [`Fresh`](UnitMode::Fresh) plan. Delivered units load from the
+    /// journal; the rest re-run — under **any** worker count — and the
+    /// reassembled block is byte-identical.
     Split(Vec<UnitPlan>),
 }
 
@@ -212,9 +211,9 @@ pub struct UnitPlan {
 /// Per-unit resume classification inside a [`BlockMode::Split`] plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitMode {
-    /// A completed unit checkpoint exists: load it, don't re-scan.
+    /// The unit was delivered: load it, don't re-scan.
     Skip,
-    /// The unit was claimed but never checkpointed: the partial work is
+    /// The unit was claimed but never delivered: the partial work is
     /// discarded and the unit re-runs from its start.
     Resume,
     /// The unit was split off but never claimed.
@@ -269,14 +268,8 @@ pub struct ParallelCampaign {
     force_split_at: Option<u64>,
 }
 
-/// Checkpoint context threaded into `execute`: `(dir, fingerprint,
-/// per-block loaded checkpoints, per-block starting bins)`.
-type CkptCtx<'a> = (
-    &'a Path,
-    u64,
-    Vec<Option<(BlockResult, Snapshot)>>,
-    Vec<Bin>,
-);
+/// A committed block and its telemetry delta.
+type Committed = (BlockResult, Snapshot);
 
 impl ParallelCampaign {
     /// An executor running `campaign` on `workers` threads. One worker
@@ -350,22 +343,25 @@ impl ParallelCampaign {
         base: &ScanConfig,
         make_network: impl FnMut(usize, &Telemetry) -> N,
     ) -> CampaignOutcome {
-        self.execute(base, None, None, make_network)
+        let loaded = SAMPLE_BLOCKS.iter().map(|_| None).collect();
+        let bins = self.unstarted().into_iter().map(Replay::into_bin).collect();
+        self.execute(base, None, loaded, bins, None, make_network)
             .expect("no checkpoint dir, no I/O to fail")
     }
 
     /// Runs the campaign with checkpointing in `dir` (created if missing;
     /// see the module docs for the layout). An armed `abort` signal
     /// stops every worker mid-unit; the partial unit is discarded (its
-    /// block's in-progress marker stays behind) and the outcome reports
-    /// `interrupted`. A later `resume: true` invocation — under **any**
-    /// worker count — loads completed blocks and sub-shards, re-runs the
+    /// claim stays journalled) and the outcome reports `interrupted`. A
+    /// later `resume: true` invocation — under **any** worker count —
+    /// loads committed blocks and delivered sub-shards, re-runs the
     /// rest, and produces a result and merged snapshot byte-identical to
     /// an uninterrupted campaign.
     ///
     /// Resuming under a different campaign or scanner configuration is
-    /// a hard [`StateError::Mismatch`]; `resume: false` wipes any
-    /// previous campaign state in `dir`.
+    /// a hard [`StateError::Mismatch`], and a directory an older build
+    /// wrote (a sectioned `campaign.ckpt`) a [`StateError::Version`];
+    /// `resume: false` starts a new journal over any previous one.
     pub fn run_checkpointed<N: Network + Send>(
         &self,
         base: &ScanConfig,
@@ -375,53 +371,45 @@ impl ParallelCampaign {
         make_network: impl FnMut(usize, &Telemetry) -> N,
     ) -> Result<CampaignOutcome, StateError> {
         let fp = self.campaign.fingerprint_cfg(base);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| StateError::io(format!("create campaign dir {}", dir.display()), e))?;
-        // Every block left to scan starts with a bin of pending units: the
-        // ones its split plan loaded, else its whole-block unit. A loaded
-        // block's bin stays empty.
-        let mut loaded: Vec<Option<(BlockResult, Snapshot)>> =
-            (0..SAMPLE_BLOCKS.len()).map(|_| None).collect();
-        let mut bins = self.whole_bins();
-        if resume {
-            for (idx, mode) in load_dir(dir, fp)?.iter().enumerate() {
-                let block = match mode {
-                    BlockMode::Skip => load_block_ckpt(dir, idx, fp)?,
-                    BlockMode::Split(plans) => {
-                        let bin = load_bin(dir, idx, fp, plans)?;
-                        if !bin.pending.is_empty() {
-                            bins[idx] = bin;
-                            continue;
-                        }
-                        // Every unit is checkpointed but the block is not
-                        // (the kill landed in between): nothing is left to
-                        // claim, so commit it here, as the worker
-                        // delivering its last unit would have.
-                        commit_block(
-                            &self.campaign,
-                            Some(dir),
-                            fp,
-                            idx,
-                            bin.done,
-                            &Tracer::disabled(),
-                        )?
-                    }
-                    BlockMode::Resume | BlockMode::Fresh => continue,
-                };
-                loaded[idx] = Some(block);
-                bins[idx] = Bin::default();
-            }
+        let path = dir.join("campaign.ckpt");
+        let (entries, blocks) = if resume {
+            self.replay(&path, fp)?
         } else {
-            // Fresh start: wipe stale blocks so a same-fingerprint rerun
-            // can never silently skip them.
-            for idx in 0..SAMPLE_BLOCKS.len() {
-                let _ = std::fs::remove_file(block_path(dir, idx));
-                let _ = std::fs::remove_file(marker_path(dir, idx));
-                remove_split_files(dir, idx);
+            (Vec::new(), self.unstarted())
+        };
+        let wal = if entries.is_empty() {
+            create_journal(dir, &path, fp)?
+        } else {
+            Wal::reopen(&path, &entries)?
+        };
+        let journal = Journal {
+            fp,
+            wal: Mutex::new(Some(wal)),
+        };
+        // Every block left to scan starts with a bin of its undelivered
+        // units; a committed block's bin stays empty.
+        let mut loaded = Vec::with_capacity(blocks.len());
+        let mut bins = Vec::with_capacity(blocks.len());
+        for (idx, mut block) in blocks.into_iter().enumerate() {
+            let mut committed = block.committed.take();
+            let mut bin = Bin::default();
+            if committed.is_none() {
+                bin = block.into_bin();
+                if bin.pending.is_empty() {
+                    // Every unit is delivered but the block is not
+                    // committed (the kill landed in between): nothing is
+                    // left to claim, so commit it here, as the worker
+                    // delivering its last unit would have.
+                    let done = std::mem::take(&mut bin).done;
+                    let tracer = Tracer::disabled();
+                    let journal = Some(&journal);
+                    committed = Some(commit_block(&self.campaign, journal, idx, done, &tracer)?);
+                }
             }
-            write_dir_manifest(dir, fp)?;
+            loaded.push(committed);
+            bins.push(bin);
         }
-        self.execute(base, Some((dir, fp, loaded, bins)), abort, make_network)
+        self.execute(base, Some(journal), loaded, bins, abort, make_network)
     }
 
     /// Classifies every block for a resume of the campaign checkpointed
@@ -429,15 +417,104 @@ impl ParallelCampaign {
     /// `Skip`/`Resume`/`Fresh`/`Split` plan
     /// [`run_checkpointed`](Self::run_checkpointed) would execute.
     pub fn resume_plan(&self, base: &ScanConfig, dir: &Path) -> Result<Vec<BlockMode>, StateError> {
-        load_dir(dir, self.campaign.fingerprint_cfg(base))
+        let fp = self.campaign.fingerprint_cfg(base);
+        let (_, blocks) = self.replay(&dir.join("campaign.ckpt"), fp)?;
+        Ok(blocks.iter().map(Replay::mode).collect())
     }
 
-    /// One bin per block, each holding its block's whole walk.
-    fn whole_bins(&self) -> Vec<Bin> {
+    /// Every block as a new journal leaves it: one unclaimed unit, its
+    /// whole walk.
+    fn unstarted(&self) -> Vec<Replay> {
         SAMPLE_BLOCKS
             .iter()
-            .map(|profile| Bin::whole(self.campaign.block_cap(profile)))
+            .map(|profile| Replay {
+                committed: None,
+                units: vec![UnitPlan {
+                    unit: SplitUnit::whole(self.campaign.block_cap(profile)),
+                    mode: UnitMode::Fresh,
+                }],
+                split: false,
+                done: Vec::new(),
+            })
             .collect()
+    }
+
+    /// Replays the journal at `path`: its intact entries, and every block
+    /// as they leave it. A missing journal, or one without an intact
+    /// entry, leaves every block unstarted.
+    fn replay(&self, path: &Path, fp: u64) -> Result<(Vec<Vec<u8>>, Vec<Replay>), StateError> {
+        let entries = Wal::recover(path)?.entries;
+        let mut blocks = self.unstarted();
+        let Some((first, rest)) = entries.split_first() else {
+            if std::fs::read(path).is_ok_and(|raw| raw.starts_with(MAGIC)) {
+                return Err(StateError::Version(format!(
+                    "{}: a sectioned campaign file is the older campaign layout, this build \
+                     journals the whole campaign in campaign.ckpt; re-run without --resume",
+                    path.display()
+                )));
+            }
+            return Ok((entries, blocks));
+        };
+        let what = |seq: usize| format!("campaign journal {} entry {seq}", path.display());
+        DIR.parse(first, what(0), Some(fp), &[("blocks", blocks.len() as u64)])?;
+        for (seq, raw) in rest.iter().enumerate() {
+            let mut ck = Opened::parse(raw, what(seq + 1), Some(fp))?;
+            let Some(block) = blocks.get_mut(ck.field("block")? as usize) else {
+                return Err(ck.corrupt("names no sample block"));
+            };
+            if ck.kind() == BLOCK.name {
+                let result = ck.decode("block", decode_block)?;
+                if result.profile_id as u64 != ck.field("profile")? {
+                    return Err(ck.corrupt("profile id does not match its header"));
+                }
+                block.committed = Some((result, ck.take("metrics", decode_snapshot)?));
+                continue;
+            }
+            let unit = SplitUnit {
+                offset: ck.field("offset")?,
+                stride: ck.field("stride")?,
+                cap: ck.field("cap")?,
+            };
+            let Some(at) = block.units.iter().position(|plan| plan.unit == unit) else {
+                return Err(ck.corrupt("names no unit of its block"));
+            };
+            let kind = ck.kind().to_owned();
+            if kind == CLAIM.name {
+                let plan = &mut block.units[at];
+                if plan.mode == UnitMode::Fresh {
+                    plan.mode = UnitMode::Resume;
+                }
+            } else if kind == SPLIT.name {
+                let (consumed, k) = (ck.field("consumed")?, ck.field("k")?);
+                if k == 0 || consumed > unit.cap || unit.stride.checked_mul(k).is_none() {
+                    return Err(ck.corrupt("split does not fit its unit"));
+                }
+                let (settled, parts) = unit.split_tail(consumed, k);
+                block.units[at] = UnitPlan {
+                    unit: settled,
+                    mode: UnitMode::Resume,
+                };
+                let fresh = |unit| UnitPlan {
+                    unit,
+                    mode: UnitMode::Fresh,
+                };
+                block.units.extend(parts.into_iter().map(fresh));
+                block.split = true;
+            } else if kind == UNIT.name {
+                let raw = ck.decode("unit", decode_unit_raw)?;
+                if raw.unit != unit {
+                    return Err(ck.corrupt("payload does not match its header"));
+                }
+                block.units[at].mode = UnitMode::Skip;
+                block.done.push((raw, ck.take("metrics", decode_snapshot)?));
+            } else {
+                return Err(ck.corrupt(&format!("unexpected entry kind `{kind}`")));
+            }
+        }
+        for block in &mut blocks {
+            block.units.sort_by_key(|plan| plan.unit.offset);
+        }
+        Ok((entries, blocks))
     }
 
     /// Shared driver behind [`run`](Self::run) and
@@ -445,19 +522,12 @@ impl ParallelCampaign {
     fn execute<N: Network + Send>(
         &self,
         base: &ScanConfig,
-        ckpt: Option<CkptCtx<'_>>,
+        journal: Option<Journal>,
+        loaded: Vec<Option<Committed>>,
+        bins: Vec<Bin>,
         abort: Option<&AbortSignal>,
         mut make_network: impl FnMut(usize, &Telemetry) -> N,
     ) -> Result<CampaignOutcome, StateError> {
-        let (dir, fp_id, loaded, bins) = match ckpt {
-            Some((dir, fp, loaded, bins)) => (Some(dir), fp, loaded, bins),
-            None => (
-                None,
-                0,
-                (0..SAMPLE_BLOCKS.len()).map(|_| None).collect(),
-                self.whole_bins(),
-            ),
-        };
         // The yield flags carry one extra slot for the supervisor
         // fallback, which runs as worker index `workers`.
         let shared = SplitShared {
@@ -469,6 +539,7 @@ impl ParallelCampaign {
             busy: AtomicUsize::new(0),
             force_at: self.force_split_at,
             counters: ExecCounters::default(),
+            journal,
         };
         let faults = self.exec_plan.as_ref().map(ExecPlan::armed);
         let max_attempts = self.supervision.max_attempts.max(1);
@@ -487,8 +558,6 @@ impl ParallelCampaign {
             campaign: &self.campaign,
             faults: faults.as_ref(),
             max_attempts,
-            dir,
-            fp_id,
             shared: &shared,
             units: 0,
             out: WorkerOut::default(),
@@ -646,10 +715,12 @@ struct SplitShared {
     /// Deterministic forced yield point (tests/CI).
     force_at: Option<u64>,
     counters: ExecCounters,
+    /// The campaign journal, when checkpointing.
+    journal: Option<Journal>,
 }
 
-/// One block's state: the evolving unit partition of its permutation
-/// walk, the raw outputs delivered so far and its attempt budget.
+/// One block's state: its pending units, the raw outputs delivered so
+/// far and its attempt budget.
 #[derive(Default)]
 struct Bin {
     /// Units waiting to be claimed.
@@ -658,50 +729,16 @@ struct Bin {
     active: usize,
     /// Delivered unit outputs with their telemetry deltas.
     done: Vec<(UnitRaw, Snapshot)>,
-    /// The manifest view: the complete current partition, offset-sorted.
-    layout: Vec<SubShardEntry>,
+    /// Whether the block has split: only then are its units journalled.
+    split: bool,
     /// Panics so far in any of the block's units.
     panics: u32,
     /// Attempt budget spent: nothing pending, deliveries dropped.
     poisoned: bool,
 }
 
-impl Bin {
-    /// A bin holding the whole walk of a block of `cap` targets.
-    fn whole(cap: u64) -> Bin {
-        let unit = SplitUnit::whole(cap);
-        Bin {
-            pending: vec![unit],
-            layout: vec![entry_of(unit, false)],
-            ..Bin::default()
-        }
-    }
-
-    /// Whether the block has ever split (unit checkpoints only then).
-    fn is_split(&self) -> bool {
-        self.layout.len() > 1
-    }
-}
-
 fn lock(bin: &Mutex<Bin>) -> MutexGuard<'_, Bin> {
     bin.lock().expect("split bin poisoned")
-}
-
-fn entry_of(unit: SplitUnit, started: bool) -> SubShardEntry {
-    SubShardEntry {
-        offset: unit.offset,
-        stride: unit.stride,
-        cap: unit.cap,
-        started,
-    }
-}
-
-fn unit_of(entry: &SubShardEntry) -> SplitUnit {
-    SplitUnit {
-        offset: entry.offset,
-        stride: entry.stride,
-        cap: entry.cap,
-    }
 }
 
 /// The campaign worker. It claims [`SplitUnit`]s from the blocks' bins,
@@ -721,8 +758,6 @@ struct Worker<'a, N: Network> {
     campaign: &'a Campaign,
     faults: Option<&'a ExecFaults>,
     max_attempts: u32,
-    dir: Option<&'a Path>,
-    fp_id: u64,
     shared: &'a SplitShared,
     /// Units claimed so far — the index the fault script matches on.
     units: u64,
@@ -766,34 +801,18 @@ impl<N: Network> Worker<'_, N> {
     }
 
     /// Claims the first pending unit of the lowest-indexed block that
-    /// has one. A unit's first claim is made durable before it runs: a
-    /// whole block writes its in-progress marker, a split block's units
-    /// manifest is rewritten with the unit marked started. `busy` is
-    /// bumped under the bin lock, so an idle worker observing
-    /// `busy == 0` can never race past a unit about to run.
+    /// has one. The claim is journalled before the unit is marked
+    /// claimed, so a failed append leaves it pending. `busy` is bumped
+    /// under the bin lock, so an idle worker observing `busy == 0` can
+    /// never race past a unit about to run.
     fn claim(&mut self) -> Result<Option<(usize, SplitUnit)>, StateError> {
         for (idx, bin) in self.shared.bins.iter().enumerate() {
             let mut bin = lock(bin);
             let Some(&unit) = bin.pending.first() else {
                 continue;
             };
-            let fresh = bin
-                .layout
-                .iter()
-                .position(|e| unit_of(e) == unit && !e.started);
-            if let Some(pos) = fresh {
-                // Durable first: a failed write leaves the unit pending
-                // and unstarted, so the next claim writes it again.
-                if let Some(dir) = self.dir {
-                    if bin.is_split() {
-                        let mut layout = bin.layout.clone();
-                        layout[pos].started = true;
-                        write_units_manifest(dir, self.fp_id, idx, &layout)?;
-                    } else {
-                        write_marker(dir, idx)?;
-                    }
-                }
-                bin.layout[pos].started = true;
+            if let Some(journal) = &self.shared.journal {
+                journal.claim(idx, unit)?;
             }
             bin.pending.remove(0);
             bin.active += 1;
@@ -810,7 +829,7 @@ impl<N: Network> Worker<'_, N> {
     fn run_unit(&mut self, idx: usize, unit: SplitUnit) -> Result<bool, StateError> {
         let w = self.w;
         let profile = &SAMPLE_BLOCKS[idx];
-        let (shared, dir, fp_id, campaign) = (self.shared, self.dir, self.fp_id, self.campaign);
+        let (shared, campaign) = (self.shared, self.campaign);
         let unit_no = self.units;
         self.units += 1;
         let inject = self.faults.is_some_and(|f| f.on_unit(w, unit_no));
@@ -838,18 +857,12 @@ impl<N: Network> Worker<'_, N> {
                     let (settled, parts) = unit.split_tail(raw.consumed, k);
                     let mut bin = lock(&shared.bins[idx]);
                     if !bin.poisoned {
-                        let mut layout = bin.layout.clone();
-                        layout.retain(|e| unit_of(e) != unit);
-                        layout.push(entry_of(settled, true));
-                        layout.extend(parts.iter().map(|p| entry_of(*p, false)));
-                        layout.sort_by_key(|e| e.offset);
-                        // The manifest must be durable before any part
-                        // becomes claimable, so a kill can never orphan
-                        // a unit checkpoint.
-                        if let Some(dir) = dir {
-                            write_units_manifest(dir, fp_id, idx, &layout)?;
+                        // Journalled before any part becomes claimable,
+                        // so no replay meets a part before its split.
+                        if let Some(journal) = &shared.journal {
+                            journal.split(idx, unit, raw.consumed, k)?;
                         }
-                        bin.layout = layout;
+                        bin.split = true;
                         bin.pending.extend(parts.iter().copied());
                         let counters = &shared.counters;
                         counters.splits.fetch_add(1, Ordering::Relaxed);
@@ -914,12 +927,13 @@ impl<N: Network> Worker<'_, N> {
         self.shared.busy.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Delivers a finished unit of block `idx` — durably first, once the
-    /// block has split — and commits the block when it was the last unit
-    /// out. A poisoned block drops the delivery.
+    /// Delivers a finished unit of block `idx` — journalled first, once
+    /// the block has split — and commits the block when it was the last
+    /// unit out. A poisoned block drops the delivery.
     fn deliver(&mut self, idx: usize, raw: UnitRaw, delta: Snapshot) -> Result<bool, StateError> {
-        if let Some(dir) = self.dir.filter(|_| lock(&self.shared.bins[idx]).is_split()) {
-            if let Err(e) = write_unit_ckpt(dir, self.fp_id, idx, &raw, &delta) {
+        let journal = self.shared.journal.as_ref();
+        if let Some(journal) = journal.filter(|_| lock(&self.shared.bins[idx]).split) {
+            if let Err(e) = journal.unit(idx, &raw, &delta) {
                 self.release(idx, raw.unit, false);
                 return Err(e);
             }
@@ -936,8 +950,7 @@ impl<N: Network> Worker<'_, N> {
         self.shared.busy.fetch_sub(1, Ordering::AcqRel);
         if let Some(done) = complete {
             let tracer = self.scanner.tracer();
-            let (block, delta) =
-                commit_block(self.campaign, self.dir, self.fp_id, idx, done, tracer)?;
+            let (block, delta) = commit_block(self.campaign, journal, idx, done, tracer)?;
             self.out.committed.merge(&delta);
             self.out.done.push((idx, block));
         }
@@ -946,18 +959,15 @@ impl<N: Network> Worker<'_, N> {
 }
 
 /// Assembles block `idx` from its delivered units
-/// ([`Campaign::assemble`]) and, when checkpointing, commits it: the
-/// block checkpoint is published, then the split files and the
-/// in-progress marker it subsumes are swept. Returns the block and its
-/// merged telemetry delta.
+/// ([`Campaign::assemble`]) and, when checkpointing, journals it. Returns
+/// the block and its merged telemetry delta.
 fn commit_block(
     campaign: &Campaign,
-    dir: Option<&Path>,
-    fp: u64,
+    journal: Option<&Journal>,
     idx: usize,
     mut done: Vec<(UnitRaw, Snapshot)>,
     tracer: &Tracer,
-) -> Result<(BlockResult, Snapshot), StateError> {
+) -> Result<Committed, StateError> {
     done.sort_by_key(|(raw, _)| raw.unit.offset);
     let mut delta = Snapshot::default();
     let mut raws = Vec::with_capacity(done.len());
@@ -966,107 +976,108 @@ fn commit_block(
         raws.push(raw);
     }
     let block = campaign.assemble(&SAMPLE_BLOCKS[idx], raws, tracer);
-    if let Some(dir) = dir {
-        write_block_ckpt(dir, fp, idx, &block, &delta)?;
-        remove_split_files(dir, idx);
-        let _ = std::fs::remove_file(marker_path(dir, idx));
+    if let Some(journal) = journal {
+        journal.block(idx, &block, &delta)?;
     }
     Ok((block, delta))
 }
 
-/// `campaign.ckpt`: binds the directory to one campaign configuration.
+/// Entry 0: binds the journal to one campaign configuration.
 const DIR: Kind = Kind {
     name: "campaign-dir",
 };
-/// `block-NN.ckpt`: one committed block.
-const BLOCK: Kind = Kind {
-    name: "campaign-block",
+/// A claimed unit.
+const CLAIM: Kind = Kind {
+    name: "campaign-claim",
 };
-/// `block-NN.units.ckpt`: a split block's current unit layout.
-const UNITS: Kind = Kind {
-    name: "campaign-units",
+/// A unit that yielded, with where and how its tail was split.
+const SPLIT: Kind = Kind {
+    name: "campaign-split",
 };
-/// `block-NN.unit-O-S.ckpt`: one committed unit of a split block.
+/// One delivered unit of a split block.
 const UNIT: Kind = Kind {
     name: "campaign-unit",
 };
+/// One committed block.
+const BLOCK: Kind = Kind {
+    name: "campaign-block",
+};
 
-fn block_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("block-{idx:02}.ckpt"))
+/// Starts a new journal at `path` over any earlier one: its first entry
+/// binds it to the campaign, and one directory sync makes the new file's
+/// name durable.
+fn create_journal(dir: &Path, path: &Path, fp: u64) -> Result<Wal, StateError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| StateError::io(format!("create campaign dir {}", dir.display()), e))?;
+    let mut wal = Wal::create(path)?;
+    wal.append(&DIR.entry(&[("blocks", SAMPLE_BLOCKS.len() as u64)], fp, &[]))?;
+    wal.sync()?;
+    xmap_failpoint::fs::sync_file(dir)
+        .map_err(|e| StateError::io(format!("sync campaign dir {}", dir.display()), e))?;
+    Ok(wal)
 }
 
-fn marker_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("block-{idx:02}.inprogress"))
-}
-
-fn dir_manifest_path(dir: &Path) -> PathBuf {
-    dir.join("campaign.ckpt")
-}
-
-/// Path of block `idx`'s sub-shard units manifest (present only while
-/// the block is split and uncommitted).
-fn units_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("block-{idx:02}.units.ckpt"))
-}
-
-/// Path of one completed sub-shard unit's checkpoint. `(offset,
-/// stride)` identifies a unit uniquely within a block — the layout is a
-/// partition, so no two units share both.
-fn unit_path(dir: &Path, idx: usize, unit: SplitUnit) -> PathBuf {
-    dir.join(format!(
-        "block-{idx:02}.unit-{}-{}.ckpt",
-        unit.offset, unit.stride
-    ))
-}
-
-/// Removes block `idx`'s units manifest and every unit checkpoint —
-/// run after the block commits (the block checkpoint subsumes them) and
-/// on a fresh-start wipe. Best-effort: stale split files behind a valid
-/// block checkpoint are dead weight, never consulted.
-fn remove_split_files(dir: &Path, idx: usize) {
-    let _ = std::fs::remove_file(units_path(dir, idx));
-    let prefix = format!("block-{idx:02}.unit-");
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if entry.file_name().to_string_lossy().starts_with(&prefix) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-}
-
-/// Atomically (re)writes block `idx`'s units manifest: the complete
-/// current sub-shard partition of the block's walk. Rewritten on every
-/// split and unit claim, always before the new layout becomes runnable.
-fn write_units_manifest(
-    dir: &Path,
+/// The campaign journal, `campaign.ckpt`, shared by every worker. After
+/// a failed append every later one fails too: the file is left as the
+/// failure found it, for a resume to recover its intact entries.
+struct Journal {
     fp: u64,
-    idx: usize,
-    layout: &[SubShardEntry],
-) -> Result<(), StateError> {
-    UNITS.write(
-        &units_path(dir, idx),
-        &[("block", idx as u64)],
-        fp,
-        &[("units", encode_sub_shards(layout))],
-    )
+    /// `None` once an append failed.
+    wal: Mutex<Option<Wal>>,
 }
 
-fn load_units_manifest(
-    dir: &Path,
-    idx: usize,
-    expected_fp: u64,
-) -> Result<Vec<SubShardEntry>, StateError> {
-    let mut ck = UNITS.open(
-        &units_path(dir, idx),
-        Some(expected_fp),
-        &[("block", idx as u64)],
-    )?;
-    let entries = ck.take("units", decode_sub_shards)?;
-    if entries.is_empty() {
-        return Err(ck.corrupt("empty unit layout"));
+impl Journal {
+    /// Appends `entry`, then syncs the journal (`durable`) or only
+    /// flushes it.
+    fn append(&self, entry: &[u8], durable: bool) -> Result<(), StateError> {
+        let mut guard = self.wal.lock().expect("campaign journal poisoned");
+        let wal = guard.as_mut().ok_or_else(|| {
+            let failed = std::io::Error::other("an earlier append failed");
+            StateError::io("append campaign journal", failed)
+        })?;
+        let appended = wal
+            .append(entry)
+            .and_then(|_| if durable { wal.sync() } else { wal.flush() });
+        if appended.is_err() {
+            *guard = None;
+        }
+        appended
     }
-    Ok(entries)
+
+    /// Journals a claim of `unit` of block `idx`.
+    fn claim(&self, idx: usize, unit: SplitUnit) -> Result<(), StateError> {
+        self.append(&CLAIM.entry(&unit_fields(idx, unit), self.fp, &[]), false)
+    }
+
+    /// Journals `unit`'s yield after `consumed` positions, its tail dealt
+    /// into `k` parts.
+    fn split(&self, idx: usize, unit: SplitUnit, consumed: u64, k: u64) -> Result<(), StateError> {
+        let [block, offset, stride, cap] = unit_fields(idx, unit);
+        let fields = [block, offset, stride, cap, ("consumed", consumed), ("k", k)];
+        self.append(&SPLIT.entry(&fields, self.fp, &[]), false)
+    }
+
+    /// Journals one delivered unit of a split block: its telemetry delta
+    /// plus the raw, classification-free output [`Campaign::assemble`]
+    /// merges.
+    fn unit(&self, idx: usize, raw: &UnitRaw, metrics: &Snapshot) -> Result<(), StateError> {
+        let mut e = Encoder::new();
+        encode_unit_raw(&mut e, raw);
+        let sections = [("metrics", encode_snapshot(metrics)), ("unit", e.finish())];
+        self.append(
+            &UNIT.entry(&unit_fields(idx, raw.unit), self.fp, &sections),
+            true,
+        )
+    }
+
+    /// Journals one committed block: its records and telemetry delta.
+    fn block(&self, idx: usize, block: &BlockResult, metrics: &Snapshot) -> Result<(), StateError> {
+        let mut e = Encoder::new();
+        encode_block(&mut e, block);
+        let fields = [("block", idx as u64), ("profile", block.profile_id as u64)];
+        let sections = [("metrics", encode_snapshot(metrics)), ("block", e.finish())];
+        self.append(&BLOCK.entry(&fields, self.fp, &sections), true)
+    }
 }
 
 /// A unit's identity fields: its block and its walk coordinates.
@@ -1079,185 +1090,42 @@ fn unit_fields(idx: usize, unit: SplitUnit) -> [(&'static str, u64); 4] {
     ]
 }
 
-/// Publishes one completed unit's checkpoint: its telemetry delta plus
-/// the raw, classification-free output [`Campaign::assemble`] merges.
-fn write_unit_ckpt(
-    dir: &Path,
-    fp: u64,
-    idx: usize,
-    raw: &UnitRaw,
-    metrics: &Snapshot,
-) -> Result<(), StateError> {
-    let mut e = Encoder::new();
-    encode_unit_raw(&mut e, raw);
-    UNIT.write(
-        &unit_path(dir, idx, raw.unit),
-        &unit_fields(idx, raw.unit),
-        fp,
-        &[("metrics", encode_snapshot(metrics)), ("unit", e.finish())],
-    )
+/// One block as the journal leaves it.
+struct Replay {
+    /// Its committed result, once it has one.
+    committed: Option<Committed>,
+    /// Its current unit partition, each unit with its resume mode.
+    units: Vec<UnitPlan>,
+    /// Whether it has split.
+    split: bool,
+    /// The delivered units' outputs and telemetry deltas.
+    done: Vec<(UnitRaw, Snapshot)>,
 }
 
-fn load_unit_ckpt(
-    dir: &Path,
-    idx: usize,
-    expected_fp: u64,
-    unit: SplitUnit,
-) -> Result<(UnitRaw, Snapshot), StateError> {
-    let mut ck = UNIT.open(
-        &unit_path(dir, idx, unit),
-        Some(expected_fp),
-        &unit_fields(idx, unit),
-    )?;
-    let raw = ck.decode("unit", decode_unit_raw)?;
-    if raw.unit != unit {
-        return Err(ck.corrupt("payload does not match its manifest entry"));
-    }
-    Ok((raw, ck.take("metrics", decode_snapshot)?))
-}
-
-/// Materializes a [`BlockMode::Split`] plan into the block's bin:
-/// completed units load from their checkpoints, the rest wait to be
-/// claimed.
-fn load_bin(dir: &Path, idx: usize, fp: u64, plans: &[UnitPlan]) -> Result<Bin, StateError> {
-    let mut bin = Bin::default();
-    for plan in plans {
-        match plan.mode {
-            UnitMode::Skip => bin.done.push(load_unit_ckpt(dir, idx, fp, plan.unit)?),
-            UnitMode::Resume | UnitMode::Fresh => bin.pending.push(plan.unit),
+impl Replay {
+    fn mode(&self) -> BlockMode {
+        if self.committed.is_some() {
+            BlockMode::Skip
+        } else if self.split {
+            BlockMode::Split(self.units.clone())
+        } else if self.units[0].mode == UnitMode::Resume {
+            BlockMode::Resume
+        } else {
+            BlockMode::Fresh
         }
-        bin.layout
-            .push(entry_of(plan.unit, !matches!(plan.mode, UnitMode::Fresh)));
     }
-    bin.layout.sort_by_key(|e| e.offset);
-    Ok(bin)
-}
 
-fn write_marker(dir: &Path, idx: usize) -> Result<(), StateError> {
-    let path = marker_path(dir, idx);
-    std::fs::write(&path, b"")
-        .map_err(|e| StateError::io(format!("write marker {}", path.display()), e))
-}
-
-fn write_dir_manifest(dir: &Path, fp: u64) -> Result<(), StateError> {
-    let blocks = SAMPLE_BLOCKS.len() as u64;
-    DIR.write(&dir_manifest_path(dir), &[("blocks", blocks)], fp, &[])
-}
-
-/// Validates the directory manifest and classifies every block. An
-/// absent manifest (killed before anything was written, or a fresh dir)
-/// yields an all-[`Fresh`](BlockMode::Fresh) plan, mirroring the
-/// sequential campaign's "kill before the first checkpoint resumes as a
-/// fresh start".
-fn load_dir(dir: &Path, expected_fp: u64) -> Result<Vec<BlockMode>, StateError> {
-    let manifest = dir_manifest_path(dir);
-    if !manifest.exists() {
-        return Ok(vec![BlockMode::Fresh; SAMPLE_BLOCKS.len()]);
-    }
-    DIR.open(&manifest, Some(expected_fp), &[])?;
-    (0..SAMPLE_BLOCKS.len())
-        .map(|idx| {
-            if block_path(dir, idx).exists() {
-                // A present checkpoint only counts if it reads back
-                // cleanly. Publication is tmp + fsync + rename, so a
-                // torn file means the disk or something outside the
-                // executor damaged it; either way Corrupt reclassifies
-                // as a partial block (the re-run's rewrite clobbers the
-                // torn file). Fingerprint/config mismatches stay hard
-                // errors — re-running would scan the wrong thing.
-                match load_block_ckpt(dir, idx, expected_fp) {
-                    Ok(_) => Ok(BlockMode::Skip),
-                    // A torn checkpoint proves the block ran even when
-                    // its marker is already gone — floor Fresh to
-                    // Resume.
-                    Err(StateError::Corrupt(_)) => match classify_partial(dir, idx, expected_fp)? {
-                        BlockMode::Fresh => Ok(BlockMode::Resume),
-                        partial => Ok(partial),
-                    },
-                    Err(e) => Err(e),
-                }
-            } else {
-                classify_partial(dir, idx, expected_fp)
-            }
-        })
-        .collect()
-}
-
-/// Classifies a block with no (valid) completed checkpoint: a units
-/// manifest means a kill hit mid-split — build the per-unit plan;
-/// otherwise the in-progress marker decides Resume versus Fresh. A
-/// corrupt manifest falls back to re-running the whole block, which is
-/// byte-identical by construction.
-fn classify_partial(dir: &Path, idx: usize, expected_fp: u64) -> Result<BlockMode, StateError> {
-    if units_path(dir, idx).exists() {
-        match load_units_manifest(dir, idx, expected_fp) {
-            Ok(entries) => {
-                let mut plans = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    let unit = unit_of(&entry);
-                    let mode = if unit_path(dir, idx, unit).exists() {
-                        // Same torn-file rule as block checkpoints: a
-                        // unit checkpoint counts only if it reads back
-                        // cleanly; corrupt means the unit re-runs.
-                        match load_unit_ckpt(dir, idx, expected_fp, unit) {
-                            Ok(_) => UnitMode::Skip,
-                            Err(StateError::Corrupt(_)) => UnitMode::Resume,
-                            Err(e) => return Err(e),
-                        }
-                    } else if entry.started {
-                        UnitMode::Resume
-                    } else {
-                        UnitMode::Fresh
-                    };
-                    plans.push(UnitPlan { unit, mode });
-                }
-                Ok(BlockMode::Split(plans))
-            }
-            Err(StateError::Corrupt(_)) => Ok(BlockMode::Resume),
-            Err(e) => Err(e),
+    /// The block's bin: its undelivered units pending, its delivered
+    /// ones done.
+    fn into_bin(self) -> Bin {
+        let pending = self.units.iter().filter(|p| p.mode != UnitMode::Skip);
+        Bin {
+            pending: pending.map(|p| p.unit).collect(),
+            done: self.done,
+            split: self.split,
+            ..Bin::default()
         }
-    } else if marker_path(dir, idx).exists() {
-        Ok(BlockMode::Resume)
-    } else {
-        Ok(BlockMode::Fresh)
     }
-}
-
-/// Publishes one block checkpoint: its records and its telemetry delta.
-fn write_block_ckpt(
-    dir: &Path,
-    fp: u64,
-    idx: usize,
-    block: &BlockResult,
-    metrics: &Snapshot,
-) -> Result<(), StateError> {
-    let mut e = Encoder::new();
-    encode_block(&mut e, block);
-    BLOCK.write(
-        &block_path(dir, idx),
-        &[("block", idx as u64), ("profile", block.profile_id as u64)],
-        fp,
-        &[("metrics", encode_snapshot(metrics)), ("block", e.finish())],
-    )
-}
-
-/// Loads one committed block: its records and the exact telemetry delta
-/// the worker that ran it captured.
-fn load_block_ckpt(
-    dir: &Path,
-    idx: usize,
-    expected_fp: u64,
-) -> Result<(BlockResult, Snapshot), StateError> {
-    let mut ck = BLOCK.open(
-        &block_path(dir, idx),
-        Some(expected_fp),
-        &[("block", idx as u64)],
-    )?;
-    let block = ck.decode("block", decode_block)?;
-    if block.profile_id as u64 != ck.field("profile")? {
-        return Err(ck.corrupt("profile id does not match its header"));
-    }
-    Ok((block, ck.take("metrics", decode_snapshot)?))
 }
 
 #[cfg(test)]
@@ -1527,16 +1395,11 @@ mod tests {
         assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
         assert_eq!(outcome.result, seq, "fallback-committed campaign diverged");
         assert_eq!(strip_exec(outcome.snapshot), seq_snap);
-        let mut files: Vec<String> = std::fs::read_dir(&dir)
+        let files: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        files.sort();
-        let mut expect: Vec<String> = (0..SAMPLE_BLOCKS.len())
-            .map(|idx| format!("block-{idx:02}.ckpt"))
-            .collect();
-        expect.push("campaign.ckpt".to_owned());
-        assert_eq!(files, expect, "no marker or split file may survive");
+        assert_eq!(files, ["campaign.ckpt"], "the journal is the only file");
         let plan = exec.resume_plan(&base(tpb), &dir).unwrap();
         assert!(plan.iter().all(|m| *m == BlockMode::Skip), "{plan:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1587,37 +1450,65 @@ mod tests {
     }
 
     #[test]
-    fn torn_block_checkpoint_reclassifies_as_resume() {
+    fn torn_last_block_entry_reruns_only_that_block() {
+        use xmap_state::wal::frame_len;
         let dir = std::env::temp_dir().join(format!("xmap-pcamp-torn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tpb = 1 << 9;
-        let exec = ParallelCampaign::new(Campaign::new(tpb), 2);
+        // One worker commits the blocks in order, so the last block's
+        // entry ends the journal.
+        let exec = ParallelCampaign::new(Campaign::new(tpb), 1);
         let full = exec
             .run_checkpointed(&base(tpb), &dir, false, None, make_world)
             .unwrap();
-        // Tear block 7's checkpoint in half. Publication fsyncs before
-        // the rename, so only damage from outside the executor leaves
-        // this; the planner still re-runs the block rather than fail.
-        let victim = block_path(&dir, 7);
-        let bytes = std::fs::read(&victim).unwrap();
-        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-
-        let plan = exec.resume_plan(&base(tpb), &dir).unwrap();
-        for (idx, mode) in plan.iter().enumerate() {
-            let expect = if idx == 7 {
-                BlockMode::Resume
-            } else {
-                BlockMode::Skip
-            };
-            assert_eq!(*mode, expect, "block {idx}");
+        let path = dir.join("campaign.ckpt");
+        let journal = std::fs::read(&path).unwrap();
+        let entries = Wal::recover(&path).unwrap().entries;
+        let block_entry = |idx: u64| {
+            entries.iter().position(|e| {
+                Opened::parse(e, String::new(), None)
+                    .is_ok_and(|ck| ck.kind() == BLOCK.name && ck.field("block").ok() == Some(idx))
+            })
+        };
+        let last = SAMPLE_BLOCKS.len() - 1;
+        assert_eq!(block_entry(last as u64), Some(entries.len() - 1));
+        // Blocks before `torn` load, `torn` re-runs from its claim, and
+        // the blocks after it were never journalled.
+        let plan = |torn: usize| -> Vec<BlockMode> {
+            (0..SAMPLE_BLOCKS.len())
+                .map(|idx| match idx.cmp(&torn) {
+                    std::cmp::Ordering::Less => BlockMode::Skip,
+                    std::cmp::Ordering::Equal => BlockMode::Resume,
+                    std::cmp::Ordering::Greater => BlockMode::Fresh,
+                })
+                .collect()
+        };
+        let resume_matches = |label: &str| {
+            let resumed = exec
+                .run_checkpointed(&base(tpb), &dir, true, None, make_world)
+                .unwrap();
+            assert_eq!(resumed.result, full.result, "{label}");
+            assert_eq!(resumed.snapshot, full.snapshot, "{label}");
+        };
+        let last_start = journal.len() - frame_len(entries[entries.len() - 1].len()) as usize;
+        for len in last_start..journal.len() {
+            std::fs::write(&path, &journal[..len]).unwrap();
+            let label = format!("journal cut to {len} bytes");
+            assert_eq!(
+                exec.resume_plan(&base(tpb), &dir).unwrap(),
+                plan(last),
+                "{label}"
+            );
+            resume_matches(&label);
         }
-        // The resume re-runs exactly the torn block and reproduces the
-        // uninterrupted campaign byte-for-byte.
-        let resumed = exec
-            .run_checkpointed(&base(tpb), &dir, true, None, make_world)
-            .unwrap();
-        assert_eq!(resumed.result, full.result);
-        assert_eq!(resumed.snapshot, full.snapshot);
+        // A torn entry mid-file drops every entry after it too.
+        let mid = block_entry(7).unwrap();
+        let at: u64 = entries[..mid].iter().map(|e| frame_len(e.len())).sum();
+        let mut bytes = journal.clone();
+        bytes[at as usize + 20] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(exec.resume_plan(&base(tpb), &dir).unwrap(), plan(7));
+        resume_matches("block 7's entry torn mid-file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -41,8 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use xmap::telemetry::names;
 use xmap::{merge_worker_snapshots, Supervision};
-use xmap_failpoint::fs as fp;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, publish, Kind};
 use xmap_state::{Fingerprint, StateError};
 use xmap_telemetry::{Registry, Snapshot};
 
@@ -627,18 +626,6 @@ pub fn job_dir(root: &Path, job: u64) -> PathBuf {
 
 fn unit_path(root: &Path, job: u64, unit: usize) -> PathBuf {
     job_dir(root, job).join(format!("unit-{unit:03}.ckpt"))
-}
-
-/// Atomically publishes `bytes` at `path` (tmp + rename, fsynced),
-/// routed through the failpoint layer.
-fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
-    let tmp = path.with_extension("tmp");
-    fp::write(&tmp, bytes)
-        .map_err(|e| StateError::io(format!("write artifact {}", tmp.display()), e))?;
-    fp::sync_file(&tmp)
-        .map_err(|e| StateError::io(format!("sync artifact {}", tmp.display()), e))?;
-    fp::rename(&tmp, path)
-        .map_err(|e| StateError::io(format!("publish artifact {}", path.display()), e))
 }
 
 /// `unit-NNN.ckpt`: one completed unit of a job, bound to the job

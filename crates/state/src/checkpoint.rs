@@ -23,7 +23,9 @@
 //! written and read through one envelope, [`Kind`]: it builds the header,
 //! checks kind, fingerprint and identity fields, and hands sections out
 //! through [`Opened`]. A scan worker's checkpoints are cut entries of its
-//! journal ([`WorkerJournal`]); every other kind is a file of its own.
+//! journal ([`WorkerJournal`]), and a parallel campaign's are entries of
+//! its `campaign.ckpt` journal ([`Kind::entry`], [`Opened::parse`]); the
+//! adaptive campaign and serve units keep a file per checkpoint.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -41,7 +43,9 @@ use crate::json::{self, Value};
 use crate::wal::Wal;
 use crate::SCHEMA;
 
-const MAGIC: &[u8] = b"XMCKPT1\n";
+/// The magic every checkpoint's bytes open with. A journal never does:
+/// its first entry opens with sequence number 0.
+pub const MAGIC: &[u8] = b"XMCKPT1\n";
 
 /// Section holding the mid-range [`RunState`].
 const LIVE_SECTION: &str = "live";
@@ -75,9 +79,15 @@ impl Kind {
         fp: u64,
         sections: &[(&str, Vec<u8>)],
     ) -> Result<(), StateError> {
+        publish(path, &self.entry(fields, fp, sections))
+    }
+
+    /// The bytes [`Kind::write`] publishes, as one journal entry holds
+    /// them.
+    pub fn entry(&self, fields: &[(&str, u64)], fp: u64, sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
         let mut out = Vec::new();
         self.frame(&mut out, fields, fp, sections);
-        publish(path, &out)
+        out
     }
 
     /// Appends the bytes [`Kind::write`] publishes to `out`.
@@ -117,35 +127,52 @@ impl Kind {
     }
 
     /// [`Kind::open`] over bytes already read; `what` names them in errors.
-    fn parse(
+    pub fn parse(
         &self,
         raw: &[u8],
         what: String,
         fp: Option<u64>,
         identity: &[(&str, u64)],
     ) -> Result<Opened, StateError> {
-        let (header, mut present) = parse_sectioned(raw, &what)?;
-        let kind = header.req_str("kind", &what)?;
-        if kind != self.name {
-            return Err(StateError::Corrupt(format!(
-                "{what}: expected kind `{}`, found `{kind}`",
-                self.name
+        let ck = Opened::parse(raw, what, fp)?;
+        if ck.kind != self.name {
+            return Err(ck.corrupt(&format!(
+                "expected kind `{}`, found `{}`",
+                self.name, ck.kind
             )));
         }
+        for &(key, want) in identity {
+            let got = ck.field(key)?;
+            if got != want {
+                return Err(ck.corrupt(&format!("`{key}` is {got}, expected {want}")));
+            }
+        }
+        Ok(ck)
+    }
+}
+
+/// A checkpoint whose envelope checked out, holding its listed sections.
+#[derive(Debug)]
+pub struct Opened {
+    what: String,
+    header: Value,
+    kind: String,
+    fp: u64,
+    sections: BTreeMap<String, Vec<u8>>,
+}
+
+impl Opened {
+    /// Opens checkpoint bytes of any kind; `what` names them in errors.
+    /// `fp`, when given, must equal the stored fingerprint.
+    pub fn parse(raw: &[u8], what: String, fp: Option<u64>) -> Result<Opened, StateError> {
+        let (header, mut present) = parse_sectioned(raw, &what)?;
+        let kind = header.req_str("kind", &what)?;
         let stored = hex_field(&header, "fp", &what)?;
         if let Some(expected) = fp.filter(|&e| e != stored) {
             return Err(StateError::Mismatch(format!(
                 "{what} was written under configuration {stored:#018x}, \
                  this run fingerprints as {expected:#018x}"
             )));
-        }
-        for &(key, want) in identity {
-            let got = hex_field(&header, key, &what)?;
-            if got != want {
-                return Err(StateError::Corrupt(format!(
-                    "{what}: `{key}` is {got}, expected {want}"
-                )));
-            }
         }
         let listed = header
             .get("sections")
@@ -164,22 +191,17 @@ impl Kind {
         Ok(Opened {
             what,
             header,
+            kind,
             fp: stored,
             sections,
         })
     }
-}
 
-/// A checkpoint whose envelope checked out, holding its listed sections.
-#[derive(Debug)]
-pub struct Opened {
-    what: String,
-    header: Value,
-    fp: u64,
-    sections: BTreeMap<String, Vec<u8>>,
-}
+    /// The header's `kind`.
+    pub fn kind(&self) -> &str {
+        &self.kind
+    }
 
-impl Opened {
     /// The stored configuration fingerprint.
     pub(crate) fn fp(&self) -> u64 {
         self.fp
@@ -537,60 +559,6 @@ pub(crate) fn check_schema(doc: &Value, what: &str) -> Result<(), StateError> {
     )))
 }
 
-/// One sub-shard range of a split scan block, as persisted in a
-/// `units` checkpoint section.
-///
-/// The triple `(offset, stride, cap)` names the sub-progression of the
-/// block's permutation walk the unit owns (base positions `offset +
-/// j·stride` for `j < cap`); `started` records whether any worker ever
-/// claimed the unit, so a resume planner can report Resume (partial
-/// work discarded, unit re-runs) versus Fresh. A manifest of entries is
-/// only valid as a *complete partition* of its block's walk — writers
-/// must replace a split unit by its settled prefix plus tail parts in
-/// the same atomic rewrite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubShardEntry {
-    /// First base walk position of the unit.
-    pub offset: u64,
-    /// Distance between consecutive base positions.
-    pub stride: u64,
-    /// Number of walk positions in the unit.
-    pub cap: u64,
-    /// Whether a worker ever claimed the unit.
-    pub started: bool,
-}
-
-/// Binary-encodes a sub-shard manifest (the `units` section of a
-/// campaign split-block checkpoint).
-pub fn encode_sub_shards(entries: &[SubShardEntry]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.seq(entries.len());
-    for u in entries {
-        e.u64(u.offset);
-        e.u64(u.stride);
-        e.u64(u.cap);
-        e.bool(u.started);
-    }
-    e.finish()
-}
-
-/// Decodes a manifest written by [`encode_sub_shards`].
-pub fn decode_sub_shards(raw: &[u8]) -> Result<Vec<SubShardEntry>, StateError> {
-    let mut d = Decoder::new(raw, "units section");
-    let n = d.seq()?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(SubShardEntry {
-            offset: d.u64()?,
-            stride: d.u64()?,
-            cap: d.u64()?,
-            started: d.bool()?,
-        });
-    }
-    d.expect_end()?;
-    Ok(entries)
-}
-
 /// Frames `header` and `sections` into a checkpoint file,
 /// published atomically and fsynced. Checkpoints are written through
 /// [`Kind::write`]; this takes the header verbatim, so tests can build
@@ -624,19 +592,18 @@ fn frame_sectioned(out: &mut Vec<u8>, header: &str, sections: &[(&str, Vec<u8>)]
 }
 
 /// Publishes `bytes` at `path` atomically and durably: tmp file, fsync,
-/// rename.
-fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
+/// rename, every step through the failpoint layer.
+pub fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = fp::FpFile::create(&tmp)
-            .map_err(|e| StateError::io(format!("create checkpoint {}", tmp.display()), e))?;
+            .map_err(|e| StateError::io(format!("create {}", tmp.display()), e))?;
         f.write_all(bytes)
-            .map_err(|e| StateError::io(format!("write checkpoint {}", tmp.display()), e))?;
+            .map_err(|e| StateError::io(format!("write {}", tmp.display()), e))?;
         f.sync_all()
-            .map_err(|e| StateError::io(format!("sync checkpoint {}", tmp.display()), e))?;
+            .map_err(|e| StateError::io(format!("sync {}", tmp.display()), e))?;
     }
-    fp::rename(&tmp, path)
-        .map_err(|e| StateError::io(format!("publish checkpoint {}", path.display()), e))
+    fp::rename(&tmp, path).map_err(|e| StateError::io(format!("publish {}", path.display()), e))
 }
 
 /// Parses framed bytes, validating magic, schema, and per-section CRCs.

@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmap_state::checkpoint::{write_sectioned, Kind, Opened};
 use xmap_state::{Manifest, StateError, WorkerCheckpoint, SCHEMA};
 
-/// The seven header shapes the workspace writes: kind, integer fields,
+/// The eight header shapes the workspace writes: kind, integer fields,
 /// sections.
-const SHAPES: [(&str, &[&str], &[&str]); 7] = [
+const SHAPES: [(&str, &[&str], &[&str]); 8] = [
     (
         "worker",
         &["worker", "range_index", "tick", "wal_seq"],
@@ -24,7 +24,12 @@ const SHAPES: [(&str, &[&str], &[&str]); 7] = [
         &["block", "profile"],
         &["metrics", "block"],
     ),
-    ("campaign-units", &["block"], &["units"]),
+    ("campaign-claim", &["block", "offset", "stride", "cap"], &[]),
+    (
+        "campaign-split",
+        &["block", "offset", "stride", "cap", "consumed", "k"],
+        &[],
+    ),
     (
         "campaign-unit",
         &["block", "offset", "stride", "cap"],

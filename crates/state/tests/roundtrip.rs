@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 use xmap_addr::{Prefix, PrefixTree};
 use xmap_state::checkpoint::{
-    decode_run_state, decode_snapshot, decode_sub_shards, decode_tree, encode_run_state,
-    encode_snapshot, encode_sub_shards, encode_tree, SubShardEntry,
+    decode_run_state, decode_snapshot, decode_tree, encode_run_state, encode_snapshot, encode_tree,
 };
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{CursorState, OutstandingEntry, RetryEntryState, RunState, WorkerCheckpoint};
@@ -211,47 +210,4 @@ proptest! {
         let decoded = decode_tree(&mut d).unwrap();
         prop_assert_eq!(decoded, tree);
     }
-
-    /// Sub-shard manifest round trip: arbitrary unit layouts (extreme
-    /// offsets/strides/caps, started flags) encode and decode exactly —
-    /// the split-block resume plan depends on this.
-    #[test]
-    fn sub_shard_manifest_roundtrip(seed in any::<u64>()) {
-        let mut g = Gen(seed);
-        let entries: Vec<SubShardEntry> = (0..g.below(24))
-            .map(|_| SubShardEntry {
-                offset: g.extreme_u64(),
-                stride: g.extreme_u64(),
-                cap: g.extreme_u64(),
-                started: g.below(2) == 1,
-            })
-            .collect();
-        let bytes = encode_sub_shards(&entries);
-        prop_assert_eq!(decode_sub_shards(&bytes).unwrap(), entries);
-    }
-}
-
-/// A truncated or trailing-garbage manifest must surface as a decode
-/// error, never as a silently shortened plan.
-#[test]
-fn sub_shard_manifest_rejects_torn_bytes() {
-    let entries = vec![
-        SubShardEntry {
-            offset: 3,
-            stride: 2,
-            cap: 1 << 20,
-            started: true,
-        },
-        SubShardEntry {
-            offset: 5,
-            stride: 4,
-            cap: 7,
-            started: false,
-        },
-    ];
-    let bytes = encode_sub_shards(&entries);
-    assert!(decode_sub_shards(&bytes[..bytes.len() - 1]).is_err());
-    let mut padded = bytes.clone();
-    padded.push(0);
-    assert!(decode_sub_shards(&padded).is_err());
 }

@@ -20,7 +20,7 @@ use xmap_addr::ScanRange;
 use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule, FsSchedule};
 use xmap_netsim::{KillPoint, World};
 use xmap_periphery::{BlockMode, Campaign, CampaignOutcome, ParallelCampaign, UnitMode};
-use xmap_state::checkpoint::CUT_ENTRY;
+use xmap_state::checkpoint::{Kind, CUT_ENTRY};
 use xmap_state::wal::frame_len;
 use xmap_state::{AbortSignal, StateError, Wal, WorkerCheckpoint};
 use xmap_telemetry::{Snapshot, Telemetry};
@@ -601,14 +601,15 @@ fn strip_exec(mut snap: Snapshot) -> Snapshot {
 }
 
 /// Kill the host at filesystem operations of a checkpointed campaign
-/// (block checkpoints, the directory manifest and, once a block splits,
-/// its units manifest and unit checkpoints); the surviving directory
-/// must resume — or be refused and re-run fresh — to the exact
-/// uninterrupted result. Two inputs: a plain campaign, sampled across its
-/// op stream, and a forced-split one, killed at every op up to and
-/// including block 0's commit and sampled after that. The plain
-/// campaign's snapshot must match in full; the split one's `exec.*`
-/// counters are left out (a resume re-splits only the blocks it re-runs).
+/// (the journal's creation, its claim, split, unit and block appends and
+/// their flushes and syncs), once as a process kill and once as a power
+/// cut that also drops every unsynced byte; the surviving directory must
+/// resume — or be refused and re-run fresh — to the exact uninterrupted
+/// result. Two inputs: a plain campaign, sampled across its op stream,
+/// and a forced-split one, killed at every op up to and including block
+/// 0's commit and sampled after that. The plain campaign's snapshot must
+/// match in full; the split one's `exec.*` counters are left out (a
+/// resume re-splits only the blocks it re-runs).
 #[test]
 fn campaign_kill_sweep_every_surviving_state_recovers() {
     let plain = campaign(1);
@@ -635,44 +636,50 @@ fn campaign_kill_sweep_every_surviving_state_recovers() {
         // `dense` holds until a kill leaves block 0 committed.
         let mut kill = 0;
         while kill < total_ops {
-            let dir = torture_dir("camp-kill");
-            let scope = FailPlan::kill_at(&dir, kill, 4).arm();
-            // With the disk dead mid-run this either errors out or (when
-            // the kill lands on the very last op) completes; both leave a
-            // valid torture state behind.
-            let _ = campaign_run(exec, &dir, false);
-            assert!(scope.killed(), "kill point {kill} never fired");
-            drop(scope);
-            let block0 = exec
-                .resume_plan(&campaign_base(), &dir)
-                .ok()
-                .map(|plan| plan[0].clone());
-            if let Some(BlockMode::Split(units)) = &block0 {
-                all_units_skip |= units.iter().all(|u| u.mode == UnitMode::Skip);
+            for power_loss in [false, true] {
+                let label = format!("kill {kill}, power loss {power_loss}");
+                let dir = torture_dir("camp-kill");
+                let scope = FailPlan::kill_at(&dir, kill, 4).arm();
+                // With the disk dead mid-run this either errors out or
+                // (when the kill lands on the very last op) completes;
+                // both leave a valid torture state behind.
+                let _ = campaign_run(exec, &dir, false);
+                assert!(scope.killed(), "{label}: kill point never fired");
+                if power_loss {
+                    scope.lose_unsynced();
+                }
+                drop(scope);
+                let block0 = exec
+                    .resume_plan(&campaign_base(), &dir)
+                    .ok()
+                    .map(|plan| plan[0].clone());
+                if let Some(BlockMode::Split(units)) = &block0 {
+                    all_units_skip |= units.iter().all(|u| u.mode == UnitMode::Skip);
+                }
+                dense &= block0 != Some(BlockMode::Skip);
+                let recovered = match campaign_run(exec, &dir, true) {
+                    Ok(outcome) => outcome,
+                    Err(refusal) => campaign_run(exec, &dir, false).unwrap_or_else(|e| {
+                        panic!("{label}: fresh campaign after refusal `{refusal}` failed: {e}")
+                    }),
+                };
+                assert!(recovered.poisoned.is_empty(), "{label}");
+                assert_eq!(
+                    recovered.result, baseline.result,
+                    "{label}: campaign result diverged"
+                );
+                assert_eq!(
+                    recovered.result.to_csv(),
+                    base_csv,
+                    "{label}: campaign CSV diverged"
+                );
+                assert_eq!(
+                    compared(recovered.snapshot),
+                    base_snap,
+                    "{label}: campaign snapshot diverged"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
             }
-            dense &= block0 != Some(BlockMode::Skip);
-            let recovered = match campaign_run(exec, &dir, true) {
-                Ok(outcome) => outcome,
-                Err(refusal) => campaign_run(exec, &dir, false).unwrap_or_else(|e| {
-                    panic!("fresh campaign after refusal `{refusal}` failed: {e}")
-                }),
-            };
-            assert!(recovered.poisoned.is_empty(), "kill {kill}");
-            assert_eq!(
-                recovered.result, baseline.result,
-                "campaign result diverged after kill {kill}"
-            );
-            assert_eq!(
-                recovered.result.to_csv(),
-                base_csv,
-                "campaign CSV diverged after kill {kill}"
-            );
-            assert_eq!(
-                compared(recovered.snapshot),
-                base_snap,
-                "campaign snapshot diverged after kill {kill}"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
             kill = match kill {
                 k if dense || k + 1 == total_ops => k + 1,
                 k => (k + stride).min(total_ops - 1),
@@ -681,8 +688,35 @@ fn campaign_kill_sweep_every_surviving_state_recovers() {
     }
     assert!(
         all_units_skip,
-        "no kill left a split block with every unit checkpointed but the block uncommitted"
+        "no kill left a split block with every unit journalled but the block uncommitted"
     );
+}
+
+/// A campaign directory of the older layout — a sectioned
+/// `campaign.ckpt` beside per-block files — is refused on resume and by
+/// the resume planner as a version error, naming the remedy.
+#[test]
+fn older_campaign_layout_is_refused_as_a_version_error() {
+    let dir = torture_dir("camp-legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let blocks = [("blocks", 15)];
+    Kind {
+        name: "campaign-dir",
+    }
+    .write(&dir.join("campaign.ckpt"), &blocks, 0, &[])
+    .unwrap();
+    let exec = campaign(1);
+    let refusals = [
+        exec.resume_plan(&campaign_base(), &dir).map(|_| ()),
+        campaign_run(&exec, &dir, true).map(|_| ()),
+    ];
+    for refusal in refusals {
+        match refusal {
+            Err(StateError::Version(msg)) => assert!(msg.contains("--resume"), "{msg}"),
+            other => panic!("expected a version refusal, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Scripted executor faults at integration level: a worker that panics
@@ -731,8 +765,8 @@ fn scripted_worker_panic_is_supervised_end_to_end() {
 }
 
 /// Campaign-level scripted panic with checkpointing: the panicked
-/// block's in-progress marker and requeue leave no trace in the final
-/// result, and nothing in the checkpoint directory is corrupted.
+/// unit's claim and requeue leave no trace in the final result, and
+/// nothing in the campaign journal is corrupted.
 #[test]
 fn scripted_campaign_panic_leaves_directory_resumable() {
     let clean =
@@ -750,8 +784,8 @@ fn scripted_campaign_panic_leaves_directory_resumable() {
         Some(&1)
     );
 
-    // Every block checkpoint the run published must be loadable: a
-    // resume replays the whole campaign from disk without scanning.
+    // Every block the run journalled must be loadable: a resume replays
+    // the whole campaign from disk without scanning.
     let replay = campaign_run(&campaign(1), &dir, true).unwrap();
     assert_eq!(replay.result, clean.result);
     std::fs::remove_dir_all(&dir).unwrap();
