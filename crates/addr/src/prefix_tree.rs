@@ -31,16 +31,6 @@ pub enum NodeState {
     Exhausted,
 }
 
-impl NodeState {
-    /// All states in canonical (codec tag) order.
-    pub const ALL: [NodeState; 4] = [
-        NodeState::Active,
-        NodeState::Split,
-        NodeState::Pruned,
-        NodeState::Exhausted,
-    ];
-}
-
 /// One node of a [`PrefixTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeNode {
@@ -73,8 +63,8 @@ impl TreeNode {
 /// Radix tree over the sub-prefixes of one scan block.
 ///
 /// Nodes live in a flat vector in creation order (children are appended
-/// contiguously on split), which makes the structure cheap to snapshot
-/// and byte-stable to rebuild. All mutation entry points take node
+/// contiguously on split), so the same operations in the same order
+/// build the same tree, indices included. All mutation entry points take node
 /// indices as returned by [`frontier`](Self::frontier) or
 /// [`split`](Self::split).
 ///
@@ -135,69 +125,6 @@ impl PrefixTree {
         }
     }
 
-    /// Rebuilds a tree from a snapshot, validating every structural
-    /// invariant the codec cannot express. Node order must be the
-    /// original creation order.
-    pub fn from_parts(
-        root: Prefix,
-        leaf_len: u8,
-        branch_bits: u8,
-        nodes: Vec<TreeNode>,
-    ) -> Result<Self, String> {
-        if !(leaf_len > root.len() && leaf_len <= 128 && leaf_len - root.len() <= 64) {
-            return Err(format!("invalid leaf length {leaf_len} for root {root}"));
-        }
-        if !(1..=8).contains(&branch_bits) {
-            return Err(format!("invalid branch bits {branch_bits}"));
-        }
-        match nodes.first() {
-            Some(first) if first.prefix == root => {}
-            _ => return Err("first node must be the root".to_owned()),
-        }
-        for (idx, node) in nodes.iter().enumerate() {
-            if node.prefix.len() > leaf_len || !root.covers(node.prefix) {
-                return Err(format!("node {idx} span {} escapes the tree", node.prefix));
-            }
-            match (node.state, node.children) {
-                (NodeState::Split, Some((start, count))) => {
-                    let child_len =
-                        node.prefix.len() + branch_bits.min(leaf_len - node.prefix.len());
-                    if count as u128 != node.prefix.subprefix_count(child_len).unwrap_or(0) {
-                        return Err(format!("node {idx} has a partial child set"));
-                    }
-                    for k in 0..count {
-                        let child = nodes
-                            .get(start as usize + k as usize)
-                            .ok_or_else(|| format!("node {idx} children out of bounds"))?;
-                        if child.prefix != node.prefix.subprefix(child_len, k as u128) {
-                            return Err(format!("node {idx} child {k} is misplaced"));
-                        }
-                    }
-                }
-                (NodeState::Split, None) => {
-                    return Err(format!("split node {idx} has no children"));
-                }
-                (_, Some(_)) => {
-                    return Err(format!("non-split node {idx} has children"));
-                }
-                (NodeState::Pruned, None) if node.hits > 0 => {
-                    return Err(format!("node {idx} is pruned despite {} hits", node.hits));
-                }
-                _ => {}
-            }
-        }
-        let tree = PrefixTree {
-            root,
-            leaf_len,
-            branch_bits,
-            nodes,
-        };
-        if !tree.coverage_is_partition() {
-            return Err("terminal nodes do not partition the root".to_owned());
-        }
-        Ok(tree)
-    }
-
     /// The block this tree spans.
     pub fn root(&self) -> Prefix {
         self.root
@@ -206,11 +133,6 @@ impl PrefixTree {
     /// Length of the leaf target sub-prefixes.
     pub fn leaf_len(&self) -> u8 {
         self.leaf_len
-    }
-
-    /// Bits added per split level.
-    pub fn branch_bits(&self) -> u8 {
-        self.branch_bits
     }
 
     /// Number of nodes ever created.
@@ -373,8 +295,7 @@ impl PrefixTree {
     pub fn coverage_is_partition(&self) -> bool {
         // Split nodes delegate their span to children, so the terminal
         // spans must add up exactly; disjointness follows from the
-        // construction (children subdivide the parent), which
-        // `from_parts` re-validates on rebuild.
+        // construction (children subdivide the parent).
         let terminal: u128 = self.active_span() + self.pruned_span() + self.exhausted_span();
         terminal == self.span(0)
     }
@@ -445,30 +366,6 @@ mod tests {
         let n = t.node(0);
         assert_eq!((n.probes, n.hits, n.cursor), (16, 2, 16));
         assert!((n.density() - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_parts_roundtrips_and_validates() {
-        let mut t = tree();
-        let kids = t.split(0).unwrap();
-        let first = kids.start;
-        t.record(first, 4, 0);
-        assert!(t.prune(first));
-        t.record(first + 1, 4, 2);
-        t.exhaust(first + 1);
-        let nodes: Vec<TreeNode> = t.nodes().cloned().collect();
-        let back = PrefixTree::from_parts(t.root(), t.leaf_len(), t.branch_bits(), nodes).unwrap();
-        assert_eq!(back, t);
-
-        // Tampered child prefix is rejected.
-        let mut bad: Vec<TreeNode> = t.nodes().cloned().collect();
-        bad[first + 2].prefix = "2001:db9::/52".parse().unwrap();
-        assert!(PrefixTree::from_parts(t.root(), 64, 4, bad).is_err());
-
-        // A pruned-but-responsive node is rejected.
-        let mut bad: Vec<TreeNode> = t.nodes().cloned().collect();
-        bad[first].hits = 3;
-        assert!(PrefixTree::from_parts(t.root(), 64, 4, bad).is_err());
     }
 
     #[test]

@@ -27,13 +27,19 @@
 //! Counters and histogram buckets sum commutatively, so which prober
 //! ran which unit never shows. Worker count only changes which thread
 //! runs a unit, never what the unit computes or the order results
-//! merge, so output is byte-identical across 1/2/4 workers. Round
-//! boundaries double as checkpoint points: the tree, the in-progress
-//! block and the merged telemetry (deltas absorbed at every boundary
-//! when a checkpoint is being written, so it carries exact metrics)
-//! land in one `xmap-state` checkpoint file whose tree-snapshot section
-//! lets a killed campaign resume mid-block.
+//! merge, so output is byte-identical across 1/2/4 workers.
+//!
+//! # Checkpoints
+//!
+//! Round boundaries double as checkpoint points. A checkpointed campaign
+//! appends each finished round — its unit results and the telemetry
+//! delta absorbed at its end — to one journal, `adaptive.ckpt`, and
+//! syncs it. A round's merge and settle step is a deterministic function
+//! of its unit results, so a resume runs the same round loop on the
+//! journalled results instead of probing: tree, seen-set, peripheries
+//! and probe spend are recomputed, not restored, under any worker count.
 
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -43,15 +49,15 @@ use xmap::{
     IndexWalk, ProbeResult, ScanConfig, ScanStats, Scanner,
 };
 use xmap_addr::{classify_iid, FxHashSet, IidClass, Ip6, Mac, Prefix, PrefixTree};
-use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
+use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::{Ipv6Packet, Network};
-use xmap_state::checkpoint::{decode_snapshot, decode_tree, encode_snapshot, encode_tree, Kind};
-use xmap_state::codec::Encoder;
-use xmap_state::{Fingerprint, StateError};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, recover_journal, Kind, Opened};
+use xmap_state::codec::{Decoder, Encoder};
+use xmap_state::{Fingerprint, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry};
 
 use crate::campaign::{
-    decode_block, encode_block, BlockResult, CampaignResult, DiscoveredPeriphery,
+    decode_stats, encode_stats, BlockResult, CampaignResult, DiscoveredPeriphery,
 };
 use crate::infer_boundary;
 
@@ -277,13 +283,13 @@ fn absorb_all<N: Network>(probers: &mut [Prober<N>], snapshot: &mut Snapshot) {
     }
 }
 
-/// An in-progress block between rounds (the checkpointed state).
-#[derive(Debug, Clone)]
+/// An in-progress block between rounds.
 struct PartialBlock {
+    /// Its index in [`SAMPLE_BLOCKS`].
+    idx: usize,
     tree: PrefixTree,
     block: BlockResult,
     round: u64,
-    leaf_len: u8,
 }
 
 impl AdaptiveCampaign {
@@ -367,15 +373,18 @@ impl AdaptiveCampaign {
         N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
-        self.run_inner(base, None, false, &mut self.probers(base, &make_world))
+        self.run_inner(None, &mut self.probers(base, &make_world))
             .expect("in-memory run cannot hit checkpoint I/O")
     }
 
-    /// Runs with round-granular checkpointing at `path` (a file). When
+    /// Runs with each finished round journalled at `path` (a file). When
     /// the engine kill point fires the call returns with
     /// [`AdaptiveOutcome::interrupted`] set; rerunning with
-    /// `resume: true` — under any worker count — continues from the
-    /// last round boundary and produces byte-identical final output.
+    /// `resume: true` — under any worker count — replays the journal and
+    /// produces byte-identical final output. A journal of another
+    /// configuration is [`StateError::Mismatch`], one whose rounds are
+    /// not the campaign's [`StateError::Corrupt`], and an older build's
+    /// sectioned file [`StateError::Version`].
     pub fn run_checkpointed<N, F>(
         &self,
         base: &ScanConfig,
@@ -387,12 +396,12 @@ impl AdaptiveCampaign {
         N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
-        self.run_inner(
-            base,
-            Some(path),
-            resume,
-            &mut self.probers(base, &make_world),
-        )
+        let mut journal = Journal::open(path, self.fingerprint(base), resume)?;
+        let outcome = self.run_inner(Some(&mut journal), &mut self.probers(base, &make_world))?;
+        match journal.pending.front() {
+            Some(ck) => Err(ck.corrupt("is a round the campaign never runs")),
+            None => Ok(outcome),
+        }
     }
 
     /// Runs the adaptive loop over a single sample block — the
@@ -412,13 +421,11 @@ impl AdaptiveCampaign {
         N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
-        let profile = &SAMPLE_BLOCKS[block];
         let mut probers = self.probers(base, &make_world);
         let mut snapshot = Snapshot::default();
         let mut spent = 0u64;
-        let state = self.init_block(profile, &mut probers[0], &mut spent);
         let (done, _) = self
-            .run_block(state, &mut probers, None, 0, &[], &mut snapshot, &mut spent)
+            .run_block(block, &mut probers, None, &mut snapshot, &mut spent)
             .expect("in-memory block run cannot hit checkpoint I/O");
         (done, snapshot)
     }
@@ -437,89 +444,61 @@ impl AdaptiveCampaign {
 
     fn run_inner<N: Network + Send>(
         &self,
-        base: &ScanConfig,
-        path: Option<&Path>,
-        resume: bool,
+        mut journal: Option<&mut Journal>,
         probers: &mut [Prober<N>],
     ) -> Result<AdaptiveOutcome, StateError> {
-        let fp = self.fingerprint(base);
         let mut blocks: Vec<BlockResult> = Vec::new();
         let mut snapshot = Snapshot::default();
-        let mut spent_total = 0u64;
-        let mut partial: Option<PartialBlock> = None;
-        if resume {
-            if let Some(p) = path {
-                if let Some(saved) = load_ckpt(p, fp)? {
-                    blocks = saved.blocks;
-                    snapshot = saved.snapshot;
-                    spent_total = saved.spent;
-                    partial = saved.partial;
-                }
-                // Killed before the first checkpoint: fresh start.
-            }
-        }
-        let start = blocks.len();
-        for profile in SAMPLE_BLOCKS.iter().skip(start) {
-            let state = match partial.take() {
-                Some(p) => {
-                    debug_assert_eq!(p.block.profile_id, profile.id, "checkpoint block order");
-                    p
-                }
-                None => self.init_block(profile, &mut probers[0], &mut spent_total),
-            };
-            let (done, interrupted) = self.run_block(
-                state,
-                probers,
-                path,
-                fp,
-                &blocks,
-                &mut snapshot,
-                &mut spent_total,
-            )?;
-            if interrupted {
-                return Ok(AdaptiveOutcome {
-                    result: CampaignResult { blocks },
-                    snapshot: merge_worker_snapshots([snapshot]),
-                    interrupted: true,
-                });
+        let mut spent = 0u64;
+        let mut interrupted = false;
+        for idx in 0..SAMPLE_BLOCKS.len() {
+            let journal = journal.as_deref_mut();
+            let (done, killed) =
+                self.run_block(idx, probers, journal, &mut snapshot, &mut spent)?;
+            interrupted = killed;
+            if killed {
+                break;
             }
             blocks.push(done);
-            if let Some(p) = path {
-                write_ckpt(p, fp, &blocks, &snapshot, spent_total, None)?;
-            }
         }
         Ok(AdaptiveOutcome {
             result: CampaignResult { blocks },
             snapshot: merge_worker_snapshots([snapshot]),
-            interrupted: false,
+            interrupted,
         })
     }
 
-    /// Builds a block's starting state: optional boundary inference
-    /// (on `prober`, its metrics arriving with the block's first
-    /// absorbed delta), then a fresh tree over the (possibly
-    /// restricted) root.
+    /// Builds block `idx`'s starting state: its leaf length — from the
+    /// journal's round 0 of the block when it is next, else by boundary
+    /// inference (on `prober`, its metrics arriving with the block's first
+    /// absorbed delta) or the profile — and a tree over the root.
     fn init_block<N: Network>(
         &self,
-        profile: &IspProfile,
+        idx: usize,
         prober: &mut Prober<N>,
         spent_total: &mut u64,
-    ) -> PartialBlock {
-        let mut stats = ScanStats::default();
-        let mut probed = 0u64;
-        let leaf_len = if self.infer {
-            let inference = infer_boundary(prober.fresh(), profile.scan_prefix(), 64, 3);
-            stats.merge(&ScanStats {
-                sent: inference.probes,
-                ..ScanStats::default()
-            });
-            probed += inference.probes;
-            *spent_total += inference.probes;
-            inference.inferred_len.unwrap_or(profile.assigned_len)
-        } else {
-            profile.assigned_len
+        journal: Option<&Journal>,
+    ) -> Result<PartialBlock, StateError> {
+        let profile = &SAMPLE_BLOCKS[idx];
+        let scan = profile.scan_prefix();
+        let journalled = match journal {
+            Some(journal) => journal.init(idx, |leaf_len, probes| {
+                (leaf_len, probes) == (profile.assigned_len, 0)
+                    || (self.infer && scan.len() < leaf_len && leaf_len <= 64)
+            })?,
+            None => None,
         };
-        let mut root = profile.scan_prefix();
+        let (leaf_len, probes) = match journalled {
+            Some(init) => init,
+            None if self.infer => {
+                let inference = infer_boundary(prober.fresh(), scan, 64, 3);
+                let leaf_len = inference.inferred_len.unwrap_or(profile.assigned_len);
+                (leaf_len, inference.probes)
+            }
+            None => (profile.assigned_len, 0),
+        };
+        *spent_total = spent_total.saturating_add(probes);
+        let mut root = scan;
         if let Some(bits) = self.config.root_bits {
             let bits = bits.min(leaf_len - root.len()).max(1);
             root = root.subprefix(leaf_len - bits, 0);
@@ -530,37 +509,38 @@ impl AdaptiveCampaign {
         );
         let tree = PrefixTree::new(root, leaf_len, self.config.policy().branch_bits);
         let space_size = tree.span(0);
-        PartialBlock {
+        Ok(PartialBlock {
+            idx,
             tree,
             block: BlockResult {
                 profile_id: profile.id,
                 peripheries: Vec::new(),
-                stats,
-                probed,
+                stats: ScanStats {
+                    sent: probes,
+                    ..ScanStats::default()
+                },
+                probed: probes,
                 space_size,
                 alias_candidates: Vec::new(),
                 mop_up_recovered: 0,
             },
             round: 0,
-            leaf_len,
-        }
+        })
     }
 
-    /// Drives one block's rounds to completion (or the engine kill).
-    #[allow(clippy::too_many_arguments)]
+    /// Drives block `idx`'s rounds to completion (or the engine kill).
     fn run_block<N: Network + Send>(
         &self,
-        mut state: PartialBlock,
+        idx: usize,
         probers: &mut [Prober<N>],
-        path: Option<&Path>,
-        fp: u64,
-        done_blocks: &[BlockResult],
+        mut journal: Option<&mut Journal>,
         snapshot: &mut Snapshot,
         spent_total: &mut u64,
     ) -> Result<(BlockResult, bool), StateError> {
-        let budget = self.config.probe_budget;
+        let mut state = self.init_block(idx, &mut probers[0], spent_total, journal.as_deref())?;
+        let (budget, kill_after) = (self.config.probe_budget, self.kill_after_probes);
         let policy = self.config.policy();
-        let mut seen: FxHashSet<Ip6> = state.block.peripheries.iter().map(|p| p.address).collect();
+        let mut seen: FxHashSet<Ip6> = FxHashSet::default();
         let interrupted = loop {
             if state.round >= policy.max_rounds {
                 break false;
@@ -597,7 +577,8 @@ impl AdaptiveCampaign {
             if units.is_empty() {
                 break false; // frontier empty or fully drawn
             }
-            let results = self.run_round(&units, state.leaf_len, probers);
+            let (results, probed) =
+                self.run_round(&state, &units, probers, journal.as_deref_mut(), snapshot)?;
 
             // Merge in unit-index order — the deterministic merge point.
             let mut round_drawn = 0u64;
@@ -628,7 +609,7 @@ impl AdaptiveCampaign {
                 state.block.stats.merge(&r.stats);
             }
             state.block.probed += round_drawn;
-            *spent_total += round_drawn;
+            *spent_total = spent_total.saturating_add(round_drawn);
             state.round += 1;
 
             // Settle the frontier: exhaust, split or prune each sampled
@@ -658,32 +639,34 @@ impl AdaptiveCampaign {
                 }
             }
 
-            if let Some(p) = path {
-                // The checkpoint must carry exact metrics.
-                absorb_all(probers, snapshot);
-                write_ckpt(p, fp, done_blocks, snapshot, *spent_total, Some(&state))?;
-            }
-            if let Some(kill) = self.kill_after_probes {
-                if *spent_total >= kill {
-                    break true;
-                }
+            if probed && kill_after.is_some_and(|kill| *spent_total >= kill) {
+                break true;
             }
         };
         absorb_all(probers, snapshot);
         Ok((state.block, interrupted))
     }
 
-    /// Executes a round's units — possibly in parallel, one prober per
-    /// worker — returning results in unit-index order regardless of
-    /// scheduling.
+    /// Runs the round `state` is at over `units`, returning results in
+    /// unit-index order and whether it probed: the journal's next round
+    /// while it holds any, else the units executed — possibly in
+    /// parallel, one prober per worker — and, when checkpointing,
+    /// journalled with the telemetry delta absorbed at the round's end.
     fn run_round<N: Network + Send>(
         &self,
+        state: &PartialBlock,
         units: &[Unit],
-        leaf_len: u8,
         probers: &mut [Prober<N>],
-    ) -> Vec<UnitResult> {
+        mut journal: Option<&mut Journal>,
+        snapshot: &mut Snapshot,
+    ) -> Result<(Vec<UnitResult>, bool), StateError> {
+        if let Some(journal) = journal.as_deref_mut() {
+            if let Some(results) = journal.replay(state, units, snapshot)? {
+                return Ok((results, false));
+            }
+        }
         let exec = |u: &Unit, prober: &mut Prober<N>| {
-            run_unit(u, leaf_len, &self.blocklist, prober.fresh())
+            run_unit(u, state.tree.leaf_len(), &self.blocklist, prober.fresh())
         };
         let round_probes: u64 = units.iter().map(|u| u.count).sum();
         let n_workers = if round_probes < MIN_PARALLEL_ROUND_PROBES {
@@ -691,39 +674,47 @@ impl AdaptiveCampaign {
         } else {
             self.workers.min(units.len()).max(1)
         };
-        if n_workers == 1 {
+        let results: Vec<_> = if n_workers == 1 {
             let prober = &mut probers[0];
-            return units.iter().map(|u| exec(u, prober)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<UnitResult>>> =
-            units.iter().map(|_| Mutex::new(None)).collect();
-        let work = |prober: &mut Prober<N>| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= units.len() {
-                break;
-            }
-            let r = exec(&units[i], prober);
-            match slots[i].lock() {
-                Ok(mut slot) => *slot = Some(r),
-                Err(poisoned) => *poisoned.into_inner() = Some(r),
-            }
+            units.iter().map(|u| exec(u, prober)).collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let slots: Vec<Mutex<Option<UnitResult>>> =
+                units.iter().map(|_| Mutex::new(None)).collect();
+            let work = |prober: &mut Prober<N>| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= units.len() {
+                    break;
+                }
+                let r = exec(&units[i], prober);
+                match slots[i].lock() {
+                    Ok(mut slot) => *slot = Some(r),
+                    Err(poisoned) => *poisoned.into_inner() = Some(r),
+                }
+            };
+            std::thread::scope(|scope| {
+                for prober in probers.iter_mut().take(n_workers) {
+                    let work = &work;
+                    scope.spawn(move || work(prober));
+                }
+                // scope joins every worker; a worker panic propagates here.
+            });
+            slots
+                .into_iter()
+                .map(|m| {
+                    m.into_inner()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .expect("every unit slot is filled before the scope ends")
+                })
+                .collect()
         };
-        std::thread::scope(|scope| {
-            for prober in probers.iter_mut().take(n_workers) {
-                let work = &work;
-                scope.spawn(move || work(prober));
-            }
-            // scope joins every worker; a worker panic propagates here.
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .expect("every unit slot is filled before the scope ends")
-            })
-            .collect()
+        if let Some(journal) = journal {
+            let mut delta = Snapshot::default();
+            absorb_all(probers, &mut delta);
+            journal.append(state, &results, &delta)?;
+            snapshot.merge(&delta);
+        }
+        Ok((results, true))
     }
 }
 
@@ -816,84 +807,159 @@ fn run_unit<N: Network>(
     }
 }
 
-/// A loaded adaptive checkpoint.
-struct AdaptiveCkpt {
-    blocks: Vec<BlockResult>,
-    snapshot: Snapshot,
-    spent: u64,
-    partial: Option<PartialBlock>,
-}
-
-const KIND: Kind = Kind {
+/// Entry 0 of an adaptive journal: binds it to one engine fingerprint.
+const CAMPAIGN: Kind = Kind {
     name: "adaptive-campaign",
 };
+/// One finished round: its unit results and telemetry delta.
+const ROUND: Kind = Kind {
+    name: "adaptive-round",
+};
 
-fn write_ckpt(
-    path: &Path,
+/// The campaign journal, `adaptive.ckpt`, with the rounds a resume has
+/// still to replay.
+struct Journal {
+    wal: Wal,
     fp: u64,
-    blocks: &[BlockResult],
-    snapshot: &Snapshot,
-    spent: u64,
-    partial: Option<&PartialBlock>,
-) -> Result<(), StateError> {
-    let mut be = Encoder::new();
-    be.seq(blocks.len());
-    for b in blocks {
-        encode_block(&mut be, b);
-    }
-    let mut sections: Vec<(&str, Vec<u8>)> = vec![
-        ("metrics", encode_snapshot(snapshot)),
-        ("blocks", be.finish()),
-    ];
-    if let Some(p) = partial {
-        let mut te = Encoder::new();
-        encode_tree(&mut te, &p.tree);
-        sections.push(("tree", te.finish()));
-        let mut pe = Encoder::new();
-        encode_block(&mut pe, &p.block);
-        pe.u64(p.round);
-        pe.u8(p.leaf_len);
-        sections.push(("partial", pe.finish()));
-    }
-    let fields = [("completed_blocks", blocks.len() as u64), ("spent", spent)];
-    KIND.write(path, &fields, fp, &sections)
+    /// Journalled rounds not yet replayed, in journal order.
+    pending: VecDeque<Opened>,
 }
 
-/// Loads and validates an adaptive checkpoint; `Ok(None)` when none
-/// exists yet.
-fn load_ckpt(path: &Path, expected_fp: u64) -> Result<Option<AdaptiveCkpt>, StateError> {
-    if !path.exists() {
-        return Ok(None);
+impl Journal {
+    /// Opens the journal at `path` for a campaign fingerprinting as `fp`:
+    /// on resume its intact rounds queue for replay and appends go after
+    /// them; otherwise, or when no entry is intact, a new journal starts.
+    fn open(path: &Path, fp: u64, resume: bool) -> Result<Journal, StateError> {
+        let entries = resume
+            .then(|| recover_journal(path))
+            .transpose()?
+            .unwrap_or_default();
+        let Some(first) = entries.first() else {
+            let (wal, pending) = (CAMPAIGN.create_journal(path, &[], fp)?, VecDeque::new());
+            return Ok(Journal { wal, fp, pending });
+        };
+        let what = |seq: usize| format!("adaptive journal {} entry {seq}", path.display());
+        CAMPAIGN.parse(first, what(0), Some(fp), &[])?;
+        let wal = Wal::reopen(path, &entries)?;
+        // Consumed as parsed, so the journal is held in memory once.
+        let pending = (entries.into_iter().enumerate().skip(1))
+            .map(|(seq, raw)| ROUND.parse(&raw, what(seq), Some(fp), &[]))
+            .collect::<Result<_, _>>()?;
+        Ok(Journal { wal, fp, pending })
     }
-    let mut ck = KIND.open(path, Some(expected_fp), &[])?;
-    let blocks = ck.decode("blocks", |d| {
-        (0..d.seq()?).map(|_| decode_block(d)).collect()
-    })?;
-    let partial = if ck.lists("tree") || ck.lists("partial") {
-        let tree = ck.decode("tree", decode_tree)?;
-        let (block, round, leaf_len) =
-            ck.decode("partial", |d| Ok((decode_block(d)?, d.u64()?, d.u8()?)))?;
-        if leaf_len != tree.leaf_len() {
-            return Err(ck.corrupt(&format!(
-                "partial block leaf length {leaf_len} disagrees with tree {}",
-                tree.leaf_len()
-            )));
+
+    /// Block `idx`'s leaf length and inference probe count, when the next
+    /// round to replay is the block's round 0; `valid` must accept them.
+    fn init(
+        &self,
+        idx: usize,
+        valid: impl Fn(u8, u64) -> bool,
+    ) -> Result<Option<(u8, u64)>, StateError> {
+        match self.pending.front() {
+            Some(ck) if (ck.field("block")?, ck.field("round")?) == (idx as u64, 0) => {
+                let probes = ck.field("probes")?;
+                match u8::try_from(ck.field("leaf_len")?) {
+                    Ok(leaf_len) if valid(leaf_len, probes) => Ok(Some((leaf_len, probes))),
+                    _ => Err(ck.corrupt("holds a block init the campaign cannot have")),
+                }
+            }
+            _ => Ok(None),
         }
-        Some(PartialBlock {
-            tree,
-            block,
-            round,
-            leaf_len,
+    }
+
+    /// The next journalled round's unit results, its telemetry delta
+    /// merged into `snapshot`; `None` once every round is replayed. The
+    /// round must be the one `state` is at, over the same `units`.
+    fn replay(
+        &mut self,
+        state: &PartialBlock,
+        units: &[Unit],
+        snapshot: &mut Snapshot,
+    ) -> Result<Option<Vec<UnitResult>>, StateError> {
+        let Some(mut ck) = self.pending.pop_front() else {
+            return Ok(None);
+        };
+        let at = (state.idx as u64, state.round);
+        if (ck.field("block")?, ck.field("round")?) != at {
+            return Err(ck.corrupt(&format!("is not block {} round {}, run next", at.0, at.1)));
+        }
+        let results = ck.decode("units", decode_units)?;
+        let fits = results.len() == units.len()
+            && (results.iter().zip(units))
+                .all(|(r, u)| r.node == u.node && r.drawn <= u.count && r.hits <= r.drawn);
+        if !fits {
+            return Err(ck.corrupt("its units disagree with the round's frontier"));
+        }
+        snapshot.merge(&ck.take("metrics", decode_snapshot)?);
+        Ok(Some(results))
+    }
+
+    /// Appends the round `state` just probed and syncs it; a block's
+    /// round 0 also records the block's init.
+    fn append(
+        &mut self,
+        state: &PartialBlock,
+        results: &[UnitResult],
+        delta: &Snapshot,
+    ) -> Result<(), StateError> {
+        let mut fields = vec![("block", state.idx as u64), ("round", state.round)];
+        if state.round == 0 {
+            fields.extend([
+                ("leaf_len", state.tree.leaf_len() as u64),
+                ("probes", state.block.probed),
+            ]);
+        }
+        let sections = [
+            ("units", encode_units(results)),
+            ("metrics", encode_snapshot(delta)),
+        ];
+        self.wal.append(&ROUND.entry(&fields, self.fp, &sections))?;
+        self.wal.sync()
+    }
+}
+
+/// Serialises a round's unit results, in unit order.
+fn encode_units(results: &[UnitResult]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.seq(results.len());
+    for r in results {
+        e.u64(r.node as u64);
+        e.u64(r.drawn);
+        e.u64(r.hits);
+        e.seq(r.finds.len());
+        for (responder, target, probe_dst, via_te) in &r.finds {
+            e.u128(responder.bits());
+            e.prefix(target);
+            e.u128(probe_dst.bits());
+            e.bool(*via_te);
+        }
+        e.seq(r.aliases.len());
+        for alias in &r.aliases {
+            e.prefix(alias);
+        }
+        encode_stats(&mut e, &r.stats);
+    }
+    e.finish()
+}
+
+/// Inverse of [`encode_units`].
+fn decode_units(d: &mut Decoder) -> Result<Vec<UnitResult>, StateError> {
+    (0..d.seq()?)
+        .map(|_| {
+            Ok(UnitResult {
+                node: d.u64()? as usize,
+                drawn: d.u64()?,
+                hits: d.u64()?,
+                finds: (0..d.seq()?)
+                    .map(|_| Ok((d.u128()?.into(), d.prefix()?, d.u128()?.into(), d.bool()?)))
+                    .collect::<Result<_, StateError>>()?,
+                aliases: (0..d.seq()?)
+                    .map(|_| d.prefix())
+                    .collect::<Result<_, _>>()?,
+                stats: decode_stats(d)?,
+            })
         })
-    } else {
-        None
-    };
-    Ok(Some(AdaptiveCkpt {
-        blocks,
-        snapshot: ck.take("metrics", decode_snapshot)?,
-        spent: ck.field("spent")?,
-        partial,
-    }))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1061,12 +1127,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A mid-block checkpoint cut right after its `blocks` section still
-    /// lists `tree` and `partial`; resuming it must refuse, not silently
-    /// restart the in-progress block.
+    /// A journal's last round, torn at every byte offset, is dropped on
+    /// resume and probed again: the result is byte-identical. Two rounds
+    /// per block keep the journal short, since every cut replays it all.
     #[test]
-    fn checkpoint_cut_after_blocks_section_is_refused() {
-        let dir = std::env::temp_dir().join(format!("xmap-adaptive-cut-{}", std::process::id()));
+    fn torn_last_round_resumes_byte_identically() {
+        use xmap_state::wal::frame_len;
+        let dir = std::env::temp_dir().join(format!("xmap-adaptive-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("adaptive.ckpt");
+        let small = || {
+            AdaptiveCampaign::new(AdaptiveConfig {
+                probe_budget: 1 << 5,
+                root_bits: Some(12),
+                ..AdaptiveConfig::default()
+            })
+        };
+        let full = small()
+            .run_checkpointed(&base(), &path, false, sparse_world)
+            .unwrap();
+        let journal = std::fs::read(&path).unwrap();
+        let entries = Wal::recover(&path).unwrap().entries;
+        assert_eq!(entries.len(), 1 + 2 * SAMPLE_BLOCKS.len());
+        let last = entries.last().unwrap();
+        assert_eq!(
+            ROUND.parse(last, String::new(), None, &[]).unwrap().kind(),
+            ROUND.name
+        );
+        let last_start = journal.len() - frame_len(last.len()) as usize;
+        for len in last_start..journal.len() {
+            std::fs::write(&path, &journal[..len]).unwrap();
+            let resumed = small()
+                .with_workers(2)
+                .run_checkpointed(&base(), &path, true, sparse_world)
+                .unwrap();
+            assert_eq!(
+                resumed.result.to_csv(),
+                full.result.to_csv(),
+                "cut to {len}"
+            );
+            assert_eq!(
+                resumed.snapshot.to_json(),
+                full.snapshot.to_json(),
+                "cut to {len}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// CRC-valid rounds that disagree with the round the replay reaches —
+    /// other node ids, more draws than the unit had, more hits than
+    /// draws, a missing unit, a repeated round — are refused as
+    /// [`StateError::Corrupt`], never a panic.
+    #[test]
+    fn forged_round_is_refused_as_corrupt() {
+        let dir = std::env::temp_dir().join(format!("xmap-adaptive-forge-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("adaptive.ckpt");
@@ -1075,27 +1191,40 @@ mod tests {
             .run_checkpointed(&base(), &path, false, sparse_world)
             .unwrap();
         assert!(outcome.interrupted);
-        let bytes = std::fs::read(&path).unwrap();
-        // Walk the framing: magic, header, then name/len/payload/crc.
-        let hlen = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let header = std::str::from_utf8(&bytes[12..12 + hlen]).unwrap();
-        assert!(header.contains("\"tree\",\"partial\""), "{header}");
-        let mut pos = 12 + hlen + 1;
-        loop {
-            let nlen = bytes[pos] as usize;
-            let name = &bytes[pos + 1..pos + 1 + nlen];
-            let plen_at = pos + 1 + nlen;
-            let plen = u64::from_le_bytes(bytes[plen_at..plen_at + 8].try_into().unwrap());
-            pos = plen_at + 8 + plen as usize + 4;
-            if name == b"blocks" {
-                break;
+        let mut entries = Wal::recover(&path).unwrap().entries;
+        let last = entries.pop().unwrap();
+        let forge = |f: fn(&mut Vec<UnitResult>)| {
+            let mut ck = ROUND.parse(&last, String::new(), None, &[]).unwrap();
+            let fields = [
+                ("block", ck.field("block").unwrap()),
+                ("round", ck.field("round").unwrap()),
+            ];
+            assert!(fields[1].1 > 0, "a later round carries no block init");
+            let mut results = ck.decode("units", decode_units).unwrap();
+            f(&mut results);
+            let metrics = ck.take("metrics", |raw| Ok(raw.to_vec())).unwrap();
+            let sections = [("units", encode_units(&results)), ("metrics", metrics)];
+            ROUND.entry(&fields, ck.field("fp").unwrap(), &sections)
+        };
+        let forgeries: [(&str, Vec<Vec<u8>>); 5] = [
+            ("node id", vec![forge(|rs| rs[0].node += 1)]),
+            ("drawn", vec![forge(|rs| rs[0].drawn = u64::MAX)]),
+            ("hits", vec![forge(|rs| rs[0].hits = rs[0].drawn + 1)]),
+            ("unit count", vec![forge(|rs| drop(rs.pop()))]),
+            ("repeated round", vec![last.clone(), last.clone()]),
+        ];
+        for (label, tail) in forgeries {
+            let mut wal = Wal::create(&path).unwrap();
+            for entry in entries.iter().chain(&tail) {
+                wal.append(entry).unwrap();
             }
+            wal.sync().unwrap();
+            drop(wal);
+            let err = engine()
+                .run_checkpointed(&base(), &path, true, sparse_world)
+                .unwrap_err();
+            assert!(matches!(err, StateError::Corrupt(_)), "{label}: {err:?}");
         }
-        std::fs::write(&path, &bytes[..pos]).unwrap();
-        let err = engine()
-            .run_checkpointed(&base(), &path, true, sparse_world)
-            .unwrap_err();
-        assert!(matches!(err, StateError::Corrupt(_)), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,8 @@
 //!       --metrics-out FILE  write the merged telemetry snapshot as JSON
 //!       --checkpoint DIR    journal the campaign in DIR/campaign.ckpt; a
 //!                           killed campaign resumes from committed blocks
-//!                           and delivered units
+//!                           and delivered units (with --adaptive: every
+//!                           finished round in DIR/adaptive.ckpt)
 //!       --resume            continue the campaign checkpointed in DIR,
 //!                           under any --campaign-workers count
 //!       --resume-plan       dry run: print the Skip/Resume/Fresh/Split
@@ -319,10 +320,9 @@ fn run_adaptive(cfg: CliConfig) -> Result<bool, String> {
     let started = std::time::Instant::now();
     let outcome = match &cfg.checkpoint {
         Some(dir) => {
-            let dir = std::path::Path::new(dir);
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+            let path = std::path::Path::new(dir).join("adaptive.ckpt");
             engine
-                .run_checkpointed(&base, &dir.join("adaptive.ckpt"), cfg.resume, make_world)
+                .run_checkpointed(&base, &path, cfg.resume, make_world)
                 .map_err(|e| match e {
                     StateError::Mismatch(why) => format!(
                         "cannot resume: this invocation's configuration does not \
@@ -363,8 +363,8 @@ fn run_adaptive(cfg: CliConfig) -> Result<bool, String> {
         if outcome.interrupted {
             let _ = writeln!(
                 err,
-                "# tree snapshot checkpointed — rerun with --resume to continue \
-                 mid-round (any --campaign-workers count)"
+                "# every finished round journalled — rerun with --resume to \
+                 continue from the last one (any --campaign-workers count)"
             );
         }
     }
@@ -652,6 +652,29 @@ mod tests {
             .unwrap();
         let cfg = parse_args(&args(&format!(
             "--targets-per-block 512 --checkpoint {} --resume -q",
+            dir.display()
+        )))
+        .unwrap();
+        let err = run(cfg).unwrap_err();
+        assert!(err.contains("unsupported checkpoint version"), "{err}");
+        assert!(err.contains("re-run without --resume"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn adaptive_resume_refuses_an_older_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("xmap-adaptive-older-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let older = xmap_state::checkpoint::Kind {
+            name: "adaptive-campaign",
+        };
+        let fields = [("completed_blocks", 0), ("spent", 0)];
+        older
+            .write(&dir.join("adaptive.ckpt"), &fields, 0, &[])
+            .unwrap();
+        let cfg = parse_args(&args(&format!(
+            "--adaptive --root-bits 12 --checkpoint {} --resume -q",
             dir.display()
         )))
         .unwrap();

@@ -710,7 +710,7 @@ pub(crate) struct UnitRaw {
     pub mopup_span: Option<(u64, u64, u64)>,
 }
 
-fn encode_stats(e: &mut Encoder, s: &ScanStats) {
+pub(crate) fn encode_stats(e: &mut Encoder, s: &ScanStats) {
     for v in [
         s.sent,
         s.blocked,
@@ -726,7 +726,7 @@ fn encode_stats(e: &mut Encoder, s: &ScanStats) {
     e.f64_bits(s.paced_secs);
 }
 
-fn decode_stats(d: &mut Decoder) -> Result<ScanStats, StateError> {
+pub(crate) fn decode_stats(d: &mut Decoder) -> Result<ScanStats, StateError> {
     Ok(ScanStats {
         sent: d.u64()?,
         blocked: d.u64()?,

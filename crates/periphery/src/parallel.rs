@@ -160,7 +160,7 @@ use xmap::{insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, Su
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind, Opened, MAGIC};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, recover_journal, Kind, Opened};
 use xmap_state::codec::Encoder;
 use xmap_state::{AbortSignal, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry, Tracer};
@@ -378,7 +378,7 @@ impl ParallelCampaign {
             (Vec::new(), self.unstarted())
         };
         let wal = if entries.is_empty() {
-            create_journal(dir, &path, fp)?
+            DIR.create_journal(&path, &[("blocks", SAMPLE_BLOCKS.len() as u64)], fp)?
         } else {
             Wal::reopen(&path, &entries)?
         };
@@ -443,16 +443,9 @@ impl ParallelCampaign {
     /// as they leave it. A missing journal, or one without an intact
     /// entry, leaves every block unstarted.
     fn replay(&self, path: &Path, fp: u64) -> Result<(Vec<Vec<u8>>, Vec<Replay>), StateError> {
-        let entries = Wal::recover(path)?.entries;
+        let entries = recover_journal(path)?;
         let mut blocks = self.unstarted();
         let Some((first, rest)) = entries.split_first() else {
-            if std::fs::read(path).is_ok_and(|raw| raw.starts_with(MAGIC)) {
-                return Err(StateError::Version(format!(
-                    "{}: a sectioned campaign file is the older campaign layout, this build \
-                     journals the whole campaign in campaign.ckpt; re-run without --resume",
-                    path.display()
-                )));
-            }
             return Ok((entries, blocks));
         };
         let what = |seq: usize| format!("campaign journal {} entry {seq}", path.display());
@@ -1002,20 +995,6 @@ const UNIT: Kind = Kind {
 const BLOCK: Kind = Kind {
     name: "campaign-block",
 };
-
-/// Starts a new journal at `path` over any earlier one: its first entry
-/// binds it to the campaign, and one directory sync makes the new file's
-/// name durable.
-fn create_journal(dir: &Path, path: &Path, fp: u64) -> Result<Wal, StateError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| StateError::io(format!("create campaign dir {}", dir.display()), e))?;
-    let mut wal = Wal::create(path)?;
-    wal.append(&DIR.entry(&[("blocks", SAMPLE_BLOCKS.len() as u64)], fp, &[]))?;
-    wal.sync()?;
-    xmap_failpoint::fs::sync_file(dir)
-        .map_err(|e| StateError::io(format!("sync campaign dir {}", dir.display()), e))?;
-    Ok(wal)
-}
 
 /// The campaign journal, `campaign.ckpt`, shared by every worker. After
 /// a failed append every later one fails too: the file is left as the
@@ -1597,8 +1576,8 @@ mod tests {
 
         // One worker makes the kill land deterministically inside a
         // split: every block force-splits after 1k consumed positions,
-        // so by probe 6k the in-flight block has a durable sub-shard
-        // manifest plus at least one committed unit checkpoint.
+        // so by probe 6k the journal holds the in-flight block's split
+        // entry plus at least one of its unit entries.
         let signal = AbortSignal::new();
         let exec1 = ParallelCampaign::new(Campaign::new(tpb), 1).with_force_split_at(1_000);
         let partial = exec1

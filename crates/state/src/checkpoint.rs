@@ -23,9 +23,11 @@
 //! written and read through one envelope, [`Kind`]: it builds the header,
 //! checks kind, fingerprint and identity fields, and hands sections out
 //! through [`Opened`]. A scan worker's checkpoints are cut entries of its
-//! journal ([`WorkerJournal`]), and a parallel campaign's are entries of
-//! its `campaign.ckpt` journal ([`Kind::entry`], [`Opened::parse`]); the
-//! adaptive campaign and serve units keep a file per checkpoint.
+//! journal ([`WorkerJournal`]); a parallel campaign's are entries of its
+//! `campaign.ckpt` journal and an adaptive campaign's of its
+//! `adaptive.ckpt` journal ([`Kind::create_journal`], [`Kind::entry`],
+//! [`recover_journal`], [`Opened::parse`]); serve units keep a file per
+//! checkpoint.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,7 +35,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use xmap_addr::{NodeState, Prefix, PrefixTree, TreeNode};
+use xmap_addr::Prefix;
 use xmap_failpoint::fs as fp;
 use xmap_telemetry::{HistogramSnapshot, Snapshot};
 
@@ -149,6 +151,42 @@ impl Kind {
         }
         Ok(ck)
     }
+
+    /// Starts a journal at `path` over any earlier one (creating its
+    /// directory if missing), with entry 0 of this kind binding it to
+    /// `fp`. Entry 0 is synced, then the directory, so the new file's
+    /// name is durable too.
+    pub fn create_journal(
+        &self,
+        path: &Path,
+        fields: &[(&str, u64)],
+        fp: u64,
+    ) -> Result<Wal, StateError> {
+        let dir = (path.parent().filter(|d| !d.as_os_str().is_empty())).unwrap_or(Path::new("."));
+        fs::create_dir_all(dir)
+            .map_err(|e| StateError::io(format!("create dir {}", dir.display()), e))?;
+        let mut wal = Wal::create(path)?;
+        wal.append(&self.entry(fields, fp, &[]))?;
+        wal.sync()?;
+        fp::sync_file(dir).map_err(|e| StateError::io(format!("sync dir {}", dir.display()), e))?;
+        Ok(wal)
+    }
+}
+
+/// The intact entries of the journal at `path`, for a resume: none when
+/// it is missing. A file that opens with [`MAGIC`] is a sectioned
+/// checkpoint that an older build wrote in the journal's place, refused
+/// as [`StateError::Version`].
+pub fn recover_journal(path: &Path) -> Result<Vec<Vec<u8>>, StateError> {
+    let entries = Wal::recover(path)?.entries;
+    if entries.is_empty() && fs::read(path).is_ok_and(|raw| raw.starts_with(MAGIC)) {
+        return Err(StateError::Version(format!(
+            "{}: a sectioned checkpoint is an older layout, this build journals it; \
+             re-run without --resume",
+            path.display()
+        )));
+    }
+    Ok(entries)
 }
 
 /// A checkpoint whose envelope checked out, holding its listed sections.
@@ -826,73 +864,4 @@ pub fn decode_run_state(raw: &[u8]) -> Result<RunState, StateError> {
         probed_count,
         baseline,
     })
-}
-
-/// Serialises a [`PrefixTree`] into the tree-snapshot wire form: header
-/// fields, then every node in creation
-/// order (prefix, state tag, probes, hits, cursor, children range).
-/// Creation order is load-bearing — node indices are the tree's
-/// identity, so a decoded tree resumes with byte-identical frontier
-/// iteration.
-pub fn encode_tree(e: &mut Encoder, tree: &PrefixTree) {
-    e.prefix(&tree.root());
-    e.u8(tree.leaf_len());
-    e.u8(tree.branch_bits());
-    e.seq(tree.len());
-    for node in tree.nodes() {
-        e.prefix(&node.prefix);
-        e.u8(NodeState::ALL
-            .iter()
-            .position(|s| *s == node.state)
-            .expect("every state is in ALL") as u8);
-        e.u64(node.probes);
-        e.u64(node.hits);
-        e.u64(node.cursor);
-        match node.children {
-            Some((start, count)) => {
-                e.bool(true);
-                e.u32(start);
-                e.u32(count);
-            }
-            None => e.bool(false),
-        }
-    }
-}
-
-/// Inverse of [`encode_tree`]; every structural invariant (child
-/// placement, pruned-but-responsive nodes, coverage partition) is
-/// re-validated, so a corrupted snapshot fails loudly instead of
-/// resuming a malformed campaign.
-pub fn decode_tree(d: &mut Decoder) -> Result<PrefixTree, StateError> {
-    let what = "tree snapshot";
-    let root = d.prefix()?;
-    let leaf_len = d.u8()?;
-    let branch_bits = d.u8()?;
-    let n = d.seq()?;
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let prefix = d.prefix()?;
-        let tag = d.u8()? as usize;
-        let state = *NodeState::ALL
-            .get(tag)
-            .ok_or_else(|| StateError::Corrupt(format!("{what}: unknown node state {tag}")))?;
-        let probes = d.u64()?;
-        let hits = d.u64()?;
-        let cursor = d.u64()?;
-        let children = if d.bool()? {
-            Some((d.u32()?, d.u32()?))
-        } else {
-            None
-        };
-        nodes.push(TreeNode {
-            prefix,
-            state,
-            probes,
-            hits,
-            cursor,
-            children,
-        });
-    }
-    PrefixTree::from_parts(root, leaf_len, branch_bits, nodes)
-        .map_err(|e| StateError::Corrupt(format!("{what}: {e}")))
 }

@@ -11,10 +11,10 @@
 //! write-ahead journal such that a scan killed at probe *k* — or losing
 //! power there — and resumed finishes with output byte-identical to an
 //! uninterrupted run. A scan worker keeps one file, a journal of records
-//! and cuts ([`WorkerJournal`]), and a parallel campaign one journal of
-//! claims, splits, units and blocks; the adaptive campaign and serve
-//! units keep a file per checkpoint, published by tmp file, fsync and
-//! rename ([`checkpoint::publish`]).
+//! and cuts ([`WorkerJournal`]), a parallel campaign one journal of
+//! claims, splits, units and blocks, and an adaptive campaign one journal
+//! of rounds; serve units keep a file per checkpoint, published by tmp
+//! file, fsync and rename ([`checkpoint::publish`]).
 //!
 //! The crate is deliberately domain-light — it knows about prefixes,
 //! telemetry snapshots, bytes, and files, but not about scanners. The

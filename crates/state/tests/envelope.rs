@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmap_state::checkpoint::{write_sectioned, Kind, Opened};
 use xmap_state::{Manifest, StateError, WorkerCheckpoint, SCHEMA};
 
-/// The eight header shapes the workspace writes: kind, integer fields,
+/// The nine header shapes the workspace writes: kind, integer fields,
 /// sections.
-const SHAPES: [(&str, &[&str], &[&str]); 8] = [
+const SHAPES: [(&str, &[&str], &[&str]); 9] = [
     (
         "worker",
         &["worker", "range_index", "tick", "wal_seq"],
@@ -35,10 +35,11 @@ const SHAPES: [(&str, &[&str], &[&str]); 8] = [
         &["block", "offset", "stride", "cap"],
         &["metrics", "unit"],
     ),
+    ("adaptive-campaign", &[], &[]),
     (
-        "adaptive-campaign",
-        &["completed_blocks", "spent"],
-        &["metrics", "blocks", "tree", "partial"],
+        "adaptive-round",
+        &["block", "round", "leaf_len", "probes"],
+        &["units", "metrics"],
     ),
     ("serve-unit", &["job", "unit"], &["output", "metrics"]),
 ];

@@ -10,11 +10,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use xmap_addr::{Prefix, PrefixTree};
+use xmap_addr::Prefix;
 use xmap_state::checkpoint::{
-    decode_run_state, decode_snapshot, decode_tree, encode_run_state, encode_snapshot, encode_tree,
+    decode_run_state, decode_snapshot, encode_run_state, encode_snapshot,
 };
-use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{CursorState, OutstandingEntry, RetryEntryState, RunState, WorkerCheckpoint};
 use xmap_telemetry::{HistogramSnapshot, Snapshot};
 
@@ -170,44 +169,5 @@ proptest! {
         let loaded = WorkerCheckpoint::read_from(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(loaded, ckpt);
-    }
-
-    /// Prefix-tree snapshot round trip: an arbitrary split/prune/record
-    /// history encodes and decodes to the identical tree (the adaptive
-    /// engine's mid-round resume depends on this being exact, statistics
-    /// and cursors included).
-    #[test]
-    fn prefix_tree_roundtrip(seed in any::<u64>()) {
-        let mut g = Gen(seed);
-        let root = Prefix::new((0x2405_0200u128 << 96).into(), 48);
-        let leaf_len = 48 + 4 + g.below(13) as u8; // 52..=64
-        let branch = 1 + g.below(8) as u8;
-        let mut tree = PrefixTree::new(root, leaf_len, branch);
-        for _ in 0..g.below(48) {
-            let frontier = tree.frontier();
-            if frontier.is_empty() {
-                break;
-            }
-            let idx = frontier[g.below(frontier.len() as u64) as usize];
-            match g.below(4) {
-                0 => {
-                    let probes = g.below(1 << 20);
-                    tree.record(idx, probes, g.below(probes + 1));
-                }
-                1 => {
-                    let _ = tree.prune(idx);
-                }
-                2 => {
-                    let _ = tree.split(idx);
-                }
-                _ => tree.exhaust(idx),
-            }
-        }
-        let mut e = Encoder::new();
-        encode_tree(&mut e, &tree);
-        let bytes = e.finish();
-        let mut d = Decoder::new(&bytes, "tree property");
-        let decoded = decode_tree(&mut d).unwrap();
-        prop_assert_eq!(decoded, tree);
     }
 }

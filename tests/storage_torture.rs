@@ -1,6 +1,6 @@
 //! Crash-consistency torture harness: sweep injected host-side fault
-//! points (process kills, ENOSPC, torn writes) across the checkpointed
-//! session and campaign executors. The invariant under test is the
+//! points (process kills, power cuts, ENOSPC, torn writes) across the
+//! checkpointed session, campaign and adaptive-campaign executors. The invariant under test is the
 //! strongest the storage layer claims: **every** surviving on-disk state
 //! either resumes byte-identically to the uninterrupted run or is
 //! cleanly refused (a typed error, never a silent divergence) — in which
@@ -18,8 +18,12 @@ use xmap::{
 };
 use xmap_addr::ScanRange;
 use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule, FsSchedule};
+use xmap_netsim::world::{Allocation, WorldConfig};
 use xmap_netsim::{KillPoint, World};
-use xmap_periphery::{BlockMode, Campaign, CampaignOutcome, ParallelCampaign, UnitMode};
+use xmap_periphery::{
+    AdaptiveCampaign, AdaptiveConfig, AdaptiveOutcome, BlockMode, Campaign, CampaignOutcome,
+    ParallelCampaign, UnitMode,
+};
 use xmap_state::checkpoint::{Kind, CUT_ENTRY};
 use xmap_state::wal::frame_len;
 use xmap_state::{AbortSignal, StateError, Wal, WorkerCheckpoint};
@@ -715,6 +719,99 @@ fn older_campaign_layout_is_refused_as_a_version_error() {
             Err(StateError::Version(msg)) => assert!(msg.contains("--resume"), "{msg}"),
             other => panic!("expected a version refusal, got {other:?}"),
         }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An adaptive campaign over a clustered-sparse world with a small
+/// budget: a few rounds per block, every one of them journalled, after a
+/// boundary inference whose probes round 0 of each block accounts for.
+fn adaptive_run(workers: usize, dir: &Path, resume: bool) -> Result<AdaptiveOutcome, StateError> {
+    let engine = AdaptiveCampaign::new(AdaptiveConfig {
+        probe_budget: 1 << 7,
+        root_bits: Some(12),
+        ..AdaptiveConfig::default()
+    })
+    .with_inferred_boundary(true)
+    .with_workers(workers);
+    let base = ScanConfig {
+        seed: 5,
+        ..Default::default()
+    };
+    let path = dir.join("adaptive.ckpt");
+    engine.run_checkpointed(&base, &path, resume, |telemetry: &Telemetry| {
+        let sparse = Allocation::Clustered {
+            pod_bits: 8,
+            active_frac: 1.0 / 256.0,
+        };
+        let mut world = World::with_config(WorldConfig::lossless(99, 10).with_allocation(sparse));
+        world.set_telemetry(telemetry);
+        world
+    })
+}
+
+/// Kill the host at sampled filesystem operations of a checkpointed
+/// adaptive campaign (the journal's creation and its round appends and
+/// syncs), once as a process kill and once as a power cut that also
+/// drops every unsynced byte. The surviving journal must resume, under
+/// another worker count, to the uninterrupted run's CSV and snapshot.
+#[test]
+fn adaptive_power_loss_sweep_resumes_every_surviving_journal() {
+    let base_dir = torture_dir("adapt-base");
+    let scope = FailPlan::observe(&base_dir).arm();
+    let baseline = adaptive_run(1, &base_dir, false).unwrap();
+    let total_ops = scope.ops();
+    drop(scope);
+    std::fs::remove_dir_all(&base_dir).unwrap();
+    assert!(!baseline.interrupted);
+    assert!(
+        total_ops >= 60,
+        "adaptive op stream too thin to torture: {total_ops}"
+    );
+    eprintln!("# adaptive torture sweep: {total_ops} fs ops in the fault-free stream");
+    let base_csv = baseline.result.to_csv();
+    let base_json = baseline.snapshot.to_json();
+    let stride = (total_ops / 32).max(1) as usize;
+    let kills = (0..total_ops).step_by(stride).chain([total_ops - 1]);
+    for (kill, power_loss) in kills.flat_map(|k| [(k, false), (k, true)]) {
+        let label = format!("kill {kill}, power loss {power_loss}");
+        let dir = torture_dir("adapt-kill");
+        let scope = FailPlan::kill_at(&dir, kill, 4).arm();
+        let _ = adaptive_run(1, &dir, false);
+        assert!(scope.killed(), "{label}: kill point never fired");
+        if power_loss {
+            scope.lose_unsynced();
+        }
+        drop(scope);
+        let recovered =
+            adaptive_run(2, &dir, true).unwrap_or_else(|e| panic!("{label}: resume refused: {e}"));
+        assert!(!recovered.interrupted, "{label}");
+        assert_eq!(recovered.result.to_csv(), base_csv, "{label}: CSV diverged");
+        assert_eq!(
+            recovered.snapshot.to_json(),
+            base_json,
+            "{label}: snapshot diverged"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// An `adaptive.ckpt` of the older layout — one sectioned checkpoint,
+/// rewritten whole after every round — is refused on resume as a version
+/// error naming the remedy.
+#[test]
+fn older_adaptive_checkpoint_is_refused_as_a_version_error() {
+    let dir = torture_dir("adapt-legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fields = [("completed_blocks", 0), ("spent", 0)];
+    Kind {
+        name: "adaptive-campaign",
+    }
+    .write(&dir.join("adaptive.ckpt"), &fields, 0, &[])
+    .unwrap();
+    match adaptive_run(1, &dir, true) {
+        Err(StateError::Version(msg)) => assert!(msg.contains("--resume"), "{msg}"),
+        other => panic!("expected a version refusal, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
