@@ -8,8 +8,11 @@
 //! under that prefix consult the plan's rules and may fail, persist
 //! partial bytes, or latch the scope into a "process died" state. A scope
 //! also remembers how long each file it wrote was at its last successful
-//! `fsync`, so [`FailScope::lose_unsynced`] can leave exactly what a
-//! power cut would.
+//! `fsync`, and every directory entry it created, renamed or removed since
+//! the last `fsync` of the entry's parent directory ([`sync_file`]), so
+//! [`FailScope::lose_unsynced`] can leave exactly what a power cut would.
+//! Directories made with `std::fs::create_dir*` stay outside the model:
+//! they count as durable the moment they exist.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -257,6 +260,7 @@ impl FailPlan {
             ops: 0,
             fired: 0,
             files: BTreeMap::new(),
+            entries: Vec::new(),
         };
         SCOPES
             .lock()
@@ -289,13 +293,22 @@ impl FailScope {
         self.with_entry(|e| e.fired)
     }
 
-    /// Emulated power loss: every file the scope wrote goes back to its
-    /// length at its last successful `sync_all` (a length tracked through
-    /// renames), and a file that was never synced is removed. Bytes past
-    /// that length were only in the page cache. Works on a killed scope
-    /// too, and touches the disk directly, not through the registry.
+    /// Emulated power loss. First every directory entry whose parent was
+    /// not synced since is undone, newest first: a lost create removes
+    /// the file, a lost rename moves the file back to its old name and
+    /// brings back the file it replaced (or no file), and a lost remove
+    /// brings the file back. Then every file the scope wrote goes back to
+    /// its length at its last successful `sync_all` (a length tracked
+    /// through renames), and a file that was never synced is removed.
+    /// Bytes past that length were only in the page cache. Works on a
+    /// killed scope too, and touches the disk directly, not through the
+    /// registry.
     pub fn lose_unsynced(&self) {
-        let files = self.with_entry_mut(|e| std::mem::take(&mut e.files));
+        let (mut files, entries) =
+            self.with_entry_mut(|e| (std::mem::take(&mut e.files), std::mem::take(&mut e.entries)));
+        for entry in entries.into_iter().rev() {
+            entry.undo(&mut files);
+        }
         for (path, synced) in files {
             match synced {
                 None => {
@@ -345,10 +358,87 @@ struct ScopeEntry {
     /// Every file the scope opened for writing, with its length at its
     /// last successful sync (`None`: never synced).
     files: Files,
+    /// Directory entries not yet made durable by a sync of their parent,
+    /// oldest first.
+    entries: Vec<PendingEntry>,
 }
 
 /// Synced length per written file, as [`FailScope::lose_unsynced`] reads it.
 type Files = BTreeMap<PathBuf, Option<u64>>;
+
+/// A directory-entry change that a sync of its parent has not made
+/// durable yet, with what undoes it.
+enum PendingEntry {
+    /// A new file was created at the path.
+    Create(PathBuf),
+    /// `from` was renamed to `to`, replacing the file `displaced` held.
+    Rename {
+        from: PathBuf,
+        to: PathBuf,
+        displaced: Option<Saved>,
+    },
+    /// The file at the path was removed.
+    Remove(PathBuf, Saved),
+}
+
+/// A file's bytes and its entry in [`Files`] (`None`: the scope never
+/// wrote it), kept so a lost rename or remove can bring it back.
+struct Saved {
+    bytes: Vec<u8>,
+    synced: Option<Option<u64>>,
+}
+
+impl Saved {
+    fn restore(self, path: &Path, files: &mut Files) {
+        let _ = std::fs::write(path, &self.bytes);
+        match self.synced {
+            Some(synced) => files.insert(path.to_path_buf(), synced),
+            None => files.remove(path),
+        };
+    }
+}
+
+impl PendingEntry {
+    /// The directory whose sync makes the entry durable.
+    fn dir(&self) -> &Path {
+        let path = match self {
+            PendingEntry::Create(path) | PendingEntry::Remove(path, _) => path,
+            PendingEntry::Rename { to, .. } => to,
+        };
+        parent(path)
+    }
+
+    fn undo(self, files: &mut Files) {
+        match self {
+            PendingEntry::Create(path) => {
+                let _ = std::fs::remove_file(&path);
+                files.remove(&path);
+            }
+            PendingEntry::Rename {
+                from,
+                to,
+                displaced,
+            } => {
+                let _ = std::fs::rename(&to, &from);
+                if let Some(synced) = files.remove(&to) {
+                    files.insert(from, synced);
+                }
+                if let Some(saved) = displaced {
+                    saved.restore(&to, files);
+                }
+            }
+            PendingEntry::Remove(path, saved) => saved.restore(&path, files),
+        }
+    }
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
 
 struct RuleState {
     rule: FsRule,
@@ -450,25 +540,40 @@ fn consult(op: FsOp, path: &Path, write_len: usize) -> Decision {
     Decision::Pass
 }
 
-/// Applies `f` to the written-file table of the scope `path` falls
-/// under, after an operation succeeded. A no-op with nothing armed.
-fn track(path: &Path, f: impl FnOnce(&mut Files)) {
+/// Applies `f` to the scope `path` falls under, after an operation
+/// succeeded. A no-op with nothing armed.
+fn track(path: &Path, f: impl FnOnce(&mut ScopeEntry)) {
     if ARMED.load(Ordering::Acquire) == 0 {
         return;
     }
     let mut scopes = SCOPES.lock().expect("failpoint registry poisoned");
     if let Some(entry) = scopes.iter_mut().find(|e| path.starts_with(&e.prefix)) {
-        f(&mut entry.files);
+        f(entry);
     }
 }
 
 /// Records that `path` was synced at `len` bytes, if the scope wrote it.
 fn track_synced(path: &Path, len: u64) {
-    track(path, |files| {
-        if let Some(synced) = files.get_mut(path) {
+    track(path, |scope| {
+        if let Some(synced) = scope.files.get_mut(path) {
             *synced = Some(len);
         }
     });
+}
+
+/// Whether `path` exists, so that creating it adds no directory entry.
+/// Asked only while a scope is armed; the disarmed path pays no syscall.
+fn exists_when_armed(path: &Path) -> bool {
+    ARMED.load(Ordering::Acquire) == 0 || path.exists()
+}
+
+/// The bytes of the file at `path`, read only while a scope is armed: a
+/// lost rename or remove brings them back.
+fn read_when_armed(path: &Path) -> Option<Vec<u8>> {
+    if ARMED.load(Ordering::Acquire) == 0 {
+        return None;
+    }
+    std::fs::read(path).ok()
 }
 
 /// Fast-path check + consult. Returns `None` when the op may proceed.
@@ -496,9 +601,13 @@ impl FpFile {
         if let Some(d) = check(FsOp::Create, path, 0) {
             return Err(decision_error(d));
         }
+        let existed = exists_when_armed(path);
         let inner = File::create(path)?;
-        track(path, |files| {
-            files.insert(path.to_path_buf(), None);
+        track(path, |scope| {
+            scope.files.insert(path.to_path_buf(), None);
+            if !existed {
+                scope.entries.push(PendingEntry::Create(path.to_path_buf()));
+            }
         });
         Ok(FpFile {
             inner,
@@ -512,6 +621,7 @@ impl FpFile {
         if let Some(d) = check(FsOp::Open, path, 0) {
             return Err(decision_error(d));
         }
+        let existed = exists_when_armed(path);
         let inner = std::fs::OpenOptions::new()
             .write(true)
             .create(true)
@@ -520,8 +630,11 @@ impl FpFile {
         if ARMED.load(Ordering::Acquire) != 0 {
             // Bytes the file held before the scope wrote to it count as synced.
             let len = inner.metadata()?.len();
-            track(path, |files| {
-                files.entry(path.to_path_buf()).or_insert(Some(len));
+            track(path, |scope| {
+                scope.files.entry(path.to_path_buf()).or_insert(Some(len));
+                if !existed {
+                    scope.entries.push(PendingEntry::Create(path.to_path_buf()));
+                }
             });
         }
         Ok(FpFile {
@@ -597,14 +710,22 @@ pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Rename, from, 0) {
         return Err(decision_error(d));
     }
+    let displaced = read_when_armed(to);
     std::fs::rename(from, to)?;
-    track(from, |files| match files.remove(from) {
-        Some(synced) => {
-            files.insert(to.to_path_buf(), synced);
-        }
-        None => {
-            files.remove(to);
-        }
+    track(from, |scope| {
+        let displaced = displaced.map(|bytes| Saved {
+            bytes,
+            synced: scope.files.get(to).copied(),
+        });
+        match scope.files.remove(from) {
+            Some(synced) => scope.files.insert(to.to_path_buf(), synced),
+            None => scope.files.remove(to),
+        };
+        scope.entries.push(PendingEntry::Rename {
+            from: from.to_path_buf(),
+            to: to.to_path_buf(),
+            displaced,
+        });
     });
     Ok(())
 }
@@ -621,16 +742,24 @@ pub fn remove_file(path: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Remove, path, 0) {
         return Err(decision_error(d));
     }
+    let removed = read_when_armed(path);
     std::fs::remove_file(path)?;
-    track(path, |files| {
-        files.remove(path);
+    track(path, |scope| {
+        let synced = scope.files.remove(path);
+        if let Some(bytes) = removed {
+            let saved = Saved { bytes, synced };
+            scope
+                .entries
+                .push(PendingEntry::Remove(path.to_path_buf(), saved));
+        }
     });
     Ok(())
 }
 
 /// Opens `path` and syncs it to disk: a file written in one call by
-/// [`write()`], or a directory whose entries (creates, renames) must
-/// become durable.
+/// [`write()`], or a directory whose entries (creates, renames, removes)
+/// must become durable. A directory's sync settles its pending entries
+/// in every armed scope, whichever prefix the directory falls under.
 pub fn sync_file(path: &Path) -> io::Result<()> {
     if let Some(d) = check(FsOp::Sync, path, 0) {
         return Err(decision_error(d));
@@ -639,6 +768,10 @@ pub fn sync_file(path: &Path) -> io::Result<()> {
     f.sync_all()?;
     if ARMED.load(Ordering::Acquire) != 0 {
         track_synced(path, f.metadata()?.len());
+        let mut scopes = SCOPES.lock().expect("failpoint registry poisoned");
+        for scope in scopes.iter_mut() {
+            scope.entries.retain(|e| e.dir() != path);
+        }
     }
     Ok(())
 }
@@ -863,6 +996,8 @@ mod tests {
         moved.sync_all().unwrap();
         moved.write_all(b"def").unwrap();
         rename(&dir.join("moved.tmp"), &dir.join("moved")).unwrap();
+        // Every entry is durable: only file contents are in question.
+        sync_file(&dir).unwrap();
         scope.lose_unsynced();
         drop(scope);
         drop((kept, lost, moved));
@@ -870,6 +1005,70 @@ mod tests {
         assert!(!dir.join("lost").exists());
         assert!(!dir.join("moved.tmp").exists());
         assert_eq!(std::fs::read(dir.join("moved")).unwrap(), b"abc");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes and syncs a whole file through the layer.
+    fn durable_file(path: &Path, bytes: &[u8]) {
+        let mut f = FpFile::create(path).unwrap();
+        f.write_all(bytes).unwrap();
+        f.sync_all().unwrap();
+    }
+
+    #[test]
+    fn lose_unsynced_undoes_entries_their_directory_never_synced() {
+        let dir = temp_dir("entries");
+        let sub = dir.join("sub");
+        std::fs::create_dir(&sub).unwrap();
+        std::fs::write(dir.join("old"), b"old").unwrap();
+        std::fs::write(dir.join("gone"), b"gone").unwrap();
+        let scope = FailPlan::observe(&dir).arm();
+        // Synced contents, entries never synced: every one is undone.
+        durable_file(&dir.join("fresh"), b"fresh");
+        durable_file(&dir.join("new.tmp"), b"new");
+        rename(&dir.join("new.tmp"), &dir.join("old")).unwrap();
+        durable_file(&dir.join("first.tmp"), b"first");
+        rename(&dir.join("first.tmp"), &dir.join("absent")).unwrap();
+        remove_file(&dir.join("gone")).unwrap();
+        // A create whose directory was synced survives.
+        durable_file(&sub.join("kept"), b"kept");
+        sync_file(&sub).unwrap();
+        scope.lose_unsynced();
+        drop(scope);
+        assert!(
+            !dir.join("fresh").exists(),
+            "a lost create removes the file"
+        );
+        assert_eq!(std::fs::read(dir.join("old")).unwrap(), b"old");
+        assert!(!dir.join("new.tmp").exists(), "its create was lost too");
+        assert!(!dir.join("absent").exists(), "a lost rename over no file");
+        assert!(!dir.join("first.tmp").exists());
+        assert_eq!(std::fs::read(dir.join("gone")).unwrap(), b"gone");
+        assert_eq!(std::fs::read(sub.join("kept")).unwrap(), b"kept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lost_rename_keeps_the_replaced_file_to_its_synced_length() {
+        let dir = temp_dir("replace");
+        let scope = FailPlan::observe(&dir).arm();
+        durable_file(&dir.join("a"), b"v1");
+        sync_file(&dir).unwrap();
+        let mut f = FpFile::create(&dir.join("a.tmp")).unwrap();
+        f.write_all(b"v2").unwrap();
+        f.sync_all().unwrap();
+        rename(&dir.join("a.tmp"), &dir.join("a")).unwrap();
+        // Settled by the next sync, a rename then survives.
+        durable_file(&dir.join("b.tmp"), b"b");
+        rename(&dir.join("b.tmp"), &dir.join("b")).unwrap();
+        sync_file(&dir).unwrap();
+        durable_file(&dir.join("a.tmp"), b"v3");
+        rename(&dir.join("a.tmp"), &dir.join("a")).unwrap();
+        scope.lose_unsynced();
+        drop(scope);
+        assert_eq!(std::fs::read(dir.join("a")).unwrap(), b"v2");
+        assert_eq!(std::fs::read(dir.join("b")).unwrap(), b"b");
+        assert!(!dir.join("a.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

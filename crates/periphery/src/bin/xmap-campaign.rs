@@ -647,9 +647,11 @@ mod tests {
         let older = xmap_state::checkpoint::Kind {
             name: "campaign-dir",
         };
-        older
-            .write(&dir.join("campaign.ckpt"), &[("blocks", 15)], 0, &[])
-            .unwrap();
+        std::fs::write(
+            dir.join("campaign.ckpt"),
+            older.entry(&[("blocks", 15)], 0, &[]),
+        )
+        .unwrap();
         let cfg = parse_args(&args(&format!(
             "--targets-per-block 512 --checkpoint {} --resume -q",
             dir.display()
@@ -670,9 +672,7 @@ mod tests {
             name: "adaptive-campaign",
         };
         let fields = [("completed_blocks", 0), ("spent", 0)];
-        older
-            .write(&dir.join("adaptive.ckpt"), &fields, 0, &[])
-            .unwrap();
+        std::fs::write(dir.join("adaptive.ckpt"), older.entry(&fields, 0, &[])).unwrap();
         let cfg = parse_args(&args(&format!(
             "--adaptive --root-bits 12 --checkpoint {} --resume -q",
             dir.display()

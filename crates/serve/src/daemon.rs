@@ -1,14 +1,11 @@
-//! The daemon engine: worker pool, per-job persistence, resume-on-open.
+//! The daemon engine: worker pool, the job ledger, resume-on-open.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! root/
-//!   ledger.wal                 job-lifecycle journal (submit/complete/cancel)
+//!   ledger.wal                 journal of job events and finished units
 //!   jobs/job-000001/
-//!     unit-000.ckpt            one `xmap-state` checkpoint per finished
-//!     unit-001.ckpt            unit: the unit's output + telemetry delta,
-//!     ...                      fingerprint-stamped against the job spec
 //!     result.csv               final artifact, published on completion
 //!     metrics.json             merged telemetry, published on completion
 //! ```
@@ -16,33 +13,32 @@
 //! # Resume-on-restart invariants
 //!
 //! * The ledger names the live jobs (`Submitted` without a terminal
-//!   record). Nothing else is trusted: stray job directories without a
-//!   ledger record are ignored.
-//! * A unit is *done* iff its checkpoint file reads back intact with the
-//!   job's spec fingerprint. Torn, corrupt or mismatched checkpoints are
-//!   re-run — safe because units are pure functions of `(spec, unit)`
-//!   and checkpoint publication is atomic (tmp + rename).
-//! * Final artifacts are rendered from the unit checkpoints in unit
-//!   order, never from in-memory state, so an interrupted daemon's
-//!   `result.csv`/`metrics.json` are byte-identical to an
-//!   uninterrupted run's.
+//!   record) and holds their finished units (`UnitDone`). Nothing else is
+//!   trusted: stray files under `jobs/` are ignored. A unit whose record
+//!   was lost re-runs — safe because units are pure functions of
+//!   `(spec, unit)`.
+//! * Final artifacts are rendered from the journalled unit results in
+//!   unit order, so an interrupted daemon's `result.csv`/`metrics.json`
+//!   are byte-identical to an uninterrupted run's.
 //! * A job whose units are all done but which lacks a `Completed`
 //!   record (killed mid-finalize) is finalized again on open;
-//!   finalization is idempotent.
+//!   finalization is idempotent. `Completed` is appended only once the
+//!   artifacts' directory entries are fsynced.
 //!
 //! All file writes route through `xmap-failpoint`, so the torture suite
-//! can kill the daemon at every filesystem operation and assert the
-//! invariants above.
+//! can kill the daemon, or cut its power, at every filesystem operation
+//! and assert the invariants above.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use xmap::telemetry::names;
 use xmap::{merge_worker_snapshots, Supervision};
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, publish, Kind};
-use xmap_state::{Fingerprint, StateError};
+use xmap_failpoint::fs as fp;
+use xmap_state::checkpoint::publish;
+use xmap_state::StateError;
 use xmap_telemetry::{Registry, Snapshot};
 
 use crate::job::{JobSpec, UnitOutput};
@@ -102,8 +98,9 @@ pub enum ServeError {
     Draining,
     /// No such job id.
     UnknownJob(u64),
-    /// A storage operation failed.
-    State(StateError),
+    /// The ledger append failed: the daemon stopped, and [`Daemon::run`]
+    /// returns the fault.
+    Stopped(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -112,14 +109,8 @@ impl std::fmt::Display for ServeError {
             ServeError::Admission(e) => write!(f, "admission refused: {e}"),
             ServeError::Draining => write!(f, "daemon is draining"),
             ServeError::UnknownJob(id) => write!(f, "no such job {id}"),
-            ServeError::State(e) => write!(f, "storage error: {e}"),
+            ServeError::Stopped(e) => write!(f, "daemon stopped on a storage fault: {e}"),
         }
-    }
-}
-
-impl From<StateError> for ServeError {
-    fn from(e: StateError) -> Self {
-        ServeError::State(e)
     }
 }
 
@@ -143,17 +134,43 @@ impl JobState {
     }
 }
 
+/// A finished unit's output and telemetry delta, as journalled.
+type UnitResult = (UnitOutput, Snapshot);
+
 #[derive(Debug)]
 struct JobEntry {
     tenant: String,
     spec: JobSpec,
-    fp: u64,
     state: JobState,
-    done: Vec<bool>,
+    /// Each finished unit's result, until finalize takes them.
+    done: Vec<Option<UnitResult>>,
     done_count: usize,
     attempts: Vec<u32>,
     /// Per-job metric store; unit deltas fold in via `Registry::absorb`.
     registry: Arc<Registry>,
+}
+
+impl JobEntry {
+    fn new(tenant: String, spec: JobSpec) -> JobEntry {
+        let units = spec.units();
+        JobEntry {
+            tenant,
+            spec,
+            state: JobState::Active,
+            done: vec![None; units],
+            done_count: 0,
+            attempts: vec![0; units],
+            registry: Arc::new(Registry::new()),
+        }
+    }
+
+    /// Queues the job's unfinished units at its tenant's weight.
+    fn queue(&self, job: u64, sched: &mut DrrScheduler, cfg: &ServeConfig) {
+        let weight = cfg.tenant_weights.get(&self.tenant).copied().unwrap_or(1);
+        let pending = (0..self.done.len()).filter(|&u| self.done[u].is_none());
+        let units = pending.map(|u| (u, self.spec.unit_cost(u)));
+        sched.admit(job, &self.tenant, weight, units);
+    }
 }
 
 #[derive(Debug)]
@@ -224,82 +241,81 @@ pub struct Daemon {
     wake: Condvar,
     ledger: Mutex<Ledger>,
     metrics: Arc<Registry>,
-    resumed_jobs: usize,
-    resumed_pending: usize,
+    /// `(jobs, pending units)` resumed at open.
+    resumed: (usize, usize),
 }
 
 impl Daemon {
     /// Opens (or creates) a daemon root, replaying the job ledger and
-    /// resuming every live job: finished units load from their
-    /// checkpoints, unfinished units re-enter the scheduler, and jobs
-    /// killed mid-finalize are finalized here.
+    /// resuming every live job: finished units come back from their
+    /// `UnitDone` records, unfinished units re-enter the scheduler, and
+    /// jobs killed mid-finalize are finalized here. A `UnitDone` that
+    /// names no submitted job, a unit out of range, an output of another
+    /// kind or a unit already done is [`StateError::Corrupt`].
     pub fn open(root: &Path, cfg: ServeConfig) -> Result<Daemon, StateError> {
         std::fs::create_dir_all(root.join("jobs"))
             .map_err(|e| StateError::io(format!("create daemon root {}", root.display()), e))?;
         let (ledger, events) = Ledger::open(&root.join("ledger.wal"))?;
-        let mut live: BTreeMap<u64, (String, JobSpec)> = BTreeMap::new();
+        let mut jobs = BTreeMap::new();
+        let mut ended = BTreeSet::new();
         let mut next_id = 1;
         for ev in events {
             match ev {
                 LedgerEvent::Submitted { job, tenant, spec } => {
                     next_id = next_id.max(job + 1);
-                    live.insert(job, (tenant, spec));
+                    jobs.insert(job, JobEntry::new(tenant, spec));
+                }
+                // A unit that finished as its job was cancelled.
+                LedgerEvent::UnitDone { job, .. } if ended.contains(&job) => {}
+                LedgerEvent::UnitDone {
+                    job,
+                    unit,
+                    output,
+                    metrics,
+                } => {
+                    let corrupt = |why: &str| {
+                        StateError::Corrupt(format!("job ledger: unit {unit} of job {job} {why}"))
+                    };
+                    let entry = jobs
+                        .get_mut(&job)
+                        .ok_or_else(|| corrupt("names no submitted job"))?;
+                    let slot =
+                        (entry.done.get_mut(unit)).ok_or_else(|| corrupt("is out of range"))?;
+                    if !entry.spec.produces(&output) {
+                        return Err(corrupt(&format!("holds a {} output", output.kind_name())));
+                    }
+                    if slot.is_some() {
+                        return Err(corrupt("is journalled twice"));
+                    }
+                    entry.registry.absorb(&metrics);
+                    *slot = Some((output, metrics));
+                    entry.done_count += 1;
                 }
                 // First terminal event wins; later ones are no-ops.
                 LedgerEvent::Completed { job } | LedgerEvent::Cancelled { job } => {
-                    live.remove(&job);
+                    jobs.remove(&job);
+                    ended.insert(job);
                 }
             }
         }
-        let mut engine = Engine {
-            jobs: BTreeMap::new(),
-            sched: DrrScheduler::new(DRR_QUANTUM),
+        let mut sched = DrrScheduler::new(DRR_QUANTUM);
+        let mut finalize = Vec::new();
+        for (&job, entry) in &jobs {
+            entry.queue(job, &mut sched, &cfg);
+            if entry.done_count == entry.spec.units() {
+                finalize.push(job);
+            }
+        }
+        let resumed = (jobs.len(), sched.total_pending());
+        let engine = Engine {
+            jobs,
+            sched,
             next_id,
             draining: false,
             stopping: false,
             in_flight: 0,
             fatal: None,
         };
-        let mut resumed_pending = 0;
-        let resumed_jobs = live.len();
-        let mut finalize: Vec<u64> = Vec::new();
-        for (job, (tenant, spec)) in live {
-            let fp = spec.fingerprint();
-            let units = spec.units();
-            let registry = Arc::new(Registry::new());
-            let mut done = vec![false; units];
-            let mut done_count = 0;
-            let mut pending = Vec::new();
-            for (unit, done_slot) in done.iter_mut().enumerate() {
-                match load_unit(root, job, unit, fp) {
-                    Some((_, delta)) => {
-                        *done_slot = true;
-                        done_count += 1;
-                        registry.absorb(&delta);
-                    }
-                    None => pending.push((unit, spec.unit_cost(unit))),
-                }
-            }
-            resumed_pending += pending.len();
-            let weight = cfg.tenant_weights.get(&tenant).copied().unwrap_or(1);
-            engine.sched.admit(job, &tenant, weight, pending);
-            if done_count == units {
-                finalize.push(job);
-            }
-            engine.jobs.insert(
-                job,
-                JobEntry {
-                    tenant,
-                    spec,
-                    fp,
-                    state: JobState::Active,
-                    done,
-                    done_count,
-                    attempts: vec![0; units],
-                    registry,
-                },
-            );
-        }
         let daemon = Daemon {
             root: root.to_path_buf(),
             cfg,
@@ -307,8 +323,7 @@ impl Daemon {
             wake: Condvar::new(),
             ledger: Mutex::new(ledger),
             metrics: Arc::new(Registry::new()),
-            resumed_jobs,
-            resumed_pending,
+            resumed,
         };
         // Jobs killed between last-unit commit and Completed: finish the
         // interrupted finalization now (idempotent).
@@ -320,12 +335,7 @@ impl Daemon {
 
     /// `(jobs, pending units)` resumed from the ledger at open.
     pub fn resumed(&self) -> (usize, usize) {
-        (self.resumed_jobs, self.resumed_pending)
-    }
-
-    /// The daemon root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
+        self.resumed
     }
 
     /// The daemon's own metric registry (`serve.*` counters).
@@ -335,6 +345,20 @@ impl Daemon {
 
     fn engine(&self) -> MutexGuard<'_, Engine> {
         self.state.lock().expect("daemon engine poisoned")
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect("ledger poisoned")
+    }
+
+    /// Journals a tenant's request. A failed append closes the ledger, so
+    /// it stops the daemon; [`Daemon::run`] returns the fault.
+    fn journal(&self, eng: &mut Engine, event: &LedgerEvent) -> Result<(), ServeError> {
+        self.ledger().append(event).map_err(|e| {
+            let told = ServeError::Stopped(e.to_string());
+            self.fail(eng, e);
+            told
+        })
     }
 
     /// Submits a job for `tenant`, journaling it durably before
@@ -368,37 +392,16 @@ impl Daemon {
         }
         let job = eng.next_id;
         eng.next_id += 1;
-        // Durable before acknowledged: the ledger append flushes.
-        self.ledger
-            .lock()
-            .expect("ledger poisoned")
-            .append(&LedgerEvent::Submitted {
-                job,
-                tenant: tenant.to_owned(),
-                spec: spec.clone(),
-            })?;
-        let units = spec.units();
-        let fp = spec.fingerprint();
-        let weight = self.cfg.tenant_weights.get(tenant).copied().unwrap_or(1);
-        eng.sched.admit(
+        // Durable before acknowledged: the ledger append fsyncs.
+        let submitted = LedgerEvent::Submitted {
             job,
-            tenant,
-            weight,
-            (0..units).map(|u| (u, spec.unit_cost(u))),
-        );
-        eng.jobs.insert(
-            job,
-            JobEntry {
-                tenant: tenant.to_owned(),
-                spec,
-                fp,
-                state: JobState::Active,
-                done: vec![false; units],
-                done_count: 0,
-                attempts: vec![0; units],
-                registry: Arc::new(Registry::new()),
-            },
-        );
+            tenant: tenant.to_owned(),
+            spec: spec.clone(),
+        };
+        self.journal(&mut eng, &submitted)?;
+        let entry = JobEntry::new(tenant.to_owned(), spec);
+        entry.queue(job, &mut eng.sched, &self.cfg);
+        eng.jobs.insert(job, entry);
         self.metrics.counter(metric::SUBMITTED).inc();
         drop(eng);
         self.wake.notify_all();
@@ -415,10 +418,7 @@ impl Daemon {
         }
         entry.state = JobState::Cancelled;
         eng.sched.remove(job);
-        self.ledger
-            .lock()
-            .expect("ledger poisoned")
-            .append(&LedgerEvent::Cancelled { job })?;
+        self.journal(&mut eng, &LedgerEvent::Cancelled { job })?;
         self.metrics.counter(metric::CANCELLED).inc();
         drop(eng);
         self.wake.notify_all();
@@ -493,11 +493,9 @@ impl Daemon {
                         return;
                     }
                     if let Some((job, unit)) = eng.sched.next_unit() {
-                        let entry = &eng.jobs[&job];
-                        let spec = entry.spec.clone();
-                        let fp = entry.fp;
+                        let spec = eng.jobs[&job].spec.clone();
                         eng.in_flight += 1;
-                        break (job, unit, spec, fp);
+                        break (job, unit, spec);
                     }
                     if eng.draining && eng.in_flight == 0 {
                         drop(eng);
@@ -507,23 +505,31 @@ impl Daemon {
                     eng = self.wake.wait(eng).expect("daemon engine poisoned");
                 }
             };
-            let (job, unit, spec, fp) = dispatch;
+            let (job, unit, spec) = dispatch;
             let attempt = catch_unwind(AssertUnwindSafe(|| spec.run_unit(unit)));
             match attempt {
-                Ok((out, delta)) => {
-                    let write = write_unit(&self.root, job, unit, fp, &out, &delta);
+                Ok((output, metrics)) => {
+                    // Durable before done: the ledger append fsyncs.
+                    let committed = self.ledger().append(&LedgerEvent::UnitDone {
+                        job,
+                        unit,
+                        output: output.clone(),
+                        metrics: metrics.clone(),
+                    });
                     let finalize = {
                         let mut eng = self.engine();
                         eng.in_flight -= 1;
-                        if let Err(e) = write {
+                        if let Err(e) = committed {
                             self.fail(&mut eng, e);
                             continue;
                         }
                         let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
-                        if entry.state == JobState::Active && !entry.done[unit] {
-                            entry.done[unit] = true;
+                        if entry.state == JobState::Active
+                            && matches!(entry.done.get(unit), Some(None))
+                        {
+                            entry.registry.absorb(&metrics);
+                            entry.done[unit] = Some((output, metrics));
                             entry.done_count += 1;
-                            entry.registry.absorb(&delta);
                             self.metrics.counter(metric::UNITS_EXECUTED).inc();
                             entry.done_count == entry.spec.units()
                         } else {
@@ -532,8 +538,7 @@ impl Daemon {
                     };
                     if finalize {
                         if let Err(e) = self.finalize(job) {
-                            let mut eng = self.engine();
-                            self.fail(&mut eng, e);
+                            self.fail(&mut self.engine(), e);
                             continue;
                         }
                     }
@@ -569,48 +574,42 @@ impl Daemon {
     /// Records a fatal storage fault and stops every worker. The fault
     /// is returned from [`Daemon::run`]; on-disk state stays resumable.
     fn fail(&self, eng: &mut Engine, e: StateError) {
-        if eng.fatal.is_none() {
-            eng.fatal = Some(e);
-        }
+        eng.fatal.get_or_insert(e);
         eng.stopping = true;
         self.wake.notify_all();
     }
 
-    /// Publishes a finished job's final artifacts from its unit
-    /// checkpoints and journals `Completed`. Idempotent; called by the
-    /// worker that commits the last unit, or by [`Daemon::open`] for
-    /// jobs killed mid-finalize.
+    /// Publishes a finished job's final artifacts from its journalled
+    /// unit results, fsyncs their directory entries, and journals
+    /// `Completed`. Idempotent; called by the worker that commits the
+    /// last unit, or by [`Daemon::open`] for jobs killed mid-finalize.
     fn finalize(&self, job: u64) -> Result<(), StateError> {
-        let (spec, fp) = {
-            let eng = self.engine();
-            let entry = &eng.jobs[&job];
-            (entry.spec.clone(), entry.fp)
+        let (spec, done) = {
+            let mut eng = self.engine();
+            let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
+            (entry.spec.clone(), std::mem::take(&mut entry.done))
         };
-        let units = spec.units();
-        let mut outputs = Vec::with_capacity(units);
-        let mut deltas = Vec::with_capacity(units);
-        for unit in 0..units {
-            let (out, delta) = load_unit(&self.root, job, unit, fp).ok_or_else(|| {
-                StateError::Corrupt(format!(
-                    "job {job}: unit {unit} checkpoint unreadable during finalize"
-                ))
-            })?;
-            outputs.push(out);
-            deltas.push(delta);
-        }
+        let (outputs, deltas): (Vec<_>, Vec<_>) = done
+            .into_iter()
+            .map(|result| result.expect("a job is finalized once every unit is done"))
+            .unzip();
         let dir = job_dir(&self.root, job);
-        let csv = spec.render_csv(&outputs);
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| StateError::io(format!("create job dir {}", dir.display()), e))?;
+        let (csv, merged) = (spec.render_csv(&outputs), merge_worker_snapshots(deltas));
         publish(&dir.join("result.csv"), csv.as_bytes())?;
-        let merged = merge_worker_snapshots(deltas);
         publish(&dir.join("metrics.json"), merged.to_json().as_bytes())?;
+        // `Completed` ends the job's replay, so the artifacts' names must
+        // be durable first: the job directory's, and its own in `jobs/`.
+        for synced in [dir.as_path(), &self.root.join("jobs")] {
+            fp::sync_file(synced)
+                .map_err(|e| StateError::io(format!("sync dir {}", synced.display()), e))?;
+        }
         let mut eng = self.engine();
         let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
         if entry.state == JobState::Active {
             entry.state = JobState::Completed;
-            self.ledger
-                .lock()
-                .expect("ledger poisoned")
-                .append(&LedgerEvent::Completed { job })?;
+            self.ledger().append(&LedgerEvent::Completed { job })?;
             self.metrics.counter(metric::COMPLETED).inc();
         }
         drop(eng);
@@ -619,66 +618,24 @@ impl Daemon {
     }
 }
 
-/// The directory holding one job's checkpoints and artifacts.
+/// The directory holding one job's published artifacts.
 pub fn job_dir(root: &Path, job: u64) -> PathBuf {
     root.join("jobs").join(format!("job-{job:06}"))
-}
-
-fn unit_path(root: &Path, job: u64, unit: usize) -> PathBuf {
-    job_dir(root, job).join(format!("unit-{unit:03}.ckpt"))
-}
-
-/// `unit-NNN.ckpt`: one completed unit of a job, bound to the job
-/// spec's fingerprint.
-const UNIT: Kind = Kind { name: "serve-unit" };
-
-fn write_unit(
-    root: &Path,
-    job: u64,
-    unit: usize,
-    fp_id: u64,
-    out: &UnitOutput,
-    delta: &Snapshot,
-) -> Result<(), StateError> {
-    let dir = job_dir(root, job);
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| StateError::io(format!("create job dir {}", dir.display()), e))?;
-    let mut e = xmap_state::codec::Encoder::new();
-    out.encode(&mut e);
-    UNIT.write(
-        &unit_path(root, job, unit),
-        &[("job", job), ("unit", unit as u64)],
-        fp_id,
-        &[("output", e.finish()), ("metrics", encode_snapshot(delta))],
-    )
-}
-
-/// Loads one unit checkpoint, verifying kind, coordinates and spec
-/// fingerprint. Any failure — missing file, torn write, drifted spec —
-/// yields `None`: the unit simply re-runs, which rewrites identical
-/// bytes.
-fn load_unit(root: &Path, job: u64, unit: usize, fp_id: u64) -> Option<(UnitOutput, Snapshot)> {
-    let path = unit_path(root, job, unit);
-    let mut ck = UNIT
-        .open(&path, Some(fp_id), &[("job", job), ("unit", unit as u64)])
-        .ok()?;
-    let out = ck.decode("output", UnitOutput::decode).ok()?;
-    let delta = ck.take("metrics", decode_snapshot).ok()?;
-    Some((out, delta))
-}
-
-/// A stable fingerprint over a rendered artifact, used by tests to
-/// compare runs without holding file contents.
-pub fn artifact_fingerprint(bytes: &[u8]) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_bytes(bytes);
-    fp.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use xmap_state::Fingerprint;
+
+    /// A stable fingerprint over a rendered artifact, to compare runs
+    /// without holding file contents.
+    fn artifact_fingerprint(bytes: &[u8]) -> u64 {
+        let mut fp = Fingerprint::new();
+        fp.push_bytes(bytes);
+        fp.finish()
+    }
 
     fn temp_root(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);

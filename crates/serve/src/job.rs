@@ -28,7 +28,7 @@ use xmap_periphery::{
     Campaign, CampaignResult,
 };
 use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{Fingerprint, StateError};
+use xmap_state::StateError;
 use xmap_telemetry::{Snapshot, Telemetry};
 
 /// A typed scan job: what a tenant submits to the daemon.
@@ -115,7 +115,6 @@ impl JobSpec {
     /// charges this against the job's deficit, so tenant budgets are
     /// denominated in probe volume, not unit count.
     pub fn unit_cost(&self, unit: usize) -> u64 {
-        let _ = unit;
         match self {
             JobSpec::PeripheryCampaign {
                 targets_per_block,
@@ -280,16 +279,16 @@ impl JobSpec {
         }
     }
 
-    /// Identity fingerprint of the spec (FNV-1a over the encoded form).
-    /// Stamped into every unit checkpoint so a checkpoint directory can
-    /// never be resumed under a drifted spec.
-    pub fn fingerprint(&self) -> u64 {
-        let mut e = Encoder::new();
-        self.encode(&mut e);
-        let mut fp = Fingerprint::new();
-        fp.push_str("xmap-serve/job");
-        fp.push_bytes(&e.finish());
-        fp.finish()
+    /// Whether `out` is the kind of output this job's units produce.
+    pub fn produces(&self, out: &UnitOutput) -> bool {
+        matches!(
+            (self, out),
+            (
+                JobSpec::PeripheryCampaign { .. } | JobSpec::AdaptiveCampaign { .. },
+                UnitOutput::Campaign(_)
+            ) | (JobSpec::LoopscanSurvey { .. }, UnitOutput::Loopscan { .. })
+                | (JobSpec::AppscanGrab { .. }, UnitOutput::Appscan { .. })
+        )
     }
 
     /// Runs one unit to completion on a fresh scanner + world replica,
@@ -390,8 +389,8 @@ impl JobSpec {
     ///
     /// # Panics
     ///
-    /// Panics if an output's variant does not match the spec (unit
-    /// checkpoints are fingerprint-guarded, so that indicates a bug).
+    /// Panics if an output's variant does not match the spec (ledger
+    /// replay refuses such an output, so that indicates a bug).
     pub fn render_csv(&self, outputs: &[UnitOutput]) -> String {
         match self {
             JobSpec::PeripheryCampaign { .. } | JobSpec::AdaptiveCampaign { .. } => {
@@ -689,21 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_identity() {
-        let a = JobSpec::LoopscanSurvey {
-            probes_per_block: 512,
-            seed: 3,
-            world_seed: 11,
-        };
-        let mut b = a.clone();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        if let JobSpec::LoopscanSurvey { seed, .. } = &mut b {
-            *seed = 4;
-        }
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
     fn unit_outputs_roundtrip() {
         let spec = JobSpec::LoopscanSurvey {
             probes_per_block: 256,
@@ -737,8 +721,8 @@ mod tests {
     }
 
     /// A per-block override skews exactly its own unit: the overridden
-    /// block runs (and is costed) at the override, every other unit is
-    /// untouched, and the override is part of the job identity.
+    /// block runs (and is costed) at the override, and every other unit
+    /// is untouched.
     #[test]
     fn block_target_overrides_are_per_unit() {
         let plain = JobSpec::PeripheryCampaign {
@@ -755,7 +739,6 @@ mod tests {
             mop_up_ticks: None,
             block_targets: vec![(3, 1 << 11)],
         };
-        assert_ne!(plain.fingerprint(), skewed.fingerprint());
         assert_eq!(skewed.unit_cost(3), 1 << 11);
         assert_eq!(skewed.unit_cost(2), 1 << 10);
         assert_eq!(plain.run_unit(2), skewed.run_unit(2));

@@ -1,25 +1,30 @@
-//! The job ledger: a WAL journaling every job-lifecycle event.
+//! The job ledger: a WAL journaling every job-lifecycle event and every
+//! finished unit.
 //!
-//! The ledger is the daemon's source of truth for *which jobs exist*.
-//! Replaying it yields the live set: every `Submitted` job that has no
-//! terminal (`Completed` / `Cancelled`) record. Unit-level progress is
-//! deliberately **not** journaled here — it lives in per-job checkpoint
-//! directories, where a finished unit is exactly a readable checkpoint
-//! file. That split keeps the ledger tiny (a handful of records per
-//! job) and makes unit commit idempotent: re-running a unit whose
-//! checkpoint was lost to a torn write rewrites the same bytes.
+//! The ledger is the daemon's one source of truth. Replaying it yields
+//! the live set — every `Submitted` job that has no terminal
+//! (`Completed` / `Cancelled`) record — and each live job's finished
+//! units: a `UnitDone` record holds the unit's output and telemetry
+//! delta. It keeps every unit's output, finished jobs' included, and
+//! [`Ledger::open`] decodes all of it; nothing compacts it.
 //!
-//! Every append is fsynced before the daemon acknowledges the event, so
-//! an acknowledged submit survives any later crash, power loss included.
-//! The underlying [`Wal`] tolerates a torn tail: a crash mid-append loses
-//! only the unacknowledged record.
+//! Every append is fsynced before the daemon acknowledges the event or
+//! marks the unit done, so it survives any later crash, power loss
+//! included. The underlying [`Wal`] tolerates a torn tail: a crash
+//! mid-append loses only the unacknowledged record. A failed append cuts
+//! the file back to its last synced event and closes the ledger until it
+//! is reopened, so no event ever lands after torn or unacknowledged bytes.
 
 use std::path::Path;
 
+use xmap_failpoint::fs as fp;
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot};
 use xmap_state::codec::{Decoder, Encoder};
+use xmap_state::wal::frame_len;
 use xmap_state::{StateError, Wal};
+use xmap_telemetry::Snapshot;
 
-use crate::job::JobSpec;
+use crate::job::{JobSpec, UnitOutput};
 
 /// One job-lifecycle event in the ledger.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +48,17 @@ pub enum LedgerEvent {
         /// The cancelled job.
         job: u64,
     },
+    /// One unit of a job finished.
+    UnitDone {
+        /// The job the unit belongs to.
+        job: u64,
+        /// The unit's index within the job.
+        unit: usize,
+        /// The unit's result.
+        output: UnitOutput,
+        /// The unit's telemetry delta.
+        metrics: Snapshot,
+    },
 }
 
 impl LedgerEvent {
@@ -63,6 +79,18 @@ impl LedgerEvent {
                 e.u8(3);
                 e.u64(*job);
             }
+            LedgerEvent::UnitDone {
+                job,
+                unit,
+                output,
+                metrics,
+            } => {
+                e.u8(4);
+                e.u64(*job);
+                e.u64(*unit as u64);
+                output.encode(&mut e);
+                e.bytes(&encode_snapshot(metrics));
+            }
         }
         e.finish()
     }
@@ -77,6 +105,13 @@ impl LedgerEvent {
             },
             2 => LedgerEvent::Completed { job: d.u64()? },
             3 => LedgerEvent::Cancelled { job: d.u64()? },
+            4 => LedgerEvent::UnitDone {
+                job: d.u64()?,
+                // A unit past `usize` is out of range for every job.
+                unit: usize::try_from(d.u64()?).unwrap_or(usize::MAX),
+                output: UnitOutput::decode(&mut d)?,
+                metrics: decode_snapshot(&d.bytes()?)?,
+            },
             tag => {
                 return Err(StateError::Corrupt(format!(
                     "job ledger: unknown event tag {tag}"
@@ -92,42 +127,63 @@ impl LedgerEvent {
 /// `xmap-state` [`Wal`].
 #[derive(Debug)]
 pub struct Ledger {
-    wal: Wal,
+    /// `None` once an append failed: the ledger is closed until reopened.
+    wal: Option<Wal>,
+    /// Bytes of the events synced so far, where a failed append cuts back to.
+    synced: u64,
+    events: u64,
 }
 
 impl Ledger {
     /// Opens (or creates) the ledger at `path`, returning it positioned
     /// for appends plus every intact historical event in order. A torn
-    /// tail from a crash mid-append is truncated away.
+    /// tail from a crash mid-append is truncated away. A new ledger's
+    /// directory is fsynced, so its name survives a power cut.
     pub fn open(path: &Path) -> Result<(Ledger, Vec<LedgerEvent>), StateError> {
-        if !path.exists() {
-            return Ok((
-                Ledger {
-                    wal: Wal::create(path)?,
-                },
-                Vec::new(),
-            ));
-        }
+        let fresh = !path.exists();
         let recovered = Wal::recover(path)?;
-        let mut events = Vec::with_capacity(recovered.entries.len());
-        for raw in &recovered.entries {
-            events.push(LedgerEvent::decode(raw)?);
+        let events = (recovered.entries.iter())
+            .map(|raw| LedgerEvent::decode(raw))
+            .collect::<Result<Vec<_>, _>>()?;
+        let wal = Wal::reopen(path, &recovered.entries)?;
+        if fresh {
+            let dir =
+                (path.parent().filter(|d| !d.as_os_str().is_empty())).unwrap_or(Path::new("."));
+            fp::sync_file(dir)
+                .map_err(|e| StateError::io(format!("sync ledger dir {}", dir.display()), e))?;
         }
-        let keep = recovered.entries.len() as u64;
-        let (wal, _) = Wal::open_truncated(path, keep)?;
-        Ok((Ledger { wal }, events))
+        let ledger = Ledger {
+            wal: Some(wal),
+            synced: recovered.valid_len,
+            events: events.len() as u64,
+        };
+        Ok((ledger, events))
     }
 
     /// Appends one event and fsyncs it, so the event is on disk before
-    /// the daemon acknowledges it to the tenant.
+    /// the daemon acknowledges it to the tenant. On failure the file is
+    /// cut back to the last synced event and the ledger closes.
     pub fn append(&mut self, event: &LedgerEvent) -> Result<(), StateError> {
-        self.wal.append(&event.encode())?;
-        self.wal.sync()
+        let mut wal = self.wal.take().ok_or_else(|| {
+            StateError::io(
+                "append job ledger",
+                std::io::Error::other("closed by an earlier failed append; reopen the root"),
+            )
+        })?;
+        let payload = event.encode();
+        if let Err(e) = wal.append(&payload).and_then(|_| wal.sync()) {
+            wal.abandon(self.synced);
+            return Err(e);
+        }
+        self.wal = Some(wal);
+        self.synced += frame_len(payload.len());
+        self.events += 1;
+        Ok(())
     }
 
     /// Count of events journalled so far.
     pub fn len(&self) -> u64 {
-        self.wal.next_seq()
+        self.events
     }
 
     /// Whether the ledger holds no events yet.
@@ -194,6 +250,38 @@ mod tests {
     }
 
     #[test]
+    fn unit_results_replay_as_journalled() {
+        let path = temp_path("unit");
+        let spec = JobSpec::LoopscanSurvey {
+            probes_per_block: 64,
+            seed: 3,
+            world_seed: 5,
+        };
+        let (output, metrics) = spec.run_unit(2);
+        let events = vec![
+            LedgerEvent::Submitted {
+                job: 1,
+                tenant: "alice".to_owned(),
+                spec,
+            },
+            LedgerEvent::UnitDone {
+                job: 1,
+                unit: 2,
+                output,
+                metrics,
+            },
+        ];
+        let (mut ledger, _) = Ledger::open(&path).expect("open");
+        for ev in &events {
+            ledger.append(ev).expect("append");
+        }
+        drop(ledger);
+        let (_, past) = Ledger::open(&path).expect("reopen");
+        assert_eq!(past, events);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn acknowledged_event_survives_power_loss() {
         let path = temp_path("power");
         let scope = xmap_failpoint::FailPlan::observe(&path).arm();
@@ -207,6 +295,43 @@ mod tests {
         let (_, past) = Ledger::open(&path).expect("reopen");
         assert_eq!(past, first);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A short write on the second append, torn (`keep` 5) or empty
+    /// (`keep` 0), fails that append and closes the ledger: the third
+    /// append fails too, and a reopen finds only the first event — never
+    /// the failed one, and never an event journalled after torn bytes.
+    #[test]
+    fn failed_append_closes_the_ledger_at_its_last_synced_event() {
+        use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule};
+        for keep in [0, 5] {
+            let path = temp_path("short");
+            let scope = FailPlan {
+                prefix: path.clone(),
+                rules: vec![FsRule {
+                    op: FsOp::Write,
+                    suffix: None,
+                    nth: 1,
+                    action: FsAction::ShortWrite {
+                        keep,
+                        kind: FaultKind::Eio,
+                    },
+                }],
+                schedules: Vec::new(),
+            }
+            .arm();
+            let (mut ledger, _) = Ledger::open(&path).expect("open");
+            let events = sample_events();
+            ledger.append(&events[0]).expect("first append");
+            assert!(ledger.append(&events[1]).is_err(), "keep {keep}: second");
+            assert!(ledger.append(&events[2]).is_err(), "keep {keep}: third");
+            assert_eq!(scope.fired(), 1);
+            drop(scope);
+            drop(ledger);
+            let (_, past) = Ledger::open(&path).expect("reopen");
+            assert_eq!(past, events[..1], "keep {keep}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

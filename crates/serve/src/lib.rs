@@ -21,12 +21,12 @@
 //!   tenant's fifteen-block campaign cannot starve another's two-block
 //!   job.
 //! * [`ledger`] — the job ledger, an `xmap-state` WAL journaling
-//!   submit/complete/cancel events; replaying it after a crash
-//!   reconstructs exactly the set of live jobs.
-//! * [`daemon`] — the engine: worker pool, per-job checkpoint
-//!   directories (one `xmap-state` checkpoint file per finished unit),
-//!   per-job telemetry [`Registry`](xmap_telemetry::Registry) instances
-//!   merged via `Registry::absorb`/`Snapshot::diff`, and resume-on-open.
+//!   submit/complete/cancel events and every finished unit's result;
+//!   replaying it after a crash reconstructs the live jobs and their
+//!   finished units.
+//! * [`daemon`] — the engine: worker pool, per-job telemetry
+//!   [`Registry`](xmap_telemetry::Registry) instances, published
+//!   artifacts, and resume-on-open.
 //! * [`proto`] — the control plane: newline-delimited JSON over a Unix
 //!   domain socket (`submit` / `status` / `cancel` / `drain` / `ping`).
 //!
@@ -35,10 +35,9 @@
 //! A killed daemon restarted on the same `--root` resumes every
 //! in-flight job and produces `result.csv` / `metrics.json` files
 //! byte-identical to an uninterrupted run: the ledger names the live
-//! jobs, finished units are re-read from their checkpoints, unfinished
-//! units re-run deterministically, and final artifacts are rendered
-//! from the checkpoint files in unit order — never from transient
-//! in-memory state.
+//! jobs and holds their finished units' results, unfinished units re-run
+//! deterministically, and final artifacts are rendered from the
+//! journalled results in unit order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,7 @@
-//! The checkpoint file format ([`SCHEMA`]).
+//! The checkpoint format ([`SCHEMA`]).
 //!
-//! A checkpoint file is self-describing: a magic string, an ordered JSON
-//! header (human-inspectable with `head -2`), then CRC-protected binary
-//! sections. Layout:
+//! A checkpoint is self-describing bytes: a magic string, an ordered JSON
+//! header, then CRC-protected binary sections. Layout:
 //!
 //! ```text
 //! b"XMCKPT1\n"
@@ -19,15 +18,15 @@
 //! decoding happens.
 //!
 //! Every checkpoint kind in the workspace — scan workers, campaign
-//! directories, blocks and units, adaptive campaigns, serve units — is
-//! written and read through one envelope, [`Kind`]: it builds the header,
+//! directories, blocks and units, adaptive campaigns and rounds — is
+//! framed and parsed through one envelope, [`Kind`]: it builds the header,
 //! checks kind, fingerprint and identity fields, and hands sections out
-//! through [`Opened`]. A scan worker's checkpoints are cut entries of its
-//! journal ([`WorkerJournal`]); a parallel campaign's are entries of its
-//! `campaign.ckpt` journal and an adaptive campaign's of its
-//! `adaptive.ckpt` journal ([`Kind::create_journal`], [`Kind::entry`],
-//! [`recover_journal`], [`Opened::parse`]); serve units keep a file per
-//! checkpoint.
+//! through [`Opened`]. Every checkpoint is a journal entry: a scan
+//! worker's are cut entries of its journal ([`WorkerJournal`]); a parallel
+//! campaign's are entries of its `campaign.ckpt` journal and an adaptive
+//! campaign's of its `adaptive.ckpt` journal ([`Kind::create_journal`],
+//! [`Kind::entry`], [`recover_journal`], [`Opened::parse`]). The serve
+//! daemon journals its finished units in its own job ledger.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -70,29 +69,16 @@ pub struct Kind {
 }
 
 impl Kind {
-    /// Writes a checkpoint of this kind atomically and durably (tmp
-    /// file, fsync, rename). The header holds `schema`, `kind`, `fields`
-    /// in order, the configuration fingerprint as `fp` and the names of
-    /// `sections`.
-    pub fn write(
-        &self,
-        path: &Path,
-        fields: &[(&str, u64)],
-        fp: u64,
-        sections: &[(&str, Vec<u8>)],
-    ) -> Result<(), StateError> {
-        publish(path, &self.entry(fields, fp, sections))
-    }
-
-    /// The bytes [`Kind::write`] publishes, as one journal entry holds
-    /// them.
+    /// A checkpoint of this kind, as one journal entry holds it. The
+    /// header holds `schema`, `kind`, `fields` in order, the
+    /// configuration fingerprint as `fp` and the names of `sections`.
     pub fn entry(&self, fields: &[(&str, u64)], fp: u64, sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
         let mut out = Vec::new();
         self.frame(&mut out, fields, fp, sections);
         out
     }
 
-    /// Appends the bytes [`Kind::write`] publishes to `out`.
+    /// Appends the bytes [`Kind::entry`] returns to `out`.
     fn frame(
         &self,
         out: &mut Vec<u8>,
@@ -107,28 +93,12 @@ impl Kind {
         }
         let names: Vec<String> = sections.iter().map(|(n, _)| format!("\"{n}\"")).collect();
         let _ = write!(header, ",\"sections\":[{}]}}", names.join(","));
-        frame_sectioned(out, &header, sections);
+        push_sectioned(out, &header, sections);
     }
 
-    /// Opens a checkpoint of this kind. `fp`, when given, must equal the
-    /// stored fingerprint; every `identity` field must equal the header's.
-    pub fn open(
-        &self,
-        path: &Path,
-        fp: Option<u64>,
-        identity: &[(&str, u64)],
-    ) -> Result<Opened, StateError> {
-        let raw = fs::read(path)
-            .map_err(|e| StateError::io(format!("read checkpoint {}", path.display()), e))?;
-        self.parse(
-            &raw,
-            format!("{} checkpoint {}", self.name, path.display()),
-            fp,
-            identity,
-        )
-    }
-
-    /// [`Kind::open`] over bytes already read; `what` names them in errors.
+    /// Parses a checkpoint of this kind; `what` names the bytes in
+    /// errors. `fp`, when given, must equal the stored fingerprint; every
+    /// `identity` field must equal the header's.
     pub fn parse(
         &self,
         raw: &[u8],
@@ -579,7 +549,7 @@ pub(crate) fn parse_hex(s: &str, what: &str) -> Result<u64, StateError> {
         .ok_or_else(|| StateError::Corrupt(format!("{what}: invalid hex integer `{s}`")))
 }
 
-/// A required header integer, written by [`Kind::write`] as a hex string.
+/// A required header integer, written by [`Kind::entry`] as a hex string.
 fn hex_field(header: &Value, key: &str, what: &str) -> Result<u64, StateError> {
     parse_hex(&header.req_str(key, what)?, what)
 }
@@ -597,22 +567,17 @@ pub(crate) fn check_schema(doc: &Value, what: &str) -> Result<(), StateError> {
     )))
 }
 
-/// Frames `header` and `sections` into a checkpoint file,
-/// published atomically and fsynced. Checkpoints are written through
-/// [`Kind::write`]; this takes the header verbatim, so tests can build
-/// files no writer would.
-pub fn write_sectioned(
-    path: &Path,
-    header: &str,
-    sections: &[(&str, Vec<u8>)],
-) -> Result<(), StateError> {
+/// Frames `header` and `sections` as checkpoint bytes. Checkpoints are
+/// framed through [`Kind::entry`]; this takes the header verbatim, so
+/// tests can build bytes no writer would.
+pub fn frame_sectioned(header: &str, sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::new();
-    frame_sectioned(&mut out, header, sections);
-    publish(path, &out)
+    push_sectioned(&mut out, header, sections);
+    out
 }
 
 /// Appends the framing of `header` and `sections` to `out`.
-fn frame_sectioned(out: &mut Vec<u8>, header: &str, sections: &[(&str, Vec<u8>)]) {
+fn push_sectioned(out: &mut Vec<u8>, header: &str, sections: &[(&str, Vec<u8>)]) {
     out.reserve(
         MAGIC.len() + header.len() + 16 + sections.iter().map(|(_, s)| s.len() + 32).sum::<usize>(),
     );
@@ -630,7 +595,8 @@ fn frame_sectioned(out: &mut Vec<u8>, header: &str, sections: &[(&str, Vec<u8>)]
 }
 
 /// Publishes `bytes` at `path` atomically and durably: tmp file, fsync,
-/// rename, every step through the failpoint layer.
+/// rename, every step through the failpoint layer. The new name is
+/// durable once the caller fsyncs the directory.
 pub fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
     let tmp = path.with_extension("tmp");
     {

@@ -13,7 +13,8 @@
 //! uninterrupted run. A scan worker keeps one file, a journal of records
 //! and cuts ([`WorkerJournal`]), a parallel campaign one journal of
 //! claims, splits, units and blocks, and an adaptive campaign one journal
-//! of rounds; serve units keep a file per checkpoint, published by tmp
+//! of rounds. Every checkpoint is a journal entry; only final artifacts
+//! and the session manifest are files of their own, published by tmp
 //! file, fsync and rename ([`checkpoint::publish`]).
 //!
 //! The crate is deliberately domain-light — it knows about prefixes,
@@ -25,7 +26,7 @@
 //!
 //! - [`checkpoint`]: the sectioned format (ordered JSON header +
 //!   CRC-protected binary sections), the one envelope every checkpoint
-//!   kind is written and opened through ([`checkpoint::Kind`]), the
+//!   kind is framed and parsed through ([`checkpoint::Kind`]), the
 //!   mid-range scanner state it carries ([`RunState`],
 //!   [`WorkerCheckpoint`]), and the worker journal that holds it as cuts
 //!   ([`WorkerJournal`]).

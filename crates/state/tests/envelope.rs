@@ -1,18 +1,16 @@
 //! The checkpoint envelope against hostile bytes: every checkpoint kind's
 //! header shape, cut at every offset and mutated at every header and
-//! framing byte, opens to `Ok` or a typed `StateError` — never a panic —
-//! and no truncated file opens at all.
+//! framing byte, parses to `Ok` or a typed `StateError` — never a panic —
+//! and no truncated checkpoint parses at all.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use xmap_state::checkpoint::{write_sectioned, Kind, Opened};
-use xmap_state::{Manifest, StateError, WorkerCheckpoint, SCHEMA};
+use xmap_state::checkpoint::{frame_sectioned, Kind, Opened};
+use xmap_state::{Manifest, StateError, SCHEMA};
 
-/// The nine header shapes the workspace writes: kind, integer fields,
+/// The eight header shapes the workspace writes: kind, integer fields,
 /// sections.
-const SHAPES: [(&str, &[&str], &[&str]); 9] = [
+const SHAPES: [(&str, &[&str], &[&str]); 8] = [
     (
         "worker",
         &["worker", "range_index", "tick", "wal_seq"],
@@ -41,19 +39,9 @@ const SHAPES: [(&str, &[&str], &[&str]); 9] = [
         &["block", "round", "leaf_len", "probes"],
         &["units", "metrics"],
     ),
-    ("serve-unit", &["job", "unit"], &["output", "metrics"]),
 ];
 
 const FP: u64 = 0x0123_4567_89ab_cdef;
-
-fn temp_path(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "xmap-envelope-{}-{tag}-{n}.ckpt",
-        std::process::id()
-    ))
-}
 
 const MAGIC: &[u8] = b"XMCKPT1\n";
 
@@ -81,7 +69,7 @@ fn framing_offsets(bytes: &[u8]) -> Vec<usize> {
     out
 }
 
-/// Opens `bytes` as `kind` with the identity the pristine file holds,
+/// Parses `bytes` as `kind` with the identity the pristine bytes hold,
 /// under `catch_unwind`, failing the test on a panic.
 fn open_bytes(
     kind: Kind,
@@ -89,11 +77,10 @@ fn open_bytes(
     bytes: &[u8],
     label: &str,
 ) -> Result<Opened, StateError> {
-    let path = temp_path("case");
-    std::fs::write(&path, bytes).unwrap();
-    let opened = catch_unwind(AssertUnwindSafe(|| kind.open(&path, Some(FP), fields)));
-    std::fs::remove_file(&path).ok();
-    opened.unwrap_or_else(|_| panic!("{}: open panicked on {label}", kind.name))
+    let opened = catch_unwind(AssertUnwindSafe(|| {
+        kind.parse(bytes, label.to_owned(), Some(FP), fields)
+    }));
+    opened.unwrap_or_else(|_| panic!("{}: parse panicked on {label}", kind.name))
 }
 
 #[test]
@@ -106,12 +93,9 @@ fn every_kind_survives_truncation_and_header_mutation() {
             .zip(1u8..)
             .map(|(s, i)| (*s, vec![i; 3 + i as usize]))
             .collect();
-        let path = temp_path(name);
-        kind.write(&path, &fields, FP, &sections).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let pristine = kind.entry(&fields, FP, &sections);
 
-        let mut ck = open_bytes(kind, &fields, &pristine, "the pristine file").unwrap();
+        let mut ck = open_bytes(kind, &fields, &pristine, "the pristine bytes").unwrap();
         for (s, body) in &sections {
             assert_eq!(
                 &ck.take(s, |b| Ok(b.to_vec())).unwrap(),
@@ -124,7 +108,7 @@ fn every_kind_survives_truncation_and_header_mutation() {
             let opened = open_bytes(kind, &fields, &pristine[..cut], &format!("a cut at {cut}"));
             assert!(
                 opened.is_err(),
-                "{name}: a file cut at byte {cut} of {} opened",
+                "{name}: bytes cut at byte {cut} of {} parsed",
                 pristine.len()
             );
         }
@@ -153,7 +137,6 @@ fn every_kind_survives_truncation_and_header_mutation() {
 /// arithmetic; it must be a typed error.
 #[test]
 fn huge_section_length_is_corrupt_not_a_panic() {
-    let path = temp_path("huge");
     let fields = [
         ("worker", 0),
         ("range_index", 0),
@@ -161,20 +144,18 @@ fn huge_section_length_is_corrupt_not_a_panic() {
         ("wal_seq", 0),
     ];
     let worker = Kind { name: "worker" };
-    worker
-        .write(&path, &fields, 1, &[("metrics", Vec::new())])
-        .unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
+    let mut bytes = worker.entry(&fields, 1, &[("metrics", Vec::new())]);
     bytes.truncate(header_end(&bytes));
     bytes.push(7);
     bytes.extend_from_slice(b"metrics");
     bytes.extend_from_slice(&(u64::MAX - 2).to_le_bytes());
     bytes.extend_from_slice(&[0; 8]);
-    std::fs::write(&path, &bytes).unwrap();
-    let read = catch_unwind(|| WorkerCheckpoint::read_from(&path));
-    std::fs::remove_file(&path).ok();
-    let err = read.expect("read must not panic").unwrap_err();
-    assert!(matches!(err, StateError::Corrupt(_)), "{err:?}");
+    let read = catch_unwind(|| worker.parse(&bytes, "huge".to_owned(), None, &fields));
+    let err = read.expect("parse must not panic").unwrap_err();
+    assert!(
+        matches!(&err, StateError::Corrupt(msg) if msg.contains("section `metrics`")),
+        "{err:?}"
+    );
 }
 
 /// A header nested far past anything a writer emits is refused before it
@@ -182,10 +163,10 @@ fn huge_section_length_is_corrupt_not_a_panic() {
 #[test]
 fn deeply_nested_header_is_corrupt() {
     let header = format!("{{\"schema\":\"{SCHEMA}\",\"kind\":{}", "[".repeat(200_000));
-    let path = temp_path("deep");
-    write_sectioned(&path, &header, &[]).unwrap();
-    let err = Kind { name: "worker" }.open(&path, None, &[]).unwrap_err();
-    std::fs::remove_file(&path).ok();
+    let bytes = frame_sectioned(&header, &[]);
+    let err = Kind { name: "worker" }
+        .parse(&bytes, "deep".to_owned(), None, &[])
+        .unwrap_err();
     assert!(matches!(err, StateError::Corrupt(_)), "{err:?}");
 }
 
@@ -214,10 +195,10 @@ fn every_v1_kind_is_refused_as_a_version_error() {
         );
         let sections: Vec<(&str, Vec<u8>)> =
             section_names.iter().map(|s| (*s, vec![1, 2, 3])).collect();
-        let path = temp_path(name);
-        write_sectioned(&path, &header, &sections).unwrap();
-        let err = Kind { name }.open(&path, Some(FP), &[]).unwrap_err();
-        std::fs::remove_file(&path).ok();
+        let bytes = frame_sectioned(&header, &sections);
+        let err = Kind { name }
+            .parse(&bytes, name.to_owned(), Some(FP), &[])
+            .unwrap_err();
         assert_v1_refused(err, name);
     }
 }

@@ -6,9 +6,8 @@
 //!    write (with an arbitrary number of surviving bytes) recovers
 //!    exactly the intact prefix, and deterministic re-emission of the
 //!    lost records reproduces the fault-free journal byte for byte.
-//! 2. Checkpoint publication is atomic under injected faults: a kill
-//!    during the temp-file write leaves the previously published
-//!    checkpoint readable and bit-exact.
+//! 2. Publication is atomic under injected faults: a kill at any step of
+//!    `publish` leaves the previously published file bit-exact.
 //! 3. The manifest mismatch path: any identity-field mutation changes
 //!    the fingerprint and produces a non-empty field diff (a resume
 //!    refusal); mutating the non-identity cadence field does neither.
@@ -18,8 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use xmap_failpoint::{FailPlan, FsAction, FsOp, FsRule};
-use xmap_state::{Manifest, StateError, Wal, WorkerCheckpoint};
-use xmap_telemetry::Snapshot;
+use xmap_state::checkpoint::publish;
+use xmap_state::{Manifest, StateError, Wal};
 
 struct Gen(u64);
 
@@ -132,24 +131,19 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Checkpoint publication stays atomic under an injected kill: the
-    /// previously published file is untouched, bit for bit.
+    /// Publication stays atomic under an injected kill: the previously
+    /// published file is untouched, bit for bit.
     #[test]
     fn checkpoint_publish_is_atomic_under_kill(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        let ckpt = |worker: u32, tick: u64| WorkerCheckpoint {
-            worker,
-            range_index: 0,
-            tick,
-            wal_seq: 0,
-            config_fp: 0xC0FF_EE00,
-            metrics: Snapshot::default(),
-            run: None,
+        let bytes = |g: &mut Gen| -> Vec<u8> {
+            (0..1 + g.below(200)).map(|_| g.next() as u8).collect()
         };
         let dir = temp_dir("atomic");
-        let path = dir.join("worker-0.ckpt");
-        ckpt(0, 1).write_to(&path).unwrap();
-        let published = std::fs::read(&path).unwrap();
+        let path = dir.join("result.csv");
+        let published = bytes(&mut g);
+        publish(&path, &published).unwrap();
+        let next = bytes(&mut g);
 
         // Kill on any op of the second publish (tmp create, tmp write,
         // tmp sync, or the rename), keeping an arbitrary prefix.
@@ -166,16 +160,14 @@ proptest! {
             schedules: Vec::new(),
         }
         .arm();
-        let result = ckpt(0, 2).write_to(&path);
+        let result = publish(&path, &next);
         let fired = scope.killed();
         drop(scope);
         prop_assert!(fired, "kill at op {} never fired", nth);
         prop_assert!(result.is_err(), "a dead disk cannot publish");
 
-        // The published checkpoint is exactly what it was before.
+        // The published file is exactly what it was before.
         prop_assert_eq!(std::fs::read(&path).unwrap(), published);
-        let loaded = WorkerCheckpoint::read_from(&path).unwrap();
-        prop_assert_eq!(loaded.tick, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,7 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmap_failpoint::{FailPlan, FsOp, FsSchedule};
 use xmap_serve::daemon::job_dir;
-use xmap_serve::{Daemon, JobSpec, ServeConfig};
+use xmap_serve::{Daemon, JobSpec, Ledger, LedgerEvent, ServeConfig, UnitOutput};
+use xmap_state::StateError;
 
 fn tdir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -324,4 +325,152 @@ fn appscan_job_resumes_after_kill() {
     daemon.run().expect("resume");
     assert_eq!(artifacts(&root, job), base, "appscan artifacts diverged");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Counts the failpoint-routed fs operations of a whole fault-free
+/// lifetime — open, both submits, the drained run — under a scope armed
+/// before the root exists, so power-loss runs track every file from its
+/// creation. Returns `(ops before the run, ops in all)`.
+fn lifetime_ops() -> (u64, u64) {
+    let root = tdir("ops");
+    let scope = FailPlan::observe(&root).arm();
+    let daemon = Daemon::open(&root, cfg(2)).expect("open");
+    submit_both(&daemon);
+    daemon.drain();
+    let before_run = scope.ops();
+    daemon.run().expect("fault-free run");
+    let total = scope.ops();
+    drop(scope);
+    let _ = std::fs::remove_dir_all(&root);
+    (before_run, total)
+}
+
+/// Kill the daemon at sampled operations of its run, the last one
+/// included, once as a process kill and once as a power cut that also
+/// drops every unsynced byte and directory entry. The surviving root,
+/// reopened under 1 or 3 workers, must finish both jobs to the
+/// baseline's artifacts: a journalled unit, a published artifact and a
+/// `Completed` record are each durable before anything depends on them.
+#[test]
+fn power_loss_sweep_resumes_both_tenant_jobs_byte_identically() {
+    let (base_a, base_b, _) = baseline();
+    let (before_run, total) = lifetime_ops();
+    let stride = ((total - before_run) / 32).max(1) as usize;
+    let kills: Vec<u64> = (before_run..total)
+        .step_by(stride)
+        .chain([total - 1])
+        .collect();
+    assert!(kills.len() >= 30, "only {} kill points", kills.len());
+    eprintln!(
+        "# serve power-loss sweep: ops {before_run}..{total}, {} kill points",
+        kills.len()
+    );
+    for (i, &kill) in kills.iter().enumerate() {
+        for power_loss in [false, true] {
+            let label = format!("kill at op {kill}, power loss {power_loss}");
+            let root = tdir("power");
+            let scope = FailPlan::kill_at(&root, kill, 3).arm();
+            let daemon = Daemon::open(&root, cfg(2)).expect("open");
+            let (a, b) = submit_both(&daemon);
+            daemon.drain();
+            let outcome = daemon.run();
+            assert!(scope.killed(), "{label}: never fired");
+            outcome.expect_err("a latched disk must stop the run");
+            if power_loss {
+                scope.lose_unsynced();
+            }
+            drop(scope);
+            drop(daemon);
+            let workers = if i % 2 == 0 { 1 } else { 3 };
+            let daemon = Daemon::open(&root, cfg(workers))
+                .unwrap_or_else(|e| panic!("{label}: reopen refused: {e}"));
+            daemon.drain();
+            daemon
+                .run()
+                .unwrap_or_else(|e| panic!("{label}: resume: {e}"));
+            assert_eq!(artifacts(&root, a), base_a, "{label}: alice diverged");
+            assert_eq!(artifacts(&root, b), base_b, "{label}: bob diverged");
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+}
+
+/// The first submit on a fresh root, acknowledged, then a power cut: the
+/// ledger's name is as durable as its bytes, so the job is still there.
+#[test]
+fn acknowledged_submit_on_a_fresh_root_survives_power_loss() {
+    let root = tdir("fresh-power");
+    let scope = FailPlan::observe(&root).arm();
+    let daemon = Daemon::open(&root, cfg(1)).expect("open");
+    let job = daemon.submit("alice", alice_spec()).expect("submit");
+    scope.lose_unsynced();
+    drop(scope);
+    drop(daemon);
+    let daemon = Daemon::open(&root, cfg(1)).expect("reopen");
+    assert_eq!(daemon.resumed(), (1, alice_spec().units()));
+    assert_eq!(daemon.status().jobs[0].job, job);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A ledger whose records are CRC-valid but whose `UnitDone` entries
+/// contradict its jobs is refused as corrupt, never replayed: a unit of
+/// an unsubmitted job, a unit out of range, an output of another kind,
+/// and a unit journalled twice. A unit that finished after its job was
+/// cancelled is the one a live daemon can write, and replays.
+#[test]
+fn forged_unit_records_are_refused_as_corrupt() {
+    let (output, metrics) = bob_spec().run_unit(0);
+    let done = |job: u64, unit: usize, output: &UnitOutput| LedgerEvent::UnitDone {
+        job,
+        unit,
+        output: output.clone(),
+        metrics: metrics.clone(),
+    };
+    let grab = UnitOutput::Appscan {
+        addr: xmap_addr::Ip6::from(1u128),
+        outcomes: [0; 8],
+    };
+    let submitted = LedgerEvent::Submitted {
+        job: 1,
+        tenant: "bob".to_owned(),
+        spec: bob_spec(),
+    };
+    let cases = [
+        ("unsubmitted job", vec![done(1, 0, &output)]),
+        (
+            "unit out of range",
+            vec![submitted.clone(), done(1, bob_spec().units(), &output)],
+        ),
+        (
+            "output of another kind",
+            vec![submitted.clone(), done(1, 0, &grab)],
+        ),
+        (
+            "unit journalled twice",
+            vec![submitted.clone(), done(1, 0, &output), done(1, 0, &output)],
+        ),
+        (
+            "cancelled job",
+            vec![
+                submitted.clone(),
+                LedgerEvent::Cancelled { job: 1 },
+                done(1, 0, &output),
+            ],
+        ),
+    ];
+    for (label, events) in cases {
+        let root = tdir("forged");
+        std::fs::create_dir_all(&root).expect("create root");
+        let (mut ledger, _) = Ledger::open(&root.join("ledger.wal")).expect("ledger");
+        for ev in &events {
+            ledger.append(ev).expect("append");
+        }
+        drop(ledger);
+        match (label, Daemon::open(&root, cfg(1))) {
+            ("cancelled job", Ok(daemon)) => assert_eq!(daemon.resumed(), (0, 0)),
+            (_, Err(StateError::Corrupt(msg))) => assert!(msg.contains("unit"), "{label}: {msg}"),
+            (_, other) => panic!("{label}: expected a corrupt ledger, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -704,11 +704,10 @@ fn older_campaign_layout_is_refused_as_a_version_error() {
     let dir = torture_dir("camp-legacy");
     std::fs::create_dir_all(&dir).unwrap();
     let blocks = [("blocks", 15)];
-    Kind {
+    let older = Kind {
         name: "campaign-dir",
-    }
-    .write(&dir.join("campaign.ckpt"), &blocks, 0, &[])
-    .unwrap();
+    };
+    std::fs::write(dir.join("campaign.ckpt"), older.entry(&blocks, 0, &[])).unwrap();
     let exec = campaign(1);
     let refusals = [
         exec.resume_plan(&campaign_base(), &dir).map(|_| ()),
@@ -804,11 +803,10 @@ fn older_adaptive_checkpoint_is_refused_as_a_version_error() {
     let dir = torture_dir("adapt-legacy");
     std::fs::create_dir_all(&dir).unwrap();
     let fields = [("completed_blocks", 0), ("spent", 0)];
-    Kind {
+    let older = Kind {
         name: "adaptive-campaign",
-    }
-    .write(&dir.join("adaptive.ckpt"), &fields, 0, &[])
-    .unwrap();
+    };
+    std::fs::write(dir.join("adaptive.ckpt"), older.entry(&fields, 0, &[])).unwrap();
     match adaptive_run(1, &dir, true) {
         Err(StateError::Version(msg)) => assert!(msg.contains("--resume"), "{msg}"),
         other => panic!("expected a version refusal, got {other:?}"),
