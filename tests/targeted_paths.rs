@@ -1,0 +1,175 @@
+//! Byte-identity of the targeted-probe paths: the campaign mop-up pass,
+//! loopscan's depth survey and the adaptive engine each probe explicit
+//! destinations instead of walking a range, and each must emit exactly
+//! the artifacts pinned below — CSV, metrics JSON and, for one traced
+//! mop-up run, the trace NDJSON.
+//!
+//! The `GOLDEN_*` constants are FNV-1a-64 fingerprints captured from the
+//! build that probed one destination at a time through the scanner and
+//! published telemetry after every probe. Counters are sums, so a change
+//! to *when* telemetry is published must leave every one of them as it
+//! is; a change that moves one has changed what a seeded run emits.
+
+use xmap::{ScanConfig, Scanner};
+use xmap_loopscan::{DepthSurvey, DepthSurveyResult};
+use xmap_netsim::isp::SAMPLE_BLOCKS;
+use xmap_netsim::world::{Allocation, World, WorldConfig};
+use xmap_netsim::{FaultPlan, IcmpRateLimit};
+use xmap_periphery::{AdaptiveCampaign, AdaptiveConfig, Campaign};
+use xmap_state::Fingerprint;
+use xmap_telemetry::Telemetry;
+
+const GOLDEN_MOP_UP_CSV: u64 = 0x152a_e476_df2d_f061;
+const GOLDEN_MOP_UP_METRICS: u64 = 0x0e00_fb2c_02cd_1f3d;
+const GOLDEN_TRACED_MOP_UP_CSV: u64 = 0xa197_e926_d9b2_5f77;
+const GOLDEN_TRACED_MOP_UP_METRICS: u64 = 0x2bc8_d85f_efec_74b8;
+const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0xbb11_78f2_559b_79cf;
+const GOLDEN_SURVEY_CSV: u64 = 0x07a9_4680_af59_ec54;
+const GOLDEN_SURVEY_METRICS: u64 = 0x2958_c55a_c6eb_df4b;
+const GOLDEN_ADAPTIVE_CSV: u64 = 0x40d8_5312_1fde_a6e1;
+const GOLDEN_ADAPTIVE_METRICS: u64 = 0x36ee_89f0_ab15_edc6;
+
+fn fnv(bytes: impl AsRef<[u8]>) -> u64 {
+    Fingerprint::new().push_bytes(bytes.as_ref()).finish()
+}
+
+/// Asserts `bytes` fingerprints as `golden`, naming the artifact and
+/// the fingerprint it had instead.
+fn assert_golden(what: &str, bytes: impl AsRef<[u8]>, golden: u64) {
+    let got = fnv(bytes);
+    assert_eq!(got, golden, "{what}: fingerprint {got:#018x}");
+}
+
+/// A world whose ICMPv6 error buckets leave half the CPEs silent in the
+/// main pass, so the mop-up pass has devices to recover.
+fn rate_limited_world(telemetry: &Telemetry) -> World {
+    let mut world = World::with_config(
+        WorldConfig::lossless(99, 50).with_fault(FaultPlan::none().seeded(7).with_icmp_limit(
+            IcmpRateLimit::TokenBucket {
+                capacity: 2,
+                refill_interval: 64,
+                start_depleted_frac: 0.5,
+            },
+        )),
+    );
+    world.set_telemetry(telemetry);
+    world
+}
+
+fn mop_up_scanner(telemetry: &Telemetry) -> Scanner<World> {
+    let config = ScanConfig {
+        seed: 5,
+        max_targets: Some(1 << 12),
+        ..Default::default()
+    };
+    Scanner::with_telemetry(rate_limited_world(telemetry), config, telemetry.clone())
+}
+
+#[test]
+fn mop_up_campaign_matches_golden_fingerprints() {
+    let telemetry = Telemetry::new();
+    let mut scanner = mop_up_scanner(&telemetry);
+    let result = Campaign::new(1 << 12).with_mop_up(512).run(&mut scanner);
+    let recovered: usize = result.blocks.iter().map(|b| b.mop_up_recovered).sum();
+    assert!(recovered >= 1, "mop-up must recover a device to bite");
+    assert_golden("mop-up CSV", result.to_csv(), GOLDEN_MOP_UP_CSV);
+    assert_golden(
+        "mop-up metrics",
+        telemetry.registry.snapshot().to_json(),
+        GOLDEN_MOP_UP_METRICS,
+    );
+}
+
+/// Under tracing the world publishes on every call, so its fault events
+/// land in the same order whenever the scanner's own counters publish.
+#[test]
+fn traced_mop_up_block_matches_golden_fingerprints() {
+    let telemetry = Telemetry::with_tracing();
+    let mut scanner = mop_up_scanner(&telemetry);
+    let block = Campaign::new(1 << 12)
+        .with_mop_up(512)
+        .run_block(&mut scanner, &SAMPLE_BLOCKS[0]);
+    assert!(block.mop_up_recovered >= 1, "mop-up must recover a device");
+    let csv = xmap_periphery::CampaignResult {
+        blocks: vec![block],
+    }
+    .to_csv();
+    assert_golden("traced mop-up CSV", csv, GOLDEN_TRACED_MOP_UP_CSV);
+    assert_golden(
+        "traced mop-up metrics",
+        telemetry.registry.snapshot().to_json(),
+        GOLDEN_TRACED_MOP_UP_METRICS,
+    );
+    assert_golden(
+        "traced mop-up trace",
+        telemetry.tracer.to_ndjson(),
+        GOLDEN_TRACED_MOP_UP_TRACE,
+    );
+}
+
+/// The depth survey's rows in the column order a daemon's loopscan job
+/// publishes.
+fn survey_csv(result: &DepthSurveyResult) -> String {
+    let mut out = String::from("profile_id,address,asn,same64,iid_class,mac\n");
+    for p in &result.peripheries {
+        out.push_str(&format!(
+            "{},{},{},{},{},{}\n",
+            p.profile_id,
+            p.address,
+            p.asn,
+            p.same64,
+            p.iid_class,
+            p.mac.map(|m| m.to_string()).unwrap_or_default(),
+        ));
+    }
+    out
+}
+
+#[test]
+fn depth_survey_matches_golden_fingerprints() {
+    let telemetry = Telemetry::new();
+    let mut world = World::with_config(WorldConfig::lossless(31, 10));
+    world.set_telemetry(&telemetry);
+    let config = ScanConfig {
+        seed: 13,
+        ..Default::default()
+    };
+    let mut scanner = Scanner::with_telemetry(world, config, telemetry.clone());
+    let result = DepthSurvey::new(1 << 11).run(&mut scanner);
+    assert!(!result.peripheries.is_empty(), "the survey must find loops");
+    assert_golden("survey CSV", survey_csv(&result), GOLDEN_SURVEY_CSV);
+    assert_golden(
+        "survey metrics",
+        telemetry.registry.snapshot().to_json(),
+        GOLDEN_SURVEY_METRICS,
+    );
+}
+
+#[test]
+fn two_worker_adaptive_campaign_matches_golden_fingerprints() {
+    let world_cfg = WorldConfig::lossless(11, 10).with_allocation(Allocation::Clustered {
+        pod_bits: 8,
+        active_frac: 1.0 / 256.0,
+    });
+    let base = ScanConfig {
+        seed: 7,
+        ..Default::default()
+    };
+    let outcome = AdaptiveCampaign::new(AdaptiveConfig {
+        root_bits: Some(14),
+        ..AdaptiveConfig::default()
+    })
+    .with_workers(2)
+    .run(&base, |telemetry| {
+        let mut world = World::with_config(world_cfg);
+        world.set_telemetry(telemetry);
+        world
+    });
+    assert!(outcome.result.total_unique() > 0, "adaptive found nothing");
+    assert_golden("adaptive CSV", outcome.result.to_csv(), GOLDEN_ADAPTIVE_CSV);
+    assert_golden(
+        "adaptive metrics",
+        outcome.snapshot.to_json(),
+        GOLDEN_ADAPTIVE_METRICS,
+    );
+}
