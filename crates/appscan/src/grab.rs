@@ -204,7 +204,8 @@ mod tests {
             }
             let target = p.scan_prefix().subprefix(p.assigned_len, i as u128);
             let dst = xmap::fill_host_bits(target, 13);
-            let hits = scanner.probe_addr(dst, &IcmpEchoProbe, 64);
+            let mut hits = Vec::new();
+            scanner.targeted().probe(dst, &IcmpEchoProbe, 64, &mut hits);
             let Some((addr, _)) = hits.iter().find(|(_, r)| {
                 matches!(
                     r,

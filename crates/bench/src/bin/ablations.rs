@@ -138,13 +138,15 @@ fn probes_per_prefix_completeness(telemetry: &Telemetry) {
                 telemetry,
             );
             let mut found = std::collections::HashSet::new();
+            let mut session = scanner.targeted();
+            let mut hits = Vec::new();
             for i in 0..slice {
                 let target = profile.scan_range().nth(i).expect("in slice");
                 for attempt in 0..k {
                     // Vary the IID per attempt so a lost exchange is retried
                     // on a fresh (deterministically lossy) path.
                     let dst = xmap::fill_host_bits(target, 9 + attempt as u64);
-                    let hits = scanner.probe_addr(dst, &IcmpEchoProbe, 64);
+                    session.probe(dst, &IcmpEchoProbe, 64, &mut hits);
                     if hits.iter().any(|(_, r)| {
                         matches!(
                             r,
@@ -156,6 +158,7 @@ fn probes_per_prefix_completeness(telemetry: &Telemetry) {
                     }
                 }
             }
+            session.finish();
             let completeness = found.len() as f64 * 100.0 / truth.max(1) as f64;
             print!(" k={k}: {completeness:>5.1}%");
         }

@@ -566,9 +566,11 @@ fn run_trace(addr: &str, world_seed: u64) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad address {addr:?}: {e}"))?;
     let mut scanner = Scanner::new(World::new(world_seed), ScanConfig::default());
+    let mut session = scanner.targeted();
+    let mut responses = Vec::new();
     let mut silent = 0;
     for ttl in 1u8..=64 {
-        let responses = scanner.probe_addr(dst, &IcmpEchoProbe, ttl);
+        session.probe(dst, &IcmpEchoProbe, ttl, &mut responses);
         match responses.first() {
             Some((src, result)) => {
                 silent = 0;
@@ -596,12 +598,14 @@ fn run_alias_check(prefix: &str, world_seed: u64) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad prefix {prefix:?}: {e}"))?;
     let mut scanner = Scanner::new(World::new(world_seed), ScanConfig::default());
+    let mut session = scanner.targeted();
+    let mut answers = Vec::new();
     let mut self_replies = 0;
     const K: u64 = 4;
     for attempt in 0..K {
         let dst = xmap::fill_host_bits(p, 0xa11a5 + attempt);
-        let alive = scanner
-            .probe_addr(dst, &IcmpEchoProbe, 64)
+        session.probe(dst, &IcmpEchoProbe, 64, &mut answers);
+        let alive = answers
             .iter()
             .any(|(src, r)| matches!(r, xmap::ProbeResult::Alive) && *src == dst);
         println!(

@@ -67,7 +67,7 @@ pub use parallel::{
 };
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
 pub use scanner::{
-    Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner,
+    Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner, Targeted,
 };
 pub use target::{fill_host_bits, TargetSpec};
 pub use telemetry::ScanMetrics;

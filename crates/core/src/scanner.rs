@@ -125,8 +125,8 @@ pub struct ScanRecord {
 ///
 /// Since the telemetry migration this is a *view*: the scanner counts into
 /// its [`ScanMetrics`] registry handles and each run reports the delta, so
-/// the registry is the single source of truth (campaign mop-up passes
-/// count through the same handles).
+/// the registry is the single source of truth (a [`Targeted`] session
+/// counts through the same handles and reports its own counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanStats {
     /// Probes sent.
@@ -411,19 +411,6 @@ impl<N: Network> Scanner<N> {
         self.total_ticks
     }
 
-    /// Advances the network's virtual clock by `ticks`, appending any
-    /// delayed packets that came due to `out` (which callers clear and
-    /// reuse across invocations — the mop-up loop calls this once per
-    /// drain slot, and a returned `Vec` per call was a measurable
-    /// allocation tax). Keeps the scanner's monotone tick count in sync —
-    /// campaign drivers use this instead of ticking the network directly.
-    pub fn advance(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
-        self.total_ticks += ticks;
-        let network = self.transport.network_mut();
-        network.tick_into(ticks, out);
-        network.flush_telemetry();
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &ScanConfig {
         &self.config
@@ -509,51 +496,18 @@ impl<N: Network> Scanner<N> {
         self.transport.into_network()
     }
 
-    /// Sends one probe to an explicit destination and classifies responses.
-    /// Used by the application-layer and loop scanners for targeted probes.
-    /// Counts into the same `scan.*` metrics as [`Scanner::run`], so
-    /// targeted passes (mop-up, loop detection) share the accounting.
-    pub fn probe_addr(
-        &mut self,
-        dst: Ip6,
-        module: &dyn ProbeModule,
-        hop_limit: u8,
-    ) -> Vec<(Ip6, ProbeResult)> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.probe_addr_into(dst, module, hop_limit, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`probe_addr`](Self::probe_addr) into caller-owned buffers: the
-    /// raw responses land in `scratch` and the classified results in
-    /// `out` (both cleared first). Targeted inner loops — loop
-    /// detection, application grabs, adaptive sampling — reuse the
-    /// buffers across probes so the steady state allocates nothing.
-    pub fn probe_addr_into(
-        &mut self,
-        dst: Ip6,
-        module: &dyn ProbeModule,
-        hop_limit: u8,
-        scratch: &mut Vec<Ipv6Packet>,
-        out: &mut Vec<(Ip6, ProbeResult)>,
-    ) {
-        let probe = module.build(self.config.source, dst, hop_limit, &self.validator);
-        self.metrics.sent.inc();
-        scratch.clear();
-        out.clear();
-        self.transport.network_mut().handle_into(probe, scratch);
-        for resp in scratch.iter() {
-            let result = module.classify(resp, &self.validator);
-            self.metrics.received.inc();
-            if matches!(result, ProbeResult::Invalid) {
-                self.metrics.invalid.inc();
-            } else {
-                self.metrics.valid.inc();
-            }
-            out.push((resp.src, result));
+    /// Opens a targeted-probing session: probes to explicit destinations
+    /// (mop-up, loop detection, application grabs, adaptive sampling)
+    /// counted into the same `scan.*` metrics as [`Scanner::run`], but
+    /// tallied locally and published once, when the session ends. See
+    /// [`Targeted`].
+    pub fn targeted(&mut self) -> Targeted<'_, N> {
+        Targeted {
+            scanner: self,
+            tally: HotTally::default(),
+            rate_limited_suspected: 0,
+            scratch: Vec::new(),
         }
-        self.transport.flush_telemetry();
     }
 
     /// Scans one range with a probe module, honouring the blocklist.
@@ -1413,6 +1367,176 @@ impl Run {
     }
 }
 
+/// A targeted-probing session over one [`Scanner`], opened with
+/// [`Scanner::targeted`].
+///
+/// Probes to explicit destinations count like the run loop's: into a
+/// private [`HotTally`], with no atomic add and no network telemetry
+/// publish per probe (the network coalesces its own publishes, and
+/// publishes every call under tracing). The tally and the network's
+/// telemetry are published once, when the session is
+/// [`finish`](Targeted::finish)ed or dropped — a panic unwinding through
+/// the session publishes what it counted too. The session mutably
+/// borrows the scanner, so nothing reads the scanner's registry while
+/// its tallies are pending.
+///
+/// # Examples
+///
+/// ```
+/// use xmap::{IcmpEchoProbe, ScanConfig, Scanner};
+/// use xmap_netsim::World;
+///
+/// let mut scanner = Scanner::new(World::new(7), ScanConfig::default());
+/// let mut session = scanner.targeted();
+/// let mut answers = Vec::new();
+/// session.probe("2405:200::1".parse().unwrap(), &IcmpEchoProbe, 64, &mut answers);
+/// let stats = session.finish();
+/// assert_eq!(stats.sent, 1);
+/// assert_eq!(scanner.metrics().sent.get(), 1);
+/// ```
+#[derive(Debug)]
+pub struct Targeted<'s, N: Network> {
+    scanner: &'s mut Scanner<N>,
+    tally: HotTally,
+    rate_limited_suspected: u64,
+    /// Raw responses of the current probe, reused across probes.
+    scratch: Vec<Ipv6Packet>,
+}
+
+impl<N: Network> Targeted<'_, N> {
+    /// Sends one probe to `dst` and classifies its immediate responses
+    /// into `out` (cleared first; callers reuse it across probes).
+    pub fn probe(
+        &mut self,
+        dst: Ip6,
+        module: &dyn ProbeModule,
+        hop_limit: u8,
+        out: &mut Vec<(Ip6, ProbeResult)>,
+    ) {
+        let s = &mut *self.scanner;
+        let probe = module.build(s.config.source, dst, hop_limit, &s.validator);
+        self.tally.sent += 1;
+        out.clear();
+        self.scratch.clear();
+        s.transport
+            .network_mut()
+            .handle_into(probe, &mut self.scratch);
+        self.classify(module, out);
+    }
+
+    /// [`probe`](Self::probe), counted as a retransmission too (a second
+    /// chance for a target that stayed silent).
+    pub fn reprobe(
+        &mut self,
+        dst: Ip6,
+        module: &dyn ProbeModule,
+        hop_limit: u8,
+        out: &mut Vec<(Ip6, ProbeResult)>,
+    ) {
+        self.tally.retransmits += 1;
+        self.probe(dst, module, hop_limit, out);
+    }
+
+    /// Advances the network's virtual clock by `ticks` (keeping the
+    /// scanner's tick count in sync) and appends the delayed responses
+    /// that came due, classified and counted, to `out`.
+    pub fn advance(
+        &mut self,
+        ticks: u64,
+        module: &dyn ProbeModule,
+        out: &mut Vec<(Ip6, ProbeResult)>,
+    ) {
+        self.scanner.total_ticks += ticks;
+        self.scratch.clear();
+        let network = self.scanner.transport.network_mut();
+        network.tick_into(ticks, &mut self.scratch);
+        self.classify(module, out);
+    }
+
+    /// Classifies and counts the responses in `scratch`, appending them
+    /// to `out`.
+    fn classify(&mut self, module: &dyn ProbeModule, out: &mut Vec<(Ip6, ProbeResult)>) {
+        for resp in &self.scratch {
+            let result = module.classify(resp, &self.scanner.validator);
+            self.tally.received += 1;
+            if matches!(result, ProbeResult::Invalid) {
+                self.tally.invalid += 1;
+            } else {
+                self.tally.valid += 1;
+            }
+            out.push((resp.src, result));
+        }
+    }
+
+    /// Counts a destination skipped by the blocklist.
+    pub fn skip_blocked(&mut self) {
+        self.tally.blocked += 1;
+    }
+
+    /// Counts a target suspected of ICMPv6 rate limiting.
+    pub fn suspect_rate_limited(&mut self) {
+        self.rate_limited_suspected += 1;
+    }
+
+    /// The scanner's configuration.
+    pub fn config(&self) -> &ScanConfig {
+        &self.scanner.config
+    }
+
+    /// Whether the scanner's armed abort signal has fired.
+    pub fn is_aborted(&self) -> bool {
+        self.scanner.is_aborted()
+    }
+
+    /// The scanner's lifetime tick count.
+    pub fn ticks(&self) -> u64 {
+        self.scanner.total_ticks
+    }
+
+    /// The scanner's telemetry bundle, for other metric families and
+    /// trace events. Its `scan.*` counters lag this session's tally
+    /// until the session ends.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.scanner.telemetry
+    }
+
+    /// What this session counted so far.
+    fn stats(&self) -> ScanStats {
+        let t = &self.tally;
+        ScanStats {
+            sent: t.sent,
+            blocked: t.blocked,
+            received: t.received,
+            invalid: t.invalid,
+            valid: t.valid,
+            retransmits: t.retransmits,
+            rate_limited_suspected: self.rate_limited_suspected,
+            ..ScanStats::default()
+        }
+    }
+
+    /// Ends the session, publishing its counts and the network's
+    /// telemetry, and returns what it counted — exactly the registry's
+    /// `scan.*` delta across the session.
+    pub fn finish(self) -> ScanStats {
+        self.stats()
+    }
+}
+
+impl<N: Network> Drop for Targeted<'_, N> {
+    fn drop(&mut self) {
+        let metrics = &self.scanner.metrics;
+        self.tally.flush(metrics);
+        if self.rate_limited_suspected > 0 {
+            metrics
+                .rate_limited_suspected
+                .add(self.rate_limited_suspected);
+            self.rate_limited_suspected = 0;
+        }
+        self.scanner.transport.flush_telemetry();
+    }
+}
+
 /// The probed destination a response packet speaks about.
 fn probe_dst_of(resp: &Ipv6Packet) -> Ip6 {
     match &resp.payload {
@@ -1687,12 +1811,100 @@ mod tests {
     }
 
     #[test]
-    fn probe_addr_targets_exact_destination() {
+    fn targeted_probe_hits_exact_destination() {
         let mut s = Scanner::new(ToyNet { handled: 0 }, ScanConfig::default());
         let dst: Ip6 = "2001:100:0:2::1".parse().unwrap(); // even index -> responds
-        let out = s.probe_addr(dst, &IcmpEchoProbe, 64);
+        let mut out = Vec::new();
+        s.targeted().probe(dst, &IcmpEchoProbe, 64, &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, ProbeResult::Unreachable { .. }));
+    }
+
+    /// A scanner over a dense world whose telemetry shares the scanner's
+    /// registry, so snapshots carry both `scan.*` and `netsim.*`.
+    fn targeted_scanner() -> Scanner<xmap_netsim::World> {
+        let telemetry = Telemetry::new();
+        let mut world =
+            xmap_netsim::World::with_config(xmap_netsim::world::WorldConfig::lossless(11, 10));
+        world.set_telemetry(&telemetry);
+        Scanner::with_telemetry(world, ScanConfig::default(), telemetry)
+    }
+
+    /// One target's worth of every counted session operation.
+    fn targeted_step(session: &mut Targeted<'_, xmap_netsim::World>, i: u64) {
+        let dense: ScanRange = "2402:3a80::/32-64".parse().unwrap();
+        let dst = fill_host_bits(dense.nth(i).unwrap(), 11);
+        let mut out = Vec::new();
+        match i % 4 {
+            0 => session.skip_blocked(),
+            1 => session.reprobe(dst, &IcmpEchoProbe, 64, &mut out),
+            _ => session.probe(dst, &IcmpEchoProbe, 64, &mut out),
+        }
+        session.advance(1, &IcmpEchoProbe, &mut out);
+        if !out.is_empty() {
+            session.suspect_rate_limited();
+        }
+    }
+
+    #[test]
+    fn targeted_batching_is_unobservable() {
+        const N: u64 = 300;
+        let mut batched = targeted_scanner();
+        let mut session = batched.targeted();
+        for i in 0..N {
+            targeted_step(&mut session, i);
+        }
+        session.finish();
+        let mut single = targeted_scanner();
+        for i in 0..N {
+            let mut session = single.targeted();
+            targeted_step(&mut session, i);
+            session.finish();
+        }
+        let snap = batched.telemetry().registry.snapshot();
+        assert!(snap.counter(names::VALID) > 0, "the world must answer");
+        assert_eq!(snap, single.telemetry().registry.snapshot());
+    }
+
+    #[test]
+    fn panicking_targeted_session_still_publishes() {
+        let mut s = targeted_scanner();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut session = s.targeted();
+            for i in 0..5 {
+                targeted_step(&mut session, i);
+            }
+            panic!("mid-session failure");
+        }));
+        assert!(caught.is_err());
+        let snap = s.telemetry().registry.snapshot();
+        // Targets 1–3 were probed (0 and 4 were skipped as blocked), and
+        // the world published below its coalescing batch.
+        assert_eq!(snap.counter(names::SENT), 3);
+        assert_eq!(snap.counter(names::BLOCKED), 2);
+        assert_eq!(snap.counter(xmap_netsim::telemetry::names::PROBES), 3);
+        assert_eq!(snap.counter(xmap_netsim::telemetry::names::TICKS), 5);
+    }
+
+    #[test]
+    fn targeted_finish_returns_the_registry_delta() {
+        let mut s = targeted_scanner();
+        let mut session = s.targeted();
+        for i in 0..40 {
+            targeted_step(&mut session, i);
+        }
+        session.finish();
+        let base = s.metrics().baseline();
+        let mut session = s.targeted();
+        for i in 40..1000 {
+            targeted_step(&mut session, i);
+        }
+        let stats = session.finish();
+        assert!(
+            stats.valid > 0 && stats.retransmits > 0 && stats.rate_limited_suspected > 0,
+            "{stats:?}"
+        );
+        assert_eq!(stats, s.metrics().stats_since(&base));
     }
 
     #[test]

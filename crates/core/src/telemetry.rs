@@ -5,9 +5,9 @@
 //! add per counted event. [`crate::ScanStats`] is now a *view* over these
 //! metrics: [`Scanner::run`](crate::Scanner::run) snapshots a
 //! [`MetricsBaseline`] on entry and reports the delta on exit, which makes
-//! the registry the single source of truth for scan accounting — the
-//! campaign mop-up pass and the pipelined runner count through the same
-//! handles.
+//! the registry the single source of truth for scan accounting —
+//! targeted sessions ([`crate::Targeted`]: mop-up, loop detection,
+//! adaptive sampling) count through the same handles.
 
 use xmap_telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -161,13 +161,14 @@ impl ScanMetrics {
     }
 }
 
-/// Plain-integer tallies for the scanner's per-slot loop.
+/// Plain-integer tallies for the scanner's per-slot loop and for
+/// targeted sessions.
 ///
 /// The hot path bumps these local fields (one register add, no atomics)
 /// and [`flush`](HotTally::flush)es them through the shared [`ScanMetrics`]
-/// handles at the three points where a run's registry is read: before
-/// the monitor renders a status line, before a mid-range checkpoint
-/// snapshots the registry, and when a run finishes. Nothing reads a
+/// handles at the points where the registry is read: before the monitor
+/// renders a status line, before a mid-range checkpoint snapshots the
+/// registry, when a run finishes and when a targeted session ends. Nothing reads a
 /// registry mid-run otherwise, so everything it exports stays exact where
 /// it is read, while the per-probe cost drops to nothing.
 ///

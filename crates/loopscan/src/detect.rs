@@ -8,7 +8,7 @@
 //! fill-mode evidence), keeping loop traffic minimal while avoiding false
 //! negatives.
 
-use xmap::{IcmpEchoProbe, ProbeResult, Scanner};
+use xmap::{IcmpEchoProbe, ProbeResult, Targeted};
 use xmap_addr::Ip6;
 use xmap_netsim::packet::Network;
 
@@ -39,20 +39,20 @@ fn te_source(results: &[(Ip6, ProbeResult)]) -> Option<Ip6> {
     })
 }
 
-/// Runs the h / h+2 detection against `dst` with the default h of 32.
-pub fn detect_loop<N: Network>(scanner: &mut Scanner<N>, dst: Ip6) -> LoopVerdict {
-    detect_loop_with(scanner, dst, PROBE_HOP_LIMIT)
+/// Runs the h / h+2 detection against `dst` with the default h of 32,
+/// probing through a [`Scanner::targeted`](xmap::Scanner::targeted)
+/// session.
+pub fn detect_loop<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6) -> LoopVerdict {
+    detect_loop_with(session, dst, PROBE_HOP_LIMIT)
 }
 
 /// Runs the detection with an explicit probing hop limit `h` — the
 /// `hoplimit_tradeoff` ablation varies this: larger h still detects the
 /// same loops but each probe's loop traffic grows with (h − n).
-pub fn detect_loop_with<N: Network>(scanner: &mut Scanner<N>, dst: Ip6, h: u8) -> LoopVerdict {
-    // One scratch + answer buffer pair per detection keeps the hot
-    // double-probe free of per-probe allocations.
-    let mut scratch = Vec::new();
+pub fn detect_loop_with<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6, h: u8) -> LoopVerdict {
+    // One answer buffer per detection serves both probes.
     let mut answers = Vec::new();
-    scanner.probe_addr_into(dst, &IcmpEchoProbe, h, &mut scratch, &mut answers);
+    session.probe(dst, &IcmpEchoProbe, h, &mut answers);
     let verdict = match te_source(&answers) {
         None => LoopVerdict {
             vulnerable: false,
@@ -61,13 +61,7 @@ pub fn detect_loop_with<N: Network>(scanner: &mut Scanner<N>, dst: Ip6, h: u8) -
         Some(responder) => {
             // Confirmation probe with h+2: a loop still exceeds; a path
             // that was merely two hops short now completes.
-            scanner.probe_addr_into(
-                dst,
-                &IcmpEchoProbe,
-                h.saturating_add(2),
-                &mut scratch,
-                &mut answers,
-            );
+            session.probe(dst, &IcmpEchoProbe, h.saturating_add(2), &mut answers);
             match te_source(&answers) {
                 Some(r2) if r2 == responder => LoopVerdict {
                     vulnerable: true,
@@ -80,16 +74,17 @@ pub fn detect_loop_with<N: Network>(scanner: &mut Scanner<N>, dst: Ip6, h: u8) -
             }
         }
     };
-    if scanner.telemetry().registry.is_enabled() {
-        let lt = LoopscanTelemetry::bind(scanner.telemetry());
+    let telemetry = session.telemetry();
+    if telemetry.registry.is_enabled() {
+        let lt = LoopscanTelemetry::bind(telemetry);
         lt.detects.inc();
         if verdict.vulnerable {
             lt.vulnerable.inc();
         }
     }
-    if scanner.tracer().is_enabled() {
-        scanner.tracer().event(
-            scanner.ticks(),
+    if telemetry.tracer.is_enabled() {
+        telemetry.tracer.event(
+            session.ticks(),
             "loopscan.detect",
             vec![
                 ("h", u64::from(h).into()),
@@ -103,7 +98,7 @@ pub fn detect_loop_with<N: Network>(scanner: &mut Scanner<N>, dst: Ip6, h: u8) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmap::ScanConfig;
+    use xmap::{ScanConfig, Scanner};
     use xmap_netsim::isp::SAMPLE_BLOCKS;
     use xmap_netsim::world::{World, WorldConfig};
 
@@ -153,10 +148,10 @@ mod tests {
     fn detects_looping_and_clean_destinations() {
         let mut s = scanner();
         let (looping, clean) = unicom_targets(&mut s);
-        let v = detect_loop(&mut s, looping);
+        let v = detect_loop(&mut s.targeted(), looping);
         assert!(v.vulnerable, "{v:?}");
         assert!(v.responder.is_some());
-        let v2 = detect_loop(&mut s, clean);
+        let v2 = detect_loop(&mut s.targeted(), clean);
         assert!(!v2.vulnerable, "{v2:?}");
     }
 
@@ -171,7 +166,7 @@ mod tests {
                     .subprefix(p.assigned_len, i as u128)
                     .addr()
                     .with_iid(1);
-                let v = detect_loop(&mut s, dst);
+                let v = detect_loop(&mut s.targeted(), dst);
                 assert!(!v.vulnerable);
                 assert_eq!(v.responder, None);
                 return;

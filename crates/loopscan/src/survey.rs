@@ -168,6 +168,9 @@ impl BgpSurvey {
         out: &mut BgpSurveyResult,
     ) {
         let country = scanner.network_mut().bgp().country_of(entry.asn);
+        let seed = scanner.config().seed;
+        let mut session = scanner.targeted();
+        let mut responses = Vec::new();
         // Scan the /48 sub-space of this /32 with a per-prefix cap,
         // spreading deterministically over the 2^16 indices.
         let space = 1u64 << 16;
@@ -181,9 +184,9 @@ impl BgpSurvey {
             }
             for &index in &buf[..n] {
                 let target = entry.prefix.subprefix(48, index as u128);
-                let dst = xmap::fill_host_bits(target, scanner.config().seed);
+                let dst = xmap::fill_host_bits(target, seed);
                 out.probes += 1;
-                let responses = scanner.probe_addr(dst, &IcmpEchoProbe, PROBE_HOP_LIMIT);
+                session.probe(dst, &IcmpEchoProbe, PROBE_HOP_LIMIT, &mut responses);
                 let responder = responses.iter().find_map(|(src, r)| match r {
                     ProbeResult::Unreachable { .. } => Some((*src, false)),
                     ProbeResult::TimeExceeded if src.iid() >> 48 != 0xffff => Some((*src, true)),
@@ -196,7 +199,7 @@ impl BgpSurvey {
                     continue;
                 }
                 let vulnerable = if te {
-                    detect_loop(scanner, dst).vulnerable
+                    detect_loop(&mut session, dst).vulnerable
                 } else {
                     false
                 };
@@ -345,6 +348,8 @@ impl DepthSurvey {
         let step = ((space / budget as u128).max(1)) as u64;
         let mut seen = HashSet::new();
         let mut probed = 0u64;
+        let seed = scanner.config().seed;
+        let mut session = scanner.targeted();
         let mut walk = IndexWalk::strided(0, step, budget);
         let mut buf = [0u64; WALK_CHUNK];
         loop {
@@ -356,9 +361,9 @@ impl DepthSurvey {
                 let Some(target) = range.nth(index) else {
                     continue;
                 };
-                let dst = xmap::fill_host_bits(target, scanner.config().seed);
+                let dst = xmap::fill_host_bits(target, seed);
                 probed += 1;
-                let verdict = crate::detect::detect_loop_with(scanner, dst, self.hop_limit);
+                let verdict = crate::detect::detect_loop_with(&mut session, dst, self.hop_limit);
                 if !verdict.vulnerable {
                     continue;
                 }

@@ -306,8 +306,9 @@ pub trait Network {
     /// Publishes any internally batched telemetry into the attached
     /// registry. Networks that mirror their statistics into a telemetry
     /// bundle may coalesce updates on the per-packet path; the scanner
-    /// calls this at observation boundaries (end of a run, targeted
-    /// probes) so exported snapshots are exact. No-op by default.
+    /// calls this at observation boundaries (end of a run, end of a
+    /// targeted session) so exported snapshots are exact. No-op by
+    /// default.
     fn flush_telemetry(&mut self) {}
 
     /// Number of responses currently held in flight (delayed by jitter

@@ -50,7 +50,7 @@ use xmap::{
 };
 use xmap_addr::{classify_iid, FxHashSet, IidClass, Ip6, Mac, Prefix, PrefixTree};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
-use xmap_netsim::packet::{Ipv6Packet, Network};
+use xmap_netsim::packet::Network;
 use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, recover_journal, Kind, Opened};
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{Fingerprint, StateError, Wal};
@@ -229,8 +229,10 @@ struct UnitResult {
 
 /// Rounds drawing fewer probes than this run inline on the calling
 /// thread: a two-worker `thread::scope` measured ≈ 60 µs to spawn and
-/// join against ≈ 110 ns per adaptive probe, so splitting a round only
-/// pays from ≈ 2 · 60 µs / 110 ns ≈ 2^10 probes.
+/// join against ≈ 70 ns per adaptive probe (the benchmark ledger's
+/// `periphery.adaptive.ns_per_probe`, 2-vCPU host), so splitting a
+/// round only pays from ≈ 2 · 60 µs / 70 ns ≈ 1,700 probes; the
+/// threshold stays at the power of two below, 2^10.
 const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 10;
 
 /// One worker's probing fixture, built once per campaign and reused by
@@ -754,9 +756,8 @@ fn run_unit<N: Network>(
     let mut hits = 0u64;
     let mut finds = Vec::new();
     let mut aliases = Vec::new();
-    let mut scratch: Vec<Ipv6Packet> = Vec::new();
-    let mut answers: Vec<(Ip6, ProbeResult)> = Vec::new();
-    let baseline = scanner.metrics().baseline();
+    let mut answers = Vec::new();
+    let mut session = scanner.targeted();
     while drawn < unit.count {
         let want = ((unit.count - drawn) as usize).min(buf.len());
         let n = walk.fill(&mut buf[..want]);
@@ -768,10 +769,10 @@ fn run_unit<N: Network>(
             let target = unit.prefix.subprefix(leaf_len, index as u128);
             let dst = fill_host_bits(target, seed);
             if !blocklist.is_allowed(dst) {
-                scanner.metrics().blocked.inc();
+                session.skip_blocked();
                 continue;
             }
-            scanner.probe_addr_into(dst, &IcmpEchoProbe, hop_limit, &mut scratch, &mut answers);
+            session.probe(dst, &IcmpEchoProbe, hop_limit, &mut answers);
             let mut hit = false;
             for (src, result) in &answers {
                 let via_te = match result {
@@ -796,14 +797,13 @@ fn run_unit<N: Network>(
             }
         }
     }
-    let stats = scanner.metrics().stats_since(&baseline);
     UnitResult {
         node: unit.node,
         drawn,
         hits,
         finds,
         aliases,
-        stats,
+        stats: session.finish(),
     }
 }
 

@@ -33,10 +33,12 @@ pub struct AliasVerdict {
 pub fn check_aliased<N: Network>(scanner: &mut Scanner<N>, prefix: Prefix, k: u32) -> AliasVerdict {
     assert!(k > 0, "at least one detection probe is required");
     let mut self_replies = 0;
+    let mut session = scanner.targeted();
+    let mut answers = Vec::new();
     for attempt in 0..k {
-        let dst = xmap::fill_host_bits(prefix, scanner.config().seed ^ (0xa11a5 + attempt as u64));
-        let answered_self = scanner
-            .probe_addr(dst, &IcmpEchoProbe, 64)
+        let dst = xmap::fill_host_bits(prefix, session.config().seed ^ (0xa11a5 + attempt as u64));
+        session.probe(dst, &IcmpEchoProbe, 64, &mut answers);
+        let answered_self = answers
             .iter()
             .any(|(src, r)| matches!(r, ProbeResult::Alive) && *src == dst);
         if answered_self {

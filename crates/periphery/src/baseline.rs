@@ -47,9 +47,11 @@ pub fn traceroute_discovery<N: Network>(
     let mut last_hop = None;
     let mut probes = 0;
     let mut silent_streak = 0;
+    let mut session = scanner.targeted();
+    let mut responses = Vec::new();
     for ttl in 1..=max_hops {
         probes += 1;
-        let responses = scanner.probe_addr(target, &IcmpEchoProbe, ttl);
+        session.probe(target, &IcmpEchoProbe, ttl, &mut responses);
         let hop = responses.iter().find_map(|(src, r)| match r {
             ProbeResult::TimeExceeded | ProbeResult::Unreachable { .. } => Some(*src),
             ProbeResult::Alive => Some(*src),
@@ -88,8 +90,10 @@ pub fn traceroute_discovery<N: Network>(
 /// subset and probes spent (1 per entry).
 pub fn hitlist_scan<N: Network>(scanner: &mut Scanner<N>, hitlist: &[Ip6]) -> (Vec<Ip6>, u64) {
     let mut alive = Vec::new();
+    let mut session = scanner.targeted();
+    let mut responses = Vec::new();
     for addr in hitlist {
-        let responses = scanner.probe_addr(*addr, &IcmpEchoProbe, 64);
+        session.probe(*addr, &IcmpEchoProbe, 64, &mut responses);
         if responses
             .iter()
             .any(|(src, r)| matches!(r, ProbeResult::Alive) && src == addr)
@@ -173,11 +177,14 @@ impl BaselineComparison {
         // --- Technique 1: one probe per sub-prefix (this paper). ---
         let mut xmap_found = HashSet::new();
         let mut xmap_probes = 0;
+        let mut session = scanner.targeted();
+        let mut answers = Vec::new();
         for i in 0..budget {
             let target = range.nth(i).expect("within space");
-            let dst = xmap::fill_host_bits(target, scanner.config().seed);
+            let dst = xmap::fill_host_bits(target, session.config().seed);
             xmap_probes += 1;
-            for (src, r) in scanner.probe_addr(dst, &IcmpEchoProbe, 64) {
+            session.probe(dst, &IcmpEchoProbe, 64, &mut answers);
+            for &(src, r) in &answers {
                 if matches!(
                     r,
                     ProbeResult::Unreachable { .. } | ProbeResult::TimeExceeded
@@ -187,6 +194,7 @@ impl BaselineComparison {
                 }
             }
         }
+        session.finish();
 
         // --- Technique 2: traceroute toward random addresses. ---
         let mut tr_found = HashSet::new();
@@ -227,9 +235,11 @@ impl BaselineComparison {
         // themselves were already known to whoever built the hitlist.
         let mut tga_found: HashSet<Ip6> = HashSet::new();
         let mut tga_probes = seed_probes;
+        let mut session = scanner.targeted();
         for cand in candidates {
             tga_probes += 1;
-            for (src, r) in scanner.probe_addr(cand, &IcmpEchoProbe, 64) {
+            session.probe(cand, &IcmpEchoProbe, 64, &mut answers);
+            for &(src, r) in &answers {
                 if matches!(
                     r,
                     ProbeResult::Alive
@@ -242,6 +252,7 @@ impl BaselineComparison {
                 }
             }
         }
+        session.finish();
 
         BaselineComparison {
             xmap: (xmap_found.len(), xmap_probes),

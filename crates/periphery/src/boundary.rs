@@ -14,7 +14,7 @@
 //! 3. *Replication*: repeat from several starting peripheries and take the
 //!    majority answer.
 
-use xmap::{IcmpEchoProbe, ProbeResult, Scanner};
+use xmap::{IcmpEchoProbe, ProbeResult, Scanner, Targeted};
 use xmap_addr::{Ip6, Prefix};
 use xmap_netsim::packet::Network;
 
@@ -45,18 +45,20 @@ impl BoundaryInference {
 }
 
 /// Probes `dst` and returns the address of the periphery-like responder
-/// (unreachable/time-exceeded source), if any.
-fn probe_responder<N: Network>(scanner: &mut Scanner<N>, dst: Ip6) -> Option<Ip6> {
-    scanner
-        .probe_addr(dst, &IcmpEchoProbe, 64)
-        .into_iter()
-        .find_map(|(src, result)| match result {
-            ProbeResult::Unreachable { .. } | ProbeResult::TimeExceeded => {
-                // Ignore transit-router time-exceeded sources.
-                (src.iid() >> 48 != 0xffff).then_some(src)
-            }
-            _ => None,
-        })
+/// (unreachable/time-exceeded source), if any; `answers` is scratch.
+fn probe_responder<N: Network>(
+    session: &mut Targeted<'_, N>,
+    dst: Ip6,
+    answers: &mut Vec<(Ip6, ProbeResult)>,
+) -> Option<Ip6> {
+    session.probe(dst, &IcmpEchoProbe, 64, answers);
+    answers.iter().find_map(|&(src, result)| match result {
+        ProbeResult::Unreachable { .. } | ProbeResult::TimeExceeded => {
+            // Ignore transit-router time-exceeded sources.
+            (src.iid() >> 48 != 0xffff).then_some(src)
+        }
+        _ => None,
+    })
 }
 
 /// Infers the subnet boundary of `block`, testing at most `max_preliminary`
@@ -75,6 +77,9 @@ pub fn infer_boundary<N: Network>(
         "boundary inference expects a block of /32 or shorter"
     );
     let start_tick = scanner.ticks();
+    let seed = scanner.config().seed;
+    let mut session = scanner.targeted();
+    let mut answers = Vec::new();
     let mut probes = 0u64;
     let mut samples = Vec::new();
     let mut found = 0usize;
@@ -84,11 +89,11 @@ pub fn infer_boundary<N: Network>(
         if found >= replications {
             break;
         }
-        let index = spread(attempt, scanner.config().seed) & ((1u64 << (64 - block.len())) - 1);
+        let index = spread(attempt, seed) & ((1u64 << (64 - block.len())) - 1);
         let target64 = block.subprefix(64, index as u128);
-        let dst = xmap::fill_host_bits(target64, scanner.config().seed);
+        let dst = xmap::fill_host_bits(target64, seed);
         probes += 1;
-        let Some(responder) = probe_responder(scanner, dst) else {
+        let Some(responder) = probe_responder(&mut session, dst, &mut answers) else {
             continue;
         };
         found += 1;
@@ -101,7 +106,7 @@ pub fn infer_boundary<N: Network>(
         for b in (32..64).rev() {
             let flipped = Ip6::new(dst.bits() ^ (1u128 << (127 - b)));
             probes += 1;
-            match probe_responder(scanner, flipped) {
+            match probe_responder(&mut session, flipped, &mut answers) {
                 Some(r) if r == responder => {
                     // Same device still answers: bit b is inside its prefix.
                     boundary = b;
@@ -124,6 +129,7 @@ pub fn infer_boundary<N: Network>(
         }
         samples.push(boundary);
     }
+    session.finish();
 
     let inferred_len = majority(&samples);
     if scanner.tracer().is_enabled() {

@@ -9,9 +9,7 @@
 //! Table II.
 
 use xmap::checkpoint::{decode_scan_record, encode_scan_record};
-use xmap::{
-    Blocklist, IcmpEchoProbe, ProbeModule, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner,
-};
+use xmap::{Blocklist, IcmpEchoProbe, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner};
 use xmap_addr::{classify_iid, FxHashSet, IidClass, IidHistogram, Ip6, Mac, Prefix};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
 use xmap_netsim::packet::Network;
@@ -455,21 +453,20 @@ impl Campaign {
         if !self.mop_up || raw.interrupted || silent.is_empty() {
             return;
         }
-        // Let rate-limited devices accrue error tokens before the
-        // second chance; discards any (stale) delayed deliveries.
-        let mut late = Vec::new();
-        scanner.advance(self.mop_up_delay_ticks, &mut late);
         let seed = scanner.config().seed;
         let hop_limit = scanner.config().hop_limit;
-        let mop_up_start = scanner.ticks();
-        // The registry is the single source of truth for mop-up
-        // accounting: probe_addr counts sent/received/valid/invalid
-        // through the shared metric handles, the pass tops up the
-        // retransmit/rate-limit counters, and the unit's stats absorb
-        // the exact registry delta at the end.
-        let base = scanner.metrics().baseline();
+        // The session counts the pass's probes, late deliveries,
+        // retransmissions and suspected rate limiting, and its counts
+        // are exactly the registry delta the unit's stats absorb.
+        let mut session = scanner.targeted();
+        let mut answers = Vec::new();
+        // Let rate-limited devices accrue error tokens before the
+        // second chance. A run ends with nothing in flight, so nothing
+        // comes due.
+        session.advance(self.mop_up_delay_ticks, &IcmpEchoProbe, &mut answers);
+        let mop_up_start = session.ticks();
         for (target, &position) in silent.iter().zip(&silent_positions) {
-            if scanner.is_aborted() {
+            if session.is_aborted() {
                 break;
             }
             // Fresh host bits: never re-probe the exact first address.
@@ -477,23 +474,10 @@ impl Campaign {
             if !self.blocklist.is_allowed(dst) {
                 continue;
             }
-            scanner.metrics().retransmits.inc();
-            let mut answers = scanner.probe_addr(dst, &IcmpEchoProbe, hop_limit);
-            late.clear();
-            scanner.advance(1, &mut late);
-            for p in &late {
-                // Late (jittered) deliveries bypass probe_addr, so they
-                // are accounted here through the same handles.
-                let result = IcmpEchoProbe.classify(p, scanner.validator());
-                scanner.metrics().received.inc();
-                if matches!(result, ProbeResult::Invalid) {
-                    scanner.metrics().invalid.inc();
-                } else {
-                    scanner.metrics().valid.inc();
-                }
-                answers.push((p.src, result));
-            }
-            for (responder, result) in answers {
+            session.reprobe(dst, &IcmpEchoProbe, hop_limit, &mut answers);
+            // Late (jittered) deliveries count like immediate answers.
+            session.advance(1, &IcmpEchoProbe, &mut answers);
+            for &(responder, result) in &answers {
                 let via_te = match result {
                     ProbeResult::Unreachable { .. } => false,
                     ProbeResult::TimeExceeded => true,
@@ -503,7 +487,7 @@ impl Campaign {
                 // rate limited during the main pass. Counted at probe
                 // time (dedup-independent), so unit stats are exact
                 // whatever merge the answers later land in.
-                scanner.metrics().rate_limited_suspected.inc();
+                session.suspect_rate_limited();
                 raw.mopup.push(MopAnswer {
                     position,
                     target: *target,
@@ -513,7 +497,7 @@ impl Campaign {
                 });
             }
         }
-        raw.stats.merge(&scanner.metrics().stats_since(&base));
+        raw.stats.merge(&session.finish());
         raw.mopup_span = Some((mop_up_start, scanner.ticks(), silent.len() as u64));
     }
 

@@ -79,7 +79,9 @@ fn discovery_then_services_then_loops() {
 
     // Loop responders answer echo after discovery (they are registered).
     let some_loop = loops.peripheries.first().expect("found loops");
-    let replies = s.probe_addr(some_loop.address, &xmap::IcmpEchoProbe, 64);
+    let mut replies = Vec::new();
+    s.targeted()
+        .probe(some_loop.address, &xmap::IcmpEchoProbe, 64, &mut replies);
     assert!(replies
         .iter()
         .any(|(_, r)| matches!(r, xmap::ProbeResult::Alive)));
