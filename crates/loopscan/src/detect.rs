@@ -50,7 +50,6 @@ pub fn detect_loop<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6) -> LoopV
 /// `hoplimit_tradeoff` ablation varies this: larger h still detects the
 /// same loops but each probe's loop traffic grows with (h − n).
 pub fn detect_loop_with<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6, h: u8) -> LoopVerdict {
-    // One answer buffer per detection serves both probes.
     let mut answers = Vec::new();
     session.probe(dst, &IcmpEchoProbe, h, &mut answers);
     let verdict = match te_source(&answers) {
