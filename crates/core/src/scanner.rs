@@ -616,7 +616,7 @@ impl<N: Network> Scanner<N> {
                 yielding = true;
             }
             // One send slot: a due retransmission wins over a fresh target.
-            let job = if let Some(retry) = run.due_retry() {
+            let job = if let Some(retry) = run.due_retry(|| self.transport.in_flight() == 0) {
                 Some((retry.target, retry.attempt, retry.position))
             } else if let Some((index, target)) =
                 (!yielding).then(|| run.gen.next_target(range)).flatten()
@@ -667,7 +667,7 @@ impl<N: Network> Scanner<N> {
                 // Bounded backlog: an overflowing retry is abandoned (the
                 // target is then counted in `gave_up` if it stays silent).
                 let retry_armed = attempt + 1 < attempts && run.retries.len() < MAX_RETRY_BACKLOG;
-                run.outstanding.insert(
+                let mut sent = (
                     dst,
                     Outstanding {
                         target,
@@ -694,8 +694,13 @@ impl<N: Network> Scanner<N> {
                 send_buf.push(probe);
                 self.transport.send_batch(&mut send_buf);
                 // First poll of the slot: immediate replies, stamped with
-                // the send tick.
-                self.absorb(&mut recv_buf, module, &mut run);
+                // the send tick, attributed to the slot-local entry first.
+                self.absorb(&mut recv_buf, module, &mut run, Some(&mut sent));
+                // The entry outlives the slot only if something can still
+                // look it up: its retry timer, or a reply in flight.
+                if retry_armed || self.transport.in_flight() > 0 {
+                    run.outstanding.insert(sent.0, sent.1);
+                }
             }
 
             self.transport.advance(1);
@@ -713,7 +718,7 @@ impl<N: Network> Scanner<N> {
             }
             // Second poll of the slot: replies that came due in the
             // advance, stamped with the post-advance tick.
-            self.absorb(&mut recv_buf, module, &mut run);
+            self.absorb(&mut recv_buf, module, &mut run, None);
             if let Some(sink) = self.sink.as_mut() {
                 // Journal this slot's records before the next checkpoint
                 // can reference their sequence numbers.
@@ -852,7 +857,15 @@ impl<N: Network> Scanner<N> {
     /// like the C scanner: echo replies carry the probed address as their
     /// source, ICMPv6 errors quote it in the invoking packet). RTTs and
     /// trace stamps come from each entry's arrival tick, not poll time.
-    fn absorb(&mut self, batch: &mut Vec<RecvEntry>, module: &dyn ProbeModule, run: &mut Run) {
+    /// A reply to `slot`, the probe just sent and not yet in
+    /// `outstanding`, is attributed to it.
+    fn absorb(
+        &mut self,
+        batch: &mut Vec<RecvEntry>,
+        module: &dyn ProbeModule,
+        run: &mut Run,
+        mut slot: Option<&mut (Ip6, Outstanding)>,
+    ) {
         batch.clear();
         if self.transport.poll_recv(batch) == 0 {
             return;
@@ -867,14 +880,20 @@ impl<N: Network> Scanner<N> {
                 ProbeResult::Invalid => run.tally.invalid += 1,
                 result => {
                     let probe_dst = probe_dst_of(resp);
-                    let Some(out) = run.outstanding.get_mut(&probe_dst) else {
-                        // Validated but unattributable: a duplicate of a
-                        // probe sent outside this run, or a reply that
-                        // outlived the transport's `in_flight() == 0`
-                        // promise and found its entry retired. Not ours
-                        // to record.
-                        run.tally.invalid += 1;
-                        continue;
+                    let out = match slot.as_deref_mut() {
+                        Some((dst, out)) if *dst == probe_dst => out,
+                        _ => match run.outstanding.get_mut(&probe_dst) {
+                            Some(out) => out,
+                            None => {
+                                // Validated but unattributable: a duplicate
+                                // of a probe sent outside this run, or a
+                                // reply that outlived the transport's
+                                // `in_flight() == 0` promise and found its
+                                // entry dropped. Not ours to record.
+                                run.tally.invalid += 1;
+                                continue;
+                            }
+                        },
                     };
                     let confidence = match out.attempt {
                         0 => Confidence::FirstTry,
@@ -1144,10 +1163,12 @@ impl TargetGen {
 }
 
 /// Entries `outstanding` may hold beyond twice the armed retries before
-/// a quiescent slot boundary sweeps the dead ones out. Each sweep walks
-/// the table once and leaves one entry per armed retry, so the next is
-/// at least this many sends away: amortised O(1) per probe, over a table
-/// that stays cache-sized however long the walk.
+/// a quiescent slot boundary sweeps the dead ones out. Only a slot with
+/// replies still in flight leaves an unarmed entry behind, so on a quiet
+/// transport the sweep never runs. Each sweep walks the table once and
+/// leaves one entry per armed retry, so the next is at least this many
+/// sends away: amortised O(1) per probe, over a table that stays
+/// cache-sized however long the walk.
 const RETIRE_SLACK: usize = 1024;
 
 /// Bound on the armed retransmissions. A retry that would overflow it is
@@ -1156,7 +1177,9 @@ const RETIRE_SLACK: usize = 1024;
 const MAX_RETRY_BACKLOG: usize = 4096;
 
 /// One sent probe whose answer can still matter: a reply to it may be in
-/// flight, or a retry timer will ask whether it was answered.
+/// flight, or a retry timer will ask whether it was answered. The send
+/// slot holds it locally through its first poll and records it in
+/// `Run::outstanding` only if one of the two holds afterwards.
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     target: Prefix,
@@ -1189,7 +1212,8 @@ struct RetryTimer {
 #[derive(Debug)]
 struct Run {
     gen: TargetGen,
-    /// Sent probes that are still live (see [`Run::retire_dead`]).
+    /// Sent probes that are still live: armed retries, and probes whose
+    /// slot ended with replies in flight (see [`Run::retire_dead`]).
     outstanding: FxHashMap<Ip6, Outstanding>,
     /// The bounded retransmission backlog.
     retries: TimerHeap<RetryTimer>,
@@ -1293,14 +1317,20 @@ impl Run {
 
     /// Pops the next due retransmission whose previous attempt is still
     /// unanswered (answered ones are suppressed silently). Either way the
-    /// previous attempt stops being retry-armed.
-    fn due_retry(&mut self) -> Option<RetryTimer> {
+    /// previous attempt stops being retry-armed; if `quiet` (asked only
+    /// when a timer pops) says no reply is in flight, nothing can look
+    /// its entry up again and it is removed outright.
+    fn due_retry(&mut self, quiet: impl Fn() -> bool) -> Option<RetryTimer> {
         while let Some((_due, _seq, retry)) = self.retries.pop_due(self.now) {
-            let Some(prev) = self.outstanding.get_mut(&retry.prev_dst) else {
-                continue;
+            let answered = if quiet() {
+                self.outstanding.remove(&retry.prev_dst).map(|o| o.answered)
+            } else {
+                self.outstanding.get_mut(&retry.prev_dst).map(|prev| {
+                    prev.retry_armed = false;
+                    prev.answered
+                })
             };
-            prev.retry_armed = false;
-            if !prev.answered {
+            if answered == Some(false) {
                 return Some(retry);
             }
         }
@@ -2236,6 +2266,45 @@ mod tests {
         let confidences: Vec<Confidence> = res.records.iter().map(|r| r.confidence).collect();
         assert_eq!(confidences, [Confidence::FirstTry, Confidence::Retry(1)]);
         assert_eq!(res.stats.gave_up, TARGETS - 2);
+    }
+
+    /// [`HoldNet`] reporting nothing in flight while it holds replies:
+    /// it breaks the promise the run loop's bookkeeping rests on.
+    struct LyingNet(HoldNet);
+
+    impl Network for LyingNet {
+        fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+            self.0.handle(p)
+        }
+        fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
+            self.0.tick(ticks)
+        }
+        fn in_flight(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn reply_breaking_the_in_flight_promise_is_invalid() {
+        // Each answered probe's reply lands one tick late, in its slot's
+        // second poll, while the network reports nothing in flight. No
+        // timer names the probe, so its entry never left the slot: the
+        // reply is unattributable at once, before (probe 0), between
+        // (1500) and after (3000) the sweeps that a growing table would
+        // have triggered.
+        let mut s = Scanner::new(
+            LyingNet(HoldNet::new(&[0, 1500, 3000], 1)),
+            ScanConfig {
+                max_targets: Some(4000),
+                ..Default::default()
+            },
+        );
+        let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
+        assert_eq!(res.stats.sent, 4000);
+        assert_eq!(res.stats.received, 3);
+        assert_eq!(res.stats.invalid, 3);
+        assert_eq!(res.stats.valid, 0);
+        assert!(res.records.is_empty());
     }
 
     #[test]

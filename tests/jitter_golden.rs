@@ -10,7 +10,7 @@
 //! must reproduce the same constants.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use xmap::output::to_csv;
 use xmap::{
@@ -124,7 +124,7 @@ fn session_dir() -> PathBuf {
 /// after `kill_after` probes if given. Returns the scanner, its results
 /// and whether the run continued a mid-range cut.
 fn session_run(
-    dir: &std::path::Path,
+    dir: &Path,
     resume: bool,
     kill_after: Option<u64>,
 ) -> (Scanner<World>, ScanResults, bool) {
