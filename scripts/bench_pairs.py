@@ -13,28 +13,33 @@ first. Every run's metrics are printed as it finishes; then, per metric
 of BENCHMARK.json's `end_to_end` list (and, under `--trace 1`, its
 `per_layer` rows) that both sides report, the two medians, the
 quartiles, the change's wins out of N pairs, and whether the gain rule
-holds: the change is better in at least 9 of every 10 pairs, and its
-median beats the parent's by more than the parent's inter-quartile
-distance. Exits 1 if any run is not `correct` or has failed ops (or
-produced no result line). Standard library only.
+holds: the change is better in at least 9 of every 10 pairs run, and
+its median beats the parent's by more than the parent's inter-quartile
+distance. A pair with a bad run (not `correct`, failed ops, no `failed`
+field or no result line) is left out of the medians and counts as a
+loss, and no gain-rule verdict is printed for a metric that some pair
+lacks. Exits 1 if any run was bad. Standard library only.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_SPEC = os.path.join(HERE, "..", "BENCHMARK.json")
+SPEC = os.path.join(HERE, "..", "BENCHMARK.json")
 
 
-def polarity(spec_path):
+def polarity():
     """Metric name -> True if higher is better, in BENCHMARK.json order:
     the end-to-end metrics, then the per-layer rows a `--trace 1` run
     reports."""
-    with open(spec_path, encoding="utf-8") as f:
+    with open(SPEC, encoding="utf-8") as f:
         spec = json.load(f)
     rows = spec["end_to_end"] + spec.get("per_layer", [])
     return {m["name"]: m["better"] == "higher" for m in rows}
@@ -77,7 +82,9 @@ def problems(result):
     out = []
     if result.get("correct") is not True:
         out.append("not correct")
-    if result.get("failed", 0) != 0:
+    if "failed" not in result:
+        out.append("no failed field")
+    elif result["failed"] != 0:
         out.append(f"{result['failed']} failed ops")
     return out
 
@@ -89,11 +96,15 @@ def quartiles(values):
     return q1, q3
 
 
-def summarize(pairs, higher_better):
+def summarize(pairs, higher_better, ran=None):
     """One summary line per metric of `higher_better` that both sides report.
 
-    `pairs` is a list of (parent_result, change_result).
+    `pairs` is a list of (parent_result, change_result) of the good pairs;
+    `ran` is how many pairs were run (default: all of them good). Wins are
+    counted out of `ran`, so a bad pair is a loss, and the gain-rule
+    verdict is withheld for a metric not reported by every pair run.
     """
+    ran = len(pairs) if ran is None else ran
     lines = []
     for name, higher in higher_better.items():
         rows = [
@@ -110,13 +121,17 @@ def summarize(pairs, higher_better):
         pq1, pq3 = quartiles(parent)
         cq1, cq3 = quartiles(change)
         gain = (cm - pm) if higher else (pm - cm)
-        holds = wins * 10 >= 9 * len(rows) and gain > pq3 - pq1
+        if len(rows) < ran:
+            verdict = f"no gain-rule verdict ({ran - len(rows)} of {ran} pairs lack it)"
+        elif wins * 10 >= 9 * ran and gain > pq3 - pq1:
+            verdict = "gain rule holds"
+        else:
+            verdict = "gain rule does not hold"
         ratio = cm / pm if pm else float("nan")
         lines.append(
             f"{name}: parent {pm:.6g} [{pq1:.6g}-{pq3:.6g}] -> "
             f"change {cm:.6g} [{cq1:.6g}-{cq3:.6g}] x{ratio:.3f}, "
-            f"change better {wins}/{len(rows)}, "
-            f"gain rule {'holds' if holds else 'does not hold'}"
+            f"change better {wins}/{ran}, {verdict}"
         )
     return lines
 
@@ -129,7 +144,7 @@ def metrics_line(side, i, result):
 
 
 def run_pairs(args):
-    higher_better = polarity(args.spec)
+    higher_better = polarity()
     pairs = []
     bad = []
     for i in range(args.pairs):
@@ -149,7 +164,7 @@ def run_pairs(args):
         if not problems(got["parent"]) and not problems(got["change"]):
             pairs.append((got["parent"], got["change"]))
     print(f"{args.workload}, seed {args.seed}, {args.seconds} s runs:")
-    for line in summarize(pairs, higher_better):
+    for line in summarize(pairs, higher_better, args.pairs):
         print(f"  {line}")
     for line in bad:
         print(f"bench_pairs: {line}", file=sys.stderr)
@@ -165,6 +180,50 @@ def canned(values, correct=True, failed=0):
     })
 
 
+FAKE = """#!{python}
+import sys
+with open({log!r}, "a") as f:
+    f.write({side!r} + "\\n")
+with open({log!r}) as f:
+    n = sum(1 for line in f if line.strip() == {side!r})
+print("fake recall 1 fraction")
+print({line!r} if n != {bad_run} else {bad!r})
+"""
+
+
+def fake_binary(tmp, side, value, bad_run=0):
+    """A stand-in for an `xmap-benchmark` binary: logs its side, then
+    prints a canned result line, an incorrect one on its `bad_run`-th run."""
+    path = os.path.join(tmp, side)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(FAKE.format(
+            python=sys.executable,
+            log=os.path.join(tmp, "log"),
+            side=side,
+            bad_run=bad_run,
+            line=canned({"norm_probes_per_s": value}),
+            bad=canned({"norm_probes_per_s": value}, correct=False),
+        ))
+    os.chmod(path, 0o755)
+    return path
+
+
+def run_fakes(change_bad_run, pairs):
+    """`run_pairs` over two fake binaries: (exit code, stdout, run order)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = argparse.Namespace(
+            parent=fake_binary(tmp, "parent", 16.0),
+            change=fake_binary(tmp, "change", 17.5, change_bad_run),
+            workload="campaign_skewed", pairs=pairs, seconds=1, seed=7, trace=0,
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_pairs(args)
+        with open(os.path.join(tmp, "log"), encoding="utf-8") as f:
+            order = f.read().split()
+    return code, out.getvalue(), order
+
+
 def self_test():
     higher = {"norm_probes_per_s": True, "peak_rss_mb": False}
     stdout = "scan_lossless recall 1 fraction\n" + canned(
@@ -177,6 +236,15 @@ def self_test():
     assert problems(None) == ["no result line"]
     assert problems(json.loads(canned({}, correct=False))) == ["not correct"]
     assert problems(json.loads(canned({}, failed=2))) == ["2 failed ops"]
+    no_failed = json.loads(canned({}))
+    del no_failed["failed"]
+    assert problems(no_failed) == ["no failed field"]
+
+    # The repo's BENCHMARK.json gives each metric its direction.
+    spec = polarity()
+    assert spec["norm_probes_per_s"] is True and spec["recall"] is True
+    assert spec["peak_rss_mb"] is False and spec["setup_s"] is False
+    assert spec["core.scanner.ns_per_probe"] is False
 
     def pair(p, c, rp=6.0, rc=6.0):
         return (
@@ -203,6 +271,23 @@ def self_test():
     smaller = [pair(16.0, 16.0, rp=6.8 + 0.01 * i, rc=5.9) for i in range(10)]
     line = summarize(smaller, higher)[1]
     assert "change better 10/10" in line and "rule holds" in line, line
+    # A bad pair is a loss and withholds the verdict: nine clear wins of
+    # ten pairs run is not a pass when the tenth pair failed.
+    line = summarize(clear[:9], higher, 10)[0]
+    assert "change better 9/10" in line and "no gain-rule verdict" in line, line
+
+    # End to end through fake binaries: sides alternate which goes first,
+    # every run's metrics are printed, and a bad run means exit 1.
+    code, out, order = run_fakes(change_bad_run=0, pairs=4)
+    assert code == 0, out
+    assert order == ["parent", "change", "change", "parent"] * 2, order
+    assert out.count("norm_probes_per_s=") == 8, out
+    assert "change better 4/4" in out, out
+    code, out, _ = run_fakes(change_bad_run=2, pairs=4)
+    assert code == 1, out
+    assert "pair 2 change: not correct" in out, out
+    assert "change better 3/4" in out and "no gain-rule verdict" in out, out
+    assert "rule holds" not in out, out
     print("bench_pairs self-test: ok")
     return 0
 
@@ -218,7 +303,6 @@ def main():
     ap.add_argument("--seconds", type=int, default=13)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--spec", default=DEFAULT_SPEC, help="BENCHMARK.json")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
