@@ -144,6 +144,20 @@ impl Cycle {
     }
 }
 
+/// One walk step, `current · stride mod prime`, for operands already
+/// reduced below `prime`. While `prime ≤ 2⁶⁴` both operands fit in 64
+/// bits, so the product fits in a `u128` and one division reduces it.
+/// Only a space of at least 2⁶⁴ − 59 indices (the largest 64-bit prime)
+/// has a modulus past 2⁶⁴ and takes [`mulmod`]'s double-and-add.
+#[inline]
+fn step(current: u128, stride: u128, prime: u128) -> u128 {
+    if prime <= 1 << 64 {
+        current * stride % prime
+    } else {
+        mulmod(current, stride, prime)
+    }
+}
+
 /// Iterator over a [`Cycle`], produced by [`Cycle::iter`].
 #[derive(Debug, Clone)]
 pub struct Iter {
@@ -158,7 +172,7 @@ impl Iterator for Iter {
     fn next(&mut self) -> Option<u64> {
         while self.remaining > 0 {
             let v = self.current;
-            self.current = mulmod(self.current, self.cycle.generator, self.cycle.prime);
+            self.current = step(v, self.cycle.generator, self.cycle.prime);
             let index = v - 1;
             if index < self.cycle.len as u128 {
                 self.remaining -= 1;
@@ -197,7 +211,7 @@ impl ShardIter {
         let mut n = 0;
         while n < out.len() && self.remaining_walk > 0 {
             let v = self.current;
-            self.current = mulmod(self.current, self.stride, self.prime);
+            self.current = step(v, self.stride, self.prime);
             self.remaining_walk -= 1;
             let index = v - 1;
             if index < self.len as u128 {
@@ -221,7 +235,7 @@ impl ShardIter {
         let mut n = 0;
         while n < out.len() && self.remaining_walk > 0 {
             let v = self.current;
-            self.current = mulmod(self.current, self.stride, self.prime);
+            self.current = step(v, self.stride, self.prime);
             self.remaining_walk -= 1;
             let index = v - 1;
             out[n] = if index < self.len as u128 {
@@ -370,6 +384,41 @@ mod tests {
         resumed.set_position(current, remaining);
         let tail_resumed: Vec<u64> = resumed.collect();
         assert_eq!(tail_resumed, tail_direct);
+    }
+
+    #[test]
+    fn step_agrees_with_mulmod_on_both_sides_of_2_pow_64() {
+        use crate::math::next_prime;
+        let mut x = 0x5eed_u64;
+        let mut draw = || {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let largest_u64_prime = (1u128 << 64) - 59;
+        for prime in [
+            2,
+            4_294_967_311,
+            largest_u64_prime,
+            next_prime(largest_u64_prime),
+            next_prime(1 << 100),
+        ] {
+            let mut cases = vec![(1, 1), (prime - 1, prime - 1), (1, prime - 1)];
+            for _ in 0..10_000 {
+                let wide = |lo: u64, hi: u64| ((hi as u128) << 64 | lo as u128) % prime;
+                cases.push((wide(draw(), draw()), wide(draw(), draw())));
+            }
+            for (a, b) in cases {
+                assert_eq!(
+                    step(a, b, prime),
+                    mulmod(a, b, prime),
+                    "{a} * {b} mod {prime}"
+                );
+            }
+        }
     }
 
     #[test]
