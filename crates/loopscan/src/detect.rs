@@ -50,6 +50,20 @@ pub fn detect_loop<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6) -> LoopV
 /// `hoplimit_tradeoff` ablation varies this: larger h still detects the
 /// same loops but each probe's loop traffic grows with (h − n).
 pub fn detect_loop_with<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6, h: u8) -> LoopVerdict {
+    detect_loop_in(session, dst, h, &mut None)
+}
+
+/// The detection behind [`detect_loop_with`], tallying into `telemetry`:
+/// a survey keeps one binding per block and passes it to every
+/// detection, so the `loopscan.*` handles are looked up once, at the
+/// first detection with a live registry — when the metric names would
+/// first have appeared anyway.
+pub(crate) fn detect_loop_in<N: Network>(
+    session: &mut Targeted<'_, N>,
+    dst: Ip6,
+    h: u8,
+    telemetry: &mut Option<LoopscanTelemetry>,
+) -> LoopVerdict {
     let mut answers = Vec::new();
     session.probe(dst, &IcmpEchoProbe, h, &mut answers);
     let verdict = match te_source(&answers) {
@@ -73,16 +87,16 @@ pub fn detect_loop_with<N: Network>(session: &mut Targeted<'_, N>, dst: Ip6, h: 
             }
         }
     };
-    let telemetry = session.telemetry();
-    if telemetry.registry.is_enabled() {
-        let lt = LoopscanTelemetry::bind(telemetry);
+    let bundle = session.telemetry();
+    if bundle.registry.is_enabled() {
+        let lt = telemetry.get_or_insert_with(|| LoopscanTelemetry::bind(bundle));
         lt.detects.inc();
         if verdict.vulnerable {
             lt.vulnerable.inc();
         }
     }
-    if telemetry.tracer.is_enabled() {
-        telemetry.tracer.event(
+    if bundle.tracer.is_enabled() {
+        bundle.tracer.event(
             session.ticks(),
             "loopscan.detect",
             vec![

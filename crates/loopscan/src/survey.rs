@@ -19,7 +19,7 @@ use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
 use xmap_netsim::packet::Network;
 use xmap_netsim::World;
 
-use crate::detect::{detect_loop, PROBE_HOP_LIMIT};
+use crate::detect::{detect_loop_in, PROBE_HOP_LIMIT};
 
 /// Chunk size of the strided [`IndexWalk`] target streams: both surveys
 /// draw their indices through the scanner's chunked fill discipline
@@ -170,6 +170,8 @@ impl BgpSurvey {
         let country = scanner.network_mut().bgp().country_of(entry.asn);
         let seed = scanner.config().seed;
         let mut session = scanner.targeted();
+        // Bound at the entry's first loop detection, then reused.
+        let mut telemetry = None;
         let mut responses = Vec::new();
         // Scan the /48 sub-space of this /32 with a per-prefix cap,
         // spreading deterministically over the 2^16 indices.
@@ -199,7 +201,7 @@ impl BgpSurvey {
                     continue;
                 }
                 let vulnerable = if te {
-                    detect_loop(&mut session, dst).vulnerable
+                    detect_loop_in(&mut session, dst, PROBE_HOP_LIMIT, &mut telemetry).vulnerable
                 } else {
                     false
                 };
@@ -350,6 +352,8 @@ impl DepthSurvey {
         let mut probed = 0u64;
         let seed = scanner.config().seed;
         let mut session = scanner.targeted();
+        // Bound at the block's first detection, then reused.
+        let mut telemetry = None;
         let mut walk = IndexWalk::strided(0, step, budget);
         let mut buf = [0u64; WALK_CHUNK];
         loop {
@@ -363,7 +367,7 @@ impl DepthSurvey {
                 };
                 let dst = xmap::fill_host_bits(target, seed);
                 probed += 1;
-                let verdict = crate::detect::detect_loop_with(&mut session, dst, self.hop_limit);
+                let verdict = detect_loop_in(&mut session, dst, self.hop_limit, &mut telemetry);
                 if !verdict.vulnerable {
                     continue;
                 }
