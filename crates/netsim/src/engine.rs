@@ -646,6 +646,68 @@ mod tests {
         assert!(isp_table.contains("via"), "{isp_table}");
     }
 
+    /// Echoes to 200 absent hosts of the CPE's on-link /64. Each crosses
+    /// vantage → isp → cpe and draws an address unreachable that goes
+    /// straight back to the vantage, so a probe is either answered or
+    /// dropped on exactly one link. Returns which probes were answered.
+    fn answered_lan_probes(e: &mut Engine) -> Vec<bool> {
+        let lan = addr("2001:db8:4321:8765::");
+        (0..200u16)
+            .map(|k| {
+                let dst = lan.with_iid(0x1000 + u64::from(k));
+                let probe = Ipv6Packet::echo_request(addr("fd::1"), dst, DEFAULT_HOP_LIMIT, 0, k);
+                !e.handle(probe).is_empty()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fault_plan_drops_link_traversals_per_tick_and_counts_them() {
+        let plan = FaultPlan::none().seeded(3).with_forward_loss(0.5);
+        let telemetry = xmap_telemetry::Telemetry::new();
+        let (mut e, ..) = three_node_topology(false);
+        e.set_telemetry(&telemetry);
+        e.set_fault_plan(plan);
+
+        let tick0 = answered_lan_probes(&mut e);
+        let dropped = tick0.iter().filter(|answered| !**answered).count() as u64;
+        assert!(dropped > 0 && dropped < 200, "{dropped} of 200 dropped");
+        assert_eq!(e.link_drops(), dropped);
+        let published = |t: &xmap_telemetry::Telemetry| {
+            t.registry
+                .snapshot()
+                .counter(crate::telemetry::names::ENGINE_LINK_DROPS)
+        };
+        assert_eq!(published(&telemetry), dropped);
+
+        // Within a tick the draws repeat; the next tick redraws them.
+        assert_eq!(answered_lan_probes(&mut e), tick0);
+        assert_eq!(e.link_drops(), 2 * dropped);
+        e.tick(1);
+        let tick1 = answered_lan_probes(&mut e);
+        assert_ne!(tick1, tick0);
+        let total = e.link_drops();
+        assert_eq!(
+            total,
+            2 * dropped + tick1.iter().filter(|a| !**a).count() as u64
+        );
+        assert_eq!(published(&telemetry), total);
+
+        // The draws depend only on the plan, the packet and the tick.
+        let (mut fresh, ..) = three_node_topology(false);
+        fresh.set_fault_plan(plan);
+        fresh.tick(1);
+        assert_eq!(answered_lan_probes(&mut fresh), tick1);
+
+        // No plan, no drops.
+        let (mut clean, ..) = three_node_topology(false);
+        assert!(answered_lan_probes(&mut clean).iter().all(|a| *a));
+        assert_eq!(clean.link_drops(), 0);
+
+        e.reset_counters();
+        assert_eq!(e.link_drops(), 0);
+    }
+
     #[test]
     fn counters_reset() {
         let (mut e, _v, isp, cpe) = three_node_topology(false);
