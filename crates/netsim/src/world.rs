@@ -215,7 +215,6 @@ pub struct BgpHost {
 #[derive(Debug)]
 pub struct World {
     cfg: WorldConfig,
-    profiles: &'static [IspProfile],
     bgp: BgpTable,
     /// The seed hashed with each draw's constant label, once per world.
     keys: WorldKeys,
@@ -333,7 +332,6 @@ impl World {
     pub fn with_config(cfg: WorldConfig) -> Self {
         World {
             cfg,
-            profiles: SAMPLE_BLOCKS,
             bgp: BgpTable::generate(cfg.seed, cfg.bgp_ases),
             keys: WorldKeys::new(cfg.seed, SAMPLE_BLOCKS),
             registry: FxHashMap::default(),
@@ -410,7 +408,7 @@ impl World {
 
     /// The ISP profiles backing the sample blocks.
     pub fn profiles(&self) -> &'static [IspProfile] {
-        self.profiles
+        SAMPLE_BLOCKS
     }
 
     /// The synthetic BGP table.
@@ -439,7 +437,7 @@ impl World {
     /// also hold a device; the echo path answers an aliased prefix before
     /// it consults the device, so that device never answers echo itself.
     pub fn is_aliased(&self, profile_idx: usize, index: u64) -> bool {
-        let p = &self.profiles[profile_idx];
+        let p = &SAMPLE_BLOCKS[profile_idx];
         self.keys.of(p).alias.mix_u64(index).chance(p.aliased_frac)
     }
 
@@ -463,7 +461,7 @@ impl World {
     ) -> impl Iterator<Item = Ip6> {
         let h = self
             .keys
-            .of(&self.profiles[profile_idx])
+            .of(&SAMPLE_BLOCKS[profile_idx])
             .hosts
             .mix_u64(index);
         derive_lan_hosts(h, device.used_subnet64)
@@ -493,7 +491,7 @@ impl World {
     /// Public so that tests and ground-truth evaluations can compare scanner
     /// findings against the true population.
     pub fn device_at(&self, profile_idx: usize, index: u64) -> Option<Device> {
-        let p = &self.profiles[profile_idx];
+        let p = &SAMPLE_BLOCKS[profile_idx];
         let keys = self.keys.of(p);
         let occupancy = match self.cfg.allocation {
             Allocation::Uniform => p.occupancy,
@@ -770,13 +768,13 @@ impl World {
             self.stats.flaky_dropped += 1;
             return None;
         }
-        let zone = self.profiles[profile].wan_zone().addr();
+        let zone = SAMPLE_BLOCKS[profile].wan_zone().addr();
         Some(expired_in_transit(zone, hops, packet).unwrap_or((packet.dst, Answer::EchoReply)))
     }
 
     /// Answers an echo probe destined into a sample block's scan space.
     fn isp_echo(&mut self, profile_idx: usize, packet: &Ipv6Packet) -> Option<(Ip6, Answer)> {
-        let p = &self.profiles[profile_idx];
+        let p = &SAMPLE_BLOCKS[profile_idx];
         let index = p
             .scan_prefix()
             .subprefix_index(p.assigned_len, packet.dst)? as u64;
@@ -914,9 +912,7 @@ impl World {
 
     /// Finds the sample block whose scan space contains `addr`.
     fn scan_zone_of(&self, addr: Ip6) -> Option<usize> {
-        self.profiles
-            .iter()
-            .position(|p| p.scan_prefix().contains(addr))
+        crate::isp::scan_block_of(addr)
     }
 }
 
@@ -1438,6 +1434,49 @@ mod tests {
         assert!(w.bgp().locate(advertised).is_some());
     }
 
+    /// Every sample block whose scan space holds `addr`, by comparing
+    /// address ranges rather than masks, so it shares no code with the
+    /// lookup under test.
+    fn scan_zones_by_range(addr: Ip6) -> Vec<usize> {
+        (0..SAMPLE_BLOCKS.len())
+            .filter(|&i| {
+                let zone = SAMPLE_BLOCKS[i].scan_prefix();
+                (zone.first()..=zone.last()).contains(&addr)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scan_zone_lookup_agrees_with_a_range_search() {
+        let w = small_world();
+        // Unrelated space: documentation, loopback, both ends of the
+        // address space and the vantage.
+        let mut addrs: Vec<u128> = ["2001:db8::1", "::1", "::", "ffff::", "fd00::1"]
+            .iter()
+            .map(|a| a.parse::<Ip6>().unwrap().bits())
+            .chain([u128::MAX])
+            .collect();
+        let mut zones: Vec<Prefix> = w.profiles().iter().map(|p| p.scan_prefix()).collect();
+        zones.extend(w.profiles().iter().map(|p| p.wan_zone()));
+        zones.extend(w.bgp().entries().iter().map(|e| e.prefix));
+        let mut h = DetHash::new(0x20ae);
+        for zone in zones {
+            let (first, last) = (zone.first().bits(), zone.last().bits());
+            // Both ends, and one step outside each end.
+            addrs.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
+            for _ in 0..64 {
+                h = h.mix(b"addr");
+                let r = u128::from(h.mix_u64(0).finish()) << 64 | u128::from(h.mix_u64(1).finish());
+                addrs.push(first | r >> zone.len());
+            }
+        }
+        for addr in addrs.into_iter().map(Ip6::new) {
+            let holders = scan_zones_by_range(addr);
+            assert!(holders.len() <= 1, "{addr} is in blocks {holders:?}");
+            assert_eq!(w.scan_zone_of(addr), holders.first().copied(), "{addr}");
+        }
+    }
+
     #[test]
     fn loss_drops_deterministically() {
         let mut cfg = WorldConfig {
@@ -1767,7 +1806,7 @@ mod keyed_draw_tests {
 
     /// [`World::device_at`] with every draw hashed from the seed.
     fn device_unkeyed(w: &World, pi: usize, index: u64) -> Option<Device> {
-        let (seed, p) = (w.cfg.seed, &w.profiles[pi]);
+        let (seed, p) = (w.cfg.seed, &w.profiles()[pi]);
         let occupancy = match w.cfg.allocation {
             Allocation::Uniform => p.occupancy,
             Allocation::Clustered {
