@@ -408,6 +408,48 @@ mod tests {
         )
     }
 
+    /// Each survey keeps one telemetry binding per block; every detection
+    /// must still be tallied through it.
+    #[test]
+    fn surveys_tally_every_detection() {
+        use crate::telemetry::names;
+        use xmap_telemetry::Telemetry;
+
+        let telemetry = Telemetry::new();
+        let world = World::with_config(WorldConfig::lossless(66, 300));
+        let config = ScanConfig {
+            seed: 23,
+            ..Default::default()
+        };
+        let mut s = Scanner::with_telemetry(world, config, telemetry.clone());
+        let mut depth = DepthSurveyResult::default();
+        for block in [11, 12] {
+            DepthSurvey::new(1 << 15).run_block(&mut s, &SAMPLE_BLOCKS[block], &mut depth);
+        }
+        let snap = telemetry.registry.snapshot();
+        let probed: u64 = depth.probed_per_block.values().sum();
+        assert_eq!(snap.counter(names::DETECTS), probed);
+        assert!(!depth.peripheries.is_empty());
+        // Every periphery is one vulnerable verdict; a repeat responder
+        // is another verdict but no new periphery.
+        assert!(snap.counter(names::VULNERABLE) >= depth.peripheries.len() as u64);
+
+        let bgp = BgpSurvey {
+            probes_per_prefix: 1 << 9,
+            max_prefixes: Some(100),
+        }
+        .run(&mut s);
+        let after = telemetry.registry.snapshot();
+        let vulnerable = bgp.last_hops.iter().filter(|h| h.vulnerable).count() as u64;
+        assert!(vulnerable > 0);
+        assert_eq!(
+            after.counter(names::VULNERABLE) - snap.counter(names::VULNERABLE),
+            vulnerable
+        );
+        let detects = after.counter(names::DETECTS) - probed;
+        assert!(detects >= vulnerable && detects <= bgp.last_hops.len() as u64);
+    }
+
     #[test]
     fn bgp_survey_finds_last_hops_and_loops() {
         let mut s = scanner(300);
