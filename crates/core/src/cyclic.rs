@@ -11,6 +11,11 @@
 //! Values `v ∈ [1, p)` map to scan indices `v − 1`; indices `≥ N` (the few
 //! between the space size and the prime) are skipped during iteration, so
 //! the walk emits each of the `N` indices exactly once per cycle.
+//!
+//! A step costs one multiply and one `u128` division: the group element
+//! and the stride are always reduced below `p`, so for every space whose
+//! prime is at most 2⁶⁴ their product fits in a `u128`. Only the largest
+//! spaces (from 2⁶⁴ − 59 indices up) step through [`mulmod`].
 
 use crate::math::{is_prime, mulmod, next_prime, powmod, primitive_root};
 

@@ -10,8 +10,12 @@
 
 /// `a * b mod m` without overflow, for any `m < 2^127`.
 ///
-/// Uses native 128-bit widening when everything fits, falling back to
-/// double-and-add for large moduli.
+/// Reduces both operands first, so any inputs are accepted. Uses native
+/// 128-bit widening when the reduced operands fit in 64 bits, falling back
+/// to double-and-add for large moduli. That is three `u128` divisions on
+/// the fast path; a hot loop whose operands are already reduced below a
+/// modulus of at most 2⁶⁴ needs only the last one (the cyclic walk's step
+/// does exactly that).
 ///
 /// # Panics
 ///

@@ -229,10 +229,10 @@ struct UnitResult {
 
 /// Rounds drawing fewer probes than this run inline on the calling
 /// thread: a two-worker `thread::scope` measured ≈ 60 µs to spawn and
-/// join against ≈ 70 ns per adaptive probe (the benchmark ledger's
-/// `periphery.adaptive.ns_per_probe`, 2-vCPU host), so splitting a
-/// round only pays from ≈ 2 · 60 µs / 70 ns ≈ 1,700 probes; the
-/// threshold stays at the power of two below, 2^10.
+/// join against ≈ 60 ns per adaptive probe (the benchmark ledger's
+/// `periphery.adaptive.ns_per_probe`, 53–68 ns on a 2-vCPU host), so
+/// splitting a round only pays from ≈ 2 · 60 µs / 60 ns ≈ 2,000 probes;
+/// the threshold stays at the power of two below, 2^10.
 const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 10;
 
 /// One worker's probing fixture, built once per campaign and reused by

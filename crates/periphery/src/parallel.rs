@@ -173,10 +173,11 @@ use crate::split::SplitUnit;
 
 /// Walk positions a running unit must still have ahead of it before an
 /// idle worker's yield request splits it. A split costs one idle poll,
-/// one journal append and one extra scanner run — ≈ 1 ms, i.e. ≈ 10⁴
-/// probes at the ledger's 90–170 ns/probe — so a shorter remainder is
-/// cheaper to finish in place than to hand out. A constant rather than a
-/// knob: 2¹², 2¹⁴ and 2¹⁶ measured the same on the skewed campaign.
+/// one journal append and one extra scanner run — ≈ 1 ms, i.e. 1.1–1.4 ·
+/// 10⁴ probes at the ledger's 71–92 ns/probe (`core.scanner.ns_per_probe`,
+/// 2-vCPU host) — so a shorter remainder is cheaper to finish in place
+/// than to hand out. A constant rather than a knob: 2¹², 2¹⁴ and 2¹⁶
+/// measured the same on the skewed campaign.
 const MIN_SPLIT_REMAINDER: u64 = 1 << 14;
 
 /// What the resume planner decided for one sample block.
