@@ -12,7 +12,7 @@
 //! their magnitudes). Block prefixes are synthetic stand-ins documented in
 //! DESIGN.md — WHOIS data is not available offline.
 
-use xmap_addr::{Ip6, Prefix, ScanRange};
+use xmap_addr::{Prefix, ScanRange};
 
 /// Network type of a block (Table I "Network" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -591,20 +591,6 @@ pub const SAMPLE_BLOCKS: &[IspProfile] = &[
         aliased_frac: 1e-6,
     },
 ];
-
-/// The index into [`SAMPLE_BLOCKS`] of the block whose scan prefix
-/// contains `addr`, or `None` outside every scan space. The first match
-/// is the only one: the scan prefixes are pairwise disjoint.
-///
-/// The table is a `const`, so the compiler folds each prefix into an
-/// immediate mask-compare and a lookup loads nothing. The same scan over
-/// a runtime slice of the profiles loads each prefix from its ≈ 300-byte
-/// profile, and costs several times more per probe.
-pub fn scan_block_of(addr: Ip6) -> Option<usize> {
-    SAMPLE_BLOCKS
-        .iter()
-        .position(|p| p.scan_prefix().contains(addr))
-}
 
 /// Looks up a profile by Table VII row id (1..=15).
 pub fn profile_by_id(id: u8) -> Option<&'static IspProfile> {

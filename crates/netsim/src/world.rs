@@ -910,9 +910,17 @@ impl World {
         );
     }
 
-    /// Finds the sample block whose scan space contains `addr`.
+    /// Finds the sample block whose scan space contains `addr`. The first
+    /// match is the only one: the scan prefixes are pairwise disjoint.
+    ///
+    /// The scan must read the `const` [`SAMPLE_BLOCKS`]: the compiler then
+    /// folds each prefix into an immediate mask-compare and a lookup loads
+    /// nothing. The same scan over a runtime slice loads each prefix from
+    /// its ≈ 300-byte profile and costs several times more per probe.
     fn scan_zone_of(&self, addr: Ip6) -> Option<usize> {
-        crate::isp::scan_block_of(addr)
+        SAMPLE_BLOCKS
+            .iter()
+            .position(|p| p.scan_prefix().contains(addr))
     }
 }
 
