@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use xmap_addr::ScanRange;
 use xmap_failpoint::fs as fp;
 use xmap_netsim::packet::{Network, UnreachCode};
-use xmap_state::checkpoint::{CUT_ENTRY, RECORD_ENTRY};
+use xmap_state::checkpoint::{publish, sync_dir, CUT_ENTRY, RECORD_ENTRY};
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::wal::frame_len;
 use xmap_state::{
@@ -91,11 +91,6 @@ impl Footprint {
         }
         self.live += len;
     }
-
-    /// The journal's length as of its last successful sync.
-    fn total(&self) -> u64 {
-        self.live + self.dead
-    }
 }
 
 /// In-memory state of a sink whose storage failed: everything needed to
@@ -124,15 +119,15 @@ struct DegradedState {
 /// a *cut* entry and syncing the file once, which also makes every record
 /// before the cut durable (see [`WorkerJournal`]). When superseded cuts
 /// outweigh the live bytes and a 1 MiB floor, the journal is rewritten as
-/// its records plus the latest cut (tmp file, fsync, rename); a failed
-/// compaction leaves the published journal as it was and is retried at a
-/// later cut.
+/// its records plus the latest cut ([`Wal::rewrite`]); a compaction that
+/// fails before the rename leaves the published journal as it was and is
+/// retried at a later cut.
 ///
-/// Storage failures downgrade, never abort: on the first I/O error the
-/// sink enters **degraded mode** — entries buffer in memory, the durable
-/// journal prefix is left exactly as it was, and recovery is retried with
-/// exponential backoff at later checkpoint boundaries. A successful
-/// recovery truncates the journal to its durable prefix, re-appends the
+/// Storage failures downgrade, never abort: on the first I/O error (the
+/// journal then closes at its last synced entry) the sink enters
+/// **degraded mode** — entries buffer in memory and recovery is retried
+/// with exponential backoff at later checkpoint boundaries. A successful
+/// recovery reopens the journal ([`Wal::revive`]), re-appends the
 /// buffered entries and a fresh cut, syncs, and returns the sink to
 /// healthy. Drivers observe the state via [`RunSink::is_degraded`] (the
 /// scanner mirrors it into the `state.durability_degraded` gauge) and
@@ -140,11 +135,8 @@ struct DegradedState {
 /// which reports `None` when durability was fully restored.
 #[derive(Debug)]
 pub struct RunSink {
-    /// The open journal; `None` while degraded (the writer is dropped on
-    /// failure — its buffer state is unknowable — and reopened from disk
-    /// on recovery).
-    wal: Option<Wal>,
-    path: PathBuf,
+    /// The journal; closed while degraded.
+    wal: Wal,
     worker: u32,
     config_fp: u64,
     every: u64,
@@ -153,10 +145,8 @@ pub struct RunSink {
     run_wal_start: u64,
     /// Records journalled so far, durable or not: the next cut's `wal_seq`.
     records: u64,
-    /// Journal entries made durable by the last successful sync.
-    synced: u64,
     /// Entries appended since the last successful sync. Kept so that a
-    /// failed append or sync (whose partial frames are torn on disk) can
+    /// failed append or sync (which drops them from the journal) can
     /// enter degraded mode without losing anything.
     unsynced: Vec<Vec<u8>>,
     /// The journal's durable bytes, live and dead.
@@ -186,9 +176,7 @@ impl RunSink {
         records: u64,
     ) -> Self {
         let mut sink = RunSink {
-            path: wal.path().to_path_buf(),
-            synced: wal.next_seq(),
-            wal: Some(wal),
+            wal,
             worker,
             config_fp,
             every,
@@ -272,8 +260,7 @@ impl RunSink {
             return;
         }
         self.records += 1;
-        let wal = self.wal.as_mut().expect("healthy sink holds its journal");
-        match wal.append(&entry) {
+        match self.wal.append(&entry) {
             Ok(_) => self.unsynced.push(entry),
             Err(e) => self.enter_degraded(e, Some(entry)),
         }
@@ -290,17 +277,15 @@ impl RunSink {
             self.attempt_recovery(cut);
             return;
         }
-        let wal = self.wal.as_mut().expect("healthy sink holds its journal");
-        if let Err(e) = wal.append(&cut) {
+        if let Err(e) = self.wal.append(&cut) {
             self.enter_degraded(e, Some(cut));
             return;
         }
         self.unsynced.push(cut);
-        if let Err(e) = wal.sync() {
+        if let Err(e) = self.wal.sync() {
             self.enter_degraded(e, None);
             return;
         }
-        self.synced = wal.next_seq();
         for entry in &self.unsynced {
             self.footprint.add(entry);
         }
@@ -323,14 +308,12 @@ impl RunSink {
         .cut_entry()
     }
 
-    /// Switches to degraded mode after a storage failure. `extra` is an
-    /// entry whose append itself failed (it joins the pending buffer).
-    /// The journal writer is dropped — its buffer may be partially torn
-    /// on disk — and recovery reopens the file from its durable prefix.
+    /// Switches to degraded mode after a storage failure, which closed
+    /// the journal at its last synced entry. `extra` is an entry whose
+    /// append itself failed (it joins the pending buffer).
     fn enter_degraded(&mut self, error: StateError, extra: Option<Vec<u8>>) {
         let mut pending = std::mem::take(&mut self.unsynced);
         pending.extend(extra);
-        self.wal = None;
         if self.first_error.is_none() {
             self.first_error = Some(error);
         }
@@ -343,39 +326,29 @@ impl RunSink {
         });
     }
 
-    /// One recovery attempt: reopen the journal truncated to its durable
-    /// prefix, re-append every pending entry and `cut`, and sync. A
-    /// failed attempt is cut back to that prefix, so a sink that stays
+    /// One recovery attempt: reopen the journal at its last synced
+    /// entry, re-append every pending entry and `cut`, and sync. A failed
+    /// attempt closes the journal there again, so a sink that stays
     /// degraded leaves its last durable cut as the one a resume takes.
     fn attempt_recovery(&mut self, cut: Vec<u8>) {
-        let durable = self.footprint.total();
         let d = self.degraded.as_mut().expect("called while degraded");
         if d.lossy {
             return;
         }
         d.pending.push(cut);
-        let outcome = Wal::open_truncated(&self.path, self.synced).and_then(|(mut wal, _kept)| {
-            let appended = d
-                .pending
+        let wal = &mut self.wal;
+        let outcome = wal.revive().and_then(|()| {
+            d.pending
                 .iter()
                 .try_for_each(|entry| wal.append(entry).map(drop))
-                .and_then(|()| wal.sync());
-            match appended {
-                Ok(()) => Ok(wal),
-                Err(e) => {
-                    wal.abandon(durable);
-                    Err(e)
-                }
-            }
+                .and_then(|()| wal.sync())
         });
         match outcome {
-            Ok(wal) => {
+            Ok(()) => {
                 for entry in &d.pending {
                     self.footprint.add(entry);
                 }
                 self.degraded = None;
-                self.synced = wal.next_seq();
-                self.wal = Some(wal);
                 self.slots = 0;
                 self.recoveries += 1;
                 self.maybe_compact();
@@ -395,51 +368,28 @@ impl RunSink {
         if dead <= live.max(self.compact_floor) {
             return;
         }
-        match self.compact() {
-            Ok(()) => self.compact_floor = COMPACT_FLOOR,
-            // Failed after the rename without a handle: the journal is
-            // the compacted one, and recovery reopens it.
-            Err(e) if self.wal.is_none() => self.enter_degraded(e, None),
+        let compacted = WorkerJournal::recover(self.wal.path()).and_then(|journal| {
+            let journal = journal.ok_or_else(|| {
+                let path = self.wal.path().display();
+                StateError::Corrupt(format!("{path}: synced journal holds no cut"))
+            })?;
+            self.wal.rewrite(&journal.compacted())
+        });
+        match compacted {
             // Failed before the rename: the published journal and its
             // open handle are as they were. Retry once another floor's
             // worth of cuts has been superseded.
-            Err(_) => self.compact_floor = dead + COMPACT_FLOOR,
+            Err(_) if !self.wal.is_closed() => self.compact_floor = dead + COMPACT_FLOOR,
+            // Compacted; or failed after the rename, leaving the compacted
+            // journal closed for recovery to reopen.
+            result => {
+                self.footprint.dead = 0;
+                self.compact_floor = COMPACT_FLOOR;
+                if let Err(e) = result {
+                    self.enter_degraded(e, None);
+                }
+            }
         }
-    }
-
-    /// Rewrites the synced journal as its records plus the latest cut:
-    /// `worker-N.tmp`, fsync, rename over the journal, reopen it for
-    /// appending, fsync the directory.
-    fn compact(&mut self) -> Result<(), StateError> {
-        let kept = WorkerJournal::recover(&self.path)?
-            .ok_or_else(|| {
-                StateError::Corrupt(format!(
-                    "{}: synced journal holds no cut",
-                    self.path.display()
-                ))
-            })?
-            .compacted();
-        let tmp = self.path.with_extension("tmp");
-        let mut out = Wal::create(&tmp)?;
-        for entry in &kept {
-            out.append(entry)?;
-        }
-        out.sync()?;
-        drop(out);
-        fp::rename(&tmp, &self.path).map_err(|e| {
-            StateError::io(
-                format!("publish compacted journal {}", self.path.display()),
-                e,
-            )
-        })?;
-        // The open handle still names the replaced file.
-        self.wal = None;
-        self.synced = kept.len() as u64;
-        self.footprint.dead = 0;
-        self.wal = Some(Wal::reopen(&self.path, &kept)?);
-        let dir = self.path.parent().unwrap_or(Path::new("."));
-        fp::sync_file(dir)
-            .map_err(|e| StateError::io(format!("sync checkpoint directory {}", dir.display()), e))
     }
 
     /// The first storage error, if durability is still degraded (clears
@@ -503,9 +453,9 @@ impl ScanSession {
     /// Starts a fresh session: creates the directory (with a clear error
     /// naming the path on failure), clears any leftover worker files so a
     /// later `--resume` can never mix two runs, publishes the manifest
-    /// (tmp file, fsync, rename), creates every worker's journal and
-    /// fsyncs the directory, so the journals' first cuts need no
-    /// directory sync of their own.
+    /// ([`publish`]), creates every worker's journal and fsyncs the
+    /// directory, so the journals' first cuts need no directory sync of
+    /// their own.
     pub fn create(dir: &Path, manifest: Manifest) -> Result<ScanSession, StateError> {
         fs::create_dir_all(dir).map_err(|e| {
             StateError::io(format!("create checkpoint directory {}", dir.display()), e)
@@ -527,17 +477,7 @@ impl ScanSession {
                 })?;
             }
         }
-        let manifest_path = dir.join("manifest.json");
-        let tmp = manifest_path.with_extension("tmp");
-        fp::write(&tmp, manifest.to_json().as_bytes())
-            .and_then(|()| fp::sync_file(&tmp))
-            .and_then(|()| fp::rename(&tmp, &manifest_path))
-            .map_err(|e| {
-                StateError::io(
-                    format!("write session manifest {}", manifest_path.display()),
-                    e,
-                )
-            })?;
+        publish(&dir.join("manifest.json"), manifest.to_json().as_bytes())?;
         let session = ScanSession {
             dir: dir.to_path_buf(),
             manifest,
@@ -545,9 +485,7 @@ impl ScanSession {
         for worker in 0..session.manifest.workers {
             Wal::create(&session.worker_ckpt(worker as u32))?;
         }
-        fp::sync_file(dir).map_err(|e| {
-            StateError::io(format!("sync checkpoint directory {}", dir.display()), e)
-        })?;
+        sync_dir(dir)?;
         Ok(session)
     }
 
@@ -595,6 +533,11 @@ impl ScanSession {
     /// A brand-new worker: empty journal, every range fresh.
     pub fn fresh_worker(&self, worker: u32, num_ranges: usize) -> Result<WorkerResume, StateError> {
         let wal = Wal::create(&self.worker_ckpt(worker))?;
+        Ok(self.fresh(wal, worker, num_ranges))
+    }
+
+    /// A worker over an empty journal `wal`, every range fresh.
+    fn fresh(&self, wal: Wal, worker: u32, num_ranges: usize) -> WorkerResume {
         let sink = RunSink::new(
             wal,
             worker,
@@ -603,19 +546,19 @@ impl ScanSession {
             &[],
             0,
         );
-        Ok(WorkerResume {
+        WorkerResume {
             modes: (0..num_ranges).map(|_| RangeMode::Fresh).collect(),
             tick: 0,
             metrics: None,
             sink,
-        })
+        }
     }
 
-    /// Loads a worker's resume state: takes the last intact cut of its
-    /// journal as the checkpoint, the record entries before it as the
-    /// journalled records, truncates the journal just past the cut, and
-    /// classifies every range as skip / resume / fresh. A worker killed
-    /// before its first cut simply starts over. A directory that still
+    /// Loads a worker's resume state: opens its journal just past the
+    /// last intact cut ([`WorkerJournal::open`]), takes that cut as the
+    /// checkpoint and the record entries before it as the journalled
+    /// records, and classifies every range as skip / resume / fresh. A
+    /// worker killed before its first cut simply starts over. A directory that still
     /// holds a `worker-N.wal` was written under the older session layout
     /// (separate record journal and checkpoint file) and is refused with
     /// [`StateError::Version`].
@@ -630,8 +573,9 @@ impl ScanSession {
             )));
         }
         let path = self.worker_ckpt(worker);
-        let Some(journal) = WorkerJournal::recover(&path)? else {
-            return self.fresh_worker(worker, num_ranges);
+        let (wal, journal) = WorkerJournal::open(&path)?;
+        let Some(journal) = journal else {
+            return Ok(self.fresh(wal, worker, num_ranges));
         };
         let fp = self.manifest.fingerprint();
         let ckpt = journal.checkpoint(Some(fp), Some(worker))?;
@@ -678,7 +622,6 @@ impl ScanSession {
                 }
             })
             .collect();
-        let wal = journal.reopen(&path)?;
         let sink = RunSink::new(
             wal,
             worker,

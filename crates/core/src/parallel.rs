@@ -37,11 +37,11 @@
 //!   derived gauge (`scan.hit_rate_ppm`) is recomputed from merged
 //!   totals.
 //!
-//! The byte-identity guarantee assumes clock-independent worlds (the
-//! default: [`FaultPlan::none`]'s limiter and loss draws key on addresses,
-//! not ticks). Time-keyed fault plans (jitter, flaky windows) and
-//! `netsim.ticks` under `probes_per_target > 1` can shift per-worker
-//! drain timing; `scan.*` results remain a set-equal merge even then.
+//! Byte-identity holds only without a fault plan ([`FaultPlan::none`]).
+//! Every `FaultPlan` draw (loss both ways, duplication, jitter) mixes in
+//! the tick, and each worker has its own clock, so under any plan the
+//! records — the responder set included — can differ with the worker
+//! count, and so can `netsim.ticks` under `probes_per_target > 1`.
 //!
 //! [`FaultPlan::none`]: xmap_netsim::FaultPlan::none
 //! [`ScanStats::merge`]: crate::ScanStats::merge

@@ -51,7 +51,7 @@ use xmap::{
 use xmap_addr::{classify_iid, FxHashSet, IidClass, Ip6, Mac, Prefix, PrefixTree};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, recover_journal, Kind, Opened};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind, Opened};
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{Fingerprint, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry};
@@ -830,17 +830,18 @@ impl Journal {
     /// on resume its intact rounds queue for replay and appends go after
     /// them; otherwise, or when no entry is intact, a new journal starts.
     fn open(path: &Path, fp: u64, resume: bool) -> Result<Journal, StateError> {
-        let entries = resume
-            .then(|| recover_journal(path))
-            .transpose()?
-            .unwrap_or_default();
-        let Some(first) = entries.first() else {
-            let (wal, pending) = (CAMPAIGN.create_journal(path, &[], fp)?, VecDeque::new());
-            return Ok(Journal { wal, fp, pending });
-        };
+        let first = CAMPAIGN.entry(&[], fp, &[]);
         let what = |seq: usize| format!("adaptive journal {} entry {seq}", path.display());
-        CAMPAIGN.parse(first, what(0), Some(fp), &[])?;
-        let wal = Wal::reopen(path, &entries)?;
+        let (wal, entries) = if resume {
+            Wal::open(path, Some(&first), |entries| {
+                if let Some(first) = entries.first() {
+                    CAMPAIGN.parse(first, what(0), Some(fp), &[])?;
+                }
+                Ok(entries.len())
+            })?
+        } else {
+            (Wal::start(path, Some(&first))?, Vec::new())
+        };
         // Consumed as parsed, so the journal is held in memory once.
         let pending = (entries.into_iter().enumerate().skip(1))
             .map(|(seq, raw)| ROUND.parse(&raw, what(seq), Some(fp), &[]))

@@ -77,12 +77,13 @@
 //! * the mop-up pass (retransmission ordering included) runs entirely
 //!   inside the unit's owning worker.
 //!
-//! Time-keyed fault plans (jitter, flaky windows) fall outside the
-//! envelope, exactly as for [`ParallelScanner`]. Private replicas also
-//! assume campaign probes are the only traffic to the sample blocks
-//! during the campaign (true for the default fault-free worlds; a
-//! limiter depleted by *earlier* probes on a shared scanner is state a
-//! replica cannot see).
+//! It holds only without a fault plan: every `FaultPlan` draw mixes in
+//! the tick, which depends on the schedule, so under any plan results
+//! can differ with the worker count, exactly as for [`ParallelScanner`].
+//! Private replicas also assume campaign probes are the only traffic to
+//! the sample blocks during the campaign (true for the default
+//! fault-free worlds; a limiter depleted by *earlier* probes on a shared
+//! scanner is state a replica cannot see).
 //!
 //! # Supervision
 //!
@@ -125,8 +126,11 @@
 //! splits are flushed and become durable with the next sync. A split is
 //! journalled under its bin's lock before any of its parts can be
 //! claimed, so the journal never names a part before the split that made
-//! it. A fresh start creates the journal, syncs its first entry and then
-//! the directory, once; nothing is ever removed.
+//! it. A failed append closes the journal at its last sync ([`Wal`]),
+//! dropping any claim or split flushed since: a lost claim turns a
+//! `Resume` into a `Fresh` (both re-run the unit), and a split precedes
+//! every synced entry of its parts. A fresh start creates the journal,
+//! syncs its first entry and then the directory, once.
 //!
 //! Resume replays the journal's intact entries (a torn tail is dropped).
 //! A block with a `campaign-block` entry is [`Skip`](BlockMode::Skip).
@@ -160,7 +164,7 @@ use xmap::{insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, Su
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, recover_journal, Kind, Opened};
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind, Opened};
 use xmap_state::codec::Encoder;
 use xmap_state::{AbortSignal, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry, Tracer};
@@ -373,19 +377,20 @@ impl ParallelCampaign {
     ) -> Result<CampaignOutcome, StateError> {
         let fp = self.campaign.fingerprint_cfg(base);
         let path = dir.join("campaign.ckpt");
-        let (entries, blocks) = if resume {
-            self.replay(&path, fp)?
+        let first = DIR.entry(&[("blocks", SAMPLE_BLOCKS.len() as u64)], fp, &[]);
+        let mut blocks = self.unstarted();
+        let wal = if resume {
+            let replay = |entries: &[Vec<u8>]| {
+                blocks = self.replay(&path, entries, fp)?;
+                Ok(entries.len())
+            };
+            Wal::open(&path, Some(&first), replay)?.0
         } else {
-            (Vec::new(), self.unstarted())
-        };
-        let wal = if entries.is_empty() {
-            DIR.create_journal(&path, &[("blocks", SAMPLE_BLOCKS.len() as u64)], fp)?
-        } else {
-            Wal::reopen(&path, &entries)?
+            Wal::start(&path, Some(&first))?
         };
         let journal = Journal {
             fp,
-            wal: Mutex::new(Some(wal)),
+            wal: Mutex::new(wal),
         };
         // Every block left to scan starts with a bin of its undelivered
         // units; a committed block's bin stays empty.
@@ -419,7 +424,8 @@ impl ParallelCampaign {
     /// [`run_checkpointed`](Self::run_checkpointed) would execute.
     pub fn resume_plan(&self, base: &ScanConfig, dir: &Path) -> Result<Vec<BlockMode>, StateError> {
         let fp = self.campaign.fingerprint_cfg(base);
-        let (_, blocks) = self.replay(&dir.join("campaign.ckpt"), fp)?;
+        let path = dir.join("campaign.ckpt");
+        let blocks = self.replay(&path, &Wal::recover(&path)?.entries, fp)?;
         Ok(blocks.iter().map(Replay::mode).collect())
     }
 
@@ -440,14 +446,13 @@ impl ParallelCampaign {
             .collect()
     }
 
-    /// Replays the journal at `path`: its intact entries, and every block
-    /// as they leave it. A missing journal, or one without an intact
-    /// entry, leaves every block unstarted.
-    fn replay(&self, path: &Path, fp: u64) -> Result<(Vec<Vec<u8>>, Vec<Replay>), StateError> {
-        let entries = recover_journal(path)?;
+    /// Replays `entries`, the intact entries of the journal at `path`:
+    /// every block as they leave it. No entries leave every block
+    /// unstarted.
+    fn replay(&self, path: &Path, entries: &[Vec<u8>], fp: u64) -> Result<Vec<Replay>, StateError> {
         let mut blocks = self.unstarted();
         let Some((first, rest)) = entries.split_first() else {
-            return Ok((entries, blocks));
+            return Ok(blocks);
         };
         let what = |seq: usize| format!("campaign journal {} entry {seq}", path.display());
         DIR.parse(first, what(0), Some(fp), &[("blocks", blocks.len() as u64)])?;
@@ -508,7 +513,7 @@ impl ParallelCampaign {
         for block in &mut blocks {
             block.units.sort_by_key(|plan| plan.unit.offset);
         }
-        Ok((entries, blocks))
+        Ok(blocks)
     }
 
     /// Shared driver behind [`run`](Self::run) and
@@ -997,31 +1002,25 @@ const BLOCK: Kind = Kind {
     name: "campaign-block",
 };
 
-/// The campaign journal, `campaign.ckpt`, shared by every worker. After
-/// a failed append every later one fails too: the file is left as the
-/// failure found it, for a resume to recover its intact entries.
+/// The campaign journal, `campaign.ckpt`, shared by every worker. A
+/// failed append closes it at its last synced entry ([`Wal`]), and every
+/// later one fails too.
 struct Journal {
     fp: u64,
-    /// `None` once an append failed.
-    wal: Mutex<Option<Wal>>,
+    wal: Mutex<Wal>,
 }
 
 impl Journal {
     /// Appends `entry`, then syncs the journal (`durable`) or only
     /// flushes it.
     fn append(&self, entry: &[u8], durable: bool) -> Result<(), StateError> {
-        let mut guard = self.wal.lock().expect("campaign journal poisoned");
-        let wal = guard.as_mut().ok_or_else(|| {
-            let failed = std::io::Error::other("an earlier append failed");
-            StateError::io("append campaign journal", failed)
-        })?;
-        let appended = wal
-            .append(entry)
-            .and_then(|_| if durable { wal.sync() } else { wal.flush() });
-        if appended.is_err() {
-            *guard = None;
+        let mut wal = self.wal.lock().expect("campaign journal poisoned");
+        wal.append(entry)?;
+        if durable {
+            wal.sync()
+        } else {
+            wal.flush()
         }
-        appended
     }
 
     /// Journals a claim of `unit` of block `idx`.

@@ -36,8 +36,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use xmap::telemetry::names;
 use xmap::{merge_worker_snapshots, Supervision};
-use xmap_failpoint::fs as fp;
-use xmap_state::checkpoint::publish;
+use xmap_state::checkpoint::{publish, sync_dir};
 use xmap_state::StateError;
 use xmap_telemetry::{Registry, Snapshot};
 
@@ -601,10 +600,8 @@ impl Daemon {
         publish(&dir.join("metrics.json"), merged.to_json().as_bytes())?;
         // `Completed` ends the job's replay, so the artifacts' names must
         // be durable first: the job directory's, and its own in `jobs/`.
-        for synced in [dir.as_path(), &self.root.join("jobs")] {
-            fp::sync_file(synced)
-                .map_err(|e| StateError::io(format!("sync dir {}", synced.display()), e))?;
-        }
+        sync_dir(&dir)?;
+        sync_dir(&self.root.join("jobs"))?;
         let mut eng = self.engine();
         let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
         if entry.state == JobState::Active {

@@ -13,14 +13,13 @@
 //! included. The underlying [`Wal`] tolerates a torn tail: a crash
 //! mid-append loses only the unacknowledged record. A failed append cuts
 //! the file back to its last synced event and closes the ledger until it
-//! is reopened, so no event ever lands after torn or unacknowledged bytes.
+//! is reopened ([`Wal`]'s failure rule), so no event ever lands after torn
+//! or unacknowledged bytes.
 
 use std::path::Path;
 
-use xmap_failpoint::fs as fp;
 use xmap_state::checkpoint::{decode_snapshot, encode_snapshot};
 use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::wal::frame_len;
 use xmap_state::{StateError, Wal};
 use xmap_telemetry::Snapshot;
 
@@ -127,63 +126,37 @@ impl LedgerEvent {
 /// `xmap-state` [`Wal`].
 #[derive(Debug)]
 pub struct Ledger {
-    /// `None` once an append failed: the ledger is closed until reopened.
-    wal: Option<Wal>,
-    /// Bytes of the events synced so far, where a failed append cuts back to.
-    synced: u64,
-    events: u64,
+    wal: Wal,
 }
 
 impl Ledger {
     /// Opens (or creates) the ledger at `path`, returning it positioned
     /// for appends plus every intact historical event in order. A torn
-    /// tail from a crash mid-append is truncated away. A new ledger's
-    /// directory is fsynced, so its name survives a power cut.
+    /// tail from a crash mid-append is truncated away; a ledger that
+    /// does not decode is refused untouched. A new ledger's directory is
+    /// fsynced, so its name survives a power cut.
     pub fn open(path: &Path) -> Result<(Ledger, Vec<LedgerEvent>), StateError> {
-        let fresh = !path.exists();
-        let recovered = Wal::recover(path)?;
-        let events = (recovered.entries.iter())
-            .map(|raw| LedgerEvent::decode(raw))
-            .collect::<Result<Vec<_>, _>>()?;
-        let wal = Wal::reopen(path, &recovered.entries)?;
-        if fresh {
-            let dir =
-                (path.parent().filter(|d| !d.as_os_str().is_empty())).unwrap_or(Path::new("."));
-            fp::sync_file(dir)
-                .map_err(|e| StateError::io(format!("sync ledger dir {}", dir.display()), e))?;
-        }
-        let ledger = Ledger {
-            wal: Some(wal),
-            synced: recovered.valid_len,
-            events: events.len() as u64,
-        };
-        Ok((ledger, events))
+        let mut events = Vec::new();
+        let (wal, _) = Wal::open(path, None, |entries| {
+            events = (entries.iter())
+                .map(|raw| LedgerEvent::decode(raw))
+                .collect::<Result<_, _>>()?;
+            Ok(entries.len())
+        })?;
+        Ok((Ledger { wal }, events))
     }
 
     /// Appends one event and fsyncs it, so the event is on disk before
     /// the daemon acknowledges it to the tenant. On failure the file is
     /// cut back to the last synced event and the ledger closes.
     pub fn append(&mut self, event: &LedgerEvent) -> Result<(), StateError> {
-        let mut wal = self.wal.take().ok_or_else(|| {
-            StateError::io(
-                "append job ledger",
-                std::io::Error::other("closed by an earlier failed append; reopen the root"),
-            )
-        })?;
-        let payload = event.encode();
-        if let Err(e) = wal.append(&payload).and_then(|_| wal.sync()) {
-            wal.abandon(self.synced);
-            return Err(e);
-        }
-        self.wal = Some(wal);
-        self.synced += frame_len(payload.len());
-        self.events += 1;
-        Ok(())
+        self.wal.append(&event.encode())?;
+        self.wal.sync()
     }
 
     /// Count of events journalled so far.
     pub fn len(&self) -> u64 {
-        self.events
+        self.wal.next_seq()
     }
 
     /// Whether the ledger holds no events yet.

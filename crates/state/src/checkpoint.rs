@@ -24,13 +24,13 @@
 //! through [`Opened`]. Every checkpoint is a journal entry: a scan
 //! worker's are cut entries of its journal ([`WorkerJournal`]); a parallel
 //! campaign's are entries of its `campaign.ckpt` journal and an adaptive
-//! campaign's of its `adaptive.ckpt` journal ([`Kind::create_journal`],
-//! [`Kind::entry`], [`recover_journal`], [`Opened::parse`]). The serve
-//! daemon journals its finished units in its own job ledger.
+//! campaign's of its `adaptive.ckpt` journal ([`Kind::entry`],
+//! [`Opened::parse`]). The serve daemon journals its finished units in its
+//! own job ledger. Every journal opens, appends, fails and is rewritten
+//! through [`Wal`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs;
 use std::io::Write;
 use std::path::Path;
 
@@ -41,7 +41,7 @@ use xmap_telemetry::{HistogramSnapshot, Snapshot};
 use crate::codec::{crc32, Decoder, Encoder};
 use crate::error::StateError;
 use crate::json::{self, Value};
-use crate::wal::Wal;
+use crate::wal::{framed, Wal};
 use crate::SCHEMA;
 
 /// The magic every checkpoint's bytes open with. A journal never does:
@@ -121,42 +121,6 @@ impl Kind {
         }
         Ok(ck)
     }
-
-    /// Starts a journal at `path` over any earlier one (creating its
-    /// directory if missing), with entry 0 of this kind binding it to
-    /// `fp`. Entry 0 is synced, then the directory, so the new file's
-    /// name is durable too.
-    pub fn create_journal(
-        &self,
-        path: &Path,
-        fields: &[(&str, u64)],
-        fp: u64,
-    ) -> Result<Wal, StateError> {
-        let dir = (path.parent().filter(|d| !d.as_os_str().is_empty())).unwrap_or(Path::new("."));
-        fs::create_dir_all(dir)
-            .map_err(|e| StateError::io(format!("create dir {}", dir.display()), e))?;
-        let mut wal = Wal::create(path)?;
-        wal.append(&self.entry(fields, fp, &[]))?;
-        wal.sync()?;
-        fp::sync_file(dir).map_err(|e| StateError::io(format!("sync dir {}", dir.display()), e))?;
-        Ok(wal)
-    }
-}
-
-/// The intact entries of the journal at `path`, for a resume: none when
-/// it is missing. A file that opens with [`MAGIC`] is a sectioned
-/// checkpoint that an older build wrote in the journal's place, refused
-/// as [`StateError::Version`].
-pub fn recover_journal(path: &Path) -> Result<Vec<Vec<u8>>, StateError> {
-    let entries = Wal::recover(path)?.entries;
-    if entries.is_empty() && fs::read(path).is_ok_and(|raw| raw.starts_with(MAGIC)) {
-        return Err(StateError::Version(format!(
-            "{}: a sectioned checkpoint is an older layout, this build journals it; \
-             re-run without --resume",
-            path.display()
-        )));
-    }
-    Ok(entries)
 }
 
 /// A checkpoint whose envelope checked out, holding its listed sections.
@@ -397,15 +361,9 @@ impl WorkerCheckpoint {
     }
 
     /// Writes `path` as a worker journal holding this one cut, atomically
-    /// and durably (tmp file, fsync, rename).
+    /// and durably ([`publish`]).
     pub fn write_to(&self, path: &Path) -> Result<(), StateError> {
-        let tmp = path.with_extension("tmp");
-        let mut wal = Wal::create(&tmp)?;
-        wal.append(&self.cut_entry())?;
-        wal.sync()?;
-        drop(wal);
-        fp::rename(&tmp, path)
-            .map_err(|e| StateError::io(format!("publish checkpoint {}", path.display()), e))
+        publish(path, &framed(&[self.cut_entry()]))
     }
 
     /// Reads and fully validates the last intact cut of the worker
@@ -466,15 +424,25 @@ impl WorkerJournal {
     /// Reads the journal at `path` back to its last intact cut: `None`
     /// when it holds none (a missing or empty file included).
     pub fn recover(path: &Path) -> Result<Option<WorkerJournal>, StateError> {
-        let mut entries = Wal::recover(path)?.entries;
-        let Some(last) = entries.iter().rposition(|e| e.first() == Some(&CUT_ENTRY)) else {
-            return Ok(None);
-        };
-        entries.truncate(last + 1);
-        Ok(Some(WorkerJournal {
+        Ok(WorkerJournal::over(Wal::recover(path)?.entries, path))
+    }
+
+    /// Opens the journal at `path` to resume it ([`Wal::open`]): read back
+    /// to its last intact cut and reopened just past it. With no cut it
+    /// starts over empty and there is no [`WorkerJournal`].
+    pub fn open(path: &Path) -> Result<(Wal, Option<WorkerJournal>), StateError> {
+        let (wal, entries) = Wal::open(path, None, |entries| Ok(cut_end(entries)))?;
+        Ok((wal, WorkerJournal::over(entries, path)))
+    }
+
+    /// The journal of `entries` up to and including their last cut:
+    /// `None` without one.
+    fn over(mut entries: Vec<Vec<u8>>, path: &Path) -> Option<WorkerJournal> {
+        entries.truncate(cut_end(&entries));
+        (!entries.is_empty()).then(|| WorkerJournal {
             entries,
             what: format!("worker checkpoint {}", path.display()),
-        }))
+        })
     }
 
     /// Every entry kept, tag bytes included; the last one is the cut.
@@ -533,12 +501,15 @@ impl WorkerJournal {
         self.entries.push(cut);
         self.entries
     }
+}
 
-    /// Reopens the journal at `path` to append just past the last cut,
-    /// dropping the torn tail and any entries after the cut.
-    pub fn reopen(&self, path: &Path) -> Result<Wal, StateError> {
-        Wal::reopen(path, &self.entries)
-    }
+/// How many of `entries` a worker journal keeps: every one up to and
+/// including the last cut.
+fn cut_end(entries: &[Vec<u8>]) -> usize {
+    entries
+        .iter()
+        .rposition(|e| e.first() == Some(&CUT_ENTRY))
+        .map_or(0, |last| last + 1)
 }
 
 /// Parses a `0x`-prefixed 64-bit integer, as headers and manifests write
@@ -608,6 +579,12 @@ pub fn publish(path: &Path, bytes: &[u8]) -> Result<(), StateError> {
             .map_err(|e| StateError::io(format!("sync {}", tmp.display()), e))?;
     }
     fp::rename(&tmp, path).map_err(|e| StateError::io(format!("publish {}", path.display()), e))
+}
+
+/// Fsyncs `dir`, so the names of files created, renamed or removed in it
+/// survive a power cut.
+pub fn sync_dir(dir: &Path) -> Result<(), StateError> {
+    fp::sync_file(dir).map_err(|e| StateError::io(format!("sync dir {}", dir.display()), e))
 }
 
 /// Parses framed bytes, validating magic, schema, and per-section CRCs.

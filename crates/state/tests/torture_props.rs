@@ -7,7 +7,9 @@
 //!    exactly the intact prefix, and deterministic re-emission of the
 //!    lost records reproduces the fault-free journal byte for byte.
 //! 2. Publication is atomic under injected faults: a kill at any step of
-//!    `publish` leaves the previously published file bit-exact.
+//!    `publish` leaves the previously published file bit-exact, and a
+//!    kill at any step of a journal rewrite leaves the old journal or the
+//!    new one.
 //! 3. The manifest mismatch path: any identity-field mutation changes
 //!    the fingerprint and produces a non-empty field diff (a resume
 //!    refusal); mutating the non-identity cadence field does neither.
@@ -132,7 +134,8 @@ proptest! {
     }
 
     /// Publication stays atomic under an injected kill: the previously
-    /// published file is untouched, bit for bit.
+    /// published file is untouched, bit for bit. A journal rewrite, which
+    /// publishes the same way, leaves the old journal or the new one.
     #[test]
     fn checkpoint_publish_is_atomic_under_kill(seed in any::<u64>()) {
         let mut g = Gen(seed);
@@ -168,6 +171,34 @@ proptest! {
 
         // The published file is exactly what it was before.
         prop_assert_eq!(std::fs::read(&path).unwrap(), published);
+
+        // A rewrite publishes the kept entries, then reopens the journal
+        // (open, truncate) and syncs the directory. Killed at any of
+        // those seven steps, the journal is the old one, bit for bit,
+        // until the rename, and exactly the kept entries after it.
+        let journal = dir.join("journal.wal");
+        let old: Vec<Vec<u8>> = (0..1 + g.below(6)).map(|_| bytes(&mut g)).collect();
+        let mut wal = Wal::create(&journal).unwrap();
+        for entry in &old {
+            wal.append(entry).unwrap();
+        }
+        wal.sync().unwrap();
+        let old_bytes = std::fs::read(&journal).unwrap();
+        let mut kept = old[g.below(old.len() as u64) as usize..].to_vec();
+        kept.push(bytes(&mut g));
+        let nth = g.below(7);
+        let scope = FailPlan::kill_at(dir.clone(), nth, g.below(64)).arm();
+        let result = wal.rewrite(&kept);
+        let fired = scope.killed();
+        drop(scope);
+        drop(wal);
+        prop_assert!(fired, "rewrite kill at op {} never fired", nth);
+        prop_assert!(result.is_err(), "a dead disk cannot rewrite");
+        if nth < 4 {
+            prop_assert_eq!(std::fs::read(&journal).unwrap(), old_bytes);
+        } else {
+            prop_assert_eq!(Wal::recover(&journal).unwrap().entries, kept);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -814,6 +814,85 @@ fn older_adaptive_checkpoint_is_refused_as_a_version_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A short write or ENOSPC on the nth write or sync of `campaign.ckpt`
+/// (a split campaign: claims and splits are only flushed) and of
+/// `adaptive.ckpt` fails the run with a typed error, not a panic, and
+/// leaves the journal at exactly its synced prefix: a power cut right
+/// after takes nothing more. The directory then resumes to the
+/// uninterrupted CSV and `exec.*`-stripped snapshot.
+#[test]
+fn journal_io_failure_leaves_the_synced_prefix_and_resumes() {
+    type Run<'a> = Box<dyn Fn(&Path, bool) -> Result<(String, Snapshot), StateError> + 'a>;
+    let split = campaign(1).with_force_split_at(300);
+    let journals: [(&str, Run); 2] = [
+        (
+            "campaign.ckpt",
+            Box::new(|dir: &Path, resume| {
+                let outcome = campaign_run(&split, dir, resume)?;
+                Ok((outcome.result.to_csv(), strip_exec(outcome.snapshot)))
+            }),
+        ),
+        (
+            "adaptive.ckpt",
+            Box::new(|dir: &Path, resume| {
+                let outcome = adaptive_run(1, dir, resume)?;
+                Ok((outcome.result.to_csv(), strip_exec(outcome.snapshot)))
+            }),
+        ),
+    ];
+    let torn = FsAction::ShortWrite {
+        keep: 5,
+        kind: FaultKind::Eio,
+    };
+    let full = FsAction::Fail(FaultKind::Enospc);
+    let faults = [
+        (FsOp::Write, 2, torn),
+        (FsOp::Write, 5, full),
+        (FsOp::Sync, 1, full),
+        (FsOp::Sync, 3, full),
+    ];
+    for (file, run) in &journals {
+        let base_dir = torture_dir("journal-io-base");
+        let baseline = run(&base_dir, false).unwrap();
+        std::fs::remove_dir_all(&base_dir).unwrap();
+        for (op, nth, action) in faults {
+            let label = format!("{file}: {op:?} {nth} {action:?}");
+            let dir = torture_dir("journal-io");
+            let scope = FailPlan {
+                prefix: dir.clone(),
+                rules: vec![FsRule {
+                    op,
+                    suffix: Some((*file).to_owned()),
+                    nth,
+                    action,
+                }],
+                schedules: Vec::new(),
+            }
+            .arm();
+            let failed = run(&dir, false);
+            assert_eq!(scope.fired(), 1, "{label}: the fault never fired");
+            assert!(
+                matches!(failed, Err(StateError::Io(..))),
+                "{label}: expected an I/O error, got {:?}",
+                failed.map(drop)
+            );
+            let path = dir.join(file);
+            let left = std::fs::metadata(&path).unwrap().len();
+            scope.lose_unsynced();
+            drop(scope);
+            let synced = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(left, synced, "{label}: the journal kept unsynced bytes");
+            let entries = Wal::recover(&path).unwrap().entries;
+            let intact: u64 = entries.iter().map(|e| frame_len(e.len())).sum();
+            assert_eq!(intact, synced, "{label}: torn bytes kept");
+            let resumed = run(&dir, true).unwrap_or_else(|e| panic!("{label}: resume: {e}"));
+            assert_eq!(resumed.0, baseline.0, "{label}: CSV diverged");
+            assert_eq!(resumed.1, baseline.1, "{label}: snapshot diverged");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
 /// Scripted executor faults at integration level: a worker that panics
 /// mid-shard is supervised — its shard re-runs and the merged output is
 /// byte-identical to the fault-free run, with the fault surfaced in the
