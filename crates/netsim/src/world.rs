@@ -27,6 +27,7 @@
 //!   runs (discover first, then ZGrab the discovered set).
 
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 use xmap_addr::oui::{self, DeviceClass};
 use xmap_addr::{FxHashMap, IidClass, Ip6, Mac, Prefix};
@@ -78,7 +79,9 @@ pub enum Allocation {
 pub struct WorldConfig {
     /// Master seed; all behaviour derives from it.
     pub seed: u64,
-    /// Number of autonomous systems in the synthetic BGP table.
+    /// Number of autonomous systems in the synthetic BGP table. A world
+    /// derives the table on its first BGP-zone lookup, so the size costs
+    /// nothing until a probe leaves the sample blocks.
     pub bgp_ases: usize,
     /// Fraction of probe/response exchanges lost end to end.
     pub loss_frac: f64,
@@ -215,7 +218,9 @@ pub struct BgpHost {
 #[derive(Debug)]
 pub struct World {
     cfg: WorldConfig,
-    bgp: BgpTable,
+    /// `BgpTable::generate(cfg.seed, cfg.bgp_ases)`, derived on first
+    /// use by [`World::bgp`]: scans of the sample blocks never read it.
+    bgp: OnceLock<BgpTable>,
     /// The seed hashed with each draw's constant label, once per world.
     keys: WorldKeys,
     /// Discovered WAN address → device locator (fed by discovery responses,
@@ -320,7 +325,9 @@ const TELEMETRY_BATCH: u64 = 64;
 
 impl World {
     /// Creates a world over the fifteen sample blocks and a full-size BGP
-    /// table, from a seed.
+    /// survey zone, from a seed. Only the sample blocks' keys are derived
+    /// here. The BGP table is derived on the first BGP-zone lookup: an
+    /// echo outside every sample block, or a call to [`World::bgp`].
     pub fn new(seed: u64) -> Self {
         World::with_config(WorldConfig {
             seed,
@@ -332,7 +339,7 @@ impl World {
     pub fn with_config(cfg: WorldConfig) -> Self {
         World {
             cfg,
-            bgp: BgpTable::generate(cfg.seed, cfg.bgp_ases),
+            bgp: OnceLock::new(),
             keys: WorldKeys::new(cfg.seed, SAMPLE_BLOCKS),
             registry: FxHashMap::default(),
             error_limiters: FxHashMap::default(),
@@ -411,9 +418,12 @@ impl World {
         SAMPLE_BLOCKS
     }
 
-    /// The synthetic BGP table.
+    /// The synthetic BGP table, derived on the first call. It is a pure
+    /// function of the seed and [`WorldConfig::bgp_ases`], so when that
+    /// call comes changes no reply.
     pub fn bgp(&self) -> &BgpTable {
-        &self.bgp
+        self.bgp
+            .get_or_init(|| BgpTable::generate(self.cfg.seed, self.cfg.bgp_ases))
     }
 
     /// Traffic statistics so far.
@@ -595,7 +605,7 @@ impl World {
     /// Derives the BGP-zone last hop covering 16-bit sub-prefix `index` of an
     /// advertised prefix, or `None` when no host answers there.
     pub fn bgp_host_at(&self, prefix: Prefix, asn: u32, index: u64) -> Option<BgpHost> {
-        let params = self.bgp.as_params(asn)?;
+        let params = self.bgp().as_params(asn)?;
         let h = self
             .keys
             .bgp_dev
@@ -834,7 +844,7 @@ impl World {
 
     /// Answers an echo probe destined into the BGP survey zone.
     fn bgp_echo(&mut self, packet: &Ipv6Packet) -> Option<(Ip6, Answer)> {
-        let entry = *self.bgp.locate(packet.dst)?;
+        let entry = *self.bgp().locate(packet.dst)?;
         // The survey probes /48 sub-prefixes of /32 advertisements.
         let index = entry.prefix.subprefix_index(48, packet.dst)?;
         let host = self.bgp_host_at(entry.prefix, entry.asn, index as u64)?;
@@ -1535,6 +1545,147 @@ mod tests {
         let (_, d) = find_device(&w, 2); // Bharti Airtel mobile
         assert_eq!(d.kind, DeviceClass::Ue);
         assert_eq!(d.reply_mode, ReplyMode::SamePrefix);
+    }
+
+    /// Echoes into every sample block: each zone's first and last
+    /// address, a few seeded-random ones and the first device among the
+    /// low indices, at hop limits 1..=64, so transit expiry and the
+    /// periphery's own answers are both in the mix.
+    fn zone_probes(seed: u64) -> Vec<Ipv6Packet> {
+        let mut h = DetHash::new(seed).mix(b"zone-probes");
+        let mut probes = Vec::new();
+        for (pi, p) in SAMPLE_BLOCKS.iter().enumerate() {
+            let zone = p.scan_prefix();
+            let mut addrs = vec![zone.first(), zone.last()];
+            for _ in 0..4 {
+                h = h.mix(b"addr");
+                let r = u128::from(h.mix_u64(0).finish()) << 64 | u128::from(h.mix_u64(1).finish());
+                addrs.push(Ip6::new(zone.first().bits() | r >> zone.len()));
+            }
+            let w = World::with_config(WorldConfig::lossless(seed, 0));
+            if let Some(i) = (0..1 << 16).find(|&i| w.device_at(pi, i).is_some()) {
+                let sub = zone.subprefix(p.assigned_len, u128::from(i));
+                addrs.push(sub.addr().with_iid(0x5eed));
+            }
+            for dst in addrs {
+                for hop_limit in 1..=64 {
+                    probes.push(Ipv6Packet::echo_request(vantage(), dst, hop_limit, 0, 0));
+                }
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn zone_traffic_never_builds_the_bgp_table() {
+        let seed = 7;
+        let mut w = World::new(seed);
+        let mut transit_expired = 0;
+        for probe in zone_probes(seed) {
+            let router_iid = 0xffff_0000_0000_0000 | u64::from(probe.hop_limit);
+            for reply in w.handle(probe) {
+                transit_expired += usize::from(reply.src.iid() == router_iid);
+            }
+        }
+        assert!(transit_expired > 0, "no transit expiry");
+        let sources: Vec<Ip6> = w.registry.keys().copied().collect();
+        assert!(!sources.is_empty(), "no reply source registered");
+        for src in sources {
+            for hop_limit in [1, 64] {
+                assert!(!w
+                    .handle(Ipv6Packet::echo_request(vantage(), src, hop_limit, 0, 0))
+                    .is_empty());
+            }
+        }
+        assert!(w.bgp.get().is_none(), "a zone probe derived the BGP table");
+
+        // One probe into an advertisement (taken from a separately built
+        // table) is what derives it.
+        let advertised = BgpTable::generate(seed, w.config().bgp_ases).entries()[0].prefix;
+        let dst = advertised.subprefix(48, 0).addr().with_iid(0xabc);
+        w.handle(Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0));
+        assert!(
+            w.bgp.get().is_some(),
+            "the BGP-zone probe left the table unbuilt"
+        );
+    }
+
+    #[test]
+    fn deriving_the_bgp_table_early_or_late_answers_alike() {
+        fn is_send_sync<T: Send + Sync>() {}
+        is_send_sync::<World>();
+
+        let seed = 11;
+        // `World::new`'s configuration, loss included.
+        let cfg = WorldConfig {
+            seed,
+            ..WorldConfig::default()
+        };
+        let table = BgpTable::generate(seed, cfg.bgp_ases);
+        // Each sampled advertisement's first answering /48 (found through
+        // a third world) and the /48 after it, at hop limits below, near
+        // and past the host's hop count.
+        let finder = World::with_config(cfg);
+        let mut bgp_probes = Vec::new();
+        for e in table.entries().iter().step_by(97) {
+            let Some(i) = (0..1 << 16).find(|&i| finder.bgp_host_at(e.prefix, e.asn, i).is_some())
+            else {
+                continue;
+            };
+            for (index, hop_limit) in [(i, 4), (i, 12), (i, 64), (i + 1, 64)] {
+                let dst = e
+                    .prefix
+                    .subprefix(48, u128::from(index))
+                    .addr()
+                    .with_iid(0xabc);
+                bgp_probes.push(Ipv6Packet::echo_request(vantage(), dst, hop_limit, 0, 0));
+            }
+        }
+        let unrouted: Vec<Ipv6Packet> = ["2001:db8::1", "::1", "fd00::2", "ffff::"]
+            .iter()
+            .map(|a| Ipv6Packet::echo_request(vantage(), a.parse().unwrap(), 64, 0, 0))
+            .collect();
+
+        let (eager_tm, lazy_tm) = (
+            xmap_telemetry::Telemetry::new(),
+            xmap_telemetry::Telemetry::new(),
+        );
+        let (mut eager, mut lazy) = (World::with_config(cfg), World::with_config(cfg));
+        eager.set_telemetry(&eager_tm);
+        lazy.set_telemetry(&lazy_tm);
+        assert_eq!(eager.bgp().entries(), table.entries());
+        assert!(lazy.bgp.get().is_none());
+
+        let mut bgp_replies = 0;
+        let zone = zone_probes(seed);
+        for (stage, probes) in [&zone, &bgp_probes, &unrouted, &zone]
+            .into_iter()
+            .enumerate()
+        {
+            if stage == 1 {
+                eager.tick(3);
+                lazy.tick(3);
+                eager.reset();
+                lazy.reset();
+            }
+            for probe in probes {
+                let replies = eager.handle(probe.clone());
+                if stage == 1 {
+                    bgp_replies += replies.len();
+                }
+                assert_eq!(
+                    replies,
+                    lazy.handle(probe.clone()),
+                    "stage {stage}: {probe:?}"
+                );
+            }
+        }
+        assert!(bgp_replies > 0, "no BGP-zone replies");
+        assert_eq!(lazy.bgp().entries(), table.entries());
+        assert_eq!(eager.stats(), lazy.stats());
+        eager.flush_telemetry();
+        lazy.flush_telemetry();
+        assert_eq!(eager_tm.registry.snapshot(), lazy_tm.registry.snapshot());
     }
 }
 

@@ -509,12 +509,19 @@ impl Daemon {
             match attempt {
                 Ok((output, metrics)) => {
                     // Durable before done: the ledger append fsyncs.
-                    let committed = self.ledger().append(&LedgerEvent::UnitDone {
+                    let event = LedgerEvent::UnitDone {
                         job,
                         unit,
-                        output: output.clone(),
-                        metrics: metrics.clone(),
-                    });
+                        output,
+                        metrics,
+                    };
+                    let committed = self.ledger().append(&event);
+                    let LedgerEvent::UnitDone {
+                        output, metrics, ..
+                    } = event
+                    else {
+                        unreachable!("the event was built as UnitDone")
+                    };
                     let finalize = {
                         let mut eng = self.engine();
                         eng.in_flight -= 1;
