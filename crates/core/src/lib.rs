@@ -62,14 +62,13 @@ pub use checkpoint::{
 };
 pub use cyclic::Cycle;
 pub use feistel::FeistelPermutation;
-pub use parallel::{
-    insert_exec_counters, merge_worker_snapshots, worker_cap, ParallelScanner, Supervision,
-};
+pub use parallel::{insert_exec_counters, merge_worker_snapshots, ParallelScanner, Supervision};
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
 pub use scanner::{
     Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner, Targeted,
+    YieldGate,
 };
 pub use target::{fill_host_bits, TargetSpec};
 pub use telemetry::ScanMetrics;
 pub use validate::Validator;
-pub use walk::IndexWalk;
+pub use walk::{IndexWalk, SplitUnit};

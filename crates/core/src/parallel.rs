@@ -13,12 +13,14 @@
 //!
 //! A scanner instance owns the walk positions `shard, shard + shards,
 //! shard + 2·shards, …` of the permutation. Worker `w` of `n` takes every
-//! `n`-th of those, which is itself a shard: `(shard + w·shards)` of
-//! `(shards·n)` total. The union over workers is exactly the instance's
-//! target set, each target owned by exactly one worker. A `max_targets`
-//! cap splits the same way — instance walk position `j` belongs to worker
-//! `j mod n`, so worker `w` gets `ceil((cap − w) / n)` of the first `cap`
-//! positions.
+//! `n`-th of those: [`SplitUnit::part`] `w` of `n` of the instance's
+//! walk, [`nested_in`](SplitUnit::nested_in) the slot, which is itself
+//! a shard, `(shard + w·shards)` of `(shards·n)` total. The union over
+//! workers is exactly the instance's target set, each target owned by
+//! exactly one worker. A `max_targets` cap splits the same way —
+//! instance walk position `j` belongs to worker `j mod n`, so worker `w`
+//! gets `ceil((cap − w) / n)` of the first `cap` positions. The campaign
+//! executor's intra-block splits use the same algebra one level down.
 //!
 //! # Why determinism survives
 //!
@@ -58,6 +60,7 @@ use crate::checkpoint::RangeMode;
 use crate::probe::ProbeModule;
 use crate::scanner::{ScanConfig, ScanResults, Scanner};
 use crate::telemetry::names;
+use crate::walk::SplitUnit;
 
 /// Supervision policy for a parallel executor: how many times a unit of
 /// work may be attempted before it is declared poisoned and skipped — a
@@ -500,8 +503,9 @@ pub fn merge_worker_snapshots(snaps: impl IntoIterator<Item = Snapshot>) -> Snap
 }
 
 /// Builds worker `w` of `n`: fresh telemetry, a network replica from the
-/// factory, and the nested shard config. Used both at construction and
-/// when the supervisor rebuilds a panicked worker for retry —
+/// factory, and the worker's slot — part `w` of `n` of the base slot's
+/// walk ([`SplitUnit::part`]), nested in it. Used both at construction
+/// and when the supervisor rebuilds a panicked worker for retry —
 /// determinism guarantees the rebuilt worker reproduces exactly what the
 /// panicked attempt would have produced.
 fn make_worker<N: Network>(
@@ -517,27 +521,18 @@ fn make_worker<N: Network>(
         Telemetry::new()
     };
     let network = factory(w, &telemetry);
+    // Every part (even one owning no position) starts at its own shard
+    // of the nested walk: no skip.
+    let slot = SplitUnit::whole(base.max_targets.unwrap_or(u64::MAX))
+        .part(w as u64, n as u64)
+        .nested_in(base.shard, base.shards);
     let config = ScanConfig {
-        shard: base.shard + w as u64 * base.shards,
-        shards: base.shards * n as u64,
-        max_targets: base
-            .max_targets
-            .map(|cap| worker_cap(cap, w as u64, n as u64)),
+        shard: slot.shard(),
+        shards: slot.stride,
+        max_targets: base.max_targets.map(|_| slot.cap),
         ..base.clone()
     };
     Scanner::with_telemetry(network, config, telemetry)
-}
-
-/// How many of the first `cap` instance walk positions worker `w` of `n`
-/// owns (position `j` goes to worker `j mod n`). Public because the
-/// campaign executor's intra-block splits partition a block's remaining
-/// walk with exactly this math (`xmap_periphery::split`).
-pub fn worker_cap(cap: u64, w: u64, n: u64) -> u64 {
-    if cap <= w {
-        0
-    } else {
-        (cap - w).div_ceil(n)
-    }
 }
 
 #[cfg(test)]
@@ -564,16 +559,6 @@ mod tests {
             world.set_telemetry(telemetry);
             world
         })
-    }
-
-    #[test]
-    fn worker_caps_partition_exactly() {
-        for cap in [0u64, 1, 5, 4096, 4097] {
-            for n in [1u64, 2, 3, 4, 7] {
-                let total: u64 = (0..n).map(|w| worker_cap(cap, w, n)).sum();
-                assert_eq!(total, cap, "cap {cap} workers {n}");
-            }
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::probe::{ProbeModule, ProbeResult};
 use crate::target::fill_host_bits;
 use crate::telemetry::{names, HotTally, MetricsBaseline, ScanMetrics};
 use crate::validate::Validator;
-use crate::walk::IndexWalk;
+use crate::walk::{IndexWalk, SplitUnit};
 
 /// Probe-order strategies (ablation: `permutation_vs_sequential`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -198,22 +198,24 @@ pub struct ScanResults {
     /// are the partial progress; the last durable checkpoint (if a sink
     /// was attached) is what a later `--resume` continues from.
     pub interrupted: bool,
-    /// Walk positions of `records` (parallel vector), counted in
-    /// consumed permutation indices of this run's walk. Populated only
-    /// under [`Scanner::set_track_positions`]; the intra-block split
-    /// executor uses them as merge keys.
+    /// Walk positions of `records` (parallel vector): for record `i`
+    /// found at the unit's `j`-th position, `unit.position(j)`, a
+    /// position of the slot's walk. Populated only by
+    /// [`Scanner::run_unit`]; the intra-block split executor uses them as
+    /// merge keys.
     pub record_positions: Vec<u64>,
-    /// Walk positions of `silent_targets` (parallel vector); populated
-    /// only under [`Scanner::set_track_positions`].
+    /// Walk positions of `silent_targets` (parallel vector), in the same
+    /// coordinates; populated only by [`Scanner::run_unit`].
     pub silent_positions: Vec<u64>,
-    /// Permutation indices consumed from this run's walk (every index
+    /// Permutation indices consumed from this run's unit (every index
     /// drawn from the generator, whether or not the range produced a
-    /// target for it — the unit the `max_targets` budget is counted in).
+    /// target for it — the unit the `max_targets` budget and a
+    /// [`SplitUnit`]'s `cap` are counted in).
     pub consumed: u64,
-    /// The run stopped at a cooperative yield request with walk budget
-    /// left (see [`Scanner::set_yield_request`]): records, silence and
-    /// stats cover the consumed prefix exactly as a standalone run over
-    /// that prefix would; the remainder was never drawn.
+    /// The run stopped at its [`YieldGate`] with walk budget left (only
+    /// [`Scanner::run_unit`] takes one): records, silence and stats
+    /// cover the consumed prefix exactly as a standalone run over that
+    /// prefix would; the remainder was never drawn.
     pub yielded: bool,
 }
 
@@ -228,6 +230,50 @@ impl ScanResults {
         self.silent_targets.extend(other.silent_targets);
         self.interrupted |= other.interrupted;
     }
+}
+
+/// A campaign worker's cooperative split point, armed for one
+/// [`Scanner::run_unit`]. Once the gate fires, the scanner stops drawing
+/// fresh targets at the next slot boundary, drains in-flight state,
+/// finishes end-of-run accounting for the consumed prefix, and returns
+/// with [`ScanResults::yielded`] — the executor then splits the
+/// unconsumed remainder across idle workers. A run never yields before
+/// consuming at least one index (so repeated splits always terminate),
+/// and a run whose walk is already exhausted completes normally.
+#[derive(Debug, Clone)]
+pub struct YieldGate {
+    /// Set by an idle executor worker to ask for a split.
+    pub flag: Arc<AtomicBool>,
+    /// The flag is ignored unless at least this many walk positions
+    /// remain (splitting a nearly-done run is pure overhead).
+    pub min_remaining: u64,
+    /// Deterministic forced yield: fire once `consumed` reaches this
+    /// count, flag or not (the test/CI split point).
+    pub force_at: Option<u64>,
+}
+
+impl YieldGate {
+    /// Whether the gate fires at this slot boundary.
+    fn is_due(&self, gen: &TargetGen) -> bool {
+        let remaining = gen.unconsumed();
+        if gen.consumed == 0 || remaining == 0 {
+            return false;
+        }
+        self.force_at.is_some_and(|at| gen.consumed >= at)
+            || (remaining >= self.min_remaining && self.flag.load(Ordering::Relaxed))
+    }
+}
+
+/// What one run walks and reports: [`Scanner::run`] walks the slot's
+/// whole unit, [`Scanner::run_unit`] any unit of it.
+struct Walk<'g> {
+    /// The positions of the slot's walk this run owns.
+    unit: SplitUnit,
+    /// Keep the silent list.
+    record_silent: bool,
+    /// Report record and silent positions.
+    positions: bool,
+    gate: Option<&'g YieldGate>,
 }
 
 /// The scanner: a [`ProbeModule`] driven over a permuted target space
@@ -270,25 +316,6 @@ pub struct Scanner<N> {
     durability_flagged: bool,
     /// Cooperative stop flag, checked once per send slot.
     abort: Option<AbortSignal>,
-    /// When set, record/silent walk positions are captured into results
-    /// (split-executor merge keys).
-    track_positions: bool,
-    /// Leading walk positions of the configured shard to discard before
-    /// probing — the sub-shard form of intra-block splits (see
-    /// [`Scanner::set_sub_shard`]).
-    walk_skip: u64,
-    /// Cooperative yield request: when the flag is set (by an idle
-    /// executor worker), the scanner stops drawing fresh targets at the
-    /// next slot boundary, drains in-flight state, and returns with
-    /// [`ScanResults::yielded`] set.
-    yield_flag: Option<Arc<AtomicBool>>,
-    /// Yield requests are ignored unless at least this many walk
-    /// positions remain (splitting a nearly-done run is pure overhead).
-    yield_min_remaining: u64,
-    /// Deterministic forced yield: behave as if the yield flag fired
-    /// once `consumed` reaches this count (test/CI knob; fires at most
-    /// once per run).
-    force_yield_at: Option<u64>,
 }
 
 impl<N: Network> Scanner<N> {
@@ -325,11 +352,6 @@ impl<N: Network> Scanner<N> {
             sink: None,
             durability_flagged: false,
             abort: None,
-            track_positions: false,
-            walk_skip: 0,
-            yield_flag: None,
-            yield_min_remaining: 1,
-            force_yield_at: None,
         }
     }
 
@@ -416,71 +438,6 @@ impl<N: Network> Scanner<N> {
         &self.config
     }
 
-    /// Adjusts the per-range target cap for subsequent runs (used by
-    /// campaign drivers that scan many ranges at one scale).
-    pub fn set_max_targets(&mut self, max_targets: Option<u64>) {
-        self.config.max_targets = max_targets;
-    }
-
-    /// Toggles silent-target tracking for subsequent runs (used by the
-    /// campaign mop-up pass).
-    pub fn set_record_silent(&mut self, record_silent: bool) {
-        self.config.record_silent = record_silent;
-    }
-
-    /// Toggles walk-position tracking for subsequent runs: when on,
-    /// [`ScanResults::record_positions`] and
-    /// [`ScanResults::silent_positions`] carry each record's / silent
-    /// target's walk position. Tracking never changes any other output.
-    pub fn set_track_positions(&mut self, track: bool) {
-        self.track_positions = track;
-    }
-
-    /// Reconfigures the `(shard, shards)` pair plus a leading-position
-    /// skip for subsequent runs. This is the sub-shard form intra-block
-    /// splits run in: a split unit covering base walk positions
-    /// `{offset + j·stride : j < cap}` executes as shard
-    /// `offset % stride` of `stride` with the first `offset / stride`
-    /// positions of that shard walk discarded, so `offset ≥ stride`
-    /// never violates the `shard < shards` invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `shard >= shards`.
-    pub fn set_sub_shard(&mut self, shard: u64, shards: u64, walk_skip: u64) {
-        assert!(shards > 0, "shards must be nonzero");
-        assert!(shard < shards, "shard index out of range");
-        self.config.shard = shard;
-        self.config.shards = shards;
-        self.walk_skip = walk_skip;
-    }
-
-    /// The `(shard, shards, walk_skip)` triple in effect (so drivers can
-    /// save and restore it around sub-shard runs).
-    pub fn sub_shard(&self) -> (u64, u64, u64) {
-        (self.config.shard, self.config.shards, self.walk_skip)
-    }
-
-    /// Arms (or disarms, with `None`) a cooperative yield request for
-    /// subsequent runs. When the shared flag is set mid-run, the scanner
-    /// stops drawing fresh targets at the next slot boundary with
-    /// in-flight == 0, finishes end-of-run accounting for the consumed
-    /// prefix, and returns with [`ScanResults::yielded`] — the executor
-    /// then splits the unconsumed remainder across idle workers. A run
-    /// never yields before consuming at least one index, and ignores
-    /// requests once fewer than `min_remaining` positions remain.
-    pub fn set_yield_request(&mut self, flag: Option<Arc<AtomicBool>>, min_remaining: u64) {
-        self.yield_flag = flag;
-        self.yield_min_remaining = min_remaining.max(1);
-    }
-
-    /// Forces the yield gate open once `consumed` reaches `at` indices
-    /// (deterministic split point for tests and CI smokes), regardless
-    /// of the shared flag. `None` disables.
-    pub fn set_force_yield_at(&mut self, at: Option<u64>) {
-        self.force_yield_at = at;
-    }
-
     /// The stateless validator (shared with helper probes).
     pub fn validator(&self) -> &Validator {
         &self.validator
@@ -526,7 +483,50 @@ impl<N: Network> Scanner<N> {
         module: &dyn ProbeModule,
         blocklist: &Blocklist,
     ) -> ScanResults {
-        self.run_inner(range, module, blocklist, None)
+        self.run_inner(range, module, blocklist, self.slot_walk(), None)
+    }
+
+    /// Scans one [`SplitUnit`] of the slot's walk: the positions
+    /// `{unit.offset + j·unit.stride : j < unit.cap}` of this scanner's
+    /// `(shard, shards)` walk, i.e. `unit` nested in the slot
+    /// ([`SplitUnit::nested_in`]). [`run`](Self::run) walks the slot's
+    /// whole unit, `SplitUnit::whole(max_targets)`; the campaign walks
+    /// one block per unit, split or not, through this method.
+    ///
+    /// `record_silent` keeps [`ScanResults::silent_targets`] for this
+    /// run whatever the configuration says. Record and silent positions
+    /// are reported in the slot's walk (`unit.position(j)`), the
+    /// campaign's merge keys. An armed `gate` can stop the walk early
+    /// (see [`YieldGate`]); [`ScanResults::consumed`] then tells the
+    /// caller where to split the remainder.
+    pub fn run_unit(
+        &mut self,
+        range: &ScanRange,
+        module: &dyn ProbeModule,
+        blocklist: &Blocklist,
+        unit: SplitUnit,
+        record_silent: bool,
+        gate: Option<&YieldGate>,
+    ) -> ScanResults {
+        let walk = Walk {
+            unit,
+            record_silent,
+            positions: true,
+            gate,
+        };
+        self.run_inner(range, module, blocklist, walk, None)
+    }
+
+    /// The walk [`run`](Self::run) and checkpointed runs cover: the
+    /// slot's first `max_targets` positions, nothing reported beyond
+    /// what the configuration asks for.
+    fn slot_walk(&self) -> Walk<'static> {
+        Walk {
+            unit: SplitUnit::whole(self.config.max_targets.unwrap_or(u64::MAX)),
+            record_silent: self.config.record_silent,
+            positions: false,
+            gate: None,
+        }
     }
 
     /// Runs the `range_index`-th range of a checkpointed session under an
@@ -552,13 +552,13 @@ impl<N: Network> Scanner<N> {
                 if let Some(sink) = self.sink.as_mut() {
                     sink.begin_range(range_index, None);
                 }
-                self.run_inner(range, module, blocklist, None)
+                self.run_inner(range, module, blocklist, self.slot_walk(), None)
             }
             RangeMode::Resume(resume) => {
                 if let Some(sink) = self.sink.as_mut() {
                     sink.begin_range(range_index, Some(resume.state.run_wal_start));
                 }
-                self.run_inner(range, module, blocklist, Some(*resume))
+                self.run_inner(range, module, blocklist, self.slot_walk(), Some(*resume))
             }
         }
     }
@@ -568,6 +568,7 @@ impl<N: Network> Scanner<N> {
         range: &ScanRange,
         module: &dyn ProbeModule,
         blocklist: &Blocklist,
+        walk: Walk<'_>,
         resume: Option<RunResume>,
     ) -> ScanResults {
         // Pacing is accounted, not slept: the simulator answers
@@ -577,13 +578,15 @@ impl<N: Network> Scanner<N> {
             .rate_pps
             .map_or(0, |pps| 1_000_000_000 / pps.max(1));
         let attempts = self.config.probes_per_target.max(1);
+        let unit = walk.unit.nested_in(self.config.shard, self.config.shards);
+        let track_silent = walk.positions && walk.record_silent;
         let mut run = match resume {
-            None => Run::fresh(self, range),
+            None => Run::fresh(self, range, unit, walk.positions),
             // Mid-range resume: the journal replayed the records emitted
             // before the checkpoint; every run local restarts from the
             // captured state, so the loop below re-executes the tail of
             // the range exactly as the killed run would have continued it.
-            Some(r) => Run::restore(self, range, r),
+            Some(r) => Run::restore(self, range, unit, r),
         };
         self.transport.set_clock(run.now);
         // Records already durable in the journal; everything past this
@@ -612,7 +615,7 @@ impl<N: Network> Scanner<N> {
             // fresh targets and fall through to the drain branch, so the
             // consumed prefix completes exactly as a standalone run over
             // that prefix would.
-            if !yielding && self.yield_due(&run.gen) {
+            if !yielding && walk.gate.is_some_and(|gate| gate.is_due(&run.gen)) {
                 yielding = true;
             }
             // One send slot: a due retransmission wins over a fresh target.
@@ -623,7 +626,7 @@ impl<N: Network> Scanner<N> {
             {
                 let position = run.gen.consumed - 1;
                 run.probed.push(index);
-                if self.track_positions && self.config.record_silent {
+                if track_silent {
                     run.probed_positions.push(position);
                 }
                 Some((target, 0, position))
@@ -735,6 +738,9 @@ impl<N: Network> Scanner<N> {
         let mut results = run.results;
         results.consumed = run.gen.consumed;
         results.yielded = yielding && !results.interrupted && run.gen.unconsumed() > 0;
+        for j in &mut results.record_positions {
+            *j = walk.unit.position(*j);
+        }
 
         if results.interrupted {
             // Partial run: report the delta so far and leave the last
@@ -749,7 +755,7 @@ impl<N: Network> Scanner<N> {
         // Abandonments are tallied locally and flushed in one counter add.
         // With one probe per target and no silent list nothing is read.
         let mut gave_up = 0u64;
-        if attempts > 1 || self.config.record_silent {
+        if attempts > 1 || walk.record_silent {
             for (i, &index) in run.probed.iter().enumerate() {
                 let target = range.nth(index).expect("logged indices lie in the range");
                 if run.answered.contains(&target) {
@@ -758,10 +764,11 @@ impl<N: Network> Scanner<N> {
                 if attempts > 1 {
                     gave_up += 1;
                 }
-                if self.config.record_silent {
+                if walk.record_silent {
                     results.silent_targets.push(target);
-                    if self.track_positions {
-                        results.silent_positions.push(run.probed_positions[i]);
+                    if track_silent {
+                        let j = run.probed_positions[i];
+                        results.silent_positions.push(walk.unit.position(j));
                     }
                 }
             }
@@ -790,29 +797,6 @@ impl<N: Network> Scanner<N> {
             self.mirror_durability();
         }
         results
-    }
-
-    /// Whether the cooperative yield gate fires at this slot boundary.
-    /// Strict progress is guaranteed — a run never yields before
-    /// consuming at least one index, so repeated splits always
-    /// terminate — and a run whose walk is already exhausted completes
-    /// normally instead of yielding.
-    fn yield_due(&self, gen: &TargetGen) -> bool {
-        if gen.consumed == 0 {
-            return false;
-        }
-        let remaining = gen.unconsumed();
-        if remaining == 0 {
-            return false;
-        }
-        if self.force_yield_at.is_some_and(|at| gen.consumed >= at) {
-            return true;
-        }
-        remaining >= self.yield_min_remaining
-            && self
-                .yield_flag
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Mirrors the sink's degraded/healthy state into the
@@ -930,7 +914,7 @@ impl<N: Network> Scanner<N> {
                         );
                     }
                     run.answered.insert(out.target);
-                    if self.track_positions {
+                    if run.report_positions {
                         run.results.record_positions.push(out.position);
                     }
                     run.results.records.push(ScanRecord {
@@ -1000,9 +984,15 @@ fn positions_below(next: u64, stride: u64, len: u64) -> u64 {
 }
 
 impl TargetGen {
-    fn new(config: &ScanConfig, range: &ScanRange) -> Self {
+    /// The generator for `unit`, a unit of the base permutation's walk
+    /// (a slot's unit [`nested_in`](SplitUnit::nested_in) the slot): it
+    /// walks shard `unit.shard()` of `unit.stride`, transparently
+    /// discarding the first `unit.walk_skip()` positions — O(skip) index
+    /// draws, uniform across all three permutation streams — and stops
+    /// after `unit.cap` more. `consumed` counts from zero after the skip.
+    fn new(config: &ScanConfig, range: &ScanRange, unit: SplitUnit) -> Self {
         let len = walk_len(range);
-        let (shard, shards) = (config.shard, config.shards);
+        let (shard, shards, skip) = (unit.shard(), unit.stride, unit.walk_skip());
         let walk = match config.permutation {
             Permutation::Cyclic => {
                 IndexWalk::Cyclic(Cycle::new(len, config.seed).iter_shard(shard, shards))
@@ -1016,34 +1006,20 @@ impl TargetGen {
                 IndexWalk::strided(shard, shards, positions_below(shard, shards, len))
             }
         };
-        TargetGen {
+        let mut gen = TargetGen {
             walk,
-            remaining: config.max_targets.unwrap_or(u64::MAX),
+            remaining: unit.cap.saturating_add(skip),
             buf: [0; TARGET_CHUNK],
             len: 0,
             pos: 0,
             consumed: 0,
-        }
-    }
-
-    /// A generator that transparently discards the first `skip` walk
-    /// positions of the configured shard: the `max_targets` budget then
-    /// applies to the positions *after* the skip and `consumed` restarts
-    /// at zero. This is how a split unit `(offset, stride, cap)` runs:
-    /// shard `offset % stride` of `stride`, skipping `offset / stride`
-    /// positions — O(skip) index draws, uniform across all three
-    /// permutation streams.
-    fn with_skip(config: &ScanConfig, range: &ScanRange, skip: u64) -> Self {
-        let mut gen = TargetGen::new(config, range);
-        if skip > 0 {
-            gen.remaining = gen.remaining.saturating_add(skip);
-            for _ in 0..skip {
-                if gen.next_index().is_none() {
-                    break;
-                }
+        };
+        for _ in 0..skip {
+            if gen.next_index().is_none() {
+                break;
             }
-            gen.consumed = 0;
         }
+        gen.consumed = 0;
         gen
     }
 
@@ -1123,8 +1099,13 @@ impl TargetGen {
 
     /// Rebuilds a generator from checkpointed state (the configuration
     /// fingerprint guarantees `config`/`range` match what was captured).
-    fn restore(config: &ScanConfig, range: &ScanRange, rs: &RunState) -> TargetGen {
-        let mut gen = TargetGen::new(config, range);
+    fn restore(
+        config: &ScanConfig,
+        range: &ScanRange,
+        unit: SplitUnit,
+        rs: &RunState,
+    ) -> TargetGen {
+        let mut gen = TargetGen::new(config, range, unit);
         match (&mut gen.walk, &rs.cursor) {
             (
                 IndexWalk::Cyclic(walk),
@@ -1223,8 +1204,10 @@ struct Run {
     /// target where its `Prefix` would take 32.
     probed: Vec<u64>,
     /// Walk position of each `probed` entry (parallel vector); filled
-    /// only when position tracking asks for a silent list's positions.
+    /// only when a silent list's positions are reported.
     probed_positions: Vec<u64>,
+    /// Report each record's walk position.
+    report_positions: bool,
     base: MetricsBaseline,
     /// Scanner lifetime tick at which the range started.
     run_start_tick: u64,
@@ -1239,16 +1222,16 @@ struct Run {
 }
 
 impl Run {
-    /// The state a range starts from.
-    fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange) -> Run {
-        let config = &scanner.config;
+    /// The state a walk of `unit` (in base positions) starts from.
+    fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange, unit: SplitUnit, positions: bool) -> Run {
         Run {
-            gen: TargetGen::with_skip(config, range, scanner.walk_skip),
+            gen: TargetGen::new(&scanner.config, range, unit),
             outstanding: FxHashMap::default(),
             retries: TimerHeap::new(),
             answered: FxHashSet::default(),
             probed: Vec::new(),
             probed_positions: Vec::new(),
+            report_positions: positions,
             base: scanner.metrics.baseline(),
             run_start_tick: scanner.total_ticks,
             now: 0,
@@ -1262,7 +1245,12 @@ impl Run {
     /// derived: the answered targets are the targets of those records,
     /// and the probed ones are the first `probed_count` the range's walk
     /// delivers.
-    fn restore<N>(scanner: &Scanner<N>, range: &ScanRange, resume: RunResume) -> Run {
+    fn restore<N>(
+        scanner: &Scanner<N>,
+        range: &ScanRange,
+        unit: SplitUnit,
+        resume: RunResume,
+    ) -> Run {
         let config = &scanner.config;
         let rs = resume.state;
         // Retries restore under their original sequence numbers, so the
@@ -1293,17 +1281,18 @@ impl Run {
             };
             (o.dst.into(), restored)
         });
-        let mut walk = TargetGen::with_skip(config, range, scanner.walk_skip);
+        let mut walk = TargetGen::new(config, range, unit);
         let probed = (0..rs.probed_count)
             .map_while(|_| walk.next_target(range).map(|(index, _)| index))
             .collect();
         Run {
-            gen: TargetGen::restore(config, range, &rs),
+            gen: TargetGen::restore(config, range, unit, &rs),
             outstanding: outstanding.collect(),
             retries,
             answered: resume.records.iter().map(|r| r.target).collect(),
             probed,
             probed_positions: Vec::new(),
+            report_positions: false,
             base: MetricsBaseline::from_raw(rs.baseline),
             run_start_tick: rs.run_start_tick,
             now: rs.now,
@@ -1948,7 +1937,7 @@ mod tests {
         let shuffled: Vec<u64> = (0..n).map(|i| (i * 101 + 7) % n).collect();
         let mut captures = Vec::new();
         for order in [reversed, shuffled] {
-            let mut run = Run::fresh(&s, &range());
+            let mut run = Run::fresh(&s, &range(), SplitUnit::whole(u64::MAX), false);
             for &i in &order {
                 let target = range().nth(i).unwrap();
                 run.outstanding.insert(

@@ -9,15 +9,16 @@
 //! Table II.
 
 use xmap::checkpoint::{decode_scan_record, encode_scan_record};
-use xmap::{Blocklist, IcmpEchoProbe, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner};
+use xmap::{
+    Blocklist, IcmpEchoProbe, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner, SplitUnit,
+    YieldGate,
+};
 use xmap_addr::{classify_iid, FxHashSet, IidClass, IidHistogram, Ip6, Mac, Prefix};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
 use xmap_netsim::packet::Network;
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{Fingerprint, StateError};
 use xmap_telemetry::Tracer;
-
-use crate::split::SplitUnit;
 
 /// One discovered periphery (deduplicated last hop).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -359,7 +360,7 @@ impl Campaign {
     ) -> BlockResult {
         let block_start = scanner.ticks();
         let unit = SplitUnit::whole(self.block_cap(profile));
-        let mut raw = self.unit_main(scanner, profile, unit);
+        let mut raw = self.unit_main(scanner, profile, unit, None);
         self.unit_mop_up(scanner, &mut raw);
         let block = self.assemble(profile, vec![raw], scanner.tracer());
         if scanner.tracer().is_enabled() {
@@ -377,54 +378,32 @@ impl Campaign {
         block
     }
 
-    /// Runs one unit's main discovery pass: the sub-progression of the
-    /// block's walk the unit owns, with record/silence walk positions
-    /// mapped back to base coordinates (the profile-order merge keys).
-    /// Scanner knobs are saved and restored around the run; an armed
-    /// yield request or `set_force_yield_at` can stop the walk early, in
-    /// which case `yielded` is set and `consumed` tells the executor
-    /// where to split the remainder.
+    /// Runs one unit's main discovery pass over the sub-progression of
+    /// the block's walk the unit owns ([`Scanner::run_unit`], nested in
+    /// the scanner's shard slot), with record/silence walk positions in
+    /// block-walk coordinates (the profile-order merge keys). An armed
+    /// `gate` can stop the walk early, in which case `yielded` is set and
+    /// `consumed` tells the executor where to split the remainder.
     pub(crate) fn unit_main<N: Network>(
         &self,
         scanner: &mut Scanner<N>,
         profile: &IspProfile,
         unit: SplitUnit,
+        gate: Option<&YieldGate>,
     ) -> UnitRaw {
         let range = profile.scan_range();
-        let saved_max = scanner.config().max_targets;
-        let saved_silent = scanner.config().record_silent;
-        scanner.set_max_targets(Some(unit.cap));
-        if self.mop_up {
-            scanner.set_record_silent(true);
-        }
-        scanner.set_track_positions(true);
-        // The plain root runs under the scanner's own shard config, so a
-        // whole-block unit on a sharded scanner walks that scanner's
-        // shard of the block; proper sub-units overlay their nested
-        // (shard, shards, skip) triple and restore it afterwards.
-        let overlay = (unit.offset != 0 || unit.stride != 1).then(|| scanner.sub_shard());
-        if overlay.is_some() {
-            scanner.set_sub_shard(unit.shard(), unit.stride, unit.walk_skip());
-        }
-        let results = scanner.run(&range, &IcmpEchoProbe, &self.blocklist);
-        if let Some((shard, shards, skip)) = overlay {
-            scanner.set_sub_shard(shard, shards, skip);
-        }
-        scanner.set_track_positions(false);
-        scanner.set_max_targets(saved_max);
-        scanner.set_record_silent(saved_silent);
+        let results = scanner.run_unit(
+            &range,
+            &IcmpEchoProbe,
+            &self.blocklist,
+            unit,
+            self.mop_up,
+            gate,
+        );
         UnitRaw {
             unit,
-            positions: results
-                .record_positions
-                .iter()
-                .map(|j| unit.position(*j))
-                .collect(),
-            silent_positions: results
-                .silent_positions
-                .iter()
-                .map(|j| unit.position(*j))
-                .collect(),
+            positions: results.record_positions,
+            silent_positions: results.silent_positions,
             records: results.records,
             silent: results.silent_targets,
             mopup: Vec::new(),
@@ -1042,7 +1021,7 @@ mod tests {
             stride: 2,
             cap: 1 << 11,
         };
-        let mut raw = campaign.unit_main(&mut s, profile, unit);
+        let mut raw = campaign.unit_main(&mut s, profile, unit, None);
         campaign.unit_mop_up(&mut s, &mut raw);
         assert!(!raw.records.is_empty(), "need records to exercise codec");
         let mut e = Encoder::new();
@@ -1078,12 +1057,12 @@ mod tests {
             let mut units = Vec::new();
             let mut s = scanner(cap);
             if settled.cap > 0 {
-                let mut raw = campaign.unit_main(&mut s, profile, settled);
+                let mut raw = campaign.unit_main(&mut s, profile, settled, None);
                 campaign.unit_mop_up(&mut s, &mut raw);
                 units.push(raw);
             }
             for part in tail {
-                let mut raw = campaign.unit_main(&mut s, profile, part);
+                let mut raw = campaign.unit_main(&mut s, profile, part, None);
                 campaign.unit_mop_up(&mut s, &mut raw);
                 units.push(raw);
             }

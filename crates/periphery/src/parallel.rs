@@ -41,7 +41,11 @@
 //! one sub-shard per idle worker, pushed into the block's bin. Whoever
 //! delivers a block's last unit assembles every unit's records in
 //! walk-position order (the profile-order merge key extended by the
-//! sub-shard tag) and commits the block.
+//! sub-shard tag) and commits the block. Every unit, root or part, runs
+//! through [`Scanner::run_unit`] nested inside the scanner's own
+//! `(shard, shards)` slot — the same [`SplitUnit`] algebra that nests
+//! [`ParallelScanner`] workers — so on a sharded base a split covers
+//! exactly the positions of that shard.
 //!
 //! The floor is a constant, not an option: a split costs about a
 //! millisecond (one idle poll, one journal append, one extra scanner
@@ -151,7 +155,6 @@
 //! [`Registry`]: xmap_telemetry::Registry
 //! [`ScanStats`]: xmap::ScanStats
 //! [`ParallelScanner`]: xmap::ParallelScanner
-//! [`SplitUnit::split_tail`]: crate::split::SplitUnit::split_tail
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -160,7 +163,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use xmap::telemetry::names;
-use xmap::{insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, Supervision};
+use xmap::{
+    insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, SplitUnit, Supervision,
+    YieldGate,
+};
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
@@ -173,7 +179,6 @@ use crate::campaign::{
     decode_block, decode_unit_raw, encode_block, encode_unit_raw, BlockResult, Campaign,
     CampaignResult, UnitRaw,
 };
-use crate::split::SplitUnit;
 
 /// Walk positions a running unit must still have ahead of it before an
 /// idle worker's yield request splits it. A split costs one idle poll,
@@ -536,7 +541,6 @@ impl ParallelCampaign {
                 .collect(),
             waiters: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
-            force_at: self.force_split_at,
             counters: ExecCounters::default(),
             journal,
         };
@@ -554,6 +558,11 @@ impl ParallelCampaign {
         let worker = |w: usize, scanner: Scanner<N>| Worker {
             w,
             scanner,
+            gate: YieldGate {
+                flag: shared.yield_flags[w].clone(),
+                min_remaining: MIN_SPLIT_REMAINDER,
+                force_at: self.force_split_at,
+            },
             campaign: &self.campaign,
             faults: faults.as_ref(),
             max_attempts,
@@ -711,8 +720,6 @@ struct SplitShared {
     /// Units currently claimed and running anywhere. Idle workers only
     /// retire once this reaches zero with nothing left to claim.
     busy: AtomicUsize,
-    /// Deterministic forced yield point (tests/CI).
-    force_at: Option<u64>,
     counters: ExecCounters,
     /// The campaign journal, when checkpointing.
     journal: Option<Journal>,
@@ -754,6 +761,9 @@ fn lock(bin: &Mutex<Bin>) -> MutexGuard<'_, Bin> {
 struct Worker<'a, N: Network> {
     w: usize,
     scanner: Scanner<N>,
+    /// This worker's split point: its flag in
+    /// [`SplitShared::yield_flags`], armed for every unit it runs.
+    gate: YieldGate,
     campaign: &'a Campaign,
     faults: Option<&'a ExecFaults>,
     max_attempts: u32,
@@ -767,12 +777,9 @@ impl<N: Network> Worker<'_, N> {
     /// Claims and runs units until nothing is left for this worker, or
     /// until it must retire (abort or a panicked unit).
     fn run(&mut self) -> Result<(), StateError> {
-        let flag = self.shared.yield_flags[self.w].clone();
         // Idle peers raise every flag, the fallback's too while it has
         // no scanner running; only a request made during this run counts.
-        flag.store(false, Ordering::Relaxed);
-        self.scanner
-            .set_yield_request(Some(flag), MIN_SPLIT_REMAINDER);
+        self.gate.flag.store(false, Ordering::Relaxed);
         loop {
             if self.scanner.is_aborted() {
                 return Ok(());
@@ -832,7 +839,7 @@ impl<N: Network> Worker<'_, N> {
         let unit_no = self.units;
         self.units += 1;
         let inject = self.faults.is_some_and(|f| f.on_unit(w, unit_no));
-        let scanner = &mut self.scanner;
+        let (scanner, gate) = (&mut self.scanner, &self.gate);
         // What a failed run hands back: the claimed unit or, once it has
         // split, its settled prefix (the parts are already in the bin).
         let mut requeue = unit;
@@ -842,9 +849,7 @@ impl<N: Network> Worker<'_, N> {
                     panic!("injected executor fault: worker {w} panics on unit {unit_no}");
                 }
                 let baseline = scanner.telemetry().registry.snapshot();
-                scanner.set_force_yield_at(shared.force_at);
-                let mut raw = campaign.unit_main(scanner, profile, unit);
-                scanner.set_force_yield_at(None);
+                let mut raw = campaign.unit_main(scanner, profile, unit, Some(gate));
                 if raw.interrupted {
                     return Ok(None);
                 }
@@ -870,7 +875,7 @@ impl<N: Network> Worker<'_, N> {
                             .fetch_add(parts.len() as u64, Ordering::Relaxed);
                     }
                     drop(bin);
-                    shared.yield_flags[w].store(false, Ordering::Relaxed);
+                    gate.flag.store(false, Ordering::Relaxed);
                     raw.unit = settled;
                     requeue = settled;
                 }
@@ -1518,6 +1523,50 @@ mod tests {
                 seq_snap,
                 "{workers}-worker split snapshot diverged"
             );
+        }
+    }
+
+    #[test]
+    fn forced_split_on_a_sharded_base_matches_unsplit() {
+        // A split unit nests inside the scanner's own shard slot: on
+        // shard 1 of 2, every split schedule walks exactly the positions
+        // the unsplit run walks, never the other shard's.
+        let tpb = 1 << 12;
+        let world = |_w: usize, telemetry: &Telemetry| {
+            let mut world = World::new(7);
+            world.set_telemetry(telemetry);
+            world
+        };
+        for (shard, shards) in [(1u64, 2u64), (0, 1)] {
+            let cfg = ScanConfig {
+                seed: 3,
+                shard,
+                shards,
+                ..Default::default()
+            };
+            let unsplit = ParallelCampaign::new(Campaign::new(tpb), 1).run(&cfg, world);
+            assert!(!unsplit.snapshot.counters.contains_key(names::EXEC_SPLITS));
+            for workers in [1usize, 2] {
+                for force in [None, Some(100)] {
+                    let mut exec = ParallelCampaign::new(Campaign::new(tpb), workers);
+                    if let Some(at) = force {
+                        exec = exec.with_force_split_at(at);
+                    }
+                    let outcome = exec.run(&cfg, world);
+                    let what = format!("shard {shard}/{shards}, {workers} workers, {force:?}");
+                    assert!(!outcome.interrupted, "{what}");
+                    assert!(outcome.poisoned.is_empty(), "{what}");
+                    if force.is_some() {
+                        assert!(outcome.snapshot.counter(names::EXEC_SPLITS) >= 1, "{what}");
+                    }
+                    assert_eq!(outcome.result, unsplit.result, "{what}: result diverged");
+                    assert_eq!(
+                        strip_exec(outcome.snapshot),
+                        unsplit.snapshot,
+                        "{what}: snapshot diverged"
+                    );
+                }
+            }
         }
     }
 

@@ -5,8 +5,8 @@
 //! loop itself never names a concrete network:
 //!
 //! * [`TimerHeap`] — deadline-ordered timers with a deterministic
-//!   `(deadline, seq)` tie-break, lazy cancellation and re-arm support.
-//!   The scan loop parks retransmission timers here.
+//!   `(deadline, seq)` tie-break. The scan loop parks retransmission
+//!   timers here.
 //! * [`BoundedQueue`] — the receive-side event queue. Backpressure is
 //!   reported (saturation counter + high watermark), never enforced by
 //!   dropping: a reply that made it off the wire is always delivered.
@@ -32,5 +32,5 @@ pub mod transport;
 
 pub use queue::BoundedQueue;
 pub use replay::{ReplayError, ReplayNet, WireRecorder};
-pub use timer::{TimerHeap, TimerId};
+pub use timer::TimerHeap;
 pub use transport::{RecvEntry, SimTransport, Transport};

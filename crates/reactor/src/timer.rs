@@ -1,20 +1,7 @@
 //! Deadline-ordered timers with deterministic tie-breaking.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Handle to an armed timer, used to cancel it. The inner sequence
-/// number is unique for the heap's lifetime, so a handle can never
-/// accidentally cancel a later re-arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
-impl TimerId {
-    /// The timer's sequence number (its deterministic tie-break key).
-    pub fn seq(&self) -> u64 {
-        self.0
-    }
-}
+use std::collections::BinaryHeap;
 
 #[derive(Debug)]
 struct Entry<T> {
@@ -48,16 +35,10 @@ impl<T> Eq for Entry<T> {}
 /// A deadline-ordered timer heap.
 ///
 /// Timers fire in `(deadline, seq)` order: equal deadlines break ties by
-/// arm order, deterministically. Cancellation is lazy — the entry stays
-/// in the heap as a tombstone until it surfaces and is discarded then.
-/// Only *cancelled* sequence numbers are tracked on the side, so while
-/// no cancellations are pending (the scan engine never cancels) `arm`
-/// and `pop_due` are pure heap operations with no hashing on the hot
-/// path. `cancel` itself scans the heap (`O(n)`) to distinguish a live
-/// timer from one that already fired — cancellation is rare in the
-/// intended workloads and the heap is bounded, so the scan is cheap
-/// where it matters. Re-arming is just arming again: the new handle
-/// fires at the new deadline under a fresh sequence number.
+/// arm order, deterministically. A timer cannot be cancelled: its owner
+/// decides when it pops whether it still matters (the scan loop drops a
+/// retry whose probe was answered), so `arm` and `pop_due` are plain
+/// heap operations.
 ///
 /// The sequence counter is exposed ([`next_seq`](TimerHeap::next_seq) /
 /// [`with_next_seq`](TimerHeap::with_next_seq) /
@@ -66,12 +47,6 @@ impl<T> Eq for Entry<T> {}
 #[derive(Debug)]
 pub struct TimerHeap<T> {
     heap: BinaryHeap<Entry<T>>,
-    /// Sequence numbers of cancelled timers still sitting in the heap as
-    /// tombstones. Invariant: every member is the seq of some entry
-    /// currently in `heap`, so the live count is
-    /// `heap.len() - cancelled.len()` and an empty set means every heap
-    /// entry is live.
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -92,13 +67,12 @@ impl<T> TimerHeap<T> {
     pub fn with_next_seq(seq: u64) -> Self {
         TimerHeap {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: seq,
         }
     }
 
-    /// Arms a timer at `deadline`, returning a handle for cancellation.
-    pub fn arm(&mut self, deadline: u64, payload: T) -> TimerId {
+    /// Arms a timer at `deadline` under the next sequence number.
+    pub fn arm(&mut self, deadline: u64, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry {
@@ -106,7 +80,6 @@ impl<T> TimerHeap<T> {
             seq,
             payload,
         });
-        TimerId(seq)
     }
 
     /// Re-inserts a checkpointed timer under its original sequence
@@ -125,61 +98,24 @@ impl<T> TimerHeap<T> {
         });
     }
 
-    /// Cancels an armed timer. Returns `false` if it already fired or
-    /// was already cancelled — a stale handle never swallows a live
-    /// timer, because sequence numbers are unique. Scans the heap to
-    /// tell the two apart (`O(n)`, see the type-level docs).
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.cancelled.contains(&id.0) {
-            return false;
-        }
-        if self.heap.iter().any(|e| e.seq == id.0) {
-            self.cancelled.insert(id.0);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pops the earliest timer with `deadline <= now`, skipping
-    /// cancelled entries. Returns `(deadline, seq, payload)`.
+    /// Pops the earliest timer with `deadline <= now`. Returns
+    /// `(deadline, seq, payload)`.
     pub fn pop_due(&mut self, now: u64) -> Option<(u64, u64, T)> {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.is_empty() || !self.cancelled.contains(&top.seq) {
-                if top.deadline > now {
-                    return None;
-                }
-                let e = self.heap.pop().expect("peeked");
-                return Some((e.deadline, e.seq, e.payload));
-            }
-            // Cancelled tombstone: discard whatever its deadline.
-            let e = self.heap.pop().expect("peeked");
-            self.cancelled.remove(&e.seq);
+        if self.heap.peek()?.deadline > now {
+            return None;
         }
-        None
+        let e = self.heap.pop().expect("peeked");
+        Some((e.deadline, e.seq, e.payload))
     }
 
-    /// The earliest live deadline, if any. Purges cancelled entries it
-    /// encounters at the top.
-    pub fn peek_deadline(&mut self) -> Option<u64> {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.is_empty() || !self.cancelled.contains(&top.seq) {
-                return Some(top.deadline);
-            }
-            let e = self.heap.pop().expect("peeked");
-            self.cancelled.remove(&e.seq);
-        }
-        None
-    }
-
-    /// Number of live (armed, not cancelled) timers.
+    /// Number of armed timers.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// Whether no live timers remain.
+    /// Whether no timers remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// The sequence number the next armed timer will get.
@@ -187,13 +123,10 @@ impl<T> TimerHeap<T> {
         self.next_seq
     }
 
-    /// Iterates live timers as `(deadline, seq, &payload)` in arbitrary
+    /// Iterates timers as `(deadline, seq, &payload)` in arbitrary
     /// order (checkpoint capture sorts by `(deadline, seq)` itself).
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &T)> {
-        self.heap
-            .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .map(|e| (e.deadline, e.seq, &e.payload))
+        self.heap.iter().map(|e| (e.deadline, e.seq, &e.payload))
     }
 }
 
@@ -226,36 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_fire_and_rearm_fires_once() {
-        let mut h = TimerHeap::new();
-        let id = h.arm(2, "old");
-        assert!(h.cancel(id));
-        assert!(!h.cancel(id), "double cancel must be a no-op");
-        let _new = h.arm(4, "new");
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.peek_deadline(), Some(4));
-        let fired: Vec<_> = std::iter::from_fn(|| h.pop_due(10)).collect();
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].2, "new");
-    }
-
-    #[test]
-    fn cancel_after_fire_is_rejected() {
-        let mut h = TimerHeap::new();
-        let id = h.arm(1, ());
-        assert!(h.pop_due(1).is_some());
-        assert!(!h.cancel(id));
-        h.arm(2, ());
-        assert_eq!(h.len(), 1, "stale cancel must not eat a live timer");
-        assert!(h.pop_due(2).is_some());
-    }
-
-    #[test]
     fn restored_seq_preserves_order() {
         let mut h = TimerHeap::with_next_seq(10);
         h.insert_restored(4, 7, "restored");
-        let fresh = h.arm(4, "fresh");
-        assert_eq!(fresh.seq(), 10);
+        assert_eq!(h.next_seq(), 10);
+        h.arm(4, "fresh");
         assert_eq!(h.pop_due(4).map(|(_, s, p)| (s, p)), Some((7, "restored")));
         assert_eq!(h.pop_due(4).map(|(_, s, p)| (s, p)), Some((10, "fresh")));
     }

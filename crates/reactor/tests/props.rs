@@ -40,8 +40,8 @@ proptest! {
         let mut expected: Vec<(u64, u64)> = Vec::new();
         for _ in 0..n {
             let deadline = g.below(16); // dense deadlines force tie-breaks
-            let id = heap.arm(deadline, deadline);
-            expected.push((deadline, id.seq()));
+            expected.push((deadline, heap.next_seq()));
+            heap.arm(deadline, deadline);
         }
         // The reference model: sort by (deadline, seq).
         expected.sort_unstable();
@@ -58,87 +58,6 @@ proptest! {
         }
         prop_assert_eq!(fired, expected);
         prop_assert!(heap.is_empty());
-    }
-
-    /// A random interleaving of arm / cancel / re-arm / pop keeps the
-    /// heap consistent with a naive model: cancelled timers never fire,
-    /// stale handles never swallow live timers, `len` always equals the
-    /// model's live count, and the survivors drain in model order.
-    #[test]
-    fn cancel_and_rearm_never_corrupt_the_live_set(seed in any::<u64>()) {
-        let mut g = Gen(seed);
-        let mut heap = TimerHeap::new();
-        // Model: live timers as (deadline, seq); retired handles kept
-        // around so stale cancels get exercised.
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        let mut handles = Vec::new();
-        let mut stale = Vec::new();
-        let mut now = 0u64;
-
-        for _ in 0..200 {
-            match g.below(5) {
-                0 | 1 => {
-                    let deadline = now + g.below(8);
-                    let id = heap.arm(deadline, ());
-                    live.push((deadline, id.seq()));
-                    handles.push(id);
-                }
-                2 => {
-                    // Cancel a handle: sometimes live, sometimes stale.
-                    let pool = if !handles.is_empty() && g.below(4) > 0 {
-                        &mut handles
-                    } else {
-                        &mut stale
-                    };
-                    if !pool.is_empty() {
-                        let id = pool.swap_remove(g.below(pool.len() as u64) as usize);
-                        let was_live = live.iter().any(|&(_, s)| s == id.seq());
-                        prop_assert_eq!(heap.cancel(id), was_live);
-                        live.retain(|&(_, s)| s != id.seq());
-                        stale.push(id);
-                    }
-                }
-                3 => {
-                    // Cancel + immediate re-arm at a new deadline (the
-                    // engine's re-schedule path).
-                    if !handles.is_empty() {
-                        let i = g.below(handles.len() as u64) as usize;
-                        let old = handles.swap_remove(i);
-                        if heap.cancel(old) {
-                            live.retain(|&(_, s)| s != old.seq());
-                        }
-                        stale.push(old);
-                        let deadline = now + g.below(8);
-                        let id = heap.arm(deadline, ());
-                        live.push((deadline, id.seq()));
-                        handles.push(id);
-                    }
-                }
-                _ => {
-                    now += g.below(4);
-                    while let Some((deadline, seq, ())) = heap.pop_due(now) {
-                        prop_assert!(deadline <= now);
-                        // The model says this exact timer is the next due.
-                        live.sort_unstable();
-                        prop_assert!(!live.is_empty());
-                        prop_assert_eq!(live.remove(0), (deadline, seq));
-                        handles.retain(|h| h.seq() != seq);
-                    }
-                    if let Some(&(d, _)) = live.iter().min() {
-                        prop_assert!(d > now, "due timer left unfired");
-                    }
-                }
-            }
-            prop_assert_eq!(heap.len(), live.len());
-        }
-
-        // Drain what's left; it must come out exactly in model order.
-        live.sort_unstable();
-        let mut drained = Vec::new();
-        while let Some((deadline, seq, ())) = heap.pop_due(u64::MAX) {
-            drained.push((deadline, seq));
-        }
-        prop_assert_eq!(drained, live);
     }
 
     /// Backpressure property: however pushes and pops interleave, the

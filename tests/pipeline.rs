@@ -141,9 +141,14 @@ fn different_seeds_find_different_populations() {
 
 #[test]
 fn scan_output_roundtrips_through_csv() {
-    let mut s = scanner();
+    let world = World::with_config(WorldConfig::lossless(3141, 50));
+    let config = ScanConfig {
+        seed: 3141,
+        max_targets: Some(1 << 14),
+        ..Default::default()
+    };
+    let mut s = Scanner::new(world, config);
     let profile = &SAMPLE_BLOCKS[12];
-    s.set_max_targets(Some(1 << 14));
     let results = s.run(
         &profile.scan_range(),
         &xmap::IcmpEchoProbe,
