@@ -51,13 +51,14 @@ use xmap::{
 use xmap_addr::{classify_iid, FxHashSet, IidClass, Ip6, Mac, Prefix, PrefixTree};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind, Opened};
+use xmap_netsim::world::WorldConfig;
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Identity, Kind, Opened};
 use xmap_state::codec::{Decoder, Encoder};
 use xmap_state::{Fingerprint, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry};
 
 use crate::campaign::{
-    decode_stats, encode_stats, BlockResult, CampaignResult, DiscoveredPeriphery,
+    decode_stats, encode_stats, push_world, BlockResult, CampaignResult, DiscoveredPeriphery,
 };
 use crate::infer_boundary;
 
@@ -342,31 +343,52 @@ impl AdaptiveCampaign {
         self
     }
 
-    /// Identity of this engine + scan configuration; a checkpoint
-    /// resumes only under the same. Deliberately excludes the worker
-    /// count.
-    pub fn fingerprint(&self, base: &ScanConfig) -> u64 {
-        let c = &self.config;
-        let p = c.policy();
-        let mut fp = Fingerprint::new();
-        fp.push_str("adaptive")
-            .push_u64(c.probe_budget)
-            .push_u64(p.samples_per_node)
-            .push_u64(p.split_density.to_bits())
-            .push_u64(p.prune_after)
-            .push_u128(p.prune_max_span)
-            .push_u128(p.exhaust_span)
-            .push_u64(p.branch_bits as u64)
-            .push_u64(match c.root_bits {
-                Some(b) => 1 + b as u64,
-                None => 0,
-            })
-            .push_u64(p.max_rounds)
-            .push_u64(self.infer as u64)
-            .push_u64(self.blocklist.fingerprint())
-            .push_u64(base.seed)
-            .push_u64(base.hop_limit as u64);
-        fp.finish()
+    /// What an `adaptive.ckpt` journal of this engine resumes: every
+    /// setting that changes its output, scan, world and engine, each
+    /// field ruled in or out below. The world comes in as the argument
+    /// the caller builds its probers' worlds from. The arm's policy
+    /// constants follow from `exhaustive`.
+    pub fn identity(&self, base: &ScanConfig, world: &WorldConfig) -> Identity {
+        let AdaptiveCampaign {
+            config,
+            blocklist,
+            infer,
+            // Any worker count resumes a journal, and the kill point
+            // only says where a run stops.
+            workers: _,
+            kill_after_probes: _,
+        } = self;
+        let AdaptiveConfig {
+            probe_budget,
+            root_bits,
+            exhaustive,
+        } = config;
+        let ScanConfig {
+            seed,
+            source,
+            hop_limit,
+            // Units probe through targeted sessions: one probe per drawn
+            // target, no walk, shard, cap, pacing, retry or silent list.
+            permutation: _,
+            shard: _,
+            shards: _,
+            max_targets: _,
+            rate_pps: _,
+            probes_per_target: _,
+            rto_ticks: _,
+            record_silent: _,
+        } = base;
+        let mut id = Identity::new(ADAPTIVE_FORMAT);
+        id.push("seed", seed)
+            .push("source", source)
+            .push("hop_limit", hop_limit);
+        push_world(&mut id, world);
+        id.push("probe_budget", probe_budget)
+            .push("root_bits", format!("{root_bits:?}"))
+            .push("exhaustive", exhaustive)
+            .push("blocklist", format!("{:#018x}", blocklist.fingerprint()))
+            .push("infer", infer);
+        id
     }
 
     /// Runs the adaptive campaign over every sample block.
@@ -383,13 +405,17 @@ impl AdaptiveCampaign {
     /// the engine kill point fires the call returns with
     /// [`AdaptiveOutcome::interrupted`] set; rerunning with
     /// `resume: true` — under any worker count — replays the journal and
-    /// produces byte-identical final output. A journal of another
-    /// configuration is [`StateError::Mismatch`], one whose rounds are
+    /// produces byte-identical final output. `world` is the world
+    /// `make_world` builds: with `base` and the engine it is the run's
+    /// [`identity`](Self::identity), which entry 0 of the journal states.
+    /// A journal of a run that differs in any identity field is
+    /// [`StateError::Mismatch`] naming the fields, one whose rounds are
     /// not the campaign's [`StateError::Corrupt`], and an older build's
-    /// sectioned file [`StateError::Version`].
+    /// [`StateError::Version`].
     pub fn run_checkpointed<N, F>(
         &self,
         base: &ScanConfig,
+        world: &WorldConfig,
         path: &Path,
         resume: bool,
         make_world: F,
@@ -398,7 +424,7 @@ impl AdaptiveCampaign {
         N: Network + Send,
         F: Fn(&Telemetry) -> N + Sync,
     {
-        let mut journal = Journal::open(path, self.fingerprint(base), resume)?;
+        let mut journal = Journal::open(path, &self.identity(base, world), resume)?;
         let outcome = self.run_inner(Some(&mut journal), &mut self.probers(base, &make_world))?;
         match journal.pending.front() {
             Some(ck) => Err(ck.corrupt("is a round the campaign never runs")),
@@ -807,10 +833,14 @@ fn run_unit<N: Network>(
     }
 }
 
-/// Entry 0 of an adaptive journal: binds it to one engine fingerprint.
+/// Entry 0 of an adaptive journal: states the run it belongs to.
 const CAMPAIGN: Kind = Kind {
     name: "adaptive-campaign",
 };
+/// The format of `adaptive.ckpt`: 2 since entry 0 states the run's
+/// [`Identity`] field by field. Format 1 bound the journal to a hash
+/// that left the world out.
+const ADAPTIVE_FORMAT: u64 = 2;
 /// One finished round: its unit results and telemetry delta.
 const ROUND: Kind = Kind {
     name: "adaptive-round",
@@ -826,22 +856,23 @@ struct Journal {
 }
 
 impl Journal {
-    /// Opens the journal at `path` for a campaign fingerprinting as `fp`:
-    /// on resume its intact rounds queue for replay and appends go after
-    /// them; otherwise, or when no entry is intact, a new journal starts.
-    fn open(path: &Path, fp: u64, resume: bool) -> Result<Journal, StateError> {
-        let first = CAMPAIGN.entry(&[], fp, &[]);
+    /// Opens the journal at `path` for the run `id`: on resume its
+    /// intact rounds queue for replay and appends go after them;
+    /// otherwise, or when no entry is intact, a new journal starts.
+    fn open(path: &Path, id: &Identity, resume: bool) -> Result<Journal, StateError> {
+        let first = CAMPAIGN.first(id);
         let what = |seq: usize| format!("adaptive journal {} entry {seq}", path.display());
         let (wal, entries) = if resume {
             Wal::open(path, Some(&first), |entries| {
                 if let Some(first) = entries.first() {
-                    CAMPAIGN.parse(first, what(0), Some(fp), &[])?;
+                    CAMPAIGN.parse_first(first, what(0), id)?;
                 }
                 Ok(entries.len())
             })?
         } else {
             (Wal::start(path, Some(&first))?, Vec::new())
         };
+        let fp = id.fingerprint();
         // Consumed as parsed, so the journal is held in memory once.
         let pending = (entries.into_iter().enumerate().skip(1))
             .map(|(seq, raw)| ROUND.parse(&raw, what(seq), Some(fp), &[]))
@@ -969,15 +1000,17 @@ mod tests {
     use xmap_netsim::fault::{FaultPlan, IcmpRateLimit};
     use xmap_netsim::world::{Allocation, World, WorldConfig};
 
+    /// Concentration matters: active pods must be dense enough that
+    /// `prune_after` silent probes is strong evidence of emptiness.
+    fn sparse() -> WorldConfig {
+        WorldConfig::lossless(99, 10).with_allocation(Allocation::Clustered {
+            pod_bits: 8,
+            active_frac: 1.0 / 256.0,
+        })
+    }
+
     fn sparse_world(telemetry: &Telemetry) -> World {
-        // Concentration matters: active pods must be dense enough that
-        // `prune_after` silent probes is strong evidence of emptiness.
-        let mut world = World::with_config(WorldConfig::lossless(99, 10).with_allocation(
-            Allocation::Clustered {
-                pod_bits: 8,
-                active_frac: 1.0 / 256.0,
-            },
-        ));
+        let mut world = World::with_config(sparse());
         world.set_telemetry(telemetry);
         world
     }
@@ -1088,7 +1121,7 @@ mod tests {
 
         let killed = engine().with_kill_after_probes(9_000);
         let outcome = killed
-            .run_checkpointed(&base(), &path, false, sparse_world)
+            .run_checkpointed(&base(), &sparse(), &path, false, sparse_world)
             .unwrap();
         assert!(outcome.interrupted, "kill point must interrupt");
         assert!(outcome.result.blocks.len() < baseline.result.blocks.len());
@@ -1096,7 +1129,7 @@ mod tests {
         // Resume under a different worker count.
         let resumed = engine()
             .with_workers(2)
-            .run_checkpointed(&base(), &path, true, sparse_world)
+            .run_checkpointed(&base(), &sparse(), &path, true, sparse_world)
             .unwrap();
         assert!(!resumed.interrupted);
         assert_eq!(resumed.result, baseline.result);
@@ -1113,7 +1146,7 @@ mod tests {
         let path = dir.join("adaptive.ckpt");
         let killed = engine().with_kill_after_probes(4_000);
         let outcome = killed
-            .run_checkpointed(&base(), &path, false, sparse_world)
+            .run_checkpointed(&base(), &sparse(), &path, false, sparse_world)
             .unwrap();
         assert!(outcome.interrupted);
         let other = AdaptiveCampaign::new(AdaptiveConfig {
@@ -1122,7 +1155,7 @@ mod tests {
             ..AdaptiveConfig::default()
         });
         let err = other
-            .run_checkpointed(&base(), &path, true, sparse_world)
+            .run_checkpointed(&base(), &sparse(), &path, true, sparse_world)
             .unwrap_err();
         assert!(matches!(err, StateError::Mismatch(_)), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1146,7 +1179,7 @@ mod tests {
             })
         };
         let full = small()
-            .run_checkpointed(&base(), &path, false, sparse_world)
+            .run_checkpointed(&base(), &sparse(), &path, false, sparse_world)
             .unwrap();
         let journal = std::fs::read(&path).unwrap();
         let entries = Wal::recover(&path).unwrap().entries;
@@ -1161,7 +1194,7 @@ mod tests {
             std::fs::write(&path, &journal[..len]).unwrap();
             let resumed = small()
                 .with_workers(2)
-                .run_checkpointed(&base(), &path, true, sparse_world)
+                .run_checkpointed(&base(), &sparse(), &path, true, sparse_world)
                 .unwrap();
             assert_eq!(
                 resumed.result.to_csv(),
@@ -1189,7 +1222,7 @@ mod tests {
         let path = dir.join("adaptive.ckpt");
         let outcome = engine()
             .with_kill_after_probes(9_000)
-            .run_checkpointed(&base(), &path, false, sparse_world)
+            .run_checkpointed(&base(), &sparse(), &path, false, sparse_world)
             .unwrap();
         assert!(outcome.interrupted);
         let mut entries = Wal::recover(&path).unwrap().entries;
@@ -1222,7 +1255,7 @@ mod tests {
             wal.sync().unwrap();
             drop(wal);
             let err = engine()
-                .run_checkpointed(&base(), &path, true, sparse_world)
+                .run_checkpointed(&base(), &sparse(), &path, true, sparse_world)
                 .unwrap_err();
             assert!(matches!(err, StateError::Corrupt(_)), "{label}: {err:?}");
         }

@@ -275,6 +275,17 @@ fn world_config(cfg: &CliConfig) -> WorldConfig {
     wc
 }
 
+/// The one-line error of a checkpoint that cannot be continued.
+fn refusal(e: StateError) -> String {
+    match e {
+        StateError::Mismatch(why) => format!(
+            "cannot resume: this invocation's configuration does not \
+             match the checkpointed campaign ({why})"
+        ),
+        other => format!("checkpoint: {other}"),
+    }
+}
+
 /// Builds the blocklist: standard reserved ranges plus any `-b` extras.
 fn build_blocklist(cfg: &CliConfig) -> Result<Blocklist, String> {
     let mut blocklist = Blocklist::with_standard_reserved();
@@ -322,14 +333,8 @@ fn run_adaptive(cfg: CliConfig) -> Result<bool, String> {
         Some(dir) => {
             let path = std::path::Path::new(dir).join("adaptive.ckpt");
             engine
-                .run_checkpointed(&base, &path, cfg.resume, make_world)
-                .map_err(|e| match e {
-                    StateError::Mismatch(why) => format!(
-                        "cannot resume: this invocation's configuration does not \
-                         match the checkpointed campaign ({why})"
-                    ),
-                    other => format!("checkpoint: {other}"),
-                })?
+                .run_checkpointed(&base, &wc, &path, cfg.resume, make_world)
+                .map_err(refusal)?
         }
         None => engine.run(&base, make_world),
     };
@@ -395,21 +400,15 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         seed: cfg.seed,
         ..Default::default()
     };
+    let wc = world_config(&cfg);
     if cfg.resume_plan {
         let dir = cfg.checkpoint.as_deref().expect("validated in parse_args");
         let plan = executor
-            .resume_plan(&base, std::path::Path::new(dir))
-            .map_err(|e| match e {
-                StateError::Mismatch(why) => format!(
-                    "cannot resume: this invocation's configuration does not \
-                     match the checkpointed campaign ({why})"
-                ),
-                other => format!("checkpoint: {other}"),
-            })?;
+            .resume_plan(&base, &wc, std::path::Path::new(dir))
+            .map_err(refusal)?;
         print!("{}", render_resume_plan(&plan));
         return Ok(false);
     }
-    let wc = world_config(&cfg);
     let kill = cfg.kill_after_probes;
     let signal = AbortSignal::new();
     let make_world = |_w: usize, telemetry: &xmap_telemetry::Telemetry| {
@@ -431,18 +430,13 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         Some(dir) => executor
             .run_checkpointed(
                 &base,
+                &wc,
                 std::path::Path::new(dir),
                 cfg.resume,
                 Some(&signal),
                 make_world,
             )
-            .map_err(|e| match e {
-                StateError::Mismatch(why) => format!(
-                    "cannot resume: this invocation's configuration does not \
-                     match the checkpointed campaign ({why})"
-                ),
-                other => format!("checkpoint: {other}"),
-            })?,
+            .map_err(refusal)?,
         None => executor.run(&base, make_world),
     };
 

@@ -16,8 +16,10 @@ use xmap::{
 use xmap_addr::{classify_iid, FxHashSet, IidClass, IidHistogram, Ip6, Mac, Prefix};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
 use xmap_netsim::packet::Network;
+use xmap_netsim::world::WorldConfig;
+use xmap_state::checkpoint::Identity;
 use xmap_state::codec::{Decoder, Encoder};
-use xmap_state::{Fingerprint, StateError};
+use xmap_state::StateError;
 use xmap_telemetry::Tracer;
 
 /// One discovered periphery (deduplicated last hop).
@@ -206,6 +208,30 @@ impl CampaignResult {
     }
 }
 
+/// The format of `campaign.ckpt`: 2 since entry 0 states the run's
+/// [`Identity`] field by field. Format 1 bound the journal to a hash
+/// that left the world and the shard out.
+const CAMPAIGN_FORMAT: u64 = 2;
+
+/// Appends the simulated world to a run's identity. Every field of a
+/// world shapes what it answers, so the world is identity whole; a fault
+/// plan is listed through its derived `Debug`, which names all of its
+/// fields, the private fault seed included.
+pub(crate) fn push_world(id: &mut Identity, world: &WorldConfig) {
+    let WorldConfig {
+        seed,
+        bgp_ases,
+        loss_frac,
+        fault,
+        allocation,
+    } = world;
+    id.push("world_seed", seed)
+        .push("bgp_ases", bgp_ases)
+        .push("loss_frac", loss_frac)
+        .push("fault", format!("{fault:?}"))
+        .push("allocation", format!("{allocation:?}"));
+}
+
 /// Header line of [`CampaignResult::to_csv`].
 pub const CSV_HEADER: &str = "profile_id,address,target,probe_dst,same64,iid_class,mac,via_te";
 
@@ -262,12 +288,16 @@ impl Campaign {
     /// Overrides the walk-position budget of individual blocks: each
     /// `(index, targets)` pair caps block `index` (Table II order) at
     /// `targets` instead of `targets_per_block`. Out-of-range indices are
-    /// ignored; for duplicate indices the first pair wins. Part of the
-    /// campaign fingerprint — a checkpoint taken under one set of
-    /// overrides refuses to resume under another.
-    pub fn with_block_targets(mut self, caps: Vec<(usize, u64)>) -> Self {
+    /// dropped, and of duplicate indices the first pair is kept, so the
+    /// list holds exactly the caps that take effect. It is part of the
+    /// campaign's [`identity`](Self::identity): a checkpoint taken under
+    /// one set of caps refuses to resume under another.
+    pub fn with_block_targets(mut self, mut caps: Vec<(usize, u64)>) -> Self {
+        caps.retain(|(idx, _)| *idx < SAMPLE_BLOCKS.len());
+        // A stable sort keeps the first pair of an index first.
+        caps.sort_by_key(|(idx, _)| *idx);
+        caps.dedup_by_key(|(idx, _)| *idx);
         self.block_caps = caps;
-        self.block_caps.sort_by_key(|(idx, _)| *idx);
         self
     }
 
@@ -327,27 +357,51 @@ impl Campaign {
         result
     }
 
-    /// Identity of this campaign + scanner configuration; resume refuses
-    /// a checkpoint taken under any other. Takes a bare [`ScanConfig`] —
-    /// the parallel executor fingerprints before any worker scanner
-    /// exists. Deliberately excludes the worker count: a checkpoint
-    /// resumes under any N.
-    pub(crate) fn fingerprint_cfg(&self, cfg: &ScanConfig) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.push_str("campaign")
-            .push_u64(self.targets_per_block)
-            .push_u64(self.mop_up as u64)
-            .push_u64(self.mop_up_delay_ticks)
-            .push_u64(self.blocklist.fingerprint())
-            .push_u64(cfg.seed)
-            .push_u64(cfg.hop_limit as u64)
-            .push_u64(cfg.probes_per_target as u64)
-            .push_u64(cfg.rto_ticks)
-            .push_u64(self.block_caps.len() as u64);
-        for (idx, targets) in &self.block_caps {
-            fp.push_u64(*idx as u64).push_u64(*targets);
-        }
-        fp.finish()
+    /// What a `campaign.ckpt` journal of this campaign resumes: every
+    /// setting that changes its output, scan, world and campaign, each
+    /// field ruled in or out below. The world comes in as the argument
+    /// the caller builds its networks from. The worker count and the
+    /// split schedule stay out: a journal resumes under any.
+    pub fn identity(&self, cfg: &ScanConfig, world: &WorldConfig) -> Identity {
+        let Campaign {
+            targets_per_block,
+            blocklist,
+            mop_up,
+            mop_up_delay_ticks,
+            block_caps,
+        } = self;
+        let ScanConfig {
+            seed,
+            source,
+            hop_limit,
+            permutation,
+            shard,
+            shards,
+            rate_pps,
+            probes_per_target,
+            rto_ticks,
+            // The campaign caps each block itself and keeps silent
+            // targets exactly when it mops up.
+            max_targets: _,
+            record_silent: _,
+        } = cfg;
+        let mut id = Identity::new(CAMPAIGN_FORMAT);
+        id.push("seed", seed)
+            .push("source", source)
+            .push("hop_limit", hop_limit)
+            .push("permutation", format!("{permutation:?}"))
+            .push("shard", shard)
+            .push("shards", shards)
+            .push("rate_pps", format!("{rate_pps:?}"))
+            .push("probes_per_target", probes_per_target)
+            .push("rto_ticks", rto_ticks);
+        push_world(&mut id, world);
+        id.push("targets_per_block", targets_per_block)
+            .push("block_caps", format!("{block_caps:?}"))
+            // The delay only takes effect with the pass.
+            .push("mop_up", format!("{:?}", mop_up.then_some(mop_up_delay_ticks)))
+            .push("blocklist", format!("{:#018x}", blocklist.fingerprint()));
+        id
     }
 
     /// Runs the discovery scan over one block: the whole-block root unit
@@ -885,7 +939,8 @@ pub fn decode_block(d: &mut Decoder) -> Result<BlockResult, StateError> {
 mod tests {
     use super::*;
     use xmap::ScanConfig;
-    use xmap_netsim::world::{World, WorldConfig};
+    use xmap_netsim::world::World;
+    use xmap_state::Fingerprint;
 
     fn scanner(max: u64) -> Scanner<World> {
         let world = World::with_config(WorldConfig::lossless(99, 50));
@@ -1072,6 +1127,30 @@ mod tests {
                 "split at {consumed} into {parts} diverged from sequential"
             );
         }
+    }
+
+    /// The caps that take effect are the identity: an out-of-range index
+    /// and the second pair of a duplicate index change neither what is
+    /// scanned nor what a checkpoint resumes.
+    #[test]
+    fn block_caps_are_normalised_to_the_caps_that_take_effect() {
+        let (cfg, world) = (ScanConfig::default(), WorldConfig::default());
+        let plain = Campaign::new(1 << 12).with_block_targets(vec![(3, 100)]);
+        let noisy = Campaign::new(1 << 12).with_block_targets(vec![
+            (SAMPLE_BLOCKS.len(), 7),
+            (3, 100),
+            (99, 5),
+            (3, 200),
+        ]);
+        assert_eq!(noisy.block_caps, [(3, 100)]);
+        assert_eq!(noisy.identity(&cfg, &world), plain.identity(&cfg, &world));
+        for profile in SAMPLE_BLOCKS.iter() {
+            assert_eq!(noisy.block_cap(profile), plain.block_cap(profile));
+        }
+        assert_eq!(noisy.block_cap(&SAMPLE_BLOCKS[3]), 100);
+        // Pairs given out of order are sorted by index, first pair kept.
+        let shuffled = Campaign::new(1 << 12).with_block_targets(vec![(5, 1), (2, 9), (5, 3)]);
+        assert_eq!(shuffled.block_caps, [(2, 9), (5, 1)]);
     }
 
     #[test]

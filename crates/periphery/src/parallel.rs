@@ -117,7 +117,7 @@
 //! bytes an `xmap-state` sectioned checkpoint of its kind would:
 //!
 //! ```text
-//! campaign-dir     entry 0: the campaign fingerprint and block count
+//! campaign-dir     entry 0: the run's identity, field by field
 //! campaign-claim   a worker claimed unit (offset, stride, cap) of a block
 //! campaign-split   that unit yielded after `consumed` positions and its
 //!                  tail was dealt into `k` parts
@@ -148,9 +148,9 @@
 //! [`Split`](BlockMode::Split); a split block whose units were all
 //! delivered is assembled and committed before any worker starts. A lost
 //! claim only turns Resume into Fresh, and both re-run the unit. Because
-//! delivered units and blocks are self-contained deltas and the campaign
-//! fingerprint excludes the worker count, a campaign killed under one N
-//! resumes byte-identically under any other.
+//! delivered units and blocks are self-contained deltas and the run's
+//! identity ([`Campaign::identity`]) excludes the worker count, a
+//! campaign killed under one N resumes byte-identically under any other.
 //!
 //! [`Registry`]: xmap_telemetry::Registry
 //! [`ScanStats`]: xmap::ScanStats
@@ -170,7 +170,8 @@ use xmap::{
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
 use xmap_netsim::packet::Network;
-use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Kind, Opened};
+use xmap_netsim::world::WorldConfig;
+use xmap_state::checkpoint::{decode_snapshot, encode_snapshot, Identity, Kind, Opened};
 use xmap_state::codec::Encoder;
 use xmap_state::{AbortSignal, StateError, Wal};
 use xmap_telemetry::{Snapshot, Telemetry, Tracer};
@@ -368,25 +369,30 @@ impl ParallelCampaign {
     /// rest, and produces a result and merged snapshot byte-identical to
     /// an uninterrupted campaign.
     ///
-    /// Resuming under a different campaign or scanner configuration is
-    /// a hard [`StateError::Mismatch`], and a directory an older build
-    /// wrote (a sectioned `campaign.ckpt`) a [`StateError::Version`];
-    /// `resume: false` starts a new journal over any previous one.
+    /// `world` is the world `make_network` builds every replica from:
+    /// with `base` and the campaign it is the run's
+    /// [`identity`](Campaign::identity), which entry 0 of the journal
+    /// states. Resuming under a run that differs in any identity field
+    /// is a hard [`StateError::Mismatch`] naming the fields, and a
+    /// journal an older build wrote a [`StateError::Version`]; either
+    /// leaves the journal as it was. `resume: false` starts a new journal
+    /// over any previous one.
     pub fn run_checkpointed<N: Network + Send>(
         &self,
         base: &ScanConfig,
+        world: &WorldConfig,
         dir: &Path,
         resume: bool,
         abort: Option<&AbortSignal>,
         make_network: impl FnMut(usize, &Telemetry) -> N,
     ) -> Result<CampaignOutcome, StateError> {
-        let fp = self.campaign.fingerprint_cfg(base);
+        let id = self.campaign.identity(base, world);
         let path = dir.join("campaign.ckpt");
-        let first = DIR.entry(&[("blocks", SAMPLE_BLOCKS.len() as u64)], fp, &[]);
+        let first = DIR.first(&id);
         let mut blocks = self.unstarted();
         let wal = if resume {
             let replay = |entries: &[Vec<u8>]| {
-                blocks = self.replay(&path, entries, fp)?;
+                blocks = self.replay(&path, entries, &id)?;
                 Ok(entries.len())
             };
             Wal::open(&path, Some(&first), replay)?.0
@@ -394,7 +400,7 @@ impl ParallelCampaign {
             Wal::start(&path, Some(&first))?
         };
         let journal = Journal {
-            fp,
+            fp: id.fingerprint(),
             wal: Mutex::new(wal),
         };
         // Every block left to scan starts with a bin of its undelivered
@@ -427,10 +433,15 @@ impl ParallelCampaign {
     /// in `dir` without running anything — the
     /// `Skip`/`Resume`/`Fresh`/`Split` plan
     /// [`run_checkpointed`](Self::run_checkpointed) would execute.
-    pub fn resume_plan(&self, base: &ScanConfig, dir: &Path) -> Result<Vec<BlockMode>, StateError> {
-        let fp = self.campaign.fingerprint_cfg(base);
+    pub fn resume_plan(
+        &self,
+        base: &ScanConfig,
+        world: &WorldConfig,
+        dir: &Path,
+    ) -> Result<Vec<BlockMode>, StateError> {
+        let id = self.campaign.identity(base, world);
         let path = dir.join("campaign.ckpt");
-        let blocks = self.replay(&path, &Wal::recover(&path)?.entries, fp)?;
+        let blocks = self.replay(&path, &Wal::recover(&path)?.entries, &id)?;
         Ok(blocks.iter().map(Replay::mode).collect())
     }
 
@@ -451,16 +462,22 @@ impl ParallelCampaign {
             .collect()
     }
 
-    /// Replays `entries`, the intact entries of the journal at `path`:
-    /// every block as they leave it. No entries leave every block
-    /// unstarted.
-    fn replay(&self, path: &Path, entries: &[Vec<u8>], fp: u64) -> Result<Vec<Replay>, StateError> {
+    /// Replays `entries`, the intact entries of the journal at `path`,
+    /// for the run `id`: every block as they leave it. No entries leave
+    /// every block unstarted.
+    fn replay(
+        &self,
+        path: &Path,
+        entries: &[Vec<u8>],
+        id: &Identity,
+    ) -> Result<Vec<Replay>, StateError> {
         let mut blocks = self.unstarted();
         let Some((first, rest)) = entries.split_first() else {
             return Ok(blocks);
         };
         let what = |seq: usize| format!("campaign journal {} entry {seq}", path.display());
-        DIR.parse(first, what(0), Some(fp), &[("blocks", blocks.len() as u64)])?;
+        DIR.parse_first(first, what(0), id)?;
+        let fp = id.fingerprint();
         for (seq, raw) in rest.iter().enumerate() {
             let mut ck = Opened::parse(raw, what(seq + 1), Some(fp))?;
             let Some(block) = blocks.get_mut(ck.field("block")? as usize) else {
@@ -986,7 +1003,7 @@ fn commit_block(
     Ok((block, delta))
 }
 
-/// Entry 0: binds the journal to one campaign configuration.
+/// Entry 0: states the run the journal belongs to.
 const DIR: Kind = Kind {
     name: "campaign-dir",
 };
@@ -1126,8 +1143,13 @@ mod tests {
         }
     }
 
+    /// The world every test network is built from.
+    fn world() -> WorldConfig {
+        WorldConfig::lossless(99, 50)
+    }
+
     fn make_world(_w: usize, telemetry: &Telemetry) -> World {
-        let mut world = World::with_config(WorldConfig::lossless(99, 50));
+        let mut world = World::with_config(world());
         world.set_telemetry(telemetry);
         world
     }
@@ -1169,16 +1191,16 @@ mod tests {
         let tpb = 1 << 10;
         let exec = ParallelCampaign::new(Campaign::new(tpb), 2);
         let outcome = exec
-            .run_checkpointed(&base(tpb), &dir, false, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, false, None, make_world)
             .unwrap();
         assert!(!outcome.interrupted);
         assert_eq!(outcome.result.blocks.len(), SAMPLE_BLOCKS.len());
-        let plan = exec.resume_plan(&base(tpb), &dir).unwrap();
+        let plan = exec.resume_plan(&base(tpb), &world(), &dir).unwrap();
         assert!(plan.iter().all(|m| *m == BlockMode::Skip), "{plan:?}");
         // A resume with everything checkpointed scans nothing and still
         // reproduces the result and snapshot exactly.
         let resumed = exec
-            .run_checkpointed(&base(tpb), &dir, true, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, true, None, make_world)
             .unwrap();
         assert_eq!(resumed.result, outcome.result);
         assert_eq!(resumed.snapshot, outcome.snapshot);
@@ -1195,7 +1217,7 @@ mod tests {
         let signal = AbortSignal::new();
         let exec2 = ParallelCampaign::new(Campaign::new(tpb), 2);
         let partial = exec2
-            .run_checkpointed(&base(tpb), &dir, false, Some(&signal), |w, telemetry| {
+            .run_checkpointed(&base(tpb), &world(), &dir, false, Some(&signal), |w, telemetry| {
                 let mut world = World::with_config(WorldConfig::lossless(99, 50));
                 world.set_telemetry(telemetry);
                 if w == 0 {
@@ -1215,7 +1237,7 @@ mod tests {
         assert!(partial.interrupted, "kill point must interrupt");
         assert!(partial.result.blocks.len() < SAMPLE_BLOCKS.len());
 
-        let plan = exec2.resume_plan(&base(tpb), &dir).unwrap();
+        let plan = exec2.resume_plan(&base(tpb), &world(), &dir).unwrap();
         assert!(plan.contains(&BlockMode::Skip), "{plan:?}");
         assert!(
             plan.iter().any(|m| *m != BlockMode::Skip),
@@ -1225,7 +1247,7 @@ mod tests {
         // Resume under a different worker count.
         let exec3 = ParallelCampaign::new(Campaign::new(tpb), 3);
         let full = exec3
-            .run_checkpointed(&base(tpb), &dir, true, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, true, None, make_world)
             .unwrap();
         assert!(!full.interrupted);
         assert_eq!(full.result, seq, "resumed campaign must match sequential");
@@ -1239,11 +1261,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let tpb = 1 << 9;
         ParallelCampaign::new(Campaign::new(tpb), 2)
-            .run_checkpointed(&base(tpb), &dir, false, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, false, None, make_world)
             .unwrap();
         let other = ParallelCampaign::new(Campaign::new(tpb * 2), 2);
         let err = other
-            .run_checkpointed(&base(tpb * 2), &dir, true, None, make_world)
+            .run_checkpointed(&base(tpb * 2), &world(), &dir, true, None, make_world)
             .unwrap_err();
         assert!(matches!(err, StateError::Mismatch(_)), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1374,7 +1396,7 @@ mod tests {
             .with_force_split_at(300)
             .with_exec_faults(ExecPlan::panic_on(0, 1));
         let outcome = exec
-            .run_checkpointed(&base(tpb), &dir, false, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, false, None, make_world)
             .unwrap();
         assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
         assert_eq!(outcome.result, seq, "fallback-committed campaign diverged");
@@ -1384,7 +1406,7 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(files, ["campaign.ckpt"], "the journal is the only file");
-        let plan = exec.resume_plan(&base(tpb), &dir).unwrap();
+        let plan = exec.resume_plan(&base(tpb), &world(), &dir).unwrap();
         assert!(plan.iter().all(|m| *m == BlockMode::Skip), "{plan:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1443,7 +1465,7 @@ mod tests {
         // entry ends the journal.
         let exec = ParallelCampaign::new(Campaign::new(tpb), 1);
         let full = exec
-            .run_checkpointed(&base(tpb), &dir, false, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, false, None, make_world)
             .unwrap();
         let path = dir.join("campaign.ckpt");
         let journal = std::fs::read(&path).unwrap();
@@ -1469,7 +1491,7 @@ mod tests {
         };
         let resume_matches = |label: &str| {
             let resumed = exec
-                .run_checkpointed(&base(tpb), &dir, true, None, make_world)
+                .run_checkpointed(&base(tpb), &world(), &dir, true, None, make_world)
                 .unwrap();
             assert_eq!(resumed.result, full.result, "{label}");
             assert_eq!(resumed.snapshot, full.snapshot, "{label}");
@@ -1479,7 +1501,7 @@ mod tests {
             std::fs::write(&path, &journal[..len]).unwrap();
             let label = format!("journal cut to {len} bytes");
             assert_eq!(
-                exec.resume_plan(&base(tpb), &dir).unwrap(),
+                exec.resume_plan(&base(tpb), &world(), &dir).unwrap(),
                 plan(last),
                 "{label}"
             );
@@ -1491,7 +1513,7 @@ mod tests {
         let mut bytes = journal.clone();
         bytes[at as usize + 20] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(exec.resume_plan(&base(tpb), &dir).unwrap(), plan(7));
+        assert_eq!(exec.resume_plan(&base(tpb), &world(), &dir).unwrap(), plan(7));
         resume_matches("block 7's entry torn mid-file");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1630,7 +1652,7 @@ mod tests {
         let signal = AbortSignal::new();
         let exec1 = ParallelCampaign::new(Campaign::new(tpb), 1).with_force_split_at(1_000);
         let partial = exec1
-            .run_checkpointed(&base(tpb), &dir, false, Some(&signal), |_w, telemetry| {
+            .run_checkpointed(&base(tpb), &world(), &dir, false, Some(&signal), |_w, telemetry| {
                 let mut world = World::with_config(WorldConfig::lossless(99, 50));
                 world.set_telemetry(telemetry);
                 world.arm_kill(
@@ -1645,7 +1667,7 @@ mod tests {
             .unwrap();
         assert!(partial.interrupted, "kill point must interrupt");
 
-        let plan = exec1.resume_plan(&base(tpb), &dir).unwrap();
+        let plan = exec1.resume_plan(&base(tpb), &world(), &dir).unwrap();
         let split_plan = plan
             .iter()
             .find_map(|m| match m {
@@ -1666,7 +1688,7 @@ mod tests {
         // and re-run units must assemble to the sequential bytes.
         let exec3 = ParallelCampaign::new(Campaign::new(tpb), 3).with_force_split_at(1_000);
         let full = exec3
-            .run_checkpointed(&base(tpb), &dir, true, None, make_world)
+            .run_checkpointed(&base(tpb), &world(), &dir, true, None, make_world)
             .unwrap();
         assert!(!full.interrupted);
         assert_eq!(full.result, seq, "resumed split campaign diverged");

@@ -1,20 +1,27 @@
-//! Pins `AdaptiveCampaign::fingerprint` for the configurations the CLI,
-//! the daemon and the benchmark build. The fingerprint is stored in every
-//! `adaptive.ckpt`, so a change to it refuses every checkpoint written
-//! before the change. The constants were first captured while each arm's
-//! policy was still a set of public `AdaptiveConfig` fields, and moved
-//! once, with checkpoint format v2: the `0` slot the deleted marginal-rate
-//! stop left in the hash is gone. v1 files are refused by their schema
-//! anyway, so the move refuses nothing more.
+//! Pins the identity fingerprint of `adaptive.ckpt` for the
+//! configurations the CLI, the daemon and the benchmark build. Every
+//! entry of an adaptive journal carries it as `fp`, so a change to it
+//! refuses every journal written before the change. The constants were
+//! first captured while each arm's policy was still a set of public
+//! `AdaptiveConfig` fields, moved once with checkpoint format v2 (the `0`
+//! slot the deleted marginal-rate stop left in the hash went), and once
+//! more with `adaptive.ckpt` format 2, whose entry 0 states the run's
+//! identity field by field, the world included
+//! (`AdaptiveCampaign::identity`). Format 1 journals are refused by their
+//! format anyway, so neither move refuses anything more.
 
 use xmap::ScanConfig;
+use xmap_netsim::world::WorldConfig;
 use xmap_periphery::{AdaptiveCampaign, AdaptiveConfig};
 
 fn fp(campaign: AdaptiveCampaign) -> u64 {
-    campaign.fingerprint(&ScanConfig {
+    let base = ScanConfig {
         seed: 7,
         ..Default::default()
-    })
+    };
+    campaign
+        .identity(&base, &WorldConfig::default())
+        .fingerprint()
 }
 
 #[test]

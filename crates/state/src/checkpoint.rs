@@ -13,14 +13,15 @@
 //! kind's integer fields, the configuration fingerprint `fp`) plus the
 //! section list; the sections carry bulk state. Every header integer is
 //! written as `0x` and 16 hex digits, so a header's length depends only
-//! on its kind and sections. Everything needed to *refuse* a wrong resume
-//! lives in the header, so mismatches are detected before any bulk
-//! decoding happens.
+//! on its kind and sections. Entry 0 of a campaign or adaptive journal
+//! also states its run's [`Identity`], field by field, as strings.
+//! Everything needed to *refuse* a wrong resume lives in the header, so
+//! mismatches are detected before any bulk decoding happens.
 //!
 //! Every checkpoint kind in the workspace — scan workers, campaign
 //! directories, blocks and units, adaptive campaigns and rounds — is
 //! framed and parsed through one envelope, [`Kind`]: it builds the header,
-//! checks kind, fingerprint and identity fields, and hands sections out
+//! checks kind, fingerprint, placement and identity fields, and hands sections out
 //! through [`Opened`]. Every checkpoint is a journal entry: a scan
 //! worker's are cut entries of its journal ([`WorkerJournal`]); a parallel
 //! campaign's are entries of its `campaign.ckpt` journal and an adaptive
@@ -30,7 +31,7 @@
 //! through [`Wal`].
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::Path;
 
@@ -38,7 +39,7 @@ use xmap_addr::Prefix;
 use xmap_failpoint::fs as fp;
 use xmap_telemetry::{HistogramSnapshot, Snapshot};
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{crc32, Decoder, Encoder, Fingerprint};
 use crate::error::StateError;
 use crate::json::{self, Value};
 use crate::wal::{framed, Wal};
@@ -59,9 +60,11 @@ const WORKER: Kind = Kind { name: "worker" };
 /// - on write, the header's `sections` list is the sections written;
 /// - on read, every listed section must be present, and only listed
 ///   sections are handed out;
-/// - a wrong kind, identity field or missing section is
-///   [`StateError::Corrupt`], a wrong fingerprint [`StateError::Mismatch`]
-///   and any schema but [`SCHEMA`] [`StateError::Version`].
+/// - a wrong kind, placement field or missing section is
+///   [`StateError::Corrupt`]; a wrong fingerprint, or an entry 0 that
+///   states another run than this one ([`Kind::parse_first`]),
+///   [`StateError::Mismatch`]; any schema but [`SCHEMA`], or an entry 0
+///   of another format, [`StateError::Version`].
 #[derive(Debug, Clone, Copy)]
 pub struct Kind {
     /// The header's `kind` value.
@@ -74,37 +77,54 @@ impl Kind {
     /// configuration fingerprint as `fp` and the names of `sections`.
     pub fn entry(&self, fields: &[(&str, u64)], fp: u64, sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
         let mut out = Vec::new();
-        self.frame(&mut out, fields, fp, sections);
+        self.frame(&mut out, fields, &[], fp, sections);
         out
     }
 
-    /// Appends the bytes [`Kind::entry`] returns to `out`.
+    /// Entry 0 of the journal of the run `id`: the header holds `schema`,
+    /// `kind`, `format`, every field of `id` in order as a string, and
+    /// `id`'s fingerprint as `fp`.
+    pub fn first(&self, id: &Identity) -> Vec<u8> {
+        let mut out = Vec::new();
+        let format = [("format", id.format)];
+        self.frame(&mut out, &format, &id.fields, id.fingerprint(), &[]);
+        out
+    }
+
+    /// Appends the bytes [`Kind::entry`] returns to `out`, `strings`
+    /// written after the integer `fields`.
     fn frame(
         &self,
         out: &mut Vec<u8>,
         fields: &[(&str, u64)],
+        strings: &[(&str, String)],
         fp: u64,
         sections: &[(&str, Vec<u8>)],
     ) {
         // Kinds, keys and section names are identifiers, never escaped.
         let mut header = format!("{{\"schema\":\"{SCHEMA}\",\"kind\":\"{}\"", self.name);
-        for (key, v) in fields.iter().chain(&[("fp", fp)]) {
+        for (key, v) in fields {
             let _ = write!(header, ",\"{key}\":\"{v:#018x}\"");
         }
+        for (key, v) in strings {
+            let _ = write!(header, ",\"{key}\":");
+            json::push_json_string(&mut header, v);
+        }
         let names: Vec<String> = sections.iter().map(|(n, _)| format!("\"{n}\"")).collect();
-        let _ = write!(header, ",\"sections\":[{}]}}", names.join(","));
+        let _ = write!(header, ",\"fp\":\"{fp:#018x}\",\"sections\":[{}]}}", names.join(","));
         push_sectioned(out, &header, sections);
     }
 
     /// Parses a checkpoint of this kind; `what` names the bytes in
     /// errors. `fp`, when given, must equal the stored fingerprint; every
-    /// `identity` field must equal the header's.
+    /// `placement` field (which worker or block the bytes belong to) must
+    /// equal the header's.
     pub fn parse(
         &self,
         raw: &[u8],
         what: String,
         fp: Option<u64>,
-        identity: &[(&str, u64)],
+        placement: &[(&str, u64)],
     ) -> Result<Opened, StateError> {
         let ck = Opened::parse(raw, what, fp)?;
         if ck.kind != self.name {
@@ -113,7 +133,7 @@ impl Kind {
                 self.name, ck.kind
             )));
         }
-        for &(key, want) in identity {
+        for &(key, want) in placement {
             let got = ck.field(key)?;
             if got != want {
                 return Err(ck.corrupt(&format!("`{key}` is {got}, expected {want}")));
@@ -121,6 +141,99 @@ impl Kind {
         }
         Ok(ck)
     }
+
+    /// Parses entry 0 of a journal of this kind for the run `id`. An
+    /// entry of another format is [`StateError::Version`]; fields that
+    /// differ from `id`'s are one [`StateError::Mismatch`] with a line
+    /// per field, as a session manifest's diff words them
+    /// (`world_seed: checkpoint has 7, current run has 8`).
+    pub fn parse_first(&self, raw: &[u8], what: String, id: &Identity) -> Result<Opened, StateError> {
+        let ck = self.parse(raw, what, None, &[])?;
+        let format = match ck.header.get("format") {
+            None => 1,
+            Some(_) => ck.field("format")?,
+        };
+        if format != id.format {
+            return Err(StateError::Version(format!(
+                "{}: `{}` entry of format {format}, this build supports format {}; \
+                 re-run without --resume",
+                ck.what, self.name, id.format
+            )));
+        }
+        let mut drift = Vec::new();
+        for (key, live) in &id.fields {
+            let old = ck.header.req_str(key, &ck.what)?;
+            if old != *live {
+                drift.push(drift_line(key, &old, live));
+            }
+        }
+        if !drift.is_empty() {
+            return Err(StateError::Mismatch(drift.join("; ")));
+        }
+        check_fp(&ck.what, ck.fp, id.fingerprint())?;
+        Ok(ck)
+    }
+}
+
+/// What one resumable run is: its journal kind's format, then named
+/// values in one order. Entry 0 of the run's journal states it
+/// ([`Kind::first`]), a resume compares it field by field
+/// ([`Kind::parse_first`]), and every later entry carries its
+/// [`fingerprint`](Identity::fingerprint) as `fp`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Identity {
+    format: u64,
+    fields: Vec<(&'static str, String)>,
+}
+
+impl Identity {
+    /// An identity with no fields yet, of a journal kind whose entry 0
+    /// has shape `format`. A kind bumps its format whenever that shape
+    /// changes; an entry 0 without a `format` field is format 1.
+    pub fn new(format: u64) -> Identity {
+        Identity {
+            format,
+            fields: Vec::new(),
+        }
+    }
+
+    /// Appends field `name`, holding `value` as it displays.
+    pub fn push(&mut self, name: &'static str, value: impl fmt::Display) -> &mut Identity {
+        self.fields.push((name, value.to_string()));
+        self
+    }
+
+    /// The field names, in order.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.fields.iter().map(|(name, _)| *name)
+    }
+
+    /// FNV-1a over the schema, the format and every field, names
+    /// included.
+    pub fn fingerprint(&self) -> u64 {
+        let mut fp = Fingerprint::new();
+        fp.push_str(SCHEMA).push_u64(self.format);
+        for (name, value) in &self.fields {
+            fp.push_str(name).push_str(value);
+        }
+        fp.finish()
+    }
+}
+
+/// One line of a refused resume: `name` drifted from `old` to `live`.
+pub(crate) fn drift_line(name: &str, old: &str, live: &str) -> String {
+    format!("{name}: checkpoint has {old}, current run has {live}")
+}
+
+/// Refuses bytes fingerprinted `stored` where this run expects `expected`.
+fn check_fp(what: &str, stored: u64, expected: u64) -> Result<(), StateError> {
+    if stored == expected {
+        return Ok(());
+    }
+    Err(StateError::Mismatch(format!(
+        "{what} was written under configuration {stored:#018x}, \
+         this run fingerprints as {expected:#018x}"
+    )))
 }
 
 /// A checkpoint whose envelope checked out, holding its listed sections.
@@ -140,11 +253,8 @@ impl Opened {
         let (header, mut present) = parse_sectioned(raw, &what)?;
         let kind = header.req_str("kind", &what)?;
         let stored = hex_field(&header, "fp", &what)?;
-        if let Some(expected) = fp.filter(|&e| e != stored) {
-            return Err(StateError::Mismatch(format!(
-                "{what} was written under configuration {stored:#018x}, \
-                 this run fingerprints as {expected:#018x}"
-            )));
+        if let Some(expected) = fp {
+            check_fp(&what, stored, expected)?;
         }
         let listed = header
             .get("sections")
@@ -356,7 +466,7 @@ impl WorkerCheckpoint {
             ("wal_seq", self.wal_seq),
         ];
         let mut out = vec![CUT_ENTRY];
-        WORKER.frame(&mut out, &fields, self.config_fp, &sections);
+        WORKER.frame(&mut out, &fields, &[], self.config_fp, &sections);
         out
     }
 
@@ -466,8 +576,8 @@ impl WorkerJournal {
         fp: Option<u64>,
         worker: Option<u32>,
     ) -> Result<WorkerCheckpoint, StateError> {
-        let identity: Vec<(&str, u64)> = worker.map(|w| ("worker", w as u64)).into_iter().collect();
-        WorkerCheckpoint::decode(WORKER.parse(self.cut(), self.what.clone(), fp, &identity)?)
+        let placement: Vec<(&str, u64)> = worker.map(|w| ("worker", w as u64)).into_iter().collect();
+        WorkerCheckpoint::decode(WORKER.parse(self.cut(), self.what.clone(), fp, &placement)?)
     }
 
     /// The payloads of the record entries before the last cut, in

@@ -12,7 +12,7 @@
 //! with a `Format` that says how it hashes, prints and parses; the
 //! fingerprint, the diff and both JSON directions walk that one list.
 
-use crate::checkpoint::{check_schema, parse_hex};
+use crate::checkpoint::{check_schema, drift_line, parse_hex};
 use crate::codec::Fingerprint;
 use crate::error::StateError;
 use crate::json::{self, Value};
@@ -184,10 +184,7 @@ macro_rules! manifest {
                 $(
                     let (live, old) = ($fmt::show(&self.$name), $fmt::show(&stored.$name));
                     if <$fmt as Format<$ty>>::IDENTITY && live != old {
-                        out.push(format!(
-                            "{}: checkpoint has {old}, current run has {live}",
-                            stringify!($name)
-                        ));
+                        out.push(drift_line(stringify!($name), &old, &live));
                     }
                 )*
                 out

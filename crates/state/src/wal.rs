@@ -134,22 +134,6 @@ impl Wal {
         Ok((wal, entries))
     }
 
-    /// [`Wal::open`] keeping exactly the first `keep` intact entries: a
-    /// journal holding fewer is [`StateError::Corrupt`], left as it is.
-    pub fn open_truncated(path: &Path, keep: u64) -> Result<(Wal, Vec<Vec<u8>>), StateError> {
-        Wal::open(path, None, |entries| {
-            if (entries.len() as u64) < keep {
-                return Err(StateError::Corrupt(format!(
-                    "journal {} holds {} intact records but the checkpoint requires {keep}; \
-                     the journal was damaged beyond its torn tail",
-                    path.display(),
-                    entries.len()
-                )));
-            }
-            Ok(keep as usize)
-        })
-    }
-
     /// Scans the journal at `path`, returning every intact entry. A
     /// missing file recovers as empty. Torn or corrupt tails do not error
     /// — that is the normal state after a kill. A file that opens with [`MAGIC`] is a sectioned checkpoint
@@ -339,6 +323,21 @@ mod tests {
         std::env::temp_dir().join(format!("xmap-wal-{}-{tag}-{n}.wal", std::process::id()))
     }
 
+    /// Opens `path` keeping exactly its first `keep` intact entries; a
+    /// journal holding fewer is refused as corrupt, left as it is.
+    fn open_keeping(path: &Path, keep: usize) -> Result<(Wal, Vec<Vec<u8>>), StateError> {
+        Wal::open(path, None, |entries| {
+            if entries.len() < keep {
+                return Err(StateError::Corrupt(format!(
+                    "{} holds {} intact entries, {keep} required",
+                    path.display(),
+                    entries.len()
+                )));
+            }
+            Ok(keep)
+        })
+    }
+
     fn payload(i: u64) -> Vec<u8> {
         // Variable-length payloads exercise offset arithmetic.
         let mut p = vec![0u8; 5 + (i as usize % 7)];
@@ -399,7 +398,7 @@ mod tests {
             assert_eq!(rec.entries.len(), 3, "cut at byte {cut}");
 
             // Resume path: truncate to the checkpointed count, re-emit.
-            let (mut resumed, kept) = Wal::open_truncated(&torn, 3).unwrap();
+            let (mut resumed, kept) = open_keeping(&torn, 3).unwrap();
             assert_eq!(kept.len(), 3);
             assert_eq!(resumed.next_seq(), 3);
             resumed.append(&last).unwrap();
@@ -549,19 +548,19 @@ mod tests {
     }
 
     #[test]
-    fn open_truncated_rejects_short_journal() {
+    fn open_keeping_rejects_short_journal() {
         let path = temp_path("short");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(&payload(0)).unwrap();
         wal.flush().unwrap();
         drop(wal);
-        let err = Wal::open_truncated(&path, 5).unwrap_err();
+        let err = open_keeping(&path, 5).unwrap_err();
         assert!(matches!(err, StateError::Corrupt(_)));
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn open_truncated_drops_entries_past_checkpoint() {
+    fn open_keeping_drops_entries_past_checkpoint() {
         let path = temp_path("past");
         let mut wal = Wal::create(&path).unwrap();
         for i in 0..6 {
@@ -569,7 +568,7 @@ mod tests {
         }
         wal.flush().unwrap();
         drop(wal);
-        let (wal2, kept) = Wal::open_truncated(&path, 2).unwrap();
+        let (wal2, kept) = open_keeping(&path, 2).unwrap();
         assert_eq!(kept.len(), 2);
         assert_eq!(wal2.next_seq(), 2);
         drop(wal2);

@@ -117,7 +117,19 @@ proptest! {
 
         // Truncate to the intact prefix and deterministically re-emit
         // the lost records: the journal must equal the reference.
-        let (mut resumed, kept) = Wal::open_truncated(&torn_path, k).unwrap();
+        // Keeping exactly `k` entries, or refusing a journal with fewer.
+        let open_keeping = |keep: u64| {
+            Wal::open(&torn_path, None, |entries| {
+                if (entries.len() as u64) < keep {
+                    return Err(StateError::Corrupt(format!(
+                        "{} intact entries, {keep} required",
+                        entries.len()
+                    )));
+                }
+                Ok(keep as usize)
+            })
+        };
+        let (mut resumed, kept) = open_keeping(k).unwrap();
         prop_assert_eq!(kept.len() as u64, k);
         for p in &payloads[k as usize..] {
             resumed.append(p).unwrap();
@@ -128,7 +140,7 @@ proptest! {
 
         // Demanding more intact records than survived is a clean,
         // typed refusal — never a silent partial resume.
-        let err = Wal::open_truncated(&torn_path, n + 1).unwrap_err();
+        let err = open_keeping(n + 1).unwrap_err();
         prop_assert!(matches!(err, StateError::Corrupt(_)), "{}", err);
         std::fs::remove_dir_all(&dir).unwrap();
     }

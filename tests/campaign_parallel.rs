@@ -63,8 +63,13 @@ fn base() -> ScanConfig {
     }
 }
 
+/// The world every replica is built from.
+fn world() -> WorldConfig {
+    WorldConfig::lossless(41, 60)
+}
+
 fn make_world(_w: usize, telemetry: &Telemetry) -> World {
-    let mut world = World::with_config(WorldConfig::lossless(41, 60));
+    let mut world = World::with_config(world());
     world.set_telemetry(telemetry);
     world
 }
@@ -82,7 +87,7 @@ fn kill_mid_block_resumes_byte_identically_under_other_worker_counts() {
     let signal = AbortSignal::new();
     let exec2 = ParallelCampaign::new(Campaign::new(TPB), 2);
     let partial = exec2
-        .run_checkpointed(&base(), &dir, false, Some(&signal), |w, telemetry| {
+        .run_checkpointed(&base(), &world(), &dir, false, Some(&signal), |w, telemetry| {
             let mut world = World::with_config(WorldConfig::lossless(41, 60));
             world.set_telemetry(telemetry);
             if w == 1 {
@@ -102,14 +107,14 @@ fn kill_mid_block_resumes_byte_identically_under_other_worker_counts() {
         partial.result.blocks.len() < reference.result.blocks.len(),
         "a mid-campaign kill must leave blocks undone"
     );
-    let plan = exec2.resume_plan(&base(), &dir).unwrap();
+    let plan = exec2.resume_plan(&base(), &world(), &dir).unwrap();
     assert!(plan.contains(&BlockMode::Skip), "{plan:?}");
     assert!(plan.iter().any(|m| *m != BlockMode::Skip), "{plan:?}");
 
     // Resume under 4 workers (≠ the 2 the campaign was killed under).
     let exec4 = ParallelCampaign::new(Campaign::new(TPB), 4);
     let resumed = exec4
-        .run_checkpointed(&base(), &dir, true, None, make_world)
+        .run_checkpointed(&base(), &world(), &dir, true, None, make_world)
         .unwrap();
     assert!(!resumed.interrupted);
     assert_eq!(
@@ -129,7 +134,7 @@ fn kill_mid_block_resumes_byte_identically_under_other_worker_counts() {
 
     // And the directory now resumes as a no-op from any worker count.
     let again = ParallelCampaign::new(Campaign::new(TPB), 3)
-        .run_checkpointed(&base(), &dir, true, None, make_world)
+        .run_checkpointed(&base(), &world(), &dir, true, None, make_world)
         .unwrap();
     assert_eq!(again.result, reference.result);
     assert_eq!(again.snapshot, reference.snapshot);

@@ -300,17 +300,16 @@ fn double_resume_is_idempotent() {
 /// uninterrupted sequential one exactly.
 #[test]
 fn campaign_killed_mid_mop_up_resumes_identically() {
-    let world = || {
-        World::with_config(
-            WorldConfig::lossless(99, 50).with_fault(FaultPlan::none().seeded(7).with_icmp_limit(
-                IcmpRateLimit::TokenBucket {
-                    capacity: 2,
-                    refill_interval: 64,
-                    start_depleted_frac: 0.5,
-                },
-            )),
-        )
-    };
+    let limited = WorldConfig::lossless(99, 50).with_fault(
+        FaultPlan::none()
+            .seeded(7)
+            .with_icmp_limit(IcmpRateLimit::TokenBucket {
+                capacity: 2,
+                refill_interval: 64,
+                start_depleted_frac: 0.5,
+            }),
+    );
+    let world = || World::with_config(limited);
     let config = ScanConfig {
         seed: 5,
         max_targets: Some(1 << 12),
@@ -330,7 +329,7 @@ fn campaign_killed_mid_mop_up_resumes_identically() {
     // so probe 4101 is the fifth mop-up probe.
     let signal = AbortSignal::new();
     let partial = ParallelCampaign::new(campaign.clone(), 1)
-        .run_checkpointed(&config, &dir, false, Some(&signal), |_, _| {
+        .run_checkpointed(&config, &limited, &dir, false, Some(&signal), |_, _| {
             let mut w = world();
             w.arm_kill(
                 KillPoint {
@@ -349,7 +348,7 @@ fn campaign_killed_mid_mop_up_resumes_identically() {
     );
 
     let full = ParallelCampaign::new(campaign, 2)
-        .run_checkpointed(&config, &dir, true, None, |_, _| world())
+        .run_checkpointed(&config, &limited, &dir, true, None, |_, _| world())
         .unwrap();
     assert!(!full.interrupted);
     assert_eq!(

@@ -579,8 +579,16 @@ fn campaign_base() -> ScanConfig {
     }
 }
 
+/// The world every campaign replica is built from.
+fn campaign_world_config() -> WorldConfig {
+    WorldConfig {
+        seed: 41,
+        ..WorldConfig::default()
+    }
+}
+
 fn campaign_world(_w: usize, telemetry: &Telemetry) -> World {
-    let mut world = World::new(41);
+    let mut world = World::with_config(campaign_world_config());
     world.set_telemetry(telemetry);
     world
 }
@@ -594,7 +602,8 @@ fn campaign_run(
     dir: &Path,
     resume: bool,
 ) -> Result<CampaignOutcome, StateError> {
-    exec.run_checkpointed(&campaign_base(), dir, resume, None, campaign_world)
+    let world = campaign_world_config();
+    exec.run_checkpointed(&campaign_base(), &world, dir, resume, None, campaign_world)
 }
 
 /// The snapshot without its `exec.*` counters, which describe the
@@ -654,7 +663,7 @@ fn campaign_kill_sweep_every_surviving_state_recovers() {
                 }
                 drop(scope);
                 let block0 = exec
-                    .resume_plan(&campaign_base(), &dir)
+                    .resume_plan(&campaign_base(), &campaign_world_config(), &dir)
                     .ok()
                     .map(|plan| plan[0].clone());
                 if let Some(BlockMode::Split(units)) = &block0 {
@@ -710,7 +719,7 @@ fn older_campaign_layout_is_refused_as_a_version_error() {
     std::fs::write(dir.join("campaign.ckpt"), older.entry(&blocks, 0, &[])).unwrap();
     let exec = campaign(1);
     let refusals = [
-        exec.resume_plan(&campaign_base(), &dir).map(|_| ()),
+        exec.resume_plan(&campaign_base(), &campaign_world_config(), &dir).map(|_| ()),
         campaign_run(&exec, &dir, true).map(|_| ()),
     ];
     for refusal in refusals {
@@ -738,12 +747,12 @@ fn adaptive_run(workers: usize, dir: &Path, resume: bool) -> Result<AdaptiveOutc
         ..Default::default()
     };
     let path = dir.join("adaptive.ckpt");
-    engine.run_checkpointed(&base, &path, resume, |telemetry: &Telemetry| {
-        let sparse = Allocation::Clustered {
-            pod_bits: 8,
-            active_frac: 1.0 / 256.0,
-        };
-        let mut world = World::with_config(WorldConfig::lossless(99, 10).with_allocation(sparse));
+    let sparse = WorldConfig::lossless(99, 10).with_allocation(Allocation::Clustered {
+        pod_bits: 8,
+        active_frac: 1.0 / 256.0,
+    });
+    engine.run_checkpointed(&base, &sparse, &path, resume, |telemetry: &Telemetry| {
+        let mut world = World::with_config(sparse);
         world.set_telemetry(telemetry);
         world
     })
@@ -949,7 +958,14 @@ fn scripted_campaign_panic_leaves_directory_resumable() {
     let dir = torture_dir("camp-panic");
     let outcome = ParallelCampaign::new(Campaign::new(CAMPAIGN_TPB), 2)
         .with_exec_faults(xmap_failpoint::ExecPlan::panic_on(0, 1))
-        .run_checkpointed(&campaign_base(), &dir, false, None, campaign_world)
+        .run_checkpointed(
+            &campaign_base(),
+            &campaign_world_config(),
+            &dir,
+            false,
+            None,
+            campaign_world,
+        )
         .unwrap();
     assert!(outcome.poisoned.is_empty());
     assert_eq!(outcome.result, clean.result);
