@@ -30,7 +30,7 @@ fn adaptive_fingerprints_are_pinned() {
         (
             "default",
             AdaptiveCampaign::new(AdaptiveConfig::default()),
-            0x56e1_e1f6_d86b_e137,
+            0x7b32_cdd2_0094_5357,
         ),
         (
             "root_bits 16",
@@ -38,17 +38,17 @@ fn adaptive_fingerprints_are_pinned() {
                 root_bits: Some(16),
                 ..Default::default()
             }),
-            0x87e5_2669_f602_5562,
+            0x86b3_b895_b83e_dc23,
         ),
         (
             "exhaustive 16",
             AdaptiveCampaign::new(AdaptiveConfig::exhaustive(Some(16))),
-            0x6228_5bd8_fd66_9332,
+            0xdb3c_a0ad_418a_52c0,
         ),
         (
             "default, inferred boundary",
             AdaptiveCampaign::new(AdaptiveConfig::default()).with_inferred_boundary(true),
-            0xb8ef_869e_9b58_9252,
+            0x2044_f7a7_d489_0c05,
         ),
     ];
     // Each arm must keep an identity of its own.
