@@ -399,7 +399,10 @@ impl Campaign {
         id.push("targets_per_block", targets_per_block)
             .push("block_caps", format!("{block_caps:?}"))
             // The delay only takes effect with the pass.
-            .push("mop_up", format!("{:?}", mop_up.then_some(mop_up_delay_ticks)))
+            .push(
+                "mop_up",
+                format!("{:?}", mop_up.then_some(mop_up_delay_ticks)),
+            )
             .push("blocklist", format!("{:#018x}", blocklist.fingerprint()));
         id
     }

@@ -1217,22 +1217,29 @@ mod tests {
         let signal = AbortSignal::new();
         let exec2 = ParallelCampaign::new(Campaign::new(tpb), 2);
         let partial = exec2
-            .run_checkpointed(&base(tpb), &world(), &dir, false, Some(&signal), |w, telemetry| {
-                let mut world = World::with_config(WorldConfig::lossless(99, 50));
-                world.set_telemetry(telemetry);
-                if w == 0 {
-                    // Deterministic interrupt: worker 0's world kills the
-                    // whole campaign after 6k of its own probes.
-                    world.arm_kill(
-                        KillPoint {
-                            after_probes: Some(6_000),
-                            ..Default::default()
-                        },
-                        signal.clone(),
-                    );
-                }
-                world
-            })
+            .run_checkpointed(
+                &base(tpb),
+                &world(),
+                &dir,
+                false,
+                Some(&signal),
+                |w, telemetry| {
+                    let mut world = World::with_config(WorldConfig::lossless(99, 50));
+                    world.set_telemetry(telemetry);
+                    if w == 0 {
+                        // Deterministic interrupt: worker 0's world kills the
+                        // whole campaign after 6k of its own probes.
+                        world.arm_kill(
+                            KillPoint {
+                                after_probes: Some(6_000),
+                                ..Default::default()
+                            },
+                            signal.clone(),
+                        );
+                    }
+                    world
+                },
+            )
             .unwrap();
         assert!(partial.interrupted, "kill point must interrupt");
         assert!(partial.result.blocks.len() < SAMPLE_BLOCKS.len());
@@ -1268,6 +1275,39 @@ mod tests {
             .run_checkpointed(&base(tpb * 2), &world(), &dir, true, None, make_world)
             .unwrap_err();
         assert!(matches!(err, StateError::Mismatch(_)), "{err:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory written under shard 0 of 2 holds shard 0's blocks; a
+    /// resume under shard 1 of 2 once loaded them as its own result.
+    #[test]
+    fn resume_under_another_shard_is_refused() {
+        let dir = std::env::temp_dir().join(format!("xmap-pcamp-shard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tpb = 1 << 10;
+        let shard = |shard| ScanConfig {
+            shard,
+            shards: 2,
+            ..base(tpb)
+        };
+        let exec = ParallelCampaign::new(Campaign::new(tpb), 1);
+        exec.run_checkpointed(&shard(0), &world(), &dir, false, None, make_world)
+            .unwrap();
+        let journal = std::fs::read(dir.join("campaign.ckpt")).unwrap();
+        let refusals = [
+            exec.resume_plan(&shard(1), &world(), &dir).unwrap_err(),
+            exec.run_checkpointed(&shard(1), &world(), &dir, true, None, make_world)
+                .unwrap_err(),
+        ];
+        for err in refusals {
+            match err {
+                StateError::Mismatch(why) => {
+                    assert_eq!(why, "shard: checkpoint has 0, current run has 1")
+                }
+                other => panic!("expected a mismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(std::fs::read(dir.join("campaign.ckpt")).unwrap(), journal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1513,7 +1553,10 @@ mod tests {
         let mut bytes = journal.clone();
         bytes[at as usize + 20] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(exec.resume_plan(&base(tpb), &world(), &dir).unwrap(), plan(7));
+        assert_eq!(
+            exec.resume_plan(&base(tpb), &world(), &dir).unwrap(),
+            plan(7)
+        );
         resume_matches("block 7's entry torn mid-file");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1652,18 +1695,25 @@ mod tests {
         let signal = AbortSignal::new();
         let exec1 = ParallelCampaign::new(Campaign::new(tpb), 1).with_force_split_at(1_000);
         let partial = exec1
-            .run_checkpointed(&base(tpb), &world(), &dir, false, Some(&signal), |_w, telemetry| {
-                let mut world = World::with_config(WorldConfig::lossless(99, 50));
-                world.set_telemetry(telemetry);
-                world.arm_kill(
-                    KillPoint {
-                        after_probes: Some(6_000),
-                        ..Default::default()
-                    },
-                    signal.clone(),
-                );
-                world
-            })
+            .run_checkpointed(
+                &base(tpb),
+                &world(),
+                &dir,
+                false,
+                Some(&signal),
+                |_w, telemetry| {
+                    let mut world = World::with_config(WorldConfig::lossless(99, 50));
+                    world.set_telemetry(telemetry);
+                    world.arm_kill(
+                        KillPoint {
+                            after_probes: Some(6_000),
+                            ..Default::default()
+                        },
+                        signal.clone(),
+                    );
+                    world
+                },
+            )
             .unwrap();
         assert!(partial.interrupted, "kill point must interrupt");
 

@@ -111,7 +111,11 @@ impl Kind {
             json::push_json_string(&mut header, v);
         }
         let names: Vec<String> = sections.iter().map(|(n, _)| format!("\"{n}\"")).collect();
-        let _ = write!(header, ",\"fp\":\"{fp:#018x}\",\"sections\":[{}]}}", names.join(","));
+        let _ = write!(
+            header,
+            ",\"fp\":\"{fp:#018x}\",\"sections\":[{}]}}",
+            names.join(",")
+        );
         push_sectioned(out, &header, sections);
     }
 
@@ -147,7 +151,12 @@ impl Kind {
     /// differ from `id`'s are one [`StateError::Mismatch`] with a line
     /// per field, as a session manifest's diff words them
     /// (`world_seed: checkpoint has 7, current run has 8`).
-    pub fn parse_first(&self, raw: &[u8], what: String, id: &Identity) -> Result<Opened, StateError> {
+    pub fn parse_first(
+        &self,
+        raw: &[u8],
+        what: String,
+        id: &Identity,
+    ) -> Result<Opened, StateError> {
         let ck = self.parse(raw, what, None, &[])?;
         let format = match ck.header.get("format") {
             None => 1,
@@ -576,7 +585,8 @@ impl WorkerJournal {
         fp: Option<u64>,
         worker: Option<u32>,
     ) -> Result<WorkerCheckpoint, StateError> {
-        let placement: Vec<(&str, u64)> = worker.map(|w| ("worker", w as u64)).into_iter().collect();
+        let placement: Vec<(&str, u64)> =
+            worker.map(|w| ("worker", w as u64)).into_iter().collect();
         WorkerCheckpoint::decode(WORKER.parse(self.cut(), self.what.clone(), fp, &placement)?)
     }
 

@@ -5,11 +5,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use xmap_state::checkpoint::{frame_sectioned, Kind, Opened};
+use xmap_state::checkpoint::{frame_sectioned, Identity, Kind, Opened};
 use xmap_state::{Manifest, StateError, SCHEMA};
 
 /// The eight header shapes the workspace writes: kind, integer fields,
-/// sections.
+/// sections. `campaign-dir` and `adaptive-campaign` are shown as format 1
+/// wrote them; format 2 states the run's identity instead
+/// (`entry_zero_survives_truncation_and_mutation`).
 const SHAPES: [(&str, &[&str], &[&str]); 8] = [
     (
         "worker",
@@ -129,6 +131,68 @@ fn every_kind_survives_truncation_and_header_mutation() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Entry 0 of a campaign or adaptive journal states its run's identity as
+/// strings. Cut anywhere it is refused; mutated anywhere in its header it
+/// parses or is a typed error. A drifted field is a mismatch naming it,
+/// and an entry 0 of another format a version error.
+#[test]
+fn entry_zero_survives_truncation_and_mutation() {
+    let mut id = Identity::new(2);
+    id.push("seed", 7)
+        .push("fault", "FaultPlan { seed: 64023 }")
+        .push("quoted", "a \"b\" \\ c");
+    for name in ["campaign-dir", "adaptive-campaign"] {
+        let kind = Kind { name };
+        let open = |bytes: &[u8], id: &Identity, label: &str| {
+            let opened = catch_unwind(AssertUnwindSafe(|| {
+                kind.parse_first(bytes, label.to_owned(), id)
+            }));
+            opened.unwrap_or_else(|_| panic!("{name}: parse panicked on {label}"))
+        };
+        let pristine = kind.first(&id);
+        let ck = open(&pristine, &id, "the pristine bytes").unwrap();
+        assert_eq!(ck.field("fp").unwrap(), id.fingerprint());
+        for cut in 0..pristine.len() {
+            assert!(
+                open(&pristine[..cut], &id, "a cut").is_err(),
+                "{name}: cut at {cut}"
+            );
+        }
+        for at in 0..header_end(&pristine) {
+            for flip in [0x01u8, 0x20, 0x80, 0xff] {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= flip;
+                let _ = open(&bytes, &id, &format!("byte {at} ^ {flip:#04x}"));
+            }
+        }
+
+        let mut drifted = Identity::new(2);
+        drifted
+            .push("seed", 8)
+            .push("fault", "FaultPlan { seed: 64023 }")
+            .push("quoted", "a \"b\" \\ c");
+        match open(&pristine, &drifted, "drifted").unwrap_err() {
+            StateError::Mismatch(why) => {
+                assert_eq!(why, "seed: checkpoint has 7, current run has 8")
+            }
+            other => panic!("{name}: expected a mismatch, got {other:?}"),
+        }
+        let format_1 = kind.entry(&[("blocks", 15)], id.fingerprint(), &[]);
+        for (label, err) in [
+            ("format 1", open(&format_1, &id, "format 1").unwrap_err()),
+            (
+                "format 2 read as 3",
+                open(&pristine, &Identity::new(3), "3").unwrap_err(),
+            ),
+        ] {
+            assert!(
+                matches!(&err, StateError::Version(why) if why.contains("--resume")),
+                "{name}: {label}: {err:?}"
+            );
         }
     }
 }

@@ -87,20 +87,27 @@ fn kill_mid_block_resumes_byte_identically_under_other_worker_counts() {
     let signal = AbortSignal::new();
     let exec2 = ParallelCampaign::new(Campaign::new(TPB), 2);
     let partial = exec2
-        .run_checkpointed(&base(), &world(), &dir, false, Some(&signal), |w, telemetry| {
-            let mut world = World::with_config(WorldConfig::lossless(41, 60));
-            world.set_telemetry(telemetry);
-            if w == 1 {
-                world.arm_kill(
-                    KillPoint {
-                        after_probes: Some(5_000),
-                        ..Default::default()
-                    },
-                    signal.clone(),
-                );
-            }
-            world
-        })
+        .run_checkpointed(
+            &base(),
+            &world(),
+            &dir,
+            false,
+            Some(&signal),
+            |w, telemetry| {
+                let mut world = World::with_config(WorldConfig::lossless(41, 60));
+                world.set_telemetry(telemetry);
+                if w == 1 {
+                    world.arm_kill(
+                        KillPoint {
+                            after_probes: Some(5_000),
+                            ..Default::default()
+                        },
+                        signal.clone(),
+                    );
+                }
+                world
+            },
+        )
         .unwrap();
     assert!(partial.interrupted, "kill point must fire");
     assert!(

@@ -300,15 +300,14 @@ fn double_resume_is_idempotent() {
 /// uninterrupted sequential one exactly.
 #[test]
 fn campaign_killed_mid_mop_up_resumes_identically() {
-    let limited = WorldConfig::lossless(99, 50).with_fault(
-        FaultPlan::none()
-            .seeded(7)
-            .with_icmp_limit(IcmpRateLimit::TokenBucket {
+    let limited =
+        WorldConfig::lossless(99, 50).with_fault(FaultPlan::none().seeded(7).with_icmp_limit(
+            IcmpRateLimit::TokenBucket {
                 capacity: 2,
                 refill_interval: 64,
                 start_depleted_frac: 0.5,
-            }),
-    );
+            },
+        ));
     let world = || World::with_config(limited);
     let config = ScanConfig {
         seed: 5,

@@ -14,8 +14,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmap_failpoint::{FailPlan, FsOp, FsSchedule};
-use xmap_serve::daemon::job_dir;
-use xmap_serve::{Daemon, JobSpec, Ledger, LedgerEvent, ServeConfig, UnitOutput};
+use xmap_serve::daemon::{job_dir, ServeError};
+use xmap_serve::sched::AdmissionError;
+use xmap_serve::{AdmissionPolicy, Daemon, JobSpec, Ledger, LedgerEvent, ServeConfig, UnitOutput};
 use xmap_state::StateError;
 
 fn tdir(tag: &str) -> PathBuf {
@@ -152,6 +153,57 @@ fn kill_sweep_resumes_both_tenant_jobs_byte_identically() {
         );
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// A restart under another `ServeConfig` resumes every live job: more
+/// workers, other tenant weights, and admission caps below the number of
+/// live jobs change the schedule and what is admitted next, never a live
+/// job's artifacts, which are a pure function of the `JobSpec` the ledger
+/// stores. The caps refuse new submissions only, with a typed error.
+#[test]
+fn restart_under_another_serve_config_resumes_every_live_job() {
+    let (base_a, base_b, total_ops) = baseline();
+    let root = tdir("reconfig");
+    let daemon = Daemon::open(&root, cfg(2)).expect("open");
+    let (a, b) = submit_both(&daemon);
+    daemon.drain();
+    let scope = FailPlan::kill_at(&root, total_ops / 4, 0).arm();
+    daemon.run().expect_err("the kill stops the run");
+    assert!(scope.killed());
+    drop(scope);
+    drop(daemon);
+
+    let other = ServeConfig {
+        workers: 3,
+        admission: AdmissionPolicy {
+            max_active_per_tenant: 1,
+            max_active_total: 1,
+        },
+        tenant_weights: [("alice".to_owned(), 5), ("bob".to_owned(), 2)].into(),
+    };
+    let daemon = Daemon::open(&root, other).expect("reopen under another config");
+    assert_eq!(daemon.resumed().0, 2, "both jobs were live at the kill");
+    let refusals = [
+        (
+            daemon.submit("alice", alice_spec()),
+            AdmissionError::TenantBusy { limit: 1 },
+        ),
+        (
+            daemon.submit("carol", bob_spec()),
+            AdmissionError::DaemonBusy { limit: 1 },
+        ),
+    ];
+    for (submitted, want) in refusals {
+        match submitted {
+            Err(ServeError::Admission(got)) => assert_eq!(got, want),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+    }
+    daemon.drain();
+    daemon.run().expect("resumed run");
+    assert_eq!(artifacts(&root, a), base_a, "alice diverged");
+    assert_eq!(artifacts(&root, b), base_b, "bob diverged");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A double crash: kill the resumed run too, then resume again. Progress

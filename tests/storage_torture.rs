@@ -719,7 +719,8 @@ fn older_campaign_layout_is_refused_as_a_version_error() {
     std::fs::write(dir.join("campaign.ckpt"), older.entry(&blocks, 0, &[])).unwrap();
     let exec = campaign(1);
     let refusals = [
-        exec.resume_plan(&campaign_base(), &campaign_world_config(), &dir).map(|_| ()),
+        exec.resume_plan(&campaign_base(), &campaign_world_config(), &dir)
+            .map(|_| ()),
         campaign_run(&exec, &dir, true).map(|_| ()),
     ];
     for refusal in refusals {
