@@ -837,9 +837,8 @@ fn run_unit<N: Network>(
 const CAMPAIGN: Kind = Kind {
     name: "adaptive-campaign",
 };
-/// The format of `adaptive.ckpt`: 2 since entry 0 states the run's
-/// [`Identity`] field by field. Format 1 bound the journal to a hash
-/// that left the world out.
+/// The format of `adaptive.ckpt`'s entry 0, which states the run's
+/// [`Identity`]; a journal of any other format is refused.
 const ADAPTIVE_FORMAT: u64 = 2;
 /// One finished round: its unit results and telemetry delta.
 const ROUND: Kind = Kind {

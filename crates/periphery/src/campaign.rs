@@ -208,9 +208,8 @@ impl CampaignResult {
     }
 }
 
-/// The format of `campaign.ckpt`: 2 since entry 0 states the run's
-/// [`Identity`] field by field. Format 1 bound the journal to a hash
-/// that left the world and the shard out.
+/// The format of `campaign.ckpt`'s entry 0, which states the run's
+/// [`Identity`]; a journal of any other format is refused.
 const CAMPAIGN_FORMAT: u64 = 2;
 
 /// Appends the simulated world to a run's identity. Every field of a

@@ -21,8 +21,8 @@
 //! Every checkpoint kind in the workspace — scan workers, campaign
 //! directories, blocks and units, adaptive campaigns and rounds — is
 //! framed and parsed through one envelope, [`Kind`]: it builds the header,
-//! checks kind, fingerprint, placement and identity fields, and hands sections out
-//! through [`Opened`]. Every checkpoint is a journal entry: a scan
+//! checks kind, fingerprint, placement and identity fields, and hands
+//! sections out through [`Opened`]. Every checkpoint is a journal entry: a scan
 //! worker's are cut entries of its journal ([`WorkerJournal`]); a parallel
 //! campaign's are entries of its `campaign.ckpt` journal and an adaptive
 //! campaign's of its `adaptive.ckpt` journal ([`Kind::entry`],
