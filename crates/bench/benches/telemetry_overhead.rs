@@ -4,30 +4,47 @@
 //! registry, relaxed atomic adds) is benchmarked against the same scan
 //! with `Telemetry::disabled()` (every handle inert), and against a scan
 //! with event tracing enabled (ring-buffer pushes; off by default in the
-//! library). Counter increments alone are also timed to expose the raw
-//! per-add cost.
+//! library). The lossy pair does the same over 30 % forward loss with
+//! three probes per target, where two sends in three arm a retry and
+//! tally its backoff. Counter increments alone are also timed to expose
+//! the raw per-add cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use xmap::{Blocklist, IcmpEchoProbe, ScanConfig, Scanner};
 use xmap_netsim::world::WorldConfig;
-use xmap_netsim::World;
+use xmap_netsim::{FaultPlan, World};
 use xmap_telemetry::Telemetry;
 
 const TARGETS: u64 = 4_096;
 
 fn scan_once(telemetry: Telemetry) -> u64 {
-    let mut world = World::with_config(WorldConfig::lossless(7, 10));
+    let config = ScanConfig {
+        seed: 7,
+        max_targets: Some(TARGETS),
+        ..Default::default()
+    };
+    scan_with(WorldConfig::lossless(7, 10), config, telemetry)
+}
+
+/// The retry path: 30 % forward loss, up to three probes per target.
+fn lossy_once(telemetry: Telemetry) -> u64 {
+    let world = WorldConfig::lossless(7, 10)
+        .with_fault(FaultPlan::none().seeded(7).with_forward_loss(0.30));
+    let config = ScanConfig {
+        seed: 7,
+        max_targets: Some(TARGETS),
+        probes_per_target: 3,
+        rto_ticks: 4,
+        ..Default::default()
+    };
+    scan_with(world, config, telemetry)
+}
+
+fn scan_with(world: WorldConfig, config: ScanConfig, telemetry: Telemetry) -> u64 {
+    let mut world = World::with_config(world);
     world.set_telemetry(&telemetry);
-    let mut scanner = Scanner::with_telemetry(
-        world,
-        ScanConfig {
-            seed: 7,
-            max_targets: Some(TARGETS),
-            ..Default::default()
-        },
-        telemetry,
-    );
+    let mut scanner = Scanner::with_telemetry(world, config, telemetry);
     let range: xmap_addr::ScanRange = "2409:8000::/28-60".parse().unwrap();
     let results = scanner.run(&range, &IcmpEchoProbe, &Blocklist::with_standard_reserved());
     results.stats.sent
@@ -44,6 +61,12 @@ fn bench_scan_overhead(c: &mut Criterion) {
     });
     g.bench_function("scan_4k_metrics_and_trace", |b| {
         b.iter(|| black_box(scan_once(Telemetry::with_tracing())))
+    });
+    g.bench_function("lossy_4k_disabled", |b| {
+        b.iter(|| black_box(lossy_once(Telemetry::disabled())))
+    });
+    g.bench_function("lossy_4k_metrics", |b| {
+        b.iter(|| black_box(lossy_once(Telemetry::new())))
     });
     g.finish();
 }

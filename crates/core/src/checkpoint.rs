@@ -604,6 +604,9 @@ impl ScanSession {
             })?;
             slot.push(record);
         }
+        if let Some(run) = &ckpt.run {
+            self.check_retries(run, &path)?;
+        }
         let mid_range = ckpt.run.is_some();
         let mut run = ckpt.run;
         let modes = per_range
@@ -636,6 +639,46 @@ impl ScanSession {
             metrics: Some(ckpt.metrics),
             sink,
         })
+    }
+
+    /// Refuses a cut whose retries the scanner's per-attempt lanes cannot
+    /// hold in order: each must be a retransmission this session can
+    /// send (`attempt` in `1..probes_per_target`), due no later than its
+    /// backoff from the cut's tick, numbered below the cut's `retry_seq`,
+    /// and the list strictly increasing in `(due_tick, seq)`, the order
+    /// the lanes are refilled in.
+    fn check_retries(&self, run: &RunState, path: &Path) -> Result<(), StateError> {
+        let m = &self.manifest;
+        let mut prev: Option<(u64, u64)> = None;
+        for (i, r) in run.retries.iter().enumerate() {
+            let refuse =
+                |why: String| StateError::Corrupt(format!("{}: retry {i} {why}", path.display()));
+            if r.attempt == 0 || u64::from(r.attempt) >= m.probes_per_target {
+                return Err(refuse(format!(
+                    "is attempt {}, the session sends attempts 1..{}",
+                    r.attempt, m.probes_per_target
+                )));
+            }
+            let backoff = m.rto_ticks.checked_shl(r.attempt - 1).unwrap_or(u64::MAX);
+            if r.due_tick > run.now.saturating_add(backoff) {
+                return Err(refuse(format!(
+                    "is due at tick {}, past its backoff from tick {}",
+                    r.due_tick, run.now
+                )));
+            }
+            if r.seq >= run.retry_seq {
+                return Err(refuse(format!(
+                    "has seq {}, not below the cut's retry_seq {}",
+                    r.seq, run.retry_seq
+                )));
+            }
+            let key = (r.due_tick, r.seq);
+            if prev.is_some_and(|p| p >= key) {
+                return Err(refuse("is out of (due_tick, seq) order".into()));
+            }
+            prev = Some(key);
+        }
+        Ok(())
     }
 }
 
@@ -940,6 +983,108 @@ mod tests {
             0x7fa6_d5a5_1ff3_4573,
             "journal record wire form changed"
         );
+    }
+
+    /// A cut whose retries the scanner's lanes cannot hold — an attempt
+    /// the session never sends, a list out of `(due_tick, seq)` order, a
+    /// sequence number at or past `retry_seq`, a deadline past its
+    /// backoff — is refused by the resume with `Corrupt`, before any
+    /// scanner state is built from it.
+    #[test]
+    fn a_cut_the_retry_lanes_cannot_hold_is_refused() {
+        use xmap_netsim::world::WorldConfig;
+        use xmap_netsim::{FaultPlan, KillPoint, World};
+
+        let dir = std::env::temp_dir().join(format!("xmap-ckpt-lanes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let ranges: Vec<ScanRange> = vec!["2405:200::/32-64".parse().unwrap()];
+        let config = ScanConfig {
+            seed: 17,
+            max_targets: Some(400),
+            probes_per_target: 3,
+            rto_ticks: 4,
+            ..Default::default()
+        };
+        let session = |resume: bool, kill: Option<u64>| {
+            let signal = AbortSignal::new();
+            let kill_signal = signal.clone();
+            let spec = SessionSpec {
+                workers: 1,
+                config: config.clone(),
+                ranges: &ranges,
+                dir: &dir,
+                every: 16,
+                resume,
+                world_seed: 5,
+            };
+            run_session(
+                &spec,
+                &crate::IcmpEchoProbe,
+                &Blocklist::allow_all(),
+                Some(&signal),
+                move |_, telemetry| {
+                    let plan = FaultPlan::none().seeded(0xF00D).with_forward_loss(0.3);
+                    let mut w =
+                        World::with_config(WorldConfig::lossless(4242, 30).with_fault(plan));
+                    w.set_telemetry(telemetry);
+                    if let Some(n) = kill {
+                        let point = KillPoint {
+                            after_probes: Some(n),
+                            ..Default::default()
+                        };
+                        w.arm_kill(point, kill_signal.clone());
+                    }
+                    w
+                },
+            )
+        };
+        assert!(session(false, Some(133)).unwrap().results.interrupted);
+        let path = dir.join("worker-0.ckpt");
+        let mut cut = WorkerCheckpoint::read_from(&path).unwrap();
+        // Rewritten alone, the cut covers no journalled record.
+        cut.wal_seq = 0;
+        let good = cut.run.clone().expect("killed mid-range");
+        assert!(
+            good.retries.len() >= 2,
+            "the kill must land with retries armed"
+        );
+        let last = good.retries.len() - 1;
+
+        type Break = fn(&mut RunState, usize);
+        let bad: [(&str, Break); 7] = [
+            ("attempt 0", |r, _| r.retries[0].attempt = 0),
+            ("attempt 3 of 3 probes", |r, _| r.retries[0].attempt = 3),
+            ("attempt u32::MAX", |r, last| {
+                r.retries[last].attempt = u32::MAX
+            }),
+            ("swapped", |r, last| r.retries.swap(0, last)),
+            ("repeated key", |r, _| r.retries[1] = r.retries[0].clone()),
+            ("seq = retry_seq", |r, last| {
+                r.retries[last].seq = r.retry_seq
+            }),
+            ("due past backoff", |r, last| {
+                r.retries[last].due_tick = r.now + 9
+            }),
+        ];
+        for (what, breaks) in bad {
+            let mut run = good.clone();
+            breaks(&mut run, last);
+            WorkerCheckpoint {
+                run: Some(run),
+                ..cut.clone()
+            }
+            .write_to(&path)
+            .unwrap();
+            match session(true, None) {
+                Err(StateError::Corrupt(msg)) => assert!(msg.contains("retry"), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        }
+        // The same cut unbroken resumes and finishes.
+        cut.write_to(&path).unwrap();
+        let resumed = session(true, None).unwrap();
+        assert!(!resumed.results.interrupted);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

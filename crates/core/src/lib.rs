@@ -49,6 +49,7 @@ pub mod math;
 pub mod output;
 pub mod parallel;
 pub mod probe;
+mod retry;
 pub mod scanner;
 pub mod target;
 pub mod telemetry;

@@ -5,14 +5,15 @@
 //! accounted rate budget, responses are validated statelessly and recorded. The
 //! loop reaches the network only through the [`Transport`] contract —
 //! batched sends, polled tick-stamped receives, a virtual clock — and
-//! parks retransmissions in a deadline [`TimerHeap`], so a backend other
-//! than the simulator is a type parameter away, not a second loop.
+//! parks retransmissions in per-attempt FIFO lanes (`RetryLanes`), so a
+//! backend other than the simulator is a type parameter away, not a
+//! second loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xmap_addr::{FxHashMap, FxHashSet, Ip6, Prefix, ScanRange};
 use xmap_netsim::packet::{Icmpv6, Ipv6Packet, Network, Payload};
-use xmap_reactor::{RecvEntry, SimTransport, TimerHeap, Transport};
+use xmap_reactor::{RecvEntry, SimTransport, Transport};
 use xmap_state::{AbortSignal, CursorState, RunState};
 use xmap_telemetry::{Monitor, Snapshot, Telemetry, Tracer};
 
@@ -21,6 +22,7 @@ use crate::checkpoint::{RangeMode, RunResume, RunSink};
 use crate::cyclic::Cycle;
 use crate::feistel::FeistelPermutation;
 use crate::probe::{ProbeModule, ProbeResult};
+use crate::retry::RetryLanes;
 use crate::target::fill_host_bits;
 use crate::telemetry::{names, HotTally, MetricsBaseline, ScanMetrics};
 use crate::validate::Validator;
@@ -683,8 +685,9 @@ impl<N: Network> Scanner<N> {
                 );
                 if retry_armed {
                     let backoff = self.config.rto_ticks << attempt;
-                    self.metrics.backoff_ticks.record(backoff);
+                    run.tally.arm(attempt as usize, backoff);
                     run.retries.arm(
+                        attempt as usize,
                         run.now + backoff,
                         RetryTimer {
                             target,
@@ -1176,8 +1179,9 @@ struct Outstanding {
     position: u64,
 }
 
-/// A retransmission parked in the timer heap, which owns its
-/// `(due_tick, seq)` key — `seq` breaks ties deterministically.
+/// A retransmission parked in `Run::retries`, in the lane of the attempt
+/// that armed it (`attempt − 1`); the lanes own its `(due_tick, seq)`
+/// key — `seq` breaks ties deterministically.
 #[derive(Debug, Clone, Copy)]
 struct RetryTimer {
     target: Prefix,
@@ -1197,7 +1201,7 @@ struct Run {
     /// slot ended with replies in flight (see [`Run::retire_dead`]).
     outstanding: FxHashMap<Ip6, Outstanding>,
     /// The bounded retransmission backlog.
-    retries: TimerHeap<RetryTimer>,
+    retries: RetryLanes<RetryTimer>,
     answered: FxHashSet<Prefix>,
     /// Range indices ([`ScanRange::nth`]) of the fresh targets drawn from
     /// the walk so far, in probe order (blocked ones included): 8 B a
@@ -1227,7 +1231,7 @@ impl Run {
         Run {
             gen: TargetGen::new(&scanner.config, range, unit),
             outstanding: FxHashMap::default(),
-            retries: TimerHeap::new(),
+            retries: RetryLanes::with_next_seq(0),
             answered: FxHashSet::default(),
             probed: Vec::new(),
             probed_positions: Vec::new(),
@@ -1253,12 +1257,15 @@ impl Run {
     ) -> Run {
         let config = &scanner.config;
         let rs = resume.state;
-        // Retries restore under their original sequence numbers, so the
-        // heap pops in the captured order (keys are unique) and the
-        // counter resumes where the killed run left it.
-        let mut retries = TimerHeap::with_next_seq(rs.retry_seq);
+        // Retries restore under their original sequence numbers, in the
+        // cut's `(due_tick, seq)` order, so every lane stays sorted, the
+        // lanes pop in the captured order (keys are unique) and the
+        // counter resumes where the killed run left it. The session
+        // refused a cut whose attempts or order the lanes cannot hold.
+        let mut retries = RetryLanes::with_next_seq(rs.retry_seq);
         for r in &rs.retries {
             retries.insert_restored(
+                r.attempt as usize - 1,
                 r.due_tick,
                 r.seq,
                 RetryTimer {
@@ -1341,7 +1348,7 @@ impl Run {
     }
 
     /// The run in canonical (sorted) order for a checkpoint. The hash
-    /// map and the heap have no stable iteration order of their own;
+    /// map and the lanes have no stable iteration order of their own;
     /// sorting by destination / `(due_tick, seq)` makes checkpoint bytes
     /// deterministic. Callers [`retire_dead`](Run::retire_dead) first.
     fn capture(&self, run_wal_start: u64) -> RunState {

@@ -172,9 +172,10 @@ impl ScanMetrics {
 /// registry mid-run otherwise, so everything it exports stays exact where
 /// it is read, while the per-probe cost drops to nothing.
 ///
-/// Only metrics the send/recv loop can touch every slot are batched; rare
-/// events (suspected rate limiting, nonzero RTTs, backoff scheduling)
-/// keep their direct handles.
+/// Only metrics the send/recv loop can touch every slot are batched:
+/// under loss with several probes per target most sends arm a retry, so
+/// backoff scheduling is tallied too. Rare events (suspected rate
+/// limiting, nonzero RTTs) keep their direct handles.
 #[derive(Debug, Default)]
 pub struct HotTally {
     /// Probes sent.
@@ -195,9 +196,24 @@ pub struct HotTally {
     /// the overwhelmingly common case) — flushed into the RTT histogram
     /// with [`Histogram::record_n`](xmap_telemetry::Histogram::record_n).
     pub rtt_zero: u64,
+    /// Retry timers armed, per attempt, as `(backoff ticks, arms)`: every
+    /// retry armed by attempt `a` is scheduled the same `rto_ticks << a`
+    /// out, so each attempt flushes into the backoff histogram with one
+    /// [`Histogram::record_n`](xmap_telemetry::Histogram::record_n).
+    pub backoffs: Vec<(u64, u64)>,
 }
 
 impl HotTally {
+    /// Counts one retry armed by `attempt`, `backoff` ticks out.
+    #[inline]
+    pub fn arm(&mut self, attempt: usize, backoff: u64) {
+        if attempt >= self.backoffs.len() {
+            self.backoffs.resize(attempt + 1, (0, 0));
+        }
+        let slot = &mut self.backoffs[attempt];
+        *slot = (backoff, slot.1 + 1);
+    }
+
     /// Adds every nonzero tally to the shared handles and resets to zero.
     pub fn flush(&mut self, metrics: &ScanMetrics) {
         fn bump(counter: &Counter, n: &mut u64) {
@@ -216,6 +232,11 @@ impl HotTally {
         if self.rtt_zero > 0 {
             metrics.rtt_ticks.record_n(0, self.rtt_zero);
             self.rtt_zero = 0;
+        }
+        for (backoff, arms) in &mut self.backoffs {
+            metrics
+                .backoff_ticks
+                .record_n(*backoff, std::mem::take(arms));
         }
     }
 }
@@ -314,6 +335,32 @@ mod tests {
         tally.flush(&m);
         assert_eq!(m.sent.get(), 10);
         assert_eq!(tally.sent, 0);
+    }
+
+    #[test]
+    fn batched_backoffs_match_one_record_per_arm() {
+        let (direct_reg, batched_reg) = (Registry::new(), Registry::new());
+        let (direct, batched) = (
+            ScanMetrics::bind(&direct_reg),
+            ScanMetrics::bind(&batched_reg),
+        );
+        let rto = 6u64;
+        let mut tally = HotTally::default();
+        // Arms interleaved over three attempts, the middle one first, so
+        // the tally grows past a lane it has not seen yet.
+        for attempt in [1usize, 0, 2, 0, 1, 1, 2, 0, 0, 2, 1] {
+            let backoff = rto << attempt;
+            direct.backoff_ticks.record(backoff);
+            tally.arm(attempt, backoff);
+        }
+        tally.flush(&batched);
+        let (d, b) = (&direct.backoff_ticks, &batched.backoff_ticks);
+        assert_eq!(b.bucket_counts(), d.bucket_counts());
+        assert_eq!(b.bucket_counts()[..3], [4, 4, 3]);
+        assert_eq!((b.count(), b.sum()), (d.count(), d.sum()));
+        // Flushing resets; a second flush adds nothing.
+        tally.flush(&batched);
+        assert_eq!(batched.backoff_ticks.count(), 11);
     }
 
     #[test]

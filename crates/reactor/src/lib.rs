@@ -1,12 +1,9 @@
-//! The scan reactor: a timer heap and bounded event queues behind a
-//! pluggable [`Transport`] boundary.
+//! The scan reactor: bounded event queues behind a pluggable
+//! [`Transport`] boundary, and a timer heap.
 //!
-//! The moving parts of the scan loop, factored out of the scanner so the
-//! loop itself never names a concrete network:
+//! The network-facing parts of the scan loop, factored out of the
+//! scanner so the loop itself never names a concrete network:
 //!
-//! * [`TimerHeap`] — deadline-ordered timers with a deterministic
-//!   `(deadline, seq)` tie-break. The scan loop parks retransmission
-//!   timers here.
 //! * [`BoundedQueue`] — the receive-side event queue. Backpressure is
 //!   reported (saturation counter + high watermark), never enforced by
 //!   dropping: a reply that made it off the wire is always delivered.
@@ -15,6 +12,13 @@
 //!   [`SimTransport`] wraps any `Network` — the simulator, a
 //!   [`WireRecorder`] around it, or a [`ReplayNet`] re-serving a recorded
 //!   NDJSON wire trace.
+//!
+//! Beside them, [`TimerHeap`]: deadline-ordered timers with a
+//! deterministic `(deadline, seq)` tie-break, for deadlines armed in any
+//! order. The scan loop's retries arrive in deadline order per attempt and
+//! sit in per-attempt lanes inside `xmap`; the heap is the reference model
+//! those lanes are tested against and the timer the benchmark ledger
+//! times.
 //!
 //! Determinism contract: a transport stamps every delivered packet with
 //! the virtual tick it arrived at ([`RecvEntry::tick`]), and delivers

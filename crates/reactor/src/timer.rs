@@ -36,9 +36,10 @@ impl<T> Eq for Entry<T> {}
 ///
 /// Timers fire in `(deadline, seq)` order: equal deadlines break ties by
 /// arm order, deterministically. A timer cannot be cancelled: its owner
-/// decides when it pops whether it still matters (the scan loop drops a
-/// retry whose probe was answered), so `arm` and `pop_due` are plain
-/// heap operations.
+/// decides when it pops whether it still matters, so `arm` and `pop_due`
+/// are plain heap operations. Deadlines may be armed in any order; an
+/// owner whose deadlines arrive sorted needs no heap (the scan loop's
+/// per-attempt retry lanes pop exactly what this heap pops).
 ///
 /// The sequence counter is exposed ([`next_seq`](TimerHeap::next_seq) /
 /// [`with_next_seq`](TimerHeap::with_next_seq) /

@@ -1,7 +1,8 @@
 //! Property tests for the reactor's two ordering-critical structures.
 //!
-//! The scan loop's byte-identity contract rests on the timer heap
-//! firing in a total, deterministic order and on the receive queue never
+//! The scan loop's byte-identity contract rests on its retry timers
+//! firing in a total, deterministic order — the order of this timer
+//! heap, their reference model — and on the receive queue never
 //! dropping a reply. Both are checked here against naive reference
 //! models under proptest-driven operation sequences.
 
