@@ -104,30 +104,52 @@ impl Blocklist {
     /// The verdict for `addr` by longest-prefix match (default when no
     /// entry covers it).
     pub fn verdict(&self, addr: Ip6) -> Verdict {
-        let bits = addr.bits();
-        let mut node = &self.root;
-        let mut best = self.default;
-        if let Some(v) = node.verdict {
-            best = v;
-        }
-        for depth in 0..128u32 {
-            let bit = ((bits >> (127 - depth)) & 1) as usize;
-            match &node.children[bit] {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.verdict {
-                        best = v;
-                    }
-                }
-                None => break,
-            }
-        }
-        best
+        let best = self.root.verdict.unwrap_or(self.default);
+        descend(&self.root, 0, addr.bits(), best)
     }
 
     /// Whether `addr` may be probed.
     pub fn is_allowed(&self, addr: Ip6) -> bool {
         self.verdict(addr) == Verdict::Allow
+    }
+
+    /// This filter narrowed to the addresses of `prefix`: the walk over
+    /// the prefix's own bits is done here, once, so each lookup inside
+    /// it walks only the bits below — none at all when no entry lies
+    /// strictly inside `prefix`. A scan scopes its range's base prefix.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xmap::blocklist::{Blocklist, Verdict};
+    ///
+    /// # fn main() -> Result<(), xmap_addr::ParseAddrError> {
+    /// let mut bl = Blocklist::with_standard_reserved();
+    /// bl.insert("2405:200:dead::/48".parse()?, Verdict::Deny);
+    /// let scope = bl.scope("2405:200::/32".parse()?);
+    /// assert!(scope.is_allowed("2405:200::1".parse()?));
+    /// assert!(!scope.is_allowed("2405:200:dead::1".parse()?));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn scope(&self, prefix: Prefix) -> ScopedBlocklist<'_> {
+        let bits = prefix.addr().bits();
+        let mut verdict = self.root.verdict.unwrap_or(self.default);
+        let mut node = Some(&self.root);
+        for depth in 0..u32::from(prefix.len()) {
+            let bit = ((bits >> (127 - depth)) & 1) as usize;
+            node = node.and_then(|n| n.children[bit].as_deref());
+            match node {
+                Some(n) => verdict = n.verdict.unwrap_or(verdict),
+                None => break,
+            }
+        }
+        ScopedBlocklist {
+            list: self,
+            prefix,
+            verdict,
+            below: node.filter(|n| n.children.iter().any(Option::is_some)),
+        }
     }
 
     /// A deterministic fingerprint of the filter's complete semantics: the
@@ -183,6 +205,58 @@ impl Blocklist {
     }
 }
 
+/// The longest-prefix walk from `node`, which sits at `depth` on the
+/// path of `bits` with `best` the verdict decided above it.
+fn descend(mut node: &TrieNode, depth: u32, bits: u128, mut best: Verdict) -> Verdict {
+    for depth in depth..128 {
+        let bit = ((bits >> (127 - depth)) & 1) as usize;
+        match &node.children[bit] {
+            Some(child) => {
+                node = child;
+                best = node.verdict.unwrap_or(best);
+            }
+            None => break,
+        }
+    }
+    best
+}
+
+/// A [`Blocklist`] narrowed to one prefix by [`Blocklist::scope`].
+#[derive(Debug, Clone, Copy)]
+pub struct ScopedBlocklist<'a> {
+    list: &'a Blocklist,
+    prefix: Prefix,
+    /// The verdict of the most specific entry covering all of `prefix`
+    /// (the default when none does).
+    verdict: Verdict,
+    /// The trie node at `prefix`, kept only when entries lie below it.
+    below: Option<&'a TrieNode>,
+}
+
+impl ScopedBlocklist<'_> {
+    /// The verdict for `addr`, the same as [`Blocklist::verdict`]'s. An
+    /// address outside the scoped prefix takes the full walk.
+    pub fn verdict(&self, addr: Ip6) -> Verdict {
+        if !self.prefix.contains(addr) {
+            return self.list.verdict(addr);
+        }
+        match self.below {
+            None => self.verdict,
+            Some(node) => descend(
+                node,
+                u32::from(self.prefix.len()),
+                addr.bits(),
+                self.verdict,
+            ),
+        }
+    }
+
+    /// Whether `addr` may be probed.
+    pub fn is_allowed(&self, addr: Ip6) -> bool {
+        self.verdict(addr) == Verdict::Allow
+    }
+}
+
 /// Linear-scan reference implementation with identical semantics — kept for
 /// differential testing and as the baseline in the `blocklist` ablation
 /// bench.
@@ -229,6 +303,7 @@ impl LinearBlocklist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn a(s: &str) -> Ip6 {
         s.parse().unwrap()
@@ -346,6 +421,81 @@ mod tests {
             "9999::1",
         ] {
             assert_eq!(trie.verdict(a(addr)), lin.verdict(a(addr)), "{addr}");
+        }
+    }
+
+    #[test]
+    fn scope_with_nothing_below_walks_nothing() {
+        let bl = Blocklist::with_standard_reserved();
+        let scope = bl.scope(p("2405:200::/32"));
+        assert!(scope.below.is_none());
+        assert!(scope.is_allowed(a("2405:200::1")));
+        let denied = bl.scope(p("2001:db8:1::/48"));
+        assert!(denied.below.is_none());
+        assert!(!denied.is_allowed(a("2001:db8:1::1")));
+        // Outside the scope the full walk answers.
+        assert!(!scope.is_allowed(a("fe80::1")));
+        assert!(denied.is_allowed(a("2600::1")));
+    }
+
+    /// A prefix of `len` bits on the path of `bits`.
+    fn prefix_of(bits: u128, len: u8) -> Prefix {
+        Prefix::new(Ip6::new(bits), len)
+    }
+
+    /// The bits below a prefix of `len` bits.
+    fn host_mask(len: u8) -> u128 {
+        u128::MAX.checked_shr(u32::from(len)).unwrap_or(0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A scope answers every address inside its prefix as the linear
+        /// reference does, whatever mix of entries equal to the prefix,
+        /// containing it, inside it and disjoint from it the filter
+        /// holds — and answers addresses outside it too.
+        #[test]
+        fn scope_matches_linear_reference(
+            scope_bits in any::<u128>(),
+            scope_len in 0u8..=128,
+            entry_bits in prop::collection::vec(any::<u128>(), 0..12),
+            entry_shapes in prop::collection::vec(any::<u32>(), 12),
+            default_deny in any::<bool>(),
+            addrs in prop::collection::vec(any::<u128>(), 1..32),
+        ) {
+            let scoped = prefix_of(scope_bits, scope_len);
+            let default = if default_deny { Verdict::Deny } else { Verdict::Allow };
+            let mut trie = Blocklist::new(default);
+            let mut lin = LinearBlocklist::new(default);
+            for (&bits, &shape) in entry_bits.iter().zip(&entry_shapes) {
+                let (kind, len, deny) = (shape % 4, (shape >> 8) as u8, shape >> 16 & 1 == 1);
+                let entry = match kind {
+                    // Equal to the scoped prefix.
+                    0 => scoped,
+                    // Containing it: a prefix of its own bits.
+                    1 => prefix_of(scope_bits, len % (scope_len + 1)),
+                    // Inside it: its bits, then any below.
+                    2 => {
+                        let len = scope_len + len % (129 - scope_len);
+                        prefix_of(scoped.addr().bits() | (bits & host_mask(scope_len)), len)
+                    }
+                    // Anywhere, mostly disjoint from it.
+                    _ => prefix_of(bits, len % 129),
+                };
+                let verdict = if deny { Verdict::Deny } else { Verdict::Allow };
+                trie.insert(entry, verdict);
+                lin.insert(entry, verdict);
+            }
+            let scope = trie.scope(scoped);
+            for bits in addrs {
+                let inside = Ip6::new(scoped.addr().bits() | (bits & host_mask(scope_len)));
+                prop_assert!(scoped.contains(inside));
+                prop_assert_eq!(scope.verdict(inside), lin.verdict(inside));
+                prop_assert_eq!(scope.is_allowed(inside), lin.is_allowed(inside));
+                let anywhere = Ip6::new(bits);
+                prop_assert_eq!(scope.verdict(anywhere), lin.verdict(anywhere));
+            }
         }
     }
 }

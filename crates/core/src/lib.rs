@@ -56,7 +56,7 @@ pub mod telemetry;
 pub mod validate;
 pub mod walk;
 
-pub use blocklist::{Blocklist, Verdict};
+pub use blocklist::{Blocklist, ScopedBlocklist, Verdict};
 pub use checkpoint::{
     build_manifest, run_session, RangeMode, RunResume, RunSink, ScanSession, SessionOutcome,
     SessionSpec, WorkerResume,

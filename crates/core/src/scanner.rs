@@ -326,7 +326,8 @@ impl<N: Network> Scanner<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards == 0` or `config.shard >= config.shards`.
+    /// Panics on the configurations [`with_telemetry`](Self::with_telemetry)
+    /// refuses.
     pub fn new(network: N, config: ScanConfig) -> Self {
         Scanner::with_telemetry(network, config, Telemetry::new())
     }
@@ -337,10 +338,20 @@ impl<N: Network> Scanner<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards == 0` or `config.shard >= config.shards`.
+    /// Panics if `config.shards == 0` or `config.shard >= config.shards`,
+    /// or if the last retransmission's backoff,
+    /// `rto_ticks << (probes_per_target − 1)`, does not fit in a `u64`.
     pub fn with_telemetry(network: N, config: ScanConfig, telemetry: Telemetry) -> Self {
         assert!(config.shards > 0, "shards must be nonzero");
         assert!(config.shard < config.shards, "shard index out of range");
+        let last = config.probes_per_target.max(1) - 1;
+        assert!(
+            config
+                .rto_ticks
+                .checked_shl(last)
+                .is_some_and(|backoff| backoff >> last == config.rto_ticks),
+            "rto_ticks << (probes_per_target - 1) overflows u64"
+        );
         let validator = Validator::new(config.seed ^ 0x5ca1_ab1e);
         let metrics = ScanMetrics::bind(&telemetry.registry);
         Scanner {
@@ -580,6 +591,9 @@ impl<N: Network> Scanner<N> {
             .rate_pps
             .map_or(0, |pps| 1_000_000_000 / pps.max(1));
         let attempts = self.config.probes_per_target.max(1);
+        // Every destination lies inside the range's base prefix, so the
+        // blocklist walk over the base's bits is done once, here.
+        let blocklist = blocklist.scope(range.base());
         let unit = walk.unit.nested_in(self.config.shard, self.config.shards);
         let track_silent = walk.positions && walk.record_silent;
         let mut run = match resume {
@@ -683,6 +697,16 @@ impl<N: Network> Scanner<N> {
                         position,
                     },
                 );
+                send_buf.push(probe);
+                self.transport.send_batch(&mut send_buf);
+                // First poll of the slot: immediate replies, stamped with
+                // the send tick, attributed to the slot-local entry first.
+                self.absorb(&mut recv_buf, module, &mut run, Some(&mut sent));
+                // With nothing in flight no reply to this probe is still to
+                // come, so its answer is settled and its retry carries it.
+                // Otherwise the entry joins the in-flight index, where later
+                // replies and its retry look it up.
+                let in_flight = self.transport.in_flight() > 0;
                 if retry_armed {
                     let backoff = self.config.rto_ticks << attempt;
                     run.tally.arm(attempt as usize, backoff);
@@ -693,18 +717,12 @@ impl<N: Network> Scanner<N> {
                             target,
                             attempt: attempt + 1,
                             prev_dst: dst,
+                            settled: (!in_flight).then_some(sent.1.answered),
                             position,
                         },
                     );
                 }
-                send_buf.push(probe);
-                self.transport.send_batch(&mut send_buf);
-                // First poll of the slot: immediate replies, stamped with
-                // the send tick, attributed to the slot-local entry first.
-                self.absorb(&mut recv_buf, module, &mut run, Some(&mut sent));
-                // The entry outlives the slot only if something can still
-                // look it up: its retry timer, or a reply in flight.
-                if retry_armed || self.transport.in_flight() > 0 {
+                if in_flight {
                     run.outstanding.insert(sent.0, sent.1);
                 }
             }
@@ -754,30 +772,26 @@ impl<N: Network> Scanner<N> {
             return results;
         }
 
-        // Per-target recovery accounting, in deterministic probe order.
-        // Abandonments are tallied locally and flushed in one counter add.
-        // With one probe per target and no silent list nothing is read.
-        let mut gave_up = 0u64;
-        if attempts > 1 || walk.record_silent {
+        // Every answered target was probed, and every probed one was
+        // drawn once, so the targets given up on number probed − answered.
+        debug_assert!(run.answered.len() <= run.probed.len());
+        let gave_up = (run.probed.len() - run.answered.len()) as u64;
+        if attempts > 1 && gave_up > 0 {
+            self.metrics.gave_up.add(gave_up);
+        }
+        // The silent list names them, in deterministic probe order.
+        if walk.record_silent {
             for (i, &index) in run.probed.iter().enumerate() {
                 let target = range.nth(index).expect("logged indices lie in the range");
                 if run.answered.contains(&target) {
                     continue;
                 }
-                if attempts > 1 {
-                    gave_up += 1;
-                }
-                if walk.record_silent {
-                    results.silent_targets.push(target);
-                    if track_silent {
-                        let j = run.probed_positions[i];
-                        results.silent_positions.push(walk.unit.position(j));
-                    }
+                results.silent_targets.push(target);
+                if track_silent {
+                    let j = run.probed_positions[i];
+                    results.silent_positions.push(walk.unit.position(j));
                 }
             }
-        }
-        if gave_up > 0 {
-            self.metrics.gave_up.add(gave_up);
         }
         results.stats = self.metrics.stats_since(&run.base);
         self.metrics.update_hit_rate();
@@ -835,7 +849,7 @@ impl<N: Network> Scanner<N> {
         // Unconditionally, so that a cut holds exactly the entries its
         // retries name whatever the sweep cadence before it was.
         run.retire_dead();
-        let state = run.capture(sink.run_wal_start());
+        let state = run.capture(sink.run_wal_start(), self.config.rto_ticks);
         sink.write_checkpoint(self.total_ticks, snap, Some(state));
     }
 
@@ -1147,12 +1161,13 @@ impl TargetGen {
 }
 
 /// Entries `outstanding` may hold beyond twice the armed retries before
-/// a quiescent slot boundary sweeps the dead ones out. Only a slot with
-/// replies still in flight leaves an unarmed entry behind, so on a quiet
-/// transport the sweep never runs. Each sweep walks the table once and
-/// leaves one entry per armed retry, so the next is at least this many
-/// sends away: amortised O(1) per probe, over a table that stays
-/// cache-sized however long the walk.
+/// a quiescent slot boundary sweeps the dead ones out. Only a slot that
+/// ends with replies still in flight puts an entry there at all, so on a
+/// quiet transport the index stays empty and the sweep never runs. Each
+/// sweep walks the index once and leaves at most one entry per armed
+/// retry, so the next is at least this many sends away: amortised O(1)
+/// per probe, over an index that stays cache-sized however long the
+/// walk.
 const RETIRE_SLACK: usize = 1024;
 
 /// Bound on the armed retransmissions. A retry that would overflow it is
@@ -1160,10 +1175,11 @@ const RETIRE_SLACK: usize = 1024;
 /// [`ScanStats::gave_up`].
 const MAX_RETRY_BACKLOG: usize = 4096;
 
-/// One sent probe whose answer can still matter: a reply to it may be in
-/// flight, or a retry timer will ask whether it was answered. The send
-/// slot holds it locally through its first poll and records it in
-/// `Run::outstanding` only if one of the two holds afterwards.
+/// One sent probe whose reply may still arrive. The send slot holds it
+/// locally through its first poll and records it in `Run::outstanding`
+/// only if the transport still has replies in flight afterwards; a
+/// probe settled by then lives on, if at all, as its retry's
+/// [`RetryTimer::settled`].
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     target: Prefix,
@@ -1187,6 +1203,11 @@ struct RetryTimer {
     target: Prefix,
     attempt: u32,
     prev_dst: Ip6,
+    /// Whether the previous attempt was answered, once that is final:
+    /// `Some` when nothing was in flight after its send slot's first
+    /// poll, `None` while its [`Outstanding`] entry can still take a
+    /// reply (the timer then looks it up under `prev_dst`).
+    settled: Option<bool>,
     /// Walk position carried from the original fresh probe (see
     /// [`Outstanding::position`]).
     position: u64,
@@ -1197,15 +1218,18 @@ struct RetryTimer {
 #[derive(Debug)]
 struct Run {
     gen: TargetGen,
-    /// Sent probes that are still live: armed retries, and probes whose
-    /// slot ended with replies in flight (see [`Run::retire_dead`]).
+    /// The in-flight index: probes whose send slot ended with replies
+    /// in flight (see [`Run::retire_dead`]), and after a resume the
+    /// predecessors the cut listed. A settled predecessor is carried by
+    /// its retry timer instead.
     outstanding: FxHashMap<Ip6, Outstanding>,
     /// The bounded retransmission backlog.
     retries: RetryLanes<RetryTimer>,
     answered: FxHashSet<Prefix>,
     /// Range indices ([`ScanRange::nth`]) of the fresh targets drawn from
     /// the walk so far, in probe order (blocked ones included): 8 B a
-    /// target where its `Prefix` would take 32.
+    /// target where its `Prefix` would take 32. Read only by the silent
+    /// list and a cut's `probed_count`; `gave_up` takes just its length.
     probed: Vec<u64>,
     /// Walk position of each `probed` entry (parallel vector); filled
     /// only when a silent list's positions are reported.
@@ -1272,6 +1296,7 @@ impl Run {
                     target: r.target,
                     attempt: r.attempt,
                     prev_dst: r.prev_dst.into(),
+                    settled: None,
                     position: 0,
                 },
             );
@@ -1312,20 +1337,23 @@ impl Run {
     }
 
     /// Pops the next due retransmission whose previous attempt is still
-    /// unanswered (answered ones are suppressed silently). Either way the
-    /// previous attempt stops being retry-armed; if `quiet` (asked only
-    /// when a timer pops) says no reply is in flight, nothing can look
-    /// its entry up again and it is removed outright.
+    /// unanswered (answered ones are suppressed silently). A settled
+    /// previous attempt answers from the timer itself. One in the
+    /// in-flight index stops being retry-armed there; if `quiet` (asked
+    /// only then) says no reply is in flight, nothing can look its entry
+    /// up again and it is removed outright.
     fn due_retry(&mut self, quiet: impl Fn() -> bool) -> Option<RetryTimer> {
         while let Some((_due, _seq, retry)) = self.retries.pop_due(self.now) {
-            let answered = if quiet() {
-                self.outstanding.remove(&retry.prev_dst).map(|o| o.answered)
-            } else {
-                self.outstanding.get_mut(&retry.prev_dst).map(|prev| {
-                    prev.retry_armed = false;
-                    prev.answered
-                })
-            };
+            let answered = retry.settled.or_else(|| {
+                if quiet() {
+                    self.outstanding.remove(&retry.prev_dst).map(|o| o.answered)
+                } else {
+                    self.outstanding.get_mut(&retry.prev_dst).map(|prev| {
+                        prev.retry_armed = false;
+                        prev.answered
+                    })
+                }
+            });
             if answered == Some(false) {
                 return Some(retry);
             }
@@ -1350,10 +1378,14 @@ impl Run {
     /// The run in canonical (sorted) order for a checkpoint. The hash
     /// map and the lanes have no stable iteration order of their own;
     /// sorting by destination / `(due_tick, seq)` makes checkpoint bytes
-    /// deterministic. Callers [`retire_dead`](Run::retire_dead) first.
-    fn capture(&self, run_wal_start: u64) -> RunState {
+    /// deterministic. Callers [`retire_dead`](Run::retire_dead) first, so
+    /// the outstanding rows are exactly the predecessors the retries
+    /// name: those in the in-flight index, and the settled ones each
+    /// timer carries. A settled row's send tick is its timer's deadline
+    /// less the backoff it was armed with, `rto_ticks << (attempt − 1)`.
+    fn capture(&self, run_wal_start: u64, rto_ticks: u64) -> RunState {
         let (cursor, remaining, pending_indices) = self.gen.capture();
-        let mut outstanding: Vec<xmap_state::OutstandingEntry> = self
+        let in_flight = self
             .outstanding
             .iter()
             .map(|(dst, o)| xmap_state::OutstandingEntry {
@@ -1362,8 +1394,17 @@ impl Run {
                 attempt: o.attempt,
                 answered: o.answered,
                 sent_tick: o.sent_tick,
+            });
+        let settled = self.retries.iter().filter_map(|(due_tick, _, r)| {
+            r.settled.map(|answered| xmap_state::OutstandingEntry {
+                dst: r.prev_dst.bits(),
+                target: r.target,
+                attempt: r.attempt - 1,
+                answered,
+                sent_tick: due_tick - (rto_ticks << (r.attempt - 1)),
             })
-            .collect();
+        });
+        let mut outstanding: Vec<xmap_state::OutstandingEntry> = in_flight.chain(settled).collect();
         outstanding.sort_by_key(|o| o.dst);
         let mut retries: Vec<xmap_state::RetryEntryState> = self
             .retries
@@ -1713,23 +1754,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocklist_skips_targets() {
-        let mut bl = Blocklist::allow_all();
-        bl.insert(
-            "2001:100::/33".parse().unwrap(),
-            crate::blocklist::Verdict::Deny,
-        );
+    /// A 1000-target scan of [`range`] under `bl`, keeping the silent
+    /// list so that records and silent targets name every target walked.
+    fn scan_under(bl: &Blocklist) -> ScanResults {
         let mut s = Scanner::new(
             ToyNet { handled: 0 },
             ScanConfig {
                 max_targets: Some(1000),
+                record_silent: true,
                 ..Default::default()
             },
         );
-        let res = s.run(&range(), &IcmpEchoProbe, &bl);
+        s.run(&range(), &IcmpEchoProbe, bl)
+    }
+
+    /// An entry inside the range blocks exactly the walked targets it
+    /// covers: the scan reads as the unblocked one with those targets
+    /// sent nothing and answered nothing.
+    #[test]
+    fn blocklist_skips_targets() {
+        let entry: Prefix = "2001:100::/33".parse().unwrap();
+        let mut bl = Blocklist::allow_all();
+        bl.insert(entry, crate::blocklist::Verdict::Deny);
+        let res = scan_under(&bl);
         assert!(res.stats.blocked > 300, "{}", res.stats.blocked);
         assert_eq!(res.stats.blocked + res.stats.sent, 1000);
+
+        let open = scan_under(&Blocklist::allow_all());
+        let walked: Vec<Prefix> = open
+            .records
+            .iter()
+            .map(|r| r.target)
+            .chain(open.silent_targets.iter().copied())
+            .collect();
+        assert_eq!(walked.len(), 1000);
+        let inside = walked.iter().filter(|t| entry.covers(**t)).count() as u64;
+        assert_eq!(res.stats.blocked, inside);
+        let outside: Vec<&ScanRecord> = open
+            .records
+            .iter()
+            .filter(|r| !entry.covers(r.target))
+            .collect();
+        assert_eq!(res.records.iter().collect::<Vec<_>>(), outside);
+    }
+
+    /// A range wholly inside a Deny entry (under a more specific Allow
+    /// elsewhere) sends nothing: every target is blocked.
+    #[test]
+    fn range_inside_a_deny_entry_blocks_every_target() {
+        let mut bl = Blocklist::allow_all();
+        bl.insert(
+            "2001::/16".parse().unwrap(),
+            crate::blocklist::Verdict::Deny,
+        );
+        bl.insert(
+            "2001:200::/32".parse().unwrap(),
+            crate::blocklist::Verdict::Allow,
+        );
+        let res = scan_under(&bl);
+        assert_eq!(res.stats.blocked, 1000);
+        assert_eq!(res.stats.sent, 0);
+        assert!(res.records.is_empty());
+        assert_eq!(res.silent_targets.len(), 1000);
+    }
+
+    /// The last retransmission's backoff, `rto_ticks << (probes − 1)`,
+    /// must fit in a `u64`: the widest that fits constructs, one bit
+    /// more is refused (below).
+    #[test]
+    fn the_widest_backoff_that_fits_constructs() {
+        for (probes, rto_ticks) in [(62, 4), (64, 1), (1, u64::MAX)] {
+            let config = ScanConfig {
+                probes_per_target: probes,
+                rto_ticks,
+                ..Default::default()
+            };
+            Scanner::new(ToyNet { handled: 0 }, config);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn a_backoff_past_u64_is_refused() {
+        Scanner::new(
+            ToyNet { handled: 0 },
+            ScanConfig {
+                probes_per_target: 63,
+                rto_ticks: 4,
+                ..Default::default()
+            },
+        );
     }
 
     #[test]
@@ -1943,25 +2057,46 @@ mod tests {
         // 101 is coprime to 257, so this visits every index once.
         let shuffled: Vec<u64> = (0..n).map(|i| (i * 101 + 7) % n).collect();
         let mut captures = Vec::new();
+        let rto = s.config().rto_ticks;
         for order in [reversed, shuffled] {
             let mut run = Run::fresh(&s, &range(), SplitUnit::whole(u64::MAX), false);
             for &i in &order {
                 let target = range().nth(i).unwrap();
+                let dst = fill_host_bits(target, i);
+                let answered = i % 3 == 0;
+                // Odd probes settled when sent (all at tick `n`): their
+                // retries carry them.
+                if i % 2 == 1 {
+                    let retry = RetryTimer {
+                        target,
+                        attempt: 1,
+                        prev_dst: dst,
+                        settled: Some(answered),
+                        position: i,
+                    };
+                    run.retries.arm(0, n + rto, retry);
+                    continue;
+                }
                 run.outstanding.insert(
-                    fill_host_bits(target, i),
+                    dst,
                     Outstanding {
                         target,
                         attempt: 0,
-                        answered: i % 3 == 0,
+                        answered,
                         retry_armed: true,
                         sent_tick: i,
                         position: i,
                     },
                 );
             }
-            let state = run.capture(0);
+            let state = run.capture(0, rto);
             assert_eq!(state.outstanding.len(), n as usize);
             assert!(state.outstanding.windows(2).all(|w| w[0].dst < w[1].dst));
+            for o in &state.outstanding {
+                let i = range().index_of(Ip6::new(o.dst)).unwrap();
+                assert_eq!(o.answered, i.is_multiple_of(3));
+                assert_eq!(o.sent_tick, if i % 2 == 1 { n } else { i });
+            }
             captures.push(state.outstanding);
         }
         assert_eq!(captures[0], captures[1]);

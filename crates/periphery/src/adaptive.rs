@@ -783,6 +783,9 @@ fn run_unit<N: Network>(
     let mut finds = Vec::new();
     let mut aliases = Vec::new();
     let mut answers = Vec::new();
+    // Every destination lies inside the unit's prefix: its blocklist
+    // walk is done once per unit.
+    let blocklist = blocklist.scope(unit.prefix);
     let mut session = scanner.targeted();
     while drawn < unit.count {
         let want = ((unit.count - drawn) as usize).min(buf.len());

@@ -15,6 +15,7 @@
 //! checkpoint files — what an older build's session directory must look
 //! like to be resumed.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,9 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmap::output::to_csv;
 use xmap::{
     build_manifest, run_session, Blocklist, IcmpEchoProbe, ParallelScanner, Permutation, RangeMode,
-    ScanConfig, ScanResults, ScanSession, Scanner, SessionSpec, Verdict,
+    ScanConfig, ScanResults, ScanSession, Scanner, SessionSpec, SplitUnit, Verdict, YieldGate,
 };
-use xmap_addr::ScanRange;
+use xmap_addr::{Prefix, ScanRange};
 use xmap_netsim::world::{World, WorldConfig};
 use xmap_netsim::{FaultPlan, KillPoint};
 use xmap_reactor::{ReplayNet, WireRecorder};
@@ -547,4 +548,126 @@ fn recorded_trace_replays_byte_identically() {
     assert_eq!(net.desyncs(), 0, "replay fell out of sync with the trace");
     assert_eq!(net.mismatched_sends(), 0, "replayed probes diverged");
     assert!(net.fully_consumed(), "replay left recorded events unused");
+}
+
+/// The last cut of one worker killed with retransmissions pending in
+/// both of a 3-probe scan's retry lanes (attempts 1 and 2): every
+/// predecessor it names settled when it was sent (the lossy world holds
+/// no reply back), so none sits in the in-flight index, and the cut
+/// still lists each as the row the build this was captured from wrote.
+/// The session resumes from it to the uninterrupted CSV.
+const GOLDEN_SETTLED_CUT: u64 = 0x9e82_e7d6_70af_6b4e;
+
+#[test]
+fn settled_retries_capture_the_same_cut_and_resume() {
+    let config = lossy_config();
+    let blocklist = Blocklist::allow_all();
+    let dir = session_dir("settled");
+    let (killed, _) =
+        single_worker_session(&dir, lossy_world(), &config, &blocklist, false, Some(700));
+    assert!(killed.interrupted, "kill must interrupt");
+    let path = dir.join("worker-0.ckpt");
+    let run = WorkerCheckpoint::read_from(&path)
+        .expect("checkpoint parses")
+        .run
+        .expect("killed mid-range");
+    for attempt in [1, 2] {
+        assert!(
+            run.retries.iter().any(|r| r.attempt == attempt),
+            "no retry pending in lane {}",
+            attempt - 1
+        );
+    }
+    assert_eq!(run.outstanding.len(), run.retries.len());
+    assert_eq!(
+        fnv(last_cut(&path)),
+        GOLDEN_SETTLED_CUT,
+        "worker-0.ckpt last cut"
+    );
+
+    let (resumed, mid_range) =
+        single_worker_session(&dir, lossy_world(), &config, &blocklist, true, None);
+    assert!(mid_range && !resumed.interrupted);
+    let base = Scanner::new(lossy_world(), config).run(&range(), &IcmpEchoProbe, &blocklist);
+    assert_eq!(to_csv(&resumed.records), to_csv(&base.records));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `gave_up` is the probed targets no record answers, whatever the fault
+/// plan: 3-probe sequential scans under forward loss, reverse loss,
+/// duplication and jitter, each with a blocked /60 in the walk, give up
+/// on exactly the distinct probed targets minus the distinct record
+/// targets — across a forced yield (where the silent list is kept too
+/// and must have that length) and across a kill and resume (where it is
+/// not kept).
+#[test]
+fn gave_up_is_probed_minus_answered_under_every_fault() {
+    let mut blocklist = Blocklist::allow_all();
+    blocklist.insert("2405:200:0:10::/60".parse().unwrap(), Verdict::Deny);
+    let config = ScanConfig {
+        permutation: Permutation::Sequential,
+        record_silent: false,
+        ..lossy_config()
+    };
+    let cap = config.max_targets.unwrap();
+    // The sequential walk's first `n` targets.
+    let probed = |n: u64| -> HashSet<Prefix> { (0..n).map(|i| range().nth(i).unwrap()).collect() };
+    let answered =
+        |r: &ScanResults| -> HashSet<Prefix> { r.records.iter().map(|r| r.target).collect() };
+    let plans = [
+        ("forward loss", FaultPlan::none().with_forward_loss(0.3)),
+        ("reverse loss", FaultPlan::none().with_reverse_loss(0.3)),
+        ("duplication", FaultPlan::none().with_duplication(0.3)),
+        ("jitter", FaultPlan::none().with_jitter(12)),
+    ];
+    for (what, plan) in plans {
+        let plan = plan.seeded(0xF00D);
+        let world = || World::with_config(WorldConfig::lossless(4242, 3000).with_fault(plan));
+
+        let gate = YieldGate {
+            flag: Default::default(),
+            min_remaining: 0,
+            force_at: Some(700),
+        };
+        let mut scanner = Scanner::new(world(), config.clone());
+        let part = scanner.run_unit(
+            &range(),
+            &IcmpEchoProbe,
+            &blocklist,
+            SplitUnit::whole(cap),
+            true,
+            Some(&gate),
+        );
+        assert!(part.yielded, "{what}: the gate must fire");
+        assert!(part.stats.blocked > 0, "{what}: nothing blocked");
+        let walked = probed(part.consumed);
+        let hit = answered(&part);
+        assert!(hit.is_subset(&walked), "{what}");
+        let silent = (walked.len() - hit.len()) as u64;
+        assert!(silent > 0, "{what}");
+        assert_eq!(part.stats.gave_up, silent, "{what}: yielded run");
+        assert_eq!(
+            part.silent_targets.len() as u64,
+            silent,
+            "{what}: silent list"
+        );
+
+        let base = Scanner::new(world(), config.clone()).run(&range(), &IcmpEchoProbe, &blocklist);
+        let dir = session_dir("gave-up");
+        let (killed, _) =
+            single_worker_session(&dir, world(), &config, &blocklist, false, Some(400));
+        assert!(killed.interrupted, "{what}: kill must interrupt");
+        let (resumed, mid_range) =
+            single_worker_session(&dir, world(), &config, &blocklist, true, None);
+        assert!(mid_range && !resumed.interrupted, "{what}");
+        assert_eq!(resumed.records, base.records, "{what}");
+        let hit = answered(&resumed);
+        assert_eq!(
+            resumed.stats.gave_up,
+            cap - hit.len() as u64,
+            "{what}: resumed run"
+        );
+        assert_eq!(base.stats.gave_up, resumed.stats.gave_up, "{what}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
