@@ -15,15 +15,11 @@
 //!       --shard I          this shard (0-based)
 //!       --shards N         total cooperating shards
 //!       --workers N        send threads; the shard is split N ways and
-//!                          merged deterministically (default 1). Status
-//!                          lines need a single worker.
+//!                          merged deterministically (default 1)
 //!   -b, --block PREFIX     add a blocklist prefix (repeatable)
 //!   -o, --output FILE     write results as CSV (default: stdout)
 //!       --metrics-out FILE write the final telemetry snapshot as JSON
-//!       --trace-out PATH   write the event trace as NDJSON. With
-//!                          --workers 1, PATH is a single file; with N>1
-//!                          workers PATH must be a directory, which gets
-//!                          one worker-K.ndjson ring per worker
+//!       --trace-out PATH   write the event trace as NDJSON
 //!       --checkpoint DIR   journal results and periodically checkpoint
 //!                          scan state into DIR (created if missing); a
 //!                          worker that panics ends the run with exit
@@ -33,22 +29,18 @@
 //!       --resume           continue the scan recorded in --checkpoint DIR;
 //!                          refuses to run if this invocation's
 //!                          configuration differs from the checkpointed one
-//!       --kill-after-probes N abort the scan after the simulated world
-//!                          handles N probes (exit code 3; for testing
-//!                          checkpoint/resume)
 //!       --record-wire FILE record the run's wire traffic as an NDJSON
 //!                          trace replayable with --replay-trace
-//!                          (single worker, no --checkpoint)
 //!       --replay-trace FILE scan against the recorded trace instead of
 //!                          the simulated Internet; any divergence from
 //!                          the recording is an error
-//!                          (single worker, no --checkpoint)
 //!   -q, --quiet            suppress the summary and the status line printed
 //!                          every simulated second on stderr
 //!
-//! An interrupted checkpointed scan exits with code 3; rerunning the same
-//! command line with `--resume` continues it, and the final output is
-//! byte-identical to an uninterrupted run against the default simulator.
+//! Test hooks:
+//!
+//!       --kill-after-probes N with --checkpoint, abort the scan after the
+//!                          simulated world handles N probes (exit code 3)
 //!
 //! Modes (first positional argument):
 //!
@@ -56,13 +48,31 @@
 //!   trace ADDR             hop-limit walk toward one address
 //!   alias PREFIX           de-aliasing check on one prefix
 //! ```
+//!
+//! Every scan runs through one driver at any `--workers` count, and the
+//! CSV (rows in target order), the metrics and a recorded wire are the
+//! same for every count. What the count changes:
+//!
+//! - the status line needs one worker; with more, only the summary is
+//!   printed;
+//! - `--trace-out PATH` is one file at one worker; with N > 1 workers
+//!   PATH must be a directory, which gets one `worker-K.ndjson` ring per
+//!   worker;
+//! - `--record-wire` and `--replay-trace` take exactly one worker, since
+//!   a wire trace is a single stream.
+//!
+//! `--record-wire`, `--replay-trace` and `--trace-out` refuse
+//! `--checkpoint`. An interrupted checkpointed scan exits with code 3;
+//! rerunning the same command line with `--resume` continues it, and the
+//! final output is byte-identical to an uninterrupted run against the
+//! default simulator.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use xmap::{
-    run_session, Blocklist, IcmpEchoProbe, ParallelScanner, ProbeModule, ScanConfig, ScanResults,
-    Scanner, SessionSpec, TargetSpec, TcpSynProbe, UdpProbe, Verdict,
+    run_session, Blocklist, IcmpEchoProbe, ParallelScanner, ProbeModule, ScanConfig, Scanner,
+    SessionSpec, TargetSpec, TcpSynProbe, UdpProbe, Verdict,
 };
 use xmap_netsim::packet::Network;
 use xmap_netsim::services::{AppRequest, ServiceKind};
@@ -299,54 +309,22 @@ fn module_for(cfg: &CliConfig) -> Box<dyn ProbeModule + Send + Sync> {
     }
 }
 
-/// Writes one `worker-K.ndjson` event ring per worker into `dir`
-/// (created if missing) — with several workers there is no single merged
+/// Writes the event trace to `path`: the one worker's ring as a file, or
+/// with several workers one `worker-K.ndjson` ring each into the
+/// directory `path` (created if missing) — there is no single merged
 /// trace, and interleaving rings would fake an ordering that never was.
-fn write_worker_traces(dir: &str, scanner: &ParallelScanner<World>) -> Result<(), String> {
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
+fn write_traces<N: Network + Send>(path: &str, scanner: &ParallelScanner<N>) -> Result<(), String> {
+    let ring = |w: usize| scanner.worker_telemetry(w).tracer.to_ndjson();
+    if scanner.workers() == 1 {
+        return std::fs::write(path, ring(0)).map_err(|e| format!("write {path}: {e}"));
+    }
+    let dir = std::path::Path::new(path);
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {path}: {e}"))?;
     for w in 0..scanner.workers() {
-        let out = path.join(format!("worker-{w}.ndjson"));
-        let ndjson = scanner.worker_telemetry(w).tracer.to_ndjson();
-        std::fs::write(&out, ndjson).map_err(|e| format!("write {}: {e}", out.display()))?;
+        let out = dir.join(format!("worker-{w}.ndjson"));
+        std::fs::write(&out, ring(w)).map_err(|e| format!("write {}: {e}", out.display()))?;
     }
     Ok(())
-}
-
-/// The single-worker scan path over any network backend — the plain
-/// world, a [`WireRecorder`] around it, or a [`ReplayNet`]. Returns the
-/// results and the network back (recorders need finishing).
-fn run_single<N: Network>(
-    cfg: &CliConfig,
-    scan_config: ScanConfig,
-    module: &dyn ProbeModule,
-    blocklist: &Blocklist,
-    make_net: impl FnOnce(&Telemetry) -> N,
-) -> Result<(ScanResults, N), String> {
-    let telemetry = if cfg.trace_out.is_some() {
-        Telemetry::with_tracing()
-    } else {
-        Telemetry::new()
-    };
-    let net = make_net(&telemetry);
-    let mut scanner = Scanner::with_telemetry(net, scan_config, telemetry.clone());
-    if !cfg.quiet {
-        // One virtual tick per send slot, so the configured packet rate
-        // fixes the tick↔second conversion; a status line every
-        // simulated second is an interval of `tps` ticks.
-        let tps = cfg.rate_pps.unwrap_or(100_000);
-        scanner.set_monitor(Monitor::new(&telemetry.registry, tps, tps));
-    }
-    let results = scanner.run_all(cfg.targets.ranges(), module, blocklist);
-    if let Some(path) = &cfg.metrics_out {
-        let json = telemetry.registry.snapshot().to_json();
-        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    if let Some(path) = &cfg.trace_out {
-        let ndjson = telemetry.tracer.to_ndjson();
-        std::fs::write(path, ndjson).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    Ok((results, scanner.into_network()))
 }
 
 /// Runs one scan invocation. `Ok(true)` means the scan was interrupted by
@@ -357,9 +335,19 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         (&cfg.output, "--output"),
         (&cfg.metrics_out, "--metrics-out"),
         (&cfg.trace_out, "--trace-out"),
+        (&cfg.record_wire, "--record-wire"),
     ] {
         if let Some(path) = path {
             ensure_parent_dir(path, flag)?;
+        }
+    }
+    if let Some(dir) = cfg.trace_out.as_ref().filter(|_| cfg.workers > 1) {
+        if std::path::Path::new(dir).is_file() {
+            return Err(format!(
+                "--trace-out {dir}: {} workers write one event ring each; \
+                 pass a directory (it will hold worker-N.ndjson), not a file",
+                cfg.workers
+            ));
         }
     }
     let mut blocklist = Blocklist::with_standard_reserved();
@@ -370,7 +358,76 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
             Verdict::Deny,
         );
     }
-    let scan_config = ScanConfig {
+    let module = module_for(&cfg);
+    let abort = AbortSignal::new();
+    // The kill point stops a checkpointed session for --resume to finish;
+    // a scan without a session has nothing to resume, so it is not armed.
+    let kill = cfg
+        .checkpoint
+        .as_ref()
+        .and(cfg.kill_after_probes)
+        .map(|n| KillPoint {
+            after_probes: Some(n),
+            ..Default::default()
+        });
+    let (world_seed, kill_signal) = (cfg.world_seed, abort.clone());
+    let world = move |_: usize, telemetry: &Telemetry| {
+        let mut world = World::new(world_seed);
+        world.set_telemetry(telemetry);
+        if let Some(point) = kill {
+            world.arm_kill(point, kill_signal.clone());
+        }
+        world
+    };
+    let (module, blocklist) = (module.as_ref(), &blocklist);
+    if let Some(path) = &cfg.replay_trace {
+        // Replay: no simulator at all — the recorded trace answers every
+        // probe, and any divergence from the recording is a hard error.
+        let mut net = Some(
+            ReplayNet::from_file(std::path::Path::new(path))
+                .map_err(|e| format!("--replay-trace {path}: {e}"))?,
+        );
+        let replay =
+            move |_: usize, _: &Telemetry| net.take().expect("a wire trace replays on one worker");
+        scan(&cfg, module, blocklist, &abort, replay, |net| {
+            if net.desyncs() > 0 || net.mismatched_sends() > 0 {
+                return Err(format!(
+                    "replay diverged from the recorded trace ({} desyncs, {} mismatched \
+                     sends); same seed/config/targets as the recording run?",
+                    net.desyncs(),
+                    net.mismatched_sends()
+                ));
+            }
+            Ok(())
+        })
+    } else if let Some(path) = &cfg.record_wire {
+        let record = move |w: usize, telemetry: &Telemetry| WireRecorder::new(world(w, telemetry));
+        scan(&cfg, module, blocklist, &abort, record, |recorder| {
+            recorder
+                .save(std::path::Path::new(path))
+                .map(drop)
+                .map_err(|e| format!("write {path}: {e}"))
+        })
+    } else {
+        scan(&cfg, module, blocklist, &abort, world, |_| Ok(()))
+    }
+}
+
+/// The one scan driver, over the network `make_net` builds per worker
+/// (the simulated world, a [`WireRecorder`] around it, or a
+/// [`ReplayNet`]): `cfg.workers` workers, a checkpointed session under
+/// `--checkpoint` (stopped by `abort`), then the metrics, the traces,
+/// worker 0's network handed to `finish`, the CSV and the summary.
+fn scan<N: Network + Send>(
+    cfg: &CliConfig,
+    module: &(dyn ProbeModule + Sync),
+    blocklist: &Blocklist,
+    abort: &AbortSignal,
+    make_net: impl FnMut(usize, &Telemetry) -> N + 'static,
+    finish: impl FnOnce(N) -> Result<(), String>,
+) -> Result<bool, String> {
+    let started = std::time::Instant::now();
+    let config = ScanConfig {
         seed: cfg.seed,
         shard: cfg.shard,
         shards: cfg.shards,
@@ -378,142 +435,50 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
         rate_pps: cfg.rate_pps,
         ..Default::default()
     };
-    let module = module_for(&cfg);
-    let started = std::time::Instant::now();
-    let results: ScanResults;
-    let mut sink_error = None;
-    if let Some(dir) = &cfg.checkpoint {
-        // Checkpointed session: journal + periodic snapshots, resumable.
-        let world_seed = cfg.world_seed;
-        let kill = cfg.kill_after_probes;
-        let signal = AbortSignal::new();
-        let spec = SessionSpec {
-            workers: cfg.workers,
-            config: scan_config,
-            ranges: cfg.targets.ranges(),
-            dir: std::path::Path::new(dir),
-            every: cfg.checkpoint_every,
-            resume: cfg.resume,
-            world_seed,
-        };
-        let kill_signal = signal.clone();
-        let outcome = run_session(
-            &spec,
-            module.as_ref(),
-            &blocklist,
-            Some(&signal),
-            move |_, telemetry| {
-                let mut world = World::new(world_seed);
-                world.set_telemetry(telemetry);
-                if let Some(n) = kill {
-                    world.arm_kill(
-                        KillPoint {
-                            after_probes: Some(n),
-                            ..Default::default()
-                        },
-                        kill_signal.clone(),
-                    );
-                }
-                world
-            },
-        )
-        .map_err(|e| match e {
-            StateError::Mismatch(why) => format!(
-                "cannot resume: this invocation's configuration does not match \
-                 the checkpointed session; refusing to continue against the \
-                 wrong targets ({why})"
-            ),
-            other => format!("checkpoint: {other}"),
-        })?;
-        results = outcome.results;
-        sink_error = outcome.sink_error;
-        if let Some(path) = &cfg.metrics_out {
-            let json = outcome.snapshot.to_json();
-            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-        }
-    } else if cfg.workers > 1 {
-        // Parallel path: each worker owns a nested shard slot, a world
-        // replica and a telemetry registry; results and metrics merge
-        // deterministically, so the CSV and the snapshot are byte-identical
-        // to a single-worker run. The live monitor stays off — there is no
-        // single registry to render mid-run. Event rings are likewise
-        // per-worker, so --trace-out names a directory here.
-        if let Some(dir) = &cfg.trace_out {
-            if std::path::Path::new(dir).is_file() {
-                return Err(format!(
-                    "--trace-out {dir}: {} workers write one event ring each; \
-                     pass a directory (it will hold worker-N.ndjson), not a file",
-                    cfg.workers
-                ));
-            }
-        }
-        let world_seed = cfg.world_seed;
-        let make_world = move |_w: usize, telemetry: &Telemetry| {
-            let mut world = World::new(world_seed);
-            world.set_telemetry(telemetry);
-            world
-        };
-        let mut scanner = if cfg.trace_out.is_some() {
-            ParallelScanner::new_traced(cfg.workers, scan_config, make_world)
-        } else {
-            ParallelScanner::new(cfg.workers, scan_config, make_world)
-        };
-        results = scanner.run_all(cfg.targets.ranges(), module.as_ref(), &blocklist);
-        if let Some(path) = &cfg.metrics_out {
-            let json = scanner.snapshot().to_json();
-            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-        }
-        if let Some(dir) = &cfg.trace_out {
-            write_worker_traces(dir, &scanner)?;
-        }
-    } else if let Some(trace_path) = &cfg.replay_trace {
-        // Replay: no simulator at all — the recorded trace answers every
-        // probe, and any divergence from the recording is a hard error.
-        let net = ReplayNet::from_file(std::path::Path::new(trace_path))
-            .map_err(|e| format!("--replay-trace {trace_path}: {e}"))?;
-        let (r, net) = run_single(&cfg, scan_config, module.as_ref(), &blocklist, |_| net)?;
-        if net.desyncs() > 0 || net.mismatched_sends() > 0 {
-            return Err(format!(
-                "replay diverged from the recorded trace ({} desyncs, {} mismatched \
-                 sends); same seed/config/targets as the recording run?",
-                net.desyncs(),
-                net.mismatched_sends()
-            ));
-        }
-        results = r;
-    } else if let Some(record_path) = &cfg.record_wire {
-        ensure_parent_dir(record_path, "--record-wire")?;
-        let world_seed = cfg.world_seed;
-        let (r, recorder) = run_single(
-            &cfg,
-            scan_config,
-            module.as_ref(),
-            &blocklist,
-            |telemetry| {
-                let mut world = World::new(world_seed);
-                world.set_telemetry(telemetry);
-                WireRecorder::new(world)
-            },
-        )?;
-        recorder
-            .save(std::path::Path::new(record_path))
-            .map_err(|e| format!("write {record_path}: {e}"))?;
-        results = r;
+    let mut scanner = if cfg.trace_out.is_some() {
+        ParallelScanner::new_traced(cfg.workers, config, make_net)
     } else {
-        let world_seed = cfg.world_seed;
-        let (r, _world) = run_single(
-            &cfg,
-            scan_config,
-            module.as_ref(),
-            &blocklist,
-            |telemetry| {
-                let mut world = World::new(world_seed);
-                world.set_telemetry(telemetry);
-                world
-            },
-        )?;
-        results = r;
+        ParallelScanner::new(cfg.workers, config, make_net)
+    };
+    if cfg.workers == 1 && !cfg.quiet {
+        // One virtual tick per send slot, so the configured packet rate
+        // fixes the tick↔second conversion; a status line every
+        // simulated second is an interval of `tps` ticks.
+        let tps = cfg.rate_pps.unwrap_or(100_000);
+        let monitor = Monitor::new(&scanner.worker_telemetry(0).registry, tps, tps);
+        scanner.worker_mut(0).set_monitor(monitor);
     }
+    let ranges = cfg.targets.ranges();
+    let (results, sink_error) = match &cfg.checkpoint {
+        Some(dir) => {
+            let spec = SessionSpec {
+                ranges,
+                dir: std::path::Path::new(dir),
+                every: cfg.checkpoint_every,
+                resume: cfg.resume,
+                world_seed: cfg.world_seed,
+            };
+            let outcome = run_session(&spec, &mut scanner, module, blocklist, Some(abort))
+                .map_err(|e| match e {
+                    StateError::Mismatch(why) => format!(
+                        "cannot resume: this invocation's configuration does not match \
+                         the checkpointed session; refusing to continue against the \
+                         wrong targets ({why})"
+                    ),
+                    other => format!("checkpoint: {other}"),
+                })?;
+            (outcome.results, outcome.sink_error)
+        }
+        None => (scanner.run_all(ranges, module, blocklist), None),
+    };
+    if let Some(path) = &cfg.metrics_out {
+        let json = scanner.snapshot().to_json();
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+    }
+    if let Some(path) = &cfg.trace_out {
+        write_traces(path, &scanner)?;
+    }
+    finish(scanner.into_networks().swap_remove(0))?;
 
     let csv = xmap::output::to_csv(&results.records);
     match &cfg.output {
@@ -803,37 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_workers_match_single_worker_output() {
-        let cfg = parse_args(&args("-x 1024 -q --workers 3 2402:3a80::/32-64")).unwrap();
-        let scan_config = ScanConfig {
-            seed: cfg.seed,
-            max_targets: cfg.max_targets,
-            ..Default::default()
-        };
-        let run_with = |workers: usize| {
-            let world_seed = cfg.world_seed;
-            let mut ps = ParallelScanner::new(workers, scan_config.clone(), move |_, telemetry| {
-                let mut world = World::new(world_seed);
-                world.set_telemetry(telemetry);
-                world
-            });
-            let results = ps.run_all(
-                cfg.targets.ranges(),
-                &IcmpEchoProbe,
-                &Blocklist::allow_all(),
-            );
-            (
-                xmap::output::to_csv(&results.records),
-                ps.snapshot().to_json(),
-            )
-        };
-        let (csv1, json1) = run_with(1);
-        let (csv3, json3) = run_with(cfg.workers);
-        assert_eq!(csv1, csv3);
-        assert_eq!(json1, json3);
-    }
-
-    #[test]
     fn parses_checkpoint_flags() {
         let cfg = parse_args(&args(
             "--checkpoint /tmp/ck --checkpoint-every 512 --resume \
@@ -884,39 +818,6 @@ mod tests {
         .is_err());
     }
 
-    /// A `--record-wire` run's trace must replay to the same CSV through
-    /// `--replay-trace`.
-    #[test]
-    fn sim_record_and_replay_round_trip_through_the_cli() {
-        let tmp = std::env::temp_dir().join(format!("xmap-cli-wire-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).unwrap();
-        let csv_sim = tmp.join("sim.csv");
-        let csv_replay = tmp.join("replay.csv");
-        let trace = tmp.join("wire.ndjson");
-
-        let base = "-x 2048 -q -s 3 2402:3a80::/32-64";
-        let cfg = parse_args(&args(&format!(
-            "{base} -o {} --record-wire {}",
-            csv_sim.display(),
-            trace.display()
-        )))
-        .unwrap();
-        run(cfg).unwrap();
-        let cfg = parse_args(&args(&format!(
-            "{base} --replay-trace {} -o {}",
-            trace.display(),
-            csv_replay.display()
-        )))
-        .unwrap();
-        run(cfg).unwrap();
-
-        let sim = std::fs::read_to_string(&csv_sim).unwrap();
-        let replay = std::fs::read_to_string(&csv_replay).unwrap();
-        assert!(sim.lines().count() > 1, "the recorded scan found nothing");
-        assert_eq!(sim, replay, "--replay-trace diverged from the recording");
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
     #[test]
     fn missing_parent_dir_is_a_clean_error() {
         let err = ensure_parent_dir("/nonexistent-xmap-dir/out.csv", "--output").unwrap_err();
@@ -935,27 +836,21 @@ mod tests {
 
     #[test]
     fn end_to_end_scan_produces_csv() {
-        let cfg = parse_args(&args("-x 4096 -q 2402:3a80::/32-64")).unwrap();
-        // Run against a tiny slice; validate via the library directly.
-        let mut scanner = Scanner::new(
-            World::new(cfg.world_seed),
-            ScanConfig {
-                seed: cfg.seed,
-                max_targets: cfg.max_targets,
-                ..Default::default()
-            },
-        );
-        let results = scanner.run_all(
-            cfg.targets.ranges(),
-            &IcmpEchoProbe,
-            &Blocklist::with_standard_reserved(),
-        );
-        assert!(results.stats.sent > 0);
-        let csv = xmap::output::to_csv(&results.records);
+        let out = std::env::temp_dir().join(format!("xmap-cli-csv-{}.csv", std::process::id()));
+        let cfg = parse_args(&args(&format!(
+            "-x 4096 -q -o {} 2402:3a80::/32-64",
+            out.display()
+        )))
+        .unwrap();
+        assert!(!run(cfg).unwrap(), "an unkilled scan is not interrupted");
+        let csv = std::fs::read_to_string(&out).unwrap();
         assert!(csv.starts_with(xmap::output::CSV_HEADER));
-        assert_eq!(
-            xmap::output::from_csv(&csv).unwrap().len(),
-            results.records.len()
+        let records = xmap::output::from_csv(&csv).unwrap();
+        assert!(!records.is_empty(), "the scan found nothing");
+        assert!(
+            records.windows(2).all(|w| w[0].target <= w[1].target),
+            "rows come in merged (by-target) order"
         );
+        let _ = std::fs::remove_file(&out);
     }
 }

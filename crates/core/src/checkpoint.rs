@@ -41,7 +41,7 @@ use xmap_state::wal::frame_len;
 use xmap_state::{
     AbortSignal, Manifest, RunState, StateError, Wal, WorkerCheckpoint, WorkerJournal,
 };
-use xmap_telemetry::{Snapshot, Telemetry};
+use xmap_telemetry::Snapshot;
 
 use crate::blocklist::Blocklist;
 use crate::parallel::ParallelScanner;
@@ -736,13 +736,11 @@ pub fn stats_from_snapshot(snap: &Snapshot) -> ScanStats {
     }
 }
 
-/// One checkpointed scan invocation (everything but the network factory).
+/// One checkpointed scan invocation: what the session directory records
+/// beyond the scanner itself (whose worker count and configuration the
+/// manifest takes from the [`ParallelScanner`] [`run_session`] drives).
 #[derive(Debug)]
 pub struct SessionSpec<'a> {
-    /// Parallel worker count.
-    pub workers: usize,
-    /// Base scanner configuration (workers nest inside its shard slot).
-    pub config: ScanConfig,
     /// Target ranges, in scan order.
     pub ranges: &'a [ScanRange],
     /// Checkpoint directory.
@@ -769,20 +767,23 @@ pub struct SessionOutcome {
     pub sink_error: Option<StateError>,
 }
 
-/// Runs one complete checkpointed scan session: manifest → session
-/// directory → per-worker restore → sharded execution → deterministic
-/// merge. Shared by the `xmap` CLI and the kill/resume integration tests
-/// so both exercise the identical orchestration.
+/// Runs one complete checkpointed scan session on `scanner`: manifest →
+/// session directory → per-worker restore → sharded execution →
+/// deterministic merge. The caller builds the scanner (traced or not,
+/// with exec faults or per-worker abort signals) before any run; `abort`,
+/// if given, is armed on every worker on top of that. Shared by the
+/// `xmap` CLI and the kill/resume integration tests so both exercise the
+/// identical orchestration.
 pub fn run_session<N: Network + Send>(
     spec: &SessionSpec<'_>,
+    scanner: &mut ParallelScanner<N>,
     module: &(dyn ProbeModule + Sync),
     blocklist: &Blocklist,
     abort: Option<&AbortSignal>,
-    make_network: impl FnMut(usize, &Telemetry) -> N + 'static,
 ) -> Result<SessionOutcome, StateError> {
     let manifest = build_manifest(
-        spec.workers,
-        &spec.config,
+        scanner.workers(),
+        scanner.config(),
         module,
         spec.ranges,
         blocklist,
@@ -795,9 +796,8 @@ pub fn run_session<N: Network + Send>(
         ScanSession::create(spec.dir, manifest)?
     };
 
-    let mut scanner = ParallelScanner::new(spec.workers, spec.config.clone(), make_network);
-    let mut modes: Vec<Vec<RangeMode>> = Vec::with_capacity(spec.workers);
-    for w in 0..spec.workers {
+    let mut modes: Vec<Vec<RangeMode>> = Vec::with_capacity(scanner.workers());
+    for w in 0..scanner.workers() {
         let mut wr = if spec.resume {
             session.load_worker(w as u32, spec.ranges.len())?
         } else {
@@ -817,7 +817,7 @@ pub fn run_session<N: Network + Send>(
 
     let mut results = scanner.run_with_modes(spec.ranges, module, blocklist, modes);
     let mut sink_error = None;
-    for w in 0..spec.workers {
+    for w in 0..scanner.workers() {
         if let Some(mut sink) = scanner.worker_mut(w).take_sink() {
             if sink_error.is_none() {
                 sink_error = sink.take_error();
@@ -1008,9 +1008,20 @@ mod tests {
         let session = |resume: bool, kill: Option<u64>| {
             let signal = AbortSignal::new();
             let kill_signal = signal.clone();
+            let mut scanner = ParallelScanner::new(1, config.clone(), move |_, telemetry| {
+                let plan = FaultPlan::none().seeded(0xF00D).with_forward_loss(0.3);
+                let mut w = World::with_config(WorldConfig::lossless(4242, 30).with_fault(plan));
+                w.set_telemetry(telemetry);
+                if let Some(n) = kill {
+                    let point = KillPoint {
+                        after_probes: Some(n),
+                        ..Default::default()
+                    };
+                    w.arm_kill(point, kill_signal.clone());
+                }
+                w
+            });
             let spec = SessionSpec {
-                workers: 1,
-                config: config.clone(),
                 ranges: &ranges,
                 dir: &dir,
                 every: 16,
@@ -1019,23 +1030,10 @@ mod tests {
             };
             run_session(
                 &spec,
+                &mut scanner,
                 &crate::IcmpEchoProbe,
                 &Blocklist::allow_all(),
                 Some(&signal),
-                move |_, telemetry| {
-                    let plan = FaultPlan::none().seeded(0xF00D).with_forward_loss(0.3);
-                    let mut w =
-                        World::with_config(WorldConfig::lossless(4242, 30).with_fault(plan));
-                    w.set_telemetry(telemetry);
-                    if let Some(n) = kill {
-                        let point = KillPoint {
-                            after_probes: Some(n),
-                            ..Default::default()
-                        };
-                        w.arm_kill(point, kill_signal.clone());
-                    }
-                    w
-                },
             )
         };
         assert!(session(false, Some(133)).unwrap().results.interrupted);

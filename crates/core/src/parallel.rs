@@ -234,6 +234,11 @@ impl<N: Network + Send> ParallelScanner<N> {
         self.workers.len()
     }
 
+    /// The base configuration the workers nest inside.
+    pub(crate) fn config(&self) -> &ScanConfig {
+        &self.base
+    }
+
     /// Worker `w`'s effective configuration (nested shard slot and cap).
     pub fn worker_config(&self, w: usize) -> &ScanConfig {
         self.workers[w].config()
@@ -264,9 +269,9 @@ impl<N: Network + Send> ParallelScanner<N> {
         self.run_all(std::slice::from_ref(range), module, blocklist)
     }
 
-    /// Scans several ranges, merging results range by range (mirrors
-    /// [`Scanner::run_all`]: per-range canonical order, concatenated).
-    /// This is [`run_with_modes`](Self::run_with_modes) with every range
+    /// Scans several ranges, merging results range by range (per-range
+    /// canonical order, concatenated). This is
+    /// [`run_with_modes`](Self::run_with_modes) with every range
     /// [`RangeMode::Fresh`].
     pub fn run_all(
         &mut self,
@@ -432,6 +437,15 @@ impl<N: Network + Send> ParallelScanner<N> {
             merged.absorb(bucket);
         }
         merged
+    }
+
+    /// Consumes the executor, returning each worker's network in worker
+    /// order (a recorder to save, a replay to check for divergence).
+    pub fn into_networks(self) -> Vec<N> {
+        self.workers
+            .into_iter()
+            .map(Scanner::into_network)
+            .collect()
     }
 
     /// The merged telemetry snapshot across all workers: counters and
@@ -611,6 +625,27 @@ mod tests {
         serial_sorted.sort_by_key(|r| r.target);
         assert_eq!(merged.records, serial_sorted);
         assert_eq!(ps.snapshot(), plain.telemetry().registry.snapshot());
+    }
+
+    #[test]
+    fn run_all_keeps_every_ranges_silent_targets() {
+        let ranges = [range(), "2001:200::/32-64".parse().unwrap()];
+        let config = ScanConfig {
+            record_silent: true,
+            ..base_config(64)
+        };
+        let mut ps = ParallelScanner::new(2, config, |_, _| World::new(5));
+        let all = ps.run_all(&ranges, &IcmpEchoProbe, &Blocklist::allow_all());
+        // Every probed target either answered or is listed silent.
+        assert_eq!(all.records.len() + all.silent_targets.len(), 128);
+        for r in &ranges {
+            assert!(
+                all.silent_targets
+                    .iter()
+                    .any(|t| r.base().contains(t.addr())),
+                "no silent target under {r:?} survived the merge"
+            );
+        }
     }
 
     #[test]

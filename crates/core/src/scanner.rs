@@ -945,20 +945,6 @@ impl<N: Network> Scanner<N> {
             }
         }
     }
-
-    /// Scans several ranges, merging results.
-    pub fn run_all(
-        &mut self,
-        ranges: &[ScanRange],
-        module: &dyn ProbeModule,
-        blocklist: &Blocklist,
-    ) -> ScanResults {
-        let mut all = ScanResults::default();
-        for r in ranges {
-            all.absorb(self.run(r, module, blocklist));
-        }
-        all
-    }
 }
 
 /// Indices per refill of the streaming target generator. Large enough to
@@ -1924,30 +1910,6 @@ mod tests {
             "{}",
             res.stats.paced_secs
         );
-    }
-
-    #[test]
-    fn run_all_keeps_every_ranges_silent_targets() {
-        let ranges = [range(), "2001:200::/32-64".parse().unwrap()];
-        let mut s = Scanner::new(
-            ToyNet { handled: 0 },
-            ScanConfig {
-                max_targets: Some(64),
-                record_silent: true,
-                ..Default::default()
-            },
-        );
-        let all = s.run_all(&ranges, &IcmpEchoProbe, &Blocklist::allow_all());
-        // Every probed target either answered or is listed silent.
-        assert_eq!(all.records.len() + all.silent_targets.len(), 128);
-        for r in &ranges {
-            assert!(
-                all.silent_targets
-                    .iter()
-                    .any(|t| r.base().contains(t.addr())),
-                "no silent target under {r:?} survived the merge"
-            );
-        }
     }
 
     #[test]

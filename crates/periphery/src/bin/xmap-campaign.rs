@@ -15,9 +15,6 @@
 //!                           no block is left, an idle worker takes
 //!                           over part of an in-flight block that still
 //!                           has 2^14 or more targets to go
-//!   --force-split-at N      split every block unit after N consumed
-//!                           targets, idle workers or not (deterministic
-//!                           split schedule; for testing)
 //!   --mop-up TICKS          enable the second-chance pass over silent
 //!                           targets after TICKS of virtual time
 //!   -s, --seed N            scan seed (permutation, cookies, IID fill)
@@ -36,10 +33,6 @@
 //!       --resume-plan       dry run: print the Skip/Resume/Fresh/Split
 //!                           classification of every block for a resume
 //!                           of the campaign in DIR, then exit
-//!       --kill-after-probes N abort once any worker's world has handled
-//!                           N probes (exit code 3; for testing); with
-//!                           --adaptive, stop at the first round boundary
-//!                           after N drawn probes instead
 //!       --adaptive          density-guided target generation: drive each
 //!                           block with the prefix-tree split/prune engine
 //!                           instead of the exhaustive sweep
@@ -57,6 +50,16 @@
 //!                           sub-prefixes with one pod in D active,
 //!                           instead of uniformly
 //!   -q, --quiet             suppress the summary on stderr
+//!
+//! Test hooks:
+//!
+//!   --force-split-at N      split every block unit after N consumed
+//!                           targets, idle workers or not (a
+//!                           deterministic split schedule)
+//!   --kill-after-probes N   abort once any worker's world has handled
+//!                           N probes (exit code 3); with --adaptive,
+//!                           stop at the first round boundary after N
+//!                           drawn probes instead
 //! ```
 //!
 //! An interrupted checkpointed campaign exits with code 3; rerunning the

@@ -9,7 +9,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmap::output::to_csv;
-use xmap::{run_session, Blocklist, IcmpEchoProbe, ScanConfig, ScanResults, Scanner, SessionSpec};
+use xmap::{
+    run_session, Blocklist, IcmpEchoProbe, ParallelScanner, ScanConfig, ScanResults, Scanner,
+    SessionSpec,
+};
 use xmap_addr::ScanRange;
 use xmap_netsim::fault::IcmpRateLimit;
 use xmap_netsim::world::{World, WorldConfig};
@@ -42,9 +45,21 @@ fn run_one(
 ) -> (ScanResults, Snapshot) {
     let signal = AbortSignal::new();
     let kill_signal = signal.clone();
+    let mut scanner = ParallelScanner::new(workers, config.clone(), move |_, telemetry| {
+        let mut w = world();
+        w.set_telemetry(telemetry);
+        if let Some(n) = kill_after {
+            w.arm_kill(
+                KillPoint {
+                    after_probes: Some(n),
+                    ..Default::default()
+                },
+                kill_signal.clone(),
+            );
+        }
+        w
+    });
     let spec = SessionSpec {
-        workers,
-        config: config.clone(),
         ranges,
         dir,
         every,
@@ -53,23 +68,10 @@ fn run_one(
     };
     let outcome = run_session(
         &spec,
+        &mut scanner,
         &IcmpEchoProbe,
         &Blocklist::allow_all(),
         Some(&signal),
-        move |_, telemetry| {
-            let mut w = world();
-            w.set_telemetry(telemetry);
-            if let Some(n) = kill_after {
-                w.arm_kill(
-                    KillPoint {
-                        after_probes: Some(n),
-                        ..Default::default()
-                    },
-                    kill_signal.clone(),
-                );
-            }
-            w
-        },
     )
     .expect("checkpointed session");
     assert!(
@@ -176,7 +178,7 @@ fn checkpointing_does_not_change_results() {
     };
     let dir = session_dir("overhead");
     let (session, snap) = run_one(2, &dir, false, None, &config, &ranges, 32, || World::new(5));
-    let mut plain = xmap::ParallelScanner::new(2, config, |_, telemetry| {
+    let mut plain = ParallelScanner::new(2, config, |_, telemetry| {
         let mut w = World::new(5);
         w.set_telemetry(telemetry);
         w

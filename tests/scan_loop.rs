@@ -154,8 +154,6 @@ fn worker_counts_match_golden_fingerprints() {
 
 fn session_spec<'a>(ranges: &'a [ScanRange], dir: &'a Path, resume: bool) -> SessionSpec<'a> {
     SessionSpec {
-        workers: 2,
-        config: lossy_config(),
         ranges,
         dir,
         every: 16,
@@ -164,29 +162,38 @@ fn session_spec<'a>(ranges: &'a [ScanRange], dir: &'a Path, resume: bool) -> Ses
     }
 }
 
+/// The two lossy-world workers every session below runs.
+fn lossy_workers(mut arm: impl FnMut(usize, &mut World) + 'static) -> ParallelScanner<World> {
+    ParallelScanner::new(2, lossy_config(), move |w, telemetry| {
+        let mut world = lossy_world();
+        world.set_telemetry(telemetry);
+        arm(w, &mut world);
+        world
+    })
+}
+
+fn kill_point(after_probes: u64) -> KillPoint {
+    KillPoint {
+        after_probes: Some(after_probes),
+        ..Default::default()
+    }
+}
+
 fn run_one_session(dir: &Path, resume: bool, kill_after: Option<u64>) -> (ScanResults, Snapshot) {
     let ranges = [range()];
     let signal = AbortSignal::new();
     let kill_signal = signal.clone();
+    let mut ps = lossy_workers(move |_, world| {
+        if let Some(n) = kill_after {
+            world.arm_kill(kill_point(n), kill_signal.clone());
+        }
+    });
     let outcome = run_session(
         &session_spec(&ranges, dir, resume),
+        &mut ps,
         &IcmpEchoProbe,
         &Blocklist::allow_all(),
         Some(&signal),
-        move |_, telemetry| {
-            let mut w = lossy_world();
-            w.set_telemetry(telemetry);
-            if let Some(n) = kill_after {
-                w.arm_kill(
-                    KillPoint {
-                        after_probes: Some(n),
-                        ..Default::default()
-                    },
-                    kill_signal.clone(),
-                );
-            }
-            w
-        },
     )
     .expect("checkpointed session");
     assert!(outcome.sink_error.is_none(), "{:?}", outcome.sink_error);
@@ -195,50 +202,30 @@ fn run_one_session(dir: &Path, resume: bool, kill_after: Option<u64>) -> (ScanRe
 
 /// The same 2-worker session [`run_one_session`] starts, except that
 /// each worker is stopped by its *own* world after `kill` probes. (Under
-/// `run_session`'s one shared signal the worker that did not trip the
-/// kill stops at whatever slot it happens to be in, so the files it
-/// leaves differ from run to run.) Returns the bytes of every worker's
-/// last cut: the checkpoint its journal `worker-N.ckpt` ends with.
+/// one shared signal the worker that did not trip the kill stops at
+/// whatever slot it happens to be in, so the files it leaves differ from
+/// run to run.) Returns the bytes of every worker's last cut: the
+/// checkpoint its journal `worker-N.ckpt` ends with.
 fn killed_session(dir: &Path, kill: u64) -> Vec<Vec<u8>> {
     let ranges = [range()];
-    let spec = session_spec(&ranges, dir, false);
-    let blocklist = Blocklist::allow_all();
-    let manifest = build_manifest(
-        spec.workers,
-        &spec.config,
-        &IcmpEchoProbe,
-        &ranges,
-        &blocklist,
-        spec.world_seed,
-        spec.every,
-    );
-    let session = ScanSession::create(dir, manifest).expect("fresh session");
     let signals = [AbortSignal::new(), AbortSignal::new()];
     let world_signals = signals.clone();
-    let mut ps = ParallelScanner::new(spec.workers, spec.config, move |w, telemetry| {
-        let mut world = lossy_world();
-        world.set_telemetry(telemetry);
-        world.arm_kill(
-            KillPoint {
-                after_probes: Some(kill),
-                ..Default::default()
-            },
-            world_signals[w].clone(),
-        );
-        world
+    let mut ps = lossy_workers(move |w, world| {
+        world.arm_kill(kill_point(kill), world_signals[w].clone());
     });
-    let mut modes = Vec::new();
     for (w, signal) in signals.iter().enumerate() {
-        let wr = session
-            .fresh_worker(w as u32, ranges.len())
-            .expect("fresh worker");
         ps.worker_mut(w).set_abort(signal.clone());
-        ps.worker_mut(w).set_sink(wr.sink);
-        modes.push(wr.modes);
     }
-    let partial = ps.run_with_modes(&ranges, &IcmpEchoProbe, &blocklist, modes);
+    let partial = run_session(
+        &session_spec(&ranges, dir, false),
+        &mut ps,
+        &IcmpEchoProbe,
+        &Blocklist::allow_all(),
+        None,
+    )
+    .expect("fresh session");
     assert!(
-        partial.interrupted,
+        partial.results.interrupted,
         "kill after {kill} probes must interrupt"
     );
     (0..signals.len())
@@ -323,61 +310,36 @@ fn killed_session_checkpoints_match_golden_and_resume() {
 fn panicked_worker_with_a_sink_is_poisoned_and_resumes() {
     let ranges = [range(), "2405:201::/32-64".parse().unwrap()];
     let blocklist = Blocklist::allow_all();
-    let make_world = |_: usize, telemetry: &Telemetry| {
-        let mut world = lossy_world();
-        world.set_telemetry(telemetry);
-        world
+    let session = |dir: &Path, resume: bool, ps: &mut ParallelScanner<World>| {
+        run_session(
+            &session_spec(&ranges, dir, resume),
+            ps,
+            &IcmpEchoProbe,
+            &blocklist,
+            None,
+        )
     };
 
     let base_dir = session_dir("panic-base");
-    let base = run_session(
-        &session_spec(&ranges, &base_dir, false),
-        &IcmpEchoProbe,
-        &blocklist,
-        None,
-        make_world,
-    )
-    .expect("uninterrupted session");
+    let base =
+        session(&base_dir, false, &mut lossy_workers(|_, _| {})).expect("uninterrupted session");
     assert!(!base.results.interrupted);
     fs::remove_dir_all(&base_dir).unwrap();
 
     let dir = session_dir("panic");
-    let spec = session_spec(&ranges, &dir, false);
-    let manifest = build_manifest(
-        spec.workers,
-        &spec.config,
-        &IcmpEchoProbe,
-        &ranges,
-        &blocklist,
-        spec.world_seed,
-        spec.every,
-    );
-    let session = ScanSession::create(&dir, manifest).expect("fresh session");
-    let mut ps = ParallelScanner::new(spec.workers, spec.config, make_world);
+    let mut ps = lossy_workers(|_, _| {});
     // Worker 1 panics as it starts its second range.
     ps.set_exec_faults(xmap_failpoint::ExecPlan::panic_on(1, 1).armed());
-    let mut modes = Vec::new();
-    for w in 0..spec.workers {
-        let wr = session
-            .fresh_worker(w as u32, ranges.len())
-            .expect("fresh worker");
-        ps.worker_mut(w).set_sink(wr.sink);
-        modes.push(wr.modes);
-    }
-    let partial = ps.run_with_modes(&ranges, &IcmpEchoProbe, &blocklist, modes);
-    assert!(partial.interrupted, "a poisoned worker must interrupt");
+    let partial = session(&dir, false, &mut ps).expect("fresh session");
+    assert!(
+        partial.results.interrupted,
+        "a poisoned worker must interrupt"
+    );
     assert_eq!(ps.poisoned_shards(), &[1]);
-    assert!(partial.records.len() < base.results.records.len());
+    assert!(partial.results.records.len() < base.results.records.len());
     drop(ps);
 
-    let resumed = run_session(
-        &session_spec(&ranges, &dir, true),
-        &IcmpEchoProbe,
-        &blocklist,
-        None,
-        make_world,
-    )
-    .expect("resumed session");
+    let resumed = session(&dir, true, &mut lossy_workers(|_, _| {})).expect("resumed session");
     assert!(!resumed.results.interrupted);
     assert!(resumed.sink_error.is_none(), "{:?}", resumed.sink_error);
     assert_eq!(
@@ -410,13 +372,7 @@ fn single_worker_session(
     let signal = AbortSignal::new();
     let mut world = world;
     if let Some(n) = kill_after {
-        world.arm_kill(
-            KillPoint {
-                after_probes: Some(n),
-                ..Default::default()
-            },
-            signal.clone(),
-        );
+        world.arm_kill(kill_point(n), signal.clone());
     }
     let mut scanner = Scanner::new(world, config.clone());
     if let Some(snap) = wr.metrics.take() {

@@ -90,34 +90,33 @@ fn session_run_shaped(
         max_targets: Some(shape.targets),
         ..session_config()
     };
+    let kill_signal = signal.clone();
+    let mut scanner = ParallelScanner::new(workers, config, move |_, telemetry| {
+        let mut w = World::new(5);
+        w.set_telemetry(telemetry);
+        if let Some(n) = shape.kill_after {
+            let point = KillPoint {
+                after_probes: Some(n),
+                ..Default::default()
+            };
+            w.arm_kill(point, kill_signal.clone());
+        }
+        w
+    });
     let ranges = ranges();
     let spec = SessionSpec {
-        workers,
-        config,
         ranges: &ranges,
         dir,
         every: shape.every,
         resume,
         world_seed: 5,
     };
-    let kill_signal = signal.clone();
     let outcome = run_session(
         &spec,
+        &mut scanner,
         &IcmpEchoProbe,
         &Blocklist::allow_all(),
         Some(&signal),
-        move |_, telemetry| {
-            let mut w = World::new(5);
-            w.set_telemetry(telemetry);
-            if let Some(n) = shape.kill_after {
-                let point = KillPoint {
-                    after_probes: Some(n),
-                    ..Default::default()
-                };
-                w.arm_kill(point, kill_signal.clone());
-            }
-            w
-        },
     )?;
     Ok((outcome.results, outcome.snapshot, outcome.sink_error))
 }
