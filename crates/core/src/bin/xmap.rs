@@ -39,8 +39,9 @@
 //!
 //! Test hooks:
 //!
-//!       --kill-after-probes N with --checkpoint, abort the scan after the
-//!                          simulated world handles N probes (exit code 3)
+//!       --kill-after-probes N abort the checkpointed scan after the
+//!                          simulated world handles N probes (exit code 3;
+//!                          requires --checkpoint)
 //!
 //! Modes (first positional argument):
 //!
@@ -259,6 +260,9 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     if cfg.resume && cfg.checkpoint.is_none() {
         return Err("--resume requires --checkpoint <dir>".to_owned());
     }
+    if cfg.kill_after_probes.is_some() && cfg.checkpoint.is_none() {
+        return Err("--kill-after-probes requires --checkpoint <dir>".to_owned());
+    }
     if cfg.checkpoint.is_some() && cfg.trace_out.is_some() {
         return Err("--trace-out is not supported with --checkpoint".to_owned());
     }
@@ -360,16 +364,12 @@ fn run(cfg: CliConfig) -> Result<bool, String> {
     }
     let module = module_for(&cfg);
     let abort = AbortSignal::new();
-    // The kill point stops a checkpointed session for --resume to finish;
-    // a scan without a session has nothing to resume, so it is not armed.
-    let kill = cfg
-        .checkpoint
-        .as_ref()
-        .and(cfg.kill_after_probes)
-        .map(|n| KillPoint {
-            after_probes: Some(n),
-            ..Default::default()
-        });
+    // The kill point stops a checkpointed session (parse_args refuses it
+    // without one) for --resume to finish.
+    let kill = cfg.kill_after_probes.map(|n| KillPoint {
+        after_probes: Some(n),
+        ..Default::default()
+    });
     let (world_seed, kill_signal) = (cfg.world_seed, abort.clone());
     let world = move |_: usize, telemetry: &Telemetry| {
         let mut world = World::new(world_seed);
@@ -787,6 +787,11 @@ mod tests {
         assert!(
             parse_args(&args("--resume 2405:200::/32")).is_err(),
             "resume needs a checkpoint dir"
+        );
+        assert_eq!(
+            parse_args(&args("--kill-after-probes 100 2405:200::/32")).unwrap_err(),
+            "--kill-after-probes requires --checkpoint <dir>",
+            "a kill point without a session would leave nothing to resume"
         );
         assert!(
             parse_args(&args(

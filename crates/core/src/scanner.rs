@@ -3,17 +3,16 @@
 //! Mirrors XMap's architecture: a target generator walks a random
 //! permutation of the scan space, one send loop builds probes against an
 //! accounted rate budget, responses are validated statelessly and recorded. The
-//! loop reaches the network only through the [`Transport`] contract —
-//! batched sends, polled tick-stamped receives, a virtual clock — and
-//! parks retransmissions in per-attempt FIFO lanes (`RetryLanes`), so a
-//! backend other than the simulator is a type parameter away, not a
-//! second loop.
+//! loop drives any [`Network`] directly — `handle_into` per probe,
+//! `tick_into` per slot, replies classified straight out of the
+//! network's buffer — and parks retransmissions in per-attempt FIFO lanes
+//! (`RetryLanes`), so a backend other than the simulator is a type
+//! parameter away, not a second loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xmap_addr::{FxHashMap, FxHashSet, Ip6, Prefix, ScanRange};
 use xmap_netsim::packet::{Icmpv6, Ipv6Packet, Network, Payload};
-use xmap_reactor::{RecvEntry, SimTransport, Transport};
 use xmap_state::{AbortSignal, CursorState, RunState};
 use xmap_telemetry::{Monitor, Snapshot, Telemetry, Tracer};
 
@@ -297,10 +296,8 @@ struct Walk<'g> {
 /// ```
 #[derive(Debug)]
 pub struct Scanner<N> {
-    /// The network, behind the transport contract the run loop drives.
-    /// Its receive queue is empty between runs (a run only ends on an
-    /// empty queue), so targeted probes may reach past it to the network.
-    transport: SimTransport<N>,
+    /// The network the run loop and targeted sessions drive.
+    network: N,
     config: ScanConfig,
     validator: Validator,
     telemetry: Telemetry,
@@ -355,7 +352,7 @@ impl<N: Network> Scanner<N> {
         let validator = Validator::new(config.seed ^ 0x5ca1_ab1e);
         let metrics = ScanMetrics::bind(&telemetry.registry);
         Scanner {
-            transport: SimTransport::new(network),
+            network,
             config,
             validator,
             telemetry,
@@ -423,7 +420,7 @@ impl<N: Network> Scanner<N> {
     /// be called before any run.
     pub fn restore_clock(&mut self, tick: u64) {
         self.total_ticks = tick;
-        self.transport.network_mut().restore_clock(tick);
+        self.network.restore_clock(tick);
     }
 
     /// Restores the telemetry registry from a checkpoint snapshot; the
@@ -458,12 +455,12 @@ impl<N: Network> Scanner<N> {
 
     /// Borrows the underlying network.
     pub fn network_mut(&mut self) -> &mut N {
-        self.transport.network_mut()
+        &mut self.network
     }
 
     /// Consumes the scanner, returning the network.
     pub fn into_network(self) -> N {
-        self.transport.into_network()
+        self.network
     }
 
     /// Opens a targeted-probing session: probes to explicit destinations
@@ -483,7 +480,7 @@ impl<N: Network> Scanner<N> {
     /// Scans one range with a probe module, honouring the blocklist.
     ///
     /// Runs the full loss-recovery pipeline on a virtual clock (one tick
-    /// per send slot, forwarded to the network via [`Transport::advance`]):
+    /// per send slot, forwarded to the network via [`Network::tick_into`]):
     /// unanswered probes are retransmitted with fresh host bits under
     /// exponential backoff, a retransmission is suppressed when the answer
     /// arrives (possibly delayed/jittered) before its timer fires, and the
@@ -604,12 +601,10 @@ impl<N: Network> Scanner<N> {
             // the range exactly as the killed run would have continued it.
             Some(r) => Run::restore(self, range, unit, r),
         };
-        self.transport.set_clock(run.now);
         // Records already durable in the journal; everything past this
         // index still needs journalling.
         let mut journaled = run.results.records.len();
-        let mut send_buf: Vec<Ipv6Packet> = Vec::new();
-        let mut recv_buf: Vec<RecvEntry> = Vec::new();
+        let mut replies: Vec<Ipv6Packet> = Vec::new();
         let mut yielding = false;
 
         loop {
@@ -624,7 +619,7 @@ impl<N: Network> Scanner<N> {
                 run.results.interrupted = true;
                 break;
             }
-            if run.retire_due() && self.transport.in_flight() == 0 {
+            if run.retire_due() && self.network.in_flight() == 0 {
                 run.retire_dead();
             }
             // Cooperative split point: once the gate fires, stop drawing
@@ -635,7 +630,7 @@ impl<N: Network> Scanner<N> {
                 yielding = true;
             }
             // One send slot: a due retransmission wins over a fresh target.
-            let job = if let Some(retry) = run.due_retry(|| self.transport.in_flight() == 0) {
+            let job = if let Some(retry) = run.due_retry(|| self.network.in_flight() == 0) {
                 Some((retry.target, retry.attempt, retry.position))
             } else if let Some((index, target)) =
                 (!yielding).then(|| run.gen.next_target(range)).flatten()
@@ -646,7 +641,7 @@ impl<N: Network> Scanner<N> {
                     run.probed_positions.push(position);
                 }
                 Some((target, 0, position))
-            } else if !run.retries.is_empty() || self.transport.in_flight() > 0 {
+            } else if !run.retries.is_empty() || self.network.in_flight() > 0 {
                 // Fresh walk done: drain timers and in-flight responses
                 // without sending.
                 None
@@ -697,16 +692,17 @@ impl<N: Network> Scanner<N> {
                         position,
                     },
                 );
-                send_buf.push(probe);
-                self.transport.send_batch(&mut send_buf);
+                self.network.handle_into(probe, &mut replies);
                 // First poll of the slot: immediate replies, stamped with
                 // the send tick, attributed to the slot-local entry first.
-                self.absorb(&mut recv_buf, module, &mut run, Some(&mut sent));
+                if !replies.is_empty() {
+                    self.absorb(run.now, &mut replies, module, &mut run, Some(&mut sent));
+                }
                 // With nothing in flight no reply to this probe is still to
                 // come, so its answer is settled and its retry carries it.
                 // Otherwise the entry joins the in-flight index, where later
                 // replies and its retry look it up.
-                let in_flight = self.transport.in_flight() > 0;
+                let in_flight = self.network.in_flight() > 0;
                 if retry_armed {
                     let backoff = self.config.rto_ticks << attempt;
                     run.tally.arm(attempt as usize, backoff);
@@ -727,7 +723,7 @@ impl<N: Network> Scanner<N> {
                 }
             }
 
-            self.transport.advance(1);
+            self.network.tick_into(1, &mut replies);
             run.now += 1;
             self.total_ticks += 1;
             if let Some(sink) = self.sink.as_mut() {
@@ -742,7 +738,9 @@ impl<N: Network> Scanner<N> {
             }
             // Second poll of the slot: replies that came due in the
             // advance, stamped with the post-advance tick.
-            self.absorb(&mut recv_buf, module, &mut run, None);
+            if !replies.is_empty() {
+                self.absorb(run.now, &mut replies, module, &mut run, None);
+            }
             if let Some(sink) = self.sink.as_mut() {
                 // Journal this slot's records before the next checkpoint
                 // can reference their sequence numbers.
@@ -755,7 +753,7 @@ impl<N: Network> Scanner<N> {
         }
 
         run.tally.flush(&self.metrics);
-        self.transport.flush_telemetry();
+        self.network.flush_telemetry();
         let mut results = run.results;
         results.consumed = run.gen.consumed;
         results.yielded = yielding && !results.interrupted && run.gen.unconsumed() > 0;
@@ -832,18 +830,17 @@ impl<N: Network> Scanner<N> {
     }
 
     /// Captures and writes a mid-range checkpoint, provided a sink is
-    /// attached and the transport owes nothing — neither wire traffic
-    /// still in flight nor replies queued but unabsorbed (a snapshot
-    /// taken with responses pending could not be replayed
-    /// deterministically — the attempt is simply retried next slot).
+    /// attached and the network owes no reply (a snapshot taken with
+    /// responses in flight could not be replayed deterministically —
+    /// the attempt is simply retried next slot).
     fn checkpoint_now(&mut self, run: &mut Run) {
-        if self.sink.is_none() || self.transport.in_flight() > 0 {
+        if self.sink.is_none() || self.network.in_flight() > 0 {
             return;
         }
         // The snapshot must carry everything counted so far: flush the
         // local tallies and any batched network-side telemetry first.
         run.tally.flush(&self.metrics);
-        self.transport.flush_telemetry();
+        self.network.flush_telemetry();
         let snap = self.telemetry.registry.snapshot();
         let sink = self.sink.as_mut().expect("sink presence checked above");
         // Unconditionally, so that a cut holds exactly the entries its
@@ -853,34 +850,30 @@ impl<N: Network> Scanner<N> {
         sink.write_checkpoint(self.total_ticks, snap, Some(state));
     }
 
-    /// Polls the transport and classifies what arrived, attributing each
-    /// reply back to its probe through the response itself (stateless,
-    /// like the C scanner: echo replies carry the probed address as their
-    /// source, ICMPv6 errors quote it in the invoking packet). RTTs and
-    /// trace stamps come from each entry's arrival tick, not poll time.
-    /// A reply to `slot`, the probe just sent and not yet in
+    /// Classifies the replies that arrived at run-local tick `tick`
+    /// (draining `batch`), attributing each reply back to its probe
+    /// through the response itself (stateless, like the C scanner: echo
+    /// replies carry the probed address as their source, ICMPv6 errors
+    /// quote it in the invoking packet). RTTs and trace stamps come from
+    /// `tick`. A reply to `slot`, the probe just sent and not yet in
     /// `outstanding`, is attributed to it.
     fn absorb(
         &mut self,
-        batch: &mut Vec<RecvEntry>,
+        tick: u64,
+        batch: &mut Vec<Ipv6Packet>,
         module: &dyn ProbeModule,
         run: &mut Run,
         mut slot: Option<&mut (Ip6, Outstanding)>,
     ) {
-        batch.clear();
-        if self.transport.poll_recv(batch) == 0 {
-            return;
-        }
         // Trace events are stamped with the *lifetime* tick: translate
-        // each entry's run-local arrival tick by the current offset.
-        let run_offset = self.total_ticks.wrapping_sub(run.now);
-        for entry in batch.iter() {
-            let resp = &entry.packet;
+        // the run-local arrival tick by the current offset.
+        let trace_tick = self.total_ticks.wrapping_sub(run.now).wrapping_add(tick);
+        for resp in batch.drain(..) {
             run.tally.received += 1;
-            match module.classify(resp, &self.validator) {
+            match module.classify(&resp, &self.validator) {
                 ProbeResult::Invalid => run.tally.invalid += 1,
                 result => {
-                    let probe_dst = probe_dst_of(resp);
+                    let probe_dst = probe_dst_of(&resp);
                     let out = match slot.as_deref_mut() {
                         Some((dst, out)) if *dst == probe_dst => out,
                         _ => match run.outstanding.get_mut(&probe_dst) {
@@ -888,7 +881,7 @@ impl<N: Network> Scanner<N> {
                             None => {
                                 // Validated but unattributable: a duplicate
                                 // of a probe sent outside this run, or a
-                                // reply that outlived the transport's
+                                // reply that outlived the network's
                                 // `in_flight() == 0` promise and found its
                                 // entry dropped. Not ours to record.
                                 run.tally.invalid += 1;
@@ -912,7 +905,7 @@ impl<N: Network> Scanner<N> {
                         self.metrics.rate_limited_suspected.inc();
                     }
                     run.tally.valid += 1;
-                    let rtt = entry.tick.saturating_sub(out.sent_tick);
+                    let rtt = tick.saturating_sub(out.sent_tick);
                     if rtt == 0 {
                         // Same-slot answers dominate; batch them and flush
                         // through `Histogram::record_n`.
@@ -922,7 +915,7 @@ impl<N: Network> Scanner<N> {
                     }
                     if self.telemetry.tracer.is_enabled() {
                         self.telemetry.tracer.event(
-                            run_offset.wrapping_add(entry.tick),
+                            trace_tick,
                             "scan.recv",
                             vec![
                                 ("rtt_ticks", rtt.into()),
@@ -1149,7 +1142,7 @@ impl TargetGen {
 /// Entries `outstanding` may hold beyond twice the armed retries before
 /// a quiescent slot boundary sweeps the dead ones out. Only a slot that
 /// ends with replies still in flight puts an entry there at all, so on a
-/// quiet transport the index stays empty and the sweep never runs. Each
+/// quiet network the index stays empty and the sweep never runs. Each
 /// sweep walks the index once and leaves at most one entry per armed
 /// retry, so the next is at least this many sends away: amortised O(1)
 /// per probe, over an index that stays cache-sized however long the
@@ -1163,7 +1156,7 @@ const MAX_RETRY_BACKLOG: usize = 4096;
 
 /// One sent probe whose reply may still arrive. The send slot holds it
 /// locally through its first poll and records it in `Run::outstanding`
-/// only if the transport still has replies in flight afterwards; a
+/// only if the network still has replies in flight afterwards; a
 /// probe settled by then lives on, if at all, as its retry's
 /// [`RetryTimer::settled`].
 #[derive(Debug, Clone, Copy)]
@@ -1354,7 +1347,7 @@ impl Run {
     }
 
     /// Drops every entry no retry timer names. Sound only while the
-    /// transport reports `in_flight() == 0` — its promise that no reply
+    /// network reports `in_flight() == 0` — its promise that no reply
     /// to any probe sent so far is still to come — because then nothing
     /// but a timer can ever look these entries up again.
     fn retire_dead(&mut self) {
@@ -1471,9 +1464,7 @@ impl<N: Network> Targeted<'_, N> {
         self.tally.sent += 1;
         out.clear();
         self.scratch.clear();
-        s.transport
-            .network_mut()
-            .handle_into(probe, &mut self.scratch);
+        s.network.handle_into(probe, &mut self.scratch);
         self.classify(module, out);
     }
 
@@ -1501,8 +1492,7 @@ impl<N: Network> Targeted<'_, N> {
     ) {
         self.scanner.total_ticks += ticks;
         self.scratch.clear();
-        let network = self.scanner.transport.network_mut();
-        network.tick_into(ticks, &mut self.scratch);
+        self.scanner.network.tick_into(ticks, &mut self.scratch);
         self.classify(module, out);
     }
 
@@ -1586,7 +1576,7 @@ impl<N: Network> Drop for Targeted<'_, N> {
                 .add(self.rate_limited_suspected);
             self.rate_limited_suspected = 0;
         }
-        self.scanner.transport.flush_telemetry();
+        self.scanner.network.flush_telemetry();
     }
 }
 
@@ -2253,13 +2243,17 @@ mod tests {
 
     /// Answers only the probes it handles at the indices in `answer`
     /// (0-based, in send order), and each of those `hold` ticks late:
-    /// `in_flight()` stays positive for as long as a reply is held.
+    /// from `handle_into` itself at a hold of 0, otherwise from the
+    /// `tick_into` that reaches the due tick. `in_flight()` stays
+    /// positive for as long as a reply is held. An armed `abort` fires
+    /// once the given number of probes is handled.
     struct HoldNet {
         answer: &'static [u64],
         hold: u64,
         handled: u64,
         clock: u64,
         held: Vec<(u64, Ipv6Packet)>,
+        abort: Option<(u64, AbortSignal)>,
     }
 
     impl HoldNet {
@@ -2270,12 +2264,14 @@ mod tests {
                 handled: 0,
                 clock: 0,
                 held: Vec::new(),
+                abort: None,
             }
         }
     }
 
     impl Network for HoldNet {
         fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+            let mut now = Vec::new();
             if self.answer.contains(&self.handled) {
                 let reply = Ipv6Packet {
                     src: p.dst.network(64).with_iid(0xbeef),
@@ -2286,10 +2282,19 @@ mod tests {
                         invoking: p.quote(),
                     }),
                 };
-                self.held.push((self.clock + self.hold, reply));
+                if self.hold == 0 {
+                    now.push(reply);
+                } else {
+                    self.held.push((self.clock + self.hold, reply));
+                }
             }
             self.handled += 1;
-            Vec::new()
+            if let Some((at, abort)) = &self.abort {
+                if self.handled == *at {
+                    abort.set();
+                }
+            }
+            now
         }
         fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
             self.clock += ticks;
@@ -2303,6 +2308,92 @@ mod tests {
         fn in_flight(&self) -> usize {
             self.held.len()
         }
+    }
+
+    /// The `scan.rtt_ticks` histogram's `(count, sum)`.
+    fn rtt_ticks<N: Network>(s: &Scanner<N>) -> (u64, u64) {
+        let snap = s.telemetry().registry.snapshot();
+        let rtt = &snap.histograms["scan.rtt_ticks"];
+        (rtt.count, rtt.sum)
+    }
+
+    #[test]
+    fn a_reply_from_the_send_is_a_first_try_at_rtt_zero() {
+        let mut s = Scanner::new(
+            HoldNet::new(&[0], 0),
+            ScanConfig {
+                max_targets: Some(4),
+                probes_per_target: 2,
+                ..Default::default()
+            },
+        );
+        let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
+        assert_eq!(res.records.len(), 1);
+        assert_eq!(res.records[0].confidence, Confidence::FirstTry);
+        assert_eq!(rtt_ticks(&s), (1, 0));
+    }
+
+    #[test]
+    fn a_reply_from_an_advance_k_ticks_on_has_rtt_k() {
+        for k in [1, 3, 20] {
+            // Probe 1 goes out at run tick 1; its reply is due at 1 + k.
+            let mut s = Scanner::new(
+                HoldNet::new(&[1], k),
+                ScanConfig {
+                    max_targets: Some(4),
+                    ..Default::default()
+                },
+            );
+            let res = s.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
+            assert_eq!(res.records.len(), 1, "k = {k}");
+            assert_eq!(rtt_ticks(&s), (1, k), "k = {k}");
+        }
+    }
+
+    /// The last cut in a checkpointed run over `HoldNet::new(&[0], hold)`
+    /// at a cadence of 4 slots, aborted after 30 probes: `None` when the
+    /// journal holds no cut.
+    fn last_cut_of_aborted_run(hold: u64) -> Option<xmap_state::WorkerCheckpoint> {
+        use crate::checkpoint::{build_manifest, ScanSession};
+        let dir =
+            std::env::temp_dir().join(format!("xmap-scanner-cut-{}-{hold}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ScanConfig {
+            max_targets: Some(100),
+            ..Default::default()
+        };
+        let blocklist = Blocklist::allow_all();
+        let manifest = build_manifest(1, &config, &IcmpEchoProbe, &[range()], &blocklist, 0, 4);
+        let worker = ScanSession::create(&dir, manifest)
+            .and_then(|session| session.fresh_worker(0, 1))
+            .unwrap();
+        let abort = AbortSignal::new();
+        let mut net = HoldNet::new(&[0], hold);
+        net.abort = Some((30, abort.clone()));
+        let mut s = Scanner::new(net, config);
+        s.set_abort(abort);
+        s.set_sink(worker.sink);
+        let res = s.run_checkpointed(0, &range(), &IcmpEchoProbe, &blocklist, RangeMode::Fresh);
+        assert!(res.interrupted);
+        drop(s);
+        let cut = xmap_state::WorkerJournal::recover(&dir.join("worker-0.ckpt"))
+            .unwrap()
+            .map(|journal| journal.checkpoint(None, None).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        cut
+    }
+
+    #[test]
+    fn no_checkpoint_is_cut_while_a_reply_is_in_flight() {
+        // Probe 0's reply is held past the abort at slot 30: every slot
+        // boundary until then, the abort's included, sees `in_flight() >
+        // 0`, so the journal gets no cut at all.
+        assert!(last_cut_of_aborted_run(50).is_none());
+        // Released at tick 10, the cadence cuts again and the abort's
+        // final cut lands at its slot boundary.
+        let cut = last_cut_of_aborted_run(10).expect("cuts after the reply");
+        assert_eq!(cut.tick, 30);
+        assert!(cut.run.is_some(), "a mid-range cut");
     }
 
     #[test]

@@ -1,30 +1,23 @@
-//! The scan reactor: bounded event queues behind a pluggable
-//! [`Transport`] boundary, and a timer heap.
+//! Wire-trace record and replay, and the benchmark ledger's reactor
+//! subjects.
 //!
-//! The network-facing parts of the scan loop, factored out of the
-//! scanner so the loop itself never names a concrete network:
+//! The scan loop drives any `Network` directly (`handle_into` per
+//! probe, `tick_into` per slot; see `DESIGN.md` §5i). This crate holds
+//! two such networks:
 //!
-//! * [`BoundedQueue`] — the receive-side event queue. Backpressure is
-//!   reported (saturation counter + high watermark), never enforced by
-//!   dropping: a reply that made it off the wire is always delivered.
-//! * [`Transport`] — the boundary the scan loop drives: `send_batch` /
-//!   `poll_recv` / `advance` and a clock.
-//!   [`SimTransport`] wraps any `Network` — the simulator, a
-//!   [`WireRecorder`] around it, or a [`ReplayNet`] re-serving a recorded
-//!   NDJSON wire trace.
+//! * [`WireRecorder`] journals every exchange of the network it wraps
+//!   as an NDJSON wire trace;
+//! * [`ReplayNet`] re-serves a recorded trace with no simulator,
+//!   counting every call that departs from the recording.
 //!
-//! Beside them, [`TimerHeap`]: deadline-ordered timers with a
-//! deterministic `(deadline, seq)` tie-break, for deadlines armed in any
-//! order. The scan loop's retries arrive in deadline order per attempt and
-//! sit in per-attempt lanes inside `xmap`; the heap is the reference model
-//! those lanes are tested against and the timer the benchmark ledger
-//! times.
-//!
-//! Determinism contract: a transport stamps every delivered packet with
-//! the virtual tick it arrived at ([`RecvEntry::tick`]), and delivers
-//! packets in arrival order. The scan loop computes RTTs and record
-//! order from those stamps, so its artifacts depend on arrival times
-//! only, never on when it polled — see `DESIGN.md` §5i.
+//! The rest is on no scan path. [`Transport`], [`SimTransport`],
+//! [`RecvEntry`] and [`BoundedQueue`] are a send-batch / tick-stamped
+//! staging-queue / poll contract over a `Network`, and [`TimerHeap`] a
+//! deadline-ordered timer with a deterministic `(deadline, seq)`
+//! tie-break. They stay as the benchmark ledger's
+//! `reactor.transport`, `reactor.queue` and `reactor.timer` subjects,
+//! and the heap as the reference model the scanner's per-attempt retry
+//! lanes are tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

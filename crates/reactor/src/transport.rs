@@ -1,4 +1,7 @@
-//! The [`Transport`] boundary and the simulator-backed implementation.
+//! The [`Transport`] contract and its simulator-backed implementation.
+//!
+//! The scan loop drives its `Network` directly; this contract is the
+//! benchmark ledger's `reactor.transport` subject.
 
 use xmap_netsim::packet::{Ipv6Packet, Network};
 
@@ -23,8 +26,8 @@ pub struct RecvEntry {
     pub packet: Ipv6Packet,
 }
 
-/// What the scan loop drives instead of a raw [`Network`]: batched
-/// sends, polled receives and a virtual clock.
+/// A decoupled view of a [`Network`]: batched sends, polled receives
+/// and a virtual clock.
 ///
 /// ## Contract
 ///
@@ -74,9 +77,7 @@ pub trait Transport {
 ///
 /// Wraps the network's synchronous `handle_into`/`tick_into` calls
 /// behind the decoupled contract — replies are staged in a
-/// [`BoundedQueue`] stamped with the tick they were produced at. The
-/// scanner owns one for its lifetime and reaches the network between
-/// runs through [`network_mut`](SimTransport::network_mut).
+/// [`BoundedQueue`] stamped with the tick they were produced at.
 #[derive(Debug)]
 pub struct SimTransport<N> {
     net: N,
