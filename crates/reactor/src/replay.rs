@@ -10,19 +10,23 @@
 //! simulator (or, one day, the wire) being present. A scanner built
 //! over a `ReplayNet` is the backend behind `--replay-trace`.
 //!
-//! ## Trace format (`xmap-wire-trace/v1`)
+//! ## Trace format (`xmap-wire-trace/v2`)
 //!
 //! ```text
-//! {"v":1,"kind":"xmap-wire-trace"}
-//! {"ev":"send","tick":0,"pkt":{...}}
+//! {"v":2,"kind":"xmap-wire-trace"}
+//! {"ev":"send","tick":0,"inflight":0,"pkt":{...}}
 //! {"ev":"recv","tick":0,"pkt":{...}}   <- immediate reply to the send
-//! {"ev":"tick","n":1,"tick":1}
+//! {"ev":"tick","n":1,"tick":1,"inflight":2}
 //! {"ev":"recv","tick":1,"pkt":{...}}   <- reply that came due in the advance
 //! ```
 //!
 //! A `recv` line belongs to the nearest preceding `send` or `tick`
 //! line; that positional attachment is what lets replay reproduce the
 //! immediate-vs-delayed split the scan loop's RTT accounting depends on.
+//! `inflight` is the recorded network's [`Network::in_flight`] right
+//! after the call, so the replay answers the loop's in-flight questions
+//! as the recording did. A v1 trace, which did not record it, is
+//! refused with [`ReplayError::Version`].
 
 use std::fmt;
 use std::path::Path;
@@ -34,12 +38,17 @@ use xmap_netsim::packet::{
 use xmap_netsim::services::{intern_vendor, AppRequest, AppResponse, SoftwareId};
 use xmap_state::json::{self, push_json_string, Value};
 
+/// The wire-trace format version this build writes and reads.
+const TRACE_VERSION: u64 = 2;
+
 /// Errors loading or replaying a wire trace.
 #[derive(Debug)]
 pub enum ReplayError {
     /// The trace file could not be read.
     Io(std::io::Error),
-    /// The trace text is not a well-formed `xmap-wire-trace/v1`.
+    /// The trace is an `xmap-wire-trace` of another format version.
+    Version(u64),
+    /// The trace text is not a well-formed `xmap-wire-trace/v2`.
     Corrupt(String),
 }
 
@@ -47,6 +56,11 @@ impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::Io(e) => write!(f, "wire trace I/O error: {e}"),
+            ReplayError::Version(v) => write!(
+                f,
+                "unsupported wire trace version: found `xmap-wire-trace/v{v}`, \
+                 this build reads v{TRACE_VERSION}; re-record the trace"
+            ),
             ReplayError::Corrupt(why) => write!(f, "corrupt wire trace: {why}"),
         }
     }
@@ -440,7 +454,9 @@ impl<N: Network> WireRecorder<N> {
     /// Starts recording over `inner`.
     pub fn new(inner: N) -> Self {
         let mut lines = String::new();
-        lines.push_str("{\"v\":1,\"kind\":\"xmap-wire-trace\"}\n");
+        lines.push_str(&format!(
+            "{{\"v\":{TRACE_VERSION},\"kind\":\"xmap-wire-trace\"}}\n"
+        ));
         WireRecorder {
             inner,
             lines,
@@ -465,14 +481,15 @@ impl<N: Network> WireRecorder<N> {
         Ok(self.inner)
     }
 
-    fn record_event(&mut self, ev: &str, pkt: Option<&Ipv6Packet>) {
-        self.lines
-            .push_str(&format!("{{\"ev\":\"{ev}\",\"tick\":{}", self.clock));
-        if let Some(p) = pkt {
-            self.lines.push_str(",\"pkt\":");
-            encode_packet(&mut self.lines, p);
+    /// Journals a `recv` line for each staged reply and hands them on.
+    fn record_recvs(&mut self, out: &mut Vec<Ipv6Packet>) {
+        for p in self.staged.drain(..) {
+            self.lines
+                .push_str(&format!("{{\"ev\":\"recv\",\"tick\":{},\"pkt\":", self.clock));
+            encode_packet(&mut self.lines, &p);
+            self.lines.push_str("}\n");
+            out.push(p);
         }
-        self.lines.push_str("}\n");
     }
 }
 
@@ -484,15 +501,17 @@ impl<N: Network> Network for WireRecorder<N> {
     }
 
     fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
-        self.record_event("send", Some(&packet));
         debug_assert!(self.staged.is_empty());
+        self.lines.push_str(&format!(
+            "{{\"ev\":\"send\",\"tick\":{},\"inflight\":",
+            self.clock
+        ));
+        let mut pkt = String::new();
+        encode_packet(&mut pkt, &packet);
         self.inner.handle_into(packet, &mut self.staged);
-        let mut staged = std::mem::take(&mut self.staged);
-        for p in staged.drain(..) {
-            self.record_event("recv", Some(&p));
-            out.push(p);
-        }
-        self.staged = staged;
+        self.lines
+            .push_str(&format!("{},\"pkt\":{pkt}}}\n", self.inner.in_flight()));
+        self.record_recvs(out);
     }
 
     fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
@@ -503,18 +522,14 @@ impl<N: Network> Network for WireRecorder<N> {
 
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
         self.clock += ticks;
-        self.lines.push_str(&format!(
-            "{{\"ev\":\"tick\",\"n\":{ticks},\"tick\":{}}}\n",
-            self.clock
-        ));
         debug_assert!(self.staged.is_empty());
         self.inner.tick_into(ticks, &mut self.staged);
-        let mut staged = std::mem::take(&mut self.staged);
-        for p in staged.drain(..) {
-            self.record_event("recv", Some(&p));
-            out.push(p);
-        }
-        self.staged = staged;
+        self.lines.push_str(&format!(
+            "{{\"ev\":\"tick\",\"n\":{ticks},\"tick\":{},\"inflight\":{}}}\n",
+            self.clock,
+            self.inner.in_flight()
+        ));
+        self.record_recvs(out);
     }
 
     fn flush_telemetry(&mut self) {
@@ -541,12 +556,13 @@ impl<N: Network> Network for WireRecorder<N> {
 // Replay
 // ---------------------------------------------------------------------
 
+/// One recorded call or reply. A call carries the recorded network's
+/// `in_flight()` right after it.
 #[derive(Debug)]
 enum Event {
-    Send(Ipv6Packet),
-    /// `true` when the reply was delayed (attached to a tick event).
-    Recv(Ipv6Packet, bool),
-    Tick(u64),
+    Send(Ipv6Packet, usize),
+    Recv(Ipv6Packet),
+    Tick(u64, usize),
 }
 
 /// A [`Network`] that re-serves a recorded wire trace.
@@ -558,13 +574,13 @@ enum Event {
 /// are counted in [`mismatched_sends`](ReplayNet::mismatched_sends) —
 /// the recorded replies are served regardless, so a diverging replay
 /// fails loudly at artifact comparison instead of silently hanging.
+/// [`in_flight`](Network::in_flight) answers what the recorded network
+/// answered after the last call consumed (0 before the first).
 #[derive(Debug)]
 pub struct ReplayNet {
     events: Vec<Event>,
     cursor: usize,
-    /// `delayed_after[i]`: delayed recv events at index >= i — the
-    /// replay's `in_flight` answer, precomputed.
-    delayed_after: Vec<usize>,
+    in_flight: usize,
     mismatched_sends: u64,
     desyncs: u64,
 }
@@ -575,46 +591,40 @@ impl ReplayNet {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or_else(|| corrupt("empty trace"))?;
         let hv = json::parse(header, "wire-trace header").map_err(|e| corrupt(e.to_string()))?;
-        if hv.get("kind").and_then(Value::as_str) != Some("xmap-wire-trace")
-            || hv.get("v").and_then(Value::as_u64) != Some(1)
-        {
-            return Err(corrupt("not an xmap-wire-trace/v1 header"));
+        let version = hv.get("v").and_then(Value::as_u64);
+        match version {
+            _ if hv.get("kind").and_then(Value::as_str) != Some("xmap-wire-trace") => {
+                return Err(corrupt("not an xmap-wire-trace header"));
+            }
+            Some(TRACE_VERSION) => {}
+            Some(v) => return Err(ReplayError::Version(v)),
+            None => return Err(corrupt("wire-trace header without a numeric `v`")),
         }
         let mut events = Vec::new();
-        let mut after_tick = false;
         for (i, line) in lines.enumerate() {
             let v = json::parse(line, "wire-trace event").map_err(|e| corrupt(e.to_string()))?;
             let what = format!("event {}", i + 1);
-            match req_str(&v, "ev", &what)? {
-                "send" => {
-                    after_tick = false;
-                    let pkt = v
-                        .get("pkt")
-                        .ok_or_else(|| corrupt(format!("{what}: send without `pkt`")))?;
-                    events.push(Event::Send(decode_packet(pkt)?));
-                }
-                "recv" => {
-                    let pkt = v
-                        .get("pkt")
-                        .ok_or_else(|| corrupt(format!("{what}: recv without `pkt`")))?;
-                    events.push(Event::Recv(decode_packet(pkt)?, after_tick));
-                }
-                "tick" => {
-                    after_tick = true;
-                    events.push(Event::Tick(req_u64(&v, "n", &what)?));
-                }
+            let in_flight = || -> Result<usize, ReplayError> {
+                usize::try_from(req_u64(&v, "inflight", &what)?)
+                    .map_err(|_| corrupt(format!("{what}: `inflight` out of range")))
+            };
+            let pkt = || -> Result<Ipv6Packet, ReplayError> {
+                decode_packet(
+                    v.get("pkt")
+                        .ok_or_else(|| corrupt(format!("{what}: event without `pkt`")))?,
+                )
+            };
+            events.push(match req_str(&v, "ev", &what)? {
+                "send" => Event::Send(pkt()?, in_flight()?),
+                "recv" => Event::Recv(pkt()?),
+                "tick" => Event::Tick(req_u64(&v, "n", &what)?, in_flight()?),
                 ev => return Err(corrupt(format!("{what}: unknown event `{ev}`"))),
-            }
-        }
-        let mut delayed_after = vec![0usize; events.len() + 1];
-        for i in (0..events.len()).rev() {
-            delayed_after[i] =
-                delayed_after[i + 1] + matches!(events[i], Event::Recv(_, true)) as usize;
+            });
         }
         Ok(ReplayNet {
             events,
             cursor: 0,
-            delayed_after,
+            in_flight: 0,
             mismatched_sends: 0,
             desyncs: 0,
         })
@@ -645,7 +655,7 @@ impl ReplayNet {
 
     /// Appends the consecutive recv events at the cursor to `out`.
     fn serve_recvs(&mut self, out: &mut Vec<Ipv6Packet>) {
-        while let Some(Event::Recv(p, _)) = self.events.get(self.cursor) {
+        while let Some(Event::Recv(p)) = self.events.get(self.cursor) {
             out.push(p.clone());
             self.cursor += 1;
         }
@@ -661,10 +671,11 @@ impl Network for ReplayNet {
 
     fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         match self.events.get(self.cursor) {
-            Some(Event::Send(recorded)) => {
+            Some(Event::Send(recorded, in_flight)) => {
                 if *recorded != packet {
                     self.mismatched_sends += 1;
                 }
+                self.in_flight = *in_flight;
                 self.cursor += 1;
                 self.serve_recvs(out);
             }
@@ -680,10 +691,11 @@ impl Network for ReplayNet {
 
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
         match self.events.get(self.cursor) {
-            Some(Event::Tick(n)) => {
+            Some(Event::Tick(n, in_flight)) => {
                 if *n != ticks {
                     self.desyncs += 1;
                 }
+                self.in_flight = *in_flight;
                 self.cursor += 1;
                 self.serve_recvs(out);
             }
@@ -692,7 +704,7 @@ impl Network for ReplayNet {
     }
 
     fn in_flight(&self) -> usize {
-        self.delayed_after[self.cursor]
+        self.in_flight
     }
 }
 
@@ -733,7 +745,7 @@ mod tests {
             assert_eq!(&replay.tick(1), t, "tick {i}");
         }
         for d in &drained {
-            assert!(replay.in_flight() > 0 || d.is_empty());
+            assert!(replay.in_flight() > 0);
             assert_eq!(&replay.tick(1), d);
         }
         assert_eq!(replay.in_flight(), 0);
@@ -757,6 +769,52 @@ mod tests {
         assert!(ReplayNet::from_trace("{\"v\":2,\"kind\":\"other\"}\n").is_err());
         assert!(ReplayNet::from_trace("").is_err());
         assert!(ReplayNet::from_trace("not json\n").is_err());
+    }
+
+    /// The replay answers `in_flight` with what the recorded network
+    /// answered after each call, not with what the trace has left.
+    #[test]
+    fn in_flight_follows_the_recording() {
+        use xmap_netsim::world::{Allocation, WorldConfig};
+        // Pod 0x13 of 2402:3a80::/32 is about half allocated in this
+        // world, and jitter holds most replies for a few ticks.
+        let config = WorldConfig::lossless(4242, 30)
+            .with_allocation(Allocation::Clustered {
+                pod_bits: 8,
+                active_frac: 0.01,
+            })
+            .with_fault(xmap_netsim::FaultPlan::none().seeded(3).with_jitter(4));
+        let probe = |i: u128| {
+            let mut p = probe(i);
+            p.dst = Ip6::new(0x2402_3a80u128 << 96 | (0x1300 | i) << 64 | 0xbeef);
+            p
+        };
+        let mut rec = WireRecorder::new(World::with_config(config));
+        let mut seen = Vec::new();
+        for i in 0..64u128 {
+            rec.handle(probe(i));
+            seen.push(rec.in_flight());
+            rec.tick(1);
+            seen.push(rec.in_flight());
+        }
+        let trace = rec.finish();
+        assert!(seen.contains(&0) && seen.iter().any(|&n| n > 0), "{seen:?}");
+        let mut replay = ReplayNet::from_trace(&trace).expect("parse");
+        assert_eq!(replay.in_flight(), 0);
+        for (i, pair) in seen.chunks(2).enumerate() {
+            replay.handle(probe(i as u128));
+            assert_eq!(replay.in_flight(), pair[0], "after send {i}");
+            replay.tick(1);
+            assert_eq!(replay.in_flight(), pair[1], "after tick {i}");
+        }
+    }
+
+    #[test]
+    fn a_v1_trace_is_refused_by_version() {
+        let v1 = "{\"v\":1,\"kind\":\"xmap-wire-trace\"}\n{\"ev\":\"tick\",\"n\":1,\"tick\":1}\n";
+        let err = ReplayNet::from_trace(v1).unwrap_err();
+        assert!(matches!(err, ReplayError::Version(1)), "{err:?}");
+        assert!(err.to_string().contains("xmap-wire-trace/v1"), "{err}");
     }
 
     #[test]

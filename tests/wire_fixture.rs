@@ -2,19 +2,24 @@
 //!
 //! `tests/fixtures/wire/scan.ndjson` is a [`WireRecorder`] trace of a
 //! small retrying scan (3 probes per target, `rto_ticks` 4) under
-//! forward loss, duplication and jitter, and `scan.csv` is the CSV that
-//! run wrote. Both were recorded by an earlier build of the loop and
-//! are never rewritten by a passing test. Replaying the trace through
-//! [`ReplayNet`] checks each call the loop makes against the recorded
-//! one, in order: a probe that differs, a send where the recording has
-//! an advance (or the reverse), or a call left over at either end
-//! fails the test. So the loop must keep making the same network calls
-//! in the same order — immediate replies, replies delivered by an
-//! advance while earlier probes are still in flight, retransmissions —
-//! and must still write the same CSV from them.
+//! forward loss, duplication and jitter; `scan.csv` is the CSV that run
+//! wrote and `scan.metrics.json` its metrics snapshot, `exec.*`
+//! counters left out. All three were recorded by an earlier build of
+//! the loop and are never rewritten by a passing test. Replaying the
+//! trace through [`ReplayNet`] checks each call the loop makes against
+//! the recorded one, in order: a probe that differs, a send where the
+//! recording has an advance (or the reverse), or a call left over at
+//! either end fails the test. The replay answers the loop's
+//! `in_flight()` questions as the recorded network did, so the loop's
+//! quiet-network branches (settled retries, the in-flight index, the
+//! drain) take the recorded turns too. So the loop must keep making the
+//! same network calls in the same order — immediate replies, replies
+//! delivered by an advance while earlier probes are still in flight,
+//! retransmissions — and must still write the same CSV and count the
+//! same metrics from them.
 //!
 //! `cargo test --test wire_fixture -- --ignored regen_wire_fixture`
-//! rewrites both files from the build under test.
+//! rewrites all three files from the build under test.
 
 use std::path::PathBuf;
 
@@ -24,6 +29,7 @@ use xmap_addr::ScanRange;
 use xmap_netsim::world::{Allocation, World, WorldConfig};
 use xmap_netsim::{FaultPlan, Network};
 use xmap_reactor::{ReplayNet, WireRecorder};
+use xmap_telemetry::Snapshot;
 
 /// World seed of the recorded run.
 const WORLD_SEED: u64 = 4242;
@@ -73,22 +79,27 @@ fn range() -> ScanRange {
     "2402:3a80:0:1300::/56-64".parse().unwrap()
 }
 
-fn scan<N: Network>(network: N) -> (ScanResults, N) {
+/// The scan's results, its metrics JSON without `exec.*` counters, and
+/// the network it ran over.
+fn scan<N: Network>(network: N) -> (ScanResults, String, N) {
     let mut scanner = Scanner::new(network, config());
     let results = scanner.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
-    (results, scanner.into_network())
+    let mut snap: Snapshot = scanner.telemetry().registry.snapshot();
+    snap.counters.retain(|name, _| !name.starts_with("exec."));
+    (results, snap.to_json(), scanner.into_network())
 }
 
 #[test]
 #[ignore = "rewrites the committed fixture"]
 fn regen_wire_fixture() {
-    let (results, recorder) = scan(WireRecorder::new(world()));
+    let (results, metrics, recorder) = scan(WireRecorder::new(world()));
     let dir = fixture_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let trace = recorder.finish();
     assert!(trace.len() <= 64 * 1024, "trace is {} bytes", trace.len());
     std::fs::write(dir.join("scan.ndjson"), trace).unwrap();
     std::fs::write(dir.join("scan.csv"), to_csv(&results.records)).unwrap();
+    std::fs::write(dir.join("scan.metrics.json"), metrics).unwrap();
 }
 
 #[test]
@@ -104,8 +115,13 @@ fn committed_wire_trace_replays_call_for_call() {
             .any(|w| w[0].starts_with(r#"{"ev":"tick""#) && w[1].starts_with(r#"{"ev":"recv""#)),
         "no delayed reply in the fixture"
     );
+    // Sends on a quiet network and sends with replies in flight: the
+    // loop's settled-retry and in-flight-index branches both run.
+    let sends = || lines.iter().filter(|l| l.starts_with(r#"{"ev":"send""#));
+    assert!(sends().any(|l| l.contains(r#""inflight":0,"#)));
+    assert!(sends().any(|l| !l.contains(r#""inflight":0,"#)));
     let replay = ReplayNet::from_trace(&trace).expect("fixture parses");
-    let (results, net) = scan(replay);
+    let (results, metrics, net) = scan(replay);
     assert!(results.stats.retransmits > 0, "{:?}", results.stats);
     assert_eq!(
         net.mismatched_sends(),
@@ -116,4 +132,6 @@ fn committed_wire_trace_replays_call_for_call() {
     assert!(net.fully_consumed(), "recorded calls left unmade");
     let csv = std::fs::read_to_string(dir.join("scan.csv")).unwrap();
     assert_eq!(to_csv(&results.records), csv);
+    let recorded = std::fs::read_to_string(dir.join("scan.metrics.json")).unwrap();
+    assert_eq!(metrics, recorded, "metrics differ from the recording's");
 }
