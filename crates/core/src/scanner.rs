@@ -265,8 +265,23 @@ impl YieldGate {
     }
 }
 
+/// A second-chance pass over targets an earlier run left silent, for
+/// [`Scanner::run_second_chance`].
+#[derive(Debug, Clone, Copy)]
+pub struct SecondChance<'l> {
+    /// `(position, target)` pairs in probe order: each target lies in
+    /// the scanned range, and its position is reported with its records.
+    pub targets: &'l [(u64, Prefix)],
+    /// Each target's one probe goes to `fill_host_bits(target, host_seed)`.
+    pub host_seed: u64,
+    /// Virtual ticks to idle before the first probe, so that ICMPv6
+    /// rate limiters (RFC 4443 §2.4) refill.
+    pub idle_ticks: u64,
+}
+
 /// What one run walks and reports: [`Scanner::run`] walks the slot's
-/// whole unit, [`Scanner::run_unit`] any unit of it.
+/// whole unit, [`Scanner::run_unit`] any unit of it, and
+/// [`Scanner::run_second_chance`] a list.
 struct Walk<'g> {
     /// The positions of the slot's walk this run owns.
     unit: SplitUnit,
@@ -275,6 +290,8 @@ struct Walk<'g> {
     /// Report record and silent positions.
     positions: bool,
     gate: Option<&'g YieldGate>,
+    /// Walk this list instead of `unit`.
+    second_chance: Option<SecondChance<'g>>,
 }
 
 /// The scanner: a [`ProbeModule`] driven over a permuted target space
@@ -463,8 +480,9 @@ impl<N: Network> Scanner<N> {
         self.network
     }
 
-    /// Opens a targeted-probing session: probes to explicit destinations
-    /// (mop-up, loop detection, application grabs, adaptive sampling)
+    /// Opens a targeted-probing session: single probes to explicit
+    /// destinations (loop detection, application grabs, alias and
+    /// boundary checks, adaptive sampling)
     /// counted into the same `scan.*` metrics as [`Scanner::run`], but
     /// tallied locally and published once, when the session ends. See
     /// [`Targeted`].
@@ -472,7 +490,6 @@ impl<N: Network> Scanner<N> {
         Targeted {
             scanner: self,
             tally: HotTally::default(),
-            rate_limited_suspected: 0,
             scratch: Vec::new(),
         }
     }
@@ -523,6 +540,40 @@ impl<N: Network> Scanner<N> {
             record_silent,
             positions: true,
             gate,
+            second_chance: None,
+        };
+        self.run_inner(range, module, blocklist, walk, None)
+    }
+
+    /// Scans a second chance ([`SecondChance`]) over targets of `range`
+    /// that stayed silent in an earlier run — the campaign's mop-up pass.
+    /// After the pass's idle ticks, each target gets one probe, in list
+    /// order, counted as its retransmission: in `scan.retransmits`, and
+    /// in `scan.rate_limited_suspected` when its first answer is an
+    /// ICMPv6 error. No retry follows and no target counts as given up.
+    /// The loop is [`run`](Self::run)'s: it attributes each reply by the
+    /// destination it quotes, counts blocked destinations and drains the
+    /// replies in flight before it returns. Each record's listed
+    /// position is in [`ScanResults::record_positions`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with a checkpoint sink attached (a list is not a resumable
+    /// walk), or if a target lies outside `range`.
+    pub fn run_second_chance(
+        &mut self,
+        range: &ScanRange,
+        module: &dyn ProbeModule,
+        blocklist: &Blocklist,
+        pass: SecondChance<'_>,
+    ) -> ScanResults {
+        assert!(self.sink.is_none(), "a second chance takes no checkpoint");
+        let walk = Walk {
+            unit: SplitUnit::whole(pass.targets.len() as u64),
+            record_silent: false,
+            positions: true,
+            gate: None,
+            second_chance: Some(pass),
         };
         self.run_inner(range, module, blocklist, walk, None)
     }
@@ -536,6 +587,7 @@ impl<N: Network> Scanner<N> {
             record_silent: self.config.record_silent,
             positions: false,
             gate: None,
+            second_chance: None,
         }
     }
 
@@ -587,24 +639,40 @@ impl<N: Network> Scanner<N> {
             .config
             .rate_pps
             .map_or(0, |pps| 1_000_000_000 / pps.max(1));
-        let attempts = self.config.probes_per_target.max(1);
+        // Attempt `a` of a target fills host bits from `host_seed + a`. A
+        // first pass sends attempts 0, 1, … from the configured seed; a
+        // second chance sends attempt 1 only, at the pass's host bits.
+        let (first_attempt, attempts, host_seed) = match &walk.second_chance {
+            None => (0, self.config.probes_per_target.max(1), self.config.seed),
+            Some(pass) => (1, 2, pass.host_seed.wrapping_sub(1)),
+        };
         // Every destination lies inside the range's base prefix, so the
         // blocklist walk over the base's bits is done once, here.
         let blocklist = blocklist.scope(range.base());
         let unit = walk.unit.nested_in(self.config.shard, self.config.shards);
         let track_silent = walk.positions && walk.record_silent;
-        let mut run = match resume {
-            None => Run::fresh(self, range, unit, walk.positions),
+        let mut replies: Vec<Ipv6Packet> = Vec::new();
+        if let Some(pass) = &walk.second_chance {
+            self.network.tick_into(pass.idle_ticks, &mut replies);
+            self.total_ticks += pass.idle_ticks;
+        }
+        let mut run = match (resume, &walk.second_chance) {
+            (None, None) => Run::fresh(self, TargetGen::new(&self.config, range, unit), walk.positions),
+            (None, Some(pass)) => Run::fresh(self, TargetGen::listed(range, pass.targets), true),
             // Mid-range resume: the journal replayed the records emitted
             // before the checkpoint; every run local restarts from the
             // captured state, so the loop below re-executes the tail of
             // the range exactly as the killed run would have continued it.
-            Some(r) => Run::restore(self, range, unit, r),
+            (Some(r), _) => Run::restore(self, range, unit, r),
         };
+        // The idle advance delivers no reply to this run: any stray is
+        // counted unattributable.
+        if !replies.is_empty() {
+            self.absorb(0, &mut replies, module, &mut run, None);
+        }
         // Records already durable in the journal; everything past this
         // index still needs journalling.
         let mut journaled = run.results.records.len();
-        let mut replies: Vec<Ipv6Packet> = Vec::new();
         let mut yielding = false;
 
         loop {
@@ -640,7 +708,7 @@ impl<N: Network> Scanner<N> {
                 if track_silent {
                     run.probed_positions.push(position);
                 }
-                Some((target, 0, position))
+                Some((target, first_attempt, position))
             } else if !run.retries.is_empty() || self.network.in_flight() > 0 {
                 // Fresh walk done: drain timers and in-flight responses
                 // without sending.
@@ -652,7 +720,7 @@ impl<N: Network> Scanner<N> {
             if let Some((target, attempt, position)) = job {
                 // Fresh host bits per attempt: a lost exchange is retried
                 // on a new (deterministically lossy) path.
-                let dst = fill_host_bits(target, self.config.seed.wrapping_add(attempt as u64));
+                let dst = fill_host_bits(target, host_seed.wrapping_add(attempt as u64));
                 if !blocklist.is_allowed(dst) {
                     run.tally.blocked += 1;
                     continue;
@@ -758,7 +826,10 @@ impl<N: Network> Scanner<N> {
         results.consumed = run.gen.consumed;
         results.yielded = yielding && !results.interrupted && run.gen.unconsumed() > 0;
         for j in &mut results.record_positions {
-            *j = walk.unit.position(*j);
+            *j = match &walk.second_chance {
+                Some(pass) => pass.targets[*j as usize].0,
+                None => walk.unit.position(*j),
+            };
         }
 
         if results.interrupted {
@@ -774,7 +845,7 @@ impl<N: Network> Scanner<N> {
         // drawn once, so the targets given up on number probed − answered.
         debug_assert!(run.answered.len() <= run.probed.len());
         let gave_up = (run.probed.len() - run.answered.len()) as u64;
-        if attempts > 1 && gave_up > 0 {
+        if first_attempt == 0 && attempts > 1 && gave_up > 0 {
             self.metrics.gave_up.add(gave_up);
         }
         // The silent list names them, in deterministic probe order.
@@ -1019,6 +1090,23 @@ impl TargetGen {
         gen
     }
 
+    /// The generator over a second chance's list: it draws each target's
+    /// range index in list order, so walk position `j` is entry `j`.
+    fn listed(range: &ScanRange, targets: &[(u64, Prefix)]) -> Self {
+        let indices: Vec<u64> = targets
+            .iter()
+            .map(|(_, t)| range.index_of(t.addr()).expect("listed targets lie in the range"))
+            .collect();
+        TargetGen {
+            remaining: indices.len() as u64,
+            walk: IndexWalk::Listed(indices.into_iter()),
+            buf: [0; TARGET_CHUNK],
+            len: 0,
+            pos: 0,
+            consumed: 0,
+        }
+    }
+
     /// Walk positions not yet consumed under the `max_targets` budget
     /// (drawn-but-buffered indices count as unconsumed).
     fn unconsumed(&self) -> u64 {
@@ -1085,6 +1173,7 @@ impl TargetGen {
                 next_pos: *next_pos,
             },
             IndexWalk::Strided { next, .. } => CursorState::Sequential { next_pos: *next },
+            IndexWalk::Listed(_) => unreachable!("a second chance takes no checkpoint"),
         };
         (
             cursor,
@@ -1229,10 +1318,10 @@ struct Run {
 }
 
 impl Run {
-    /// The state a walk of `unit` (in base positions) starts from.
-    fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange, unit: SplitUnit, positions: bool) -> Run {
+    /// The state a walk drawn from `gen` starts from.
+    fn fresh<N>(scanner: &Scanner<N>, gen: TargetGen, positions: bool) -> Run {
         Run {
-            gen: TargetGen::new(&scanner.config, range, unit),
+            gen,
             outstanding: FxHashMap::default(),
             retries: RetryLanes::with_next_seq(0),
             answered: FxHashSet::default(),
@@ -1444,7 +1533,6 @@ impl Run {
 pub struct Targeted<'s, N: Network> {
     scanner: &'s mut Scanner<N>,
     tally: HotTally,
-    rate_limited_suspected: u64,
     /// Raw responses of the current probe, reused across probes.
     scratch: Vec<Ipv6Packet>,
 }
@@ -1465,42 +1553,8 @@ impl<N: Network> Targeted<'_, N> {
         out.clear();
         self.scratch.clear();
         s.network.handle_into(probe, &mut self.scratch);
-        self.classify(module, out);
-    }
-
-    /// [`probe`](Self::probe), counted as a retransmission too (a second
-    /// chance for a target that stayed silent).
-    pub fn reprobe(
-        &mut self,
-        dst: Ip6,
-        module: &dyn ProbeModule,
-        hop_limit: u8,
-        out: &mut Vec<(Ip6, ProbeResult)>,
-    ) {
-        self.tally.retransmits += 1;
-        self.probe(dst, module, hop_limit, out);
-    }
-
-    /// Advances the network's virtual clock by `ticks` (keeping the
-    /// scanner's tick count in sync) and appends the delayed responses
-    /// that came due, classified and counted, to `out`.
-    pub fn advance(
-        &mut self,
-        ticks: u64,
-        module: &dyn ProbeModule,
-        out: &mut Vec<(Ip6, ProbeResult)>,
-    ) {
-        self.scanner.total_ticks += ticks;
-        self.scratch.clear();
-        self.scanner.network.tick_into(ticks, &mut self.scratch);
-        self.classify(module, out);
-    }
-
-    /// Classifies and counts the responses in `scratch`, appending them
-    /// to `out`.
-    fn classify(&mut self, module: &dyn ProbeModule, out: &mut Vec<(Ip6, ProbeResult)>) {
         for resp in &self.scratch {
-            let result = module.classify(resp, &self.scanner.validator);
+            let result = module.classify(resp, &s.validator);
             self.tally.received += 1;
             if matches!(result, ProbeResult::Invalid) {
                 self.tally.invalid += 1;
@@ -1514,11 +1568,6 @@ impl<N: Network> Targeted<'_, N> {
     /// Counts a destination skipped by the blocklist.
     pub fn skip_blocked(&mut self) {
         self.tally.blocked += 1;
-    }
-
-    /// Counts a target suspected of ICMPv6 rate limiting.
-    pub fn suspect_rate_limited(&mut self) {
-        self.rate_limited_suspected += 1;
     }
 
     /// The scanner's configuration.
@@ -1552,8 +1601,6 @@ impl<N: Network> Targeted<'_, N> {
             received: t.received,
             invalid: t.invalid,
             valid: t.valid,
-            retransmits: t.retransmits,
-            rate_limited_suspected: self.rate_limited_suspected,
             ..ScanStats::default()
         }
     }
@@ -1568,14 +1615,7 @@ impl<N: Network> Targeted<'_, N> {
 
 impl<N: Network> Drop for Targeted<'_, N> {
     fn drop(&mut self) {
-        let metrics = &self.scanner.metrics;
-        self.tally.flush(metrics);
-        if self.rate_limited_suspected > 0 {
-            metrics
-                .rate_limited_suspected
-                .add(self.rate_limited_suspected);
-            self.rate_limited_suspected = 0;
-        }
+        self.tally.flush(&self.scanner.metrics);
         self.scanner.network.flush_telemetry();
     }
 }
@@ -1922,19 +1962,14 @@ mod tests {
         Scanner::with_telemetry(world, ScanConfig::default(), telemetry)
     }
 
-    /// One target's worth of every counted session operation.
+    /// One target's worth of a counted session operation.
     fn targeted_step(session: &mut Targeted<'_, xmap_netsim::World>, i: u64) {
         let dense: ScanRange = "2402:3a80::/32-64".parse().unwrap();
         let dst = fill_host_bits(dense.nth(i).unwrap(), 11);
         let mut out = Vec::new();
         match i % 4 {
             0 => session.skip_blocked(),
-            1 => session.reprobe(dst, &IcmpEchoProbe, 64, &mut out),
             _ => session.probe(dst, &IcmpEchoProbe, 64, &mut out),
-        }
-        session.advance(1, &IcmpEchoProbe, &mut out);
-        if !out.is_empty() {
-            session.suspect_rate_limited();
         }
     }
 
@@ -1975,7 +2010,6 @@ mod tests {
         assert_eq!(snap.counter(names::SENT), 3);
         assert_eq!(snap.counter(names::BLOCKED), 2);
         assert_eq!(snap.counter(xmap_netsim::telemetry::names::PROBES), 3);
-        assert_eq!(snap.counter(xmap_netsim::telemetry::names::TICKS), 5);
     }
 
     #[test]
@@ -1992,11 +2026,64 @@ mod tests {
             targeted_step(&mut session, i);
         }
         let stats = session.finish();
-        assert!(
-            stats.valid > 0 && stats.retransmits > 0 && stats.rate_limited_suspected > 0,
-            "{stats:?}"
-        );
+        assert!(stats.valid > 0 && stats.blocked > 0, "{stats:?}");
         assert_eq!(stats, s.metrics().stats_since(&base));
+    }
+
+    /// A second chance over a jittered, rate-limited world: one probe per
+    /// listed target at the pass's host bits, counted as a
+    /// retransmission, each answer filed under the probe it quotes with
+    /// its target's listed position, nothing left in flight, and the
+    /// results' counts exactly the registry delta.
+    #[test]
+    fn second_chance_files_each_answer_under_its_probe() {
+        use xmap_netsim::world::WorldConfig;
+        use xmap_netsim::{FaultPlan, IcmpRateLimit};
+        let plan = FaultPlan::none()
+            .seeded(7)
+            .with_jitter(5)
+            .with_icmp_limit(IcmpRateLimit::TokenBucket {
+                capacity: 2,
+                refill_interval: 64,
+                start_depleted_frac: 0.5,
+            });
+        let telemetry = Telemetry::new();
+        let mut world = xmap_netsim::World::with_config(WorldConfig::lossless(99, 50).with_fault(plan));
+        world.set_telemetry(&telemetry);
+        let config = ScanConfig {
+            seed: 5,
+            max_targets: Some(1 << 12),
+            record_silent: true,
+            ..Default::default()
+        };
+        let mut s = Scanner::with_telemetry(world, config, telemetry);
+        let range = xmap_netsim::isp::SAMPLE_BLOCKS[0].scan_range();
+        let allow = Blocklist::allow_all();
+        let first = s.run(&range, &IcmpEchoProbe, &allow);
+        let targets: Vec<(u64, Prefix)> = (1000..).zip(first.silent_targets).collect();
+        let base = s.metrics().baseline();
+        let rtt_sum = |s: &Scanner<_>| s.telemetry().registry.snapshot().histograms[names::RTT_TICKS].sum;
+        let rtt_before = rtt_sum(&s);
+        let pass = SecondChance {
+            targets: &targets,
+            host_seed: 77,
+            idle_ticks: 512,
+        };
+        let second = s.run_second_chance(&range, &IcmpEchoProbe, &allow, pass);
+        let stats = second.stats;
+        assert_eq!(stats, s.metrics().stats_since(&base));
+        assert_eq!(stats.sent, targets.len() as u64);
+        assert_eq!(stats.retransmits, stats.sent);
+        assert_eq!(stats.gave_up, 0);
+        assert!(stats.rate_limited_suspected > 0, "{stats:?}");
+        assert!(rtt_sum(&s) > rtt_before, "no answer of the pass came late");
+        assert_eq!(s.network_mut().in_flight(), 0);
+        assert_eq!(second.records.len(), second.record_positions.len());
+        for (r, &position) in second.records.iter().zip(&second.record_positions) {
+            assert_eq!(targets[(position - 1000) as usize].1, r.target);
+            assert_eq!(r.probe_dst, fill_host_bits(r.target, 77));
+            assert_eq!(r.confidence, Confidence::Retry(1));
+        }
     }
 
     #[test]
@@ -2011,7 +2098,8 @@ mod tests {
         let mut captures = Vec::new();
         let rto = s.config().rto_ticks;
         for order in [reversed, shuffled] {
-            let mut run = Run::fresh(&s, &range(), SplitUnit::whole(u64::MAX), false);
+            let gen = TargetGen::new(&s.config, &range(), SplitUnit::whole(u64::MAX));
+            let mut run = Run::fresh(&s, gen, false);
             for &i in &order {
                 let target = range().nth(i).unwrap();
                 let dst = fill_host_bits(target, i);

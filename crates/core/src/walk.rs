@@ -75,6 +75,10 @@ pub enum IndexWalk {
     /// between the space and the group emits `u64::MAX`
     /// ([`ShardIter::fill_raw`]), so walk positions stay group steps.
     Cyclic(ShardIter),
+    /// Given indices in list order — a second chance over the targets an
+    /// earlier walk left silent
+    /// ([`Scanner::run_second_chance`](crate::Scanner::run_second_chance)).
+    Listed(std::vec::IntoIter<u64>),
 }
 
 impl IndexWalk {
@@ -132,6 +136,7 @@ impl IndexWalk {
                 n
             }
             IndexWalk::Cyclic(iter) => iter.fill_raw(out),
+            IndexWalk::Listed(indices) => out.iter_mut().zip(indices).map(|(o, i)| *o = i).count(),
         }
     }
 }

@@ -10,8 +10,8 @@
 
 use xmap::checkpoint::{decode_scan_record, encode_scan_record};
 use xmap::{
-    Blocklist, IcmpEchoProbe, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner, SplitUnit,
-    YieldGate,
+    Blocklist, IcmpEchoProbe, ProbeResult, ScanConfig, ScanRecord, ScanStats, Scanner,
+    SecondChance, SplitUnit, YieldGate,
 };
 use xmap_addr::{classify_iid, FxHashSet, IidClass, IidHistogram, Ip6, Mac, Prefix};
 use xmap_netsim::isp::{IspProfile, SAMPLE_BLOCKS};
@@ -417,7 +417,7 @@ impl Campaign {
         let block_start = scanner.ticks();
         let unit = SplitUnit::whole(self.block_cap(profile));
         let mut raw = self.unit_main(scanner, profile, unit, None);
-        self.unit_mop_up(scanner, &mut raw);
+        self.unit_mop_up(scanner, profile, &mut raw);
         let block = self.assemble(profile, vec![raw], scanner.tracer());
         if scanner.tracer().is_enabled() {
             scanner.tracer().span_event(
@@ -459,9 +459,8 @@ impl Campaign {
         UnitRaw {
             unit,
             positions: results.record_positions,
-            silent_positions: results.silent_positions,
+            silent: results.silent_positions.into_iter().zip(results.silent_targets).collect(),
             records: results.records,
-            silent: results.silent_targets,
             mopup: Vec::new(),
             stats: results.stats,
             consumed: results.consumed,
@@ -472,68 +471,57 @@ impl Campaign {
     }
 
     /// Runs the mop-up pass over one unit's silent targets on the unit's
-    /// own scanner (each unit advances its replica's refill delay
-    /// independently), accumulating raw [`MopAnswer`]s — classification
+    /// own scanner (each unit idles its replica's refill delay
+    /// independently): a [`Scanner::run_second_chance`] at fresh host
+    /// bits, whose records become raw [`MopAnswer`]s — classification
     /// and dedup happen later, in [`assemble`](Self::assemble)'s merged
-    /// position order. No-op when mop-up is off, the unit was interrupted
-    /// (the block is discarded and re-run on resume), or nothing was
-    /// silent. A *yielded* unit must be settled first (its `unit`
-    /// shrunk to the consumed prefix) — the silent list only ever covers
-    /// consumed positions, so the pass is already exact. The pass
+    /// position order. The run's counts are exactly the registry delta
+    /// the unit's stats absorb. No-op when mop-up is off, the unit was
+    /// interrupted (the block is discarded and re-run on resume), or
+    /// nothing was silent. A *yielded* unit must be settled first (its
+    /// `unit` shrunk to the consumed prefix) — the silent list only ever
+    /// covers consumed positions, so the pass is already exact. The pass
     /// consumes the silent list: only its length outlives it, in the
     /// span.
-    pub(crate) fn unit_mop_up<N: Network>(&self, scanner: &mut Scanner<N>, raw: &mut UnitRaw) {
+    pub(crate) fn unit_mop_up<N: Network>(
+        &self,
+        scanner: &mut Scanner<N>,
+        profile: &IspProfile,
+        raw: &mut UnitRaw,
+    ) {
         let silent = std::mem::take(&mut raw.silent);
-        let silent_positions = std::mem::take(&mut raw.silent_positions);
         if !self.mop_up || raw.interrupted || silent.is_empty() {
             return;
         }
-        let seed = scanner.config().seed;
-        let hop_limit = scanner.config().hop_limit;
-        // The session counts the pass's probes, late deliveries,
-        // retransmissions and suspected rate limiting, and its counts
-        // are exactly the registry delta the unit's stats absorb.
-        let mut session = scanner.targeted();
-        let mut answers = Vec::new();
-        // Let rate-limited devices accrue error tokens before the
-        // second chance. A run ends with nothing in flight, so nothing
-        // comes due.
-        session.advance(self.mop_up_delay_ticks, &IcmpEchoProbe, &mut answers);
-        let mop_up_start = session.ticks();
-        for (target, &position) in silent.iter().zip(&silent_positions) {
-            if session.is_aborted() {
-                break;
-            }
+        let pass = SecondChance {
+            targets: &silent,
             // Fresh host bits: never re-probe the exact first address.
-            let dst = xmap::fill_host_bits(*target, seed ^ MOP_UP_SALT);
-            if !self.blocklist.is_allowed(dst) {
-                continue;
-            }
-            session.reprobe(dst, &IcmpEchoProbe, hop_limit, &mut answers);
-            // Late (jittered) deliveries count like immediate answers.
-            session.advance(1, &IcmpEchoProbe, &mut answers);
-            for &(responder, result) in &answers {
-                let via_te = match result {
-                    ProbeResult::Unreachable { .. } => false,
-                    ProbeResult::TimeExceeded => true,
-                    _ => continue,
-                };
-                // A silent-then-answering device was most likely
-                // rate limited during the main pass. Counted at probe
-                // time (dedup-independent), so unit stats are exact
-                // whatever merge the answers later land in.
-                session.suspect_rate_limited();
-                raw.mopup.push(MopAnswer {
-                    position,
-                    target: *target,
-                    probe_dst: dst,
-                    responder,
-                    via_te,
-                });
-            }
+            host_seed: scanner.config().seed ^ MOP_UP_SALT,
+            idle_ticks: self.mop_up_delay_ticks,
+        };
+        let start = scanner.ticks() + pass.idle_ticks;
+        let results = scanner.run_second_chance(
+            &profile.scan_range(),
+            &IcmpEchoProbe,
+            &self.blocklist,
+            pass,
+        );
+        for (record, &position) in results.records.iter().zip(&results.record_positions) {
+            let via_te = match record.result {
+                ProbeResult::Unreachable { .. } => false,
+                ProbeResult::TimeExceeded => true,
+                _ => continue,
+            };
+            raw.mopup.push(MopAnswer {
+                position,
+                target: record.target,
+                probe_dst: record.probe_dst,
+                responder: record.responder,
+                via_te,
+            });
         }
-        raw.stats.merge(&session.finish());
-        raw.mopup_span = Some((mop_up_start, scanner.ticks(), silent.len() as u64));
+        raw.stats.merge(&results.stats);
+        raw.mopup_span = Some((start, scanner.ticks(), silent.len() as u64));
     }
 
     /// Merges the units of one block — in any split layout, including the
@@ -707,11 +695,9 @@ pub(crate) struct UnitRaw {
     pub records: Vec<ScanRecord>,
     /// Base walk positions of `records` (parallel vector).
     pub positions: Vec<u64>,
-    /// Silent targets, in this unit's probe order, until the mop-up pass
-    /// consumes them.
-    pub silent: Vec<Prefix>,
-    /// Base walk positions of `silent` (parallel vector).
-    pub silent_positions: Vec<u64>,
+    /// Silent targets with their base walk positions, in this unit's
+    /// probe order, until the mop-up pass consumes them.
+    pub silent: Vec<(u64, Prefix)>,
     /// Raw mop-up answers ([`Campaign::unit_mop_up`]).
     pub mopup: Vec<MopAnswer>,
     /// Scanner counters attributable to this unit (mop-up included).
@@ -833,7 +819,6 @@ pub(crate) fn decode_unit_raw(d: &mut Decoder) -> Result<UnitRaw, StateError> {
         records,
         positions,
         silent: Vec::new(),
-        silent_positions: Vec::new(),
         mopup,
         stats,
         consumed,
@@ -1079,7 +1064,7 @@ mod tests {
             cap: 1 << 11,
         };
         let mut raw = campaign.unit_main(&mut s, profile, unit, None);
-        campaign.unit_mop_up(&mut s, &mut raw);
+        campaign.unit_mop_up(&mut s, profile, &mut raw);
         assert!(!raw.records.is_empty(), "need records to exercise codec");
         let mut e = Encoder::new();
         encode_unit_raw(&mut e, &raw);
@@ -1115,12 +1100,12 @@ mod tests {
             let mut s = scanner(cap);
             if settled.cap > 0 {
                 let mut raw = campaign.unit_main(&mut s, profile, settled, None);
-                campaign.unit_mop_up(&mut s, &mut raw);
+                campaign.unit_mop_up(&mut s, profile, &mut raw);
                 units.push(raw);
             }
             for part in tail {
                 let mut raw = campaign.unit_main(&mut s, profile, part, None);
-                campaign.unit_mop_up(&mut s, &mut raw);
+                campaign.unit_mop_up(&mut s, profile, &mut raw);
                 units.push(raw);
             }
             let merged = campaign.assemble(profile, units, s.tracer());
@@ -1153,6 +1138,136 @@ mod tests {
         // Pairs given out of order are sorted by index, first pair kept.
         let shuffled = Campaign::new(1 << 12).with_block_targets(vec![(5, 1), (2, 9), (5, 3)]);
         assert_eq!(shuffled.block_caps, [(2, 9), (5, 1)]);
+    }
+
+    /// A network that logs the (quoted destination, source) pair of
+    /// every reply it delivers.
+    struct Logged {
+        inner: World,
+        pairs: FxHashSet<(Ip6, Ip6)>,
+    }
+
+    impl Logged {
+        fn log(&mut self, replies: &[xmap_netsim::packet::Ipv6Packet]) {
+            use xmap_netsim::packet::{Icmpv6, Payload};
+            for r in replies {
+                let quoted = match &r.payload {
+                    Payload::Icmp(Icmpv6::DestUnreachable { invoking, .. })
+                    | Payload::Icmp(Icmpv6::TimeExceeded { invoking }) => invoking.dst,
+                    _ => r.src,
+                };
+                self.pairs.insert((quoted, r.src));
+            }
+        }
+    }
+
+    impl Network for Logged {
+        fn handle(&mut self, p: xmap_netsim::packet::Ipv6Packet) -> Vec<xmap_netsim::packet::Ipv6Packet> {
+            let mut out = Vec::new();
+            self.handle_into(p, &mut out);
+            out
+        }
+
+        fn handle_into(
+            &mut self,
+            p: xmap_netsim::packet::Ipv6Packet,
+            out: &mut Vec<xmap_netsim::packet::Ipv6Packet>,
+        ) {
+            let from = out.len();
+            self.inner.handle_into(p, out);
+            self.log(&out[from..]);
+        }
+
+        fn tick_into(&mut self, ticks: u64, out: &mut Vec<xmap_netsim::packet::Ipv6Packet>) {
+            let from = out.len();
+            self.inner.tick_into(ticks, out);
+            self.log(&out[from..]);
+        }
+
+        fn in_flight(&self) -> usize {
+            self.inner.in_flight()
+        }
+    }
+
+    /// `fault_recovery`'s mop-up world: every CPE's ICMPv6 error bucket
+    /// starts empty and refills within the mop-up delay; replies are
+    /// held up to `jitter` ticks.
+    fn depleted_world(jitter: u64) -> World {
+        let plan = xmap_netsim::FaultPlan::none()
+            .seeded(0xD0_D0)
+            .with_jitter(jitter)
+            .with_icmp_limit(xmap_netsim::IcmpRateLimit::TokenBucket {
+                capacity: 4,
+                refill_interval: 1024,
+                start_depleted_frac: 1.0,
+            });
+        World::with_config(WorldConfig::lossless(7100, 30).with_fault(plan))
+    }
+
+    /// Under jitter, replies to earlier mop-up probes arrive while later
+    /// ones are sent; each answer must still be filed under the probe it
+    /// quotes, at its target's mop-up destination.
+    #[test]
+    fn jittered_mop_up_files_each_answer_under_its_probe() {
+        let slice = 1 << 14;
+        let campaign = Campaign::new(slice).with_mop_up(2048);
+        let profile = &SAMPLE_BLOCKS[2];
+        for jitter in [5, 12] {
+            let network = Logged {
+                inner: depleted_world(jitter),
+                pairs: FxHashSet::default(),
+            };
+            let config = ScanConfig {
+                max_targets: Some(slice),
+                seed: 5,
+                ..Default::default()
+            };
+            let mut s = Scanner::new(network, config);
+            let mut raw = campaign.unit_main(&mut s, profile, SplitUnit::whole(slice), None);
+            campaign.unit_mop_up(&mut s, profile, &mut raw);
+            assert!(raw.mopup.len() > 20, "jitter {jitter}: {} answers", raw.mopup.len());
+            let pairs = &s.network_mut().pairs;
+            for a in &raw.mopup {
+                assert_eq!(a.probe_dst, xmap::fill_host_bits(a.target, 5 ^ MOP_UP_SALT));
+                assert!(
+                    pairs.contains(&(a.probe_dst, a.responder)),
+                    "jitter {jitter}: no reply to {} came from {}",
+                    a.probe_dst,
+                    a.responder
+                );
+            }
+        }
+    }
+
+    /// A mop-up destination the blocklist denies is counted in
+    /// `scan.blocked`, like a blocked destination of the main pass.
+    #[test]
+    fn blocked_mop_up_destinations_are_counted() {
+        let slice = 1 << 12;
+        let profile = &SAMPLE_BLOCKS[2];
+        let run = |campaign: &Campaign| {
+            let mut s = Scanner::new(depleted_world(0), ScanConfig {
+                max_targets: Some(slice),
+                seed: 5,
+                ..Default::default()
+            });
+            campaign.run_block(&mut s, profile).stats.blocked
+        };
+        let plain = Campaign::new(slice).with_mop_up(2048);
+        let mut s = Scanner::new(depleted_world(0), ScanConfig {
+            max_targets: Some(slice),
+            seed: 5,
+            ..Default::default()
+        });
+        let raw = plain.unit_main(&mut s, profile, SplitUnit::whole(slice), None);
+        let (_, silent) = raw.silent[0];
+        let dst = xmap::fill_host_bits(silent, 5 ^ MOP_UP_SALT);
+        let mut blocklist = Blocklist::with_standard_reserved();
+        blocklist.insert(Prefix::new(dst, 128), xmap::Verdict::Deny);
+        let blocking = Campaign::new(slice)
+            .with_mop_up(2048)
+            .with_blocklist(blocklist);
+        assert_eq!(run(&blocking), run(&plain) + 1);
     }
 
     #[test]

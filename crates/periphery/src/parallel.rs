@@ -896,7 +896,7 @@ impl<N: Network> Worker<'_, N> {
                     raw.unit = settled;
                     requeue = settled;
                 }
-                campaign.unit_mop_up(scanner, &mut raw);
+                campaign.unit_mop_up(scanner, profile, &mut raw);
                 if scanner.is_aborted() {
                     return Ok(None);
                 }
