@@ -20,7 +20,7 @@ use xmap_state::Fingerprint;
 use xmap_telemetry::Telemetry;
 
 const GOLDEN_MOP_UP_CSV: u64 = 0x152a_e476_df2d_f061;
-const GOLDEN_MOP_UP_METRICS: u64 = 0x0e00_fb2c_02cd_1f3d;
+const GOLDEN_MOP_UP_METRICS: u64 = 0xd0d6_db39_e624_567f;
 const GOLDEN_TRACED_MOP_UP_CSV: u64 = 0xa197_e926_d9b2_5f77;
 const GOLDEN_TRACED_MOP_UP_METRICS: u64 = 0x2bc8_d85f_efec_74b8;
 const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0xbb11_78f2_559b_79cf;
