@@ -23,7 +23,7 @@ const GOLDEN_MOP_UP_CSV: u64 = 0x152a_e476_df2d_f061;
 const GOLDEN_MOP_UP_METRICS: u64 = 0xd0d6_db39_e624_567f;
 const GOLDEN_TRACED_MOP_UP_CSV: u64 = 0xa197_e926_d9b2_5f77;
 const GOLDEN_TRACED_MOP_UP_METRICS: u64 = 0x7d65_fb02_7ffb_bd15;
-const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0xbb11_78f2_559b_79cf;
+const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0x6ac2_066d_4c3e_4f73;
 const GOLDEN_SURVEY_CSV: u64 = 0x07a9_4680_af59_ec54;
 const GOLDEN_SURVEY_METRICS: u64 = 0x2958_c55a_c6eb_df4b;
 const GOLDEN_ADAPTIVE_CSV: u64 = 0x40d8_5312_1fde_a6e1;
