@@ -66,8 +66,8 @@ pub use feistel::FeistelPermutation;
 pub use parallel::{insert_exec_counters, merge_worker_snapshots, ParallelScanner, Supervision};
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
 pub use scanner::{
-    Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner,
-    SecondChance, Targeted, YieldGate,
+    Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner, SecondChance,
+    Targeted, YieldGate,
 };
 pub use target::{fill_host_bits, TargetSpec};
 pub use telemetry::ScanMetrics;

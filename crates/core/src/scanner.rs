@@ -269,13 +269,11 @@ impl YieldGate {
 /// [`Scanner::run_second_chance`].
 #[derive(Debug, Clone, Copy)]
 pub struct SecondChance<'l> {
-    /// `(position, target)` pairs in probe order: each target lies in
-    /// the scanned range, and its position is reported with its records.
+    /// `(position, target)` pairs, probed in this order.
     pub targets: &'l [(u64, Prefix)],
     /// Each target's one probe goes to `fill_host_bits(target, host_seed)`.
     pub host_seed: u64,
-    /// Virtual ticks to idle before the first probe, so that ICMPv6
-    /// rate limiters (RFC 4443 §2.4) refill.
+    /// Virtual ticks idled first, so ICMPv6 rate limiters refill.
     pub idle_ticks: u64,
 }
 
@@ -481,11 +479,9 @@ impl<N: Network> Scanner<N> {
     }
 
     /// Opens a targeted-probing session: single probes to explicit
-    /// destinations (loop detection, application grabs, alias and
-    /// boundary checks, adaptive sampling)
-    /// counted into the same `scan.*` metrics as [`Scanner::run`], but
-    /// tallied locally and published once, when the session ends. See
-    /// [`Targeted`].
+    /// destinations (loop detection, application grabs, alias checks,
+    /// adaptive sampling) counted into [`Scanner::run`]'s `scan.*`
+    /// metrics, but published once, when the session ends. See [`Targeted`].
     pub fn targeted(&mut self) -> Targeted<'_, N> {
         Targeted {
             scanner: self,
@@ -545,16 +541,13 @@ impl<N: Network> Scanner<N> {
         self.run_inner(range, module, blocklist, walk, None)
     }
 
-    /// Scans a second chance ([`SecondChance`]) over targets of `range`
-    /// that stayed silent in an earlier run — the campaign's mop-up pass.
-    /// After the pass's idle ticks, each target gets one probe, in list
-    /// order, counted as its retransmission: in `scan.retransmits`, and
-    /// in `scan.rate_limited_suspected` when its first answer is an
-    /// ICMPv6 error. No retry follows and no target counts as given up.
-    /// The loop is [`run`](Self::run)'s: it attributes each reply by the
-    /// destination it quotes, counts blocked destinations and drains the
-    /// replies in flight before it returns. Each record's listed
-    /// position is in [`ScanResults::record_positions`].
+    /// Scans a [`SecondChance`] over targets of `range` that stayed
+    /// silent in an earlier run (the campaign's mop-up pass) through
+    /// [`run`](Self::run)'s loop. Each target's one probe counts as its
+    /// retransmission, and its first ICMPv6 error answer in
+    /// `scan.rate_limited_suspected`; no retry follows, no target counts
+    /// as given up. Records carry their listed positions in
+    /// [`ScanResults::record_positions`].
     ///
     /// # Panics
     ///
@@ -569,11 +562,10 @@ impl<N: Network> Scanner<N> {
     ) -> ScanResults {
         assert!(self.sink.is_none(), "a second chance takes no checkpoint");
         let walk = Walk {
-            unit: SplitUnit::whole(pass.targets.len() as u64),
             record_silent: false,
             positions: true,
-            gate: None,
             second_chance: Some(pass),
+            ..self.slot_walk()
         };
         self.run_inner(range, module, blocklist, walk, None)
     }
@@ -639,12 +631,11 @@ impl<N: Network> Scanner<N> {
             .config
             .rate_pps
             .map_or(0, |pps| 1_000_000_000 / pps.max(1));
-        // Attempt `a` of a target fills host bits from `host_seed + a`. A
-        // first pass sends attempts 0, 1, … from the configured seed; a
-        // second chance sends attempt 1 only, at the pass's host bits.
+        // Attempt `a` fills host bits from `host_seed + a`: a second chance
+        // sends only attempt 1 (not retried, so none is given up on).
         let (first_attempt, attempts, host_seed) = match &walk.second_chance {
             None => (0, self.config.probes_per_target.max(1), self.config.seed),
-            Some(pass) => (1, 2, pass.host_seed.wrapping_sub(1)),
+            Some(pass) => (1, 1, pass.host_seed.wrapping_sub(1)),
         };
         // Every destination lies inside the range's base prefix, so the
         // blocklist walk over the base's bits is done once, here.
@@ -656,17 +647,15 @@ impl<N: Network> Scanner<N> {
             self.network.tick_into(pass.idle_ticks, &mut replies);
             self.total_ticks += pass.idle_ticks;
         }
-        let mut run = match (resume, &walk.second_chance) {
-            (None, None) => Run::fresh(self, TargetGen::new(&self.config, range, unit), walk.positions),
-            (None, Some(pass)) => Run::fresh(self, TargetGen::listed(range, pass.targets), true),
+        let mut run = match resume {
+            None => Run::fresh(self, range, &walk, unit),
             // Mid-range resume: the journal replayed the records emitted
             // before the checkpoint; every run local restarts from the
             // captured state, so the loop below re-executes the tail of
             // the range exactly as the killed run would have continued it.
-            (Some(r), _) => Run::restore(self, range, unit, r),
+            Some(r) => Run::restore(self, range, unit, r),
         };
-        // The idle advance delivers no reply to this run: any stray is
-        // counted unattributable.
+        // No idle-advance reply answers this run: a stray is invalid.
         if !replies.is_empty() {
             self.absorb(0, &mut replies, module, &mut run, None);
         }
@@ -845,7 +834,7 @@ impl<N: Network> Scanner<N> {
         // drawn once, so the targets given up on number probed − answered.
         debug_assert!(run.answered.len() <= run.probed.len());
         let gave_up = (run.probed.len() - run.answered.len()) as u64;
-        if first_attempt == 0 && attempts > 1 && gave_up > 0 {
+        if attempts > 1 && gave_up > 0 {
             self.metrics.gave_up.add(gave_up);
         }
         // The silent list names them, in deterministic probe order.
@@ -1073,14 +1062,7 @@ impl TargetGen {
                 IndexWalk::strided(shard, shards, positions_below(shard, shards, len))
             }
         };
-        let mut gen = TargetGen {
-            walk,
-            remaining: unit.cap.saturating_add(skip),
-            buf: [0; TARGET_CHUNK],
-            len: 0,
-            pos: 0,
-            consumed: 0,
-        };
+        let mut gen = TargetGen::over(walk, unit.cap.saturating_add(skip));
         for _ in 0..skip {
             if gen.next_index().is_none() {
                 break;
@@ -1093,13 +1075,16 @@ impl TargetGen {
     /// The generator over a second chance's list: it draws each target's
     /// range index in list order, so walk position `j` is entry `j`.
     fn listed(range: &ScanRange, targets: &[(u64, Prefix)]) -> Self {
-        let indices: Vec<u64> = targets
-            .iter()
-            .map(|(_, t)| range.index_of(t.addr()).expect("listed targets lie in the range"))
-            .collect();
+        let index = |t: &Prefix| range.index_of(t.addr()).expect("target in range");
+        let indices: Vec<u64> = targets.iter().map(|(_, t)| index(t)).collect();
+        TargetGen::over(IndexWalk::Listed(indices.into_iter()), targets.len() as u64)
+    }
+
+    /// A generator drawing at most `budget` indices from `walk`.
+    fn over(walk: IndexWalk, budget: u64) -> Self {
         TargetGen {
-            remaining: indices.len() as u64,
-            walk: IndexWalk::Listed(indices.into_iter()),
+            walk,
+            remaining: budget,
             buf: [0; TARGET_CHUNK],
             len: 0,
             pos: 0,
@@ -1318,16 +1303,20 @@ struct Run {
 }
 
 impl Run {
-    /// The state a walk drawn from `gen` starts from.
-    fn fresh<N>(scanner: &Scanner<N>, gen: TargetGen, positions: bool) -> Run {
+    /// The state `walk` starts from: its list, or `unit` (in base
+    /// positions) of the permutation's walk.
+    fn fresh<N>(scanner: &Scanner<N>, range: &ScanRange, walk: &Walk, unit: SplitUnit) -> Run {
         Run {
-            gen,
+            gen: match &walk.second_chance {
+                Some(pass) => TargetGen::listed(range, pass.targets),
+                None => TargetGen::new(&scanner.config, range, unit),
+            },
             outstanding: FxHashMap::default(),
             retries: RetryLanes::with_next_seq(0),
             answered: FxHashSet::default(),
             probed: Vec::new(),
             probed_positions: Vec::new(),
-            report_positions: positions,
+            report_positions: walk.positions,
             base: scanner.metrics.baseline(),
             run_start_tick: scanner.total_ticks,
             now: 0,
@@ -1575,11 +1564,6 @@ impl<N: Network> Targeted<'_, N> {
         &self.scanner.config
     }
 
-    /// Whether the scanner's armed abort signal has fired.
-    pub fn is_aborted(&self) -> bool {
-        self.scanner.is_aborted()
-    }
-
     /// The scanner's lifetime tick count.
     pub fn ticks(&self) -> u64 {
         self.scanner.total_ticks
@@ -1592,8 +1576,10 @@ impl<N: Network> Targeted<'_, N> {
         &self.scanner.telemetry
     }
 
-    /// What this session counted so far.
-    fn stats(&self) -> ScanStats {
+    /// Ends the session, publishing its counts and the network's
+    /// telemetry, and returns what it counted — exactly the registry's
+    /// `scan.*` delta across the session.
+    pub fn finish(self) -> ScanStats {
         let t = &self.tally;
         ScanStats {
             sent: t.sent,
@@ -1603,13 +1589,6 @@ impl<N: Network> Targeted<'_, N> {
             valid: t.valid,
             ..ScanStats::default()
         }
-    }
-
-    /// Ends the session, publishing its counts and the network's
-    /// telemetry, and returns what it counted — exactly the registry's
-    /// `scan.*` delta across the session.
-    pub fn finish(self) -> ScanStats {
-        self.stats()
     }
 }
 
@@ -2039,16 +2018,16 @@ mod tests {
     fn second_chance_files_each_answer_under_its_probe() {
         use xmap_netsim::world::WorldConfig;
         use xmap_netsim::{FaultPlan, IcmpRateLimit};
-        let plan = FaultPlan::none()
-            .seeded(7)
-            .with_jitter(5)
-            .with_icmp_limit(IcmpRateLimit::TokenBucket {
+        let plan = FaultPlan::none().seeded(7).with_jitter(5).with_icmp_limit(
+            IcmpRateLimit::TokenBucket {
                 capacity: 2,
                 refill_interval: 64,
                 start_depleted_frac: 0.5,
-            });
+            },
+        );
         let telemetry = Telemetry::new();
-        let mut world = xmap_netsim::World::with_config(WorldConfig::lossless(99, 50).with_fault(plan));
+        let mut world =
+            xmap_netsim::World::with_config(WorldConfig::lossless(99, 50).with_fault(plan));
         world.set_telemetry(&telemetry);
         let config = ScanConfig {
             seed: 5,
@@ -2062,7 +2041,8 @@ mod tests {
         let first = s.run(&range, &IcmpEchoProbe, &allow);
         let targets: Vec<(u64, Prefix)> = (1000..).zip(first.silent_targets).collect();
         let base = s.metrics().baseline();
-        let rtt_sum = |s: &Scanner<_>| s.telemetry().registry.snapshot().histograms[names::RTT_TICKS].sum;
+        let rtt_sum =
+            |s: &Scanner<_>| s.telemetry().registry.snapshot().histograms[names::RTT_TICKS].sum;
         let rtt_before = rtt_sum(&s);
         let pass = SecondChance {
             targets: &targets,
@@ -2098,8 +2078,7 @@ mod tests {
         let mut captures = Vec::new();
         let rto = s.config().rto_ticks;
         for order in [reversed, shuffled] {
-            let gen = TargetGen::new(&s.config, &range(), SplitUnit::whole(u64::MAX));
-            let mut run = Run::fresh(&s, gen, false);
+            let mut run = Run::fresh(&s, &range(), &s.slot_walk(), SplitUnit::whole(u64::MAX));
             for &i in &order {
                 let target = range().nth(i).unwrap();
                 let dst = fill_host_bits(target, i);

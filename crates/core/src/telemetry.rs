@@ -6,8 +6,8 @@
 //! metrics: [`Scanner::run`](crate::Scanner::run) snapshots a
 //! [`MetricsBaseline`] on entry and reports the delta on exit, which makes
 //! the registry the single source of truth for scan accounting —
-//! targeted sessions ([`crate::Targeted`]: mop-up, loop detection,
-//! adaptive sampling) count through the same handles.
+//! targeted sessions ([`crate::Targeted`]: loop detection, adaptive
+//! sampling) count through the same handles.
 
 use xmap_telemetry::{Counter, Gauge, Histogram, Registry};
 

@@ -75,9 +75,8 @@ pub enum IndexWalk {
     /// between the space and the group emits `u64::MAX`
     /// ([`ShardIter::fill_raw`]), so walk positions stay group steps.
     Cyclic(ShardIter),
-    /// Given indices in list order — a second chance over the targets an
-    /// earlier walk left silent
-    /// ([`Scanner::run_second_chance`](crate::Scanner::run_second_chance)).
+    /// Given indices in list order: the targets an earlier walk left
+    /// silent ([`Scanner::run_second_chance`](crate::Scanner::run_second_chance)).
     Listed(std::vec::IntoIter<u64>),
 }
 

@@ -459,7 +459,7 @@ impl Campaign {
         UnitRaw {
             unit,
             positions: results.record_positions,
-            silent: results.silent_positions.into_iter().zip(results.silent_targets).collect(),
+            silent: std::iter::zip(results.silent_positions, results.silent_targets).collect(),
             records: results.records,
             mopup: Vec::new(),
             stats: results.stats,
@@ -471,18 +471,12 @@ impl Campaign {
     }
 
     /// Runs the mop-up pass over one unit's silent targets on the unit's
-    /// own scanner (each unit idles its replica's refill delay
-    /// independently): a [`Scanner::run_second_chance`] at fresh host
-    /// bits, whose records become raw [`MopAnswer`]s — classification
-    /// and dedup happen later, in [`assemble`](Self::assemble)'s merged
-    /// position order. The run's counts are exactly the registry delta
-    /// the unit's stats absorb. No-op when mop-up is off, the unit was
-    /// interrupted (the block is discarded and re-run on resume), or
-    /// nothing was silent. A *yielded* unit must be settled first (its
-    /// `unit` shrunk to the consumed prefix) — the silent list only ever
-    /// covers consumed positions, so the pass is already exact. The pass
-    /// consumes the silent list: only its length outlives it, in the
-    /// span.
+    /// own scanner: a [`Scanner::run_second_chance`] at fresh host bits,
+    /// whose records become raw [`MopAnswer`]s that [`assemble`](Self::assemble)
+    /// dedups in merged position order. No-op when mop-up is off, the unit
+    /// was interrupted (the block is re-run on resume) or nothing was
+    /// silent; a yielded unit is settled first. The pass consumes the
+    /// silent list: its length lives on in the span.
     pub(crate) fn unit_mop_up<N: Network>(
         &self,
         scanner: &mut Scanner<N>,
@@ -500,25 +494,19 @@ impl Campaign {
             idle_ticks: self.mop_up_delay_ticks,
         };
         let start = scanner.ticks() + pass.idle_ticks;
-        let results = scanner.run_second_chance(
-            &profile.scan_range(),
-            &IcmpEchoProbe,
-            &self.blocklist,
-            pass,
-        );
-        for (record, &position) in results.records.iter().zip(&results.record_positions) {
-            let via_te = match record.result {
-                ProbeResult::Unreachable { .. } => false,
-                ProbeResult::TimeExceeded => true,
-                _ => continue,
-            };
-            raw.mopup.push(MopAnswer {
-                position,
-                target: record.target,
-                probe_dst: record.probe_dst,
-                responder: record.responder,
-                via_te,
-            });
+        let results =
+            scanner.run_second_chance(&profile.scan_range(), &IcmpEchoProbe, &self.blocklist, pass);
+        for (r, &position) in results.records.iter().zip(&results.record_positions) {
+            let via_te = r.result == ProbeResult::TimeExceeded;
+            if via_te || matches!(r.result, ProbeResult::Unreachable { .. }) {
+                raw.mopup.push(MopAnswer {
+                    position,
+                    target: r.target,
+                    probe_dst: r.probe_dst,
+                    responder: r.responder,
+                    via_te,
+                });
+            }
         }
         raw.stats.merge(&results.stats);
         raw.mopup_span = Some((start, scanner.ticks(), silent.len() as u64));
@@ -589,8 +577,8 @@ impl Campaign {
 
         let mut mop_up_recovered = 0;
         let mut unit_recovered = vec![0u64; units.len()];
-        // Every stored answer is a TE or unreachable (filtered at probe
-        // time); dedup them in merged position order.
+        // Every stored answer is a TE or unreachable (filtered by the
+        // pass); dedup them in merged position order.
         for (answer, from_unit) in
             merge_by_position(&units, |u| u.mopup.iter().map(|a| (a, a.position)))
         {
@@ -1162,7 +1150,10 @@ mod tests {
     }
 
     impl Network for Logged {
-        fn handle(&mut self, p: xmap_netsim::packet::Ipv6Packet) -> Vec<xmap_netsim::packet::Ipv6Packet> {
+        fn handle(
+            &mut self,
+            p: xmap_netsim::packet::Ipv6Packet,
+        ) -> Vec<xmap_netsim::packet::Ipv6Packet> {
             let mut out = Vec::new();
             self.handle_into(p, &mut out);
             out
@@ -1225,7 +1216,11 @@ mod tests {
             let mut s = Scanner::new(network, config);
             let mut raw = campaign.unit_main(&mut s, profile, SplitUnit::whole(slice), None);
             campaign.unit_mop_up(&mut s, profile, &mut raw);
-            assert!(raw.mopup.len() > 20, "jitter {jitter}: {} answers", raw.mopup.len());
+            assert!(
+                raw.mopup.len() > 20,
+                "jitter {jitter}: {} answers",
+                raw.mopup.len()
+            );
             let pairs = &s.network_mut().pairs;
             for a in &raw.mopup {
                 assert_eq!(a.probe_dst, xmap::fill_host_bits(a.target, 5 ^ MOP_UP_SALT));
@@ -1246,19 +1241,25 @@ mod tests {
         let slice = 1 << 12;
         let profile = &SAMPLE_BLOCKS[2];
         let run = |campaign: &Campaign| {
-            let mut s = Scanner::new(depleted_world(0), ScanConfig {
-                max_targets: Some(slice),
-                seed: 5,
-                ..Default::default()
-            });
+            let mut s = Scanner::new(
+                depleted_world(0),
+                ScanConfig {
+                    max_targets: Some(slice),
+                    seed: 5,
+                    ..Default::default()
+                },
+            );
             campaign.run_block(&mut s, profile).stats.blocked
         };
         let plain = Campaign::new(slice).with_mop_up(2048);
-        let mut s = Scanner::new(depleted_world(0), ScanConfig {
-            max_targets: Some(slice),
-            seed: 5,
-            ..Default::default()
-        });
+        let mut s = Scanner::new(
+            depleted_world(0),
+            ScanConfig {
+                max_targets: Some(slice),
+                seed: 5,
+                ..Default::default()
+            },
+        );
         let raw = plain.unit_main(&mut s, profile, SplitUnit::whole(slice), None);
         let (_, silent) = raw.silent[0];
         let dst = xmap::fill_host_bits(silent, 5 ^ MOP_UP_SALT);

@@ -484,8 +484,10 @@ impl<N: Network> WireRecorder<N> {
     /// Journals a `recv` line for each staged reply and hands them on.
     fn record_recvs(&mut self, out: &mut Vec<Ipv6Packet>) {
         for p in self.staged.drain(..) {
-            self.lines
-                .push_str(&format!("{{\"ev\":\"recv\",\"tick\":{},\"pkt\":", self.clock));
+            self.lines.push_str(&format!(
+                "{{\"ev\":\"recv\",\"tick\":{},\"pkt\":",
+                self.clock
+            ));
             encode_packet(&mut self.lines, &p);
             self.lines.push_str("}\n");
             out.push(p);
