@@ -642,10 +642,10 @@ impl<N: Network> Scanner<N> {
         let blocklist = blocklist.scope(range.base());
         let unit = walk.unit.nested_in(self.config.shard, self.config.shards);
         let track_silent = walk.positions && walk.record_silent;
-        let mut replies: Vec<Ipv6Packet> = Vec::new();
         if let Some(pass) = &walk.second_chance {
-            self.network.tick_into(pass.idle_ticks, &mut replies);
-            self.total_ticks += pass.idle_ticks;
+            // The clocks a run keeps equal jump ahead, nothing sent: the
+            // network's time-keyed state moves on, its tick count does not.
+            self.restore_clock(self.total_ticks + pass.idle_ticks);
         }
         let mut run = match resume {
             None => Run::fresh(self, range, &walk, unit),
@@ -655,13 +655,10 @@ impl<N: Network> Scanner<N> {
             // the range exactly as the killed run would have continued it.
             Some(r) => Run::restore(self, range, unit, r),
         };
-        // No idle-advance reply answers this run: a stray is invalid.
-        if !replies.is_empty() {
-            self.absorb(0, &mut replies, module, &mut run, None);
-        }
         // Records already durable in the journal; everything past this
         // index still needs journalling.
         let mut journaled = run.results.records.len();
+        let mut replies: Vec<Ipv6Packet> = Vec::new();
         let mut yielding = false;
 
         loop {

@@ -1178,6 +1178,10 @@ mod tests {
         fn in_flight(&self) -> usize {
             self.inner.in_flight()
         }
+
+        fn restore_clock(&mut self, tick: u64) {
+            self.inner.restore_clock(tick);
+        }
     }
 
     /// `fault_recovery`'s mop-up world: every CPE's ICMPv6 error bucket
