@@ -22,7 +22,7 @@ use xmap_telemetry::Telemetry;
 const GOLDEN_MOP_UP_CSV: u64 = 0x152a_e476_df2d_f061;
 const GOLDEN_MOP_UP_METRICS: u64 = 0x03ab_814d_1557_729b;
 const GOLDEN_TRACED_MOP_UP_CSV: u64 = 0xa197_e926_d9b2_5f77;
-const GOLDEN_TRACED_MOP_UP_METRICS: u64 = 0x7d65_fb02_7ffb_bd15;
+const GOLDEN_TRACED_MOP_UP_METRICS: u64 = 0x0145_cdd9_6c03_f94e;
 const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0x6ac2_066d_4c3e_4f73;
 const GOLDEN_SURVEY_CSV: u64 = 0x07a9_4680_af59_ec54;
 const GOLDEN_SURVEY_METRICS: u64 = 0x2958_c55a_c6eb_df4b;
