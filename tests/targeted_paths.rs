@@ -1,14 +1,18 @@
-//! Byte-identity of the targeted-probe paths: the campaign mop-up pass,
+//! Byte-identity of the explicit-destination paths: the campaign mop-up
+//! pass (a second-chance run of the scan loop over a silent list),
 //! loopscan's depth survey and the adaptive engine each probe explicit
 //! destinations instead of walking a range, and each must emit exactly
 //! the artifacts pinned below — CSV, metrics JSON and, for one traced
 //! mop-up run, the trace NDJSON.
 //!
-//! The `GOLDEN_*` constants are FNV-1a-64 fingerprints captured from the
-//! build that probed one destination at a time through the scanner and
-//! published telemetry after every probe. Counters are sums, so a change
-//! to *when* telemetry is published must leave every one of them as it
-//! is; a change that moves one has changed what a seeded run emits.
+//! The `GOLDEN_*` constants are FNV-1a-64 fingerprints. The survey and
+//! adaptive ones, and the mop-up CSVs, were captured from the build that
+//! probed one destination at a time and published telemetry after every
+//! probe; the mop-up metrics and trace from the build that moved the
+//! pass into the scan loop, which adds its RTTs and `scan.*` events.
+//! Counters are sums, so a change to *when* telemetry is published must
+//! leave every one of them as it is; a change that moves one has changed
+//! what a seeded run emits.
 
 use xmap::{ScanConfig, Scanner};
 use xmap_loopscan::{DepthSurvey, DepthSurveyResult};
