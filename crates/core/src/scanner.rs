@@ -430,9 +430,9 @@ impl<N: Network> Scanner<N> {
         self.sink.is_some()
     }
 
-    /// Restores the scanner's lifetime tick count and the network's
-    /// virtual clock from a checkpoint — the resume path's first step, to
-    /// be called before any run.
+    /// Sets the scanner's lifetime tick count and the network's virtual
+    /// clock: the resume path's first step, before any run, and a second
+    /// chance's idle jump.
     pub fn restore_clock(&mut self, tick: u64) {
         self.total_ticks = tick;
         self.network.restore_clock(tick);
