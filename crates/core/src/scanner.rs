@@ -273,8 +273,6 @@ pub struct SecondChance<'l> {
     pub targets: &'l [(u64, Prefix)],
     /// Each target's one probe goes to `fill_host_bits(target, host_seed)`.
     pub host_seed: u64,
-    /// Virtual ticks idled first, so ICMPv6 rate limiters refill.
-    pub idle_ticks: u64,
 }
 
 /// What one run walks and reports: [`Scanner::run`] walks the slot's
@@ -431,8 +429,9 @@ impl<N: Network> Scanner<N> {
     }
 
     /// Sets the scanner's lifetime tick count and the network's virtual
-    /// clock: the resume path's first step, before any run, and a second
-    /// chance's idle jump.
+    /// clock: the resume path's first step, before any run. Jumping both
+    /// ahead idles the network without ticking it (the mop-up's refill
+    /// delay before [`run_second_chance`](Self::run_second_chance)).
     pub fn restore_clock(&mut self, tick: u64) {
         self.total_ticks = tick;
         self.network.restore_clock(tick);
@@ -642,11 +641,6 @@ impl<N: Network> Scanner<N> {
         let blocklist = blocklist.scope(range.base());
         let unit = walk.unit.nested_in(self.config.shard, self.config.shards);
         let track_silent = walk.positions && walk.record_silent;
-        if let Some(pass) = &walk.second_chance {
-            // The clocks a run keeps equal jump ahead, nothing sent: the
-            // network's time-keyed state moves on, its tick count does not.
-            self.restore_clock(self.total_ticks + pass.idle_ticks);
-        }
         let mut run = match resume {
             None => Run::fresh(self, range, &walk, unit),
             // Mid-range resume: the journal replayed the records emitted
@@ -2044,8 +2038,8 @@ mod tests {
         let pass = SecondChance {
             targets: &targets,
             host_seed: 77,
-            idle_ticks: 512,
         };
+        s.restore_clock(s.ticks() + 512);
         let second = s.run_second_chance(&range, &IcmpEchoProbe, &allow, pass);
         let stats = second.stats;
         assert_eq!(stats, s.metrics().stats_since(&base));

@@ -491,9 +491,11 @@ impl Campaign {
             targets: &silent,
             // Fresh host bits: never re-probe the exact first address.
             host_seed: scanner.config().seed ^ MOP_UP_SALT,
-            idle_ticks: self.mop_up_delay_ticks,
         };
-        let start = scanner.ticks() + pass.idle_ticks;
+        // Idle first so ICMPv6 rate limiters refill: the clocks jump
+        // ahead, nothing sent, so `netsim.ticks` does not count the delay.
+        let start = scanner.ticks() + self.mop_up_delay_ticks;
+        scanner.restore_clock(start);
         let results =
             scanner.run_second_chance(&profile.scan_range(), &IcmpEchoProbe, &self.blocklist, pass);
         for (r, &position) in results.records.iter().zip(&results.record_positions) {
@@ -1273,6 +1275,32 @@ mod tests {
             .with_mop_up(2048)
             .with_blocklist(blocklist);
         assert_eq!(run(&blocking), run(&plain) + 1);
+    }
+
+    /// Under a rate every probe adds its share of the pacing budget,
+    /// the mop-up's probes included.
+    #[test]
+    fn paced_mop_up_counts_its_probes() {
+        let slice = 1 << 12;
+        let stats = |campaign: Campaign| {
+            let config = ScanConfig {
+                max_targets: Some(slice),
+                seed: 5,
+                rate_pps: Some(1_000),
+                ..Default::default()
+            };
+            let mut s = Scanner::new(depleted_world(0), config);
+            campaign.run_block(&mut s, &SAMPLE_BLOCKS[2]).stats
+        };
+        let main = stats(Campaign::new(slice));
+        let both = stats(Campaign::new(slice).with_mop_up(2048));
+        assert!(both.sent > main.sent, "{both:?}");
+        for s in [main, both] {
+            assert!(
+                (s.paced_secs - s.sent as f64 / 1_000.0).abs() < 1e-9,
+                "{s:?}"
+            );
+        }
     }
 
     #[test]
