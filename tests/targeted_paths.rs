@@ -14,6 +14,8 @@
 //! leave every one of them as it is; a change that moves one has changed
 //! what a seeded run emits.
 
+use std::sync::Arc;
+
 use xmap::{ScanConfig, Scanner};
 use xmap_loopscan::{DepthSurvey, DepthSurveyResult};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
@@ -21,13 +23,13 @@ use xmap_netsim::world::{Allocation, World, WorldConfig};
 use xmap_netsim::{FaultPlan, IcmpRateLimit};
 use xmap_periphery::{AdaptiveCampaign, AdaptiveConfig, Campaign};
 use xmap_state::Fingerprint;
-use xmap_telemetry::Telemetry;
+use xmap_telemetry::{Registry, Telemetry, Tracer};
 
 const GOLDEN_MOP_UP_CSV: u64 = 0x152a_e476_df2d_f061;
 const GOLDEN_MOP_UP_METRICS: u64 = 0x03ab_814d_1557_729b;
 const GOLDEN_TRACED_MOP_UP_CSV: u64 = 0xa197_e926_d9b2_5f77;
 const GOLDEN_TRACED_MOP_UP_METRICS: u64 = 0x0145_cdd9_6c03_f94e;
-const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0x6ac2_066d_4c3e_4f73;
+const GOLDEN_TRACED_MOP_UP_TRACE: u64 = 0x6151_9fa5_ab73_7fa3;
 const GOLDEN_SURVEY_CSV: u64 = 0x07a9_4680_af59_ec54;
 const GOLDEN_SURVEY_METRICS: u64 = 0x2958_c55a_c6eb_df4b;
 const GOLDEN_ADAPTIVE_CSV: u64 = 0x40d8_5312_1fde_a6e1;
@@ -86,14 +88,24 @@ fn mop_up_campaign_matches_golden_fingerprints() {
 
 /// Under tracing the world publishes on every call, so its fault events
 /// land in the same order whenever the scanner's own counters publish.
+/// The ring holds the whole block, both passes and the world's fault
+/// events: the default 4,096 events would keep only the mop-up's tail.
 #[test]
 fn traced_mop_up_block_matches_golden_fingerprints() {
-    let telemetry = Telemetry::with_tracing();
+    let telemetry = Telemetry {
+        registry: Arc::new(Registry::new()),
+        tracer: Arc::new(Tracer::new(1 << 14)),
+    };
     let mut scanner = mop_up_scanner(&telemetry);
     let block = Campaign::new(1 << 12)
         .with_mop_up(512)
         .run_block(&mut scanner, &SAMPLE_BLOCKS[0]);
     assert!(block.mop_up_recovered >= 1, "mop-up must recover a device");
+    assert_eq!(
+        telemetry.tracer.dropped(),
+        0,
+        "the ring must hold the block"
+    );
     let csv = xmap_periphery::CampaignResult {
         blocks: vec![block],
     }
