@@ -3,13 +3,15 @@
 //! loopscan's depth survey and the adaptive engine each probe explicit
 //! destinations instead of walking a range, and each must emit exactly
 //! the artifacts pinned below — CSV, metrics JSON and, for one traced
-//! mop-up run, the trace NDJSON.
+//! mop-up run and one traced adaptive run, the trace NDJSON.
 //!
 //! The `GOLDEN_*` constants are FNV-1a-64 fingerprints. The survey and
 //! adaptive ones, and the mop-up CSVs, were captured from the build that
 //! probed one destination at a time and published telemetry after every
 //! probe; the mop-up metrics and trace from the build that moved the
-//! pass into the scan loop, which adds its RTTs and `scan.*` events.
+//! pass into the scan loop, which adds its RTTs and `scan.*` events; the
+//! traced adaptive ones from the build that opened one targeted session
+//! per unit.
 //! Counters are sums, so a change to *when* telemetry is published must
 //! leave every one of them as it is; a change that moves one has changed
 //! what a seeded run emits.
@@ -19,6 +21,7 @@ use std::sync::Arc;
 use xmap::{ScanConfig, Scanner};
 use xmap_loopscan::{DepthSurvey, DepthSurveyResult};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
+use xmap_netsim::telemetry::names::RATE_LIMITED;
 use xmap_netsim::world::{Allocation, World, WorldConfig};
 use xmap_netsim::{FaultPlan, IcmpRateLimit};
 use xmap_periphery::{AdaptiveCampaign, AdaptiveConfig, Campaign};
@@ -34,6 +37,9 @@ const GOLDEN_SURVEY_CSV: u64 = 0x07a9_4680_af59_ec54;
 const GOLDEN_SURVEY_METRICS: u64 = 0x2958_c55a_c6eb_df4b;
 const GOLDEN_ADAPTIVE_CSV: u64 = 0x40d8_5312_1fde_a6e1;
 const GOLDEN_ADAPTIVE_METRICS: u64 = 0x36ee_89f0_ab15_edc6;
+const GOLDEN_TRACED_ADAPTIVE_CSV: u64 = 0xfcf8_1997_d6ed_febd;
+const GOLDEN_TRACED_ADAPTIVE_METRICS: u64 = 0x65c4_4ba7_be84_f411;
+const GOLDEN_TRACED_ADAPTIVE_TRACE: u64 = 0xfe4b_6267_cf4d_fa20;
 
 fn fnv(bytes: impl AsRef<[u8]>) -> u64 {
     Fingerprint::new().push_bytes(bytes.as_ref()).finish()
@@ -187,5 +193,77 @@ fn two_worker_adaptive_campaign_matches_golden_fingerprints() {
         "adaptive metrics",
         outcome.snapshot.to_json(),
         GOLDEN_ADAPTIVE_METRICS,
+    );
+}
+
+/// Two probers whose worlds trace into one ring while counting into
+/// their own registries, over half-depleted ICMPv6 buckets and a little
+/// reverse loss, so the trace carries fault events. Under tracing the
+/// world publishes on every call, so each event is one probe's faults
+/// and nothing is left pending when a unit resets the world. Which prober runs
+/// which unit of a parallel round is a race, and so is the order two
+/// threads record in; the trace is pinned as the sorted multiset of its
+/// events with their sequence numbers stripped.
+#[test]
+fn traced_two_worker_adaptive_campaign_matches_golden_fingerprints() {
+    let world_cfg = WorldConfig::lossless(99, 10)
+        .with_fault(
+            FaultPlan::none()
+                .seeded(7)
+                .with_reverse_loss(0.05)
+                .with_icmp_limit(IcmpRateLimit::TokenBucket {
+                    capacity: 1,
+                    refill_interval: 1 << 20,
+                    start_depleted_frac: 0.5,
+                }),
+        )
+        .with_allocation(Allocation::Clustered {
+            pod_bits: 8,
+            active_frac: 1.0 / 256.0,
+        });
+    let base = ScanConfig {
+        seed: 7,
+        ..Default::default()
+    };
+    let tracer = Arc::new(Tracer::new(1 << 16));
+    let outcome = AdaptiveCampaign::new(AdaptiveConfig {
+        root_bits: Some(14),
+        ..AdaptiveConfig::default()
+    })
+    .with_workers(2)
+    .run(&base, |telemetry| {
+        let mut world = World::with_config(world_cfg);
+        world.set_telemetry(&Telemetry {
+            registry: telemetry.registry.clone(),
+            tracer: tracer.clone(),
+        });
+        world
+    });
+    assert!(outcome.result.total_unique() > 0, "adaptive found nothing");
+    assert_eq!(tracer.dropped(), 0, "the ring must hold the campaign");
+    assert!(
+        outcome.snapshot.counter(RATE_LIMITED) > 0,
+        "the buckets must limit"
+    );
+    let ndjson = tracer.to_ndjson();
+    let mut events: Vec<&str> = ndjson
+        .lines()
+        .map(|line| line.split_once(", ").expect("seq leads every line").1)
+        .collect();
+    events.sort_unstable();
+    assert_golden(
+        "traced adaptive CSV",
+        outcome.result.to_csv(),
+        GOLDEN_TRACED_ADAPTIVE_CSV,
+    );
+    assert_golden(
+        "traced adaptive metrics",
+        outcome.snapshot.to_json(),
+        GOLDEN_TRACED_ADAPTIVE_METRICS,
+    );
+    assert_golden(
+        "traced adaptive trace",
+        events.join("\n"),
+        GOLDEN_TRACED_ADAPTIVE_TRACE,
     );
 }
