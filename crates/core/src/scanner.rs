@@ -485,6 +485,7 @@ impl<N: Network> Scanner<N> {
         Targeted {
             scanner: self,
             tally: HotTally::default(),
+            lapped: ScanStats::default(),
             scratch: Vec::new(),
         }
     }
@@ -1495,6 +1496,11 @@ impl Run {
 /// borrows the scanner, so nothing reads the scanner's registry while
 /// its tallies are pending.
 ///
+/// One session can run many units of work that must each be a pure
+/// function of their inputs: [`reset_network`](Targeted::reset_network)
+/// before each unit, [`lap`](Targeted::lap) after it for the unit's
+/// counts. The publishes stay once per session.
+///
 /// # Examples
 ///
 /// ```
@@ -1513,6 +1519,8 @@ impl Run {
 pub struct Targeted<'s, N: Network> {
     scanner: &'s mut Scanner<N>,
     tally: HotTally,
+    /// The tally as of the last [`lap`](Targeted::lap).
+    lapped: ScanStats,
     /// Raw responses of the current probe, reused across probes.
     scratch: Vec<Ipv6Packet>,
 }
@@ -1550,6 +1558,43 @@ impl<N: Network> Targeted<'_, N> {
         self.tally.blocked += 1;
     }
 
+    /// Returns the network to just-constructed behaviour
+    /// ([`Network::reset`]): the next probe is answered as a freshly
+    /// built network would answer it, while the session's tally and the
+    /// network's lifetime telemetry run on.
+    pub fn reset_network(&mut self) {
+        self.scanner.network.reset();
+    }
+
+    /// What the session counted since the previous lap, or since it
+    /// opened: the `scan.*` delta the registry gains from those probes
+    /// once the session ends.
+    pub fn lap(&mut self) -> ScanStats {
+        let (now, then) = (self.counted(), self.lapped);
+        self.lapped = now;
+        ScanStats {
+            sent: now.sent - then.sent,
+            blocked: now.blocked - then.blocked,
+            received: now.received - then.received,
+            invalid: now.invalid - then.invalid,
+            valid: now.valid - then.valid,
+            ..ScanStats::default()
+        }
+    }
+
+    /// Everything the session counted so far.
+    fn counted(&self) -> ScanStats {
+        let t = &self.tally;
+        ScanStats {
+            sent: t.sent,
+            blocked: t.blocked,
+            received: t.received,
+            invalid: t.invalid,
+            valid: t.valid,
+            ..ScanStats::default()
+        }
+    }
+
     /// The scanner's configuration.
     pub fn config(&self) -> &ScanConfig {
         &self.scanner.config
@@ -1571,15 +1616,7 @@ impl<N: Network> Targeted<'_, N> {
     /// telemetry, and returns what it counted — exactly the registry's
     /// `scan.*` delta across the session.
     pub fn finish(self) -> ScanStats {
-        let t = &self.tally;
-        ScanStats {
-            sent: t.sent,
-            blocked: t.blocked,
-            received: t.received,
-            invalid: t.invalid,
-            valid: t.valid,
-            ..ScanStats::default()
-        }
+        self.counted()
     }
 }
 

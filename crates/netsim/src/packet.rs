@@ -340,10 +340,13 @@ pub trait Network {
     /// rate-limiter state — is forgotten, so the next probe is answered
     /// exactly as a freshly built network would answer it.
     ///
-    /// The telemetry binding and lifetime statistics are kept, and
-    /// pending telemetry is published first, so deltas taken from the
-    /// bound registry stay exact across resets (an armed kill point
-    /// keeps counting lifetime probes). This is what lets a driver
+    /// The telemetry binding and lifetime statistics are kept, and no
+    /// pending telemetry is lost: a network publishes what the reset
+    /// would otherwise forget (such as a tick delta against the clock it
+    /// zeroes) and may carry the rest to its next publish, so the
+    /// registry after a [`flush_telemetry`](Network::flush_telemetry) is
+    /// what eager publishing would have left (an armed kill point keeps
+    /// counting lifetime probes). This is what lets a driver
     /// reuse one network for many units of work that must each be a
     /// pure function of their inputs. Networks with no per-probe memory
     /// keep the default no-op.

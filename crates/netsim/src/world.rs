@@ -1130,11 +1130,15 @@ impl Network for World {
     }
 
     fn reset(&mut self) {
-        // Publish first: the tick delta is measured against the clock
-        // about to be zeroed. Everything cleared below is state a probe's
-        // outcome can read; `stats`, the telemetry binding and an armed
-        // kill point are lifetime state and stay.
-        self.publish_telemetry();
+        // A tick delta is measured against the clock about to be zeroed,
+        // so it is published first. Without one nothing is lost: `stats`
+        // and `published` are lifetime state, so pending counts go out
+        // with the next publish. Everything cleared below is state a
+        // probe's outcome can read; `stats`, the telemetry binding and an
+        // armed kill point stay.
+        if self.clock != self.published_clock {
+            self.publish_telemetry();
+        }
         self.registry.clear();
         self.error_limiters.clear();
         self.delayed.clear();

@@ -16,8 +16,10 @@
 //! Every unit runs as a pure function of (unit, seed, world
 //! configuration) on one of the campaign's long-lived *probers* — one
 //! telemetry bundle + world + scanner per worker, built once per
-//! campaign. Purity is bought by [`Network::reset`] before each unit:
-//! the world forgets what earlier probes taught it (per-device ICMPv6
+//! campaign. A prober runs every unit it claims in a round through one
+//! targeted session, which publishes its counts once, at the round's
+//! end. Purity is bought by [`Network::reset`] before each unit: the
+//! world forgets what earlier probes taught it (per-device ICMPv6
 //! limiter state, the discovered-WAN registry, delayed responses, the
 //! clock) and answers exactly as a freshly built replica would, while
 //! its telemetry binding and lifetime statistics run on. The driver
@@ -46,7 +48,7 @@ use std::sync::Mutex;
 
 use xmap::{
     fill_host_bits, merge_worker_snapshots, Blocklist, FeistelPermutation, IcmpEchoProbe,
-    IndexWalk, ProbeResult, ScanConfig, ScanStats, Scanner,
+    IndexWalk, ProbeResult, ScanConfig, ScanStats, Scanner, ScopedBlocklist, Targeted,
 };
 use xmap_addr::{classify_iid, FxHashSet, IidClass, Ip6, Mac, Prefix, PrefixTree};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
@@ -230,11 +232,12 @@ struct UnitResult {
 
 /// Rounds drawing fewer probes than this run inline on the calling
 /// thread: a two-worker `thread::scope` measured ≈ 60 µs to spawn and
-/// join against ≈ 60 ns per adaptive probe (the benchmark ledger's
-/// `periphery.adaptive.ns_per_probe`, 53–68 ns on a 2-vCPU host), so
-/// splitting a round only pays from ≈ 2 · 60 µs / 60 ns ≈ 2,000 probes;
-/// the threshold stays at the power of two below, 2^10.
-const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 10;
+/// join against ≈ 41 ns per adaptive probe (the benchmark ledger's
+/// `periphery.adaptive.ns_per_probe` with one targeted session per
+/// prober per round, 41–42 ns on a 2-vCPU host), so splitting a round
+/// only pays from ≈ 2 · 60 µs / 41 ns ≈ 2,900 probes; the threshold is
+/// the power of two below, 2^11.
+const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 11;
 
 /// One worker's probing fixture, built once per campaign and reused by
 /// every unit that worker runs.
@@ -260,11 +263,35 @@ impl<N: Network> Prober<N> {
     }
 
     /// Lends the scanner over a network reset to just-constructed
-    /// behaviour — what keeps a unit a pure function of its inputs.
+    /// behaviour, for a block's boundary inference.
     fn fresh(&mut self) -> &mut Scanner<N> {
         self.dirty = true;
         self.scanner.network_mut().reset();
         &mut self.scanner
+    }
+
+    /// Runs the units `claims` hands out, in claim order, through one
+    /// targeted session: the network is reset before each unit, which
+    /// keeps it a pure function of its inputs, and each result goes to
+    /// `done` with its unit index. The session publishes once, when it
+    /// ends; a prober that claims nothing opens none and stays clean.
+    fn run_units(
+        &mut self,
+        round: &Round<'_>,
+        claims: impl Iterator<Item = usize>,
+        mut done: impl FnMut(usize, UnitResult),
+    ) {
+        let mut claims = claims.peekable();
+        if claims.peek().is_none() {
+            return;
+        }
+        self.dirty = true;
+        let mut session = self.scanner.targeted();
+        let mut answers = Vec::new();
+        for i in claims {
+            session.reset_network();
+            done(i, round.run_unit(&round.units[i], &mut session, &mut answers));
+        }
     }
 
     /// Merges what this prober's registry gained since the last call
@@ -693,9 +720,7 @@ impl AdaptiveCampaign {
                 return Ok((results, false));
             }
         }
-        let exec = |u: &Unit, prober: &mut Prober<N>| {
-            run_unit(u, state.tree.leaf_len(), &self.blocklist, prober.fresh())
-        };
+        let round = Round::new(units, &state.tree, &self.blocklist, probers[0].scanner.config());
         let round_probes: u64 = units.iter().map(|u| u.count).sum();
         let n_workers = if round_probes < MIN_PARALLEL_ROUND_PROBES {
             1
@@ -703,27 +728,27 @@ impl AdaptiveCampaign {
             self.workers.min(units.len()).max(1)
         };
         let results: Vec<_> = if n_workers == 1 {
-            let prober = &mut probers[0];
-            units.iter().map(|u| exec(u, prober)).collect()
+            let mut results = Vec::with_capacity(units.len());
+            probers[0].run_units(&round, 0..units.len(), |_, r| results.push(r));
+            results
         } else {
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<UnitResult>>> =
                 units.iter().map(|_| Mutex::new(None)).collect();
-            let work = |prober: &mut Prober<N>| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
-                    break;
-                }
-                let r = exec(&units[i], prober);
-                match slots[i].lock() {
-                    Ok(mut slot) => *slot = Some(r),
-                    Err(poisoned) => *poisoned.into_inner() = Some(r),
-                }
+            let claims = || {
+                std::iter::from_fn(|| {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    (i < units.len()).then_some(i)
+                })
+            };
+            let fill = |i: usize, r: UnitResult| match slots[i].lock() {
+                Ok(mut slot) => *slot = Some(r),
+                Err(poisoned) => *poisoned.into_inner() = Some(r),
             };
             std::thread::scope(|scope| {
                 for prober in probers.iter_mut().take(n_workers) {
-                    let work = &work;
-                    scope.spawn(move || work(prober));
+                    let (round, claims, fill) = (&round, &claims, &fill);
+                    scope.spawn(move || prober.run_units(round, claims(), fill));
                 }
                 // scope joins every worker; a worker panic propagates here.
             });
@@ -746,93 +771,120 @@ impl AdaptiveCampaign {
     }
 }
 
-/// Seed of a node's private sample permutation: derived from the scan
-/// seed and the node's identity, so every node walks its own
-/// without-replacement pseudorandom order and a rebuilt tree resumes
-/// the identical walk.
-fn node_seed(seed: u64, prefix: Prefix) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_str("adaptive-node")
-        .push_u64(seed)
-        .push_u128(prefix.addr().bits())
-        .push_u64(prefix.len() as u64);
-    fp.finish()
+/// What every unit of a round shares, fixed once per round.
+struct Round<'a> {
+    units: &'a [Unit],
+    leaf_len: u8,
+    seed: u64,
+    hop_limit: u8,
+    /// [`node_seed`]'s state before it folds in a node's prefix.
+    node_fp: Fingerprint,
+    /// The blocklist scoped to the tree's root, which every unit's
+    /// prefix lies under: its walk over the root's bits is done once per
+    /// round.
+    blocklist: ScopedBlocklist<'a>,
 }
 
-/// Runs one unit as a pure function of (unit, seed, world) — `scanner`
-/// must sit over a just-reset network: draws the batch through the
-/// chunked [`IndexWalk`] streaming path, probes each leaf target once,
-/// and classifies responses with the campaign's transit filter and
-/// alias signature.
-fn run_unit<N: Network>(
-    unit: &Unit,
-    leaf_len: u8,
-    blocklist: &Blocklist,
-    scanner: &mut Scanner<N>,
-) -> UnitResult {
-    let (seed, hop_limit) = (scanner.config().seed, scanner.config().hop_limit);
-    let perm = FeistelPermutation::new(unit.span, node_seed(seed, unit.prefix));
-    let mut walk = IndexWalk::Feistel {
-        perm,
-        next_pos: unit.cursor,
-        stride: 1,
-    };
-    let mut buf = [0u64; 64];
-    let mut drawn = 0u64;
-    let mut hits = 0u64;
-    let mut finds = Vec::new();
-    let mut aliases = Vec::new();
-    let mut answers = Vec::new();
-    // Every destination lies inside the unit's prefix: its blocklist
-    // walk is done once per unit.
-    let blocklist = blocklist.scope(unit.prefix);
-    let mut session = scanner.targeted();
-    while drawn < unit.count {
-        let want = ((unit.count - drawn) as usize).min(buf.len());
-        let n = walk.fill(&mut buf[..want]);
-        if n == 0 {
-            break;
-        }
-        for &index in &buf[..n] {
-            drawn += 1;
-            let target = unit.prefix.subprefix(leaf_len, index as u128);
-            let dst = fill_host_bits(target, seed);
-            if !blocklist.is_allowed(dst) {
-                session.skip_blocked();
-                continue;
-            }
-            session.probe(dst, &IcmpEchoProbe, hop_limit, &mut answers);
-            let mut hit = false;
-            for (src, result) in &answers {
-                let via_te = match result {
-                    ProbeResult::Unreachable { .. } => false,
-                    ProbeResult::TimeExceeded => true,
-                    ProbeResult::Alive if *src == dst => {
-                        aliases.push(target);
-                        continue;
-                    }
-                    _ => continue,
-                };
-                // Transit-router time-exceeded sources are not
-                // peripheries (synthetic transit IID marker).
-                if via_te && src.iid() >> 48 == 0xffff {
-                    continue;
-                }
-                hit = true;
-                finds.push((*src, target, dst, via_te));
-            }
-            if hit {
-                hits += 1;
-            }
+impl<'a> Round<'a> {
+    fn new(
+        units: &'a [Unit],
+        tree: &PrefixTree,
+        blocklist: &'a Blocklist,
+        config: &ScanConfig,
+    ) -> Self {
+        let mut node_fp = Fingerprint::new();
+        node_fp.push_str("adaptive-node").push_u64(config.seed);
+        Round {
+            units,
+            leaf_len: tree.leaf_len(),
+            seed: config.seed,
+            hop_limit: config.hop_limit,
+            node_fp,
+            blocklist: blocklist.scope(tree.root()),
         }
     }
-    UnitResult {
-        node: unit.node,
-        drawn,
-        hits,
-        finds,
-        aliases,
-        stats: session.finish(),
+
+    /// Seed of a node's private sample permutation: derived from the
+    /// scan seed and the node's identity, so every node walks its own
+    /// without-replacement pseudorandom order and a rebuilt tree resumes
+    /// the identical walk.
+    fn node_seed(&self, prefix: Prefix) -> u64 {
+        let mut fp = self.node_fp;
+        fp.push_u128(prefix.addr().bits())
+            .push_u64(prefix.len() as u64);
+        fp.finish()
+    }
+
+    /// Runs one unit as a pure function of (unit, seed, world) —
+    /// `session` must sit over a just-reset network: draws the batch
+    /// through the chunked [`IndexWalk`] streaming path, probes each
+    /// leaf target once, and classifies responses with the campaign's
+    /// transit filter and alias signature. The unit's stats are the
+    /// session's lap across it; `answers` is scratch.
+    fn run_unit<N: Network>(
+        &self,
+        unit: &Unit,
+        session: &mut Targeted<'_, N>,
+        answers: &mut Vec<(Ip6, ProbeResult)>,
+    ) -> UnitResult {
+        let perm = FeistelPermutation::new(unit.span, self.node_seed(unit.prefix));
+        let mut walk = IndexWalk::Feistel {
+            perm,
+            next_pos: unit.cursor,
+            stride: 1,
+        };
+        let mut buf = [0u64; 64];
+        let mut drawn = 0u64;
+        let mut hits = 0u64;
+        let mut finds = Vec::new();
+        let mut aliases = Vec::new();
+        while drawn < unit.count {
+            let want = ((unit.count - drawn) as usize).min(buf.len());
+            let n = walk.fill(&mut buf[..want]);
+            if n == 0 {
+                break;
+            }
+            for &index in &buf[..n] {
+                drawn += 1;
+                let target = unit.prefix.subprefix(self.leaf_len, index as u128);
+                let dst = fill_host_bits(target, self.seed);
+                if !self.blocklist.is_allowed(dst) {
+                    session.skip_blocked();
+                    continue;
+                }
+                session.probe(dst, &IcmpEchoProbe, self.hop_limit, answers);
+                let mut hit = false;
+                for (src, result) in answers.iter() {
+                    let via_te = match result {
+                        ProbeResult::Unreachable { .. } => false,
+                        ProbeResult::TimeExceeded => true,
+                        ProbeResult::Alive if *src == dst => {
+                            aliases.push(target);
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    // Transit-router time-exceeded sources are not
+                    // peripheries (synthetic transit IID marker).
+                    if via_te && src.iid() >> 48 == 0xffff {
+                        continue;
+                    }
+                    hit = true;
+                    finds.push((*src, target, dst, via_te));
+                }
+                if hit {
+                    hits += 1;
+                }
+            }
+        }
+        UnitResult {
+            node: unit.node,
+            drawn,
+            hits,
+            finds,
+            aliases,
+            stats: session.lap(),
+        }
     }
 }
 
