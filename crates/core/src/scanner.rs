@@ -2000,6 +2000,73 @@ mod tests {
         assert_eq!(snap, single.telemetry().registry.snapshot());
     }
 
+    /// One session over many units, the network reset before each, is
+    /// one session per unit: the same per-unit counts and the same
+    /// registry. Every unit probes the same destinations through
+    /// one-token ICMPv6 buckets that never refill, so a unit that saw an
+    /// earlier unit's limiter state would lose answers.
+    #[test]
+    fn one_session_across_resets_is_one_session_per_unit() {
+        use xmap_netsim::world::WorldConfig;
+        use xmap_netsim::{FaultPlan, IcmpRateLimit};
+        const UNITS: usize = 4;
+        let limited = || {
+            let plan = FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
+                capacity: 1,
+                refill_interval: 1 << 20,
+                start_depleted_frac: 0.0,
+            });
+            let telemetry = Telemetry::new();
+            let mut world =
+                xmap_netsim::World::with_config(WorldConfig::lossless(11, 10).with_fault(plan));
+            world.set_telemetry(&telemetry);
+            Scanner::with_telemetry(world, ScanConfig::default(), telemetry)
+        };
+        let unit = |session: &mut Targeted<'_, xmap_netsim::World>| {
+            for i in 0..1000 {
+                targeted_step(session, i);
+            }
+        };
+
+        let mut shared = limited();
+        let mut session = shared.targeted();
+        let laps: Vec<ScanStats> = (0..UNITS)
+            .map(|_| {
+                session.reset_network();
+                unit(&mut session);
+                session.lap()
+            })
+            .collect();
+        let total = session.finish();
+
+        let mut single = limited();
+        let finished: Vec<ScanStats> = (0..UNITS)
+            .map(|_| {
+                single.network_mut().reset();
+                let mut session = single.targeted();
+                unit(&mut session);
+                session.finish()
+            })
+            .collect();
+
+        assert_eq!(laps, finished);
+        assert!(laps.iter().all(|lap| *lap == laps[0]), "{laps:?}");
+        let mut summed = ScanStats::default();
+        laps.iter().for_each(|lap| summed.merge(lap));
+        assert_eq!(summed, total);
+        let snap = shared.telemetry().registry.snapshot();
+        assert_eq!(snap, single.telemetry().registry.snapshot());
+
+        // Without the reset the buckets remember the first unit.
+        let mut unreset = limited();
+        let mut session = unreset.targeted();
+        unit(&mut session);
+        let first = session.lap();
+        unit(&mut session);
+        assert!(first.valid > 0, "the world must answer");
+        assert!(session.lap().valid < first.valid, "the buckets must limit");
+    }
+
     #[test]
     fn panicking_targeted_session_still_publishes() {
         let mut s = targeted_scanner();

@@ -1888,6 +1888,67 @@ mod realism_tests {
         assert_eq!(snap.counter(crate::telemetry::names::TICKS), 5);
     }
 
+    /// A reset with no tick delta publishes nothing: its pending counts
+    /// go out with the next publish, so a flush after a run of such
+    /// resets leaves the registry as publishing before every reset does.
+    /// A reset after ticks publishes first, since it zeroes the clock the
+    /// tick delta is measured against.
+    #[test]
+    fn tick_free_resets_leave_their_counts_to_the_next_publish() {
+        use crate::telemetry::names::{PROBES, RESPONSES, TICKS};
+        let cfg = WorldConfig::lossless(31337, 10).with_fault(FaultPlan::none().with_icmp_limit(
+            crate::fault::IcmpRateLimit::TokenBucket {
+                capacity: 1,
+                refill_interval: 1 << 20,
+                start_depleted_frac: 0.0,
+            },
+        ));
+        let block = &SAMPLE_BLOCKS[2];
+        let probe = World::with_config(cfg);
+        let targets: Vec<Ip6> = (0..200_000u64)
+            .filter(|&i| probe.device_at(2, i).is_some() && !probe.filtered(block, i))
+            .take(10)
+            .map(|i| {
+                let target = block.scan_prefix().subprefix(block.assigned_len, i as u128);
+                target.addr().with_iid(1)
+            })
+            .collect();
+        let run = |eager: bool| {
+            let telemetry = xmap_telemetry::Telemetry::new();
+            let mut world = World::with_config(cfg);
+            world.set_telemetry(&telemetry);
+            // Five units of ten probes, below the coalescing batch; the
+            // second unit ends with ticks.
+            let mut at_last_reset = xmap_telemetry::Snapshot::default();
+            for unit in 0..5 {
+                if eager {
+                    world.flush_telemetry();
+                }
+                world.reset();
+                if unit == 4 {
+                    at_last_reset = telemetry.registry.snapshot();
+                }
+                for &dst in &targets {
+                    world.handle(Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0));
+                }
+                if unit == 1 {
+                    world.tick(7);
+                }
+            }
+            world.flush_telemetry();
+            (at_last_reset, telemetry.registry.snapshot())
+        };
+        let (lazy_at_reset, lazy) = run(false);
+        let (eager_at_reset, eager) = run(true);
+        assert_eq!(lazy, eager);
+        assert_eq!(lazy.counter(PROBES), 50);
+        assert_eq!(lazy.counter(TICKS), 7);
+        assert!(lazy.counter(RESPONSES) >= 50, "every unit's devices answer");
+        // Only the reset after the ticks published: the 20 probes before it.
+        assert_eq!(lazy_at_reset.counter(PROBES), 20);
+        assert_eq!(eager_at_reset.counter(PROBES), 40);
+    }
+
     #[test]
     fn clustered_allocation_concentrates_devices_into_pods() {
         let uniform = World::with_config(WorldConfig::lossless(7, 10));

@@ -290,7 +290,8 @@ impl<N: Network> Prober<N> {
         let mut answers = Vec::new();
         for i in claims {
             session.reset_network();
-            done(i, round.run_unit(&round.units[i], &mut session, &mut answers));
+            let unit = &round.units[i];
+            done(i, round.run_unit(unit, &mut session, &mut answers));
         }
     }
 
@@ -720,7 +721,12 @@ impl AdaptiveCampaign {
                 return Ok((results, false));
             }
         }
-        let round = Round::new(units, &state.tree, &self.blocklist, probers[0].scanner.config());
+        let round = Round::new(
+            units,
+            &state.tree,
+            &self.blocklist,
+            probers[0].scanner.config(),
+        );
         let round_probes: u64 = units.iter().map(|u| u.count).sum();
         let n_workers = if round_probes < MIN_PARALLEL_ROUND_PROBES {
             1
