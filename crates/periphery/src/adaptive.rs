@@ -232,10 +232,10 @@ struct UnitResult {
 
 /// Rounds drawing fewer probes than this run inline on the calling
 /// thread: a two-worker `thread::scope` measured ≈ 60 µs to spawn and
-/// join against ≈ 41 ns per adaptive probe (the benchmark ledger's
+/// join against ≈ 45 ns per adaptive probe (the benchmark ledger's
 /// `periphery.adaptive.ns_per_probe` with one targeted session per
-/// prober per round, 41–42 ns on a 2-vCPU host), so splitting a round
-/// only pays from ≈ 2 · 60 µs / 41 ns ≈ 2,900 probes; the threshold is
+/// prober per round, 41–49 ns on a 2-vCPU host), so splitting a round
+/// only pays from ≈ 2 · 60 µs / 45 ns ≈ 2,700 probes; the threshold is
 /// the power of two below, 2^11.
 const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 11;
 
