@@ -1959,12 +1959,13 @@ mod tests {
         assert!(matches!(out[0].1, ProbeResult::Unreachable { .. }));
     }
 
-    /// A scanner over a dense world whose telemetry shares the scanner's
-    /// registry, so snapshots carry both `scan.*` and `netsim.*`.
-    fn targeted_scanner() -> Scanner<xmap_netsim::World> {
+    /// A scanner over a dense world under `plan` whose telemetry shares
+    /// the scanner's registry, so snapshots carry both `scan.*` and
+    /// `netsim.*`.
+    fn targeted_scanner(plan: xmap_netsim::FaultPlan) -> Scanner<xmap_netsim::World> {
         let telemetry = Telemetry::new();
-        let mut world =
-            xmap_netsim::World::with_config(xmap_netsim::world::WorldConfig::lossless(11, 10));
+        let config = xmap_netsim::world::WorldConfig::lossless(11, 10).with_fault(plan);
+        let mut world = xmap_netsim::World::with_config(config);
         world.set_telemetry(&telemetry);
         Scanner::with_telemetry(world, ScanConfig::default(), telemetry)
     }
@@ -1983,13 +1984,13 @@ mod tests {
     #[test]
     fn targeted_batching_is_unobservable() {
         const N: u64 = 300;
-        let mut batched = targeted_scanner();
+        let mut batched = targeted_scanner(xmap_netsim::FaultPlan::none());
         let mut session = batched.targeted();
         for i in 0..N {
             targeted_step(&mut session, i);
         }
         session.finish();
-        let mut single = targeted_scanner();
+        let mut single = targeted_scanner(xmap_netsim::FaultPlan::none());
         for i in 0..N {
             let mut session = single.targeted();
             targeted_step(&mut session, i);
@@ -2007,20 +2008,16 @@ mod tests {
     /// earlier unit's limiter state would lose answers.
     #[test]
     fn one_session_across_resets_is_one_session_per_unit() {
-        use xmap_netsim::world::WorldConfig;
         use xmap_netsim::{FaultPlan, IcmpRateLimit};
         const UNITS: usize = 4;
         let limited = || {
-            let plan = FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
-                capacity: 1,
-                refill_interval: 1 << 20,
-                start_depleted_frac: 0.0,
-            });
-            let telemetry = Telemetry::new();
-            let mut world =
-                xmap_netsim::World::with_config(WorldConfig::lossless(11, 10).with_fault(plan));
-            world.set_telemetry(&telemetry);
-            Scanner::with_telemetry(world, ScanConfig::default(), telemetry)
+            targeted_scanner(
+                FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
+                    capacity: 1,
+                    refill_interval: 1 << 20,
+                    start_depleted_frac: 0.0,
+                }),
+            )
         };
         let unit = |session: &mut Targeted<'_, xmap_netsim::World>| {
             for i in 0..1000 {
@@ -2069,7 +2066,7 @@ mod tests {
 
     #[test]
     fn panicking_targeted_session_still_publishes() {
-        let mut s = targeted_scanner();
+        let mut s = targeted_scanner(xmap_netsim::FaultPlan::none());
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut session = s.targeted();
             for i in 0..5 {
@@ -2088,7 +2085,7 @@ mod tests {
 
     #[test]
     fn targeted_finish_returns_the_registry_delta() {
-        let mut s = targeted_scanner();
+        let mut s = targeted_scanner(xmap_netsim::FaultPlan::none());
         let mut session = s.targeted();
         for i in 0..40 {
             targeted_step(&mut session, i);
