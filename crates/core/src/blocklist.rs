@@ -133,23 +133,8 @@ impl Blocklist {
     /// # }
     /// ```
     pub fn scope(&self, prefix: Prefix) -> ScopedBlocklist<'_> {
-        let bits = prefix.addr().bits();
-        let mut verdict = self.root.verdict.unwrap_or(self.default);
-        let mut node = Some(&self.root);
-        for depth in 0..u32::from(prefix.len()) {
-            let bit = ((bits >> (127 - depth)) & 1) as usize;
-            node = node.and_then(|n| n.children[bit].as_deref());
-            match node {
-                Some(n) => verdict = n.verdict.unwrap_or(verdict),
-                None => break,
-            }
-        }
-        ScopedBlocklist {
-            list: self,
-            prefix,
-            verdict,
-            below: node.filter(|n| n.children.iter().any(Option::is_some)),
-        }
+        let verdict = self.root.verdict.unwrap_or(self.default);
+        narrow(self, Some(&self.root), 0, verdict, prefix)
     }
 
     /// A deterministic fingerprint of the filter's complete semantics: the
@@ -221,6 +206,33 @@ fn descend(mut node: &TrieNode, depth: u32, bits: u128, mut best: Verdict) -> Ve
     best
 }
 
+/// The scope of `prefix` in `list`, walking `prefix`'s bits from
+/// `depth` on: `node` is the trie node at that depth (`None` when the
+/// trie ends above it) and `verdict` the most specific one so far.
+fn narrow<'a>(
+    list: &'a Blocklist,
+    mut node: Option<&'a TrieNode>,
+    depth: u32,
+    mut verdict: Verdict,
+    prefix: Prefix,
+) -> ScopedBlocklist<'a> {
+    let bits = prefix.addr().bits();
+    for depth in depth..u32::from(prefix.len()) {
+        let bit = ((bits >> (127 - depth)) & 1) as usize;
+        node = node.and_then(|n| n.children[bit].as_deref());
+        match node {
+            Some(n) => verdict = n.verdict.unwrap_or(verdict),
+            None => break,
+        }
+    }
+    ScopedBlocklist {
+        list,
+        prefix,
+        verdict,
+        below: node.filter(|n| n.children.iter().any(Option::is_some)),
+    }
+}
+
 /// A [`Blocklist`] narrowed to one prefix by [`Blocklist::scope`].
 #[derive(Debug, Clone, Copy)]
 pub struct ScopedBlocklist<'a> {
@@ -233,7 +245,35 @@ pub struct ScopedBlocklist<'a> {
     below: Option<&'a TrieNode>,
 }
 
-impl ScopedBlocklist<'_> {
+impl<'a> ScopedBlocklist<'a> {
+    /// This scope narrowed further, to `prefix`: the same as
+    /// [`Blocklist::scope`]`(prefix)`, but the walk starts at this
+    /// scope's depth — and takes no step when no entry lies below it. A
+    /// `prefix` this scope does not cover takes the full walk.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xmap::blocklist::{Blocklist, Verdict};
+    ///
+    /// # fn main() -> Result<(), xmap_addr::ParseAddrError> {
+    /// let mut bl = Blocklist::with_standard_reserved();
+    /// bl.insert("2405:200:dead::/48".parse()?, Verdict::Deny);
+    /// let block = bl.scope("2405:200::/32".parse()?);
+    /// let unit = block.scope("2405:200:de00::/40".parse()?);
+    /// assert!(unit.is_allowed("2405:200:de00::1".parse()?));
+    /// assert!(!unit.is_allowed("2405:200:dead::1".parse()?));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn scope(&self, prefix: Prefix) -> ScopedBlocklist<'a> {
+        if !self.prefix.covers(prefix) {
+            return self.list.scope(prefix);
+        }
+        let depth = u32::from(self.prefix.len());
+        narrow(self.list, self.below, depth, self.verdict, prefix)
+    }
+
     /// The verdict for `addr`, the same as [`Blocklist::verdict`]'s. An
     /// address outside the scoped prefix takes the full walk.
     pub fn verdict(&self, addr: Ip6) -> Verdict {
@@ -459,6 +499,7 @@ mod tests {
         fn scope_matches_linear_reference(
             scope_bits in any::<u128>(),
             scope_len in 0u8..=128,
+            outer_len in any::<u8>(),
             entry_bits in prop::collection::vec(any::<u128>(), 0..12),
             entry_shapes in prop::collection::vec(any::<u32>(), 12),
             default_deny in any::<bool>(),
@@ -488,6 +529,13 @@ mod tests {
                 lin.insert(entry, verdict);
             }
             let scope = trie.scope(scoped);
+            // Narrowing a coarser scope, or one elsewhere, lands on the
+            // same verdict and the same walk below.
+            for outer in [prefix_of(scope_bits, outer_len % (scope_len + 1)), prefix_of(!scope_bits, scope_len)] {
+                let narrowed = trie.scope(outer).scope(scoped);
+                prop_assert_eq!(narrowed.verdict, scope.verdict);
+                prop_assert_eq!(narrowed.below.map(std::ptr::from_ref), scope.below.map(std::ptr::from_ref));
+            }
             for bits in addrs {
                 let inside = Ip6::new(scoped.addr().bits() | (bits & host_mask(scope_len)));
                 prop_assert!(scoped.contains(inside));

@@ -235,9 +235,10 @@ struct UnitResult {
 /// join against ≈ 45 ns per adaptive probe (the benchmark ledger's
 /// `periphery.adaptive.ns_per_probe` with one targeted session per
 /// prober per round, 41–49 ns on a 2-vCPU host), so splitting a round
-/// only pays from ≈ 2 · 60 µs / 45 ns ≈ 2,700 probes; the threshold is
-/// the power of two below, 2^11.
-const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 11;
+/// only pays from ≈ 2 · 60 µs / 45 ns ≈ 2,700 probes. Two-worker
+/// campaigns timed at 2^10 and at 2^11 showed no difference on that
+/// host (EXPERIMENTS.md), so the threshold stays at 2^10.
+const MIN_PARALLEL_ROUND_PROBES: u64 = 1 << 10;
 
 /// One worker's probing fixture, built once per campaign and reused by
 /// every unit that worker runs.
@@ -787,7 +788,7 @@ struct Round<'a> {
     node_fp: Fingerprint,
     /// The blocklist scoped to the tree's root, which every unit's
     /// prefix lies under: its walk over the root's bits is done once per
-    /// round.
+    /// round, and a unit narrows it to its own prefix from there.
     blocklist: ScopedBlocklist<'a>,
 }
 
@@ -844,6 +845,9 @@ impl<'a> Round<'a> {
         let mut hits = 0u64;
         let mut finds = Vec::new();
         let mut aliases = Vec::new();
+        // Every destination lies inside the unit's prefix: a step below
+        // the root's scope is taken once per unit, not once per probe.
+        let blocklist = self.blocklist.scope(unit.prefix);
         while drawn < unit.count {
             let want = ((unit.count - drawn) as usize).min(buf.len());
             let n = walk.fill(&mut buf[..want]);
@@ -854,7 +858,7 @@ impl<'a> Round<'a> {
                 drawn += 1;
                 let target = unit.prefix.subprefix(self.leaf_len, index as u128);
                 let dst = fill_host_bits(target, self.seed);
-                if !self.blocklist.is_allowed(dst) {
+                if !blocklist.is_allowed(dst) {
                     session.skip_blocked();
                     continue;
                 }
@@ -1058,6 +1062,7 @@ fn decode_units(d: &mut Decoder) -> Result<Vec<UnitResult>, StateError> {
 mod tests {
     use super::*;
     use xmap_netsim::fault::{FaultPlan, IcmpRateLimit};
+    use xmap_netsim::telemetry::names;
     use xmap_netsim::world::{Allocation, World, WorldConfig};
 
     /// Concentration matters: active pods must be dense enough that
@@ -1147,12 +1152,14 @@ mod tests {
             ..Default::default()
         };
         for workers in [1, 2, 4] {
+            let registries = Mutex::new(Vec::new());
             let outcome = AdaptiveCampaign::new(AdaptiveConfig {
                 root_bits: Some(14),
                 ..AdaptiveConfig::default()
             })
             .with_workers(workers)
             .run(&scan, |telemetry| {
+                registries.lock().unwrap().push(telemetry.registry.clone());
                 let mut world = World::with_config(limited);
                 world.set_telemetry(telemetry);
                 world
@@ -1167,6 +1174,16 @@ mod tests {
                 fnv(outcome.snapshot.to_json()),
                 GOLDEN_LIMITED_METRICS,
                 "{workers} workers"
+            );
+            // Only a parallel round hands a unit to a prober past the
+            // first, so the reset is tested on the parallel path too.
+            let registries = registries.into_inner().unwrap();
+            assert!(
+                workers == 1
+                    || registries[1..]
+                        .iter()
+                        .any(|r| r.snapshot().counter(names::PROBES) > 0),
+                "{workers} workers: no round ran in parallel"
             );
         }
     }

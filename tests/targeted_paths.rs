@@ -16,12 +16,12 @@
 //! leave every one of them as it is; a change that moves one has changed
 //! what a seeded run emits.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use xmap::{ScanConfig, Scanner};
 use xmap_loopscan::{DepthSurvey, DepthSurveyResult};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
-use xmap_netsim::telemetry::names::RATE_LIMITED;
+use xmap_netsim::telemetry::names::{PROBES, RATE_LIMITED};
 use xmap_netsim::world::{Allocation, World, WorldConfig};
 use xmap_netsim::{FaultPlan, IcmpRateLimit};
 use xmap_periphery::{AdaptiveCampaign, AdaptiveConfig, Campaign};
@@ -50,6 +50,19 @@ fn fnv(bytes: impl AsRef<[u8]>) -> u64 {
 fn assert_golden(what: &str, bytes: impl AsRef<[u8]>, golden: u64) {
     let got = fnv(bytes);
     assert_eq!(got, golden, "{what}: fingerprint {got:#018x}");
+}
+
+/// Asserts that a two-worker campaign split at least one round: only a
+/// parallel round hands the second prober a unit, so its world must
+/// have counted probes. `registries` holds each prober's registry in
+/// build order.
+fn assert_a_round_ran_in_parallel(registries: Mutex<Vec<Arc<Registry>>>) {
+    let registries = registries.into_inner().expect("no builder panicked");
+    assert_eq!(registries.len(), 2, "one world per prober");
+    assert!(
+        registries[1].snapshot().counter(PROBES) > 0,
+        "no round ran on the second prober"
+    );
 }
 
 /// A world whose ICMPv6 error buckets leave half the CPEs silent in the
@@ -177,17 +190,20 @@ fn two_worker_adaptive_campaign_matches_golden_fingerprints() {
         seed: 7,
         ..Default::default()
     };
+    let registries = Mutex::new(Vec::new());
     let outcome = AdaptiveCampaign::new(AdaptiveConfig {
         root_bits: Some(14),
         ..AdaptiveConfig::default()
     })
     .with_workers(2)
     .run(&base, |telemetry| {
+        registries.lock().unwrap().push(telemetry.registry.clone());
         let mut world = World::with_config(world_cfg);
         world.set_telemetry(telemetry);
         world
     });
     assert!(outcome.result.total_unique() > 0, "adaptive found nothing");
+    assert_a_round_ran_in_parallel(registries);
     assert_golden("adaptive CSV", outcome.result.to_csv(), GOLDEN_ADAPTIVE_CSV);
     assert_golden(
         "adaptive metrics",
@@ -226,12 +242,14 @@ fn traced_two_worker_adaptive_campaign_matches_golden_fingerprints() {
         ..Default::default()
     };
     let tracer = Arc::new(Tracer::new(1 << 16));
+    let registries = Mutex::new(Vec::new());
     let outcome = AdaptiveCampaign::new(AdaptiveConfig {
         root_bits: Some(14),
         ..AdaptiveConfig::default()
     })
     .with_workers(2)
     .run(&base, |telemetry| {
+        registries.lock().unwrap().push(telemetry.registry.clone());
         let mut world = World::with_config(world_cfg);
         world.set_telemetry(&Telemetry {
             registry: telemetry.registry.clone(),
@@ -241,6 +259,7 @@ fn traced_two_worker_adaptive_campaign_matches_golden_fingerprints() {
     });
     assert!(outcome.result.total_unique() > 0, "adaptive found nothing");
     assert_eq!(tracer.dropped(), 0, "the ring must hold the campaign");
+    assert_a_round_ran_in_parallel(registries);
     assert!(
         outcome.snapshot.counter(RATE_LIMITED) > 0,
         "the buckets must limit"
