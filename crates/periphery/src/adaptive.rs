@@ -247,9 +247,6 @@ struct Prober<N> {
     /// The scanner's registry as of the last
     /// [`absorb_into`](Prober::absorb_into).
     absorbed: Snapshot,
-    /// Whether anything ran since then (an idle prober contributes
-    /// nothing, not even zero-valued metric names).
-    dirty: bool,
 }
 
 impl<N: Network> Prober<N> {
@@ -259,14 +256,12 @@ impl<N: Network> Prober<N> {
         Prober {
             scanner: Scanner::with_telemetry(network, base.clone(), telemetry),
             absorbed: Snapshot::default(),
-            dirty: false,
         }
     }
 
     /// Lends the scanner over a network reset to just-constructed
     /// behaviour, for a block's boundary inference.
     fn fresh(&mut self) -> &mut Scanner<N> {
-        self.dirty = true;
         self.scanner.network_mut().reset();
         &mut self.scanner
     }
@@ -275,7 +270,7 @@ impl<N: Network> Prober<N> {
     /// targeted session: the network is reset before each unit, which
     /// keeps it a pure function of its inputs, and each result goes to
     /// `done` with its unit index. The session publishes once, when it
-    /// ends; a prober that claims nothing opens none and stays clean.
+    /// ends; a prober that claims nothing opens none.
     fn run_units(
         &mut self,
         round: &Round<'_>,
@@ -286,7 +281,6 @@ impl<N: Network> Prober<N> {
         if claims.peek().is_none() {
             return;
         }
-        self.dirty = true;
         let mut session = self.scanner.targeted();
         let mut answers = Vec::new();
         for i in claims {
@@ -299,13 +293,9 @@ impl<N: Network> Prober<N> {
     /// Merges what this prober's registry gained since the last call
     /// into `snapshot`.
     fn absorb_into(&mut self, snapshot: &mut Snapshot) {
-        if !self.dirty {
-            return;
-        }
         let now = self.scanner.telemetry().registry.snapshot();
         snapshot.merge(&now.diff(&self.absorbed));
         self.absorbed = now;
-        self.dirty = false;
     }
 }
 

@@ -24,12 +24,17 @@
 //!   record (killed mid-finalize) is finalized again on open;
 //!   finalization is idempotent. `Completed` is appended only once the
 //!   artifacts' directory entries are fsynced.
+//! * During [`Daemon::run`] only the committer thread writes `UnitDone`
+//!   records and artifacts. Workers hand it each finished unit, in
+//!   queue order, and go on to their next one; a unit counts as done
+//!   (in [`Daemon::status`], and towards finalizing its job) only once
+//!   the committer has fsynced its record.
 //!
 //! All file writes route through `xmap-failpoint`, so the torture suite
 //! can kill the daemon, or cut its power, at every filesystem operation
 //! and assert the invariants above.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -136,6 +141,10 @@ impl JobState {
 /// A finished unit's output and telemetry delta, as journalled.
 type UnitResult = (UnitOutput, Snapshot);
 
+/// A unit a worker finished, queued for the committer: `(job, unit,
+/// output, metrics)`.
+type Finished = (u64, usize, UnitOutput, Snapshot);
+
 #[derive(Debug)]
 struct JobEntry {
     tenant: String,
@@ -179,7 +188,11 @@ struct Engine {
     next_id: u64,
     draining: bool,
     stopping: bool,
+    /// Units dispatched and not yet applied by the committer: running,
+    /// or queued in `finished`.
     in_flight: usize,
+    /// Finished units awaiting the committer, in the order they finished.
+    finished: VecDeque<Finished>,
     fatal: Option<StateError>,
 }
 
@@ -313,6 +326,7 @@ impl Daemon {
             draining: false,
             stopping: false,
             in_flight: 0,
+            finished: VecDeque::new(),
             fatal: None,
         };
         let daemon = Daemon {
@@ -461,17 +475,20 @@ impl Daemon {
         }
     }
 
-    /// Runs the worker pool until the daemon is drained or a storage
-    /// fault stops it. All scheduling state is re-derivable, so an `Err`
-    /// return leaves the root resumable by a fresh [`Daemon::open`].
+    /// Runs the worker pool and its committer until the daemon is drained
+    /// or a storage fault stops it. All scheduling state is re-derivable,
+    /// so an `Err` return leaves the root resumable by a fresh
+    /// [`Daemon::open`].
     pub fn run(&self) -> Result<DrainOutcome, StateError> {
         std::thread::scope(|scope| {
+            let committer = scope.spawn(|| self.commit_loop());
             let handles: Vec<_> = (0..self.cfg.workers.max(1))
                 .map(|_| scope.spawn(|| self.worker_loop()))
                 .collect();
             for h in handles {
                 h.join().expect("worker loops catch their panics");
             }
+            committer.join().expect("the committer does not panic");
         });
         match self.engine().fatal.take() {
             Some(e) => Err(e),
@@ -481,10 +498,18 @@ impl Daemon {
         }
     }
 
+    /// Dispatches units and runs them. A finished unit is queued for the
+    /// committer under the same lock that dispatches the next one; it
+    /// stays in `in_flight` until the committer applies it.
     fn worker_loop(&self) {
+        let mut finished = None;
         loop {
             let dispatch = {
                 let mut eng = self.engine();
+                if let Some(unit) = finished.take() {
+                    eng.finished.push_back(unit);
+                    self.wake.notify_all();
+                }
                 loop {
                     if eng.stopping {
                         drop(eng);
@@ -505,51 +530,8 @@ impl Daemon {
                 }
             };
             let (job, unit, spec) = dispatch;
-            let attempt = catch_unwind(AssertUnwindSafe(|| spec.run_unit(unit)));
-            match attempt {
-                Ok((output, metrics)) => {
-                    // Durable before done: the ledger append fsyncs.
-                    let event = LedgerEvent::UnitDone {
-                        job,
-                        unit,
-                        output,
-                        metrics,
-                    };
-                    let committed = self.ledger().append(&event);
-                    let LedgerEvent::UnitDone {
-                        output, metrics, ..
-                    } = event
-                    else {
-                        unreachable!("the event was built as UnitDone")
-                    };
-                    let finalize = {
-                        let mut eng = self.engine();
-                        eng.in_flight -= 1;
-                        if let Err(e) = committed {
-                            self.fail(&mut eng, e);
-                            continue;
-                        }
-                        let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
-                        if entry.state == JobState::Active
-                            && matches!(entry.done.get(unit), Some(None))
-                        {
-                            entry.registry.absorb(&metrics);
-                            entry.done[unit] = Some((output, metrics));
-                            entry.done_count += 1;
-                            self.metrics.counter(metric::UNITS_EXECUTED).inc();
-                            entry.done_count == entry.spec.units()
-                        } else {
-                            false
-                        }
-                    };
-                    if finalize {
-                        if let Err(e) = self.finalize(job) {
-                            self.fail(&mut self.engine(), e);
-                            continue;
-                        }
-                    }
-                    self.wake.notify_all();
-                }
+            match catch_unwind(AssertUnwindSafe(|| spec.run_unit(unit))) {
+                Ok((output, metrics)) => finished = Some((job, unit, output, metrics)),
                 Err(_) => {
                     let mut eng = self.engine();
                     eng.in_flight -= 1;
@@ -577,8 +559,74 @@ impl Daemon {
         }
     }
 
-    /// Records a fatal storage fault and stops every worker. The fault
-    /// is returned from [`Daemon::run`]; on-disk state stays resumable.
+    /// The run's one writer: journals each finished unit in queue order
+    /// (one append and fsync per unit, outside the engine lock), then
+    /// applies it, and finalizes a job once its last unit is applied.
+    /// Returns when the run stops, or once the drain leaves nothing
+    /// pending, running or queued; a failed write stops the run, and the
+    /// units still queued are lost, as a kill would lose them.
+    fn commit_loop(&self) {
+        loop {
+            let (job, unit, output, metrics) = {
+                let mut eng = self.engine();
+                loop {
+                    if eng.stopping {
+                        return;
+                    }
+                    if let Some(finished) = eng.finished.pop_front() {
+                        break finished;
+                    }
+                    if eng.draining && eng.in_flight == 0 && eng.sched.total_pending() == 0 {
+                        return;
+                    }
+                    eng = self.wake.wait(eng).expect("daemon engine poisoned");
+                }
+            };
+            // Durable before done: the ledger append fsyncs.
+            let event = LedgerEvent::UnitDone {
+                job,
+                unit,
+                output,
+                metrics,
+            };
+            let committed = self.ledger().append(&event);
+            let LedgerEvent::UnitDone {
+                output, metrics, ..
+            } = event
+            else {
+                unreachable!("the event was built as UnitDone")
+            };
+            let finalize = {
+                let mut eng = self.engine();
+                eng.in_flight -= 1;
+                if let Err(e) = committed {
+                    self.fail(&mut eng, e);
+                    return;
+                }
+                let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
+                if entry.state == JobState::Active && matches!(entry.done.get(unit), Some(None)) {
+                    entry.registry.absorb(&metrics);
+                    entry.done[unit] = Some((output, metrics));
+                    entry.done_count += 1;
+                    self.metrics.counter(metric::UNITS_EXECUTED).inc();
+                    entry.done_count == entry.spec.units()
+                } else {
+                    false
+                }
+            };
+            if finalize {
+                if let Err(e) = self.finalize(job) {
+                    self.fail(&mut self.engine(), e);
+                    return;
+                }
+            }
+            self.wake.notify_all();
+        }
+    }
+
+    /// Records a fatal storage fault and stops every worker and the
+    /// committer. The fault is returned from [`Daemon::run`]; on-disk
+    /// state stays resumable.
     fn fail(&self, eng: &mut Engine, e: StateError) {
         eng.fatal.get_or_insert(e);
         eng.stopping = true;
@@ -587,8 +635,8 @@ impl Daemon {
 
     /// Publishes a finished job's final artifacts from its journalled
     /// unit results, fsyncs their directory entries, and journals
-    /// `Completed`. Idempotent; called by the worker that commits the
-    /// last unit, or by [`Daemon::open`] for jobs killed mid-finalize.
+    /// `Completed`. Idempotent; called by the committer once it applies
+    /// the last unit, or by [`Daemon::open`] for jobs killed mid-finalize.
     fn finalize(&self, job: u64) -> Result<(), StateError> {
         let (spec, done) = {
             let mut eng = self.engine();
@@ -612,8 +660,8 @@ impl Daemon {
         let mut eng = self.engine();
         let entry = eng.jobs.get_mut(&job).expect("jobs are never dropped");
         if entry.state == JobState::Active {
-            entry.state = JobState::Completed;
             self.ledger().append(&LedgerEvent::Completed { job })?;
+            entry.state = JobState::Completed;
             self.metrics.counter(metric::COMPLETED).inc();
         }
         drop(eng);

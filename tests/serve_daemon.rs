@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xmap_failpoint::{FailPlan, FsOp, FsSchedule};
+use xmap_failpoint::{FailPlan, FaultKind, FsAction, FsOp, FsRule, FsSchedule};
 use xmap_serve::daemon::{job_dir, ServeError};
 use xmap_serve::sched::AdmissionError;
 use xmap_serve::{AdmissionPolicy, Daemon, JobSpec, Ledger, LedgerEvent, ServeConfig, UnitOutput};
@@ -444,6 +444,53 @@ fn power_loss_sweep_resumes_both_tenant_jobs_byte_identically() {
             assert_eq!(artifacts(&root, b), base_b, "{label}: bob diverged");
             let _ = std::fs::remove_dir_all(&root);
         }
+    }
+}
+
+/// A unit counts as done only once its `UnitDone` is durable. The
+/// ledger's `nth` fsync after both submits fails; the run must stop with
+/// the fault, and the units `status()` reported done must be exactly the
+/// `UnitDone` records a reopen replays: all 30 units less those it finds
+/// pending. The resumed run then finishes both jobs to the baseline's
+/// artifacts. The run's ledger fsyncs are 30 `UnitDone`s and 2
+/// `Completed`s, so the last `nth` fails the second job's `Completed`.
+#[test]
+fn a_unit_counts_as_done_only_once_its_record_is_durable() {
+    let (base_a, base_b, _) = baseline();
+    let units = alice_spec().units() + bob_spec().units();
+    for nth in [0, 1, 9, 16, 24, 31] {
+        let root = tdir("durable");
+        let daemon = Daemon::open(&root, cfg(2)).expect("open");
+        let (a, b) = submit_both(&daemon);
+        daemon.drain();
+        let scope = FailPlan {
+            prefix: root.clone(),
+            rules: vec![FsRule {
+                op: FsOp::Sync,
+                suffix: Some("ledger.wal".to_owned()),
+                nth,
+                action: FsAction::Fail(FaultKind::Eio),
+            }],
+            schedules: Vec::new(),
+        }
+        .arm();
+        let outcome = daemon.run();
+        assert_eq!(scope.fired(), 1, "ledger fsync {nth} never failed");
+        drop(scope);
+        outcome.expect_err("a failed ledger fsync must stop the run");
+        let done: usize = daemon.status().jobs.iter().map(|j| j.units_done).sum();
+        drop(daemon);
+        let daemon = Daemon::open(&root, cfg(2)).expect("reopen");
+        assert_eq!(
+            done,
+            units - daemon.resumed().1,
+            "ledger fsync {nth}: status counted units the ledger does not hold"
+        );
+        daemon.drain();
+        daemon.run().expect("resumed run");
+        assert_eq!(artifacts(&root, a), base_a, "fsync {nth}: alice diverged");
+        assert_eq!(artifacts(&root, b), base_b, "fsync {nth}: bob diverged");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
