@@ -10,10 +10,15 @@
 //!
 //! Every append is fsynced before the daemon acknowledges the event or
 //! marks the unit done, so it survives any later crash, power loss
-//! included. The underlying [`Wal`] tolerates a torn tail: a crash
-//! mid-append loses only the unacknowledged record. A failed append cuts
-//! the file back to its last synced event and closes the ledger until it
-//! is reopened ([`Wal`]'s failure rule), so no event ever lands after torn
+//! included. Each event is its own append and fsync, never grouped with
+//! another's. During a run the daemon's committer thread is the only
+//! writer of `UnitDone` and `Completed` records; `Submitted` and
+//! `Cancelled` come from the control plane under the same mutex.
+//!
+//! The underlying [`Wal`] tolerates a torn tail: a crash mid-append
+//! loses only the unacknowledged record. A failed append cuts the file
+//! back to its last synced event and closes the ledger until it is
+//! reopened ([`Wal`]'s failure rule), so no event ever lands after torn
 //! or unacknowledged bytes.
 
 use std::path::Path;
