@@ -506,8 +506,8 @@ impl Daemon {
         loop {
             let dispatch = {
                 let mut eng = self.engine();
-                if let Some(unit) = finished.take() {
-                    eng.finished.push_back(unit);
+                if let Some(done) = finished.take() {
+                    eng.finished.push_back(done);
                     self.wake.notify_all();
                 }
                 loop {
