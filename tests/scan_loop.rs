@@ -627,3 +627,88 @@ fn gave_up_is_probed_minus_answered_under_every_fault() {
         fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// One Comcast CPE's /56 swept at /64: 256 targets behind one device,
+/// which answers every probe with an unreachable from its WAN address.
+fn one_device_range() -> ScanRange {
+    "2601:d7:49dc:e100::/56-64".parse().unwrap()
+}
+
+/// `workers` workers over the default world of seed 7, each armed with
+/// `kill` when one is given.
+fn default_world_workers(
+    workers: usize,
+    kill: Option<(u64, AbortSignal)>,
+) -> ParallelScanner<World> {
+    let config = ScanConfig {
+        seed: 7,
+        ..Default::default()
+    };
+    ParallelScanner::new(workers, config, move |_, telemetry| {
+        let mut world = World::new(7);
+        world.set_telemetry(telemetry);
+        if let Some((after, signal)) = &kill {
+            world.arm_kill(kill_point(*after), signal.clone());
+        }
+        world
+    })
+}
+
+/// The snapshot without its `exec.*` counters, which describe the
+/// worker schedule rather than the scan.
+fn strip_exec(mut snap: Snapshot) -> Snapshot {
+    snap.counters.retain(|name, _| !name.starts_with("exec."));
+    snap
+}
+
+/// The default world answers a probe from the probe and the world seed
+/// alone, however many errors the device behind it has sent: a sweep
+/// finer than one device's delegation writes the same records and
+/// metrics at 1, 2 and 4 workers and across a one-worker kill and
+/// resume, and every one of the device's 256 targets is answered.
+#[test]
+fn one_device_answers_alike_at_every_worker_count_and_across_a_resume() {
+    let blocklist = Blocklist::allow_all();
+    let run = |workers| {
+        let mut ps = default_world_workers(workers, None);
+        let results = ps.run(&one_device_range(), &IcmpEchoProbe, &blocklist);
+        (results.records, strip_exec(ps.snapshot()))
+    };
+    let (records, snapshot) = run(1);
+    assert_eq!(records.len(), 256, "every target behind the device answers");
+    for workers in [2, 4] {
+        let (other, other_snapshot) = run(workers);
+        assert_eq!(other.len(), records.len(), "rows at {workers} workers");
+        assert_eq!(to_csv(&other), to_csv(&records), "CSV at {workers} workers");
+        assert_eq!(other_snapshot, snapshot, "snapshot at {workers} workers");
+    }
+
+    let ranges = [one_device_range()];
+    let dir = session_dir("one-device");
+    let session = |resume: bool, kill: Option<u64>| {
+        let signal = AbortSignal::new();
+        let mut ps = default_world_workers(1, kill.map(|n| (n, signal.clone())));
+        let outcome = run_session(
+            &session_spec(&ranges, &dir, resume),
+            &mut ps,
+            &IcmpEchoProbe,
+            &blocklist,
+            Some(&signal),
+        )
+        .expect("checkpointed session");
+        assert!(outcome.sink_error.is_none(), "{:?}", outcome.sink_error);
+        outcome
+    };
+    let killed = session(false, Some(100));
+    assert!(killed.results.interrupted, "kill after 100 probes");
+    let resumed = session(true, None);
+    assert!(!resumed.results.interrupted);
+    assert_eq!(
+        resumed.results.records.len(),
+        records.len(),
+        "rows after resume"
+    );
+    assert_eq!(to_csv(&resumed.results.records), to_csv(&records));
+    assert_eq!(strip_exec(resumed.snapshot), snapshot);
+    fs::remove_dir_all(&dir).unwrap();
+}
