@@ -1,21 +1,20 @@
 //! The `xmap` binary's one scan driver: every invocation of a seeded scan
 //! writes the same CSV bytes and the same `--metrics-out` JSON, whatever
-//! `--workers` count it runs at, checkpointed or not, and a recorded wire
+//! `--workers` count it runs at, checkpointed or not, a killed and
+//! resumed scan writes the uninterrupted CSV, and a recorded wire
 //! replays to the same CSV.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, ExitStatus};
 
-const SCAN: &[&str] = &[
-    "-s",
-    "7",
-    "--world-seed",
-    "7",
-    "-x",
-    "20000",
-    "-q",
-    "2405:200::/32-64",
-];
+const SEEDS: &[&str] = &["-s", "7", "--world-seed", "7", "-q"];
+
+/// A sparse block swept at /64, capped at 20,000 targets.
+const SPARSE: &[&str] = &["-x", "20000", "2405:200::/32-64"];
+
+/// One Comcast CPE's /56 swept at /64: 256 targets behind one device,
+/// each answered with an unreachable.
+const ONE_DEVICE: &[&str] = &["2601:d7:49dc:e100::/56-64"];
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xmap-cli-scan-{tag}-{}", std::process::id()));
@@ -24,57 +23,89 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the seeded scan with `extra` arguments, writing `<name>.csv` and
-/// `<name>.json` into `dir`; returns both files' bytes.
-fn scan(dir: &Path, name: &str, extra: &[&str]) -> (Vec<u8>, Vec<u8>) {
-    let csv = dir.join(format!("{name}.csv"));
-    let json = dir.join(format!("{name}.json"));
-    let status = Command::new(env!("CARGO_BIN_EXE_xmap"))
-        .args(SCAN)
+/// Runs the seeded scan of `targets` with `extra` arguments, writing
+/// `<name>.csv` and `<name>.json` into `dir`.
+fn xmap(dir: &Path, name: &str, targets: &[&str], extra: &[&str]) -> ExitStatus {
+    Command::new(env!("CARGO_BIN_EXE_xmap"))
+        .args(SEEDS)
         .args(extra)
         .arg("-o")
-        .arg(&csv)
+        .arg(dir.join(format!("{name}.csv")))
         .arg("--metrics-out")
-        .arg(&json)
+        .arg(dir.join(format!("{name}.json")))
+        .args(targets)
         .status()
-        .expect("xmap runs");
+        .expect("xmap runs")
+}
+
+/// [`xmap`], which must succeed; returns the CSV's and the JSON's bytes.
+fn scan(dir: &Path, name: &str, targets: &[&str], extra: &[&str]) -> (Vec<u8>, Vec<u8>) {
+    let status = xmap(dir, name, targets, extra);
     assert!(status.success(), "xmap {extra:?}: {status}");
-    (std::fs::read(csv).unwrap(), std::fs::read(json).unwrap())
+    let read = |ext: &str| std::fs::read(dir.join(format!("{name}.{ext}"))).unwrap();
+    (read("csv"), read("json"))
 }
 
 #[test]
 fn every_worker_count_and_checkpointing_write_the_same_artifacts() {
-    let dir = scratch_dir("workers");
-    let (csv, json) = scan(&dir, "w1", &["--workers", "1"]);
-    assert!(
-        csv.split(|&b| b == b'\n').count() > 10,
-        "expected a scan with findings"
-    );
-    let ckpt1 = dir.join("ckpt1").display().to_string();
-    let ckpt2 = dir.join("ckpt2").display().to_string();
-    let runs: [(&str, &[&str]); 4] = [
-        ("w2", &["--workers", "2"]),
-        ("w4", &["--workers", "4"]),
-        ("ckpt1", &["--workers", "1", "--checkpoint", &ckpt1]),
-        ("ckpt2", &["--workers", "2", "--checkpoint", &ckpt2]),
-    ];
-    for (name, extra) in runs {
-        let (other_csv, other_json) = scan(&dir, name, extra);
-        assert!(other_csv == csv, "{name}: CSV differs from --workers 1");
+    for (tag, targets, rows) in [
+        ("sparse", SPARSE, 11..20_000),
+        ("one-device", ONE_DEVICE, 257..258),
+    ] {
+        let dir = scratch_dir(tag);
+        let (csv, json) = scan(&dir, "w1", targets, &["--workers", "1"]);
+        let lines = csv.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
+        assert!(rows.contains(&lines), "{tag}: {lines} CSV lines");
+        let ckpt1 = dir.join("ckpt1").display().to_string();
+        let ckpt2 = dir.join("ckpt2").display().to_string();
+        let runs: [(&str, &[&str]); 4] = [
+            ("w2", &["--workers", "2"]),
+            ("w4", &["--workers", "4"]),
+            ("ckpt1", &["--workers", "1", "--checkpoint", &ckpt1]),
+            ("ckpt2", &["--workers", "2", "--checkpoint", &ckpt2]),
+        ];
+        for (name, extra) in runs {
+            let (other_csv, other_json) = scan(&dir, name, targets, extra);
+            assert!(
+                other_csv == csv,
+                "{tag} {name}: CSV differs from --workers 1"
+            );
+            assert!(
+                other_json == json,
+                "{tag} {name}: metrics differ from --workers 1"
+            );
+        }
+
+        // One worker killed after 100 probes, past several cuts, resumes
+        // to the uninterrupted CSV.
+        let killed = dir.join("killed").display().to_string();
+        let session = [
+            "--workers",
+            "1",
+            "--checkpoint",
+            &killed,
+            "--checkpoint-every",
+            "16",
+        ];
+        let kill = [&session[..], &["--kill-after-probes", "100"]].concat();
+        let status = xmap(&dir, "partial", targets, &kill);
+        assert_eq!(status.code(), Some(3), "{tag}: the kill must interrupt");
+        let resume = [&session[..], &["--resume"]].concat();
+        let (resumed, _) = scan(&dir, "resumed", targets, &resume);
         assert!(
-            other_json == json,
-            "{name}: metrics differ from --workers 1"
+            resumed == csv,
+            "{tag}: resumed CSV differs from --workers 1"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn a_recorded_wire_replays_to_the_same_csv() {
     let dir = scratch_dir("wire");
     let wire = dir.join("wire.ndjson").display().to_string();
-    let (recorded, _) = scan(&dir, "record", &["--record-wire", &wire]);
-    let (replayed, _) = scan(&dir, "replay", &["--replay-trace", &wire]);
+    let (recorded, _) = scan(&dir, "record", SPARSE, &["--record-wire", &wire]);
+    let (replayed, _) = scan(&dir, "replay", SPARSE, &["--replay-trace", &wire]);
     assert!(
         replayed == recorded,
         "--replay-trace diverged from the recording"

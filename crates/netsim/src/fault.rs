@@ -2,7 +2,7 @@
 //!
 //! The live IPv6 Internet the paper scanned is a hostile channel: probes
 //! and responses are lost, CPEs rate-limit ICMPv6 error generation with
-//! token buckets (RFC 4443 §2.4), home routers reboot, and responses
+//! token buckets (RFC 4443 §2.4(f)), home routers reboot, and responses
 //! arrive duplicated, late, and out of order. A [`FaultPlan`] describes
 //! all of those behaviours as a pure function of `(plan seed, packet,
 //! virtual time)`, so any experiment under faults replays byte-for-byte:
@@ -10,6 +10,11 @@
 //! probed with the same packet sequence produce identical responses,
 //! identical statistics, and identical retransmission behaviour in the
 //! scanner above.
+//!
+//! [`FaultPlan::none`] is the default world's plan: it injects nothing
+//! and limits no error, so that world answers a probe from the probe and
+//! the world seed alone. A limiter is a plan a caller asks for
+//! ([`IcmpRateLimit::TokenBucket`]); its buckets are per-device history.
 //!
 //! Virtual time is counted in *ticks*. The scanner advances the network
 //! one tick per probe it sends ([`crate::packet::Network::tick`]), so a
@@ -26,10 +31,6 @@ use crate::rng::DetHash;
 /// §2.4(f), applied by [`crate::rules::rfc4443::admit_error`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IcmpRateLimit {
-    /// The historical model of this simulator: each device answers its
-    /// first 64 errors at full rate, then one in ten. Time-independent,
-    /// so a device that has been hammered never recovers.
-    Legacy,
     /// A real token bucket refilled by virtual time: the bucket holds at
     /// most `capacity` tokens and gains one every `refill_interval` ticks.
     /// An error is sent only when a token is available. Devices chosen by
@@ -45,7 +46,8 @@ pub enum IcmpRateLimit {
         /// exhausted by background traffic).
         start_depleted_frac: f64,
     },
-    /// No limiting: every error the model produces is sent.
+    /// No limiting: every error the model produces is sent, and no
+    /// device keeps limiter state. [`FaultPlan::none`]'s model.
     Unlimited,
 }
 
@@ -143,10 +145,9 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// The identity plan: no loss, no duplication, no jitter, no flaky
-    /// devices, and the simulator's legacy burst-then-1-in-10 error
-    /// limiter. Installing this plan leaves network behaviour exactly as
-    /// it was before the fault layer existed (and costs ~nothing: every
-    /// check short-circuits on a zero probability).
+    /// devices, and no error limiter ([`IcmpRateLimit::Unlimited`]).
+    /// Every check short-circuits on a zero probability, and a world
+    /// under this plan keeps no per-device history.
     pub fn none() -> Self {
         const SEED: u64 = 0xFA_17;
         FaultPlan {
@@ -159,7 +160,7 @@ impl FaultPlan {
             flaky_frac: 0.0,
             flaky_period: 1024,
             flaky_outage: 128,
-            icmp_limit: IcmpRateLimit::Legacy,
+            icmp_limit: IcmpRateLimit::Unlimited,
         }
     }
 
@@ -223,14 +224,15 @@ impl FaultPlan {
         self
     }
 
-    /// Whether this plan injects any fault beyond the legacy baseline.
+    /// Whether this plan draws any loss, duplication, jitter or flaky
+    /// device. The error limiter is not a draw: it acts where an error is
+    /// generated, whatever this says.
     pub fn any_faults(&self) -> bool {
         self.forward_loss > 0.0
             || self.reverse_loss > 0.0
             || self.duplicate_frac > 0.0
             || self.max_jitter_ticks > 0
             || self.flaky_frac > 0.0
-            || !matches!(self.icmp_limit, IcmpRateLimit::Legacy)
     }
 
     /// Whether a probe to `dst` sent at `tick` is dropped en route.

@@ -118,13 +118,11 @@ pub mod rfc4443 {
         }
     }
 
-    /// Per-device state of the §2.4(f) error limiter, owned by the network
+    /// Per-device state of the §2.4(f) token bucket, owned by the network
     /// and updated through [`admit_error`].
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ErrorLimiterState {
-        /// Total errors the device has attempted to emit (legacy model).
-        pub emitted: u64,
-        /// Tokens currently in the bucket (token-bucket model).
+        /// Tokens currently in the bucket.
         pub tokens: u32,
         /// Tick of the last bucket refill.
         pub last_refill_tick: u64,
@@ -148,10 +146,6 @@ pub mod rfc4443 {
     ) -> bool {
         match plan.icmp_limit {
             IcmpRateLimit::Unlimited => true,
-            IcmpRateLimit::Legacy => {
-                state.emitted += 1;
-                state.emitted <= 64 || state.emitted.is_multiple_of(10)
-            }
             IcmpRateLimit::TokenBucket {
                 capacity,
                 refill_interval,
@@ -399,6 +393,17 @@ mod tests {
     }
 
     #[test]
+    fn rfc4443_2_4_f_unlimited_admits_every_error() {
+        let plan = FaultPlan::none();
+        assert_eq!(plan.icmp_limit, IcmpRateLimit::Unlimited);
+        let mut st = ErrorLimiterState::default();
+        for tick in 0..200 {
+            assert!(rfc4443::admit_error(&plan, 0, 0, &mut st, tick / 100, 1));
+        }
+        assert_eq!(st, ErrorLimiterState::default(), "no history kept");
+    }
+
+    #[test]
     fn rfc4443_2_4_f_depleted_bucket_is_silent_then_recovers() {
         let plan = token_bucket(8, 16, 1.0);
         let mut st = ErrorLimiterState::default();
@@ -406,17 +411,6 @@ mod tests {
         assert!(!rfc4443::admit_error(&plan, 7, 7, &mut st, 0, 1));
         // … but the retry after a refill interval is admitted.
         assert!(rfc4443::admit_error(&plan, 7, 7, &mut st, 16, 1));
-    }
-
-    #[test]
-    fn rfc4443_2_4_f_legacy_limiter_bursts_64_then_one_in_ten() {
-        let plan = FaultPlan::none();
-        let mut st = ErrorLimiterState::default();
-        let admitted = (0..200)
-            .filter(|_| rfc4443::admit_error(&plan, 0, 0, &mut st, 0, 1))
-            .count();
-        // 64 burst + every tenth of the remaining 136.
-        assert_eq!(admitted, 64 + (65..=200).filter(|n| n % 10 == 0).count());
     }
 
     #[test]

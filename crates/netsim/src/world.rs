@@ -35,7 +35,7 @@ use xmap_state::AbortSignal;
 
 use crate::bgp::{AsParams, BgpTable, BASE_DENSITY, BGP_IID_MIX, LOOP_RATE_BY_CLASS};
 use crate::device::{Device, ReplyMode, ServiceInstance, ServiceSet};
-use crate::fault::{DelayedResponse, FaultPlan};
+use crate::fault::{DelayedResponse, FaultPlan, IcmpRateLimit};
 use crate::isp::{IspProfile, NON_EUI_IID_SPLIT, SAMPLE_BLOCKS};
 use crate::packet::{
     AppData, Icmpv6, Ipv6Packet, Network, Payload, TcpFlags, UnreachCode, DEFAULT_HOP_LIMIT,
@@ -226,7 +226,8 @@ pub struct World {
     /// Discovered WAN address → device locator (fed by discovery responses,
     /// consumed by application-layer probes).
     registry: FxHashMap<Ip6, DeviceRef>,
-    /// Per-device ICMPv6 error limiter state (RFC 4443 rate limiting).
+    /// Per-device token buckets of a plan's RFC 4443 §2.4(f) limiter;
+    /// never written under [`IcmpRateLimit::Unlimited`], the default.
     error_limiters: FxHashMap<(usize, u64), ErrorLimiterState>,
     /// Virtual clock in ticks; advanced by [`Network::tick`].
     clock: u64,
@@ -480,6 +481,9 @@ impl World {
     /// RFC 4443 §2.4(f): whether the device may emit one more ICMPv6
     /// error under the fault plan's limiter model.
     fn error_budget_ok(&mut self, profile_idx: usize, index: u64, device: &Device) -> bool {
+        if self.cfg.fault.icmp_limit == IcmpRateLimit::Unlimited {
+            return true;
+        }
         let state = self.error_limiters.entry((profile_idx, index)).or_default();
         let allowed = rfc4443::admit_error(
             &self.cfg.fault,
@@ -1789,21 +1793,33 @@ mod realism_tests {
         panic!("no device found");
     }
 
+    /// `w()`'s world under a token-bucket limiter of `capacity` tokens
+    /// that refills once in 2^20 ticks: never, for these tests.
+    fn bucket_world(capacity: u32) -> World {
+        World::with_config(WorldConfig::lossless(31337, 10).with_fault(
+            FaultPlan::none().with_icmp_limit(crate::fault::IcmpRateLimit::TokenBucket {
+                capacity,
+                refill_interval: 1 << 20,
+                start_depleted_frac: 0.0,
+            }),
+        ))
+    }
+
     #[test]
     fn error_rate_limiting_kicks_in_under_abuse() {
-        let mut world = w();
+        let mut world = bucket_world(16);
         // Find a clean (non-loop) device and hammer its delegated prefix.
         let p = &SAMPLE_BLOCKS[12];
         let mut found = None;
         for i in 0..2_000_000u64 {
             if let Some(d) = world.device_at(12, i) {
                 if !d.loop_vuln_lan && !d.loop_vuln_wan {
-                    found = Some(i);
+                    found = Some((i, d));
                     break;
                 }
             }
         }
-        let i = found.expect("clean device");
+        let (i, device) = found.expect("clean device");
         let base = p.scan_prefix().subprefix(p.assigned_len, i as u128);
         let mut answered = 0u32;
         for k in 0..200u64 {
@@ -1815,17 +1831,17 @@ mod realism_tests {
                 answered += 1;
             }
         }
-        // Burst of 64 at full rate, then ~1/10.
-        assert!(answered >= 64, "{answered}");
-        assert!(answered < 120, "{answered}");
-        assert!(world.stats().rate_limited > 50);
+        // The device's burst at full rate, then silence: no tick passes.
+        let burst = 16 * device.icmp_burst_scale();
+        assert_eq!(answered, burst);
+        assert_eq!(world.stats().rate_limited, u64::from(200 - burst));
     }
 
     #[test]
     fn normal_scan_rate_unaffected_by_limiter() {
-        let mut world = w();
+        let mut world = bucket_world(1);
         // One probe per sub-prefix (the paper's discipline) never trips
-        // the limiter.
+        // even a one-token bucket.
         let p = &SAMPLE_BLOCKS[2];
         let mut responses = 0;
         for i in 0..30_000u64 {
@@ -1840,13 +1856,7 @@ mod realism_tests {
 
     #[test]
     fn reset_answers_like_a_fresh_world_and_keeps_lifetime_counts() {
-        let cfg = WorldConfig::lossless(31337, 10).with_fault(FaultPlan::none().with_icmp_limit(
-            crate::fault::IcmpRateLimit::TokenBucket {
-                capacity: 1,
-                refill_interval: 1 << 20,
-                start_depleted_frac: 0.0,
-            },
-        ));
+        let cfg = *bucket_world(1).config();
         let telemetry = xmap_telemetry::Telemetry::new();
         let mut world = World::with_config(cfg);
         world.set_telemetry(&telemetry);
@@ -1896,13 +1906,7 @@ mod realism_tests {
     #[test]
     fn tick_free_resets_leave_their_counts_to_the_next_publish() {
         use crate::telemetry::names::{PROBES, RESPONSES, TICKS};
-        let cfg = WorldConfig::lossless(31337, 10).with_fault(FaultPlan::none().with_icmp_limit(
-            crate::fault::IcmpRateLimit::TokenBucket {
-                capacity: 1,
-                refill_interval: 1 << 20,
-                start_depleted_frac: 0.0,
-            },
-        ));
+        let cfg = *bucket_world(1).config();
         let block = &SAMPLE_BLOCKS[2];
         let probe = World::with_config(cfg);
         let targets: Vec<Ip6> = (0..200_000u64)
