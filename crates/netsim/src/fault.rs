@@ -11,10 +11,8 @@
 //! identical statistics, and identical retransmission behaviour in the
 //! scanner above.
 //!
-//! [`FaultPlan::none`] is the default world's plan: it injects nothing
-//! and limits no error, so that world answers a probe from the probe and
-//! the world seed alone. A limiter is a plan a caller asks for
-//! ([`IcmpRateLimit::TokenBucket`]); its buckets are per-device history.
+//! The default world's plan, [`FaultPlan::none`], injects nothing and
+//! limits no error: a limiter is a plan a caller asks for.
 //!
 //! Virtual time is counted in *ticks*. The scanner advances the network
 //! one tick per probe it sends ([`crate::packet::Network::tick`]), so a
@@ -46,8 +44,7 @@ pub enum IcmpRateLimit {
         /// exhausted by background traffic).
         start_depleted_frac: f64,
     },
-    /// No limiting: every error the model produces is sent, and no
-    /// device keeps limiter state. [`FaultPlan::none`]'s model.
+    /// No limiting and no per-device state: [`FaultPlan::none`]'s model.
     Unlimited,
 }
 
@@ -225,8 +222,7 @@ impl FaultPlan {
     }
 
     /// Whether this plan draws any loss, duplication, jitter or flaky
-    /// device. The error limiter is not a draw: it acts where an error is
-    /// generated, whatever this says.
+    /// device (the error limiter is not a draw).
     pub fn any_faults(&self) -> bool {
         self.forward_loss > 0.0
             || self.reverse_loss > 0.0

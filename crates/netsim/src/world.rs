@@ -226,8 +226,7 @@ pub struct World {
     /// Discovered WAN address → device locator (fed by discovery responses,
     /// consumed by application-layer probes).
     registry: FxHashMap<Ip6, DeviceRef>,
-    /// Per-device token buckets of a plan's RFC 4443 §2.4(f) limiter;
-    /// never written under [`IcmpRateLimit::Unlimited`], the default.
+    /// Per-device §2.4(f) token buckets; none under the default plan.
     error_limiters: FxHashMap<(usize, u64), ErrorLimiterState>,
     /// Virtual clock in ticks; advanced by [`Network::tick`].
     clock: u64,

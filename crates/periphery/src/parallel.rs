@@ -84,10 +84,10 @@
 //! It holds only without a fault plan: every `FaultPlan` draw mixes in
 //! the tick, which depends on the schedule, so under any plan results
 //! can differ with the worker count, exactly as for [`ParallelScanner`].
-//! Private replicas also assume campaign probes are the only traffic to
-//! the sample blocks during the campaign (true for the default
-//! fault-free worlds; a limiter depleted by *earlier* probes on a shared
-//! scanner is state a replica cannot see).
+//! Under a token-bucket plan, private replicas also assume campaign
+//! probes are the only traffic to the sample blocks during the campaign:
+//! a bucket depleted by *earlier* probes on a shared scanner is state a
+//! replica cannot see. The default plan keeps no limiter state.
 //!
 //! # Supervision
 //!
