@@ -398,7 +398,7 @@ mod tests {
         assert_eq!(plan.icmp_limit, IcmpRateLimit::Unlimited);
         let mut st = ErrorLimiterState::default();
         for tick in 0..200 {
-            assert!(rfc4443::admit_error(&plan, 0, 0, &mut st, tick / 100, 1));
+            assert!(rfc4443::admit_error(&plan, 0, 0, &mut st, tick, 1));
         }
         assert_eq!(st, ErrorLimiterState::default(), "no history kept");
     }

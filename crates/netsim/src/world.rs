@@ -1796,7 +1796,7 @@ mod realism_tests {
     /// that refills once in 2^20 ticks: never, for these tests.
     fn bucket_world(capacity: u32) -> World {
         World::with_config(WorldConfig::lossless(31337, 10).with_fault(
-            FaultPlan::none().with_icmp_limit(crate::fault::IcmpRateLimit::TokenBucket {
+            FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
                 capacity,
                 refill_interval: 1 << 20,
                 start_depleted_frac: 0.0,
