@@ -29,9 +29,10 @@ fn run(
     bucket_capacity: u32,
 ) -> (String, String, u64) {
     let mut wc = WorldConfig::lossless(world_seed, 10);
-    // Capacity 0 keeps the legacy limiter; otherwise every device gets a
-    // token bucket too small to refill within a campaign — per-device
-    // memory that one unit's probes must not leak into the next.
+    // Capacity 0 keeps the default plan, which limits no error; otherwise
+    // every device gets a token bucket too small to refill within a
+    // campaign — per-device memory that one unit's probes must not leak
+    // into the next.
     if bucket_capacity > 0 {
         wc = wc.with_fault(
             FaultPlan::none().with_icmp_limit(IcmpRateLimit::TokenBucket {
