@@ -1729,13 +1729,13 @@ mod tests {
     }
 
     impl Network for ToyNet {
-        fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+        fn handle_into(&mut self, p: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
             self.handled += 1;
             let idx = p.dst.bit_slice(32, 64);
             if !idx.is_multiple_of(2) {
-                return Vec::new();
+                return;
             }
-            vec![Ipv6Packet {
+            out.push(Ipv6Packet {
                 src: p.dst.network(64).with_iid(0xbeef),
                 dst: p.src,
                 hop_limit: 60,
@@ -1743,7 +1743,7 @@ mod tests {
                     code: xmap_netsim::packet::UnreachCode::AddressUnreachable,
                     invoking: p.quote(),
                 }),
-            }]
+            });
         }
     }
 
@@ -2219,16 +2219,16 @@ mod tests {
         /// retries.
         struct Flaky;
         impl Network for Flaky {
-            fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+            fn handle_into(&mut self, p: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
                 let first_attempt = p.dst
                     == crate::target::fill_host_bits(
                         xmap_addr::Prefix::new(p.dst.network(64), 64),
                         1,
                     );
                 if first_attempt {
-                    return Vec::new();
+                    return;
                 }
-                vec![Ipv6Packet {
+                out.push(Ipv6Packet {
                     src: p.dst.network(64).with_iid(0xbeef),
                     dst: p.src,
                     hop_limit: 60,
@@ -2236,7 +2236,7 @@ mod tests {
                         code: xmap_netsim::packet::UnreachCode::AddressUnreachable,
                         invoking: p.quote(),
                     }),
-                }]
+                });
             }
         }
         let run = |k: u32| {
@@ -2263,16 +2263,16 @@ mod tests {
         /// Answers only retransmissions (seed-1, attempt >= 1 fills).
         struct DropFirst;
         impl Network for DropFirst {
-            fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+            fn handle_into(&mut self, p: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
                 let first_attempt = p.dst
                     == crate::target::fill_host_bits(
                         xmap_addr::Prefix::new(p.dst.network(64), 64),
                         1,
                     );
                 if first_attempt {
-                    return Vec::new();
+                    return;
                 }
-                vec![Ipv6Packet {
+                out.push(Ipv6Packet {
                     src: p.dst.network(64).with_iid(0xbeef),
                     dst: p.src,
                     hop_limit: 60,
@@ -2280,7 +2280,7 @@ mod tests {
                         code: xmap_netsim::packet::UnreachCode::AddressUnreachable,
                         invoking: p.quote(),
                     }),
-                }]
+                });
             }
         }
         let mut s = Scanner::new(
@@ -2340,13 +2340,13 @@ mod tests {
 
     #[test]
     fn delayed_response_suppresses_retransmission() {
-        /// Answers every probe, but 3 ticks late, through [`Network::tick`].
+        /// Answers every probe, but 3 ticks late, through [`Network::tick_into`].
         struct SlowNet {
             clock: u64,
             queue: Vec<(u64, Ipv6Packet)>,
         }
         impl Network for SlowNet {
-            fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
+            fn handle_into(&mut self, p: Ipv6Packet, _out: &mut Vec<Ipv6Packet>) {
                 let resp = Ipv6Packet {
                     src: p.dst.network(64).with_iid(0xbeef),
                     dst: p.src,
@@ -2357,16 +2357,15 @@ mod tests {
                     }),
                 };
                 self.queue.push((self.clock + 3, resp));
-                Vec::new()
             }
-            fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
+            fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
                 self.clock += ticks;
                 let clock = self.clock;
                 let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.queue)
                     .into_iter()
                     .partition(|(d, _)| *d <= clock);
                 self.queue = rest;
-                due.into_iter().map(|(_, p)| p).collect()
+                out.extend(due.into_iter().map(|(_, p)| p));
             }
             fn in_flight(&self) -> usize {
                 self.queue.len()
@@ -2429,8 +2428,7 @@ mod tests {
     }
 
     impl Network for HoldNet {
-        fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
-            let mut now = Vec::new();
+        fn handle_into(&mut self, p: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
             if self.answer.contains(&self.handled) {
                 let reply = Ipv6Packet {
                     src: p.dst.network(64).with_iid(0xbeef),
@@ -2442,7 +2440,7 @@ mod tests {
                     }),
                 };
                 if self.hold == 0 {
-                    now.push(reply);
+                    out.push(reply);
                 } else {
                     self.held.push((self.clock + self.hold, reply));
                 }
@@ -2453,16 +2451,15 @@ mod tests {
                     abort.set();
                 }
             }
-            now
         }
-        fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
+        fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
             self.clock += ticks;
             let clock = self.clock;
             let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.held)
                 .into_iter()
                 .partition(|(d, _)| *d <= clock);
             self.held = rest;
-            due.into_iter().map(|(_, p)| p).collect()
+            out.extend(due.into_iter().map(|(_, p)| p));
         }
         fn in_flight(&self) -> usize {
             self.held.len()
@@ -2616,11 +2613,11 @@ mod tests {
     struct LyingNet(HoldNet);
 
     impl Network for LyingNet {
-        fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
-            self.0.handle(p)
+        fn handle_into(&mut self, p: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
+            self.0.handle_into(p, out)
         }
-        fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
-            self.0.tick(ticks)
+        fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
+            self.0.tick_into(ticks, out)
         }
         fn in_flight(&self) -> usize {
             0

@@ -54,13 +54,10 @@ pub fn measure_amplification_with(
     } else {
         plan.nx_wan_address()
     };
-    engine.handle(Ipv6Packet::echo_request(
-        plan.vantage_addr,
-        target,
-        MAX_HOP_LIMIT,
-        0,
-        0,
-    ));
+    engine.handle_into(
+        Ipv6Packet::echo_request(plan.vantage_addr, target, MAX_HOP_LIMIT, 0, 0),
+        &mut Vec::new(),
+    );
     let loop_forwards =
         engine.link_forwards(net.isp, net.cpe) + engine.link_forwards(net.cpe, net.isp);
     let point = AmplificationPoint {
@@ -105,13 +102,10 @@ pub fn measure_spoofed_doubling(model: &RouterModel, path_hops: u8) -> (u64, u64
     };
     // Spoofed source: a *different* not-used address in the same region.
     let spoofed_src = Ip6::new(target.bits() ^ 0xff00);
-    engine.handle(Ipv6Packet::echo_request(
-        spoofed_src,
-        target,
-        MAX_HOP_LIMIT,
-        0,
-        0,
-    ));
+    engine.handle_into(
+        Ipv6Packet::echo_request(spoofed_src, target, MAX_HOP_LIMIT, 0, 0),
+        &mut Vec::new(),
+    );
     let spoofed = engine.link_forwards(net.isp, net.cpe) + engine.link_forwards(net.cpe, net.isp);
     (plain, spoofed)
 }

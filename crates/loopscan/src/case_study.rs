@@ -60,13 +60,11 @@ fn test_prefix(
 ) -> PrefixVerdict {
     let (mut engine, net) = build_home_network(model, plan);
     engine.reset_counters();
-    let replies = engine.handle(Ipv6Packet::echo_request(
-        plan.vantage_addr,
-        target,
-        MAX_HOP_LIMIT,
-        0,
-        0,
-    ));
+    let mut replies = Vec::new();
+    engine.handle_into(
+        Ipv6Packet::echo_request(plan.vantage_addr, target, MAX_HOP_LIMIT, 0, 0),
+        &mut replies,
+    );
     let loop_forwards =
         engine.link_forwards(net.isp, net.cpe) + engine.link_forwards(net.cpe, net.isp);
     match replies.first().map(|r| &r.payload) {

@@ -63,29 +63,21 @@ pub fn verify_mitigation(model: &RouterModel) -> MitigationReport {
         plan.nx_wan_address()
     };
 
+    let attack = Ipv6Packet::echo_request(plan.vantage_addr, attack_target, MAX_HOP_LIMIT, 0, 0);
+    let mut replies = Vec::new();
+
     // Before.
     let (mut engine, net) = build_home_network(model, &plan);
     engine.reset_counters();
-    engine.handle(Ipv6Packet::echo_request(
-        plan.vantage_addr,
-        attack_target,
-        MAX_HOP_LIMIT,
-        0,
-        0,
-    ));
+    engine.handle_into(attack.clone(), &mut replies);
     let before = engine.link_forwards(net.isp, net.cpe) + engine.link_forwards(net.cpe, net.isp);
 
     // After.
     let patched = patch_model(model);
     let (mut engine, net) = build_home_network(&patched, &plan);
     engine.reset_counters();
-    let replies = engine.handle(Ipv6Packet::echo_request(
-        plan.vantage_addr,
-        attack_target,
-        MAX_HOP_LIMIT,
-        0,
-        0,
-    ));
+    replies.clear();
+    engine.handle_into(attack, &mut replies);
     let after = engine.link_forwards(net.isp, net.cpe) + engine.link_forwards(net.cpe, net.isp);
     let answers_reject_route = replies.iter().any(|r| {
         matches!(
@@ -96,14 +88,12 @@ pub fn verify_mitigation(model: &RouterModel) -> MitigationReport {
             })
         )
     });
-    let lan_replies = engine.handle(Ipv6Packet::echo_request(
-        plan.vantage_addr,
-        plan.lan_host,
-        64,
-        1,
-        1,
-    ));
-    let lan_still_reachable = lan_replies
+    replies.clear();
+    engine.handle_into(
+        Ipv6Packet::echo_request(plan.vantage_addr, plan.lan_host, 64, 1, 1),
+        &mut replies,
+    );
+    let lan_still_reachable = replies
         .iter()
         .any(|r| matches!(r.payload, Payload::Icmp(Icmpv6::EchoReply { .. })));
 

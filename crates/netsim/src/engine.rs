@@ -107,8 +107,11 @@ impl Node {
 /// e.set_vantage(vantage);
 ///
 /// // Ping the router itself: echo reply comes back.
-/// let replies = e.handle(Ipv6Packet::echo_request(
-///     "fd::1".parse()?, "2001:db8::1".parse()?, 64, 1, 1));
+/// let mut replies = Vec::new();
+/// e.handle_into(
+///     Ipv6Packet::echo_request("fd::1".parse()?, "2001:db8::1".parse()?, 64, 1, 1),
+///     &mut replies,
+/// );
 /// assert_eq!(replies.len(), 1);
 /// # Ok(())
 /// # }
@@ -124,7 +127,7 @@ pub struct Engine {
     /// Injected faults: per-link loss keyed on the fault seed and the
     /// virtual clock. Identity plan by default.
     fault: FaultPlan,
-    /// Virtual clock in ticks; advanced by [`Network::tick`].
+    /// Virtual clock in ticks; advanced by [`Network::tick_into`].
     clock: u64,
     /// Packets dropped on links by the fault plan since the last reset.
     link_drops: u64,
@@ -175,7 +178,7 @@ impl Engine {
     }
 
     /// Declares the node the scanner sits on. Response packets arriving at
-    /// any of its addresses are returned by [`Network::handle`].
+    /// any of its addresses are appended by [`Network::handle_into`].
     pub fn set_vantage(&mut self, node: NodeId) {
         self.vantage = Some(node);
     }
@@ -327,13 +330,13 @@ fn local_answer(packet: &Ipv6Packet) -> Option<Answer> {
 }
 
 impl Network for Engine {
-    /// Injects `packet` at the vantage node and returns every packet that
-    /// makes it back to a vantage address.
+    /// Injects `packet` at the vantage node and appends every packet that
+    /// makes it back to a vantage address to `out`.
     ///
     /// # Panics
     ///
     /// Panics if no vantage node has been set.
-    fn handle(&mut self, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
+    fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         let vantage = self.vantage.expect("vantage node not set");
         let vantage_addrs: Vec<Ip6> = self.nodes[vantage.0].addrs.clone();
         let forwards_before = self.total_forwards;
@@ -348,7 +351,7 @@ impl Network for Engine {
         // never new ICMP errors about errors. Packets addressed to the
         // vantage are delivered directly (the reverse path to the scanner is
         // assumed up and is not part of any measured link).
-        let mut delivered = Vec::new();
+        let before = out.len();
         // Bounded by hop limits; the guard is belt and braces.
         let mut steps = 0usize;
         while let Some((p, at)) = queue.pop() {
@@ -357,7 +360,7 @@ impl Network for Engine {
                 break;
             }
             if vantage_addrs.contains(&p.dst) {
-                delivered.push(p);
+                out.push(p);
                 continue;
             }
             let is_error = rfc4443::is_error(&p);
@@ -365,10 +368,12 @@ impl Network for Engine {
             self.route_packet(p, at, is_error, &mut more);
             queue.extend(more);
         }
-        delivered.reverse();
+        out[before..].reverse();
         if self.telemetry.is_enabled() {
             self.telemetry.engine_injected.inc();
-            self.telemetry.engine_delivered.add(delivered.len() as u64);
+            self.telemetry
+                .engine_delivered
+                .add((out.len() - before) as u64);
             self.telemetry
                 .engine_forwards
                 .add(self.total_forwards - forwards_before);
@@ -376,21 +381,20 @@ impl Network for Engine {
                 .engine_link_drops
                 .add(self.link_drops - drops_before);
         }
-        delivered
     }
 
-    fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
+    fn tick_into(&mut self, ticks: u64, _out: &mut Vec<Ipv6Packet>) {
         self.clock += ticks;
         if self.telemetry.is_enabled() {
             self.telemetry.record_tick(self.clock, ticks, 0);
         }
-        Vec::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::tests::{handle, tick};
     use crate::packet::DEFAULT_HOP_LIMIT;
 
     fn addr(s: &str) -> Ip6 {
@@ -439,13 +443,16 @@ mod tests {
     #[test]
     fn echo_reply_from_cpe_interface() {
         let (mut e, ..) = three_node_topology(true);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:1234:5678::aa"),
-            DEFAULT_HOP_LIMIT,
-            1,
-            2,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(
+                addr("fd::1"),
+                addr("2001:db8:1234:5678::aa"),
+                DEFAULT_HOP_LIMIT,
+                1,
+                2,
+            ),
+        );
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].src, addr("2001:db8:1234:5678::aa"));
         assert!(matches!(
@@ -457,13 +464,16 @@ mod tests {
     #[test]
     fn echo_reply_from_lan_host() {
         let (mut e, ..) = three_node_topology(true);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8765::100"),
-            DEFAULT_HOP_LIMIT,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(
+                addr("fd::1"),
+                addr("2001:db8:4321:8765::100"),
+                DEFAULT_HOP_LIMIT,
+                0,
+                0,
+            ),
+        );
         assert_eq!(replies.len(), 1);
         assert!(matches!(
             replies[0].payload,
@@ -475,7 +485,10 @@ mod tests {
     fn nonexistent_lan_host_yields_address_unreachable_from_last_hop() {
         let (mut e, ..) = three_node_topology(true);
         let probe_dst = addr("2001:db8:4321:8765::dead");
-        let replies = e.handle(Ipv6Packet::echo_request(addr("fd::1"), probe_dst, 64, 7, 7));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), probe_dst, 64, 7, 7),
+        );
         assert_eq!(replies.len(), 1);
         // The CPE (last hop) answers from its own WAN address — this is the
         // periphery-discovery mechanism.
@@ -492,13 +505,10 @@ mod tests {
     #[test]
     fn patched_cpe_rejects_unused_prefix() {
         let (mut e, ..) = three_node_topology(true);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8769::1"),
-            64,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db8:4321:8769::1"), 64, 0, 0),
+        );
         assert_eq!(replies.len(), 1);
         assert!(matches!(
             replies[0].payload,
@@ -513,13 +523,10 @@ mod tests {
     fn vulnerable_cpe_loops_until_hop_limit() {
         let (mut e, _v, isp, cpe) = three_node_topology(false);
         e.reset_counters();
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8769::1"),
-            255,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db8:4321:8769::1"), 255, 0, 0),
+        );
         // The packet ping-pongs on the isp<->cpe link until hop limit death.
         let fwd = e.link_forwards(isp, cpe) + e.link_forwards(cpe, isp);
         assert!(fwd > 200, "loop traversals {fwd} should exceed 200");
@@ -535,13 +542,10 @@ mod tests {
     fn loop_amplification_is_roughly_hoplimit_minus_path() {
         let (mut e, _v, isp, cpe) = three_node_topology(false);
         e.reset_counters();
-        e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8769::1"),
-            255,
-            0,
-            0,
-        ));
+        handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db8:4321:8769::1"), 255, 0, 0),
+        );
         let loop_fwd = e.link_forwards(isp, cpe) + e.link_forwards(cpe, isp);
         // 254 forwards happen in total (hop limit 255 → 1); the first is
         // vantage→isp, the remaining 253 bounce on the isp↔cpe link. The
@@ -558,13 +562,10 @@ mod tests {
         e.set_vantage(v);
         e.add_route(v, prefix("::/0"), RouteAction::Forward(r));
         e.add_route(r, prefix("fd::/16"), RouteAction::Forward(v));
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db9::1"),
-            64,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db9::1"), 64, 0, 0),
+        );
         assert_eq!(replies.len(), 1);
         assert!(matches!(
             replies[0].payload,
@@ -579,13 +580,10 @@ mod tests {
     fn blackhole_is_silent() {
         let (mut e, ..) = three_node_topology(true);
         // Destination outside every specific route hits the ISP blackhole.
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:dead::1"),
-            64,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:dead::1"), 64, 0, 0),
+        );
         assert!(replies.is_empty());
     }
 
@@ -595,13 +593,10 @@ mod tests {
         // Add a more specific reject inside the delegated prefix; it must
         // shadow the default route for its own addresses only.
         e.add_route(cpe, prefix("2001:db8:4321:8768::/64"), RouteAction::Reject);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8768::1"),
-            255,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db8:4321:8768::1"), 255, 0, 0),
+        );
         assert!(matches!(
             replies[0].payload,
             Payload::Icmp(Icmpv6::DestUnreachable {
@@ -614,13 +609,16 @@ mod tests {
     #[test]
     fn udp_to_router_yields_port_unreachable() {
         let (mut e, ..) = three_node_topology(true);
-        let replies = e.handle(Ipv6Packet::udp_request(
-            addr("fd::1"),
-            addr("2001:db8:1234:5678::aa"),
-            40000,
-            53,
-            crate::services::AppRequest::DnsQuery,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::udp_request(
+                addr("fd::1"),
+                addr("2001:db8:1234:5678::aa"),
+                40000,
+                53,
+                crate::services::AppRequest::DnsQuery,
+            ),
+        );
         assert_eq!(replies.len(), 1);
         assert!(matches!(
             replies[0].payload,
@@ -656,7 +654,7 @@ mod tests {
             .map(|k| {
                 let dst = lan.with_iid(0x1000 + u64::from(k));
                 let probe = Ipv6Packet::echo_request(addr("fd::1"), dst, DEFAULT_HOP_LIMIT, 0, k);
-                !e.handle(probe).is_empty()
+                !handle(e, probe).is_empty()
             })
             .collect()
     }
@@ -683,7 +681,7 @@ mod tests {
         // Within a tick the draws repeat; the next tick redraws them.
         assert_eq!(answered_lan_probes(&mut e), tick0);
         assert_eq!(e.link_drops(), 2 * dropped);
-        e.tick(1);
+        tick(&mut e, 1);
         let tick1 = answered_lan_probes(&mut e);
         assert_ne!(tick1, tick0);
         let total = e.link_drops();
@@ -696,7 +694,7 @@ mod tests {
         // The draws depend only on the plan, the packet and the tick.
         let (mut fresh, ..) = three_node_topology(false);
         fresh.set_fault_plan(plan);
-        fresh.tick(1);
+        tick(&mut fresh, 1);
         assert_eq!(answered_lan_probes(&mut fresh), tick1);
 
         // No plan, no drops.
@@ -711,13 +709,10 @@ mod tests {
     #[test]
     fn counters_reset() {
         let (mut e, _v, isp, cpe) = three_node_topology(false);
-        e.handle(Ipv6Packet::echo_request(
-            addr("fd::1"),
-            addr("2001:db8:4321:8769::1"),
-            255,
-            0,
-            0,
-        ));
+        handle(
+            &mut e,
+            Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db8:4321:8769::1"), 255, 0, 0),
+        );
         assert!(e.total_forwards() > 0);
         e.reset_counters();
         assert_eq!(e.total_forwards(), 0);

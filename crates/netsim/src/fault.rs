@@ -15,7 +15,7 @@
 //! limits no error: a limiter is a plan a caller asks for.
 //!
 //! Virtual time is counted in *ticks*. The scanner advances the network
-//! one tick per probe it sends ([`crate::packet::Network::tick`]), so a
+//! one tick per probe it sends ([`crate::packet::Network::tick_into`]), so a
 //! tick is "one send slot" — the natural unit for token-bucket refill
 //! intervals, reboot windows, and response jitter.
 
@@ -90,7 +90,7 @@ pub struct FaultPlan {
     pub duplicate_frac: f64,
     /// Maximum response delay in ticks. When nonzero, each response is
     /// held for `0..=max_jitter_ticks` ticks and delivered by a later
-    /// [`crate::packet::Network::tick`], which also reorders responses.
+    /// [`crate::packet::Network::tick_into`], which also reorders responses.
     pub max_jitter_ticks: u64,
     /// Fraction of devices that are *flaky*: they reboot on a cycle and
     /// drop all traffic while down.

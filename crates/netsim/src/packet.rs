@@ -261,46 +261,30 @@ pub enum QuotedProto {
 
 /// A network the scanner can inject packets into.
 ///
-/// `handle` delivers one packet and returns every packet that comes back to
-/// the sender (possibly none: filtered, lost, or genuinely unanswered).
-/// Implementations must be deterministic for reproducible experiments.
+/// `handle_into` delivers one packet and appends every packet that comes
+/// back to the sender (possibly none: filtered, lost, or genuinely
+/// unanswered) to the caller's buffer, so a hot loop reuses one receive
+/// buffer across millions of probes. Implementations must be deterministic
+/// for reproducible experiments.
 ///
 /// Implemented by [`crate::World`] (procedural Internet) and
 /// [`crate::Engine`] (explicit topology).
 pub trait Network {
-    /// Injects `packet` and returns the response packets observed by the
-    /// sender, in arrival order.
-    fn handle(&mut self, packet: Ipv6Packet) -> Vec<Ipv6Packet>;
+    /// Injects `packet` and appends the response packets observed by the
+    /// sender to `out`, in arrival order.
+    fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>);
 
-    /// Like [`handle`](Network::handle), but appends the responses to
-    /// `out` instead of returning a fresh `Vec` — the zero-allocation
-    /// entry point for hot loops that reuse one receive buffer across
-    /// millions of probes. Must observe the same packets in the same
-    /// order as `handle`. The default bridges through `handle`;
-    /// implementations with a real per-probe cost override it natively.
-    fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
-        out.extend(self.handle(packet));
-    }
-
-    /// Advances the network's virtual clock by `ticks` and returns any
-    /// responses that were in flight (delayed by jitter) and are now due,
-    /// in delivery order.
+    /// Advances the network's virtual clock by `ticks` and appends any
+    /// responses that were in flight (delayed by jitter) and are now due
+    /// to `out`, in delivery order.
     ///
     /// The scanner advances the clock one tick per probe sent, making a
     /// tick the simulator's send-slot time unit: ICMPv6 token buckets
     /// refill, flaky devices reboot, and jittered responses surface on
     /// this clock. Networks without time-dependent behaviour keep the
     /// default no-op.
-    fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
-        let _ = ticks;
-        Vec::new()
-    }
-
-    /// Buffer-reusing variant of [`tick`](Network::tick): appends the due
-    /// responses to `out`. Same contract as
-    /// [`handle_into`](Network::handle_into).
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
-        out.extend(self.tick(ticks));
+        let _ = (ticks, out);
     }
 
     /// Publishes any internally batched telemetry into the attached
@@ -316,7 +300,7 @@ pub trait Network {
     /// this reaches zero, and takes zero as a promise that no probe
     /// handled so far will be answered later (it forgets answered-or-not
     /// state on that basis), so a network that delays replies through
-    /// [`tick`](Network::tick) must count them here.
+    /// [`tick_into`](Network::tick_into) must count them here.
     fn in_flight(&self) -> usize {
         0
     }
@@ -354,16 +338,8 @@ pub trait Network {
 }
 
 impl<N: Network + ?Sized> Network for &mut N {
-    fn handle(&mut self, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
-        (**self).handle(packet)
-    }
-
     fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         (**self).handle_into(packet, out)
-    }
-
-    fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
-        (**self).tick(ticks)
     }
 
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
@@ -388,27 +364,25 @@ impl<N: Network + ?Sized> Network for &mut N {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test shorthand: the replies `net` returns for `packet`.
+    pub(crate) fn handle(net: &mut impl Network, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
+        let mut out = Vec::new();
+        net.handle_into(packet, &mut out);
+        out
+    }
+
+    /// Test shorthand: the replies due after `net` advances `ticks`.
+    pub(crate) fn tick(net: &mut impl Network, ticks: u64) -> Vec<Ipv6Packet> {
+        let mut out = Vec::new();
+        net.tick_into(ticks, &mut out);
+        out
+    }
 
     fn addr(s: &str) -> Ip6 {
         s.parse().unwrap()
-    }
-
-    #[test]
-    fn handle_into_default_matches_handle() {
-        struct Echoer;
-        impl Network for Echoer {
-            fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
-                vec![p]
-            }
-        }
-        let probe = Ipv6Packet::echo_request(addr("fd::1"), addr("2001:db8::1"), 64, 7, 9);
-        let direct = Echoer.handle(probe.clone());
-        let mut buffered = Vec::new();
-        Echoer.handle_into(probe, &mut buffered);
-        Echoer.tick_into(3, &mut buffered);
-        assert_eq!(direct, buffered);
     }
 
     #[test]
@@ -458,19 +432,15 @@ mod tests {
     fn network_impl_for_mut_ref() {
         struct Echoer;
         impl Network for Echoer {
-            fn handle(&mut self, p: Ipv6Packet) -> Vec<Ipv6Packet> {
-                vec![p]
+            fn handle_into(&mut self, p: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
+                out.push(p);
             }
         }
         fn run(mut n: impl Network) -> usize {
-            n.handle(Ipv6Packet::echo_request(
-                Ip6::UNSPECIFIED,
-                Ip6::UNSPECIFIED,
-                1,
-                0,
-                0,
-            ))
-            .len()
+            let mut out = Vec::new();
+            let probe = Ipv6Packet::echo_request(Ip6::UNSPECIFIED, Ip6::UNSPECIFIED, 1, 0, 0);
+            n.handle_into(probe, &mut out);
+            out.len()
         }
         let mut e = Echoer;
         assert_eq!(run(&mut e), 1);

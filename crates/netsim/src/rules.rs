@@ -252,7 +252,8 @@ mod tests {
     use crate::device::{Device, DeviceKind, ReplyMode, ServiceSet};
     use crate::engine::RouteAction;
     use crate::fault::{FaultPlan, IcmpRateLimit};
-    use crate::packet::{Icmpv6, Ipv6Packet, Network, Payload, UnreachCode, MAX_HOP_LIMIT};
+    use crate::packet::tests::handle;
+    use crate::packet::{Icmpv6, Ipv6Packet, Payload, UnreachCode, MAX_HOP_LIMIT};
     use crate::services::AppRequest;
     use crate::topology::{build_home_network, HomeNetworkPlan, NAMED_MODELS};
     use crate::world::{World, WorldConfig};
@@ -357,7 +358,7 @@ mod tests {
         engine.add_addr(net.vantage, plan.cpe_wan_addr);
         let spoofed = plan.not_used_lan_prefix().addr().with_iid(0x5900f);
         let nx = plan.subnet_prefix.addr().with_iid(0xdead);
-        let replies = engine.handle(Ipv6Packet::echo_request(spoofed, nx, 64, 0, 0));
+        let replies = handle(&mut engine, Ipv6Packet::echo_request(spoofed, nx, 64, 0, 0));
         assert!(replies.is_empty(), "{replies:?}");
         // vantage→ISP→CPE for the probe, then 254 loop forwards of the error
         // (hop limit 255 down to 1).
@@ -465,7 +466,7 @@ mod tests {
         // Hop limit 1 dies at the vantage's own next hop, 2 at the ISP
         // router; 3 reaches the LAN host.
         for (hop_limit, from) in [(1, plan.vantage_addr), (2, plan.isp_addr)] {
-            let replies = engine.handle(probe(hop_limit));
+            let replies = handle(&mut engine, probe(hop_limit));
             assert_eq!(replies.len(), 1);
             assert_eq!(replies[0].src, from);
             assert!(matches!(
@@ -474,7 +475,7 @@ mod tests {
             ));
         }
         assert!(matches!(
-            engine.handle(probe(3))[0].payload,
+            handle(&mut engine, probe(3))[0].payload,
             Payload::Icmp(Icmpv6::EchoReply { .. })
         ));
     }
@@ -494,11 +495,11 @@ mod tests {
         let nx = device.delegated_prefix.addr().with_iid(9);
         let n = device.hops_to_isp;
         let probe = |hop_limit| Ipv6Packet::echo_request(addr("fd00::1"), nx, hop_limit, 0, 0);
-        let expired = world.handle(probe(n));
+        let expired = handle(&mut world, probe(n));
         assert_eq!(expired.len(), 1);
         assert!(transit_time_exceeded(&expired[0]), "{expired:?}");
         // One more hop reaches the periphery, which answers itself.
-        let reached = world.handle(probe(n + 1));
+        let reached = handle(&mut world, probe(n + 1));
         assert_eq!(reached.len(), 1);
         assert!(!transit_time_exceeded(&reached[0]), "{reached:?}");
     }
@@ -509,21 +510,21 @@ mod tests {
         let (device, wan) = first_device(&world);
         assert!(device.hops_to_isp > 3, "{device:?}");
         let probe = |hop_limit| Ipv6Packet::echo_request(addr("fd00::1"), wan, hop_limit, 0, 0);
-        let cold = world.handle(probe(3));
+        let cold = handle(&mut world, probe(3));
         assert_eq!(cold.len(), 1);
         assert!(transit_time_exceeded(&cold[0]), "{cold:?}");
         // A full-hop-limit echo registers the address …
         assert!(matches!(
-            world.handle(probe(64))[0].payload,
+            handle(&mut world, probe(64))[0].payload,
             Payload::Icmp(Icmpv6::EchoReply { .. })
         ));
         assert_eq!(world.discovered_count(), 1);
         // … and the registry's answer still expires in transit, exactly as
         // the cold path's did.
-        assert_eq!(world.handle(probe(3)), cold);
-        assert_eq!(world.handle(probe(device.hops_to_isp)).len(), 1);
+        assert_eq!(handle(&mut world, probe(3)), cold);
+        assert_eq!(handle(&mut world, probe(device.hops_to_isp)).len(), 1);
         assert!(matches!(
-            world.handle(probe(device.hops_to_isp + 1))[0].payload,
+            handle(&mut world, probe(device.hops_to_isp + 1))[0].payload,
             Payload::Icmp(Icmpv6::EchoReply { .. })
         ));
     }

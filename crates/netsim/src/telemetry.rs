@@ -5,8 +5,8 @@
 //! The world keeps its own plain-integer stats as before (they stay the
 //! cheap, always-on accounting); when a telemetry bundle
 //! is attached the deltas are published into the registry at the end of
-//! every [`Network::handle`](crate::Network::handle) /
-//! [`Network::tick`](crate::Network::tick) call, so one publish site
+//! every [`Network::handle_into`](crate::Network::handle_into) /
+//! [`Network::tick_into`](crate::Network::tick_into) call, so one publish site
 //! covers every scattered `stats.* += 1` without touching the hot
 //! per-packet logic.
 //!

@@ -358,7 +358,8 @@ pub fn build_home_network(model: &RouterModel, plan: &HomeNetworkPlan) -> (Engin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Icmpv6, Ipv6Packet, Network, Payload, UnreachCode, MAX_HOP_LIMIT};
+    use crate::packet::tests::handle;
+    use crate::packet::{Icmpv6, Ipv6Packet, Payload, UnreachCode, MAX_HOP_LIMIT};
 
     #[test]
     fn catalog_has_99_entries_all_vulnerable() {
@@ -405,13 +406,10 @@ mod tests {
         let (mut e, net) = build_home_network(model, &plan);
         let target = plan.not_used_lan_prefix().addr().with_iid(1);
         e.reset_counters();
-        let replies = e.handle(Ipv6Packet::echo_request(
-            plan.vantage_addr,
-            target,
-            MAX_HOP_LIMIT,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(plan.vantage_addr, target, MAX_HOP_LIMIT, 0, 0),
+        );
         let loop_fwd = e.link_forwards(net.isp, net.cpe) + e.link_forwards(net.cpe, net.isp);
         assert!(loop_fwd > 200, "{loop_fwd}");
         assert!(matches!(
@@ -427,13 +425,10 @@ mod tests {
         let plan = HomeNetworkPlan::default();
         let (mut e, _) = build_home_network(model, &plan);
         let target = plan.not_used_lan_prefix().addr().with_iid(1);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            plan.vantage_addr,
-            target,
-            MAX_HOP_LIMIT,
-            0,
-            0,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(plan.vantage_addr, target, MAX_HOP_LIMIT, 0, 0),
+        );
         assert!(matches!(
             replies[0].payload,
             Payload::Icmp(Icmpv6::DestUnreachable {
@@ -449,13 +444,16 @@ mod tests {
         let plan = HomeNetworkPlan::default();
         let (mut e, net) = build_home_network(model, &plan);
         e.reset_counters();
-        e.handle(Ipv6Packet::echo_request(
-            plan.vantage_addr,
-            plan.nx_wan_address(),
-            MAX_HOP_LIMIT,
-            0,
-            0,
-        ));
+        handle(
+            &mut e,
+            Ipv6Packet::echo_request(
+                plan.vantage_addr,
+                plan.nx_wan_address(),
+                MAX_HOP_LIMIT,
+                0,
+                0,
+            ),
+        );
         let loop_fwd = e.link_forwards(net.isp, net.cpe) + e.link_forwards(net.cpe, net.isp);
         assert!(loop_fwd > 200, "{loop_fwd}");
     }
@@ -466,13 +464,16 @@ mod tests {
         let plan = HomeNetworkPlan::default();
         let (mut e, net) = build_home_network(model, &plan);
         e.reset_counters();
-        e.handle(Ipv6Packet::echo_request(
-            plan.vantage_addr,
-            plan.nx_wan_address(),
-            MAX_HOP_LIMIT,
-            0,
-            0,
-        ));
+        handle(
+            &mut e,
+            Ipv6Packet::echo_request(
+                plan.vantage_addr,
+                plan.nx_wan_address(),
+                MAX_HOP_LIMIT,
+                0,
+                0,
+            ),
+        );
         let loop_fwd = e.link_forwards(net.isp, net.cpe) + e.link_forwards(net.cpe, net.isp);
         // ">10 times" but far below the full 253.
         assert!(loop_fwd > 10, "{loop_fwd}");
@@ -488,13 +489,16 @@ mod tests {
         };
         let (mut e, net) = build_home_network(model, &plan);
         e.reset_counters();
-        e.handle(Ipv6Packet::echo_request(
-            plan.vantage_addr,
-            plan.not_used_lan_prefix().addr().with_iid(1),
-            MAX_HOP_LIMIT,
-            0,
-            0,
-        ));
+        handle(
+            &mut e,
+            Ipv6Packet::echo_request(
+                plan.vantage_addr,
+                plan.not_used_lan_prefix().addr().with_iid(1),
+                MAX_HOP_LIMIT,
+                0,
+                0,
+            ),
+        );
         let loop_fwd = e.link_forwards(net.isp, net.cpe) + e.link_forwards(net.cpe, net.isp);
         // Amplification 255 - n: ten extra hops remove ten loop traversals.
         assert_eq!(loop_fwd, 253 - 10);
@@ -505,13 +509,10 @@ mod tests {
         let model = NAMED_MODELS.iter().find(|m| m.brand == "Huawei").unwrap();
         let plan = HomeNetworkPlan::default();
         let (mut e, _) = build_home_network(model, &plan);
-        let replies = e.handle(Ipv6Packet::echo_request(
-            plan.vantage_addr,
-            plan.lan_host,
-            64,
-            3,
-            4,
-        ));
+        let replies = handle(
+            &mut e,
+            Ipv6Packet::echo_request(plan.vantage_addr, plan.lan_host, 64, 3, 4),
+        );
         assert_eq!(replies.len(), 1);
         assert!(matches!(
             replies[0].payload,

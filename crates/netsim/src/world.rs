@@ -212,7 +212,8 @@ pub struct BgpHost {
 /// // sub-prefix is allocated, the periphery answers with an unreachable.
 /// let probe = Ipv6Packet::echo_request(
 ///     "fd00::1".parse()?, "2405:200:0:1::1234".parse()?, 64, 7, 7);
-/// let _responses = world.handle(probe);
+/// let mut responses = Vec::new();
+/// world.handle_into(probe, &mut responses);
 /// # Ok::<(), xmap_addr::ParseAddrError>(())
 /// ```
 #[derive(Debug)]
@@ -228,7 +229,7 @@ pub struct World {
     registry: FxHashMap<Ip6, DeviceRef>,
     /// Per-device §2.4(f) token buckets; none under the default plan.
     error_limiters: FxHashMap<(usize, u64), ErrorLimiterState>,
-    /// Virtual clock in ticks; advanced by [`Network::tick`].
+    /// Virtual clock in ticks; advanced by [`Network::tick_into`].
     clock: u64,
     /// Responses delayed by fault-plan jitter, ordered by due tick.
     delayed: BinaryHeap<DelayedResponse>,
@@ -374,8 +375,8 @@ impl World {
         }
     }
 
-    /// Attaches a telemetry bundle: from now on every [`Network::handle`] /
-    /// [`Network::tick`] publishes its [`WorldStats`] delta into the
+    /// Attaches a telemetry bundle: from now on every [`Network::handle_into`] /
+    /// [`Network::tick_into`] publishes its [`WorldStats`] delta into the
     /// bundle's registry as `netsim.*` counters and emits fault/tick trace
     /// events into its tracer.
     pub fn set_telemetry(&mut self, telemetry: &xmap_telemetry::Telemetry) {
@@ -1071,12 +1072,6 @@ fn service_response(
 }
 
 impl Network for World {
-    fn handle(&mut self, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
-        let mut out = Vec::new();
-        self.handle_into(packet, &mut out);
-        out
-    }
-
     fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         self.handle_inner(packet, out);
         if self.kill.is_some() {
@@ -1085,12 +1080,6 @@ impl Network for World {
         if self.telemetry_due() {
             self.publish_telemetry();
         }
-    }
-
-    fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
-        let mut due = Vec::new();
-        self.tick_into(ticks, &mut due);
-        due
     }
 
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
@@ -1211,6 +1200,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::tests::{handle, tick};
 
     fn small_world() -> World {
         World::with_config(WorldConfig::lossless(1234, 200))
@@ -1248,7 +1238,10 @@ mod tests {
             .subprefix(p.assigned_len, i as u128)
             .addr()
             .with_iid(0x1234_5678_9abc_def0);
-        let replies = w.handle(Ipv6Packet::echo_request(vantage(), target, 64, 1, 1));
+        let replies = handle(
+            &mut w,
+            Ipv6Packet::echo_request(vantage(), target, 64, 1, 1),
+        );
         // Filtering can silence it; try until the device's filter decision
         // is known (deterministic): check against the filter hash.
         if w.filtered(p, i) {
@@ -1274,9 +1267,11 @@ mod tests {
                     .subprefix(p.assigned_len, i as u128)
                     .addr()
                     .with_iid(1);
-                assert!(w
-                    .handle(Ipv6Packet::echo_request(vantage(), target, 64, 0, 0))
-                    .is_empty());
+                assert!(handle(
+                    &mut w,
+                    Ipv6Packet::echo_request(vantage(), target, 64, 0, 0)
+                )
+                .is_empty());
                 return;
             }
         }
@@ -1302,7 +1297,10 @@ mod tests {
                 .subprefix(p.assigned_len, i as u128)
                 .addr()
                 .with_iid(0xdead_beef);
-            let replies = w.handle(Ipv6Packet::echo_request(vantage(), target, 64, 0, 0));
+            let replies = handle(
+                &mut w,
+                Ipv6Packet::echo_request(vantage(), target, 64, 0, 0),
+            );
             if let Some(r) = replies.first() {
                 responder = Some((r.src, d));
                 break;
@@ -1310,7 +1308,7 @@ mod tests {
         }
         let (addr, device) = responder.expect("found a service-rich device");
         // Echo to the discovered address now yields an echo reply.
-        let replies = w.handle(Ipv6Packet::echo_request(vantage(), addr, 64, 5, 6));
+        let replies = handle(&mut w, Ipv6Packet::echo_request(vantage(), addr, 64, 5, 6));
         assert!(matches!(
             replies[0].payload,
             Payload::Icmp(Icmpv6::EchoReply { ident: 5, seq: 6 })
@@ -1321,7 +1319,7 @@ mod tests {
             TransportProto::Udp => {
                 let req =
                     Ipv6Packet::udp_request(vantage(), addr, 40000, kind.port(), kind.request());
-                let resp = w.handle(req);
+                let resp = handle(&mut w, req);
                 assert_eq!(resp.len(), 1);
                 match &resp[0].payload {
                     Payload::Udp {
@@ -1335,7 +1333,7 @@ mod tests {
             }
             TransportProto::Tcp => {
                 let syn = Ipv6Packet::tcp_syn(vantage(), addr, 40000, kind.port());
-                let resp = w.handle(syn);
+                let resp = handle(&mut w, syn);
                 assert!(matches!(
                     resp[0].payload,
                     Payload::Tcp {
@@ -1345,7 +1343,7 @@ mod tests {
                 ));
                 let req =
                     Ipv6Packet::tcp_request(vantage(), addr, 40000, kind.port(), kind.request());
-                let resp = w.handle(req);
+                let resp = handle(&mut w, req);
                 match &resp[0].payload {
                     Payload::Tcp {
                         data: AppData::Response(r),
@@ -1372,10 +1370,13 @@ mod tests {
             .subprefix(p.assigned_len, i as u128)
             .addr()
             .with_iid(7);
-        let replies = w.handle(Ipv6Packet::echo_request(vantage(), target, 64, 0, 0));
+        let replies = handle(
+            &mut w,
+            Ipv6Packet::echo_request(vantage(), target, 64, 0, 0),
+        );
         let addr = replies[0].src;
         // Jio devices expose almost nothing; TLS/443 is closed on ~all.
-        let resp = w.handle(Ipv6Packet::tcp_syn(vantage(), addr, 40000, 9999));
+        let resp = handle(&mut w, Ipv6Packet::tcp_syn(vantage(), addr, 40000, 9999));
         assert!(matches!(
             resp[0].payload,
             Payload::Tcp {
@@ -1413,7 +1414,7 @@ mod tests {
         let target = target.unwrap();
         let _ = i;
         for h in [32u8, 34] {
-            let replies = w.handle(Ipv6Packet::echo_request(vantage(), target, h, 0, 0));
+            let replies = handle(&mut w, Ipv6Packet::echo_request(vantage(), target, h, 0, 0));
             assert_eq!(replies.len(), 1, "hop limit {h}");
             assert!(matches!(
                 replies[0].payload,
@@ -1431,7 +1432,10 @@ mod tests {
         let mut responded = 0;
         for i in 0..60_000u64 {
             let target = entry.prefix.subprefix(48, i as u128).addr().with_iid(0xabc);
-            let replies = w.handle(Ipv6Packet::echo_request(vantage(), target, 64, 0, 0));
+            let replies = handle(
+                &mut w,
+                Ipv6Packet::echo_request(vantage(), target, 64, 0, 0),
+            );
             responded += replies.len();
             if responded > 3 {
                 break;
@@ -1516,14 +1520,19 @@ mod tests {
             .subprefix(p.assigned_len, i as u128)
             .addr()
             .with_iid(1);
-        assert!(w
-            .handle(Ipv6Packet::echo_request(vantage(), target, 64, 0, 0))
-            .is_empty());
+        assert!(handle(
+            &mut w,
+            Ipv6Packet::echo_request(vantage(), target, 64, 0, 0)
+        )
+        .is_empty());
         cfg.loss_frac = 0.0;
         let mut w2 = World::with_config(cfg);
         assert!(
-            !w2.handle(Ipv6Packet::echo_request(vantage(), target, 64, 0, 0))
-                .is_empty()
+            !handle(
+                &mut w2,
+                Ipv6Packet::echo_request(vantage(), target, 64, 0, 0)
+            )
+            .is_empty()
                 || w2.filtered(p, i)
         );
     }
@@ -1590,7 +1599,7 @@ mod tests {
         let mut transit_expired = 0;
         for probe in zone_probes(seed) {
             let router_iid = 0xffff_0000_0000_0000 | u64::from(probe.hop_limit);
-            for reply in w.handle(probe) {
+            for reply in handle(&mut w, probe) {
                 transit_expired += usize::from(reply.src.iid() == router_iid);
             }
         }
@@ -1599,9 +1608,11 @@ mod tests {
         assert!(!sources.is_empty(), "no reply source registered");
         for src in sources {
             for hop_limit in [1, 64] {
-                assert!(!w
-                    .handle(Ipv6Packet::echo_request(vantage(), src, hop_limit, 0, 0))
-                    .is_empty());
+                assert!(!handle(
+                    &mut w,
+                    Ipv6Packet::echo_request(vantage(), src, hop_limit, 0, 0)
+                )
+                .is_empty());
             }
         }
         assert!(w.bgp.get().is_none(), "a zone probe derived the BGP table");
@@ -1610,7 +1621,7 @@ mod tests {
         // table) is what derives it.
         let advertised = BgpTable::generate(seed, w.config().bgp_ases).entries()[0].prefix;
         let dst = advertised.subprefix(48, 0).addr().with_iid(0xabc);
-        w.handle(Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0));
+        handle(&mut w, Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0));
         assert!(
             w.bgp.get().is_some(),
             "the BGP-zone probe left the table unbuilt"
@@ -1670,19 +1681,19 @@ mod tests {
             .enumerate()
         {
             if stage == 1 {
-                eager.tick(3);
-                lazy.tick(3);
+                tick(&mut eager, 3);
+                tick(&mut lazy, 3);
                 eager.reset();
                 lazy.reset();
             }
             for probe in probes {
-                let replies = eager.handle(probe.clone());
+                let replies = handle(&mut eager, probe.clone());
                 if stage == 1 {
                     bgp_replies += replies.len();
                 }
                 assert_eq!(
                     replies,
-                    lazy.handle(probe.clone()),
+                    handle(&mut lazy, probe.clone()),
                     "stage {stage}: {probe:?}"
                 );
             }
@@ -1699,6 +1710,7 @@ mod tests {
 #[cfg(test)]
 mod realism_tests {
     use super::*;
+    use crate::packet::tests::{handle, tick};
 
     fn w() -> World {
         World::with_config(WorldConfig::lossless(31337, 10))
@@ -1729,7 +1741,10 @@ mod realism_tests {
                 .subprefix(p.assigned_len, i as u128)
                 .addr()
                 .with_iid(iid);
-            let resp = world.handle(Ipv6Packet::echo_request(vantage(), dst, 64, 2, 3));
+            let resp = handle(
+                &mut world,
+                Ipv6Packet::echo_request(vantage(), dst, 64, 2, 3),
+            );
             assert_eq!(resp.len(), 1, "iid {iid:#x}");
             assert_eq!(resp[0].src, dst);
             assert!(matches!(
@@ -1756,7 +1771,10 @@ mod realism_tests {
         let device = world.device_at(12, i).unwrap();
         for host in &hosts {
             assert!(device.used_subnet64.contains(*host));
-            let resp = world.handle(Ipv6Packet::echo_request(vantage(), *host, 64, 0, 0));
+            let resp = handle(
+                &mut world,
+                Ipv6Packet::echo_request(vantage(), *host, 64, 0, 0),
+            );
             assert_eq!(resp.len(), 1, "host {host}");
             assert!(matches!(
                 resp[0].payload,
@@ -1767,7 +1785,10 @@ mod realism_tests {
         // unreachable instead.
         let nx = device.used_subnet64.addr().with_iid(0x0bad_c0de_0000_1234);
         if !hosts.contains(&nx) {
-            let resp = world.handle(Ipv6Packet::echo_request(vantage(), nx, 64, 0, 0));
+            let resp = handle(
+                &mut world,
+                Ipv6Packet::echo_request(vantage(), nx, 64, 0, 0),
+            );
             if let Some(first) = resp.first() {
                 assert!(matches!(
                     first.payload,
@@ -1823,9 +1844,11 @@ mod realism_tests {
         let mut answered = 0u32;
         for k in 0..200u64 {
             let dst = base.addr().with_iid(0x1_0000 + k);
-            if !world
-                .handle(Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0))
-                .is_empty()
+            if !handle(
+                &mut world,
+                Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0),
+            )
+            .is_empty()
             {
                 answered += 1;
             }
@@ -1845,9 +1868,11 @@ mod realism_tests {
         let mut responses = 0;
         for i in 0..30_000u64 {
             let dst = p.scan_prefix().subprefix(64, i as u128).addr().with_iid(9);
-            responses += world
-                .handle(Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0))
-                .len();
+            responses += handle(
+                &mut world,
+                Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0),
+            )
+            .len();
         }
         assert!(responses > 50, "{responses}");
         assert_eq!(world.stats().rate_limited, 0);
@@ -1875,18 +1900,21 @@ mod realism_tests {
         let base = p.scan_prefix().subprefix(p.assigned_len, i as u128);
         let probe = |iid| Ipv6Packet::echo_request(vantage(), base.addr().with_iid(iid), 64, 0, 0);
 
-        assert_eq!(world.handle(probe(1)).len(), 1);
-        assert!(world.handle(probe(2)).is_empty(), "bucket holds one token");
+        assert_eq!(handle(&mut world, probe(1)).len(), 1);
+        assert!(
+            handle(&mut world, probe(2)).is_empty(),
+            "bucket holds one token"
+        );
         assert_eq!(world.stats().rate_limited, 1);
         assert_eq!(world.discovered_count(), 1);
-        world.tick(5);
+        tick(&mut world, 5);
 
         world.reset();
         assert_eq!(world.discovered_count(), 0);
         assert_eq!(world.clock(), 0);
-        let reply = world.handle(probe(2));
+        let reply = handle(&mut world, probe(2));
         assert_eq!(reply.len(), 1, "the limiter forgot the spent token");
-        assert_eq!(reply, World::with_config(cfg).handle(probe(2)));
+        assert_eq!(reply, handle(&mut World::with_config(cfg), probe(2)));
         assert_eq!(world.discovered_count(), 1);
 
         // Lifetime accounting runs on through the reset.
@@ -1932,10 +1960,13 @@ mod realism_tests {
                     at_last_reset = telemetry.registry.snapshot();
                 }
                 for &dst in &targets {
-                    world.handle(Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0));
+                    handle(
+                        &mut world,
+                        Ipv6Packet::echo_request(vantage(), dst, 64, 0, 0),
+                    );
                 }
                 if unit == 1 {
-                    world.tick(7);
+                    tick(&mut world, 7);
                 }
             }
             world.flush_telemetry();

@@ -23,6 +23,13 @@ use xmap_netsim::topology::{build_home_network, full_catalog, HomeNetworkPlan};
 use xmap_netsim::world::{World, WorldConfig};
 use xmap_netsim::Device;
 
+/// The replies `net` returns for `packet`.
+fn handle(net: &mut impl Network, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
+    let mut out = Vec::new();
+    net.handle_into(packet, &mut out);
+    out
+}
+
 const SEED: u64 = 7;
 const ASES: usize = 50;
 
@@ -104,7 +111,7 @@ impl Scout {
                 continue;
             }
             let dst = d.used_subnet64.addr().with_iid(0x5c07_0000_0000_0001);
-            if !self.0.handle(echo(dst, 64)).is_empty() {
+            if !handle(&mut self.0, echo(dst, 64)).is_empty() {
                 return (i, d);
             }
         }
@@ -171,10 +178,11 @@ fn world_probes() -> Vec<Probe> {
         .find(|&i| {
             w.device_at(2, i).is_some_and(|d| {
                 !w.is_aliased(2, i)
-                    && scout
-                        .0
-                        .handle(echo(d.delegated_prefix.addr().with_iid(0xf17), 64))
-                        .is_empty()
+                    && handle(
+                        &mut scout.0,
+                        echo(d.delegated_prefix.addr().with_iid(0xf17), 64),
+                    )
+                    .is_empty()
             })
         })
         .unwrap();
@@ -344,7 +352,7 @@ fn run_world(cfg: WorldConfig, probes: &[Probe], check: bool) -> (u64, World) {
     let mut world = World::with_config(cfg);
     let mut h = Fnv::new();
     for p in probes {
-        let replies = world.handle(p.packet.clone());
+        let replies = handle(&mut world, p.packet.clone());
         if check {
             assert_eq!(kind(&replies), p.expect, "{}", p.label);
         }
@@ -410,7 +418,7 @@ fn engine_answers_match_golden() {
                 Ipv6Packet::echo_request(v, plan.lan_host, 2, 1, 5),
             ];
             for probe in probes {
-                let replies = engine.handle(probe);
+                let replies = handle(&mut engine, probe);
                 h.write(&format!("{replies:?} {}", engine.total_forwards()));
                 runs += 1;
             }

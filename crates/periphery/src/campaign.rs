@@ -1152,15 +1152,6 @@ mod tests {
     }
 
     impl Network for Logged {
-        fn handle(
-            &mut self,
-            p: xmap_netsim::packet::Ipv6Packet,
-        ) -> Vec<xmap_netsim::packet::Ipv6Packet> {
-            let mut out = Vec::new();
-            self.handle_into(p, &mut out);
-            out
-        }
-
         fn handle_into(
             &mut self,
             p: xmap_netsim::packet::Ipv6Packet,

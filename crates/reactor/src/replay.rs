@@ -496,12 +496,6 @@ impl<N: Network> WireRecorder<N> {
 }
 
 impl<N: Network> Network for WireRecorder<N> {
-    fn handle(&mut self, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
-        let mut out = Vec::new();
-        self.handle_into(packet, &mut out);
-        out
-    }
-
     fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         debug_assert!(self.staged.is_empty());
         self.lines.push_str(&format!(
@@ -514,12 +508,6 @@ impl<N: Network> Network for WireRecorder<N> {
         self.lines
             .push_str(&format!("{},\"pkt\":{pkt}}}\n", self.inner.in_flight()));
         self.record_recvs(out);
-    }
-
-    fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
-        let mut out = Vec::new();
-        self.tick_into(ticks, &mut out);
-        out
     }
 
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
@@ -570,8 +558,8 @@ enum Event {
 /// A [`Network`] that re-serves a recorded wire trace.
 ///
 /// Drive it with the *same* scan configuration and seed that produced
-/// the trace: each `handle` call consumes the next recorded send (and
-/// its immediate replies), each `tick` call the next recorded advance
+/// the trace: each `handle_into` call consumes the next recorded send
+/// (and its immediate replies), each `tick_into` call the next recorded advance
 /// (and its due replies). Probes that do not match the recorded send
 /// are counted in [`mismatched_sends`](ReplayNet::mismatched_sends) —
 /// the recorded replies are served regardless, so a diverging replay
@@ -665,12 +653,6 @@ impl ReplayNet {
 }
 
 impl Network for ReplayNet {
-    fn handle(&mut self, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
-        let mut out = Vec::new();
-        self.handle_into(packet, &mut out);
-        out
-    }
-
     fn handle_into(&mut self, packet: Ipv6Packet, out: &mut Vec<Ipv6Packet>) {
         match self.events.get(self.cursor) {
             Some(Event::Send(recorded, in_flight)) => {
@@ -683,12 +665,6 @@ impl Network for ReplayNet {
             }
             _ => self.desyncs += 1,
         }
-    }
-
-    fn tick(&mut self, ticks: u64) -> Vec<Ipv6Packet> {
-        let mut out = Vec::new();
-        self.tick_into(ticks, &mut out);
-        out
     }
 
     fn tick_into(&mut self, ticks: u64, out: &mut Vec<Ipv6Packet>) {
@@ -715,6 +691,18 @@ mod tests {
     use super::*;
     use xmap_netsim::World;
 
+    fn handle(net: &mut impl Network, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
+        let mut out = Vec::new();
+        net.handle_into(packet, &mut out);
+        out
+    }
+
+    fn tick(net: &mut impl Network, ticks: u64) -> Vec<Ipv6Packet> {
+        let mut out = Vec::new();
+        net.tick_into(ticks, &mut out);
+        out
+    }
+
     fn probe(i: u128) -> Ipv6Packet {
         Ipv6Packet::echo_request(
             Ip6::new(0xfd00 << 112 | 1),
@@ -730,25 +718,25 @@ mod tests {
         let mut rec = WireRecorder::new(World::new(11));
         let mut recorded: Vec<(Vec<Ipv6Packet>, Vec<Ipv6Packet>)> = Vec::new();
         for i in 0..200u128 {
-            let h = rec.handle(probe(i));
-            let t = rec.tick(1);
+            let h = handle(&mut rec, probe(i));
+            let t = tick(&mut rec, 1);
             recorded.push((h, t));
         }
         // Drain in-flight jittered replies like a scan would.
         let mut drained = Vec::new();
         while rec.in_flight() > 0 {
-            drained.push(rec.tick(1));
+            drained.push(tick(&mut rec, 1));
         }
         let trace = rec.finish();
 
         let mut replay = ReplayNet::from_trace(&trace).expect("parse own trace");
         for (i, (h, t)) in recorded.iter().enumerate() {
-            assert_eq!(&replay.handle(probe(i as u128)), h, "probe {i}");
-            assert_eq!(&replay.tick(1), t, "tick {i}");
+            assert_eq!(&handle(&mut replay, probe(i as u128)), h, "probe {i}");
+            assert_eq!(&tick(&mut replay, 1), t, "tick {i}");
         }
         for d in &drained {
             assert!(replay.in_flight() > 0);
-            assert_eq!(&replay.tick(1), d);
+            assert_eq!(&tick(&mut replay, 1), d);
         }
         assert_eq!(replay.in_flight(), 0);
         assert!(replay.fully_consumed());
@@ -759,10 +747,10 @@ mod tests {
     #[test]
     fn mismatched_probe_is_counted_not_fatal() {
         let mut rec = WireRecorder::new(World::new(11));
-        let _ = rec.handle(probe(1));
+        let _ = handle(&mut rec, probe(1));
         let trace = rec.finish();
         let mut replay = ReplayNet::from_trace(&trace).expect("parse");
-        let _ = replay.handle(probe(2));
+        let _ = handle(&mut replay, probe(2));
         assert_eq!(replay.mismatched_sends(), 1);
     }
 
@@ -794,9 +782,9 @@ mod tests {
         let mut rec = WireRecorder::new(World::with_config(config));
         let mut seen = Vec::new();
         for i in 0..64u128 {
-            rec.handle(probe(i));
+            handle(&mut rec, probe(i));
             seen.push(rec.in_flight());
-            rec.tick(1);
+            tick(&mut rec, 1);
             seen.push(rec.in_flight());
         }
         let trace = rec.finish();
@@ -804,9 +792,9 @@ mod tests {
         let mut replay = ReplayNet::from_trace(&trace).expect("parse");
         assert_eq!(replay.in_flight(), 0);
         for (i, pair) in seen.chunks(2).enumerate() {
-            replay.handle(probe(i as u128));
+            handle(&mut replay, probe(i as u128));
             assert_eq!(replay.in_flight(), pair[0], "after send {i}");
-            replay.tick(1);
+            tick(&mut replay, 1);
             assert_eq!(replay.in_flight(), pair[1], "after tick {i}");
         }
     }

@@ -205,7 +205,8 @@ mod tests {
     fn matches_direct_network_replies() {
         let mut direct = World::new(7);
         let probe = echo((0x2405_0200u128) << 96 | 0x1234);
-        let direct_replies = direct.handle(probe.clone());
+        let mut direct_replies = Vec::new();
+        direct.handle_into(probe.clone(), &mut direct_replies);
 
         let mut t = SimTransport::new(World::new(7));
         let mut probes = vec![probe];

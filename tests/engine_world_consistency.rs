@@ -10,6 +10,13 @@ use xmap_netsim::engine::{Engine, RouteAction};
 use xmap_netsim::packet::{Icmpv6, Ipv6Packet, Network, Payload, UnreachCode};
 use xmap_netsim::world::{World, WorldConfig};
 
+/// The replies `net` returns for `packet`.
+fn handle(net: &mut impl Network, packet: Ipv6Packet) -> Vec<Ipv6Packet> {
+    let mut out = Vec::new();
+    net.handle_into(packet, &mut out);
+    out
+}
+
 const VANTAGE: &str = "fd00::1";
 
 /// Builds an engine home network mirroring one world device's routing.
@@ -103,13 +110,16 @@ fn diff_mode_outcomes_agree() {
     assert!(picks.len() >= 4, "not enough devices ({})", picks.len());
     let profile = &w.profiles()[11];
     for (i, device) in picks {
-        if w.handle(Ipv6Packet::echo_request(
-            VANTAGE.parse().unwrap(),
-            device.delegated_prefix.addr().with_iid(1),
-            64,
-            0,
-            0,
-        ))
+        if handle(
+            &mut w,
+            Ipv6Packet::echo_request(
+                VANTAGE.parse().unwrap(),
+                device.delegated_prefix.addr().with_iid(1),
+                64,
+                0,
+                0,
+            ),
+        )
         .is_empty()
         {
             // Filtered device in the world; the engine does not model
@@ -137,8 +147,8 @@ fn diff_mode_outcomes_agree() {
             ),
         ] {
             let probe = |hl| Ipv6Packet::echo_request(VANTAGE.parse().unwrap(), dst, hl, 1, 1);
-            let from_world = classify(&w.handle(probe(255)));
-            let from_engine = classify(&engine.handle(probe(255)));
+            let from_world = classify(&handle(&mut w, probe(255)));
+            let from_engine = classify(&handle(&mut engine, probe(255)));
             assert_eq!(
                 from_world, from_engine,
                 "device {i} ({}) target {label} ({dst}): world {from_world:?} vs engine {from_engine:?}",
@@ -165,13 +175,10 @@ fn loop_traffic_accounting_agrees() {
             .with_iid(0x42);
         // World accounting.
         let before = w.stats().loop_forwards;
-        let resp = w.handle(Ipv6Packet::echo_request(
-            VANTAGE.parse().unwrap(),
-            unused,
-            255,
-            0,
-            0,
-        ));
+        let resp = handle(
+            &mut w,
+            Ipv6Packet::echo_request(VANTAGE.parse().unwrap(), unused, 255, 0, 0),
+        );
         if resp.is_empty() {
             continue; // filtered
         }
@@ -182,13 +189,10 @@ fn loop_traffic_accounting_agrees() {
         // hl - n).
         let (mut engine, _) = engine_for_device(&device);
         engine.reset_counters();
-        engine.handle(Ipv6Packet::echo_request(
-            VANTAGE.parse().unwrap(),
-            unused,
-            255,
-            0,
-            0,
-        ));
+        handle(
+            &mut engine,
+            Ipv6Packet::echo_request(VANTAGE.parse().unwrap(), unused, 255, 0, 0),
+        );
         let engine_fwd = engine.total_forwards();
 
         // The engine path here is 1 hop (vantage->isp); the world models
@@ -213,13 +217,10 @@ fn same_mode_reply_source_in_probed_prefix() {
     assert!(picks.len() >= 2);
     for (_, device) in picks {
         let dst = device.delegated_prefix.addr().with_iid(0x1234_5678);
-        let resp = w.handle(Ipv6Packet::echo_request(
-            VANTAGE.parse().unwrap(),
-            dst,
-            64,
-            0,
-            0,
-        ));
+        let resp = handle(
+            &mut w,
+            Ipv6Packet::echo_request(VANTAGE.parse().unwrap(), dst, 64, 0, 0),
+        );
         if resp.is_empty() {
             continue;
         }
@@ -245,13 +246,10 @@ fn reject_route_code_for_patched_devices() {
             .unwrap()
             .addr()
             .with_iid(0x77);
-        let resp = w.handle(Ipv6Packet::echo_request(
-            VANTAGE.parse().unwrap(),
-            unused,
-            64,
-            0,
-            0,
-        ));
+        let resp = handle(
+            &mut w,
+            Ipv6Packet::echo_request(VANTAGE.parse().unwrap(), unused, 64, 0, 0),
+        );
         if resp.is_empty() {
             continue;
         }
@@ -261,13 +259,10 @@ fn reject_route_code_for_patched_devices() {
         assert_eq!(*code, UnreachCode::RejectRoute, "world");
 
         let (mut engine, _) = engine_for_device(&device);
-        let eresp = engine.handle(Ipv6Packet::echo_request(
-            VANTAGE.parse().unwrap(),
-            unused,
-            64,
-            0,
-            0,
-        ));
+        let eresp = handle(
+            &mut engine,
+            Ipv6Packet::echo_request(VANTAGE.parse().unwrap(), unused, 64, 0, 0),
+        );
         let Payload::Icmp(Icmpv6::DestUnreachable { code, .. }) = &eresp[0].payload else {
             panic!("expected unreachable from engine");
         };

@@ -68,13 +68,11 @@ fn mitigated_catalog_passes_the_loop_scan() {
             plan.nx_wan_address(),
             plan.not_used_lan_prefix().addr().with_iid(1),
         ] {
-            let replies = engine.handle(Ipv6Packet::echo_request(
-                plan.vantage_addr,
-                target,
-                MAX_HOP_LIMIT,
-                0,
-                0,
-            ));
+            let mut replies = Vec::new();
+            engine.handle_into(
+                Ipv6Packet::echo_request(plan.vantage_addr, target, MAX_HOP_LIMIT, 0, 0),
+                &mut replies,
+            );
             assert!(
                 replies
                     .iter()
