@@ -63,7 +63,7 @@ pub use checkpoint::{
 };
 pub use cyclic::Cycle;
 pub use feistel::FeistelPermutation;
-pub use parallel::{insert_exec_counters, merge_worker_snapshots, ParallelScanner, Supervision};
+pub use parallel::{insert_exec_counters, merge_worker_snapshots, ParallelScanner, MAX_ATTEMPTS};
 pub use probe::{IcmpEchoProbe, ProbeModule, ProbeResult, TcpSynProbe, UdpProbe};
 pub use scanner::{
     Confidence, Permutation, ScanConfig, ScanRecord, ScanResults, ScanStats, Scanner, SecondChance,

@@ -62,22 +62,12 @@ use crate::scanner::{ScanConfig, ScanResults, Scanner};
 use crate::telemetry::names;
 use crate::walk::SplitUnit;
 
-/// Supervision policy for a parallel executor: how many times a unit of
-/// work may be attempted before it is declared poisoned and skipped — a
-/// shard here; in the campaign executor a block, whose first run and
-/// every panic in any of its sub-shards each count as one attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Supervision {
-    /// Total attempts per unit, counting the first one. `1` disables
-    /// retry entirely; the default is `2` (one retry).
-    pub max_attempts: u32,
-}
-
-impl Default for Supervision {
-    fn default() -> Self {
-        Supervision { max_attempts: 2 }
-    }
-}
+/// How many times a parallel executor attempts a unit of work, counting
+/// the first, before it declares the unit poisoned and skips it: a shard
+/// here; in the campaign executor a block, whose first run and every
+/// panic in any of its sub-shards each count as one attempt; in the
+/// daemon a unit. Two attempts is one retry.
+pub const MAX_ATTEMPTS: u32 = 2;
 
 /// Boxed per-worker network constructor: `(worker index, telemetry) ->
 /// network replica`.
@@ -108,7 +98,6 @@ pub struct ParallelScanner<N> {
     base: ScanConfig,
     traced: bool,
     factory: NetworkFactory<N>,
-    supervision: Supervision,
     exec_faults: Option<ExecFaults>,
     /// Per-worker count of range runs started so far (replays
     /// included), the index scripted [`ExecFaults`] rules match against.
@@ -122,7 +111,6 @@ impl<N> std::fmt::Debug for ParallelScanner<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelScanner")
             .field("workers", &self.workers.len())
-            .field("supervision", &self.supervision)
             .field("poisoned", &self.poisoned)
             .finish_non_exhaustive()
     }
@@ -185,18 +173,12 @@ impl<N: Network + Send> ParallelScanner<N> {
             base,
             traced,
             factory,
-            supervision: Supervision::default(),
             exec_faults: None,
             units: vec![0; workers],
             panics: 0,
             requeued: 0,
             poisoned: Vec::new(),
         }
-    }
-
-    /// Overrides the supervision policy (attempt budget per shard).
-    pub fn set_supervision(&mut self, policy: Supervision) {
-        self.supervision = policy;
     }
 
     /// Arms scripted executor faults: worker `w`'s `nth` range run
@@ -308,7 +290,7 @@ impl<N: Network + Send> ParallelScanner<N> {
     ///   passes): running consumed nothing the worker was handed, so it
     ///   is rebuilt from the factory (fresh replica, fresh telemetry,
     ///   same slot) and replays its whole mode list, until
-    ///   [`Supervision::max_attempts`] runs out. Determinism makes the
+    ///   [`MAX_ATTEMPTS`] runs out. Determinism makes the
     ///   replay's records *and* telemetry those of a fault-free run.
     /// * **A sink**: the lost attempt consumed the sink's journal
     ///   position and the worker's restored state, so it is not replayed.
@@ -336,7 +318,6 @@ impl<N: Network + Send> ParallelScanner<N> {
         for m in &modes {
             assert_eq!(m.len(), ranges.len(), "one mode per range");
         }
-        let max_attempts = self.supervision.max_attempts.max(1);
         // A replay must not depend on anything a run consumes: a sink's
         // journal position, or the restored state and journalled records
         // a `Resume`/`Skip` mode carries.
@@ -407,7 +388,7 @@ impl<N: Network + Send> ParallelScanner<N> {
                     // half-updated state, and a poisoned slot must not
                     // leak partial telemetry into snapshot().
                     self.rebuild_worker(w);
-                    if attempts[w] < max_attempts {
+                    if attempts[w] < MAX_ATTEMPTS {
                         self.requeued += 1;
                         todo[w] = Some(fresh_modes(ranges.len()));
                         continue;
@@ -730,28 +711,17 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_attempts_poison_the_shard() {
-        use xmap_failpoint::exec::ExecPlan;
-        let mut ps = parallel(2, 64);
-        ps.set_supervision(Supervision { max_attempts: 1 });
-        ps.set_exec_faults(ExecPlan::panic_on(1, 0).armed());
-        let results = ps.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
-        assert!(results.interrupted, "poisoned shard must flag the merge");
-        assert_eq!(ps.poisoned_shards(), &[1]);
-        // Worker 0's half of the 64-target cap still completed.
-        assert_eq!(results.stats.sent, 32);
-        let snap = ps.snapshot();
-        assert_eq!(snap.counter(names::EXEC_WORKER_PANICS), 1);
-        assert_eq!(snap.counter(names::EXEC_POISONED), 1);
-        assert_eq!(snap.counter(names::EXEC_REQUEUED), 0);
-    }
-
-    #[test]
     fn run_all_reports_a_poisoned_shard() {
-        use xmap_failpoint::exec::ExecPlan;
+        use xmap_failpoint::exec::{ExecPlan, ExecRule};
         let mut ps = parallel(2, 64);
-        ps.set_supervision(Supervision { max_attempts: 1 });
-        ps.set_exec_faults(ExecPlan::panic_on(1, 0).armed());
+        // Worker 1's first range panics, and so does its replay (unit 1).
+        let plan = ExecPlan {
+            rules: vec![
+                ExecRule { worker: 1, nth: 0 },
+                ExecRule { worker: 1, nth: 1 },
+            ],
+        };
+        ps.set_exec_faults(plan.armed());
         let results = ps.run_all(&[range(), range()], &IcmpEchoProbe, &Blocklist::allow_all());
         assert_eq!(ps.poisoned_shards(), &[1]);
         assert!(
@@ -764,7 +734,7 @@ mod tests {
     fn repeated_panics_exhaust_budget_then_poison() {
         use xmap_failpoint::exec::{ExecPlan, ExecRule};
         let mut ps = parallel(2, 64);
-        // Default budget is 2 attempts; both panic.
+        // Both of the `MAX_ATTEMPTS` attempts panic.
         let plan = ExecPlan {
             rules: vec![
                 ExecRule { worker: 0, nth: 0 },
@@ -773,8 +743,10 @@ mod tests {
         };
         ps.set_exec_faults(plan.armed());
         let results = ps.run(&range(), &IcmpEchoProbe, &Blocklist::allow_all());
-        assert!(results.interrupted);
+        assert!(results.interrupted, "poisoned shard must flag the merge");
         assert_eq!(ps.poisoned_shards(), &[0]);
+        // Worker 1's half of the 64-target cap still completed.
+        assert_eq!(results.stats.sent, 32);
         let snap = ps.snapshot();
         assert_eq!(snap.counter(names::EXEC_WORKER_PANICS), 2);
         assert_eq!(snap.counter(names::EXEC_REQUEUED), 1);

@@ -3,9 +3,9 @@
 //! The parallel executors (`ParallelScanner` shards, `ParallelCampaign`
 //! block sub-shards) consume an [`ExecFaults`] before each unit of work.
 //! A matched rule makes the worker panic right there — exercising the
-//! supervisor's `catch_unwind`/requeue path. Rules are matched by `(worker, nth unit
-//! that worker claimed)` and fire at most once, so a retried unit on a
-//! surviving worker runs clean.
+//! executor's `catch_unwind`/requeue path. Rules are matched by `(worker,
+//! nth unit that worker claimed)` and fire at most once, so a retried
+//! unit runs clean unless a rule names its retry too.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

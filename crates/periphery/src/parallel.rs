@@ -22,10 +22,10 @@
 //! split plan left to do. The bins are the only work queue. A worker
 //! claims the first pending unit of the lowest-indexed block that has
 //! one, so a single worker runs the blocks in sequential order. Blocks
-//! differ wildly in cost — scan-space sizes span 2²⁸..2³², and ICMPv6
-//! token-bucket tightness decides how much mop-up work a block carries —
-//! so a worker that finishes early simply claims the next block instead
-//! of waiting behind the slowest one.
+//! differ wildly in cost — scan-space sizes span 2²⁸..2³², and under a
+//! token-bucket fault plan ICMPv6 rate limiting decides how much mop-up
+//! work a block carries — so a worker that finishes early simply claims
+//! the next block instead of waiting behind the slowest one.
 //!
 //! Block granularity alone still leaves a straggler tail: once every bin
 //! is empty, every worker but the one holding the last (often largest)
@@ -96,19 +96,18 @@
 //! or real — costs only the unit it hit: the unit goes back into its
 //! block's bin (once it has split, its settled prefix does, since the
 //! parts are already there), sibling units keep what they delivered, and
-//! the worker retires, since its scanner may hold half-mutated state.
-//! Units are pure functions of `(block, unit)`, so the re-run is
-//! identical. The attempt budget is per block:
-//! [`Supervision::max_attempts`] covers the first run plus each panic in
-//! any of the block's units. Once it is spent the block is poisoned —
-//! its pending units are dropped, later deliveries are discarded — and
-//! the campaign completes around it. A panic is the only way work is
-//! lost: a worker that hung instead would never return, nor would the
-//! scoped join, so nothing watches for hangs. A requeued unit re-runs on
-//! a surviving worker, or — once every worker has retired — on the
-//! supervisor fallback: one more `Worker` run on the calling thread after
-//! join, under worker index `workers`, repeated while any bin holds a
-//! pending unit.
+//! the worker rebuilds its scanner from the network factory (same worker
+//! index, fresh telemetry and replica, abort signal re-armed), since the
+//! old one may hold half-mutated state, and keeps claiming — the
+//! requeued unit included. Units are pure functions of `(block, unit)`,
+//! so the re-run is identical. The attempt budget is per block:
+//! [`MAX_ATTEMPTS`] covers the first run plus each panic in any of the
+//! block's units. Once it is spent the block is poisoned — its pending
+//! units are dropped, later deliveries are discarded — and the campaign
+//! completes around it. A panic in the factory itself is no unit's: it
+//! propagates out of the run. A panic is the only way work is lost: a
+//! worker that hung instead would never return, nor would the scoped
+//! join, so nothing watches for hangs.
 //!
 //! # Checkpoint layout
 //!
@@ -156,7 +155,7 @@
 //! [`ScanStats`]: xmap::ScanStats
 //! [`ParallelScanner`]: xmap::ParallelScanner
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -164,8 +163,8 @@ use std::time::Duration;
 
 use xmap::telemetry::names;
 use xmap::{
-    insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, SplitUnit, Supervision,
-    YieldGate,
+    insert_exec_counters, merge_worker_snapshots, ScanConfig, Scanner, SplitUnit, YieldGate,
+    MAX_ATTEMPTS,
 };
 use xmap_failpoint::exec::{ExecFaults, ExecPlan};
 use xmap_netsim::isp::SAMPLE_BLOCKS;
@@ -274,7 +273,6 @@ pub struct CampaignOutcome {
 pub struct ParallelCampaign {
     campaign: Campaign,
     workers: usize,
-    supervision: Supervision,
     exec_plan: Option<ExecPlan>,
     force_split_at: Option<u64>,
 }
@@ -295,7 +293,6 @@ impl ParallelCampaign {
         ParallelCampaign {
             campaign,
             workers,
-            supervision: Supervision::default(),
             exec_plan: None,
             force_split_at: None,
         }
@@ -318,14 +315,9 @@ impl ParallelCampaign {
         self
     }
 
-    /// Overrides the supervision policy (attempt budget per block).
-    pub fn with_supervision(mut self, policy: Supervision) -> Self {
-        self.supervision = policy;
-        self
-    }
-
-    /// Arms scripted executor faults (worker panics) for the
-    /// next run. Test-harness plumbing; production runs never set this.
+    /// Arms scripted executor faults for the next run: worker `w`'s
+    /// `nth` claimed unit (counting the units it claims after a rebuild)
+    /// panics. Test-harness plumbing; production runs never set this.
     pub fn with_exec_faults(mut self, plan: ExecPlan) -> Self {
         self.exec_plan = Some(plan);
         self
@@ -343,16 +335,22 @@ impl ParallelCampaign {
 
     /// Runs the campaign across all workers and merges deterministically.
     ///
-    /// `make_network(w, telemetry)` builds worker `w`'s network replica;
-    /// every worker must be built over the same world seed (disjoint
-    /// targets make replicas interchangeable with one shared world —
-    /// see the module docs for the envelope). Each worker scans under
-    /// `base` unchanged; `base.max_targets` is ignored (the campaign caps
-    /// per block).
+    /// `make_network(w, telemetry)` builds worker `w`'s network replica:
+    /// on the calling thread for the first scanner of each worker, on the
+    /// worker's thread when a panicked unit makes it rebuild. Every
+    /// worker must be built over the same world seed (disjoint targets
+    /// make replicas interchangeable with one shared world — see the
+    /// module docs for the envelope). Each worker scans under `base`
+    /// unchanged; `base.max_targets` is ignored (the campaign caps per
+    /// block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `make_network` does.
     pub fn run<N: Network + Send>(
         &self,
         base: &ScanConfig,
-        make_network: impl FnMut(usize, &Telemetry) -> N,
+        make_network: impl FnMut(usize, &Telemetry) -> N + Send,
     ) -> CampaignOutcome {
         let loaded = SAMPLE_BLOCKS.iter().map(|_| None).collect();
         let bins = self.unstarted().into_iter().map(Replay::into_bin).collect();
@@ -384,7 +382,7 @@ impl ParallelCampaign {
         dir: &Path,
         resume: bool,
         abort: Option<&AbortSignal>,
-        make_network: impl FnMut(usize, &Telemetry) -> N,
+        make_network: impl FnMut(usize, &Telemetry) -> N + Send,
     ) -> Result<CampaignOutcome, StateError> {
         let id = self.campaign.identity(base, world);
         let path = dir.join("campaign.ckpt");
@@ -547,13 +545,11 @@ impl ParallelCampaign {
         loaded: Vec<Option<Committed>>,
         bins: Vec<Bin>,
         abort: Option<&AbortSignal>,
-        mut make_network: impl FnMut(usize, &Telemetry) -> N,
+        make_network: impl FnMut(usize, &Telemetry) -> N + Send,
     ) -> Result<CampaignOutcome, StateError> {
-        // The yield flags carry one extra slot for the supervisor
-        // fallback, which runs as worker index `workers`.
         let shared = SplitShared {
             bins: bins.into_iter().map(Mutex::new).collect(),
-            yield_flags: (0..=self.workers)
+            yield_flags: (0..self.workers)
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
             waiters: AtomicUsize::new(0),
@@ -562,10 +558,10 @@ impl ParallelCampaign {
             journal,
         };
         let faults = self.exec_plan.as_ref().map(ExecPlan::armed);
-        let max_attempts = self.supervision.max_attempts.max(1);
-        let mut new_scanner = |w: usize| {
+        let factory = Mutex::new(make_network);
+        let new_scanner = |w: usize| {
             let telemetry = Telemetry::new();
-            let network = make_network(w, &telemetry);
+            let network = (*factory.lock().expect("network factory poisoned"))(w, &telemetry);
             let mut scanner = Scanner::with_telemetry(network, base.clone(), telemetry);
             if let Some(signal) = abort {
                 scanner.set_abort(signal.clone());
@@ -580,14 +576,14 @@ impl ParallelCampaign {
                 min_remaining: MIN_SPLIT_REMAINDER,
                 force_at: self.force_split_at,
             },
+            new_scanner: &new_scanner,
             campaign: &self.campaign,
             faults: faults.as_ref(),
-            max_attempts,
             shared: &shared,
             units: 0,
             out: WorkerOut::default(),
         };
-        let scanners: Vec<Scanner<N>> = (0..self.workers).map(&mut new_scanner).collect();
+        let scanners: Vec<Scanner<N>> = (0..self.workers).map(&new_scanner).collect();
 
         let outs: Vec<Result<WorkerOut, StateError>> = std::thread::scope(|scope| {
             let worker = &worker;
@@ -602,39 +598,18 @@ impl ParallelCampaign {
                 })
                 .collect();
             // Joining in worker order keeps error reporting (and the
-            // merge below) deterministic. A panic that escaped the
-            // supervisor would be an executor bug; surface it as an
-            // empty worker rather than tearing down the scope.
+            // merge below) deterministic. Units catch their own panics,
+            // so one that reaches the join came from outside any unit —
+            // the factory rebuilding a worker — and is the run's.
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| Ok(WorkerOut::default())))
+                .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
                 .collect()
         });
-        let mut worker_outs: Vec<WorkerOut> = Vec::with_capacity(outs.len() + 1);
+        let mut worker_outs: Vec<WorkerOut> = Vec::with_capacity(outs.len());
         for out in outs {
             worker_outs.push(out?);
         }
-
-        // Supervisor fallback: a panicked worker requeues its unit, and
-        // when every other worker has already retired nobody claims it.
-        // One more `Worker` finishes those on the calling thread, under
-        // index `workers` and a fresh scanner per pass (a panic retires
-        // the pass, whose scanner may hold half-mutated state), while
-        // any bin holds a pending unit.
-        let aborted = || abort.is_some_and(AbortSignal::is_set);
-        let mut fallback: Option<Worker<'_, N>> = None;
-        while !aborted() && shared.bins.iter().any(|bin| !lock(bin).pending.is_empty()) {
-            let scanner = new_scanner(self.workers);
-            let pass = match fallback.as_mut() {
-                Some(pass) => {
-                    pass.scanner = scanner;
-                    pass
-                }
-                None => fallback.insert(worker(self.workers, scanner)),
-            };
-            pass.run()?;
-        }
-        worker_outs.extend(fallback.map(|pass| pass.out));
 
         // Merge: loaded blocks and committed live blocks, in block-index
         // order — which is Table II (profile) order, the sequential
@@ -656,7 +631,7 @@ impl ParallelCampaign {
         // Unless an abort stopped the run, nothing is left to commit a
         // block that is still missing: report it as poisoned rather than
         // leave a silent gap in the CSV.
-        let interrupted = aborted();
+        let interrupted = abort.is_some_and(AbortSignal::is_set);
         let poisoned: Vec<usize> = (0..SAMPLE_BLOCKS.len())
             .filter(|&idx| {
                 lock(&shared.bins[idx]).poisoned
@@ -722,8 +697,7 @@ struct WorkerOut {
     committed: Snapshot,
 }
 
-/// The state every worker shares, the supervisor fallback's included:
-/// one bin per block and the idle/busy accounting that drives yield
+/// The state every worker shares: one bin per block and the idle/busy accounting that drives yield
 /// requests and retirement.
 struct SplitShared {
     /// One bin per sample block — the executor's only work queue. A
@@ -781,9 +755,10 @@ struct Worker<'a, N: Network> {
     /// This worker's split point: its flag in
     /// [`SplitShared::yield_flags`], armed for every unit it runs.
     gate: YieldGate,
+    /// Builds worker `w`'s scanner: what replaces one a panic left.
+    new_scanner: &'a (dyn Fn(usize) -> Scanner<N> + Sync),
     campaign: &'a Campaign,
     faults: Option<&'a ExecFaults>,
-    max_attempts: u32,
     shared: &'a SplitShared,
     /// Units claimed so far — the index the fault script matches on.
     units: u64,
@@ -792,10 +767,10 @@ struct Worker<'a, N: Network> {
 
 impl<N: Network> Worker<'_, N> {
     /// Claims and runs units until nothing is left for this worker, or
-    /// until it must retire (abort or a panicked unit).
+    /// until it must retire (abort or a journal error).
     fn run(&mut self) -> Result<(), StateError> {
-        // Idle peers raise every flag, the fallback's too while it has
-        // no scanner running; only a request made during this run counts.
+        // Idle peers raise every flag, this worker's too before it
+        // starts; only a request made during this run counts.
         self.gate.flag.store(false, Ordering::Relaxed);
         loop {
             if self.scanner.is_aborted() {
@@ -809,9 +784,8 @@ impl<N: Network> Worker<'_, N> {
             }
             if self.shared.busy.load(Ordering::Acquire) == 0 {
                 // Nothing claimable and nothing in flight: every block is
-                // committed or poisoned, or a panicked peer requeued a
-                // unit after this worker's scan — the supervisor fallback
-                // runs it after join.
+                // committed or poisoned. (A panicked peer requeues its
+                // unit before it stops counting as busy.)
                 return Ok(());
             }
             self.shared.waiters.fetch_add(1, Ordering::AcqRel);
@@ -848,7 +822,8 @@ impl<N: Network> Worker<'_, N> {
     /// Runs one claimed unit of block `idx`: main pass (yield-capable),
     /// split on yield, per-unit mop-up, then delivery — or, when the run
     /// delivers nothing, the unit's release back into its bin. Returns
-    /// `false` when the worker must retire.
+    /// `false` when the worker must retire. A panicked unit rebuilds the
+    /// worker's scanner, and the worker keeps claiming.
     fn run_unit(&mut self, idx: usize, unit: SplitUnit) -> Result<bool, StateError> {
         let w = self.w;
         let profile = &SAMPLE_BLOCKS[idx];
@@ -912,11 +887,12 @@ impl<N: Network> Worker<'_, N> {
                 self.release(idx, requeue, false);
                 result.map(|_| false)
             }
-            // Panic mid-unit, scripted or real: retire, since this
-            // scanner may hold half-mutated per-unit state.
+            // Panic mid-unit, scripted or real: this scanner may hold
+            // half-mutated per-unit state, so carry on with a new one.
             Err(_) => {
                 self.release(idx, requeue, true);
-                Ok(false)
+                self.scanner = (self.new_scanner)(w);
+                Ok(true)
             }
         }
     }
@@ -932,7 +908,7 @@ impl<N: Network> Worker<'_, N> {
         if panicked {
             counters.panics.fetch_add(1, Ordering::Relaxed);
             bin.panics += 1;
-            if bin.panics >= self.max_attempts {
+            if bin.panics >= MAX_ATTEMPTS {
                 bin.poisoned = true;
                 bin.pending.clear();
             } else if !bin.poisoned {
@@ -1338,8 +1314,8 @@ mod tests {
         let (seq, seq_snap) = sequential(tpb);
         // Worker 0 panics on its second claimed unit — a whole block, or
         // under forced splits a sub-shard inside a split one; the
-        // requeued unit re-runs on a surviving worker (or the
-        // supervisor fallback).
+        // requeued unit re-runs on whichever worker claims it next, the
+        // surviving one or worker 0 on its rebuilt scanner.
         for force_split_at in [None, Some(300)] {
             let mut exec = ParallelCampaign::new(Campaign::new(tpb), 2)
                 .with_exec_faults(ExecPlan::panic_on(0, 1));
@@ -1357,13 +1333,12 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_panic_falls_back_to_supervisor() {
+    fn single_worker_panic_rebuilds_the_worker() {
         let tpb = 1 << 9;
         let (seq, seq_snap) = sequential(tpb);
-        // The only worker panics on its fourth unit and retires; the
-        // supervisor fallback must finish the requeued unit and every
-        // block after it, still byte-identically — splitting them too
-        // when forced to.
+        // The only worker panics on its fourth unit; on a rebuilt scanner
+        // it must finish the requeued unit and every block after it,
+        // still byte-identically — splitting them too when forced to.
         for force_split_at in [None, Some(300)] {
             let mut exec = ParallelCampaign::new(Campaign::new(tpb), 1)
                 .with_exec_faults(ExecPlan::panic_on(0, 3));
@@ -1373,7 +1348,7 @@ mod tests {
             let outcome = exec.run(&base(tpb), make_world);
             assert!(!outcome.interrupted);
             assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-            assert_eq!(outcome.result, seq, "supervisor fallback diverged");
+            assert_eq!(outcome.result, seq, "rebuilt worker diverged");
             assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 1);
             if force_split_at.is_some() {
                 assert!(outcome.snapshot.counter(names::EXEC_SPLITS) >= 1);
@@ -1388,7 +1363,8 @@ mod tests {
         let tpb = 1 << 9;
         let (seq, seq_snap) = sequential(tpb);
         // Runs `exec` and sums `netsim.probes` over every registry its
-        // factory handed out, the fallback's included: the work done.
+        // factory handed out, the rebuilt scanner's included: the work
+        // done.
         let run = |exec: ParallelCampaign| {
             let handed = Mutex::new(Vec::new());
             let outcome = exec.run(&base(tpb), |w, telemetry| {
@@ -1424,14 +1400,14 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_fallback_commits_checkpoints_like_a_worker() {
-        let dir = std::env::temp_dir().join(format!("xmap-pcamp-fallback-{}", std::process::id()));
+    fn rebuilt_worker_commits_checkpoints_like_the_first() {
+        let dir = std::env::temp_dir().join(format!("xmap-pcamp-rebuilt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tpb = 1 << 9;
         let (seq, seq_snap) = sequential(tpb);
         // The only worker panics inside the first block after a forced
-        // split, so the fallback commits all fifteen blocks through the
-        // same claim/unit/commit path a worker uses.
+        // split, so its rebuilt scanner commits all fifteen blocks
+        // through the same claim/unit/commit path.
         let exec = ParallelCampaign::new(Campaign::new(tpb), 1)
             .with_force_split_at(300)
             .with_exec_faults(ExecPlan::panic_on(0, 1));
@@ -1439,7 +1415,7 @@ mod tests {
             .run_checkpointed(&base(tpb), &world(), &dir, false, None, make_world)
             .unwrap();
         assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-        assert_eq!(outcome.result, seq, "fallback-committed campaign diverged");
+        assert_eq!(outcome.result, seq, "rebuilt-worker campaign diverged");
         assert_eq!(strip_exec(outcome.snapshot), seq_snap);
         let files: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -1451,41 +1427,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A panic in the factory while a worker rebuilds is no unit's: it
+    /// must end the run, not turn into a worker that delivered nothing
+    /// and a block reported as poisoned.
     #[test]
-    fn supervisor_fallback_panic_is_retried() {
-        use xmap_failpoint::exec::ExecRule;
+    #[should_panic(expected = "factory fails on rebuild")]
+    fn factory_panic_on_rebuild_propagates() {
         let tpb = 1 << 9;
-        let (seq, seq_snap) = sequential(tpb);
-        // The only worker panics on its fourth block and retires; the
-        // supervisor fallback (fault index 1 = `workers`) then panics on
-        // its first attempt at that block, and its retry still finishes
-        // the campaign byte-identically.
+        let calls = AtomicUsize::new(0);
         let outcome = ParallelCampaign::new(Campaign::new(tpb), 1)
-            .with_supervision(Supervision { max_attempts: 3 })
-            .with_exec_faults(ExecPlan {
-                rules: vec![
-                    ExecRule { worker: 0, nth: 3 },
-                    ExecRule { worker: 1, nth: 0 },
-                ],
-            })
-            .run(&base(tpb), make_world);
-        assert!(outcome.poisoned.is_empty(), "{:?}", outcome.poisoned);
-        assert_eq!(outcome.result, seq, "supervisor retry diverged");
-        assert_eq!(outcome.snapshot.counter(names::EXEC_WORKER_PANICS), 2);
-        assert_eq!(strip_exec(outcome.snapshot), seq_snap);
+            .with_exec_faults(ExecPlan::panic_on(0, 0))
+            .run(&base(tpb), |w, telemetry| {
+                // Call 0 builds the worker; call 1 rebuilds it after the
+                // scripted panic.
+                if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                    panic!("factory fails on rebuild");
+                }
+                make_world(w, telemetry)
+            });
+        panic!("the run returned: poisoned {:?}", outcome.poisoned);
     }
 
     #[test]
     fn poisoned_block_leaves_deterministic_gap() {
+        use xmap_failpoint::exec::ExecRule;
         let tpb = 1 << 9;
         let (seq, _) = sequential(tpb);
-        // One worker, attempt budget 1: the scripted panic on the sixth
-        // claimed block (= block index 5, claims are in block order)
-        // poisons it immediately. The campaign must complete around the
-        // gap with every other block in Table II order.
+        // One worker: the scripted panics on the sixth claimed unit
+        // (= block index 5, claims are in block order) and on its re-run,
+        // the seventh, spend the block's `MAX_ATTEMPTS` and poison it.
+        // The campaign must complete around the gap with every other
+        // block in Table II order.
         let outcome = ParallelCampaign::new(Campaign::new(tpb), 1)
-            .with_supervision(Supervision { max_attempts: 1 })
-            .with_exec_faults(ExecPlan::panic_on(0, 5))
+            .with_exec_faults(ExecPlan {
+                rules: vec![
+                    ExecRule { worker: 0, nth: 5 },
+                    ExecRule { worker: 0, nth: 6 },
+                ],
+            })
             .run(&base(tpb), make_world);
         assert_eq!(outcome.poisoned, vec![5]);
         assert_eq!(outcome.result.blocks.len(), SAMPLE_BLOCKS.len() - 1);

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use xmap::telemetry::names;
-use xmap::{merge_worker_snapshots, Supervision};
+use xmap::{merge_worker_snapshots, MAX_ATTEMPTS};
 use xmap_state::checkpoint::{publish, sync_dir};
 use xmap_state::StateError;
 use xmap_telemetry::{Registry, Snapshot};
@@ -61,7 +61,7 @@ pub mod metric {
     pub const CANCELLED: &str = "serve.cancelled";
     /// Units executed to completion (committed).
     pub const UNITS_EXECUTED: &str = "serve.units_executed";
-    /// Worker panics caught by the supervisor.
+    /// Worker panics caught around a unit run.
     pub const WORKER_PANICS: &str = "serve.worker_panics";
     /// Units requeued after a panic.
     pub const REQUEUED: &str = "serve.requeued";
@@ -540,7 +540,7 @@ impl Daemon {
                     if entry.state == JobState::Active {
                         entry.attempts[unit] += 1;
                         // The same attempt budget as every executor pool.
-                        if entry.attempts[unit] < Supervision::default().max_attempts {
+                        if entry.attempts[unit] < MAX_ATTEMPTS {
                             let cost = entry.spec.unit_cost(unit);
                             eng.sched.requeue(job, unit, cost);
                             self.metrics.counter(metric::REQUEUED).inc();

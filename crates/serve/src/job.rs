@@ -7,8 +7,8 @@
 //! without help, and the scheduler can cost its units up front.
 //!
 //! Every unit runs on a **fresh** scanner over a fresh seeded world
-//! replica (the supervisor-fallback pattern the parallel campaign
-//! executor already proved byte-identical to sequential execution), so
+//! replica (as a parallel campaign worker rebuilds its scanner after a
+//! panic, a re-run proven byte-identical to sequential execution), so
 //! a unit's output is a pure function of `(spec, unit index)`. The
 //! daemon's crash-resume and cross-worker-count determinism both reduce
 //! to this property.
