@@ -744,15 +744,21 @@ pub fn fig6(exp: &mut Experiment) -> String {
         "FIGURE 6: TOP 5 ROUTING LOOP PERIPHERY DEVICE VENDORS WITHIN TOP 5 ASES"
     );
     for (vendor, per_as, total) in rows {
-        let mut ases: Vec<(u32, usize)> = per_as.into_iter().collect();
-        ases.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         let _ = write!(out, "{vendor:<16} total {total:>6} |");
-        for (asn, c) in ases.into_iter().take(5) {
+        for (asn, c) in ranked_ases(per_as).into_iter().take(5) {
             let _ = write!(out, " AS{asn}:{c}");
         }
         let _ = writeln!(out);
     }
     out
+}
+
+/// A Figure 6 vendor's per-AS counts, descending, ties broken by ASN (as
+/// `top_loop_asns` breaks them), so a row never prints in hash order.
+fn ranked_ases(per_as: HashMap<u32, usize>) -> Vec<(u32, usize)> {
+    let mut ases: Vec<(u32, usize)> = per_as.into_iter().collect();
+    ases.sort_by_key(|&(asn, n)| (std::cmp::Reverse(n), asn));
+    ases
 }
 
 /// The feasibility analysis of Sections III-B and IV-E.
@@ -867,6 +873,20 @@ mod tests {
         ] {
             assert!(text.lines().count() >= 3, "{name} too short:\n{text}");
         }
+    }
+
+    /// Equal per-AS counts print in ASN order, whatever order the map
+    /// yields them in.
+    #[test]
+    fn fig6_breaks_as_ties_by_asn() {
+        let ties = [4837, 4134, 7922, 3462, 9121, 17676, 4766];
+        let mut per_as: HashMap<u32, usize> = ties.iter().map(|&asn| (asn, 1)).collect();
+        per_as.insert(9808, 2);
+        let mut expect = vec![(9808, 2)];
+        let mut sorted = ties;
+        sorted.sort_unstable();
+        expect.extend(sorted.iter().map(|&asn| (asn, 1)));
+        assert_eq!(ranked_ases(per_as), expect);
     }
 
     #[test]
