@@ -17,13 +17,11 @@
 #![warn(missing_docs)]
 
 pub mod cve;
-pub mod dnsamp;
 pub mod grab;
 pub mod report;
 pub mod software;
 pub mod survey;
 
-pub use dnsamp::{assess, AmpAssessment, AmpQuery};
 pub use grab::{grab, grab_with, GrabOutcome};
 pub use report::{fig2_rows, fig3_rows, VendorServiceMatrix};
 pub use software::{parse_banner, resolve_banner, SoftwareStats};

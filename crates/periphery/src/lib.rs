@@ -21,7 +21,6 @@ pub mod baseline;
 pub mod boundary;
 pub mod campaign;
 pub mod parallel;
-pub mod topomap;
 pub mod vendor;
 
 pub use adaptive::{AdaptiveCampaign, AdaptiveConfig, AdaptiveOutcome};
@@ -32,6 +31,5 @@ pub use campaign::{
     decode_block, encode_block, BlockResult, Campaign, CampaignResult, DiscoveredPeriphery,
 };
 pub use parallel::{BlockMode, CampaignOutcome, ParallelCampaign, UnitMode, UnitPlan};
-pub use topomap::{Role, TopologyMap};
 pub use vendor::{identify, VendorCounts};
 pub use xmap::SplitUnit;
