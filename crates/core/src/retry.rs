@@ -53,6 +53,10 @@ impl<T> RetryLanes<T> {
         self.push(lane, deadline, seq, payload);
     }
 
+    // Hinted: every retransmission arms through here, and without the
+    // hint whether the scan loop inlines it moves with unrelated code
+    // elsewhere in the build.
+    #[inline]
     fn push(&mut self, lane: usize, deadline: u64, seq: u64, payload: T) {
         if lane >= self.lanes.len() {
             self.lanes.resize_with(lane + 1, VecDeque::new);
