@@ -289,9 +289,9 @@ impl<N: Network + Send> ParallelScanner<N> {
     /// * **No sink** (every mode `Fresh`, as [`run_all`](Self::run_all)
     ///   passes): running consumed nothing the worker was handed, so it
     ///   is rebuilt from the factory (fresh replica, fresh telemetry,
-    ///   same slot) and replays its whole mode list, until
-    ///   [`MAX_ATTEMPTS`] runs out. Determinism makes the
-    ///   replay's records *and* telemetry those of a fault-free run.
+    ///   same slot) and replays its whole mode list, up to
+    ///   [`MAX_ATTEMPTS`] attempts. Determinism makes the replay's
+    ///   records *and* telemetry those of a fault-free run.
     /// * **A sink**: the lost attempt consumed the sink's journal
     ///   position and the worker's restored state, so it is not replayed.
     ///   Its checkpoint covers everything it made durable, and resuming

@@ -697,8 +697,8 @@ struct WorkerOut {
     committed: Snapshot,
 }
 
-/// The state every worker shares: one bin per block and the idle/busy accounting that drives yield
-/// requests and retirement.
+/// The state every worker shares: one bin per block and the idle/busy
+/// accounting that drives yield requests and retirement.
 struct SplitShared {
     /// One bin per sample block — the executor's only work queue. A
     /// loaded block's bin stays empty.

@@ -559,8 +559,8 @@ enum Event {
 ///
 /// Drive it with the *same* scan configuration and seed that produced
 /// the trace: each `handle_into` call consumes the next recorded send
-/// (and its immediate replies), each `tick_into` call the next recorded advance
-/// (and its due replies). Probes that do not match the recorded send
+/// (and its immediate replies), each `tick_into` call the next recorded
+/// advance (and its due replies). Probes that do not match the recorded send
 /// are counted in [`mismatched_sends`](ReplayNet::mismatched_sends) —
 /// the recorded replies are served regardless, so a diverging replay
 /// fails loudly at artifact comparison instead of silently hanging.
