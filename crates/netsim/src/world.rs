@@ -375,10 +375,10 @@ impl World {
         }
     }
 
-    /// Attaches a telemetry bundle: from now on every [`Network::handle_into`] /
-    /// [`Network::tick_into`] publishes its [`WorldStats`] delta into the
-    /// bundle's registry as `netsim.*` counters and emits fault/tick trace
-    /// events into its tracer.
+    /// Attaches a telemetry bundle: from now on every
+    /// [`Network::handle_into`] / [`Network::tick_into`] publishes its
+    /// [`WorldStats`] delta into the bundle's registry as `netsim.*`
+    /// counters and emits fault/tick trace events into its tracer.
     pub fn set_telemetry(&mut self, telemetry: &xmap_telemetry::Telemetry) {
         self.telemetry = NetsimTelemetry::bind(telemetry);
         self.published = self.stats;
